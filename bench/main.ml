@@ -341,7 +341,7 @@ let bench_gateway () =
          ~rate ~size:14 ~until:(Time.sec 1.) ());
     Engine.run engine ~until:(Time.sec 1.);
     (float_of_int (Kernel.stats gw).Kernel.forwarded,
-     app.Lrp_sim.Proc.cpu_time /. Time.sec 1.)
+     Lrp_sim.Proc.cpu_time app /. Time.sec 1.)
   in
   let rates = [ 2_000.; 8_000.; 14_000.; 20_000. ] in
   let tasks =
@@ -454,13 +454,13 @@ let micro_tests () =
   let chan = Lrp_core.Channel.create ~limit:64 ~name:"bench" () in
   let heap = Eheap.create () in
   let rng = Rng.create 1 in
-  let sched = Lrp_sched.Sched.create () in
+  let sched = Lrp_sched.Sched.create ~clock:[| 0. |] in
   let threads =
     List.init 8 (fun i ->
         let th =
           Lrp_sched.Sched.add_thread sched ~name:(Printf.sprintf "t%d" i) ()
         in
-        Lrp_sched.Sched.make_runnable sched ~now:0. th;
+        Lrp_sched.Sched.make_runnable sched th;
         th)
   in
   let tab = Lrp_core.Chantab.create () in

@@ -139,11 +139,11 @@ let accounting ?(duration = Time.sec 8.) ?(jobs = 1)
       let acc = ref 0. in
       Cpu.iter_procs (Kernel.cpu server) (fun p ->
           if String.length p.Proc.name >= 4 && String.sub p.Proc.name 0 4 = "app-"
-          then acc := !acc +. p.Proc.cpu_time);
+          then acc := !acc +. Proc.cpu_time p);
       !acc
     in
     let rx_cpu =
-      match !receiver with Some p -> p.Proc.cpu_time | None -> 0.
+      match !receiver with Some p -> Proc.cpu_time p | None -> 0.
     in
     (* What the decay-usage scheduler believes the receiver consumed: its
        charged ticks (one tick = 10 ms).  Under fair accounting this
@@ -157,7 +157,7 @@ let accounting ?(duration = Time.sec 8.) ?(jobs = 1)
       | None -> 0.
     in
     { fair;
-      hog_progress = hog.Proc.cpu_time /. duration;
+      hog_progress = Proc.cpu_time hog /. duration;
       receiver_share = (rx_cpu +. apps_cpu) /. duration;
       receiver_billed = billed }
   in

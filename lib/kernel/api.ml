@@ -219,7 +219,7 @@ let recvfrom k ~(self : Proc.t) (sock : Socket.t) =
                 let completed =
                   Kernel.lrp_process_udp_raw k ~charge:(Kernel.proto_charge k ch) pkt
                 in
-                List.iter (Kernel.deliver_udp_ready k) completed;
+                Kernel.deliver_udp_all k completed;
                 loop ()
               end
               else begin
@@ -266,7 +266,7 @@ let recvfrom_timeout k ~(self : Proc.t) (sock : Socket.t) ~timeout =
                     let completed =
                       Kernel.lrp_process_udp_raw k ~charge:(Kernel.proto_charge k ch) pkt
                     in
-                    List.iter (Kernel.deliver_udp_ready k) completed;
+                    Kernel.deliver_udp_all k completed;
                     loop ()
                   end
                   else begin
@@ -292,7 +292,7 @@ let try_recvfrom k ~(self : Proc.t) (sock : Socket.t) =
            let completed =
              Kernel.lrp_process_udp_raw k ~charge:(Kernel.proto_charge k ch) pkt
            in
-           List.iter (Kernel.deliver_udp_ready k) completed;
+           Kernel.deliver_udp_all k completed;
            match pop_ready k sock with
            | Some dg -> Some dg
            | None -> drain_chan ()

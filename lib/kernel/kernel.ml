@@ -175,6 +175,21 @@ let napi_storm_gap = 60.
    small batch instead of per packet. *)
 let napi_repoll = 500.
 
+(* Typed interrupt jobs for the per-packet posts, registered once per
+   kernel ({!Cpu.job}): posting one stores (job, packet, int) in the CPU's
+   work ring instead of allocating a closure per packet. *)
+type rx_jobs = {
+  j_driver_rx : Packet.t Cpu.job;  (* BSD-style driver interrupt *)
+  j_demux_rx : Packet.t Cpu.job;   (* SOFT-LRP demux interrupt *)
+  j_edemux_rx : Packet.t Cpu.job;  (* Early-Demux demux interrupt *)
+  j_softnet : Packet.t Cpu.job;    (* BSD softnet; mbuf handle in the int *)
+  j_edemux_soft : Packet.t Cpu.job;
+      (* Early-Demux eager protocol softint; mbuf handle in the int *)
+  j_wake : Proc.waitq Cpu.job;     (* NI-LRP host interrupt waking a waiter *)
+  j_napi_irq : unit Cpu.job;       (* NAPI mitigated interrupt; queue in the int *)
+  j_napi_poll : napi Cpu.job;      (* NAPI softirq poll round *)
+}
+
 type t = {
   kname : string;
   engine : Engine.t;
@@ -216,6 +231,7 @@ type t = {
   mutable napi : napi array;   (* one per RX queue; [||] unless NAPI-family *)
   mutable napi_grace_tgt : Proc.waitq Engine.target option;
       (* closure-free grace-poll re-arm; registered on first IRQ deferral *)
+  mutable rxj : rx_jobs option;  (* registered by [create] *)
   (* --- shared protocol state --- *)
   reasm : Ip.Reasm.t;
   mutable tcp_env : Tcp.env option;
@@ -249,8 +265,11 @@ let lrp_mode t = is_lrp t.cfg.arch
 let now t = Engine.now t.engine
 
 (* Is [addr] one of this host's own addresses? *)
-let is_local_addr t addr =
-  List.exists (fun (ip, _, _) -> ip = addr) t.interfaces
+let rec mem_addr addr = function
+  | [] -> false
+  | (ip, _, _) :: rest -> ip = addr || mem_addr addr rest
+
+let is_local_addr t addr = mem_addr addr t.interfaces
 
 (* Longest-prefix-match routing across this host's interfaces; the primary
    interface is the default route. *)
@@ -406,7 +425,8 @@ let rec app_loop t app =
              (Channel.id ch) (Channel.length ch);
            drain_tcp_channel t ch
        | Jtimer f ->
-           Cpu.compute_proto t.cpu (t.c.Cost.lazy_locality *. t.c.Cost.tcp_in);
+           Cpu.compute_proto t.cpu ~flow:(-1)
+             (t.c.Cost.lazy_locality *. t.c.Cost.tcp_in);
            f ());
       app_loop t app
   | None ->
@@ -450,7 +470,8 @@ and tcp_deliver t conn pkt ~ctx =
     if extra > 0 then begin
       let cost = float_of_int extra *. seg_out_cost t in
       match ctx with
-      | `Proc -> Cpu.compute_proto t.cpu (t.c.Cost.lazy_locality *. cost)
+      | `Proc ->
+          Cpu.compute_proto t.cpu ~flow:(-1) (t.c.Cost.lazy_locality *. cost)
       | `Soft -> Cpu.post_soft t.cpu ~label:"tcp-tx" ~cost (fun () -> ())
     end
   end
@@ -685,11 +706,14 @@ let make_tcp_env t =
       (fun conn ->
         deregister_conn t conn;
         Hashtbl.remove t.conn_owner conn.Tcp.id;
-        match sock_of_conn t conn with
-        | Some s ->
-            wake_all t s.Socket.send_wait;
-            wake_all t s.Socket.recv_wait
-        | None -> ());
+        (match sock_of_conn t conn with
+         | Some s ->
+             wake_all t s.Socket.send_wait;
+             wake_all t s.Socket.recv_wait
+         | None -> ());
+        (* The connection is gone for good: drop its socket mapping, which
+           [Api] added at listen / accept / connect. *)
+        Hashtbl.remove t.conn_sock conn.Tcp.id);
     mss = t.cfg.mss;
     time_wait_duration = t.cfg.time_wait;
     initial_rto = t.cfg.initial_rto;
@@ -699,7 +723,7 @@ let make_tcp_env t =
 (* Shared delivery helpers                                              *)
 (* ------------------------------------------------------------------ *)
 
-let datagram_of ?(mh = Mbuf.no_handle) (pkt : Packet.t) =
+let datagram_of ~mh (pkt : Packet.t) =
   match pkt.Packet.body with
   | Packet.Udp (u, payload) ->
       { Socket.dg_payload = payload;
@@ -737,7 +761,7 @@ let deposit_and_wake t sock dg =
     end
   end
 
-let deliver_udp_ready ?(mh = Mbuf.no_handle) t (pkt : Packet.t) =
+let deliver_udp_ready t ~mh (pkt : Packet.t) =
   if not (csum_ok t pkt) then free_rx_pkt t ~mh (Packet.wire_bytes pkt)
   else
   match pkt.Packet.body with
@@ -753,7 +777,7 @@ let deliver_udp_ready ?(mh = Mbuf.no_handle) t (pkt : Packet.t) =
         | Some members ->
             List.iter
               (fun sock ->
-                let dg = datagram_of pkt in
+                let dg = datagram_of ~mh:Mbuf.no_handle pkt in
                 if peer_accepts t sock dg then begin
                   let dup_h =
                     match t.cfg.arch with
@@ -784,11 +808,11 @@ let deliver_udp_ready ?(mh = Mbuf.no_handle) t (pkt : Packet.t) =
               !members
       end
       else
-        (match Hashtbl.find_opt t.udp_ports u.Packet.udst_port with
-         | None ->
+        (match Hashtbl.find t.udp_ports u.Packet.udst_port with
+         | exception Not_found ->
              t.stats.no_port_drops <- t.stats.no_port_drops + 1;
              free_rx_pkt t ~mh (Packet.wire_bytes pkt)
-         | Some sock ->
+         | sock ->
              let dg = datagram_of ~mh pkt in
              if not (peer_accepts t sock dg) then
                free_rx_pkt t ~mh (Packet.wire_bytes pkt)
@@ -804,6 +828,14 @@ let deliver_udp_ready ?(mh = Mbuf.no_handle) t (pkt : Packet.t) =
                  free_rx_pkt t ~mh (Packet.wire_bytes pkt)
              end)
   | Packet.Tcp _ | Packet.Icmp _ | Packet.Fragment _ -> ()
+
+(* Deliver datagrams completed by lazy (receiver-context) processing;
+   they carry no mbuf reservation. *)
+let rec deliver_udp_all t = function
+  | [] -> ()
+  | pkt :: rest ->
+      deliver_udp_ready t ~mh:Mbuf.no_handle pkt;
+      deliver_udp_all t rest
 
 let icmp_reply t (pkt : Packet.t) =
   if not (csum_ok t pkt) then ()
@@ -833,12 +865,12 @@ let deliver_tcp t (pkt : Packet.t) ~ctx =
 
 (* Transport-level processing of a complete (reassembled) datagram; runs in
    softint context under BSD / Early-Demux. *)
-let bsd_transport_input ?(mh = Mbuf.no_handle) t (pkt : Packet.t) =
+let bsd_transport_input t ~mh (pkt : Packet.t) =
   match pkt.Packet.body with
   | Packet.Udp _ ->
       Trace.proto_deliver t.tracer ~pkt:pkt.Packet.ip.Packet.ident ~conn:(-1)
         ~in_proc:false;
-      deliver_udp_ready ~mh t pkt
+      deliver_udp_ready t ~mh pkt
   | Packet.Tcp _ ->
       free_rx_pkt t ~mh (Packet.wire_bytes pkt);
       deliver_tcp t pkt ~ctx:`Soft
@@ -848,7 +880,7 @@ let bsd_transport_input ?(mh = Mbuf.no_handle) t (pkt : Packet.t) =
   | Packet.Fragment _ -> assert false
 
 (* Cost of eager transport processing for a complete datagram. *)
-let transport_cost t (pkt : Packet.t) ~skip_pcb =
+let[@inline] transport_cost t (pkt : Packet.t) ~skip_pcb =
   let pcb = if skip_pcb then 0. else t.c.Cost.pcb_lookup in
   let base =
     match pkt.Packet.body with
@@ -863,7 +895,9 @@ let transport_cost t (pkt : Packet.t) ~skip_pcb =
 (* BSD receive path                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let bsd_soft_cost t (pkt : Packet.t) =
+(* Inlined (as is [transport_cost]) so the per-packet float result is not
+   boxed on its way into the CPU's cost cell. *)
+let[@inline] bsd_soft_cost t (pkt : Packet.t) =
   if not (is_local_addr t (Packet.dst pkt)) && not (Packet.is_multicast pkt)
   then
     (* Transit packet: IP forwarding (or discard) in softint context. *)
@@ -882,7 +916,26 @@ let bsd_soft_cost t (pkt : Packet.t) =
   +. (t.c.Cost.eager_penalty *. t.c.Cost.ip_in)
   +. frag_extra +. transport +. t.c.Cost.sockbuf_append
 
-let bsd_softnet ?(mh = Mbuf.no_handle) t pkt () =
+(* Transport processing of a datagram whose reassembly completed while a
+   fragment was being processed: a separate softint activation.  The
+   whole is freed by bytes, as its pieces were allocated. *)
+let post_reasm_complete t (whole : Packet.t) ~skip_pcb =
+  Cpu.post_soft t.cpu ~label:"ip-reasm-complete"
+    ~tpkt:whole.Packet.ip.Packet.ident
+    ~cost:(transport_cost t whole ~skip_pcb)
+    (fun () -> bsd_transport_input t ~mh:Mbuf.no_handle whole)
+
+(* IP input of a local datagram in softint context: straight to transport
+   processing, or through the reassembler for fragments (which arrive
+   without a handle, [mh = no_handle]). *)
+let ip_input_local t ~mh (pkt : Packet.t) ~skip_pcb =
+  if not (Packet.is_fragment pkt) then bsd_transport_input t ~mh pkt
+  else
+    match Ip.Reasm.insert t.reasm ~now:(now t) pkt with
+    | None -> () (* incomplete datagram; fragments wait in the reassembler *)
+    | Some whole -> post_reasm_complete t whole ~skip_pcb
+
+let bsd_softnet t ~mh pkt =
   t.ipq_len <- t.ipq_len - 1;
   if not (is_local_addr t (Packet.dst pkt)) && not (Packet.is_multicast pkt)
   then begin
@@ -893,22 +946,11 @@ let bsd_softnet ?(mh = Mbuf.no_handle) t pkt () =
     end
     else t.stats.fwd_drops <- t.stats.fwd_drops + 1
   end
-  else
-  match Ip.Reasm.insert t.reasm ~now:(now t) pkt with
-  | None -> () (* incomplete datagram; fragments wait in the reassembler *)
-  | Some whole ->
-      if Packet.is_fragment pkt then
-        (* Completion discovered while processing a fragment: the transport
-           processing is a separate softint activation.  Fragments arrive
-           without a handle ([mh = no_handle]); the whole is freed by
-           bytes, as its pieces were allocated. *)
-        Cpu.post_soft t.cpu ~label:"ip-reasm-complete"
-          ~tpkt:whole.Packet.ip.Packet.ident
-          ~cost:(transport_cost t whole ~skip_pcb:false)
-          (fun () -> bsd_transport_input t whole)
-      else bsd_transport_input ~mh t whole
+  else ip_input_local t ~mh pkt ~skip_pcb:false
 
-let bsd_driver_rx t pkt () =
+let jobs t = match t.rxj with Some j -> j | None -> assert false
+
+let bsd_driver_rx t pkt =
   (* Non-fragment datagrams carry their mbuf reservation as a handle from
      here to the copyout (or drop) site; fragment reservations are
      recounted by bytes because the reassembled whole's footprint differs
@@ -938,8 +980,9 @@ let bsd_driver_rx t pkt () =
     if t.ipq_len > t.stats.ipq_hwm then t.stats.ipq_hwm <- t.ipq_len;
     Trace.ipq_enqueue t.tracer ~pkt:pkt.Packet.ip.Packet.ident
       ~qlen:t.ipq_len;
-    Cpu.post_soft t.cpu ~label:"softnet" ~tpkt:pkt.Packet.ip.Packet.ident
-      ~cost:(bsd_soft_cost t pkt) (bsd_softnet ~mh t pkt)
+    (Cpu.cost_cell t.cpu).(0) <- bsd_soft_cost t pkt;
+    Cpu.post_soft_job t.cpu ~label:"softnet" ~tpkt:pkt.Packet.ip.Packet.ident
+      ~poll:false (jobs t).j_softnet pkt mh
   end
 
 (* ------------------------------------------------------------------ *)
@@ -972,10 +1015,10 @@ let napi_proto_cost t pkt =
   bsd_soft_cost t pkt -. t.c.Cost.soft_dispatch -. t.c.Cost.ipq_op
 
 (* One entry of a poll batch: a packet ready for eager protocol
-   processing, its mbuf reservation (made at dequeue time, as the driver
-   would), and whether it is an IP fragment (fragments stay on byte
+   processing and its mbuf reservation, made at dequeue time as the
+   driver would ([Mbuf.no_handle] for fragments, which stay on byte
    accounting; see [bsd_driver_rx]). *)
-type poll_item = { pi_pkt : Packet.t; pi_mh : Mbuf.handle; pi_frag : bool }
+type poll_item = { pi_pkt : Packet.t; pi_mh : Mbuf.handle }
 
 (* GRO train cap, the analogue of the 64 kB aggregation limit. *)
 let gro_max_segs = 16
@@ -991,8 +1034,7 @@ let napi_collect t qi =
   let items = ref [] (* reversed *) in
   let cost = ref 0. in
   let served = ref 0 in
-  let add_item pkt mh frag =
-    items := { pi_pkt = pkt; pi_mh = mh; pi_frag = frag } :: !items
+  let add_item pkt mh = items := { pi_pkt = pkt; pi_mh = mh } :: !items
   in
   (* Admit one packet the BSD way: reserve its mbufs (drop on pool
      exhaustion) and charge full eager protocol processing. *)
@@ -1007,7 +1049,7 @@ let napi_collect t qi =
     end
     else begin
       cost := !cost +. napi_proto_cost t pkt;
-      add_item pkt mh frag
+      add_item pkt mh
     end
   in
   (* The held GRO train: [train_rev] newest-first, [train_head] the first
@@ -1115,7 +1157,7 @@ let napi_collect t qi =
                else begin
                  cost :=
                    !cost +. t.c.Cost.gro_merge +. t.c.Cost.sockbuf_append;
-                 add_item p mh false
+                 add_item p mh
                end)
              rest
          end
@@ -1133,7 +1175,7 @@ let napi_collect t qi =
              cost :=
                !cost +. napi_proto_cost t merged
                +. (float_of_int (List.length rest) *. t.c.Cost.gro_merge);
-             add_item merged Mbuf.no_handle false
+             add_item merged Mbuf.no_handle
            end
          end;
          Trace.gro_flush t.tracer ~pkt:hid ~segs:!train_len);
@@ -1213,7 +1255,7 @@ let napi_collect t qi =
 
 (* Deliver one polled item: the same terminal processing as the BSD
    softint path, minus the shared IP queue. *)
-let napi_deliver t { pi_pkt = pkt; pi_mh = mh; pi_frag = frag } =
+let napi_deliver t { pi_pkt = pkt; pi_mh = mh } =
   if not (is_local_addr t (Packet.dst pkt)) && not (Packet.is_multicast pkt)
   then begin
     free_rx_pkt t ~mh (Packet.wire_bytes pkt);
@@ -1223,18 +1265,7 @@ let napi_deliver t { pi_pkt = pkt; pi_mh = mh; pi_frag = frag } =
     end
     else t.stats.fwd_drops <- t.stats.fwd_drops + 1
   end
-  else
-    match Ip.Reasm.insert t.reasm ~now:(now t) pkt with
-    | None -> () (* incomplete datagram; fragments wait in the reassembler *)
-    | Some whole ->
-        if frag then
-          (* Completion discovered while processing a fragment: transport
-             processing is a separate softint activation, as under BSD. *)
-          Cpu.post_soft t.cpu ~label:"ip-reasm-complete"
-            ~tpkt:whole.Packet.ip.Packet.ident
-            ~cost:(transport_cost t whole ~skip_pcb:false)
-            (fun () -> bsd_transport_input t whole)
-        else bsd_transport_input ~mh t whole
+  else ip_input_local t ~mh pkt ~skip_pcb:false
 
 (* The softirq poll chain.  Each round is two softirq work items: a fixed
    [poll_loop] charge whose action dequeues the batch (so the batch
@@ -1252,11 +1283,12 @@ let napi_deliver t { pi_pkt = pkt; pi_mh = mh; pi_frag = frag } =
    interrupt storm: a "served < budget" test would re-enable while
    arrivals during delivery still sit in the ring, and sustained load
    would then be serviced entirely at interrupt priority. *)
-let rec napi_post_poll t n =
-  Cpu.post_soft t.cpu ~label:"napi-poll" ~poll:true ~cost:t.c.Cost.poll_loop
-    (fun () -> napi_softirq_round t n)
+let napi_post_poll t n =
+  (Cpu.cost_cell t.cpu).(0) <- t.c.Cost.poll_loop;
+  Cpu.post_soft_job t.cpu ~label:"napi-poll" ~tpkt:(-1) ~poll:true
+    (jobs t).j_napi_poll n 0
 
-and napi_softirq_round t n =
+let napi_softirq_round t n =
   Trace.poll_begin t.tracer ~q:n.nq ~pending:(Nic.rxq_len t.nic n.nq);
   let batch, cost, served = napi_collect t n.nq in
   Cpu.post_soft t.cpu ~label:"napi-poll" ~poll:true ~cost (fun () ->
@@ -1280,18 +1312,21 @@ and napi_softirq_round t n =
 
 (* The mitigated interrupt: ack, mask the queue, schedule the poll —
    constant cost, no per-packet work (the NAPI contract). *)
+let napi_irq t qi =
+  Nic.rxq_disable_intr t.nic qi;
+  let n = t.napi.(qi) in
+  if not n.poll_on then begin
+    n.poll_on <- true;
+    (* A quiet spell since the last poll round ends the episode; a kick
+       inside the storm gap continues it (and its budget). *)
+    if Engine.now t.engine -. n.last_poll > napi_storm_gap then
+      n.episode <- 0;
+    napi_post_poll t n
+  end
+
 let napi_kick t qi =
-  Cpu.post_hard t.cpu ~label:"napi-irq" ~cost:t.c.Cost.napi_irq (fun () ->
-      Nic.rxq_disable_intr t.nic qi;
-      let n = t.napi.(qi) in
-      if not n.poll_on then begin
-        n.poll_on <- true;
-        (* A quiet spell since the last poll round ends the episode; a
-           kick inside the storm gap continues it (and its budget). *)
-        if Engine.now t.engine -. n.last_poll > napi_storm_gap then
-          n.episode <- 0;
-        napi_post_poll t n
-      end)
+  (Cpu.cost_cell t.cpu).(0) <- t.c.Cost.napi_irq;
+  Cpu.post_hard_job t.cpu ~label:"napi-irq" ~tpkt:(-1) (jobs t).j_napi_irq () qi
 
 (* Process-context polling: once a softirq chain defers, the queue's
    ksoftirqd repolls under the fair scheduler — poll cycles now compete
@@ -1352,6 +1387,15 @@ let ni_wake t f =
   | Ni_lrp -> Cpu.post_hard t.cpu ~label:"ni-intr" ~cost:t.c.Cost.ni_wakeup_intr f
   | Soft_lrp | Bsd | Early_demux | Napi | Napi_gro | Rss -> f ()
 
+(* [ni_wake] of one waiter on [wq], as a typed job: the per-packet socket
+   and helper wakeups allocate nothing. *)
+let ni_wake_one t wq =
+  match t.cfg.arch with
+  | Ni_lrp ->
+      (Cpu.cost_cell t.cpu).(0) <- t.c.Cost.ni_wakeup_intr;
+      Cpu.post_hard_job t.cpu ~label:"ni-intr" ~tpkt:(-1) (jobs t).j_wake wq 0
+  | Soft_lrp | Bsd | Early_demux | Napi | Napi_gro | Rss -> wake_one t wq
+
 let lrp_classify_rx t pkt =
   if not (is_local_addr t (Packet.dst pkt)) && not (Packet.is_multicast pkt)
   then begin
@@ -1361,7 +1405,7 @@ let lrp_classify_rx t pkt =
     if t.cfg.forwarding then begin
       if Channel.enqueue_code (Chantab.fwd_channel t.chantab) pkt
          = Channel.queued_was_empty
-      then ni_wake t (fun () -> wake_one t t.fwd_wq)
+      then ni_wake_one t t.fwd_wq
     end
     else t.stats.fwd_drops <- t.stats.fwd_drops + 1
   end
@@ -1383,7 +1427,7 @@ let lrp_classify_rx t pkt =
            if Channel.enqueue_code (Chantab.icmp_channel t.chantab) pkt
               = Channel.queued_was_empty
               && t.cfg.udp_helper
-           then ni_wake t (fun () -> wake_one t t.helper_wq)
+           then ni_wake_one t t.helper_wq
        | Demux.Udp_class | Demux.Frag_class | Demux.Icmp_class ->
            t.stats.demux_drops <- t.stats.demux_drops + 1)
   end
@@ -1411,21 +1455,20 @@ let lrp_classify_rx t pkt =
                               wake_one t m.Socket.recv_wait)
                             !members)
                   | None ->
-                      (match Hashtbl.find_opt t.chan_sock (Channel.id ch) with
-                       | Some sock ->
-                           ni_wake t (fun () ->
-                               wake_one t sock.Socket.recv_wait)
-                       | None -> ())
+                      (match Hashtbl.find t.chan_sock (Channel.id ch) with
+                       | sock -> ni_wake_one t sock.Socket.recv_wait
+                       | exception Not_found -> ())
                 end
                 else if t.cfg.udp_helper && was_empty then
                   (* Nobody is waiting: let the minimal-priority protocol
                      thread pick it up if the CPU is otherwise idle
                      (section 3.3). *)
-                  ni_wake t (fun () -> wake_one t t.helper_wq)
+                  ni_wake_one t t.helper_wq
             | Demux.Tcp_class ->
-                trc t "rx tcp chan %d len=%d trans=%s" (Channel.id ch)
-                  (Channel.length ch)
-                  (if was_empty then "empty" else "ne");
+                if tracing t then
+                  trc t "rx tcp chan %d len=%d trans=%s" (Channel.id ch)
+                    (Channel.length ch)
+                    (if was_empty then "empty" else "ne");
                 (* The APP thread drains until empty, so only the
                    empty-to-non-empty transition needs a notification —
                    under NI demux that keeps host interrupts rare. *)
@@ -1436,17 +1479,59 @@ let lrp_classify_rx t pkt =
             | Demux.Frag_class ->
                 (* Fragments needing reassembly: the helper integrates them
                    if no receiver does it lazily first. *)
-                if t.cfg.udp_helper && was_empty then
-                  ni_wake t (fun () -> wake_one t t.helper_wq)
+                if t.cfg.udp_helper && was_empty then ni_wake_one t t.helper_wq
             | Demux.Icmp_class ->
-                if t.cfg.udp_helper && was_empty then
-                  ni_wake t (fun () -> wake_one t t.helper_wq)))
+                if t.cfg.udp_helper && was_empty then ni_wake_one t t.helper_wq))
 
 (* ------------------------------------------------------------------ *)
 (* Early-Demux receive path                                             *)
 (* ------------------------------------------------------------------ *)
 
-let edemux_rx t pkt () =
+let edemux_drop t (pkt : Packet.t) =
+  t.stats.edemux_early_drops <- t.stats.edemux_early_drops + 1;
+  Trace.early_discard t.tracer ~pkt:pkt.Packet.ip.Packet.ident ~chan:(-1)
+
+(* Eager protocol processing, BSD-style, as a softint job carrying the
+   packet's mbuf handle. *)
+let edemux_eager t (pkt : Packet.t) =
+  let is_frag = Packet.is_fragment pkt in
+  let mh =
+    if is_frag then Mbuf.no_handle
+    else Mbuf.alloc_h t.mbufs ~bytes:(Packet.wire_bytes pkt)
+  in
+  let alloc_ok =
+    if is_frag then Mbuf.alloc t.mbufs ~bytes:(Packet.wire_bytes pkt)
+    else mh >= 0
+  in
+  if not alloc_ok then begin
+    t.stats.mbuf_drops <- t.stats.mbuf_drops + 1;
+    Trace.mbuf_drop t.tracer ~pkt:pkt.Packet.ip.Packet.ident
+  end
+  else begin
+    let frag_extra =
+      if is_frag then t.c.Cost.eager_penalty *. t.c.Cost.reasm_per_frag else 0.
+    in
+    let transport =
+      if is_frag then 0. else transport_cost t pkt ~skip_pcb:true
+    in
+    (Cpu.cost_cell t.cpu).(0) <-
+      t.c.Cost.soft_dispatch
+      +. (t.c.Cost.eager_penalty *. t.c.Cost.ip_in)
+      +. frag_extra +. transport +. t.c.Cost.sockbuf_append;
+    Cpu.post_soft_job t.cpu ~label:"softnet" ~tpkt:pkt.Packet.ip.Packet.ident
+      ~poll:false (jobs t).j_edemux_soft pkt mh
+  end
+
+(* Early discard on a full receiver queue — but processing stays eager. *)
+let edemux_udp t pkt ~dst_port =
+  match Hashtbl.find t.udp_ports dst_port with
+  | exception Not_found -> edemux_drop t pkt
+  | sock ->
+      if Queue.length sock.Socket.udp_rcv >= sock.Socket.udp_rcv_limit then
+        edemux_drop t pkt
+      else edemux_eager t pkt
+
+let edemux_rx t pkt =
   if not (is_local_addr t (Packet.dst pkt)) && not (Packet.is_multicast pkt)
   then begin
     if t.cfg.forwarding then
@@ -1460,84 +1545,38 @@ let edemux_rx t pkt () =
     else t.stats.fwd_drops <- t.stats.fwd_drops + 1
   end
   else
+  match Demux.class_of_packet pkt with
+  | Demux.Udp_class ->
+      (* The allocation-free classification (see [lrp_classify_rx]). *)
+      Trace.demux t.tracer ~pkt:pkt.Packet.ip.Packet.ident ~chan:(-1)
+        ~flow:(Demux.flow_id_of_packet pkt);
+      edemux_udp t pkt ~dst_port:(Demux.udp_dst_port_of_packet pkt)
+  | Demux.Tcp_class | Demux.Frag_class | Demux.Icmp_class ->
   let flow = Demux.flow_of_packet pkt in
   Trace.demux t.tracer ~pkt:pkt.Packet.ip.Packet.ident ~chan:(-1)
     ~flow:(Demux.flow_id flow);
-  let drop () =
-    t.stats.edemux_early_drops <- t.stats.edemux_early_drops + 1;
-    Trace.early_discard t.tracer ~pkt:pkt.Packet.ip.Packet.ident ~chan:(-1)
-  in
-  let eager_process ~skip_pcb =
-    let frag_extra =
-      if Packet.is_fragment pkt then
-        t.c.Cost.eager_penalty *. t.c.Cost.reasm_per_frag
-      else 0.
-    in
-    let transport =
-      if Packet.is_fragment pkt then 0. else transport_cost t pkt ~skip_pcb
-    in
-    let cost =
-      t.c.Cost.soft_dispatch
-      +. (t.c.Cost.eager_penalty *. t.c.Cost.ip_in)
-      +. frag_extra +. transport +. t.c.Cost.sockbuf_append
-    in
-    let is_frag = Packet.is_fragment pkt in
-    let mh =
-      if is_frag then Mbuf.no_handle
-      else Mbuf.alloc_h t.mbufs ~bytes:(Packet.wire_bytes pkt)
-    in
-    let alloc_ok =
-      if is_frag then Mbuf.alloc t.mbufs ~bytes:(Packet.wire_bytes pkt)
-      else mh >= 0
-    in
-    if not alloc_ok then begin
-      t.stats.mbuf_drops <- t.stats.mbuf_drops + 1;
-      Trace.mbuf_drop t.tracer ~pkt:pkt.Packet.ip.Packet.ident
-    end
-    else
-      Cpu.post_soft t.cpu ~label:"softnet" ~tpkt:pkt.Packet.ip.Packet.ident
-        ~cost (fun () ->
-          match Ip.Reasm.insert t.reasm ~now:(now t) pkt with
-          | None -> ()
-          | Some whole ->
-              if is_frag then
-                Cpu.post_soft t.cpu ~label:"ip-reasm-complete"
-                  ~tpkt:whole.Packet.ip.Packet.ident
-                  ~cost:(transport_cost t whole ~skip_pcb)
-                  (fun () -> bsd_transport_input t whole)
-              else bsd_transport_input ~mh t whole)
-  in
   match flow with
-  | Demux.Udp_flow { dst_port; _ } ->
-      (match Hashtbl.find_opt t.udp_ports dst_port with
-       | None -> drop ()
-       | Some sock ->
-           (* Early discard on a full receiver queue — but processing stays
-              eager. *)
-           if Queue.length sock.Socket.udp_rcv >= sock.Socket.udp_rcv_limit
-           then drop ()
-           else eager_process ~skip_pcb:true)
+  | Demux.Udp_flow { dst_port; _ } -> edemux_udp t pkt ~dst_port
   | Demux.Tcp_flow { src; src_port; dst_port; syn_only } ->
       (match Hashtbl.find_opt t.tcp_conns (src, src_port, dst_port) with
        | Some conn ->
-           if conn.Tcp.rcvq_bytes >= conn.Tcp.rcv_buf_limit then drop ()
-           else eager_process ~skip_pcb:true
+           if conn.Tcp.rcvq_bytes >= conn.Tcp.rcv_buf_limit then edemux_drop t pkt
+           else edemux_eager t pkt
        | None ->
            if syn_only then
              match Hashtbl.find_opt t.tcp_listeners dst_port with
              | Some l ->
                  if l.Tcp.syn_pending + Queue.length l.Tcp.accept_queue
                     >= l.Tcp.backlog
-                 then drop ()
-                 else eager_process ~skip_pcb:true
+                 then edemux_drop t pkt
+                 else edemux_eager t pkt
              | None ->
                  (* No endpoint: process eagerly so TCP answers with an
                     RST, as the BSD code this kernel is derived from does. *)
-                 eager_process ~skip_pcb:true
-           else eager_process ~skip_pcb:true)
-  | Demux.Frag_flow _ -> eager_process ~skip_pcb:true
-  | Demux.Icmp_flow -> eager_process ~skip_pcb:true
-  | Demux.Other_flow _ -> drop ()
+                 edemux_eager t pkt
+           else edemux_eager t pkt)
+  | Demux.Frag_flow _ | Demux.Icmp_flow -> edemux_eager t pkt
+  | Demux.Other_flow _ -> edemux_drop t pkt
 
 (* ------------------------------------------------------------------ *)
 (* NIC receive dispatch                                                 *)
@@ -1545,32 +1584,27 @@ let edemux_rx t pkt () =
 
 let rx_dispatch t pkt =
   t.stats.rx_frames <- t.stats.rx_frames + 1;
+  let tpkt = pkt.Packet.ip.Packet.ident in
+  let cost = Cpu.cost_cell t.cpu in
   match t.cfg.arch with
-  | Bsd ->
-      Cpu.post_hard t.cpu ~label:"rx-intr" ~tpkt:pkt.Packet.ip.Packet.ident
-        ~cost:(t.c.Cost.hard_rx +. t.c.Cost.ipq_op)
-        (bsd_driver_rx t pkt)
+  | Bsd | Napi | Napi_gro | Rss ->
+      (* Under the NAPI family only non-queued interfaces reach this
+         handler (the primary NIC runs in queued-RX mode and hands frames
+         to the poll loop without going through it); secondary interfaces
+         of a multi-homed host fall back to the eager BSD path. *)
+      cost.(0) <- t.c.Cost.hard_rx +. t.c.Cost.ipq_op;
+      Cpu.post_hard_job t.cpu ~label:"rx-intr" ~tpkt (jobs t).j_driver_rx pkt 0
   | Soft_lrp ->
       (* Soft demux: classification runs in the hardware interrupt. *)
-      Cpu.post_hard t.cpu ~label:"rx-demux" ~tpkt:pkt.Packet.ip.Packet.ident
-        ~cost:(t.c.Cost.hard_rx +. t.c.Cost.demux)
-        (fun () -> lrp_classify_rx t pkt)
+      cost.(0) <- t.c.Cost.hard_rx +. t.c.Cost.demux;
+      Cpu.post_hard_job t.cpu ~label:"rx-demux" ~tpkt (jobs t).j_demux_rx pkt 0
   | Ni_lrp ->
       (* NI demux: classification runs on the interface's embedded
          processor — zero host CPU. *)
       lrp_classify_rx t pkt
   | Early_demux ->
-      Cpu.post_hard t.cpu ~label:"rx-demux" ~tpkt:pkt.Packet.ip.Packet.ident
-        ~cost:(t.c.Cost.hard_rx +. t.c.Cost.demux)
-        (edemux_rx t pkt)
-  | Napi | Napi_gro | Rss ->
-      (* Only non-queued interfaces reach this handler (the primary NIC
-         runs in queued-RX mode and hands frames to the poll loop without
-         going through it); secondary interfaces of a multi-homed host
-         fall back to the eager BSD path. *)
-      Cpu.post_hard t.cpu ~label:"rx-intr" ~tpkt:pkt.Packet.ip.Packet.ident
-        ~cost:(t.c.Cost.hard_rx +. t.c.Cost.ipq_op)
-        (bsd_driver_rx t pkt)
+      cost.(0) <- t.c.Cost.hard_rx +. t.c.Cost.demux;
+      Cpu.post_hard_job t.cpu ~label:"rx-demux" ~tpkt (jobs t).j_edemux_rx pkt 0
 
 (* ------------------------------------------------------------------ *)
 (* Lazy UDP protocol processing (LRP receive path, section 3.3)         *)
@@ -1632,7 +1666,7 @@ let lrp_process_udp_raw t ~charge pkt =
 let proto_charge t ch d = Cpu.compute_proto t.cpu ~flow:(Channel.id ch) d
 
 let helper_loop t =
-  let charge d = Cpu.compute_proto t.cpu d in
+  let charge d = Cpu.compute_proto t.cpu ~flow:(-1) d in
   let rec pass () =
     let worked = ref false in
     (* Integrate any stray fragments. *)
@@ -1645,7 +1679,7 @@ let helper_loop t =
              Trace.proto_deliver t.tracer ~pkt:whole.Packet.ip.Packet.ident
                ~conn:(-1) ~in_proc:true;
              charge (t.c.Cost.lazy_locality *. t.c.Cost.udp_in);
-             deliver_udp_ready t whole)
+             deliver_udp_ready t ~mh:Mbuf.no_handle whole)
            completed);
     (* Process one packet from each backlogged UDP channel — but only while
        the destination socket queue has room.  A full socket queue means the
@@ -1667,7 +1701,7 @@ let helper_loop t =
             let completed =
               lrp_process_udp_raw t ~charge:(proto_charge t ch) pkt
             in
-            List.iter (deliver_udp_ready t) completed
+            deliver_udp_all t completed
           end
         end)
       t.udp_channels;
@@ -1750,7 +1784,7 @@ let create engine fabric ~name ~ip cfg =
       all_channels = []; apps = Hashtbl.create 16;
       helper_wq = Proc.waitq (name ^ ".udp-helper"); helper_proc = None;
       fwd_wq = Proc.waitq (name ^ ".ipfwdd"); fwd_proc = None;
-      udp_channels = []; napi = [||]; napi_grace_tgt = None;
+      udp_channels = []; napi = [||]; napi_grace_tgt = None; rxj = None;
       reasm = Ip.Reasm.create ();
       tcp_env = None; timer_tgt = None; rcvto_tgt = None;
       eph_port = 20_000;
@@ -1762,6 +1796,17 @@ let create engine fabric ~name ~ip cfg =
           csum_drops = 0; ipq_hwm = 0 } }
   in
   t.interfaces <- [ (ip, 24, nic) ];
+  t.rxj <-
+    Some
+      { j_driver_rx = Cpu.job (fun pkt _ -> bsd_driver_rx t pkt);
+        j_demux_rx = Cpu.job (fun pkt _ -> lrp_classify_rx t pkt);
+        j_edemux_rx = Cpu.job (fun pkt _ -> edemux_rx t pkt);
+        j_softnet = Cpu.job (fun pkt mh -> bsd_softnet t ~mh pkt);
+        j_edemux_soft =
+          Cpu.job (fun pkt mh -> ip_input_local t ~mh pkt ~skip_pcb:true);
+        j_wake = Cpu.job (fun wq _ -> wake_one t wq);
+        j_napi_irq = Cpu.job (fun () qi -> napi_irq t qi);
+        j_napi_poll = Cpu.job (fun n _ -> napi_softirq_round t n) };
   t.tcp_env <- Some (make_tcp_env t);
   t.all_channels <-
     [ Chantab.frag_channel t.chantab; Chantab.icmp_channel t.chantab;

@@ -123,6 +123,24 @@ type napi = {
   ksoftirqd_wq : Lrp_sim.Proc.waitq;
   mutable ksoftirqd : Lrp_sim.Proc.t option;
 }
+
+(** The kernel's typed interrupt jobs ({!Lrp_sim.Cpu.job}), registered
+    once at creation: the per-packet receive posts store (job, packet,
+    int) in the CPU's work ring instead of allocating a closure. *)
+type rx_jobs = {
+  j_driver_rx : Lrp_net.Packet.t Lrp_sim.Cpu.job;  (** driver interrupt *)
+  j_demux_rx : Lrp_net.Packet.t Lrp_sim.Cpu.job;   (** SOFT-LRP demux *)
+  j_edemux_rx : Lrp_net.Packet.t Lrp_sim.Cpu.job;  (** Early-Demux demux *)
+  j_softnet : Lrp_net.Packet.t Lrp_sim.Cpu.job;
+      (** BSD softnet; the int is the packet's mbuf handle *)
+  j_edemux_soft : Lrp_net.Packet.t Lrp_sim.Cpu.job;
+      (** Early-Demux eager protocol softint; the int is the mbuf handle *)
+  j_wake : Lrp_sim.Proc.waitq Lrp_sim.Cpu.job;
+      (** NI-LRP host interrupt waking one waiter *)
+  j_napi_irq : unit Lrp_sim.Cpu.job;  (** NAPI interrupt; the int is the queue *)
+  j_napi_poll : napi Lrp_sim.Cpu.job;  (** NAPI softirq poll round *)
+}
+
 type t = {
   kname : string;
   engine : Lrp_engine.Engine.t;
@@ -158,6 +176,7 @@ type t = {
   mutable napi_grace_tgt : Lrp_sim.Proc.waitq Lrp_engine.Engine.target option;
       (** closure-free grace-poll re-arm; registered on first IRQ
           deferral *)
+  mutable rxj : rx_jobs option;  (** registered by {!create} *)
   reasm : Lrp_proto.Ip.Reasm.t;
   mutable tcp_env : Lrp_proto.Tcp.env option;
   mutable timer_tgt : Lrp_proto.Tcp.timer Lrp_engine.Engine.target option;
@@ -238,23 +257,33 @@ val register_conn :
 val deregister_conn : t -> Lrp_proto.Tcp.conn -> unit
 val make_tcp_env : t -> Lrp_proto.Tcp.env
 val datagram_of :
-  ?mh:Lrp_net.Mbuf.handle -> Lrp_net.Packet.t -> Socket.udp_datagram
+  mh:Lrp_net.Mbuf.handle -> Lrp_net.Packet.t -> Socket.udp_datagram
 val peer_accepts :
   t -> Socket.t -> Socket.udp_datagram -> bool
 val deposit_and_wake :
   t -> Socket.t -> Socket.udp_datagram -> unit
 val deliver_udp_ready :
-  ?mh:Lrp_net.Mbuf.handle -> t -> Lrp_net.Packet.t -> unit
+  t -> mh:Lrp_net.Mbuf.handle -> Lrp_net.Packet.t -> unit
+
+val deliver_udp_all : t -> Lrp_net.Packet.t list -> unit
+(** {!deliver_udp_ready} of datagrams completed by receiver-context
+    (lazy) processing, which hold no mbuf reservation. *)
+
 val icmp_reply : t -> Lrp_net.Packet.t -> unit
 val deliver_tcp :
   t -> Lrp_net.Packet.t -> ctx:[< `Proc | `Soft > `Proc ] -> unit
 val bsd_transport_input :
-  ?mh:Lrp_net.Mbuf.handle -> t -> Lrp_net.Packet.t -> unit
+  t -> mh:Lrp_net.Mbuf.handle -> Lrp_net.Packet.t -> unit
 val transport_cost : t -> Lrp_net.Packet.t -> skip_pcb:bool -> float
 val bsd_soft_cost : t -> Lrp_net.Packet.t -> float
-val bsd_softnet :
-  ?mh:Lrp_net.Mbuf.handle -> t -> Lrp_net.Packet.t -> unit -> unit
-val bsd_driver_rx : t -> Lrp_net.Packet.t -> unit -> unit
+val ip_input_local :
+  t -> mh:Lrp_net.Mbuf.handle -> Lrp_net.Packet.t -> skip_pcb:bool -> unit
+(** Softint-context IP input of a local datagram: transport processing
+    now, or — for a fragment that completes its datagram — as a separate
+    softint activation. *)
+
+val bsd_softnet : t -> mh:Lrp_net.Mbuf.handle -> Lrp_net.Packet.t -> unit
+val bsd_driver_rx : t -> Lrp_net.Packet.t -> unit
 
 val rss_steer : Lrp_net.Packet.t -> queues:int -> int
 (** RSS queue placement: a deterministic integer mix over the packed
@@ -264,8 +293,9 @@ val rss_steer : Lrp_net.Packet.t -> queues:int -> int
     a ring. *)
 
 val ni_wake : t -> (unit -> unit) -> unit
+val ni_wake_one : t -> Lrp_sim.Proc.waitq -> unit
 val lrp_classify_rx : t -> Lrp_net.Packet.t -> unit
-val edemux_rx : t -> Lrp_net.Packet.t -> unit -> unit
+val edemux_rx : t -> Lrp_net.Packet.t -> unit
 val rx_dispatch : t -> Lrp_net.Packet.t -> unit
 val drain_frag_channel : t -> charge:(float -> unit) -> Lrp_net.Packet.t list
 val lrp_process_udp_raw :

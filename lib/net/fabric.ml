@@ -82,7 +82,9 @@ type fault_state = {
 type port = {
   nic : Nic.t;
   rx_tgt : Packet.t Engine.target;  (* closure-free arrival event *)
-  mutable busy_until : Time.t;
+  busy_until : float array;
+      (* 1-slot cell: when the output port finishes its current frame (a
+         mutable float field would box on every store) *)
   mutable rx_frames : int;
   mutable drops : int;
   mutable fstate : fault_state option;
@@ -107,7 +109,7 @@ type uplink = {
   up_min_latency : float;
   up_bandwidth : float;             (* bytes/us *)
   up_buffer_us : float;             (* max uplink backlog, us *)
-  mutable up_busy : Time.t;
+  up_busy : float array;            (* 1-slot cell: uplink port busy until *)
   (* SoA outbox: parallel columns, drained at barriers in index order so
      per-source FIFO order is the column order. *)
   mutable ob_ready : float array;   (* earliest effect on the dest cell *)
@@ -140,6 +142,10 @@ type fault_stats = {
 
 type t = {
   engine : Engine.t;
+  clock : float array;         (* the engine's clock cell *)
+  at : float array;
+      (* 1-slot cell: the time a frame reaches the switch on its way to
+         [deliver_frame] — usually now, later under jitter *)
   bandwidth : float;           (* bytes/us, per output port *)
   prop_delay : float;          (* per link, us *)
   switch_latency : float;      (* fixed forwarding latency, us *)
@@ -169,7 +175,8 @@ let reorder_flush_us = 2_000.
 
 let create engine ?(bandwidth_mbps = 155.) ?(prop_delay = 5.)
     ?(switch_latency = 10.) ?(buffer_us = 10_000.) () =
-  { engine; bandwidth = Nic.mbps_to_bytes_per_us bandwidth_mbps; prop_delay;
+  { engine; clock = Engine.clock_cell engine; at = [| 0. |];
+    bandwidth = Nic.mbps_to_bytes_per_us bandwidth_mbps; prop_delay;
     switch_latency; buffer_us; ports = Hashtbl.create 8; total_drops = 0;
     loss_rate = 0.; loss_rng = Rng.split (Engine.rng engine);
     default_port = None; uplink = None; offered = 0; delivered = 0;
@@ -181,75 +188,90 @@ let rec attach t nic =
     invalid_arg "Fabric.attach: duplicate IP address";
   let port =
     { nic; rx_tgt = Engine.target t.engine (fun pkt -> Nic.receive nic pkt);
-      busy_until = Time.zero; rx_frames = 0; drops = 0; fstate = None }
+      busy_until = [| Time.zero |]; rx_frames = 0; drops = 0; fstate = None }
   in
   Hashtbl.replace t.ports ip port;
   Nic.set_deliver nic (fun pkt -> forward t pkt)
 
+(* The per-frame path allocates nothing: ports are found without an
+   option, times travel through float cells ([clock], [at],
+   [busy_until]) and the arrival is scheduled through the engine's staged
+   deadline.  Injected loss, multicast replication, link faults and the
+   cross-cell uplink are the off-path branches. *)
 and forward t pkt =
-  let now = Engine.now t.engine in
-  if t.loss_rate > 0. && Rng.uniform t.loss_rng < t.loss_rate then begin
+  if t.loss_rate > 0. && random_loss t then begin
     (* Injected random loss (fault-injection tests). *)
     t.offered <- t.offered + 1;
     t.total_drops <- t.total_drops + 1
   end
-  else if Packet.is_multicast pkt then
-    (* Multicast: replicate to every port except the sender's, in address
-       order so the replication (and any induced queueing) is independent
-       of hash-table layout. *)
-    Lrp_det.Det.iter_sorted
-      (fun ip port ->
-        if ip <> Packet.src pkt then deliver_to t port pkt ~now)
-      t.ports
-  else
-  match Hashtbl.find_opt t.ports (Packet.dst pkt) with
-  | None ->
-      (* Off-link destination: try the cross-cell uplink first (sharded
-         topologies), then the default gateway, else drop as a real
-         switch would. *)
-      (match t.uplink with
-       | Some up when
-           (let c = up.up_resolve (Packet.dst pkt) in
-            c >= 0 && c <> up.up_cell) ->
-           uplink_forward t up pkt ~now
-       | _ -> gateway_or_drop t pkt ~now)
-  | Some port -> deliver_to t port pkt ~now
+  else begin
+    t.at.(0) <- t.clock.(0);
+    if Packet.is_multicast pkt then forward_multicast t pkt
+    else
+      match Hashtbl.find t.ports (Packet.dst pkt) with
+      | port -> deliver_to t port pkt
+      | exception Not_found ->
+          (* Off-link destination: try the cross-cell uplink first
+             (sharded topologies), then the default gateway, else drop as
+             a real switch would. *)
+          (match t.uplink with
+           | Some up when
+               (let c = up.up_resolve (Packet.dst pkt) in
+                c >= 0 && c <> up.up_cell) ->
+               uplink_forward t up pkt
+           | Some _ | None -> gateway_or_drop t pkt)
+  end
 
-and gateway_or_drop t pkt ~now =
+and random_loss t = Rng.uniform t.loss_rng < t.loss_rate
+
+(* Multicast: replicate to every port except the sender's, in address
+   order so the replication (and any induced queueing) is independent of
+   hash-table layout. *)
+and forward_multicast t pkt =
+  Lrp_det.Det.iter_sorted
+    (fun ip port ->
+      if ip <> Packet.src pkt then begin
+        t.at.(0) <- t.clock.(0);
+        deliver_to t port pkt
+      end)
+    t.ports
+
+and gateway_or_drop t pkt =
   match t.default_port with
   | Some gw_ip ->
-      (match Hashtbl.find_opt t.ports gw_ip with
-       | Some port -> deliver_to t port pkt ~now
-       | None ->
-           t.offered <- t.offered + 1;
-           t.total_drops <- t.total_drops + 1)
-  | None ->
-      t.offered <- t.offered + 1;
-      t.total_drops <- t.total_drops + 1
+      (match Hashtbl.find t.ports gw_ip with
+       | port -> deliver_to t port pkt
+       | exception Not_found -> switch_drop t)
+  | None -> switch_drop t
+
+and switch_drop t =
+  t.offered <- t.offered + 1;
+  t.total_drops <- t.total_drops + 1
 
 (* Cross-cell transmit: serialise on the uplink port, then park the frame
    in the outbox with its earliest effect time on the destination cell.
    The local offered/delivered/drop counters are left alone — their
    conservation invariant is per-fabric, and the cross-cell flow has its
    own conservation: sum of up_tx = sum of up_rx + outbox backlog. *)
-and uplink_forward _t up pkt ~now =
+and uplink_forward t up pkt =
+  let now = t.clock.(0) in
   let dstc = up.up_resolve (Packet.dst pkt) in
   let ser = float_of_int (Packet.wire_bytes pkt) /. up.up_bandwidth in
-  let start = Float.max now up.up_busy in
+  let busy = up.up_busy.(0) in
+  let start = if busy > now then busy else now in
   if start -. now > up.up_buffer_us then
     up.up_drops <- up.up_drops + 1
   else begin
     let departure = start +. ser in
-    up.up_busy <- departure;
+    up.up_busy.(0) <- departure;
     up.up_tx <- up.up_tx + 1;
-    let ready = departure +. up.up_latency dstc in
     let n = up.ob_len in
     let cap = Array.length up.ob_ready in
     if n = cap then begin
       let cap' = if cap = 0 then 64 else cap * 2 in
-      let ready' = Array.make cap' 0. in
-      let dst' = Array.make cap' 0 in
-      let pkt' = Array.make cap' Packet.null in
+      let ready' = Array.make cap' 0. in (* alloc: cold — amortized growth *)
+      let dst' = Array.make cap' 0 in (* alloc: cold — amortized growth *)
+      let pkt' = Array.make cap' Packet.null in (* alloc: cold — amortized growth *)
       Array.blit up.ob_ready 0 ready' 0 n;
       Array.blit up.ob_dst 0 dst' 0 n;
       Array.blit up.ob_pkt 0 pkt' 0 n;
@@ -257,23 +279,25 @@ and uplink_forward _t up pkt ~now =
       up.ob_dst <- dst';
       up.ob_pkt <- pkt'
     end;
-    up.ob_ready.(n) <- ready;
+    up.ob_ready.(n) <- departure +. up.up_latency dstc;
     up.ob_dst.(n) <- dstc;
     up.ob_pkt.(n) <- pkt;
     up.ob_len <- n + 1
   end
 
-and deliver_to t port pkt ~now =
+(* Deliver towards [port] a frame that reached the switch at [at.(0)]. *)
+and deliver_to t port pkt =
   t.offered <- t.offered + 1;
   match port.fstate with
-  | None -> deliver_frame t port pkt ~now
-  | Some fs -> apply_faults t port fs pkt ~now
+  | None -> deliver_frame t port pkt
+  | Some fs -> apply_faults t port fs pkt
 
 (* Link weather, applied per destination link before serialisation.  Each
    stochastic decision draws from the port's private [frng] only when the
    corresponding knob is non-zero, so a [Faults.none] configuration draws
    nothing and behaves exactly like an unconfigured port. *)
-and apply_faults t port fs pkt ~now =
+and apply_faults t port fs pkt =
+  let now = t.at.(0) in
   let f = fs.cfg in
   (* Advance the Gilbert–Elliott channel once per frame. *)
   if f.Faults.ge_p_gb > 0. || f.Faults.ge_p_bg > 0. then begin
@@ -307,7 +331,8 @@ and apply_faults t port fs pkt ~now =
          original may still be held back, which also covers the
          dup-then-reorder interleaving. *)
       t.duplicated <- t.duplicated + 1;
-      deliver_frame t port pkt ~now
+      t.at.(0) <- now;
+      deliver_frame t port pkt
     end;
     if f.Faults.reorder > 0. && Rng.uniform fs.frng < f.Faults.reorder then begin
       (* Hold the frame until [countdown] later frames have overtaken it
@@ -328,7 +353,8 @@ and apply_faults t port fs pkt ~now =
           now +. Rng.float fs.frng f.Faults.jitter_us
         else now
       in
-      deliver_frame t port pkt ~now;
+      t.at.(0) <- now;
+      deliver_frame t port pkt;
       (* This frame overtook everything still held; release frames whose
          displacement bound is reached. *)
       if fs.fheld <> [] then begin
@@ -338,7 +364,8 @@ and apply_faults t port fs pkt ~now =
               h.countdown <- h.countdown - 1;
               if h.countdown <= 0 then begin
                 h.released <- true;
-                deliver_frame t port h.hpkt ~now;
+                t.at.(0) <- now;
+                deliver_frame t port h.hpkt;
                 tick acc rest
               end
               else tick (h :: acc) rest
@@ -348,9 +375,11 @@ and apply_faults t port fs pkt ~now =
     end
   end
 
-and deliver_frame t port pkt ~now =
+and deliver_frame t port pkt =
+  let now = t.at.(0) in
   let ser = float_of_int (Packet.wire_bytes pkt) /. t.bandwidth in
-  let start = Float.max now port.busy_until in
+  let busy = port.busy_until.(0) in
+  let start = if busy > now then busy else now in
   if start -. now > t.buffer_us then begin
     (* Output buffer exhausted: congestion drop. *)
     port.drops <- port.drops + 1;
@@ -358,11 +387,12 @@ and deliver_frame t port pkt ~now =
   end
   else begin
     let departure = start +. ser in
-    port.busy_until <- departure;
+    port.busy_until.(0) <- departure;
     port.rx_frames <- port.rx_frames + 1;
     t.delivered <- t.delivered + 1;
-    let arrival = departure +. t.switch_latency +. t.prop_delay in
-    ignore (Engine.schedule_to t.engine ~at:arrival port.rx_tgt pkt)
+    (Engine.deadline_cell t.engine).(0) <-
+      departure +. t.switch_latency +. t.prop_delay;
+    ignore (Engine.schedule_to_staged t.engine port.rx_tgt pkt)
   end
 
 (* Timeout release of a held frame (idle link or end of run). *)
@@ -372,7 +402,8 @@ let flush_held t port h =
     (match port.fstate with
      | Some fs -> fs.fheld <- List.filter (fun h' -> h' != h) fs.fheld
      | None -> ());
-    deliver_frame t port h.hpkt ~now:(Engine.now t.engine)
+    t.at.(0) <- t.clock.(0);
+    deliver_frame t port h.hpkt
   end
 
 let set_loss_rate t r =
@@ -436,10 +467,10 @@ let inject_now t pkt =
   (match t.uplink with
    | Some up -> up.up_rx <- up.up_rx + 1
    | None -> ());
-  let now = Engine.now t.engine in
+  t.at.(0) <- t.clock.(0);
   match Hashtbl.find_opt t.ports (Packet.dst pkt) with
-  | Some port -> deliver_to t port pkt ~now
-  | None -> gateway_or_drop t pkt ~now
+  | Some port -> deliver_to t port pkt
+  | None -> gateway_or_drop t pkt
 
 let set_uplink t ~cell ~resolve ~latency ~min_latency
     ?(bandwidth_mbps = 622.) ?(buffer_us = 10_000.) () =
@@ -451,7 +482,7 @@ let set_uplink t ~cell ~resolve ~latency ~min_latency
       { up_cell = cell; up_resolve = resolve; up_latency = latency;
         up_min_latency = min_latency;
         up_bandwidth = Nic.mbps_to_bytes_per_us bandwidth_mbps;
-        up_buffer_us = buffer_us; up_busy = Time.zero;
+        up_buffer_us = buffer_us; up_busy = [| Time.zero |];
         ob_ready = [||]; ob_dst = [||]; ob_pkt = [||]; ob_len = 0;
         up_tx = 0; up_rx = 0; up_drops = 0;
         inject_tgt = Engine.target t.engine (fun pkt -> inject_now t pkt) }

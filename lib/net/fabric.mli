@@ -61,7 +61,8 @@ type port = {
   nic : Nic.t;
   rx_tgt : Packet.t Lrp_engine.Engine.target;
       (** closure-free arrival event for this port *)
-  mutable busy_until : Lrp_engine.Time.t;
+  busy_until : float array;
+      (** 1-slot cell: when the output port finishes its current frame *)
   mutable rx_frames : int;
   mutable drops : int;
   mutable fstate : fault_state option;
@@ -84,7 +85,7 @@ type uplink = {
   up_min_latency : float;              (** infimum of [up_latency] *)
   up_bandwidth : float;                (** uplink rate, bytes/us *)
   up_buffer_us : float;                (** uplink queue bound, us of backlog *)
-  mutable up_busy : Lrp_engine.Time.t;
+  up_busy : float array;               (** 1-slot cell: uplink busy until *)
   mutable ob_ready : float array;      (** outbox: arrival deadline *)
   mutable ob_dst : int array;          (** outbox: destination cell *)
   mutable ob_pkt : Packet.t array;
@@ -119,6 +120,9 @@ type fault_stats = {
 
 type t = {
   engine : Lrp_engine.Engine.t;
+  clock : float array;  (** the engine's clock cell *)
+  at : float array;
+      (** 1-slot cell: when the frame being forwarded reaches the switch *)
   bandwidth : float;
   prop_delay : float;
   switch_latency : float;
@@ -148,8 +152,8 @@ val attach : t -> Nic.t -> unit
     @raise Invalid_argument on duplicate addresses. *)
 
 val forward : t -> Packet.t -> unit
-val deliver_to :
-  t -> port -> Packet.t -> now:Lrp_engine.Time.t -> unit
+(** Switch one frame: the NICs' transmit side.  Allocation-free on the
+    fault-free unicast path. *)
 
 val set_loss_rate : t -> float -> unit
 (** Uniform random frame loss across the whole fabric, for fault-injection

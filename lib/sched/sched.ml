@@ -21,7 +21,7 @@ type thread = {
   mutable state : state;
   mutable enqueue_seq : int;
   mutable quantum : int;
-  mutable sleep_start : Time.t;
+  sleep_start : float array;  (* 1-slot cell: a float field would box *)
   mutable account : thread option;
   mutable ticks : int;
 }
@@ -31,9 +31,13 @@ type t = {
   mutable next_tid : int;
   mutable next_seq : int;
   mutable loadavg : float;
+  mutable best_prio : int;  (* priority of the thread [pick_tid] chose *)
+  clock : float array;      (* slot 0 is now *)
 }
 
-let create () = { threads = []; next_tid = 1; next_seq = 0; loadavg = 0. }
+let create ~clock =
+  { threads = []; next_tid = 1; next_seq = 0; loadavg = 0.; best_prio = 0;
+    clock }
 
 let clamp lo hi x = if x < lo then lo else if x > hi then hi else x
 
@@ -52,7 +56,7 @@ let add_thread t ?(nice = 0) ~name () =
   let th =
     { tid = t.next_tid; name; nice = clamp (-20) 20 nice; p_cpu = 0.;
       priority = priority_user; state = Sleeping; enqueue_seq = 0; quantum = 0;
-      sleep_start = Time.zero; account = None; ticks = 0 }
+      sleep_start = [| Time.zero |]; account = None; ticks = 0 }
   in
   t.next_tid <- t.next_tid + 1;
   recompute_priority th;
@@ -75,18 +79,27 @@ let runnable_count t =
 
 let decay_factor load = 2. *. load /. ((2. *. load) +. 1.)
 
-let make_runnable t ~now th =
+let make_runnable t th =
   match th.state with
   | Runnable -> ()
-  | Exited -> invalid_arg "Sched.make_runnable: thread has exited"
+  | Exited ->
+      invalid_arg "Sched.make_runnable: thread has exited" (* alloc: cold — error path *)
   | Sleeping ->
       (* 4.3BSD updatepri(): decay p_cpu once per whole second slept, so a
-         thread that waits on I/O regains good priority. *)
-      let slept_sec = int_of_float (Time.to_sec (now -. th.sleep_start)) in
+         thread that waits on I/O regains good priority.  (Seconds and
+         the decay factor are spelled out: a call returning a float would
+         box it.) *)
+      let slept_sec =
+        int_of_float ((t.clock.(0) -. th.sleep_start.(0)) /. 1_000_000.)
+      in
       if slept_sec > 0 then begin
-        let f = decay_factor t.loadavg in
-        let rec apply n cpu = if n = 0 then cpu else apply (n - 1) (cpu *. f) in
-        th.p_cpu <- apply (min slept_sec 20) th.p_cpu
+        let load = t.loadavg in
+        let f = 2. *. load /. ((2. *. load) +. 1.) in
+        let cpu = ref th.p_cpu in
+        for _ = 1 to min slept_sec 20 do
+          cpu := !cpu *. f
+        done;
+        th.p_cpu <- !cpu
       end;
       recompute_priority th;
       th.state <- Runnable;
@@ -94,32 +107,41 @@ let make_runnable t ~now th =
       t.next_seq <- t.next_seq + 1;
       th.quantum <- 0
 
-let sleep _t ~now th =
-  if th.state = Exited then invalid_arg "Sched.sleep: thread has exited";
+let sleep t th =
+  if th.state = Exited then
+    invalid_arg "Sched.sleep: thread has exited"; (* alloc: cold — error path *)
   th.state <- Sleeping;
-  th.sleep_start <- now
+  th.sleep_start.(0) <- t.clock.(0)
 
 let exit_thread t th =
   th.state <- Exited;
+  (* alloc: cold — once per process exit *)
   t.threads <- List.filter (fun other -> other.tid <> th.tid) t.threads
 
-let better a b =
-  a.priority < b.priority || (a.priority = b.priority && a.enqueue_seq < b.enqueue_seq)
+(* The best runnable thread: lowest priority value, FIFO [enqueue_seq]
+   among equals, first in list order on a full tie.  The scan carries the
+   best so far in int arguments, so picking allocates nothing. *)
+let rec scan t l btid bprio bseq =
+  match l with
+  | [] ->
+      t.best_prio <- bprio;
+      btid
+  | th :: rest ->
+      if th.state = Runnable
+         && (btid < 0 || th.priority < bprio
+             || (th.priority = bprio && th.enqueue_seq < bseq))
+      then scan t rest th.tid th.priority th.enqueue_seq
+      else scan t rest btid bprio bseq
+
+let pick_tid t = scan t t.threads (-1) 0 0
 
 let pick t =
-  let best acc th =
-    if th.state <> Runnable then acc
-    else
-      match acc with
-      | None -> Some th
-      | Some cur -> if better th cur then Some th else acc
-  in
-  List.fold_left best None t.threads
+  let tid = pick_tid t in
+  if tid < 0 then None else List.find_opt (fun th -> th.tid = tid) t.threads
 
 let should_preempt t ~current =
-  match pick t with
-  | None -> false
-  | Some best -> best.tid <> current.tid && best.priority < current.priority
+  let tid = pick_tid t in
+  tid >= 0 && tid <> current.tid && t.best_prio < current.priority
 
 let requeue t th =
   th.enqueue_seq <- t.next_seq;

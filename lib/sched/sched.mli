@@ -20,8 +20,6 @@
     protocol-processing time is charged to the receiving thread, possibly
     via the {!set_account} redirection used by the APP thread. *)
 
-open Lrp_engine
-
 type t
 
 type thread
@@ -42,7 +40,11 @@ val priority_user : int
 
 (** {1 Construction} *)
 
-val create : unit -> t
+val create : clock:float array -> t
+(** [clock] is a 1-slot cell holding the current virtual time (the CPU
+    model passes its engine's {!Lrp_engine.Engine.clock_cell}); reading
+    it instead of taking [~now] arguments keeps wakeups and sleeps free of
+    float boxing. *)
 
 val add_thread : t -> ?nice:int -> name:string -> unit -> thread
 (** New thread in the sleeping state.  [nice] defaults to 0 and is clamped
@@ -72,18 +74,23 @@ val runnable_count : t -> int
 
 (** {1 State transitions (driven by the CPU model)} *)
 
-val make_runnable : t -> now:Time.t -> thread -> unit
+val make_runnable : t -> thread -> unit
 (** Move a sleeping thread to the run queue, applying the wakeup [p_cpu]
-    decay for the time it slept. *)
+    decay for the time it slept (until now, read from the clock cell). *)
 
-val sleep : t -> now:Time.t -> thread -> unit
-(** Remove the thread from the run queue and record the sleep start. *)
+val sleep : t -> thread -> unit
+(** Remove the thread from the run queue and record now as its sleep
+    start. *)
 
 val exit_thread : t -> thread -> unit
 
+val pick_tid : t -> int
+(** The {!tid} of the best-priority runnable thread (FIFO among equals),
+    or [-1] when none is runnable.  Allocation-free: the CPU model's
+    per-dispatch path.  Does not change any scheduling state. *)
+
 val pick : t -> thread option
-(** Best-priority runnable thread (FIFO among equals).  Does not change any
-    state. *)
+(** {!pick_tid} as the thread itself. *)
 
 val should_preempt : t -> current:thread -> bool
 (** True when some runnable thread has strictly better priority than

@@ -58,25 +58,54 @@ val wakeup_all : t -> Proc.waitq -> int
 
 val proc_count : t -> int
 
-(** {1 Interrupt work} *)
+(** {1 Interrupt work}
+
+    Posted work sits in a per-level ring of flat columns until the CPU
+    dispatches it.  The hot per-packet paths post {e typed jobs}: a
+    dispatcher registered once per work kind, plus an object and an int
+    stored in the row, with the cost staged in {!cost_cell} — a post, its
+    dispatch and its completion then allocate nothing.  {!post_hard} and
+    {!post_soft} take a closure instead, for cold paths. *)
+
+type 'a job
+(** A typed interrupt-work dispatcher taking an ['a] and an int. *)
+
+val job : ('a -> int -> unit) -> 'a job
+(** [job f] registers [f] as a dispatcher.  Call once per work kind at
+    setup (a kernel registers its receive jobs at creation), not per
+    post. *)
+
+val cost_cell : t -> float array
+(** 1-slot staging cell for the next {!post_hard_job}/{!post_soft_job}'s
+    cost in microseconds.  A computed float passed as an argument is boxed
+    at the call; a float-array store is not.  Write it immediately before
+    posting. *)
+
+val post_hard_job :
+  t -> label:string -> tpkt:int -> 'a job -> 'a -> int -> unit
+(** [post_hard_job t ~label ~tpkt j x i] enqueues hardware-interrupt work
+    costing [(cost_cell t).(0)] microseconds; when the CPU has spent them
+    at hardware-interrupt level, [j]'s dispatcher runs on [x] and [i]
+    (instantaneously).  [tpkt] is the packet ident the work processes, for
+    tracing, or [-1]. *)
+
+val post_soft_job :
+  t -> label:string -> tpkt:int -> poll:bool -> 'a job -> 'a -> int -> unit
+(** The software-interrupt analogue of {!post_hard_job} (BSD's softnet
+    level).  When [tpkt >= 0] the tracer brackets the timed segment in
+    [Softint_begin]/[Softint_end] events keyed by that packet.  [poll]
+    marks a NAPI poll round: it runs and preempts at softirq level, but
+    its cycles are ledgered as {!Ledger.Poll} instead of [Soft]. *)
 
 val post_hard :
   t -> ?label:string -> ?tpkt:int -> cost:float -> (unit -> unit) -> unit
-(** Enqueue hardware-interrupt work: after [cost] microseconds of CPU at
-    hardware-interrupt level, [action] runs (instantaneously).  The action
-    typically moves a packet between queues and posts further work.
-    [tpkt] is the packet ident this work processes (for tracing; default
-    [-1] = none). *)
+(** {!post_hard_job} with a closure as the action (default [tpkt] -1). *)
 
 val post_soft :
   t -> ?label:string -> ?tpkt:int -> ?poll:bool -> cost:float ->
   (unit -> unit) -> unit
-(** Enqueue software-interrupt work (BSD's softnet level).  When [tpkt] is
-    given, the tracer brackets the timed segment in
-    [Softint_begin]/[Softint_end] events keyed by that packet.  [poll]
-    (default false) marks the work as a NAPI poll round: it still runs
-    and preempts at softirq level, but its cycles are ledgered as
-    {!Ledger.Poll} instead of [Soft]. *)
+(** {!post_soft_job} with a closure as the action (default [poll]
+    false). *)
 
 val set_account : t -> Proc.t -> owner:Proc.t option -> unit
 (** Redirect scheduler charging for a process (LRP's APP thread runs at its
@@ -84,35 +113,27 @@ val set_account : t -> Proc.t -> owner:Proc.t option -> unit
 
 (** {1 Accounting ledger} *)
 
-val compute_proto : t -> ?flow:int -> float -> unit
+val compute_proto : t -> flow:int -> float -> unit
 (** [compute_proto t ~flow d] is {!Proc.compute}[ d] with the segment
     attributed to receiver-context protocol work serving channel [flow]
-    in the CPU's {!Ledger} (LRP's lazy protocol processing, the UDP
-    helper, the forwarding daemon).  Plain [Proc.compute] segments are
-    attributed as application work.  Process context only. *)
+    ([-1] for none) in the CPU's {!Ledger} (LRP's lazy protocol
+    processing, the UDP helper, the forwarding daemon).  Plain
+    [Proc.compute] segments are attributed as application work.  Process
+    context only. *)
 
-val compute_poll : t -> ?flow:int -> float -> unit
+val compute_poll : t -> float -> unit
 (** [compute_poll t d] is {!Proc.compute}[ d] with the segment attributed
     to NAPI poll work in the CPU's {!Ledger} (ksoftirqd's process-context
     polling).  Process context only. *)
 
 val ledger : t -> Ledger.t
 (** The CPU's always-on cycle-accounting ledger.  Interrupt-level cycles
-    are recorded against the interrupted victim ({!curproc}), reproducing
+    are recorded against the interrupted victim (BSD's [curproc]: the
+    process whose context the CPU was in), reproducing
     BSD's mis-accounting; process cycles split into protocol vs
     application work. *)
 
 (** {1 Introspection / statistics} *)
-
-val self_running : t -> Proc.t option
-(** The user process currently executing, if any. *)
-
-val curproc : t -> Proc.t option
-(** BSD's [curproc]: the process whose context the CPU is in, which during
-    interrupt handling is the (possibly unrelated) interrupted process. *)
-
-val hard_pending : t -> int
-val soft_pending : t -> int
 
 val time_hard : t -> float
 (** Exact microseconds spent at hardware-interrupt level so far. *)
@@ -135,7 +156,7 @@ val utilization : t -> float
 (** Fraction of elapsed time the CPU was not idle. *)
 
 val iter_procs : t -> (Proc.t -> unit) -> unit
-(** Iterate over live (not yet reaped) processes. *)
+(** Iterate over live (not yet reaped) processes, in spawn order. *)
 
 (** {1 Observability} *)
 

@@ -22,7 +22,8 @@
 
    Idle is derived by the caller (elapsed minus the grand total).  Rows
    are plain float arrays so the charge path allocates nothing beyond the
-   first sighting of a pid/flow. *)
+   first sighting of a pid/flow, and the amount can arrive through a
+   staged float cell so the caller does not box it either. *)
 
 type cls = Intr | Soft | Proto | Poll | App
 
@@ -34,34 +35,65 @@ type t = {
   totals : float array;                  (* 5 class totals, us *)
   pids : (int, prow) Hashtbl.t;          (* pid -> columns; -1 = idle ctx *)
   flows : (int, float array) Hashtbl.t;  (* flow/channel id -> columns *)
+  amount : float array;                  (* staged amount, see [charge_staged] *)
+  (* one-entry caches of the last row looked up: consecutive charges
+     nearly always hit the same pid and flow *)
+  mutable last_pid : int;
+  mutable last_prow : prow;
+  mutable last_flow : int;
+  mutable last_fcols : float array;
 }
+
+let no_row = { p_name = ""; pcols = [||] }
 
 let create () =
   { totals = Array.make 5 0.;
     pids = Hashtbl.create 17;
-    flows = Hashtbl.create 17 }
+    flows = Hashtbl.create 17;
+    amount = [| 0. |];
+    last_pid = min_int; last_prow = no_row;
+    last_flow = min_int; last_fcols = [||] }
 
 let prow t pid =
-  match Hashtbl.find t.pids pid with
-  | r -> r
-  | exception Not_found ->
-      let r =
-        { p_name = (if pid < 0 then "(idle)" else "?"); pcols = Array.make 5 0. }
-      in
-      Hashtbl.add t.pids pid r;
-      r
+  if pid = t.last_pid then t.last_prow
+  else begin
+    let r =
+      match Hashtbl.find t.pids pid with
+      | r -> r
+      | exception Not_found ->
+          let name = if pid < 0 then "(idle)" else "?" in
+          (* alloc: cold — first sighting of a pid *)
+          let r = { p_name = name; pcols = Array.make 5 0. } in
+          Hashtbl.add t.pids pid r; (* alloc: cold — first sighting of a pid *)
+          r
+    in
+    t.last_pid <- pid;
+    t.last_prow <- r;
+    r
+  end
 
 let frow t flow =
-  match Hashtbl.find t.flows flow with
-  | c -> c
-  | exception Not_found ->
-      let c = Array.make 5 0. in
-      Hashtbl.add t.flows flow c;
-      c
+  if flow = t.last_flow then t.last_fcols
+  else begin
+    let c =
+      match Hashtbl.find t.flows flow with
+      | c -> c
+      | exception Not_found ->
+          let c = Array.make 5 0. in (* alloc: cold — first sighting of a flow *)
+          Hashtbl.add t.flows flow c;
+          c
+    in
+    t.last_flow <- flow;
+    t.last_fcols <- c;
+    c
+  end
 
 let set_name t ~pid name = (prow t pid).p_name <- name
 
-let charge t cls ~pid ~flow d =
+let amount_cell t = t.amount
+
+let charge_staged t cls ~pid ~flow =
+  let d = t.amount.(0) in
   if d > 0. then begin
     let i = idx cls in
     t.totals.(i) <- t.totals.(i) +. d;
@@ -72,6 +104,10 @@ let charge t cls ~pid ~flow d =
       c.(i) <- c.(i) +. d
     end
   end
+
+let charge t cls ~pid ~flow d =
+  t.amount.(0) <- d;
+  charge_staged t cls ~pid ~flow
 
 let total t cls = t.totals.(idx cls)
 

@@ -8,9 +8,9 @@
     under NI-LRP/SOFT-LRP they accrue as [proto] cycles against the
     process that actually receives the data, attributed to its channel.
 
-    The ledger is always on: {!charge} is float-array arithmetic plus one
-    int-keyed hash probe, allocation-free after a pid/flow's first
-    sighting (the [ledger_overhead] bench entry pins this).  It observes
+    The ledger is always on: {!charge} is float-array arithmetic plus an
+    int-keyed hash probe that a one-row cache skips when the pid (flow)
+    repeats; it is allocation-free after a pid/flow's first sighting (the [ledger_overhead] bench entry pins this).  It observes
     accounting only — it never schedules — so it cannot perturb results. *)
 
 type t
@@ -29,6 +29,15 @@ val create : unit -> t
 val charge : t -> cls -> pid:int -> flow:int -> float -> unit
 (** [charge t cls ~pid ~flow d] adds [d] microseconds.  [flow] is the
     served channel id, or [-1] for none (interrupt and plain app work). *)
+
+val amount_cell : t -> float array
+(** 1-slot staging cell for {!charge_staged}.  A computed float passed as
+    an argument is boxed at the call; a float-array store is not. *)
+
+val charge_staged : t -> cls -> pid:int -> flow:int -> unit
+(** [charge_staged t cls ~pid ~flow] is [charge t cls ~pid ~flow
+    (amount_cell t).(0)] without the float boxing: the CPU model's
+    per-segment path. *)
 
 val set_name : t -> pid:int -> string -> unit
 (** Attach a display name to a pid (done at spawn, so rows outlive their

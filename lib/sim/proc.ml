@@ -1,4 +1,3 @@
-open Lrp_engine
 module Sched = Lrp_sched.Sched
 
 type t = {
@@ -7,15 +6,10 @@ type t = {
   thread : Sched.thread;
   working_set_us : float;
   mutable pending : pending;
-  mutable work_left : float;
-  mutable k : (unit, unit) Effect.Deep.continuation option;
+  mutable k : (unit, unit) Effect.Deep.continuation;
   mutable exited : bool;
-  mutable cpu_time : float;
-  mutable overhead_time : float;
+  acct : float array;
   exit_waiters : waitq;
-  mutable started_at : Time.t;
-  mutable exited_at : Time.t;
-  mutable last_on_cpu : Time.t;
   mutable lcls : int;
   mutable lflow : int;
 }
@@ -30,6 +24,30 @@ type _ Effect.t +=
   | Sleep : float -> unit Effect.t
   | Yield : unit Effect.t
 
+(* Slots of [acct].  Float-array slots are stored flat, where a mutable
+   float field of this mixed record would box on every store. *)
+let a_work_left = 0
+let a_cpu = 1
+let a_overhead = 2
+let a_last_on_cpu = 3
+let acct_slots = 4
+
+(* Placeholder for [k] while no continuation is parked: never resumed,
+   because [pending] only becomes [Resume] after a real one is stored. *)
+let no_k : (unit, unit) Effect.Deep.continuation = Obj.magic ()
+
+let waitq wq_name = { wq_name; waiters = [] }
+
+let make ~pid ~name ~thread ~working_set ~now body =
+  let acct = Array.make acct_slots 0. in
+  acct.(a_last_on_cpu) <- now;
+  { pid; name; thread; working_set_us = working_set; pending = Start body;
+    k = no_k; exited = false; acct; exit_waiters = waitq (name ^ ".exit");
+    lcls = 0; lflow = -1 }
+
+let cpu_time p = p.acct.(a_cpu)
+let overhead_time p = p.acct.(a_overhead)
+
 let compute d = if d > 0. then Effect.perform (Compute d)
 
 let block wq = Effect.perform (Block wq)
@@ -37,8 +55,6 @@ let block wq = Effect.perform (Block wq)
 let sleep_for d = Effect.perform (Sleep d)
 
 let yield () = Effect.perform Yield
-
-let waitq wq_name = { wq_name; waiters = [] }
 
 let waitq_remove wq p =
   wq.waiters <- List.filter (fun q -> q.pid <> p.pid) wq.waiters

@@ -27,19 +27,15 @@ type t = {
           memory-locality effects, e.g. the Table-2 worker whose working set
           covers 35 % of the L2 cache). *)
   mutable pending : pending;
-  mutable work_left : float;
-  mutable k : (unit, unit) Effect.Deep.continuation option;
+  mutable k : (unit, unit) Effect.Deep.continuation;
+      (** the parked continuation while [pending] is [Work], [Resume] or
+          [Blocked]; {!no_k} otherwise *)
   mutable exited : bool;
-  mutable cpu_time : float;  (** total simulated CPU consumed, microseconds *)
-  mutable overhead_time : float;
-      (** part of [cpu_time] that was context-switch / cache-reload
-          overhead rather than useful work *)
+  acct : float array;
+      (** time accounting, written by the CPU model in slots
+          {!a_work_left} .. {!a_last_on_cpu}; read it through {!cpu_time}
+          and {!overhead_time} *)
   exit_waiters : waitq;
-  mutable started_at : Time.t;
-  mutable exited_at : Time.t;
-  mutable last_on_cpu : Time.t;
-      (** last instant this process occupied the CPU (for the cache-reload
-          model: eviction grows with absence) *)
   mutable lcls : int;
       (** ledger class of the current compute segment: 0 = app, 1 =
           receiver-context protocol work (set by {!Cpu.compute_proto}),
@@ -62,6 +58,41 @@ type _ Effect.t +=
   | Block : waitq -> unit Effect.t
   | Sleep : float -> unit Effect.t
   | Yield : unit Effect.t
+
+(** {1 Accounting slots}
+
+    Indices into [acct].  Float-array slots are stored flat; a mutable
+    float field of the record would allocate a box on every store. *)
+
+val a_work_left : int
+(** CPU microseconds the current compute segment still owes. *)
+
+val a_cpu : int
+(** Total simulated CPU consumed, microseconds. *)
+
+val a_overhead : int
+(** The part of [a_cpu] that was context-switch / cache-reload overhead. *)
+
+val a_last_on_cpu : int
+(** Last instant this process occupied the CPU (for the cache-reload
+    model: eviction grows with absence). *)
+
+val no_k : (unit, unit) Effect.Deep.continuation
+(** Placeholder stored in [k] while no continuation is parked. *)
+
+val make :
+  pid:int -> name:string -> thread:Lrp_sched.Sched.thread ->
+  working_set:float -> now:Time.t -> (t -> unit) -> t
+(** A fresh process in state [Start body] (see {!Cpu.spawn}). *)
+
+val cpu_time : t -> float
+(** Total simulated CPU consumed, microseconds. *)
+
+val overhead_time : t -> float
+(** The part of {!cpu_time} that was context-switch / cache-reload
+    overhead rather than useful work. *)
+
+(** {1 Effects} *)
 
 val compute : float -> unit
 (** [compute d] consumes [d] simulated microseconds of CPU (no-op when

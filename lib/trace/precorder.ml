@@ -90,12 +90,14 @@ let intern t s =
       let id = t.nstr in
       let n = Array.length t.strs in
       if id = n then begin
+        (* alloc: cold — first sighting of a label *)
         let strs = Array.make (max 8 (2 * n)) "" in
         Array.blit t.strs 0 strs 0 n;
         t.strs <- strs
       end;
       t.strs.(id) <- s;
       t.nstr <- id + 1;
+      (* alloc: cold — first sighting of a label *)
       Hashtbl.add t.stab s id;
       id
 

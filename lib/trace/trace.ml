@@ -276,13 +276,13 @@ let softint_begin t ~pkt =
     match t.packed with
     | Some p ->
         Precorder.record p ~kind:k_softint_begin ~ident:pkt ~a:(-1) ~b:(-1)
-    | None -> record t (Softint_begin { pkt })
+    | None -> record t (Softint_begin { pkt }) (* alloc: cold — untyped tracing fallback; packed sink is the hot path *)
 
 let softint_end t ~pkt =
   if want t Packet_events then
     match t.packed with
     | Some p -> Precorder.record p ~kind:k_softint_end ~ident:pkt ~a:(-1) ~b:(-1)
-    | None -> record t (Softint_end { pkt })
+    | None -> record t (Softint_end { pkt }) (* alloc: cold — untyped tracing fallback; packed sink is the hot path *)
 
 let proto_deliver t ~pkt ~conn ~in_proc =
   if want t Packet_events then
@@ -329,7 +329,7 @@ let intr_enter t ~level ~label =
     | Some p ->
         Precorder.record p ~kind:k_intr_enter ~ident:(-1)
           ~a:(level_code level) ~b:(Precorder.intern p label)
-    | None -> record t (Intr_enter { level; label })
+    | None -> record t (Intr_enter { level; label }) (* alloc: cold — untyped tracing fallback; packed sink is the hot path *)
 
 let intr_exit t ~level ~label =
   if want t Sched_events then
@@ -337,14 +337,14 @@ let intr_exit t ~level ~label =
     | Some p ->
         Precorder.record p ~kind:k_intr_exit ~ident:(-1) ~a:(level_code level)
           ~b:(Precorder.intern p label)
-    | None -> record t (Intr_exit { level; label })
+    | None -> record t (Intr_exit { level; label }) (* alloc: cold — untyped tracing fallback; packed sink is the hot path *)
 
 let ctx_switch t ~from_pid ~to_pid =
   if want t Sched_events then
     match t.packed with
     | Some p ->
         Precorder.record p ~kind:k_ctx_switch ~ident:(-1) ~a:from_pid ~b:to_pid
-    | None -> record t (Ctx_switch { from_pid; to_pid })
+    | None -> record t (Ctx_switch { from_pid; to_pid }) (* alloc: cold — untyped tracing fallback; packed sink is the hot path *)
 
 let thread_state t ~pid ~state =
   if want t Sched_events then
@@ -352,7 +352,7 @@ let thread_state t ~pid ~state =
     | Some p ->
         Precorder.record p ~kind:k_thread_state ~ident:(-1) ~a:pid
           ~b:(state_code state)
-    | None -> record t (Thread_state { pid; state })
+    | None -> record t (Thread_state { pid; state }) (* alloc: cold — untyped tracing fallback; packed sink is the hot path *)
 
 let alarm t ~alarm:al ~a ~b =
   if want t Note_events then

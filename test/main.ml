@@ -4,6 +4,7 @@ let () =
       ("twheel", Test_twheel.suite);
       ("sched", Test_sched.suite);
       ("sim", Test_sim.suite);
+      ("golden", Test_golden.suite);
       ("net", Test_net.suite);
       ("proto", Test_proto.suite);
       ("tcp-unit", Test_tcp_unit.suite);

@@ -85,7 +85,7 @@ let test_equal_procs_get_equal_shares () =
   Engine.run eng ~until:(Time.sec 10.);
   List.iter
     (fun (p : Proc.t) ->
-      let share = p.Proc.cpu_time /. Time.sec 10. in
+      let share = Proc.cpu_time p /. Time.sec 10. in
       Alcotest.(check bool)
         (Printf.sprintf "%s share %.3f within 25%% of fair" p.Proc.name share)
         true
@@ -108,11 +108,11 @@ let test_nice_gets_less () =
   Engine.run eng ~until:(Time.sec 10.);
   Alcotest.(check bool)
     (Printf.sprintf "nice +10 got %.2fs vs %.2fs"
-       (Time.to_sec niced.Proc.cpu_time)
-       (Time.to_sec normal.Proc.cpu_time))
+       (Time.to_sec (Proc.cpu_time niced))
+       (Time.to_sec (Proc.cpu_time normal)))
     true
-    (niced.Proc.cpu_time < 0.8 *. normal.Proc.cpu_time
-     && niced.Proc.cpu_time > 0.)
+    (Proc.cpu_time niced < 0.8 *. Proc.cpu_time normal
+     && Proc.cpu_time niced > 0.)
 
 let test_interactive_latency_preserved_under_load () =
   (* A mostly-sleeping process must get the CPU promptly when it wakes,

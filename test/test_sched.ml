@@ -3,7 +3,7 @@
 module Sched = Lrp_sched.Sched
 open Lrp_engine
 
-let mk () = Sched.create ()
+let mk () = Sched.create ~clock:[| 0. |]
 
 let test_new_thread_priority () =
   let s = mk () in
@@ -25,8 +25,8 @@ let test_pick_best_priority () =
   let s = mk () in
   let a = Sched.add_thread s ~name:"a" ~nice:10 () in
   let b = Sched.add_thread s ~name:"b" () in
-  Sched.make_runnable s ~now:0. a;
-  Sched.make_runnable s ~now:0. b;
+  Sched.make_runnable s a;
+  Sched.make_runnable s b;
   (match Sched.pick s with
    | Some th -> Alcotest.(check string) "picks low-nice thread" "b" (Sched.name th)
    | None -> Alcotest.fail "expected a runnable thread");
@@ -36,8 +36,8 @@ let test_fifo_among_equals () =
   let s = mk () in
   let a = Sched.add_thread s ~name:"a" () in
   let b = Sched.add_thread s ~name:"b" () in
-  Sched.make_runnable s ~now:0. a;
-  Sched.make_runnable s ~now:0. b;
+  Sched.make_runnable s a;
+  Sched.make_runnable s b;
   (match Sched.pick s with
    | Some th -> Alcotest.(check string) "first enqueued wins ties" "a" (Sched.name th)
    | None -> Alcotest.fail "expected a runnable thread");
@@ -49,7 +49,7 @@ let test_fifo_among_equals () =
 let test_charge_tick_worsens_priority () =
   let s = mk () in
   let a = Sched.add_thread s ~name:"a" () in
-  Sched.make_runnable s ~now:0. a;
+  Sched.make_runnable s a;
   let before = Sched.priority a in
   for _ = 1 to 40 do
     Sched.charge_tick s a
@@ -70,7 +70,7 @@ let test_priority_clamped () =
 let test_decay_reduces_usage () =
   let s = mk () in
   let a = Sched.add_thread s ~name:"a" () in
-  Sched.make_runnable s ~now:0. a;
+  Sched.make_runnable s a;
   for _ = 1 to 100 do
     Sched.charge_tick s a
   done;
@@ -81,11 +81,12 @@ let test_decay_reduces_usage () =
 let test_wakeup_boost () =
   (* A thread that slept for seconds comes back with decayed usage, hence
      better priority than a compute-bound peer: the BSD I/O-boost. *)
-  let s = mk () in
+  let clock = [| 0. |] in
+  let s = Sched.create ~clock in
   let sleeper = Sched.add_thread s ~name:"sleeper" () in
   let hog = Sched.add_thread s ~name:"hog" () in
-  Sched.make_runnable s ~now:0. sleeper;
-  Sched.make_runnable s ~now:0. hog;
+  Sched.make_runnable s sleeper;
+  Sched.make_runnable s hog;
   (* Both burn CPU for a while. *)
   for _ = 1 to 200 do
     Sched.charge_tick s sleeper;
@@ -97,8 +98,10 @@ let test_wakeup_boost () =
     Sched.charge_tick s sleeper;
     Sched.charge_tick s hog
   done;
-  Sched.sleep s ~now:(Time.sec 1.) sleeper;
-  Sched.make_runnable s ~now:(Time.sec 9.) sleeper;
+  clock.(0) <- Time.sec 1.;
+  Sched.sleep s sleeper;
+  clock.(0) <- Time.sec 9.;
+  Sched.make_runnable s sleeper;
   Alcotest.(check bool) "sleeper priority better after long sleep" true
     (Sched.priority sleeper < Sched.priority hog)
 
@@ -106,8 +109,8 @@ let test_should_preempt () =
   let s = mk () in
   let a = Sched.add_thread s ~name:"a" () in
   let b = Sched.add_thread s ~name:"b" () in
-  Sched.make_runnable s ~now:0. a;
-  Sched.make_runnable s ~now:0. b;
+  Sched.make_runnable s a;
+  Sched.make_runnable s b;
   Alcotest.(check bool) "equal priority does not preempt" false
     (Sched.should_preempt s ~current:a);
   for _ = 1 to 80 do
@@ -119,7 +122,7 @@ let test_should_preempt () =
 let test_quantum () =
   let s = mk () in
   let a = Sched.add_thread s ~name:"a" () in
-  Sched.make_runnable s ~now:0. a;
+  Sched.make_runnable s a;
   for _ = 1 to Sched.quantum_ticks - 1 do
     Sched.charge_tick s a
   done;
@@ -148,7 +151,7 @@ let test_account_redirection () =
 let test_exit_thread () =
   let s = mk () in
   let a = Sched.add_thread s ~name:"a" () in
-  Sched.make_runnable s ~now:0. a;
+  Sched.make_runnable s a;
   Sched.exit_thread s a;
   Alcotest.(check int) "no runnables" 0 (Sched.runnable_count s);
   Alcotest.(check bool) "pick is none" true (Sched.pick s = None)
@@ -157,7 +160,7 @@ let test_load_average_tracks_runnables () =
   let s = mk () in
   let mk_run name =
     let th = Sched.add_thread s ~name () in
-    Sched.make_runnable s ~now:0. th
+    Sched.make_runnable s th
   in
   mk_run "a";
   mk_run "b";

@@ -319,6 +319,43 @@ let test_zero_cost_work () =
   Engine.run eng ~until:(Time.ms 1.);
   Alcotest.(check bool) "zero-cost interrupt action ran" true !ran
 
+(* Typed interrupt jobs are the per-packet path: once the work rings,
+   the engine's slot table and the ledger rows are warm, posting work at
+   both levels, dispatching it (a hard post preempts the running soft
+   item, which goes back to the front of its ring), completing the
+   segments and running the jobs allocates nothing at all. *)
+let test_typed_jobs_allocation_free () =
+  let eng = Engine.create () in
+  let cpu = Cpu.create eng ~start_clock:false ~name:"host" () in
+  let ran = ref 0 in
+  let j = Cpu.job (fun (r : int ref) n -> r := !r + n) in
+  let cost = Cpu.cost_cell cpu in
+  let cycle () =
+    for _ = 1 to 50 do
+      cost.(0) <- 5.;
+      Cpu.post_soft_job cpu ~label:"softnet" ~tpkt:7 ~poll:false j ran 1;
+      cost.(0) <- 3.;
+      Cpu.post_hard_job cpu ~label:"rx-intr" ~tpkt:7 j ran 1
+    done;
+    Engine.drain eng
+  in
+  cycle ();
+  cycle ();
+  let words f =
+    let w0 = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. w0
+  in
+  let overhead = words ignore in
+  let measured = words (fun () -> for _ = 1 to 20 do cycle () done) in
+  Alcotest.(check int) "every posted job ran" (22 * 100) !ran;
+  Alcotest.(check (float 0.)) "0.0 minor words per posted item" 0.
+    ((measured -. overhead) /. 2000.);
+  Alcotest.(check (float 1e-6)) "hard time" (22. *. 50. *. 3.)
+    (Cpu.time_hard cpu);
+  Alcotest.(check (float 1e-6)) "soft time" (22. *. 50. *. 5.)
+    (Cpu.time_soft cpu)
+
 let suite =
   [ Alcotest.test_case "single compute" `Quick test_single_compute;
     Alcotest.test_case "sequential computes" `Quick test_sequential_computes;
@@ -341,4 +378,6 @@ let suite =
     Alcotest.test_case "join on exited process" `Quick test_join_exited;
     Alcotest.test_case "yield round-robins" `Quick test_yield_round_robin;
     Alcotest.test_case "idle time accounting" `Quick test_idle_time;
-    Alcotest.test_case "zero-cost interrupt work" `Quick test_zero_cost_work ]
+    Alcotest.test_case "zero-cost interrupt work" `Quick test_zero_cost_work;
+    Alcotest.test_case "typed jobs: post/dispatch/complete allocate nothing"
+      `Quick test_typed_jobs_allocation_free ]

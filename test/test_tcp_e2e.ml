@@ -309,6 +309,38 @@ let test_tcp_processing_charged_to_receiver () =
         true
         (rx_ticks > 0 && by_ticks > rx_ticks)
 
+(* Every accepted or connected socket maps its connection in [conn_sock];
+   closing the connection must drop the entry, so after many completed
+   one-connection requests the table holds only live connections (still
+   registered, e.g. in TIME_WAIT) and listeners. *)
+let test_conn_sock_bounded () =
+  List.iter
+    (fun arch ->
+      let tune cfg = { cfg with Kernel.time_wait = Time.ms 50. } in
+      let cfg = tune (Kernel.default_config arch) in
+      let w = World.make () in
+      let server = World.add_host w ~name:"server" cfg in
+      let clients = World.add_host w ~name:"clients" cfg in
+      ignore (Http.start_server server ~port:80 ());
+      let stats =
+        Http.start_clients clients ~dst:(Kernel.ip_address server, 80) ~n:4 ()
+      in
+      World.run w ~until:(Time.sec 1.);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: completed many requests (%d)"
+           (Kernel.arch_name arch) stats.Http.completed)
+        true (stats.Http.completed > 100);
+      List.iter
+        (fun (k : Kernel.t) ->
+          let live = Hashtbl.length k.tcp_conns + Hashtbl.length k.tcp_listeners in
+          let mapped = Hashtbl.length k.conn_sock in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s %s: conn_sock %d <= live %d"
+               (Kernel.arch_name arch) (Kernel.name k) mapped live)
+            true (mapped <= live))
+        [ server; clients ])
+    [ Kernel.Bsd; Kernel.Soft_lrp ]
+
 let suite =
   [ Alcotest.test_case "handshake + echo (all archs)" `Quick
       (for_all_archs test_handshake_and_echo);
@@ -318,6 +350,8 @@ let suite =
       test_bulk_integrity_under_loss;
     Alcotest.test_case "bulk integrity under 5% loss + reordering (all archs)"
       `Slow test_bulk_integrity_under_faults;
+    Alcotest.test_case "conn_sock bounded by live connections" `Quick
+      test_conn_sock_bounded;
     Alcotest.test_case "sequential connections / TIME_WAIT turnover" `Slow
       (for_all_archs test_many_sequential_connections);
     Alcotest.test_case "connect to dead port is refused" `Quick
