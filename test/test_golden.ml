@@ -1,9 +1,11 @@
 (* Golden outputs: short runs on every receiver architecture, reduced to
    one FNV-1a-64 digest of their statistics plus their flight-recorder
-   dumps.  The expected digests were recorded before the simulated CPU's
-   dispatch core moved to flat work rings and typed interrupt jobs; the
-   rewrite is a pure performance change, so any drift here means it
-   changed simulated behaviour. *)
+   dumps.  The UDP-blast and 4.4BSD/SOFT-LRP HTTP digests were recorded
+   before the simulated CPU's dispatch core moved to flat work rings and
+   typed interrupt jobs; the NI-LRP/NAPI HTTP, gateway and multicast +
+   fragment digests were recorded before the receive paths were folded
+   onto one axis table.  Both rewrites are meant to leave simulated
+   behaviour alone, so any drift here means one of them changed it. *)
 
 open Lrp_engine
 open Lrp_net
@@ -39,12 +41,14 @@ let kernel_summary b k =
   | Some p -> Precorder.dump_to_buffer b p
   | None -> ()
 
-let digest_of w kernels extra =
+let digest_of_engine engine kernels extra =
   let b = Buffer.create 4096 in
   Printf.bprintf b "events=%d now=%h %s\n"
-    (Engine.events_executed (World.engine w)) (Engine.now (World.engine w)) extra;
+    (Engine.events_executed engine) (Engine.now engine) extra;
   List.iter (kernel_summary b) kernels;
   Printf.sprintf "%016Lx" (Cluster.fnv1a64 (Buffer.contents b))
+
+let digest_of w = digest_of_engine (World.engine w)
 
 (* Figure 3's livelock point, briefly: 14-byte UDP at 20k pkts/s. *)
 let udp_blast sys =
@@ -88,6 +92,120 @@ let http_syn sys =
     (Printf.sprintf "completed=%d failed=%d" stats.Http.completed
        stats.Http.failed)
 
+(* Two networks glued by a forwarding gateway: a UDP blast and a TCP echo
+   from net A to net B, both through the gateway. *)
+let gateway_run sys =
+  let cfg = Common.config_of_system sys in
+  let engine = Engine.create ~seed:42 () in
+  let net_a = Fabric.create engine () in
+  let net_b = Fabric.create engine () in
+  let client =
+    Kernel.create engine net_a ~name:"client" ~ip:(Packet.ip_of_quad 10 0 0 10)
+      cfg
+  in
+  let gw =
+    Kernel.create engine net_a ~name:"gw" ~ip:(Packet.ip_of_quad 10 0 0 1)
+      { cfg with Kernel.forwarding = true }
+  in
+  ignore (Kernel.add_interface gw net_b ~ip:(Packet.ip_of_quad 10 0 1 1) ());
+  let server =
+    Kernel.create engine net_b ~name:"server" ~ip:(Packet.ip_of_quad 10 0 1 20)
+      cfg
+  in
+  Fabric.set_default_gateway net_a ~ip:(Packet.ip_of_quad 10 0 0 1);
+  Fabric.set_default_gateway net_b ~ip:(Packet.ip_of_quad 10 0 1 1);
+  Kernel.set_tracing gw true;
+  Kernel.set_tracing server true;
+  let sink = Blast.start_sink server ~port:9000 () in
+  let src =
+    Blast.start_source engine (Kernel.nic client)
+      ~src:(Kernel.ip_address client) ~dst:(Kernel.ip_address server, 9000)
+      ~rate:5_000. ~size:14 ~until:(Time.ms 100.) ()
+  in
+  let echoed = ref 0 in
+  ignore
+    (Cpu.spawn (Kernel.cpu server) ~name:"echo-srv" (fun self ->
+         let lsock = Api.socket_stream server in
+         Api.tcp_listen server ~self lsock ~port:80 ~backlog:4;
+         let conn = Api.tcp_accept server ~self lsock in
+         let rec echo () =
+           match Api.tcp_recv server ~self conn ~max:4096 with
+           | `Data p -> ignore (Api.tcp_send server ~self conn p); echo ()
+           | `Eof -> Api.close server ~self conn
+         in
+         echo ()));
+  ignore
+    (Cpu.spawn (Kernel.cpu client) ~name:"echo-cli" (fun self ->
+         let sock = Api.socket_stream client in
+         match
+           Api.tcp_connect client ~self sock
+             ~remote:(Kernel.ip_address server, 80)
+         with
+         | `Refused -> ()
+         | `Ok ->
+             for _ = 1 to 5 do
+               ignore (Api.tcp_send client ~self sock (Payload.synthetic 3000));
+               match Api.tcp_recv client ~self sock ~max:4096 with
+               | `Data p -> echoed := !echoed + Payload.length p
+               | `Eof -> ()
+             done;
+             Api.close client ~self sock));
+  Engine.run engine ~until:(Time.ms 300.);
+  digest_of_engine engine [ client; gw; server ]
+    (Printf.sprintf "sent=%d received=%d echoed=%d" src.Blast.sent
+       sink.Blast.received !echoed)
+
+(* Multicast to two member sockets of one group (one reading with
+   [recvfrom], one with [recvfrom_timeout]) interleaved with unicast
+   datagrams large enough to fragment, read with [try_recvfrom]. *)
+let mcast_frag_run sys =
+  let cfg = Common.config_of_system sys in
+  let w, client, server = World.pair ~seed:42 ~cfg () in
+  Kernel.set_tracing server true;
+  let group = Packet.ip_of_quad 224 0 0 9 in
+  let n = 20 in
+  let got_a = ref 0 and got_b = ref 0 and got_big = ref 0 in
+  ignore
+    (Cpu.spawn (Kernel.cpu server) ~name:"member-a" (fun self ->
+         let sock = Api.socket_dgram server in
+         Api.join_group server sock ~owner:(Some self) ~group ~port:6666;
+         for _ = 1 to n do
+           let dg = Api.recvfrom server ~self sock in
+           got_a := !got_a + Payload.length dg.Api.dg_payload
+         done));
+  ignore
+    (Cpu.spawn (Kernel.cpu server) ~name:"member-b" (fun self ->
+         let sock = Api.socket_dgram server in
+         Api.join_group server sock ~owner:(Some self) ~group ~port:6666;
+         for _ = 1 to 2 * n do
+           match Api.recvfrom_timeout server ~self sock ~timeout:(Time.ms 3.) with
+           | Some dg -> got_b := !got_b + Payload.length dg.Api.dg_payload
+           | None -> ()
+         done));
+  ignore
+    (Cpu.spawn (Kernel.cpu server) ~name:"big-rx" (fun self ->
+         let sock = Api.socket_dgram server in
+         Api.bind server sock ~owner:(Some self) ~port:5000;
+         for _ = 1 to 4 * n do
+           match Api.try_recvfrom server ~self sock with
+           | Some dg -> got_big := !got_big + Payload.length dg.Api.dg_payload
+           | None -> Proc.sleep_for (Time.ms 1.)
+         done));
+  ignore
+    (Cpu.spawn (Kernel.cpu client) ~name:"tx" (fun self ->
+         let sock = Api.socket_dgram client in
+         ignore (Api.bind_ephemeral client sock ~owner:(Some self));
+         for i = 1 to n do
+           Api.sendto client ~self sock ~dst:(group, 6666)
+             (Payload.synthetic (100 + i));
+           Api.sendto client ~self sock ~dst:(Kernel.ip_address server, 5000)
+             (Payload.synthetic 20_000);
+           Proc.sleep_for (Time.ms 2.)
+         done));
+  World.run w ~until:(Time.ms 200.);
+  digest_of w [ client; server ]
+    (Printf.sprintf "a=%d b=%d big=%d" !got_a !got_b !got_big)
+
 let udp_golden =
   [ (Common.Bsd, "e05cf5e909527424");
     (Common.Soft_lrp, "060f318213e6f042");
@@ -98,25 +216,39 @@ let udp_golden =
     (Common.Rss, "1e686cdadc43e29a") ]
 
 let http_golden =
-  [ (Common.Bsd, "faafce15f6fdf6eb"); (Common.Soft_lrp, "4e957ab9f26efb71") ]
+  [ (Common.Bsd, "faafce15f6fdf6eb"); (Common.Soft_lrp, "4e957ab9f26efb71");
+    (Common.Ni_lrp, "c2c5f20887b6e3b1"); (Common.Napi, "2642da1227da0b20") ]
 
-let test_udp_golden () =
+let gateway_golden =
+  [ (Common.Bsd, "01eb54fda2423e6a"); (Common.Soft_lrp, "555f0c826d7761f3");
+    (Common.Ni_lrp, "4ef15e349f3197dd");
+    (Common.Early_demux, "388cbb82e853a46f");
+    (Common.Napi, "6c88c92ac06210ac"); (Common.Napi_gro, "0c193c782b3d4bfe");
+    (Common.Rss, "da6cc53f4bb4e47d") ]
+
+(* Early-Demux is absent: its interrupt-time demux looks multicast ports
+   up among the unicast bindings, so no group member ever receives a
+   datagram and the run does not complete. *)
+let mcast_frag_golden =
+  [ (Common.Bsd, "5104f574971f455e"); (Common.Soft_lrp, "0b64e5b19cd005e4");
+    (Common.Ni_lrp, "7dd5ec5e7e0c2696"); (Common.Napi, "2e80d45fa7f6b62d");
+    (Common.Napi_gro, "2e80d45fa7f6b62d"); (Common.Rss, "99500a9a91524dc1") ]
+
+let check_golden what run golden () =
   List.iter
     (fun (sys, want) ->
       Alcotest.(check string)
-        ("udp blast digest, " ^ Common.system_name sys)
-        want (udp_blast sys))
-    udp_golden
+        (what ^ " digest, " ^ Common.system_name sys)
+        want (run sys))
+    golden
 
-let test_http_golden () =
-  List.iter
-    (fun (sys, want) ->
-      Alcotest.(check string)
-        ("http+syn digest, " ^ Common.system_name sys)
-        want (http_syn sys))
-    http_golden
+let test_http_golden = check_golden "http+syn" http_syn http_golden
 
 let suite =
   [ Alcotest.test_case "udp blast digests pinned on all 7 archs" `Quick
-      test_udp_golden;
-    Alcotest.test_case "http+syn flood digests pinned" `Quick test_http_golden ]
+      (check_golden "udp blast" udp_blast udp_golden);
+    Alcotest.test_case "http+syn flood digests pinned" `Quick test_http_golden;
+    Alcotest.test_case "two-network gateway digests pinned on all 7 archs"
+      `Quick (check_golden "gateway" gateway_run gateway_golden);
+    Alcotest.test_case "multicast + fragment digests pinned"
+      `Quick (check_golden "mcast+frag" mcast_frag_run mcast_frag_golden) ]
