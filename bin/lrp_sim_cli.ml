@@ -27,19 +27,25 @@ let jobs =
     & opt int (Domain.recommended_domain_count ())
     & info [ "jobs"; "j" ] ~docv:"N" ~doc)
 
+(* The one table of --arch spellings. *)
+let arch_names =
+  [ ("bsd", Kernel.Bsd); ("soft-lrp", Kernel.Soft_lrp);
+    ("ni-lrp", Kernel.Ni_lrp); ("early-demux", Kernel.Early_demux);
+    ("napi", Kernel.Napi); ("napi-gro", Kernel.Napi_gro); ("rss", Kernel.Rss) ]
+
 let arch_conv =
-  let parse = function
-    | "bsd" -> Ok Kernel.Bsd
-    | "soft-lrp" -> Ok Kernel.Soft_lrp
-    | "ni-lrp" -> Ok Kernel.Ni_lrp
-    | "early-demux" -> Ok Kernel.Early_demux
-    | s -> Error (`Msg (Printf.sprintf "unknown architecture %S" s))
+  let parse s =
+    match List.assoc_opt s arch_names with
+    | Some a -> Ok a
+    | None -> Error (`Msg (Printf.sprintf "unknown architecture %S" s))
   in
   let print fmt a = Format.pp_print_string fmt (Kernel.arch_name a) in
   Arg.conv (parse, print)
 
 let arch =
-  let doc = "Kernel architecture: bsd, soft-lrp, ni-lrp or early-demux." in
+  let doc =
+    "Kernel architecture: " ^ String.concat ", " (List.map fst arch_names) ^ "."
+  in
   Arg.(value & opt arch_conv Kernel.Soft_lrp & info [ "arch" ] ~doc)
 
 let rate =

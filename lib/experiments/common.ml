@@ -16,29 +16,24 @@ type system =
   | Napi_gro
   | Rss
 
+let arch_of_system = function
+  | Sunos_fore | Bsd -> Kernel.Bsd
+  | Ni_lrp -> Kernel.Ni_lrp
+  | Soft_lrp -> Kernel.Soft_lrp
+  | Early_demux -> Kernel.Early_demux
+  | Napi -> Kernel.Napi
+  | Napi_gro -> Kernel.Napi_gro
+  | Rss -> Kernel.Rss
+
 let system_name = function
   | Sunos_fore -> "SunOS/Fore"
-  | Bsd -> "4.4BSD"
-  | Ni_lrp -> "NI-LRP"
-  | Soft_lrp -> "SOFT-LRP"
-  | Early_demux -> "Early-Demux"
-  | Napi -> "NAPI"
-  | Napi_gro -> "NAPI-GRO"
-  | Rss -> "RSS"
+  | sys -> Kernel.arch_name (arch_of_system sys)
 
 let config_of_system ?(tune = fun (c : Kernel.config) -> c) sys =
-  let cfg =
-    match sys with
-    | Sunos_fore -> Kernel.default_config ~costs:Cost.sunos_fore Kernel.Bsd
-    | Bsd -> Kernel.default_config Kernel.Bsd
-    | Ni_lrp -> Kernel.default_config Kernel.Ni_lrp
-    | Soft_lrp -> Kernel.default_config Kernel.Soft_lrp
-    | Early_demux -> Kernel.default_config Kernel.Early_demux
-    | Napi -> Kernel.default_config Kernel.Napi
-    | Napi_gro -> Kernel.default_config Kernel.Napi_gro
-    | Rss -> Kernel.default_config Kernel.Rss
+  let costs =
+    match sys with Sunos_fore -> Cost.sunos_fore | _ -> Cost.default
   in
-  tune cfg
+  tune (Kernel.default_config ~costs (arch_of_system sys))
 
 let table1_systems = [ Sunos_fore; Bsd; Ni_lrp; Soft_lrp ]
 let fig3_systems = [ Bsd; Ni_lrp; Soft_lrp; Early_demux ]

@@ -63,18 +63,7 @@ let bind k (sock : Socket.t) ~owner ~port =
   sock.Socket.port <- Some port;
   sock.Socket.owner <- owner;
   Hashtbl.replace k.Kernel.udp_ports port sock;
-  if Kernel.lrp_mode k then begin
-    let ch =
-      Channel.create ~arena:k.Kernel.parena
-        ~limit:(Kernel.config k).Kernel.channel_limit
-        ~name:(Printf.sprintf "udp:%d" port) ()
-    in
-    Chantab.add_udp (Kernel.chantab k) ~port ch;
-    Hashtbl.replace k.Kernel.chan_sock (Channel.id ch) sock;
-    sock.Socket.chan <- Some ch;
-    k.Kernel.all_channels <- ch :: k.Kernel.all_channels;
-    k.Kernel.udp_channels <- ch :: k.Kernel.udp_channels
-  end
+  sock.Socket.chan <- Kernel.open_channel k (Kernel.Udp_port (port, Some sock))
 
 let bind_ephemeral k sock ~owner =
   let port = Kernel.fresh_port k in
@@ -99,45 +88,32 @@ let join_group k (sock : Socket.t) ~owner ~group ~port =
     | None ->
         let m = ref [] in
         Hashtbl.replace k.Kernel.mcast_members port m;
-        if Kernel.lrp_mode k then begin
-          (* One shared channel for the whole group. *)
-          let ch =
-            Channel.create ~arena:k.Kernel.parena
-              ~limit:(Kernel.config k).Kernel.channel_limit
-              ~name:(Printf.sprintf "udp-mcast:%d" port) ()
-          in
-          Chantab.add_udp (Kernel.chantab k) ~port ch;
-          k.Kernel.all_channels <- ch :: k.Kernel.all_channels;
-          k.Kernel.udp_channels <- ch :: k.Kernel.udp_channels
-        end;
+        (* One shared channel for the whole group. *)
+        ignore (Kernel.open_channel k (Kernel.Udp_port (port, None)));
         m
   in
   members := sock :: !members;
   (* Members read raw packets from the shared channel. *)
-  if Kernel.lrp_mode k then begin
-    match Chantab.resolve (Kernel.chantab k)
-            (Lrp_proto.Demux.Udp_flow { src = 0; src_port = 0; dst_port = port })
-    with
-    | Some ch -> sock.Socket.chan <- Some ch
-    | None -> ()
-  end
+  match k.Kernel.proto with
+  | Kernel.Lazy ->
+      (match Chantab.resolve (Kernel.chantab k)
+               (Lrp_proto.Demux.Udp_flow { src = 0; src_port = 0; dst_port = port })
+       with
+       | Some ch -> sock.Socket.chan <- Some ch
+       | None -> ())
+  | Kernel.Eager -> ()
 
 let leave_group k (sock : Socket.t) ~port =
   match Hashtbl.find_opt k.Kernel.mcast_members port with
   | None -> ()
   | Some members ->
       members := List.filter (fun s -> s.Socket.id <> sock.Socket.id) !members;
-      sock.Socket.chan <- None;
       if !members = [] then begin
         Hashtbl.remove k.Kernel.mcast_members port;
-        if Kernel.lrp_mode k then begin
-          Chantab.remove_udp (Kernel.chantab k) ~port;
-          k.Kernel.udp_channels <-
-            List.filter
-              (fun ch -> Channel.name ch <> Printf.sprintf "udp-mcast:%d" port)
-              k.Kernel.udp_channels
-        end
-      end
+        (* The last member's channel is the group's. *)
+        Kernel.close_channel k (Kernel.Udp_port (port, Some sock))
+      end;
+      sock.Socket.chan <- None
 
 (* ------------------------------------------------------------------ *)
 (* UDP send                                                             *)
@@ -182,8 +158,9 @@ let pop_ready k (sock : Socket.t) =
       let dequeue_cost =
         (* BSD dequeues from the socket buffer, walking and freeing the
            mbuf chain; LRP's ready queue is a plain channel-style queue. *)
-        if Kernel.lrp_mode k then (c k).Cost.sockq
-        else (c k).Cost.sockbuf_op +. (c k).Cost.mbuf_free
+        match k.Kernel.proto with
+        | Kernel.Lazy -> (c k).Cost.sockq
+        | Kernel.Eager -> (c k).Cost.sockbuf_op +. (c k).Cost.mbuf_free
       in
       Proc.compute
         (dequeue_cost +. ((c k).Cost.copy_per_byte *. float_of_int len));
@@ -198,6 +175,18 @@ let pop_ready k (sock : Socket.t) =
         ~pkt:dg.Socket.dg_pkt ~sock:sock.Socket.id ~bytes:len;
       Some dg
 
+(* Nothing is ready on the socket queue.  Under LRP, take a raw packet off
+   the socket's NI channel and process it now, in our own context; with
+   the channel empty too, ask for an interrupt and block. *)
+let await_ready k (sock : Socket.t) =
+  match sock.Socket.chan with
+  | Some ch ->
+      if not (Kernel.lrp_recv_one k ch) then begin
+        Channel.request_interrupt ch;
+        Proc.block sock.Socket.recv_wait
+      end
+  | None -> Proc.block sock.Socket.recv_wait
+
 (* [recvfrom k ~self sock] blocks until a datagram is available and returns
    it.  Under LRP, performs the protocol processing lazily here. *)
 let recvfrom k ~(self : Proc.t) (sock : Socket.t) =
@@ -210,26 +199,8 @@ let recvfrom k ~(self : Proc.t) (sock : Socket.t) =
     match pop_ready k sock with
     | Some dg -> dg
     | None ->
-        (match sock.Socket.chan with
-         | Some ch when Kernel.lrp_mode k ->
-             (* LRP: take a raw packet off the NI channel and process it
-                now, in our own context. *)
-             (let pkt = Channel.pop ch in
-              if pkt != Packet.null then begin
-                let completed =
-                  Kernel.lrp_process_udp_raw k ~charge:(Kernel.proto_charge k ch) pkt
-                in
-                Kernel.deliver_udp_all k completed;
-                loop ()
-              end
-              else begin
-                Channel.request_interrupt ch;
-                Proc.block sock.Socket.recv_wait;
-                loop ()
-              end)
-         | Some _ | None ->
-             Proc.block sock.Socket.recv_wait;
-             loop ())
+        await_ready k sock;
+        loop ()
   in
   loop ()
 
@@ -255,28 +226,11 @@ let recvfrom_timeout k ~(self : Proc.t) (sock : Socket.t) ~timeout =
     if sock.Socket.closed then finish None
     else
       match pop_ready k sock with
-      | Some dg -> finish (Some dg)
+      | Some _ as dg -> finish dg
+      | None when !expired -> finish None
       | None ->
-          if !expired then finish None
-          else
-            (match sock.Socket.chan with
-             | Some ch when Kernel.lrp_mode k ->
-                 (let pkt = Lrp_core.Channel.pop ch in
-                  if pkt != Packet.null then begin
-                    let completed =
-                      Kernel.lrp_process_udp_raw k ~charge:(Kernel.proto_charge k ch) pkt
-                    in
-                    Kernel.deliver_udp_all k completed;
-                    loop ()
-                  end
-                  else begin
-                    Lrp_core.Channel.request_interrupt ch;
-                    Proc.block sock.Socket.recv_wait;
-                    loop ()
-                  end)
-             | Some _ | None ->
-                 Proc.block sock.Socket.recv_wait;
-                 loop ())
+          await_ready k sock;
+          loop ()
   in
   loop ()
 
@@ -284,23 +238,15 @@ let recvfrom_timeout k ~(self : Proc.t) (sock : Socket.t) ~timeout =
 let try_recvfrom k ~(self : Proc.t) (sock : Socket.t) =
   ignore self;
   Proc.compute (c k).Cost.syscall;
-  let rec drain_chan () =
-    match sock.Socket.chan with
-    | Some ch when Kernel.lrp_mode k ->
-        (let pkt = Channel.pop ch in
-         if pkt != Packet.null then begin
-           let completed =
-             Kernel.lrp_process_udp_raw k ~charge:(Kernel.proto_charge k ch) pkt
-           in
-           Kernel.deliver_udp_all k completed;
-           match pop_ready k sock with
-           | Some dg -> Some dg
-           | None -> drain_chan ()
-         end
-         else None)
-    | Some _ | None -> None
+  let rec poll () =
+    match pop_ready k sock with
+    | Some _ as dg -> dg
+    | None ->
+        (match sock.Socket.chan with
+         | Some ch when Kernel.lrp_recv_one k ch -> poll ()
+         | Some _ | None -> None)
   in
-  match pop_ready k sock with Some dg -> Some dg | None -> drain_chan ()
+  poll ()
 
 (* ------------------------------------------------------------------ *)
 (* TCP                                                                  *)
@@ -324,16 +270,7 @@ let tcp_listen k ~(self : Proc.t) (sock : Socket.t) ~port ~backlog =
   Hashtbl.replace k.Kernel.tcp_listeners port listener;
   Hashtbl.replace k.Kernel.conn_sock listener.Tcp.id sock;
   Hashtbl.replace k.Kernel.conn_owner listener.Tcp.id self;
-  if Kernel.lrp_mode k then begin
-    let ch =
-      Channel.create ~arena:k.Kernel.parena ~limit:cfg.Kernel.channel_limit
-        ~name:(Printf.sprintf "tcp-listen:%d" port) ()
-    in
-    Chantab.add_tcp_listen (Kernel.chantab k) ~port ch;
-    Hashtbl.replace k.Kernel.chan_conn (Channel.id ch) listener;
-    Hashtbl.replace k.Kernel.conn_chan listener.Tcp.id ch;
-    k.Kernel.all_channels <- ch :: k.Kernel.all_channels
-  end
+  ignore (Kernel.open_channel k (Kernel.Tcp_conn listener))
 
 let listener_exn (sock : Socket.t) =
   match sock.Socket.tcp with
@@ -469,18 +406,7 @@ let close k ~(self : Proc.t) (sock : Socket.t) =
          (match sock.Socket.port with
           | Some port ->
               Hashtbl.remove k.Kernel.udp_ports port;
-              if Kernel.lrp_mode k then begin
-                (match sock.Socket.chan with
-                 | Some ch ->
-                     Chantab.remove_udp (Kernel.chantab k) ~port;
-                     Hashtbl.remove k.Kernel.chan_sock (Channel.id ch);
-                     Kernel.drop_channel k (Channel.id ch);
-                     k.Kernel.udp_channels <-
-                       List.filter
-                         (fun c -> Channel.id c <> Channel.id ch)
-                         k.Kernel.udp_channels
-                 | None -> ())
-              end
+              Kernel.close_channel k (Kernel.Udp_port (port, Some sock))
           | None -> ())
      | Socket.Stream ->
          (match sock.Socket.tcp with
@@ -489,15 +415,7 @@ let close k ~(self : Proc.t) (sock : Socket.t) =
                 (match sock.Socket.port with
                  | Some port ->
                      Hashtbl.remove k.Kernel.tcp_listeners port;
-                     if Kernel.lrp_mode k then begin
-                       Chantab.remove_tcp_listen (Kernel.chantab k) ~port;
-                       match Hashtbl.find_opt k.Kernel.conn_chan conn.Tcp.id with
-                       | Some ch ->
-                           Hashtbl.remove k.Kernel.chan_conn (Channel.id ch);
-                           Hashtbl.remove k.Kernel.conn_chan conn.Tcp.id;
-                           Kernel.drop_channel k (Channel.id ch)
-                       | None -> ()
-                     end
+                     Kernel.close_channel k (Kernel.Tcp_conn conn)
                  | None -> ());
                 Tcp.close conn
               end

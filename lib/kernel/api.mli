@@ -28,13 +28,6 @@ type dgram =
 exception Socket_closed
 (** Raised by blocking calls when the socket is closed underneath them. *)
 
-val c : Kernel.t -> Cost.t
-(** The kernel's cost table (shorthand used by the syscall bodies). *)
-
-val frag_count : Kernel.t -> header:int -> bytes:int -> int
-(** Number of IP fragments a datagram with [header] transport-header bytes
-    and [bytes] of payload needs under the kernel's MTU. *)
-
 (** {1 Socket lifecycle} *)
 
 val socket_dgram : Kernel.t -> Socket.t
@@ -86,10 +79,6 @@ val udp_connect : 'a -> Socket.t -> remote:Lrp_net.Packet.ip * int -> unit
 (** Set the default destination and enable peer filtering: datagrams from
     any other source are silently discarded (BSD connected-UDP
     semantics). *)
-
-val pop_ready : Kernel.t -> Socket.t -> Socket.udp_datagram option
-(** Dequeue an already-processed datagram from the socket queue, charging
-    the dequeue + copy.  Internal building block of the receive calls. *)
 
 val recvfrom :
   Kernel.t -> self:Lrp_sim.Proc.t -> Socket.t -> Socket.udp_datagram

@@ -2,7 +2,10 @@
 
     One [Kernel.t] per host.  It owns the CPU, the NIC, the protocol state
     (PCBs, reassembly, TCP connections) and implements the four receive
-    architectures the paper compares:
+    architectures the paper compares.  Each architecture is a point on
+    three axes ({!axes}): where demultiplexing happens, whether protocol
+    processing is eager or lazy, and whether the NIC interrupts or is
+    polled.  Every receive step reads an axis, never the [arch] itself.
 
     - {b Bsd}: eager interrupt-driven processing.  The hardware interrupt
       stores the packet and appends it to the shared IP queue; a software
@@ -63,14 +66,34 @@ let arch_name = function
   | Napi_gro -> "NAPI-GRO"
   | Rss -> "RSS"
 
-let is_lrp = function
-  | Soft_lrp | Ni_lrp -> true
-  | Bsd | Early_demux | Napi | Napi_gro | Rss -> false
+(* Where a received packet is demultiplexed to its endpoint: in the
+   software interrupt after IP processing (BSD), in the hardware interrupt
+   handler, or on the network interface itself. *)
+type demux_point = Softirq | Hardirq | Nic
 
-(* The NAPI-family back-ends run the NIC in queued-RX mode and poll. *)
-let is_napi = function
-  | Napi | Napi_gro | Rss -> true
-  | Bsd | Soft_lrp | Ni_lrp | Early_demux -> false
+(* Who does protocol processing, and when: software interrupts as packets
+   arrive, or the receiving process when it asks for data (LRP). *)
+type proto_ctx = Eager | Lazy
+
+(* How the primary NIC hands frames over: one interrupt per frame, or
+   queued rings drained by a budgeted poll loop (with or without GRO). *)
+type rx_mode = Intr | Poll | Poll_gro
+
+(* The one place an [arch] is taken apart.  Two further properties follow
+   from these axes and are not stored: the discard point (the NI channel
+   under [Lazy]; the interrupt-time demux under [Hardirq]/[Eager]; the
+   shared IP queue, poll ring and socket queue otherwise) and who owns
+   receive buffers (NI channels under [Lazy], the mbuf pool under
+   [Eager]). *)
+let axes = function
+  | Bsd -> (Softirq, Eager, Intr)
+  | Soft_lrp -> (Hardirq, Lazy, Intr)
+  | Ni_lrp -> (Nic, Lazy, Intr)
+  | Early_demux -> (Hardirq, Eager, Intr)
+  | Napi | Rss -> (Softirq, Eager, Poll)
+  | Napi_gro -> (Softirq, Eager, Poll_gro)
+
+let is_lrp arch = match axes arch with _, Lazy, _ -> true | _, Eager, _ -> false
 
 type config = {
   arch : arch;
@@ -180,8 +203,7 @@ let napi_repoll = 500.
    work ring instead of allocating a closure per packet. *)
 type rx_jobs = {
   j_driver_rx : Packet.t Cpu.job;  (* BSD-style driver interrupt *)
-  j_demux_rx : Packet.t Cpu.job;   (* SOFT-LRP demux interrupt *)
-  j_edemux_rx : Packet.t Cpu.job;  (* Early-Demux demux interrupt *)
+  j_demux_rx : Packet.t Cpu.job;   (* SOFT-LRP / Early-Demux demux interrupt *)
   j_softnet : Packet.t Cpu.job;    (* BSD softnet; mbuf handle in the int *)
   j_edemux_soft : Packet.t Cpu.job;
       (* Early-Demux eager protocol softint; mbuf handle in the int *)
@@ -198,6 +220,9 @@ type t = {
   mutable interfaces : (Packet.ip * int * Nic.t) list;
       (* (address, prefix length, nic); multi-homed gateways have several *)
   cfg : config;
+  demux : demux_point;  (* [axes cfg.arch], cached *)
+  proto : proto_ctx;
+  rx_mode : rx_mode;
   c : Cost.t;
   ip_addr : Packet.ip;
   (* --- BSD path state --- *)
@@ -256,12 +281,10 @@ let nic t = t.nic
 let config t = t.cfg
 let costs t = t.c
 let stats t = t.stats
-let arch t = t.cfg.arch
 let ip_address t = t.ip_addr
 let chantab t = t.chantab
 let mbufs t = t.mbufs
 let channels t = t.all_channels
-let lrp_mode t = is_lrp t.cfg.arch
 let now t = Engine.now t.engine
 
 (* Is [addr] one of this host's own addresses? *)
@@ -270,6 +293,10 @@ let rec mem_addr addr = function
   | (ip, _, _) :: rest -> ip = addr || mem_addr addr rest
 
 let is_local_addr t addr = mem_addr addr t.interfaces
+
+(* Neither addressed to this host nor multicast: a packet in transit. *)
+let[@inline] is_transit t pkt =
+  not (is_local_addr t (Packet.dst pkt)) && not (Packet.is_multicast pkt)
 
 (* Longest-prefix-match routing across this host's interfaces; the primary
    interface is the default route. *)
@@ -288,11 +315,6 @@ let route t dst =
       None t.interfaces
   in
   match best with Some (_, _, nic) -> nic | None -> t.nic
-
-(* Forget a deallocated channel (reporting list). *)
-let drop_channel t chid =
-  t.all_channels <-
-    List.filter (fun ch -> Channel.id ch <> chid) t.all_channels
 
 let early_discards t =
   List.fold_left
@@ -329,25 +351,40 @@ let ip_output t pkt =
 (* Per-segment transmit cost (protocol output + driver). *)
 let seg_out_cost t = t.c.Cost.tcp_out +. t.c.Cost.ip_out +. t.c.Cost.driver_tx
 
-(* Free a packet's mbufs.  LRP receive paths never allocate from the mbuf
-   pool (packets live in NI channel buffers), so the free is conditional on
-   the architecture that allocated. *)
-let free_rx_mbufs t bytes =
-  match t.cfg.arch with
-  | Bsd | Early_demux | Napi | Napi_gro | Rss -> Mbuf.free t.mbufs ~bytes
-  | Soft_lrp | Ni_lrp -> ()
-
-(* Handle-aware variant: the mbuf kernels' non-fragment receive path
-   carries the pool handle from the driver's {!Mbuf.alloc_h} all the way
-   to the free site, so the count returned is the count reserved — no
-   per-site byte recomputation to drift.  Fragments (whose reassembled
-   whole has a different wire footprint than the sum of its pieces) stay
-   on byte accounting with [mh = Mbuf.no_handle]. *)
+(* Free a received packet's mbufs.  Only eager kernels draw receive
+   buffers from the mbuf pool (lazy ones receive into NI channels).  The
+   non-fragment receive path carries the pool handle from {!rx_reserve}
+   all the way to the free site, so the count returned is the count
+   reserved; fragments (whose reassembled whole has a different wire
+   footprint than the sum of its pieces) stay on byte accounting with
+   [mh = Mbuf.no_handle]. *)
 let free_rx_pkt t ~mh bytes =
-  match t.cfg.arch with
-  | Bsd | Early_demux | Napi | Napi_gro | Rss ->
-      if mh >= 0 then Mbuf.free_h t.mbufs mh else Mbuf.free t.mbufs ~bytes
-  | Soft_lrp | Ni_lrp -> ()
+  match t.proto with
+  | Eager -> if mh >= 0 then Mbuf.free_h t.mbufs mh else Mbuf.free t.mbufs ~bytes
+  | Lazy -> ()
+
+(* [rx_reserve]'s answer when the pool is exhausted; distinct from
+   [Mbuf.no_handle], a fragment's byte-accounted reservation. *)
+let no_mbufs = -2
+
+let mbuf_drop t ident =
+  t.stats.mbuf_drops <- t.stats.mbuf_drops + 1;
+  Trace.mbuf_drop t.tracer ~pkt:ident
+
+(* Reserve mbufs for a received packet, as the driver does: a handle for a
+   whole datagram, byte accounting for a fragment.  On pool exhaustion the
+   drop is counted and traced and [no_mbufs] returned. *)
+let rx_reserve t (pkt : Packet.t) =
+  let bytes = Packet.wire_bytes pkt in
+  let mh =
+    if Packet.is_fragment pkt then
+      if Mbuf.alloc t.mbufs ~bytes then Mbuf.no_handle else no_mbufs
+    else
+      let h = Mbuf.alloc_h t.mbufs ~bytes in
+      if h >= 0 then h else no_mbufs
+  in
+  if mh = no_mbufs then mbuf_drop t pkt.Packet.ip.Packet.ident;
+  mh
 
 (* Receiver-side content-checksum verification.  Corrupted packets die at
    the first transport-level touch: counted, traced, and never delivered,
@@ -397,19 +434,27 @@ let napi_grace_rearm t (n : napi) =
 
 let sock_of_conn t conn = Hashtbl.find_opt t.conn_sock conn.Tcp.id
 
+let backlog_full (listener : Tcp.conn) =
+  listener.Tcp.syn_pending + Queue.length listener.Tcp.accept_queue
+  >= listener.Tcp.backlog
+
 (* LRP gates the listening socket's channel on the backlog: once exceeded,
    protocol processing is disabled and further SYNs die cheaply at the NI
    channel (section 3.4). *)
 let update_listen_gate t (listener : Tcp.conn) =
-  if lrp_mode t then
+  if t.proto = Lazy then
     match Hashtbl.find_opt t.conn_chan listener.Tcp.id with
     | None -> ()
     | Some ch ->
-        let load =
-          listener.Tcp.syn_pending + Queue.length listener.Tcp.accept_queue
-        in
-        if load >= listener.Tcp.backlog then Channel.disable_processing ch
+        if backlog_full listener then Channel.disable_processing ch
         else Channel.enable_processing ch
+
+(* Reading a packet out of an NI channel buffer costs an NI-memory
+   access when the channels live on the interface. *)
+let[@inline] ni_access_cost t =
+  match t.demux with
+  | Nic -> t.c.Cost.ni_channel_access
+  | Softirq | Hardirq -> 0.
 
 (* ------------------------------------------------------------------ *)
 (* APP threads: asynchronous protocol processing for TCP (section 3.4)  *)
@@ -443,9 +488,7 @@ and drain_tcp_channel t ch =
   let pkt = Channel.pop ch in
   if pkt != Packet.null then begin
     Cpu.compute_proto t.cpu ~flow:(Channel.id ch)
-      ((match t.cfg.arch with
-        | Ni_lrp -> t.c.Cost.ni_channel_access
-        | Bsd | Soft_lrp | Early_demux | Napi | Napi_gro | Rss -> 0.)
+      (ni_access_cost t
        +. (t.c.Cost.lazy_locality *. (t.c.Cost.ip_in +. t.c.Cost.tcp_in)));
     (match Hashtbl.find_opt t.chan_conn (Channel.id ch) with
      | None -> () (* connection vanished: discard *)
@@ -501,39 +544,32 @@ and app_for t (owner : Proc.t) =
    still draining — a normal close-behind-exit) have no APP thread left, so
    their protocol processing falls back to software-interrupt level, as in
    the paper's prototype where a kernel process owns TCP processing. *)
-let rec orphan_drain t ch () =
+let rec orphan_post t ch =
+  Cpu.post_soft t.cpu ~label:"tcp-orphan"
+    ~cost:(t.c.Cost.soft_dispatch
+           +. (t.c.Cost.eager_penalty *. (t.c.Cost.ip_in +. t.c.Cost.tcp_in)))
+    (orphan_drain t ch)
+
+and orphan_drain t ch () =
   let pkt = Channel.pop ch in
   if pkt != Packet.null then begin
     (match Hashtbl.find_opt t.chan_conn (Channel.id ch) with
      | Some conn -> tcp_deliver t conn pkt ~ctx:`Soft
      | None -> ());
-    if not (Channel.is_empty ch) then
-      Cpu.post_soft t.cpu ~label:"tcp-orphan"
-        ~cost:(t.c.Cost.soft_dispatch
-               +. (t.c.Cost.eager_penalty *. (t.c.Cost.ip_in +. t.c.Cost.tcp_in)))
-        (orphan_drain t ch)
+    if not (Channel.is_empty ch) then orphan_post t ch
   end
 
 let app_post_chan t conn ch =
-  let fallback () =
-    Cpu.post_soft t.cpu ~label:"tcp-orphan"
-      ~cost:(t.c.Cost.soft_dispatch
-             +. (t.c.Cost.eager_penalty *. (t.c.Cost.ip_in +. t.c.Cost.tcp_in)))
-      (orphan_drain t ch)
-  in
   match Hashtbl.find_opt t.conn_owner conn.Tcp.id with
-  | None -> fallback ()
-  | Some owner ->
-      if owner.Proc.exited then fallback ()
-      else begin
-        let app = app_for t owner in
-        if not (Hashtbl.mem app.chan_pending (Channel.id ch)) then begin
-          Hashtbl.replace app.chan_pending (Channel.id ch) ();
-          Queue.add (Jchan ch) app.jobs;
-          trc t "post chan %d job for %s" (Channel.id ch) owner.Proc.name
-        end;
-        wake_one t app.app_wq
-      end
+  | Some owner when not owner.Proc.exited ->
+      let app = app_for t owner in
+      if not (Hashtbl.mem app.chan_pending (Channel.id ch)) then begin
+        Hashtbl.replace app.chan_pending (Channel.id ch) ();
+        Queue.add (Jchan ch) app.jobs;
+        trc t "post chan %d job for %s" (Channel.id ch) owner.Proc.name
+      end;
+      wake_one t app.app_wq
+  | Some _ | None -> orphan_post t ch
 
 let app_post_timer t conn f =
   match Hashtbl.find_opt t.conn_owner conn.Tcp.id with
@@ -548,8 +584,85 @@ let app_post_timer t conn f =
         ~cost:(t.c.Cost.soft_dispatch +. t.c.Cost.tcp_in) (fun () -> f ())
 
 (* ------------------------------------------------------------------ *)
-(* Connection registration                                              *)
+(* NI channels and connection registration                              *)
 (* ------------------------------------------------------------------ *)
+
+type endpoint =
+  | Udp_port of int * Socket.t option
+  | Tcp_conn of Tcp.conn
+
+(* Allocate an endpoint's NI channel and enter it in the Chantab and the
+   kernel's tables.  Only lazy kernels receive into NI channels; under
+   eager ones this is a no-op. *)
+let open_channel t ep =
+  match t.proto with
+  | Eager -> None
+  | Lazy ->
+      let chan name =
+        Channel.create ~arena:t.parena ~limit:t.cfg.channel_limit ~name ()
+      in
+      let ch =
+        match ep with
+        | Udp_port (port, owner) ->
+            let ch =
+              chan
+                (match owner with
+                 | Some _ -> Printf.sprintf "udp:%d" port
+                 | None -> Printf.sprintf "udp-mcast:%d" port)
+            in
+            Chantab.add_udp t.chantab ~port ch;
+            Option.iter (Hashtbl.replace t.chan_sock (Channel.id ch)) owner;
+            t.udp_channels <- ch :: t.udp_channels;
+            ch
+        | Tcp_conn conn ->
+            let port = conn.Tcp.local_port in
+            let ch =
+              match conn.Tcp.remote with
+              | None ->
+                  let ch = chan (Printf.sprintf "tcp-listen:%d" port) in
+                  Chantab.add_tcp_listen t.chantab ~port ch;
+                  ch
+              | Some (src, src_port) ->
+                  let ch = chan (Printf.sprintf "tcp:%d<-%d" port src_port) in
+                  Chantab.add_tcp t.chantab ~src ~src_port ~dst_port:port ch;
+                  ch
+            in
+            Hashtbl.replace t.chan_conn (Channel.id ch) conn;
+            Hashtbl.replace t.conn_chan conn.Tcp.id ch;
+            ch
+      in
+      t.all_channels <- ch :: t.all_channels;
+      Some ch
+
+(* Forget a deallocated channel in every kernel table. *)
+let forget_channel t ch =
+  let id = Channel.id ch in
+  Hashtbl.remove t.chan_sock id;
+  (match Hashtbl.find_opt t.chan_conn id with
+   | Some conn ->
+       Hashtbl.remove t.chan_conn id;
+       Hashtbl.remove t.conn_chan conn.Tcp.id
+   | None -> ());
+  t.all_channels <- List.filter (fun c -> Channel.id c <> id) t.all_channels;
+  t.udp_channels <- List.filter (fun c -> Channel.id c <> id) t.udp_channels
+
+(* Deallocate an endpoint's NI channel: a socket's own (or its group's
+   shared) channel, or a connection's, found through [conn_chan]. *)
+let close_channel t ep =
+  match ep with
+  | Udp_port (port, Some { Socket.chan = Some ch; _ }) ->
+      Chantab.remove_udp t.chantab ~port;
+      forget_channel t ch
+  | Udp_port (_, (Some _ | None)) -> ()
+  | Tcp_conn conn ->
+      if t.proto = Lazy then begin
+        let port = conn.Tcp.local_port in
+        (match conn.Tcp.remote with
+         | None -> Chantab.remove_tcp_listen t.chantab ~port
+         | Some (src, src_port) ->
+             Chantab.remove_tcp t.chantab ~src ~src_port ~dst_port:port);
+        Option.iter (forget_channel t) (Hashtbl.find_opt t.conn_chan conn.Tcp.id)
+      end
 
 let register_conn t conn ~owner =
   match conn.Tcp.remote with
@@ -559,17 +672,7 @@ let register_conn t conn ~owner =
       (match owner with
        | Some o -> Hashtbl.replace t.conn_owner conn.Tcp.id o
        | None -> ());
-      if lrp_mode t then begin
-        let ch =
-          Channel.create ~arena:t.parena ~limit:t.cfg.channel_limit
-            ~name:(Printf.sprintf "tcp:%d<-%d" conn.Tcp.local_port rport) ()
-        in
-        Chantab.add_tcp t.chantab ~src:rip ~src_port:rport
-          ~dst_port:conn.Tcp.local_port ch;
-        Hashtbl.replace t.chan_conn (Channel.id ch) conn;
-        Hashtbl.replace t.conn_chan conn.Tcp.id ch;
-        t.all_channels <- ch :: t.all_channels
-      end
+      ignore (open_channel t (Tcp_conn conn))
 
 let deregister_conn t conn =
   match conn.Tcp.remote with
@@ -579,18 +682,7 @@ let deregister_conn t conn =
        | Some c when c.Tcp.id = conn.Tcp.id ->
            Hashtbl.remove t.tcp_conns (rip, rport, conn.Tcp.local_port)
        | Some _ | None -> ());
-      if lrp_mode t then begin
-        Chantab.remove_tcp t.chantab ~src:rip ~src_port:rport
-          ~dst_port:conn.Tcp.local_port;
-        let stale =
-          Lrp_det.Det.fold_sorted
-            (fun chid c acc -> if c.Tcp.id = conn.Tcp.id then chid :: acc else acc)
-            t.chan_conn []
-        in
-        List.iter (Hashtbl.remove t.chan_conn) stale;
-        List.iter (drop_channel t) stale;
-        Hashtbl.remove t.conn_chan conn.Tcp.id
-      end
+      close_channel t (Tcp_conn conn)
 
 (* ------------------------------------------------------------------ *)
 (* TCP environment                                                      *)
@@ -603,13 +695,13 @@ let deregister_conn t conn =
    flag did. *)
 let fire_tcp_timer t tm =
   let gen = Tcp.timer_gen tm in
-  match t.cfg.arch with
-  | Bsd | Early_demux | Napi | Napi_gro | Rss ->
+  match t.proto with
+  | Eager ->
       Cpu.post_soft t.cpu ~label:"tcp-timer"
         ~cost:(t.c.Cost.soft_dispatch
                +. (t.c.Cost.eager_penalty *. t.c.Cost.tcp_in))
         (fun () -> Tcp.timer_fired tm ~gen)
-  | Soft_lrp | Ni_lrp ->
+  | Lazy ->
       app_post_timer t (Tcp.timer_conn tm) (fun () -> Tcp.timer_fired tm ~gen)
 
 (* Typed dispatcher for [Api.recvfrom_timeout] deadlines: registered once
@@ -635,6 +727,15 @@ let timer_target t =
       t.timer_tgt <- Some g;
       g
 
+(* Wake the chosen waiters of a connection's socket, if it still has one. *)
+let wake_sock ?(send = false) ?(recv = false) ?(accept = false) t conn =
+  match sock_of_conn t conn with
+  | Some s ->
+      if send then wake_all t s.Socket.send_wait;
+      if recv then wake_all t s.Socket.recv_wait;
+      if accept then wake_all t s.Socket.accept_wait
+  | None -> ()
+
 let make_tcp_env t =
   { Tcp.now = (fun () -> Engine.now t.engine);
     emit = (fun pkt -> ip_output t pkt);
@@ -643,74 +744,30 @@ let make_tcp_env t =
         tm.Tcp.cookie <-
           Engine.schedule_to_after t.engine ~delay (timer_target t) tm);
     stop_timer = (fun tm -> Engine.cancel t.engine tm.Tcp.cookie);
-    on_readable =
-      (fun conn ->
-        match sock_of_conn t conn with
-        | Some s -> wake_all t s.Socket.recv_wait
-        | None -> ());
-    on_writable =
-      (fun conn ->
-        match sock_of_conn t conn with
-        | Some s -> wake_all t s.Socket.send_wait
-        | None -> ());
-    on_established =
-      (fun conn ->
-        match sock_of_conn t conn with
-        | Some s ->
-            wake_all t s.Socket.send_wait;
-            wake_all t s.Socket.recv_wait
-        | None -> ());
-    on_accept_ready =
-      (fun listener _child ->
-        match sock_of_conn t listener with
-        | Some s -> wake_all t s.Socket.accept_wait
-        | None -> ());
+    on_readable = (fun conn -> wake_sock t conn ~recv:true);
+    on_writable = (fun conn -> wake_sock t conn ~send:true);
+    on_established = (fun conn -> wake_sock t conn ~send:true ~recv:true);
+    on_accept_ready = (fun listener _child -> wake_sock t listener ~accept:true);
     on_syn_received =
       (fun listener child ->
         let owner = Hashtbl.find_opt t.conn_owner listener.Tcp.id in
         register_conn t child ~owner);
-    on_connect_failed =
-      (fun conn ->
-        match sock_of_conn t conn with
-        | Some s ->
-            wake_all t s.Socket.send_wait;
-            wake_all t s.Socket.recv_wait
-        | None -> ());
+    on_connect_failed = (fun conn -> wake_sock t conn ~send:true ~recv:true);
     on_reset =
-      (fun conn ->
-        match sock_of_conn t conn with
-        | Some s ->
-            wake_all t s.Socket.send_wait;
-            wake_all t s.Socket.recv_wait;
-            wake_all t s.Socket.accept_wait
-        | None -> ());
+      (fun conn -> wake_sock t conn ~send:true ~recv:true ~accept:true);
     on_time_wait =
       (fun conn ->
-        (* NI-LRP deallocates the channel on entry to TIME_WAIT so that NI
-           channel slots scale to busy servers (section 4.2). *)
-        if t.cfg.arch = Ni_lrp then
-          match conn.Tcp.remote with
-          | Some (rip, rport) ->
-              Chantab.remove_tcp t.chantab ~src:rip ~src_port:rport
-                ~dst_port:conn.Tcp.local_port;
-              let stale =
-                Lrp_det.Det.fold_sorted
-                  (fun chid c acc ->
-                    if c.Tcp.id = conn.Tcp.id then chid :: acc else acc)
-                  t.chan_conn []
-              in
-              List.iter (Hashtbl.remove t.chan_conn) stale;
-              List.iter (drop_channel t) stale
-          | None -> ());
+        (* Channels that live on the NI are deallocated on entry to
+           TIME_WAIT so that NI channel slots scale to busy servers
+           (section 4.2). *)
+        match t.demux with
+        | Nic -> close_channel t (Tcp_conn conn)
+        | Softirq | Hardirq -> ());
     on_closed =
       (fun conn ->
         deregister_conn t conn;
         Hashtbl.remove t.conn_owner conn.Tcp.id;
-        (match sock_of_conn t conn with
-         | Some s ->
-             wake_all t s.Socket.send_wait;
-             wake_all t s.Socket.recv_wait
-         | None -> ());
+        wake_sock t conn ~send:true ~recv:true;
         (* The connection is gone for good: drop its socket mapping, which
            [Api] added at listen / accept / connect. *)
         Hashtbl.remove t.conn_sock conn.Tcp.id);
@@ -733,9 +790,6 @@ let datagram_of ~mh (pkt : Packet.t) =
   | Packet.Tcp _ | Packet.Icmp _ | Packet.Fragment _ ->
       invalid_arg "datagram_of: not a UDP datagram"
 
-(* Deposit a fully-processed UDP datagram on its socket queue and wake a
-   receiver.  Shared by the BSD softint path, the Early-Demux softint path
-   and the LRP helper thread. *)
 (* Connected-UDP semantics: a socket with a default peer only accepts
    datagrams from that peer. *)
 let peer_accepts t (sock : Socket.t) (dg : Socket.udp_datagram) =
@@ -745,24 +799,22 @@ let peer_accepts t (sock : Socket.t) (dg : Socket.udp_datagram) =
       false
   | Some _ | None -> true
 
-(* Trace the terminal outcome of a deposit attempt. *)
-let trace_deposit t (sock : Socket.t) (dg : Socket.udp_datagram) ok =
-  if ok then
-    Trace.sock_enqueue t.tracer ~pkt:dg.Socket.dg_pkt ~sock:sock.Socket.id
-  else Trace.sock_drop t.tracer ~pkt:dg.Socket.dg_pkt ~sock:sock.Socket.id
-
-let deposit_and_wake t sock dg =
-  if peer_accepts t sock dg then begin
-    let ok = Socket.deposit_udp sock dg in
-    trace_deposit t sock dg ok;
-    if ok then begin
-      t.stats.udp_delivered <- t.stats.udp_delivered + 1;
-      wake_one t sock.Socket.recv_wait
-    end
+(* Deposit a processed datagram on its socket queue and wake a receiver.
+   Socket queue overflow (the BSD drop point) releases its mbufs. *)
+let deposit t (sock : Socket.t) (dg : Socket.udp_datagram) bytes =
+  if Socket.deposit_udp sock dg then begin
+    Trace.sock_enqueue t.tracer ~pkt:dg.Socket.dg_pkt ~sock:sock.Socket.id;
+    t.stats.udp_delivered <- t.stats.udp_delivered + 1;
+    wake_one t sock.Socket.recv_wait
+  end
+  else begin
+    Trace.sock_drop t.tracer ~pkt:dg.Socket.dg_pkt ~sock:sock.Socket.id;
+    free_rx_pkt t ~mh:dg.Socket.dg_mbuf bytes
   end
 
 let deliver_udp_ready t ~mh (pkt : Packet.t) =
-  if not (csum_ok t pkt) then free_rx_pkt t ~mh (Packet.wire_bytes pkt)
+  let bytes = Packet.wire_bytes pkt in
+  if not (csum_ok t pkt) then free_rx_pkt t ~mh bytes
   else
   match pkt.Packet.body with
   | Packet.Udp (u, _) ->
@@ -771,7 +823,7 @@ let deliver_udp_ready t ~mh (pkt : Packet.t) =
            the mbuf-based kernels the original chain is released and a
            duplicate is allocated per deposited copy, so each receiver's
            copyout frees exactly one chain. *)
-        free_rx_pkt t ~mh (Packet.wire_bytes pkt);
+        free_rx_pkt t ~mh bytes;
         match Hashtbl.find_opt t.mcast_members u.Packet.udst_port with
         | None -> t.stats.no_port_drops <- t.stats.no_port_drops + 1
         | Some members ->
@@ -780,30 +832,12 @@ let deliver_udp_ready t ~mh (pkt : Packet.t) =
                 let dg = datagram_of ~mh:Mbuf.no_handle pkt in
                 if peer_accepts t sock dg then begin
                   let dup_h =
-                    match t.cfg.arch with
-                    | Bsd | Early_demux | Napi | Napi_gro | Rss ->
-                        Mbuf.alloc_h t.mbufs ~bytes:(Packet.wire_bytes pkt)
-                    | Soft_lrp | Ni_lrp -> Mbuf.no_handle
+                    match t.proto with
+                    | Eager -> rx_reserve t pkt
+                    | Lazy -> Mbuf.no_handle
                   in
-                  let dup_ok =
-                    match t.cfg.arch with
-                    | Bsd | Early_demux | Napi | Napi_gro | Rss -> dup_h >= 0
-                    | Soft_lrp | Ni_lrp -> true
-                  in
-                  if dup_ok then begin
-                    let dg = { dg with Socket.dg_mbuf = dup_h } in
-                    let ok = Socket.deposit_udp sock dg in
-                    trace_deposit t sock dg ok;
-                    if ok then begin
-                      t.stats.udp_delivered <- t.stats.udp_delivered + 1;
-                      wake_one t sock.Socket.recv_wait
-                    end
-                    else free_rx_pkt t ~mh:dup_h (Packet.wire_bytes pkt)
-                  end
-                  else begin
-                    t.stats.mbuf_drops <- t.stats.mbuf_drops + 1;
-                    Trace.mbuf_drop t.tracer ~pkt:pkt.Packet.ip.Packet.ident
-                  end
+                  if dup_h <> no_mbufs then
+                    deposit t sock { dg with Socket.dg_mbuf = dup_h } bytes
                 end)
               !members
       end
@@ -811,31 +845,12 @@ let deliver_udp_ready t ~mh (pkt : Packet.t) =
         (match Hashtbl.find t.udp_ports u.Packet.udst_port with
          | exception Not_found ->
              t.stats.no_port_drops <- t.stats.no_port_drops + 1;
-             free_rx_pkt t ~mh (Packet.wire_bytes pkt)
+             free_rx_pkt t ~mh bytes
          | sock ->
              let dg = datagram_of ~mh pkt in
-             if not (peer_accepts t sock dg) then
-               free_rx_pkt t ~mh (Packet.wire_bytes pkt)
-             else begin
-               let ok = Socket.deposit_udp sock dg in
-               trace_deposit t sock dg ok;
-               if ok then begin
-                 t.stats.udp_delivered <- t.stats.udp_delivered + 1;
-                 wake_one t sock.Socket.recv_wait
-               end
-               else
-                 (* Socket queue overflow: the BSD drop point. *)
-                 free_rx_pkt t ~mh (Packet.wire_bytes pkt)
-             end)
+             if peer_accepts t sock dg then deposit t sock dg bytes
+             else free_rx_pkt t ~mh bytes)
   | Packet.Tcp _ | Packet.Icmp _ | Packet.Fragment _ -> ()
-
-(* Deliver datagrams completed by lazy (receiver-context) processing;
-   they carry no mbuf reservation. *)
-let rec deliver_udp_all t = function
-  | [] -> ()
-  | pkt :: rest ->
-      deliver_udp_ready t ~mh:Mbuf.no_handle pkt;
-      deliver_udp_all t rest
 
 let icmp_reply t (pkt : Packet.t) =
   if not (csum_ok t pkt) then ()
@@ -898,8 +913,7 @@ let[@inline] transport_cost t (pkt : Packet.t) ~skip_pcb =
 (* Inlined (as is [transport_cost]) so the per-packet float result is not
    boxed on its way into the CPU's cost cell. *)
 let[@inline] bsd_soft_cost t (pkt : Packet.t) =
-  if not (is_local_addr t (Packet.dst pkt)) && not (Packet.is_multicast pkt)
-  then
+  if is_transit t pkt then
     (* Transit packet: IP forwarding (or discard) in softint context. *)
     t.c.Cost.soft_dispatch +. t.c.Cost.ipq_op
     +. (t.c.Cost.eager_penalty *. (t.c.Cost.ip_in +. t.c.Cost.ip_forward))
@@ -935,10 +949,11 @@ let ip_input_local t ~mh (pkt : Packet.t) ~skip_pcb =
     | None -> () (* incomplete datagram; fragments wait in the reassembler *)
     | Some whole -> post_reasm_complete t whole ~skip_pcb
 
-let bsd_softnet t ~mh pkt =
-  t.ipq_len <- t.ipq_len - 1;
-  if not (is_local_addr t (Packet.dst pkt)) && not (Packet.is_multicast pkt)
-  then begin
+(* Softint-context IP input of a received packet, run by BSD's softnet
+   and by the NAPI poll loop: forward (or drop) a transit packet, process
+   a local one. *)
+let ip_input t ~mh pkt =
+  if is_transit t pkt then begin
     free_rx_pkt t ~mh (Packet.wire_bytes pkt);
     if t.cfg.forwarding then begin
       t.stats.forwarded <- t.stats.forwarded + 1;
@@ -951,23 +966,8 @@ let bsd_softnet t ~mh pkt =
 let jobs t = match t.rxj with Some j -> j | None -> assert false
 
 let bsd_driver_rx t pkt =
-  (* Non-fragment datagrams carry their mbuf reservation as a handle from
-     here to the copyout (or drop) site; fragment reservations are
-     recounted by bytes because the reassembled whole's footprint differs
-     from the sum of its pieces. *)
-  let is_frag = Packet.is_fragment pkt in
-  let mh =
-    if is_frag then Mbuf.no_handle
-    else Mbuf.alloc_h t.mbufs ~bytes:(Packet.wire_bytes pkt)
-  in
-  let alloc_ok =
-    if is_frag then Mbuf.alloc t.mbufs ~bytes:(Packet.wire_bytes pkt)
-    else mh >= 0
-  in
-  if not alloc_ok then begin
-    t.stats.mbuf_drops <- t.stats.mbuf_drops + 1;
-    Trace.mbuf_drop t.tracer ~pkt:pkt.Packet.ip.Packet.ident
-  end
+  let mh = rx_reserve t pkt in
+  if mh = no_mbufs then ()
   else if t.ipq_len >= t.cfg.ip_queue_limit then begin
     (* The shared IP queue is full: the drop point that couples unrelated
        sockets under BSD (section 2.2). *)
@@ -1016,21 +1016,46 @@ let napi_proto_cost t pkt =
 
 (* One entry of a poll batch: a packet ready for eager protocol
    processing and its mbuf reservation, made at dequeue time as the
-   driver would ([Mbuf.no_handle] for fragments, which stay on byte
-   accounting; see [bsd_driver_rx]). *)
+   driver would ({!rx_reserve}). *)
 type poll_item = { pi_pkt : Packet.t; pi_mh : Mbuf.handle }
 
 (* GRO train cap, the analogue of the 64 kB aggregation limit. *)
 let gro_max_segs = 16
 
+(* GRO merges only what aggregation cannot change for the shared protocol
+   code: local unicast, checksum already verified (GRO runs after
+   hardware checksum validation), not a fragment.  TCP segments must
+   also carry data and no connection-state flags. *)
+let gro_candidate t pkt =
+  (not (Packet.is_fragment pkt))
+  && (not (Packet.is_multicast pkt))
+  && is_local_addr t (Packet.dst pkt)
+  && Packet.verify pkt
+
+let tcp_mergeable t pkt =
+  gro_candidate t pkt
+  && (match pkt.Packet.body with
+      | Packet.Tcp (h, pl) ->
+          Payload.length pl > 0
+          && not
+               (h.Packet.flags.Packet.syn || h.Packet.flags.Packet.fin
+              || h.Packet.flags.Packet.rst)
+      | Packet.Udp _ | Packet.Icmp _ | Packet.Fragment _ -> false)
+
+let udp_mergeable t pkt =
+  gro_candidate t pkt
+  && (match pkt.Packet.body with
+      | Packet.Udp _ -> true
+      | Packet.Tcp _ | Packet.Icmp _ | Packet.Fragment _ -> false)
+
 (* Pull up to [napi_budget] frames off ring [qi], reserve their mbufs,
-   and — under [Napi_gro] — run receive-offload aggregation.  Returns the
+   and — under [Poll_gro] — run receive-offload aggregation.  Returns the
    batch in delivery order, the CPU cost of processing it, and the number
    of frames served (the poll loop's "work done" that is compared against
    the budget). *)
 let napi_collect t qi =
   let budget = t.cfg.napi_budget in
-  let gro = t.cfg.arch = Napi_gro in
+  let gro = t.rx_mode = Poll_gro in
   let items = ref [] (* reversed *) in
   let cost = ref 0. in
   let served = ref 0 in
@@ -1039,15 +1064,8 @@ let napi_collect t qi =
   (* Admit one packet the BSD way: reserve its mbufs (drop on pool
      exhaustion) and charge full eager protocol processing. *)
   let admit pkt =
-    let frag = Packet.is_fragment pkt in
-    let bytes = Packet.wire_bytes pkt in
-    let mh = if frag then Mbuf.no_handle else Mbuf.alloc_h t.mbufs ~bytes in
-    let ok = if frag then Mbuf.alloc t.mbufs ~bytes else mh >= 0 in
-    if not ok then begin
-      t.stats.mbuf_drops <- t.stats.mbuf_drops + 1;
-      Trace.mbuf_drop t.tracer ~pkt:pkt.Packet.ip.Packet.ident
-    end
-    else begin
+    let mh = rx_reserve t pkt in
+    if mh <> no_mbufs then begin
       cost := !cost +. napi_proto_cost t pkt;
       add_item pkt mh
     end
@@ -1059,32 +1077,6 @@ let napi_collect t qi =
   let train_head = ref Packet.null in
   let train_udp = ref false in
   let train_next_seq = ref 0 in
-  (* A segment is TCP-mergeable when aggregation cannot change what the
-     shared protocol code would compute: local unicast, checksum already
-     verified (GRO runs after hardware checksum validation), carries
-     data, and no connection-state flags. *)
-  let tcp_mergeable pkt =
-    (not (Packet.is_fragment pkt))
-    && (not (Packet.is_multicast pkt))
-    && is_local_addr t (Packet.dst pkt)
-    && Packet.verify pkt
-    && (match pkt.Packet.body with
-        | Packet.Tcp (h, pl) ->
-            Payload.length pl > 0
-            && not
-                 (h.Packet.flags.Packet.syn || h.Packet.flags.Packet.fin
-                || h.Packet.flags.Packet.rst)
-        | Packet.Udp _ | Packet.Icmp _ | Packet.Fragment _ -> false)
-  in
-  let udp_mergeable pkt =
-    (not (Packet.is_fragment pkt))
-    && (not (Packet.is_multicast pkt))
-    && is_local_addr t (Packet.dst pkt)
-    && Packet.verify pkt
-    && (match pkt.Packet.body with
-        | Packet.Udp _ -> true
-        | Packet.Tcp _ | Packet.Icmp _ | Packet.Fragment _ -> false)
-  in
   let same_flow a b =
     Packet.src a = Packet.src b
     && Packet.dst a = Packet.dst b
@@ -1148,13 +1140,8 @@ let napi_collect t qi =
            admit head;
            List.iter
              (fun p ->
-               let bytes = Packet.wire_bytes p in
-               let mh = Mbuf.alloc_h t.mbufs ~bytes in
-               if mh < 0 then begin
-                 t.stats.mbuf_drops <- t.stats.mbuf_drops + 1;
-                 Trace.mbuf_drop t.tracer ~pkt:p.Packet.ip.Packet.ident
-               end
-               else begin
+               let mh = rx_reserve t p in
+               if mh <> no_mbufs then begin
                  cost :=
                    !cost +. t.c.Cost.gro_merge +. t.c.Cost.sockbuf_append;
                  add_item p mh
@@ -1167,10 +1154,7 @@ let napi_collect t qi =
               it stays on byte accounting. *)
            let merged = merge_train ps in
            let bytes = Packet.wire_bytes merged in
-           if not (Mbuf.alloc t.mbufs ~bytes) then begin
-             t.stats.mbuf_drops <- t.stats.mbuf_drops + 1;
-             Trace.mbuf_drop t.tracer ~pkt:hid
-           end
+           if not (Mbuf.alloc t.mbufs ~bytes) then mbuf_drop t hid
            else begin
              cost :=
                !cost +. napi_proto_cost t merged
@@ -1185,58 +1169,40 @@ let napi_collect t qi =
   in
   let rec consider pkt =
     if !train_len = 0 then begin
-      if tcp_mergeable pkt then begin
-        train_rev := [ pkt ];
-        train_len := 1;
-        train_head := pkt;
-        train_udp := false;
-        match pkt.Packet.body with
-        | Packet.Tcp (h, pl) ->
-            train_next_seq := h.Packet.seq + Payload.length pl;
-            if h.Packet.flags.Packet.psh then flush ()
-        | _ -> ()
-      end
-      else if udp_mergeable pkt then begin
-        train_rev := [ pkt ];
-        train_len := 1;
-        train_head := pkt;
-        train_udp := true
-      end
+      if tcp_mergeable t pkt then push pkt ~udp:false
+      else if udp_mergeable t pkt then push pkt ~udp:true
       else admit pkt
     end
-    else if !train_udp then begin
-      if udp_mergeable pkt && same_flow !train_head pkt then begin
-        train_rev := pkt :: !train_rev;
-        incr train_len;
-        if !train_len >= gro_max_segs then flush ()
-      end
-      else begin
-        flush ();
-        consider pkt
-      end
-    end
     else if
-      tcp_mergeable pkt
-      && same_flow !train_head pkt
-      && (match pkt.Packet.body with
-          | Packet.Tcp (h, _) -> h.Packet.seq = !train_next_seq
-          | _ -> false)
-    then begin
-      train_rev := pkt :: !train_rev;
-      incr train_len;
-      match pkt.Packet.body with
-      | Packet.Tcp (h, pl) ->
-          train_next_seq := h.Packet.seq + Payload.length pl;
-          (* PSH marks an application-visible boundary: merge, then
-             flush, as Linux GRO does. *)
-          if h.Packet.flags.Packet.psh || !train_len >= gro_max_segs then
-            flush ()
-      | _ -> ()
-    end
+      if !train_udp then udp_mergeable t pkt && same_flow !train_head pkt
+      else
+        tcp_mergeable t pkt
+        && same_flow !train_head pkt
+        && (match pkt.Packet.body with
+            | Packet.Tcp (h, _) -> h.Packet.seq = !train_next_seq
+            | _ -> false)
+    then push pkt ~udp:!train_udp
     else begin
       flush ();
       consider pkt
     end
+  (* Append to the held train (starting one if none is held). *)
+  and push pkt ~udp =
+    if !train_len = 0 then begin
+      train_head := pkt;
+      train_udp := udp
+    end;
+    train_rev := pkt :: !train_rev;
+    incr train_len;
+    match pkt.Packet.body with
+    | Packet.Tcp (h, pl) ->
+        train_next_seq := h.Packet.seq + Payload.length pl;
+        (* PSH marks an application-visible boundary: merge, then flush,
+           as Linux GRO does. *)
+        if h.Packet.flags.Packet.psh || !train_len >= gro_max_segs then
+          flush ()
+    | Packet.Udp _ | Packet.Icmp _ | Packet.Fragment _ ->
+        if !train_len >= gro_max_segs then flush ()
   in
   let rec loop k =
     if k < budget then begin
@@ -1253,19 +1219,9 @@ let napi_collect t qi =
   if gro then flush ();
   (List.rev !items, !cost, !served)
 
-(* Deliver one polled item: the same terminal processing as the BSD
-   softint path, minus the shared IP queue. *)
-let napi_deliver t { pi_pkt = pkt; pi_mh = mh } =
-  if not (is_local_addr t (Packet.dst pkt)) && not (Packet.is_multicast pkt)
-  then begin
-    free_rx_pkt t ~mh (Packet.wire_bytes pkt);
-    if t.cfg.forwarding then begin
-      t.stats.forwarded <- t.stats.forwarded + 1;
-      ip_output t pkt
-    end
-    else t.stats.fwd_drops <- t.stats.fwd_drops + 1
-  end
-  else ip_input_local t ~mh pkt ~skip_pcb:false
+(* Deliver one polled item: the BSD softint path minus the shared IP
+   queue. *)
+let napi_deliver t { pi_pkt; pi_mh } = ip_input t ~mh:pi_mh pi_pkt
 
 (* The softirq poll chain.  Each round is two softirq work items: a fixed
    [poll_loop] charge whose action dequeues the batch (so the batch
@@ -1379,26 +1335,25 @@ let ksoftirqd_loop t n =
 (* LRP receive path (shared by SOFT-LRP and NI-LRP)                     *)
 (* ------------------------------------------------------------------ *)
 
-(* Wake a consumer from NI context.  Under soft demux we are already in a
-   hardware interrupt, so the wake is immediate; under NI demux the NI must
-   raise a (cheap) host interrupt to do it. *)
+(* Wake a consumer from demux context.  Demultiplexing in the hardware
+   interrupt wakes immediately; on the NI, the interface must raise a
+   (cheap) host interrupt to do it. *)
 let ni_wake t f =
-  match t.cfg.arch with
-  | Ni_lrp -> Cpu.post_hard t.cpu ~label:"ni-intr" ~cost:t.c.Cost.ni_wakeup_intr f
-  | Soft_lrp | Bsd | Early_demux | Napi | Napi_gro | Rss -> f ()
+  match t.demux with
+  | Nic -> Cpu.post_hard t.cpu ~label:"ni-intr" ~cost:t.c.Cost.ni_wakeup_intr f
+  | Softirq | Hardirq -> f ()
 
 (* [ni_wake] of one waiter on [wq], as a typed job: the per-packet socket
    and helper wakeups allocate nothing. *)
 let ni_wake_one t wq =
-  match t.cfg.arch with
-  | Ni_lrp ->
+  match t.demux with
+  | Nic ->
       (Cpu.cost_cell t.cpu).(0) <- t.c.Cost.ni_wakeup_intr;
       Cpu.post_hard_job t.cpu ~label:"ni-intr" ~tpkt:(-1) (jobs t).j_wake wq 0
-  | Soft_lrp | Bsd | Early_demux | Napi | Napi_gro | Rss -> wake_one t wq
+  | Softirq | Hardirq -> wake_one t wq
 
 let lrp_classify_rx t pkt =
-  if not (is_local_addr t (Packet.dst pkt)) && not (Packet.is_multicast pkt)
-  then begin
+  if is_transit t pkt then begin
     (* Transit packet: demultiplexed straight onto the IP-forwarding
        daemon's channel (section 3.5), or discarded if this host is not a
        gateway. *)
@@ -1476,11 +1431,9 @@ let lrp_classify_rx t pkt =
                   (match Hashtbl.find_opt t.chan_conn (Channel.id ch) with
                    | Some conn -> ni_wake t (fun () -> app_post_chan t conn ch)
                    | None -> trc t "rx tcp chan %d: NO CONN" (Channel.id ch))
-            | Demux.Frag_class ->
-                (* Fragments needing reassembly: the helper integrates them
-                   if no receiver does it lazily first. *)
-                if t.cfg.udp_helper && was_empty then ni_wake_one t t.helper_wq
-            | Demux.Icmp_class ->
+            | Demux.Frag_class | Demux.Icmp_class ->
+                (* Fragments needing reassembly and ICMP: the helper
+                   handles them if no receiver does first. *)
                 if t.cfg.udp_helper && was_empty then ni_wake_one t t.helper_wq))
 
 (* ------------------------------------------------------------------ *)
@@ -1495,19 +1448,8 @@ let edemux_drop t (pkt : Packet.t) =
    packet's mbuf handle. *)
 let edemux_eager t (pkt : Packet.t) =
   let is_frag = Packet.is_fragment pkt in
-  let mh =
-    if is_frag then Mbuf.no_handle
-    else Mbuf.alloc_h t.mbufs ~bytes:(Packet.wire_bytes pkt)
-  in
-  let alloc_ok =
-    if is_frag then Mbuf.alloc t.mbufs ~bytes:(Packet.wire_bytes pkt)
-    else mh >= 0
-  in
-  if not alloc_ok then begin
-    t.stats.mbuf_drops <- t.stats.mbuf_drops + 1;
-    Trace.mbuf_drop t.tracer ~pkt:pkt.Packet.ip.Packet.ident
-  end
-  else begin
+  let mh = rx_reserve t pkt in
+  if mh <> no_mbufs then begin
     let frag_extra =
       if is_frag then t.c.Cost.eager_penalty *. t.c.Cost.reasm_per_frag else 0.
     in
@@ -1532,8 +1474,7 @@ let edemux_udp t pkt ~dst_port =
       else edemux_eager t pkt
 
 let edemux_rx t pkt =
-  if not (is_local_addr t (Packet.dst pkt)) && not (Packet.is_multicast pkt)
-  then begin
+  if is_transit t pkt then begin
     if t.cfg.forwarding then
       Cpu.post_soft t.cpu ~label:"ip-forward"
         ~cost:(t.c.Cost.soft_dispatch
@@ -1566,10 +1507,7 @@ let edemux_rx t pkt =
            if syn_only then
              match Hashtbl.find_opt t.tcp_listeners dst_port with
              | Some l ->
-                 if l.Tcp.syn_pending + Queue.length l.Tcp.accept_queue
-                    >= l.Tcp.backlog
-                 then edemux_drop t pkt
-                 else edemux_eager t pkt
+                 if backlog_full l then edemux_drop t pkt else edemux_eager t pkt
              | None ->
                  (* No endpoint: process eagerly so TCP answers with an
                     RST, as the BSD code this kernel is derived from does. *)
@@ -1586,25 +1524,22 @@ let rx_dispatch t pkt =
   t.stats.rx_frames <- t.stats.rx_frames + 1;
   let tpkt = pkt.Packet.ip.Packet.ident in
   let cost = Cpu.cost_cell t.cpu in
-  match t.cfg.arch with
-  | Bsd | Napi | Napi_gro | Rss ->
-      (* Under the NAPI family only non-queued interfaces reach this
-         handler (the primary NIC runs in queued-RX mode and hands frames
-         to the poll loop without going through it); secondary interfaces
-         of a multi-homed host fall back to the eager BSD path. *)
+  match t.demux with
+  | Softirq ->
+      (* Under polled RX only non-queued interfaces reach this handler
+         (the primary NIC runs in queued-RX mode and hands frames to the
+         poll loop without going through it); secondary interfaces of a
+         multi-homed host fall back to the eager BSD path. *)
       cost.(0) <- t.c.Cost.hard_rx +. t.c.Cost.ipq_op;
       Cpu.post_hard_job t.cpu ~label:"rx-intr" ~tpkt (jobs t).j_driver_rx pkt 0
-  | Soft_lrp ->
+  | Hardirq ->
       (* Soft demux: classification runs in the hardware interrupt. *)
       cost.(0) <- t.c.Cost.hard_rx +. t.c.Cost.demux;
       Cpu.post_hard_job t.cpu ~label:"rx-demux" ~tpkt (jobs t).j_demux_rx pkt 0
-  | Ni_lrp ->
+  | Nic ->
       (* NI demux: classification runs on the interface's embedded
          processor — zero host CPU. *)
       lrp_classify_rx t pkt
-  | Early_demux ->
-      cost.(0) <- t.c.Cost.hard_rx +. t.c.Cost.demux;
-      Cpu.post_hard_job t.cpu ~label:"rx-demux" ~tpkt (jobs t).j_edemux_rx pkt 0
 
 (* ------------------------------------------------------------------ *)
 (* Lazy UDP protocol processing (LRP receive path, section 3.3)         *)
@@ -1635,11 +1570,7 @@ let lrp_process_udp_raw t ~charge pkt =
     ~in_proc:true;
   (* Channel buffer management, plus the NI-memory access under NI
      demux. *)
-  charge
-    (t.c.Cost.sockq
-     +. (match t.cfg.arch with
-         | Ni_lrp -> t.c.Cost.ni_channel_access
-         | Bsd | Soft_lrp | Early_demux | Napi | Napi_gro | Rss -> 0.));
+  charge (t.c.Cost.sockq +. ni_access_cost t);
   charge
     (t.c.Cost.lazy_locality
      *. (t.c.Cost.ip_in
@@ -1655,15 +1586,30 @@ let lrp_process_udp_raw t ~charge pkt =
       List.iter (fun _ -> charge (t.c.Cost.lazy_locality *. t.c.Cost.udp_in)) completed;
       completed
 
-(* ------------------------------------------------------------------ *)
-(* LRP helper thread (minimal priority, section 3.3)                    *)
-(* ------------------------------------------------------------------ *)
+(* Deliver datagrams completed by lazy (receiver-context) processing;
+   they carry no mbuf reservation. *)
+let rec deliver_udp_all t = function
+  | [] -> ()
+  | pkt :: rest ->
+      deliver_udp_ready t ~mh:Mbuf.no_handle pkt;
+      deliver_udp_all t rest
 
 (* Receiver-context protocol charge: a {!Proc.compute} whose segment the
    ledger attributes to protocol work on channel [ch] (section 3.3's
-   accounting claim made measurable).  Syscall-path callers pass this as
-   the [~charge] of {!lrp_process_udp_raw}. *)
+   accounting claim made measurable). *)
 let proto_charge t ch d = Cpu.compute_proto t.cpu ~flow:(Channel.id ch) d
+
+let lrp_recv_one t ch =
+  let pkt = Channel.pop ch in
+  pkt != Packet.null
+  && begin
+       deliver_udp_all t (lrp_process_udp_raw t ~charge:(proto_charge t ch) pkt);
+       true
+     end
+
+(* ------------------------------------------------------------------ *)
+(* LRP helper thread (minimal priority, section 3.3)                    *)
+(* ------------------------------------------------------------------ *)
 
 let helper_loop t =
   let charge d = Cpu.compute_proto t.cpu ~flow:(-1) d in
@@ -1694,16 +1640,7 @@ let helper_loop t =
               Queue.length sock.Socket.udp_rcv < sock.Socket.udp_rcv_limit
           | None -> false
         in
-        if room then begin
-          let pkt = Channel.pop ch in
-          if pkt != Packet.null then begin
-            worked := true;
-            let completed =
-              lrp_process_udp_raw t ~charge:(proto_charge t ch) pkt
-            in
-            deliver_udp_all t completed
-          end
-        end)
+        if room && lrp_recv_one t ch then worked := true)
       t.udp_channels;
     (* Protocol-proxy daemon duties: ICMP echo and RSTs for TCP segments
        with no endpoint (section 3.5). *)
@@ -1769,12 +1706,14 @@ let create engine fabric ~name ~ip cfg =
   Trace.use_packed tracer ~clock:(Engine.clock_cell engine);
   let metrics = Metrics.create () in
   let parena = Parena.create () in
+  let demux, proto, rx_mode = axes cfg.arch in
   let t =
-    { kname = name; engine; cpu; nic; cfg; c = cfg.costs; ip_addr = ip;
+    { kname = name; engine; cpu; nic; cfg; demux; proto; rx_mode;
+      c = cfg.costs; ip_addr = ip;
       tracer; metrics;
       ipq_len = 0; mbufs = Mbuf.create ~capacity:cfg.mbuf_capacity ();
       parena;
-      interfaces = [];
+      interfaces = [ (ip, 24, nic) ];
       udp_ports = Hashtbl.create 64; tcp_conns = Hashtbl.create 256;
       tcp_listeners = Hashtbl.create 16; conn_sock = Hashtbl.create 256;
       conn_owner = Hashtbl.create 256; chantab = Chantab.create ~arena:parena ();
@@ -1795,13 +1734,18 @@ let create engine fabric ~name ~ip cfg =
           rx_wrong_peer = 0; forwarded = 0; fwd_drops = 0; rsts_sent = 0;
           csum_drops = 0; ipq_hwm = 0 } }
   in
-  t.interfaces <- [ (ip, 24, nic) ];
   t.rxj <-
     Some
       { j_driver_rx = Cpu.job (fun pkt _ -> bsd_driver_rx t pkt);
-        j_demux_rx = Cpu.job (fun pkt _ -> lrp_classify_rx t pkt);
-        j_edemux_rx = Cpu.job (fun pkt _ -> edemux_rx t pkt);
-        j_softnet = Cpu.job (fun pkt mh -> bsd_softnet t ~mh pkt);
+        j_demux_rx =
+          Cpu.job (fun pkt _ ->
+              match t.proto with
+              | Lazy -> lrp_classify_rx t pkt
+              | Eager -> edemux_rx t pkt);
+        j_softnet =
+          Cpu.job (fun pkt mh ->
+              t.ipq_len <- t.ipq_len - 1;
+              ip_input t ~mh pkt);
         j_edemux_soft =
           Cpu.job (fun pkt mh -> ip_input_local t ~mh pkt ~skip_pcb:true);
         j_wake = Cpu.job (fun wq _ -> wake_one t wq);
@@ -1867,19 +1811,15 @@ let create engine fabric ~name ~ip cfg =
     Engine.schedule_after engine ~delay:(Time.sec 5.) (fun () ->
         ignore (Ip.Reasm.prune t.reasm ~now:(now t));
         Engine.reschedule_after engine !slowtimo_ev ~delay:(Time.sec 5.));
-  if is_napi cfg.arch then begin
+  if t.rx_mode <> Intr then begin
     let queues = max 1 cfg.rx_queues in
     (* [rx_frames] (the overload detector's offered-load numerator) is
        counted in the steer callback: under queued RX the NIC DMAs frames
        straight into its rings and the kernel's dispatch handler never
        sees them. *)
-    let steer =
-      if queues = 1 then (fun _pkt ->
-        t.stats.rx_frames <- t.stats.rx_frames + 1;
-        0)
-      else (fun pkt ->
-        t.stats.rx_frames <- t.stats.rx_frames + 1;
-        rss_steer pkt ~queues)
+    let steer pkt =
+      t.stats.rx_frames <- t.stats.rx_frames + 1;
+      if queues = 1 then 0 else rss_steer pkt ~queues
     in
     t.napi <-
       Array.init queues (fun qi ->
@@ -1900,14 +1840,14 @@ let create engine fabric ~name ~ip cfg =
         n.ksoftirqd <- Some p)
       t.napi
   end;
-  if lrp_mode t && cfg.udp_helper then begin
+  if t.proto = Lazy && cfg.udp_helper then begin
     let p =
       Cpu.spawn cpu ~nice:20 ~name:(name ^ ".udp-helper") (fun _self ->
           helper_loop t)
     in
     t.helper_proc <- Some p
   end;
-  if lrp_mode t && cfg.forwarding then begin
+  if t.proto = Lazy && cfg.forwarding then begin
     let p =
       Cpu.spawn cpu ~nice:cfg.fwd_nice ~name:(name ^ ".ipfwdd") (fun _self ->
           fwd_daemon_loop t)

@@ -2,7 +2,9 @@
 
     One [Kernel.t] per host.  It owns the CPU, the NIC, the protocol state
     (PCBs, reassembly, TCP connections) and implements the four receive
-    architectures the paper compares:
+    architectures the paper compares.  Each is a point on three axes
+    ({!demux_point}, {!proto_ctx}, {!rx_mode}); the receive path reads
+    those axes, never the architecture itself:
 
     - {b Bsd}: eager interrupt-driven processing.  The hardware interrupt
       stores the packet and appends it to the shared IP queue; a software
@@ -42,11 +44,28 @@ type arch = Bsd | Soft_lrp | Ni_lrp | Early_demux | Napi | Napi_gro | Rss
     three modern back-ends. *)
 
 val arch_name : arch -> string
-val is_lrp : arch -> bool
 
-val is_napi : arch -> bool
-(** The NAPI-family back-ends ([Napi], [Napi_gro], [Rss]): the NIC runs
-    in queued-RX mode and the host polls. *)
+type demux_point =
+  | Softirq  (** after IP processing, in the software interrupt (BSD) *)
+  | Hardirq  (** in the hardware interrupt handler *)
+  | Nic  (** on the network interface, at no host cost *)
+(** Where a received packet is demultiplexed to its endpoint. *)
+
+type proto_ctx =
+  | Eager  (** software interrupts, as packets arrive *)
+  | Lazy  (** the receiving process, when it asks for data (LRP) *)
+(** Who performs protocol processing, and when.  Buffer ownership
+    follows: lazy kernels receive into NI channels, eager ones into the
+    mbuf pool. *)
+
+type rx_mode =
+  | Intr  (** one interrupt per frame *)
+  | Poll  (** queued rings drained by a budgeted poll loop *)
+  | Poll_gro  (** [Poll] plus receive-offload aggregation *)
+(** How the primary NIC hands frames to the host. *)
+
+val is_lrp : arch -> bool
+(** The architecture processes protocols lazily. *)
 
 type config = {
   arch : arch;
@@ -101,53 +120,27 @@ type kstats = {
   mutable ipq_hwm : int;
       (** deepest shared-IP-queue depth observed (BSD path) *)
 }
-type job = Jchan of Lrp_core.Channel.t | Jtimer of (unit -> unit)
-type app = {
-  app_owner : Lrp_sim.Proc.t;
-  jobs : job Queue.t;
-  app_wq : Lrp_sim.Proc.waitq;
-  mutable app_proc : Lrp_sim.Proc.t option;
-  chan_pending : (int, unit) Hashtbl.t;
-}
+type app
+(** A process's APP thread: asynchronous TCP protocol processing charged
+    to its owner (section 3.4). *)
 
-(** Per-receive-queue NAPI poll context: the "scheduled" bit, the
-    packets served since the interrupt was masked (a softirq polling
-    episode defers to ksoftirqd once this reaches the budget), the
-    ksoftirqd hand-off flag and the ksoftirqd process itself. *)
-type napi = {
-  nq : int;
-  mutable poll_on : bool;
-  mutable episode : int;
-  mutable last_poll : float;
-  mutable in_ksoftirqd : bool;
-  ksoftirqd_wq : Lrp_sim.Proc.waitq;
-  mutable ksoftirqd : Lrp_sim.Proc.t option;
-}
+type napi
+(** Per-receive-queue NAPI poll context. *)
 
+type rx_jobs
 (** The kernel's typed interrupt jobs ({!Lrp_sim.Cpu.job}), registered
-    once at creation: the per-packet receive posts store (job, packet,
-    int) in the CPU's work ring instead of allocating a closure. *)
-type rx_jobs = {
-  j_driver_rx : Lrp_net.Packet.t Lrp_sim.Cpu.job;  (** driver interrupt *)
-  j_demux_rx : Lrp_net.Packet.t Lrp_sim.Cpu.job;   (** SOFT-LRP demux *)
-  j_edemux_rx : Lrp_net.Packet.t Lrp_sim.Cpu.job;  (** Early-Demux demux *)
-  j_softnet : Lrp_net.Packet.t Lrp_sim.Cpu.job;
-      (** BSD softnet; the int is the packet's mbuf handle *)
-  j_edemux_soft : Lrp_net.Packet.t Lrp_sim.Cpu.job;
-      (** Early-Demux eager protocol softint; the int is the mbuf handle *)
-  j_wake : Lrp_sim.Proc.waitq Lrp_sim.Cpu.job;
-      (** NI-LRP host interrupt waking one waiter *)
-  j_napi_irq : unit Lrp_sim.Cpu.job;  (** NAPI interrupt; the int is the queue *)
-  j_napi_poll : napi Lrp_sim.Cpu.job;  (** NAPI softirq poll round *)
-}
+    once at creation. *)
 
-type t = {
+type t = private {
   kname : string;
   engine : Lrp_engine.Engine.t;
   cpu : Lrp_sim.Cpu.t;
   nic : Lrp_net.Nic.t;
   mutable interfaces : (Lrp_net.Packet.ip * int * Lrp_net.Nic.t) list;
   cfg : config;
+  demux : demux_point;
+  proto : proto_ctx;
+  rx_mode : rx_mode;  (** the architecture's axes, cached at creation *)
   c : Cost.t;
   ip_addr : Lrp_net.Packet.ip;
   mutable ipq_len : int;
@@ -193,19 +186,10 @@ val nic : t -> Lrp_net.Nic.t
 val config : t -> config
 val costs : t -> Cost.t
 val stats : t -> kstats
-val arch : t -> arch
 val ip_address : t -> Lrp_net.Packet.ip
 val chantab : t -> Lrp_core.Chantab.t
 val mbufs : t -> Lrp_net.Mbuf.t
 val channels : t -> Lrp_core.Channel.t list
-val lrp_mode : t -> bool
-val now : t -> Lrp_engine.Time.t
-val is_local_addr : t -> Lrp_net.Packet.ip -> bool
-val route : t -> int -> Lrp_net.Nic.t
-val drop_channel : t -> int -> unit
-(** Forget a deallocated channel by id (bookkeeping for the reporting
-    list). *)
-
 val early_discards : t -> int
 
 val tracer : t -> Lrp_trace.Trace.t
@@ -219,71 +203,54 @@ val metrics : t -> Lrp_trace.Metrics.t
     {!Lrp_trace.Metrics.snapshot}. *)
 
 val set_tracing : t -> bool -> unit
-val tracing : t -> bool
-
-val trc : t -> ('a, unit, string, unit) format4 -> 'a
-(** Formatted note into the kernel's tracer ([Note] event class); a no-op
-    when tracing is disabled. *)
-
 val tcp_env_exn : t -> Lrp_proto.Tcp.env
 val ip_output : t -> Lrp_net.Packet.t -> unit
 val seg_out_cost : t -> float
-val free_rx_mbufs : t -> int -> unit
-val free_rx_pkt : t -> mh:Lrp_net.Mbuf.handle -> int -> unit
-(* Free a received packet's mbuf reservation: by handle when the receive
-   path carried one, by bytes otherwise.  A no-op under the LRP
-   architectures, which never draw RX packets from the mbuf pool. *)
 val udp_send_cost : t -> frags:int -> float
+
+val free_rx_pkt : t -> mh:Lrp_net.Mbuf.handle -> int -> unit
+(** Free a received packet's mbuf reservation: by handle when the receive
+    path carried one, by bytes otherwise.  A no-op under lazy protocol
+    processing, which never draws receive buffers from the mbuf pool. *)
+
 val wake_all : t -> Lrp_sim.Proc.waitq -> unit
+
 val recv_timeout_target :
   t -> (Socket.t * bool ref) Lrp_engine.Engine.target
-(* Typed recvfrom-timeout expiry dispatcher (registered on first use):
-   sets the flag and wakes the socket's receive waiters. *)
-val wake_one : t -> Lrp_sim.Proc.waitq -> unit
-val sock_of_conn : t -> Lrp_proto.Tcp.conn -> Socket.t option
+(** Typed recvfrom-timeout expiry dispatcher (registered on first use):
+    sets the flag and wakes the socket's receive waiters. *)
+
 val update_listen_gate : t -> Lrp_proto.Tcp.conn -> unit
-val app_loop : t -> app -> unit
-val drain_tcp_channel : t -> Lrp_core.Channel.t -> unit
-val tcp_deliver :
-  t ->
-  Lrp_proto.Tcp.conn ->
-  Lrp_net.Packet.t -> ctx:[< `Proc | `Soft > `Proc ] -> unit
-val app_for : t -> Lrp_sim.Proc.t -> app
-val orphan_drain : t -> Lrp_core.Channel.t -> unit -> unit
-val app_post_chan : t -> Lrp_proto.Tcp.conn -> Lrp_core.Channel.t -> unit
-val app_post_timer : t -> Lrp_proto.Tcp.conn -> (unit -> unit) -> unit
+(** Under lazy processing, disable the listen channel's protocol
+    processing while the backlog is full (section 3.4). *)
+
+(** An endpoint that receives through its own NI channel under lazy
+    protocol processing. *)
+type endpoint =
+  | Udp_port of int * Socket.t option
+      (** a datagram socket bound to the port; [None]: the channel the
+          members of the port's multicast group share (section 3.1) *)
+  | Tcp_conn of Lrp_proto.Tcp.conn
+      (** a connection, or a listener ([remote = None]) *)
+
+val open_channel : t -> endpoint -> Lrp_core.Channel.t option
+(** Allocate the endpoint's NI channel and enter it in the channel table
+    and the kernel's tables; [None] (and nothing done) under eager
+    processing. *)
+
+val close_channel : t -> endpoint -> unit
+(** Deallocate the endpoint's channel — a socket's own (or group) channel,
+    a connection's or listener's — from every table. *)
+
 val register_conn :
   t -> Lrp_proto.Tcp.conn -> owner:Lrp_sim.Proc.t option -> unit
-val deregister_conn : t -> Lrp_proto.Tcp.conn -> unit
-val make_tcp_env : t -> Lrp_proto.Tcp.env
-val datagram_of :
-  mh:Lrp_net.Mbuf.handle -> Lrp_net.Packet.t -> Socket.udp_datagram
-val peer_accepts :
-  t -> Socket.t -> Socket.udp_datagram -> bool
-val deposit_and_wake :
-  t -> Socket.t -> Socket.udp_datagram -> unit
-val deliver_udp_ready :
-  t -> mh:Lrp_net.Mbuf.handle -> Lrp_net.Packet.t -> unit
+(** Enter an actively opened connection in the PCB and channel tables. *)
 
-val deliver_udp_all : t -> Lrp_net.Packet.t list -> unit
-(** {!deliver_udp_ready} of datagrams completed by receiver-context
-    (lazy) processing, which hold no mbuf reservation. *)
-
-val icmp_reply : t -> Lrp_net.Packet.t -> unit
-val deliver_tcp :
-  t -> Lrp_net.Packet.t -> ctx:[< `Proc | `Soft > `Proc ] -> unit
-val bsd_transport_input :
-  t -> mh:Lrp_net.Mbuf.handle -> Lrp_net.Packet.t -> unit
-val transport_cost : t -> Lrp_net.Packet.t -> skip_pcb:bool -> float
-val bsd_soft_cost : t -> Lrp_net.Packet.t -> float
-val ip_input_local :
-  t -> mh:Lrp_net.Mbuf.handle -> Lrp_net.Packet.t -> skip_pcb:bool -> unit
-(** Softint-context IP input of a local datagram: transport processing
-    now, or — for a fragment that completes its datagram — as a separate
-    softint activation. *)
-
-val bsd_softnet : t -> mh:Lrp_net.Mbuf.handle -> Lrp_net.Packet.t -> unit
-val bsd_driver_rx : t -> Lrp_net.Packet.t -> unit
+val lrp_recv_one : t -> Lrp_core.Channel.t -> bool
+(** Lazy UDP receive in the calling process: take one raw packet off the
+    channel, run IP/UDP processing on it charged to the caller, and
+    deposit the datagrams it completes.  [false] if the channel was
+    empty. *)
 
 val rss_steer : Lrp_net.Packet.t -> queues:int -> int
 (** RSS queue placement: a deterministic integer mix over the packed
@@ -292,22 +259,6 @@ val rss_steer : Lrp_net.Packet.t -> queues:int -> int
     counts.  Fragments steer by IP ident so one datagram's pieces share
     a ring. *)
 
-val ni_wake : t -> (unit -> unit) -> unit
-val ni_wake_one : t -> Lrp_sim.Proc.waitq -> unit
-val lrp_classify_rx : t -> Lrp_net.Packet.t -> unit
-val edemux_rx : t -> Lrp_net.Packet.t -> unit
-val rx_dispatch : t -> Lrp_net.Packet.t -> unit
-val drain_frag_channel : t -> charge:(float -> unit) -> Lrp_net.Packet.t list
-val lrp_process_udp_raw :
-  t -> charge:(float -> unit) -> Lrp_net.Packet.t -> Lrp_net.Packet.t list
-
-(** [proto_charge t ch] is the [~charge] function receiver-context
-    callers should pass: {!Lrp_sim.Proc.compute} with the segment
-    attributed as protocol work on channel [ch] in the CPU's
-    {!Lrp_sim.Ledger}. *)
-val proto_charge : t -> Lrp_core.Channel.t -> float -> unit
-val helper_loop : t -> 'a
-val fwd_daemon_loop : t -> 'a
 val create :
   Lrp_engine.Engine.t ->
   Lrp_net.Fabric.t -> name:string -> ip:Lrp_net.Packet.ip -> config -> t

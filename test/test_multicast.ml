@@ -89,6 +89,7 @@ let test_multicast_across_hosts () =
 let test_leave_group () =
   let cfg = Kernel.default_config Kernel.Ni_lrp in
   let w, client, server = World.pair ~cfg () in
+  let before = List.length (Kernel.channels server) in
   let got = ref 0 in
   let sock = Api.socket_dgram server in
   ignore
@@ -107,7 +108,9 @@ let test_leave_group () =
   World.run w ~until:(Time.sec 1.);
   Alcotest.(check int) "only the pre-leave datagram arrived" 1 !got;
   Alcotest.(check int) "channel deallocated after last leave" 0
-    (Lrp_core.Chantab.udp_channel_count (Kernel.chantab server))
+    (Lrp_core.Chantab.udp_channel_count (Kernel.chantab server));
+  Alcotest.(check int) "kernel no longer lists the group channel" before
+    (List.length (Kernel.channels server))
 
 let test_join_requires_multicast_addr () =
   let cfg = Kernel.default_config Kernel.Ni_lrp in

@@ -333,13 +333,19 @@ let test_conn_sock_bounded () =
       List.iter
         (fun (k : Kernel.t) ->
           let live = Hashtbl.length k.tcp_conns + Hashtbl.length k.tcp_listeners in
-          let mapped = Hashtbl.length k.conn_sock in
-          Alcotest.(check bool)
-            (Printf.sprintf "%s %s: conn_sock %d <= live %d"
-               (Kernel.arch_name arch) (Kernel.name k) mapped live)
-            true (mapped <= live))
+          let bounded what n ~extra =
+            Alcotest.(check bool)
+              (Printf.sprintf "%s %s: %s %d <= live %d + %d"
+                 (Kernel.arch_name arch) (Kernel.name k) what n live extra)
+              true (n <= live + extra)
+          in
+          bounded "conn_sock" (Hashtbl.length k.conn_sock) ~extra:0;
+          bounded "chan_conn" (Hashtbl.length k.chan_conn) ~extra:0;
+          bounded "conn_chan" (Hashtbl.length k.conn_chan) ~extra:0;
+          (* Plus the fragment, ICMP and forwarding channels. *)
+          bounded "channels" (List.length (Kernel.channels k)) ~extra:3)
         [ server; clients ])
-    [ Kernel.Bsd; Kernel.Soft_lrp ]
+    [ Kernel.Bsd; Kernel.Soft_lrp; Kernel.Ni_lrp ]
 
 let suite =
   [ Alcotest.test_case "handshake + echo (all archs)" `Quick
