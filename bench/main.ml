@@ -22,64 +22,19 @@ let json_path = ref None
 let baseline_out = ref "BENCH_10.json"
 let seed = Common.default_seed
 
-(* ------------------------------------------------------------------ *)
-(* Minimal JSON emitter (no external dependency)                        *)
-(* ------------------------------------------------------------------ *)
+(* JSON output goes through the trace library's emitter; integers are
+   exact floats, which it prints without a fraction.                    *)
 
-type json =
+type json = Lrp_trace.Json.t =
+  | Null
   | Bool of bool
   | Num of float
-  | Int of int
   | Str of string
   | Arr of json list
   | Obj of (string * json) list
 
-let rec write_json buf = function
-  | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-  | Int i -> Buffer.add_string buf (string_of_int i)
-  | Num f ->
-      (* JSON has no NaN/Infinity; map them to null. *)
-      if not (Float.is_finite f) then Buffer.add_string buf "null"
-      else if Float.is_integer f && Float.abs f < 1e15 then
-        Buffer.add_string buf (Printf.sprintf "%.0f" f)
-      else Buffer.add_string buf (Printf.sprintf "%.17g" f)
-  | Str s ->
-      Buffer.add_char buf '"';
-      String.iter
-        (fun c ->
-          match c with
-          | '"' -> Buffer.add_string buf "\\\""
-          | '\\' -> Buffer.add_string buf "\\\\"
-          | '\n' -> Buffer.add_string buf "\\n"
-          | '\t' -> Buffer.add_string buf "\\t"
-          | c when Char.code c < 0x20 ->
-              Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-          | c -> Buffer.add_char buf c)
-        s;
-      Buffer.add_char buf '"'
-  | Arr items ->
-      Buffer.add_char buf '[';
-      List.iteri
-        (fun i v ->
-          if i > 0 then Buffer.add_char buf ',';
-          write_json buf v)
-        items;
-      Buffer.add_char buf ']'
-  | Obj kvs ->
-      Buffer.add_char buf '{';
-      List.iteri
-        (fun i (k, v) ->
-          if i > 0 then Buffer.add_char buf ',';
-          write_json buf (Str k);
-          Buffer.add_char buf ':';
-          write_json buf v)
-        kvs;
-      Buffer.add_char buf '}'
-
-let json_to_string v =
-  let buf = Buffer.create 4096 in
-  write_json buf v;
-  Buffer.contents buf
+let int i = Num (float_of_int i)
+let json_to_string = Lrp_trace.Json.to_string
 
 (* ------------------------------------------------------------------ *)
 (* Paper experiments.  Each bench prints its human-readable output and
@@ -116,8 +71,8 @@ let bench_fig3 () =
                       Obj
                         [ ("offered", Num p.Fig3.offered);
                           ("delivered", Num p.Fig3.delivered);
-                          ("discards", Int p.Fig3.discards);
-                          ("ipq_drops", Int p.Fig3.ipq_drops) ])
+                          ("discards", int p.Fig3.discards);
+                          ("ipq_drops", int p.Fig3.ipq_drops) ])
                     r.Fig3.points) ) ])
        rows)
 
@@ -140,8 +95,8 @@ let bench_modern () =
                             Obj
                               [ ("offered", Num p.Fig3.offered);
                                 ("delivered", Num p.Fig3.delivered);
-                                ("discards", Int p.Fig3.discards);
-                                ("ipq_drops", Int p.Fig3.ipq_drops) ])
+                                ("discards", int p.Fig3.discards);
+                                ("ipq_drops", int p.Fig3.ipq_drops) ])
                           r.Modern.points) ) ])
              rows) );
       ( "coalesce_reorder",
@@ -151,8 +106,8 @@ let bench_modern () =
                Obj
                  [ ("coalesce_us", Num p.Modern.coalesce_us);
                    ("fabric_faults", Bool p.Modern.fabric_faults);
-                   ("observed", Int p.Modern.observed);
-                   ("inversions", Int p.Modern.inversions);
+                   ("observed", int p.Modern.observed);
+                   ("inversions", int p.Modern.inversions);
                    ("per_kpkt", Num p.Modern.per_kpkt) ])
              reorder) ) ]
 
@@ -185,8 +140,8 @@ let bench_fig4 () =
                           ("rtt_us", Num p.Fig4.rtt_us);
                           ("rtt_mean", Num p.Fig4.rtt_mean);
                           ("rtt_p99", Num p.Fig4.rtt_p99);
-                          ("probes", Int p.Fig4.probes);
-                          ("lost", Int p.Fig4.lost) ])
+                          ("probes", int p.Fig4.probes);
+                          ("lost", int p.Fig4.lost) ])
                     r.Fig4.points) ) ])
        rows)
 
@@ -219,8 +174,8 @@ let bench_fig5 () =
                       Obj
                         [ ("syn_rate", Num p.Fig5.syn_rate);
                           ("http_per_sec", Num p.Fig5.http_per_sec);
-                          ("failed", Int p.Fig5.failed);
-                          ("syn_discards", Int p.Fig5.syn_discards) ])
+                          ("failed", int p.Fig5.failed);
+                          ("syn_discards", int p.Fig5.syn_discards) ])
                     r.Fig5.points) ) ])
        rows)
 
@@ -233,8 +188,8 @@ let bench_ablate_discard () =
          Obj
            [ ("bounded", Bool r.Ablations.bounded);
              ("delivered", Num r.Ablations.delivered);
-             ("discards", Int r.Ablations.discards);
-             ("backlog", Int r.Ablations.backlog);
+             ("discards", int r.Ablations.discards);
+             ("backlog", int r.Ablations.backlog);
              ("queue_delay_ms", Num r.Ablations.queue_delay_ms) ])
        rows)
 
@@ -262,8 +217,8 @@ let bench_accounting () =
              (fun (a : Accounting.arch_row) ->
                Obj
                  [ ("system", Str (sysname a.Accounting.system));
-                   ("offered", Int a.Accounting.offered);
-                   ("delivered", Int a.Accounting.delivered);
+                   ("offered", int a.Accounting.offered);
+                   ("delivered", int a.Accounting.delivered);
                    ("intr_total_us", Num a.Accounting.intr_total);
                    ("mischarged_us", Num a.Accounting.mischarged);
                    ("victim_mis_us", Num a.Accounting.victim_mis);
@@ -278,18 +233,18 @@ let bench_accounting () =
                Obj
                  [ ("system", Str (sysname d.Accounting.d_system));
                    ("rate", Num d.Accounting.d_rate);
-                   ("offered", Int d.Accounting.d_offered);
-                   ("delivered", Int d.Accounting.d_delivered);
-                   ("windows", Int rep.Overload.samples);
-                   ("judged", Int rep.Overload.judged);
-                   ("overload_windows", Int rep.Overload.overload_windows);
-                   ("livelock_windows", Int rep.Overload.livelock_windows);
-                   ("starved_windows", Int rep.Overload.starved_windows);
+                   ("offered", int d.Accounting.d_offered);
+                   ("delivered", int d.Accounting.d_delivered);
+                   ("windows", int rep.Overload.samples);
+                   ("judged", int rep.Overload.judged);
+                   ("overload_windows", int rep.Overload.overload_windows);
+                   ("livelock_windows", int rep.Overload.livelock_windows);
+                   ("starved_windows", int rep.Overload.starved_windows);
                    ("worst_delivery", Num rep.Overload.worst_delivery);
                    ("peak_intr_share", Num rep.Overload.peak_intr_share);
-                   ("ipq_hwm", Int rep.Overload.ipq_hwm);
-                   ("chan_hwm", Int rep.Overload.chan_hwm);
-                   ("sock_hwm", Int rep.Overload.sock_hwm) ])
+                   ("ipq_hwm", int rep.Overload.ipq_hwm);
+                   ("chan_hwm", int rep.Overload.chan_hwm);
+                   ("sock_hwm", int rep.Overload.sock_hwm) ])
              r.Accounting.det_rows) ) ]
 
 let bench_ablate_demux () =
@@ -417,7 +372,7 @@ let bench_trace () =
         Format.printf "%a@." Trace.Report.pp report;
         let stage_json (name, s) =
           Obj
-            [ ("stage", Str name); ("count", Int (S.count s));
+            [ ("stage", Str name); ("count", int (S.count s));
               ("mean_us", Num (S.mean s));
               ("p50_us", Num (S.percentile s 50.));
               ("p99_us", Num (S.percentile s 99.)) ]
@@ -426,9 +381,9 @@ let bench_trace () =
           [ ("system", Str (sysname sys));
             ("offered", Num point.Fig3.offered);
             ("delivered", Num point.Fig3.delivered);
-            ("packets", Int report.Trace.Report.packets);
-            ("events", Int (Trace.length tracer));
-            ("overwritten", Int (Trace.dropped tracer));
+            ("packets", int report.Trace.Report.packets);
+            ("events", int (Trace.length tracer));
+            ("overwritten", int (Trace.dropped tracer));
             ("stages", Arr (List.map stage_json report.Trace.Report.stages));
             ( "metrics",
               Obj (List.map (fun (k, v) -> (k, Num v)) metrics) ) ])
@@ -695,7 +650,7 @@ let bench_demux () =
         Printf.printf "  %-10d %9.1f ns %9.1f ns %9.1f ns %9.1f ns\n" n
           insert_ns hit_ns miss_ns delete_ns;
         Obj
-          [ ("flows", Int n); ("insert_ns", Num insert_ns);
+          [ ("flows", int n); ("insert_ns", Num insert_ns);
             ("hit_ns", Num hit_ns); ("miss_ns", Num miss_ns);
             ("delete_ns", Num delete_ns) ])
       sizes
@@ -809,16 +764,10 @@ let bench_baseline () =
      backend is four word stores into SoA ring columns, so the whole
      traced cycle must stay at 0.0 words/event and close to bare
      [arena_rx] time (check_baseline pins the ratio). *)
-  let rec_clock = [| 0. |] in
   let rec_tracer =
-    Lrp_trace.Trace.create ~name:"bench-recorder"
-      ~now:(fun () -> rec_clock.(0))
-      ()
+    Lrp_trace.Trace.create ~name:"bench-recorder" ~clock:[| 0. |] ()
   in
-  let () =
-    Lrp_trace.Trace.use_packed rec_tracer ~clock:rec_clock;
-    Lrp_trace.Trace.set_enabled rec_tracer true
-  in
+  Lrp_trace.Trace.set_enabled rec_tracer true;
   let tracing_on_arena_rx () =
     ignore (Lrp_core.Channel.enqueue_code rx_chan demux_pkt);
     Lrp_trace.Trace.nic_rx rec_tracer ~pkt:42 ~bytes:64;
@@ -1019,7 +968,7 @@ let bench_baseline () =
     (cwall1 /. cwall8) cores;
   let doc =
     Obj
-      [ ("schema", Int 1);
+      [ ("schema", int 1);
         ( "entries",
           Arr
             (List.map
@@ -1033,16 +982,16 @@ let bench_baseline () =
         ("fig3_quick_wall_s", Num fig3_wall);
         ( "cluster",
           Obj
-            [ ("racks", Int c1.Cluster.racks);
-              ("hosts_per_rack", Int c1.Cluster.hosts_per_rack);
-              ("events", Int c1.Cluster.events);
+            [ ("racks", int c1.Cluster.racks);
+              ("hosts_per_rack", int c1.Cluster.hosts_per_rack);
+              ("events", int c1.Cluster.events);
               ("digest_shards1", Str (Printf.sprintf "%Lx" c1.Cluster.digest));
               ("digest_shards8", Str (Printf.sprintf "%Lx" c8.Cluster.digest));
               ("events_per_sec_shards1", Num ceps1);
               ("events_per_sec_shards8", Num ceps8);
               ("speedup_available", Num (Cluster.speedup_available c8));
               ("speedup_measured", Num (cwall1 /. cwall8));
-              ("cores", Int cores) ] ) ]
+              ("cores", int cores) ] ) ]
   in
   let oc = open_out !baseline_out in
   output_string oc (json_to_string doc);
@@ -1073,7 +1022,7 @@ let bench_cluster () =
         Printf.printf "  %-8d %10.3f s %12.0f %10.2fx %16Lx\n" shards wall
           eps (Cluster.speedup_available r) r.Cluster.digest;
         Obj
-          [ ("shards", Int shards);
+          [ ("shards", int shards);
             ("wall_s", Num wall);
             ("events_per_sec", Num eps);
             ("speedup_available", Num (Cluster.speedup_available r));
@@ -1165,7 +1114,7 @@ let () =
   | Some path ->
       let doc =
         Obj
-          [ ("quick", Bool !quick); ("jobs", Int !jobs); ("seed", Int seed);
+          [ ("quick", Bool !quick); ("jobs", int !jobs); ("seed", int seed);
             ("total_wall_s", Num total); ("experiments", Obj results) ]
       in
       let oc = open_out path in

@@ -328,12 +328,10 @@ let top_cmd =
     (match dump_file with
     | None -> ()
     | Some file ->
-        (match Trace.packed (Kernel.tracer server) with
-        | Some p ->
-            Lrp_trace.Precorder.write_dump p file;
-            Printf.printf "\nflight recorder: %d events -> %s\n"
-              (Lrp_trace.Precorder.length p) file
-        | None -> Printf.printf "\nflight recorder: no packed backend\n"))
+        let p = Trace.recorder (Kernel.tracer server) in
+        Lrp_trace.Precorder.write_dump p file;
+        Printf.printf "\nflight recorder: %d events -> %s\n"
+          (Lrp_trace.Precorder.length p) file)
   in
   Cmd.v
     (Cmd.info "top"

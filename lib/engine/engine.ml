@@ -135,7 +135,6 @@ let create ?(seed = 42) ?(pure_heap = false) () =
   t
 
 let now t = t.clock.(0)
-let clock t () = t.clock.(0)
 let clock_cell t = t.clock
 
 let rng t = t.root_rng

@@ -37,16 +37,12 @@ val create : ?seed:int -> ?pure_heap:bool -> unit -> t
 val now : t -> Time.t
 (** Current virtual time. *)
 
-val clock : t -> unit -> Time.t
-(** [clock t] is a closure reading the virtual clock — the [now] callback
-    handed to per-kernel tracers and metrics registries, which must not
-    depend on this module. *)
-
 val clock_cell : t -> float array
 (** The engine's clock as a 1-slot float array; [(clock_cell t).(0)] is
-    [now t].  Reading the slot is an unboxed float-array load, where the
-    {!clock} closure boxes its return per call — zero-allocation observers
-    (the packed flight recorder) stamp events straight from it.  Callers
+    [now t].  Reading the slot is an unboxed float-array load, where a
+    [unit -> float] closure would box its return per call —
+    zero-allocation observers (the flight recorder, the scheduler) stamp
+    events straight from it.  Callers
     must treat the array as read-only; writing it corrupts the clock. *)
 
 val rng : t -> Rng.t
@@ -142,7 +138,8 @@ type timer_stats = {
 }
 
 val timer_stats : t -> timer_stats
-(** Cumulative scheduling/churn counters, for the metrics registry. *)
+(** Cumulative scheduling/churn counters, read by
+    [Lrp_kernel.Kernel.counters]. *)
 
 val run : t -> until:Time.t -> unit
 (** Execute events in timestamp order until the queue is exhausted or the

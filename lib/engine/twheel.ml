@@ -81,7 +81,7 @@ type t = {
   mutable next_seq : int;
   mutable filter : int -> bool; (* false at pour time = drop the entry *)
   mutable use_wheel : bool;
-  (* routing statistics, exposed for the metrics registry *)
+  (* routing statistics, surfaced through Engine.timer_stats *)
   mutable n_wheel : int;   (* schedules routed to a bucket *)
   mutable n_heap : int;    (* schedules routed straight to the heap *)
   mutable n_skipped : int; (* cancelled entries dropped at pour time *)

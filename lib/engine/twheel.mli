@@ -91,7 +91,8 @@ val pop_boundcell : t -> int
     {!add_cell} at schedule time; re-write it before any pop that
     follows dispatched work. *)
 
-(** {2 Routing statistics} — cumulative, for the metrics registry. *)
+(** {2 Routing statistics} — cumulative, surfaced through
+    [Engine.timer_stats]. *)
 
 val scheduled_wheel : t -> int
 (** Schedules that landed in a wheel bucket. *)

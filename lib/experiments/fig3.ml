@@ -29,7 +29,7 @@ type row = { system : Common.system; points : point list }
 
 (* One run: blast at [rate] for [duration]; delivered rate measured over
    the steady-state window (skipping warmup).  Returns the server kernel
-   too so [measure_traced] can pull its tracer and metrics. *)
+   too so [measure_traced] can pull its tracer and counters. *)
 let measure_on ?(seed = Common.default_seed) ?(trace = false) sys ~rate
     ~duration =
   let cfg = Common.config_of_system sys in
@@ -59,13 +59,12 @@ let measure ?seed sys ~rate ~duration =
   fst (measure_on ?seed sys ~rate ~duration)
 
 (* [measure] with the server kernel's structured tracer enabled for the
-   whole run: returns the datapoint plus the tracer (ring buffer of
+   whole run: returns the datapoint plus the tracer (flight recorder of
    packet-lifecycle events, ready for {!Lrp_trace.Trace.write_file} or
-   {!Lrp_trace.Trace.Report.stage_latency}) and a metrics snapshot. *)
+   {!Lrp_trace.Trace.Report.stage_latency}) and the final counters. *)
 let measure_traced ?seed sys ~rate ~duration =
   let point, server = measure_on ?seed ~trace:true sys ~rate ~duration in
-  (point, Kernel.tracer server,
-   Lrp_trace.Metrics.snapshot (Kernel.metrics server))
+  (point, Kernel.tracer server, Kernel.counters server)
 
 let default_rates =
   [ 1_000.; 2_000.; 4_000.; 6_000.; 8_000.; 10_000.; 12_000.; 14_000.;

@@ -29,9 +29,9 @@ val measure_traced :
   point * Lrp_trace.Trace.t * (string * float) list
 (** [measure] with the server kernel's structured tracer enabled for the
     whole run.  Also returns the tracer (for sinks or the stage-latency
-    report) and the final metrics snapshot.  The datapoint is identical
-    to an untraced [measure] with the same seed: tracing only records,
-    it never perturbs the simulation. *)
+    report) and the final {!Lrp_kernel.Kernel.counters}.  The datapoint
+    is identical to an untraced [measure] with the same seed: tracing
+    only records, it never perturbs the simulation. *)
 
 val default_rates : float list
 

@@ -53,7 +53,6 @@ open Lrp_net
 open Lrp_proto
 open Lrp_core
 module Trace = Lrp_trace.Trace
-module Metrics = Lrp_trace.Metrics
 
 type arch = Bsd | Soft_lrp | Ni_lrp | Early_demux | Napi | Napi_gro | Rss
 
@@ -271,7 +270,6 @@ type t = {
   stats : kstats;
   (* --- observability (per-kernel: parallel sweeps never share these) --- *)
   tracer : Trace.t;
-  metrics : Metrics.t;
 }
 
 let name t = t.kname
@@ -322,15 +320,52 @@ let early_discards t =
     0 t.all_channels
 
 let tracer t = t.tracer
-let metrics t = t.metrics
+
+(* Every counter, read from component state at call time.  Components
+   name their own rows under the prefix they are given. *)
+let counters t =
+  let i name v = (name, float_of_int v) in
+  let s = t.stats and e = Engine.timer_stats t.engine in
+  let tcp key =
+    i ("tcp." ^ key)
+      (Lrp_det.Det.fold_sorted
+         (fun _ conn acc -> acc + List.assoc key (Tcp.counters conn))
+         t.tcp_conns 0)
+  in
+  let nic k (_, _, n) =
+    Nic.counters n ~prefix:(if k = 0 then "nic" else Printf.sprintf "nic%d" k)
+  in
+  List.sort
+    (fun (a, _) (b, _) -> String.compare a b)
+    ([ i "kernel.rx_frames" s.rx_frames; i "kernel.ipq_drops" s.ipq_drops;
+       i "kernel.mbuf_drops" s.mbuf_drops;
+       i "kernel.no_port_drops" s.no_port_drops;
+       i "kernel.demux_drops" s.demux_drops;
+       i "kernel.edemux_early_drops" s.edemux_early_drops;
+       i "kernel.udp_delivered" s.udp_delivered;
+       i "kernel.tcp_delivered" s.tcp_delivered; i "kernel.ipq_hwm" s.ipq_hwm;
+       i "kernel.rx_wrong_peer" s.rx_wrong_peer;
+       i "kernel.forwarded" s.forwarded; i "kernel.fwd_drops" s.fwd_drops;
+       i "kernel.rsts_sent" s.rsts_sent; i "kernel.csum_drops" s.csum_drops;
+       i "kernel.ipq_len" t.ipq_len;
+       i "kernel.channels" (List.length t.all_channels);
+       i "kernel.early_discards" (early_discards t);
+       i "engine.timers_scheduled" e.Engine.scheduled;
+       i "engine.timers_fired" e.Engine.fired;
+       i "engine.timers_cancelled" e.Engine.cancelled;
+       i "engine.sched_wheel" e.Engine.routed_wheel;
+       i "engine.sched_heap" e.Engine.routed_heap;
+       i "engine.pour_skipped" e.Engine.pour_skipped;
+       i "reasm.completed" (Ip.Reasm.completed t.reasm);
+       i "reasm.timed_out" (Ip.Reasm.timed_out t.reasm);
+       i "reasm.pending" (Ip.Reasm.pending_count t.reasm) ]
+    @ List.map tcp
+        [ "segs_sent"; "segs_rcvd"; "bytes_sent"; "bytes_rcvd"; "retransmits";
+          "syn_drops_backlog" ]
+    @ Cpu.counters t.cpu ~prefix:"cpu"
+    @ List.concat (List.mapi nic t.interfaces))
 
 let set_tracing t on = Trace.set_enabled t.tracer on
-let tracing t = Trace.enabled t.tracer
-
-let trc t fmt =
-  if Trace.enabled t.tracer then
-    Printf.ksprintf (fun s -> Trace.note t.tracer s) fmt
-  else Printf.ifprintf () fmt
 
 let tcp_env_exn t =
   match t.tcp_env with Some e -> e | None -> assert false
@@ -466,8 +501,8 @@ let rec app_loop t app =
       (match job with
        | Jchan ch ->
            Hashtbl.remove app.chan_pending (Channel.id ch);
-           trc t "app %s: drain chan %d (len=%d)" app.app_owner.Proc.name
-             (Channel.id ch) (Channel.length ch);
+           Trace.notef t.tracer "app %s: drain chan %d (len=%d)"
+             app.app_owner.Proc.name (Channel.id ch) (Channel.length ch);
            drain_tcp_channel t ch
        | Jtimer f ->
            Cpu.compute_proto t.cpu ~flow:(-1)
@@ -479,7 +514,7 @@ let rec app_loop t app =
         (* The APP thread dies with its process. *)
         Hashtbl.remove t.apps app.app_owner.Proc.pid
       else begin
-        trc t "app %s: block" app.app_owner.Proc.name;
+        Trace.notef t.tracer "app %s: block" app.app_owner.Proc.name;
         Proc.block app.app_wq;
         app_loop t app
       end
@@ -566,7 +601,8 @@ let app_post_chan t conn ch =
       if not (Hashtbl.mem app.chan_pending (Channel.id ch)) then begin
         Hashtbl.replace app.chan_pending (Channel.id ch) ();
         Queue.add (Jchan ch) app.jobs;
-        trc t "post chan %d job for %s" (Channel.id ch) owner.Proc.name
+        Trace.notef t.tracer "post chan %d job for %s" (Channel.id ch)
+          owner.Proc.name
       end;
       wake_one t app.app_wq
   | Some _ | None -> orphan_post t ch
@@ -1420,9 +1456,10 @@ let lrp_classify_rx t pkt =
                      (section 3.3). *)
                   ni_wake_one t t.helper_wq
             | Demux.Tcp_class ->
-                if tracing t then
-                  trc t "rx tcp chan %d len=%d trans=%s" (Channel.id ch)
-                    (Channel.length ch)
+                (* Guarded: a disabled [notef] still builds its closures. *)
+                if Trace.enabled t.tracer then
+                  Trace.notef t.tracer "rx tcp chan %d len=%d trans=%s"
+                    (Channel.id ch) (Channel.length ch)
                     (if was_empty then "empty" else "ne");
                 (* The APP thread drains until empty, so only the
                    empty-to-non-empty transition needs a notification —
@@ -1430,7 +1467,9 @@ let lrp_classify_rx t pkt =
                 if was_empty then
                   (match Hashtbl.find_opt t.chan_conn (Channel.id ch) with
                    | Some conn -> ni_wake t (fun () -> app_post_chan t conn ch)
-                   | None -> trc t "rx tcp chan %d: NO CONN" (Channel.id ch))
+                   | None ->
+                       Trace.notef t.tracer "rx tcp chan %d: NO CONN"
+                         (Channel.id ch))
             | Demux.Frag_class | Demux.Icmp_class ->
                 (* Fragments needing reassembly and ICMP: the helper
                    handles them if no receiver does first. *)
@@ -1699,18 +1738,15 @@ let create engine fabric ~name ~ip cfg =
     Cpu.create engine ~ctx_switch_cost:cfg.costs.Cost.ctx_switch ~name ()
   in
   let nic = Fabric.make_nic fabric ~name:(name ^ ".nic") ~ip () in
-  let tracer = Trace.create ~name ~now:(Engine.clock engine) () in
-  (* Flight recorder: every kernel records into the packed SoA ring, so
-     enabling tracing costs no per-event allocation (the timestamp is
-     read straight from the engine's clock cell). *)
-  Trace.use_packed tracer ~clock:(Engine.clock_cell engine);
-  let metrics = Metrics.create () in
+  (* Flight recorder: enabling tracing costs no per-event allocation (the
+     timestamp is read straight from the engine's clock cell). *)
+  let tracer = Trace.create ~name ~clock:(Engine.clock_cell engine) () in
   let parena = Parena.create () in
   let demux, proto, rx_mode = axes cfg.arch in
   let t =
     { kname = name; engine; cpu; nic; cfg; demux; proto; rx_mode;
       c = cfg.costs; ip_addr = ip;
-      tracer; metrics;
+      tracer;
       ipq_len = 0; mbufs = Mbuf.create ~capacity:cfg.mbuf_capacity ();
       parena;
       interfaces = [ (ip, 24, nic) ];
@@ -1758,53 +1794,6 @@ let create engine fabric ~name ~ip cfg =
   Nic.set_rx_handler nic (fun pkt -> rx_dispatch t pkt);
   Cpu.set_tracer cpu tracer;
   Nic.set_tracer nic tracer;
-  (* Expose kernel state as pull gauges; components register their own
-     instruments under their prefixes.  All callbacks read only this
-     kernel's state, so snapshots stay race-free under parallel sweeps. *)
-  let g nm f = Metrics.gauge metrics nm (fun () -> float_of_int (f ())) in
-  g "kernel.rx_frames" (fun () -> t.stats.rx_frames);
-  g "kernel.ipq_drops" (fun () -> t.stats.ipq_drops);
-  g "kernel.mbuf_drops" (fun () -> t.stats.mbuf_drops);
-  g "kernel.no_port_drops" (fun () -> t.stats.no_port_drops);
-  g "kernel.demux_drops" (fun () -> t.stats.demux_drops);
-  g "kernel.edemux_early_drops" (fun () -> t.stats.edemux_early_drops);
-  g "kernel.udp_delivered" (fun () -> t.stats.udp_delivered);
-  g "kernel.tcp_delivered" (fun () -> t.stats.tcp_delivered);
-  g "kernel.ipq_hwm" (fun () -> t.stats.ipq_hwm);
-  g "kernel.rx_wrong_peer" (fun () -> t.stats.rx_wrong_peer);
-  g "kernel.forwarded" (fun () -> t.stats.forwarded);
-  g "kernel.fwd_drops" (fun () -> t.stats.fwd_drops);
-  g "kernel.rsts_sent" (fun () -> t.stats.rsts_sent);
-  g "kernel.csum_drops" (fun () -> t.stats.csum_drops);
-  g "kernel.ipq_len" (fun () -> t.ipq_len);
-  g "kernel.channels" (fun () -> List.length t.all_channels);
-  g "kernel.early_discards" (fun () -> early_discards t);
-  List.iter
-    (fun key ->
-      g ("tcp." ^ key) (fun () ->
-          Lrp_det.Det.fold_sorted
-            (fun _ conn acc -> acc + List.assoc key (Tcp.counters conn))
-            t.tcp_conns 0))
-    [ "segs_sent"; "segs_rcvd"; "bytes_sent"; "bytes_rcvd"; "retransmits";
-      "syn_drops_backlog" ];
-  (* Engine timer-churn counters: how many events were scheduled/fired/
-     cancelled-before-fire, how schedules split between wheel buckets and
-     the heap, and how many cancelled entries the wheel dropped at pour
-     time (each one a heap round-trip avoided). *)
-  g "engine.timers_scheduled" (fun () ->
-      (Engine.timer_stats engine).Engine.scheduled);
-  g "engine.timers_fired" (fun () -> (Engine.timer_stats engine).Engine.fired);
-  g "engine.timers_cancelled" (fun () ->
-      (Engine.timer_stats engine).Engine.cancelled);
-  g "engine.sched_wheel" (fun () ->
-      (Engine.timer_stats engine).Engine.routed_wheel);
-  g "engine.sched_heap" (fun () ->
-      (Engine.timer_stats engine).Engine.routed_heap);
-  g "engine.pour_skipped" (fun () ->
-      (Engine.timer_stats engine).Engine.pour_skipped);
-  Cpu.register_metrics cpu metrics ~prefix:"cpu";
-  Nic.register_metrics nic metrics ~prefix:"nic";
-  Ip.Reasm.register_metrics t.reasm metrics ~prefix:"reasm";
   (* Periodic reassembly pruning (ip_slowtimo); re-arms its own event. *)
   let slowtimo_ev = ref Engine.none in
   slowtimo_ev :=
@@ -1878,7 +1867,5 @@ let add_interface t fabric ~ip ?(masklen = 24) () =
   in
   Nic.set_rx_handler nic (fun pkt -> rx_dispatch t pkt);
   Nic.set_tracer nic t.tracer;
-  Nic.register_metrics nic t.metrics
-    ~prefix:(Printf.sprintf "nic%d" (List.length t.interfaces));
   t.interfaces <- t.interfaces @ [ (ip, masklen, nic) ];
   nic

@@ -177,7 +177,6 @@ type t = private {
   mutable eph_port : int;
   stats : kstats;
   tracer : Lrp_trace.Trace.t;
-  metrics : Lrp_trace.Metrics.t;
 }
 val name : t -> string
 val cpu : t -> Lrp_sim.Cpu.t
@@ -195,12 +194,12 @@ val early_discards : t -> int
 val tracer : t -> Lrp_trace.Trace.t
 (** The kernel's structured tracer.  Disabled by default; enable with
     {!set_tracing} (or {!Lrp_trace.Trace.set_enabled}) to record packet
-    lifecycle and scheduler events into the per-kernel ring buffer. *)
+    lifecycle and scheduler events into the per-kernel flight recorder. *)
 
-val metrics : t -> Lrp_trace.Metrics.t
-(** The kernel's metrics registry.  Kernel, CPU, NIC, reassembly and TCP
-    instruments are registered at construction; snapshot with
-    {!Lrp_trace.Metrics.snapshot}. *)
+val counters : t -> (string * float) list
+(** Every kernel, TCP, engine-timer, CPU, scheduler, NIC (["nic"] for the
+    primary interface, ["nicN"] for added ones) and reassembly counter as
+    [(name, value)] rows sorted by name, read at call time. *)
 
 val set_tracing : t -> bool -> unit
 val tcp_env_exn : t -> Lrp_proto.Tcp.env

@@ -60,7 +60,7 @@ let default =
         ("lib/stats/stats.ml", [ "summary"; "Samples.t"; "Rate.t" ]);
         ("lib/proto/tcp.ml", [ "conn"; "timer" ]);
         ("lib/sched/sched.ml", [ "thread" ]);
-        ("lib/trace/trace.ml", [ "entry"; "Report.marks" ]);
+        ("lib/trace/trace.ml", [ "Report.marks" ]);
         ("lib/engine/eheap.ml", [ "t" ]);
       ];
     d4_dirs = [ "lib/engine"; "lib/net"; "lib/proto"; "lib/core" ];

@@ -102,19 +102,13 @@ let ip t = t.ip
 let stats t = t.stats
 let set_tracer t tr = t.tracer <- tr
 
-let register_metrics t m ~prefix =
-  let module Metrics = Lrp_trace.Metrics in
-  let gauge suffix f = Metrics.gauge m (prefix ^ suffix) f in
-  gauge ".tx_packets" (fun () -> float_of_int t.stats.tx_packets);
-  gauge ".tx_bytes" (fun () -> float_of_int t.stats.tx_bytes);
-  gauge ".rx_packets" (fun () -> float_of_int t.stats.rx_packets);
-  gauge ".tx_drops" (fun () -> float_of_int t.stats.tx_drops);
-  gauge ".ifq_len" (fun () -> float_of_int t.ifq_count);
-  let sum_rxq f () =
-    float_of_int (Array.fold_left (fun acc q -> acc + f q) 0 t.rxqs)
-  in
-  gauge ".rxq_drops" (sum_rxq (fun q -> q.q_drops));
-  gauge ".rxq_kicks" (sum_rxq (fun q -> q.q_kicks))
+let counters t ~prefix =
+  let i name v = (prefix ^ name, float_of_int v) in
+  let sum_rxq f = Array.fold_left (fun acc q -> acc + f q) 0 t.rxqs in
+  [ i ".tx_packets" t.stats.tx_packets; i ".tx_bytes" t.stats.tx_bytes;
+    i ".rx_packets" t.stats.rx_packets; i ".tx_drops" t.stats.tx_drops;
+    i ".ifq_len" t.ifq_count; i ".rxq_drops" (sum_rxq (fun q -> q.q_drops));
+    i ".rxq_kicks" (sum_rxq (fun q -> q.q_kicks)) ]
 
 let set_rx_handler t f = t.rx_handler <- f
 

@@ -86,9 +86,10 @@ val stats : t -> stats
     per received frame. *)
 val set_tracer : t -> Lrp_trace.Trace.t -> unit
 
-(** Expose tx/rx packet and byte counts, tx drops and the instantaneous
-    interface-queue length under [prefix]. *)
-val register_metrics : t -> Lrp_trace.Metrics.t -> prefix:string -> unit
+(** Tx/rx packet and byte counts, tx drops, the instantaneous
+    interface-queue length and the receive queues' drops and kicks, named
+    under [prefix]. *)
+val counters : t -> prefix:string -> (string * float) list
 val set_rx_handler : t -> (Packet.t -> unit) -> unit
 (** Install the kernel's receive path.  The handler runs in NI context
     (an engine event, zero host CPU); what it posts to the host CPU is the

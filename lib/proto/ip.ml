@@ -111,13 +111,4 @@ module Reasm = struct
   let pending_count t = Hashtbl.length t.table
   let completed t = t.completed
   let timed_out t = t.timed_out
-
-  let register_metrics t m ~prefix =
-    let module Metrics = Lrp_trace.Metrics in
-    Metrics.gauge m (prefix ^ ".completed") (fun () ->
-        float_of_int t.completed);
-    Metrics.gauge m (prefix ^ ".timed_out") (fun () ->
-        float_of_int t.timed_out);
-    Metrics.gauge m (prefix ^ ".pending") (fun () ->
-        float_of_int (Hashtbl.length t.table))
 end

@@ -35,8 +35,4 @@ module Reasm :
     val pending_count : t -> int
     val completed : t -> int
     val timed_out : t -> int
-
-    (** Expose completion/timeout counts and the pending-table size as pull
-        gauges under [prefix]. *)
-    val register_metrics : t -> Lrp_trace.Metrics.t -> prefix:string -> unit
   end

@@ -175,13 +175,10 @@ let decay t =
 
 let load_average t = t.loadavg
 
-let register_metrics t m ~prefix =
-  let module Metrics = Lrp_trace.Metrics in
-  Metrics.gauge m (prefix ^ ".loadavg") (fun () -> t.loadavg);
-  Metrics.gauge m (prefix ^ ".runnable") (fun () ->
-      float_of_int (runnable_count t));
-  Metrics.gauge m (prefix ^ ".threads") (fun () ->
-      float_of_int (List.length t.threads))
+let counters t ~prefix =
+  [ (prefix ^ ".loadavg", t.loadavg);
+    (prefix ^ ".runnable", float_of_int (runnable_count t));
+    (prefix ^ ".threads", float_of_int (List.length t.threads)) ]
 
 let pp_thread fmt th =
   Fmt.pf fmt "%s(tid=%d pri=%d p_cpu=%.1f %s)" th.name th.tid th.priority

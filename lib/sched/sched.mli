@@ -117,8 +117,7 @@ val decay : t -> unit
 
 val load_average : t -> float
 
-val register_metrics : t -> Lrp_trace.Metrics.t -> prefix:string -> unit
-(** Expose load average, runnable count and thread count as pull gauges
-    under [prefix]. *)
+val counters : t -> prefix:string -> (string * float) list
+(** Load average, runnable count and thread count, named under [prefix]. *)
 
 val pp_thread : Format.formatter -> thread -> unit

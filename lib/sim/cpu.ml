@@ -715,17 +715,12 @@ let utilization t =
 let iter_procs t f =
   Array.iter (function Some p -> f p | None -> ()) t.procs
 
-let register_metrics t m ~prefix =
-  let module Metrics = Lrp_trace.Metrics in
-  Metrics.gauge m (prefix ^ ".time_hard_us") (fun () -> time_hard t);
-  Metrics.gauge m (prefix ^ ".time_soft_us") (fun () -> time_soft t);
-  Metrics.gauge m (prefix ^ ".time_user_us") (fun () -> time_user t);
-  Metrics.gauge m (prefix ^ ".time_idle_us") (fun () -> time_idle t);
-  Metrics.gauge m (prefix ^ ".ctx_switches") (fun () ->
-      float_of_int t.n_ctx_switch);
-  Metrics.gauge m (prefix ^ ".hard_dispatches") (fun () ->
-      float_of_int t.n_hard_dispatch);
-  Metrics.gauge m (prefix ^ ".soft_dispatches") (fun () ->
-      float_of_int t.n_soft_dispatch);
-  Metrics.gauge m (prefix ^ ".procs") (fun () -> float_of_int t.nprocs);
-  Sched.register_metrics t.sched m ~prefix:(prefix ^ ".sched")
+let counters t ~prefix =
+  let i name v = (prefix ^ name, float_of_int v) in
+  [ (prefix ^ ".time_hard_us", time_hard t);
+    (prefix ^ ".time_soft_us", time_soft t);
+    (prefix ^ ".time_user_us", time_user t);
+    (prefix ^ ".time_idle_us", time_idle t);
+    i ".ctx_switches" t.n_ctx_switch; i ".hard_dispatches" t.n_hard_dispatch;
+    i ".soft_dispatches" t.n_soft_dispatch; i ".procs" t.nprocs ]
+  @ Sched.counters t.sched ~prefix:(prefix ^ ".sched")

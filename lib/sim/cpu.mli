@@ -166,6 +166,6 @@ val set_tracer : t -> Lrp_trace.Trace.t -> unit
     and thread state changes into it; with no (or a disabled) tracer every
     emission is a single branch. *)
 
-val register_metrics : t -> Lrp_trace.Metrics.t -> prefix:string -> unit
-(** Expose CPU time split, dispatch/switch counts, process count and the
-    scheduler's gauges under [prefix]. *)
+val counters : t -> prefix:string -> (string * float) list
+(** CPU time split, dispatch/switch counts, process count and the
+    scheduler's {!Sched.counters}, named under [prefix]. *)

@@ -1,5 +1,5 @@
-(* Packed flight recorder: the storage and codec layer under Trace's
-   packed backend.
+(* Packed flight recorder: the storage and codec layer under every Trace
+   tracer.
 
    Events live in four parallel ring columns (SoA, like the packet arenas
    in lib/core): an int kind, a flat float timestamp, an int ident (the
@@ -39,16 +39,9 @@ let create ?(capacity = 65536) ~clock () =
     acol = [||]; head = 0; count = 0; seq = 0; lost = 0;
     stab = Hashtbl.create 16; strs = [||]; nstr = 0 }
 
-let capacity t = t.cap
 let length t = t.count
 let dropped t = t.lost
 let recorded t = t.seq
-
-let clear t =
-  t.head <- 0;
-  t.count <- 0;
-  t.seq <- 0;
-  t.lost <- 0
 
 (* --- argument packing --------------------------------------------------- *)
 
@@ -132,6 +125,9 @@ let iter t f =
 
 let magic = "LRPREC01"
 
+(* Kind codes Trace defines (0 .. kinds - 1); the reader rejects others. *)
+let kinds = 24
+
 let add_word buf v =
   let b = Bytes.create 8 in
   Bytes.set_int64_le b 0 v;
@@ -190,6 +186,7 @@ let of_string s =
     let* lost = int () in
     let* nstr = int () in
     if count < 0 || nstr < 0 then fail "negative count"
+    else if count > (len - !pos) / 32 then fail "truncated records"
     else begin
       let t = create ~capacity:(max 1 count) ~clock:[| 0. |] () in
       let rec strings i =
@@ -197,7 +194,8 @@ let of_string s =
         else
           let* n = int () in
           let padded = n + ((8 - (n mod 8)) mod 8) in
-          if n < 0 || !pos + padded > len then fail "truncated string table"
+          if n < 0 || n > len - !pos || padded > len - !pos then
+            fail "truncated string table"
           else begin
             ignore (intern t (String.sub s !pos n));
             pos := !pos + padded;
@@ -209,14 +207,17 @@ let of_string s =
         if i = count then Ok ()
         else
           let* kind = int () in
-          let* bits = word () in
-          let* ident = int () in
-          let* arg = int () in
-          record t ~kind ~ident ~a:(unpack_a arg) ~b:(unpack_b arg);
-          (* [record] stamped from the dummy clock; restore the dump's
-             timestamp. *)
-          t.tcol.((t.head + t.cap - 1) mod t.cap) <- Int64.float_of_bits bits;
-          records (i + 1)
+          if kind < 0 || kind >= kinds then
+            fail (Printf.sprintf "unknown event kind %d" kind)
+          else
+            let* bits = word () in
+            let* ident = int () in
+            let* arg = int () in
+            record t ~kind ~ident ~a:(unpack_a arg) ~b:(unpack_b arg);
+            (* [record] stamped from the dummy clock; restore the dump's
+               timestamp. *)
+            t.tcol.((t.head + t.cap - 1) mod t.cap) <- Int64.float_of_bits bits;
+            records (i + 1)
       in
       let* () = records 0 in
       if !pos <> len then fail "trailing bytes"

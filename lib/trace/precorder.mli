@@ -1,6 +1,6 @@
 (** Packed flight recorder: SoA ring storage for trace events.
 
-    The zero-allocation backend behind {!Trace}'s packed mode.  Each event
+    The zero-allocation storage behind every {!Trace} tracer.  Each event
     is four fixed-width words spread over parallel ring columns — int
     kind, flat float timestamp, int ident, and one int packing the
     event's two small arguments ([a]/[b], each 31 bits with a [-1]
@@ -21,7 +21,6 @@ val create : ?capacity:int -> clock:float array -> unit -> t
     owner's 1-slot time array; slot 0 is read at each {!record}.  Columns
     are allocated lazily on the first recorded event. *)
 
-val capacity : t -> int
 val length : t -> int
 
 val dropped : t -> int
@@ -29,8 +28,6 @@ val dropped : t -> int
 
 val recorded : t -> int
 (** Total events ever recorded (monotone; sequence numbers come from it). *)
-
-val clear : t -> unit
 
 val record : t -> kind:int -> ident:int -> a:int -> b:int -> unit
 (** Append one event stamped with the current clock value.  [a] and [b]
@@ -66,7 +63,12 @@ val iter :
 val dump_to_buffer : Buffer.t -> t -> unit
 val write_dump : t -> string -> unit
 
+val kinds : int
+(** Number of event kind codes {!Trace} defines (codes [0 .. kinds - 1]). *)
+
 val of_string : string -> (t, string) result
-(** Parse a dump; the error string includes the failing byte offset. *)
+(** Parse a dump; the error string includes the failing byte offset.
+    A header claiming more records than the bytes that follow, or a record
+    whose kind code is not below {!kinds}, is an [Error]. *)
 
 val read_dump : string -> (t, string) result

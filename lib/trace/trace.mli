@@ -1,17 +1,18 @@
 (** Structured packet-lifecycle and scheduler tracing.
 
-    One tracer per simulated kernel: a bounded ring buffer of typed events,
-    each stamped with the owning engine's virtual time and a monotonically
-    increasing sequence number.  There is deliberately no global tracer —
-    parallel sweeps run one simulation per domain, and every kernel records
-    only into its own buffer, so tracing can never perturb results or race
-    across domains.
+    One tracer per simulated kernel, backed by a {!Precorder} flight
+    recorder: a bounded SoA ring where each event is four words, stamped
+    with the owning engine's virtual time and a monotonically increasing
+    sequence number.  {!events} decodes the ring back to typed events for
+    the sinks.  There is deliberately no global tracer — parallel sweeps
+    run one simulation per domain, and every kernel records only into its
+    own ring, so tracing can never perturb results or race across domains.
 
-    Zero cost when disabled: every emitter takes immediate arguments and
-    checks {!enabled} (plus the event-class filter) {e before} allocating
-    the event, so a disabled tracer costs one branch per call site and
-    allocates nothing.  The ring's backing array itself is only allocated
-    on the first recorded event. *)
+    Every emitter takes immediate arguments and checks {!enabled} (plus
+    the event-class filter) first, so a disabled tracer costs one branch
+    per call site; an enabled one writes four words and allocates nothing
+    (notes aside: their text is formatted and interned).
+    The ring's columns are only allocated on the first recorded event. *)
 
 type t
 
@@ -79,42 +80,30 @@ type event =
 (** Event classes, for filtering at record time. *)
 type cls = Packet_events | Sched_events | Note_events
 
-val class_of_event : event -> cls
-
-val create : ?capacity:int -> name:string -> now:(unit -> float) -> unit -> t
-(** [create ~name ~now ()] makes a tracer recording up to [capacity]
+val create : ?capacity:int -> name:string -> clock:float array -> unit -> t
+(** [create ~name ~clock ()] makes a tracer recording up to [capacity]
     (default 65536) events; older events are overwritten once full.
-    [now] supplies virtual-time stamps.  Starts disabled. *)
+    Timestamps are read from [clock.(0)] (pass the owning engine's
+    {!Lrp_engine.Engine.clock_cell}).  Starts disabled. *)
 
 val null : unit -> t
-(** A tracer that is disabled and records nothing; cheap placeholder for
+(** A disabled tracer with a private one-slot clock; cheap placeholder for
     components created without a kernel. *)
 
-val name : t -> string
 val enabled : t -> bool
 val set_enabled : t -> bool -> unit
 
 val set_filter : t -> cls list -> unit
 (** Record only the given classes (default: all). *)
 
-val use_packed : t -> clock:float array -> unit
-(** Install the packed flight-recorder backend: subsequent events are
-    encoded into a {!Precorder} SoA ring (four word stores, zero minor
-    allocation per event) instead of the typed entry ring, with
-    timestamps copied from [clock.(0)] (pass the owning engine's
-    {!Lrp_engine.Engine.clock_cell}).  {!events} decodes packed entries
-    back to typed ones, so every sink works unchanged.  Events recorded
-    before the switch are discarded. *)
-
-val packed : t -> Precorder.t option
-(** The packed backend, when installed — for binary dumps
+val recorder : t -> Precorder.t
+(** The tracer's flight recorder, for binary dumps
     ({!Precorder.write_dump}). *)
 
 val events_of_precorder : Precorder.t -> (float * int * event) list
 (** Decode a packed ring (e.g. one read back from a binary dump) to typed
     events, oldest first. *)
 
-val clear : t -> unit
 val length : t -> int
 
 val dropped : t -> int
@@ -170,14 +159,12 @@ val to_text : Buffer.t -> t -> unit
 val to_csv : Buffer.t -> t -> unit
 (** [seq,ts_us,class,event,pkt,a,b,detail] rows with a header line. *)
 
-val chrome_json : t -> Json.t
+val to_chrome : Buffer.t -> t -> unit
 (** Chrome [trace_event] document ({["{\"traceEvents\": [...]}"]}),
     loadable in Perfetto / about://tracing.  Interrupt activity becomes
     duration ("B"/"E") slices and lifecycle events instants, spread over
     one track per CPU context (nic / hardintr / softintr / process) plus
     one per channel and per socket. *)
-
-val to_chrome : Buffer.t -> t -> unit
 
 val write_file : t -> format:[ `Chrome | `Csv | `Text ] -> string -> unit
 

@@ -33,9 +33,8 @@ let n_seeds =
 
 let failures_dir = "_fuzz_failures"
 
-(* Repro artifacts: the fault script as JSON, and — when the kernel's
-   tracer runs on the packed backend (the default) — the flight
-   recorder's binary dump, so the post-mortem event stream ships with
+(* Repro artifacts: the fault script as JSON, and the kernel's flight
+   recorder as a binary dump, so the post-mortem event stream ships with
    the failing seed. *)
 let save_failure ?tracer script arch =
   if not (Sys.file_exists failures_dir) then Sys.mkdir failures_dir 0o755;
@@ -44,12 +43,10 @@ let save_failure ?tracer script arch =
       (Kernel.arch_name arch)
   in
   Fault_script.save script (base ^ ".json");
-  (match tracer with
-  | Some tr -> (
-      match Trace.packed tr with
-      | Some p -> Lrp_trace.Precorder.write_dump p (base ^ ".lrprec")
-      | None -> ())
-  | None -> ());
+  Option.iter
+    (fun tr ->
+      Lrp_trace.Precorder.write_dump (Trace.recorder tr) (base ^ ".lrprec"))
+    tracer;
   base ^ ".json"
 
 let fail_run ?tracer script arch what =

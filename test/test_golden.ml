@@ -37,9 +37,7 @@ let kernel_summary b k =
         r.intr_victim r.soft_victim r.proto r.poll r.app)
     (Ledger.rows (Cpu.ledger cpu));
   Printf.bprintf b "nic tx=%d rx=%d\n" nic.tx_packets nic.rx_packets;
-  match Trace.packed (Kernel.tracer k) with
-  | Some p -> Precorder.dump_to_buffer b p
-  | None -> ()
+  Precorder.dump_to_buffer b (Trace.recorder (Kernel.tracer k))
 
 let digest_of_engine engine kernels extra =
   let b = Buffer.create 4096 in

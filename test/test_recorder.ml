@@ -93,41 +93,75 @@ let emit_all t clock =
   Trace.alarm t ~alarm:Trace.Overload ~a:200 ~b:30;
   Trace.alarm t ~alarm:Trace.Livelock ~a:200 ~b:95;
   Trace.alarm t ~alarm:Trace.Starvation ~a:2 ~b:95;
-  Trace.alarm t ~alarm:Trace.Queue_watermark ~a:1 ~b:64
+  Trace.alarm t ~alarm:Trace.Queue_watermark ~a:1 ~b:64;
+  tick 8.;
+  Trace.poll_begin t ~q:1 ~pending:5;
+  Trace.poll_end t ~q:1 ~served:4;
+  Trace.coalesce_fire t ~q:0 ~pending:8;
+  Trace.gro_merge t ~pkt:14 ~into:13;
+  Trace.gro_flush t ~pkt:13 ~segs:2
 
-let make_typed () =
+(* What [emit_all] must decode to, written out by hand. *)
+let emit_all_expected =
+  let open Trace in
+  List.mapi
+    (fun seq (ts, ev) -> (ts, seq, ev))
+    [ (1., Nic_rx { pkt = 7; bytes = 1500 });
+      (1., Demux { pkt = 7; chan = 3; flow = 9000 });
+      (2., Ipq_enqueue { pkt = 7; qlen = 4 });
+      (2., Ipq_drop { pkt = 8; qlen = 64 });
+      (2., Early_discard { pkt = 9; chan = 3 });
+      (3.5, Softint_begin { pkt = 7 });
+      (3.5, Proto_deliver { pkt = 7; conn = 11; in_proc = false });
+      (3.5, Proto_deliver { pkt = 7; conn = -1; in_proc = true });
+      (3.5, Softint_end { pkt = 7 });
+      (4., Sock_enqueue { pkt = 7; sock = 2 });
+      (4., Sock_drop { pkt = 10; sock = 2 });
+      (4., Syscall_copyout { pkt = 7; sock = 2; bytes = 1472 });
+      (4., Csum_drop { pkt = 11 });
+      (4., Mbuf_drop { pkt = 12 });
+      (5., Intr_enter { level = Hard; label = "rx-intr" });
+      (5., Intr_exit { level = Hard; label = "rx-intr" });
+      (5., Intr_enter { level = Soft; label = "softnet" });
+      (5., Intr_exit { level = Soft; label = "softnet" });
+      (6., Ctx_switch { from_pid = 1; to_pid = 2 });
+      (6., Thread_state { pid = 2; state = Spawned });
+      (6., Thread_state { pid = 2; state = Runnable });
+      (6., Thread_state { pid = 2; state = Sleeping });
+      (6., Thread_state { pid = 2; state = Exited });
+      (7., Note "checkpoint");
+      (7., Note "formatted 42");
+      (7., Alarm { alarm = Overload; a = 200; b = 30 });
+      (7., Alarm { alarm = Livelock; a = 200; b = 95 });
+      (7., Alarm { alarm = Starvation; a = 2; b = 95 });
+      (7., Alarm { alarm = Queue_watermark; a = 1; b = 64 });
+      (8., Poll_begin { q = 1; pending = 5 });
+      (8., Poll_end { q = 1; served = 4 });
+      (8., Coalesce_fire { q = 0; pending = 8 });
+      (8., Gro_merge { pkt = 14; into = 13 });
+      (8., Gro_flush { pkt = 13; segs = 2 }) ]
+
+let make_tracer () =
   let clock = [| 0. |] in
-  let t = Trace.create ~name:"typed" ~now:(fun () -> clock.(0)) () in
+  let t = Trace.create ~name:"recorder" ~clock () in
   Trace.set_enabled t true;
   (t, clock)
 
-let make_packed () =
-  let clock = [| 0. |] in
-  let t = Trace.create ~name:"packed" ~now:(fun () -> clock.(0)) () in
-  Trace.use_packed t ~clock;
-  Trace.set_enabled t true;
-  (t, clock)
+let events =
+  Alcotest.(list (triple (float 0.) int (testable Trace.pp_event ( = ))))
 
 let test_packed_typed_equal () =
-  let typed, tclock = make_typed () in
-  let packed, pclock = make_packed () in
-  emit_all typed tclock;
-  emit_all packed pclock;
-  Alcotest.(check bool) "packed backend is installed" true
-    (Trace.packed packed <> None);
-  Alcotest.(check int) "same event count" (Trace.length typed)
-    (Trace.length packed);
-  Alcotest.(check bool) "packed decodes to the typed stream" true
-    (Trace.events typed = Trace.events packed)
+  let t, clock = make_tracer () in
+  emit_all t clock;
+  Alcotest.check events "packed ring decodes to the emitted events"
+    emit_all_expected (Trace.events t)
 
 (* --- binary dump round-trip -------------------------------------------- *)
 
 let test_dump_roundtrip () =
-  let packed, clock = make_packed () in
-  emit_all packed clock;
-  let p =
-    match Trace.packed packed with Some p -> p | None -> assert false
-  in
+  let t, clock = make_tracer () in
+  emit_all t clock;
+  let p = Trace.recorder t in
   let file = Filename.temp_file "lrprec" ".bin" in
   Precorder.write_dump p file;
   let q =
@@ -138,18 +172,48 @@ let test_dump_roundtrip () =
   Sys.remove file;
   Alcotest.(check int) "length survives the dump" (Precorder.length p)
     (Precorder.length q);
-  Alcotest.(check bool) "decoded events identical" true
-    (Trace.events_of_precorder p = Trace.events_of_precorder q);
-  Alcotest.(check bool) "dump events match the typed view" true
-    (Trace.events_of_precorder q = Trace.events packed)
+  Alcotest.check events "dump decodes to the emitted events"
+    emit_all_expected
+    (Trace.events_of_precorder q)
+
+(* A dump header claiming [count] records, then [records] 4-word records
+   of [kind]; with [str_len], a one-entry string table whose length word
+   is [str_len] and whose bytes are missing. *)
+let dump_bytes ?str_len ~count ~records ~kind () =
+  let b = Buffer.create 128 in
+  let word v =
+    let w = Bytes.create 8 in
+    Bytes.set_int64_le w 0 (Int64.of_int v);
+    Buffer.add_bytes b w
+  in
+  Buffer.add_string b "LRPREC01";
+  List.iter word [ count; count; 0; (if str_len = None then 0 else 1) ];
+  Option.iter word str_len;
+  for _ = 1 to records do
+    List.iter word [ kind; 0; 1; 0 ]
+  done;
+  Buffer.contents b
 
 let test_dump_rejects_garbage () =
-  (match Precorder.of_string "not a dump" with
-  | Ok _ -> Alcotest.fail "garbage accepted"
-  | Error _ -> ());
-  match Precorder.of_string "LRPREC01\x01\x02" with
-  | Ok _ -> Alcotest.fail "truncated dump accepted"
-  | Error _ -> ()
+  let rejects what s =
+    match Precorder.of_string s with
+    | Ok _ -> Alcotest.fail (what ^ " accepted")
+    | Error _ -> ()
+  in
+  rejects "garbage" "not a dump";
+  rejects "truncated dump" "LRPREC01\x01\x02";
+  (* 72 bytes whose header claims 2^40 records: rejected before the ring
+     is sized for them. *)
+  rejects "oversized record count"
+    (dump_bytes ~count:(1 lsl 40) ~records:1 ~kind:0 ());
+  rejects "unknown kind code" (dump_bytes ~count:1 ~records:1 ~kind:999 ());
+  (* A length whose padding overflows must not wrap past the bounds check. *)
+  rejects "overflowing string length"
+    (dump_bytes ~str_len:(max_int - 3) ~count:0 ~records:0 ~kind:0 ());
+  match Precorder.of_string (dump_bytes ~count:1 ~records:1 ~kind:0 ()) with
+  | Ok p ->
+      Alcotest.(check int) "well-formed dump reads back" 1 (Precorder.length p)
+  | Error e -> Alcotest.fail ("well-formed dump rejected: " ^ e)
 
 (* --- non-perturbation: recorder on/off, any --jobs --------------------- *)
 
@@ -162,7 +226,7 @@ let test_recorder_does_not_perturb () =
   List.iter
     (fun sys ->
       let off = Fig3.measure sys ~rate:12_000. ~duration:(Time.ms 300.) in
-      let on_, tracer, _metrics =
+      let on_, tracer, _counters =
         Fig3.measure_traced sys ~rate:12_000. ~duration:(Time.ms 300.)
       in
       Alcotest.check point

@@ -1,15 +1,16 @@
-(* Tests for the structured tracing + metrics subsystem: ring-buffer
-   semantics, sink well-formedness, the stage-latency report, and — most
-   importantly — that tracing never perturbs simulation results. *)
+(* Tests for the structured tracing subsystem and the kernel counters:
+   ring-buffer semantics, sink well-formedness, the stage-latency report,
+   and — most importantly — that tracing never perturbs simulation
+   results. *)
 
 open Lrp_trace
 open Lrp_experiments
 
-let clock = ref 0.
+let clock = [| 0. |]
 
 let make_tracer ?capacity () =
-  clock := 0.;
-  let t = Trace.create ?capacity ~name:"test" ~now:(fun () -> !clock) () in
+  clock.(0) <- 0.;
+  let t = Trace.create ?capacity ~name:"test" ~clock () in
   Trace.set_enabled t true;
   t
 
@@ -18,7 +19,7 @@ let make_tracer ?capacity () =
 let test_ring_overwrite () =
   let t = make_tracer ~capacity:4 () in
   for i = 1 to 6 do
-    clock := float_of_int i;
+    clock.(0) <- float_of_int i;
     Trace.nic_rx t ~pkt:i ~bytes:100
   done;
   Alcotest.(check int) "length capped" 4 (Trace.length t);
@@ -33,8 +34,7 @@ let test_ring_overwrite () =
   Alcotest.(check (list int)) "oldest overwritten first" [ 3; 4; 5; 6 ] pkts
 
 let test_disabled_records_nothing () =
-  clock := 0.;
-  let t = Trace.create ~name:"off" ~now:(fun () -> !clock) () in
+  let t = Trace.create ~name:"off" ~clock () in
   Trace.nic_rx t ~pkt:1 ~bytes:100;
   Trace.softint_begin t ~pkt:1;
   Trace.notef t "costly %d" (1 + 1);
@@ -58,7 +58,7 @@ let test_event_ordering () =
   let t = make_tracer () in
   List.iter
     (fun ts ->
-      clock := ts;
+      clock.(0) <- ts;
       Trace.nic_rx t ~pkt:(int_of_float ts) ~bytes:14)
     [ 1.; 2.; 5.; 9. ];
   let stamps = List.map (fun (ts, _, _) -> ts) (Trace.events t) in
@@ -71,13 +71,13 @@ let test_event_ordering () =
 
 let test_chrome_roundtrip () =
   let t = make_tracer () in
-  clock := 1.;
+  clock.(0) <- 1.;
   Trace.nic_rx t ~pkt:7 ~bytes:42;
   Trace.intr_enter t ~level:Trace.Hard ~label:"rx-intr";
-  clock := 3.;
+  clock.(0) <- 3.;
   Trace.intr_exit t ~level:Trace.Hard ~label:"rx-intr";
   Trace.demux t ~pkt:7 ~chan:2 ~flow:9000;
-  clock := 5.;
+  clock.(0) <- 5.;
   Trace.sock_enqueue t ~pkt:7 ~sock:3;
   Trace.note t "with \"quotes\" and\nnewline";
   let buf = Buffer.create 256 in
@@ -99,13 +99,13 @@ let test_chrome_roundtrip () =
 let test_chrome_spans_balanced_under_overwrite () =
   (* A ring that wrapped mid-span must not emit an unmatched "E". *)
   let t = make_tracer ~capacity:3 () in
-  clock := 1.;
+  clock.(0) <- 1.;
   Trace.intr_enter t ~level:Trace.Soft ~label:"softnet";
-  clock := 2.;
+  clock.(0) <- 2.;
   Trace.intr_exit t ~level:Trace.Soft ~label:"softnet";
-  clock := 3.;
+  clock.(0) <- 3.;
   Trace.intr_enter t ~level:Trace.Soft ~label:"softnet";
-  clock := 4.;
+  clock.(0) <- 4.;
   Trace.intr_exit t ~level:Trace.Soft ~label:"softnet";
   (* capacity 3: the first enter fell off; first event is now an exit *)
   Alcotest.(check int) "ring wrapped" 1 (Trace.dropped t);
@@ -154,31 +154,6 @@ let test_json_parser () =
   match Json.parse "{} trailing" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "trailing garbage accepted"
-
-(* --- metrics ----------------------------------------------------------- *)
-
-let test_metrics_registry () =
-  let m = Metrics.create () in
-  let c = Metrics.counter m "rx.frames" in
-  Metrics.incr c;
-  Metrics.add c 4;
-  Alcotest.(check int) "counter value" 5 (Metrics.counter_value c);
-  let c' = Metrics.counter m "rx.frames" in
-  Metrics.incr c';
-  Alcotest.(check int) "same name, same counter" 6 (Metrics.counter_value c);
-  Metrics.gauge m "a.gauge" (fun () -> 7.5);
-  let h = Metrics.histogram m "lat" in
-  Metrics.observe h 10.;
-  Metrics.observe h 20.;
-  let snap = Metrics.snapshot m in
-  let names = List.map fst snap in
-  Alcotest.(check (list string))
-    "snapshot sorted by name"
-    (List.sort compare names) names;
-  Alcotest.(check (float 1e-9)) "gauge sampled" 7.5 (List.assoc "a.gauge" snap);
-  Alcotest.(check (float 1e-9)) "counter" 6. (List.assoc "rx.frames" snap);
-  Alcotest.(check (float 1e-9)) "hist count" 2. (List.assoc "lat.count" snap);
-  Alcotest.(check (float 1e-9)) "hist mean" 15. (List.assoc "lat.mean" snap)
 
 (* --- simulation integration ------------------------------------------- *)
 
@@ -271,9 +246,53 @@ let test_kernel_metrics_snapshot () =
   Alcotest.(check bool)
     "cpu softint time accrued" true
     (get "cpu.time_soft_us" > 0.);
-  let names = List.map fst snap in
+  (* The full name list of a BSD run, in order. *)
   Alcotest.(check (list string))
-    "snapshot sorted" (List.sort compare names) names
+    "counter names, sorted"
+    [ "cpu.ctx_switches"; "cpu.hard_dispatches"; "cpu.procs";
+      "cpu.sched.loadavg"; "cpu.sched.runnable"; "cpu.sched.threads";
+      "cpu.soft_dispatches"; "cpu.time_hard_us"; "cpu.time_idle_us";
+      "cpu.time_soft_us"; "cpu.time_user_us"; "engine.pour_skipped";
+      "engine.sched_heap"; "engine.sched_wheel"; "engine.timers_cancelled";
+      "engine.timers_fired"; "engine.timers_scheduled"; "kernel.channels";
+      "kernel.csum_drops"; "kernel.demux_drops"; "kernel.early_discards";
+      "kernel.edemux_early_drops"; "kernel.forwarded"; "kernel.fwd_drops";
+      "kernel.ipq_drops"; "kernel.ipq_hwm"; "kernel.ipq_len";
+      "kernel.mbuf_drops"; "kernel.no_port_drops"; "kernel.rsts_sent";
+      "kernel.rx_frames"; "kernel.rx_wrong_peer"; "kernel.tcp_delivered";
+      "kernel.udp_delivered"; "nic.ifq_len"; "nic.rx_packets";
+      "nic.rxq_drops"; "nic.rxq_kicks"; "nic.tx_bytes"; "nic.tx_drops";
+      "nic.tx_packets"; "reasm.completed"; "reasm.pending";
+      "reasm.timed_out"; "tcp.bytes_rcvd"; "tcp.bytes_sent";
+      "tcp.retransmits"; "tcp.segs_rcvd"; "tcp.segs_sent";
+      "tcp.syn_drops_backlog" ]
+    (List.map fst snap);
+  (* Added interfaces report under nic1, nic2, ... *)
+  let open Lrp_net in
+  let engine = Lrp_engine.Engine.create () in
+  let fabric () = Fabric.create engine () in
+  let gw =
+    Lrp_kernel.Kernel.create engine (fabric ()) ~name:"gw"
+      ~ip:(Packet.ip_of_quad 10 0 0 1)
+      (Lrp_kernel.Kernel.default_config Lrp_kernel.Kernel.Bsd)
+  in
+  List.iter
+    (fun net ->
+      ignore
+        (Lrp_kernel.Kernel.add_interface gw (fabric ())
+           ~ip:(Packet.ip_of_quad 10 0 net 1) ()))
+    [ 1; 2 ];
+  let nic_prefixes =
+    List.sort_uniq compare
+      (List.filter_map
+         (fun (k, _) ->
+           match String.split_on_char '.' k with
+           | p :: _ when String.starts_with ~prefix:"nic" p -> Some p
+           | _ -> None)
+         (Lrp_kernel.Kernel.counters gw))
+  in
+  Alcotest.(check (list string))
+    "one prefix per interface" [ "nic"; "nic1"; "nic2" ] nic_prefixes
 
 let suite =
   [ Alcotest.test_case "ring overwrite" `Quick test_ring_overwrite;
@@ -286,12 +305,11 @@ let suite =
       test_chrome_spans_balanced_under_overwrite;
     Alcotest.test_case "csv and text sinks" `Quick test_csv_and_text;
     Alcotest.test_case "json parser" `Quick test_json_parser;
-    Alcotest.test_case "metrics registry" `Quick test_metrics_registry;
+    Alcotest.test_case "kernel metrics snapshot" `Quick
+      test_kernel_metrics_snapshot;
     Alcotest.test_case "tracing does not perturb results" `Quick
       test_tracing_is_free_of_side_effects;
     Alcotest.test_case "traced sweep: jobs 1 = jobs 4" `Quick
       test_jobs_determinism_with_tracing;
     Alcotest.test_case "stage-latency report (BSD vs NI-LRP)" `Quick
-      test_stage_latency_report;
-    Alcotest.test_case "kernel metrics snapshot" `Quick
-      test_kernel_metrics_snapshot ]
+      test_stage_latency_report ]
