@@ -34,7 +34,8 @@ let run arch ~fwd_nice ~flood_rate =
   ignore
     (Cpu.spawn (Kernel.cpu gw) ~name:"local-app" (fun _ ->
          let rec loop () =
-           Proc.compute 1_000.;
+           (Cpu.cost_cell (Kernel.cpu gw)).(0) <- 1_000.;
+           Cpu.compute (Kernel.cpu gw);
            app_work := !app_work +. 1_000.;
            loop ()
          in

@@ -483,8 +483,15 @@ and chain_arity (e : expression) =
 (* Float-boxing at a call into the analyzed set: freshly computed float
    arguments box at the boundary (already-boxed floats — constants,
    variables — are passed as-is), a bare-float return boxes in the
-   callee, and a float passed at a polymorphic type is always boxed. *)
+   callee, and a float passed at a polymorphic type is always boxed.  A
+   call to a [let[@inline]] function of the same unit has no boundary:
+   ocamlopt inlines it even under [-opaque] (which only hides other
+   units' bodies), so its floats stay unboxed. *)
 and float_box_checks ctx (e : expression) f args m fn =
+  if not (fn.Cmtload.fn_inline && m.Cmtload.md_key = ctx.current.Cmtload.md_key)
+  then float_box_at_call ctx e f args m fn
+
+and float_box_at_call ctx (e : expression) f args m fn =
   let callee =
     Cmtload.short_of m.Cmtload.md_key ^ "." ^ fn.Cmtload.fn_name
   in

@@ -17,6 +17,7 @@ type func = {
   fn_ident : Ident.t;
   fn_expr : Typedtree.expression;
   fn_line : int;
+  fn_inline : bool;  (* declared [let[@inline] ...] *)
 }
 
 type modl = {
@@ -51,6 +52,20 @@ let rec pat_idents : type k. k Typedtree.general_pattern -> Ident.t list =
   | Tpat_exception p -> pat_idents p
   | _ -> []
 
+(* [@inline] / [@ocaml.inline] (but not [@inline never]). *)
+let is_inline (a : Parsetree.attribute) =
+  match a.attr_name.txt with
+  | "inline" | "ocaml.inline" -> (
+      match a.attr_payload with
+      | PStr [] -> true
+      | PStr
+          [ { pstr_desc =
+                Pstr_eval ({ pexp_desc = Pexp_ident { txt = Lident "always"; _ }; _ }, _);
+              _ } ] ->
+          true
+      | _ -> false)
+  | _ -> false
+
 let funcs_of_structure (str : Typedtree.structure) =
   let funcs = ref [] in
   let top_ids = ref [] in
@@ -69,6 +84,7 @@ let funcs_of_structure (str : Typedtree.structure) =
                     fn_ident = id;
                     fn_expr = vb.vb_expr;
                     fn_line = vb.vb_loc.loc_start.pos_lnum;
+                    fn_inline = List.exists is_inline vb.vb_attributes;
                   }
                   :: !funcs
             | _ -> ())

@@ -1,7 +1,7 @@
 (** Socket system calls.
 
     Every function here runs in simulated process context (inside a
-    {!Lrp_sim.Proc} coroutine) and charges CPU through {!Lrp_sim.Proc.compute}.
+    {!Lrp_sim.Proc} coroutine) and charges CPU through {!Lrp_sim.Cpu.compute}.
     This is where the architectural difference on the receive path is most
     visible:
 
@@ -29,6 +29,14 @@ type dgram = Socket.udp_datagram = {
 exception Socket_closed
 
 let c (k : Kernel.t) = Kernel.costs k
+
+(* Charge [d] microseconds of CPU to the calling process.  Inlined, so a
+   computed cost is stored straight into the CPU's staged-cost cell: the
+   build inlines nothing across modules ([-opaque]), and a float passed to
+   a call that is not inlined is boxed. *)
+let[@inline] compute (k : Kernel.t) d =
+  (Cpu.cost_cell k.Kernel.cpu).(0) <- d;
+  Cpu.compute k.Kernel.cpu
 
 (* Number of IP fragments a datagram of [bytes] payload needs. *)
 let frag_count (k : Kernel.t) ~header ~bytes =
@@ -128,7 +136,7 @@ let sendto k ~(self : Proc.t) (sock : Socket.t) ~dst:(dip, dport) payload =
   in
   let len = Payload.length payload in
   let frags = frag_count k ~header:Packet.udp_header_bytes ~bytes:len in
-  Proc.compute
+  compute k
     ((c k).Cost.syscall
      +. ((c k).Cost.copy_per_byte *. float_of_int len)
      +. Kernel.udp_send_cost k ~frags);
@@ -150,30 +158,31 @@ let udp_connect _k (sock : Socket.t) ~remote = sock.Socket.remote <- Some remote
 (* UDP receive                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let pop_ready k (sock : Socket.t) =
-  match Queue.take_opt sock.Socket.udp_rcv with
-  | None -> None
-  | Some dg ->
-      let len = Payload.length dg.Socket.dg_payload in
-      let dequeue_cost =
-        (* BSD dequeues from the socket buffer, walking and freeing the
-           mbuf chain; LRP's ready queue is a plain channel-style queue. *)
-        match k.Kernel.proto with
-        | Kernel.Lazy -> (c k).Cost.sockq
-        | Kernel.Eager -> (c k).Cost.sockbuf_op +. (c k).Cost.mbuf_free
-      in
-      Proc.compute
-        (dequeue_cost +. ((c k).Cost.copy_per_byte *. float_of_int len));
-      (* The copyout frees the mbuf chain: by the handle carried from the
-         driver's allocation when the datagram has one, else by its wire
-         footprint (non-fragment UDP: IP + UDP headers + payload). *)
-      Kernel.free_rx_pkt k ~mh:dg.Socket.dg_mbuf
-        (len + Packet.ip_header_bytes + Packet.udp_header_bytes);
-      sock.Socket.stats.Socket.rx_delivered <-
-        sock.Socket.stats.Socket.rx_delivered + 1;
-      Lrp_trace.Trace.syscall_copyout (Kernel.tracer k)
-        ~pkt:dg.Socket.dg_pkt ~sock:sock.Socket.id ~bytes:len;
-      Some dg
+(* Copy the datagram at the head of the (non-empty) socket queue out to
+   the caller. *)
+let take_ready k (sock : Socket.t) =
+  let dg = Queue.take sock.Socket.udp_rcv in
+  let len = Payload.length dg.Socket.dg_payload in
+  let c = c k in
+  (* BSD dequeues from the socket buffer, walking and freeing the mbuf
+     chain; LRP's ready queue is a plain channel-style queue. *)
+  compute k
+    ((match k.Kernel.proto with
+      | Kernel.Lazy -> c.Cost.sockq
+      | Kernel.Eager -> c.Cost.sockbuf_op +. c.Cost.mbuf_free)
+     +. (c.Cost.copy_per_byte *. float_of_int len));
+  (* The copyout frees the mbuf chain: by the handle carried from the
+     driver's allocation when the datagram has one, else by its wire
+     footprint (non-fragment UDP: IP + UDP headers + payload). *)
+  Kernel.free_rx_pkt k ~mh:dg.Socket.dg_mbuf
+    (len + Packet.ip_header_bytes + Packet.udp_header_bytes);
+  sock.Socket.stats.Socket.rx_delivered <-
+    sock.Socket.stats.Socket.rx_delivered + 1;
+  Lrp_trace.Trace.syscall_copyout (Kernel.tracer k)
+    ~pkt:dg.Socket.dg_pkt ~sock:sock.Socket.id ~bytes:len;
+  dg
+
+let ready (sock : Socket.t) = not (Queue.is_empty sock.Socket.udp_rcv)
 
 (* Nothing is ready on the socket queue.  Under LRP, take a raw packet off
    the socket's NI channel and process it now, in our own context; with
@@ -187,28 +196,38 @@ let await_ready k (sock : Socket.t) =
       end
   | None -> Proc.block sock.Socket.recv_wait
 
+let rec recv_blocking k (sock : Socket.t) =
+  if sock.Socket.closed then raise Socket_closed
+  else if ready sock then take_ready k sock
+  else begin
+    await_ready k sock;
+    recv_blocking k sock
+  end
+
 (* [recvfrom k ~self sock] blocks until a datagram is available and returns
    it.  Under LRP, performs the protocol processing lazily here. *)
 let recvfrom k ~(self : Proc.t) (sock : Socket.t) =
   ignore self;
   if sock.Socket.kind <> Socket.Dgram then
+    (* alloc: cold — misuse error *)
     invalid_arg "Api.recvfrom: datagram sockets only";
-  Proc.compute (c k).Cost.syscall;
-  let rec loop () =
-    if sock.Socket.closed then raise Socket_closed;
-    match pop_ready k sock with
-    | Some dg -> dg
-    | None ->
-        await_ready k sock;
-        loop ()
-  in
-  loop ()
+  compute k (c k).Cost.syscall;
+  recv_blocking k sock
+
+let rec recv_until k (sock : Socket.t) expired =
+  if sock.Socket.closed then None
+  else if ready sock then Some (take_ready k sock)
+  else if !expired then None
+  else begin
+    await_ready k sock;
+    recv_until k sock expired
+  end
 
 (* [recvfrom_timeout k ~self sock ~timeout] is [recvfrom] with a deadline:
    [None] if no datagram arrived in time. *)
 let recvfrom_timeout k ~(self : Proc.t) (sock : Socket.t) ~timeout =
   ignore self;
-  Proc.compute (c k).Cost.syscall;
+  compute k (c k).Cost.syscall;
   let engine = Kernel.engine k in
   let deadline = Lrp_engine.Engine.now engine +. timeout in
   let expired = ref false in
@@ -218,35 +237,22 @@ let recvfrom_timeout k ~(self : Proc.t) (sock : Socket.t) ~timeout =
     Lrp_engine.Engine.schedule_to engine ~at:deadline
       (Kernel.recv_timeout_target k) (sock, expired)
   in
-  let finish v =
-    Lrp_engine.Engine.cancel engine timer;
-    v
-  in
-  let rec loop () =
-    if sock.Socket.closed then finish None
-    else
-      match pop_ready k sock with
-      | Some _ as dg -> finish dg
-      | None when !expired -> finish None
-      | None ->
-          await_ready k sock;
-          loop ()
-  in
-  loop ()
+  let dg = recv_until k sock expired in
+  Lrp_engine.Engine.cancel engine timer;
+  dg
+
+let rec try_take k (sock : Socket.t) =
+  if ready sock then Some (take_ready k sock)
+  else
+    match sock.Socket.chan with
+    | Some ch when Kernel.lrp_recv_one k ch -> try_take k sock
+    | Some _ | None -> None
 
 (* Non-blocking variant: [None] when nothing is available right now. *)
 let try_recvfrom k ~(self : Proc.t) (sock : Socket.t) =
   ignore self;
-  Proc.compute (c k).Cost.syscall;
-  let rec poll () =
-    match pop_ready k sock with
-    | Some _ as dg -> dg
-    | None ->
-        (match sock.Socket.chan with
-         | Some ch when Kernel.lrp_recv_one k ch -> poll ()
-         | Some _ | None -> None)
-  in
-  poll ()
+  compute k (c k).Cost.syscall;
+  try_take k sock
 
 (* ------------------------------------------------------------------ *)
 (* TCP                                                                  *)
@@ -257,7 +263,7 @@ let tcp_listen k ~(self : Proc.t) (sock : Socket.t) ~port ~backlog =
     invalid_arg "Api.tcp_listen: stream sockets only";
   if Hashtbl.mem k.Kernel.tcp_listeners port then
     invalid_arg "Api.tcp_listen: port in use";
-  Proc.compute (c k).Cost.syscall;
+  compute k (c k).Cost.syscall;
   let cfg = Kernel.config k in
   let listener =
     Tcp.create_listener (Kernel.tcp_env_exn k) ~local_ip:(Kernel.ip_address k)
@@ -286,13 +292,13 @@ let conn_exn (sock : Socket.t) =
    available and returns a fresh socket for it, owned by [self]. *)
 let tcp_accept k ~(self : Proc.t) (sock : Socket.t) =
   let listener = listener_exn sock in
-  Proc.compute (c k).Cost.syscall;
+  compute k (c k).Cost.syscall;
   let rec loop () =
     if sock.Socket.closed then raise Socket_closed;
     match Tcp.accept_pop listener with
     | Some conn ->
         Kernel.update_listen_gate k listener;
-        Proc.compute (c k).Cost.sockq;
+        compute k (c k).Cost.sockq;
         let ns = Socket.create Socket.Stream in
         ns.Socket.port <- sock.Socket.port;
         ns.Socket.remote <- conn.Tcp.remote;
@@ -314,7 +320,7 @@ let tcp_connect k ~(self : Proc.t) (sock : Socket.t) ~remote =
     invalid_arg "Api.tcp_connect: stream sockets only";
   let cfg = Kernel.config k in
   let local_port = Kernel.fresh_port k in
-  Proc.compute ((c k).Cost.syscall +. Kernel.seg_out_cost k);
+  compute k ((c k).Cost.syscall +. Kernel.seg_out_cost k);
   let conn =
     Tcp.create_active (Kernel.tcp_env_exn k) ~local_ip:(Kernel.ip_address k)
       ~local_port ~remote ~sndq_limit:cfg.Kernel.sock_buf
@@ -343,13 +349,13 @@ let tcp_connect k ~(self : Proc.t) (sock : Socket.t) ~remote =
 let tcp_send k ~(self : Proc.t) (sock : Socket.t) payload =
   ignore self;
   let conn = conn_exn sock in
-  Proc.compute (c k).Cost.syscall;
+  compute k (c k).Cost.syscall;
   let rec push payload =
     let before = conn.Tcp.segs_sent in
     match Tcp.send conn payload with
     | `Sent n ->
         let emitted = conn.Tcp.segs_sent - before in
-        Proc.compute
+        compute k
           (((c k).Cost.copy_per_byte *. float_of_int n)
            +. (float_of_int emitted *. Kernel.seg_out_cost k));
         let len = Payload.length payload in
@@ -365,13 +371,13 @@ let tcp_send k ~(self : Proc.t) (sock : Socket.t) payload =
 let tcp_recv k ~(self : Proc.t) (sock : Socket.t) ~max =
   ignore self;
   let conn = conn_exn sock in
-  Proc.compute (c k).Cost.syscall;
+  compute k (c k).Cost.syscall;
   let rec loop () =
     let before = conn.Tcp.segs_sent in
     match Tcp.recv conn ~max with
     | `Data payload ->
         let emitted = conn.Tcp.segs_sent - before in
-        Proc.compute
+        compute k
           ((c k).Cost.sockq
            +. ((c k).Cost.copy_per_byte
                *. float_of_int (Payload.length payload))
@@ -399,11 +405,15 @@ let set_owner k (sock : Socket.t) ~(owner : Proc.t) =
 let close k ~(self : Proc.t) (sock : Socket.t) =
   ignore self;
   if not sock.Socket.closed then begin
-    Proc.compute (c k).Cost.syscall;
+    compute k (c k).Cost.syscall;
     sock.Socket.closed <- true;
     (match sock.Socket.kind with
      | Socket.Dgram ->
          (match sock.Socket.port with
+          | Some port when Hashtbl.mem k.Kernel.mcast_members port ->
+              (* A group member leaves the group: the shared channel stays
+                 with the other members until the last one goes. *)
+              leave_group k sock ~port
           | Some port ->
               Hashtbl.remove k.Kernel.udp_ports port;
               Kernel.close_channel k (Kernel.Udp_port (port, Some sock))
@@ -424,7 +434,7 @@ let close k ~(self : Proc.t) (sock : Socket.t) =
                 Tcp.close conn;
                 let emitted = conn.Tcp.segs_sent - before in
                 if emitted > 0 then
-                  Proc.compute
+                  compute k
                     (float_of_int emitted *. Kernel.seg_out_cost k)
               end
           | None -> ()));

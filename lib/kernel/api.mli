@@ -1,7 +1,7 @@
 (** Socket system calls.
 
     Every function here runs in simulated process context (inside a
-    {!Lrp_sim.Proc} coroutine) and charges CPU through {!Lrp_sim.Proc.compute}.
+    {!Lrp_sim.Proc} coroutine) and charges CPU through {!Lrp_sim.Cpu.compute}.
     This is where the architectural difference on the receive path is most
     visible:
 

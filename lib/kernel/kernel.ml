@@ -170,16 +170,39 @@ type app = {
    polling is handed to the queue's ksoftirqd process, which repolls under
    the fair scheduler until the ring drains — the mechanism that keeps a
    sane budget out of livelock (poll cycles compete with applications
-   instead of preempting them). *)
+   instead of preempting them).
+
+   The poll batch is a set of flat columns owned by the context, filled by
+   [napi_collect] and emptied by [napi_deliver_batch]: the packets in
+   delivery order with their mbuf handles, the batch's CPU cost, the
+   frames served, and the held GRO train.  One poller owns the queue at a
+   time (the softirq chain, or ksoftirqd once it has been handed the
+   queue), so a batch is never refilled before it is delivered. *)
 type napi = {
   nq : int;                              (* receive-queue index *)
   mutable poll_on : bool;
   mutable episode : int;                 (* packets served this episode *)
-  mutable last_poll : float;             (* when the last poll round ended *)
   mutable in_ksoftirqd : bool;
   ksoftirqd_wq : Proc.waitq;
   mutable ksoftirqd : Proc.t option;
+  b_pkts : Packet.t array;               (* the batch, in delivery order *)
+  b_mhs : Mbuf.handle array;             (* each batch packet's mbufs *)
+  mutable b_len : int;
+  mutable served : int;                  (* frames dequeued this round *)
+  nf : float array;                      (* [nf_cost], [nf_last_poll] *)
+  train : Packet.t array;                (* held GRO train, [gro_max_segs] *)
+  mutable train_len : int;
+  mutable train_udp : bool;
+  mutable train_next_seq : int;          (* TCP: the next in-order seq *)
 }
+
+(* Slots of [napi.nf]: the batch's CPU cost, and when the last poll round
+   ended. *)
+let nf_cost = 0
+let nf_last_poll = 1
+
+(* GRO train cap, the analogue of the 64 kB aggregation limit. *)
+let gro_max_segs = 16
 
 (* A kick arriving within this many microseconds of the previous poll
    round's end continues the same polling {e episode} (the softirq level
@@ -208,7 +231,8 @@ type rx_jobs = {
       (* Early-Demux eager protocol softint; mbuf handle in the int *)
   j_wake : Proc.waitq Cpu.job;     (* NI-LRP host interrupt waking a waiter *)
   j_napi_irq : unit Cpu.job;       (* NAPI mitigated interrupt; queue in the int *)
-  j_napi_poll : napi Cpu.job;      (* NAPI softirq poll round *)
+  j_napi_poll : napi Cpu.job;      (* NAPI softirq poll round: collect *)
+  j_napi_deliver : napi Cpu.job;   (* ... and deliver the batch *)
 }
 
 type t = {
@@ -445,6 +469,18 @@ let udp_send_cost t ~frags =
 let wake_all t wq = ignore (Cpu.wakeup_all t.cpu wq)
 let wake_one t wq = ignore (Cpu.wakeup_one t.cpu wq)
 
+(* Process-context charges.  Inlined, so a computed cost is stored
+   straight into the CPU's cell: passed to any non-inlined function — and
+   under [-opaque] no call into another module is inlined — a float is
+   boxed at the call. *)
+let[@inline] charge_proto t ~flow d =
+  (Cpu.cost_cell t.cpu).(0) <- d;
+  Cpu.compute_proto t.cpu ~flow
+
+let[@inline] charge_poll t d =
+  (Cpu.cost_cell t.cpu).(0) <- d;
+  Cpu.compute_poll t.cpu
+
 (* Grace-poll re-arm of the NAPI IRQ-deferral window: wake the queue's
    ksoftirqd waitq after [napi_repoll], through a registered dispatcher
    and a staged deadline so a deferral cycle allocates nothing (the
@@ -505,7 +541,7 @@ let rec app_loop t app =
              app.app_owner.Proc.name (Channel.id ch) (Channel.length ch);
            drain_tcp_channel t ch
        | Jtimer f ->
-           Cpu.compute_proto t.cpu ~flow:(-1)
+           charge_proto t ~flow:(-1)
              (t.c.Cost.lazy_locality *. t.c.Cost.tcp_in);
            f ());
       app_loop t app
@@ -522,7 +558,7 @@ let rec app_loop t app =
 and drain_tcp_channel t ch =
   let pkt = Channel.pop ch in
   if pkt != Packet.null then begin
-    Cpu.compute_proto t.cpu ~flow:(Channel.id ch)
+    charge_proto t ~flow:(Channel.id ch)
       (ni_access_cost t
        +. (t.c.Cost.lazy_locality *. (t.c.Cost.ip_in +. t.c.Cost.tcp_in)));
     (match Hashtbl.find_opt t.chan_conn (Channel.id ch) with
@@ -549,7 +585,7 @@ and tcp_deliver t conn pkt ~ctx =
       let cost = float_of_int extra *. seg_out_cost t in
       match ctx with
       | `Proc ->
-          Cpu.compute_proto t.cpu ~flow:(-1) (t.c.Cost.lazy_locality *. cost)
+          charge_proto t ~flow:(-1) (t.c.Cost.lazy_locality *. cost)
       | `Soft -> Cpu.post_soft t.cpu ~label:"tcp-tx" ~cost (fun () -> ())
     end
   end
@@ -816,66 +852,64 @@ let make_tcp_env t =
 (* Shared delivery helpers                                              *)
 (* ------------------------------------------------------------------ *)
 
-let datagram_of ~mh (pkt : Packet.t) =
-  match pkt.Packet.body with
-  | Packet.Udp (u, payload) ->
-      { Socket.dg_payload = payload;
-        dg_from = (pkt.Packet.ip.Packet.src, u.Packet.usrc_port);
-        dg_pkt = pkt.Packet.ip.Packet.ident;
-        dg_mbuf = mh }
-  | Packet.Tcp _ | Packet.Icmp _ | Packet.Fragment _ ->
-      invalid_arg "datagram_of: not a UDP datagram"
-
 (* Connected-UDP semantics: a socket with a default peer only accepts
    datagrams from that peer. *)
-let peer_accepts t (sock : Socket.t) (dg : Socket.udp_datagram) =
+let peer_accepts t (sock : Socket.t) (pkt : Packet.t) sport =
   match sock.Socket.remote with
-  | Some peer when peer <> dg.Socket.dg_from ->
+  | Some (ip, port) when ip <> pkt.Packet.ip.Packet.src || port <> sport ->
       t.stats.rx_wrong_peer <- t.stats.rx_wrong_peer + 1;
       false
   | Some _ | None -> true
 
 (* Deposit a processed datagram on its socket queue and wake a receiver.
-   Socket queue overflow (the BSD drop point) releases its mbufs. *)
-let deposit t (sock : Socket.t) (dg : Socket.udp_datagram) bytes =
-  if Socket.deposit_udp sock dg then begin
-    Trace.sock_enqueue t.tracer ~pkt:dg.Socket.dg_pkt ~sock:sock.Socket.id;
+   The datagram record is built only once the queue has room; overflow
+   (the BSD drop point) releases the packet's mbufs instead. *)
+let deposit t (sock : Socket.t) (pkt : Packet.t) payload sport ~mh bytes =
+  let ident = pkt.Packet.ip.Packet.ident in
+  if Socket.has_room sock then begin
+    Socket.deposit_udp sock payload ~src:pkt.Packet.ip.Packet.src ~sport ~ident
+      ~mh;
+    Trace.sock_enqueue t.tracer ~pkt:ident ~sock:sock.Socket.id;
     t.stats.udp_delivered <- t.stats.udp_delivered + 1;
     wake_one t sock.Socket.recv_wait
   end
   else begin
-    Trace.sock_drop t.tracer ~pkt:dg.Socket.dg_pkt ~sock:sock.Socket.id;
-    free_rx_pkt t ~mh:dg.Socket.dg_mbuf bytes
+    sock.Socket.stats.Socket.rx_sockq_drops <-
+      sock.Socket.stats.Socket.rx_sockq_drops + 1;
+    Trace.sock_drop t.tracer ~pkt:ident ~sock:sock.Socket.id;
+    free_rx_pkt t ~mh bytes
   end
+
+(* One copy of a multicast datagram per member socket (section 3.1).
+   Under the mbuf-based kernels each deposited copy gets its own
+   duplicate chain, so each receiver's copyout frees exactly one. *)
+let rec deposit_members t (pkt : Packet.t) payload sport bytes = function
+  | [] -> ()
+  | sock :: rest ->
+      if peer_accepts t sock pkt sport then begin
+        let dup_h =
+          match t.proto with
+          | Eager -> rx_reserve t pkt
+          | Lazy -> Mbuf.no_handle
+        in
+        if dup_h <> no_mbufs then deposit t sock pkt payload sport ~mh:dup_h bytes
+      end;
+      deposit_members t pkt payload sport bytes rest
 
 let deliver_udp_ready t ~mh (pkt : Packet.t) =
   let bytes = Packet.wire_bytes pkt in
   if not (csum_ok t pkt) then free_rx_pkt t ~mh bytes
   else
   match pkt.Packet.body with
-  | Packet.Udp (u, _) ->
+  | Packet.Udp (u, payload) ->
+      let sport = u.Packet.usrc_port in
       if Packet.is_multicast pkt then begin
-        (* One copy per member socket of the group (section 3.1).  Under
-           the mbuf-based kernels the original chain is released and a
-           duplicate is allocated per deposited copy, so each receiver's
-           copyout frees exactly one chain. *)
+        (* The original chain is released; members get duplicates. *)
         free_rx_pkt t ~mh bytes;
-        match Hashtbl.find_opt t.mcast_members u.Packet.udst_port with
-        | None -> t.stats.no_port_drops <- t.stats.no_port_drops + 1
-        | Some members ->
-            List.iter
-              (fun sock ->
-                let dg = datagram_of ~mh:Mbuf.no_handle pkt in
-                if peer_accepts t sock dg then begin
-                  let dup_h =
-                    match t.proto with
-                    | Eager -> rx_reserve t pkt
-                    | Lazy -> Mbuf.no_handle
-                  in
-                  if dup_h <> no_mbufs then
-                    deposit t sock { dg with Socket.dg_mbuf = dup_h } bytes
-                end)
-              !members
+        match Hashtbl.find t.mcast_members u.Packet.udst_port with
+        | exception Not_found ->
+            t.stats.no_port_drops <- t.stats.no_port_drops + 1
+        | members -> deposit_members t pkt payload sport bytes !members
       end
       else
         (match Hashtbl.find t.udp_ports u.Packet.udst_port with
@@ -883,8 +917,8 @@ let deliver_udp_ready t ~mh (pkt : Packet.t) =
              t.stats.no_port_drops <- t.stats.no_port_drops + 1;
              free_rx_pkt t ~mh bytes
          | sock ->
-             let dg = datagram_of ~mh pkt in
-             if peer_accepts t sock dg then deposit t sock dg bytes
+             if peer_accepts t sock pkt sport then
+               deposit t sock pkt payload sport ~mh bytes
              else free_rx_pkt t ~mh bytes)
   | Packet.Tcp _ | Packet.Icmp _ | Packet.Fragment _ -> ()
 
@@ -975,15 +1009,19 @@ let post_reasm_complete t (whole : Packet.t) ~skip_pcb =
     ~cost:(transport_cost t whole ~skip_pcb)
     (fun () -> bsd_transport_input t ~mh:Mbuf.no_handle whole)
 
+(* A fragment in softint context goes through the reassembler; an
+   incomplete datagram's fragments wait there. *)
+let ip_input_frag t (pkt : Packet.t) ~skip_pcb =
+  match Ip.Reasm.insert t.reasm ~now:(now t) pkt with
+  | None -> ()
+  | Some whole -> post_reasm_complete t whole ~skip_pcb
+
 (* IP input of a local datagram in softint context: straight to transport
    processing, or through the reassembler for fragments (which arrive
    without a handle, [mh = no_handle]). *)
 let ip_input_local t ~mh (pkt : Packet.t) ~skip_pcb =
-  if not (Packet.is_fragment pkt) then bsd_transport_input t ~mh pkt
-  else
-    match Ip.Reasm.insert t.reasm ~now:(now t) pkt with
-    | None -> () (* incomplete datagram; fragments wait in the reassembler *)
-    | Some whole -> post_reasm_complete t whole ~skip_pcb
+  if Packet.is_fragment pkt then ip_input_frag t pkt ~skip_pcb
+  else bsd_transport_input t ~mh pkt
 
 (* Softint-context IP input of a received packet, run by BSD's softnet
    and by the NAPI poll loop: forward (or drop) a transit packet, process
@@ -1033,9 +1071,11 @@ let bsd_driver_rx t pkt =
    ident so every piece of one datagram lands on the same ring. *)
 let rss_steer pkt ~queues =
   let sp, dp =
-    if Packet.is_fragment pkt then (pkt.Packet.ip.Packet.ident land 0xffff, 0)
-    else
-      match Packet.ports pkt with Some (s, d) -> (s, d) | None -> (0, 0)
+    match pkt.Packet.body with
+    | Packet.Fragment _ -> (pkt.Packet.ip.Packet.ident land 0xffff, 0)
+    | Packet.Udp (u, _) -> (u.Packet.usrc_port, u.Packet.udst_port)
+    | Packet.Tcp (h, _) -> (h.Packet.tsrc_port, h.Packet.tdst_port)
+    | Packet.Icmp _ -> (0, 0)
   in
   let hi = (Packet.src pkt lsl 2) lxor Packet.dst pkt in
   let lo = (sp lsl 16) lor (dp land 0xffff) in
@@ -1047,16 +1087,8 @@ let rss_steer pkt ~queues =
    minus the parts the poll loop does not repeat per packet (softirq
    dispatch, shared-IP-queue churn).  The per-packet ring dequeue is
    charged separately ([poll_dequeue]). *)
-let napi_proto_cost t pkt =
+let[@inline] napi_proto_cost t pkt =
   bsd_soft_cost t pkt -. t.c.Cost.soft_dispatch -. t.c.Cost.ipq_op
-
-(* One entry of a poll batch: a packet ready for eager protocol
-   processing and its mbuf reservation, made at dequeue time as the
-   driver would ({!rx_reserve}). *)
-type poll_item = { pi_pkt : Packet.t; pi_mh : Mbuf.handle }
-
-(* GRO train cap, the analogue of the 64 kB aggregation limit. *)
-let gro_max_segs = 16
 
 (* GRO merges only what aggregation cannot change for the shared protocol
    code: local unicast, checksum already verified (GRO runs after
@@ -1084,64 +1116,61 @@ let udp_mergeable t pkt =
       | Packet.Udp _ -> true
       | Packet.Tcp _ | Packet.Icmp _ | Packet.Fragment _ -> false)
 
-(* Pull up to [napi_budget] frames off ring [qi], reserve their mbufs,
-   and — under [Poll_gro] — run receive-offload aggregation.  Returns the
-   batch in delivery order, the CPU cost of processing it, and the number
-   of frames served (the poll loop's "work done" that is compared against
-   the budget). *)
-let napi_collect t qi =
-  let budget = t.cfg.napi_budget in
-  let gro = t.rx_mode = Poll_gro in
-  let items = ref [] (* reversed *) in
-  let cost = ref 0. in
-  let served = ref 0 in
-  let add_item pkt mh = items := { pi_pkt = pkt; pi_mh = mh } :: !items
-  in
-  (* Admit one packet the BSD way: reserve its mbufs (drop on pool
-     exhaustion) and charge full eager protocol processing. *)
-  let admit pkt =
-    let mh = rx_reserve t pkt in
-    if mh <> no_mbufs then begin
-      cost := !cost +. napi_proto_cost t pkt;
-      add_item pkt mh
-    end
-  in
-  (* The held GRO train: [train_rev] newest-first, [train_head] the first
-     segment.  A train never survives the poll round. *)
-  let train_rev = ref [] in
-  let train_len = ref 0 in
-  let train_head = ref Packet.null in
-  let train_udp = ref false in
-  let train_next_seq = ref 0 in
-  let same_flow a b =
-    Packet.src a = Packet.src b
-    && Packet.dst a = Packet.dst b
-    &&
-    match a.Packet.body, b.Packet.body with
-    | Packet.Tcp (x, _), Packet.Tcp (y, _) ->
-        x.Packet.tsrc_port = y.Packet.tsrc_port
-        && x.Packet.tdst_port = y.Packet.tdst_port
-    | Packet.Udp (x, _), Packet.Udp (y, _) ->
-        x.Packet.usrc_port = y.Packet.usrc_port
-        && x.Packet.udst_port = y.Packet.udst_port
-    | _ -> false
-  in
-  (* Merge a TCP train into one super-segment: head's ident and seq, last
-     segment's ack/window (and PSH), payloads glued, content checksum
-     recomputed so the merged segment still verifies. *)
-  let merge_train ps =
-    let head = List.hd ps in
-    let last = List.nth ps (List.length ps - 1) in
+let same_flow a b =
+  Packet.src a = Packet.src b
+  && Packet.dst a = Packet.dst b
+  &&
+  match a.Packet.body with
+  | Packet.Tcp (x, _) -> (
+      match b.Packet.body with
+      | Packet.Tcp (y, _) ->
+          x.Packet.tsrc_port = y.Packet.tsrc_port
+          && x.Packet.tdst_port = y.Packet.tdst_port
+      | Packet.Udp _ | Packet.Icmp _ | Packet.Fragment _ -> false)
+  | Packet.Udp (x, _) -> (
+      match b.Packet.body with
+      | Packet.Udp (y, _) ->
+          x.Packet.usrc_port = y.Packet.usrc_port
+          && x.Packet.udst_port = y.Packet.udst_port
+      | Packet.Tcp _ | Packet.Icmp _ | Packet.Fragment _ -> false)
+  | Packet.Icmp _ | Packet.Fragment _ -> false
+
+(* Append a packet and its mbuf reservation to the batch.  A round
+   yields at most one batch entry per frame served, and serves at most
+   [napi_budget] frames from a ring of [rx_ring] slots that nothing refills
+   while it is being drained, so [min budget ring] rows always suffice. *)
+let batch_add n pkt mh =
+  n.b_pkts.(n.b_len) <- pkt;
+  n.b_mhs.(n.b_len) <- mh;
+  n.b_len <- n.b_len + 1
+
+(* Admit one packet the BSD way: reserve its mbufs (drop on pool
+   exhaustion) and charge full eager protocol processing. *)
+let napi_admit t n pkt =
+  let mh = rx_reserve t pkt in
+  if mh <> no_mbufs then begin
+    n.nf.(nf_cost) <- n.nf.(nf_cost) +. napi_proto_cost t pkt;
+    batch_add n pkt mh
+  end
+
+(* Merge the held TCP train into one super-segment: head's ident and seq,
+   last segment's ack/window (and PSH), payloads glued, content checksum
+   recomputed so the merged segment still verifies.  The merged segment
+   enters protocol processing once; its wire footprint differs from any
+   single reservation, so it stays on byte accounting.  Builds a new
+   packet by design. *)
+let gro_merge_tcp t n hid =
+  let len = n.train_len in
+  let head = n.train.(0) and last = n.train.(len - 1) in
+  let merged =
     match head.Packet.body, last.Packet.body with
     | Packet.Tcp (th, _), Packet.Tcp (tl, _) ->
         let payload =
           Payload.concat
-            (List.map
-               (fun p ->
-                 match p.Packet.body with
+            (List.init len (fun i ->
+                 match n.train.(i).Packet.body with
                  | Packet.Tcp (_, pl) -> pl
-                 | _ -> assert false)
-               ps)
+                 | _ -> assert false))
         in
         let hdr =
           { th with
@@ -1158,106 +1187,117 @@ let napi_collect t qi =
             { merged.Packet.ip with Packet.csum = Packet.checksum merged } }
     | _ -> assert false
   in
-  let flush () =
-    (match List.rev !train_rev with
-     | [] -> ()
-     | [ p ] -> admit p
-     | head :: rest as ps ->
-         let hid = head.Packet.ip.Packet.ident in
-         List.iter
-           (fun p ->
-             Trace.gro_merge t.tracer ~pkt:p.Packet.ip.Packet.ident ~into:hid)
-           rest;
-         if !train_udp then begin
-           (* UDP receive offload (fraglist-style): the train shares one
-              IP/UDP protocol pass; each datagram is still deposited
-              individually.  The head pays full cost; absorbed datagrams
-              pay merge + deposit. *)
-           admit head;
-           List.iter
-             (fun p ->
-               let mh = rx_reserve t p in
-               if mh <> no_mbufs then begin
-                 cost :=
-                   !cost +. t.c.Cost.gro_merge +. t.c.Cost.sockbuf_append;
-                 add_item p mh
-               end)
-             rest
-         end
-         else begin
-           (* TCP: one merged super-segment enters protocol processing;
-              its wire footprint differs from any single reservation, so
-              it stays on byte accounting. *)
-           let merged = merge_train ps in
-           let bytes = Packet.wire_bytes merged in
-           if not (Mbuf.alloc t.mbufs ~bytes) then mbuf_drop t hid
-           else begin
-             cost :=
-               !cost +. napi_proto_cost t merged
-               +. (float_of_int (List.length rest) *. t.c.Cost.gro_merge);
-             add_item merged Mbuf.no_handle
-           end
-         end;
-         Trace.gro_flush t.tracer ~pkt:hid ~segs:!train_len);
-    train_rev := [];
-    train_len := 0;
-    train_head := Packet.null
-  in
-  let rec consider pkt =
-    if !train_len = 0 then begin
-      if tcp_mergeable t pkt then push pkt ~udp:false
-      else if udp_mergeable t pkt then push pkt ~udp:true
-      else admit pkt
-    end
-    else if
-      if !train_udp then udp_mergeable t pkt && same_flow !train_head pkt
-      else
-        tcp_mergeable t pkt
-        && same_flow !train_head pkt
-        && (match pkt.Packet.body with
-            | Packet.Tcp (h, _) -> h.Packet.seq = !train_next_seq
-            | _ -> false)
-    then push pkt ~udp:!train_udp
-    else begin
-      flush ();
-      consider pkt
-    end
-  (* Append to the held train (starting one if none is held). *)
-  and push pkt ~udp =
-    if !train_len = 0 then begin
-      train_head := pkt;
-      train_udp := udp
-    end;
-    train_rev := pkt :: !train_rev;
-    incr train_len;
-    match pkt.Packet.body with
-    | Packet.Tcp (h, pl) ->
-        train_next_seq := h.Packet.seq + Payload.length pl;
-        (* PSH marks an application-visible boundary: merge, then flush,
-           as Linux GRO does. *)
-        if h.Packet.flags.Packet.psh || !train_len >= gro_max_segs then
-          flush ()
-    | Packet.Udp _ | Packet.Icmp _ | Packet.Fragment _ ->
-        if !train_len >= gro_max_segs then flush ()
-  in
-  let rec loop k =
-    if k < budget then begin
-      let pkt = Nic.rxq_pop t.nic qi in
-      if pkt != Packet.null then begin
-        incr served;
-        cost := !cost +. t.c.Cost.poll_dequeue;
-        if gro then consider pkt else admit pkt;
-        loop (k + 1)
-      end
-    end
-  in
-  loop 0;
-  if gro then flush ();
-  (List.rev !items, !cost, !served)
+  let bytes = Packet.wire_bytes merged in
+  if not (Mbuf.alloc t.mbufs ~bytes) then mbuf_drop t hid
+  else begin
+    n.nf.(nf_cost) <-
+      n.nf.(nf_cost) +. napi_proto_cost t merged
+      +. (float_of_int (len - 1) *. t.c.Cost.gro_merge);
+    batch_add n merged Mbuf.no_handle
+  end
 
-(* Deliver one polled item: the BSD softint path minus the shared IP
-   queue. *)
-let napi_deliver t { pi_pkt; pi_mh } = ip_input t ~mh:pi_mh pi_pkt
+(* Hand the held train to the batch.  A train of one is admitted as is;
+   a longer UDP train (fraglist-style receive offload) shares one IP/UDP
+   protocol pass — the head pays full cost, absorbed datagrams pay merge
+   plus deposit, and each is still deposited individually; a TCP train
+   becomes one super-segment.  A train never survives the poll round. *)
+let gro_flush t n =
+  let len = n.train_len in
+  if len = 1 then napi_admit t n n.train.(0)
+  else if len > 1 then begin
+    let head = n.train.(0) in
+    let hid = head.Packet.ip.Packet.ident in
+    for i = 1 to len - 1 do
+      Trace.gro_merge t.tracer ~pkt:n.train.(i).Packet.ip.Packet.ident ~into:hid
+    done;
+    if n.train_udp then begin
+      napi_admit t n head;
+      for i = 1 to len - 1 do
+        let p = n.train.(i) in
+        let mh = rx_reserve t p in
+        if mh <> no_mbufs then begin
+          n.nf.(nf_cost) <-
+            n.nf.(nf_cost) +. t.c.Cost.gro_merge +. t.c.Cost.sockbuf_append;
+          batch_add n p mh
+        end
+      done
+    end
+    else gro_merge_tcp t n hid;
+    Trace.gro_flush t.tracer ~pkt:hid ~segs:len
+  end;
+  Array.fill n.train 0 len Packet.null;
+  n.train_len <- 0
+
+(* Append to the held train (starting one if none is held). *)
+let gro_push t n pkt ~udp =
+  if n.train_len = 0 then n.train_udp <- udp;
+  n.train.(n.train_len) <- pkt;
+  n.train_len <- n.train_len + 1;
+  match pkt.Packet.body with
+  | Packet.Tcp (h, pl) ->
+      n.train_next_seq <- h.Packet.seq + Payload.length pl;
+      (* PSH marks an application-visible boundary: merge, then flush, as
+         Linux GRO does. *)
+      if h.Packet.flags.Packet.psh || n.train_len >= gro_max_segs then
+        gro_flush t n
+  | Packet.Udp _ | Packet.Icmp _ | Packet.Fragment _ ->
+      if n.train_len >= gro_max_segs then gro_flush t n
+
+(* Receive-offload aggregation of one dequeued frame: extend the held
+   train, or flush it and start over. *)
+let rec gro_consider t n pkt =
+  if n.train_len = 0 then begin
+    if tcp_mergeable t pkt then gro_push t n pkt ~udp:false
+    else if udp_mergeable t pkt then gro_push t n pkt ~udp:true
+    else napi_admit t n pkt
+  end
+  else if
+    if n.train_udp then udp_mergeable t pkt && same_flow n.train.(0) pkt
+    else
+      tcp_mergeable t pkt
+      && same_flow n.train.(0) pkt
+      && (match pkt.Packet.body with
+          | Packet.Tcp (h, _) -> h.Packet.seq = n.train_next_seq
+          | Packet.Udp _ | Packet.Icmp _ | Packet.Fragment _ -> false)
+  then gro_push t n pkt ~udp:n.train_udp
+  else begin
+    gro_flush t n;
+    gro_consider t n pkt
+  end
+
+let rec napi_pull t n ~gro =
+  if n.served < t.cfg.napi_budget then begin
+    let pkt = Nic.rxq_pop t.nic n.nq in
+    if pkt != Packet.null then begin
+      n.served <- n.served + 1;
+      n.nf.(nf_cost) <- n.nf.(nf_cost) +. t.c.Cost.poll_dequeue;
+      if gro then gro_consider t n pkt else napi_admit t n pkt;
+      napi_pull t n ~gro
+    end
+  end
+
+(* Pull up to [napi_budget] frames off [n]'s ring, reserve their mbufs,
+   and — under [Poll_gro] — run receive-offload aggregation.  Leaves the
+   batch in [n]'s columns, its CPU cost in [nf.(nf_cost)], and the number
+   of frames served (the poll loop's "work done" that is compared against
+   the budget) in [served]. *)
+let napi_collect t n =
+  n.b_len <- 0;
+  n.served <- 0;
+  n.nf.(nf_cost) <- 0.;
+  let gro = t.rx_mode = Poll_gro in
+  napi_pull t n ~gro;
+  if gro then gro_flush t n
+
+(* Deliver the batch — the BSD softint path minus the shared IP queue —
+   and empty it. *)
+let napi_deliver_batch t n =
+  for i = 0 to n.b_len - 1 do
+    let pkt = n.b_pkts.(i) in
+    n.b_pkts.(i) <- Packet.null;
+    ip_input t ~mh:n.b_mhs.(i) pkt
+  done;
+  n.b_len <- 0
 
 (* The softirq poll chain.  Each round is two softirq work items: a fixed
    [poll_loop] charge whose action dequeues the batch (so the batch
@@ -1282,25 +1322,29 @@ let napi_post_poll t n =
 
 let napi_softirq_round t n =
   Trace.poll_begin t.tracer ~q:n.nq ~pending:(Nic.rxq_len t.nic n.nq);
-  let batch, cost, served = napi_collect t n.nq in
-  Cpu.post_soft t.cpu ~label:"napi-poll" ~poll:true ~cost (fun () ->
-      List.iter (napi_deliver t) batch;
-      Trace.poll_end t.tracer ~q:n.nq ~served;
-      n.episode <- n.episode + served;
-      n.last_poll <- Engine.now t.engine;
-      if n.episode >= t.cfg.napi_budget then begin
-        n.in_ksoftirqd <- true;
-        wake_one t n.ksoftirqd_wq
-      end
-      else if Nic.rxq_len t.nic n.nq = 0 then begin
-        (* Ring drained with budget to spare: unmask.  [episode] is kept —
-           if the next kick lands within [napi_storm_gap] it continues
-           this episode, so a sustained flood still reaches the budget
-           and defers to ksoftirqd. *)
-        n.poll_on <- false;
-        Nic.rxq_enable_intr t.nic n.nq
-      end
-      else napi_post_poll t n)
+  napi_collect t n;
+  (Cpu.cost_cell t.cpu).(0) <- n.nf.(nf_cost);
+  Cpu.post_soft_job t.cpu ~label:"napi-poll" ~tpkt:(-1) ~poll:true
+    (jobs t).j_napi_deliver n 0
+
+let napi_round_done t n =
+  napi_deliver_batch t n;
+  Trace.poll_end t.tracer ~q:n.nq ~served:n.served;
+  n.episode <- n.episode + n.served;
+  n.nf.(nf_last_poll) <- (Engine.clock_cell t.engine).(0);
+  if n.episode >= t.cfg.napi_budget then begin
+    n.in_ksoftirqd <- true;
+    wake_one t n.ksoftirqd_wq
+  end
+  else if Nic.rxq_len t.nic n.nq = 0 then begin
+    (* Ring drained with budget to spare: unmask.  [episode] is kept — if
+       the next kick lands within [napi_storm_gap] it continues this
+       episode, so a sustained flood still reaches the budget and defers
+       to ksoftirqd. *)
+    n.poll_on <- false;
+    Nic.rxq_enable_intr t.nic n.nq
+  end
+  else napi_post_poll t n
 
 (* The mitigated interrupt: ack, mask the queue, schedule the poll —
    constant cost, no per-packet work (the NAPI contract). *)
@@ -1311,8 +1355,8 @@ let napi_irq t qi =
     n.poll_on <- true;
     (* A quiet spell since the last poll round ends the episode; a kick
        inside the storm gap continues it (and its budget). *)
-    if Engine.now t.engine -. n.last_poll > napi_storm_gap then
-      n.episode <- 0;
+    let now = (Engine.clock_cell t.engine).(0) in
+    if now -. n.nf.(nf_last_poll) > napi_storm_gap then n.episode <- 0;
     napi_post_poll t n
   end
 
@@ -1342,12 +1386,12 @@ let ksoftirqd_loop t n =
 
   and poll quiet =
     Trace.poll_begin t.tracer ~q:n.nq ~pending:(Nic.rxq_len t.nic n.nq);
-    Cpu.compute_poll t.cpu t.c.Cost.poll_loop;
-    let batch, cost, served = napi_collect t n.nq in
-    Cpu.compute_poll t.cpu cost;
-    List.iter (napi_deliver t) batch;
-    Trace.poll_end t.tracer ~q:n.nq ~served;
-    if served > 0 || Nic.rxq_len t.nic n.nq > 0 then poll 0
+    charge_poll t t.c.Cost.poll_loop;
+    napi_collect t n;
+    charge_poll t n.nf.(nf_cost);
+    napi_deliver_batch t n;
+    Trace.poll_end t.tracer ~q:n.nq ~served:n.served;
+    if n.served > 0 || Nic.rxq_len t.nic n.nq > 0 then poll 0
     else if quiet >= 1 then begin
       (* Two consecutive quiet polls: back to interrupt mode. *)
       n.in_ksoftirqd <- false;
@@ -1508,9 +1552,7 @@ let edemux_udp t pkt ~dst_port =
   match Hashtbl.find t.udp_ports dst_port with
   | exception Not_found -> edemux_drop t pkt
   | sock ->
-      if Queue.length sock.Socket.udp_rcv >= sock.Socket.udp_rcv_limit then
-        edemux_drop t pkt
-      else edemux_eager t pkt
+      if Socket.has_room sock then edemux_eager t pkt else edemux_drop t pkt
 
 let edemux_rx t pkt =
   if is_transit t pkt then begin
@@ -1599,32 +1641,6 @@ let drain_frag_channel t ~charge =
       | Some whole -> whole :: completed)
     [] frags
 
-(* Process one raw packet taken from a UDP channel, in the current process
-   context.  Returns completed datagrams (usually one; fragments may
-   complete zero or several including via the fragment channel). *)
-let lrp_process_udp_raw t ~charge pkt =
-  (* Lazy protocol processing starts here, in the receiver's own context;
-     the deposit that follows the charges closes the proc-proto stage. *)
-  Trace.proto_deliver t.tracer ~pkt:pkt.Packet.ip.Packet.ident ~conn:(-1)
-    ~in_proc:true;
-  (* Channel buffer management, plus the NI-memory access under NI
-     demux. *)
-  charge (t.c.Cost.sockq +. ni_access_cost t);
-  charge
-    (t.c.Cost.lazy_locality
-     *. (t.c.Cost.ip_in
-         +. if Packet.is_fragment pkt then t.c.Cost.reasm_per_frag else 0.));
-  match Ip.Reasm.insert t.reasm ~now:(now t) pkt with
-  | Some whole ->
-      charge (t.c.Cost.lazy_locality *. t.c.Cost.udp_in);
-      [ whole ]
-  | None ->
-      (* Missing fragments: check the special fragment channel
-         (section 3.2). *)
-      let completed = drain_frag_channel t ~charge in
-      List.iter (fun _ -> charge (t.c.Cost.lazy_locality *. t.c.Cost.udp_in)) completed;
-      completed
-
 (* Deliver datagrams completed by lazy (receiver-context) processing;
    they carry no mbuf reservation. *)
 let rec deliver_udp_all t = function
@@ -1633,16 +1649,49 @@ let rec deliver_udp_all t = function
       deliver_udp_ready t ~mh:Mbuf.no_handle pkt;
       deliver_udp_all t rest
 
-(* Receiver-context protocol charge: a {!Proc.compute} whose segment the
-   ledger attributes to protocol work on channel [ch] (section 3.3's
-   accounting claim made measurable). *)
-let proto_charge t ch d = Cpu.compute_proto t.cpu ~flow:(Channel.id ch) d
+(* Lazy protocol processing starts in the receiver's own context; the
+   deposit that follows the charges closes the proc-proto stage.  The
+   first charge is channel buffer management, plus the NI-memory access
+   under NI demux.  Each charge is its own compute segment (a preemption
+   point), ledgered as protocol work on channel [flow] — section 3.3's
+   accounting claim made measurable. *)
+let lrp_charge_rx t ~flow (pkt : Packet.t) =
+  Trace.proto_deliver t.tracer ~pkt:pkt.Packet.ip.Packet.ident ~conn:(-1)
+    ~in_proc:true;
+  charge_proto t ~flow (t.c.Cost.sockq +. ni_access_cost t)
+
+(* A whole datagram: IP and UDP processing charged, then deposited.
+   Allocates nothing but the datagram handed to the application. *)
+let lrp_recv_whole t ~flow pkt =
+  lrp_charge_rx t ~flow pkt;
+  charge_proto t ~flow (t.c.Cost.lazy_locality *. t.c.Cost.ip_in);
+  charge_proto t ~flow (t.c.Cost.lazy_locality *. t.c.Cost.udp_in);
+  deliver_udp_ready t ~mh:Mbuf.no_handle pkt
+
+(* A fragment: integrate it, and on a miss check the special fragment
+   channel (section 3.2).  Completions — zero or several — are charged
+   their UDP processing, then delivered in order. *)
+let lrp_recv_frag t ~flow pkt =
+  lrp_charge_rx t ~flow pkt;
+  charge_proto t ~flow
+    (t.c.Cost.lazy_locality *. (t.c.Cost.ip_in +. t.c.Cost.reasm_per_frag));
+  let completed =
+    match Ip.Reasm.insert t.reasm ~now:(now t) pkt with
+    | Some whole -> [ whole ]
+    | None -> drain_frag_channel t ~charge:(fun d -> charge_proto t ~flow d)
+  in
+  List.iter
+    (fun _ -> charge_proto t ~flow (t.c.Cost.lazy_locality *. t.c.Cost.udp_in))
+    completed;
+  deliver_udp_all t completed
 
 let lrp_recv_one t ch =
   let pkt = Channel.pop ch in
   pkt != Packet.null
   && begin
-       deliver_udp_all t (lrp_process_udp_raw t ~charge:(proto_charge t ch) pkt);
+       let flow = Channel.id ch in
+       if Packet.is_fragment pkt then lrp_recv_frag t ~flow pkt
+       else lrp_recv_whole t ~flow pkt;
        true
      end
 
@@ -1651,7 +1700,7 @@ let lrp_recv_one t ch =
 (* ------------------------------------------------------------------ *)
 
 let helper_loop t =
-  let charge d = Cpu.compute_proto t.cpu ~flow:(-1) d in
+  let charge d = charge_proto t ~flow:(-1) d in
   let rec pass () =
     let worked = ref false in
     (* Integrate any stray fragments. *)
@@ -1675,8 +1724,7 @@ let helper_loop t =
       (fun ch ->
         let room =
           match Hashtbl.find_opt t.chan_sock (Channel.id ch) with
-          | Some sock ->
-              Queue.length sock.Socket.udp_rcv < sock.Socket.udp_rcv_limit
+          | Some sock -> Socket.has_room sock
           | None -> false
         in
         if room && lrp_recv_one t ch then worked := true)
@@ -1716,7 +1764,7 @@ let fwd_daemon_loop t =
   let rec loop () =
     let pkt = Channel.pop ch in
     if pkt != Packet.null then begin
-      Cpu.compute_proto t.cpu ~flow:(Channel.id ch)
+      charge_proto t ~flow:(Channel.id ch)
         (t.c.Cost.lazy_locality *. (t.c.Cost.ip_in +. t.c.Cost.ip_forward));
       t.stats.forwarded <- t.stats.forwarded + 1;
       ip_output t pkt;
@@ -1786,7 +1834,8 @@ let create engine fabric ~name ~ip cfg =
           Cpu.job (fun pkt mh -> ip_input_local t ~mh pkt ~skip_pcb:true);
         j_wake = Cpu.job (fun wq _ -> wake_one t wq);
         j_napi_irq = Cpu.job (fun () qi -> napi_irq t qi);
-        j_napi_poll = Cpu.job (fun n _ -> napi_softirq_round t n) };
+        j_napi_poll = Cpu.job (fun n _ -> napi_softirq_round t n);
+        j_napi_deliver = Cpu.job (fun n _ -> napi_round_done t n) };
   t.tcp_env <- Some (make_tcp_env t);
   t.all_channels <-
     [ Chantab.frag_channel t.chantab; Chantab.icmp_channel t.chantab;
@@ -1812,11 +1861,15 @@ let create engine fabric ~name ~ip cfg =
     in
     t.napi <-
       Array.init queues (fun qi ->
-          { nq = qi; poll_on = false; episode = 0; last_poll = neg_infinity;
-            in_ksoftirqd = false;
+          let cap = max 1 (min cfg.napi_budget cfg.rx_ring) in
+          { nq = qi; poll_on = false; episode = 0; in_ksoftirqd = false;
             ksoftirqd_wq =
               Proc.waitq (Printf.sprintf "%s.ksoftirqd/%d" name qi);
-            ksoftirqd = None });
+            ksoftirqd = None; b_pkts = Array.make cap Packet.null;
+            b_mhs = Array.make cap Mbuf.no_handle; b_len = 0; served = 0;
+            nf = [| 0.; neg_infinity |];
+            train = Array.make gro_max_segs Packet.null; train_len = 0;
+            train_udp = false; train_next_seq = 0 });
     Nic.configure_rx_queues nic ~queues ~ring:cfg.rx_ring
       ~coalesce_pkts:cfg.coalesce_pkts ~coalesce_us:cfg.coalesce_us ~steer
       ~kick:(fun qi -> napi_kick t qi);

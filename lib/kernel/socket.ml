@@ -69,19 +69,21 @@ let port_exn t =
   | Some p -> p
   | None -> invalid_arg "socket is not bound"
 
-(* Deposit a ready datagram in the socket queue (BSD softint path or the
-   LRP helper thread).  Returns [false] and counts a drop when full. *)
-let deposit_udp t dg =
-  if Queue.length t.udp_rcv >= t.udp_rcv_limit then begin
-    t.stats.rx_sockq_drops <- t.stats.rx_sockq_drops + 1;
-    false
-  end
-  else begin
-    Queue.add dg t.udp_rcv;
-    let depth = Queue.length t.udp_rcv in
-    if depth > t.stats.rx_hwm then t.stats.rx_hwm <- depth;
-    true
-  end
+(* The socket queue has room for another ready datagram. *)
+let has_room t = Queue.length t.udp_rcv < t.udp_rcv_limit
+
+(* Append a ready datagram, from [src]:[sport] in the packet with IP
+   ident [ident] and backed by mbuf handle [mh], to the socket queue (BSD
+   softint path, NAPI poll, or LRP's lazy receive); the caller has checked
+   [has_room].  The datagram and its queue cell are what the receive path
+   hands to the application: the one allocation it keeps by design. *)
+let deposit_udp t payload ~src ~sport ~ident ~mh =
+  Queue.add
+    { dg_payload = payload; dg_from = (src, sport); dg_pkt = ident;
+      dg_mbuf = mh }
+    t.udp_rcv;
+  let depth = Queue.length t.udp_rcv in
+  if depth > t.stats.rx_hwm then t.stats.rx_hwm <- depth
 
 let pp fmt t =
   Fmt.pf fmt "sock%d(%s%s)" t.id

@@ -44,5 +44,16 @@ type t = {
 }
 val create : ?udp_rcv_limit:int -> kind -> t
 val port_exn : t -> int
-val deposit_udp : t -> udp_datagram -> bool
+
+val has_room : t -> bool
+(** The socket queue holds fewer than [udp_rcv_limit] datagrams. *)
+
+val deposit_udp :
+  t -> Lrp_net.Payload.t -> src:Lrp_net.Packet.ip -> sport:int -> ident:int ->
+  mh:int -> unit
+(** Append a ready datagram — its payload, source address and port, the
+    originating packet's IP ident and its mbuf handle — to the socket
+    queue, which must have room ({!has_room}); tracks the high
+    watermark. *)
+
 val pp : Format.formatter -> t -> unit

@@ -128,7 +128,7 @@ type t = {
   mutable run_int : int;
   mutable run_ev : Engine.handle;
   fl : float array;       (* slots [f_left] .. [f_elapsed] *)
-  cost : float array;     (* staged cost of the next [post_*_job] *)
+  cost : float array;     (* staged cost of the next [post_*_job] or compute *)
   mutable cur_tid : int;  (* BSD curproc, or -1 *)
   mutable last_user : int;  (* pid last on CPU, for cache penalty *)
   mutable in_dispatch : bool;
@@ -145,11 +145,10 @@ type t = {
   mutable tracer : Trace.t;  (* owning kernel's tracer; disabled by default *)
   ledger : Ledger.t;
   lamt : float array;  (* the ledger's staged amount cell *)
-  (* class hints for the next [Proc.Compute] segment, set by
-     [compute_proto] / [compute_poll] and latched into the process by the
-     effect handler *)
-  mutable hint_proto : bool;
-  mutable hint_poll : bool;
+  (* ledger class ([Proc.lcls] code) and flow of the next [Proc.Compute]
+     segment, set by [compute_proto] / [compute_poll] and latched into the
+     process by the effect handler *)
+  mutable hint_cls : int;
   mutable hint_flow : int;
 }
 
@@ -377,16 +376,14 @@ and handler t (p : Proc.t) : (unit, unit) Effect.Deep.handler =
       (fun (type a) (eff : a Effect.t) :
            ((a, unit) Effect.Deep.continuation -> unit) option ->
         match eff with
-        | Proc.Compute d ->
-            p.Proc.acct.(Proc.a_work_left) <- d;
+        | Proc.Compute ->
+            p.Proc.acct.(Proc.a_work_left) <- t.cost.(0);
             (* Latch the ledger class for this segment; it survives
                preemption splits because [charge] reads it from the
                process, not from the (consumed) hint. *)
-            p.Proc.lcls <-
-              (if t.hint_proto then 1 else if t.hint_poll then 2 else 0);
+            p.Proc.lcls <- t.hint_cls;
             p.Proc.lflow <- t.hint_flow;
-            t.hint_proto <- false;
-            t.hint_poll <- false;
+            t.hint_cls <- 0;
             t.hint_flow <- -1;
             p.Proc.pending <- Proc.Work;
             park
@@ -574,8 +571,7 @@ let create engine ?(ctx_switch_cost = 0.) ?(start_clock = true) ~name () =
       force_resched = false; seg_tgt = None; wake_tgt = None;
       n_ctx_switch = 0; n_soft_dispatch = 0; n_hard_dispatch = 0;
       created_at = Engine.now engine; tracer = Trace.null (); ledger;
-      lamt = Ledger.amount_cell ledger; hint_proto = false;
-      hint_poll = false; hint_flow = -1 }
+      lamt = Ledger.amount_cell ledger; hint_cls = 0; hint_flow = -1 }
   in
   (* One dispatcher per event kind, registered once, so firing a segment
      or a sleep timer allocates nothing. *)
@@ -663,27 +659,30 @@ let post_soft t ?(label = "softintr") ?(tpkt = -1) ?(poll = false) ~cost action 
   t.cost.(0) <- cost;
   post_soft_job t ~label ~tpkt ~poll thunk_job action 0
 
-(* [compute_proto] is [Proc.compute] with ledger attribution: the segment
-   is receiver-context protocol work serving [flow].  The hint is consumed
-   synchronously by the Compute effect handler (or cleared below when the
-   cost is zero and no effect fires), so it cannot leak onto another
-   process's segment. *)
-let compute_proto t ~flow cost =
-  t.hint_proto <- true;
-  t.hint_flow <- flow;
-  Proc.compute cost;
-  t.hint_proto <- false;
-  t.hint_flow <- -1
+(* The process-context compute entry points.  Each performs the one
+   payload-free [Proc.Compute] effect for the cost staged in [cost.(0)]
+   (nothing when it is not positive); the handler reads the cell, so the
+   only allocation is the continuation the runtime makes per perform.
+   [compute] is application work; [compute_proto] is receiver-context
+   protocol work serving [flow]; [compute_poll] is ksoftirqd's NAPI poll
+   work, ledgered as [Poll] against the polling process itself (Linux
+   charges ksoftirqd, not the victim).  The class hint is set only when
+   the effect fires and the handler consumes it synchronously, so it
+   cannot leak onto another process's segment. *)
+let compute t = if t.cost.(0) > 0. then Effect.perform Proc.Compute
 
-(* [compute_poll] is the process-context analogue for ksoftirqd: the
-   segment is NAPI poll work, ledgered as [Poll] against the polling
-   process itself (Linux charges ksoftirqd, not the victim). *)
-let compute_poll t cost =
-  t.hint_poll <- true;
-  t.hint_flow <- -1;
-  Proc.compute cost;
-  t.hint_poll <- false;
-  t.hint_flow <- -1
+let compute_proto t ~flow =
+  if t.cost.(0) > 0. then begin
+    t.hint_cls <- 1;
+    t.hint_flow <- flow;
+    Effect.perform Proc.Compute
+  end
+
+let compute_poll t =
+  if t.cost.(0) > 0. then begin
+    t.hint_cls <- 2;
+    Effect.perform Proc.Compute
+  end
 
 let ledger t = t.ledger
 

@@ -45,7 +45,7 @@ val spawn :
   t -> ?nice:int -> ?working_set:float -> name:string -> (Proc.t -> unit) ->
   Proc.t
 (** Create a process and make it runnable now.  The body runs as a coroutine
-    performing {!Proc.compute} / {!Proc.block} effects. *)
+    performing compute ({!compute}) / {!Proc.block} effects. *)
 
 val join : Proc.t -> unit
 (** Block the calling process until [p] exits (process context only). *)
@@ -76,10 +76,11 @@ val job : ('a -> int -> unit) -> 'a job
     post. *)
 
 val cost_cell : t -> float array
-(** 1-slot staging cell for the next {!post_hard_job}/{!post_soft_job}'s
-    cost in microseconds.  A computed float passed as an argument is boxed
-    at the call; a float-array store is not.  Write it immediately before
-    posting. *)
+(** 1-slot staging cell for the cost in microseconds of the next
+    {!post_hard_job}/{!post_soft_job} or {!compute}.  A computed float
+    passed as an argument is boxed at the call (and under [-opaque] no
+    cross-module call is inlined away); a float-array store is not.  Write
+    it immediately before posting or computing. *)
 
 val post_hard_job :
   t -> label:string -> tpkt:int -> 'a job -> 'a -> int -> unit
@@ -111,20 +112,27 @@ val set_account : t -> Proc.t -> owner:Proc.t option -> unit
 (** Redirect scheduler charging for a process (LRP's APP thread runs at its
     owning process's priority and charges CPU to it). *)
 
+(** {1 Process-context compute}
+
+    The only way process code consumes CPU: stage the cost in
+    {!cost_cell}, then perform.  Process context only. *)
+
+val compute : t -> unit
+(** Consume [(cost_cell t).(0)] simulated microseconds of CPU, preemptibly,
+    ledgered as application work (no-op when the staged cost is not
+    positive). *)
+
+val compute_proto : t -> flow:int -> unit
+(** {!compute} with the segment attributed to receiver-context protocol
+    work serving channel [flow] ([-1] for none) in the CPU's {!Ledger}
+    (LRP's lazy protocol processing, the UDP helper, the forwarding
+    daemon). *)
+
+val compute_poll : t -> unit
+(** {!compute} with the segment attributed to NAPI poll work in the CPU's
+    {!Ledger} (ksoftirqd's process-context polling). *)
+
 (** {1 Accounting ledger} *)
-
-val compute_proto : t -> flow:int -> float -> unit
-(** [compute_proto t ~flow d] is {!Proc.compute}[ d] with the segment
-    attributed to receiver-context protocol work serving channel [flow]
-    ([-1] for none) in the CPU's {!Ledger} (LRP's lazy protocol
-    processing, the UDP helper, the forwarding daemon).  Plain
-    [Proc.compute] segments are attributed as application work.  Process
-    context only. *)
-
-val compute_poll : t -> float -> unit
-(** [compute_poll t d] is {!Proc.compute}[ d] with the segment attributed
-    to NAPI poll work in the CPU's {!Ledger} (ksoftirqd's process-context
-    polling).  Process context only. *)
 
 val ledger : t -> Ledger.t
 (** The CPU's always-on cycle-accounting ledger.  Interrupt-level cycles

@@ -19,7 +19,7 @@ and pending = Start of (t -> unit) | Work | Resume | Blocked | Done
 and waitq = { wq_name : string; mutable waiters : t list }
 
 type _ Effect.t +=
-  | Compute : float -> unit Effect.t
+  | Compute : unit Effect.t
   | Block : waitq -> unit Effect.t
   | Sleep : float -> unit Effect.t
   | Yield : unit Effect.t
@@ -47,8 +47,6 @@ let make ~pid ~name ~thread ~working_set ~now body =
 
 let cpu_time p = p.acct.(a_cpu)
 let overhead_time p = p.acct.(a_overhead)
-
-let compute d = if d > 0. then Effect.perform (Compute d)
 
 let block wq = Effect.perform (Block wq)
 

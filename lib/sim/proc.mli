@@ -2,7 +2,7 @@
 
     A process is an OCaml function run as an effect-handled coroutine.  Host
     OCaml execution is instantaneous in virtual time; simulated CPU
-    consumption happens only where the code performs {!compute}.  This makes
+    consumption happens only where the code performs [Compute].  This makes
     costs explicit: kernel code paths state how many microseconds of the
     simulated CPU they burn, and the CPU model (see {!Cpu}) interleaves,
     preempts and charges those segments.
@@ -10,7 +10,9 @@
     The effects here are the complete interface between process code and the
     CPU model:
 
-    - [compute d] — consume [d] microseconds of CPU, preemptibly;
+    - [Compute] — consume the CPU microseconds staged in the CPU's cost
+      cell, preemptibly (performed by {!Cpu.compute} and its ledger
+      variants, never directly);
     - [block wq] — sleep until another party wakes the queue;
     - [sleep_for d] — sleep for [d] microseconds of virtual time;
     - [yield ()] — go to the back of the run queue without sleeping. *)
@@ -54,7 +56,11 @@ and pending =
 and waitq = { wq_name : string; mutable waiters : t list }
 
 type _ Effect.t +=
-  | Compute : float -> unit Effect.t
+  | Compute : unit Effect.t
+      (** Carries no payload: the cost is staged in the CPU's cost cell
+          ({!Cpu.cost_cell}) and read by the handler, so a perform
+          allocates only its continuation (a float payload cost the
+          constructor block and a boxed float on top). *)
   | Block : waitq -> unit Effect.t
   | Sleep : float -> unit Effect.t
   | Yield : unit Effect.t
@@ -93,10 +99,6 @@ val overhead_time : t -> float
     overhead rather than useful work. *)
 
 (** {1 Effects} *)
-
-val compute : float -> unit
-(** [compute d] consumes [d] simulated microseconds of CPU (no-op when
-    [d <= 0]).  Must be called from process context. *)
 
 val block : waitq -> unit
 (** Sleep until {!Cpu.wakeup_one} or {!Cpu.wakeup_all} targets the queue. *)

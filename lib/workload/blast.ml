@@ -46,14 +46,13 @@ let start_source engine nic ~src ~dst:(dip, dport) ?(src_port = 7777)
 type sink = {
   sock : Socket.t;
   mutable received : int;
-  mutable last_rx_at : float;
 }
 
 (* [start_sink kern ~port ()] spawns the blast-server process: bind, then
    receive and discard in a loop. *)
 let start_sink kern ?(nice = 0) ~port () =
   let sock = Api.socket_dgram kern in
-  let sink = { sock; received = 0; last_rx_at = 0. } in
+  let sink = { sock; received = 0 } in
   let _proc =
     Cpu.spawn (Kernel.cpu kern) ~nice ~name:(Printf.sprintf "blast-sink:%d" port)
       (fun self ->
@@ -61,7 +60,6 @@ let start_sink kern ?(nice = 0) ~port () =
         let rec loop () =
           let _dg = Api.recvfrom kern ~self sock in
           sink.received <- sink.received + 1;
-          sink.last_rx_at <- Engine.now (Kernel.engine kern);
           loop ()
         in
         try loop () with Api.Socket_closed -> ())

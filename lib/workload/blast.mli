@@ -19,6 +19,5 @@ val start_source :
 type sink = {
   sock : Lrp_kernel.Socket.t;
   mutable received : int;
-  mutable last_rx_at : float;
 }
 val start_sink : Lrp_kernel.Kernel.t -> ?nice:int -> port:int -> unit -> sink

@@ -28,7 +28,8 @@ let start_server kern ?(port = 80) ?(backlog = 5) ?(doc_bytes = 1300)
            let conn = Api.tcp_accept kern ~self lsock in
            st.accepted <- st.accepted + 1;
            (* fork() a child to serve the request. *)
-           Proc.compute fork_us;
+           (Cpu.cost_cell (Kernel.cpu kern)).(0) <- fork_us;
+           Cpu.compute (Kernel.cpu kern);
            let child =
              Cpu.spawn (Kernel.cpu kern)
                ~name:(Printf.sprintf "httpd-child%d" st.accepted)
@@ -36,7 +37,8 @@ let start_server kern ?(port = 80) ?(backlog = 5) ?(doc_bytes = 1300)
                (fun child_self ->
                  (match Api.tcp_recv kern ~self:child_self conn ~max:4096 with
                   | `Data _request ->
-                      Proc.compute service_us;
+                      (Cpu.cost_cell (Kernel.cpu kern)).(0) <- service_us;
+                      Cpu.compute (Kernel.cpu kern);
                       (match
                          Api.tcp_send kern ~self:child_self conn
                            (Payload.synthetic doc_bytes)

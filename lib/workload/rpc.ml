@@ -43,7 +43,8 @@ let start_rpc_server kern ~port ~service =
         Api.bind kern sock ~owner:(Some self) ~port;
         let rec loop () =
           let dg = Api.recvfrom kern ~self sock in
-          Proc.compute service;
+          (Cpu.cost_cell (Kernel.cpu kern)).(0) <- service;
+          Cpu.compute (Kernel.cpu kern);
           Api.sendto kern ~self sock ~dst:dg.Api.dg_from (Payload.synthetic 32);
           loop ()
         in
@@ -57,7 +58,8 @@ let start_worker kern ~port ~cpu_us ~working_set result =
          Api.bind kern sock ~owner:(Some self) ~port;
          let dg = Api.recvfrom kern ~self sock in
          result.worker_started <- Engine.now (Kernel.engine kern);
-         Proc.compute cpu_us;
+         (Cpu.cost_cell (Kernel.cpu kern)).(0) <- cpu_us;
+         Cpu.compute (Kernel.cpu kern);
          result.worker_finished <- Some (Engine.now (Kernel.engine kern));
          Api.sendto kern ~self sock ~dst:dg.Api.dg_from (Payload.synthetic 32)))
 

@@ -32,7 +32,7 @@ let fixture_cmts = "_build/default/test/allocheck_fixtures"
 let alloc_entries =
   [
     "Aclo.capture"; "Aclo.static_fn"; "Aclo.partial";
-    "Abox.ret_box"; "Abox.fresh_arg"; "Abox.passthrough";
+    "Abox.ret_box"; "Abox.fresh_arg"; "Abox.passthrough"; "Abox.inlined";
     "Ablocks.pair"; "Ablocks.mk"; "Ablocks.update"; "Ablocks.some";
     "Ablocks.cons"; "Ablocks.lit"; "Ablocks.empty_arr"; "Ablocks.none";
     "Aref.escaping"; "Aref.eliminated"; "Aref.buffer";
@@ -79,7 +79,7 @@ let test_box () =
   let fs = in_file "abox.ml" in
   check_rl
     "bare-float return and freshly computed float argument fire; \
-     variable passthrough does not"
+     variable passthrough and same-unit [@inline] callees do not"
     [ ("BOX", 9); ("BOX", 11); ("BOX", 11) ]
     fs;
   Alcotest.(check bool) "return finding names the callee" true

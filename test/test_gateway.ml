@@ -142,7 +142,8 @@ let test_lrp_gateway_flood_fairness () =
     ignore
       (Cpu.spawn (Kernel.cpu gw) ~name:"local-app" (fun _self ->
            let rec loop () =
-             Proc.compute 1_000.;
+             (Cpu.cost_cell (Kernel.cpu gw)).(0) <- 1_000.;
+             Cpu.compute (Kernel.cpu gw);
              app_progress := !app_progress +. 1_000.;
              loop ()
            in

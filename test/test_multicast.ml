@@ -112,6 +112,48 @@ let test_leave_group () =
   Alcotest.(check int) "kernel no longer lists the group channel" before
     (List.length (Kernel.channels server))
 
+(* Closing one member of a group must not close the channel the other
+   members share: the survivor keeps receiving under lazy processing. *)
+let test_close_one_member () =
+  List.iter
+    (fun arch ->
+      let cfg = Kernel.default_config arch in
+      let w, client, server = World.pair ~cfg () in
+      let got_a = ref 0 and got_b = ref 0 in
+      ignore
+        (Cpu.spawn (Kernel.cpu server) ~name:"member-a" (fun self ->
+             let sock = Api.socket_dgram server in
+             Api.join_group server sock ~owner:(Some self) ~group ~port:6666;
+             ignore (Api.recvfrom server ~self sock);
+             incr got_a;
+             Api.close server ~self sock));
+      ignore
+        (Cpu.spawn (Kernel.cpu server) ~name:"member-b" (fun self ->
+             let sock = Api.socket_dgram server in
+             Api.join_group server sock ~owner:(Some self) ~group ~port:6666;
+             for _ = 1 to 3 do
+               ignore (Api.recvfrom server ~self sock);
+               incr got_b
+             done));
+      ignore
+        (Cpu.spawn (Kernel.cpu client) ~name:"tx" (fun self ->
+             let sock = Api.socket_dgram client in
+             ignore (Api.bind_ephemeral client sock ~owner:(Some self));
+             for _ = 1 to 3 do
+               Api.sendto client ~self sock ~dst:(group, 6666)
+                 (Payload.synthetic 10);
+               Proc.sleep_for (Time.ms 5.)
+             done));
+      World.run w ~until:(Time.sec 1.);
+      let name = Kernel.arch_name arch in
+      Alcotest.(check int) (name ^ ": closed member got one datagram") 1 !got_a;
+      Alcotest.(check int) (name ^ ": surviving member got all three") 3 !got_b;
+      Alcotest.(check int)
+        (name ^ ": the group's channel is still allocated")
+        1
+        (Lrp_core.Chantab.udp_channel_count (Kernel.chantab server)))
+    [ Kernel.Soft_lrp; Kernel.Ni_lrp ]
+
 let test_join_requires_multicast_addr () =
   let cfg = Kernel.default_config Kernel.Ni_lrp in
   let w, _client, server = World.pair ~cfg () in
@@ -180,6 +222,8 @@ let suite =
     Alcotest.test_case "multicast across hosts" `Quick test_multicast_across_hosts;
     Alcotest.test_case "leave group deallocates the channel" `Quick
       test_leave_group;
+    Alcotest.test_case "closing one member keeps the group channel" `Quick
+      test_close_one_member;
     Alcotest.test_case "join requires a class-D address" `Quick
       test_join_requires_multicast_addr;
     Alcotest.test_case "connected UDP filters foreign peers" `Quick

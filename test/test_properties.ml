@@ -5,6 +5,11 @@
 open Lrp_engine
 open Lrp_sim
 
+(* Process-context CPU consumption: stage the cost, then compute. *)
+let compute cpu d =
+  (Cpu.cost_cell cpu).(0) <- d;
+  Cpu.compute cpu
+
 (* --- engine: time ordering under random self-scheduling ----------------- *)
 
 let prop_engine_time_ordering =
@@ -46,7 +51,7 @@ let prop_cpu_time_conservation =
         ignore
           (Cpu.spawn cpu ~name:(Printf.sprintf "p%d" i) (fun _ ->
                for _ = 1 to 20 do
-                 Proc.compute busy;
+                 compute cpu busy;
                  Proc.sleep_for idle
                done))
       done;
@@ -77,7 +82,7 @@ let test_equal_procs_get_equal_shares () =
     List.init 4 (fun i ->
         Cpu.spawn cpu ~name:(Printf.sprintf "p%d" i) (fun _ ->
             let rec loop () =
-              Proc.compute 500.;
+              compute cpu 500.;
               loop ()
             in
             loop ()))
@@ -98,7 +103,7 @@ let test_nice_gets_less () =
   let mk nice name =
     Cpu.spawn cpu ~name ~nice (fun _ ->
         let rec loop () =
-          Proc.compute 500.;
+          compute cpu 500.;
           loop ()
         in
         loop ())
@@ -124,7 +129,7 @@ let test_interactive_latency_preserved_under_load () =
     ignore
       (Cpu.spawn cpu ~name:(Printf.sprintf "hog%d" i) (fun _ ->
            let rec loop () =
-             Proc.compute 1_000.;
+             compute cpu 1_000.;
              loop ()
            in
            loop ()))
@@ -135,7 +140,7 @@ let test_interactive_latency_preserved_under_load () =
          for _ = 1 to 50 do
            Proc.sleep_for (Time.ms 100.);
            let t0 = Engine.now eng in
-           Proc.compute 100.;
+           compute cpu 100.;
            Lrp_stats.Stats.Samples.add wait_latency (Engine.now eng -. t0 -. 100.)
          done));
   Engine.run eng ~until:(Time.sec 10.);

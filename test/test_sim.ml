@@ -4,6 +4,11 @@
 open Lrp_engine
 open Lrp_sim
 
+(* Process-context CPU consumption: stage the cost, then compute. *)
+let compute cpu d =
+  (Cpu.cost_cell cpu).(0) <- d;
+  Cpu.compute cpu
+
 let mk () =
   let eng = Engine.create () in
   let cpu = Cpu.create eng ~name:"host" () in
@@ -14,7 +19,7 @@ let test_single_compute () =
   let done_at = ref (-1.) in
   let _p =
     Cpu.spawn cpu ~name:"worker" (fun _self ->
-        Proc.compute 1_000.;
+        compute cpu 1_000.;
         done_at := Engine.now eng)
   in
   Engine.run eng ~until:(Time.sec 1.);
@@ -26,9 +31,9 @@ let test_sequential_computes () =
   let marks = ref [] in
   ignore
     (Cpu.spawn cpu ~name:"worker" (fun _ ->
-         Proc.compute 100.;
+         compute cpu 100.;
          marks := Engine.now eng :: !marks;
-         Proc.compute 250.;
+         compute cpu 250.;
          marks := Engine.now eng :: !marks));
   Engine.run eng ~until:(Time.sec 1.);
   Alcotest.(check (list (float 1e-6))) "marks" [ 100.; 350. ] (List.rev !marks)
@@ -41,7 +46,7 @@ let test_two_procs_share_cpu () =
   let spawn_one name =
     ignore
       (Cpu.spawn cpu ~name (fun _ ->
-           Proc.compute (Time.sec 1.);
+           compute cpu (Time.sec 1.);
            Hashtbl.replace finish name (Engine.now eng)))
   in
   spawn_one "a";
@@ -113,7 +118,7 @@ let test_hard_preempts_user () =
   let intr_done = ref (-1.) in
   ignore
     (Cpu.spawn cpu ~name:"worker" (fun _ ->
-         Proc.compute 1_000.;
+         compute cpu 1_000.;
          user_done := Engine.now eng));
   ignore
     (Engine.schedule eng ~at:200. (fun () ->
@@ -145,7 +150,7 @@ let test_soft_preempts_user_only () =
   let user_done = ref (-1.) in
   ignore
     (Cpu.spawn cpu ~name:"worker" (fun _ ->
-         Proc.compute 400.;
+         compute cpu 400.;
          user_done := Engine.now eng));
   ignore
     (Engine.schedule eng ~at:100. (fun () ->
@@ -162,7 +167,7 @@ let test_interrupt_storm_starves_user () =
   ignore
     (Cpu.spawn cpu ~name:"victim" (fun _ ->
          let rec loop () =
-           Proc.compute 100.;
+           compute cpu 100.;
            progressed := !progressed +. 100.;
            loop ()
          in
@@ -188,14 +193,14 @@ let test_priority_preemption () =
   ignore
     (Cpu.spawn cpu ~name:"hog" ~nice:10 (fun _ ->
          let rec loop () =
-           Proc.compute 1_000.;
+           compute cpu 1_000.;
            loop ()
          in
          loop ()));
   ignore
     (Cpu.spawn cpu ~name:"interactive" (fun _ ->
          Proc.block wq;
-         Proc.compute 10.;
+         compute cpu 10.;
          woke := Engine.now eng));
   ignore (Engine.schedule eng ~at:50_500. (fun () -> ignore (Cpu.wakeup_one cpu wq)));
   Engine.run eng ~until:(Time.sec 1.);
@@ -213,7 +218,7 @@ let test_ctx_switch_penalty () =
   let spawn_one name =
     ignore
       (Cpu.spawn cpu ~name ~working_set:500. (fun _ ->
-           Proc.compute (Time.sec 0.5);
+           compute cpu (Time.sec 0.5);
            if Engine.now eng > !finish then finish := Engine.now eng))
   in
   spawn_one "a";
@@ -234,7 +239,7 @@ let test_tick_misaccounting () =
   let victim =
     Cpu.spawn cpu ~name:"victim" (fun _ ->
         let rec loop () =
-          Proc.compute 1_000.;
+          compute cpu 1_000.;
           loop ()
         in
         loop ())
@@ -259,7 +264,7 @@ let test_join () =
   let eng, cpu = mk () in
   let joined_at = ref (-1.) in
   let child =
-    Cpu.spawn cpu ~name:"child" (fun _ -> Proc.compute 700.)
+    Cpu.spawn cpu ~name:"child" (fun _ -> compute cpu 700.)
   in
   ignore
     (Cpu.spawn cpu ~name:"parent" (fun _ ->
@@ -290,7 +295,7 @@ let test_yield_round_robin () =
     ignore
       (Cpu.spawn cpu ~name (fun _ ->
            for _ = 1 to 3 do
-             Proc.compute 10.;
+             compute cpu 10.;
              log := name :: !log;
              Proc.yield ()
            done))
@@ -304,7 +309,7 @@ let test_yield_round_robin () =
 
 let test_idle_time () =
   let eng, cpu = mk () in
-  ignore (Cpu.spawn cpu ~name:"w" (fun _ -> Proc.compute 1_000.));
+  ignore (Cpu.spawn cpu ~name:"w" (fun _ -> compute cpu 1_000.));
   Engine.run eng ~until:(Time.ms 10.);
   Alcotest.(check (float 1.)) "idle = elapsed - busy" 9_000. (Cpu.time_idle cpu);
   Alcotest.(check bool) "utilization = 10%" true
