@@ -1,7 +1,9 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
    evaluation (section 4), the MLFRR measurement, and the design-choice
-   ablations; `micro` additionally runs Bechamel microbenchmarks of the
-   simulator's hot paths.
+   ablations, plus two scaling sweeps: `demux` (flow-table probes at up
+   to 1 M flows) and `cluster` (the sharded spine-leaf cluster at 1-8
+   shards).  Simulator cost per layer is measured end to end by
+   perfbench/, not here.
 
    Usage:
      dune exec bench/main.exe                    # everything, full scale
@@ -9,7 +11,6 @@
      dune exec bench/main.exe -- table1 fig3     # a subset
      dune exec bench/main.exe -- --jobs 4        # fan simulations over 4 domains
      dune exec bench/main.exe -- --json out.json # also dump every datapoint
-     dune exec bench/main.exe -- micro           # Bechamel microbenchmarks
 
    Results are independent of --jobs: every simulation runs in its own
    engine seeded deterministically from the root seed and its job index. *)
@@ -19,7 +20,6 @@ open Lrp_experiments
 let quick = ref false
 let jobs = ref (Domain.recommended_domain_count ())
 let json_path = ref None
-let baseline_out = ref "BENCH_10.json"
 let seed = Common.default_seed
 
 (* JSON output goes through the trace library's emitter; integers are
@@ -391,201 +391,6 @@ let bench_trace () =
   in
   Arr rows
 
-(* ------------------------------------------------------------------ *)
-(* Bechamel microbenchmarks of the hot paths                            *)
-(* ------------------------------------------------------------------ *)
-
-let micro_tests () =
-  let open Bechamel in
-  let open Lrp_engine in
-  let open Lrp_net in
-  let open Lrp_proto in
-  let pkt =
-    Packet.udp ~src:(Packet.ip_of_quad 10 0 0 1)
-      ~dst:(Packet.ip_of_quad 10 0 0 2) ~src_port:1234 ~dst_port:80
-      (Payload.synthetic 14)
-  in
-  let bytes = Codec.encode pkt in
-  let chan = Lrp_core.Channel.create ~limit:64 ~name:"bench" () in
-  let heap = Eheap.create () in
-  let rng = Rng.create 1 in
-  let sched = Lrp_sched.Sched.create ~clock:[| 0. |] in
-  let threads =
-    List.init 8 (fun i ->
-        let th =
-          Lrp_sched.Sched.add_thread sched ~name:(Printf.sprintf "t%d" i) ()
-        in
-        Lrp_sched.Sched.make_runnable sched th;
-        th)
-  in
-  let tab = Lrp_core.Chantab.create () in
-  Lrp_core.Chantab.add_udp tab ~port:80
-    (Lrp_core.Channel.create ~name:"u80" ());
-  (* Engine hot path: slot-table recycling means the schedule/fire cycle
-     reuses one event record at steady state. *)
-  let engine = Engine.create () in
-  (* Periodic re-arm: one handle is kept alive forever; each step fires
-     the thunk which reschedules itself via the same handle. *)
-  let rearm_engine = Engine.create () in
-  let rearm_handle = ref None in
-  let rearm_tick () =
-    match !rearm_handle with
-    | Some h -> Engine.reschedule_after rearm_engine h ~delay:1.0
-    | None -> ()
-  in
-  let () =
-    rearm_handle := Some (Engine.schedule_after rearm_engine ~delay:1.0 rearm_tick)
-  in
-  (* Typed fast path: the dispatcher is registered once; each event stores
-     only (target id, argument) in the slot table — no closure, so the
-     steady-state schedule/fire cycle allocates zero minor words. *)
-  let typed_engine = Engine.create () in
-  let typed_sink = ref 0 in
-  let typed_tgt = Engine.target typed_engine (fun v -> typed_sink := v) in
-  (* Capturing-thunk counterpart: the same work expressed as a closure
-     over [v], paying one closure allocation per event. *)
-  let thunk_engine = Engine.create () in
-  let thunk_sink = ref 0 in
-  (* Timer churn, the dominant TCP pattern: schedule two timers, cancel
-     one before it fires.  The wheel drops the cancelled entry in O(1) at
-     bucket-pour time; a pure heap pays the sift on the way in and again
-     when the dead entry reaches the top. *)
-  let churn_wheel = Engine.create () in
-  let churn_heap = Engine.create ~pure_heap:true () in
-  let churn eng () =
-    ignore (Engine.schedule_after eng ~delay:50. ignore);
-    let b = Engine.schedule_after eng ~delay:100. ignore in
-    Engine.cancel eng b;
-    ignore (Engine.step eng);
-    ignore (Engine.step eng)
-  in
-  (* Fabric delivery with and without a configured (but all-zero) fault
-     state: the cost of the fault-injection guard on the fault-free path. *)
-  let fab_pair ~faults =
-    let eng = Engine.create () in
-    let fab = Fabric.create eng () in
-    let a = Fabric.make_nic fab ~name:"a" ~ip:(Packet.ip_of_quad 10 0 0 1) () in
-    let b = Fabric.make_nic fab ~name:"b" ~ip:(Packet.ip_of_quad 10 0 0 2) () in
-    Nic.set_rx_handler a ignore;
-    Nic.set_rx_handler b ignore;
-    if faults then Fabric.set_faults fab Fabric.Faults.none;
-    let fpkt =
-      Packet.udp ~src:(Nic.ip a) ~dst:(Nic.ip b) ~src_port:1234 ~dst_port:80
-        (Payload.synthetic 64)
-    in
-    fun () ->
-      Fabric.forward fab fpkt;
-      ignore (Engine.step eng)
-  in
-  let fab_plain = fab_pair ~faults:false in
-  let fab_zero = fab_pair ~faults:true in
-  [ Test.make ~name:"demux/flow_of_packet (hot path)"
-      (Staged.stage (fun () -> ignore (Demux.flow_of_packet pkt)));
-    Test.make ~name:"demux/flow_of_bytes (NI firmware form)"
-      (Staged.stage (fun () -> ignore (Demux.flow_of_bytes bytes)));
-    Test.make ~name:"chantab/resolve"
-      (Staged.stage
-         (let flow = Demux.flow_of_packet pkt in
-          fun () -> ignore (Lrp_core.Chantab.resolve tab flow)));
-    Test.make ~name:"codec/encode"
-      (Staged.stage (fun () -> ignore (Codec.encode pkt)));
-    Test.make ~name:"codec/decode"
-      (Staged.stage (fun () -> ignore (Codec.decode bytes)));
-    Test.make ~name:"channel/enqueue+dequeue"
-      (Staged.stage (fun () ->
-           ignore (Lrp_core.Channel.enqueue chan pkt);
-           ignore (Lrp_core.Channel.dequeue chan)));
-    Test.make ~name:"eheap/add+pop"
-      (Staged.stage (fun () ->
-           Eheap.add heap ~key:(Rng.uniform rng) 0;
-           ignore (Eheap.pop heap)));
-    Test.make ~name:"engine/schedule+fire (slot reuse)"
-      (Staged.stage (fun () ->
-           ignore (Engine.schedule_after engine ~delay:1.0 ignore);
-           ignore (Engine.step engine)));
-    Test.make ~name:"engine/periodic re-arm (reschedule_after)"
-      (Staged.stage (fun () -> ignore (Engine.step rearm_engine)));
-    Test.make ~name:"engine/schedule_to+fire (typed target)"
-      (Staged.stage (fun () ->
-           ignore
-             (Engine.schedule_to_after typed_engine ~delay:1.0 typed_tgt 7);
-           ignore (Engine.step typed_engine)));
-    Test.make ~name:"engine/schedule+fire (capturing thunk)"
-      (Staged.stage (fun () ->
-           let v = !thunk_sink + 1 in
-           ignore
-             (Engine.schedule_after thunk_engine ~delay:1.0 (fun () ->
-                  thunk_sink := v));
-           ignore (Engine.step thunk_engine)));
-    Test.make ~name:"engine/timer churn (wheel)"
-      (Staged.stage (churn churn_wheel));
-    Test.make ~name:"engine/timer churn (pure heap)"
-      (Staged.stage (churn churn_heap));
-    Test.make ~name:"sched/pick (8 runnable)"
-      (Staged.stage (fun () -> ignore (Lrp_sched.Sched.pick sched)));
-    Test.make ~name:"sched/charge_tick"
-      (Staged.stage
-         (let th = List.hd threads in
-          fun () -> Lrp_sched.Sched.charge_tick sched th));
-    Test.make ~name:"packet/content checksum verify"
-      (Staged.stage (fun () -> ignore (Packet.verify pkt)));
-    Test.make ~name:"fabric/forward+deliver (no fault state)"
-      (Staged.stage fab_plain);
-    Test.make ~name:"fabric/forward+deliver (Faults.none configured)"
-      (Staged.stage fab_zero);
-    Test.make ~name:"rng/bits64"
-      (Staged.stage (fun () -> ignore (Rng.bits64 rng))) ]
-
-(* Measure one Bechamel test; returns (name, ns/run, minor words/run). *)
-let measure_micro test =
-  let open Bechamel in
-  let cfg =
-    Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.25) ~stabilize:true ()
-  in
-  let instances =
-    [ Toolkit.Instance.monotonic_clock; Toolkit.Instance.minor_allocated ]
-  in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  let results =
-    Benchmark.all cfg instances (Test.make_grouped ~name:"g" [ test ])
-  in
-  let estimate instance =
-    let analysed = Analyze.all ols instance results in
-    Lrp_det.Det.fold_sorted
-      (fun _name est acc ->
-        match Analyze.OLS.estimates est with
-        | Some [ v ] -> Some v
-        | Some _ | None -> acc)
-      analysed None
-  in
-  let ns = estimate Toolkit.Instance.monotonic_clock in
-  let words = estimate Toolkit.Instance.minor_allocated in
-  let name =
-    (* the single test inside the group carries the real name *)
-    match Test.elements test with
-    | [ e ] -> Test.Elt.name e
-    | _ -> "?"
-  in
-  (name, Option.value ns ~default:nan, Option.value words ~default:nan)
-
-let bench_micro () =
-  Common.print_title "Microbenchmarks (Bechamel, per run)";
-  Printf.printf "  %-44s %12s %14s\n" "" "time" "minor alloc";
-  let rows =
-    List.map
-      (fun test ->
-        let name, ns, words = measure_micro test in
-        Printf.printf "  %-44s %9.1f ns %8.1f words\n" name ns words;
-        Obj
-          [ ("name", Str name);
-            ("ns_per_run", Num ns);
-            ("minor_words_per_run", Num words) ])
-      (micro_tests ())
-  in
-  Arr rows
-
 (* Flow-table scaling: the packed-key robin-hood table under the four
    operations the demultiplexer performs, at populations from a busy
    server (1 K flows) to a pathological one (1 M).  Keys are synthetic
@@ -657,353 +462,6 @@ let bench_demux () =
   in
   Arr rows
 
-(* Committed perf baseline (BENCH_10.json).  Measures the engine hot paths
-   that the two-tier scheduler is responsible for, plus one end-to-end
-   wall-clock figure, and writes them to [!baseline_out] for the CI
-   regression gate (bench/check_baseline.ml compares a fresh snapshot
-   against the committed file with generous tolerances).
-
-   Unlike the Bechamel microbenches above, these loops measure minor
-   allocation directly from [Gc.minor_words] deltas — the typed fast
-   path's 0.0 words/event is an acceptance criterion, so the number must
-   be an exact count, not a regression estimate. *)
-let bench_baseline () =
-  let open Lrp_engine in
-  Common.print_title "Perf baseline (engine hot paths + fig3 wall-clock)";
-  let time_and_words ~n f =
-    (* Warm-up: enough cycles that every one-time growth — slot table,
-       wheel bucket arrays, heap arrays — happens outside the measured
-       window.  One call is not enough: the first *bucketed* event may
-       come thousands of cycles in (due-tick events heap-route), and its
-       bucket array growth would otherwise read as steady-state alloc. *)
-    for _ = 1 to 20_000 do
-      ignore (f ())
-    done;
-    let w0 = Gc.minor_words () in
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to n do
-      ignore (f ())
-    done;
-    let dt = Unix.gettimeofday () -. t0 in
-    let dw = Gc.minor_words () -. w0 in
-    (dt *. 1e9 /. float_of_int n, dw /. float_of_int n)
-  in
-  let reps = 300_000 in
-  (* Closure fast path: the thunk is a static function, so the slot-table
-     recycling makes the whole schedule/fire cycle allocation-free. *)
-  let eng_sched = Engine.create () in
-  let schedule_fire () =
-    ignore (Engine.schedule_after eng_sched ~delay:1.0 ignore);
-    Engine.step eng_sched
-  in
-  (* Typed fast path: (target id, argument) in the slot table, no closure
-     even though the event carries an argument. *)
-  let eng_typed = Engine.create () in
-  let typed_sink = ref 0 in
-  let typed_tgt = Engine.target eng_typed (fun v -> typed_sink := v) in
-  let typed_fastpath () =
-    ignore (Engine.schedule_to_after eng_typed ~delay:1.0 typed_tgt 7);
-    Engine.step eng_typed
-  in
-  (* The same argument-carrying event as a capturing closure: what every
-     per-packet schedule cost before the typed path existed. *)
-  let eng_thunk = Engine.create () in
-  let thunk_sink = ref 0 in
-  let capturing_thunk () =
-    let v = !thunk_sink + 1 in
-    ignore
-      (Engine.schedule_after eng_thunk ~delay:1.0 (fun () -> thunk_sink := v));
-    Engine.step eng_thunk
-  in
-  (* Demux probe: the per-packet classification + packed-key flow-table
-     lookup the NI (or interrupt handler) performs on every arrival.  The
-     table holds a realistic server port set; the probe hits. *)
-  let demux_tab = Lrp_core.Chantab.create () in
-  let () =
-    for p = 1 to 64 do
-      Lrp_core.Chantab.add_udp demux_tab ~port:p
-        (Lrp_core.Channel.create ~name:(Printf.sprintf "bench-p%d" p) ())
-    done
-  in
-  let demux_pkt =
-    Lrp_net.Packet.udp
-      ~src:(Lrp_net.Packet.ip_of_quad 10 0 0 1)
-      ~dst:(Lrp_net.Packet.ip_of_quad 10 0 0 2)
-      ~src_port:1234 ~dst_port:7
-      (Lrp_net.Payload.synthetic 64)
-  in
-  let demux_probe () =
-    ignore (Lrp_core.Chantab.resolve_slot demux_tab demux_pkt)
-  in
-  (* Arena RX: NI-channel admission and consumption through the handle
-     ring — descriptor acquire into the shared arena, FIFO pop, release.
-     The whole cycle must stay at 0.0 words/packet. *)
-  let rx_arena = Lrp_net.Parena.create () in
-  let rx_chan =
-    Lrp_core.Channel.create ~arena:rx_arena ~limit:64 ~name:"bench-rx" ()
-  in
-  let arena_rx () =
-    ignore (Lrp_core.Channel.enqueue_code rx_chan demux_pkt);
-    ignore (Lrp_core.Channel.pop rx_chan)
-  in
-  (* Arena TX: the driver's if_output through the NIC's descriptor arena
-     — handle-ring push, cached-footprint drain, tx-done fire into a
-     no-op fabric.  Like arena RX, the whole cycle must stay at 0.0
-     words/packet. *)
-  let eng_tx = Engine.create () in
-  let tx_nic =
-    Lrp_net.Nic.create eng_tx ~name:"bench-tx"
-      ~ip:(Lrp_net.Packet.ip_of_quad 10 0 0 9) ()
-  in
-  let tx_arena () =
-    ignore (Lrp_net.Nic.transmit tx_nic demux_pkt);
-    Engine.step eng_tx
-  in
-  (* Recorder on the hot path: the same arena RX cycle plus the packed
-     flight-recorder emit the NIC path performs per packet.  The packed
-     backend is four word stores into SoA ring columns, so the whole
-     traced cycle must stay at 0.0 words/event and close to bare
-     [arena_rx] time (check_baseline pins the ratio). *)
-  let rec_tracer =
-    Lrp_trace.Trace.create ~name:"bench-recorder" ~clock:[| 0. |] ()
-  in
-  Lrp_trace.Trace.set_enabled rec_tracer true;
-  let tracing_on_arena_rx () =
-    ignore (Lrp_core.Channel.enqueue_code rx_chan demux_pkt);
-    Lrp_trace.Trace.nic_rx rec_tracer ~pkt:42 ~bytes:64;
-    ignore (Lrp_core.Channel.pop rx_chan)
-  in
-  (* Ledger charge: the always-on accounting write behind every CPU
-     charge — float-array arithmetic plus one int-keyed probe, with the
-     row already warmed so the steady state is allocation-free. *)
-  let bench_ledger = Lrp_sim.Ledger.create () in
-  let () =
-    Lrp_sim.Ledger.charge bench_ledger Lrp_sim.Ledger.Proto ~pid:1 ~flow:3 0.;
-    Lrp_sim.Ledger.charge bench_ledger Lrp_sim.Ledger.Intr ~pid:(-1) ~flow:(-1)
-      0.
-  in
-  let ledger_overhead () =
-    Lrp_sim.Ledger.charge bench_ledger Lrp_sim.Ledger.Proto ~pid:1 ~flow:3 0.1;
-    Lrp_sim.Ledger.charge bench_ledger Lrp_sim.Ledger.Intr ~pid:(-1) ~flow:(-1)
-      0.1
-  in
-  (* Batched dispatch: 64 same-deadline events admitted through the typed
-     path and drained by one [Engine.drain] call — the engine dispatches
-     equal-key runs as a batch, so the per-event cost amortises the pop
-     machinery across the run.  Reported per event. *)
-  let eng_batch = Engine.create () in
-  let batch_sink = ref 0 in
-  let batch_tgt = Engine.target eng_batch (fun v -> batch_sink := v) in
-  let batch_n = 64 in
-  let batch_dispatch () =
-    for i = 1 to batch_n do
-      ignore (Engine.schedule_to_after eng_batch ~delay:1.0 batch_tgt i)
-    done;
-    Engine.drain eng_batch
-  in
-  (* Periodic re-arm: one slot and one thunk for the clock's lifetime. *)
-  let eng_rearm = Engine.create () in
-  let rearm_handle = ref Engine.none in
-  let () =
-    rearm_handle :=
-      Engine.schedule_after eng_rearm ~delay:1.0 (fun () ->
-          Engine.reschedule_after eng_rearm !rearm_handle ~delay:1.0)
-  in
-  let periodic_rearm () = Engine.step eng_rearm in
-  (* Staged re-arm: the grace-poll / coalesce-timer idiom — the deadline
-     staged through the engine's float cell, the (target, argument) pair
-     through the slot table.  The whole arm+fire cycle must stay at 0.0
-     words/event (the thunk form it replaced paid ~7 words per arm). *)
-  let eng_staged = Engine.create () in
-  let staged_sink = ref 0 in
-  let staged_tgt = Engine.target eng_staged (fun v -> staged_sink := v) in
-  let staged_rearm () =
-    (Engine.deadline_cell eng_staged).(0) <-
-      (Engine.clock_cell eng_staged).(0) +. 1.0;
-    ignore (Engine.schedule_to_staged eng_staged staged_tgt 7);
-    Engine.step eng_staged
-  in
-  (* RX coalescing: a sub-threshold train arming the NIC's hold-off
-     timer, the timer firing into the kernel's kick, and the poll
-     draining the ring — the cycle rebuilt on the staged path so a
-     sub-threshold train allocates nothing. *)
-  let eng_rxq = Engine.create () in
-  let rxq_nic =
-    Lrp_net.Nic.create eng_rxq ~name:"bench-rxq"
-      ~ip:(Lrp_net.Packet.ip_of_quad 10 0 0 8) ()
-  in
-  let () =
-    Lrp_net.Nic.configure_rx_queues rxq_nic ~queues:1 ~ring:64
-      ~coalesce_pkts:64 ~coalesce_us:5.
-      ~steer:(fun _ -> 0)
-      ~kick:(fun q -> Lrp_net.Nic.rxq_disable_intr rxq_nic q)
-  in
-  let rxq_coalesce () =
-    Lrp_net.Nic.receive rxq_nic demux_pkt;
-    ignore (Engine.step eng_rxq);
-    ignore (Lrp_net.Nic.rxq_pop rxq_nic 0);
-    Lrp_net.Nic.rxq_enable_intr rxq_nic 0
-  in
-  (* Timer churn at depth: a cancel-heavy schedule stream (7 of 8 timers
-     are cancelled before firing — the TCP retransmit pattern).  Under the
-     wheel, dead entries are dropped in O(1) when their bucket pours and
-     the heap stays small; a pure heap sifts every corpse in and out, and
-     grows with every lingering cancellation. *)
-  (* Timer churn in the regime the wheel is built for (and the one the
-     paper's TCP stack generates): a deep standing population of pending
-     retransmit timers, re-armed on every ACK — cancel the old RTO,
-     schedule a fresh one ~200 ms out — while the clock creeps forward in
-     small steps.  Per re-arm the pure heap pays an O(log n) sift at
-     schedule and another at the lazy-cancel pop; the wheel pays an O(1)
-     bucket push and an O(1) filtered drop when the bucket pours. *)
-  let bulk_churn ~pure_heap () =
-    let eng = Engine.create ~pure_heap () in
-    let standing = 50_000 in
-    let handles = Array.make standing Engine.none in
-    for i = 0 to standing - 1 do
-      handles.(i) <-
-        Engine.schedule_after eng
-          ~delay:(200_000. +. float_of_int (i land 4095))
-          ignore
-    done;
-    let n = 200_000 in
-    let t0 = Unix.gettimeofday () in
-    for i = 0 to n - 1 do
-      let c = i mod standing in
-      Engine.cancel eng handles.(c);
-      handles.(c) <-
-        Engine.schedule_after eng
-          ~delay:(200_000. +. float_of_int (i land 4095))
-          ignore;
-      (* the ACK itself: a short event fires and nudges the clock *)
-      if i land 63 = 0 then begin
-        ignore (Engine.schedule_after eng ~delay:10. ignore);
-        ignore (Engine.step eng)
-      end
-    done;
-    Engine.run eng ~until:(Engine.now eng +. 1e9);
-    (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int n
-  in
-  Printf.printf "  %-44s %12s %14s\n" "" "time" "minor alloc";
-  let measure key label f =
-    let ns, words = time_and_words ~n:reps f in
-    Printf.printf "  %-44s %9.1f ns %8.1f words\n" label ns words;
-    (key, ns, words)
-  in
-  (* Like [measure], but [f] performs [per] events per call; report per
-     event so the entry is comparable with the others. *)
-  let measure_scaled key label ~per f =
-    let ns, words = time_and_words ~n:(reps / per) f in
-    let per = float_of_int per in
-    let ns = ns /. per and words = words /. per in
-    Printf.printf "  %-44s %9.1f ns %8.1f words\n" label ns words;
-    (key, ns, words)
-  in
-  let entries =
-    [ measure "schedule_fire" "engine/schedule+fire (static thunk)"
-        schedule_fire;
-      measure "typed_fastpath" "engine/schedule_to+fire (typed target)"
-        typed_fastpath;
-      measure "capturing_thunk" "engine/schedule+fire (capturing thunk)"
-        capturing_thunk;
-      measure "demux_probe" "demux/classify+flow-table probe (hit)"
-        demux_probe;
-      measure "arena_rx" "channel/arena enqueue_code+pop" arena_rx;
-      measure "tx_arena" "nic/arena transmit+tx-done (cached bytes)"
-        tx_arena;
-      measure "tracing_on_arena_rx" "channel/arena rx + packed recorder"
-        tracing_on_arena_rx;
-      measure "ledger_overhead" "cpu/ledger charge (warm rows, x2)"
-        ledger_overhead;
-      measure_scaled "batch_dispatch" "engine/batched dispatch (64-run)"
-        ~per:batch_n batch_dispatch;
-      measure "periodic_rearm" "engine/periodic re-arm (reschedule_after)"
-        periodic_rearm;
-      measure "staged_rearm" "engine/staged re-arm (schedule_to_staged)"
-        staged_rearm;
-      measure "rxq_coalesce" "nic/coalesce arm+fire+poll (staged timer)"
-        rxq_coalesce;
-      (let ns = bulk_churn ~pure_heap:false () in
-       Printf.printf "  %-44s %9.1f ns\n" "engine/bulk timer churn (wheel)" ns;
-       ("timer_churn_wheel", ns, 0.));
-      (let ns = bulk_churn ~pure_heap:true () in
-       Printf.printf "  %-44s %9.1f ns\n" "engine/bulk timer churn (pure heap)"
-         ns;
-       ("timer_churn_pure_heap", ns, 0.)) ]
-  in
-  let _, sched_ns, _ =
-    List.find (fun (k, _, _) -> k = "schedule_fire") entries
-  in
-  let events_per_sec = 1e9 /. sched_ns in
-  let t0 = Unix.gettimeofday () in
-  ignore (Fig3.run ~quick:true ~jobs:1 ~seed ());
-  let fig3_wall = Unix.gettimeofday () -. t0 in
-  Printf.printf "  %-44s %9.0f events/s\n" "engine throughput" events_per_sec;
-  Printf.printf "  %-44s %11.2f s\n" "fig3 (quick, 1 job) wall-clock" fig3_wall;
-  (* Sharded cluster: the 64-host spine-leaf topology at 1 and 8 shards.
-     The digests must match — byte-identical results are the shard
-     engine's contract.  [speedup_available] (total events over the epoch
-     schedule's critical path) is deterministic and machine-independent,
-     so CI gates on it even on a 1-core runner; measured wall speedup is
-     recorded with the core count for context and only judged on
-     machines with enough cores to show it. *)
-  let run_cluster shards =
-    let t0 = Unix.gettimeofday () in
-    let r = Cluster.run ~shards ~duration:(if !quick then 50_000. else 200_000.) () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  let c1, cwall1 = run_cluster 1 in
-  let c8, cwall8 = run_cluster 8 in
-  let ceps1 = float_of_int c1.Cluster.events /. cwall1 in
-  let ceps8 = float_of_int c8.Cluster.events /. cwall8 in
-  let cores = Domain.recommended_domain_count () in
-  Printf.printf "  %-44s %9.0f events/s\n" "cluster 8x8 (1 shard)" ceps1;
-  Printf.printf "  %-44s %9.0f events/s\n" "cluster 8x8 (8 shards)" ceps8;
-  Printf.printf "  %-44s %11s\n" "cluster digests (1 vs 8 shards)"
-    (if Int64.equal c1.Cluster.digest c8.Cluster.digest then "identical"
-     else "MISMATCH");
-  Printf.printf "  %-44s %10.2fx (measured %.2fx on %d cores)\n"
-    "cluster speedup available"
-    (Cluster.speedup_available c8)
-    (cwall1 /. cwall8) cores;
-  let doc =
-    Obj
-      [ ("schema", int 1);
-        ( "entries",
-          Arr
-            (List.map
-               (fun (key, ns, words) ->
-                 Obj
-                   [ ("name", Str key);
-                     ("ns_per_event", Num ns);
-                     ("minor_words_per_event", Num words) ])
-               entries) );
-        ("events_per_sec", Num events_per_sec);
-        ("fig3_quick_wall_s", Num fig3_wall);
-        ( "cluster",
-          Obj
-            [ ("racks", int c1.Cluster.racks);
-              ("hosts_per_rack", int c1.Cluster.hosts_per_rack);
-              ("events", int c1.Cluster.events);
-              ("digest_shards1", Str (Printf.sprintf "%Lx" c1.Cluster.digest));
-              ("digest_shards8", Str (Printf.sprintf "%Lx" c8.Cluster.digest));
-              ("events_per_sec_shards1", Num ceps1);
-              ("events_per_sec_shards8", Num ceps8);
-              ("speedup_available", Num (Cluster.speedup_available c8));
-              ("speedup_measured", Num (cwall1 /. cwall8));
-              ("cores", int cores) ] ) ]
-  in
-  let oc = open_out !baseline_out in
-  output_string oc (json_to_string doc);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "  Wrote %s\n" !baseline_out;
-  doc
-
-(* ------------------------------------------------------------------ *)
-(* Driver                                                               *)
-(* ------------------------------------------------------------------ *)
-
 (* Shard-count sweep of the cluster experiment: the digest column must be
    constant (byte-identical results at any shard count) while the
    critical path shrinks with the partition. *)
@@ -1031,6 +489,10 @@ let bench_cluster () =
   in
   Arr rows
 
+(* ------------------------------------------------------------------ *)
+(* Driver                                                               *)
+(* ------------------------------------------------------------------ *)
+
 let all_benches =
   [ ("table1", bench_table1); ("fig3", bench_fig3);
     ("modern", bench_modern); ("mlfrr", bench_mlfrr);
@@ -1039,14 +501,12 @@ let all_benches =
     ("ablate-discard", bench_ablate_discard);
     ("ablate-accounting", bench_ablate_accounting);
     ("ablate-demux", bench_ablate_demux); ("gateway", bench_gateway);
-    ("trace", bench_trace); ("micro", bench_micro);
-    ("demux", bench_demux); ("cluster", bench_cluster);
-    ("baseline", bench_baseline) ]
+    ("trace", bench_trace); ("demux", bench_demux);
+    ("cluster", bench_cluster) ]
 
 let usage () =
   Printf.eprintf
-    "usage: main.exe [--quick] [--jobs N] [--json PATH] [--baseline-out \
-     PATH] [bench ...]\n\
+    "usage: main.exe [--quick] [--jobs N] [--json PATH] [bench ...]\n\
      available benches: %s\n"
     (String.concat ", " (List.map fst all_benches));
   exit 1
@@ -1068,11 +528,7 @@ let () =
     | "--json" :: path :: rest ->
         json_path := Some path;
         parse acc rest
-    | "--baseline-out" :: path :: rest ->
-        baseline_out := path;
-        parse acc rest
-    | ("--jobs" | "--json" | "--baseline-out") :: [] | "--help" :: _
-    | "-h" :: _ ->
+    | ("--jobs" | "--json") :: [] | "--help" :: _ | "-h" :: _ ->
         usage ()
     | a :: _ when String.length a > 0 && a.[0] = '-' ->
         Printf.eprintf "unknown option %S\n" a;

@@ -537,8 +537,10 @@ let rec app_loop t app =
       (match job with
        | Jchan ch ->
            Hashtbl.remove app.chan_pending (Channel.id ch);
-           Trace.notef t.tracer "app %s: drain chan %d (len=%d)"
-             app.app_owner.Proc.name (Channel.id ch) (Channel.length ch);
+           (* Guarded: a disabled [notef] still builds its closures. *)
+           if Trace.enabled t.tracer then
+             Trace.notef t.tracer "app %s: drain chan %d (len=%d)"
+               app.app_owner.Proc.name (Channel.id ch) (Channel.length ch);
            drain_tcp_channel t ch
        | Jtimer f ->
            charge_proto t ~flow:(-1)
@@ -550,7 +552,8 @@ let rec app_loop t app =
         (* The APP thread dies with its process. *)
         Hashtbl.remove t.apps app.app_owner.Proc.pid
       else begin
-        Trace.notef t.tracer "app %s: block" app.app_owner.Proc.name;
+        if Trace.enabled t.tracer then
+          Trace.notef t.tracer "app %s: block" app.app_owner.Proc.name;
         Proc.block app.app_wq;
         app_loop t app
       end
@@ -637,8 +640,9 @@ let app_post_chan t conn ch =
       if not (Hashtbl.mem app.chan_pending (Channel.id ch)) then begin
         Hashtbl.replace app.chan_pending (Channel.id ch) ();
         Queue.add (Jchan ch) app.jobs;
-        Trace.notef t.tracer "post chan %d job for %s" (Channel.id ch)
-          owner.Proc.name
+        if Trace.enabled t.tracer then
+          Trace.notef t.tracer "post chan %d job for %s" (Channel.id ch)
+            owner.Proc.name
       end;
       wake_one t app.app_wq
   | Some _ | None -> orphan_post t ch
@@ -1547,12 +1551,18 @@ let edemux_eager t (pkt : Packet.t) =
       ~poll:false (jobs t).j_edemux_soft pkt mh
   end
 
-(* Early discard on a full receiver queue — but processing stays eager. *)
+(* Early discard on a full receiver queue — but processing stays eager.
+   A group datagram is discarded only when no member's queue has room. *)
 let edemux_udp t pkt ~dst_port =
   match Hashtbl.find t.udp_ports dst_port with
-  | exception Not_found -> edemux_drop t pkt
   | sock ->
       if Socket.has_room sock then edemux_eager t pkt else edemux_drop t pkt
+  | exception Not_found ->
+      (match Hashtbl.find t.mcast_members dst_port with
+       | members when Packet.is_multicast pkt ->
+           if List.exists Socket.has_room !members then edemux_eager t pkt
+           else edemux_drop t pkt
+       | _ | (exception Not_found) -> edemux_drop t pkt)
 
 let edemux_rx t pkt =
   if is_transit t pkt then begin
@@ -1904,6 +1914,7 @@ let fresh_port t =
     t.eph_port <- (if t.eph_port >= 65_000 then 20_000 else t.eph_port + 1);
     if Hashtbl.mem t.udp_ports t.eph_port
        || Hashtbl.mem t.tcp_listeners t.eph_port
+       || Hashtbl.mem t.mcast_members t.eph_port
     then try_port ()
     else t.eph_port
   in

@@ -179,6 +179,20 @@ let test_digest_parity () =
         (Cluster.report r))
     [ 2; 3 ]
 
+(* The default 8x8 cluster at 1 and 8 shards: identical digests, and a
+   partition whose epoch schedule exposes at least a 4x critical-path
+   speedup.  Both figures are deterministic, so they hold on any machine
+   whatever its core count. *)
+let test_default_cluster_8_shards () =
+  let run shards = Cluster.run ~shards ~duration:(Time.ms 50.) () in
+  let r1 = run 1 and r8 = run 8 in
+  Alcotest.(check int64) "digest identical at 1 and 8 shards"
+    r1.Cluster.digest r8.Cluster.digest;
+  let avail = Cluster.speedup_available r8 in
+  Alcotest.(check bool)
+    (Printf.sprintf "speedup_available %.2fx >= 4x" avail)
+    true (avail >= 4.)
+
 (* Random topology and workload parameters: the digest must not depend on
    the shard count, including shard counts above the rack count. *)
 let prop_shard_invariance =
@@ -207,4 +221,6 @@ let suite =
       test_uplink_conservation;
     Alcotest.test_case "cluster digest identical at shards 1/2/3" `Slow
       test_digest_parity;
+    Alcotest.test_case "default 8x8 cluster: 1 vs 8 shards" `Slow
+      test_default_cluster_8_shards;
     QCheck_alcotest.to_alcotest prop_shard_invariance ]

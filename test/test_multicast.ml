@@ -9,7 +9,7 @@ open Lrp_workload
 
 let group = Packet.ip_of_quad 224 0 0 9
 
-let archs = [ Kernel.Bsd; Kernel.Soft_lrp; Kernel.Ni_lrp ]
+let archs = [ Kernel.Bsd; Kernel.Soft_lrp; Kernel.Ni_lrp; Kernel.Early_demux ]
 
 let test_two_members_one_host () =
   List.iter
@@ -215,6 +215,34 @@ let test_connected_udp_filters () =
         ((Kernel.stats server).Kernel.rx_wrong_peer >= 2))
     archs
 
+(* The ephemeral-port allocator must skip a port a multicast group holds:
+   the first ephemeral port is taken by a group, and an unbound socket's
+   [sendto] must bind past it rather than collide with it. *)
+let test_ephemeral_skips_group_port () =
+  let cfg = Kernel.default_config Kernel.Soft_lrp in
+  let w, client, server = World.pair ~cfg () in
+  let from_port = ref 0 in
+  ignore
+    (Cpu.spawn (Kernel.cpu server) ~name:"member" (fun self ->
+         let sock = Api.socket_dgram server in
+         Api.join_group server sock ~owner:(Some self) ~group ~port:20_001;
+         Proc.block (Proc.waitq "forever")));
+  ignore
+    (Cpu.spawn (Kernel.cpu client) ~name:"rx" (fun self ->
+         let sock = Api.socket_dgram client in
+         Api.bind client sock ~owner:(Some self) ~port:7000;
+         let dg = Api.recvfrom client ~self sock in
+         from_port := snd dg.Api.dg_from));
+  ignore
+    (Cpu.spawn (Kernel.cpu server) ~name:"tx" (fun self ->
+         Proc.sleep_for (Time.ms 1.);
+         let sock = Api.socket_dgram server in
+         Api.sendto server ~self sock ~dst:(Kernel.ip_address client, 7000)
+           (Payload.synthetic 14)));
+  World.run w ~until:(Time.ms 50.);
+  Alcotest.(check int) "sender bound the next free ephemeral port" 20_002
+    !from_port
+
 let suite =
   [ Alcotest.test_case "two members, one host" `Quick test_two_members_one_host;
     Alcotest.test_case "members share one NI channel" `Quick
@@ -227,4 +255,6 @@ let suite =
     Alcotest.test_case "join requires a class-D address" `Quick
       test_join_requires_multicast_addr;
     Alcotest.test_case "connected UDP filters foreign peers" `Quick
-      test_connected_udp_filters ]
+      test_connected_udp_filters;
+    Alcotest.test_case "ephemeral port skips a group's port" `Quick
+      test_ephemeral_skips_group_port ]

@@ -1,5 +1,5 @@
 (* Tests for the process/CPU model: coroutine effects, dispatch levels,
-   preemption, accounting. *)
+   preemption, accounting; and the zero-word table of hot-path cycles. *)
 
 open Lrp_engine
 open Lrp_sim
@@ -324,6 +324,16 @@ let test_zero_cost_work () =
   Engine.run eng ~until:(Time.ms 1.);
   Alcotest.(check bool) "zero-cost interrupt action ran" true !ran
 
+(* Minor words allocated by [f ()], net of the measurement's own cost. *)
+let minor_words f =
+  let words g =
+    let w0 = Gc.minor_words () in
+    g ();
+    Gc.minor_words () -. w0
+  in
+  let overhead = words ignore in
+  words f -. overhead
+
 (* Typed interrupt jobs are the per-packet path: once the work rings,
    the engine's slot table and the ledger rows are warm, posting work at
    both levels, dispatching it (a hard post preempts the running soft
@@ -346,20 +356,151 @@ let test_typed_jobs_allocation_free () =
   in
   cycle ();
   cycle ();
-  let words f =
-    let w0 = Gc.minor_words () in
-    f ();
-    Gc.minor_words () -. w0
-  in
-  let overhead = words ignore in
-  let measured = words (fun () -> for _ = 1 to 20 do cycle () done) in
+  let measured = minor_words (fun () -> for _ = 1 to 20 do cycle () done) in
   Alcotest.(check int) "every posted job ran" (22 * 100) !ran;
   Alcotest.(check (float 0.)) "0.0 minor words per posted item" 0.
-    ((measured -. overhead) /. 2000.);
+    (measured /. 2000.);
   Alcotest.(check (float 1e-6)) "hard time" (22. *. 50. *. 3.)
     (Cpu.time_hard cpu);
   Alcotest.(check (float 1e-6)) "soft time" (22. *. 50. *. 5.)
     (Cpu.time_soft cpu)
+
+let udp_pkt () =
+  Lrp_net.Packet.udp
+    ~src:(Lrp_net.Packet.ip_of_quad 10 0 0 1)
+    ~dst:(Lrp_net.Packet.ip_of_quad 10 0 0 2)
+    ~src_port:1234 ~dst_port:7
+    (Lrp_net.Payload.synthetic 64)
+
+(* The steady-state cycles of the per-packet hot paths, one row each.
+   A row builds its fixture and returns one cycle; after a warm-up long
+   enough for every one-time growth (slot table, wheel buckets, heap and
+   ring arrays) the cycle must allocate exactly 0.0 minor words.
+   lrp_allocheck proves the same statically for the functions these
+   cycles call; this table checks it on the running code. *)
+let zero_word_cycles =
+  let module Channel = Lrp_core.Channel in
+  let module Nic = Lrp_net.Nic in
+  let arena_chan () =
+    Channel.create ~arena:(Lrp_net.Parena.create ()) ~limit:64 ~name:"rx" ()
+  in
+  let typed_sink eng = Engine.target eng (fun (_ : int) -> ()) in
+  [ ( "schedule_fire",
+      (* a static thunk: slot-table recycling reuses one event record *)
+      fun () ->
+        let eng = Engine.create () in
+        fun () ->
+          ignore (Engine.schedule_after eng ~delay:1.0 ignore);
+          ignore (Engine.step eng) );
+    ( "typed_fastpath",
+      (* (target id, argument) in the slot table, no closure *)
+      fun () ->
+        let eng = Engine.create () in
+        let tgt = typed_sink eng in
+        fun () ->
+          ignore (Engine.schedule_to_after eng ~delay:1.0 tgt 7);
+          ignore (Engine.step eng) );
+    ( "periodic_rearm",
+      (* one slot and one thunk for the clock's lifetime *)
+      fun () ->
+        let eng = Engine.create () in
+        let h = ref Engine.none in
+        h :=
+          Engine.schedule_after eng ~delay:1.0 (fun () ->
+              Engine.reschedule_after eng !h ~delay:1.0);
+        fun () -> ignore (Engine.step eng) );
+    ( "staged_rearm",
+      (* the grace-poll idiom: deadline staged through the engine's cell *)
+      fun () ->
+        let eng = Engine.create () in
+        let tgt = typed_sink eng in
+        fun () ->
+          (Engine.deadline_cell eng).(0) <- (Engine.clock_cell eng).(0) +. 1.0;
+          ignore (Engine.schedule_to_staged eng tgt 7);
+          ignore (Engine.step eng) );
+    ( "batch_dispatch",
+      (* 64 same-deadline events drained as one batch *)
+      fun () ->
+        let eng = Engine.create () in
+        let tgt = typed_sink eng in
+        fun () ->
+          for i = 1 to 64 do
+            ignore (Engine.schedule_to_after eng ~delay:1.0 tgt i)
+          done;
+          Engine.drain eng );
+    ( "demux_probe",
+      (* classify + packed-key flow-table probe over 64 bound ports *)
+      fun () ->
+        let tab = Lrp_core.Chantab.create () in
+        for port = 1 to 64 do
+          Lrp_core.Chantab.add_udp tab ~port
+            (Channel.create ~name:(Printf.sprintf "p%d" port) ())
+        done;
+        let pkt = udp_pkt () in
+        fun () -> ignore (Lrp_core.Chantab.resolve_slot tab pkt) );
+    ( "arena_rx",
+      (* NI-channel admission and consumption through the handle ring *)
+      fun () ->
+        let ch = arena_chan () and pkt = udp_pkt () in
+        fun () ->
+          ignore (Channel.enqueue_code ch pkt);
+          ignore (Channel.pop ch) );
+    ( "tracing_on_arena_rx",
+      (* the same cycle plus the packed flight-recorder emit *)
+      fun () ->
+        let ch = arena_chan () and pkt = udp_pkt () in
+        let tracer = Lrp_trace.Trace.create ~name:"rec" ~clock:[| 0. |] () in
+        Lrp_trace.Trace.set_enabled tracer true;
+        fun () ->
+          ignore (Channel.enqueue_code ch pkt);
+          Lrp_trace.Trace.nic_rx tracer ~pkt:42 ~bytes:64;
+          ignore (Channel.pop ch) );
+    ( "tx_arena",
+      (* if_output through the NIC's descriptor arena, tx-done fired *)
+      fun () ->
+        let eng = Engine.create () in
+        let nic =
+          Nic.create eng ~name:"tx" ~ip:(Lrp_net.Packet.ip_of_quad 10 0 0 9) ()
+        in
+        let pkt = udp_pkt () in
+        fun () ->
+          ignore (Nic.transmit nic pkt);
+          ignore (Engine.step eng) );
+    ( "rxq_coalesce",
+      (* a sub-threshold train: hold-off timer armed, fired, ring polled *)
+      fun () ->
+        let eng = Engine.create () in
+        let nic =
+          Nic.create eng ~name:"rxq" ~ip:(Lrp_net.Packet.ip_of_quad 10 0 0 8) ()
+        in
+        Nic.configure_rx_queues nic ~queues:1 ~ring:64 ~coalesce_pkts:64
+          ~coalesce_us:5. ~steer:(fun _ -> 0)
+          ~kick:(fun q -> Nic.rxq_disable_intr nic q);
+        let pkt = udp_pkt () in
+        fun () ->
+          Nic.receive nic pkt;
+          ignore (Engine.step eng);
+          ignore (Nic.rxq_pop nic 0);
+          Nic.rxq_enable_intr nic 0 );
+    ( "ledger_overhead",
+      (* the always-on accounting write behind every CPU charge *)
+      fun () ->
+        let l = Ledger.create () in
+        Ledger.charge l Ledger.Proto ~pid:1 ~flow:3 0.;
+        Ledger.charge l Ledger.Intr ~pid:(-1) ~flow:(-1) 0.;
+        fun () ->
+          Ledger.charge l Ledger.Proto ~pid:1 ~flow:3 0.1;
+          Ledger.charge l Ledger.Intr ~pid:(-1) ~flow:(-1) 0.1 ) ]
+
+let test_zero_words make () =
+  let cycle = make () in
+  for _ = 1 to 20_000 do
+    cycle ()
+  done;
+  let n = 50_000 in
+  let words = minor_words (fun () -> for _ = 1 to n do cycle () done) in
+  Alcotest.(check (float 0.)) "minor words per cycle" 0.
+    (words /. float_of_int n)
 
 let suite =
   [ Alcotest.test_case "single compute" `Quick test_single_compute;
@@ -386,3 +527,8 @@ let suite =
     Alcotest.test_case "zero-cost interrupt work" `Quick test_zero_cost_work;
     Alcotest.test_case "typed jobs: post/dispatch/complete allocate nothing"
       `Quick test_typed_jobs_allocation_free ]
+  @ List.map
+      (fun (name, make) ->
+        Alcotest.test_case ("0.0 words per cycle: " ^ name) `Quick
+          (test_zero_words make))
+      zero_word_cycles
