@@ -2,7 +2,7 @@
 
      lrp_lint [--json] [--out FILE] [PATH...]
 
-   Scans the given files/directories (default: lib bin bench) and prints
+   Scans the given files/directories (default: lib bin) and prints
    findings; exits 0 on a clean tree, 1 when there are findings, 2 on
    usage errors.  --json switches stdout to the machine-readable report;
    --out additionally writes the report to FILE (CI uploads it as an
@@ -10,7 +10,7 @@
 
 let usage () =
   prerr_endline "usage: lrp_lint [--json] [--out FILE] [PATH...]";
-  prerr_endline "  PATH defaults to: lib bin bench";
+  prerr_endline "  PATH defaults to: lib bin";
   exit 2
 
 let () =
@@ -33,7 +33,7 @@ let () =
   in
   parse_args (List.tl (Array.to_list Sys.argv));
   let paths =
-    match List.rev !paths with [] -> [ "lib"; "bin"; "bench" ] | ps -> ps
+    match List.rev !paths with [] -> [ "lib"; "bin" ] | ps -> ps
   in
   List.iter
     (fun p ->

@@ -1,17 +1,43 @@
-(* Command-line front end: run any of the paper's experiments, or a single
-   parameterised scenario, from the shell.
+(* Command-line front end: the one way to run the paper's experiments, or
+   a single parameterised scenario, from the shell.
 
-     lrp_sim table1|fig3|fig4|table2|fig5|mlfrr [--quick]
+     lrp_sim bench                           # every table and figure
+     lrp_sim bench --quick table1 fig3       # a subset, reduced scale
+     lrp_sim bench --jobs 4 --json out.json  # 4 domains, dump datapoints
      lrp_sim blast --arch soft-lrp --rate 12000 --duration 2
-     lrp_sim ablations
-     lrp_sim gateway --arch bsd --rate 20000 *)
+     lrp_sim gateway --arch bsd --rate 20000
+
+   [bench] regenerates every table and figure of the paper's evaluation
+   (section 4), the MLFRR measurement and the design-choice ablations,
+   plus two scaling sweeps: [demux] (flow-table probes at up to 1 M flows)
+   and [cluster] (the sharded spine-leaf cluster at 1-8 shards).  Its
+   results are independent of --jobs: every simulation runs in its own
+   engine seeded from the root seed and its job index.  Simulator cost
+   per layer is measured end to end by perfbench/, not here. *)
 
 open Cmdliner
 open Lrp_experiments
 open Lrp_engine
-open Lrp_net
 open Lrp_kernel
 open Lrp_workload
+
+(* --- flags --------------------------------------------------------------- *)
+
+(* Numeric flags are checked as they are parsed: a bad value is a usage
+   error (exit 124), not a hang, a NaN report or an uncaught exception. *)
+let checked conv ok what =
+  let parse s =
+    match Arg.conv_parser conv s with
+    | Ok v when ok v -> Ok v
+    | Ok _ -> Error (`Msg (Printf.sprintf "%S is not %s" s what))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer conv)
+
+let count = checked Arg.int (fun n -> n >= 1) "an integer >= 1"
+
+let positive =
+  checked Arg.float (fun x -> Float.is_finite x && x > 0.) "a finite number > 0"
 
 let quick =
   let doc = "Shrink workloads for a fast smoke run." in
@@ -24,7 +50,7 @@ let jobs =
   in
   Arg.(
     value
-    & opt int (Domain.recommended_domain_count ())
+    & opt count (Domain.recommended_domain_count ())
     & info [ "jobs"; "j" ] ~docv:"N" ~doc)
 
 (* The one table of --arch spellings. *)
@@ -33,87 +59,476 @@ let arch_names =
     ("ni-lrp", Kernel.Ni_lrp); ("early-demux", Kernel.Early_demux);
     ("napi", Kernel.Napi); ("napi-gro", Kernel.Napi_gro); ("rss", Kernel.Rss) ]
 
-let arch_conv =
-  let parse s =
-    match List.assoc_opt s arch_names with
-    | Some a -> Ok a
-    | None -> Error (`Msg (Printf.sprintf "unknown architecture %S" s))
-  in
-  let print fmt a = Format.pp_print_string fmt (Kernel.arch_name a) in
-  Arg.conv (parse, print)
-
 let arch =
   let doc =
     "Kernel architecture: " ^ String.concat ", " (List.map fst arch_names) ^ "."
   in
-  Arg.(value & opt arch_conv Kernel.Soft_lrp & info [ "arch" ] ~doc)
+  Arg.(value & opt (enum arch_names) Kernel.Soft_lrp & info [ "arch" ] ~doc)
 
 let rate =
   let doc = "Offered load, packets per second." in
-  Arg.(value & opt float 10_000. & info [ "rate" ] ~doc)
+  Arg.(value & opt positive 10_000. & info [ "rate" ] ~doc)
 
 let duration =
   let doc = "Run length, simulated seconds." in
-  Arg.(value & opt float 1. & info [ "duration" ] ~doc)
+  Arg.(value & opt positive 1. & info [ "duration" ] ~doc)
 
-(* --- paper experiments ------------------------------------------------- *)
+(* --- bench: the paper's evaluation --------------------------------------- *)
 
-let experiment name doc run =
-  Cmd.v (Cmd.info name ~doc) Term.(const run $ quick $ jobs)
+(* Each entry prints its human-readable output and returns its datapoints
+   as JSON (the trace library's emitter; integers are exact floats, which
+   it prints without a fraction). *)
+module Bench = struct
+  open Lrp_trace.Json
 
-let table1_cmd =
-  experiment "table1" "Latency/throughput microbenchmarks (Table 1)"
-    (fun quick jobs -> Table1.print (Table1.run ~quick ~jobs ()))
+  let seed = Common.default_seed
+  let int i = Num (float_of_int i)
+  let sysname = Common.system_name
 
-let fig3_cmd =
-  experiment "fig3" "Throughput vs offered load (Figure 3)"
-    (fun quick jobs -> Fig3.print (Fig3.run ~quick ~jobs ()))
+  let series sys point points =
+    Obj [ ("system", Str (sysname sys)); ("points", Arr (List.map point points)) ]
 
-let mlfrr_cmd =
-  experiment "mlfrr" "Maximum loss-free receive rate" (fun quick jobs ->
-      Fig3.print_mlfrr
-        (Fig3.mlfrr_all ~quick ~jobs
-           [ Common.Bsd; Common.Soft_lrp; Common.Ni_lrp ]))
+  let fig3_point p =
+    Obj
+      [ ("offered", Num p.Fig3.offered); ("delivered", Num p.Fig3.delivered);
+        ("discards", int p.Fig3.discards); ("ipq_drops", int p.Fig3.ipq_drops) ]
 
-let fig4_cmd =
-  experiment "fig4" "Latency with concurrent load (Figure 4)"
-    (fun quick jobs -> Fig4.print (Fig4.run ~quick ~jobs ()))
+  let table1 ~quick ~jobs =
+    let rows = Table1.run ~quick ~jobs ~seed () in
+    Table1.print rows;
+    Arr
+      (List.map
+         (fun r ->
+           Obj
+             [ ("system", Str (sysname r.Table1.system));
+               ("rtt_us", Num r.Table1.rtt_us);
+               ("udp_mbps", Num r.Table1.udp_mbps);
+               ("tcp_mbps", Num r.Table1.tcp_mbps) ])
+         rows)
 
-let table2_cmd =
-  experiment "table2" "Synthetic RPC server workload (Table 2)"
-    (fun quick jobs -> Table2.print (Table2.run ~quick ~jobs ()))
+  let fig3 ~quick ~jobs =
+    let rows = Fig3.run ~quick ~jobs ~seed () in
+    Fig3.print rows;
+    Arr (List.map (fun r -> series r.Fig3.system fig3_point r.Fig3.points) rows)
 
-let fig5_cmd =
-  experiment "fig5" "HTTP throughput under SYN flood (Figure 5)"
-    (fun quick jobs -> Fig5.print (Fig5.run ~quick ~jobs ()))
+  let modern ~quick ~jobs =
+    let rows = Modern.run ~quick ~jobs ~seed () in
+    Modern.print rows;
+    let reorder = Modern.run_reorder ~quick ~jobs ~seed () in
+    Modern.print_reorder reorder;
+    Obj
+      [ ( "throughput",
+          Arr
+            (List.map
+               (fun r -> series r.Modern.system fig3_point r.Modern.points)
+               rows) );
+        ( "coalesce_reorder",
+          Arr
+            (List.map
+               (fun p ->
+                 Obj
+                   [ ("coalesce_us", Num p.Modern.coalesce_us);
+                     ("fabric_faults", Bool p.Modern.fabric_faults);
+                     ("observed", int p.Modern.observed);
+                     ("inversions", int p.Modern.inversions);
+                     ("per_kpkt", Num p.Modern.per_kpkt) ])
+               reorder) ) ]
 
-let accounting_cmd =
-  experiment "accounting" "CPU accounting ledger and livelock detector"
-    (fun quick jobs -> Accounting.print (Accounting.run ~quick ~jobs ()))
+  let mlfrr ~quick ~jobs =
+    let rows =
+      Fig3.mlfrr_all ~quick ~jobs ~seed
+        [ Common.Bsd; Common.Soft_lrp; Common.Ni_lrp ]
+    in
+    Fig3.print_mlfrr rows;
+    Arr
+      (List.map
+         (fun (sys, rate) ->
+           Obj [ ("system", Str (sysname sys)); ("mlfrr", Num rate) ])
+         rows)
 
-let ablations_cmd =
-  let run jobs =
-    Ablations.print_discard (Ablations.discard ~jobs ());
-    Ablations.print_accounting (Ablations.accounting ~jobs ());
-    Ablations.print_demux_cost (Ablations.demux_cost ~jobs ())
+  let fig4 ~quick ~jobs =
+    let rows = Fig4.run ~quick ~jobs ~seed () in
+    Fig4.print rows;
+    let point p =
+      Obj
+        [ ("bg_rate", Num p.Fig4.bg_rate); ("rtt_us", Num p.Fig4.rtt_us);
+          ("rtt_mean", Num p.Fig4.rtt_mean); ("rtt_p99", Num p.Fig4.rtt_p99);
+          ("probes", int p.Fig4.probes); ("lost", int p.Fig4.lost) ]
+    in
+    Arr (List.map (fun r -> series r.Fig4.system point r.Fig4.points) rows)
+
+  let table2 ~quick ~jobs =
+    let rows = Table2.run ~quick ~jobs ~seed () in
+    Table2.print rows;
+    Arr
+      (List.map
+         (fun r ->
+           Obj
+             [ ("system", Str (sysname r.Table2.system));
+               ("class", Str (Rpc.cls_name r.Table2.cls));
+               ("worker_elapsed_s", Num r.Table2.worker_elapsed_s);
+               ("rpcs_per_sec", Num r.Table2.rpcs_per_sec);
+               ("worker_share", Num r.Table2.worker_share) ])
+         rows)
+
+  let fig5 ~quick ~jobs =
+    let rows = Fig5.run ~quick ~jobs ~seed () in
+    Fig5.print rows;
+    let point p =
+      Obj
+        [ ("syn_rate", Num p.Fig5.syn_rate);
+          ("http_per_sec", Num p.Fig5.http_per_sec);
+          ("failed", int p.Fig5.failed);
+          ("syn_discards", int p.Fig5.syn_discards) ]
+    in
+    Arr (List.map (fun r -> series r.Fig5.system point r.Fig5.points) rows)
+
+  let ablate_discard ~quick:_ ~jobs =
+    let rows = Ablations.discard ~jobs ~seed () in
+    Ablations.print_discard rows;
+    Arr
+      (List.map
+         (fun r ->
+           Obj
+             [ ("bounded", Bool r.Ablations.bounded);
+               ("delivered", Num r.Ablations.delivered);
+               ("discards", int r.Ablations.discards);
+               ("backlog", int r.Ablations.backlog);
+               ("queue_delay_ms", Num r.Ablations.queue_delay_ms) ])
+         rows)
+
+  let ablate_accounting ~quick:_ ~jobs =
+    let rows = Ablations.accounting ~jobs ~seed () in
+    Ablations.print_accounting rows;
+    Arr
+      (List.map
+         (fun r ->
+           Obj
+             [ ("fair", Bool r.Ablations.fair);
+               ("hog_progress", Num r.Ablations.hog_progress);
+               ("receiver_share", Num r.Ablations.receiver_share);
+               ("receiver_billed", Num r.Ablations.receiver_billed) ])
+         rows)
+
+  let accounting ~quick ~jobs =
+    let r = Accounting.run ~quick ~jobs ~seed () in
+    Accounting.print r;
+    let module Overload = Lrp_check.Overload in
+    Obj
+      [ ( "ledger",
+          Arr
+            (List.map
+               (fun (a : Accounting.arch_row) ->
+                 Obj
+                   [ ("system", Str (sysname a.Accounting.system));
+                     ("offered", int a.Accounting.offered);
+                     ("delivered", int a.Accounting.delivered);
+                     ("intr_total_us", Num a.Accounting.intr_total);
+                     ("mischarged_us", Num a.Accounting.mischarged);
+                     ("victim_mis_us", Num a.Accounting.victim_mis);
+                     ("receiver_proto_us", Num a.Accounting.receiver_proto);
+                     ("app_total_us", Num a.Accounting.app_total) ])
+               r.Accounting.arch_rows) );
+        ( "detector",
+          Arr
+            (List.map
+               (fun (d : Accounting.det_row) ->
+                 let rep = d.Accounting.d_report in
+                 Obj
+                   [ ("system", Str (sysname d.Accounting.d_system));
+                     ("rate", Num d.Accounting.d_rate);
+                     ("offered", int d.Accounting.d_offered);
+                     ("delivered", int d.Accounting.d_delivered);
+                     ("windows", int rep.Overload.samples);
+                     ("judged", int rep.Overload.judged);
+                     ("overload_windows", int rep.Overload.overload_windows);
+                     ("livelock_windows", int rep.Overload.livelock_windows);
+                     ("starved_windows", int rep.Overload.starved_windows);
+                     ("worst_delivery", Num rep.Overload.worst_delivery);
+                     ("peak_intr_share", Num rep.Overload.peak_intr_share);
+                     ("ipq_hwm", int rep.Overload.ipq_hwm);
+                     ("chan_hwm", int rep.Overload.chan_hwm);
+                     ("sock_hwm", int rep.Overload.sock_hwm) ])
+               r.Accounting.det_rows) ) ]
+
+  let ablate_demux ~quick:_ ~jobs =
+    let rows = Ablations.demux_cost ~jobs ~seed () in
+    Ablations.print_demux_cost rows;
+    Arr
+      (List.map
+         (fun r ->
+           Obj
+             [ ("demux_us", Num r.Ablations.demux_us);
+               ("delivered", Num r.Ablations.delivered) ])
+         rows)
+
+  (* Extension (paper section 3.5): an IP gateway under transit flood.
+     Each (rate, architecture) cell is an independent simulation, so the
+     grid fans out over the domain pool like the paper experiments. *)
+  let gateway ~quick:_ ~jobs =
+    let measure ~seed arch rate =
+      let engine, client, gw, server =
+        World.gateway ~seed (Kernel.default_config arch)
+      in
+      let app = Spinner.start (Kernel.cpu gw) ~nice:0 ~name:"local-app" () in
+      ignore (Blast.flood ~client ~server ~rate ~until:(Time.sec 1.) ());
+      Engine.run engine ~until:(Time.sec 1.);
+      (float_of_int (Kernel.stats gw).Kernel.forwarded,
+       Lrp_sim.Proc.cpu_time app /. Time.sec 1.)
+    in
+    let rates = [ 2_000.; 8_000.; 14_000.; 20_000. ] in
+    let tasks =
+      List.concat_map
+        (fun rate -> [ (rate, Kernel.Bsd); (rate, Kernel.Soft_lrp) ])
+        rates
+    in
+    let cells =
+      List.combine tasks
+        (Common.sweep ~jobs
+           (fun i (rate, arch) ->
+             measure ~seed:(Common.job_seed ~seed ~index:i) arch rate)
+           tasks)
+    in
+    Common.print_title
+      "Extension: IP gateway under transit flood (section 3.5)";
+    Printf.printf "  %-14s %12s %12s %16s\n" "rate (pkts/s)" "BSD fwd/s"
+      "LRP fwd/s" "LRP local share";
+    let rows =
+      List.map
+        (fun rate ->
+          let bsd_fwd, _ = List.assoc (rate, Kernel.Bsd) cells in
+          let lrp_fwd, lrp_share = List.assoc (rate, Kernel.Soft_lrp) cells in
+          Printf.printf "  %-14.0f %12.0f %12.0f %15.1f%%\n" rate bsd_fwd
+            lrp_fwd (100. *. lrp_share);
+          Obj
+            [ ("rate", Num rate); ("bsd_fwd_per_sec", Num bsd_fwd);
+              ("lrp_fwd_per_sec", Num lrp_fwd);
+              ("lrp_local_share", Num lrp_share) ])
+        rates
+    in
+    Printf.printf
+      "\n  BSD forwards at softint priority (and livelocks, taking local\n\
+      \  processes with it); LRP's forwarding daemon shares the CPU like any\n\
+      \  process.\n";
+    Arr rows
+
+  (* Observability: trace one fig3 point per architecture with the server
+     kernel's structured tracer on, and report the per-packet
+     stage-latency breakdown plus the full counter snapshot.  The paper's
+     architectural claim shows up directly: BSD spends its protocol time
+     in ["softint-proto"] (software-interrupt context), LRP moves it to
+     ["proc-proto"] (receiver's own context, charged to it). *)
+  let trace ~quick ~jobs:_ =
+    let module Trace = Lrp_trace.Trace in
+    let module S = Lrp_stats.Stats.Samples in
+    Common.print_title
+      "Trace: per-packet stage latency (fig3 point, tracing enabled)";
+    let duration = if quick then Time.ms 200. else Time.ms 500. in
+    let trace_one sys =
+      let point, tracer, counters =
+        Fig3.measure_traced ~seed sys ~rate:8_000. ~duration
+      in
+      let report = Trace.Report.stage_latency (Trace.events tracer) in
+      Printf.printf
+        "\n  [%s] offered %.0f p/s, delivered %.0f p/s; %d events \
+         buffered (%d overwritten)\n"
+        (sysname sys) point.Fig3.offered point.Fig3.delivered
+        (Trace.length tracer) (Trace.dropped tracer);
+      Format.printf "%a@." Trace.Report.pp report;
+      let stage_json (name, s) =
+        Obj
+          [ ("stage", Str name); ("count", int (S.count s));
+            ("mean_us", Num (S.mean s));
+            ("p50_us", Num (S.percentile s 50.));
+            ("p99_us", Num (S.percentile s 99.)) ]
+      in
+      Obj
+        [ ("system", Str (sysname sys)); ("offered", Num point.Fig3.offered);
+          ("delivered", Num point.Fig3.delivered);
+          ("packets", int report.Trace.Report.packets);
+          ("events", int (Trace.length tracer));
+          ("overwritten", int (Trace.dropped tracer));
+          ("stages", Arr (List.map stage_json report.Trace.Report.stages));
+          ("metrics", Obj (List.map (fun (k, v) -> (k, Num v)) counters)) ]
+    in
+    Arr (List.map trace_one [ Common.Bsd; Common.Soft_lrp; Common.Ni_lrp ])
+
+  (* Flow-table scaling: the packed-key robin-hood table under the four
+     operations the demultiplexer performs, at populations from a busy
+     server (1 K flows) to a pathological one (1 M).  Keys are synthetic
+     but distinct; the miss probes use keys guaranteed absent.  Per-op
+     times are loop averages -- at these iteration counts a timer read
+     per op would dominate. *)
+  let demux ~quick ~jobs:_ =
+    let module Flowtab = Lrp_core.Flowtab in
+    Common.print_title "Flow-table scaling (packed-key robin-hood probes)";
+    let sizes =
+      if quick then [ 1_000; 100_000 ] else [ 1_000; 100_000; 1_000_000 ]
+    in
+    Printf.printf "  %-10s %12s %12s %12s %12s\n" "flows" "insert" "hit"
+      "miss" "delete";
+    let sink = ref 0 in
+    let row n =
+      let tab = Flowtab.create ~dummy:0 () in
+      (* hi is unique per key, so the pairs are distinct even when the
+         packed ports in lo collide. *)
+      let key_hi i = i + 1 in
+      let key_lo i = ((i * 7 land 0xffff) lsl 16) lor (i * 13 land 0xffff) in
+      let per_op f =
+        let t0 = Unix.gettimeofday () in
+        f ();
+        (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int n
+      in
+      let insert_ns =
+        per_op (fun () ->
+            for i = 0 to n - 1 do
+              Flowtab.add_new tab ~hi:(key_hi i) ~lo:(key_lo i) i
+            done)
+      in
+      let hit_ns =
+        per_op (fun () ->
+            for i = 0 to n - 1 do
+              sink := !sink + Flowtab.find tab ~hi:(key_hi i) ~lo:(key_lo i)
+            done)
+      in
+      let miss_ns =
+        per_op (fun () ->
+            for i = 0 to n - 1 do
+              (* key_hi never exceeds n, so hi + n + 1 is always absent *)
+              sink :=
+                !sink + Flowtab.find tab ~hi:(key_hi i + n + 1) ~lo:(key_lo i)
+            done)
+      in
+      let delete_ns =
+        per_op (fun () ->
+            for i = 0 to n - 1 do
+              ignore (Flowtab.remove tab ~hi:(key_hi i) ~lo:(key_lo i))
+            done)
+      in
+      if Flowtab.length tab <> 0 then
+        failwith "bench demux: table not empty after delete pass";
+      Printf.printf "  %-10d %9.1f ns %9.1f ns %9.1f ns %9.1f ns\n" n
+        insert_ns hit_ns miss_ns delete_ns;
+      Obj
+        [ ("flows", int n); ("insert_ns", Num insert_ns);
+          ("hit_ns", Num hit_ns); ("miss_ns", Num miss_ns);
+          ("delete_ns", Num delete_ns) ]
+    in
+    Arr (List.map row sizes)
+
+  (* Shard-count sweep of the cluster experiment: the digest column must
+     be constant (byte-identical results at any shard count) while the
+     critical path shrinks with the partition. *)
+  let cluster ~quick ~jobs:_ =
+    Common.print_title "Sharded cluster (spine-leaf, shard-count sweep)";
+    let duration = if quick then 50_000. else 200_000. in
+    Printf.printf "  %-8s %12s %14s %12s %16s\n" "shards" "wall" "events/s"
+      "avail." "digest";
+    let row shards =
+      let t0 = Unix.gettimeofday () in
+      let r = Cluster.run ~shards ~duration () in
+      let wall = Unix.gettimeofday () -. t0 in
+      let eps = float_of_int r.Cluster.events /. wall in
+      Printf.printf "  %-8d %10.3f s %12.0f %10.2fx %16Lx\n" shards wall eps
+        (Cluster.speedup_available r) r.Cluster.digest;
+      Obj
+        [ ("shards", int shards); ("wall_s", Num wall);
+          ("events_per_sec", Num eps);
+          ("speedup_available", Num (Cluster.speedup_available r));
+          ("digest", Str (Printf.sprintf "%Lx" r.Cluster.digest)) ]
+    in
+    Arr (List.map row [ 1; 2; 4; 8 ])
+
+  let all =
+    [ ("table1", table1); ("fig3", fig3); ("modern", modern);
+      ("mlfrr", mlfrr); ("fig4", fig4); ("table2", table2); ("fig5", fig5);
+      ("accounting", accounting); ("ablate-discard", ablate_discard);
+      ("ablate-accounting", ablate_accounting);
+      ("ablate-demux", ablate_demux); ("gateway", gateway);
+      ("trace", trace); ("demux", demux); ("cluster", cluster) ]
+
+  (* Runs [names] (all entries when empty) in order, timing each; [out] is
+     the already-open --json file, if any. *)
+  let run ~quick ~jobs out names =
+    let names = if names = [] then List.map fst all else names in
+    Printf.printf
+      "LRP (OSDI'96) reproduction — regenerating the paper's evaluation%s \
+       (%d job%s)\n"
+      (if quick then " (quick mode)" else "")
+      jobs
+      (if jobs = 1 then "" else "s");
+    let t0 = Unix.gettimeofday () in
+    let results =
+      List.map
+        (fun name ->
+          let s = Unix.gettimeofday () in
+          let data = (List.assoc name all) ~quick ~jobs in
+          let wall = Unix.gettimeofday () -. s in
+          Printf.printf "  [%s finished in %.1fs wall time]\n" name wall;
+          (name, Obj [ ("wall_s", Num wall); ("data", data) ]))
+        names
+    in
+    let total = Unix.gettimeofday () -. t0 in
+    Printf.printf "\nTotal wall time: %.1fs\n" total;
+    Option.iter
+      (fun (path, oc) ->
+        output_string oc
+          (to_string
+             (Obj
+                [ ("quick", Bool quick); ("jobs", int jobs); ("seed", int seed);
+                  ("total_wall_s", Num total); ("experiments", Obj results) ]));
+        output_char oc '\n';
+        close_out oc;
+        Printf.printf "Wrote %s\n" path)
+      out
+end
+
+let bench_cmd =
+  let names =
+    let doc =
+      "Experiments to run, in order (default: all): "
+      ^ String.concat ", " (List.map fst Bench.all) ^ "."
+    in
+    let names = List.map (fun (n, _) -> (n, n)) Bench.all in
+    Arg.(value & pos_all (enum names) [] & info [] ~docv:"NAME" ~doc)
   in
-  Cmd.v (Cmd.info "ablations" ~doc:"Design-choice ablations")
-    Term.(const run $ jobs)
+  let json =
+    let doc =
+      "Also write every datapoint, per-experiment and total wall time, the \
+       root seed and the job count to $(docv) as one JSON document."
+    in
+    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"PATH" ~doc)
+  in
+  (* The JSON file is opened before any experiment runs, so an unwritable
+     path fails at once rather than after the whole suite. *)
+  let run quick jobs json names =
+    match Option.map (fun path -> (path, open_out path)) json with
+    | exception Sys_error e -> `Error (false, e)
+    | out -> `Ok (Bench.run ~quick ~jobs out names)
+  in
+  Cmd.v
+    (Cmd.info "bench"
+       ~doc:
+         "Regenerate the paper's tables and figures, the ablations and the \
+          scaling sweeps")
+    Term.(ret (const run $ quick $ jobs $ json $ names))
 
-(* --- parameterised one-off scenarios ----------------------------------- *)
+(* --- parameterised one-off scenarios ------------------------------------- *)
+
+(* The blast scenarios' common run: a client/server pair of [arch],
+   [setup] applied to the server, then a blast at [rate] for [duration]
+   simulated seconds. *)
+let blast_run arch rate duration setup =
+  let w, client, server = World.pair ~cfg:(Kernel.default_config arch) () in
+  let x = setup server in
+  let until = Time.sec duration in
+  let sink, src = Blast.flood ~client ~server ~rate ~until () in
+  World.run w ~until;
+  (server, sink, src, x)
 
 let blast_cmd =
   let run arch rate duration =
-    let cfg = Kernel.default_config arch in
-    let w, client, server = World.pair ~cfg () in
-    let sink = Blast.start_sink server ~port:9000 () in
-    let src =
-      Blast.start_source (World.engine w) (Kernel.nic client)
-        ~src:(Kernel.ip_address client)
-        ~dst:(Kernel.ip_address server, 9000)
-        ~rate ~size:14 ~until:(Time.sec duration) ()
-    in
-    World.run w ~until:(Time.sec duration);
+    let server, sink, src, () = blast_run arch rate duration ignore in
     let st = Kernel.stats server in
     let cpu = Kernel.cpu server in
     Printf.printf "%s: offered %.0f pkts/s for %.1fs\n" (Kernel.arch_name arch)
@@ -136,33 +551,10 @@ let blast_cmd =
 
 let gateway_cmd =
   let run arch rate duration =
-    let engine = Engine.create () in
-    let net_a = Fabric.create engine () in
-    let net_b = Fabric.create engine () in
-    let cfg = Kernel.default_config arch in
-    let gw_cfg = { cfg with Kernel.forwarding = true } in
-    let client =
-      Kernel.create engine net_a ~name:"client"
-        ~ip:(Lrp_net.Packet.ip_of_quad 10 0 0 10) cfg
+    let engine, client, gw, server =
+      World.gateway (Kernel.default_config arch)
     in
-    let gw =
-      Kernel.create engine net_a ~name:"gw"
-        ~ip:(Lrp_net.Packet.ip_of_quad 10 0 0 1) gw_cfg
-    in
-    ignore
-      (Kernel.add_interface gw net_b ~ip:(Lrp_net.Packet.ip_of_quad 10 0 1 1) ());
-    let server =
-      Kernel.create engine net_b ~name:"server"
-        ~ip:(Lrp_net.Packet.ip_of_quad 10 0 1 20) cfg
-    in
-    Fabric.set_default_gateway net_a ~ip:(Lrp_net.Packet.ip_of_quad 10 0 0 1);
-    Fabric.set_default_gateway net_b ~ip:(Lrp_net.Packet.ip_of_quad 10 0 1 1);
-    let sink = Blast.start_sink server ~port:9000 () in
-    ignore
-      (Blast.start_source engine (Kernel.nic client)
-         ~src:(Kernel.ip_address client)
-         ~dst:(Kernel.ip_address server, 9000)
-         ~rate ~size:14 ~until:(Time.sec duration) ());
+    let sink, _ = Blast.flood ~client ~server ~rate ~until:(Time.sec duration) () in
     Engine.run engine ~until:(Time.sec duration);
     Printf.printf "%s gateway: %.0f pkts/s transit for %.1fs\n"
       (Kernel.arch_name arch) rate duration;
@@ -179,43 +571,20 @@ let trace_cmd =
     Arg.(
       value & opt string "trace.json" & info [ "trace" ] ~docv:"FILE" ~doc)
   in
+  let formats = [ ("chrome", `Chrome); ("csv", `Csv); ("text", `Text) ] in
   let trace_format =
-    let fmt_conv =
-      Arg.conv
-        ( (function
-          | "chrome" -> Ok `Chrome
-          | "csv" -> Ok `Csv
-          | "text" -> Ok `Text
-          | s -> Error (`Msg (Printf.sprintf "unknown trace format %S" s))),
-          fun fmt f ->
-            Format.pp_print_string fmt
-              (match f with
-              | `Chrome -> "chrome"
-              | `Csv -> "csv"
-              | `Text -> "text") )
-    in
     let doc =
       "Trace sink: chrome (Perfetto-loadable trace_event JSON), csv, or \
        text."
     in
     Arg.(
-      value & opt fmt_conv `Chrome
+      value & opt (enum formats) `Chrome
       & info [ "trace-format" ] ~docv:"FORMAT" ~doc)
   in
   let classes =
-    let cls_conv =
-      Arg.conv
-        ( (function
-          | "packet" -> Ok Trace.Packet_events
-          | "sched" -> Ok Trace.Sched_events
-          | "note" -> Ok Trace.Note_events
-          | s -> Error (`Msg (Printf.sprintf "unknown event class %S" s))),
-          fun fmt c ->
-            Format.pp_print_string fmt
-              (match c with
-              | Trace.Packet_events -> "packet"
-              | Trace.Sched_events -> "sched"
-              | Trace.Note_events -> "note") )
+    let names =
+      [ ("packet", Trace.Packet_events); ("sched", Trace.Sched_events);
+        ("note", Trace.Note_events) ]
     in
     let doc =
       "Record only these event classes (packet, sched, note); repeatable \
@@ -223,34 +592,24 @@ let trace_cmd =
     in
     Arg.(
       value
-      & opt_all (Arg.list cls_conv) []
+      & opt_all (list (enum names)) []
       & info [ "classes" ] ~docv:"CLASSES" ~doc)
   in
   let run arch rate duration trace_file trace_format classes =
-    let cfg = Kernel.default_config arch in
-    let w, client, server = World.pair ~cfg () in
-    let tracer = Kernel.tracer server in
-    Kernel.set_tracing server true;
-    (match List.concat classes with
-    | [] -> ()
-    | cs -> Trace.set_filter tracer cs);
-    let sink = Blast.start_sink server ~port:9000 () in
-    let src =
-      Blast.start_source (World.engine w) (Kernel.nic client)
-        ~src:(Kernel.ip_address client)
-        ~dst:(Kernel.ip_address server, 9000)
-        ~rate ~size:14 ~until:(Time.sec duration) ()
+    let setup server =
+      Kernel.set_tracing server true;
+      match List.concat classes with
+      | [] -> ()
+      | cs -> Trace.set_filter (Kernel.tracer server) cs
     in
-    World.run w ~until:(Time.sec duration);
+    let server, sink, src, () = blast_run arch rate duration setup in
+    let tracer = Kernel.tracer server in
     Trace.write_file tracer ~format:trace_format trace_file;
     Printf.printf "%s: offered %.0f pkts/s for %.1fs; sent %d, delivered %d\n"
       (Kernel.arch_name arch) rate duration src.Blast.sent sink.Blast.received;
     Printf.printf "  %d events buffered (%d overwritten) -> %s (%s)\n"
       (Trace.length tracer) (Trace.dropped tracer) trace_file
-      (match trace_format with
-      | `Chrome -> "chrome"
-      | `Csv -> "csv"
-      | `Text -> "text");
+      (fst (List.find (fun (_, f) -> f = trace_format) formats));
     (* Self-check: a chrome trace must round-trip through a JSON parser. *)
     (match trace_format with
     | `Chrome -> (
@@ -288,21 +647,13 @@ let top_cmd =
     Arg.(value & opt (some string) None & info [ "dump" ] ~docv:"FILE" ~doc)
   in
   let run arch rate duration dump_file =
-    let cfg = Kernel.default_config arch in
-    let w, client, server = World.pair ~cfg () in
-    Kernel.set_tracing server true;
-    let det = Lrp_check.Overload.attach server in
-    let sink = Blast.start_sink server ~port:9000 () in
-    let src =
-      Blast.start_source (World.engine w) (Kernel.nic client)
-        ~src:(Kernel.ip_address client)
-        ~dst:(Kernel.ip_address server, 9000)
-        ~rate ~size:14 ~until:(Time.sec duration) ()
+    let setup server =
+      Kernel.set_tracing server true;
+      Overload.attach server
     in
-    World.run w ~until:(Time.sec duration);
+    let server, sink, src, det = blast_run arch rate duration setup in
     Overload.detach det;
-    let cpu = Kernel.cpu server in
-    let led = Lrp_sim.Cpu.ledger cpu in
+    let led = Lrp_sim.Cpu.ledger (Kernel.cpu server) in
     Printf.printf "%s: offered %.0f pkts/s for %.1fs; sent %d, delivered %d\n"
       (Kernel.arch_name arch) rate duration src.Blast.sent sink.Blast.received;
     Printf.printf "\nCPU ledger (us charged per process):\n";
@@ -325,13 +676,13 @@ let top_cmd =
           flows);
     Printf.printf "\nOverload detector: %s\n"
       (Format.asprintf "%a" Overload.pp_report (Overload.report det));
-    (match dump_file with
+    match dump_file with
     | None -> ()
     | Some file ->
         let p = Trace.recorder (Kernel.tracer server) in
         Lrp_trace.Precorder.write_dump p file;
         Printf.printf "\nflight recorder: %d events -> %s\n"
-          (Lrp_trace.Precorder.length p) file)
+          (Lrp_trace.Precorder.length p) file
   in
   Cmd.v
     (Cmd.info "top"
@@ -342,29 +693,28 @@ let top_cmd =
     Term.(const run $ arch $ rate $ duration $ dump_file)
 
 let cluster_cmd =
-  let module Cluster = Lrp_experiments.Cluster in
   let shards =
     let doc = "Domains to shard the cluster across (1 = sequential)." in
-    Arg.(value & opt int 1 & info [ "shards" ] ~docv:"N" ~doc)
+    Arg.(value & opt count 1 & info [ "shards" ] ~docv:"N" ~doc)
   in
   let racks =
     let doc = "Racks (= shardable cells) in the spine-leaf topology." in
-    Arg.(value & opt int Cluster.default_racks & info [ "racks" ] ~doc)
+    Arg.(value & opt count Cluster.default_racks & info [ "racks" ] ~doc)
   in
   let hosts =
     let doc = "Hosts per rack." in
     Arg.(value
-         & opt int Cluster.default_hosts_per_rack
+         & opt count Cluster.default_hosts_per_rack
          & info [ "hosts" ] ~doc)
   in
   let rate =
     let doc = "Per-host intra-rack blast rate, pkts/s (cross-rack runs at \
                half this)." in
-    Arg.(value & opt float 2000. & info [ "rate" ] ~doc)
+    Arg.(value & opt positive 2000. & info [ "rate" ] ~doc)
   in
   let duration_ms =
     let doc = "Simulated duration, milliseconds." in
-    Arg.(value & opt float 200. & info [ "duration-ms" ] ~doc)
+    Arg.(value & opt positive 200. & info [ "duration-ms" ] ~doc)
   in
   let out_file =
     let doc =
@@ -388,12 +738,8 @@ let cluster_cmd =
         ~duration:(Time.ms duration_ms) ()
     in
     Cluster.print r;
-    (match out_file with
-     | Some f -> write f (Cluster.report r)
-     | None -> ());
-    match dump_file with
-    | Some f -> write f r.Cluster.dump
-    | None -> ()
+    Option.iter (fun f -> write f (Cluster.report r)) out_file;
+    Option.iter (fun f -> write f r.Cluster.dump) dump_file
   in
   Cmd.v
     (Cmd.info "cluster"
@@ -432,14 +778,11 @@ let dump_cmd =
           one per line")
     Term.(const run $ file)
 
-let main () =
+let () =
   let info = Cmd.info "lrp_sim" ~doc:"LRP (OSDI'96) reproduction harness" in
   let default = Term.(ret (const (`Help (`Pager, None)))) in
   exit
     (Cmd.eval
        (Cmd.group ~default info
-          [ table1_cmd; fig3_cmd; mlfrr_cmd; fig4_cmd; table2_cmd; fig5_cmd;
-            accounting_cmd; ablations_cmd; blast_cmd; gateway_cmd; trace_cmd;
-            top_cmd; cluster_cmd; dump_cmd ]))
-
-let () = main ()
+          [ bench_cmd; blast_cmd; gateway_cmd; trace_cmd; top_cmd;
+            cluster_cmd; dump_cmd ]))

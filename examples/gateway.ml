@@ -7,28 +7,13 @@
 
 open Lrp_engine
 open Lrp_sim
-open Lrp_net
 open Lrp_kernel
 open Lrp_workload
 
 let run arch ~fwd_nice ~flood_rate =
-  let engine = Engine.create () in
-  let net_a = Fabric.create engine () in
-  let net_b = Fabric.create engine () in
-  let cfg = Kernel.default_config arch in
-  let gw_cfg = { cfg with Kernel.forwarding = true; Kernel.fwd_nice } in
-  let client =
-    Kernel.create engine net_a ~name:"client" ~ip:(Packet.ip_of_quad 10 0 0 10) cfg
+  let engine, client, gw, server =
+    World.gateway ~fwd_nice (Kernel.default_config arch)
   in
-  let gw =
-    Kernel.create engine net_a ~name:"gw" ~ip:(Packet.ip_of_quad 10 0 0 1) gw_cfg
-  in
-  ignore (Kernel.add_interface gw net_b ~ip:(Packet.ip_of_quad 10 0 1 1) ());
-  let server =
-    Kernel.create engine net_b ~name:"server" ~ip:(Packet.ip_of_quad 10 0 1 20) cfg
-  in
-  Fabric.set_default_gateway net_a ~ip:(Packet.ip_of_quad 10 0 0 1);
-  Fabric.set_default_gateway net_b ~ip:(Packet.ip_of_quad 10 0 1 1);
   (* A local application competing on the gateway. *)
   let app_work = ref 0. in
   ignore
@@ -41,12 +26,9 @@ let run arch ~fwd_nice ~flood_rate =
          in
          loop ()));
   (* A sink behind the gateway, and a flood through it. *)
-  let sink = Blast.start_sink server ~port:9000 () in
-  ignore
-    (Blast.start_source engine (Kernel.nic client)
-       ~src:(Kernel.ip_address client)
-       ~dst:(Kernel.ip_address server, 9000)
-       ~rate:flood_rate ~size:14 ~until:(Time.sec 1.) ());
+  let sink, _ =
+    Blast.flood ~client ~server ~rate:flood_rate ~until:(Time.sec 1.) ()
+  in
   Engine.run engine ~until:(Time.sec 1.);
   (float_of_int sink.Blast.received, !app_work /. Time.sec 1.)
 

@@ -11,12 +11,7 @@ open Lrp_workload
 let measure arch rate =
   let cfg = Kernel.default_config arch in
   let w, client, server = World.pair ~cfg () in
-  let sink = Blast.start_sink server ~port:9000 () in
-  ignore
-    (Blast.start_source (World.engine w) (Kernel.nic client)
-       ~src:(Kernel.ip_address client)
-       ~dst:(Kernel.ip_address server, 9000)
-       ~rate ~size:14 ~until:(Time.sec 1.) ());
+  let sink, _ = Blast.flood ~client ~server ~rate ~until:(Time.sec 1.) () in
   World.run w ~until:(Time.sec 1.);
   (float_of_int sink.Blast.received, Kernel.early_discards server,
    (Kernel.stats server).Kernel.ipq_drops)

@@ -43,12 +43,7 @@ let discard ?(rate = 20_000.) ?(duration = Time.sec 2.) ?(jobs = 1)
       else { cfg with Kernel.channel_limit = 1 lsl 20 }
     in
     let w, client, server = World.pair ~seed ~cfg () in
-    let sink = Blast.start_sink server ~port:9000 () in
-    ignore
-      (Blast.start_source (World.engine w) (Kernel.nic client)
-         ~src:(Kernel.ip_address client)
-         ~dst:(Kernel.ip_address server, 9000)
-         ~rate ~size:14 ~until:duration ());
+    let sink, _ = Blast.flood ~client ~server ~rate ~until:duration () in
     World.run w ~until:duration;
     let delivered = float_of_int sink.Blast.received *. 1e6 /. duration in
     let backlog =
@@ -198,12 +193,7 @@ let demux_cost ?(rate = 20_000.) ?(duration = Time.sec 1.5)
       let w, client, server =
         World.pair ~seed:(Common.job_seed ~seed ~index:i) ~cfg ()
       in
-      let sink = Blast.start_sink server ~port:9000 () in
-      ignore
-        (Blast.start_source (World.engine w) (Kernel.nic client)
-           ~src:(Kernel.ip_address client)
-           ~dst:(Kernel.ip_address server, 9000)
-           ~rate ~size:14 ~until:duration ());
+      let sink, _ = Blast.flood ~client ~server ~rate ~until:duration () in
       World.run w ~until:duration;
       { demux_us;
         delivered = float_of_int sink.Blast.received *. 1e6 /. duration })

@@ -44,8 +44,6 @@ type arch_row = {
   app_total : float;      (* application-class cycles, us *)
 }
 
-let blast_port = 9000
-
 (* One server under blast with a sink and a nice +20 victim spinner;
    returns the server kernel, the victim pid and a stop closure. *)
 let blast_world ?(seed = Common.default_seed) sys ~rate ~duration =
@@ -56,12 +54,7 @@ let blast_world ?(seed = Common.default_seed) sys ~rate ~duration =
   let victim =
     Spinner.start (Kernel.cpu server) ~nice:20 ~name:"victim" ()
   in
-  let sink = Blast.start_sink server ~port:blast_port () in
-  ignore
-    (Blast.start_source (World.engine w) (Kernel.nic blaster)
-       ~src:(Kernel.ip_address blaster)
-       ~dst:(Kernel.ip_address server, blast_port)
-       ~rate ~size:14 ~until:duration ());
+  let sink, _ = Blast.flood ~client:blaster ~server ~rate ~until:duration () in
   (w, server, victim, sink)
 
 let measure_arch ?(seed = Common.default_seed) sys ~rate ~duration =

@@ -35,13 +35,10 @@ let measure_on ?(seed = Common.default_seed) ?(trace = false) sys ~rate
   let cfg = Common.config_of_system sys in
   let w, client, server = World.pair ~seed ~cfg () in
   if trace then Kernel.set_tracing server true;
-  let sink = Blast.start_sink server ~port:9000 () in
   let warmup = Time.ms 200. in
-  ignore
-    (Blast.start_source (World.engine w) (Kernel.nic client)
-       ~src:(Kernel.ip_address client)
-       ~dst:(Kernel.ip_address server, 9000)
-       ~rate ~size:14 ~until:(warmup +. duration) ());
+  let sink, _ =
+    Blast.flood ~client ~server ~rate ~until:(warmup +. duration) ()
+  in
   (* Count deliveries only after warmup. *)
   World.run w ~until:warmup;
   let base = sink.Blast.received in
@@ -106,13 +103,7 @@ let mlfrr ?(quick = false) ?(seed = Common.default_seed) sys =
     incr probes;
     let cfg = Common.config_of_system sys in
     let w, client, server = World.pair ~seed:probe_seed ~cfg () in
-    let sink = Blast.start_sink server ~port:9000 () in
-    let src =
-      Blast.start_source (World.engine w) (Kernel.nic client)
-        ~src:(Kernel.ip_address client)
-        ~dst:(Kernel.ip_address server, 9000)
-        ~rate ~size:14 ~until:duration ()
-    in
+    let sink, src = Blast.flood ~client ~server ~rate ~until:duration () in
     (* Drain time after the source stops. *)
     World.run w ~until:(duration +. Time.ms 100.);
     sink.Blast.received >= src.Blast.sent * 999 / 1000

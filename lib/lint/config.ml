@@ -10,7 +10,7 @@ type t = {
       (* D1: the one module allowed to own ambient nondeterminism. *)
   wallclock_files : string list;
       (* D1: wall-clock reads (Sys.time / Unix.gettimeofday) allowed —
-         benchmark harnesses measure real elapsed time by design.
+         the experiment front end times its runs by design.
          Random.* stays banned here. *)
   det_files : string list;
       (* D2: the sorted-iteration helper implementation itself. *)
@@ -33,7 +33,7 @@ type t = {
          layer DAG (proto ranks below core). *)
   stateful_scope : string list;
       (* C1/P1 apply only under these path components (library code);
-         executables under bin/ and bench/ may print and hold state. *)
+         executables under bin/ may print and hold state. *)
   c2_dirs : string list;
       (* C2: directories whose code runs cell-parallel under Shardsim —
          module-level bindings there must not hold mutable state even
@@ -53,7 +53,7 @@ type t = {
 let default =
   {
     rng_files = [ "lib/engine/rng.ml" ];
-    wallclock_files = [ "bench/main.ml" ];
+    wallclock_files = [ "bin/lrp_sim_cli.ml" ];
     det_files = [ "lib/core/det.ml" ];
     d3_files =
       [

@@ -22,8 +22,13 @@ type source = {
    [size]-byte UDP datagrams at [rate] packets/sec until [until]. *)
 let start_source engine nic ~src ~dst:(dip, dport) ?(src_port = 7777)
     ~rate ~size ~until () =
-  let t = { sent = 0; stop_at = until } in
   let interval = 1e6 /. rate in
+  (* A rate that is not finite and positive, or so high that the interval
+     no longer advances the clock at [until], would re-arm forever. *)
+  if not (Float.is_finite rate && rate > 0.
+          && (until +. interval > until || until = infinity)) then
+    invalid_arg (Printf.sprintf "Blast.start_source: rate %g" rate);
+  let t = { sent = 0; stop_at = until } in
   (* One event record and one thunk for the whole run: each firing re-arms
      the same handle instead of scheduling a fresh closure per packet. *)
   let handle = ref None in
@@ -65,3 +70,17 @@ let start_sink kern ?(nice = 0) ~port () =
         try loop () with Api.Socket_closed -> ())
   in
   sink
+
+(* [flood ~client ~server ~rate ~until ()] is the paper's blast: a sink on
+   [server]'s port 9000, then a 14-byte source from [client] at [rate]
+   until [until].  The sink starts first, so its process exists before the
+   source's first event. *)
+let flood ~client ~server ~rate ~until () =
+  let sink = start_sink server ~port:9000 () in
+  let src =
+    start_source (Kernel.engine client) (Kernel.nic client)
+      ~src:(Kernel.ip_address client)
+      ~dst:(Kernel.ip_address server, 9000)
+      ~rate ~size:14 ~until ()
+  in
+  (sink, src)

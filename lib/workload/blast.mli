@@ -16,8 +16,18 @@ val start_source :
   dst:Lrp_net.Packet.ip * Lrp_net.Packet.port ->
   ?src_port:Lrp_net.Packet.port ->
   rate:float -> size:int -> until:float -> unit -> source
+(** Raises [Invalid_argument] unless [rate] is finite and positive, and
+    low enough that one interval still advances the clock at [until]. *)
+
 type sink = {
   sock : Lrp_kernel.Socket.t;
   mutable received : int;
 }
 val start_sink : Lrp_kernel.Kernel.t -> ?nice:int -> port:int -> unit -> sink
+
+val flood :
+  client:Lrp_kernel.Kernel.t ->
+  server:Lrp_kernel.Kernel.t ->
+  rate:float -> until:float -> unit -> sink * source
+(** The paper's blast: {!start_sink} on [server]'s port 9000, then a
+    14-byte {!start_source} from [client] at [rate] until [until]. *)

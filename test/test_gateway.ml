@@ -9,39 +9,14 @@ open Lrp_net
 open Lrp_kernel
 open Lrp_workload
 
-(* Two networks glued by a gateway.  Hosts: client on net A, server on
-   net B. *)
-let make_topology arch ?(fwd_nice = 0) () =
-  let engine = Engine.create () in
-  let net_a = Fabric.create engine () in
-  let net_b = Fabric.create engine () in
-  let cfg = Kernel.default_config arch in
-  let gw_cfg = { cfg with Kernel.forwarding = true; Kernel.fwd_nice = fwd_nice } in
-  let client =
-    Kernel.create engine net_a ~name:"client" ~ip:(Packet.ip_of_quad 10 0 0 10)
-      cfg
-  in
-  let gw =
-    Kernel.create engine net_a ~name:"gw" ~ip:(Packet.ip_of_quad 10 0 0 1)
-      gw_cfg
-  in
-  ignore
-    (Kernel.add_interface gw net_b ~ip:(Packet.ip_of_quad 10 0 1 1) ());
-  let server =
-    Kernel.create engine net_b ~name:"server" ~ip:(Packet.ip_of_quad 10 0 1 20)
-      cfg
-  in
-  (* Off-link frames on each network go to the gateway's attachment. *)
-  Fabric.set_default_gateway net_a ~ip:(Packet.ip_of_quad 10 0 0 1);
-  Fabric.set_default_gateway net_b ~ip:(Packet.ip_of_quad 10 0 1 1);
-  (engine, client, gw, server)
-
 let archs = [ Kernel.Bsd; Kernel.Soft_lrp; Kernel.Ni_lrp; Kernel.Early_demux ]
 
 let test_udp_through_gateway () =
   List.iter
     (fun arch ->
-      let engine, client, gw, server = make_topology arch () in
+      let engine, client, gw, server =
+        World.gateway (Kernel.default_config arch)
+      in
       let got = ref None in
       ignore
         (Cpu.spawn (Kernel.cpu server) ~name:"rx" (fun self ->
@@ -75,7 +50,9 @@ let test_udp_through_gateway () =
 let test_tcp_through_gateway () =
   List.iter
     (fun arch ->
-      let engine, client, _gw, server = make_topology arch () in
+      let engine, client, _gw, server =
+        World.gateway (Kernel.default_config arch)
+      in
       let echoed = ref None in
       ignore
         (Cpu.spawn (Kernel.cpu server) ~name:"srv" (fun self ->
@@ -135,7 +112,9 @@ let test_lrp_gateway_flood_fairness () =
      process keeps running; under BSD, forwarding happens at softint
      priority and starves it. *)
   let run arch =
-    let engine, client, gw, _server = make_topology arch ~fwd_nice:0 () in
+    let engine, client, gw, _server =
+      World.gateway ~fwd_nice:0 (Kernel.default_config arch)
+    in
     ignore client;
     (* A local application on the gateway itself. *)
     let app_progress = ref 0. in

@@ -94,24 +94,7 @@ let http_syn sys =
    from net A to net B, both through the gateway. *)
 let gateway_run sys =
   let cfg = Common.config_of_system sys in
-  let engine = Engine.create ~seed:42 () in
-  let net_a = Fabric.create engine () in
-  let net_b = Fabric.create engine () in
-  let client =
-    Kernel.create engine net_a ~name:"client" ~ip:(Packet.ip_of_quad 10 0 0 10)
-      cfg
-  in
-  let gw =
-    Kernel.create engine net_a ~name:"gw" ~ip:(Packet.ip_of_quad 10 0 0 1)
-      { cfg with Kernel.forwarding = true }
-  in
-  ignore (Kernel.add_interface gw net_b ~ip:(Packet.ip_of_quad 10 0 1 1) ());
-  let server =
-    Kernel.create engine net_b ~name:"server" ~ip:(Packet.ip_of_quad 10 0 1 20)
-      cfg
-  in
-  Fabric.set_default_gateway net_a ~ip:(Packet.ip_of_quad 10 0 0 1);
-  Fabric.set_default_gateway net_b ~ip:(Packet.ip_of_quad 10 0 1 1);
+  let engine, client, gw, server = World.gateway ~seed:42 cfg in
   Kernel.set_tracing gw true;
   Kernel.set_tracing server true;
   let sink = Blast.start_sink server ~port:9000 () in

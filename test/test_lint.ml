@@ -237,7 +237,7 @@ let test_config_matching () =
 
 let test_self_check () =
   let root = repo_root () in
-  let dirs = List.map (Filename.concat root) [ "lib"; "bin"; "bench" ] in
+  let dirs = List.map (Filename.concat root) [ "lib"; "bin" ] in
   List.iter
     (fun d ->
       if not (Sys.file_exists d) then

@@ -25,6 +25,29 @@ let test_blast_source_rate () =
     true
     (src.Blast.sent >= 4_990 && src.Blast.sent <= 5_010)
 
+(* A rate that is NaN, infinite, zero, negative or too high to advance the
+   clock would re-arm the source forever (or schedule into the past); it
+   is rejected before anything is scheduled. *)
+let test_blast_source_rejects_bad_rates () =
+  let w, client, server = World.pair () in
+  List.iter
+    (fun rate ->
+      match
+        Blast.start_source (World.engine w) (Kernel.nic client)
+          ~src:(Kernel.ip_address client)
+          ~dst:(Kernel.ip_address server, 9000)
+          ~rate ~size:14 ~until:(Time.sec 1.) ()
+      with
+      | _ -> Alcotest.failf "rate %g accepted" rate
+      | exception Invalid_argument _ -> ())
+    [ Float.nan; Float.infinity; 0.; -5.; 1e300 ];
+  let events w =
+    World.run w ~until:(Time.sec 1.);
+    Engine.events_executed (World.engine w)
+  in
+  let idle, _, _ = World.pair () in
+  Alcotest.(check int) "no source event was scheduled" (events idle) (events w)
+
 let test_synflood_unique_tuples () =
   (* Every SYN must look like a new connection: distinct (src, port)
      pairs across a large window. *)
@@ -170,6 +193,8 @@ let test_fragment_loss_times_out_cleanly () =
 
 let suite =
   [ Alcotest.test_case "blast source holds its rate" `Quick test_blast_source_rate;
+    Alcotest.test_case "blast source rejects bad rates" `Quick
+      test_blast_source_rejects_bad_rates;
     Alcotest.test_case "SYN flood tuples are unique" `Quick
       test_synflood_unique_tuples;
     Alcotest.test_case "HTTP server + clients" `Quick test_http_server_serves;
