@@ -33,7 +33,6 @@ open Lrp_net
    pointer indirection on the hottest per-packet loop in the system. *)
 type t = {
   id : int;
-  chan_name : string;
   arena : Parena.t;
   ring : int array; (* Parena handles *)
   mutable head : int; (* index of the oldest entry *)
@@ -41,6 +40,7 @@ type t = {
   limit : int;
   mutable intr_requested : bool;
   mutable processing_enabled : bool;
+  mutable job_owner : int;  (* whose queued job drains this channel, or -1 *)
   (* statistics *)
   mutable enqueued : int;
   mutable discarded : int;        (* early discards: queue full *)
@@ -52,19 +52,19 @@ type t = {
    (Lrp_engine.Idspace), so a cell's id sequence is independent of other
    simulations — and other shards — allocating concurrently. *)
 
-let create ?arena ?(limit = 32) ~name () =
+let create ?arena ?(limit = 32) () =
   let arena =
     (* Real kernels share one arena across all their channels; a channel
        created standalone (tests, microbenches) gets a private one. *)
     match arena with Some a -> a | None -> Parena.create ()
   in
-  { id = Lrp_engine.Idspace.next_chan_id (); chan_name = name;
+  { id = Lrp_engine.Idspace.next_chan_id ();
     arena; ring = Array.make (max 1 limit) Parena.none; head = 0; count = 0;
     limit;
-    intr_requested = false; processing_enabled = true; enqueued = 0;
+    intr_requested = false; processing_enabled = true; job_owner = -1;
+    enqueued = 0;
     discarded = 0; discarded_disabled = 0; hwm = 0 }
 
-let name t = t.chan_name
 let id t = t.id
 
 type enqueue_result =
@@ -172,11 +172,11 @@ let disable_processing t = t.processing_enabled <- false
 
 let processing_enabled t = t.processing_enabled
 
+let job_owner t = t.job_owner
+
+let set_job_owner t o = t.job_owner <- o
+
 let enqueued t = t.enqueued
 let discarded t = t.discarded
 let discarded_disabled t = t.discarded_disabled
 let high_watermark t = t.hwm
-
-let pp fmt t =
-  Fmt.pf fmt "chan %s#%d [%d/%d] in=%d drop=%d" t.chan_name t.id
-    t.count t.limit t.enqueued (t.discarded + t.discarded_disabled)

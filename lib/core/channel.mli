@@ -26,14 +26,12 @@ type t
     below, which is what lets the NI (or interrupt handler) and the kernel
     share it safely. *)
 
-val create : ?arena:Lrp_net.Parena.t -> ?limit:int -> name:string -> unit -> t
+val create : ?arena:Lrp_net.Parena.t -> ?limit:int -> unit -> t
 (** Fresh empty channel; [limit] (default 32 packets) is the early-discard
     threshold.  Queued frames live as descriptors in [arena] (the kernel
     passes its shared arena so every channel draws from one descriptor
     pool; standalone channels get a private arena), and the queue itself
     is a flat ring of handles sized exactly [limit]. *)
-
-val name : t -> string
 
 val id : t -> int
 (** Unique channel identifier (used as a table key by the kernel). *)
@@ -89,6 +87,14 @@ val disable_processing : t -> unit
 
 val processing_enabled : t -> bool
 
+val job_owner : t -> int
+(** The process whose LRP APP thread (section 3.4) holds a queued job to
+    drain this channel, or -1: a packet arriving meanwhile needs no
+    second job there.  The kernel sets and clears it; the channel never
+    reads it. *)
+
+val set_job_owner : t -> int -> unit
+
 val enqueued : t -> int
 (** Packets accepted since creation. *)
 
@@ -102,5 +108,3 @@ val high_watermark : t -> int
 (** Deepest queue occupancy observed since creation (overload
     forensics: a high watermark near [limit] means the channel has been
     on the edge of early discard). *)
-
-val pp : Format.formatter -> t -> unit

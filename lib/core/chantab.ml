@@ -46,9 +46,9 @@ type t = {
 }
 
 let create ?arena ?(frag_limit = 64) ?(icmp_limit = 32) ?(fwd_limit = 64) () =
-  let frag = Channel.create ?arena ~limit:frag_limit ~name:"frag" () in
-  let icmp = Channel.create ?arena ~limit:icmp_limit ~name:"icmp" () in
-  let fwd = Channel.create ?arena ~limit:fwd_limit ~name:"ipfwd" () in
+  let frag = Channel.create ?arena ~limit:frag_limit () in
+  let icmp = Channel.create ?arena ~limit:icmp_limit () in
+  let fwd = Channel.create ?arena ~limit:fwd_limit () in
   { tab = Flowtab.create ~dummy:fwd ();
     frag; icmp; fwd;
     udp_count = 0; tcp_count = 0; unmatched = 0 }
@@ -182,7 +182,9 @@ let channel_of_slot t slot =
   if slot >= 0 then Flowtab.value t.tab slot
   else if slot = slot_frag then t.frag
   else if slot = slot_icmp then t.icmp
-  else invalid_arg "Chantab.channel_of_slot: no channel for slot_none"
+  else
+    (* alloc: cold — error path *)
+    invalid_arg "Chantab.channel_of_slot: no channel for slot_none"
 
 let resolve_packet t pkt =
   let slot = resolve_slot t pkt in

@@ -147,11 +147,6 @@ let sendto k ~(self : Proc.t) (sock : Socket.t) ~dst:(dip, dport) payload =
   sock.Socket.stats.Socket.tx_packets <- sock.Socket.stats.Socket.tx_packets + 1;
   Kernel.ip_output k pkt
 
-let send_dgram k ~self sock payload =
-  match sock.Socket.remote with
-  | Some dst -> sendto k ~self sock ~dst payload
-  | None -> invalid_arg "Api.send_dgram: socket has no default destination"
-
 let udp_connect _k (sock : Socket.t) ~remote = sock.Socket.remote <- Some remote
 
 (* ------------------------------------------------------------------ *)
@@ -351,10 +346,10 @@ let tcp_send k ~(self : Proc.t) (sock : Socket.t) payload =
   let conn = conn_exn sock in
   compute k (c k).Cost.syscall;
   let rec push payload =
-    let before = conn.Tcp.segs_sent in
+    let before = Tcp.segs_sent conn in
     match Tcp.send conn payload with
     | `Sent n ->
-        let emitted = conn.Tcp.segs_sent - before in
+        let emitted = Tcp.segs_sent conn - before in
         compute k
           (((c k).Cost.copy_per_byte *. float_of_int n)
            +. (float_of_int emitted *. Kernel.seg_out_cost k));
@@ -373,10 +368,10 @@ let tcp_recv k ~(self : Proc.t) (sock : Socket.t) ~max =
   let conn = conn_exn sock in
   compute k (c k).Cost.syscall;
   let rec loop () =
-    let before = conn.Tcp.segs_sent in
+    let before = Tcp.segs_sent conn in
     match Tcp.recv conn ~max with
     | `Data payload ->
-        let emitted = conn.Tcp.segs_sent - before in
+        let emitted = Tcp.segs_sent conn - before in
         compute k
           ((c k).Cost.sockq
            +. ((c k).Cost.copy_per_byte
@@ -430,9 +425,9 @@ let close k ~(self : Proc.t) (sock : Socket.t) =
                 Tcp.close conn
               end
               else begin
-                let before = conn.Tcp.segs_sent in
+                let before = Tcp.segs_sent conn in
                 Tcp.close conn;
-                let emitted = conn.Tcp.segs_sent - before in
+                let emitted = Tcp.segs_sent conn - before in
                 if emitted > 0 then
                   compute k
                     (float_of_int emitted *. Kernel.seg_out_cost k)

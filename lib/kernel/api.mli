@@ -70,11 +70,6 @@ val sendto :
 (** Transmit a datagram (auto-binding an ephemeral source port if needed).
     Charged: syscall + copy + UDP/IP output + driver, per fragment. *)
 
-val send_dgram :
-  Kernel.t -> self:Lrp_sim.Proc.t -> Socket.t -> Lrp_net.Payload.t -> unit
-(** [sendto] to the connected-UDP default destination.
-    @raise Invalid_argument if the socket has none. *)
-
 val udp_connect : 'a -> Socket.t -> remote:Lrp_net.Packet.ip * int -> unit
 (** Set the default destination and enable peer filtering: datagrams from
     any other source are silently discarded (BSD connected-UDP
@@ -103,12 +98,6 @@ val tcp_listen :
 (** Passive open.  [backlog] bounds embryonic + accepted-but-unclaimed
     connections; under LRP, exceeding it disables the listen channel so
     further SYNs die at the NI (section 3.4). *)
-
-val listener_exn : Socket.t -> Lrp_proto.Tcp.conn
-(** The listening connection behind a socket (introspection / tests). *)
-
-val conn_exn : Socket.t -> Lrp_proto.Tcp.conn
-(** The connection behind a connected stream socket. *)
 
 val tcp_accept : Kernel.t -> self:Lrp_sim.Proc.t -> Socket.t -> Socket.t
 (** Block until an established connection is available; returns a fresh

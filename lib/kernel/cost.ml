@@ -90,21 +90,3 @@ let default =
 let sunos_fore =
   { default with
     hard_rx = 45.; driver_tx = 45.; copy_per_byte = 0.11; syscall = 65. }
-
-(* Aggregate receive-path interrupt cost under BSD (for documentation and
-   calibration tests): hardware interrupt + softint dispatch + eager
-   protocol processing. *)
-let bsd_udp_interrupt_cost t =
-  t.hard_rx +. t.soft_dispatch
-  +. (t.eager_penalty *. (t.ip_in +. t.udp_in +. t.pcb_lookup))
-  +. (2. *. t.ipq_op) +. t.sockbuf_append
-
-(* Aggregate receive-path interrupt cost under SOFT-LRP: hardware interrupt
-   including demultiplexing and the channel enqueue. *)
-let soft_lrp_interrupt_cost t = t.hard_rx +. t.demux
-
-let pp fmt t =
-  Fmt.pf fmt
-    "bsd-intr/pkt=%.1fus soft-lrp-intr/pkt=%.1fus syscall=%.1fus ctxsw=%.1fus"
-    (bsd_udp_interrupt_cost t) (soft_lrp_interrupt_cost t) t.syscall
-    t.ctx_switch

@@ -57,6 +57,3 @@ type t = {
 }
 val default : t
 val sunos_fore : t
-val bsd_udp_interrupt_cost : t -> float
-val soft_lrp_interrupt_cost : t -> float
-val pp : Format.formatter -> t -> unit

@@ -152,14 +152,21 @@ type kstats = {
   mutable ipq_hwm : int;            (* deepest shared-IP-queue depth seen *)
 }
 
-type job = Jchan of Channel.t | Jtimer of (unit -> unit)
-
+(* An APP thread and its posted work, a FIFO ring of flat columns: a row
+   is a channel to drain ([aq_gen] = -1) or a timer expiry read at
+   generation [aq_gen].  A channel whose drain is queued names the owner
+   in {!Channel.job_owner}, so it is queued at most once per APP thread
+   (a connection handed to a new owner may have a drain queued on
+   both). *)
 type app = {
   app_owner : Proc.t;
-  jobs : job Queue.t;
   app_wq : Proc.waitq;
   mutable app_proc : Proc.t option;
-  chan_pending : (int, unit) Hashtbl.t;  (* channel ids with a queued job *)
+  mutable aq_chan : Channel.t array;
+  mutable aq_timer : Tcp.timer array;
+  mutable aq_gen : int array;
+  mutable aq_head : int;
+  mutable aq_len : int;
 }
 
 (* Per-receive-queue NAPI poll context (Napi / Napi_gro / Rss).  [poll_on]
@@ -220,10 +227,10 @@ let napi_storm_gap = 60.
    small batch instead of per packet. *)
 let napi_repoll = 500.
 
-(* Typed interrupt jobs for the per-packet posts, registered once per
-   kernel ({!Cpu.job}): posting one stores (job, packet, int) in the CPU's
-   work ring instead of allocating a closure per packet. *)
-type rx_jobs = {
+(* The kernel's interrupt work as typed jobs, registered once per kernel
+   ({!Cpu.job}): posting one stores (job, object, int) in the CPU's work
+   ring instead of allocating a closure per post. *)
+type jobs = {
   j_driver_rx : Packet.t Cpu.job;  (* BSD-style driver interrupt *)
   j_demux_rx : Packet.t Cpu.job;   (* SOFT-LRP / Early-Demux demux interrupt *)
   j_softnet : Packet.t Cpu.job;    (* BSD softnet; mbuf handle in the int *)
@@ -233,6 +240,14 @@ type rx_jobs = {
   j_napi_irq : unit Cpu.job;       (* NAPI mitigated interrupt; queue in the int *)
   j_napi_poll : napi Cpu.job;      (* NAPI softirq poll round: collect *)
   j_napi_deliver : napi Cpu.job;   (* ... and deliver the batch *)
+  j_wake_members : Socket.t list ref Cpu.job;
+      (* NI-LRP host interrupt waking a multicast group's receivers *)
+  j_app_chan : Channel.t Cpu.job;  (* NI-LRP host interrupt posting an APP job *)
+  j_orphan : Channel.t Cpu.job;    (* orphaned connection's softint drain *)
+  j_tcp_timer : Tcp.timer Cpu.job; (* softint timer expiry; generation in the int *)
+  j_tcp_tx : unit Cpu.job;         (* softint cost of extra TCP output *)
+  j_reasm : Packet.t Cpu.job;      (* transport input of a reassembled datagram *)
+  j_forward : Packet.t Cpu.job;    (* Early-Demux eager IP forwarding *)
 }
 
 type t = {
@@ -253,7 +268,9 @@ type t = {
   mbufs : Mbuf.t;
   (* --- endpoint tables --- *)
   udp_ports : (int, Socket.t) Hashtbl.t;
-  tcp_conns : (Packet.ip * int * int, Tcp.conn) Hashtbl.t; (* src,sport,dport *)
+  tcp_conns : Tcp.conn Flowtab.t;
+      (* PCBs keyed like Chantab's TCP flows: [hi] = remote (source) IP,
+         [lo] = remote port lsl 16 lor local port *)
   tcp_listeners : (int, Tcp.conn) Hashtbl.t;
   conn_sock : (int, Socket.t) Hashtbl.t;   (* conn id -> socket *)
   conn_owner : (int, Proc.t) Hashtbl.t;    (* conn id -> owning process *)
@@ -268,7 +285,9 @@ type t = {
          (section 3.1) *)
   chan_conn : (int, Tcp.conn) Hashtbl.t;   (* channel id -> connection *)
   conn_chan : (int, Channel.t) Hashtbl.t;  (* connection id -> its channel *)
-  mutable all_channels : Channel.t list;
+  chans : Channel.t Flowtab.t;
+      (* open NI channels by id ([hi]; [lo] = 0), without the chantab's
+         three dedicated ones *)
   apps : (int, app) Hashtbl.t;             (* owner pid -> APP thread *)
   helper_wq : Proc.waitq;
   mutable helper_proc : Proc.t option;
@@ -279,7 +298,7 @@ type t = {
   mutable napi : napi array;   (* one per RX queue; [||] unless NAPI-family *)
   mutable napi_grace_tgt : Proc.waitq Engine.target option;
       (* closure-free grace-poll re-arm; registered on first IRQ deferral *)
-  mutable rxj : rx_jobs option;  (* registered by [create] *)
+  mutable rxj : jobs option;  (* registered by [create] *)
   (* --- shared protocol state --- *)
   reasm : Ip.Reasm.t;
   mutable tcp_env : Tcp.env option;
@@ -306,7 +325,13 @@ let stats t = t.stats
 let ip_address t = t.ip_addr
 let chantab t = t.chantab
 let mbufs t = t.mbufs
-let channels t = t.all_channels
+(* Newest first, then the fragment, ICMP and forwarding channels. *)
+let channels t =
+  let open_chans = ref [] in
+  Flowtab.iter (fun ~hi:_ ~lo:_ ch -> open_chans := ch :: !open_chans) t.chans;
+  List.sort (fun a b -> Int.compare (Channel.id b) (Channel.id a)) !open_chans
+  @ [ Chantab.frag_channel t.chantab; Chantab.icmp_channel t.chantab;
+      Chantab.fwd_channel t.chantab ]
 let now t = Engine.now t.engine
 
 (* Is [addr] one of this host's own addresses? *)
@@ -320,42 +345,35 @@ let is_local_addr t addr = mem_addr addr t.interfaces
 let[@inline] is_transit t pkt =
   not (is_local_addr t (Packet.dst pkt)) && not (Packet.is_multicast pkt)
 
-(* Longest-prefix-match routing across this host's interfaces; the primary
-   interface is the default route. *)
-let route t dst =
-  let matches (ip, masklen, _) =
-    masklen > 0 && ip lsr (32 - masklen) = dst lsr (32 - masklen)
-  in
-  let best =
-    List.fold_left
-      (fun acc ((_, masklen, _) as entry) ->
-        if matches entry then
-          match acc with
-          | Some (_, best_len, _) when best_len >= masklen -> acc
-          | Some _ | None -> Some entry
-        else acc)
-      None t.interfaces
-  in
-  match best with Some (_, _, nic) -> nic | None -> t.nic
+(* Longest-prefix-match routing across this host's interfaces (the first
+   of equally long matches wins); the primary interface is the default
+   route. *)
+let rec best_route dst nic len = function
+  | [] -> nic
+  | (ip, masklen, nic') :: rest ->
+      if masklen > len && ip lsr (32 - masklen) = dst lsr (32 - masklen) then
+        best_route dst nic' masklen rest
+      else best_route dst nic len rest
+
+let route t dst = best_route dst t.nic 0 t.interfaces
 
 let early_discards t =
   List.fold_left
     (fun acc ch -> acc + Channel.discarded ch + Channel.discarded_disabled ch)
-    0 t.all_channels
+    0 (channels t)
 
 let tracer t = t.tracer
+
+let tcp_env_exn t =
+  match t.tcp_env with Some e -> e | None -> assert false
+
+let jobs t = match t.rxj with Some j -> j | None -> assert false
 
 (* Every counter, read from component state at call time.  Components
    name their own rows under the prefix they are given. *)
 let counters t =
   let i name v = (name, float_of_int v) in
   let s = t.stats and e = Engine.timer_stats t.engine in
-  let tcp key =
-    i ("tcp." ^ key)
-      (Lrp_det.Det.fold_sorted
-         (fun _ conn acc -> acc + List.assoc key (Tcp.counters conn))
-         t.tcp_conns 0)
-  in
   let nic k (_, _, n) =
     Nic.counters n ~prefix:(if k = 0 then "nic" else Printf.sprintf "nic%d" k)
   in
@@ -372,7 +390,7 @@ let counters t =
        i "kernel.forwarded" s.forwarded; i "kernel.fwd_drops" s.fwd_drops;
        i "kernel.rsts_sent" s.rsts_sent; i "kernel.csum_drops" s.csum_drops;
        i "kernel.ipq_len" t.ipq_len;
-       i "kernel.channels" (List.length t.all_channels);
+       i "kernel.channels" (List.length (channels t));
        i "kernel.early_discards" (early_discards t);
        i "engine.timers_scheduled" e.Engine.scheduled;
        i "engine.timers_fired" e.Engine.fired;
@@ -383,32 +401,33 @@ let counters t =
        i "reasm.completed" (Ip.Reasm.completed t.reasm);
        i "reasm.timed_out" (Ip.Reasm.timed_out t.reasm);
        i "reasm.pending" (Ip.Reasm.pending_count t.reasm) ]
-    @ List.map tcp
-        [ "segs_sent"; "segs_rcvd"; "bytes_sent"; "bytes_rcvd"; "retransmits";
-          "syn_drops_backlog" ]
+    @ List.map (fun (k, v) -> i ("tcp." ^ k) v) (Tcp.counters (tcp_env_exn t))
     @ Cpu.counters t.cpu ~prefix:"cpu"
     @ List.concat (List.mapi nic t.interfaces))
 
 let set_tracing t on = Trace.set_enabled t.tracer on
 
-let tcp_env_exn t =
-  match t.tcp_env with Some e -> e | None -> assert false
-
 (* ------------------------------------------------------------------ *)
 (* Output path                                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* Hand a datagram to IP output: fragment to the MTU and enqueue on the
-   interface.  Pure state manipulation; CPU cost is charged by the caller
-   (process context for sends; interrupt/APP context for protocol-generated
-   segments). *)
+(* Hand a datagram to IP output: enqueue it on the interface, fragmented
+   to the MTU if it does not fit.  Pure state manipulation; CPU cost is
+   charged by the caller (process context for sends; interrupt/APP context
+   for protocol-generated segments). *)
+let rec transmit_all nic = function
+  | [] -> ()
+  | f :: rest ->
+      ignore (Nic.transmit nic f);
+      transmit_all nic rest
+
 let ip_output t pkt =
   let nic = route t (Packet.dst pkt) in
-  let frags = Ip.fragment pkt ~mtu:t.cfg.mtu in
-  List.iter (fun f -> ignore (Nic.transmit nic f)) frags
+  if Packet.wire_bytes pkt <= t.cfg.mtu then ignore (Nic.transmit nic pkt)
+  else transmit_all nic (Ip.fragment pkt ~mtu:t.cfg.mtu)
 
 (* Per-segment transmit cost (protocol output + driver). *)
-let seg_out_cost t = t.c.Cost.tcp_out +. t.c.Cost.ip_out +. t.c.Cost.driver_tx
+let[@inline] seg_out_cost t = t.c.Cost.tcp_out +. t.c.Cost.ip_out +. t.c.Cost.driver_tx
 
 (* Free a received packet's mbufs.  Only eager kernels draw receive
    buffers from the mbuf pool (lazy ones receive into NI channels).  The
@@ -503,8 +522,6 @@ let napi_grace_rearm t (n : napi) =
     (Engine.clock_cell t.engine).(0) +. napi_repoll;
   ignore (Engine.schedule_to_staged t.engine g n.ksoftirqd_wq)
 
-let sock_of_conn t conn = Hashtbl.find_opt t.conn_sock conn.Tcp.id
-
 let backlog_full (listener : Tcp.conn) =
   listener.Tcp.syn_pending + Queue.length listener.Tcp.accept_queue
   >= listener.Tcp.backlog
@@ -514,9 +531,9 @@ let backlog_full (listener : Tcp.conn) =
    channel (section 3.4). *)
 let update_listen_gate t (listener : Tcp.conn) =
   if t.proto = Lazy then
-    match Hashtbl.find_opt t.conn_chan listener.Tcp.id with
-    | None -> ()
-    | Some ch ->
+    match Hashtbl.find t.conn_chan listener.Tcp.id with
+    | exception Not_found -> ()
+    | ch ->
         if backlog_full listener then Channel.disable_processing ch
         else Channel.enable_processing ch
 
@@ -532,31 +549,37 @@ let[@inline] ni_access_cost t =
 (* ------------------------------------------------------------------ *)
 
 let rec app_loop t app =
-  match Queue.take_opt app.jobs with
-  | Some job ->
-      (match job with
-       | Jchan ch ->
-           Hashtbl.remove app.chan_pending (Channel.id ch);
-           (* Guarded: a disabled [notef] still builds its closures. *)
-           if Trace.enabled t.tracer then
-             Trace.notef t.tracer "app %s: drain chan %d (len=%d)"
-               app.app_owner.Proc.name (Channel.id ch) (Channel.length ch);
-           drain_tcp_channel t ch
-       | Jtimer f ->
-           charge_proto t ~flow:(-1)
-             (t.c.Cost.lazy_locality *. t.c.Cost.tcp_in);
-           f ());
-      app_loop t app
-  | None ->
-      if app.app_owner.Proc.exited then
-        (* The APP thread dies with its process. *)
-        Hashtbl.remove t.apps app.app_owner.Proc.pid
-      else begin
-        if Trace.enabled t.tracer then
-          Trace.notef t.tracer "app %s: block" app.app_owner.Proc.name;
-        Proc.block app.app_wq;
-        app_loop t app
-      end
+  if app.aq_len > 0 then begin
+    let i = app.aq_head in
+    let ch = app.aq_chan.(i) and tm = app.aq_timer.(i) and gen = app.aq_gen.(i) in
+    app.aq_chan.(i) <- Chantab.fwd_channel t.chantab;
+    app.aq_timer.(i) <- Tcp.null_conn.Tcp.rtx_timer;
+    app.aq_head <- (i + 1) land (Array.length app.aq_gen - 1);
+    app.aq_len <- app.aq_len - 1;
+    if gen < 0 then begin
+      if Channel.job_owner ch = app.app_owner.Proc.pid then
+        Channel.set_job_owner ch (-1);
+      (* Guarded: a disabled [notef] still builds its closures. *)
+      if Trace.enabled t.tracer then
+        Trace.notef t.tracer "app %s: drain chan %d (len=%d)"
+          app.app_owner.Proc.name (Channel.id ch) (Channel.length ch);
+      drain_tcp_channel t ch
+    end
+    else begin
+      charge_proto t ~flow:(-1) (t.c.Cost.lazy_locality *. t.c.Cost.tcp_in);
+      Tcp.timer_fired tm ~gen
+    end;
+    app_loop t app
+  end
+  else if app.app_owner.Proc.exited then
+    (* The APP thread dies with its process. *)
+    Hashtbl.remove t.apps app.app_owner.Proc.pid
+  else begin
+    if Trace.enabled t.tracer then
+      Trace.notef t.tracer "app %s: block" app.app_owner.Proc.name;
+    Proc.block app.app_wq;
+    app_loop t app
+  end
 
 and drain_tcp_channel t ch =
   let pkt = Channel.pop ch in
@@ -564,9 +587,9 @@ and drain_tcp_channel t ch =
     charge_proto t ~flow:(Channel.id ch)
       (ni_access_cost t
        +. (t.c.Cost.lazy_locality *. (t.c.Cost.ip_in +. t.c.Cost.tcp_in)));
-    (match Hashtbl.find_opt t.chan_conn (Channel.id ch) with
-     | None -> () (* connection vanished: discard *)
-     | Some conn ->
+    (match Hashtbl.find t.chan_conn (Channel.id ch) with
+     | exception Not_found -> () (* connection vanished: discard *)
+     | conn ->
          tcp_deliver t conn pkt ~ctx:`Proc;
          if Tcp.state conn = Tcp.Listen then update_listen_gate t conn);
     drain_tcp_channel t ch
@@ -580,84 +603,118 @@ and tcp_deliver t conn pkt ~ctx =
     Trace.proto_deliver t.tracer ~pkt:pkt.Packet.ip.Packet.ident
       ~conn:conn.Tcp.id
       ~in_proc:(match ctx with `Proc -> true | `Soft -> false);
-    let before = conn.Tcp.segs_sent in
+    let before = Tcp.segs_sent conn in
     Tcp.input conn pkt;
     t.stats.tcp_delivered <- t.stats.tcp_delivered + 1;
-    let extra = conn.Tcp.segs_sent - before - 1 in
+    let extra = Tcp.segs_sent conn - before - 1 in
     if extra > 0 then begin
       let cost = float_of_int extra *. seg_out_cost t in
       match ctx with
       | `Proc ->
           charge_proto t ~flow:(-1) (t.c.Cost.lazy_locality *. cost)
-      | `Soft -> Cpu.post_soft t.cpu ~label:"tcp-tx" ~cost (fun () -> ())
+      | `Soft ->
+          (Cpu.cost_cell t.cpu).(0) <- cost;
+          Cpu.post_soft_job t.cpu ~label:"tcp-tx" ~tpkt:(-1) ~poll:false
+            (jobs t).j_tcp_tx () 0
     end
   end
 
 and app_for t (owner : Proc.t) =
-  match Hashtbl.find_opt t.apps owner.Proc.pid with
-  | Some app -> app
-  | None ->
+  match Hashtbl.find t.apps owner.Proc.pid with
+  | app -> app
+  | exception Not_found ->
+      (* The rest runs once per process; its ring grows on first post. *)
       let app =
-        { app_owner = owner; jobs = Queue.create ();
-          app_wq = Proc.waitq (Printf.sprintf "app.%s" owner.Proc.name);
-          app_proc = None; chan_pending = Hashtbl.create 8 }
+        (* alloc: cold — once per process *)
+        { app_owner = owner; app_wq = Proc.waitq "app"; app_proc = None;
+          aq_chan = [||]; aq_timer = [||]; aq_gen = [||]; aq_head = 0;
+          aq_len = 0 }
       in
+      (* alloc: cold — once per process *)
       Hashtbl.replace t.apps owner.Proc.pid app;
-      let proc =
-        Cpu.spawn t.cpu ~name:(Printf.sprintf "app-%s" owner.Proc.name)
-          (fun _self -> app_loop t app)
-      in
+      (* alloc: cold — once per process *)
+      let name = Printf.sprintf "app-%s" owner.Proc.name in
+      (* alloc: cold — once per process *)
+      let proc = Cpu.spawn t.cpu ~name (fun _self -> app_loop t app) in
       (* Scheduled at the owner's priority; CPU usage charged to the owner
          (paper section 3.4).  The accounting ablation skips this. *)
       if t.cfg.fair_app_accounting then
+        (* alloc: cold — once per process *)
         Cpu.set_account t.cpu proc ~owner:(Some owner);
+      (* alloc: cold — once per process *)
       app.app_proc <- Some proc;
       app
+
+(* Double an APP thread's ring (8 rows at first), unrolling the live rows
+   to index 0. *)
+let app_grow t app =
+  let cap = Array.length app.aq_gen in
+  let unroll a fill = (* alloc: cold — amortized growth *)
+    let b = Array.make (max 8 (2 * cap)) fill in (* alloc: cold — amortized growth *)
+    for i = 0 to cap - 1 do
+      b.(i) <- a.((app.aq_head + i) land (cap - 1))
+    done;
+    b
+  in
+  app.aq_chan <- unroll app.aq_chan (Chantab.fwd_channel t.chantab);
+  app.aq_timer <- unroll app.aq_timer Tcp.null_conn.Tcp.rtx_timer;
+  app.aq_gen <- unroll app.aq_gen 0;
+  app.aq_head <- 0
+
+(* Queue a row on [app]'s ring and wake its thread. *)
+let app_post t app ch tm gen =
+  if app.aq_len = Array.length app.aq_gen then app_grow t app;
+  let i = (app.aq_head + app.aq_len) land (Array.length app.aq_gen - 1) in
+  app.aq_chan.(i) <- ch;
+  app.aq_timer.(i) <- tm;
+  app.aq_gen.(i) <- gen;
+  app.aq_len <- app.aq_len + 1;
+  wake_one t app.app_wq
 
 (* Orphaned connections (the owning process exited with the connection
    still draining — a normal close-behind-exit) have no APP thread left, so
    their protocol processing falls back to software-interrupt level, as in
    the paper's prototype where a kernel process owns TCP processing. *)
-let rec orphan_post t ch =
-  Cpu.post_soft t.cpu ~label:"tcp-orphan"
-    ~cost:(t.c.Cost.soft_dispatch
-           +. (t.c.Cost.eager_penalty *. (t.c.Cost.ip_in +. t.c.Cost.tcp_in)))
-    (orphan_drain t ch)
+let orphan_post t ch =
+  (Cpu.cost_cell t.cpu).(0) <-
+    t.c.Cost.soft_dispatch
+    +. (t.c.Cost.eager_penalty *. (t.c.Cost.ip_in +. t.c.Cost.tcp_in));
+  Cpu.post_soft_job t.cpu ~label:"tcp-orphan" ~tpkt:(-1) ~poll:false
+    (jobs t).j_orphan ch 0
 
-and orphan_drain t ch () =
+let orphan_drain t ch =
   let pkt = Channel.pop ch in
   if pkt != Packet.null then begin
-    (match Hashtbl.find_opt t.chan_conn (Channel.id ch) with
-     | Some conn -> tcp_deliver t conn pkt ~ctx:`Soft
-     | None -> ());
+    (match Hashtbl.find t.chan_conn (Channel.id ch) with
+     | conn -> tcp_deliver t conn pkt ~ctx:`Soft
+     | exception Not_found -> ());
     if not (Channel.is_empty ch) then orphan_post t ch
   end
 
 let app_post_chan t conn ch =
-  match Hashtbl.find_opt t.conn_owner conn.Tcp.id with
-  | Some owner when not owner.Proc.exited ->
+  match Hashtbl.find t.conn_owner conn.Tcp.id with
+  | owner when not owner.Proc.exited ->
       let app = app_for t owner in
-      if not (Hashtbl.mem app.chan_pending (Channel.id ch)) then begin
-        Hashtbl.replace app.chan_pending (Channel.id ch) ();
-        Queue.add (Jchan ch) app.jobs;
+      if Channel.job_owner ch = owner.Proc.pid then wake_one t app.app_wq
+      else begin
+        Channel.set_job_owner ch owner.Proc.pid;
         if Trace.enabled t.tracer then
           Trace.notef t.tracer "post chan %d job for %s" (Channel.id ch)
-            owner.Proc.name
-      end;
-      wake_one t app.app_wq
-  | Some _ | None -> orphan_post t ch
+            owner.Proc.name;
+        app_post t app ch Tcp.null_conn.Tcp.rtx_timer (-1)
+      end
+  | _ | (exception Not_found) -> orphan_post t ch
 
-let app_post_timer t conn f =
-  match Hashtbl.find_opt t.conn_owner conn.Tcp.id with
-  | Some owner when not owner.Proc.exited ->
-      let app = app_for t owner in
-      Queue.add (Jtimer f) app.jobs;
-      wake_one t app.app_wq
-  | Some _ | None ->
+let app_post_timer t conn tm gen =
+  match Hashtbl.find t.conn_owner conn.Tcp.id with
+  | owner when not owner.Proc.exited ->
+      app_post t (app_for t owner) (Chantab.fwd_channel t.chantab) tm gen
+  | _ | (exception Not_found) ->
       (* Orphaned connection (e.g. TIME_WAIT after exit): fall back to
          software-interrupt context so it still makes progress. *)
-      Cpu.post_soft t.cpu ~label:"tcp-timer"
-        ~cost:(t.c.Cost.soft_dispatch +. t.c.Cost.tcp_in) (fun () -> f ())
+      (Cpu.cost_cell t.cpu).(0) <- t.c.Cost.soft_dispatch +. t.c.Cost.tcp_in;
+      Cpu.post_soft_job t.cpu ~label:"tcp-timer" ~tpkt:(-1) ~poll:false
+        (jobs t).j_tcp_timer tm gen
 
 (* ------------------------------------------------------------------ *)
 (* NI channels and connection registration                              *)
@@ -674,77 +731,69 @@ let open_channel t ep =
   match t.proto with
   | Eager -> None
   | Lazy ->
-      let chan name =
-        Channel.create ~arena:t.parena ~limit:t.cfg.channel_limit ~name ()
-      in
-      let ch =
-        match ep with
-        | Udp_port (port, owner) ->
-            let ch =
-              chan
-                (match owner with
-                 | Some _ -> Printf.sprintf "udp:%d" port
-                 | None -> Printf.sprintf "udp-mcast:%d" port)
-            in
-            Chantab.add_udp t.chantab ~port ch;
-            Option.iter (Hashtbl.replace t.chan_sock (Channel.id ch)) owner;
-            t.udp_channels <- ch :: t.udp_channels;
-            ch
-        | Tcp_conn conn ->
-            let port = conn.Tcp.local_port in
-            let ch =
-              match conn.Tcp.remote with
-              | None ->
-                  let ch = chan (Printf.sprintf "tcp-listen:%d" port) in
-                  Chantab.add_tcp_listen t.chantab ~port ch;
-                  ch
-              | Some (src, src_port) ->
-                  let ch = chan (Printf.sprintf "tcp:%d<-%d" port src_port) in
-                  Chantab.add_tcp t.chantab ~src ~src_port ~dst_port:port ch;
-                  ch
-            in
-            Hashtbl.replace t.chan_conn (Channel.id ch) conn;
-            Hashtbl.replace t.conn_chan conn.Tcp.id ch;
-            ch
-      in
-      t.all_channels <- ch :: t.all_channels;
+      let ch = Channel.create ~arena:t.parena ~limit:t.cfg.channel_limit () in
+      (match ep with
+       | Udp_port (port, owner) ->
+           Chantab.add_udp t.chantab ~port ch;
+           Option.iter (Hashtbl.replace t.chan_sock (Channel.id ch)) owner;
+           t.udp_channels <- ch :: t.udp_channels
+       | Tcp_conn conn ->
+           let port = conn.Tcp.local_port in
+           (match conn.Tcp.remote with
+            | None -> Chantab.add_tcp_listen t.chantab ~port ch
+            | Some (src, src_port) ->
+                Chantab.add_tcp t.chantab ~src ~src_port ~dst_port:port ch);
+           Hashtbl.replace t.chan_conn (Channel.id ch) conn;
+           Hashtbl.replace t.conn_chan conn.Tcp.id ch);
+      Flowtab.add_new t.chans ~hi:(Channel.id ch) ~lo:0 ch;
       Some ch
 
-(* Forget a deallocated channel in every kernel table. *)
+(* Forget a deallocated channel in every kernel table: O(1), and no
+   allocation for a connection's channel. *)
 let forget_channel t ch =
   let id = Channel.id ch in
+  ignore (Flowtab.remove t.chans ~hi:id ~lo:0);
   Hashtbl.remove t.chan_sock id;
-  (match Hashtbl.find_opt t.chan_conn id with
-   | Some conn ->
-       Hashtbl.remove t.chan_conn id;
-       Hashtbl.remove t.conn_chan conn.Tcp.id
-   | None -> ());
-  t.all_channels <- List.filter (fun c -> Channel.id c <> id) t.all_channels;
-  t.udp_channels <- List.filter (fun c -> Channel.id c <> id) t.udp_channels
+  match Hashtbl.find t.chan_conn id with
+  | conn ->
+      Hashtbl.remove t.chan_conn id;
+      Hashtbl.remove t.conn_chan conn.Tcp.id
+  | exception Not_found -> ()
+
+(* Deallocate a connection's (or listener's) NI channel, found through
+   [conn_chan]. *)
+let close_conn_channel t conn =
+  if t.proto = Lazy then begin
+    let port = conn.Tcp.local_port in
+    (match conn.Tcp.remote with
+     | None -> Chantab.remove_tcp_listen t.chantab ~port
+     | Some (src, src_port) ->
+         Chantab.remove_tcp t.chantab ~src ~src_port ~dst_port:port);
+    match Hashtbl.find t.conn_chan conn.Tcp.id with
+    | ch -> forget_channel t ch
+    | exception Not_found -> ()
+  end
 
 (* Deallocate an endpoint's NI channel: a socket's own (or its group's
-   shared) channel, or a connection's, found through [conn_chan]. *)
+   shared) channel, or a connection's. *)
 let close_channel t ep =
   match ep with
   | Udp_port (port, Some { Socket.chan = Some ch; _ }) ->
       Chantab.remove_udp t.chantab ~port;
+      t.udp_channels <- List.filter (fun c -> c != ch) t.udp_channels;
       forget_channel t ch
   | Udp_port (_, (Some _ | None)) -> ()
-  | Tcp_conn conn ->
-      if t.proto = Lazy then begin
-        let port = conn.Tcp.local_port in
-        (match conn.Tcp.remote with
-         | None -> Chantab.remove_tcp_listen t.chantab ~port
-         | Some (src, src_port) ->
-             Chantab.remove_tcp t.chantab ~src ~src_port ~dst_port:port);
-        Option.iter (forget_channel t) (Hashtbl.find_opt t.conn_chan conn.Tcp.id)
-      end
+  | Tcp_conn conn -> close_conn_channel t conn
+
+(* [tcp_conns] keys. *)
+let[@inline] pcb_lo ~rport ~lport = (rport lsl 16) lor lport
 
 let register_conn t conn ~owner =
   match conn.Tcp.remote with
   | None -> invalid_arg "register_conn: no remote"
   | Some (rip, rport) ->
-      Hashtbl.replace t.tcp_conns (rip, rport, conn.Tcp.local_port) conn;
+      Flowtab.add t.tcp_conns ~hi:rip
+        ~lo:(pcb_lo ~rport ~lport:conn.Tcp.local_port) conn;
       (match owner with
        | Some o -> Hashtbl.replace t.conn_owner conn.Tcp.id o
        | None -> ());
@@ -754,11 +803,11 @@ let deregister_conn t conn =
   match conn.Tcp.remote with
   | None -> ()
   | Some (rip, rport) ->
-      (match Hashtbl.find_opt t.tcp_conns (rip, rport, conn.Tcp.local_port) with
-       | Some c when c.Tcp.id = conn.Tcp.id ->
-           Hashtbl.remove t.tcp_conns (rip, rport, conn.Tcp.local_port)
-       | Some _ | None -> ());
-      close_channel t (Tcp_conn conn)
+      let lo = pcb_lo ~rport ~lport:conn.Tcp.local_port in
+      let slot = Flowtab.find t.tcp_conns ~hi:rip ~lo in
+      if slot >= 0 && (Flowtab.value t.tcp_conns slot).Tcp.id = conn.Tcp.id
+      then ignore (Flowtab.remove t.tcp_conns ~hi:rip ~lo);
+      close_conn_channel t conn
 
 (* ------------------------------------------------------------------ *)
 (* TCP environment                                                      *)
@@ -773,12 +822,11 @@ let fire_tcp_timer t tm =
   let gen = Tcp.timer_gen tm in
   match t.proto with
   | Eager ->
-      Cpu.post_soft t.cpu ~label:"tcp-timer"
-        ~cost:(t.c.Cost.soft_dispatch
-               +. (t.c.Cost.eager_penalty *. t.c.Cost.tcp_in))
-        (fun () -> Tcp.timer_fired tm ~gen)
-  | Lazy ->
-      app_post_timer t (Tcp.timer_conn tm) (fun () -> Tcp.timer_fired tm ~gen)
+      (Cpu.cost_cell t.cpu).(0) <-
+        t.c.Cost.soft_dispatch +. (t.c.Cost.eager_penalty *. t.c.Cost.tcp_in);
+      Cpu.post_soft_job t.cpu ~label:"tcp-timer" ~tpkt:(-1) ~poll:false
+        (jobs t).j_tcp_timer tm gen
+  | Lazy -> app_post_timer t (Tcp.timer_conn tm) tm gen
 
 (* Typed dispatcher for [Api.recvfrom_timeout] deadlines: registered once
    per kernel, so arming a timeout allocates a (socket, flag) pair instead
@@ -805,12 +853,12 @@ let timer_target t =
 
 (* Wake the chosen waiters of a connection's socket, if it still has one. *)
 let wake_sock ?(send = false) ?(recv = false) ?(accept = false) t conn =
-  match sock_of_conn t conn with
-  | Some s ->
+  match Hashtbl.find t.conn_sock conn.Tcp.id with
+  | s ->
       if send then wake_all t s.Socket.send_wait;
       if recv then wake_all t s.Socket.recv_wait;
       if accept then wake_all t s.Socket.accept_wait
-  | None -> ()
+  | exception Not_found -> ()
 
 let make_tcp_env t =
   { Tcp.now = (fun () -> Engine.now t.engine);
@@ -837,7 +885,7 @@ let make_tcp_env t =
            TIME_WAIT so that NI channel slots scale to busy servers
            (section 4.2). *)
         match t.demux with
-        | Nic -> close_channel t (Tcp_conn conn)
+        | Nic -> close_conn_channel t conn
         | Softirq | Hardirq -> ());
     on_closed =
       (fun conn ->
@@ -850,7 +898,8 @@ let make_tcp_env t =
     mss = t.cfg.mss;
     time_wait_duration = t.cfg.time_wait;
     initial_rto = t.cfg.initial_rto;
-    max_syn_retries = t.cfg.max_syn_retries }
+    max_syn_retries = t.cfg.max_syn_retries;
+    totals = Tcp.new_totals () }
 
 (* ------------------------------------------------------------------ *)
 (* Shared delivery helpers                                              *)
@@ -936,21 +985,27 @@ let icmp_reply t (pkt : Packet.t) =
            Packet.Echo_reply payload)
   | Packet.Icmp _ | Packet.Udp _ | Packet.Tcp _ | Packet.Fragment _ -> ()
 
+(* The eager PCB lookup, ports straight off the header: deliver to the
+   connection's own PCB, else to the port's listener; [false] when no
+   endpoint matches. *)
 let deliver_tcp t (pkt : Packet.t) ~ctx =
-  match Packet.ports pkt with
-  | None -> ()
-  | Some (sport, dport) ->
-      (match Hashtbl.find_opt t.tcp_conns (pkt.Packet.ip.Packet.src, sport, dport) with
-       | Some conn -> tcp_deliver t conn pkt ~ctx
-       | None ->
-           (match Hashtbl.find_opt t.tcp_listeners dport with
-            | Some listener -> tcp_deliver t listener pkt ~ctx
-            | None ->
-                (* Don't answer garbage with a RST. *)
-                if csum_ok t pkt then begin
-                  t.stats.rsts_sent <- t.stats.rsts_sent + 1;
-                  Tcp.send_rst_for pkt ~emit:(fun p -> ip_output t p)
-                end))
+  match pkt.Packet.body with
+  | Packet.Tcp (h, _) ->
+      let slot =
+        Flowtab.find t.tcp_conns ~hi:pkt.Packet.ip.Packet.src
+          ~lo:(pcb_lo ~rport:h.Packet.tsrc_port ~lport:h.Packet.tdst_port)
+      in
+      if slot >= 0 then begin
+        tcp_deliver t (Flowtab.value t.tcp_conns slot) pkt ~ctx;
+        true
+      end
+      else (
+        match Hashtbl.find t.tcp_listeners h.Packet.tdst_port with
+        | listener ->
+            tcp_deliver t listener pkt ~ctx;
+            true
+        | exception Not_found -> false)
+  | Packet.Udp _ | Packet.Icmp _ | Packet.Fragment _ -> false
 
 (* Transport-level processing of a complete (reassembled) datagram; runs in
    softint context under BSD / Early-Demux. *)
@@ -962,7 +1017,11 @@ let bsd_transport_input t ~mh (pkt : Packet.t) =
       deliver_udp_ready t ~mh pkt
   | Packet.Tcp _ ->
       free_rx_pkt t ~mh (Packet.wire_bytes pkt);
-      deliver_tcp t pkt ~ctx:`Soft
+      (* No endpoint: answer with a RST, unless the segment is garbage. *)
+      if (not (deliver_tcp t pkt ~ctx:`Soft)) && csum_ok t pkt then begin
+        t.stats.rsts_sent <- t.stats.rsts_sent + 1;
+        Tcp.send_rst_for pkt ~emit:(tcp_env_exn t).Tcp.emit
+      end
   | Packet.Icmp _ ->
       free_rx_pkt t ~mh (Packet.wire_bytes pkt);
       icmp_reply t pkt
@@ -1008,10 +1067,9 @@ let[@inline] bsd_soft_cost t (pkt : Packet.t) =
    fragment was being processed: a separate softint activation.  The
    whole is freed by bytes, as its pieces were allocated. *)
 let post_reasm_complete t (whole : Packet.t) ~skip_pcb =
-  Cpu.post_soft t.cpu ~label:"ip-reasm-complete"
-    ~tpkt:whole.Packet.ip.Packet.ident
-    ~cost:(transport_cost t whole ~skip_pcb)
-    (fun () -> bsd_transport_input t ~mh:Mbuf.no_handle whole)
+  (Cpu.cost_cell t.cpu).(0) <- transport_cost t whole ~skip_pcb;
+  Cpu.post_soft_job t.cpu ~label:"ip-reasm-complete"
+    ~tpkt:whole.Packet.ip.Packet.ident ~poll:false (jobs t).j_reasm whole 0
 
 (* A fragment in softint context goes through the reassembler; an
    incomplete datagram's fragments wait there. *)
@@ -1040,8 +1098,6 @@ let ip_input t ~mh pkt =
     else t.stats.fwd_drops <- t.stats.fwd_drops + 1
   end
   else ip_input_local t ~mh pkt ~skip_pcb:false
-
-let jobs t = match t.rxj with Some j -> j | None -> assert false
 
 let bsd_driver_rx t pkt =
   let mh = rx_reserve t pkt in
@@ -1419,22 +1475,24 @@ let ksoftirqd_loop t n =
 (* LRP receive path (shared by SOFT-LRP and NI-LRP)                     *)
 (* ------------------------------------------------------------------ *)
 
-(* Wake a consumer from demux context.  Demultiplexing in the hardware
+(* Waking a consumer from demux context.  Demultiplexing in the hardware
    interrupt wakes immediately; on the NI, the interface must raise a
-   (cheap) host interrupt to do it. *)
-let ni_wake t f =
-  match t.demux with
-  | Nic -> Cpu.post_hard t.cpu ~label:"ni-intr" ~cost:t.c.Cost.ni_wakeup_intr f
-  | Softirq | Hardirq -> f ()
+   (cheap) host interrupt to do it: [ni_intr] posts the wakeup as a typed
+   job, so a per-packet wakeup allocates nothing. *)
+let ni_intr t j x =
+  (Cpu.cost_cell t.cpu).(0) <- t.c.Cost.ni_wakeup_intr;
+  Cpu.post_hard_job t.cpu ~label:"ni-intr" ~tpkt:(-1) j x 0
 
-(* [ni_wake] of one waiter on [wq], as a typed job: the per-packet socket
-   and helper wakeups allocate nothing. *)
 let ni_wake_one t wq =
   match t.demux with
-  | Nic ->
-      (Cpu.cost_cell t.cpu).(0) <- t.c.Cost.ni_wakeup_intr;
-      Cpu.post_hard_job t.cpu ~label:"ni-intr" ~tpkt:(-1) (jobs t).j_wake wq 0
+  | Nic -> ni_intr t (jobs t).j_wake wq
   | Softirq | Hardirq -> wake_one t wq
+
+let rec wake_members t = function
+  | [] -> ()
+  | (m : Socket.t) :: rest ->
+      wake_one t m.Socket.recv_wait;
+      wake_members t rest
 
 let lrp_classify_rx t pkt =
   if is_transit t pkt then begin
@@ -1486,14 +1544,12 @@ let lrp_classify_rx t pkt =
                 let dst_port_of_flow = Demux.udp_dst_port_of_packet pkt in
                 if Channel.interrupt_requested ch then begin
                   Channel.clear_interrupt_request ch;
-                  match Hashtbl.find_opt t.mcast_members dst_port_of_flow with
-                  | Some members ->
-                      ni_wake t (fun () ->
-                          List.iter
-                            (fun (m : Socket.t) ->
-                              wake_one t m.Socket.recv_wait)
-                            !members)
-                  | None ->
+                  match Hashtbl.find t.mcast_members dst_port_of_flow with
+                  | members ->
+                      (match t.demux with
+                       | Nic -> ni_intr t (jobs t).j_wake_members members
+                       | Softirq | Hardirq -> wake_members t !members)
+                  | exception Not_found ->
                       (match Hashtbl.find t.chan_sock (Channel.id ch) with
                        | sock -> ni_wake_one t sock.Socket.recv_wait
                        | exception Not_found -> ())
@@ -1513,11 +1569,15 @@ let lrp_classify_rx t pkt =
                    empty-to-non-empty transition needs a notification —
                    under NI demux that keeps host interrupts rare. *)
                 if was_empty then
-                  (match Hashtbl.find_opt t.chan_conn (Channel.id ch) with
-                   | Some conn -> ni_wake t (fun () -> app_post_chan t conn ch)
-                   | None ->
-                       Trace.notef t.tracer "rx tcp chan %d: NO CONN"
-                         (Channel.id ch))
+                  (match Hashtbl.find t.chan_conn (Channel.id ch) with
+                   | conn ->
+                       (match t.demux with
+                        | Nic -> ni_intr t (jobs t).j_app_chan ch
+                        | Softirq | Hardirq -> app_post_chan t conn ch)
+                   | exception Not_found ->
+                       if Trace.enabled t.tracer then
+                         Trace.notef t.tracer "rx tcp chan %d: NO CONN"
+                           (Channel.id ch))
             | Demux.Frag_class | Demux.Icmp_class ->
                 (* Fragments needing reassembly and ICMP: the helper
                    handles them if no receiver does first. *)
@@ -1564,48 +1624,54 @@ let edemux_udp t pkt ~dst_port =
            else edemux_drop t pkt
        | _ | (exception Not_found) -> edemux_drop t pkt)
 
+(* Early discard on a full receive buffer or backlog, probing the PCBs
+   with the ports straight off the (first-fragment-aware) header. *)
+let edemux_tcp t pkt =
+  let h =
+    match pkt.Packet.body with
+    | Packet.Tcp (h, _)
+    | Packet.Fragment { Packet.whole = { Packet.body = Packet.Tcp (h, _); _ }; _ } -> h
+    | Packet.Udp _ | Packet.Icmp _ | Packet.Fragment _ -> assert false
+  in
+  let slot =
+    Flowtab.find t.tcp_conns ~hi:(Packet.src pkt)
+      ~lo:(pcb_lo ~rport:h.Packet.tsrc_port ~lport:h.Packet.tdst_port)
+  in
+  if slot >= 0 then begin
+    let conn = Flowtab.value t.tcp_conns slot in
+    if conn.Tcp.rcvq_bytes >= conn.Tcp.rcv_buf_limit then edemux_drop t pkt
+    else edemux_eager t pkt
+  end
+  else if h.Packet.flags.Packet.syn && not h.Packet.flags.Packet.ack then
+    match Hashtbl.find t.tcp_listeners h.Packet.tdst_port with
+    | l -> if backlog_full l then edemux_drop t pkt else edemux_eager t pkt
+    | exception Not_found ->
+        (* No endpoint: process eagerly so TCP answers with an RST, as the
+           BSD code this kernel is derived from does. *)
+        edemux_eager t pkt
+  else edemux_eager t pkt
+
 let edemux_rx t pkt =
   if is_transit t pkt then begin
-    if t.cfg.forwarding then
-      Cpu.post_soft t.cpu ~label:"ip-forward"
-        ~cost:(t.c.Cost.soft_dispatch
-               +. (t.c.Cost.eager_penalty
-                   *. (t.c.Cost.ip_in +. t.c.Cost.ip_forward)))
-        (fun () ->
-          t.stats.forwarded <- t.stats.forwarded + 1;
-          ip_output t pkt)
+    if t.cfg.forwarding then begin
+      (Cpu.cost_cell t.cpu).(0) <-
+        t.c.Cost.soft_dispatch
+        +. (t.c.Cost.eager_penalty *. (t.c.Cost.ip_in +. t.c.Cost.ip_forward));
+      Cpu.post_soft_job t.cpu ~label:"ip-forward" ~tpkt:(-1) ~poll:false
+        (jobs t).j_forward pkt 0
+    end
     else t.stats.fwd_drops <- t.stats.fwd_drops + 1
   end
-  else
-  match Demux.class_of_packet pkt with
-  | Demux.Udp_class ->
-      (* The allocation-free classification (see [lrp_classify_rx]). *)
-      Trace.demux t.tracer ~pkt:pkt.Packet.ip.Packet.ident ~chan:(-1)
-        ~flow:(Demux.flow_id_of_packet pkt);
-      edemux_udp t pkt ~dst_port:(Demux.udp_dst_port_of_packet pkt)
-  | Demux.Tcp_class | Demux.Frag_class | Demux.Icmp_class ->
-  let flow = Demux.flow_of_packet pkt in
-  Trace.demux t.tracer ~pkt:pkt.Packet.ip.Packet.ident ~chan:(-1)
-    ~flow:(Demux.flow_id flow);
-  match flow with
-  | Demux.Udp_flow { dst_port; _ } -> edemux_udp t pkt ~dst_port
-  | Demux.Tcp_flow { src; src_port; dst_port; syn_only } ->
-      (match Hashtbl.find_opt t.tcp_conns (src, src_port, dst_port) with
-       | Some conn ->
-           if conn.Tcp.rcvq_bytes >= conn.Tcp.rcv_buf_limit then edemux_drop t pkt
-           else edemux_eager t pkt
-       | None ->
-           if syn_only then
-             match Hashtbl.find_opt t.tcp_listeners dst_port with
-             | Some l ->
-                 if backlog_full l then edemux_drop t pkt else edemux_eager t pkt
-             | None ->
-                 (* No endpoint: process eagerly so TCP answers with an
-                    RST, as the BSD code this kernel is derived from does. *)
-                 edemux_eager t pkt
-           else edemux_eager t pkt)
-  | Demux.Frag_flow _ | Demux.Icmp_flow -> edemux_eager t pkt
-  | Demux.Other_flow _ -> edemux_drop t pkt
+  else begin
+    (* The allocation-free classification (see [lrp_classify_rx]). *)
+    Trace.demux t.tracer ~pkt:pkt.Packet.ip.Packet.ident ~chan:(-1)
+      ~flow:(Demux.flow_id_of_packet pkt);
+    match Demux.class_of_packet pkt with
+    | Demux.Udp_class ->
+        edemux_udp t pkt ~dst_port:(Demux.udp_dst_port_of_packet pkt)
+    | Demux.Tcp_class -> edemux_tcp t pkt
+    | Demux.Frag_class | Demux.Icmp_class -> edemux_eager t pkt
+  end
 
 (* ------------------------------------------------------------------ *)
 (* NIC receive dispatch                                                 *)
@@ -1748,7 +1814,7 @@ let helper_loop t =
        match pkt.Packet.body with
        | Packet.Tcp _ ->
            t.stats.rsts_sent <- t.stats.rsts_sent + 1;
-           Tcp.send_rst_for pkt ~emit:(fun p -> ip_output t p)
+           Tcp.send_rst_for pkt ~emit:(tcp_env_exn t).Tcp.emit
        | Packet.Udp _ | Packet.Icmp _ | Packet.Fragment _ ->
            (match Ip.Reasm.insert t.reasm ~now:(now t) pkt with
             | Some whole -> icmp_reply t whole
@@ -1800,6 +1866,7 @@ let create engine fabric ~name ~ip cfg =
      timestamp is read straight from the engine's clock cell). *)
   let tracer = Trace.create ~name ~clock:(Engine.clock_cell engine) () in
   let parena = Parena.create () in
+  let chantab = Chantab.create ~arena:parena () in
   let demux, proto, rx_mode = axes cfg.arch in
   let t =
     { kname = name; engine; cpu; nic; cfg; demux; proto; rx_mode;
@@ -1808,15 +1875,17 @@ let create engine fabric ~name ~ip cfg =
       ipq_len = 0; mbufs = Mbuf.create ~capacity:cfg.mbuf_capacity ();
       parena;
       interfaces = [ (ip, 24, nic) ];
-      udp_ports = Hashtbl.create 64; tcp_conns = Hashtbl.create 256;
+      udp_ports = Hashtbl.create 64;
+      tcp_conns = Flowtab.create ~dummy:Tcp.null_conn ();
       tcp_listeners = Hashtbl.create 16; conn_sock = Hashtbl.create 256;
-      conn_owner = Hashtbl.create 256; chantab = Chantab.create ~arena:parena ();
+      conn_owner = Hashtbl.create 256; chantab;
       chan_sock = Hashtbl.create 64; mcast_members = Hashtbl.create 8;
       chan_conn = Hashtbl.create 256;
       conn_chan = Hashtbl.create 256;
-      all_channels = []; apps = Hashtbl.create 16;
-      helper_wq = Proc.waitq (name ^ ".udp-helper"); helper_proc = None;
-      fwd_wq = Proc.waitq (name ^ ".ipfwdd"); fwd_proc = None;
+      chans = Flowtab.create ~dummy:(Chantab.fwd_channel chantab) ();
+      apps = Hashtbl.create 16;
+      helper_wq = Proc.waitq "udp-helper"; helper_proc = None;
+      fwd_wq = Proc.waitq "ipfwdd"; fwd_proc = None;
       udp_channels = []; napi = [||]; napi_grace_tgt = None; rxj = None;
       reasm = Ip.Reasm.create ();
       tcp_env = None; timer_tgt = None; rcvto_tgt = None;
@@ -1845,11 +1914,23 @@ let create engine fabric ~name ~ip cfg =
         j_wake = Cpu.job (fun wq _ -> wake_one t wq);
         j_napi_irq = Cpu.job (fun () qi -> napi_irq t qi);
         j_napi_poll = Cpu.job (fun n _ -> napi_softirq_round t n);
-        j_napi_deliver = Cpu.job (fun n _ -> napi_round_done t n) };
+        j_napi_deliver = Cpu.job (fun n _ -> napi_round_done t n);
+        j_wake_members = Cpu.job (fun members _ -> wake_members t !members);
+        j_app_chan =
+          Cpu.job (fun ch _ ->
+              match Hashtbl.find t.chan_conn (Channel.id ch) with
+              | conn -> app_post_chan t conn ch
+              | exception Not_found -> ());
+        j_orphan = Cpu.job (fun ch _ -> orphan_drain t ch);
+        j_tcp_timer = Cpu.job (fun tm gen -> Tcp.timer_fired tm ~gen);
+        j_tcp_tx = Cpu.job (fun () _ -> ());
+        j_reasm =
+          Cpu.job (fun whole _ -> bsd_transport_input t ~mh:Mbuf.no_handle whole);
+        j_forward =
+          Cpu.job (fun pkt _ ->
+              t.stats.forwarded <- t.stats.forwarded + 1;
+              ip_output t pkt) };
   t.tcp_env <- Some (make_tcp_env t);
-  t.all_channels <-
-    [ Chantab.frag_channel t.chantab; Chantab.icmp_channel t.chantab;
-      Chantab.fwd_channel t.chantab ];
   Nic.set_rx_handler nic (fun pkt -> rx_dispatch t pkt);
   Cpu.set_tracer cpu tracer;
   Nic.set_tracer nic tracer;
@@ -1873,8 +1954,7 @@ let create engine fabric ~name ~ip cfg =
       Array.init queues (fun qi ->
           let cap = max 1 (min cfg.napi_budget cfg.rx_ring) in
           { nq = qi; poll_on = false; episode = 0; in_ksoftirqd = false;
-            ksoftirqd_wq =
-              Proc.waitq (Printf.sprintf "%s.ksoftirqd/%d" name qi);
+            ksoftirqd_wq = Proc.waitq "ksoftirqd";
             ksoftirqd = None; b_pkts = Array.make cap Packet.null;
             b_mhs = Array.make cap Mbuf.no_handle; b_len = 0; served = 0;
             nf = [| 0.; neg_infinity |];

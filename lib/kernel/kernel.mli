@@ -127,7 +127,7 @@ type app
 type napi
 (** Per-receive-queue NAPI poll context. *)
 
-type rx_jobs
+type jobs
 (** The kernel's typed interrupt jobs ({!Lrp_sim.Cpu.job}), registered
     once at creation. *)
 
@@ -146,7 +146,10 @@ type t = private {
   mutable ipq_len : int;
   mbufs : Lrp_net.Mbuf.t;
   udp_ports : (int, Socket.t) Hashtbl.t;
-  tcp_conns : (Lrp_net.Packet.ip * int * int, Lrp_proto.Tcp.conn) Hashtbl.t;
+  tcp_conns : Lrp_proto.Tcp.conn Lrp_core.Flowtab.t;
+      (** PCBs of connections (not listeners), keyed like the channel
+          table's TCP flows: [hi] = remote IP, [lo] = remote port [lsl 16]
+          [lor] local port *)
   tcp_listeners : (int, Lrp_proto.Tcp.conn) Hashtbl.t;
   conn_sock : (int, Socket.t) Hashtbl.t;
   conn_owner : (int, Lrp_sim.Proc.t) Hashtbl.t;
@@ -157,7 +160,8 @@ type t = private {
   mcast_members : (int, Socket.t list ref) Hashtbl.t;
   chan_conn : (int, Lrp_proto.Tcp.conn) Hashtbl.t;
   conn_chan : (int, Lrp_core.Channel.t) Hashtbl.t;
-  mutable all_channels : Lrp_core.Channel.t list;
+  chans : Lrp_core.Channel.t Lrp_core.Flowtab.t;
+      (** open endpoint channels by id ([hi]; [lo] = 0) *)
   apps : (int, app) Hashtbl.t;
   helper_wq : Lrp_sim.Proc.waitq;
   mutable helper_proc : Lrp_sim.Proc.t option;
@@ -169,7 +173,7 @@ type t = private {
   mutable napi_grace_tgt : Lrp_sim.Proc.waitq Lrp_engine.Engine.target option;
       (** closure-free grace-poll re-arm; registered on first IRQ
           deferral *)
-  mutable rxj : rx_jobs option;  (** registered by {!create} *)
+  mutable rxj : jobs option;  (** registered by {!create} *)
   reasm : Lrp_proto.Ip.Reasm.t;
   mutable tcp_env : Lrp_proto.Tcp.env option;
   mutable timer_tgt : Lrp_proto.Tcp.timer Lrp_engine.Engine.target option;
@@ -188,7 +192,11 @@ val stats : t -> kstats
 val ip_address : t -> Lrp_net.Packet.ip
 val chantab : t -> Lrp_core.Chantab.t
 val mbufs : t -> Lrp_net.Mbuf.t
+
 val channels : t -> Lrp_core.Channel.t list
+(** The live NI channels: endpoint channels newest first, then the
+    fragment, ICMP and forwarding channels. *)
+
 val early_discards : t -> int
 
 val tracer : t -> Lrp_trace.Trace.t
@@ -244,6 +252,11 @@ val close_channel : t -> endpoint -> unit
 val register_conn :
   t -> Lrp_proto.Tcp.conn -> owner:Lrp_sim.Proc.t option -> unit
 (** Enter an actively opened connection in the PCB and channel tables. *)
+
+val deliver_tcp : t -> Lrp_net.Packet.t -> ctx:[ `Proc | `Soft ] -> bool
+(** The eager kernels' PCB lookup of a received TCP segment: hand it to
+    its connection, else to the listener on its port, in context [ctx];
+    [false] when no endpoint matches (the caller answers with a RST). *)
 
 val lrp_recv_one : t -> Lrp_core.Channel.t -> bool
 (** Lazy UDP receive in the calling process: take one raw packet off the

@@ -57,17 +57,11 @@ let create ?(udp_rcv_limit = 64) kind =
   let id = Lrp_engine.Idspace.next_sock_id () in
   { id; kind; port = None; remote = None; udp_rcv = Queue.create ();
     udp_rcv_limit;
-    recv_wait = Proc.waitq (Printf.sprintf "sock%d.recv" id);
-    send_wait = Proc.waitq (Printf.sprintf "sock%d.send" id);
-    accept_wait = Proc.waitq (Printf.sprintf "sock%d.accept" id);
+    recv_wait = Proc.waitq "recv"; send_wait = Proc.waitq "send";
+    accept_wait = Proc.waitq "accept";
     chan = None; tcp = None; owner = None; closed = false;
     stats = { rx_delivered = 0; rx_sockq_drops = 0; tx_packets = 0;
               rx_hwm = 0 } }
-
-let port_exn t =
-  match t.port with
-  | Some p -> p
-  | None -> invalid_arg "socket is not bound"
 
 (* The socket queue has room for another ready datagram. *)
 let has_room t = Queue.length t.udp_rcv < t.udp_rcv_limit
@@ -84,8 +78,3 @@ let deposit_udp t payload ~src ~sport ~ident ~mh =
     t.udp_rcv;
   let depth = Queue.length t.udp_rcv in
   if depth > t.stats.rx_hwm then t.stats.rx_hwm <- depth
-
-let pp fmt t =
-  Fmt.pf fmt "sock%d(%s%s)" t.id
-    (match t.kind with Dgram -> "udp" | Stream -> "tcp")
-    (match t.port with Some p -> Printf.sprintf ":%d" p | None -> "")

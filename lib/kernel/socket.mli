@@ -43,8 +43,6 @@ type t = {
   stats : stats;
 }
 val create : ?udp_rcv_limit:int -> kind -> t
-val port_exn : t -> int
-
 val has_room : t -> bool
 (** The socket queue holds fewer than [udp_rcv_limit] datagrams. *)
 
@@ -55,5 +53,3 @@ val deposit_udp :
     originating packet's IP ident and its mbuf handle — to the socket
     queue, which must have room ({!has_room}); tracks the high
     watermark. *)
-
-val pp : Format.formatter -> t -> unit

@@ -33,6 +33,15 @@ let flags ?(syn = false) ?(ack = false) ?(fin = false) ?(rst = false)
     ?(psh = false) () =
   { syn; ack; fin; rst; psh }
 
+(* The flag combinations TCP emits, built once: a segment shares its
+   header's flags record instead of allocating one per segment. *)
+let flags_ack = flags ~ack:true ()
+let flags_ack_psh = flags ~ack:true ~psh:true ()
+let flags_syn = flags ~syn:true ()
+let flags_syn_ack = flags ~syn:true ~ack:true ()
+let flags_fin_ack = flags ~fin:true ~ack:true ()
+let flags_rst_ack = flags ~rst:true ~ack:true ()
+
 let pp_flags fmt f =
   let s b c = if b then c else "" in
   Fmt.pf fmt "%s%s%s%s%s" (s f.syn "S") (s f.ack "A") (s f.fin "F") (s f.rst "R")
@@ -150,6 +159,9 @@ let checksum t = checksum_of ~src:t.ip.src ~dst:t.ip.dst t.body
 let verify t = checksum t = t.ip.csum
 
 (* --- constructors ---------------------------------------------------- *)
+
+(* The payload of every data-less segment (SYN, ACK, FIN, RST). *)
+let empty_payload = Payload.synthetic 0
 
 (* Idents come from the per-engine id space installed on this domain
    (Lrp_engine.Idspace): a cell's ident sequence is a function of its own

@@ -24,6 +24,19 @@ type tcp_flags = {
 val flags :
   ?syn:bool ->
   ?ack:bool -> ?fin:bool -> ?rst:bool -> ?psh:bool -> unit -> tcp_flags
+
+(** {2 Shared flag values}
+
+    The combinations TCP emits, allocated once; per-segment paths use
+    these instead of calling {!flags}. *)
+
+val flags_ack : tcp_flags
+val flags_ack_psh : tcp_flags
+val flags_syn : tcp_flags
+val flags_syn_ack : tcp_flags
+val flags_fin_ack : tcp_flags
+val flags_rst_ack : tcp_flags
+
 val pp_flags : Format.formatter -> tcp_flags -> unit
 type udp_header = { usrc_port : port; udst_port : port; }
 type tcp_header = {
@@ -89,6 +102,9 @@ val corrupt : t -> at:int -> xor:int -> t option
     content (e.g. an empty UDP datagram). *)
 
 (** {1 Constructors} *)
+
+val empty_payload : Payload.t
+(** The shared zero-length payload of data-less segments. *)
 
 val udp :
   src:ip ->

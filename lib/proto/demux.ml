@@ -27,27 +27,6 @@ type flow =
   | Icmp_flow
   | Other_flow of int  (* unknown IP protocol *)
 
-(* Compact identifier for trace events: flows of different protocols land
-   in disjoint ranges so a trace line is unambiguous without the full
-   structured value. *)
-let flow_id = function
-  | Udp_flow { dst_port; _ } -> dst_port
-  | Tcp_flow { dst_port; _ } -> 100_000 + dst_port
-  | Frag_flow { ident; _ } -> 200_000 + ident
-  | Icmp_flow -> 300_000
-  | Other_flow p -> 400_000 + p
-
-let pp_flow fmt = function
-  | Udp_flow { src; src_port; dst_port } ->
-      Fmt.pf fmt "udp %a:%d->:%d" Packet.pp_ip src src_port dst_port
-  | Tcp_flow { src; src_port; dst_port; syn_only } ->
-      Fmt.pf fmt "tcp%s %a:%d->:%d"
-        (if syn_only then "(syn)" else "")
-        Packet.pp_ip src src_port dst_port
-  | Frag_flow { src; ident } -> Fmt.pf fmt "frag %a id=%d" Packet.pp_ip src ident
-  | Icmp_flow -> Fmt.pf fmt "icmp"
-  | Other_flow p -> Fmt.pf fmt "proto %d" p
-
 let flow_of_packet (pkt : Packet.t) =
   match pkt.Packet.body with
   | Packet.Udp (u, _) ->
@@ -106,7 +85,9 @@ let class_of_packet (pkt : Packet.t) =
       | c -> c)
   | body -> class_of_body body
 
-(* [flow_id (flow_of_packet pkt)] without the intermediate flow. *)
+(* Compact identifier for trace events: flows of different protocols land
+   in disjoint ranges so a trace line is unambiguous without the full
+   structured value. *)
 let flow_id_of_packet (pkt : Packet.t) =
   let id_of_body ~ident = function
     | Packet.Udp (u, _) -> u.Packet.udst_port

@@ -21,12 +21,6 @@ type flow =
   | Frag_flow of { src : Lrp_net.Packet.ip; ident : int; }
   | Icmp_flow
   | Other_flow of int
-val flow_id : flow -> int
-(** Compact identifier for trace events; flows of different protocols land
-    in disjoint integer ranges (UDP: destination port, TCP: 100000+port,
-    fragments: 200000+ident, ICMP: 300000, other: 400000+proto). *)
-
-val pp_flow : Format.formatter -> flow -> unit
 val flow_of_packet : Lrp_net.Packet.t -> flow
 (** Structural classifier: the simulator's hot path. *)
 
@@ -51,7 +45,9 @@ val class_of_packet : Lrp_net.Packet.t -> flow_class
     allocates nothing. *)
 
 val flow_id_of_packet : Lrp_net.Packet.t -> int
-(** [flow_id (flow_of_packet pkt)] without the intermediate flow. *)
+(** Compact identifier for trace events; flows of different protocols land
+    in disjoint integer ranges (UDP: destination port, TCP: 100000+port,
+    fragments: 200000+ident, ICMP: 300000). *)
 
 val udp_dst_port_of_packet : Lrp_net.Packet.t -> int
 (** Destination port of a UDP-classified packet (first-fragment aware);

@@ -44,10 +44,6 @@ let bind_udp t ~port v =
 
 let connect_udp t ~remote ~port v = Hashtbl.replace t.udp_connected (remote, port) v
 
-let unbind_udp t ~port = Hashtbl.remove t.udp_bound port
-
-let disconnect_udp t ~remote ~port = Hashtbl.remove t.udp_connected (remote, port)
-
 let insert_tcp t ~remote ~port v =
   if Hashtbl.mem t.tcp_exact (remote, port) then
     invalid_arg "Pcb.insert_tcp: four-tuple in use";
@@ -58,8 +54,6 @@ let remove_tcp t ~remote ~port = Hashtbl.remove t.tcp_exact (remote, port)
 let listen_tcp t ~port v =
   if Hashtbl.mem t.tcp_listen port then invalid_arg "Pcb.listen_tcp: port in use";
   Hashtbl.replace t.tcp_listen port v
-
-let unlisten_tcp t ~port = Hashtbl.remove t.tcp_listen port
 
 let touch t n = t.cells_touched <- t.cells_touched + n
 
@@ -79,21 +73,5 @@ let lookup_tcp t ~remote ~port =
       touch t 1;
       Hashtbl.find_opt t.tcp_listen port
 
-let lookup_tcp_established t ~remote ~port =
-  touch t 1;
-  Hashtbl.find_opt t.tcp_exact (remote, port)
-
-let lookup_tcp_listen t ~port =
-  touch t 1;
-  Hashtbl.find_opt t.tcp_listen port
-
-let udp_count t = Hashtbl.length t.udp_bound
 let tcp_count t = Hashtbl.length t.tcp_exact
 let lookup_cost_cells t = t.cells_touched
-
-(* Sorted by (remote, port) so callers observe PCBs in a reproducible
-   order regardless of hash-table layout. *)
-let iter_tcp t f =
-  Lrp_det.Det.iter_sorted
-    (fun (remote, port) v -> f ~remote ~port v)
-    t.tcp_exact

@@ -25,12 +25,9 @@ type 'a t = {
 val create : unit -> 'a t
 val bind_udp : 'a t -> port:int -> 'a -> unit
 val connect_udp : 'a t -> remote:addr -> port:int -> 'a -> unit
-val unbind_udp : 'a t -> port:int -> unit
-val disconnect_udp : 'a t -> remote:addr -> port:int -> unit
 val insert_tcp : 'a t -> remote:addr -> port:int -> 'a -> unit
 val remove_tcp : 'a t -> remote:addr -> port:int -> unit
 val listen_tcp : 'a t -> port:int -> 'a -> unit
-val unlisten_tcp : 'a t -> port:int -> unit
 val touch : 'a t -> int -> unit
 (** Connected-socket match first, then the wildcard bind. *)
 
@@ -38,12 +35,7 @@ val lookup_udp : 'a t -> remote:addr -> port:int -> 'a option
 (** Exact four-tuple match first, then a listener on the local port. *)
 
 val lookup_tcp : 'a t -> remote:addr -> port:int -> 'a option
-val lookup_tcp_established : 'a t -> remote:addr -> port:int -> 'a option
-val lookup_tcp_listen : 'a t -> port:int -> 'a option
-val udp_count : 'a t -> int
 val tcp_count : 'a t -> int
 val lookup_cost_cells : 'a t -> int
 (** Total table cells touched by lookups — the feed for the cost model
     (BSD's PCB lookup was a known hot spot for HTTP servers). *)
-
-val iter_tcp : 'a t -> (remote:addr -> port:int -> 'a -> unit) -> unit

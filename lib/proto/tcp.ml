@@ -94,6 +94,18 @@ and env = {
   time_wait_duration : float;
   initial_rto : float;
   max_syn_retries : int;
+  totals : totals;  (** traffic of every connection sharing this env *)
+}
+
+(* Traffic counters summed over the env's connections since it was made,
+   listeners and connections long closed included. *)
+and totals = {
+  mutable segs_sent : int;
+  mutable segs_rcvd : int;
+  mutable bytes_sent : int;
+  mutable bytes_rcvd : int;
+  mutable retransmits : int;
+  mutable backlog_drops : int;
 }
 
 and conn = {
@@ -111,8 +123,11 @@ and conn = {
   mutable cwnd : float;
   mutable ssthresh : float;
   mutable dup_acks : int;
-  mutable unacked : (int * Payload.t) list;  (* (seq, payload), oldest first *)
-  mutable unsent : Payload.t list;           (* app data not yet segmented *)
+  unacked : (int * Payload.t) Queue.t;
+      (* (seq, payload), oldest first; the head's bytes below [snd_una]
+         are acknowledged *)
+  unsent : Payload.t Queue.t;     (* app data not yet segmented *)
+  mutable unsent_off : int;       (* bytes of [unsent]'s head already sent *)
   mutable unsent_bytes : int;
   sndq_limit : int;
   mutable fin_queued : bool;
@@ -132,20 +147,15 @@ and conn = {
   mutable rttvar : float;
   mutable rto : float;
   mutable backoff : int;
-  mutable timing : (int * float) option;  (* (seq expected to ack, send time) *)
+  mutable timing_seq : int;       (* ack that samples the RTT, -1 if none *)
+  mutable timing_sent : float;    (* when the timed segment was sent *)
   mutable syn_retries : int;
   (* --- listener --- *)
   backlog : int;
   accept_queue : conn Queue.t;
   mutable syn_pending : int;      (* embryonic children of this listener *)
   mutable parent : conn option;   (* set on passive children *)
-  (* --- stats --- *)
-  mutable segs_sent : int;
-  mutable segs_rcvd : int;
-  mutable bytes_sent : int;
-  mutable bytes_rcvd : int;
-  mutable retransmits : int;
-  mutable syn_drops_backlog : int;
+  mutable syn_drops_backlog : int;  (* SYNs this listener dropped *)
 }
 
 (* Connection ids come from the per-engine id space installed on this
@@ -156,27 +166,49 @@ let make_timer () =
   { armed = false; tgen = 0; cookie = Lrp_engine.Engine.none;
     on_fire = (fun _ -> ()); tconn = None }
 
-let make_conn env ~local_ip ~local_port ?(sndq_limit = 32 * 1024)
+let make_conn ?id env ~local_ip ~local_port ?(sndq_limit = 32 * 1024)
     ?(rcv_buf_limit = 32 * 1024) ?(backlog = 0) ~state () =
+  let id =
+    match id with Some i -> i | None -> Lrp_engine.Idspace.next_conn_id ()
+  in
   let c =
-    { env; id = Lrp_engine.Idspace.next_conn_id (); local_ip; local_port;
+    { env; id; local_ip; local_port;
       remote = None; state;
       meta = -1;
       snd_una = 0; snd_nxt = 0; snd_wnd = 0; cwnd = float_of_int env.mss;
-      ssthresh = 65_535.; dup_acks = 0; unacked = []; unsent = [];
-      unsent_bytes = 0; sndq_limit; fin_queued = false; fin_seq = -1;
+      ssthresh = 65_535.; dup_acks = 0; unacked = Queue.create ();
+      unsent = Queue.create (); unsent_off = 0; unsent_bytes = 0; sndq_limit;
+      fin_queued = false; fin_seq = -1;
       rcv_nxt = 0; ooo = []; rcvq = []; rcvq_bytes = 0; rcv_buf_limit;
       fin_received = false; last_advertised_wnd = rcv_buf_limit;
       rtx_timer = make_timer (); persist_timer = make_timer ();
       srtt = -1.; rttvar = 0.;
-      rto = env.initial_rto; backoff = 0; timing = None; syn_retries = 0;
+      rto = env.initial_rto; backoff = 0; timing_seq = -1; timing_sent = 0.;
+      syn_retries = 0;
       backlog; accept_queue = Queue.create (); syn_pending = 0; parent = None;
-      segs_sent = 0; segs_rcvd = 0; bytes_sent = 0; bytes_rcvd = 0;
-      retransmits = 0; syn_drops_backlog = 0 }
+      syn_drops_backlog = 0 }
   in
   c.rtx_timer.tconn <- Some c;
   c.persist_timer.tconn <- Some c;
   c
+
+let new_totals () =
+  { segs_sent = 0; segs_rcvd = 0; bytes_sent = 0; bytes_rcvd = 0;
+    retransmits = 0; backlog_drops = 0 }
+
+(* A placeholder connection for table and ring slots that hold none, like
+   [Packet.null]: never in the data path, and it draws no connection id. *)
+let null_conn =
+  let nop _ = () and nop2 _ _ = () in
+  let env =
+    { now = (fun () -> 0.); emit = nop; start_timer = nop2; stop_timer = nop;
+      on_readable = nop; on_writable = nop; on_established = nop;
+      on_accept_ready = nop2; on_syn_received = nop2;
+      on_connect_failed = nop; on_reset = nop; on_time_wait = nop;
+      on_closed = nop; mss = 1; time_wait_duration = 0.; initial_rto = 0.;
+      max_syn_retries = 0; totals = new_totals () }
+  in
+  make_conn ~id:(-1) env ~local_ip:0 ~local_port:0 ~state:Closed ()
 
 (* ------------------------------------------------------------------ *)
 (* Helpers                                                              *)
@@ -189,15 +221,21 @@ let remote_exn c =
   | Some r -> r
   | None -> invalid_arg "Tcp: connection has no remote endpoint"
 
-let segment c ?(payload = Payload.synthetic 0) ~seq fl =
+let count_retransmit c =
+  c.env.totals.retransmits <- c.env.totals.retransmits + 1
+
+let segs_sent c = c.env.totals.segs_sent
+
+let segment c ~seq fl payload =
   let rip, rport = remote_exn c in
-  c.segs_sent <- c.segs_sent + 1;
+  c.env.totals.segs_sent <- c.env.totals.segs_sent + 1;
   c.last_advertised_wnd <- advertised_window c;
   Packet.tcp ~src:c.local_ip ~dst:rip ~src_port:c.local_port ~dst_port:rport
     ~seq ~ack_no:c.rcv_nxt ~flags:fl ~window:(min 65_535 c.last_advertised_wnd)
     payload
 
-let send_ack c = c.env.emit (segment c ~seq:c.snd_nxt (Packet.flags ~ack:true ()))
+let send_ack c =
+  c.env.emit (segment c ~seq:c.snd_nxt Packet.flags_ack Packet.empty_payload)
 
 let send_rst_for (pkt : Packet.t) ~emit =
   (* Standalone RST in response to a segment for a nonexistent connection. *)
@@ -213,8 +251,7 @@ let send_rst_for (pkt : Packet.t) ~emit =
           ~src_port:h.Packet.tdst_port ~dst_port:h.Packet.tsrc_port
           ~seq:(if h.Packet.flags.Packet.ack then h.Packet.ack_no else 0)
           ~ack_no:(h.Packet.seq + seg_len)
-          ~flags:(Packet.flags ~rst:true ~ack:true ())
-          ~window:0 (Payload.synthetic 0)
+          ~flags:Packet.flags_rst_ack ~window:0 Packet.empty_payload
       in
       emit rst
   | Packet.Tcp _ | Packet.Udp _ | Packet.Icmp _ | Packet.Fragment _ -> ()
@@ -222,7 +259,9 @@ let send_rst_for (pkt : Packet.t) ~emit =
 let timer_conn tm =
   match tm.tconn with
   | Some c -> c
-  | None -> invalid_arg "Tcp: timer not attached to a connection"
+  | None ->
+      (* alloc: cold — error path *)
+      invalid_arg "Tcp: timer not attached to a connection"
 
 let timer_gen tm = tm.tgen
 
@@ -278,8 +317,9 @@ and on_rtx_timeout c =
       else begin
         c.syn_retries <- c.syn_retries + 1;
         c.backoff <- c.backoff + 1;
-        c.retransmits <- c.retransmits + 1;
-        c.env.emit (segment c ~seq:(c.snd_una) (Packet.flags ~syn:true ()));
+        count_retransmit c;
+        c.env.emit
+          (segment c ~seq:c.snd_una Packet.flags_syn Packet.empty_payload);
         arm_rtx c
       end
   | Syn_received ->
@@ -293,15 +333,15 @@ and on_rtx_timeout c =
       else begin
         c.syn_retries <- c.syn_retries + 1;
         c.backoff <- c.backoff + 1;
-        c.retransmits <- c.retransmits + 1;
+        count_retransmit c;
         c.env.emit
-          (segment c ~seq:c.snd_una (Packet.flags ~syn:true ~ack:true ()));
+          (segment c ~seq:c.snd_una Packet.flags_syn_ack Packet.empty_payload);
         arm_rtx c
       end
   | Established | Fin_wait_1 | Fin_wait_2 | Close_wait | Last_ack | Closing ->
       (* Timeout: collapse the congestion window, retransmit the oldest
          outstanding segment, back off. *)
-      c.timing <- None (* Karn: do not sample retransmitted segments *);
+      c.timing_seq <- -1 (* Karn: do not sample retransmitted segments *);
       c.ssthresh <- Float.max (float_of_int (2 * c.env.mss))
           (float_of_int (in_flight c) /. 2.);
       c.cwnd <- float_of_int c.env.mss;
@@ -311,15 +351,21 @@ and on_rtx_timeout c =
       arm_rtx c
 
 and retransmit_oldest c =
-  match c.unacked with
-  | (seq, payload) :: _ ->
-      c.retransmits <- c.retransmits + 1;
-      let fl = Packet.flags ~ack:true () in
-      c.env.emit (segment c ~payload ~seq fl)
-  | [] ->
+  match Queue.peek c.unacked with
+  | seq, payload ->
+      count_retransmit c;
+      (* Only the head's unacknowledged tail. *)
+      let acked = max 0 (c.snd_una - seq) in
+      let payload =
+        if acked = 0 then payload
+        else Payload.sub payload acked (Payload.length payload - acked)
+      in
+      c.env.emit (segment c ~seq:(seq + acked) Packet.flags_ack payload)
+  | exception Queue.Empty ->
       if c.fin_queued && c.fin_seq >= 0 && c.snd_una <= c.fin_seq then begin
-        c.retransmits <- c.retransmits + 1;
-        c.env.emit (segment c ~seq:c.fin_seq (Packet.flags ~fin:true ~ack:true ()))
+        count_retransmit c;
+        c.env.emit
+          (segment c ~seq:c.fin_seq Packet.flags_fin_ack Packet.empty_payload)
       end
 
 (* ------------------------------------------------------------------ *)
@@ -336,16 +382,20 @@ and output c =
       let take = min (min can c.env.mss) c.unsent_bytes in
       let payload = take_unsent c take in
       let seq = c.snd_nxt in
-      c.unacked <- c.unacked @ [ (seq, payload) ];
-      c.snd_nxt <- c.snd_nxt + Payload.length payload;
-      c.bytes_sent <- c.bytes_sent + Payload.length payload;
-      if c.timing = None then
-        c.timing <- Some (seq + Payload.length payload, c.env.now ());
+      Queue.add (seq, payload) c.unacked;
+      c.snd_nxt <- c.snd_nxt + take;
+      c.env.totals.bytes_sent <- c.env.totals.bytes_sent + take;
+      if c.timing_seq < 0 then begin
+        c.timing_seq <- seq + take;
+        c.timing_sent <- c.env.now ()
+      end;
       (* PSH only on the segment that drains the send queue (BSD's
          TF_MORETOCOME sense): mid-buffer segments leave it clear, which
          is what lets a receive-offload engine aggregate them. *)
-      let psh = c.unsent_bytes = 0 in
-      c.env.emit (segment c ~payload ~seq (Packet.flags ~ack:true ~psh ()));
+      let fl =
+        if c.unsent_bytes = 0 then Packet.flags_ack_psh else Packet.flags_ack
+      in
+      c.env.emit (segment c ~seq fl payload);
       progress := true;
       send_more ()
     end
@@ -355,7 +405,8 @@ and output c =
   if c.fin_queued && c.unsent_bytes = 0 && c.fin_seq < 0 then begin
     c.fin_seq <- c.snd_nxt;
     c.snd_nxt <- c.snd_nxt + 1;
-    c.env.emit (segment c ~seq:c.fin_seq (Packet.flags ~fin:true ~ack:true ()));
+    c.env.emit
+      (segment c ~seq:c.fin_seq Packet.flags_fin_ack Packet.empty_payload);
     progress := true
   end;
   if !progress then begin
@@ -372,9 +423,9 @@ and on_persist_timeout c =
     (* Probe with one byte. *)
     let payload = take_unsent c 1 in
     let seq = c.snd_nxt in
-    c.unacked <- c.unacked @ [ (seq, payload) ];
+    Queue.add (seq, payload) c.unacked;
     c.snd_nxt <- c.snd_nxt + 1;
-    c.env.emit (segment c ~payload ~seq (Packet.flags ~ack:true ()));
+    c.env.emit (segment c ~seq Packet.flags_ack payload);
     arm_rtx c
   end
 
@@ -382,20 +433,19 @@ and take_unsent c n =
   (* Remove exactly [n] bytes from the head of the unsent queue. *)
   let rec go n acc =
     if n = 0 then List.rev acc
-    else
-      match c.unsent with
-      | [] -> invalid_arg "Tcp.take_unsent: not enough data"
-      | p :: rest ->
-          let len = Payload.length p in
-          if len <= n then begin
-            c.unsent <- rest;
-            go (n - len) (p :: acc)
-          end
-          else begin
-            let head = Payload.sub p 0 n in
-            c.unsent <- Payload.sub p n (len - n) :: rest;
-            go 0 (head :: acc)
-          end
+    else begin
+      let p = Queue.peek c.unsent and off = c.unsent_off in
+      let left = Payload.length p - off in
+      if left <= n then begin
+        ignore (Queue.take c.unsent);
+        c.unsent_off <- 0;
+        go (n - left) ((if off = 0 then p else Payload.sub p off left) :: acc)
+      end
+      else begin
+        c.unsent_off <- off + n;
+        go 0 (Payload.sub p off n :: acc)
+      end
+    end
   in
   let parts = go n [] in
   c.unsent_bytes <- c.unsent_bytes - n;
@@ -424,7 +474,7 @@ and enter_time_wait c =
 and on_time_wait_expire c = if c.state = Time_wait then enter_closed c
 
 (* ------------------------------------------------------------------ *)
-(* RTT estimation (Jacobson/Karels; Karn handled via [timing=None])     *)
+(* RTT estimation (Jacobson/Karels; Karn: [timing_seq = -1])           *)
 (* ------------------------------------------------------------------ *)
 
 and rtt_sample c sample =
@@ -443,6 +493,14 @@ and rtt_sample c sample =
 (* Input                                                                *)
 (* ------------------------------------------------------------------ *)
 
+(* Trim the fully acknowledged segments off the retransmission queue. *)
+and trim_unacked c ack =
+  match Queue.peek c.unacked with
+  | seq, payload when seq + Payload.length payload <= ack ->
+      ignore (Queue.take c.unacked);
+      trim_unacked c ack
+  | _ | (exception Queue.Empty) -> ()
+
 and process_ack c (h : Packet.tcp_header) =
   let ack = h.Packet.ack_no in
   c.snd_wnd <- h.Packet.window;
@@ -453,28 +511,17 @@ and process_ack c (h : Packet.tcp_header) =
     c.dup_acks <- 0;
     c.backoff <- 0;
     (* RTT sample (Karn: only when the timed segment wasn't retransmitted). *)
-    (match c.timing with
-     | Some (seq, t0) when ack >= seq ->
-         rtt_sample c (c.env.now () -. t0);
-         c.timing <- None
-     | Some _ | None -> ());
-    (* Trim the retransmission queue. *)
-    let rec trim = function
-      | (seq, payload) :: rest when seq + Payload.length payload <= ack ->
-          trim rest
-      | (seq, payload) :: rest when seq < ack ->
-          (* Partial ack inside a segment: keep the unacked tail. *)
-          let keep = seq + Payload.length payload - ack in
-          let off = Payload.length payload - keep in
-          (ack, Payload.sub payload off keep) :: rest
-      | rest -> rest
-    in
-    c.unacked <- trim c.unacked;
+    if c.timing_seq >= 0 && ack >= c.timing_seq then begin
+      rtt_sample c (c.env.now () -. c.timing_sent);
+      c.timing_seq <- -1
+    end;
+    trim_unacked c ack;
     (* Congestion window growth. *)
     let fmss = float_of_int c.env.mss in
     if c.cwnd < c.ssthresh then c.cwnd <- c.cwnd +. float_of_int acked
     else c.cwnd <- c.cwnd +. (fmss *. fmss /. c.cwnd);
-    if c.unacked = [] && not (c.fin_queued && c.fin_seq >= 0 && ack <= c.fin_seq)
+    if Queue.is_empty c.unacked
+       && not (c.fin_queued && c.fin_seq >= 0 && ack <= c.fin_seq)
     then disarm_rtx c
     else arm_rtx c;
     c.env.on_writable c
@@ -486,7 +533,7 @@ and process_ack c (h : Packet.tcp_header) =
       c.ssthresh <- Float.max (float_of_int (2 * c.env.mss))
           (float_of_int (in_flight c) /. 2.);
       c.cwnd <- c.ssthresh;
-      c.timing <- None;
+      c.timing_seq <- -1;
       retransmit_oldest c
     end
   end
@@ -505,7 +552,7 @@ and deliver_data c (h : Packet.tcp_header) payload =
         let part = if take = len then payload else Payload.sub payload 0 take in
         c.rcvq <- part :: c.rcvq;
         c.rcvq_bytes <- c.rcvq_bytes + take;
-        c.bytes_rcvd <- c.bytes_rcvd + take;
+        c.env.totals.bytes_rcvd <- c.env.totals.bytes_rcvd + take;
         c.rcv_nxt <- c.rcv_nxt + take
       end;
       let rec drain () =
@@ -519,7 +566,7 @@ and deliver_data c (h : Packet.tcp_header) payload =
               let part = if take = len then p else Payload.sub p 0 take in
               c.rcvq <- part :: c.rcvq;
               c.rcvq_bytes <- c.rcvq_bytes + take;
-              c.bytes_rcvd <- c.bytes_rcvd + take;
+              c.env.totals.bytes_rcvd <- c.env.totals.bytes_rcvd + take;
               c.rcv_nxt <- c.rcv_nxt + take;
               if take = len then drain ()
             end
@@ -579,7 +626,7 @@ and input c (pkt : Packet.t) =
   | Packet.Udp _ | Packet.Icmp _ | Packet.Fragment _ ->
       invalid_arg "Tcp.input: not a TCP segment"
   | Packet.Tcp (h, payload) ->
-      c.segs_rcvd <- c.segs_rcvd + 1;
+      c.env.totals.segs_rcvd <- c.env.totals.segs_rcvd + 1;
       if h.Packet.flags.Packet.rst then begin
         match c.state with
         | Closed | Listen | Time_wait -> ()
@@ -607,10 +654,9 @@ and input c (pkt : Packet.t) =
               c.snd_wnd <- h.Packet.window;
               c.state <- Established;
               disarm_rtx c;
-              (match c.timing with
-               | Some (_, t0) -> rtt_sample c (c.env.now () -. t0)
-               | None -> ());
-              c.timing <- None;
+              if c.timing_seq >= 0 then
+                rtt_sample c (c.env.now () -. c.timing_sent);
+              c.timing_seq <- -1;
               send_ack c;
               c.env.on_established c;
               output c
@@ -620,7 +666,8 @@ and input c (pkt : Packet.t) =
             if h.Packet.flags.Packet.syn && not h.Packet.flags.Packet.ack then
               (* Duplicate SYN: re-send SYN-ACK. *)
               c.env.emit
-                (segment c ~seq:c.snd_una (Packet.flags ~syn:true ~ack:true ()))
+                (segment c ~seq:c.snd_una Packet.flags_syn_ack
+                   Packet.empty_payload)
             else if h.Packet.flags.Packet.ack && h.Packet.ack_no = c.snd_nxt
             then begin
               c.snd_una <- h.Packet.ack_no;
@@ -649,10 +696,12 @@ and input c (pkt : Packet.t) =
 
 and listener_input l (pkt : Packet.t) (h : Packet.tcp_header) =
   if h.Packet.flags.Packet.syn && not h.Packet.flags.Packet.ack then begin
-    if l.syn_pending + Queue.length l.accept_queue >= l.backlog then
+    if l.syn_pending + Queue.length l.accept_queue >= l.backlog then begin
       (* Backlog exceeded: BSD silently discards the SYN (after having paid
          for its processing — the crux of Figure 5). *)
-      l.syn_drops_backlog <- l.syn_drops_backlog + 1
+      l.syn_drops_backlog <- l.syn_drops_backlog + 1;
+      l.env.totals.backlog_drops <- l.env.totals.backlog_drops + 1
+    end
     else begin
       let c =
         make_conn l.env ~local_ip:l.local_ip ~local_port:l.local_port
@@ -667,7 +716,7 @@ and listener_input l (pkt : Packet.t) (h : Packet.tcp_header) =
       c.snd_nxt <- 1 (* our SYN consumes sequence 0 *);
       l.syn_pending <- l.syn_pending + 1;
       l.env.on_syn_received l c;
-      c.env.emit (segment c ~seq:0 (Packet.flags ~syn:true ~ack:true ()));
+      c.env.emit (segment c ~seq:0 Packet.flags_syn_ack Packet.empty_payload);
       arm_rtx c
     end
   end
@@ -689,8 +738,9 @@ let create_active env ~local_ip ~local_port ~remote ?sndq_limit
   c.remote <- Some remote;
   c.snd_una <- 0;
   c.snd_nxt <- 1;
-  c.timing <- Some (1, env.now ());
-  c.env.emit (segment c ~seq:0 (Packet.flags ~syn:true ()));
+  c.timing_seq <- 1;
+  c.timing_sent <- env.now ();
+  c.env.emit (segment c ~seq:0 Packet.flags_syn Packet.empty_payload);
   arm_rtx c;
   c
 
@@ -706,7 +756,7 @@ let send c payload =
       else begin
         let take = min room len in
         let part = if take = len then payload else Payload.sub payload 0 take in
-        c.unsent <- c.unsent @ [ part ];
+        Queue.add part c.unsent;
         c.unsent_bytes <- c.unsent_bytes + take;
         output c;
         `Sent take
@@ -769,7 +819,8 @@ let abort c =
   (match (c.state, c.remote) with
    | (Established | Syn_received | Fin_wait_1 | Fin_wait_2 | Close_wait
      | Closing | Last_ack), Some _ ->
-       c.env.emit (segment c ~seq:c.snd_nxt (Packet.flags ~rst:true ~ack:true ()))
+       c.env.emit
+         (segment c ~seq:c.snd_nxt Packet.flags_rst_ack Packet.empty_payload)
    | _, _ -> ());
   enter_closed c
 
@@ -777,14 +828,10 @@ let accept_pop l = Queue.take_opt l.accept_queue
 
 let accept_ready l = not (Queue.is_empty l.accept_queue)
 
-let sndq_room c = max 0 (c.sndq_limit - (c.unsent_bytes + (c.snd_nxt - c.snd_una)))
-
-let readable c = c.rcvq_bytes > 0 || c.fin_received || c.state = Closed
-
 let state c = c.state
 
-let counters c =
-  [ ("segs_sent", c.segs_sent); ("segs_rcvd", c.segs_rcvd);
-    ("bytes_sent", c.bytes_sent); ("bytes_rcvd", c.bytes_rcvd);
-    ("retransmits", c.retransmits);
-    ("syn_drops_backlog", c.syn_drops_backlog) ]
+let counters env =
+  let t = env.totals in
+  [ ("segs_sent", t.segs_sent); ("segs_rcvd", t.segs_rcvd);
+    ("bytes_sent", t.bytes_sent); ("bytes_rcvd", t.bytes_rcvd);
+    ("retransmits", t.retransmits); ("syn_drops_backlog", t.backlog_drops) ]

@@ -60,7 +60,19 @@ and env = {
   time_wait_duration : float;
   initial_rto : float;
   max_syn_retries : int;
+  totals : totals;
 }
+and totals = {
+  mutable segs_sent : int;
+  mutable segs_rcvd : int;
+  mutable bytes_sent : int;
+  mutable bytes_rcvd : int;
+  mutable retransmits : int;
+  mutable backlog_drops : int;
+}
+(* [totals]: the traffic counters of every connection sharing an env since
+   it was made, listeners and closed connections included (a kernel's
+   [tcp.*] counters). *)
 and conn = {
   env : env;
   id : int;
@@ -75,8 +87,11 @@ and conn = {
   mutable cwnd : float;
   mutable ssthresh : float;
   mutable dup_acks : int;
-  mutable unacked : (int * Lrp_net.Payload.t) list;
-  mutable unsent : Lrp_net.Payload.t list;
+  unacked : (int * Lrp_net.Payload.t) Queue.t;
+      (** (seq, payload), oldest first; the head's bytes below [snd_una]
+          are acknowledged *)
+  unsent : Lrp_net.Payload.t Queue.t;
+  mutable unsent_off : int;  (** bytes of [unsent]'s head already sent *)
   mutable unsent_bytes : int;
   sndq_limit : int;
   mutable fin_queued : bool;
@@ -94,21 +109,25 @@ and conn = {
   mutable rttvar : float;
   mutable rto : float;
   mutable backoff : int;
-  mutable timing : (int * float) option;
+  mutable timing_seq : int;  (** ack that samples the RTT, or -1 *)
+  mutable timing_sent : float;
   mutable syn_retries : int;
   backlog : int;
   accept_queue : conn Queue.t;
   mutable syn_pending : int;
   mutable parent : conn option;
-  mutable segs_sent : int;
-  mutable segs_rcvd : int;
-  mutable bytes_sent : int;
-  mutable bytes_rcvd : int;
-  mutable retransmits : int;
   mutable syn_drops_backlog : int;
 }
 
 val state_name : state -> string
+
+val new_totals : unit -> totals
+(** Zeroed counters, for a new {!env}. *)
+
+val null_conn : conn
+(** A statically-allocated placeholder connection (id -1) for table and
+    ring slots that hold none, like {!Lrp_net.Packet.null}: never in the
+    data path. *)
 
 (** {1 Timer delivery (kernel side)} *)
 
@@ -179,18 +198,12 @@ val accept_pop : conn -> conn option
 
 val accept_ready : conn -> bool
 
-val sndq_room : conn -> int
-(** Free space in the send buffer. *)
-
-val readable : conn -> bool
-(** Data buffered, EOF pending, or connection gone. *)
-
 val state : conn -> state
 
-val advertised_window : conn -> int
-(** The receive window this end currently advertises. *)
+val segs_sent : conn -> int
+(** Segments sent by every connection of [conn]'s env: the difference
+    across a call that acts on one connection counts its emissions. *)
 
-val counters : conn -> (string * int) list
-(** The connection's traffic counters as name/value pairs, for metrics
-    registration and reporting: segments and bytes in each direction,
-    retransmits and backlog SYN drops. *)
+val counters : env -> (string * int) list
+(** The env's {!totals} as name/value pairs: segments and bytes in each
+    direction, retransmits and backlog SYN drops. *)

@@ -52,15 +52,18 @@ let recompute_priority th =
         clamp priority_user priority_max
           (priority_user + (int_of_float th.p_cpu / 4) + (2 * th.nice))
 
+(* alloc: cold — once per thread *)
 let add_thread t ?(nice = 0) ~name () =
   let th =
+    (* alloc: cold — once per thread *)
     { tid = t.next_tid; name; nice = clamp (-20) 20 nice; p_cpu = 0.;
       priority = priority_user; state = Sleeping; enqueue_seq = 0; quantum = 0;
+      (* alloc: cold — once per thread *)
       sleep_start = [| Time.zero |]; account = None; ticks = 0 }
   in
   t.next_tid <- t.next_tid + 1;
   recompute_priority th;
-  t.threads <- th :: t.threads;
+  t.threads <- th :: t.threads; (* alloc: cold — once per thread *)
   th
 
 let set_account th owner = th.account <- owner

@@ -11,9 +11,6 @@ type 'a job = Obj.t -> int -> unit
 
 let job (type a) (f : a -> int -> unit) : a job = Obj.magic f
 
-(* A posted closure rides the same columns: the thunk is the object. *)
-let thunk_job : (unit -> unit) job = job (fun f (_ : int) -> f ())
-
 let no_fn (_ : Obj.t) (_ : int) = ()
 let no_obj = Obj.repr 0
 
@@ -153,8 +150,6 @@ type t = {
 }
 
 let name t = t.cpu_name
-let engine t = t.engine
-let sched t = t.sched
 let set_tracer t tr = t.tracer <- tr
 let cost_cell t = t.cost
 
@@ -597,7 +592,9 @@ let create engine ?(ctx_switch_cost = 0.) ?(start_clock = true) ~name () =
 (* Public operations                                                   *)
 (* ------------------------------------------------------------------ *)
 
+(* alloc: cold — once per process *)
 let spawn t ?(nice = 0) ?(working_set = 0.) ~name body =
+  (* alloc: cold — once per process *)
   let thread = Sched.add_thread t.sched ~nice ~name () in
   let p =
     Proc.make ~pid:t.next_pid ~name ~thread ~working_set ~now:t.clock.(0) body
@@ -606,11 +603,12 @@ let spawn t ?(nice = 0) ?(working_set = 0.) ~name body =
   let tid = Sched.tid thread in
   let cap = Array.length t.procs in
   if tid >= cap then begin
+    (* alloc: cold — amortized growth *)
     let procs = Array.make (max (2 * cap) (tid + 1)) None in
     Array.blit t.procs 0 procs 0 cap;
     t.procs <- procs
   end;
-  t.procs.(tid) <- Some p;
+  t.procs.(tid) <- Some p; (* alloc: cold — once per process *)
   t.nprocs <- t.nprocs + 1;
   Ledger.set_name t.ledger ~pid:p.Proc.pid name;
   Trace.thread_state t.tracer ~pid:p.Proc.pid ~state:Trace.Spawned;
@@ -651,14 +649,6 @@ let post_soft_job t ~label ~tpkt ~poll (j : 'a job) (obj : 'a) arg =
   push_back t.softq t.cost ~label ~tpkt ~poll j (Obj.repr obj) arg;
   leave t e
 
-let post_hard t ?(label = "hardintr") ?(tpkt = -1) ~cost action =
-  t.cost.(0) <- cost;
-  post_hard_job t ~label ~tpkt thunk_job action 0
-
-let post_soft t ?(label = "softintr") ?(tpkt = -1) ?(poll = false) ~cost action =
-  t.cost.(0) <- cost;
-  post_soft_job t ~label ~tpkt ~poll thunk_job action 0
-
 (* The process-context compute entry points.  Each performs the one
    payload-free [Proc.Compute] effect for the cost staged in [cost.(0)]
    (nothing when it is not positive); the handler reads the cell, so the
@@ -689,6 +679,7 @@ let ledger t = t.ledger
 let set_account t (p : Proc.t) ~owner =
   ignore t;
   Sched.set_account p.Proc.thread
+    (* alloc: cold — once per process *)
     (Option.map (fun (o : Proc.t) -> o.Proc.thread) owner)
 
 let time_hard t = t.fl.(f_hard)

@@ -36,8 +36,6 @@ val create :
     the periodic scheduler tick and decay events. *)
 
 val name : t -> string
-val engine : t -> Engine.t
-val sched : t -> Sched.t
 
 (** {1 Processes} *)
 
@@ -64,8 +62,8 @@ val proc_count : t -> int
     dispatches it.  The hot per-packet paths post {e typed jobs}: a
     dispatcher registered once per work kind, plus an object and an int
     stored in the row, with the cost staged in {!cost_cell} — a post, its
-    dispatch and its completion then allocate nothing.  {!post_hard} and
-    {!post_soft} take a closure instead, for cold paths. *)
+    dispatch and its completion then allocate nothing.  Every post takes
+    this path. *)
 
 type 'a job
 (** A typed interrupt-work dispatcher taking an ['a] and an int. *)
@@ -97,16 +95,6 @@ val post_soft_job :
     [Softint_begin]/[Softint_end] events keyed by that packet.  [poll]
     marks a NAPI poll round: it runs and preempts at softirq level, but
     its cycles are ledgered as {!Ledger.Poll} instead of [Soft]. *)
-
-val post_hard :
-  t -> ?label:string -> ?tpkt:int -> cost:float -> (unit -> unit) -> unit
-(** {!post_hard_job} with a closure as the action (default [tpkt] -1). *)
-
-val post_soft :
-  t -> ?label:string -> ?tpkt:int -> ?poll:bool -> cost:float ->
-  (unit -> unit) -> unit
-(** {!post_soft_job} with a closure as the action (default [poll]
-    false). *)
 
 val set_account : t -> Proc.t -> owner:Proc.t option -> unit
 (** Redirect scheduler charging for a process (LRP's APP thread runs at its

@@ -16,7 +16,7 @@ type t = {
 
 and pending = Start of (t -> unit) | Work | Resume | Blocked | Done
 
-and waitq = { wq_name : string; mutable waiters : t list }
+and waitq = { mutable waiters : t list }
 
 type _ Effect.t +=
   | Compute : unit Effect.t
@@ -36,13 +36,15 @@ let acct_slots = 4
    because [pending] only becomes [Resume] after a real one is stored. *)
 let no_k : (unit, unit) Effect.Deep.continuation = Obj.magic ()
 
-let waitq wq_name = { wq_name; waiters = [] }
+let waitq (_ : string) = { waiters = [] } (* alloc: cold — once per queue *)
 
 let make ~pid ~name ~thread ~working_set ~now body =
+  (* alloc: cold — once per process *)
   let acct = Array.make acct_slots 0. in
   acct.(a_last_on_cpu) <- now;
+  (* alloc: cold — once per process *)
   { pid; name; thread; working_set_us = working_set; pending = Start body;
-    k = no_k; exited = false; acct; exit_waiters = waitq (name ^ ".exit");
+    k = no_k; exited = false; acct; exit_waiters = waitq "exit";
     lcls = 0; lflow = -1 }
 
 let cpu_time p = p.acct.(a_cpu)
@@ -53,6 +55,3 @@ let block wq = Effect.perform (Block wq)
 let sleep_for d = Effect.perform (Sleep d)
 
 let yield () = Effect.perform Yield
-
-let waitq_remove wq p =
-  wq.waiters <- List.filter (fun q -> q.pid <> p.pid) wq.waiters

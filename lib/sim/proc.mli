@@ -53,7 +53,7 @@ and pending =
   | Blocked               (** waiting on a {!waitq} or timer *)
   | Done                  (** body returned *)
 
-and waitq = { wq_name : string; mutable waiters : t list }
+and waitq = { mutable waiters : t list }
 
 type _ Effect.t +=
   | Compute : unit Effect.t
@@ -109,7 +109,5 @@ val sleep_for : float -> unit
 val yield : unit -> unit
 
 val waitq : string -> waitq
-(** Fresh empty wait queue. *)
-
-val waitq_remove : waitq -> t -> unit
-(** Remove a specific process from a wait queue (used by timed waits). *)
+(** Fresh empty wait queue.  The name only documents the queue at the
+    call site; it is not stored. *)

@@ -298,8 +298,9 @@ let note t s =
    call) does not build a partial application of [notef] first: the
    disabled branch returns a closed function. *)
 let notef t : ('a, unit, string, unit) format4 -> 'a =
+  (* alloc: cold — hot-path callers test [enabled] first *)
   if want t Note_events then fun fmt -> Printf.ksprintf (note t) fmt
-  else fun fmt -> Printf.ifprintf () fmt
+  else fun fmt -> Printf.ifprintf () fmt (* alloc: cold — as above *)
 
 (* --- sinks ------------------------------------------------------------- *)
 

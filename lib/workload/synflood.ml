@@ -26,8 +26,7 @@ let start engine nic ~dst:(dip, dport) ~rate ~until
       let src_port = 1024 + (t.sent mod 60_000) in
       let syn =
         Packet.tcp ~src ~dst:dip ~src_port ~dst_port:dport ~seq:0 ~ack_no:0
-          ~flags:(Packet.flags ~syn:true ()) ~window:16_384
-          (Payload.synthetic 0)
+          ~flags:Packet.flags_syn ~window:16_384 Packet.empty_payload
       in
       ignore (Nic.transmit nic syn);
       t.sent <- t.sent + 1;

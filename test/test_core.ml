@@ -10,7 +10,7 @@ let pkt ?(src = 1) ?(sport = 10) ?(dport = 20) () =
 (* --- channel ------------------------------------------------------------ *)
 
 let test_channel_fifo () =
-  let ch = Channel.create ~limit:8 ~name:"t" () in
+  let ch = Channel.create ~limit:8 () in
   (match Channel.enqueue ch (pkt ~sport:1 ()) with
    | Channel.Queued `Was_empty -> ()
    | _ -> Alcotest.fail "first enqueue reports empty transition");
@@ -25,7 +25,7 @@ let test_channel_fifo () =
   Alcotest.(check int) "length" 1 (Channel.length ch)
 
 let test_channel_early_discard () =
-  let ch = Channel.create ~limit:2 ~name:"t" () in
+  let ch = Channel.create ~limit:2 () in
   ignore (Channel.enqueue ch (pkt ()));
   ignore (Channel.enqueue ch (pkt ()));
   (match Channel.enqueue ch (pkt ()) with
@@ -35,7 +35,7 @@ let test_channel_early_discard () =
   Alcotest.(check int) "enqueued counted" 2 (Channel.enqueued ch)
 
 let test_channel_processing_gate () =
-  let ch = Channel.create ~limit:8 ~name:"t" () in
+  let ch = Channel.create ~limit:8 () in
   Channel.disable_processing ch;
   (match Channel.enqueue ch (pkt ()) with
    | Channel.Discarded -> ()
@@ -47,7 +47,7 @@ let test_channel_processing_gate () =
    | Channel.Discarded -> Alcotest.fail "re-enabled channel must accept")
 
 let test_channel_interrupt_flag () =
-  let ch = Channel.create ~name:"t" () in
+  let ch = Channel.create () in
   Alcotest.(check bool) "initially off" false (Channel.interrupt_requested ch);
   Channel.request_interrupt ch;
   Alcotest.(check bool) "on" true (Channel.interrupt_requested ch);
@@ -55,7 +55,7 @@ let test_channel_interrupt_flag () =
   Alcotest.(check bool) "off" false (Channel.interrupt_requested ch)
 
 let test_channel_extract () =
-  let ch = Channel.create ~name:"t" () in
+  let ch = Channel.create () in
   ignore (Channel.enqueue ch (pkt ~sport:1 ()));
   ignore (Channel.enqueue ch (pkt ~sport:2 ()));
   ignore (Channel.enqueue ch (pkt ~sport:3 ()));
@@ -75,7 +75,7 @@ let test_channel_extract () =
 
 let test_chantab_udp_resolution () =
   let tab = Chantab.create () in
-  let ch = Channel.create ~name:"udp:20" () in
+  let ch = Channel.create () in
   Chantab.add_udp tab ~port:20 ch;
   (match Chantab.resolve tab (Demux.flow_of_packet (pkt ())) with
    | Some c -> Alcotest.(check int) "right channel" (Channel.id ch) (Channel.id c)
@@ -91,8 +91,8 @@ let tcp_pkt ?(src = 7) ?(sport = 1000) ?(dport = 80) ?(syn = false) ?(ack = true
 
 let test_chantab_tcp_resolution () =
   let tab = Chantab.create () in
-  let listen_ch = Channel.create ~name:"listen:80" () in
-  let conn_ch = Channel.create ~name:"conn" () in
+  let listen_ch = Channel.create () in
+  let conn_ch = Channel.create () in
   Chantab.add_tcp_listen tab ~port:80 listen_ch;
   Chantab.add_tcp tab ~src:7 ~src_port:1000 ~dst_port:80 conn_ch;
   (* Established-connection segment: exact channel. *)
@@ -131,7 +131,7 @@ let test_chantab_icmp_channel () =
 
 let test_chantab_removal () =
   let tab = Chantab.create () in
-  let ch = Channel.create ~name:"udp:20" () in
+  let ch = Channel.create () in
   Chantab.add_udp tab ~port:20 ch;
   Chantab.remove_udp tab ~port:20;
   Alcotest.(check bool) "removed port does not resolve" true
@@ -251,7 +251,7 @@ let prop_chantab_matches_pcb =
         (fun port ->
           if not (Hashtbl.mem oracle port) then begin
             Hashtbl.replace oracle port ();
-            Chantab.add_udp tab ~port (Channel.create ~name:"c" ())
+            Chantab.add_udp tab ~port (Channel.create ())
           end)
         ports;
       let flow = Demux.flow_of_packet (pkt ~dport:probe ()) in

@@ -10,6 +10,9 @@ let compute cpu d =
   (Cpu.cost_cell cpu).(0) <- d;
   Cpu.compute cpu
 
+(* Interrupt work that does nothing, posted through a test-local job. *)
+let nop = Cpu.job (fun () (_ : int) -> ())
+
 (* --- engine: time ordering under random self-scheduling ----------------- *)
 
 let prop_engine_time_ordering =
@@ -60,8 +63,11 @@ let prop_cpu_time_conservation =
         if k > 0 then
           ignore
             (Engine.schedule_after eng ~delay:(Rng.float rng 500.) (fun () ->
-                 Cpu.post_hard cpu ~cost:(Rng.float rng 50.) (fun () -> ());
-                 Cpu.post_soft cpu ~cost:(Rng.float rng 80.) (fun () -> ());
+                 (Cpu.cost_cell cpu).(0) <- Rng.float rng 50.;
+                 Cpu.post_hard_job cpu ~label:"hardintr" ~tpkt:(-1) nop () 0;
+                 (Cpu.cost_cell cpu).(0) <- Rng.float rng 80.;
+                 Cpu.post_soft_job cpu ~label:"softintr" ~tpkt:(-1) ~poll:false
+                   nop () 0;
                  storm (k - 1)))
       in
       storm 40;

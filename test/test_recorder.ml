@@ -386,13 +386,13 @@ let test_alarms_recorded () =
 
 let test_resolve_slot_agrees () =
   let tab = Lrp_core.Chantab.create () in
-  let ch p = Lrp_core.Channel.create ~name:(Printf.sprintf "ch%d" p) () in
-  Lrp_core.Chantab.add_udp tab ~port:53 (ch 53);
-  Lrp_core.Chantab.add_udp tab ~port:9000 (ch 9000);
+  let ch () = Lrp_core.Channel.create () in
+  Lrp_core.Chantab.add_udp tab ~port:53 (ch ());
+  Lrp_core.Chantab.add_udp tab ~port:9000 (ch ());
   let peer = Packet.ip_of_quad 10 0 0 1 in
   let self = Packet.ip_of_quad 10 0 0 2 in
-  Lrp_core.Chantab.add_tcp tab ~src:peer ~src_port:1234 ~dst_port:80 (ch 80);
-  Lrp_core.Chantab.add_tcp_listen tab ~port:80 (ch 8080);
+  Lrp_core.Chantab.add_tcp tab ~src:peer ~src_port:1234 ~dst_port:80 (ch ());
+  Lrp_core.Chantab.add_tcp_listen tab ~port:80 (ch ());
   let udp_hit =
     Packet.udp ~src:peer ~dst:self ~src_port:4000 ~dst_port:9000
       (Payload.synthetic 14)

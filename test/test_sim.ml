@@ -9,6 +9,17 @@ let compute cpu d =
   (Cpu.cost_cell cpu).(0) <- d;
   Cpu.compute cpu
 
+(* Interrupt work that runs a closure, posted through a test-local job. *)
+let thunk = Cpu.job (fun f (_ : int) -> f ())
+
+let post_hard cpu ~cost f =
+  (Cpu.cost_cell cpu).(0) <- cost;
+  Cpu.post_hard_job cpu ~label:"hardintr" ~tpkt:(-1) thunk f 0
+
+let post_soft cpu ~cost f =
+  (Cpu.cost_cell cpu).(0) <- cost;
+  Cpu.post_soft_job cpu ~label:"softintr" ~tpkt:(-1) ~poll:false thunk f 0
+
 let mk () =
   let eng = Engine.create () in
   let cpu = Cpu.create eng ~name:"host" () in
@@ -122,7 +133,7 @@ let test_hard_preempts_user () =
          user_done := Engine.now eng));
   ignore
     (Engine.schedule eng ~at:200. (fun () ->
-         Cpu.post_hard cpu ~cost:300. (fun () -> intr_done := Engine.now eng)));
+         post_hard cpu ~cost:300. (fun () -> intr_done := Engine.now eng)));
   Engine.run eng ~until:(Time.sec 1.);
   Alcotest.(check (float 1e-6)) "interrupt ran immediately" 500. !intr_done;
   Alcotest.(check (float 1e-6)) "user delayed by interrupt" 1_300. !user_done;
@@ -133,11 +144,11 @@ let test_hard_preempts_soft () =
   let log = ref [] in
   ignore
     (Engine.schedule eng ~at:0. (fun () ->
-         Cpu.post_soft cpu ~cost:1_000. (fun () ->
+         post_soft cpu ~cost:1_000. (fun () ->
              log := ("soft", Engine.now eng) :: !log)));
   ignore
     (Engine.schedule eng ~at:100. (fun () ->
-         Cpu.post_hard cpu ~cost:50. (fun () ->
+         post_hard cpu ~cost:50. (fun () ->
              log := ("hard", Engine.now eng) :: !log)));
   Engine.run eng ~until:(Time.sec 1.);
   Alcotest.(check (list (pair string (float 1e-6))))
@@ -154,7 +165,7 @@ let test_soft_preempts_user_only () =
          user_done := Engine.now eng));
   ignore
     (Engine.schedule eng ~at:100. (fun () ->
-         Cpu.post_soft cpu ~cost:200. (fun () -> ())));
+         post_soft cpu ~cost:200. (fun () -> ())));
   Engine.run eng ~until:(Time.sec 1.);
   Alcotest.(check (float 1e-6)) "user resumed after softint" 600. !user_done;
   Alcotest.(check (float 1e-6)) "soft time" 200. (Cpu.time_soft cpu)
@@ -174,7 +185,7 @@ let test_interrupt_storm_starves_user () =
          loop ()));
   (* 100us of hard-interrupt work every 80us: oversubscribed. *)
   let rec storm () =
-    Cpu.post_hard cpu ~cost:100. (fun () -> ());
+    post_hard cpu ~cost:100. (fun () -> ());
     if Engine.now eng < Time.ms 50. then
       ignore (Engine.schedule_after eng ~delay:80. storm)
   in
@@ -246,7 +257,7 @@ let test_tick_misaccounting () =
   in
   (* Interrupt work eats 90% of the CPU. *)
   let rec storm () =
-    Cpu.post_hard cpu ~cost:900. (fun () -> ());
+    post_hard cpu ~cost:900. (fun () -> ());
     if Engine.now eng < Time.ms 900. then
       ignore (Engine.schedule_after eng ~delay:1_000. storm)
   in
@@ -320,7 +331,7 @@ let test_zero_cost_work () =
   let ran = ref false in
   ignore
     (Engine.schedule eng ~at:10. (fun () ->
-         Cpu.post_hard cpu ~cost:0. (fun () -> ran := true)));
+         post_hard cpu ~cost:0. (fun () -> ran := true)));
   Engine.run eng ~until:(Time.ms 1.);
   Alcotest.(check bool) "zero-cost interrupt action ran" true !ran
 
@@ -381,8 +392,12 @@ let udp_pkt () =
 let zero_word_cycles =
   let module Channel = Lrp_core.Channel in
   let module Nic = Lrp_net.Nic in
+  let module Kernel = Lrp_kernel.Kernel in
+  let module Api = Lrp_kernel.Api in
+  let module Tcp = Lrp_proto.Tcp in
+  let bsd () = Kernel.default_config Kernel.Bsd in
   let arena_chan () =
-    Channel.create ~arena:(Lrp_net.Parena.create ()) ~limit:64 ~name:"rx" ()
+    Channel.create ~arena:(Lrp_net.Parena.create ()) ~limit:64 ()
   in
   let typed_sink eng = Engine.target eng (fun (_ : int) -> ()) in
   [ ( "schedule_fire",
@@ -434,7 +449,7 @@ let zero_word_cycles =
         let tab = Lrp_core.Chantab.create () in
         for port = 1 to 64 do
           Lrp_core.Chantab.add_udp tab ~port
-            (Channel.create ~name:(Printf.sprintf "p%d" port) ())
+            (Channel.create ())
         done;
         let pkt = udp_pkt () in
         fun () -> ignore (Lrp_core.Chantab.resolve_slot tab pkt) );
@@ -482,6 +497,53 @@ let zero_word_cycles =
           ignore (Engine.step eng);
           ignore (Nic.rxq_pop nic 0);
           Nic.rxq_enable_intr nic 0 );
+    ( "deliver_tcp_full_listener",
+      (* BSD PCB lookup of a SYN that the listener's full backlog drops *)
+      fun () ->
+        let w = Lrp_workload.World.make () in
+        let k = Lrp_workload.World.add_host w ~name:"server" (bsd ()) in
+        ignore
+          (Cpu.spawn (Kernel.cpu k) ~name:"listener" (fun self ->
+               let sock = Api.socket_stream k in
+               Api.tcp_listen k ~self sock ~port:99 ~backlog:0;
+               Proc.block (Proc.waitq "forever")));
+        Lrp_workload.World.run w ~until:(Time.ms 1.);
+        let syn =
+          Lrp_net.Packet.tcp ~src:(Lrp_net.Packet.ip_of_quad 11 0 0 1)
+            ~dst:(Kernel.ip_address k) ~src_port:1024 ~dst_port:99 ~seq:0
+            ~ack_no:0 ~flags:Lrp_net.Packet.flags_syn ~window:16_384
+            Lrp_net.Packet.empty_payload
+        in
+        fun () -> ignore (Kernel.deliver_tcp k syn ~ctx:`Soft) );
+    ( "tcp_timer",
+      (* a connection's timer armed, fired and delivered at softint
+         level (BSD).  Nanosecond delays and costs keep the window inside
+         the first 10 ms, before the CPU clock's own events start. *)
+      fun () ->
+        let w = Lrp_workload.World.make () in
+        let costs =
+          { Lrp_kernel.Cost.default with
+            Lrp_kernel.Cost.soft_dispatch = 0.001; tcp_in = 0.001 }
+        in
+        let k =
+          Lrp_workload.World.add_host w ~name:"host"
+            (Kernel.default_config ~costs Kernel.Bsd)
+        in
+        let env = Kernel.tcp_env_exn k in
+        let conn =
+          Tcp.create_listener env ~local_ip:(Kernel.ip_address k)
+            ~local_port:7 ~backlog:1 ()
+        in
+        let tm = conn.Tcp.rtx_timer and fired = ref 0 in
+        tm.Tcp.on_fire <- (fun _ -> incr fired);
+        fun () ->
+          let before = !fired in
+          tm.Tcp.tgen <- tm.Tcp.tgen + 1;
+          tm.Tcp.armed <- true;
+          env.Tcp.start_timer tm 0.01;
+          while !fired = before do
+            ignore (Engine.step (Lrp_workload.World.engine w))
+          done );
     ( "ledger_overhead",
       (* the always-on accounting write behind every CPU charge *)
       fun () ->
@@ -492,15 +554,35 @@ let zero_word_cycles =
           Ledger.charge l Ledger.Proto ~pid:1 ~flow:3 0.1;
           Ledger.charge l Ledger.Intr ~pid:(-1) ~flow:(-1) 0.1 ) ]
 
-let test_zero_words make () =
+let test_zero_words ?(warm = 20_000) ?(n = 50_000) make () =
   let cycle = make () in
-  for _ = 1 to 20_000 do
+  for _ = 1 to warm do
     cycle ()
   done;
-  let n = 50_000 in
   let words = minor_words (fun () -> for _ = 1 to n do cycle () done) in
   Alcotest.(check (float 0.)) "minor words per cycle" 0.
     (words /. float_of_int n)
+
+(* Kernel IP output of a datagram within the MTU: route, transmit, tx
+   done; no switch port has its address, so the fabric drops it.  Each
+   cycle takes one 2.7 us ATM cell time.  The warm-up runs past the
+   timer wheel's first 4096 us turn (its one-time bucket sizing), and
+   the window ends before the kernel CPU's first 10 ms clock tick: the
+   clock's own events are not this path. *)
+let ip_output_cycle () =
+  let w = Lrp_workload.World.make () in
+  let k =
+    Lrp_workload.World.add_host w ~name:"tx"
+      (Lrp_kernel.Kernel.default_config Lrp_kernel.Kernel.Bsd)
+  in
+  let pkt =
+    Lrp_net.Packet.udp ~src:(Lrp_kernel.Kernel.ip_address k)
+      ~dst:(Lrp_net.Packet.ip_of_quad 10 0 0 2) ~src_port:1234 ~dst_port:7
+      Lrp_net.Packet.empty_payload
+  in
+  fun () ->
+    Lrp_kernel.Kernel.ip_output k pkt;
+    ignore (Engine.step (Lrp_workload.World.engine w))
 
 let suite =
   [ Alcotest.test_case "single compute" `Quick test_single_compute;
@@ -532,3 +614,5 @@ let suite =
         Alcotest.test_case ("0.0 words per cycle: " ^ name) `Quick
           (test_zero_words make))
       zero_word_cycles
+  @ [ Alcotest.test_case "0.0 words per cycle: ip_output" `Quick
+        (test_zero_words ~warm:1_600 ~n:2_000 ip_output_cycle) ]

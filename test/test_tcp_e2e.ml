@@ -9,7 +9,8 @@ open Lrp_kernel
 open Lrp_workload
 
 let archs =
-  [ Kernel.Bsd; Kernel.Soft_lrp; Kernel.Ni_lrp; Kernel.Early_demux ]
+  [ Kernel.Bsd; Kernel.Soft_lrp; Kernel.Ni_lrp; Kernel.Early_demux;
+    Kernel.Napi; Kernel.Napi_gro; Kernel.Rss ]
 
 let for_all_archs f () =
   List.iter (fun arch -> f arch (Kernel.default_config arch)) archs
@@ -332,7 +333,9 @@ let test_conn_sock_bounded () =
         true (stats.Http.completed > 100);
       List.iter
         (fun (k : Kernel.t) ->
-          let live = Hashtbl.length k.tcp_conns + Hashtbl.length k.tcp_listeners in
+          let live =
+            Lrp_core.Flowtab.length k.tcp_conns + Hashtbl.length k.tcp_listeners
+          in
           let bounded what n ~extra =
             Alcotest.(check bool)
               (Printf.sprintf "%s %s: %s %d <= live %d + %d"
@@ -346,6 +349,90 @@ let test_conn_sock_bounded () =
           bounded "channels" (List.length (Kernel.channels k)) ~extra:3)
         [ server; clients ])
     [ Kernel.Bsd; Kernel.Soft_lrp; Kernel.Ni_lrp ]
+
+(* Figure 5 in miniature, as perfbench's [http_synflood] builds it: 8 HTTP
+   clients (one connection per request, 500 ms TIME_WAIT) and a 4k SYN/s
+   flood at a port-99 listener with a backlog of 5. *)
+let http_syn_world arch =
+  let cfg =
+    { (Kernel.default_config arch) with Kernel.time_wait = Time.ms 500. }
+  in
+  let w = World.make ~seed:7 () in
+  let server = World.add_host w ~name:"server" cfg in
+  let clients = World.add_host w ~name:"clients" cfg in
+  let attacker = World.add_host w ~name:"attacker" cfg in
+  ignore (Http.start_server server ~port:80 ());
+  ignore
+    (Cpu.spawn (Kernel.cpu server) ~name:"dummy" (fun self ->
+         let lsock = Api.socket_stream server in
+         Api.tcp_listen server ~self lsock ~port:99 ~backlog:5;
+         Proc.block (Proc.waitq "forever")));
+  ignore (Http.start_clients clients ~dst:(Kernel.ip_address server, 80) ~n:8 ());
+  ignore
+    (Synflood.start (World.engine w) (Kernel.nic attacker)
+       ~dst:(Kernel.ip_address server, 99) ~rate:4_000. ~until:infinity ());
+  (w, [ server; clients; attacker ])
+
+let fig5_archs = [ Kernel.Bsd; Kernel.Soft_lrp; Kernel.Ni_lrp; Kernel.Napi ]
+
+(* The [tcp.*] counters count every connection since the kernel was made:
+   the listeners' backlog drops and the segments of connections long
+   closed included. *)
+let test_tcp_counters_cumulative () =
+  List.iter
+    (fun arch ->
+      let w, kernels = http_syn_world arch in
+      World.run w ~until:(Time.ms 500.);
+      List.iter
+        (fun k ->
+          let counter name = int_of_float (List.assoc name (Kernel.counters k)) in
+          let what fmt =
+            Printf.sprintf ("%s %s: " ^^ fmt) (Kernel.arch_name arch) (Kernel.name k)
+          in
+          let listeners =
+            Hashtbl.fold
+              (fun _ (l : Tcp.conn) acc -> acc + l.Tcp.syn_drops_backlog)
+              k.Kernel.tcp_listeners 0
+          in
+          Alcotest.(check int) (what "tcp.syn_drops_backlog = the listeners' drops")
+            listeners (counter "tcp.syn_drops_backlog");
+          Alcotest.(check int) (what "tcp.segs_rcvd = kernel.tcp_delivered")
+            (counter "kernel.tcp_delivered") (counter "tcp.segs_rcvd"))
+        kernels;
+      match (arch, kernels) with
+      | (Kernel.Bsd | Kernel.Napi), server :: _ ->
+          Alcotest.(check bool)
+            (Kernel.arch_name arch ^ ": the flood overflowed the backlog") true
+            (List.assoc "tcp.syn_drops_backlog" (Kernel.counters server) > 0.)
+      | _ -> ())
+    fig5_archs
+
+(* Minor words the whole HTTP+SYN world allocates per frame received, over
+   800 ms after a 200 ms warm-up: the figure perfbench's [http_synflood]
+   reports as [minor_words_per_pkt], exact for a build.  The bounds sit just
+   above the measured figures. *)
+let words_per_frame arch =
+  let w, kernels = http_syn_world arch in
+  let frames () =
+    List.fold_left
+      (fun acc k -> acc + (Nic.stats (Kernel.nic k)).Nic.rx_packets)
+      0 kernels
+  in
+  World.run w ~until:(Time.ms 200.);
+  let f0 = frames () and w0 = Gc.minor_words () in
+  World.run w ~until:(Time.sec 1.);
+  (Gc.minor_words () -. w0) /. float_of_int (max 1 (frames () - f0))
+
+let test_words_per_frame () =
+  List.iter
+    (fun (arch, bound) ->
+      let got = words_per_frame arch in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.1f minor words per frame <= %.0f"
+           (Kernel.arch_name arch) got bound)
+        true (got <= bound))
+    [ (Kernel.Bsd, 42.); (Kernel.Soft_lrp, 59.); (Kernel.Ni_lrp, 56.);
+      (Kernel.Napi, 43.) ]
 
 let suite =
   [ Alcotest.test_case "handshake + echo (all archs)" `Quick
@@ -365,4 +452,8 @@ let suite =
     Alcotest.test_case "listen backlog overflow drops SYNs" `Slow
       test_backlog_overflow_drops_syns;
     Alcotest.test_case "LRP charges TCP processing to the receiver" `Slow
-      test_tcp_processing_charged_to_receiver ]
+      test_tcp_processing_charged_to_receiver;
+    Alcotest.test_case "tcp.* counters are cumulative" `Quick
+      test_tcp_counters_cumulative;
+    Alcotest.test_case "minor words per frame pinned (HTTP+SYN)" `Quick
+      test_words_per_frame ]

@@ -56,7 +56,8 @@ let mk_env h ~dir =
     mss = 1460;
     time_wait_duration = 1_000_000.;
     initial_rto = 500_000.;
-    max_syn_retries = 3 }
+    max_syn_retries = 3;
+    totals = Tcp.new_totals () }
 
 (* Advance virtual time, delivering wire packets and firing timers in
    order.  [route] maps an inbound packet to the connection that should
@@ -147,7 +148,8 @@ let test_mss_segmentation () =
   ignore (Tcp.send client (Payload.synthetic 5_000));
   run h ~until:100_000. ~route_a ~route_b;
   Alcotest.(check int) "all bytes arrive" 5_000 server.Tcp.rcvq_bytes;
-  Alcotest.(check bool) "multiple segments used" true (client.Tcp.segs_sent >= 4)
+  Alcotest.(check bool) "multiple segments used" true
+    (Tcp.(client.env.totals.segs_sent) >= 4)
 
 let test_retransmit_on_loss () =
   let h, client, _listener, child, route_a, route_b = make_pair () in
@@ -157,7 +159,8 @@ let test_retransmit_on_loss () =
   ignore (Tcp.send client (Payload.of_string "precious"));
   run h ~until:3_000_000. ~route_a ~route_b;
   Alcotest.(check int) "data recovered via retransmit" 8 server.Tcp.rcvq_bytes;
-  Alcotest.(check bool) "a retransmission happened" true (client.Tcp.retransmits >= 1)
+  Alcotest.(check bool) "a retransmission happened" true
+    (Tcp.(client.env.totals.retransmits) >= 1)
 
 let test_out_of_order_delivery () =
   (* Two segments; the first is lost and retransmitted, so the second
@@ -207,7 +210,7 @@ let test_flow_control_window () =
    | `Eof | `Wait -> Alcotest.fail "expected data");
   run h ~until:10_000_000. ~route_a ~route_b;
   Alcotest.(check bool) "transfer progressed after window update" true
-    (server.Tcp.bytes_rcvd > 4_000)
+    (Tcp.(server.env.totals.bytes_rcvd) > 4_000)
 
 let test_slow_start_growth () =
   let h, client, _listener, child, route_a, route_b = make_pair () in
@@ -264,7 +267,8 @@ let test_fin_with_pending_data () =
   ignore (Tcp.send client (Payload.synthetic 10_000));
   Tcp.close client;
   run h ~until:5_000_000. ~route_a ~route_b;
-  Alcotest.(check int) "all data arrived before FIN" 10_000 server.Tcp.bytes_rcvd;
+  Alcotest.(check int) "all data arrived before FIN" 10_000
+    Tcp.(server.env.totals.bytes_rcvd);
   Alcotest.(check bool) "server saw the FIN" true server.Tcp.fin_received
 
 let test_syn_backlog_drop () =
@@ -326,7 +330,7 @@ let prop_transfer_integrity_under_loss =
       h.drop_next <- drops;
       ignore (Tcp.send client (Payload.synthetic 20_000));
       run h ~until:30_000_000. ~route_a ~route_b;
-      server.Tcp.bytes_rcvd = 20_000)
+      Tcp.(server.env.totals.bytes_rcvd) = 20_000)
 
 let qsuite = [ QCheck_alcotest.to_alcotest prop_transfer_integrity_under_loss ]
 
@@ -400,9 +404,9 @@ let test_persist_probe_resolves_zero_window () =
   run h ~until:120_000_000. ~route_a ~route_b;
   Alcotest.(check bool)
     (Printf.sprintf "transfer progressed past the stall (%d rcvd)"
-       server.Tcp.bytes_rcvd)
+       Tcp.(server.env.totals.bytes_rcvd))
     true
-    (server.Tcp.bytes_rcvd > 2_000)
+    (Tcp.(server.env.totals.bytes_rcvd) > 2_000)
 
 let test_listener_ignores_stray_ack () =
   let h = mk_harness () in
