@@ -10,8 +10,8 @@
    to.
 
    Function names are written [Module.func] using the short module name
-   ("Engine.run_batch") or the full compilation-unit name
-   ("Lrp_engine__Engine.run_batch"); submodule bindings use
+   ("Engine.drain") or the full compilation-unit name
+   ("Lrp_engine__Engine.drain"); submodule bindings use
    [Module.Sub.func]. *)
 
 type t = {
@@ -62,7 +62,7 @@ let empty =
 (* Conf-file parser: one directive per line, '#' comments.             *)
 (*                                                                     *)
 (*   cmt-dir _build/default/lib                                        *)
-(*   entry Engine.run_batch                                            *)
+(*   entry Engine.drain                                                *)
 (*   follow lib/engine                                                 *)
 (*   assume Trace.dump                                                 *)
 (*   escape-dir lib/net                                                *)

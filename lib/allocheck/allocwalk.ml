@@ -31,7 +31,7 @@
    - [Simplif.eliminate_ref]: [let i = ref e in ...] where [i] only ever
      appears under [!], [:=], [incr] or [decr] compiles to a mutable
      variable with no allocation — the idiom every scan loop in
-     Eheap/Twheel/Flowtab is written in.
+     Eheap/Flowtab is written in.
    - Constant closures: a lambda with no free variables below the module
      level is statically allocated, as are format-string literals
      (constructor chains built at compile time). *)

@@ -4,7 +4,7 @@
    module walks a build directory (e.g. _build/default/lib), reads each
    .cmt, and indexes the top-level value bindings of every compilation
    unit so the analyzer can resolve a reference like
-   [Pdot (Pdot (Pident Lrp_engine, "Twheel"), "pop_boundcell")] — the
+   [Pdot (Pdot (Pident Lrp_engine, "Eheap"), "pop_leq_into")] — the
    shape dune's wrapped-library aliases produce — back to the function's
    typedtree.
 
@@ -13,7 +13,7 @@
    files use readable names. *)
 
 type func = {
-  fn_name : string;  (* "run_batch", or "Sub.f" for submodule bindings *)
+  fn_name : string;  (* "drain", or "Sub.f" for submodule bindings *)
   fn_ident : Ident.t;
   fn_expr : Typedtree.expression;
   fn_line : int;

@@ -1,10 +1,10 @@
-(* Array-backed binary min-heap.  Each entry carries a monotonically
-   increasing sequence number so that equal keys compare FIFO.
+(* Array-backed binary min-heap ordered by (key, seq): each entry carries
+   a caller-assigned sequence number so that equal keys compare FIFO.
 
    Entries are stored in three parallel arrays (keys / seqs / values)
    instead of an array of entry records: no per-insertion allocation, and
    the float keys live in a flat unboxed array.  Sift-up and sift-down move
-   a hole through the tree and write the inserted entry exactly once,
+   a hole through the tree and write the moved entry exactly once,
    instead of swapping triples at every level. *)
 
 type t = {
@@ -12,17 +12,13 @@ type t = {
   mutable seqs : int array;
   mutable vals : int array;
   mutable size : int;
-  mutable next_seq : int;
 }
 
 let initial_capacity = 16
 
-let create () =
-  { keys = [||]; seqs = [||]; vals = [||]; size = 0; next_seq = 0 }
+let create () = { keys = [||]; seqs = [||]; vals = [||]; size = 0 }
 
 let length t = t.size
-
-let is_empty t = t.size = 0
 
 (* Ensure room for one more entry. *)
 let reserve t =
@@ -40,166 +36,117 @@ let reserve t =
     t.vals <- vals
   end
 
-(* Insert with a caller-supplied sequence rank.  The timer wheel routes
-   events through holding buckets and pours them into the heap only when
-   their horizon comes up; carrying the schedule-time sequence through the
-   pour keeps FIFO-among-equal-keys identical to a direct heap insertion. *)
-(* [add_pre] with the key read out of [cell.(0)]: a float array load stays
-   unboxed, where a float argument would be boxed at every call — this is
-   the wheel's pour path, traversed once per event. *)
-let[@inline] add_pre_cell t ~cell ~seq value =
-  if t.size = Array.length t.seqs then reserve t;
-  let key = cell.(0) in
-  let i = ref t.size in
-  t.size <- t.size + 1;
+(* Move the entry at index [i] up towards [top] until its parent is
+   smaller, pulling each larger parent down into the hole.  Unsafe
+   accesses here and in [sift_down]: every index is below [size], or is
+   the slot an insert just reserved or a pop just vacated, so it is
+   always below the arrays' common length. *)
+let[@inline] sift_up t ~top i =
+  let keys = t.keys and seqs = t.seqs and vals = t.vals in
+  let key = Array.unsafe_get keys i
+  and seq = Array.unsafe_get seqs i
+  and v = Array.unsafe_get vals i in
+  let i = ref i in
   let stop = ref false in
-  while (not !stop) && !i > 0 do
+  while (not !stop) && !i > top do
     let p = (!i - 1) / 2 in
-    let pk = t.keys.(p) in
-    if key < pk || (key = pk && seq < t.seqs.(p)) then begin
-      t.keys.(!i) <- pk;
-      t.seqs.(!i) <- t.seqs.(p);
-      t.vals.(!i) <- t.vals.(p);
+    let pk = Array.unsafe_get keys p in
+    if key < pk || (key = pk && seq < Array.unsafe_get seqs p) then begin
+      Array.unsafe_set keys !i pk;
+      Array.unsafe_set seqs !i (Array.unsafe_get seqs p);
+      Array.unsafe_set vals !i (Array.unsafe_get vals p);
       i := p
     end
     else stop := true
   done;
-  t.keys.(!i) <- key;
-  t.seqs.(!i) <- seq;
-  t.vals.(!i) <- value
+  Array.unsafe_set keys !i key;
+  Array.unsafe_set seqs !i seq;
+  Array.unsafe_set vals !i v
 
-let add_pre t ~key ~seq value =
+(* The key is read out of [cell.(0)]: a float array load stays unboxed,
+   where a float argument would be boxed at every call. *)
+let add_cell t ~cell ~seq value =
   if t.size = Array.length t.seqs then reserve t;
-  (* Walk the hole up from the new leaf, pulling parents down until the
-     inserted entry fits. *)
-  let i = ref t.size in
-  t.size <- t.size + 1;
-  let stop = ref false in
-  while (not !stop) && !i > 0 do
-    let p = (!i - 1) / 2 in
-    let pk = t.keys.(p) in
-    if key < pk || (key = pk && seq < t.seqs.(p)) then begin
-      t.keys.(!i) <- pk;
-      t.seqs.(!i) <- t.seqs.(p);
-      t.vals.(!i) <- t.vals.(p);
-      i := p
-    end
-    else stop := true
-  done;
-  t.keys.(!i) <- key;
-  t.seqs.(!i) <- seq;
-  t.vals.(!i) <- value
+  let i = t.size in
+  t.size <- i + 1;
+  t.keys.(i) <- cell.(0);
+  t.seqs.(i) <- seq;
+  t.vals.(i) <- value;
+  sift_up t ~top:0 i
 
-let add t ~key value =
-  let seq = t.next_seq in
-  t.next_seq <- seq + 1;
-  add_pre t ~key ~seq value
-
-let min_key t = if t.size = 0 then None else Some t.keys.(0)
-
-let[@inline] min_key_or t ~default =
-  if t.size = 0 then default else t.keys.(0)
-
-(* Allocation-free variant: the smallest key is written into [cell.(0)]
-   (float-array-to-float-array, no box) instead of being returned. *)
-let[@inline] min_key_into t ~cell =
-  if t.size = 0 then false
+let[@inline] min_into t ~cell ~default =
+  if t.size = 0 then default
   else begin
     cell.(0) <- t.keys.(0);
-    true
+    t.vals.(0)
   end
 
-(* Remove the root: sift the hole down, then drop the displaced last entry
-   into it.  The caller has already read the root's key/value. *)
-let remove_top t =
-  let n = t.size - 1 in
-  t.size <- n;
-  if n > 0 then begin
-    let key = t.keys.(n) and seq = t.seqs.(n) in
-    let i = ref 0 in
-    let stop = ref false in
-    while not !stop do
-      let l = (2 * !i) + 1 in
-      if l >= n then stop := true
-      else begin
-        let r = l + 1 in
-        let c =
-          if
-            r < n
-            && (t.keys.(r) < t.keys.(l)
-               || (t.keys.(r) = t.keys.(l) && t.seqs.(r) < t.seqs.(l)))
-          then r
-          else l
-        in
-        let ck = t.keys.(c) in
-        if ck < key || (ck = key && t.seqs.(c) < seq) then begin
-          t.keys.(!i) <- ck;
-          t.seqs.(!i) <- t.seqs.(c);
-          t.vals.(!i) <- t.vals.(c);
-          i := c
-        end
-        else stop := true
+(* Place the entry stored at index [src] into the subtree rooted at
+   [hole].  [src] may be the hole itself (re-heapify) or the slot just
+   past the end (removing the root).  Bottom-up: the hole first walks
+   down to a leaf along the smaller child, one comparison per level, and
+   the entry then climbs back up from there — rarely far, because a
+   displaced last entry is usually a late timer.  A top-down sift pays
+   two comparisons per level on the same path. *)
+let sift_down t ~hole ~src =
+  let n = t.size and keys = t.keys and seqs = t.seqs and vals = t.vals in
+  let key = Array.unsafe_get keys src
+  and seq = Array.unsafe_get seqs src
+  and v = Array.unsafe_get vals src in
+  let i = ref hole in
+  while (2 * !i) + 1 < n do
+    let l = (2 * !i) + 1 in
+    let r = l + 1 in
+    let c =
+      if r < n then begin
+        let kr = Array.unsafe_get keys r and kl = Array.unsafe_get keys l in
+        if kr < kl || (kr = kl && Array.unsafe_get seqs r < Array.unsafe_get seqs l)
+        then r
+        else l
       end
-    done;
-    t.keys.(!i) <- key;
-    t.seqs.(!i) <- seq;
-    t.vals.(!i) <- t.vals.(n)
-  end
+      else l
+    in
+    Array.unsafe_set keys !i (Array.unsafe_get keys c);
+    Array.unsafe_set seqs !i (Array.unsafe_get seqs c);
+    Array.unsafe_set vals !i (Array.unsafe_get vals c);
+    i := c
+  done;
+  Array.unsafe_set keys !i key;
+  Array.unsafe_set seqs !i seq;
+  Array.unsafe_set vals !i v;
+  sift_up t ~top:hole !i
 
-let pop t =
-  if t.size = 0 then None
-  else begin
-    let top_key = t.keys.(0) and top_val = t.vals.(0) in
-    remove_top t;
-    Some (top_key, top_val)
-  end
-
-let pop_min t =
-  if t.size = 0 then invalid_arg "Eheap.pop_min: empty heap";
-  let top_val = t.vals.(0) in
-  remove_top t;
-  top_val
-
-(* Conditional pop: if the root's key is <= [bound], pop it — key into
-   [cell.(0)], value returned; otherwise [default].  Fuses the
-   min-compare and the pop that event loops would otherwise run as two
-   separate root accesses. *)
-let[@inline] pop_leq_into t ~bound ~cell ~default =
-  if t.size = 0 || t.keys.(0) > bound then default
-  else begin
-    cell.(0) <- t.keys.(0);
-    let top_val = t.vals.(0) in
-    remove_top t;
-    top_val
-  end
-
-(* [pop_leq_into] with the bound read out of [cell.(1)] instead of a
-   float argument: the batched event loop pops once per event, and a
-   float argument to a non-inlined call is boxed at every call site —
-   two minor words per event that the cell load avoids. *)
-let[@inline] pop_boundcell_into t ~cell ~default =
+(* The bound is read out of [cell.(1)] rather than passed as a float
+   argument: the event loop pops once per event, and a float argument to
+   a non-inlined call is boxed at every call site.  One root access fuses
+   the min-compare and the pop. *)
+let[@inline] pop_leq_into t ~cell ~default =
   if t.size = 0 || t.keys.(0) > cell.(1) then default
   else begin
     cell.(0) <- t.keys.(0);
     let top_val = t.vals.(0) in
-    remove_top t;
+    t.size <- t.size - 1;
+    if t.size > 0 then sift_down t ~hole:0 ~src:t.size;
     top_val
   end
 
-(* Combined min-read + pop: writes the root's key into [cell.(0)] and
-   returns its value, or [default] when the heap is empty.  One root
-   access where the [min_key_into]-then-[pop_min] sequence pays two. *)
-let[@inline] pop_min_into t ~cell ~default =
-  if t.size = 0 then default
-  else begin
-    cell.(0) <- t.keys.(0);
-    let top_val = t.vals.(0) in
-    remove_top t;
-    top_val
-  end
-
-let clear t =
-  t.keys <- [||];
-  t.seqs <- [||];
-  t.vals <- [||];
-  t.size <- 0
+(* Drop every entry [dead] accepts in one left-to-right pass, packing the
+   survivors to the front, then rebuild the heap bottom-up (Floyd): O(n)
+   in total, where popping the dropped entries one by one would pay a
+   sift each. *)
+let compact t dead =
+  let n = t.size in
+  let j = ref 0 in
+  for i = 0 to n - 1 do
+    let v = t.vals.(i) in
+    if not (dead v) then begin
+      t.keys.(!j) <- t.keys.(i);
+      t.seqs.(!j) <- t.seqs.(i);
+      t.vals.(!j) <- v;
+      incr j
+    end
+  done;
+  t.size <- !j;
+  for i = (!j / 2) - 1 downto 0 do
+    sift_down t ~hole:i ~src:i
+  done

@@ -4,10 +4,9 @@
    when a slot is freed, so a stale handle held after its event fired (or
    was cancelled) can never touch the slot's next occupant.
 
-   The pending queue is a two-tier scheduler: a hierarchical timer wheel
-   ({!Twheel}) routes near-horizon events into O(1) buckets and far-horizon
-   events into the comparison heap; all pops come from the heap in exact
-   (key, FIFO-seq) order, so firing order is byte-identical to a pure heap.
+   The pending queue is one binary heap ({!Eheap}) ordered by (key, seq),
+   where seq is the engine's running schedule count: equal keys fire in
+   schedule order.
 
    Each slot holds one work item.  Conceptually the item is the variant
 
@@ -25,8 +24,9 @@
    Slot states:
      free      — on the free stack, generation already bumped;
      pending   — scheduled, in the queue;
-     cancelled — cancelled but still in the queue (lazy removal; wheel
-                 buckets drop cancelled entries at pour time in O(1));
+     cancelled — cancelled but still in the queue (lazy removal: the
+                 entry is freed when it is popped, or when a compaction
+                 sheds it);
      firing    — popped, its work item is executing; [reschedule] may
                  re-arm it, otherwise the slot is freed afterwards. *)
 
@@ -50,9 +50,8 @@ type timer_stats = {
   scheduled : int;        (* total events accepted by [schedule*] *)
   fired : int;            (* events whose work item actually ran *)
   cancelled : int;        (* events cancelled before firing *)
-  routed_wheel : int;     (* schedules that landed in a wheel bucket *)
-  routed_heap : int;      (* schedules that went straight to the heap *)
-  pour_skipped : int;     (* cancelled entries dropped at bucket pour *)
+  routed_wheel : int;     (* always 0: there is no timer wheel *)
+  routed_heap : int;      (* = scheduled: every event goes to the heap *)
 }
 
 (* The clock lives in a 1-slot float array: float arrays store doubles
@@ -65,14 +64,21 @@ type timer_stats = {
    would allocate two words per read. *)
 type t = {
   clock : float array;
-  queue : Twheel.t;
-  (* the queue's scratch cell ({!Twheel.cell}), cached here: keys travel
-     through it instead of float arguments/returns, which non-flambda
-     OCaml boxes at every call.  Per-engine, not global — engines run
-     concurrently in separate domains during parallel sweeps. *)
+  queue : Eheap.t;
+  (* two-float scratch cell: [cell.(0)] carries event keys into and out
+     of the queue, [cell.(1)] the pop bound.  Float-array loads and
+     stores stay unboxed where float arguments and returns are boxed at
+     every call.  Per-engine, not global — engines run concurrently in
+     separate domains during parallel sweeps. *)
   cell : float array;
   root_rng : Rng.t;
   mutable live_count : int;
+  (* cancelled entries still queued; past [live_count + compact_slack]
+     the next pop sheds them all in one {!Eheap.compact} *)
+  mutable dead : int;
+  (* the compaction filter, built once at [create] so passing it
+     allocates nothing *)
+  mutable shed : int -> bool;
   mutable executed : int;
   mutable n_scheduled : int;
   mutable n_cancelled : int;
@@ -88,7 +94,7 @@ type t = {
   mutable gens : int array;
   mutable free : int array; (* stack of free slots *)
   mutable free_top : int;
-  (* scratch column for {!run_batch}: handles of an equal-key run, popped
+  (* scratch column for {!run}: handles of an equal-key run, popped
      together and dispatched through one loop.  Per-engine (engines run in
      separate domains during parallel sweeps) and reused across batches —
      it only ever grows, so the steady state allocates nothing. *)
@@ -103,50 +109,11 @@ type t = {
 let no_fn () = ()
 let no_arg = Obj.repr 0
 
-let create ?(seed = 42) ?(pure_heap = false) () =
-  let queue = Twheel.create ~wheel:(not pure_heap) () in
-  let t =
-    { clock = [| Time.zero |]; queue; cell = Twheel.cell queue;
-      root_rng = Rng.create seed;
-      live_count = 0; executed = 0; n_scheduled = 0; n_cancelled = 0;
-      dispatchers = [||]; n_dispatchers = 0;
-      fns = [||]; disp = [||]; args = [||]; state = Bytes.empty; gens = [||];
-      free = [||]; free_top = 0;
-      batch = Array.make 16 0; batch_active = false;
-      ids = Idspace.create () }
-  in
-  Idspace.use t.ids;
-  (* Wheel buckets drop events cancelled before their horizon comes up;
-     the filter recycles the slot, mirroring what [step] does when it pops
-     a cancelled entry from the heap. *)
-  Twheel.set_filter t.queue (fun h ->
-      let slot = h land slot_mask in
-      if Bytes.get t.state slot = st_cancelled then begin
-        t.gens.(slot) <- t.gens.(slot) + 1;
-        t.fns.(slot) <- no_fn;
-        t.disp.(slot) <- -1;
-        t.args.(slot) <- no_arg;
-        Bytes.set t.state slot st_free;
-        t.free.(t.free_top) <- slot;
-        t.free_top <- t.free_top + 1;
-        false
-      end
-      else true);
-  t
-
 let now t = t.clock.(0)
 let clock_cell t = t.clock
 
 let rng t = t.root_rng
 let ids t = t.ids
-
-(* Earliest pending key, [infinity] when idle — the per-cell deadline
-   Shardsim folds into its global epoch bound. *)
-let next_key t =
-  (* alloc: cold — compat accessor; per-epoch folds use next_key_into *)
-  Twheel.min_key_or t.queue ~default:Float.infinity
-
-let next_key_into t ~cell = Twheel.min_key_into t.queue ~cell
 
 let target (type a) t (f : a -> unit) : a target =
   let id = t.n_dispatchers in
@@ -217,6 +184,41 @@ let[@inline] free_slot t slot =
   Array.unsafe_set t.free t.free_top slot;
   t.free_top <- t.free_top + 1
 
+let[@inline] is_cancelled t h =
+  Bytes.unsafe_get t.state (h land slot_mask) = st_cancelled
+
+(* A cancelled entry has left the queue: recycle its slot. *)
+let[@inline] free_cancelled t h =
+  free_slot t (h land slot_mask);
+  t.dead <- t.dead - 1
+
+(* Cancelled entries may outnumber live ones by this much before a pop
+   sheds them: enough that small queues never compact, small enough that
+   TCP re-arm churn cannot grow the heap far past its live size. *)
+let compact_slack = 64
+
+let create ?(seed = 42) () =
+  let t =
+    { clock = [| Time.zero |]; queue = Eheap.create (); cell = [| 0.; 0. |];
+      root_rng = Rng.create seed;
+      live_count = 0; dead = 0; shed = (fun _ -> false);
+      executed = 0; n_scheduled = 0; n_cancelled = 0;
+      dispatchers = [||]; n_dispatchers = 0;
+      fns = [||]; disp = [||]; args = [||]; state = Bytes.empty; gens = [||];
+      free = [||]; free_top = 0;
+      batch = Array.make 16 0; batch_active = false;
+      ids = Idspace.create () }
+  in
+  Idspace.use t.ids;
+  t.shed <-
+    (fun h ->
+      is_cancelled t h
+      && begin
+        free_cancelled t h;
+        true
+      end);
+  t
+
 (* The event's firing time arrives in [cell.(0)] (written by the public
    wrappers below); an [~at : float] parameter would be boxed at every
    call.  The error paths may allocate freely. *)
@@ -225,12 +227,15 @@ let[@inline never] schedule_in_past name t =
     (Printf.sprintf "Engine.%s: at=%.3f is before now=%.3f" name
        t.cell.(0) t.clock.(0))
 
+(* The running schedule count doubles as the entry's FIFO rank. *)
+let[@inline] enqueue t h =
+  Eheap.add_cell t.queue ~cell:t.cell ~seq:t.n_scheduled h;
+  t.live_count <- t.live_count + 1;
+  t.n_scheduled <- t.n_scheduled + 1
+
 let[@inline] enqueue_cell t slot =
   let h = (t.gens.(slot) lsl slot_bits) lor slot in
-  t.cell.(1) <- t.clock.(0);
-  Twheel.add_cell t.queue h;
-  t.live_count <- t.live_count + 1;
-  t.n_scheduled <- t.n_scheduled + 1;
+  enqueue t h;
   h
 
 let[@inline] schedule_cell t fn =
@@ -282,6 +287,7 @@ let cancel t h =
     if Bytes.get t.state slot = st_pending then begin
       Bytes.set t.state slot st_cancelled;
       t.live_count <- t.live_count - 1;
+      t.dead <- t.dead + 1;
       t.n_cancelled <- t.n_cancelled + 1
     end
   end
@@ -296,10 +302,7 @@ let reschedule_cell t h =
   if not (valid t h) || Bytes.get t.state slot <> st_firing then
     invalid_arg "Engine.reschedule: handle is not the currently-firing event"; (* alloc: cold — error path *)
   Bytes.set t.state slot st_pending;
-  t.cell.(1) <- t.clock.(0);
-  Twheel.add_cell t.queue h;
-  t.live_count <- t.live_count + 1;
-  t.n_scheduled <- t.n_scheduled + 1
+  enqueue t h
 
 let reschedule t h ~at =
   t.cell.(0) <- at;
@@ -316,21 +319,44 @@ let events_executed t = t.executed
 let timer_stats t =
   { scheduled = t.n_scheduled; fired = t.executed;
     cancelled = t.n_cancelled;
-    routed_wheel = Twheel.scheduled_wheel t.queue;
-    routed_heap = Twheel.scheduled_heap t.queue;
-    pour_skipped = Twheel.skipped_at_pour t.queue }
+    routed_wheel = 0; routed_heap = t.n_scheduled }
 
-(* Fire one popped handle whose key sits in [cell.(0)]: the shared body
-   of [step] and [run_while].  Unsafe accesses: a popped handle's slot was
-   written by [alloc_slot], so it is always below the table's capacity. *)
-let[@inline] fire_popped t h =
+(* Pop the next live entry whose key is <= [cell.(1)], leaving its key in
+   [cell.(0)]; -1 when there is none.  Cancelled entries popped on the
+   way are freed.  The compaction check sits here rather than in [cancel]:
+   between batches every cancelled entry is still in the heap, so a
+   compaction sheds all [dead] of them, where a cancel of a popped batch
+   member could trigger one that finds nothing to shed. *)
+let[@inline] pop_live t =
+  if t.dead > t.live_count + compact_slack then Eheap.compact t.queue t.shed;
+  let h = ref (Eheap.pop_leq_into t.queue ~cell:t.cell ~default:(-1)) in
+  while !h >= 0 && is_cancelled t !h do
+    free_cancelled t !h;
+    h := Eheap.pop_leq_into t.queue ~cell:t.cell ~default:(-1)
+  done;
+  !h
+
+(* Earliest live key — the per-cell deadline Shardsim folds into its
+   global epoch bound.  Cancelled entries at the root are shed first, so
+   a cancelled timer never pulls the epoch bound below the next firing. *)
+let next_key_into t ~cell =
+  let h = ref (Eheap.min_into t.queue ~cell ~default:(-1)) in
+  while !h >= 0 && is_cancelled t !h do
+    t.cell.(1) <- Float.infinity;
+    ignore (Eheap.pop_leq_into t.queue ~cell:t.cell ~default:(-1));
+    free_cancelled t !h;
+    h := Eheap.min_into t.queue ~cell ~default:(-1)
+  done;
+  !h >= 0
+
+(* Run one popped handle's work item.  Unsafe accesses: a popped handle's
+   slot was written by [alloc_slot], so it is always below the table's
+   capacity. *)
+let[@inline] dispatch t h =
   let slot = h land slot_mask in
   if Bytes.unsafe_get t.state slot = st_pending then begin
     Bytes.unsafe_set t.state slot st_firing;
     t.live_count <- t.live_count - 1;
-    (* Read the key out of the scratch cell before dispatching — the
-       work item may schedule and clobber it. *)
-    t.clock.(0) <- t.cell.(0);
     t.executed <- t.executed + 1;
     let d = Array.unsafe_get t.disp slot in
     if d >= 0 then
@@ -339,29 +365,33 @@ let[@inline] fire_popped t h =
     (* Unless the work item re-armed itself, recycle the record. *)
     if Bytes.unsafe_get t.state slot = st_firing then free_slot t slot
   end
-  else free_slot t slot (* cancelled: drop the queue entry *)
+  else free_cancelled t h (* cancelled by an earlier batch member *)
 
-let[@inline] step t =
-  (* [pop_min_cell] turns the wheel first, so cancelled bucket entries
-     are filter-dropped before emptiness is decided: -1 here means truly
-     nothing left, even if [is_empty] said otherwise a moment ago. *)
-  let h = Twheel.pop_min_cell t.queue in
-  if h < 0 then false
-  else begin
-    fire_popped t h;
+(* Fire a handle fresh from [pop_live]: its key is in [cell.(0)], read
+   into the clock before dispatching because the work item may schedule
+   and clobber the cell. *)
+let[@inline] fire t h =
+  t.clock.(0) <- t.cell.(0);
+  dispatch t h
+
+let step t =
+  t.cell.(1) <- Float.infinity;
+  let h = pop_live t in
+  h >= 0
+  && begin
+    fire t h;
     true
   end
 
 let run_while t pred ~until =
-  (* [pop_leq_cell] fuses the bound check and the pop into one wheel sync
-     and one heap-root access per iteration.  A plain while over a
-     deref-only ref (no closure, the ref compiles to a mutable variable)
-     rather than a local [let rec loop], which would capture
-     [pred]/[until] in a heap-allocated closure per call. *)
+  (* A plain while over a deref-only ref (no closure, the ref compiles to
+     a mutable variable) rather than a local [let rec loop], which would
+     capture [pred]/[until] in a heap-allocated closure per call. *)
   let running = ref true in
   while !running && pred () do
-    let h = Twheel.pop_leq_cell t.queue ~bound:until in
-    if h >= 0 then fire_popped t h
+    t.cell.(1) <- until;
+    let h = pop_live t in
+    if h >= 0 then fire t h
     else begin
       (* Queue exhausted up to [until]: the virtual interval elapsed. *)
       if t.clock.(0) < until then t.clock.(0) <- until;
@@ -369,43 +399,26 @@ let run_while t pred ~until =
     end
   done
 
-(* Dispatch one batched handle: the body of [step] minus the pop and the
-   clock write (the whole batch shares one key, written once). *)
-let[@inline] dispatch_handle t h =
-  let slot = h land slot_mask in
-  if Bytes.unsafe_get t.state slot = st_pending then begin
-    Bytes.unsafe_set t.state slot st_firing;
-    t.live_count <- t.live_count - 1;
-    t.executed <- t.executed + 1;
-    let d = Array.unsafe_get t.disp slot in
-    if d >= 0 then
-      (Array.unsafe_get t.dispatchers d) (Array.unsafe_get t.args slot)
-    else (Array.unsafe_get t.fns slot) ();
-    if Bytes.unsafe_get t.state slot = st_firing then free_slot t slot
-  end
-  else free_slot t slot (* cancelled under the popped entry: drop it *)
-
 (* Batched dispatch.  Pops the maximal run of *equal-key* ready events
    into the scratch column in one go, then dispatches them through a
-   single loop — the wheel/heap bookkeeping (sync, root reads) is paid
-   once per key instead of once per event.
+   single loop — the queue's root reads are paid once per key instead of
+   once per event.
 
    An equal-key run is the largest slice that can be pre-popped without
    risking reorder: the next queue minimum after popping key [k] is
-   >= k, so [min_key_leq queue k] means *equal* — and anything a batched
-   handler schedules at [k] receives a larger FIFO seq, placing it after
-   the whole batch exactly as the one-at-a-time loop would.  A handler
-   cancelling a not-yet-dispatched batch member is also preserved: the
-   slot is marked cancelled and [dispatch_handle] frees it without firing,
-   just as [step] does when it pops a cancelled entry.  Firing order is
-   therefore byte-identical to [run]'s un-batched semantics.
+   >= k, so popping with [k] as the bound means *equal* — and anything a
+   batched handler schedules at [k] receives a larger FIFO seq, placing
+   it after the whole batch exactly as a one-at-a-time loop would.  A
+   handler cancelling a not-yet-dispatched batch member is also
+   preserved: the slot is marked cancelled and [dispatch] frees it
+   without firing.  Firing order is therefore exactly (key, seq).
 
    [batch_active] guards re-entrancy: an event that itself calls
-   [run]/[run_batch] (nested simulation) falls back to the un-batched
-   loop rather than clobbering the scratch column mid-iteration. *)
-(* [snap] distinguishes {!run_batch} (clock advances to [until] when the
-   queue runs dry first) from {!drain} ([until] is [infinity]; the clock
-   stays at the last fired event). *)
+   [run]/[drain] (nested simulation) falls back to the un-batched loop
+   rather than clobbering the scratch column mid-iteration.  [snap]
+   distinguishes {!run} (clock advances to [until] when the queue runs
+   dry first) from {!drain} ([until] is [infinity]; the clock stays at
+   the last fired event). *)
 let run_loop t ~until ~snap =
   if t.batch_active then run_while t (fun () -> true) ~until
   else begin
@@ -413,25 +426,20 @@ let run_loop t ~until ~snap =
     (try
        let continue = ref true in
        while !continue do
-         (* Bounds travel through [cell.(1)] ([Twheel.pop_boundcell]): a
-            float argument to the pop would be re-boxed at every call —
-            two minor words per event on the hottest loop in the tree.
-            [cell.(1)] must be re-written here because dispatched work
-            may have scheduled (which stores virtual time into it). *)
+         (* Dispatched work may have popped (a nested run), so the bound
+            in [cell.(1)] is re-written before every batch. *)
          t.cell.(1) <- until;
-         let h0 = Twheel.pop_boundcell t.queue in
+         let h0 = pop_live t in
          if h0 < 0 then continue := false
          else begin
            let k = t.cell.(0) in
            t.batch.(0) <- h0;
            let n = ref 1 in
            let more = ref true in
-           (* popping with the batch key as the bound: the queue minimum
-              after popping [k] is >= k, so a hit means *equal* key.  No
-              handler runs during collection, so one write suffices. *)
+           (* No handler runs during collection, so one write suffices. *)
            t.cell.(1) <- k;
            while !more do
-             let h = Twheel.pop_boundcell t.queue in
+             let h = pop_live t in
              if h < 0 then more := false
              else begin
                if !n = Array.length t.batch then begin
@@ -446,7 +454,7 @@ let run_loop t ~until ~snap =
            t.clock.(0) <- k;
            let n = !n in
            for i = 0 to n - 1 do
-             dispatch_handle t t.batch.(i)
+             dispatch t t.batch.(i)
            done
          end
        done
@@ -457,7 +465,6 @@ let run_loop t ~until ~snap =
     if snap && t.clock.(0) < until then t.clock.(0) <- until
   end
 
-let run_batch t ~until = run_loop t ~until ~snap:true
 let run t ~until = run_loop t ~until ~snap:true
 
 (* Takes no float argument ([infinity] is a static constant), so a hot

@@ -28,11 +28,9 @@ type 'a target
 val none : handle
 (** The never-valid handle: [cancel]/[is_pending] on it are safe no-ops. *)
 
-val create : ?seed:int -> ?pure_heap:bool -> unit -> t
+val create : ?seed:int -> unit -> t
 (** Fresh engine with clock at zero and an empty queue.  [seed] initialises
-    the engine's root RNG (default 42).  [~pure_heap:true] bypasses the
-    timer wheel and runs every event through the comparison heap — same
-    observable behaviour, used by the wheel-vs-heap equivalence tests. *)
+    the engine's root RNG (default 42). *)
 
 val now : t -> Time.t
 (** Current virtual time. *)
@@ -56,17 +54,12 @@ val ids : t -> Idspace.t
     it, so ids stay a function of the cell's own allocation order at any
     shard count. *)
 
-val next_key : t -> float
-(** Virtual time of the earliest pending event, or [infinity] when the
-    queue is empty — the per-cell deadline a sharded coordinator folds
-    into its global epoch bound.  The float return is boxed; per-epoch
-    folds use {!next_key_into}. *)
-
 val next_key_into : t -> cell:float array -> bool
-(** [next_key_into t ~cell] writes the earliest pending key into
-    [cell.(0)] and returns [true], or returns [false] (leaving [cell]
-    alone) when the queue is empty.  Allocation-free variant of
-    {!next_key}. *)
+(** [next_key_into t ~cell] writes the virtual time of the earliest
+    pending event into [cell.(0)] and returns [true], or returns [false]
+    when no live event is queued — the per-cell deadline a sharded
+    coordinator folds into its global epoch bound.  A cell rather than a
+    float return, which would be boxed. *)
 
 val schedule : t -> at:Time.t -> (unit -> unit) -> handle
 (** [schedule t ~at f] runs [f] at virtual time [at].
@@ -132,10 +125,13 @@ type timer_stats = {
   scheduled : int;  (** total events accepted by the [schedule*] family *)
   fired : int;  (** events whose work item actually ran *)
   cancelled : int;  (** events cancelled before firing *)
-  routed_wheel : int;  (** schedules that landed in a wheel bucket *)
-  routed_heap : int;  (** schedules that went straight to the heap *)
-  pour_skipped : int;  (** cancelled entries dropped at bucket-pour time *)
+  routed_wheel : int;  (** always [0] *)
+  routed_heap : int;  (** always [scheduled] *)
 }
+(** [routed_wheel] and [routed_heap] date from a two-tier queue whose
+    timer wheel took near-horizon events; the heap is now the only queue.
+    They stay because the benchmark driver ([perfbench/lrpbench.ml])
+    reports them. *)
 
 val timer_stats : t -> timer_stats
 (** Cumulative scheduling/churn counters, read by
@@ -144,18 +140,12 @@ val timer_stats : t -> timer_stats
 val run : t -> until:Time.t -> unit
 (** Execute events in timestamp order until the queue is exhausted or the
     next event lies beyond [until].  The clock is left at the time of the
-    last executed event, or at [until] if that is later.  Equivalent to —
-    and implemented as — {!run_batch}. *)
-
-val run_batch : t -> until:Time.t -> unit
-(** Like {!run}, but pops each maximal run of equal-key ready events into
-    a reusable scratch column and dispatches them through a single loop,
-    paying the queue bookkeeping once per distinct timestamp instead of
-    once per event.  Firing order is exactly (key, FIFO-seq) — an
-    equal-key run is the largest pre-poppable slice that cannot be
-    reordered by anything its own handlers schedule or cancel — so
-    results are byte-identical to an un-batched event loop at any
-    [--jobs] setting. *)
+    last executed event, or at [until] if that is later.  Each maximal run
+    of equal-key ready events is popped into a reusable scratch column
+    and dispatched through a single loop, paying the queue bookkeeping
+    once per distinct timestamp; firing order is still exactly (key,
+    FIFO-seq), since nothing a batch's own handlers schedule or cancel can
+    reorder it. *)
 
 val drain : t -> unit
 (** {!run} with an unbounded horizon: execute queued events until none
@@ -172,5 +162,6 @@ val run_while : t -> (unit -> bool) -> until:Time.t -> unit
     schedules cannot be reordered past them. *)
 
 val step : t -> bool
-(** Execute the single next event.  Returns [false] if the queue was
-    empty. *)
+(** Execute the single next live event, shedding cancelled entries on
+    the way.  Returns [false] when nothing fired: no live event was
+    queued. *)

@@ -395,9 +395,6 @@ let counters t =
        i "engine.timers_scheduled" e.Engine.scheduled;
        i "engine.timers_fired" e.Engine.fired;
        i "engine.timers_cancelled" e.Engine.cancelled;
-       i "engine.sched_wheel" e.Engine.routed_wheel;
-       i "engine.sched_heap" e.Engine.routed_heap;
-       i "engine.pour_skipped" e.Engine.pour_skipped;
        i "reasm.completed" (Ip.Reasm.completed t.reasm);
        i "reasm.timed_out" (Ip.Reasm.timed_out t.reasm);
        i "reasm.pending" (Ip.Reasm.pending_count t.reasm) ]

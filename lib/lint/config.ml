@@ -24,13 +24,6 @@ type t = {
          probe with a structural (tuple/record) key is banned —
          structural hashing allocates and chases pointers per packet;
          pack the key into ints ({!Lrp_core.Flowtab}). *)
-  d4_exempt_files : string list;
-      (* D4: files inside [d4_dirs] allowed to keep structural keys.
-         lib/proto/pcb.ml models the *BSD* PCB lookup the paper singles
-         out as a known performance problem — its cost is the point, it
-         is not on any LRP fast path, and its generic value type cannot
-         use the packed-key Flowtab (lib/core) without inverting the
-         layer DAG (proto ranks below core). *)
   stateful_scope : string list;
       (* C1/P1 apply only under these path components (library code);
          executables under bin/ may print and hold state. *)
@@ -64,7 +57,6 @@ let default =
         ("lib/engine/eheap.ml", [ "t" ]);
       ];
     d4_dirs = [ "lib/engine"; "lib/net"; "lib/proto"; "lib/core" ];
-    d4_exempt_files = [ "lib/proto/pcb.ml" ];
     stateful_scope = [ "lib" ];
     c2_dirs = [ "lib/engine"; "lib/net" ];
     sink_files = [];

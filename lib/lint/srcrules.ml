@@ -169,8 +169,6 @@ let check_apply ctx ~loc fn args =
       | [ "Hashtbl"; op ]
         when List.mem op d4_keyed_ops
              && Config.in_dirs ctx.file ctx.config.Config.d4_dirs
-             && not
-                  (Config.in_files ctx.file ctx.config.Config.d4_exempt_files)
              && List.exists (fun (_, a) -> is_structural_key a) args ->
           emit ctx ~rule:"D4" ~loc
             (Printf.sprintf

@@ -117,13 +117,8 @@ let create ?domains () =
 
 let domains t = t.n_domains
 
-(* Workers are shared and persistent; a pool owns nothing to tear down.
-   Kept for API compatibility with the spawn-per-pool implementation. *)
-let shutdown _ = ()
-
-let with_pool ?domains f =
-  let t = create ?domains () in
-  Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
+(* Workers are shared and persistent; a pool owns nothing to tear down. *)
+let with_pool ?domains f = f (create ?domains ())
 
 let map t f xs =
   match xs with

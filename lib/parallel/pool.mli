@@ -41,13 +41,11 @@ val map_reduce : t -> map:('a -> 'b) -> reduce:('c -> 'b -> 'c) -> init:'c ->
     in submission order over the mapped results — deterministic even for
     non-commutative [reduce]. *)
 
-val shutdown : t -> unit
-(** A no-op, kept for API compatibility: workers are shared across pools
-    and parked between batches, not owned by any one pool.  The shared set
-    is joined by an [at_exit] hook. *)
-
 val with_pool : ?domains:int -> (t -> 'r) -> 'r
-(** [with_pool ~domains f] brackets [create] / [shutdown] around [f]. *)
+(** [with_pool ~domains f] is [f (create ~domains ())].  A pool owns
+    nothing to tear down: workers are shared across pools and parked
+    between batches, and the shared set is joined by an [at_exit]
+    hook. *)
 
 (** {2 Shared worker set}
 

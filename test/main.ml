@@ -1,7 +1,6 @@
 let () =
   Alcotest.run "lrp"
     [ ("engine", Test_engine.suite);
-      ("twheel", Test_twheel.suite);
       ("sched", Test_sched.suite);
       ("sim", Test_sim.suite);
       ("golden", Test_golden.suite);

@@ -145,16 +145,233 @@ let test_events_executed () =
   Engine.run eng ~until:100.;
   Alcotest.(check int) "executed" 7 (Engine.events_executed eng)
 
+(* --- one event queue: far re-arms, all-cancelled queues, compaction -- *)
+
+let test_reschedule_far () =
+  (* One periodic event re-arms itself 1e9 us ahead and then 10 us ahead;
+     the slot and thunk are reused throughout. *)
+  let eng = Engine.create () in
+  let times = ref [] in
+  let h = ref Engine.none in
+  let count = ref 0 in
+  h :=
+    Engine.schedule eng ~at:10. (fun () ->
+        times := Engine.now eng :: !times;
+        incr count;
+        if !count = 1 then Engine.reschedule_after eng !h ~delay:1e9
+        else if !count = 2 then Engine.reschedule_after eng !h ~delay:10.);
+  Engine.run eng ~until:2e9;
+  Alcotest.(check (list (float 1e-9)))
+    "near -> far -> near re-arm timestamps"
+    [ 10.; 1_000_000_010.; 1_000_000_020. ]
+    (List.rev !times);
+  Alcotest.(check int) "slot fully retired" 0 (Engine.pending_events eng)
+
+(* Schedule [n] no-op events at [at] and cancel them all: enough cancelled
+   entries (more than the live ones plus the engine's slack of 64) that
+   the next pop compacts the heap. *)
+let bury eng ~at n =
+  List.iter (Engine.cancel eng)
+    (List.init n (fun _ -> Engine.schedule eng ~at (fun () -> ())))
+
+let test_step_on_all_cancelled_queue () =
+  (* [step] pops past cancelled entries and reports [false] only when
+     nothing fired — with one cancelled entry, and with enough of them to
+     force a compaction in front of a single live event. *)
+  let eng = Engine.create () in
+  let h = Engine.schedule eng ~at:20. (fun () -> ()) in
+  Engine.cancel eng h;
+  Alcotest.(check bool) "step sees an (effectively) empty queue" false
+    (Engine.step eng);
+  bury eng ~at:30. 200;
+  let fired = ref 0 in
+  ignore (Engine.schedule eng ~at:40. (fun () -> incr fired));
+  bury eng ~at:50. 200;
+  Alcotest.(check bool) "step fires the one live event" true (Engine.step eng);
+  Alcotest.(check int) "fired once" 1 !fired;
+  check_float "clock at the live event" 40. (Engine.now eng);
+  Alcotest.(check bool) "then reports empty" false (Engine.step eng);
+  check_float "cancelled keys never move the clock" 40. (Engine.now eng);
+  Alcotest.(check int) "nothing pending" 0 (Engine.pending_events eng)
+
+let test_fifo_ties_with_cancelled () =
+  (* Five events share one key with 150 cancelled neighbours interleaved
+     at the same key; two of the five are cancelled too.  The compaction
+     that sheds the neighbours must keep the survivors in schedule
+     order. *)
+  let eng = Engine.create () in
+  let log = ref [] in
+  let hs =
+    List.init 5 (fun i ->
+        let h =
+          Engine.schedule eng ~at:1_000_000. (fun () -> log := i :: !log)
+        in
+        bury eng ~at:1_000_000. 30;
+        h)
+  in
+  Engine.cancel eng (List.nth hs 1);
+  Engine.cancel eng (List.nth hs 3);
+  Engine.run eng ~until:2_000_000.;
+  Alcotest.(check (list int)) "FIFO among survivors" [ 0; 2; 4 ]
+    (List.rev !log)
+
+let test_handle_valid_across_compaction () =
+  (* A far event's handle stays pending and cancellable while compactions
+     shed cancelled entries around it, and the stale handles of the shed
+     entries cannot touch the events that recycle their slots. *)
+  let eng = Engine.create () in
+  let far = Engine.schedule eng ~at:5_000_000. (fun () -> ()) in
+  let observations = ref [] in
+  let observe () = observations := Engine.is_pending eng far :: !observations in
+  let stale = List.init 100 (fun _ -> Engine.schedule eng ~at:50. observe) in
+  List.iter (Engine.cancel eng) stale;
+  List.iter
+    (fun t -> ignore (Engine.schedule eng ~at:t observe))
+    [ 100.; 1_000_000.; 4_900_000. ];
+  Engine.run eng ~until:200.;
+  let fresh = ref 0 in
+  let recycled =
+    List.init 100 (fun _ ->
+        Engine.schedule eng ~at:300. (fun () -> incr fresh))
+  in
+  List.iter (Engine.cancel eng) stale;
+  Alcotest.(check bool) "stale cancels leave recycled slots pending" true
+    (List.for_all (Engine.is_pending eng) recycled);
+  Engine.run eng ~until:4_950_000.;
+  Alcotest.(check int) "recycled events fired" 100 !fresh;
+  Alcotest.(check (list bool)) "far event pending throughout"
+    [ true; true; true ] !observations;
+  Engine.cancel eng far;
+  Engine.run eng ~until:6_000_000.;
+  Alcotest.(check int) "cancel after compaction still lands" 0
+    (Engine.pending_events eng)
+
+(* --- engine vs a sorted (key, seq) model ----------------------------- *)
+
+(* The model holds the live entries (key, seq, id, re-arms left), at
+   most one per id, each fired in lexicographic (key, seq) order.  [seq]
+   counts schedules and re-arms, as the engine's FIFO rank does. *)
+type entry = { key : float; seq : int; id : int; left : int }
+
+(* Interpret an op script against an engine and the model side by side,
+   returning both fire traces and the two [step] result lists.  Scripts
+   schedule and cancel in bursts; churn bursts cancel each timer as soon
+   as it is set, so cancelled entries pile up past the live ones and the
+   engine compacts, and later cancels of those stale handles must not
+   touch the events that recycle their slots.  Delays come from a small
+   set, so FIFO ties are common; every 4th schedule re-arms twice. *)
+let run_model_script ops =
+  let eng = Engine.create () in
+  let got = ref [] and want = ref [] in
+  let steps_got = ref [] and steps_want = ref [] in
+  let model = Hashtbl.create 64 and now = ref 0. and seq = ref 0 in
+  let handles = Hashtbl.create 64 in
+  let add key id left =
+    Hashtbl.replace model id { key; seq = !seq; id; left };
+    incr seq
+  in
+  let fire_model e =
+    now := e.key;
+    want := (e.key, e.id) :: !want;
+    Hashtbl.remove model e.id;
+    if e.left > 0 then add (e.key +. 25.) e.id (e.left - 1)
+  in
+  let next_model bound =
+    Hashtbl.fold
+      (fun _ e acc ->
+        if e.key > bound then acc
+        else
+          match acc with
+          | Some m when (m.key, m.seq) < (e.key, e.seq) -> acc
+          | _ -> Some e)
+      model None
+  in
+  let rec run_model until =
+    match next_model until with
+    | Some e ->
+        fire_model e;
+        run_model until
+    | None -> if !now < until then now := until
+  in
+  let schedule n =
+    let id = Hashtbl.length handles in
+    let delay = [| 0.; 10.; 20.; 30.; 5000. |].(n mod 5) in
+    let left = if id mod 4 = 0 then 2 else 0 in
+    let remaining = ref left in
+    let h = ref Engine.none in
+    h :=
+      Engine.schedule_after eng ~delay (fun () ->
+          got := (Engine.now eng, id) :: !got;
+          if !remaining > 0 then begin
+            decr remaining;
+            Engine.reschedule_after eng !h ~delay:25.
+          end);
+    Hashtbl.replace handles id !h;
+    add (!now +. delay) id left
+  in
+  let cancel id =
+    Engine.cancel eng (Hashtbl.find handles id);
+    Hashtbl.remove model id
+  in
+  let cancel_recent i =
+    let n = Hashtbl.length handles in
+    if n > 0 then cancel (n - 1 - (i mod min n 64))
+  in
+  List.iter
+    (fun n ->
+      match n mod 8 with
+      | 0 | 1 | 2 -> for k = 0 to n mod 9 do schedule (n + k) done
+      | 3 | 4 -> for k = 0 to n mod 9 do cancel_recent ((n * 7) + k) done
+      | 5 ->
+          (* re-arm churn: a burst of timers cancelled as soon as set *)
+          for k = 0 to 64 + (n mod 23) do
+            schedule (n + k);
+            cancel (Hashtbl.length handles - 1)
+          done
+      | 6 ->
+          let until = !now +. (float_of_int (n mod 7) *. 10.) in
+          Engine.run eng ~until;
+          run_model until
+      | _ ->
+          steps_got := Engine.step eng :: !steps_got;
+          let fired = next_model Float.infinity in
+          Option.iter fire_model fired;
+          steps_want := Option.is_some fired :: !steps_want)
+    ops;
+  Engine.run eng ~until:1e9;
+  run_model 1e9;
+  ((List.rev !got, !steps_got), (List.rev !want, !steps_want))
+
+let prop_engine_model =
+  QCheck.Test.make ~count:200
+    ~name:"engine fires in the (key, seq) order of a sorted model"
+    QCheck.(list_of_size (Gen.int_range 100 400) small_nat)
+    (fun ops ->
+      let got, want = run_model_script ops in
+      got = want)
+
 (* --- property tests ------------------------------------------------- *)
+
+(* The heap's caller-ranked API, driven through a scratch cell. *)
+let heap_cell = [| 0.; 0. |]
+
+let heap_add h ~key ~seq v =
+  heap_cell.(0) <- key;
+  Eheap.add_cell h ~cell:heap_cell ~seq v
+
+let heap_pop h =
+  heap_cell.(1) <- Float.infinity;
+  let v = Eheap.pop_leq_into h ~cell:heap_cell ~default:(-1) in
+  if v < 0 then None else Some (heap_cell.(0), v)
 
 let prop_heap_sorted =
   QCheck.Test.make ~count:300 ~name:"eheap pops keys in nondecreasing order"
     QCheck.(list (float_bound_exclusive 1e6))
     (fun keys ->
       let h = Eheap.create () in
-      List.iteri (fun i k -> Eheap.add h ~key:k i) keys;
+      List.iteri (fun i k -> heap_add h ~key:k ~seq:i i) keys;
       let rec drain acc =
-        match Eheap.pop h with
+        match heap_pop h with
         | None -> List.rev acc
         | Some (k, _) -> drain (k :: acc)
       in
@@ -167,10 +384,10 @@ let prop_heap_fifo_on_equal =
     (fun n ->
       let h = Eheap.create () in
       for i = 0 to n - 1 do
-        Eheap.add h ~key:1. i
+        heap_add h ~key:1. ~seq:i i
       done;
       let rec drain acc =
-        match Eheap.pop h with
+        match heap_pop h with
         | None -> List.rev acc
         | Some (_, v) -> drain (v :: acc)
       in
@@ -179,7 +396,8 @@ let prop_heap_fifo_on_equal =
 (* Model-based test of the mixed-operation behaviour: a stable sorted
    association list is the reference.  Few distinct keys force FIFO ties;
    long op lists push the heap past its initial 16 slots; occasional
-   [clear]s check reuse after reset. *)
+   compactions drop every entry whose value is divisible by a small
+   divisor and must keep the rest in order. *)
 let prop_heap_model =
   QCheck.Test.make ~count:500 ~name:"eheap agrees with a sorted-list model"
     QCheck.(list small_nat)
@@ -198,8 +416,10 @@ let prop_heap_model =
       List.iter
         (fun n ->
           if n mod 13 = 12 then begin
-            Eheap.clear h;
-            model := []
+            let dead v = v mod (2 + (n mod 3)) = 0 in
+            Eheap.compact h dead;
+            model := List.filter (fun (_, v) -> not (dead v)) !model;
+            if Eheap.length h <> List.length !model then ok := false
           end
           else if n mod 3 = 2 then begin
             let expect =
@@ -209,18 +429,18 @@ let prop_heap_model =
                   model := tl;
                   Some x
             in
-            if Eheap.pop h <> expect then ok := false
+            if heap_pop h <> expect then ok := false
           end
           else begin
             let key = float_of_int (n mod 8) in
             let id = !next_id in
             incr next_id;
-            Eheap.add h ~key id;
+            heap_add h ~key ~seq:id id;
             stable_insert key id
           end)
         ops;
       let rec drain () =
-        match (Eheap.pop h, !model) with
+        match (heap_pop h, !model) with
         | None, [] -> true
         | Some got, expect :: tl when got = expect ->
             model := tl;
@@ -233,17 +453,17 @@ let test_heap_growth () =
   (* Push well past the initial 16-slot capacity and drain in order. *)
   let h = Eheap.create () in
   for i = 199 downto 0 do
-    Eheap.add h ~key:(float_of_int i) i
+    heap_add h ~key:(float_of_int i) ~seq:(199 - i) i
   done;
   Alcotest.(check int) "length" 200 (Eheap.length h);
   for i = 0 to 199 do
-    match Eheap.pop h with
+    match heap_pop h with
     | Some (k, v) ->
         check_float "key order" (float_of_int i) k;
         Alcotest.(check int) "value order" i v
     | None -> Alcotest.fail "heap drained early"
   done;
-  Alcotest.(check bool) "empty at the end" true (Eheap.pop h = None)
+  Alcotest.(check bool) "empty at the end" true (heap_pop h = None)
 
 let prop_rng_deterministic =
   QCheck.Test.make ~count:100 ~name:"rng: same seed, same stream"
@@ -322,6 +542,7 @@ let test_rng_exponential_mean () =
 
 let qsuite = List.map QCheck_alcotest.to_alcotest
     [ prop_heap_sorted; prop_heap_fifo_on_equal; prop_heap_model;
+      prop_engine_model;
       prop_rng_deterministic; prop_rng_int_bounds; prop_rng_uniform_bounds;
       prop_rng_exponential_positive ]
 
@@ -345,6 +566,14 @@ let suite =
     Alcotest.test_case "eheap grows past its initial capacity" `Quick
       test_heap_growth;
     Alcotest.test_case "events_executed counts" `Quick test_events_executed;
+    Alcotest.test_case "reschedule re-arms far ahead and back" `Quick
+      test_reschedule_far;
+    Alcotest.test_case "step on an all-cancelled queue reports empty" `Quick
+      test_step_on_all_cancelled_queue;
+    Alcotest.test_case "FIFO ties survive cancelled neighbours" `Quick
+      test_fifo_ties_with_cancelled;
+    Alcotest.test_case "handle stays valid across compaction" `Quick
+      test_handle_valid_across_compaction;
     Alcotest.test_case "rng split gives a distinct stream" `Quick
       test_rng_split_independent;
     Alcotest.test_case "rng split_seed derives stable child seeds" `Quick

@@ -1,6 +1,6 @@
 (* Tests for the protocol library: the demultiplexer (including the
-   byte-level/structural equivalence property the NI firmware relies on),
-   IP fragmentation/reassembly, and PCB tables. *)
+   byte-level/structural equivalence property the NI firmware relies on)
+   and IP fragmentation/reassembly. *)
 
 open Lrp_net
 open Lrp_proto
@@ -177,47 +177,6 @@ let test_reasm_duplicate_fragments () =
   let completions = List.filter_map (fun f -> Ip.Reasm.insert r ~now:0. f) frags in
   Alcotest.(check int) "still exactly one completion" 1 (List.length completions)
 
-(* --- PCB tables ---------------------------------------------------------- *)
-
-let test_pcb_udp () =
-  let t = Pcb.create () in
-  Pcb.bind_udp t ~port:53 "dns";
-  Alcotest.(check (option string)) "bound port found" (Some "dns")
-    (Pcb.lookup_udp t ~remote:(1, 1000) ~port:53);
-  Alcotest.(check (option string)) "unbound port misses" None
-    (Pcb.lookup_udp t ~remote:(1, 1000) ~port:54);
-  Pcb.connect_udp t ~remote:(2, 2000) ~port:53 "dns-conn";
-  Alcotest.(check (option string)) "connected match preferred" (Some "dns-conn")
-    (Pcb.lookup_udp t ~remote:(2, 2000) ~port:53);
-  Alcotest.(check (option string)) "other remotes get wildcard" (Some "dns")
-    (Pcb.lookup_udp t ~remote:(3, 3000) ~port:53)
-
-let test_pcb_udp_rebind_rejected () =
-  let t = Pcb.create () in
-  Pcb.bind_udp t ~port:53 "a";
-  Alcotest.check_raises "double bind" (Invalid_argument "Pcb.bind_udp: port in use")
-    (fun () -> Pcb.bind_udp t ~port:53 "b")
-
-let test_pcb_tcp () =
-  let t = Pcb.create () in
-  Pcb.listen_tcp t ~port:80 "listener";
-  Pcb.insert_tcp t ~remote:(5, 5000) ~port:80 "conn";
-  Alcotest.(check (option string)) "exact match wins" (Some "conn")
-    (Pcb.lookup_tcp t ~remote:(5, 5000) ~port:80);
-  Alcotest.(check (option string)) "fallback to listener" (Some "listener")
-    (Pcb.lookup_tcp t ~remote:(6, 6000) ~port:80);
-  Pcb.remove_tcp t ~remote:(5, 5000) ~port:80;
-  Alcotest.(check (option string)) "removed conn falls back" (Some "listener")
-    (Pcb.lookup_tcp t ~remote:(5, 5000) ~port:80);
-  Alcotest.(check int) "count" 0 (Pcb.tcp_count t)
-
-let test_pcb_lookup_cost () =
-  let t = Pcb.create () in
-  Pcb.bind_udp t ~port:53 "dns";
-  let before = Pcb.lookup_cost_cells t in
-  ignore (Pcb.lookup_udp t ~remote:(1, 1) ~port:53);
-  Alcotest.(check bool) "lookups cost cells" true (Pcb.lookup_cost_cells t > before)
-
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
     [ prop_demux_bytes_equals_struct; prop_reasm_any_order ]
@@ -234,11 +193,7 @@ let suite =
     Alcotest.test_case "reassembly of interleaved datagrams" `Quick
       test_reasm_interleaved_datagrams;
     Alcotest.test_case "reassembly timeout pruning" `Quick test_reasm_timeout;
-    Alcotest.test_case "duplicate fragments" `Quick test_reasm_duplicate_fragments;
-    Alcotest.test_case "pcb udp binding" `Quick test_pcb_udp;
-    Alcotest.test_case "pcb rejects double bind" `Quick test_pcb_udp_rebind_rejected;
-    Alcotest.test_case "pcb tcp exact + listen" `Quick test_pcb_tcp;
-    Alcotest.test_case "pcb lookup cost accounting" `Quick test_pcb_lookup_cost ]
+    Alcotest.test_case "duplicate fragments" `Quick test_reasm_duplicate_fragments ]
   @ qsuite
 
 (* --- classifier robustness: fuzzing -------------------------------------- *)

@@ -385,8 +385,8 @@ let udp_pkt () =
 
 (* The steady-state cycles of the per-packet hot paths, one row each.
    A row builds its fixture and returns one cycle; after a warm-up long
-   enough for every one-time growth (slot table, wheel buckets, heap and
-   ring arrays) the cycle must allocate exactly 0.0 minor words.
+   enough for every one-time growth (slot table, heap and ring arrays)
+   the cycle must allocate exactly 0.0 minor words.
    lrp_allocheck proves the same statically for the functions these
    cycles call; this table checks it on the running code. *)
 let zero_word_cycles =
@@ -565,10 +565,10 @@ let test_zero_words ?(warm = 20_000) ?(n = 50_000) make () =
 
 (* Kernel IP output of a datagram within the MTU: route, transmit, tx
    done; no switch port has its address, so the fabric drops it.  Each
-   cycle takes one 2.7 us ATM cell time.  The warm-up runs past the
-   timer wheel's first 4096 us turn (its one-time bucket sizing), and
-   the window ends before the kernel CPU's first 10 ms clock tick: the
-   clock's own events are not this path. *)
+   cycle takes one 2.7 us ATM cell time, so the default warm-up and
+   window would run about 190 ms of virtual time.  The row's short window
+   ends before the kernel CPU's first 10 ms clock tick, whose events
+   allocate and are not this path. *)
 let ip_output_cycle () =
   let w = Lrp_workload.World.make () in
   let k =

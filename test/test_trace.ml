@@ -252,8 +252,7 @@ let test_kernel_metrics_snapshot () =
     [ "cpu.ctx_switches"; "cpu.hard_dispatches"; "cpu.procs";
       "cpu.sched.loadavg"; "cpu.sched.runnable"; "cpu.sched.threads";
       "cpu.soft_dispatches"; "cpu.time_hard_us"; "cpu.time_idle_us";
-      "cpu.time_soft_us"; "cpu.time_user_us"; "engine.pour_skipped";
-      "engine.sched_heap"; "engine.sched_wheel"; "engine.timers_cancelled";
+      "cpu.time_soft_us"; "cpu.time_user_us"; "engine.timers_cancelled";
       "engine.timers_fired"; "engine.timers_scheduled"; "kernel.channels";
       "kernel.csum_drops"; "kernel.demux_drops"; "kernel.early_discards";
       "kernel.edemux_early_drops"; "kernel.forwarded"; "kernel.fwd_drops";
