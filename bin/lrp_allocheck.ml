@@ -1,16 +1,20 @@
-(* lrp_allocheck — the zero-allocation and domain-escape prover.
+(* lrp_allocheck — the repo's static analyzer.
 
      lrp_allocheck [--json] [--out FILE] [--conf FILE] [--root DIR]
 
-   Reads the .cmt files dune left under _build, walks the hot-path entry
-   points named in allocheck.conf (plus transitive callees inside the
-   followed directories) for allocation points, and checks the
-   cell-resident directories for stores that publish values across
-   domains.  Exits 0 on a clean tree, 1 when there are findings, 2 on
-   usage/configuration errors (including a build with no .cmt files).
-   --json switches stdout to the machine-readable report; --out
-   additionally writes the report to FILE (CI uploads it as an artifact
-   on failure).  The analysis is documented in DESIGN.md §16. *)
+   Reads the .cmt files dune left under _build (run 'dune build @check'
+   first), walks the hot-path entry points named in allocheck.conf (plus
+   transitive callees inside the followed directories) for allocation
+   points, checks the cell-resident directories for stores that publish
+   values across domains, and runs the determinism rules over every
+   loaded unit and the layering rule over their dune files.  Exits 0 on
+   a clean tree, 1 when there are findings (a cmt-dir with no .cmt is
+   one), 2 on usage/configuration errors.  --json switches stdout to the
+   machine-readable report; --out additionally writes the report to FILE
+   (CI uploads it as an artifact on failure).  The analysis is
+   documented in DESIGN.md §11. *)
+
+open Lrp_allocheck
 
 let usage () =
   prerr_endline
@@ -46,44 +50,35 @@ let () =
     match !conf with Some f -> f | None -> Filename.concat root "allocheck.conf"
   in
   let cfg =
-    match Lrp_allocheck.Aconfig.load conf_path with
+    match Aconfig.load conf_path with
     | Ok cfg -> cfg
     | Error e ->
         Printf.eprintf "lrp_allocheck: %s: %s\n" conf_path e;
         exit 2
   in
   let findings, stats =
-    Lrp_allocheck.Adriver.run ~root ~conf_name:(Filename.basename conf_path) cfg
+    Adriver.run ~root ~conf_name:(Filename.basename conf_path) cfg
   in
-  if stats.Lrp_allocheck.Adriver.cmt_files = 0 then begin
-    Printf.eprintf
-      "lrp_allocheck: no .cmt files under %s — run 'dune build' first\n"
-      (String.concat ", "
-         (List.map (Filename.concat root) cfg.Lrp_allocheck.Aconfig.cmt_dirs));
-    exit 2
-  end;
   let report =
-    if !json then Lrp_report.Finding.to_json findings
+    if !json then Finding.to_json findings
     else
       String.concat ""
-        (List.map (fun f -> Lrp_report.Finding.to_text f ^ "\n") findings)
+        (List.map (fun f -> Finding.to_text f ^ "\n") findings)
   in
   print_string report;
   if not !json then
     Printf.printf
       "lrp_allocheck: %d finding%s (%d hot-path functions, %d escape-checked, \
-       %d files, %d cmt files)\n"
+       %d source units, %d dune files, %d cmt files)\n"
       (List.length findings)
       (if List.length findings = 1 then "" else "s")
-      stats.Lrp_allocheck.Adriver.funcs_analyzed
-      stats.Lrp_allocheck.Adriver.escape_funcs
-      stats.Lrp_allocheck.Adriver.files_scanned
-      stats.Lrp_allocheck.Adriver.cmt_files;
+      stats.funcs_analyzed stats.escape_funcs stats.src_units stats.dune_files
+      stats.cmt_files;
   (match !out with
   | None -> ()
   | Some file ->
       let oc = open_out file in
       output_string oc
-        (if !json then report else Lrp_report.Finding.to_json findings);
+        (if !json then report else Finding.to_json findings);
       close_out oc);
   exit (if findings = [] then 0 else 1)

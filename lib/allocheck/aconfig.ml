@@ -4,8 +4,9 @@
    (allocheck.conf at the repo root for the live tree; tests build their
    own records) rather than by heuristics: the zero-allocation contract
    covers exactly the entry points named here plus their transitive
-   callees inside the followed directories, and the escape rules cover
-   exactly the cell-resident directories.  Everything else in the tree is
+   callees inside the followed directories, the escape rules cover
+   exactly the cell-resident directories, and each source rule's
+   exemptions and scopes are listed here.  Everything else in the tree is
    free to allocate — experiments, reporting and setup code are supposed
    to.
 
@@ -17,7 +18,8 @@
 type t = {
   cmt_dirs : string list;
       (* Build-relative directories scanned for .cmt files, e.g.
-         "_build/default/lib".  Only modules found here are loadable. *)
+         "_build/default/lib".  Only modules found here are loadable, and
+         every loaded unit is checked by the source rules and L1. *)
   entries : string list;
       (* Hot-path entry points: roots of the allocation walk. *)
   follow_dirs : string list;
@@ -33,7 +35,7 @@ type t = {
   escape_dirs : string list;
       (* Cell-resident source directories: every top-level function here
          is checked for stores that publish values to module-level or
-         cross-cell state (the interprocedural form of lint rule C2). *)
+         cross-cell state (the interprocedural form of rule C2). *)
   cross_cell_fields : string list;
       (* Record/array fields that other cells read: the uplink outbox
          columns.  Stores into them are findings unless the writer is
@@ -44,6 +46,26 @@ type t = {
   allocating_extra : string list;
       (* Additional fully-applied stdlib calls to treat as allocating,
          beyond the built-in table in Allocwalk. *)
+  rng_files : string list;
+      (* D1: the one module allowed to own ambient nondeterminism. *)
+  wallclock_files : string list;
+      (* D1: wall-clock reads allowed (Random.* stays banned). *)
+  det_files : string list;
+      (* D2: the sorted-iteration helper implementation itself. *)
+  d3_files : (string * string list) list;
+      (* D3: files whose float-carrying or mutable record types make
+         polymorphic compare hazardous, with the type names for the
+         message. *)
+  d4_dirs : string list;
+      (* D4: hot-path directories where a Hashtbl probe with a literal
+         tuple/record key is banned. *)
+  lib_scope : string list;
+      (* C1/P1 apply only under these path components (library code). *)
+  c2_dirs : string list;
+      (* C2: directories whose code runs cell-parallel under Shardsim. *)
+  layer_rank : (string * int) list;
+      (* L1: library name -> layer rank; dependencies point strictly
+         down. *)
 }
 
 let empty =
@@ -56,6 +78,14 @@ let empty =
     cross_cell_fields = [];
     escape_sanctions = [];
     allocating_extra = [];
+    rng_files = [];
+    wallclock_files = [];
+    det_files = [];
+    d3_files = [];
+    d4_dirs = [];
+    lib_scope = [];
+    c2_dirs = [];
+    layer_rank = [];
   }
 
 (* ------------------------------------------------------------------ *)
@@ -69,57 +99,68 @@ let empty =
 (*   cross-cell-field ob_pkt                                           *)
 (*   escape-sanction Fabric.uplink_forward                             *)
 (*   allocating List.map                                               *)
+(*   rng-file lib/engine/rng.ml                                        *)
+(*   wallclock-file bin/lrp_sim_cli.ml                                 *)
+(*   det-file lib/core/det.ml                                          *)
+(*   d3-file lib/proto/tcp.ml conn timer                               *)
+(*   d4-dir lib/net                                                    *)
+(*   lib-scope lib                                                     *)
+(*   c2-dir lib/engine                                                 *)
+(*   layer lrp_engine 1                                                *)
 (* ------------------------------------------------------------------ *)
 
+let directive c key v =
+  match (key, List.filter (fun w -> w <> "") (String.split_on_char ' ' v)) with
+  | "cmt-dir", _ -> Ok { c with cmt_dirs = c.cmt_dirs @ [ v ] }
+  | "entry", _ -> Ok { c with entries = c.entries @ [ v ] }
+  | "follow", _ -> Ok { c with follow_dirs = c.follow_dirs @ [ v ] }
+  | "assume", _ -> Ok { c with assume = c.assume @ [ v ] }
+  | "escape-dir", _ -> Ok { c with escape_dirs = c.escape_dirs @ [ v ] }
+  | "cross-cell-field", _ ->
+      Ok { c with cross_cell_fields = c.cross_cell_fields @ [ v ] }
+  | "escape-sanction", _ ->
+      Ok { c with escape_sanctions = c.escape_sanctions @ [ v ] }
+  | "allocating", _ ->
+      Ok { c with allocating_extra = c.allocating_extra @ [ v ] }
+  | "rng-file", _ -> Ok { c with rng_files = c.rng_files @ [ v ] }
+  | "wallclock-file", _ ->
+      Ok { c with wallclock_files = c.wallclock_files @ [ v ] }
+  | "det-file", _ -> Ok { c with det_files = c.det_files @ [ v ] }
+  | "d3-file", file :: (_ :: _ as types) ->
+      Ok { c with d3_files = c.d3_files @ [ (file, types) ] }
+  | "d3-file", _ -> Error "d3-file wants FILE TYPE..."
+  | "d4-dir", _ -> Ok { c with d4_dirs = c.d4_dirs @ [ v ] }
+  | "lib-scope", _ -> Ok { c with lib_scope = c.lib_scope @ [ v ] }
+  | "c2-dir", _ -> Ok { c with c2_dirs = c.c2_dirs @ [ v ] }
+  | "layer", [ lib; rank ] when int_of_string_opt rank <> None ->
+      Ok { c with layer_rank = c.layer_rank @ [ (lib, int_of_string rank) ] }
+  | "layer", _ -> Error "layer wants LIB RANK (an integer)"
+  | _ -> Error (Printf.sprintf "unknown directive %S" key)
+
 let parse text : (t, string) result =
-  let err = ref None in
-  let cfg = ref empty in
-  let add f v = cfg := f !cfg v in
-  List.iteri
-    (fun i line ->
-      if !err = None then
-        let line =
-          match String.index_opt line '#' with
-          | Some j -> String.sub line 0 j
-          | None -> line
-        in
-        let line = String.trim line in
-        if line <> "" then
-          match String.index_opt line ' ' with
-          | None -> err := Some (Printf.sprintf "line %d: missing argument" (i + 1))
-          | Some j ->
-              let key = String.sub line 0 j in
-              let v = String.trim (String.sub line j (String.length line - j)) in
-              let app f = add (fun c v -> f c v) v in
-              (match key with
-              | "cmt-dir" -> app (fun c v -> { c with cmt_dirs = c.cmt_dirs @ [ v ] })
-              | "entry" -> app (fun c v -> { c with entries = c.entries @ [ v ] })
-              | "follow" ->
-                  app (fun c v -> { c with follow_dirs = c.follow_dirs @ [ v ] })
-              | "assume" -> app (fun c v -> { c with assume = c.assume @ [ v ] })
-              | "escape-dir" ->
-                  app (fun c v -> { c with escape_dirs = c.escape_dirs @ [ v ] })
-              | "cross-cell-field" ->
-                  app (fun c v ->
-                      { c with cross_cell_fields = c.cross_cell_fields @ [ v ] })
-              | "escape-sanction" ->
-                  app (fun c v ->
-                      { c with escape_sanctions = c.escape_sanctions @ [ v ] })
-              | "allocating" ->
-                  app (fun c v ->
-                      { c with allocating_extra = c.allocating_extra @ [ v ] })
-              | _ ->
-                  err :=
-                    Some (Printf.sprintf "line %d: unknown directive %S" (i + 1) key)))
-    (String.split_on_char '\n' text);
-  match !err with Some e -> Error e | None -> Ok !cfg
+  let line_of i c line =
+    let line =
+      match String.index_opt line '#' with
+      | Some j -> String.sub line 0 j
+      | None -> line
+    in
+    let line = String.trim line in
+    if line = "" then Ok c
+    else
+      Result.map_error (Printf.sprintf "line %d: %s" (i + 1))
+        (match String.index_opt line ' ' with
+        | None -> Error "missing argument"
+        | Some j ->
+            directive c (String.sub line 0 j)
+              (String.trim (String.sub line j (String.length line - j))))
+  in
+  let rec go i c = function
+    | [] -> Ok c
+    | l :: rest -> Result.bind (line_of i c l) (fun c -> go (i + 1) c rest)
+  in
+  go 0 empty (String.split_on_char '\n' text)
 
 let load path : (t, string) result =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
+  match In_channel.with_open_bin path In_channel.input_all with
   | text -> parse text
   | exception Sys_error e -> Error e

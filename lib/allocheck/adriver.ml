@@ -1,6 +1,7 @@
 (* The lrp_allocheck driver: load .cmt files, walk the configured hot
    paths for allocations, walk the cell-resident directories for escapes,
-   then sweep for stale suppressions.
+   run the source rules over every loaded unit and L1 over their dune
+   files, then sweep for stale suppressions.
 
    The allocation pass is a breadth-first closure over the call graph:
    configured entry points seed a work queue, and every resolved
@@ -11,26 +12,20 @@
    The escape pass is not reachability-based (see escape.ml): every
    top-level function in [escape_dirs] is checked.
 
-   An entry that fails to resolve is itself a finding (rule CFG) — a
-   renamed hot path must not silently drop out of the gate. *)
-
-let marker = "(* alloc:"
-let known_tags = [ "cold"; "escape-ok" ]
+   An entry that fails to resolve, or a cmt-dir that holds no .cmt, is
+   itself a finding (rule CFG) — a renamed hot path or a missing build
+   must not silently drop out of the gate. *)
 
 type stats = {
   cmt_files : int;
   funcs_analyzed : int;  (* allocation pass, entries + transitive *)
   escape_funcs : int;  (* escape pass *)
-  files_scanned : int;  (* distinct source files swept for suppressions *)
+  src_units : int;  (* .ml units checked by the source rules *)
+  dune_files : int;  (* dune files checked by L1 *)
 }
 
 let read_file path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
+  match In_channel.with_open_bin path In_channel.input_all with
   | text -> Some text
   | exception Sys_error _ -> None
 
@@ -42,28 +37,41 @@ let canon_names (m : Cmtload.modl) (fn : Cmtload.func) =
 
 let listed names set = List.exists (fun n -> List.mem n set) names
 
+let read_source ~root file =
+  match read_file (Filename.concat root file) with
+  | Some t -> t
+  | None -> Option.value (read_file file) ~default:""
+
 let run ~root ?(conf_name = "allocheck.conf") (cfg : Aconfig.t) :
-    Lrp_report.Finding.t list * stats =
+    Finding.t list * stats =
   let load = Cmtload.load ~root cfg.cmt_dirs in
   let findings = ref [] in
   let emit f = findings := f :: !findings in
+  let cfg_finding fmt =
+    let cfg msg = Finding.v ~rule:"CFG" ~file:conf_name ~line:0 ~col:0 msg in
+    Printf.ksprintf (fun msg -> emit (cfg msg)) fmt
+  in
+  List.iter
+    (cfg_finding
+       "cmt-dir '%s' holds no .cmt files (not built? run 'dune build @check')")
+    load.empty_dirs;
 
-  (* Per-file suppression tables, filled lazily as the walks reach
-     files; every file touched is swept for unused entries at the end. *)
-  let supps : (string, Lrp_report.Suppress.t) Hashtbl.t = Hashtbl.create 32 in
-  let supp_for file =
-    match Hashtbl.find_opt supps file with
+  (* Per-file suppression tables, one per grammar, filled lazily as the
+     passes reach files; every file touched is swept for unused entries
+     at the end. *)
+  let tables =
+    [ (Suppress.alloc, Hashtbl.create 32); (Suppress.lint, Hashtbl.create 64) ]
+  in
+  let supp_in g file =
+    let tbl = List.assq g tables in
+    match Hashtbl.find_opt tbl file with
     | Some s -> s
     | None ->
-        let text =
-          match read_file (Filename.concat root file) with
-          | Some t -> t
-          | None -> ( match read_file file with Some t -> t | None -> "")
-        in
-        let s = Lrp_report.Suppress.scan ~marker ~known:known_tags text in
-        Hashtbl.replace supps file s;
+        let s = Suppress.scan g (read_source ~root file) in
+        Hashtbl.replace tbl file s;
         s
   in
+  let supp_for = supp_in Suppress.alloc in
 
   (* --- allocation pass ------------------------------------------- *)
   let seen : (string, unit) Hashtbl.t = Hashtbl.create 64 in
@@ -80,12 +88,10 @@ let run ~root ?(conf_name = "allocheck.conf") (cfg : Aconfig.t) :
       match Cmtload.resolve_name load entry with
       | Some (m, fn) -> enqueue m fn
       | None ->
-          emit
-            (Lrp_report.Finding.v ~rule:"CFG" ~file:conf_name ~line:0 ~col:0
-               (Printf.sprintf
-                  "entry '%s' does not resolve to a loaded binding (not \
-                   built, renamed, or misspelled?)"
-                  entry)))
+          cfg_finding
+            "entry '%s' does not resolve to a loaded binding (not built, \
+             renamed, or misspelled?)"
+            entry)
     cfg.entries;
   let funcs_analyzed = ref 0 in
   while not (Queue.is_empty queue) do
@@ -102,7 +108,7 @@ let run ~root ?(conf_name = "allocheck.conf") (cfg : Aconfig.t) :
           emit;
           edge =
             (fun m' fn' ->
-              if Lrp_report.Pathspec.in_dirs m'.Cmtload.md_source cfg.follow_dirs
+              if Pathspec.in_dirs m'.Cmtload.md_source cfg.follow_dirs
               then enqueue m' fn');
         }
       in
@@ -112,12 +118,11 @@ let run ~root ?(conf_name = "allocheck.conf") (cfg : Aconfig.t) :
 
   (* --- escape pass ------------------------------------------------ *)
   let escape_funcs = ref 0 in
+  let mods = List.map snd (Lrp_det.Det.bindings load.mods) in
   let escape_mods =
-    Lrp_det.Det.bindings load.mods
-    |> List.filter_map (fun (_, (m : Cmtload.modl)) ->
-           if Lrp_report.Pathspec.in_dirs m.md_source cfg.escape_dirs then
-             Some m
-           else None)
+    List.filter
+      (fun (m : Cmtload.modl) -> Pathspec.in_dirs m.md_source cfg.escape_dirs)
+      mods
   in
   List.iter
     (fun (m : Cmtload.modl) ->
@@ -138,15 +143,46 @@ let run ~root ?(conf_name = "allocheck.conf") (cfg : Aconfig.t) :
         m.md_funcs)
     escape_mods;
 
-  (* --- stale suppressions ----------------------------------------- *)
-  Lrp_det.Det.iter_sorted
-    (fun file s -> List.iter emit (Lrp_report.Suppress.unused s ~what:"alloc" ~file))
-    supps;
+  (* --- source rules: every loaded implementation ------------------ *)
+  let units =
+    List.filter
+      (fun (m : Cmtload.modl) -> Filename.check_suffix m.md_source ".ml")
+      mods
+  in
+  List.iter
+    (fun (m : Cmtload.modl) ->
+      Srcrules.check_unit ~cfg ~file:m.md_source
+        ~supp:(supp_in Suppress.lint m.md_source) ~emit m.md_str)
+    units;
 
-  ( Lrp_report.Finding.sort !findings,
+  (* --- L1: the dune file beside every checked unit ---------------- *)
+  let dune_files =
+    List.sort_uniq String.compare
+      (List.map
+         (fun (m : Cmtload.modl) -> Filename.dirname m.md_source ^ "/dune")
+         units)
+    |> List.filter_map (fun file ->
+           Option.map (fun text -> (file, text))
+             (read_file (Filename.concat root file)))
+  in
+  List.iter
+    (fun (file, text) ->
+      List.iter emit (Layers.check_file ~ranks:cfg.layer_rank ~file text))
+    dune_files;
+
+  (* --- stale suppressions ----------------------------------------- *)
+  List.iter
+    (fun (g, tbl) ->
+      Lrp_det.Det.iter_sorted
+        (fun file s -> List.iter emit (Suppress.unused g s ~file))
+        tbl)
+    tables;
+
+  ( Finding.sort !findings,
     {
       cmt_files = load.cmt_files;
       funcs_analyzed = !funcs_analyzed;
       escape_funcs = !escape_funcs;
-      files_scanned = Hashtbl.length supps;
+      src_units = List.length units;
+      dune_files = List.length dune_files;
     } )

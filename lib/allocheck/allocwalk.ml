@@ -42,17 +42,15 @@ type ctx = {
   load : Cmtload.t;
   current : Cmtload.modl;
   file : string;
-  supp : Lrp_report.Suppress.t;
+  supp : Suppress.t;
   allocating_extra : string list;
-  emit : Lrp_report.Finding.t -> unit;  (* called only for unclaimed findings *)
+  emit : Finding.t -> unit;  (* called only for unclaimed findings *)
   edge : Cmtload.modl -> Cmtload.func -> unit;
 }
 
 let report ctx ~loc ~rule msg =
-  let line = loc.Location.loc_start.Lexing.pos_lnum in
-  let col = loc.Location.loc_start.pos_cnum - loc.Location.loc_start.pos_bol in
-  if not (Lrp_report.Suppress.claim ctx.supp ~tag:"cold" ~line) then
-    ctx.emit (Lrp_report.Finding.v ~rule ~file:ctx.file ~line ~col msg)
+  let f = Finding.at ~rule ~file:ctx.file loc msg in
+  if not (Suppress.claim ctx.supp ~tag:"cold" ~line:f.line) then ctx.emit f
 
 (* ------------------------------------------------------------------ *)
 (* Stdlib call classification                                          *)

@@ -25,12 +25,14 @@ type modl = {
   md_source : string;  (* source path as recorded in the cmt *)
   md_funcs : func list;  (* top-level value bindings, in structure order *)
   md_top_ids : Ident.t list;  (* every module-level bound value ident *)
+  md_str : Typedtree.structure;  (* the whole unit, for the source rules *)
 }
 
 type t = {
   mods : (string, modl) Hashtbl.t;
   shorts : (string, string list) Hashtbl.t;  (* short name -> keys *)
   mutable cmt_files : int;
+  mutable empty_dirs : string list;  (* configured dirs that held no .cmt *)
 }
 
 (* All value idents bound by a pattern (top-level lets can be tuples). *)
@@ -128,9 +130,10 @@ let add_cmt t path =
           let m =
             {
               md_key = key;
-              md_source = Lrp_report.Pathspec.normalize source;
+              md_source = Pathspec.normalize source;
               md_funcs = funcs;
               md_top_ids = top_ids;
+              md_str = str;
             }
           in
           Hashtbl.replace t.mods key m;
@@ -153,8 +156,16 @@ let rec scan_dir t dir =
         entries
 
 let load ~root dirs =
-  let t = { mods = Hashtbl.create 64; shorts = Hashtbl.create 64; cmt_files = 0 } in
-  List.iter (fun d -> scan_dir t (Filename.concat root d)) dirs;
+  let t =
+    { mods = Hashtbl.create 64; shorts = Hashtbl.create 64; cmt_files = 0;
+      empty_dirs = [] }
+  in
+  List.iter
+    (fun d ->
+      let before = t.cmt_files in
+      scan_dir t (Filename.concat root d);
+      if t.cmt_files = before then t.empty_dirs <- t.empty_dirs @ [ d ])
+    dirs;
   t
 
 let find_mod t key = Hashtbl.find_opt t.mods key

@@ -1,13 +1,13 @@
-(* Domain-escape checking: lint rule C2 made interprocedural.
+(* Domain-escape checking: source rule C2 made interprocedural.
 
    A Shardsim cell's advance runs concurrently with every other cell;
    values it constructs must stay cell-private until handed over through
-   the sanctioned uplink outbox.  The source-level lint (rule C2) flags
-   mutation of module-level state syntactically, one file at a time; this
-   pass works on the typedtree, so it can trace a store's *root* — the
-   base the mutated structure hangs off — through field chains and
-   container reads, and it covers every function in the cell-resident
-   directories rather than just the cell modules themselves.
+   the sanctioned uplink outbox.  Rule C2 (srcrules.ml) flags mutable
+   state bound at module level, one binding at a time; this pass traces
+   a store's *root* — the base the mutated structure hangs off — through
+   field chains and container reads, and it covers every function in the
+   cell-resident directories rather than just the cell modules
+   themselves.
 
    A store is a finding when its root is module-level state (a top-level
    binding of the enclosing unit, or any dotted global), when it lands in
@@ -31,17 +31,15 @@ type ctx = {
   cross_fields : string list;
   sanctioned : bool;
   file : string;
-  supp : Lrp_report.Suppress.t;
-  emit : Lrp_report.Finding.t -> unit;
+  supp : Suppress.t;
+  emit : Finding.t -> unit;
 }
 
 let report ctx ~loc msg =
-  if not ctx.sanctioned then begin
-    let line = loc.Location.loc_start.Lexing.pos_lnum in
-    let col = loc.Location.loc_start.pos_cnum - loc.Location.loc_start.pos_bol in
-    if not (Lrp_report.Suppress.claim ctx.supp ~tag:"escape-ok" ~line) then
-      ctx.emit (Lrp_report.Finding.v ~rule:"ESC" ~file:ctx.file ~line ~col msg)
-  end
+  let f = Finding.at ~rule:"ESC" ~file:ctx.file loc msg in
+  let tag = "escape-ok" in
+  if not (ctx.sanctioned || Suppress.claim ctx.supp ~tag ~line:f.line) then
+    ctx.emit f
 
 (* Container reads we trace the root through: mutating [Array.get g i]
    mutates [g]. *)

@@ -1,16 +1,15 @@
-(* Tests for lrp_allocheck: every finding kind fires on its compiled
-   fixture, the eliminate_ref and static-closure negatives hold,
-   suppressions claim (and stale ones report), the escape pass flags
-   publication and honours sanctions, the JSON report matches the
-   committed golden file, and — the gate itself — the live tree is
-   finding-free.
+(* Tests for lrp_allocheck's allocation and escape passes: every finding
+   kind fires on its compiled fixture, the eliminate_ref and
+   static-closure negatives hold, suppressions claim (and stale ones
+   report), the escape pass flags publication and honours sanctions, the
+   JSON report matches the committed golden file, and — the gate itself —
+   the live tree is finding-free under every pass.
 
-   Unlike the lint fixtures, these are *compiled*: the analyzer reads
-   the .cmt output of the test/allocheck_fixtures libraries, so the
-   fixture runs exercise the same cmt-loading path as the live gate. *)
+   The fixtures are *compiled*: the analyzer reads the .cmt output of the
+   test/allocheck_fixtures libraries, so the fixture runs exercise the
+   same cmt-loading path as the live gate. *)
 
 open Lrp_allocheck
-module Finding = Lrp_report.Finding
 
 (* Locate the repo root from wherever the test binary runs (dune runtest
    uses _build/default/test; `dune exec test/main.exe` uses the caller's
@@ -49,6 +48,8 @@ let fixture_cfg =
     Aconfig.escape_dirs = [ "test/allocheck_fixtures/esc" ];
     Aconfig.cross_cell_fields = [ "ob_ready" ];
     Aconfig.escape_sanctions = [ "Aesc.outbox" ];
+    (* L1 reads the fixture libraries' dune files too. *)
+    Aconfig.layer_rank = [ ("lrp_afix", 0); ("lrp_afix_esc", 0) ];
   }
 
 (* One driver run shared by the per-kind tests. *)
@@ -138,17 +139,31 @@ let test_allocating_extra () =
   check_rl "conf-extended call table fires" [ ("CALL", 11) ] findings
 
 let test_cfg_unresolved () =
-  let cfg =
-    { Aconfig.empty with Aconfig.cmt_dirs = [ fixture_cmts ];
-      Aconfig.entries = [ "Nowhere.nothing" ] }
+  let one_cfg what cfg needle =
+    let cfg = { cfg with Aconfig.escape_dirs = [] } in
+    match fst (Adriver.run ~root:(repo_root ()) cfg) with
+    | [ f ] ->
+        Alcotest.(check string) (what ^ ": rule") "CFG" f.Finding.rule;
+        Alcotest.(check string) (what ^ ": reported against the conf")
+          "allocheck.conf" f.Finding.file;
+        Alcotest.(check bool) (what ^ ": names it") true
+          (contains f.Finding.msg needle)
+    | fs ->
+        Alcotest.failf "%s: expected one CFG finding, got %d" what
+          (List.length fs)
   in
-  let findings, _ = Adriver.run ~root:(repo_root ()) cfg in
-  (match findings with
-  | [ f ] ->
-      Alcotest.(check string) "rule" "CFG" f.Finding.rule;
-      Alcotest.(check string) "reported against the conf" "allocheck.conf"
-        f.Finding.file
-  | fs -> Alcotest.failf "expected one CFG finding, got %d" (List.length fs))
+  one_cfg "unresolved entry"
+    { fixture_cfg with Aconfig.entries = [ "Nowhere.nothing" ] }
+    "Nowhere.nothing";
+  (* A missing build fails closed: a cmt-dir with no .cmt is a finding,
+     not a silently smaller gate. *)
+  one_cfg "empty cmt-dir"
+    {
+      fixture_cfg with
+      Aconfig.entries = [];
+      Aconfig.cmt_dirs = [ fixture_cmts; "_build/default/test/no_such_dir" ];
+    }
+    "no_such_dir"
 
 (* --- escape pass -------------------------------------------------------- *)
 
@@ -185,7 +200,15 @@ let test_conf_parse () =
      escape-dir lib/net\n\
      cross-cell-field ob_pkt\n\
      escape-sanction Fabric.uplink_forward\n\
-     allocating List.map\n"
+     allocating List.map\n\
+     rng-file lib/engine/rng.ml\n\
+     wallclock-file bin/lrp_sim_cli.ml\n\
+     det-file lib/core/det.ml\n\
+     d3-file lib/proto/tcp.ml conn timer\n\
+     d4-dir lib/net\n\
+     lib-scope lib\n\
+     c2-dir lib/engine\n\
+     layer lrp_engine 1\n"
   in
   (match Aconfig.parse text with
   | Error e -> Alcotest.failf "parse failed: %s" e
@@ -204,11 +227,29 @@ let test_conf_parse () =
       Alcotest.(check (list string)) "sanctions" [ "Fabric.uplink_forward" ]
         c.Aconfig.escape_sanctions;
       Alcotest.(check (list string)) "allocating" [ "List.map" ]
-        c.Aconfig.allocating_extra);
-  match Aconfig.parse "entry A.b\nbogus-directive x\n" with
-  | Error e ->
-      Alcotest.(check bool) "error names the line" true (contains e "line 2")
-  | Ok _ -> Alcotest.fail "unknown directive must not parse"
+        c.Aconfig.allocating_extra;
+      Alcotest.(check (list string)) "rng files" [ "lib/engine/rng.ml" ]
+        c.Aconfig.rng_files;
+      Alcotest.(check (list string)) "wallclock files" [ "bin/lrp_sim_cli.ml" ]
+        c.Aconfig.wallclock_files;
+      Alcotest.(check (list string)) "det files" [ "lib/core/det.ml" ]
+        c.Aconfig.det_files;
+      Alcotest.(check (list (pair string (list string)))) "d3 files"
+        [ ("lib/proto/tcp.ml", [ "conn"; "timer" ]) ] c.Aconfig.d3_files;
+      Alcotest.(check (list string)) "d4 dirs" [ "lib/net" ] c.Aconfig.d4_dirs;
+      Alcotest.(check (list string)) "lib scope" [ "lib" ] c.Aconfig.lib_scope;
+      Alcotest.(check (list string)) "c2 dirs" [ "lib/engine" ]
+        c.Aconfig.c2_dirs;
+      Alcotest.(check (list (pair string int))) "layers" [ ("lrp_engine", 1) ]
+        c.Aconfig.layer_rank);
+  List.iter
+    (fun bad ->
+      match Aconfig.parse ("entry A.b\n" ^ bad ^ "\n") with
+      | Error e ->
+          Alcotest.(check bool) (bad ^ ": error names the line") true
+            (contains e "line 2")
+      | Ok _ -> Alcotest.failf "%S must not parse" bad)
+    [ "bogus-directive x"; "layer lrp_x high"; "layer lrp_x"; "d3-file f.ml" ]
 
 (* --- report format ------------------------------------------------------ *)
 
@@ -240,18 +281,22 @@ let test_self_check () =
   in
   let findings, stats = Adriver.run ~root cfg in
   (* Guard against a silently-degenerate run: the live gate covers many
-     entry points, their transitive callees, and every cell-resident
-     function. *)
+     entry points, their transitive callees, every cell-resident
+     function, and every lib/ and bin/ unit with its dune file. *)
   Alcotest.(check bool) "loaded a real build (.cmt count)" true
     (stats.Adriver.cmt_files >= 80);
   Alcotest.(check bool) "walked the hot paths" true
     (stats.Adriver.funcs_analyzed >= 90);
   Alcotest.(check bool) "escape-checked the cell dirs" true
     (stats.Adriver.escape_funcs >= 500);
+  Alcotest.(check bool) "ran the source rules on every unit" true
+    (stats.Adriver.src_units >= 55);
+  Alcotest.(check bool) "ran L1 on the dune files" true
+    (stats.Adriver.dune_files >= 14);
   match findings with
   | [] -> ()
   | fs ->
-      Alcotest.failf "live tree has %d allocheck findings:\n%s"
+      Alcotest.failf "live tree has %d analyzer findings:\n%s"
         (List.length fs)
         (String.concat "\n" (List.map Finding.to_text fs))
 

@@ -1,9 +1,14 @@
-(* Tests for lrp_lint: every rule family fires on its fixture, the
-   suppression mechanism works (and reports stale exemptions), the JSON
-   report matches the committed golden file, and — the gate itself — the
-   live tree is finding-free. *)
+(* Tests for the source rules (D1–D4, C1, C2, P1) and the layering rule
+   (L1) of lrp_allocheck: every rule family fires on its fixture, the
+   suppression mechanism works (and reports stale exemptions), and the
+   JSON report matches the committed golden file.  The live-tree gate is
+   the allocheck self-check, which runs every pass at once.
 
-open Lrp_lint
+   Like the allocation fixtures, these are *compiled*: the driver reads
+   the .cmt output of the test/lint_fixtures library, so identifiers are
+   checked by resolved path, exactly as on the live tree. *)
+
+open Lrp_allocheck
 
 (* Locate the repo root from wherever the test binary runs (dune runtest
    uses _build/default/test; `dune exec test/main.exe` uses the caller's
@@ -20,27 +25,48 @@ let repo_root () =
   in
   up (Sys.getcwd ()) 8
 
-let fixture_dir () = Filename.concat (repo_root ()) "test/lint_fixtures"
-let fixture name = Filename.concat (fixture_dir ()) name
+let fixture name = Filename.concat (repo_root ()) ("test/lint_fixtures/" ^ name)
+
+(* The live conf's rule settings, pointed at the fixture library's .cmt
+   files (no hot-path entries: those live in lib/). *)
+let live_config =
+  lazy
+    (match Aconfig.load (Filename.concat (repo_root ()) "allocheck.conf") with
+    | Ok c ->
+        { c with
+          Aconfig.cmt_dirs = [ "_build/default/test/lint_fixtures" ];
+          Aconfig.entries = [] }
+    | Error e -> Alcotest.failf "allocheck.conf does not load: %s" e)
 
 (* Fixture runs widen the C1/P1 scope to the fixture directory (in the
    real config those rules only apply under lib/) and register the
    polymorphic-compare fixture's type in the D3 per-rule config. *)
 let fixture_config =
-  {
-    Config.default with
-    Config.stateful_scope = [ "lib"; "lint_fixtures" ];
-    Config.d3_files =
-      ("lint_fixtures/d3_polycompare.ml", [ "pt" ]) :: Config.default.Config.d3_files;
-    Config.d4_dirs = "test/lint_fixtures" :: Config.default.Config.d4_dirs;
-    (* The C2 fixture sits in its own subdirectory: widening c2_dirs to the
-       whole fixture tree would re-flag the C1 fixture's sanctioned
-       [Atomic.make]. *)
-    Config.c2_dirs = "lint_fixtures/c2" :: Config.default.Config.c2_dirs;
-  }
+  lazy
+    (let c = Lazy.force live_config in
+     {
+       c with
+       Aconfig.lib_scope = c.Aconfig.lib_scope @ [ "lint_fixtures" ];
+       Aconfig.d3_files =
+         ("lint_fixtures/d3_polycompare.ml", [ "pt" ]) :: c.Aconfig.d3_files;
+       Aconfig.d4_dirs = "test/lint_fixtures" :: c.Aconfig.d4_dirs;
+       (* The C2 fixture sits in its own subdirectory: widening c2_dirs to
+          the whole fixture tree would re-flag the C1 fixture's sanctioned
+          [Atomic.make]. *)
+       Aconfig.c2_dirs = "lint_fixtures/c2" :: c.Aconfig.c2_dirs;
+     })
 
-let run_fixture ?(config = fixture_config) name =
-  fst (Driver.run ~config [ fixture name ])
+(* One driver run per config, shared by the per-rule tests.  Files are
+   reported relative to the build context ("test/lint_fixtures/x.ml"). *)
+let run config =
+  lazy (fst (Adriver.run ~root:(repo_root ()) (Lazy.force config)))
+let widened = run fixture_config
+let live = run live_config
+
+let run_fixture ?(config = widened) name =
+  List.filter
+    (fun f -> f.Finding.file = "test/lint_fixtures/" ^ name)
+    (Lazy.force config)
 
 let rules fs = List.map (fun f -> f.Finding.rule) fs
 
@@ -57,7 +83,13 @@ let test_d1 () =
 
 let test_d2 () =
   let fs = run_fixture "d2_hashiter.ml" in
-  check_rules "fold, iter and to_seq all fire" [ "D2"; "D2"; "D2" ] fs
+  check_rules "fold, iter and to_seq all fire" [ "D2"; "D2"; "D2" ] fs;
+  (* Resolution by path: a module alias and a local open are Hashtbl's. *)
+  let fs = run_fixture "d2_alias.ml" in
+  check_rules "alias and local open fire" [ "D2"; "D2" ] fs;
+  Alcotest.(check (list int))
+    "at the alias and open sites" [ 7; 9 ]
+    (List.map (fun f -> f.Finding.line) fs)
 
 let test_d3_marshal () =
   let fs = run_fixture "d3_marshal.ml" in
@@ -68,7 +100,7 @@ let test_d3_polycompare () =
   check_rules "bare compare and unapplied (=) fire; infix scalar does not"
     [ "D3"; "D3" ] fs;
   (* The rule is config-driven: without the per-file entry it is silent. *)
-  let fs' = run_fixture ~config:Config.default "d3_polycompare.ml" in
+  let fs' = run_fixture ~config:live "d3_polycompare.ml" in
   check_rules "not in config: no findings" [] fs'
 
 let test_d4 () =
@@ -79,7 +111,7 @@ let test_d4 () =
     "at the two literal-key probes" [ 5; 7 ]
     (List.map (fun f -> f.Finding.line) fs);
   (* Scope-driven: outside the hot-path directories the rule is silent. *)
-  let fs' = run_fixture ~config:Config.default "d4_hashkey.ml" in
+  let fs' = run_fixture ~config:live "d4_hashkey.ml" in
   check_rules "out of scope: no findings" [] fs'
 
 let test_c1 () =
@@ -100,7 +132,7 @@ let test_c2 () =
     (List.map (fun f -> f.Finding.line) fs);
   (* Scope-driven: outside the cell-parallel directories neither C2 nor
      C1 applies, so the shared-ok exemption is reported as stale. *)
-  let fs' = run_fixture ~config:Config.default "c2/shared.ml" in
+  let fs' = run_fixture ~config:live "c2/shared.ml" in
   check_rules "out of scope: only the now-stale suppression" [ "SUP" ] fs'
 
 let test_p1 () =
@@ -108,7 +140,7 @@ let test_p1 () =
   check_rules "printf and print_endline fire" [ "P1"; "P1" ] fs;
   (* Out of the stateful scope (the real config only covers lib/), the
      same file is clean: executables may print. *)
-  let fs' = run_fixture ~config:Config.default "p1_print.ml" in
+  let fs' = run_fixture ~config:live "p1_print.ml" in
   check_rules "out of scope: no findings" [] fs'
 
 let test_sup_unused () =
@@ -122,9 +154,9 @@ let test_clean () = check_rules "clean file" [] (run_fixture "clean.ml")
 let test_l1 () =
   let text = In_channel.with_open_bin (fixture "dune.l1fixture") In_channel.input_all in
   let stanzas = Dunefile.stanzas_of text in
+  let ranks = (Lazy.force live_config).Aconfig.layer_rank in
   let fs =
-    Finding.sort
-      (Layers.check ~config:Config.default ~file:"dune.l1fixture" stanzas)
+    Finding.sort (Layers.check ~ranks ~file:"dune.l1fixture" stanzas)
   in
   check_rules "upward dep, unranked lib, unranked dep; executables exempt"
     [ "L1"; "L1"; "L1" ] fs;
@@ -162,35 +194,31 @@ let test_suppress_claim () =
      (* lint: domain-local — next line *)\n\
      let c = 3\n"
   in
-  let t = Suppress.scan text in
+  let t = Suppress.scan Suppress.lint text in
   Alcotest.(check bool) "same-line claim" true
-    (Suppress.claim t ~rule:"D2" ~line:2);
+    (Srcrules.claim t ~rule:"D2" ~line:2);
   Alcotest.(check bool) "next-line claim" true
-    (Suppress.claim t ~rule:"C1" ~line:4);
+    (Srcrules.claim t ~rule:"C1" ~line:4);
   Alcotest.(check bool) "wrong tag does not claim" false
-    (Suppress.claim t ~rule:"P1" ~line:2);
+    (Srcrules.claim t ~rule:"P1" ~line:2);
   Alcotest.(check bool) "far line does not claim" false
-    (Suppress.claim t ~rule:"D2" ~line:9);
+    (Srcrules.claim t ~rule:"D2" ~line:9);
   Alcotest.(check int) "both claimed, none unused" 0
-    (List.length (Suppress.unused t ~file:"x.ml"))
+    (List.length (Suppress.unused Suppress.lint t ~file:"x.ml"))
 
 (* --- report format ------------------------------------------------------ *)
 
-let relativize root f =
-  let prefix = Filename.concat root "test/" in
+(* Golden paths are relative to test/, as the report has always shown
+   them. *)
+let relativize f =
   let file = f.Finding.file in
-  let file =
-    if String.length file > String.length prefix
-       && String.sub file 0 (String.length prefix) = prefix
-    then String.sub file (String.length prefix) (String.length file - String.length prefix)
-    else file
-  in
-  { f with Finding.file }
+  let n = String.length "test/" in
+  if String.starts_with ~prefix:"test/" file then
+    { f with Finding.file = String.sub file n (String.length file - n) }
+  else f
 
 let test_golden_json () =
-  let root = repo_root () in
-  let findings, _ = Driver.run ~config:fixture_config [ fixture_dir () ] in
-  let findings = Finding.sort (List.map (relativize root) findings) in
+  let findings = Finding.sort (List.map relativize (Lazy.force widened)) in
   let got = Finding.to_json findings in
   let golden_path = fixture "golden.json" in
   (* LINT_GOLDEN_REGEN=1 dune test rewrites the golden file in place;
@@ -223,38 +251,15 @@ let test_json_escaping () =
 
 let test_config_matching () =
   Alcotest.(check bool) "suffix match with ../ prefix" true
-    (Config.has_suffix_path "../lib/core/det.ml" "lib/core/det.ml");
+    (Pathspec.has_suffix_path "../lib/core/det.ml" "lib/core/det.ml");
   Alcotest.(check bool) "exact path matches itself" true
-    (Config.has_suffix_path "lib/core/det.ml" "lib/core/det.ml");
+    (Pathspec.has_suffix_path "lib/core/det.ml" "lib/core/det.ml");
   Alcotest.(check bool) "no partial-component match" false
-    (Config.has_suffix_path "lib/core/notdet.ml" "det.ml");
+    (Pathspec.has_suffix_path "lib/core/notdet.ml" "det.ml");
   Alcotest.(check bool) "scope by component" true
-    (Config.in_scope "/abs/repo/lib/net/fabric.ml" [ "lib" ]);
+    (Pathspec.in_scope "/abs/repo/lib/net/fabric.ml" [ "lib" ]);
   Alcotest.(check bool) "bin not in lib scope" false
-    (Config.in_scope "bin/lrp_lint.ml" [ "lib" ])
-
-(* --- the gate: zero findings on the live tree -------------------------- *)
-
-let test_self_check () =
-  let root = repo_root () in
-  let dirs = List.map (Filename.concat root) [ "lib"; "bin" ] in
-  List.iter
-    (fun d ->
-      if not (Sys.file_exists d) then
-        Alcotest.failf "self-check: missing directory %s" d)
-    dirs;
-  let findings, stats = Driver.run dirs in
-  (* Guard against a silently-degenerate scan: the tree has dozens of
-     modules and one dune file per library/executable directory. *)
-  Alcotest.(check bool) "scanned a real tree (.ml count)" true
-    (stats.Driver.ml_files >= 55);
-  Alcotest.(check bool) "scanned the dune files" true
-    (stats.Driver.dune_files >= 14);
-  match findings with
-  | [] -> ()
-  | fs ->
-      Alcotest.failf "live tree has %d lint findings:\n%s" (List.length fs)
-        (String.concat "\n" (List.map Finding.to_text fs))
+    (Pathspec.in_scope "bin/lrp_sim_cli.ml" [ "lib" ])
 
 let suite =
   [
@@ -275,6 +280,4 @@ let suite =
     Alcotest.test_case "golden JSON report" `Quick test_golden_json;
     Alcotest.test_case "JSON escaping round-trips" `Quick test_json_escaping;
     Alcotest.test_case "config path matching" `Quick test_config_matching;
-    Alcotest.test_case "self-check: live tree is finding-free" `Quick
-      test_self_check;
   ]
