@@ -745,12 +745,13 @@ let open_channel t ep =
       Flowtab.add_new t.chans ~hi:(Channel.id ch) ~lo:0 ch;
       Some ch
 
-(* Forget a deallocated channel in every kernel table: O(1), and no
-   allocation for a connection's channel. *)
+(* Forget a deallocated channel in every kernel table and fold its
+   ledger row: O(1), and no allocation for a connection's channel. *)
 let forget_channel t ch =
   let id = Channel.id ch in
   ignore (Flowtab.remove t.chans ~hi:id ~lo:0);
   Hashtbl.remove t.chan_sock id;
+  Ledger.retire_flow (Cpu.ledger t.cpu) ~flow:id;
   match Hashtbl.find t.chan_conn id with
   | conn ->
       Hashtbl.remove t.chan_conn id;

@@ -16,7 +16,7 @@ type thread = {
   tid : int;
   name : string;
   mutable nice : int;
-  mutable p_cpu : float;
+  p_cpu : float array;  (* 1-slot cell: a mutable float field would box *)
   mutable priority : int;
   mutable state : state;
   mutable enqueue_seq : int;
@@ -30,13 +30,13 @@ type t = {
   mutable threads : thread list;
   mutable next_tid : int;
   mutable next_seq : int;
-  mutable loadavg : float;
+  loadavg : float array;  (* 1-slot cell *)
   mutable best_prio : int;  (* priority of the thread [pick_tid] chose *)
   clock : float array;      (* slot 0 is now *)
 }
 
 let create ~clock =
-  { threads = []; next_tid = 1; next_seq = 0; loadavg = 0.; best_prio = 0;
+  { threads = []; next_tid = 1; next_seq = 0; loadavg = [| 0. |]; best_prio = 0;
     clock }
 
 let clamp lo hi x = if x < lo then lo else if x > hi then hi else x
@@ -46,17 +46,19 @@ let recompute_priority th =
   | Some owner ->
       th.priority <-
         clamp priority_user priority_max
-          (priority_user + (int_of_float owner.p_cpu / 4) + (2 * owner.nice))
+          (priority_user + (int_of_float owner.p_cpu.(0) / 4) + (2 * owner.nice))
   | None ->
       th.priority <-
         clamp priority_user priority_max
-          (priority_user + (int_of_float th.p_cpu / 4) + (2 * th.nice))
+          (priority_user + (int_of_float th.p_cpu.(0) / 4) + (2 * th.nice))
 
 (* alloc: cold — once per thread *)
 let add_thread t ?(nice = 0) ~name () =
   let th =
     (* alloc: cold — once per thread *)
-    { tid = t.next_tid; name; nice = clamp (-20) 20 nice; p_cpu = 0.;
+    { tid = t.next_tid; name; nice = clamp (-20) 20 nice;
+      (* alloc: cold — once per thread *)
+      p_cpu = [| 0. |];
       priority = priority_user; state = Sleeping; enqueue_seq = 0; quantum = 0;
       (* alloc: cold — once per thread *)
       sleep_start = [| Time.zero |]; account = None; ticks = 0 }
@@ -72,15 +74,16 @@ let name th = th.name
 let tid th = th.tid
 let nice th = th.nice
 let priority th = th.priority
-let p_cpu th = th.p_cpu
+let p_cpu th = th.p_cpu.(0)
 let is_runnable th = th.state = Runnable
 let is_sleeping th = th.state = Sleeping
 let ticks_charged th = th.ticks
 
-let runnable_count t =
-  List.length (List.filter (fun th -> th.state = Runnable) t.threads)
+let rec count_runnable n = function
+  | [] -> n
+  | th :: rest -> count_runnable (if th.state = Runnable then n + 1 else n) rest
 
-let decay_factor load = 2. *. load /. ((2. *. load) +. 1.)
+let runnable_count t = count_runnable 0 t.threads
 
 let make_runnable t th =
   match th.state with
@@ -96,13 +99,12 @@ let make_runnable t th =
         int_of_float ((t.clock.(0) -. th.sleep_start.(0)) /. 1_000_000.)
       in
       if slept_sec > 0 then begin
-        let load = t.loadavg in
+        let load = t.loadavg.(0) in
         let f = 2. *. load /. ((2. *. load) +. 1.) in
-        let cpu = ref th.p_cpu in
+        let cpu = th.p_cpu in
         for _ = 1 to min slept_sec 20 do
-          cpu := !cpu *. f
-        done;
-        th.p_cpu <- !cpu
+          cpu.(0) <- cpu.(0) *. f
+        done
       end;
       recompute_priority th;
       th.state <- Runnable;
@@ -153,7 +155,9 @@ let requeue t th =
 
 let charge_tick _t th =
   let target = match th.account with Some owner -> owner | None -> th in
-  target.p_cpu <- Float.min 255. (target.p_cpu +. 1.);
+  let cpu = target.p_cpu in
+  let v = cpu.(0) +. 1. in
+  cpu.(0) <- (if v > 255. then 255. else v);
   target.ticks <- target.ticks + 1;
   recompute_priority target;
   recompute_priority th;
@@ -163,29 +167,36 @@ let quantum_expired th = th.quantum >= quantum_ticks
 
 let reset_quantum th = th.quantum <- 0
 
+(* Decay each thread's usage by [2*load / (2*load + 1)], the load read
+   from its cell: a float argument or a closure over one would box. *)
+let rec decay_threads loadavg = function
+  | [] -> ()
+  | th :: rest ->
+      let load = loadavg.(0) in
+      let f = 2. *. load /. ((2. *. load) +. 1.) in
+      let cpu = th.p_cpu in
+      cpu.(0) <- (f *. cpu.(0)) +. float_of_int th.nice;
+      if cpu.(0) < 0. then cpu.(0) <- 0.;
+      recompute_priority th;
+      decay_threads loadavg rest
+
 let decay t =
   (* Smooth the instantaneous runnable count into a load average, then decay
      every thread's usage, as 4.3BSD's schedcpu() does once per second. *)
   let inst = float_of_int (runnable_count t) in
-  t.loadavg <- (0.8 *. t.loadavg) +. (0.2 *. inst);
-  let f = decay_factor t.loadavg in
-  let decay_thread th =
-    th.p_cpu <- (f *. th.p_cpu) +. float_of_int th.nice;
-    if th.p_cpu < 0. then th.p_cpu <- 0.;
-    recompute_priority th
-  in
-  List.iter decay_thread t.threads
+  t.loadavg.(0) <- (0.8 *. t.loadavg.(0)) +. (0.2 *. inst);
+  decay_threads t.loadavg t.threads
 
-let load_average t = t.loadavg
+let load_average t = t.loadavg.(0)
 
 let counters t ~prefix =
-  [ (prefix ^ ".loadavg", t.loadavg);
+  [ (prefix ^ ".loadavg", t.loadavg.(0));
     (prefix ^ ".runnable", float_of_int (runnable_count t));
     (prefix ^ ".threads", float_of_int (List.length t.threads)) ]
 
 let pp_thread fmt th =
   Fmt.pf fmt "%s(tid=%d pri=%d p_cpu=%.1f %s)" th.name th.tid th.priority
-    th.p_cpu
+    th.p_cpu.(0)
     (match th.state with
      | Runnable -> "run"
      | Sleeping -> "sleep"

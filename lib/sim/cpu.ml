@@ -100,6 +100,15 @@ let c_user = 0
 let c_soft = 1
 let c_hard = 2
 
+(* Stands in for "no process" in the running-process and curproc fields:
+   never spawned, dispatched or charged, so nothing ever writes it.  Its
+   pid is the ledger's idle context. *)
+let no_proc =
+  let sched = Sched.create ~clock:[| 0. |] in
+  Proc.make ~pid:(-1) ~name:"(none)"
+    ~thread:(Sched.add_thread sched ~name:"(none)" ())
+    ~working_set:0. ~now:0. ignore
+
 type t = {
   cpu_name : string;
   engine : Engine.t;
@@ -109,14 +118,13 @@ type t = {
   ctx_switch_cost : float;
   hardq : ring;
   softq : ring;
-  mutable procs : Proc.t option array;  (* live processes by scheduler tid *)
-  mutable nprocs : int;
+  procs : (int, Proc.t) Hashtbl.t;  (* live processes by scheduler tid *)
   mutable next_pid : int;
   (* The running segment lives in these fields, not in an allocated
-     record: its class ([c_idle] .. [c_hard]), the user process's tid,
-     the interrupt item's row, and the completion event. *)
+     record: its class ([c_idle] .. [c_hard]), the user process, the
+     interrupt item's row, and the completion event. *)
   mutable run_cls : int;
-  mutable run_tid : int;
+  mutable run_proc : Proc.t;
   mutable run_label : string;
   mutable run_tpkt : int;
   mutable run_poll : bool;
@@ -126,7 +134,7 @@ type t = {
   mutable run_ev : Engine.handle;
   fl : float array;       (* slots [f_left] .. [f_elapsed] *)
   cost : float array;     (* staged cost of the next [post_*_job] or compute *)
-  mutable cur_tid : int;  (* BSD curproc, or -1 *)
+  mutable cur_proc : Proc.t;  (* BSD curproc, or [no_proc] *)
   mutable last_user : int;  (* pid last on CPU, for cache penalty *)
   mutable in_dispatch : bool;
   mutable redo : bool;
@@ -153,9 +161,6 @@ let name t = t.cpu_name
 let set_tracer t tr = t.tracer <- tr
 let cost_cell t = t.cost
 
-let proc_of t tid =
-  match t.procs.(tid) with Some p -> p | None -> assert false
-
 (* Trace bracketing for interrupt-level work.  Emitters are no-ops on a
    disabled tracer, so these cost one branch each on the hot path. *)
 
@@ -173,7 +178,7 @@ let trace_work_end t level label tpkt =
 
 (* BSD's curproc at the instant interrupt cycles are charged: the ledger's
    "victim" pid, or -1 when the interrupt preempted an idle CPU. *)
-let victim_pid t = if t.cur_tid < 0 then -1 else (proc_of t t.cur_tid).Proc.pid
+let victim_pid t = t.cur_proc.Proc.pid
 
 (* Charge [fl.(f_elapsed)] to the running segment. *)
 let charge t =
@@ -194,7 +199,7 @@ let charge t =
         Ledger.charge_staged t.ledger Ledger.Soft ~pid:(victim_pid t) ~flow:(-1)
     end
     else begin
-      let p = proc_of t t.run_tid in
+      let p = t.run_proc in
       let acct = p.Proc.acct in
       t.fl.(f_user) <- t.fl.(f_user) +. e;
       acct.(Proc.a_cpu) <- acct.(Proc.a_cpu) +. e;
@@ -268,7 +273,7 @@ let stop_running t =
       trace_work_end t Trace.Soft t.run_label t.run_tpkt;
       requeue_front t t.softq
     end
-    else (proc_of t t.run_tid).Proc.acct.(Proc.a_work_left) <- t.fl.(f_left);
+    else t.run_proc.Proc.acct.(Proc.a_work_left) <- t.fl.(f_left);
     t.run_cls <- c_idle;
     t.run_obj <- no_obj
   end
@@ -319,7 +324,7 @@ let rec segment_done t =
   if cls = c_hard then finish_work t Trace.Hard
   else if cls = c_soft then finish_work t Trace.Soft
   else begin
-    let p = proc_of t t.run_tid in
+    let p = t.run_proc in
     p.Proc.acct.(Proc.a_work_left) <- 0.;
     p.Proc.pending <- Proc.Resume;
     run_instant t p
@@ -348,10 +353,10 @@ and reap t (p : Proc.t) =
   Trace.thread_state t.tracer ~pid:p.Proc.pid ~state:Trace.Exited;
   p.Proc.exited <- true;
   Sched.exit_thread t.sched p.Proc.thread;
-  let tid = Sched.tid p.Proc.thread in
-  t.procs.(tid) <- None;
-  t.nprocs <- t.nprocs - 1;
-  if t.cur_tid = tid then t.cur_tid <- -1;
+  Hashtbl.remove t.procs (Sched.tid p.Proc.thread);
+  Ledger.retire_pid t.ledger ~pid:p.Proc.pid;
+  if t.cur_proc == p then t.cur_proc <- no_proc;
+  if t.run_proc == p then t.run_proc <- no_proc;
   let waiters = p.Proc.exit_waiters.Proc.waiters in
   p.Proc.exit_waiters.Proc.waiters <- [];
   wake_list t waiters
@@ -424,10 +429,9 @@ and begin_timed t (p : Proc.t) =
     Trace.ctx_switch t.tracer ~from_pid:t.last_user ~to_pid:p.Proc.pid;
     t.last_user <- p.Proc.pid
   end;
-  let tid = Sched.tid p.Proc.thread in
-  t.cur_tid <- tid;
+  t.cur_proc <- p;
   t.run_cls <- c_user;
-  t.run_tid <- tid;
+  t.run_proc <- p;
   t.fl.(f_left) <- acct.(Proc.a_work_left);
   t.fl.(f_started) <- now;
   arm_segment t
@@ -454,14 +458,20 @@ and start_best t =
   else begin
     let tid = Sched.pick_tid t.sched in
     if tid >= 0 then begin
-      let p = proc_of t tid in
+      (* Usually the process that ran last (never the sentinel, whose tid
+         is another scheduler's): probe the table only on a switch. *)
+      let q = t.run_proc in
+      let p =
+        if q != no_proc && Sched.tid q.Proc.thread = tid then q
+        else Hashtbl.find t.procs tid
+      in
       match p.Proc.pending with
       | Proc.Work -> begin_timed t p
       | Proc.Start _ | Proc.Resume ->
           (* Host-side code is free in virtual time: run it now, then
              re-evaluate.  [last_user] is left alone so the switch penalty
              lands on the first timed segment. *)
-          t.cur_tid <- tid;
+          t.cur_proc <- p;
           run_instant t p;
           t.redo <- true
       | Proc.Blocked | Proc.Done -> assert false
@@ -482,7 +492,7 @@ and do_dispatch t =
           dispatch event. *)
        if t.force_resched
           && Sched.should_preempt t.sched
-               ~current:(proc_of t t.run_tid).Proc.thread
+               ~current:t.run_proc.Proc.thread
        then begin
          stop_running t;
          start_best t
@@ -522,12 +532,12 @@ let tick t =
   (* BSD charges the tick to curproc: the running process, or — the
      mis-accounting — the one an interrupt-level segment interrupted. *)
   if t.run_cls = c_user then begin
-    let th = (proc_of t t.run_tid).Proc.thread in
+    let th = t.run_proc.Proc.thread in
     Sched.charge_tick t.sched th;
     if Sched.quantum_expired th then Sched.requeue t.sched th
   end
-  else if t.run_cls <> c_idle && t.cur_tid >= 0 then
-    Sched.charge_tick t.sched (proc_of t t.cur_tid).Proc.thread;
+  else if t.run_cls <> c_idle && t.cur_proc != no_proc then
+    Sched.charge_tick t.sched t.cur_proc.Proc.thread;
   (* Ticks are a BSD preemption point: priorities were just recomputed. *)
   t.force_resched <- true;
   leave t e
@@ -558,11 +568,11 @@ let create engine ?(ctx_switch_cost = 0.) ?(start_clock = true) ~name () =
       deadline = Engine.deadline_cell engine;
       sched = Sched.create ~clock:(Engine.clock_cell engine);
       ctx_switch_cost; hardq = ring_create (); softq = ring_create ();
-      procs = Array.make 16 None; nprocs = 0; next_pid = 1;
-      run_cls = c_idle; run_tid = -1; run_label = ""; run_tpkt = -1;
+      procs = Hashtbl.create 16; next_pid = 1;
+      run_cls = c_idle; run_proc = no_proc; run_label = ""; run_tpkt = -1;
       run_poll = false; run_fn = no_fn; run_obj = no_obj; run_int = 0;
       run_ev = Engine.none; fl = Array.make 7 0.; cost = [| 0. |];
-      cur_tid = -1; last_user = -1; in_dispatch = false; redo = false;
+      cur_proc = no_proc; last_user = -1; in_dispatch = false; redo = false;
       force_resched = false; seg_tgt = None; wake_tgt = None;
       n_ctx_switch = 0; n_soft_dispatch = 0; n_hard_dispatch = 0;
       created_at = Engine.now engine; tracer = Trace.null (); ledger;
@@ -600,16 +610,7 @@ let spawn t ?(nice = 0) ?(working_set = 0.) ~name body =
     Proc.make ~pid:t.next_pid ~name ~thread ~working_set ~now:t.clock.(0) body
   in
   t.next_pid <- t.next_pid + 1;
-  let tid = Sched.tid thread in
-  let cap = Array.length t.procs in
-  if tid >= cap then begin
-    (* alloc: cold — amortized growth *)
-    let procs = Array.make (max (2 * cap) (tid + 1)) None in
-    Array.blit t.procs 0 procs 0 cap;
-    t.procs <- procs
-  end;
-  t.procs.(tid) <- Some p; (* alloc: cold — once per process *)
-  t.nprocs <- t.nprocs + 1;
+  Hashtbl.replace t.procs (Sched.tid thread) p; (* alloc: cold — once per process *)
   Ledger.set_name t.ledger ~pid:p.Proc.pid name;
   Trace.thread_state t.tracer ~pid:p.Proc.pid ~state:Trace.Spawned;
   let e = enter t in
@@ -637,7 +638,7 @@ let wakeup_all t (wq : Proc.waitq) =
   leave t e;
   List.length ws
 
-let proc_count t = t.nprocs
+let proc_count t = Hashtbl.length t.procs
 
 let post_hard_job t ~label ~tpkt (j : 'a job) (obj : 'a) arg =
   let e = enter t in
@@ -702,8 +703,7 @@ let utilization t =
 
 (* Tid order, which is spawn order: callers observe processes in a
    reproducible order. *)
-let iter_procs t f =
-  Array.iter (function Some p -> f p | None -> ()) t.procs
+let iter_procs t f = Lrp_det.Det.iter_sorted (fun _ p -> f p) t.procs
 
 let counters t ~prefix =
   let i name v = (prefix ^ name, float_of_int v) in
@@ -712,5 +712,5 @@ let counters t ~prefix =
     (prefix ^ ".time_user_us", time_user t);
     (prefix ^ ".time_idle_us", time_idle t);
     i ".ctx_switches" t.n_ctx_switch; i ".hard_dispatches" t.n_hard_dispatch;
-    i ".soft_dispatches" t.n_soft_dispatch; i ".procs" t.nprocs ]
+    i ".soft_dispatches" t.n_soft_dispatch; i ".procs" (proc_count t) ]
   @ Sched.counters t.sched ~prefix:(prefix ^ ".sched")

@@ -23,7 +23,13 @@
    Idle is derived by the caller (elapsed minus the grand total).  Rows
    are plain float arrays so the charge path allocates nothing beyond the
    first sighting of a pid/flow, and the amount can arrive through a
-   staged float cell so the caller does not box it either. *)
+   staged float cell so the caller does not box it either.
+
+   A row lives as long as its process or channel: [retire_pid] /
+   [retire_flow] add a dead key's columns into one aggregate row and drop
+   its entry, so the tables hold the live population, not every pid and
+   channel a long run has ever seen.  The class totals are kept apart
+   and never folded. *)
 
 type cls = Intr | Soft | Proto | Poll | App
 
@@ -33,9 +39,13 @@ type prow = { mutable p_name : string; pcols : float array }
 
 type t = {
   totals : float array;                  (* 5 class totals, us *)
-  pids : (int, prow) Hashtbl.t;          (* pid -> columns; -1 = idle ctx *)
-  flows : (int, float array) Hashtbl.t;  (* flow/channel id -> columns *)
+  pids : (int, prow) Hashtbl.t;          (* live pid -> columns; -1 = idle ctx *)
+  flows : (int, float array) Hashtbl.t;  (* open flow/channel id -> columns *)
   amount : float array;                  (* staged amount, see [charge_staged] *)
+  exited : float array;                  (* columns of every retired pid *)
+  closed : float array;                  (* columns of every retired flow *)
+  mutable any_exited : bool;
+  mutable any_closed : bool;
   (* one-entry caches of the last row looked up: consecutive charges
      nearly always hit the same pid and flow *)
   mutable last_pid : int;
@@ -51,6 +61,8 @@ let create () =
     pids = Hashtbl.create 17;
     flows = Hashtbl.create 17;
     amount = [| 0. |];
+    exited = Array.make 5 0.; closed = Array.make 5 0.;
+    any_exited = false; any_closed = false;
     last_pid = min_int; last_prow = no_row;
     last_flow = min_int; last_fcols = [||] }
 
@@ -90,6 +102,35 @@ let frow t flow =
 
 let set_name t ~pid name = (prow t pid).p_name <- name
 
+let fold_into agg cols =
+  for i = 0 to 4 do
+    agg.(i) <- agg.(i) +. cols.(i)
+  done
+
+let retire_pid t ~pid =
+  match Hashtbl.find t.pids pid with
+  | r ->
+      fold_into t.exited r.pcols;
+      t.any_exited <- true;
+      Hashtbl.remove t.pids pid;
+      if t.last_pid = pid then begin
+        t.last_pid <- min_int;
+        t.last_prow <- no_row
+      end
+  | exception Not_found -> ()
+
+let retire_flow t ~flow =
+  match Hashtbl.find t.flows flow with
+  | c ->
+      fold_into t.closed c;
+      t.any_closed <- true;
+      Hashtbl.remove t.flows flow;
+      if t.last_flow = flow then begin
+        t.last_flow <- min_int;
+        t.last_fcols <- [||]
+      end
+  | exception Not_found -> ()
+
 let amount_cell t = t.amount
 
 let charge_staged t cls ~pid ~flow =
@@ -128,22 +169,28 @@ let misaccounted r = r.intr_victim +. r.soft_victim
 
 type flow_row = { flow : int; f_soft : float; f_proto : float; f_poll : float }
 
+let exited_pid = max_int
+let closed_flow = max_int
+
+let row pid name c =
+  { pid; name; intr_victim = c.(0); soft_victim = c.(1); proto = c.(2);
+    poll = c.(3); app = c.(4) }
+
+let flow_row flow c = { flow; f_soft = c.(1); f_proto = c.(2); f_poll = c.(3) }
+
+(* Live rows in key order, then the aggregate once something retired. *)
 let rows t =
-  let acc = ref [] in
-  Lrp_det.Det.iter_sorted
-    (fun pid (r : prow) ->
-      acc :=
-        { pid; name = r.p_name; intr_victim = r.pcols.(0);
-          soft_victim = r.pcols.(1); proto = r.pcols.(2);
-          poll = r.pcols.(3); app = r.pcols.(4) }
-        :: !acc)
-    t.pids;
-  List.rev !acc
+  let live =
+    Lrp_det.Det.fold_sorted
+      (fun pid (r : prow) acc -> row pid r.p_name r.pcols :: acc)
+      t.pids []
+  in
+  List.rev_append live
+    (if t.any_exited then [ row exited_pid "(exited)" t.exited ] else [])
 
 let flow_rows t =
-  let acc = ref [] in
-  Lrp_det.Det.iter_sorted
-    (fun flow (c : float array) ->
-      acc := { flow; f_soft = c.(1); f_proto = c.(2); f_poll = c.(3) } :: !acc)
-    t.flows;
-  List.rev !acc
+  let live =
+    Lrp_det.Det.fold_sorted (fun flow c acc -> flow_row flow c :: acc) t.flows []
+  in
+  List.rev_append live
+    (if t.any_closed then [ flow_row closed_flow t.closed ] else [])

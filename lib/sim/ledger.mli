@@ -10,8 +10,16 @@
 
     The ledger is always on: {!charge} is float-array arithmetic plus an
     int-keyed hash probe that a one-row cache skips when the pid (flow)
-    repeats; it is allocation-free after a pid/flow's first sighting (the [ledger_overhead] bench entry pins this).  It observes
-    accounting only — it never schedules — so it cannot perturb results. *)
+    repeats; it is allocation-free after a pid/flow's first sighting (the
+    [ledger_overhead] row of [test_sim]'s zero-word table pins this).  It
+    observes accounting only — it never schedules — so it cannot perturb
+    results.
+
+    Rows live as long as their key: when a process exits ({!retire_pid})
+    or a channel closes ({!retire_flow}) its row is added into one
+    aggregate row and dropped, so the ledger's size follows the live
+    processes and open channels, not the length of the run.  The class
+    totals are separate accumulators, exact whatever has been folded. *)
 
 type t
 
@@ -40,8 +48,18 @@ val charge_staged : t -> cls -> pid:int -> flow:int -> unit
     per-segment path. *)
 
 val set_name : t -> pid:int -> string -> unit
-(** Attach a display name to a pid (done at spawn, so rows outlive their
-    processes). *)
+(** Attach a display name to a pid (done at spawn; the row lives until
+    {!retire_pid}). *)
+
+val retire_pid : t -> pid:int -> unit
+(** [retire_pid t ~pid] adds the pid's row into the {!exited_pid}
+    aggregate row and forgets the pid (done when its process is reaped).
+    No-op for a pid without a row. *)
+
+val retire_flow : t -> flow:int -> unit
+(** [retire_flow t ~flow] adds the flow's row into the {!closed_flow}
+    aggregate row and forgets the flow (done when its channel is
+    deallocated).  No-op for a flow without a row. *)
 
 val total : t -> cls -> float
 val grand_total : t -> float
@@ -63,8 +81,16 @@ val misaccounted : row -> float
 
 type flow_row = { flow : int; f_soft : float; f_proto : float; f_poll : float }
 
+val exited_pid : int
+(** Key of the aggregate row of every retired pid, named ["(exited)"]. *)
+
+val closed_flow : int
+(** Key of the aggregate row of every retired flow. *)
+
 val rows : t -> row list
-(** Per-process rows, pid-sorted (pid [-1] is the idle context). *)
+(** Rows of the live pids, pid-sorted (pid [-1] is the idle context),
+    then the {!exited_pid} row once some pid has been retired. *)
 
 val flow_rows : t -> flow_row list
-(** Per-flow/channel rows, id-sorted. *)
+(** Rows of the open flows/channels, id-sorted, then the {!closed_flow}
+    row once some flow has been retired. *)

@@ -3,8 +3,9 @@
    lossless packed -> typed decoding, binary dump round-trips, the
    non-perturbation contract (recorder on/off and --jobs 1 vs 4 produce
    byte-identical figure data), ledger conservation against the CPU
-   model's own clocks, the paper's misaccounting contrast, and the
-   detector's BSD-fires / LRP-silent discrimination. *)
+   model's own clocks (aggregate rows of exited processes included), the
+   paper's misaccounting contrast, and the detector's BSD-fires /
+   LRP-silent discrimination. *)
 
 open Lrp_engine
 open Lrp_net
@@ -265,36 +266,65 @@ let check_close what expected actual =
   if Float.abs (expected -. actual) > tol then
     Alcotest.failf "%s: ledger %.9g vs cpu %.9g" what actual expected
 
+(* The ledger against the CPU model's own clocks.  NAPI poll cycles are
+   in [time_soft] (softirq rounds) or [time_user] (ksoftirqd) and in the
+   ledger's [Poll] class, so those two clocks net of [time_poll] hold the
+   other classes. *)
+let check_conservation name cpu =
+  let led = Cpu.ledger cpu in
+  let total = Ledger.total led in
+  check_close (name ^ " Intr = time_hard") (Cpu.time_hard cpu) (total Ledger.Intr);
+  check_close (name ^ " Poll = time_poll") (Cpu.time_poll cpu) (total Ledger.Poll);
+  check_close
+    (name ^ " Soft+Proto+App = time_soft+time_user-time_poll")
+    (Cpu.time_soft cpu +. Cpu.time_user cpu -. Cpu.time_poll cpu)
+    (total Ledger.Soft +. total Ledger.Proto +. total Ledger.App);
+  if Cpu.time_poll cpu = 0. then begin
+    check_close (name ^ " Soft = time_soft") (Cpu.time_soft cpu) (total Ledger.Soft);
+    check_close (name ^ " Proto+App = time_user") (Cpu.time_user cpu)
+      (total Ledger.Proto +. total Ledger.App)
+  end;
+  check_close
+    (name ^ " grand total = busy cycles")
+    (Cpu.time_hard cpu +. Cpu.time_soft cpu +. Cpu.time_user cpu)
+    (Ledger.grand_total led);
+  (* Per-row columns, the exited processes' aggregate row included, sum
+     back to the class totals. *)
+  let by_rows =
+    List.fold_left
+      (fun acc (r : Ledger.row) ->
+        acc +. r.Ledger.intr_victim +. r.Ledger.soft_victim +. r.Ledger.proto
+        +. r.Ledger.poll +. r.Ledger.app)
+      0. (Ledger.rows led)
+  in
+  check_close (name ^ " rows sum to grand total") (Ledger.grand_total led) by_rows
+
 let test_ledger_conservation () =
   List.iter
     (fun sys ->
       let server, _ = run_blast sys ~rate:10_000. ~duration:(Time.ms 300.) in
-      let cpu = Kernel.cpu server in
-      let led = Cpu.ledger cpu in
-      let name = Common.system_name sys in
-      check_close (name ^ " Intr = time_hard") (Cpu.time_hard cpu)
-        (Ledger.total led Ledger.Intr);
-      check_close (name ^ " Soft = time_soft") (Cpu.time_soft cpu)
-        (Ledger.total led Ledger.Soft);
-      check_close
-        (name ^ " Proto+App = time_user")
-        (Cpu.time_user cpu)
-        (Ledger.total led Ledger.Proto +. Ledger.total led Ledger.App);
-      check_close
-        (name ^ " grand total = busy cycles")
-        (Cpu.time_hard cpu +. Cpu.time_soft cpu +. Cpu.time_user cpu)
-        (Ledger.grand_total led);
-      (* Per-row columns sum back to the class totals. *)
-      let by_rows =
-        List.fold_left
-          (fun acc (r : Ledger.row) ->
-            acc +. r.Ledger.intr_victim +. r.Ledger.soft_victim
-            +. r.Ledger.proto +. r.Ledger.app)
-          0. (Ledger.rows led)
-      in
-      check_close (name ^ " rows sum to grand total")
-        (Ledger.grand_total led) by_rows)
-    [ Common.Bsd; Common.Ni_lrp; Common.Soft_lrp ]
+      check_conservation (Common.system_name sys) (Kernel.cpu server))
+    [ Common.Bsd; Common.Ni_lrp; Common.Soft_lrp; Common.Napi ]
+
+(* Figure 5's world, where every request forks a server process that
+   exits and every connection's channel closes: the ledger has folded
+   their rows into its aggregate rows, and conservation still holds. *)
+let test_ledger_conservation_http () =
+  List.iter
+    (fun arch ->
+      let w, kernels = Test_tcp_e2e.http_syn_world arch in
+      World.run w ~until:(Time.sec 3.);
+      List.iter
+        (fun k ->
+          let name = Kernel.arch_name arch ^ " " ^ Kernel.name k in
+          check_conservation name (Kernel.cpu k))
+        kernels;
+      let rows = Ledger.rows (Cpu.ledger (Kernel.cpu (List.hd kernels))) in
+      Alcotest.(check bool)
+        (Kernel.arch_name arch ^ ": the server's exited processes were folded")
+        true
+        (List.exists (fun (r : Ledger.row) -> r.Ledger.pid = Ledger.exited_pid) rows))
+    [ Kernel.Soft_lrp; Kernel.Bsd ]
 
 (* --- the paper's accounting contrast ----------------------------------- *)
 
@@ -452,6 +482,8 @@ let suite =
       test_accounting_jobs_invariant;
     Alcotest.test_case "ledger conserves every simulated cycle" `Quick
       test_ledger_conservation;
+    Alcotest.test_case "ledger conserves cycles across exits and closes (HTTP+SYN)"
+      `Quick test_ledger_conservation_http;
     Alcotest.test_case "BSD mischarges, LRP bills the receiver" `Quick
       test_misaccounting_contrast;
     Alcotest.test_case "detector: BSD livelocks, SOFT-LRP does not" `Quick

@@ -375,6 +375,38 @@ let http_syn_world arch =
 
 let fig5_archs = [ Kernel.Bsd; Kernel.Soft_lrp; Kernel.Ni_lrp; Kernel.Napi ]
 
+(* The server's ledger follows the live population, not the run's length:
+   a process's row is folded into the aggregate row when it exits and a
+   channel's when it closes, so the row counts stay bounded by what is
+   live and the ledger's heap stops growing. *)
+let test_ledger_bounded () =
+  let w, kernels = http_syn_world Kernel.Soft_lrp in
+  let server = List.hd kernels in
+  let cpu = Kernel.cpu server in
+  let led = Cpu.ledger cpu in
+  let run_to sec =
+    World.run w ~until:(Time.sec sec);
+    let check fmt =
+      Printf.ksprintf (fun msg ok -> Alcotest.(check bool) msg true ok)
+        ("%.0f s: " ^^ fmt) sec
+    in
+    let rows = List.length (Ledger.rows led) and procs = Cpu.proc_count cpu in
+    check "%d pid rows <= %d live processes + idle + aggregate" rows procs
+      (rows <= procs + 2);
+    let flows = List.length (Ledger.flow_rows led) in
+    let chans = List.length (Kernel.channels server) in
+    check "%d flow rows <= %d open channels + aggregate" flows chans
+      (flows <= chans + 1);
+    Obj.reachable_words (Obj.repr led)
+  in
+  let at5 = run_to 5. in
+  let at20 = run_to 20. in
+  Alcotest.(check bool)
+    (Printf.sprintf "ledger words at 20 s (%d) <= 1.25 x those at 5 s (%d)"
+       at20 at5)
+    true
+    (float_of_int at20 <= 1.25 *. float_of_int at5)
+
 (* The [tcp.*] counters count every connection since the kernel was made:
    the listeners' backlog drops and the segments of connections long
    closed included. *)
@@ -455,5 +487,7 @@ let suite =
       test_tcp_processing_charged_to_receiver;
     Alcotest.test_case "tcp.* counters are cumulative" `Quick
       test_tcp_counters_cumulative;
+    Alcotest.test_case "ledger rows and heap bounded by the live population"
+      `Quick test_ledger_bounded;
     Alcotest.test_case "minor words per frame pinned (HTTP+SYN)" `Quick
       test_words_per_frame ]
