@@ -23,18 +23,22 @@
 
 open Lrp_net
 
-(* The queue is a fixed ring of {!Parena} handles: the NI admits a frame
-   into the (usually kernel-shared) descriptor arena and pushes the
-   handle — an immediate int — into a flat ring sized exactly [limit]
-   (enqueue early-discards at [limit], so the ring can never overflow).
-   Compared with the previous [Packet.t Queue.t] this removes, per
-   packet: the queue-cell allocation on enqueue, the option allocation
-   of [Queue.take_opt], and the boxed packet sitting behind one more
-   pointer indirection on the hottest per-packet loop in the system. *)
+(* The queue is a ring of {!Parena} handles: the NI admits a frame into
+   the (usually kernel-shared) descriptor arena and pushes the handle —
+   an immediate int — into a flat ring.  Compared with a
+   [Packet.t Queue.t] this removes, per packet: the queue-cell
+   allocation on enqueue, the option allocation of [Queue.take_opt], and
+   the boxed packet sitting behind one more pointer indirection on the
+   hottest per-packet loop in the system.
+
+   The ring starts at [min limit 4] slots and doubles up to [limit] as
+   the queue deepens (enqueue early-discards at [limit], so it never
+   grows past it).  Most channels — one per connection — never hold
+   more than a few frames, so they never pay for [limit] slots. *)
 type t = {
   id : int;
   arena : Parena.t;
-  ring : int array; (* Parena handles *)
+  mutable ring : int array; (* Parena handles *)
   mutable head : int; (* index of the oldest entry *)
   mutable count : int;
   limit : int;
@@ -59,7 +63,8 @@ let create ?arena ?(limit = 32) () =
     match arena with Some a -> a | None -> Parena.create ()
   in
   { id = Lrp_engine.Idspace.next_chan_id ();
-    arena; ring = Array.make (max 1 limit) Parena.none; head = 0; count = 0;
+    arena; ring = Array.make (max 0 (min limit 4)) Parena.none; head = 0;
+    count = 0;
     limit;
     intr_requested = false; processing_enabled = true; job_owner = -1;
     enqueued = 0;
@@ -78,29 +83,52 @@ let discarded_code = 0
 let queued_was_empty = 1
 let queued_was_nonempty = 2
 
+(* Double the ring, up to [limit] slots, unrolling the live handles to
+   index 0. *)
+let grow t =
+  let cap = Array.length t.ring in
+  let ring =
+    (* alloc: cold — amortized growth *)
+    Array.make (min t.limit (2 * cap)) Parena.none
+  in
+  for i = 0 to t.count - 1 do
+    let j = t.head + i in
+    ring.(i) <- t.ring.(if j >= cap then j - cap else j)
+  done;
+  t.ring <- ring;
+  t.head <- 0
+
+(* Append to a ring with room. *)
+let[@inline] push t pkt =
+  let was_empty = t.count = 0 in
+  let cap = Array.length t.ring in
+  let tail = t.head + t.count in
+  let tail = if tail >= cap then tail - cap else tail in
+  t.ring.(tail) <- Parena.acquire t.arena pkt;
+  t.count <- t.count + 1;
+  if t.count > t.hwm then t.hwm <- t.count;
+  t.enqueued <- t.enqueued + 1;
+  if was_empty then queued_was_empty else queued_was_nonempty
+
 (* [enqueue_code t pkt] is what the NI does on packet arrival: early
    discard when the queue is full or processing is disabled, FIFO append
    otherwise.  Returns one of the codes above; together with the handle
-   ring this keeps the admission path free of per-packet allocation. *)
+   ring this keeps the admission path free of per-packet allocation.  A
+   ring with room costs one compare; a full one is either at [limit]
+   (discard) or grows. *)
 let enqueue_code t pkt =
   if not t.processing_enabled then begin
     t.discarded_disabled <- t.discarded_disabled + 1;
     discarded_code
   end
+  else if t.count < Array.length t.ring then push t pkt
   else if t.count >= t.limit then begin
     t.discarded <- t.discarded + 1;
     discarded_code
   end
   else begin
-    let was_empty = t.count = 0 in
-    let cap = Array.length t.ring in
-    let tail = t.head + t.count in
-    let tail = if tail >= cap then tail - cap else tail in
-    t.ring.(tail) <- Parena.acquire t.arena pkt;
-    t.count <- t.count + 1;
-    if t.count > t.hwm then t.hwm <- t.count;
-    t.enqueued <- t.enqueued + 1;
-    if was_empty then queued_was_empty else queued_was_nonempty
+    grow t;
+    push t pkt
   end
 
 let enqueue t pkt =

@@ -31,7 +31,8 @@ val create : ?arena:Lrp_net.Parena.t -> ?limit:int -> unit -> t
     threshold.  Queued frames live as descriptors in [arena] (the kernel
     passes its shared arena so every channel draws from one descriptor
     pool; standalone channels get a private arena), and the queue itself
-    is a flat ring of handles sized exactly [limit]. *)
+    is a flat ring of handles that starts at [min limit 4] slots and
+    doubles, up to [limit], as the queue deepens. *)
 
 val id : t -> int
 (** Unique channel identifier (used as a table key by the kernel). *)

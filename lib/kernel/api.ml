@@ -38,6 +38,18 @@ let[@inline] compute (k : Kernel.t) d =
   (Cpu.cost_cell k.Kernel.cpu).(0) <- d;
   Cpu.compute k.Kernel.cpu
 
+(* Per-segment transmit cost (protocol output + driver), and the cost of
+   sending one UDP datagram excluding the per-byte copy.  Computed here
+   and inlined, so the float is never returned across a module
+   boundary, where it would be boxed. *)
+let[@inline] seg_out_cost k =
+  let c = c k in
+  c.Cost.tcp_out +. c.Cost.ip_out +. c.Cost.driver_tx
+
+let[@inline] udp_send_cost k ~frags =
+  let c = c k in
+  c.Cost.udp_out +. (float_of_int frags *. (c.Cost.ip_out +. c.Cost.driver_tx))
+
 (* Number of IP fragments a datagram of [bytes] payload needs. *)
 let frag_count (k : Kernel.t) ~header ~bytes =
   let mtu = (Kernel.config k).Kernel.mtu in
@@ -139,7 +151,7 @@ let sendto k ~(self : Proc.t) (sock : Socket.t) ~dst:(dip, dport) payload =
   compute k
     ((c k).Cost.syscall
      +. ((c k).Cost.copy_per_byte *. float_of_int len)
-     +. Kernel.udp_send_cost k ~frags);
+     +. udp_send_cost k ~frags);
   let pkt =
     Packet.udp ~src:(Kernel.ip_address k) ~dst:dip ~src_port:sport
       ~dst_port:dport payload
@@ -283,30 +295,40 @@ let conn_exn (sock : Socket.t) =
   | Some conn -> conn
   | None -> invalid_arg "not a connected stream socket"
 
+let rec accept_wait k ~(self : Proc.t) (sock : Socket.t) listener =
+  if sock.Socket.closed then raise Socket_closed;
+  match Tcp.accept_pop listener with
+  | Some conn ->
+      Kernel.update_listen_gate k listener;
+      compute k (c k).Cost.sockq;
+      let ns = Socket.create Socket.Stream in
+      ns.Socket.port <- sock.Socket.port;
+      ns.Socket.remote <- conn.Tcp.remote;
+      ns.Socket.tcp <- Some conn;
+      ns.Socket.owner <- Some self;
+      Hashtbl.replace k.Kernel.conn_sock conn.Tcp.id ns;
+      Hashtbl.replace k.Kernel.conn_owner conn.Tcp.id self;
+      ns
+  | None ->
+      Proc.block sock.Socket.accept_wait;
+      accept_wait k ~self sock listener
+
 (* [tcp_accept k ~self sock] blocks until an established connection is
    available and returns a fresh socket for it, owned by [self]. *)
 let tcp_accept k ~(self : Proc.t) (sock : Socket.t) =
   let listener = listener_exn sock in
   compute k (c k).Cost.syscall;
-  let rec loop () =
-    if sock.Socket.closed then raise Socket_closed;
-    match Tcp.accept_pop listener with
-    | Some conn ->
-        Kernel.update_listen_gate k listener;
-        compute k (c k).Cost.sockq;
-        let ns = Socket.create Socket.Stream in
-        ns.Socket.port <- sock.Socket.port;
-        ns.Socket.remote <- conn.Tcp.remote;
-        ns.Socket.tcp <- Some conn;
-        ns.Socket.owner <- Some self;
-        Hashtbl.replace k.Kernel.conn_sock conn.Tcp.id ns;
-        Hashtbl.replace k.Kernel.conn_owner conn.Tcp.id self;
-        ns
-    | None ->
-        Proc.block sock.Socket.accept_wait;
-        loop ()
-  in
-  loop ()
+  accept_wait k ~self sock listener
+
+let rec connect_wait (sock : Socket.t) conn =
+  match Tcp.state conn with
+  | Tcp.Established -> `Ok
+  | Tcp.Closed -> `Refused
+  | Tcp.Syn_sent | Tcp.Syn_received | Tcp.Listen | Tcp.Fin_wait_1
+  | Tcp.Fin_wait_2 | Tcp.Close_wait | Tcp.Last_ack | Tcp.Closing
+  | Tcp.Time_wait ->
+      Proc.block sock.Socket.send_wait;
+      connect_wait sock conn
 
 (* [tcp_connect k ~self sock ~remote] performs an active open and blocks
    until established or failed. *)
@@ -315,7 +337,7 @@ let tcp_connect k ~(self : Proc.t) (sock : Socket.t) ~remote =
     invalid_arg "Api.tcp_connect: stream sockets only";
   let cfg = Kernel.config k in
   let local_port = Kernel.fresh_port k in
-  compute k ((c k).Cost.syscall +. Kernel.seg_out_cost k);
+  compute k ((c k).Cost.syscall +. seg_out_cost k);
   let conn =
     Tcp.create_active (Kernel.tcp_env_exn k) ~local_ip:(Kernel.ip_address k)
       ~local_port ~remote ~sndq_limit:cfg.Kernel.sock_buf
@@ -327,17 +349,25 @@ let tcp_connect k ~(self : Proc.t) (sock : Socket.t) ~remote =
   sock.Socket.owner <- Some self;
   Hashtbl.replace k.Kernel.conn_sock conn.Tcp.id sock;
   Kernel.register_conn k conn ~owner:(Some self);
-  let rec wait () =
-    match Tcp.state conn with
-    | Tcp.Established -> `Ok
-    | Tcp.Closed -> `Refused
-    | Tcp.Syn_sent | Tcp.Syn_received | Tcp.Listen | Tcp.Fin_wait_1
-    | Tcp.Fin_wait_2 | Tcp.Close_wait | Tcp.Last_ack | Tcp.Closing
-    | Tcp.Time_wait ->
-        Proc.block sock.Socket.send_wait;
-        wait ()
-  in
-  wait ()
+  connect_wait sock conn
+
+(* Queue [payload] on [conn], charging the copy and every segment the
+   send emitted, and block while the send buffer is full. *)
+let rec send_all k (sock : Socket.t) conn payload =
+  let before = Tcp.segs_sent conn in
+  match Tcp.send conn payload with
+  | `Sent n ->
+      let emitted = Tcp.segs_sent conn - before in
+      compute k
+        (((c k).Cost.copy_per_byte *. float_of_int n)
+         +. (float_of_int emitted *. seg_out_cost k));
+      let len = Payload.length payload in
+      if n < len then send_all k sock conn (Payload.sub payload n (len - n))
+      else `Ok
+  | `Full ->
+      Proc.block sock.Socket.send_wait;
+      send_all k sock conn payload
+  | `Closed -> `Closed
 
 (* [tcp_send k ~self sock payload] queues the whole payload, blocking as the
    send buffer fills.  Returns [`Closed] if the connection dies first. *)
@@ -345,45 +375,32 @@ let tcp_send k ~(self : Proc.t) (sock : Socket.t) payload =
   ignore self;
   let conn = conn_exn sock in
   compute k (c k).Cost.syscall;
-  let rec push payload =
-    let before = Tcp.segs_sent conn in
-    match Tcp.send conn payload with
-    | `Sent n ->
-        let emitted = Tcp.segs_sent conn - before in
-        compute k
-          (((c k).Cost.copy_per_byte *. float_of_int n)
-           +. (float_of_int emitted *. Kernel.seg_out_cost k));
-        let len = Payload.length payload in
-        if n < len then push (Payload.sub payload n (len - n)) else `Ok
-    | `Full ->
-        Proc.block sock.Socket.send_wait;
-        push payload
-    | `Closed -> `Closed
-  in
-  push payload
+  send_all k sock conn payload
+
+(* Take up to [max] bytes from [conn], charging the copy and any window
+   update the read emitted, and block while nothing is buffered. *)
+let rec recv_wait k (sock : Socket.t) conn ~max =
+  let before = Tcp.segs_sent conn in
+  match Tcp.recv conn ~max with
+  | `Data payload ->
+      let emitted = Tcp.segs_sent conn - before in
+      compute k
+        ((c k).Cost.sockq
+         +. ((c k).Cost.copy_per_byte
+             *. float_of_int (Payload.length payload))
+         +. (float_of_int emitted *. seg_out_cost k));
+      `Data payload
+  | `Eof -> `Eof
+  | `Wait ->
+      Proc.block sock.Socket.recv_wait;
+      recv_wait k sock conn ~max
 
 (* [tcp_recv k ~self sock ~max] blocks for data; [`Eof] at end of stream. *)
 let tcp_recv k ~(self : Proc.t) (sock : Socket.t) ~max =
   ignore self;
   let conn = conn_exn sock in
   compute k (c k).Cost.syscall;
-  let rec loop () =
-    let before = Tcp.segs_sent conn in
-    match Tcp.recv conn ~max with
-    | `Data payload ->
-        let emitted = Tcp.segs_sent conn - before in
-        compute k
-          ((c k).Cost.sockq
-           +. ((c k).Cost.copy_per_byte
-               *. float_of_int (Payload.length payload))
-           +. (float_of_int emitted *. Kernel.seg_out_cost k));
-        `Data payload
-    | `Eof -> `Eof
-    | `Wait ->
-        Proc.block sock.Socket.recv_wait;
-        loop ()
-  in
-  loop ()
+  recv_wait k sock conn ~max
 
 (* Hand a connected socket to another process (e.g. an HTTP server child
    after fork): future APP work is charged to the new owner. *)
@@ -430,7 +447,7 @@ let close k ~(self : Proc.t) (sock : Socket.t) =
                 let emitted = Tcp.segs_sent conn - before in
                 if emitted > 0 then
                   compute k
-                    (float_of_int emitted *. Kernel.seg_out_cost k)
+                    (float_of_int emitted *. seg_out_cost k)
               end
           | None -> ()));
     Kernel.wake_all k sock.Socket.recv_wait;

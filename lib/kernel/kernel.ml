@@ -473,11 +473,6 @@ let csum_ok t (pkt : Packet.t) =
     false
   end
 
-(* Cost of sending one UDP datagram from process context (excluding the
-   per-byte copy, which the API adds). *)
-let udp_send_cost t ~frags =
-  t.c.Cost.udp_out +. (float_of_int frags *. (t.c.Cost.ip_out +. t.c.Cost.driver_tx))
-
 (* ------------------------------------------------------------------ *)
 (* Wakeup helpers                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -630,7 +625,7 @@ and app_for t (owner : Proc.t) =
       (* alloc: cold — once per process *)
       Hashtbl.replace t.apps owner.Proc.pid app;
       (* alloc: cold — once per process *)
-      let name = Printf.sprintf "app-%s" owner.Proc.name in
+      let name = "app-" ^ owner.Proc.name in
       (* alloc: cold — once per process *)
       let proc = Cpu.spawn t.cpu ~name (fun _self -> app_loop t app) in
       (* Scheduled at the owner's priority; CPU usage charged to the owner
@@ -859,12 +854,13 @@ let wake_sock ?(send = false) ?(recv = false) ?(accept = false) t conn =
   | exception Not_found -> ()
 
 let make_tcp_env t =
-  { Tcp.now = (fun () -> Engine.now t.engine);
+  { Tcp.clock = Engine.clock_cell t.engine;
+    deadline = Engine.deadline_cell t.engine;
     emit = (fun pkt -> ip_output t pkt);
     start_timer =
-      (fun tm delay ->
+      (fun tm ->
         tm.Tcp.cookie <-
-          Engine.schedule_to_after t.engine ~delay (timer_target t) tm);
+          Engine.schedule_to_staged t.engine (timer_target t) tm);
     stop_timer = (fun tm -> Engine.cancel t.engine tm.Tcp.cookie);
     on_readable = (fun conn -> wake_sock t conn ~recv:true);
     on_writable = (fun conn -> wake_sock t conn ~send:true);

@@ -212,8 +212,6 @@ val counters : t -> (string * float) list
 val set_tracing : t -> bool -> unit
 val tcp_env_exn : t -> Lrp_proto.Tcp.env
 val ip_output : t -> Lrp_net.Packet.t -> unit
-val seg_out_cost : t -> float
-val udp_send_cost : t -> frags:int -> float
 
 val free_rx_pkt : t -> mh:Lrp_net.Mbuf.handle -> int -> unit
 (** Free a received packet's mbuf reservation: by handle when the receive

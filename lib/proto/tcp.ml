@@ -64,16 +64,20 @@ type timer = {
 }
 
 and env = {
-  now : unit -> float;
+  clock : float array;
+      (** the engine's clock cell (read-only): [clock.(0)] is now *)
+  deadline : float array;
+      (** the engine's deadline cell: TCP stages a timer's absolute expiry
+          in [deadline.(0)] just before calling [start_timer] *)
   emit : Packet.t -> unit;
       (** transmit a segment (the caller routes it into IP output) *)
-  start_timer : timer -> float -> unit;
-      (** arm [timer] to expire after a delay, in protocol-processing
-          context ([timer]'s conn identifies whose APP thread — and whose
-          CPU account — the work belongs to under LRP).  The kernel stores
-          its event handle in [timer.cookie] and delivers the expiry
-          through {!timer_fired} with the generation it read at arm
-          time *)
+  start_timer : timer -> unit;
+      (** arm [timer] to expire at the deadline staged in [deadline.(0)],
+          in protocol-processing context ([timer]'s conn identifies whose
+          APP thread — and whose CPU account — the work belongs to under
+          LRP).  The kernel stores its event handle in [timer.cookie] and
+          delivers the expiry through {!timer_fired} with the generation
+          it read at arm time *)
   stop_timer : timer -> unit;
       (** cancel the engine event behind [timer.cookie]; called only while
           the timer is armed *)
@@ -120,8 +124,7 @@ and conn = {
   mutable snd_una : int;
   mutable snd_nxt : int;
   mutable snd_wnd : int;          (* peer's advertised window *)
-  mutable cwnd : float;
-  mutable ssthresh : float;
+  fl : floats;                    (* congestion window and RTT state *)
   mutable dup_acks : int;
   unacked : (int * Payload.t) Queue.t;
       (* (seq, payload), oldest first; the head's bytes below [snd_una]
@@ -143,12 +146,8 @@ and conn = {
   (* --- timers / rtt --- *)
   rtx_timer : timer;      (* retransmission; doubles as the TIME_WAIT clock *)
   persist_timer : timer;  (* zero-window probe *)
-  mutable srtt : float;           (* smoothed rtt, us; <0 = no sample yet *)
-  mutable rttvar : float;
-  mutable rto : float;
   mutable backoff : int;
   mutable timing_seq : int;       (* ack that samples the RTT, -1 if none *)
-  mutable timing_sent : float;    (* when the timed segment was sent *)
   mutable syn_retries : int;
   (* --- listener --- *)
   backlog : int;
@@ -156,6 +155,19 @@ and conn = {
   mutable syn_pending : int;      (* embryonic children of this listener *)
   mutable parent : conn option;   (* set on passive children *)
   mutable syn_drops_backlog : int;  (* SYNs this listener dropped *)
+}
+
+(* A connection's float state.  An all-float record is stored flat, so a
+   write is an unboxed store; the same fields in [conn], a mixed record,
+   would each point at a boxed float, and every write would allocate
+   one. *)
+and floats = {
+  mutable cwnd : float;
+  mutable ssthresh : float;
+  mutable srtt : float;           (* smoothed rtt, us; <0 = no sample yet *)
+  mutable rttvar : float;
+  mutable rto : float;
+  mutable timing_sent : float;    (* when the timed segment was sent *)
 }
 
 (* Connection ids come from the per-engine id space installed on this
@@ -175,16 +187,17 @@ let make_conn ?id env ~local_ip ~local_port ?(sndq_limit = 32 * 1024)
     { env; id; local_ip; local_port;
       remote = None; state;
       meta = -1;
-      snd_una = 0; snd_nxt = 0; snd_wnd = 0; cwnd = float_of_int env.mss;
-      ssthresh = 65_535.; dup_acks = 0; unacked = Queue.create ();
+      snd_una = 0; snd_nxt = 0; snd_wnd = 0;
+      fl =
+        { cwnd = float_of_int env.mss; ssthresh = 65_535.; srtt = -1.;
+          rttvar = 0.; rto = env.initial_rto; timing_sent = 0. };
+      dup_acks = 0; unacked = Queue.create ();
       unsent = Queue.create (); unsent_off = 0; unsent_bytes = 0; sndq_limit;
       fin_queued = false; fin_seq = -1;
       rcv_nxt = 0; ooo = []; rcvq = []; rcvq_bytes = 0; rcv_buf_limit;
       fin_received = false; last_advertised_wnd = rcv_buf_limit;
       rtx_timer = make_timer (); persist_timer = make_timer ();
-      srtt = -1.; rttvar = 0.;
-      rto = env.initial_rto; backoff = 0; timing_seq = -1; timing_sent = 0.;
-      syn_retries = 0;
+      backoff = 0; timing_seq = -1; syn_retries = 0;
       backlog; accept_queue = Queue.create (); syn_pending = 0; parent = None;
       syn_drops_backlog = 0 }
   in
@@ -201,7 +214,8 @@ let new_totals () =
 let null_conn =
   let nop _ = () and nop2 _ _ = () in
   let env =
-    { now = (fun () -> 0.); emit = nop; start_timer = nop2; stop_timer = nop;
+    { clock = [| 0. |]; deadline = [| 0. |]; emit = nop; start_timer = nop;
+      stop_timer = nop;
       on_readable = nop; on_writable = nop; on_established = nop;
       on_accept_ready = nop2; on_syn_received = nop2;
       on_connect_failed = nop; on_reset = nop; on_time_wait = nop;
@@ -268,14 +282,16 @@ let timer_gen tm = tm.tgen
 let timer_armed tm = tm.armed
 
 (* Arm (or re-arm) a persistent timer: bump the generation so any expiry
-   already in flight goes stale, cancel the superseded engine event, and
-   schedule the new one.  No allocation. *)
-let arm_timer c tm ~delay fire =
+   already in flight goes stale, cancel the superseded engine event, stage
+   the new deadline in the engine's cell and schedule it.  Inlined, so a
+   computed [delay] is never boxed: no allocation. *)
+let[@inline] arm_timer c tm ~delay fire =
   tm.tgen <- tm.tgen + 1;
   if tm.armed then c.env.stop_timer tm;
   tm.armed <- true;
   tm.on_fire <- fire;
-  c.env.start_timer tm delay
+  c.env.deadline.(0) <- c.env.clock.(0) +. delay;
+  c.env.start_timer tm
 
 let halt_timer c tm =
   if tm.armed then begin
@@ -294,15 +310,16 @@ let timer_fired tm ~gen =
 
 let in_flight c = c.snd_nxt - c.snd_una
 
-let send_window c = min c.snd_wnd (int_of_float c.cwnd)
+let send_window c = min c.snd_wnd (int_of_float c.fl.cwnd)
 
 (* ------------------------------------------------------------------ *)
 (* Retransmission timer                                                 *)
 (* ------------------------------------------------------------------ *)
 
 let rec arm_rtx c =
-  let delay = c.rto *. float_of_int (1 lsl min c.backoff 6) in
-  arm_timer c c.rtx_timer ~delay on_rtx_timeout
+  arm_timer c c.rtx_timer
+    ~delay:(c.fl.rto *. float_of_int (1 lsl min c.backoff 6))
+    on_rtx_timeout
 
 and disarm_rtx c = halt_timer c c.rtx_timer
 
@@ -317,6 +334,7 @@ and on_rtx_timeout c =
       else begin
         c.syn_retries <- c.syn_retries + 1;
         c.backoff <- c.backoff + 1;
+        c.timing_seq <- -1 (* Karn: the SYN-ACK must not time the first SYN *);
         count_retransmit c;
         c.env.emit
           (segment c ~seq:c.snd_una Packet.flags_syn Packet.empty_payload);
@@ -342,9 +360,9 @@ and on_rtx_timeout c =
       (* Timeout: collapse the congestion window, retransmit the oldest
          outstanding segment, back off. *)
       c.timing_seq <- -1 (* Karn: do not sample retransmitted segments *);
-      c.ssthresh <- Float.max (float_of_int (2 * c.env.mss))
+      c.fl.ssthresh <- Float.max (float_of_int (2 * c.env.mss))
           (float_of_int (in_flight c) /. 2.);
-      c.cwnd <- float_of_int c.env.mss;
+      c.fl.cwnd <- float_of_int c.env.mss;
       c.dup_acks <- 0;
       c.backoff <- c.backoff + 1;
       retransmit_oldest c;
@@ -373,43 +391,9 @@ and retransmit_oldest c =
 (* ------------------------------------------------------------------ *)
 
 and output c =
-  (* Send as much queued data as the windows permit, in MSS segments. *)
-  let progress = ref false in
-  let rec send_more () =
-    let wnd = send_window c in
-    let can = wnd - in_flight c in
-    if can > 0 && c.unsent_bytes > 0 then begin
-      let take = min (min can c.env.mss) c.unsent_bytes in
-      let payload = take_unsent c take in
-      let seq = c.snd_nxt in
-      Queue.add (seq, payload) c.unacked;
-      c.snd_nxt <- c.snd_nxt + take;
-      c.env.totals.bytes_sent <- c.env.totals.bytes_sent + take;
-      if c.timing_seq < 0 then begin
-        c.timing_seq <- seq + take;
-        c.timing_sent <- c.env.now ()
-      end;
-      (* PSH only on the segment that drains the send queue (BSD's
-         TF_MORETOCOME sense): mid-buffer segments leave it clear, which
-         is what lets a receive-offload engine aggregate them. *)
-      let fl =
-        if c.unsent_bytes = 0 then Packet.flags_ack_psh else Packet.flags_ack
-      in
-      c.env.emit (segment c ~seq fl payload);
-      progress := true;
-      send_more ()
-    end
-  in
-  send_more ();
-  (* FIN rides after all data has been sent. *)
-  if c.fin_queued && c.unsent_bytes = 0 && c.fin_seq < 0 then begin
-    c.fin_seq <- c.snd_nxt;
-    c.snd_nxt <- c.snd_nxt + 1;
-    c.env.emit
-      (segment c ~seq:c.fin_seq Packet.flags_fin_ack Packet.empty_payload);
-    progress := true
-  end;
-  if !progress then begin
+  (* Send as much queued data as the windows permit, then the FIN. *)
+  let sent = send_more c false in
+  if send_fin c || sent then begin
     c.backoff <- 0;
     arm_rtx c
   end;
@@ -417,6 +401,42 @@ and output c =
   if c.unsent_bytes > 0 && send_window c <= 0 && in_flight c = 0
      && not (timer_armed c.persist_timer)
   then arm_timer c c.persist_timer ~delay:5_000_000. on_persist_timeout
+
+(* Emit MSS segments while the windows permit; [true] once any went. *)
+and send_more c progress =
+  let can = send_window c - in_flight c in
+  if can > 0 && c.unsent_bytes > 0 then begin
+    let take = min (min can c.env.mss) c.unsent_bytes in
+    let payload = take_unsent c take in
+    let seq = c.snd_nxt in
+    Queue.add (seq, payload) c.unacked;
+    c.snd_nxt <- c.snd_nxt + take;
+    c.env.totals.bytes_sent <- c.env.totals.bytes_sent + take;
+    if c.timing_seq < 0 then begin
+      c.timing_seq <- seq + take;
+      c.fl.timing_sent <- c.env.clock.(0)
+    end;
+    (* PSH only on the segment that drains the send queue (BSD's
+       TF_MORETOCOME sense): mid-buffer segments leave it clear, which
+       is what lets a receive-offload engine aggregate them. *)
+    let flags =
+      if c.unsent_bytes = 0 then Packet.flags_ack_psh else Packet.flags_ack
+    in
+    c.env.emit (segment c ~seq flags payload);
+    send_more c true
+  end
+  else progress
+
+(* The FIN rides after all data has been sent; [true] if it went now. *)
+and send_fin c =
+  if c.fin_queued && c.unsent_bytes = 0 && c.fin_seq < 0 then begin
+    c.fin_seq <- c.snd_nxt;
+    c.snd_nxt <- c.snd_nxt + 1;
+    c.env.emit
+      (segment c ~seq:c.fin_seq Packet.flags_fin_ack Packet.empty_payload);
+    true
+  end
+  else false
 
 and on_persist_timeout c =
   if c.unsent_bytes > 0 && send_window c <= 0 && in_flight c = 0 then begin
@@ -429,27 +449,34 @@ and on_persist_timeout c =
     arm_rtx c
   end
 
+(* Remove exactly [n] bytes from the head of the unsent queue.  The usual
+   case, a head that covers them, builds no list. *)
 and take_unsent c n =
-  (* Remove exactly [n] bytes from the head of the unsent queue. *)
-  let rec go n acc =
-    if n = 0 then List.rev acc
-    else begin
-      let p = Queue.peek c.unsent and off = c.unsent_off in
-      let left = Payload.length p - off in
-      if left <= n then begin
-        ignore (Queue.take c.unsent);
-        c.unsent_off <- 0;
-        go (n - left) ((if off = 0 then p else Payload.sub p off left) :: acc)
-      end
-      else begin
-        c.unsent_off <- off + n;
-        go 0 (Payload.sub p off n :: acc)
-      end
-    end
-  in
-  let parts = go n [] in
   c.unsent_bytes <- c.unsent_bytes - n;
-  Payload.concat parts
+  let p = Queue.peek c.unsent and off = c.unsent_off in
+  if Payload.length p - off >= n then take_part c p off n
+  else Payload.concat (take_parts c n [])
+
+(* Take [n] bytes at [off] from the unsent head [p], dequeuing it when
+   they are its last. *)
+and take_part c p off n =
+  if off + n = Payload.length p then begin
+    ignore (Queue.take c.unsent);
+    c.unsent_off <- 0;
+    if off = 0 then p else Payload.sub p off n
+  end
+  else begin
+    c.unsent_off <- off + n;
+    Payload.sub p off n
+  end
+
+and take_parts c n acc =
+  if n = 0 then List.rev acc
+  else begin
+    let p = Queue.peek c.unsent and off = c.unsent_off in
+    let k = min n (Payload.length p - off) in
+    take_parts c (n - k) (take_part c p off k :: acc)
+  end
 
 (* ------------------------------------------------------------------ *)
 (* State transitions                                                    *)
@@ -477,17 +504,20 @@ and on_time_wait_expire c = if c.state = Time_wait then enter_closed c
 (* RTT estimation (Jacobson/Karels; Karn: [timing_seq = -1])           *)
 (* ------------------------------------------------------------------ *)
 
-and rtt_sample c sample =
-  if c.srtt < 0. then begin
-    c.srtt <- sample;
-    c.rttvar <- sample /. 2.
+(* Sample the RTT of the timed segment, acknowledged now. *)
+and rtt_sample c =
+  let f = c.fl in
+  let sample = c.env.clock.(0) -. f.timing_sent in
+  if f.srtt < 0. then begin
+    f.srtt <- sample;
+    f.rttvar <- sample /. 2.
   end
   else begin
-    let err = sample -. c.srtt in
-    c.srtt <- c.srtt +. (err /. 8.);
-    c.rttvar <- c.rttvar +. ((Float.abs err -. c.rttvar) /. 4.)
+    let err = sample -. f.srtt in
+    f.srtt <- f.srtt +. (err /. 8.);
+    f.rttvar <- f.rttvar +. ((Float.abs err -. f.rttvar) /. 4.)
   end;
-  c.rto <- Float.max 200_000. (c.srtt +. (4. *. c.rttvar))
+  f.rto <- Float.max 200_000. (f.srtt +. (4. *. f.rttvar))
 
 (* ------------------------------------------------------------------ *)
 (* Input                                                                *)
@@ -512,14 +542,14 @@ and process_ack c (h : Packet.tcp_header) =
     c.backoff <- 0;
     (* RTT sample (Karn: only when the timed segment wasn't retransmitted). *)
     if c.timing_seq >= 0 && ack >= c.timing_seq then begin
-      rtt_sample c (c.env.now () -. c.timing_sent);
+      rtt_sample c;
       c.timing_seq <- -1
     end;
     trim_unacked c ack;
     (* Congestion window growth. *)
-    let fmss = float_of_int c.env.mss in
-    if c.cwnd < c.ssthresh then c.cwnd <- c.cwnd +. float_of_int acked
-    else c.cwnd <- c.cwnd +. (fmss *. fmss /. c.cwnd);
+    let f = c.fl and fmss = float_of_int c.env.mss in
+    if f.cwnd < f.ssthresh then f.cwnd <- f.cwnd +. float_of_int acked
+    else f.cwnd <- f.cwnd +. (fmss *. fmss /. f.cwnd);
     if Queue.is_empty c.unacked
        && not (c.fin_queued && c.fin_seq >= 0 && ack <= c.fin_seq)
     then disarm_rtx c
@@ -530,9 +560,9 @@ and process_ack c (h : Packet.tcp_header) =
     c.dup_acks <- c.dup_acks + 1;
     if c.dup_acks = 3 then begin
       (* Fast retransmit / recovery (simplified: halve and resend). *)
-      c.ssthresh <- Float.max (float_of_int (2 * c.env.mss))
+      c.fl.ssthresh <- Float.max (float_of_int (2 * c.env.mss))
           (float_of_int (in_flight c) /. 2.);
-      c.cwnd <- c.ssthresh;
+      c.fl.cwnd <- c.fl.ssthresh;
       c.timing_seq <- -1;
       retransmit_oldest c
     end
@@ -555,24 +585,7 @@ and deliver_data c (h : Packet.tcp_header) payload =
         c.env.totals.bytes_rcvd <- c.env.totals.bytes_rcvd + take;
         c.rcv_nxt <- c.rcv_nxt + take
       end;
-      let rec drain () =
-        match List.assoc_opt c.rcv_nxt c.ooo with
-        | Some p ->
-            c.ooo <- List.remove_assoc c.rcv_nxt c.ooo;
-            let room = advertised_window c in
-            let len = Payload.length p in
-            let take = min len room in
-            if take > 0 then begin
-              let part = if take = len then p else Payload.sub p 0 take in
-              c.rcvq <- part :: c.rcvq;
-              c.rcvq_bytes <- c.rcvq_bytes + take;
-              c.env.totals.bytes_rcvd <- c.env.totals.bytes_rcvd + take;
-              c.rcv_nxt <- c.rcv_nxt + take;
-              if take = len then drain ()
-            end
-        | None -> ()
-      in
-      drain ();
+      drain_ooo c;
       c.env.on_readable c
     end
     else if seq > c.rcv_nxt then begin
@@ -585,6 +598,24 @@ and deliver_data c (h : Packet.tcp_header) payload =
     (* else: duplicate of already-received data; just re-ack *)
     send_ack c
   end
+
+(* Move the out-of-order segments that now follow [rcv_nxt] in order. *)
+and drain_ooo c =
+  match List.assoc_opt c.rcv_nxt c.ooo with
+  | Some p ->
+      c.ooo <- List.remove_assoc c.rcv_nxt c.ooo;
+      let room = advertised_window c in
+      let len = Payload.length p in
+      let take = min len room in
+      if take > 0 then begin
+        let part = if take = len then p else Payload.sub p 0 take in
+        c.rcvq <- part :: c.rcvq;
+        c.rcvq_bytes <- c.rcvq_bytes + take;
+        c.env.totals.bytes_rcvd <- c.env.totals.bytes_rcvd + take;
+        c.rcv_nxt <- c.rcv_nxt + take;
+        if take = len then drain_ooo c
+      end
+  | None -> ()
 
 and process_fin c (h : Packet.tcp_header) payload_len =
   let fin_seq = h.Packet.seq + payload_len in
@@ -654,8 +685,7 @@ and input c (pkt : Packet.t) =
               c.snd_wnd <- h.Packet.window;
               c.state <- Established;
               disarm_rtx c;
-              if c.timing_seq >= 0 then
-                rtt_sample c (c.env.now () -. c.timing_sent);
+              if c.timing_seq >= 0 then rtt_sample c;
               c.timing_seq <- -1;
               send_ack c;
               c.env.on_established c;
@@ -739,7 +769,7 @@ let create_active env ~local_ip ~local_port ~remote ?sndq_limit
   c.snd_una <- 0;
   c.snd_nxt <- 1;
   c.timing_seq <- 1;
-  c.timing_sent <- env.now ();
+  c.fl.timing_sent <- env.clock.(0);
   c.env.emit (segment c ~seq:0 Packet.flags_syn Packet.empty_payload);
   arm_rtx c;
   c

@@ -39,12 +39,21 @@ type timer = {
   mutable tconn : conn option;
 }
 and env = {
-  now : unit -> float;
+  clock : float array;
+      (** the engine's clock cell ({!Lrp_engine.Engine.clock_cell}),
+          read-only: [clock.(0)] is now.  A cell, not a [unit -> float],
+          whose every call would box its result *)
+  deadline : float array;
+      (** the engine's deadline cell ({!Lrp_engine.Engine.deadline_cell}):
+          TCP writes a timer's absolute expiry [clock.(0) +. delay] into
+          slot 0 immediately before calling [start_timer] *)
   emit : Lrp_net.Packet.t -> unit;
-  start_timer : timer -> float -> unit;
-      (** arm the timer after a delay, in protocol-processing context; the
-          kernel saves its event handle in [cookie] and must deliver the
-          expiry via {!timer_fired} with the generation read at arm time *)
+  start_timer : timer -> unit;
+      (** arm the timer at the deadline staged in [deadline.(0)], in
+          protocol-processing context (the kernel calls
+          {!Lrp_engine.Engine.schedule_to_staged}); the kernel saves its
+          event handle in [cookie] and must deliver the expiry via
+          {!timer_fired} with the generation read at arm time *)
   stop_timer : timer -> unit;
       (** cancel the engine event behind [cookie] *)
   on_readable : conn -> unit;
@@ -84,8 +93,7 @@ and conn = {
   mutable snd_una : int;
   mutable snd_nxt : int;
   mutable snd_wnd : int;
-  mutable cwnd : float;
-  mutable ssthresh : float;
+  fl : floats;
   mutable dup_acks : int;
   unacked : (int * Lrp_net.Payload.t) Queue.t;
       (** (seq, payload), oldest first; the head's bytes below [snd_una]
@@ -105,18 +113,24 @@ and conn = {
   mutable last_advertised_wnd : int;
   rtx_timer : timer;
   persist_timer : timer;
-  mutable srtt : float;
-  mutable rttvar : float;
-  mutable rto : float;
   mutable backoff : int;
   mutable timing_seq : int;  (** ack that samples the RTT, or -1 *)
-  mutable timing_sent : float;
   mutable syn_retries : int;
   backlog : int;
   accept_queue : conn Queue.t;
   mutable syn_pending : int;
   mutable parent : conn option;
   mutable syn_drops_backlog : int;
+}
+(* [floats]: a connection's float state, in one all-float record: OCaml
+   stores it flat, so writing a field does not box. *)
+and floats = {
+  mutable cwnd : float;
+  mutable ssthresh : float;
+  mutable srtt : float;  (** smoothed RTT in us; negative before a sample *)
+  mutable rttvar : float;
+  mutable rto : float;
+  mutable timing_sent : float;  (** when the timed segment was sent *)
 }
 
 val state_name : state -> string

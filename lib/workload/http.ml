@@ -32,7 +32,7 @@ let start_server kern ?(port = 80) ?(backlog = 5) ?(doc_bytes = 1300)
            Cpu.compute (Kernel.cpu kern);
            let child =
              Cpu.spawn (Kernel.cpu kern)
-               ~name:(Printf.sprintf "httpd-child%d" st.accepted)
+               ~name:("httpd-child" ^ string_of_int st.accepted)
                ~working_set:50.
                (fun child_self ->
                  (match Api.tcp_recv kern ~self:child_self conn ~max:4096 with
@@ -65,7 +65,7 @@ type client_stats = {
 let start_client kern ~dst ?(request_bytes = 100) ?(doc_bytes = 1300)
     ~id stats =
   ignore
-    (Cpu.spawn (Kernel.cpu kern) ~name:(Printf.sprintf "http-client%d" id)
+    (Cpu.spawn (Kernel.cpu kern) ~name:("http-client" ^ string_of_int id)
        (fun self ->
         let rec session () =
           let sock = Api.socket_stream kern in

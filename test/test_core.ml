@@ -71,6 +71,93 @@ let test_channel_extract () =
          (Some (2, 20)) (Packet.ports p)
    | None -> Alcotest.fail "dequeue")
 
+(* The ring starts small and doubles up to [limit]: every sequence of
+   enqueues and pops, across growth and wrap-around, must match a plain
+   FIFO with early discard at [limit]. *)
+let sport_of p =
+  match Packet.ports p with Some (sp, _) -> sp | None -> Alcotest.fail "ports"
+
+let test_channel_fifo_growth_wrap () =
+  List.iter
+    (fun limit ->
+      let ch = Channel.create ~limit () in
+      let model = Queue.create () and next = ref 0 in
+      let grow_steps = 3 * (limit + 2) in
+      for i = 0 to 2_000 do
+        (* First two enqueues per pop, so the queue deepens while its head
+           moves and the ring grows with its live handles wrapped; then
+           bursts of enqueues and of pops, so the head wraps the full
+           ring. *)
+        let enq =
+          if i < grow_steps then i mod 3 <> 2 else (i / (limit + 3)) mod 2 = 0
+        in
+        if enq then begin
+          incr next;
+          match Channel.enqueue ch (pkt ~sport:!next ()) with
+          | Channel.Queued _ -> Queue.add !next model
+          | Channel.Discarded ->
+              Alcotest.(check int) "discards only at limit" limit
+                (Queue.length model)
+        end
+        else
+          match (Channel.dequeue ch, Queue.take_opt model) with
+          | Some p, Some want ->
+              Alcotest.(check int) "FIFO order" want (sport_of p)
+          | None, None -> ()
+          | Some _, None | None, Some _ -> Alcotest.fail "length mismatch"
+      done;
+      Alcotest.(check int) "length" (Queue.length model) (Channel.length ch))
+    [ 1; 2; 3; 4; 5; 7; 8; 9; 32; 100 ]
+
+let test_channel_discard_at_limit () =
+  List.iter
+    (fun limit ->
+      let ch = Channel.create ~limit () in
+      for i = 1 to limit do
+        match Channel.enqueue ch (pkt ~sport:i ()) with
+        | Channel.Queued _ -> ()
+        | Channel.Discarded -> Alcotest.failf "limit %d: discard at %d" limit i
+      done;
+      (match Channel.enqueue ch (pkt ()) with
+       | Channel.Discarded -> ()
+       | Channel.Queued _ -> Alcotest.failf "limit %d: no discard" limit);
+      Alcotest.(check int) "one discard" 1 (Channel.discarded ch);
+      Alcotest.(check int) "limit enqueued" limit (Channel.enqueued ch);
+      Alcotest.(check int) "full" limit (Channel.length ch);
+      ignore (Channel.pop ch);
+      (match Channel.enqueue ch (pkt ()) with
+       | Channel.Queued `Was_nonempty | Channel.Queued `Was_empty -> ()
+       | Channel.Discarded -> Alcotest.failf "limit %d: room after pop" limit);
+      Alcotest.(check int) "head after refill" 2 (sport_of (Channel.pop ch)))
+    [ 2; 3; 4; 5; 6; 8; 13; 32 ]
+
+let test_channel_hwm () =
+  let ch = Channel.create ~limit:8 () in
+  for i = 1 to 5 do ignore (Channel.enqueue ch (pkt ~sport:i ())) done;
+  for _ = 1 to 5 do ignore (Channel.pop ch) done;
+  for i = 1 to 2 do ignore (Channel.enqueue ch (pkt ~sport:i ())) done;
+  Alcotest.(check int) "deepest occupancy, not current" 5
+    (Channel.high_watermark ch);
+  for i = 1 to 10 do ignore (Channel.enqueue ch (pkt ~sport:i ())) done;
+  Alcotest.(check int) "capped at limit" 8 (Channel.high_watermark ch);
+  Alcotest.(check int) "excess discarded" 4 (Channel.discarded ch)
+
+let test_channel_limit_one () =
+  let ch = Channel.create ~limit:1 () in
+  for i = 1 to 5 do
+    (match Channel.enqueue ch (pkt ~sport:i ()) with
+     | Channel.Queued `Was_empty -> ()
+     | Channel.Queued `Was_nonempty | Channel.Discarded ->
+         Alcotest.fail "an empty one-slot channel admits");
+    (match Channel.enqueue ch (pkt ()) with
+     | Channel.Discarded -> ()
+     | Channel.Queued _ -> Alcotest.fail "a full one-slot channel discards");
+    Alcotest.(check int) "FIFO" i (sport_of (Channel.pop ch));
+    Alcotest.(check bool) "empty" true (Channel.is_empty ch)
+  done;
+  Alcotest.(check int) "discards" 5 (Channel.discarded ch);
+  Alcotest.(check int) "hwm" 1 (Channel.high_watermark ch)
+
 (* --- chantab ------------------------------------------------------------- *)
 
 let test_chantab_udp_resolution () =
@@ -267,6 +354,12 @@ let suite =
     Alcotest.test_case "channel processing gate" `Quick test_channel_processing_gate;
     Alcotest.test_case "channel interrupt flag" `Quick test_channel_interrupt_flag;
     Alcotest.test_case "channel extract" `Quick test_channel_extract;
+    Alcotest.test_case "channel FIFO across ring growth and wrap" `Quick
+      test_channel_fifo_growth_wrap;
+    Alcotest.test_case "channel discards at exactly limit" `Quick
+      test_channel_discard_at_limit;
+    Alcotest.test_case "channel high watermark" `Quick test_channel_hwm;
+    Alcotest.test_case "channel limit 1" `Quick test_channel_limit_one;
     Alcotest.test_case "chantab udp resolution" `Quick test_chantab_udp_resolution;
     Alcotest.test_case "chantab tcp exact/listen" `Quick test_chantab_tcp_resolution;
     Alcotest.test_case "chantab fragment channel" `Quick test_chantab_fragment_channel;

@@ -540,10 +540,40 @@ let zero_word_cycles =
           let before = !fired in
           tm.Tcp.tgen <- tm.Tcp.tgen + 1;
           tm.Tcp.armed <- true;
-          env.Tcp.start_timer tm 0.01;
+          env.Tcp.deadline.(0) <- env.Tcp.clock.(0) +. 0.01;
+          env.Tcp.start_timer tm;
           while !fired = before do
             ignore (Engine.step (Lrp_workload.World.engine w))
           done );
+    ( "tcp_ack_established",
+      (* a pure ACK on an established connection (the kernel's TCP env):
+         an RTT sample, congestion-window growth and a retransmit-timer
+         re-arm; the cycle rewinds [snd_una] so the same ACK is new data
+         again *)
+      fun () ->
+        let w = Lrp_workload.World.make () in
+        let k = Lrp_workload.World.add_host w ~name:"host" (bsd ()) in
+        let env = Kernel.tcp_env_exn k in
+        let local = Kernel.ip_address k
+        and peer = Lrp_net.Packet.ip_of_quad 10 0 0 7 in
+        let conn =
+          Tcp.create_active env ~local_ip:local ~local_port:5000
+            ~remote:(peer, 80) ()
+        in
+        let seg ~seq ~ack_no flags =
+          Lrp_net.Packet.tcp ~src:peer ~dst:local ~src_port:80
+            ~dst_port:5000 ~seq ~ack_no ~flags ~window:65_535
+            Lrp_net.Packet.empty_payload
+        in
+        Tcp.input conn (seg ~seq:0 ~ack_no:1 Lrp_net.Packet.flags_syn_ack);
+        (* one large segment in flight, acknowledged a byte at a time *)
+        Queue.add (1, Lrp_net.Payload.synthetic 1_000_000) conn.Tcp.unacked;
+        conn.Tcp.snd_nxt <- 1_000_001;
+        let ack = seg ~seq:1 ~ack_no:2 Lrp_net.Packet.flags_ack in
+        fun () ->
+          conn.Tcp.snd_una <- 1;
+          conn.Tcp.timing_seq <- 2;
+          Tcp.input conn ack );
     ( "busy_tick_decay",
       (* one process spinning on a single long segment: each cycle fires
          the CPU's 10 ms tick (charging the process) or its 1 s usage

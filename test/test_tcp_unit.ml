@@ -11,7 +11,8 @@ open Lrp_proto
 (* ------------------------------------------------------------------ *)
 
 type harness = {
-  mutable now : float;
+  clock : float array;  (* the virtual clock: [clock.(0)] is now *)
+  deadline : float array;  (* where TCP stages a timer's expiry *)
   mutable wire_ab : (float * Packet.t) list;  (* in-flight a->b, (arrival, pkt) *)
   mutable wire_ba : (float * Packet.t) list;
   mutable timers : (float * Tcp.timer * int) list;
@@ -23,8 +24,8 @@ type harness = {
 }
 
 let mk_harness ?(latency = 100.) () =
-  { now = 0.; wire_ab = []; wire_ba = []; timers = []; latency;
-    drop_next = 0; events = [] }
+  { clock = [| 0. |]; deadline = [| 0. |]; wire_ab = []; wire_ba = [];
+    timers = []; latency; drop_next = 0; events = [] }
 
 let log h fmt = Printf.ksprintf (fun s -> h.events <- s :: h.events) fmt
 
@@ -32,17 +33,18 @@ let mk_env h ~dir =
   let emit pkt =
     if h.drop_next > 0 then h.drop_next <- h.drop_next - 1
     else begin
-      let entry = (h.now +. h.latency, pkt) in
+      let entry = (h.clock.(0) +. h.latency, pkt) in
       match dir with
       | `Ab -> h.wire_ab <- h.wire_ab @ [ entry ]
       | `Ba -> h.wire_ba <- h.wire_ba @ [ entry ]
     end
   in
-  { Tcp.now = (fun () -> h.now);
+  { Tcp.clock = h.clock;
+    deadline = h.deadline;
     emit;
     start_timer =
-      (fun tm delay ->
-        h.timers <- (h.now +. delay, tm, Tcp.timer_gen tm) :: h.timers);
+      (fun tm ->
+        h.timers <- (h.deadline.(0), tm, Tcp.timer_gen tm) :: h.timers);
     stop_timer = (fun _ -> () (* generation check drops stale entries *));
     on_readable = (fun c -> log h "readable:%d" c.Tcp.id);
     on_writable = (fun _ -> ());
@@ -74,7 +76,7 @@ let run h ~until ~route_a ~route_b =
     in
     let t = min (min (next_wire h.wire_ab) (next_wire h.wire_ba)) next_timer in
     if t <= until then begin
-      h.now <- t;
+      h.clock.(0) <- t;
       (* deliver due frames a->b *)
       let due, rest = List.partition (fun (at, _) -> at <= t) h.wire_ab in
       h.wire_ab <- rest;
@@ -92,19 +94,20 @@ let run h ~until ~route_a ~route_b =
       List.iter (fun (_, tm, gen) -> Tcp.timer_fired tm ~gen) due;
       step ()
     end
-    else h.now <- until
+    else h.clock.(0) <- until
   in
   step ()
 
 (* Simpler: wire routing via the env's on_syn_received to capture the
-   child. *)
-let make_pair ?latency ?(backlog = 4) () =
+   child.  [drop] loses that many frames from the active open's SYN on. *)
+let make_pair ?latency ?(backlog = 4) ?(drop = 0) () =
   let h = mk_harness ?latency () in
   let env_a = mk_env h ~dir:`Ab in
   let env_b = mk_env h ~dir:`Ba in
   let child = ref None in
   let env_b = { env_b with Tcp.on_syn_received = (fun _ c -> child := Some c) } in
   let listener = Tcp.create_listener env_b ~local_ip:2 ~local_port:80 ~backlog () in
+  h.drop_next <- drop;
   let client = Tcp.create_active env_a ~local_ip:1 ~local_port:5000 ~remote:(2, 80) () in
   let route_a _ = Some client in
   let route_b _ = match !child with Some c -> Some c | None -> Some listener in
@@ -216,10 +219,10 @@ let test_slow_start_growth () =
   let h, client, _listener, child, route_a, route_b = make_pair () in
   run h ~until:10_000. ~route_a ~route_b;
   ignore !child;
-  let cwnd0 = client.Tcp.cwnd in
+  let cwnd0 = client.Tcp.fl.Tcp.cwnd in
   ignore (Tcp.send client (Payload.synthetic 8_000));
   run h ~until:1_000_000. ~route_a ~route_b;
-  Alcotest.(check bool) "cwnd grew during slow start" true (client.Tcp.cwnd > cwnd0)
+  Alcotest.(check bool) "cwnd grew during slow start" true (client.Tcp.fl.Tcp.cwnd > cwnd0)
 
 let test_rto_backoff_collapses_cwnd () =
   let h, client, _listener, child, route_a, route_b = make_pair () in
@@ -227,15 +230,15 @@ let test_rto_backoff_collapses_cwnd () =
   ignore !child;
   ignore (Tcp.send client (Payload.synthetic 4_000));
   run h ~until:200_000. ~route_a ~route_b;
-  let cwnd_grown = client.Tcp.cwnd in
+  let cwnd_grown = client.Tcp.fl.Tcp.cwnd in
   (* Now lose everything for a while: the retransmission timeout must
      collapse cwnd to one MSS. *)
   h.drop_next <- 100;
   ignore (Tcp.send client (Payload.synthetic 4_000));
   run h ~until:2_000_000. ~route_a ~route_b;
   Alcotest.(check bool) "cwnd collapsed after RTO" true
-    (client.Tcp.cwnd < cwnd_grown);
-  Alcotest.(check (float 0.)) "cwnd = 1 MSS" 1460. client.Tcp.cwnd
+    (client.Tcp.fl.Tcp.cwnd < cwnd_grown);
+  Alcotest.(check (float 0.)) "cwnd = 1 MSS" 1460. client.Tcp.fl.Tcp.cwnd
 
 let test_graceful_close () =
   let h, client, _listener, child, route_a, route_b = make_pair () in
@@ -286,6 +289,19 @@ let test_syn_backlog_drop () =
   done;
   Alcotest.(check int) "two embryonic" 2 listener.Tcp.syn_pending;
   Alcotest.(check int) "one dropped at backlog" 1 listener.Tcp.syn_drops_backlog
+
+(* Karn's rule on the handshake: the SYN-ACK answering a retransmitted
+   SYN cannot tell which SYN it acknowledges, so it is no RTT sample (an
+   RTT timed from the first SYN would include the whole backoff). *)
+let test_syn_retransmit_takes_no_rtt_sample () =
+  let h, client, _listener, _child, route_a, route_b = make_pair ~drop:1 () in
+  run h ~until:2_000_000. ~route_a ~route_b;
+  Alcotest.(check string) "established after one SYN retransmit"
+    "ESTABLISHED" (Tcp.state_name (Tcp.state client));
+  Alcotest.(check int) "one retransmit" 1 client.Tcp.env.Tcp.totals.Tcp.retransmits;
+  Alcotest.(check bool) "no RTT sample" true (client.Tcp.fl.Tcp.srtt < 0.);
+  Alcotest.(check (float 0.)) "rto still the initial value" 500_000.
+    client.Tcp.fl.Tcp.rto
 
 let test_syn_retry_gives_up () =
   (* Active open with every packet dropped: retries then fails. *)
@@ -347,6 +363,8 @@ let suite =
     Alcotest.test_case "FIN after pending data" `Quick test_fin_with_pending_data;
     Alcotest.test_case "SYN backlog drop" `Quick test_syn_backlog_drop;
     Alcotest.test_case "SYN retry gives up" `Quick test_syn_retry_gives_up;
+    Alcotest.test_case "retransmitted SYN takes no RTT sample (Karn)" `Quick
+      test_syn_retransmit_takes_no_rtt_sample;
     Alcotest.test_case "RST teardown" `Quick test_rst_teardown;
     Alcotest.test_case "send on closed connection" `Quick test_send_on_closed ]
   @ qsuite
