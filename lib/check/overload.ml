@@ -129,12 +129,16 @@ let sample t =
       end)
     (Kernel.channels k);
   Lrp_det.Det.iter_sorted
-    (fun _port (sock : Socket.t) ->
-      let h = sock.Socket.stats.Socket.rx_hwm in
-      if h > rep.sock_hwm then begin
-        rep.sock_hwm <- h;
-        Trace.alarm tracer ~alarm:Trace.Queue_watermark ~a:2 ~b:h
-      end)
+    (fun _port (ep : Kernel.ep) ->
+      (* Bound sockets; a multicast group's members are not watched. *)
+      match ep with
+      | { Kernel.ep_group = false; ep_socks = sock :: _; _ } ->
+          let h = sock.Socket.stats.Socket.rx_hwm in
+          if h > rep.sock_hwm then begin
+            rep.sock_hwm <- h;
+            Trace.alarm tracer ~alarm:Trace.Queue_watermark ~a:2 ~b:h
+          end
+      | _ -> ())
     k.Kernel.udp_ports;
   if d_off >= cfg.min_offered then begin
     rep.judged <- rep.judged + 1;

@@ -125,8 +125,8 @@ let[@inline] resolve_udp t ~dst_port =
   if slot >= 0 then Some (Flowtab.value t.tab slot) else None
 
 (* [resolve t flow] finds the destination channel, or [None] when no
-   endpoint matches (the packet is then dropped — with zero host investment
-   under NI demux). *)
+   endpoint matches.  The reference the demux equivalence tests compare
+   [resolve_slot], the hot path's probe, against. *)
 let resolve t flow =
   let result =
     match (flow : Demux.flow) with

@@ -52,14 +52,15 @@ val remove_tcp_listen : t -> port:int -> unit
 
 val resolve : t -> Lrp_proto.Demux.flow -> Channel.t option
 (** Find the destination channel for a classified flow; [None] (counted
-    in {!unmatched}) when no endpoint matches. *)
+    in {!unmatched}) when no endpoint matches.  Not on the hot path: with
+    [Demux.flow_of_packet] it is the reference the demux equivalence
+    tests compare {!resolve_slot} against. *)
 
 val resolve_packet : t -> Lrp_net.Packet.t -> Channel.t option
 (** Classify and probe in one pass: behaves exactly like
     [resolve t (Demux.flow_of_packet pkt)] but allocates no intermediate
-    flow value — one packed-key probe per packet on the demux hot
-    path.  (Cold-path convenience over {!resolve_slot}; the option
-    result still boxes.) *)
+    flow value.  A cold-path convenience over {!resolve_slot}, the hot
+    path's probe; the option result still boxes. *)
 
 (** {2 Allocation-free resolution}
 

@@ -77,13 +77,7 @@ let socket_stream k =
 let bind k (sock : Socket.t) ~owner ~port =
   if sock.Socket.kind <> Socket.Dgram then
     invalid_arg "Api.bind: datagram sockets only";
-  if Hashtbl.mem k.Kernel.udp_ports port then invalid_arg "Api.bind: port in use";
-  if Hashtbl.mem k.Kernel.mcast_members port then
-    invalid_arg "Api.bind: port in use by a multicast group";
-  sock.Socket.port <- Some port;
-  sock.Socket.owner <- owner;
-  Hashtbl.replace k.Kernel.udp_ports port sock;
-  sock.Socket.chan <- Kernel.open_channel k (Kernel.Udp_port (port, Some sock))
+  Kernel.bind k sock ~owner ~port
 
 let bind_ephemeral k sock ~owner =
   let port = Kernel.fresh_port k in
@@ -98,42 +92,9 @@ let join_group k (sock : Socket.t) ~owner ~group ~port =
     invalid_arg "Api.join_group: not a multicast address";
   if sock.Socket.kind <> Socket.Dgram then
     invalid_arg "Api.join_group: datagram sockets only";
-  if Hashtbl.mem k.Kernel.udp_ports port then
-    invalid_arg "Api.join_group: port bound by a unicast socket";
-  sock.Socket.port <- Some port;
-  sock.Socket.owner <- owner;
-  let members =
-    match Hashtbl.find_opt k.Kernel.mcast_members port with
-    | Some m -> m
-    | None ->
-        let m = ref [] in
-        Hashtbl.replace k.Kernel.mcast_members port m;
-        (* One shared channel for the whole group. *)
-        ignore (Kernel.open_channel k (Kernel.Udp_port (port, None)));
-        m
-  in
-  members := sock :: !members;
-  (* Members read raw packets from the shared channel. *)
-  match k.Kernel.proto with
-  | Kernel.Lazy ->
-      (match Chantab.resolve (Kernel.chantab k)
-               (Lrp_proto.Demux.Udp_flow { src = 0; src_port = 0; dst_port = port })
-       with
-       | Some ch -> sock.Socket.chan <- Some ch
-       | None -> ())
-  | Kernel.Eager -> ()
+  Kernel.join_group k sock ~owner ~port
 
-let leave_group k (sock : Socket.t) ~port =
-  match Hashtbl.find_opt k.Kernel.mcast_members port with
-  | None -> ()
-  | Some members ->
-      members := List.filter (fun s -> s.Socket.id <> sock.Socket.id) !members;
-      if !members = [] then begin
-        Hashtbl.remove k.Kernel.mcast_members port;
-        (* The last member's channel is the group's. *)
-        Kernel.close_channel k (Kernel.Udp_port (port, Some sock))
-      end;
-      sock.Socket.chan <- None
+let leave_group = Kernel.leave_group
 
 (* ------------------------------------------------------------------ *)
 (* UDP send                                                             *)
@@ -268,8 +229,6 @@ let try_recvfrom k ~(self : Proc.t) (sock : Socket.t) =
 let tcp_listen k ~(self : Proc.t) (sock : Socket.t) ~port ~backlog =
   if sock.Socket.kind <> Socket.Stream then
     invalid_arg "Api.tcp_listen: stream sockets only";
-  if Hashtbl.mem k.Kernel.tcp_listeners port then
-    invalid_arg "Api.tcp_listen: port in use";
   compute k (c k).Cost.syscall;
   let cfg = Kernel.config k in
   let listener =
@@ -277,13 +236,7 @@ let tcp_listen k ~(self : Proc.t) (sock : Socket.t) ~port ~backlog =
       ~local_port:port ~sndq_limit:cfg.Kernel.sock_buf
       ~rcv_buf_limit:cfg.Kernel.sock_buf ~backlog ()
   in
-  sock.Socket.port <- Some port;
-  sock.Socket.tcp <- Some listener;
-  sock.Socket.owner <- Some self;
-  Hashtbl.replace k.Kernel.tcp_listeners port listener;
-  Hashtbl.replace k.Kernel.conn_sock listener.Tcp.id sock;
-  Hashtbl.replace k.Kernel.conn_owner listener.Tcp.id self;
-  ignore (Kernel.open_channel k (Kernel.Tcp_conn listener))
+  Kernel.open_conn k sock listener ~owner:self
 
 let listener_exn (sock : Socket.t) =
   match sock.Socket.tcp with
@@ -302,12 +255,7 @@ let rec accept_wait k ~(self : Proc.t) (sock : Socket.t) listener =
       Kernel.update_listen_gate k listener;
       compute k (c k).Cost.sockq;
       let ns = Socket.create Socket.Stream in
-      ns.Socket.port <- sock.Socket.port;
-      ns.Socket.remote <- conn.Tcp.remote;
-      ns.Socket.tcp <- Some conn;
-      ns.Socket.owner <- Some self;
-      Hashtbl.replace k.Kernel.conn_sock conn.Tcp.id ns;
-      Hashtbl.replace k.Kernel.conn_owner conn.Tcp.id self;
+      Kernel.attach k ns conn ~owner:self;
       ns
   | None ->
       Proc.block sock.Socket.accept_wait;
@@ -343,12 +291,7 @@ let tcp_connect k ~(self : Proc.t) (sock : Socket.t) ~remote =
       ~local_port ~remote ~sndq_limit:cfg.Kernel.sock_buf
       ~rcv_buf_limit:cfg.Kernel.sock_buf ()
   in
-  sock.Socket.port <- Some local_port;
-  sock.Socket.remote <- Some remote;
-  sock.Socket.tcp <- Some conn;
-  sock.Socket.owner <- Some self;
-  Hashtbl.replace k.Kernel.conn_sock conn.Tcp.id sock;
-  Kernel.register_conn k conn ~owner:(Some self);
+  Kernel.open_conn k sock conn ~owner:self;
   connect_wait sock conn
 
 (* Queue [payload] on [conn], charging the copy and every segment the
@@ -405,10 +348,7 @@ let tcp_recv k ~(self : Proc.t) (sock : Socket.t) ~max =
 (* Hand a connected socket to another process (e.g. an HTTP server child
    after fork): future APP work is charged to the new owner. *)
 let set_owner k (sock : Socket.t) ~(owner : Proc.t) =
-  sock.Socket.owner <- Some owner;
-  match sock.Socket.tcp with
-  | Some conn -> Hashtbl.replace k.Kernel.conn_owner conn.Tcp.id owner
-  | None -> ()
+  Option.iter (fun conn -> Kernel.attach k sock conn ~owner) sock.Socket.tcp
 
 (* ------------------------------------------------------------------ *)
 (* Close                                                                *)
@@ -419,37 +359,15 @@ let close k ~(self : Proc.t) (sock : Socket.t) =
   if not sock.Socket.closed then begin
     compute k (c k).Cost.syscall;
     sock.Socket.closed <- true;
-    (match sock.Socket.kind with
-     | Socket.Dgram ->
-         (match sock.Socket.port with
-          | Some port when Hashtbl.mem k.Kernel.mcast_members port ->
-              (* A group member leaves the group: the shared channel stays
-                 with the other members until the last one goes. *)
-              leave_group k sock ~port
-          | Some port ->
-              Hashtbl.remove k.Kernel.udp_ports port;
-              Kernel.close_channel k (Kernel.Udp_port (port, Some sock))
-          | None -> ())
-     | Socket.Stream ->
-         (match sock.Socket.tcp with
-          | Some conn ->
-              if Tcp.state conn = Tcp.Listen then begin
-                (match sock.Socket.port with
-                 | Some port ->
-                     Hashtbl.remove k.Kernel.tcp_listeners port;
-                     Kernel.close_channel k (Kernel.Tcp_conn conn)
-                 | None -> ());
-                Tcp.close conn
-              end
-              else begin
-                let before = Tcp.segs_sent conn in
-                Tcp.close conn;
-                let emitted = Tcp.segs_sent conn - before in
-                if emitted > 0 then
-                  compute k
-                    (float_of_int emitted *. seg_out_cost k)
-              end
-          | None -> ()));
+    (* A connection's or listener's endpoint is released when TCP reports
+       it gone; a datagram socket's right here. *)
+    (match sock.Socket.tcp with
+     | Some conn ->
+         let before = Tcp.segs_sent conn in
+         Tcp.close conn;
+         let emitted = Tcp.segs_sent conn - before in
+         if emitted > 0 then compute k (float_of_int emitted *. seg_out_cost k)
+     | None -> Kernel.close_dgram k sock);
     Kernel.wake_all k sock.Socket.recv_wait;
     Kernel.wake_all k sock.Socket.send_wait;
     Kernel.wake_all k sock.Socket.accept_wait

@@ -161,7 +161,6 @@ type kstats = {
 type app = {
   app_owner : Proc.t;
   app_wq : Proc.waitq;
-  mutable app_proc : Proc.t option;
   mutable aq_chan : Channel.t array;
   mutable aq_timer : Tcp.timer array;
   mutable aq_gen : int array;
@@ -191,7 +190,6 @@ type napi = {
   mutable episode : int;                 (* packets served this episode *)
   mutable in_ksoftirqd : bool;
   ksoftirqd_wq : Proc.waitq;
-  mutable ksoftirqd : Proc.t option;
   b_pkts : Packet.t array;               (* the batch, in delivery order *)
   b_mhs : Mbuf.handle array;             (* each batch packet's mbufs *)
   mutable b_len : int;
@@ -227,6 +225,28 @@ let napi_storm_gap = 60.
    small batch instead of per packet. *)
 let napi_repoll = 500.
 
+(* An endpoint (section 3.1): a bound datagram socket, a multicast group,
+   a listener or a connection.  The one record that links what it holds:
+   the sockets it wakes, the process its protocol work is charged to
+   (section 3.4), its NI channel under lazy processing, and its PCB.  A
+   connection reaches it through [eps], a channel through [chans]; one
+   path, [release_ep], lets it go. *)
+type ep = {
+  ep_port : int;
+  ep_conn : Tcp.conn;  (* [Tcp.null_conn] for a datagram endpoint *)
+  ep_group : bool;  (* a multicast group: [ep_socks] are its members *)
+  mutable ep_socks : Socket.t list;
+      (* the bound socket, the group's members, or the connection's
+         socket ([] until accepted) *)
+  mutable ep_owner : Proc.t option;
+  mutable ep_chan : Channel.t option;
+}
+
+(* What a lookup that finds no endpoint answers; never mutated. *)
+let null_ep =
+  { ep_port = -1; ep_conn = Tcp.null_conn; ep_group = false; ep_socks = [];
+    ep_owner = None; ep_chan = None }
+
 (* The kernel's interrupt work as typed jobs, registered once per kernel
    ({!Cpu.job}): posting one stores (job, object, int) in the CPU's work
    ring instead of allocating a closure per post. *)
@@ -240,14 +260,21 @@ type jobs = {
   j_napi_irq : unit Cpu.job;       (* NAPI mitigated interrupt; queue in the int *)
   j_napi_poll : napi Cpu.job;      (* NAPI softirq poll round: collect *)
   j_napi_deliver : napi Cpu.job;   (* ... and deliver the batch *)
-  j_wake_members : Socket.t list ref Cpu.job;
-      (* NI-LRP host interrupt waking a multicast group's receivers *)
+  j_wake_ep : ep Cpu.job;
+      (* NI-LRP host interrupt waking a datagram endpoint's receivers *)
   j_app_chan : Channel.t Cpu.job;  (* NI-LRP host interrupt posting an APP job *)
   j_orphan : Channel.t Cpu.job;    (* orphaned connection's softint drain *)
   j_tcp_timer : Tcp.timer Cpu.job; (* softint timer expiry; generation in the int *)
   j_tcp_tx : unit Cpu.job;         (* softint cost of extra TCP output *)
   j_reasm : Packet.t Cpu.job;      (* transport input of a reassembled datagram *)
   j_forward : Packet.t Cpu.job;    (* Early-Demux eager IP forwarding *)
+  (* Engine event dispatchers ({!Engine.target}): an expiry carries its
+     object instead of a capturing closure. *)
+  g_tcp_timer : Tcp.timer Engine.target;
+  g_rcvto : (Socket.t * bool ref) Engine.target;
+      (* [Api.recvfrom_timeout]: the blocked socket and the caller's
+         expiry flag *)
+  g_napi_grace : Proc.waitq Engine.target;  (* NAPI grace poll *)
 }
 
 type t = {
@@ -267,48 +294,33 @@ type t = {
   mutable ipq_len : int;
   mbufs : Mbuf.t;
   (* --- endpoint tables --- *)
-  udp_ports : (int, Socket.t) Hashtbl.t;
+  udp_ports : (int, ep) Hashtbl.t;  (* bound datagram sockets and groups *)
   tcp_conns : Tcp.conn Flowtab.t;
       (* PCBs keyed like Chantab's TCP flows: [hi] = remote (source) IP,
          [lo] = remote port lsl 16 lor local port *)
-  tcp_listeners : (int, Tcp.conn) Hashtbl.t;
-  conn_sock : (int, Socket.t) Hashtbl.t;   (* conn id -> socket *)
-  conn_owner : (int, Proc.t) Hashtbl.t;    (* conn id -> owning process *)
+  tcp_listeners : (int, ep) Hashtbl.t;
+  eps : ep Flowtab.t;  (* connections and listeners by conn id ([hi]) *)
   (* --- LRP state --- *)
   parena : Parena.t;
       (* shared RX descriptor arena; every NI channel's ring draws its
          frame descriptors from here *)
   chantab : Chantab.t;
-  chan_sock : (int, Socket.t) Hashtbl.t;   (* channel id -> socket (UDP) *)
-  mcast_members : (int, Socket.t list ref) Hashtbl.t;
-      (* multicast port -> member sockets; all share one NI channel
-         (section 3.1) *)
-  chan_conn : (int, Tcp.conn) Hashtbl.t;   (* channel id -> connection *)
-  conn_chan : (int, Channel.t) Hashtbl.t;  (* connection id -> its channel *)
-  chans : Channel.t Flowtab.t;
-      (* open NI channels by id ([hi]; [lo] = 0), without the chantab's
-         three dedicated ones *)
+  chans : ep Flowtab.t;
+      (* endpoints with an open NI channel, by channel id ([hi]; [lo] =
+         0); the chantab's three dedicated channels are not here *)
+  mutable closed_discards : int;  (* early discards of closed channels *)
   apps : (int, app) Hashtbl.t;             (* owner pid -> APP thread *)
   helper_wq : Proc.waitq;
-  mutable helper_proc : Proc.t option;
   fwd_wq : Proc.waitq;
-  mutable fwd_proc : Proc.t option;
-  mutable udp_channels : Channel.t list;   (* scanned by the helper *)
+  mutable udp_eps : ep list;
+      (* bound datagram sockets with a channel, newest first: the
+         helper's scan *)
   (* --- NAPI state --- *)
   mutable napi : napi array;   (* one per RX queue; [||] unless NAPI-family *)
-  mutable napi_grace_tgt : Proc.waitq Engine.target option;
-      (* closure-free grace-poll re-arm; registered on first IRQ deferral *)
   mutable rxj : jobs option;  (* registered by [create] *)
   (* --- shared protocol state --- *)
   reasm : Ip.Reasm.t;
   mutable tcp_env : Tcp.env option;
-  mutable timer_tgt : Tcp.timer Engine.target option;
-      (* closure-free TCP timer expiry event; registered on first arm *)
-  mutable rcvto_tgt : (Socket.t * bool ref) Engine.target option;
-      (* closure-free recvfrom-timeout expiry event; registered on first
-         use.  The argument pairs the blocked socket with the caller's
-         expiry flag, so arming a timeout allocates one pair instead of a
-         capturing closure. *)
   mutable eph_port : int;
   stats : kstats;
   (* --- observability (per-kernel: parallel sweeps never share these) --- *)
@@ -328,7 +340,10 @@ let mbufs t = t.mbufs
 (* Newest first, then the fragment, ICMP and forwarding channels. *)
 let channels t =
   let open_chans = ref [] in
-  Flowtab.iter (fun ~hi:_ ~lo:_ ch -> open_chans := ch :: !open_chans) t.chans;
+  Flowtab.iter
+    (fun ~hi:_ ~lo:_ ep ->
+      Option.iter (fun ch -> open_chans := ch :: !open_chans) ep.ep_chan)
+    t.chans;
   List.sort (fun a b -> Int.compare (Channel.id b) (Channel.id a)) !open_chans
   @ [ Chantab.frag_channel t.chantab; Chantab.icmp_channel t.chantab;
       Chantab.fwd_channel t.chantab ]
@@ -357,10 +372,11 @@ let rec best_route dst nic len = function
 
 let route t dst = best_route dst t.nic 0 t.interfaces
 
+let[@inline] chan_discards ch = Channel.discarded ch + Channel.discarded_disabled ch
+
 let early_discards t =
-  List.fold_left
-    (fun acc ch -> acc + Channel.discarded ch + Channel.discarded_disabled ch)
-    0 (channels t)
+  List.fold_left (fun acc ch -> acc + chan_discards ch) t.closed_discards
+    (channels t)
 
 let tracer t = t.tracer
 
@@ -498,36 +514,35 @@ let[@inline] charge_poll t d =
    inline [schedule_after ... (fun () -> ...)] form cost a thunk plus a
    boxed delay per grace poll). *)
 let napi_grace_rearm t (n : napi) =
-  let g =
-    match t.napi_grace_tgt with
-    | Some g -> g
-    | None ->
-        let g =
-          (* alloc: cold — one-time dispatcher registration *)
-          Engine.target t.engine (fun wq -> wake_one t wq)
-        in
-        (* alloc: cold — one-time dispatcher registration *)
-        t.napi_grace_tgt <- Some g;
-        g
-  in
   (Engine.deadline_cell t.engine).(0) <-
     (Engine.clock_cell t.engine).(0) +. napi_repoll;
-  ignore (Engine.schedule_to_staged t.engine g n.ksoftirqd_wq)
+  ignore (Engine.schedule_to_staged t.engine (jobs t).g_napi_grace n.ksoftirqd_wq)
 
 let backlog_full (listener : Tcp.conn) =
   listener.Tcp.syn_pending + Queue.length listener.Tcp.accept_queue
   >= listener.Tcp.backlog
 
+(* The endpoint of a connection or listener, and of an open channel:
+   one Flowtab probe each; [null_ep] when there is none. *)
+let conn_ep t (conn : Tcp.conn) =
+  let slot = Flowtab.find t.eps ~hi:conn.Tcp.id ~lo:0 in
+  if slot >= 0 then Flowtab.value t.eps slot else null_ep
+
+let chan_ep t ch =
+  let slot = Flowtab.find t.chans ~hi:(Channel.id ch) ~lo:0 in
+  if slot >= 0 then Flowtab.value t.chans slot else null_ep
+
 (* LRP gates the listening socket's channel on the backlog: once exceeded,
    protocol processing is disabled and further SYNs die cheaply at the NI
    channel (section 3.4). *)
-let update_listen_gate t (listener : Tcp.conn) =
-  if t.proto = Lazy then
-    match Hashtbl.find t.conn_chan listener.Tcp.id with
-    | exception Not_found -> ()
-    | ch ->
-        if backlog_full listener then Channel.disable_processing ch
-        else Channel.enable_processing ch
+let listen_gate ep =
+  match ep.ep_chan with
+  | Some ch ->
+      if backlog_full ep.ep_conn then Channel.disable_processing ch
+      else Channel.enable_processing ch
+  | None -> ()
+
+let update_listen_gate t listener = listen_gate (conn_ep t listener)
 
 (* Reading a packet out of an NI channel buffer costs an NI-memory
    access when the channels live on the interface. *)
@@ -579,11 +594,12 @@ and drain_tcp_channel t ch =
     charge_proto t ~flow:(Channel.id ch)
       (ni_access_cost t
        +. (t.c.Cost.lazy_locality *. (t.c.Cost.ip_in +. t.c.Cost.tcp_in)));
-    (match Hashtbl.find t.chan_conn (Channel.id ch) with
-     | exception Not_found -> () (* connection vanished: discard *)
-     | conn ->
-         tcp_deliver t conn pkt ~ctx:`Proc;
-         if Tcp.state conn = Tcp.Listen then update_listen_gate t conn);
+    (* A closed channel's connection is gone: its frames are discarded. *)
+    let ep = chan_ep t ch in
+    if ep != null_ep then begin
+      tcp_deliver t ep.ep_conn pkt ~ctx:`Proc;
+      if Tcp.state ep.ep_conn = Tcp.Listen then listen_gate ep
+    end;
     drain_tcp_channel t ch
   end
 
@@ -618,7 +634,7 @@ and app_for t (owner : Proc.t) =
       (* The rest runs once per process; its ring grows on first post. *)
       let app =
         (* alloc: cold — once per process *)
-        { app_owner = owner; app_wq = Proc.waitq "app"; app_proc = None;
+        { app_owner = owner; app_wq = Proc.waitq "app";
           aq_chan = [||]; aq_timer = [||]; aq_gen = [||]; aq_head = 0;
           aq_len = 0 }
       in
@@ -633,8 +649,6 @@ and app_for t (owner : Proc.t) =
       if t.cfg.fair_app_accounting then
         (* alloc: cold — once per process *)
         Cpu.set_account t.cpu proc ~owner:(Some owner);
-      (* alloc: cold — once per process *)
-      app.app_proc <- Some proc;
       app
 
 (* Double an APP thread's ring (8 rows at first), unrolling the live rows
@@ -677,15 +691,14 @@ let orphan_post t ch =
 let orphan_drain t ch =
   let pkt = Channel.pop ch in
   if pkt != Packet.null then begin
-    (match Hashtbl.find t.chan_conn (Channel.id ch) with
-     | conn -> tcp_deliver t conn pkt ~ctx:`Soft
-     | exception Not_found -> ());
+    let ep = chan_ep t ch in
+    if ep != null_ep then tcp_deliver t ep.ep_conn pkt ~ctx:`Soft;
     if not (Channel.is_empty ch) then orphan_post t ch
   end
 
-let app_post_chan t conn ch =
-  match Hashtbl.find t.conn_owner conn.Tcp.id with
-  | owner when not owner.Proc.exited ->
+let app_post_chan t ep ch =
+  match ep.ep_owner with
+  | Some owner when not owner.Proc.exited ->
       let app = app_for t owner in
       if Channel.job_owner ch = owner.Proc.pid then wake_one t app.app_wq
       else begin
@@ -695,13 +708,13 @@ let app_post_chan t conn ch =
             owner.Proc.name;
         app_post t app ch Tcp.null_conn.Tcp.rtx_timer (-1)
       end
-  | _ | (exception Not_found) -> orphan_post t ch
+  | Some _ | None -> orphan_post t ch
 
 let app_post_timer t conn tm gen =
-  match Hashtbl.find t.conn_owner conn.Tcp.id with
-  | owner when not owner.Proc.exited ->
+  match (conn_ep t conn).ep_owner with
+  | Some owner when not owner.Proc.exited ->
       app_post t (app_for t owner) (Chantab.fwd_channel t.chantab) tm gen
-  | _ | (exception Not_found) ->
+  | Some _ | None ->
       (* Orphaned connection (e.g. TIME_WAIT after exit): fall back to
          software-interrupt context so it still makes progress. *)
       (Cpu.cost_cell t.cpu).(0) <- t.c.Cost.soft_dispatch +. t.c.Cost.tcp_in;
@@ -709,98 +722,168 @@ let app_post_timer t conn tm gen =
         (jobs t).j_tcp_timer tm gen
 
 (* ------------------------------------------------------------------ *)
-(* NI channels and connection registration                              *)
+(* Endpoints: open, close, hand over                                    *)
 (* ------------------------------------------------------------------ *)
-
-type endpoint =
-  | Udp_port of int * Socket.t option
-  | Tcp_conn of Tcp.conn
-
-(* Allocate an endpoint's NI channel and enter it in the Chantab and the
-   kernel's tables.  Only lazy kernels receive into NI channels; under
-   eager ones this is a no-op. *)
-let open_channel t ep =
-  match t.proto with
-  | Eager -> None
-  | Lazy ->
-      let ch = Channel.create ~arena:t.parena ~limit:t.cfg.channel_limit () in
-      (match ep with
-       | Udp_port (port, owner) ->
-           Chantab.add_udp t.chantab ~port ch;
-           Option.iter (Hashtbl.replace t.chan_sock (Channel.id ch)) owner;
-           t.udp_channels <- ch :: t.udp_channels
-       | Tcp_conn conn ->
-           let port = conn.Tcp.local_port in
-           (match conn.Tcp.remote with
-            | None -> Chantab.add_tcp_listen t.chantab ~port ch
-            | Some (src, src_port) ->
-                Chantab.add_tcp t.chantab ~src ~src_port ~dst_port:port ch);
-           Hashtbl.replace t.chan_conn (Channel.id ch) conn;
-           Hashtbl.replace t.conn_chan conn.Tcp.id ch);
-      Flowtab.add_new t.chans ~hi:(Channel.id ch) ~lo:0 ch;
-      Some ch
-
-(* Forget a deallocated channel in every kernel table and fold its
-   ledger row: O(1), and no allocation for a connection's channel. *)
-let forget_channel t ch =
-  let id = Channel.id ch in
-  ignore (Flowtab.remove t.chans ~hi:id ~lo:0);
-  Hashtbl.remove t.chan_sock id;
-  Ledger.retire_flow (Cpu.ledger t.cpu) ~flow:id;
-  match Hashtbl.find t.chan_conn id with
-  | conn ->
-      Hashtbl.remove t.chan_conn id;
-      Hashtbl.remove t.conn_chan conn.Tcp.id
-  | exception Not_found -> ()
-
-(* Deallocate a connection's (or listener's) NI channel, found through
-   [conn_chan]. *)
-let close_conn_channel t conn =
-  if t.proto = Lazy then begin
-    let port = conn.Tcp.local_port in
-    (match conn.Tcp.remote with
-     | None -> Chantab.remove_tcp_listen t.chantab ~port
-     | Some (src, src_port) ->
-         Chantab.remove_tcp t.chantab ~src ~src_port ~dst_port:port);
-    match Hashtbl.find t.conn_chan conn.Tcp.id with
-    | ch -> forget_channel t ch
-    | exception Not_found -> ()
-  end
-
-(* Deallocate an endpoint's NI channel: a socket's own (or its group's
-   shared) channel, or a connection's. *)
-let close_channel t ep =
-  match ep with
-  | Udp_port (port, Some { Socket.chan = Some ch; _ }) ->
-      Chantab.remove_udp t.chantab ~port;
-      t.udp_channels <- List.filter (fun c -> c != ch) t.udp_channels;
-      forget_channel t ch
-  | Udp_port (_, (Some _ | None)) -> ()
-  | Tcp_conn conn -> close_conn_channel t conn
 
 (* [tcp_conns] keys. *)
 let[@inline] pcb_lo ~rport ~lport = (rport lsl 16) lor lport
 
-let register_conn t conn ~owner =
-  match conn.Tcp.remote with
-  | None -> invalid_arg "register_conn: no remote"
-  | Some (rip, rport) ->
-      Flowtab.add t.tcp_conns ~hi:rip
-        ~lo:(pcb_lo ~rport ~lport:conn.Tcp.local_port) conn;
-      (match owner with
-       | Some o -> Hashtbl.replace t.conn_owner conn.Tcp.id o
-       | None -> ());
-      ignore (open_channel t (Tcp_conn conn))
+(* A new endpoint.  Only lazy kernels receive into NI channels: there it
+   gets its own, bound in the Chantab. *)
+let open_ep ?(group = false) t ~port ~conn ~socks ~owner =
+  let ep =
+    { ep_port = port; ep_conn = conn; ep_group = group; ep_socks = socks;
+      ep_owner = owner; ep_chan = None }
+  in
+  if t.proto = Lazy then begin
+    let ch = Channel.create ~arena:t.parena ~limit:t.cfg.channel_limit () in
+    (if conn == Tcp.null_conn then Chantab.add_udp t.chantab ~port ch
+     else
+       match conn.Tcp.remote with
+       | None -> Chantab.add_tcp_listen t.chantab ~port ch
+       | Some (src, src_port) ->
+           Chantab.add_tcp t.chantab ~src ~src_port ~dst_port:port ch);
+    ep.ep_chan <- Some ch;
+    Flowtab.add_new t.chans ~hi:(Channel.id ch) ~lo:0 ep
+  end;
+  ep
 
-let deregister_conn t conn =
-  match conn.Tcp.remote with
-  | None -> ()
-  | Some (rip, rport) ->
-      let lo = pcb_lo ~rport ~lport:conn.Tcp.local_port in
-      let slot = Flowtab.find t.tcp_conns ~hi:rip ~lo in
-      if slot >= 0 && (Flowtab.value t.tcp_conns slot).Tcp.id = conn.Tcp.id
-      then ignore (Flowtab.remove t.tcp_conns ~hi:rip ~lo);
-      close_conn_channel t conn
+(* Unbind the endpoint from the Chantab and deallocate its channel: fold
+   its discards into [closed_discards] and its ledger row into the
+   aggregate.  O(1), and no allocation for a connection's channel. *)
+let close_chan t ep =
+  if t.proto = Lazy then begin
+    let port = ep.ep_port and conn = ep.ep_conn in
+    (if conn == Tcp.null_conn then Chantab.remove_udp t.chantab ~port
+     else
+       match conn.Tcp.remote with
+       | None -> Chantab.remove_tcp_listen t.chantab ~port
+       | Some (src, src_port) ->
+           Chantab.remove_tcp t.chantab ~src ~src_port ~dst_port:port);
+    match ep.ep_chan with
+    | Some ch ->
+        ep.ep_chan <- None;
+        ignore (Flowtab.remove t.chans ~hi:(Channel.id ch) ~lo:0);
+        Ledger.retire_flow (Cpu.ledger t.cpu) ~flow:(Channel.id ch);
+        t.closed_discards <- t.closed_discards + chan_discards ch
+    | None -> ()
+  end
+
+let rec drop_queued ch n =
+  if Channel.pop ch == Packet.null then n else drop_queued ch (n + 1)
+
+(* Release everything an endpoint holds.  The frames still queued on a
+   datagram endpoint's channel are dropped at its (last) socket; a
+   connection's channel keeps its frames, which an APP or orphan drain
+   still queued for it pops and discards. *)
+let release_ep t ep =
+  let conn = ep.ep_conn and port = ep.ep_port in
+  (if conn == Tcp.null_conn then begin
+     Hashtbl.remove t.udp_ports port;
+     t.udp_eps <- List.filter (fun e -> e != ep) t.udp_eps;
+     match ep.ep_chan, ep.ep_socks with
+     | Some ch, s :: _ ->
+         let st = s.Socket.stats in
+         st.Socket.rx_sockq_drops <- st.Socket.rx_sockq_drops + drop_queued ch 0
+     | _, _ -> ()
+   end
+   else begin
+     (match conn.Tcp.remote with
+      | None -> Hashtbl.remove t.tcp_listeners port
+      | Some (rip, rport) ->
+          let lo = pcb_lo ~rport ~lport:port in
+          let slot = Flowtab.find t.tcp_conns ~hi:rip ~lo in
+          if slot >= 0 && (Flowtab.value t.tcp_conns slot).Tcp.id = conn.Tcp.id
+          then ignore (Flowtab.remove t.tcp_conns ~hi:rip ~lo));
+     ignore (Flowtab.remove t.eps ~hi:conn.Tcp.id ~lo:0)
+   end);
+  close_chan t ep
+
+(* A connection's or listener's endpoint: its PCB or listen port, its
+   entry in [eps], its channel. *)
+let register t conn ~socks ~owner =
+  let port = conn.Tcp.local_port in
+  let ep = open_ep t ~port ~conn ~socks ~owner in
+  (match conn.Tcp.remote with
+   | None -> Hashtbl.replace t.tcp_listeners port ep
+   | Some (rip, rport) ->
+       Flowtab.add t.tcp_conns ~hi:rip ~lo:(pcb_lo ~rport ~lport:port) conn);
+  Flowtab.add_new t.eps ~hi:conn.Tcp.id ~lo:0 ep
+
+let bind t (sock : Socket.t) ~owner ~port =
+  if Hashtbl.mem t.udp_ports port then invalid_arg "Kernel.bind: port in use";
+  sock.Socket.port <- Some port;
+  let ep = open_ep t ~port ~conn:Tcp.null_conn ~socks:[ sock ] ~owner in
+  Hashtbl.replace t.udp_ports port ep;
+  if Option.is_some ep.ep_chan then t.udp_eps <- ep :: t.udp_eps;
+  sock.Socket.chan <- ep.ep_chan
+
+(* The first member opens the group's endpoint; every member reads raw
+   packets from its one channel (section 3.1). *)
+let join_group t (sock : Socket.t) ~owner ~port =
+  let ep =
+    match Hashtbl.find_opt t.udp_ports port with
+    | Some ep when ep.ep_group -> ep
+    | Some _ -> invalid_arg "Kernel.join_group: port bound by a unicast socket"
+    | None ->
+        let ep = open_ep ~group:true t ~port ~conn:Tcp.null_conn ~socks:[] ~owner in
+        Hashtbl.replace t.udp_ports port ep;
+        ep
+  in
+  sock.Socket.port <- Some port;
+  ep.ep_socks <- sock :: ep.ep_socks;
+  sock.Socket.chan <- ep.ep_chan
+
+(* The group's channel stays until its last member leaves. *)
+let leave_group t (sock : Socket.t) ~port =
+  match Hashtbl.find_opt t.udp_ports port with
+  | Some ep when ep.ep_group ->
+      (match List.filter (fun s -> s.Socket.id <> sock.Socket.id) ep.ep_socks with
+       | [] ->
+           release_ep t ep;
+           ep.ep_socks <- []
+       | rest -> ep.ep_socks <- rest);
+      sock.Socket.chan <- None
+  | Some _ | None -> ()
+
+(* Close a datagram socket: leave its group or release its endpoint, and
+   free the datagrams left on its queue.  Every frame the socket still
+   held counts once, as a socket-queue drop. *)
+let close_dgram t (sock : Socket.t) =
+  (match Option.bind sock.Socket.port (Hashtbl.find_opt t.udp_ports) with
+   | Some ep when ep.ep_group -> leave_group t sock ~port:ep.ep_port
+   | Some ep when List.memq sock ep.ep_socks -> release_ep t ep
+   | Some _ | None -> ());
+  sock.Socket.chan <- None;
+  let st = sock.Socket.stats and q = sock.Socket.udp_rcv in
+  st.Socket.rx_sockq_drops <- st.Socket.rx_sockq_drops + Queue.length q;
+  Queue.iter
+    (fun (dg : Socket.udp_datagram) ->
+      free_rx_pkt t ~mh:dg.Socket.dg_mbuf
+        (Payload.length dg.Socket.dg_payload + Packet.ip_header_bytes
+         + Packet.udp_header_bytes))
+    q;
+  Queue.clear q
+
+(* [sock] takes [conn]: it mirrors the connection's ports, the
+   connection's events wake it, and [owner] is charged for its protocol
+   work — at accept, and again when the socket changes hands. *)
+let attach t (sock : Socket.t) (conn : Tcp.conn) ~owner =
+  sock.Socket.port <- Some conn.Tcp.local_port;
+  sock.Socket.remote <- conn.Tcp.remote;
+  sock.Socket.tcp <- Some conn;
+  let ep = conn_ep t conn in
+  if ep != null_ep then begin
+    ep.ep_socks <- [ sock ];
+    ep.ep_owner <- Some owner
+  end
+
+(* Open the endpoint of a listener or an actively opened connection. *)
+let open_conn t sock (conn : Tcp.conn) ~owner =
+  if conn.Tcp.remote = None && Hashtbl.mem t.tcp_listeners conn.Tcp.local_port
+  then invalid_arg "Kernel.open_conn: port in use";
+  register t conn ~socks:[] ~owner:(Some owner);
+  attach t sock conn ~owner
 
 (* ------------------------------------------------------------------ *)
 (* TCP environment                                                      *)
@@ -821,37 +904,16 @@ let fire_tcp_timer t tm =
         (jobs t).j_tcp_timer tm gen
   | Lazy -> app_post_timer t (Tcp.timer_conn tm) tm gen
 
-(* Typed dispatcher for [Api.recvfrom_timeout] deadlines: registered once
-   per kernel, so arming a timeout allocates a (socket, flag) pair instead
-   of a capturing closure (the engine's typed fast path). *)
-let recv_timeout_target t =
-  match t.rcvto_tgt with
-  | Some g -> g
-  | None ->
-      let g =
-        Engine.target t.engine (fun (sock, expired) ->
-            expired := true;
-            wake_all t sock.Socket.recv_wait)
-      in
-      t.rcvto_tgt <- Some g;
-      g
+let recv_timeout_target t = (jobs t).g_rcvto
 
-let timer_target t =
-  match t.timer_tgt with
-  | Some g -> g
-  | None ->
-      let g = Engine.target t.engine (fun tm -> fire_tcp_timer t tm) in
-      t.timer_tgt <- Some g;
-      g
-
-(* Wake the chosen waiters of a connection's socket, if it still has one. *)
-let wake_sock ?(send = false) ?(recv = false) ?(accept = false) t conn =
-  match Hashtbl.find t.conn_sock conn.Tcp.id with
-  | s ->
+(* Wake the chosen waiters of a connection's socket, if it has one. *)
+let wake_ep ?(send = false) ?(recv = false) ?(accept = false) t ep =
+  match ep.ep_socks with
+  | s :: _ ->
       if send then wake_all t s.Socket.send_wait;
       if recv then wake_all t s.Socket.recv_wait;
       if accept then wake_all t s.Socket.accept_wait
-  | exception Not_found -> ()
+  | [] -> ()
 
 let make_tcp_env t =
   { Tcp.clock = Engine.clock_cell t.engine;
@@ -860,35 +922,33 @@ let make_tcp_env t =
     start_timer =
       (fun tm ->
         tm.Tcp.cookie <-
-          Engine.schedule_to_staged t.engine (timer_target t) tm);
+          Engine.schedule_to_staged t.engine (jobs t).g_tcp_timer tm);
     stop_timer = (fun tm -> Engine.cancel t.engine tm.Tcp.cookie);
-    on_readable = (fun conn -> wake_sock t conn ~recv:true);
-    on_writable = (fun conn -> wake_sock t conn ~send:true);
-    on_established = (fun conn -> wake_sock t conn ~send:true ~recv:true);
-    on_accept_ready = (fun listener _child -> wake_sock t listener ~accept:true);
+    on_readable = (fun conn -> wake_ep t (conn_ep t conn) ~recv:true);
+    on_writable = (fun conn -> wake_ep t (conn_ep t conn) ~send:true);
+    on_established =
+      (fun conn -> wake_ep t (conn_ep t conn) ~send:true ~recv:true);
+    on_accept_ready = (fun l _child -> wake_ep t (conn_ep t l) ~accept:true);
     on_syn_received =
       (fun listener child ->
-        let owner = Hashtbl.find_opt t.conn_owner listener.Tcp.id in
-        register_conn t child ~owner);
-    on_connect_failed = (fun conn -> wake_sock t conn ~send:true ~recv:true);
+        register t child ~socks:[] ~owner:(conn_ep t listener).ep_owner);
+    on_connect_failed =
+      (fun conn -> wake_ep t (conn_ep t conn) ~send:true ~recv:true);
     on_reset =
-      (fun conn -> wake_sock t conn ~send:true ~recv:true ~accept:true);
+      (fun conn -> wake_ep t (conn_ep t conn) ~send:true ~recv:true ~accept:true);
     on_time_wait =
       (fun conn ->
         (* Channels that live on the NI are deallocated on entry to
            TIME_WAIT so that NI channel slots scale to busy servers
            (section 4.2). *)
         match t.demux with
-        | Nic -> close_conn_channel t conn
+        | Nic -> let ep = conn_ep t conn in if ep != null_ep then close_chan t ep
         | Softirq | Hardirq -> ());
     on_closed =
       (fun conn ->
-        deregister_conn t conn;
-        Hashtbl.remove t.conn_owner conn.Tcp.id;
-        wake_sock t conn ~send:true ~recv:true;
-        (* The connection is gone for good: drop its socket mapping, which
-           [Api] added at listen / accept / connect. *)
-        Hashtbl.remove t.conn_sock conn.Tcp.id);
+        let ep = conn_ep t conn in
+        if ep != null_ep then release_ep t ep;
+        wake_ep t ep ~send:true ~recv:true);
     mss = t.cfg.mss;
     time_wait_duration = t.cfg.time_wait;
     initial_rto = t.cfg.initial_rto;
@@ -953,20 +1013,21 @@ let deliver_udp_ready t ~mh (pkt : Packet.t) =
       if Packet.is_multicast pkt then begin
         (* The original chain is released; members get duplicates. *)
         free_rx_pkt t ~mh bytes;
-        match Hashtbl.find t.mcast_members u.Packet.udst_port with
-        | exception Not_found ->
+        match Hashtbl.find t.udp_ports u.Packet.udst_port with
+        | { ep_group = true; ep_socks; _ } ->
+            deposit_members t pkt payload sport bytes ep_socks
+        | _ | (exception Not_found) ->
             t.stats.no_port_drops <- t.stats.no_port_drops + 1
-        | members -> deposit_members t pkt payload sport bytes !members
       end
       else
         (match Hashtbl.find t.udp_ports u.Packet.udst_port with
-         | exception Not_found ->
-             t.stats.no_port_drops <- t.stats.no_port_drops + 1;
-             free_rx_pkt t ~mh bytes
-         | sock ->
+         | { ep_group = false; ep_socks = sock :: _; _ } ->
              if peer_accepts t sock pkt sport then
                deposit t sock pkt payload sport ~mh bytes
-             else free_rx_pkt t ~mh bytes)
+             else free_rx_pkt t ~mh bytes
+         | _ | (exception Not_found) ->
+             t.stats.no_port_drops <- t.stats.no_port_drops + 1;
+             free_rx_pkt t ~mh bytes)
   | Packet.Tcp _ | Packet.Icmp _ | Packet.Fragment _ -> ()
 
 let icmp_reply t (pkt : Packet.t) =
@@ -979,26 +1040,26 @@ let icmp_reply t (pkt : Packet.t) =
            Packet.Echo_reply payload)
   | Packet.Icmp _ | Packet.Udp _ | Packet.Tcp _ | Packet.Fragment _ -> ()
 
-(* The eager PCB lookup, ports straight off the header: deliver to the
-   connection's own PCB, else to the port's listener; [false] when no
-   endpoint matches. *)
+(* The eager PCB lookup, ports straight off the header: the connection's
+   own PCB, else the port's listener; [Tcp.null_conn] when there is
+   none. *)
+let pcb_lookup t ~src (h : Packet.tcp_header) =
+  let slot =
+    Flowtab.find t.tcp_conns ~hi:src
+      ~lo:(pcb_lo ~rport:h.Packet.tsrc_port ~lport:h.Packet.tdst_port)
+  in
+  if slot >= 0 then Flowtab.value t.tcp_conns slot
+  else
+    match Hashtbl.find t.tcp_listeners h.Packet.tdst_port with
+    | l -> l.ep_conn
+    | exception Not_found -> Tcp.null_conn
+
+(* Hand a segment to its endpoint; [false] when none matches. *)
 let deliver_tcp t (pkt : Packet.t) ~ctx =
   match pkt.Packet.body with
   | Packet.Tcp (h, _) ->
-      let slot =
-        Flowtab.find t.tcp_conns ~hi:pkt.Packet.ip.Packet.src
-          ~lo:(pcb_lo ~rport:h.Packet.tsrc_port ~lport:h.Packet.tdst_port)
-      in
-      if slot >= 0 then begin
-        tcp_deliver t (Flowtab.value t.tcp_conns slot) pkt ~ctx;
-        true
-      end
-      else (
-        match Hashtbl.find t.tcp_listeners h.Packet.tdst_port with
-        | listener ->
-            tcp_deliver t listener pkt ~ctx;
-            true
-        | exception Not_found -> false)
+      let conn = pcb_lookup t ~src:pkt.Packet.ip.Packet.src h in
+      conn != Tcp.null_conn && (tcp_deliver t conn pkt ~ctx; true)
   | Packet.Udp _ | Packet.Icmp _ | Packet.Fragment _ -> false
 
 (* Transport-level processing of a complete (reassembled) datagram; runs in
@@ -1037,12 +1098,16 @@ let[@inline] transport_cost t (pkt : Packet.t) ~skip_pcb =
 (* BSD receive path                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* Inlined (as is [transport_cost]) so the per-packet float result is not
-   boxed on its way into the CPU's cost cell. *)
-let[@inline] bsd_soft_cost t (pkt : Packet.t) =
+(* The cost of one eager IP-input softint: dispatch, [ipq] for the
+   shared IP queue's churn (0. where demux came first and there is no
+   queue), then forwarding, or IP input, reassembly, transport and the
+   socket-buffer append.  Inlined (as is [transport_cost]) so the
+   per-packet float result is not boxed on its way into the CPU's cost
+   cell. *)
+let[@inline] eager_soft_cost t (pkt : Packet.t) ~ipq ~skip_pcb =
   if is_transit t pkt then
     (* Transit packet: IP forwarding (or discard) in softint context. *)
-    t.c.Cost.soft_dispatch +. t.c.Cost.ipq_op
+    t.c.Cost.soft_dispatch +. ipq
     +. (t.c.Cost.eager_penalty *. (t.c.Cost.ip_in +. t.c.Cost.ip_forward))
   else
   let frag_extra =
@@ -1050,10 +1115,9 @@ let[@inline] bsd_soft_cost t (pkt : Packet.t) =
     else 0.
   in
   let transport =
-    if Packet.is_fragment pkt then 0.
-    else transport_cost t pkt ~skip_pcb:false
+    if Packet.is_fragment pkt then 0. else transport_cost t pkt ~skip_pcb
   in
-  t.c.Cost.soft_dispatch +. t.c.Cost.ipq_op
+  t.c.Cost.soft_dispatch +. ipq
   +. (t.c.Cost.eager_penalty *. t.c.Cost.ip_in)
   +. frag_extra +. transport +. t.c.Cost.sockbuf_append
 
@@ -1082,13 +1146,14 @@ let ip_input_local t ~mh (pkt : Packet.t) ~skip_pcb =
 (* Softint-context IP input of a received packet, run by BSD's softnet
    and by the NAPI poll loop: forward (or drop) a transit packet, process
    a local one. *)
+let forward t pkt =
+  t.stats.forwarded <- t.stats.forwarded + 1;
+  ip_output t pkt
+
 let ip_input t ~mh pkt =
   if is_transit t pkt then begin
     free_rx_pkt t ~mh (Packet.wire_bytes pkt);
-    if t.cfg.forwarding then begin
-      t.stats.forwarded <- t.stats.forwarded + 1;
-      ip_output t pkt
-    end
+    if t.cfg.forwarding then forward t pkt
     else t.stats.fwd_drops <- t.stats.fwd_drops + 1
   end
   else ip_input_local t ~mh pkt ~skip_pcb:false
@@ -1108,7 +1173,8 @@ let bsd_driver_rx t pkt =
     if t.ipq_len > t.stats.ipq_hwm then t.stats.ipq_hwm <- t.ipq_len;
     Trace.ipq_enqueue t.tracer ~pkt:pkt.Packet.ip.Packet.ident
       ~qlen:t.ipq_len;
-    (Cpu.cost_cell t.cpu).(0) <- bsd_soft_cost t pkt;
+    (Cpu.cost_cell t.cpu).(0) <-
+      eager_soft_cost t pkt ~ipq:t.c.Cost.ipq_op ~skip_pcb:false;
     Cpu.post_soft_job t.cpu ~label:"softnet" ~tpkt:pkt.Packet.ip.Packet.ident
       ~poll:false (jobs t).j_softnet pkt mh
   end
@@ -1142,7 +1208,8 @@ let rss_steer pkt ~queues =
    dispatch, shared-IP-queue churn).  The per-packet ring dequeue is
    charged separately ([poll_dequeue]). *)
 let[@inline] napi_proto_cost t pkt =
-  bsd_soft_cost t pkt -. t.c.Cost.soft_dispatch -. t.c.Cost.ipq_op
+  eager_soft_cost t pkt ~ipq:t.c.Cost.ipq_op ~skip_pcb:false
+  -. t.c.Cost.soft_dispatch -. t.c.Cost.ipq_op
 
 (* GRO merges only what aggregation cannot change for the shared protocol
    code: local unicast, checksum already verified (GRO runs after
@@ -1535,18 +1602,12 @@ let lrp_classify_rx t pkt =
          let was_empty = code = Channel.queued_was_empty in
          (match cls with
             | Demux.Udp_class ->
-                let dst_port_of_flow = Demux.udp_dst_port_of_packet pkt in
                 if Channel.interrupt_requested ch then begin
                   Channel.clear_interrupt_request ch;
-                  match Hashtbl.find t.mcast_members dst_port_of_flow with
-                  | members ->
-                      (match t.demux with
-                       | Nic -> ni_intr t (jobs t).j_wake_members members
-                       | Softirq | Hardirq -> wake_members t !members)
-                  | exception Not_found ->
-                      (match Hashtbl.find t.chan_sock (Channel.id ch) with
-                       | sock -> ni_wake_one t sock.Socket.recv_wait
-                       | exception Not_found -> ())
+                  (* The bound socket's receiver, or every member's. *)
+                  match t.demux with
+                  | Nic -> ni_intr t (jobs t).j_wake_ep (chan_ep t ch)
+                  | Softirq | Hardirq -> wake_members t (chan_ep t ch).ep_socks
                 end
                 else if t.cfg.udp_helper && was_empty then
                   (* Nobody is waiting: let the minimal-priority protocol
@@ -1563,15 +1624,9 @@ let lrp_classify_rx t pkt =
                    empty-to-non-empty transition needs a notification —
                    under NI demux that keeps host interrupts rare. *)
                 if was_empty then
-                  (match Hashtbl.find t.chan_conn (Channel.id ch) with
-                   | conn ->
-                       (match t.demux with
-                        | Nic -> ni_intr t (jobs t).j_app_chan ch
-                        | Softirq | Hardirq -> app_post_chan t conn ch)
-                   | exception Not_found ->
-                       if Trace.enabled t.tracer then
-                         Trace.notef t.tracer "rx tcp chan %d: NO CONN"
-                           (Channel.id ch))
+                  (match t.demux with
+                   | Nic -> ni_intr t (jobs t).j_app_chan ch
+                   | Softirq | Hardirq -> app_post_chan t (chan_ep t ch) ch)
             | Demux.Frag_class | Demux.Icmp_class ->
                 (* Fragments needing reassembly and ICMP: the helper
                    handles them if no receiver does first. *)
@@ -1588,19 +1643,9 @@ let edemux_drop t (pkt : Packet.t) =
 (* Eager protocol processing, BSD-style, as a softint job carrying the
    packet's mbuf handle. *)
 let edemux_eager t (pkt : Packet.t) =
-  let is_frag = Packet.is_fragment pkt in
   let mh = rx_reserve t pkt in
   if mh <> no_mbufs then begin
-    let frag_extra =
-      if is_frag then t.c.Cost.eager_penalty *. t.c.Cost.reasm_per_frag else 0.
-    in
-    let transport =
-      if is_frag then 0. else transport_cost t pkt ~skip_pcb:true
-    in
-    (Cpu.cost_cell t.cpu).(0) <-
-      t.c.Cost.soft_dispatch
-      +. (t.c.Cost.eager_penalty *. t.c.Cost.ip_in)
-      +. frag_extra +. transport +. t.c.Cost.sockbuf_append;
+    (Cpu.cost_cell t.cpu).(0) <- eager_soft_cost t pkt ~ipq:0. ~skip_pcb:true;
     Cpu.post_soft_job t.cpu ~label:"softnet" ~tpkt:pkt.Packet.ip.Packet.ident
       ~poll:false (jobs t).j_edemux_soft pkt mh
   end
@@ -1609,17 +1654,16 @@ let edemux_eager t (pkt : Packet.t) =
    A group datagram is discarded only when no member's queue has room. *)
 let edemux_udp t pkt ~dst_port =
   match Hashtbl.find t.udp_ports dst_port with
-  | sock ->
-      if Socket.has_room sock then edemux_eager t pkt else edemux_drop t pkt
-  | exception Not_found ->
-      (match Hashtbl.find t.mcast_members dst_port with
-       | members when Packet.is_multicast pkt ->
-           if List.exists Socket.has_room !members then edemux_eager t pkt
-           else edemux_drop t pkt
-       | _ | (exception Not_found) -> edemux_drop t pkt)
+  | ep when (not ep.ep_group) || Packet.is_multicast pkt ->
+      if List.exists Socket.has_room ep.ep_socks then edemux_eager t pkt
+      else edemux_drop t pkt
+  | _ | (exception Not_found) -> edemux_drop t pkt
 
-(* Early discard on a full receive buffer or backlog, probing the PCBs
-   with the ports straight off the (first-fragment-aware) header. *)
+(* Early discard on a full receive buffer or, for a SYN, a full listen
+   backlog, probing the PCBs with the ports straight off the
+   (first-fragment-aware) header.  With no endpoint the segment is
+   processed eagerly so TCP answers with an RST, as the BSD code this
+   kernel is derived from does. *)
 let edemux_tcp t pkt =
   let h =
     match pkt.Packet.body with
@@ -1627,30 +1671,20 @@ let edemux_tcp t pkt =
     | Packet.Fragment { Packet.whole = { Packet.body = Packet.Tcp (h, _); _ }; _ } -> h
     | Packet.Udp _ | Packet.Icmp _ | Packet.Fragment _ -> assert false
   in
-  let slot =
-    Flowtab.find t.tcp_conns ~hi:(Packet.src pkt)
-      ~lo:(pcb_lo ~rport:h.Packet.tsrc_port ~lport:h.Packet.tdst_port)
+  let conn = pcb_lookup t ~src:(Packet.src pkt) h in
+  let full =
+    if conn == Tcp.null_conn then false
+    else if Tcp.state conn = Tcp.Listen then
+      h.Packet.flags.Packet.syn && (not h.Packet.flags.Packet.ack)
+      && backlog_full conn
+    else conn.Tcp.rcvq_bytes >= conn.Tcp.rcv_buf_limit
   in
-  if slot >= 0 then begin
-    let conn = Flowtab.value t.tcp_conns slot in
-    if conn.Tcp.rcvq_bytes >= conn.Tcp.rcv_buf_limit then edemux_drop t pkt
-    else edemux_eager t pkt
-  end
-  else if h.Packet.flags.Packet.syn && not h.Packet.flags.Packet.ack then
-    match Hashtbl.find t.tcp_listeners h.Packet.tdst_port with
-    | l -> if backlog_full l then edemux_drop t pkt else edemux_eager t pkt
-    | exception Not_found ->
-        (* No endpoint: process eagerly so TCP answers with an RST, as the
-           BSD code this kernel is derived from does. *)
-        edemux_eager t pkt
-  else edemux_eager t pkt
+  if full then edemux_drop t pkt else edemux_eager t pkt
 
 let edemux_rx t pkt =
   if is_transit t pkt then begin
     if t.cfg.forwarding then begin
-      (Cpu.cost_cell t.cpu).(0) <-
-        t.c.Cost.soft_dispatch
-        +. (t.c.Cost.eager_penalty *. (t.c.Cost.ip_in +. t.c.Cost.ip_forward));
+      (Cpu.cost_cell t.cpu).(0) <- eager_soft_cost t pkt ~ipq:0. ~skip_pcb:true;
       Cpu.post_soft_job t.cpu ~label:"ip-forward" ~tpkt:(-1) ~poll:false
         (jobs t).j_forward pkt 0
     end
@@ -1791,14 +1825,12 @@ let helper_loop t =
        what lets it fill and shed further load at the NI instead of burning
        host CPU on datagrams that would be dropped anyway. *)
     List.iter
-      (fun ch ->
-        let room =
-          match Hashtbl.find_opt t.chan_sock (Channel.id ch) with
-          | Some sock -> Socket.has_room sock
-          | None -> false
-        in
-        if room && lrp_recv_one t ch then worked := true)
-      t.udp_channels;
+      (fun ep ->
+        match ep.ep_chan, ep.ep_socks with
+        | Some ch, sock :: _ ->
+            if Socket.has_room sock && lrp_recv_one t ch then worked := true
+        | _, _ -> ())
+      t.udp_eps;
     (* Protocol-proxy daemon duties: ICMP echo and RSTs for TCP segments
        with no endpoint (section 3.5). *)
     (let pkt = Channel.pop (Chantab.icmp_channel t.chantab) in
@@ -1836,8 +1868,7 @@ let fwd_daemon_loop t =
     if pkt != Packet.null then begin
       charge_proto t ~flow:(Channel.id ch)
         (t.c.Cost.lazy_locality *. (t.c.Cost.ip_in +. t.c.Cost.ip_forward));
-      t.stats.forwarded <- t.stats.forwarded + 1;
-      ip_output t pkt;
+      forward t pkt;
       loop ()
     end
     else begin
@@ -1871,18 +1902,14 @@ let create engine fabric ~name ~ip cfg =
       interfaces = [ (ip, 24, nic) ];
       udp_ports = Hashtbl.create 64;
       tcp_conns = Flowtab.create ~dummy:Tcp.null_conn ();
-      tcp_listeners = Hashtbl.create 16; conn_sock = Hashtbl.create 256;
-      conn_owner = Hashtbl.create 256; chantab;
-      chan_sock = Hashtbl.create 64; mcast_members = Hashtbl.create 8;
-      chan_conn = Hashtbl.create 256;
-      conn_chan = Hashtbl.create 256;
-      chans = Flowtab.create ~dummy:(Chantab.fwd_channel chantab) ();
+      tcp_listeners = Hashtbl.create 16;
+      eps = Flowtab.create ~dummy:null_ep (); chantab;
+      chans = Flowtab.create ~dummy:null_ep (); closed_discards = 0;
       apps = Hashtbl.create 16;
-      helper_wq = Proc.waitq "udp-helper"; helper_proc = None;
-      fwd_wq = Proc.waitq "ipfwdd"; fwd_proc = None;
-      udp_channels = []; napi = [||]; napi_grace_tgt = None; rxj = None;
+      helper_wq = Proc.waitq "udp-helper"; fwd_wq = Proc.waitq "ipfwdd";
+      udp_eps = []; napi = [||]; rxj = None;
       reasm = Ip.Reasm.create ();
-      tcp_env = None; timer_tgt = None; rcvto_tgt = None;
+      tcp_env = None;
       eph_port = 20_000;
       stats =
         { rx_frames = 0; ipq_drops = 0; mbuf_drops = 0; no_port_drops = 0;
@@ -1909,21 +1936,23 @@ let create engine fabric ~name ~ip cfg =
         j_napi_irq = Cpu.job (fun () qi -> napi_irq t qi);
         j_napi_poll = Cpu.job (fun n _ -> napi_softirq_round t n);
         j_napi_deliver = Cpu.job (fun n _ -> napi_round_done t n);
-        j_wake_members = Cpu.job (fun members _ -> wake_members t !members);
+        j_wake_ep = Cpu.job (fun ep _ -> wake_members t ep.ep_socks);
         j_app_chan =
           Cpu.job (fun ch _ ->
-              match Hashtbl.find t.chan_conn (Channel.id ch) with
-              | conn -> app_post_chan t conn ch
-              | exception Not_found -> ());
+              let ep = chan_ep t ch in
+              if ep != null_ep then app_post_chan t ep ch);
         j_orphan = Cpu.job (fun ch _ -> orphan_drain t ch);
         j_tcp_timer = Cpu.job (fun tm gen -> Tcp.timer_fired tm ~gen);
         j_tcp_tx = Cpu.job (fun () _ -> ());
         j_reasm =
           Cpu.job (fun whole _ -> bsd_transport_input t ~mh:Mbuf.no_handle whole);
-        j_forward =
-          Cpu.job (fun pkt _ ->
-              t.stats.forwarded <- t.stats.forwarded + 1;
-              ip_output t pkt) };
+        j_forward = Cpu.job (fun pkt _ -> forward t pkt);
+        g_tcp_timer = Engine.target engine (fun tm -> fire_tcp_timer t tm);
+        g_rcvto =
+          Engine.target engine (fun (sock, expired) ->
+              expired := true;
+              wake_all t sock.Socket.recv_wait);
+        g_napi_grace = Engine.target engine (fun wq -> wake_one t wq) };
   t.tcp_env <- Some (make_tcp_env t);
   Nic.set_rx_handler nic (fun pkt -> rx_dispatch t pkt);
   Cpu.set_tracer cpu tracer;
@@ -1949,7 +1978,7 @@ let create engine fabric ~name ~ip cfg =
           let cap = max 1 (min cfg.napi_budget cfg.rx_ring) in
           { nq = qi; poll_on = false; episode = 0; in_ksoftirqd = false;
             ksoftirqd_wq = Proc.waitq "ksoftirqd";
-            ksoftirqd = None; b_pkts = Array.make cap Packet.null;
+            b_pkts = Array.make cap Packet.null;
             b_mhs = Array.make cap Mbuf.no_handle; b_len = 0; served = 0;
             nf = [| 0.; neg_infinity |];
             train = Array.make gro_max_segs Packet.null; train_len = 0;
@@ -1959,27 +1988,19 @@ let create engine fabric ~name ~ip cfg =
       ~kick:(fun qi -> napi_kick t qi);
     Array.iter
       (fun n ->
-        let p =
-          Cpu.spawn cpu ~name:(Printf.sprintf "%s.ksoftirqd/%d" name n.nq)
-            (fun _self -> ksoftirqd_loop t n)
-        in
-        n.ksoftirqd <- Some p)
+        ignore
+          (Cpu.spawn cpu ~name:(Printf.sprintf "%s.ksoftirqd/%d" name n.nq)
+             (fun _self -> ksoftirqd_loop t n)))
       t.napi
   end;
-  if t.proto = Lazy && cfg.udp_helper then begin
-    let p =
-      Cpu.spawn cpu ~nice:20 ~name:(name ^ ".udp-helper") (fun _self ->
-          helper_loop t)
-    in
-    t.helper_proc <- Some p
-  end;
-  if t.proto = Lazy && cfg.forwarding then begin
-    let p =
-      Cpu.spawn cpu ~nice:cfg.fwd_nice ~name:(name ^ ".ipfwdd") (fun _self ->
-          fwd_daemon_loop t)
-    in
-    t.fwd_proc <- Some p
-  end;
+  if t.proto = Lazy && cfg.udp_helper then
+    ignore
+      (Cpu.spawn cpu ~nice:20 ~name:(name ^ ".udp-helper") (fun _self ->
+           helper_loop t));
+  if t.proto = Lazy && cfg.forwarding then
+    ignore
+      (Cpu.spawn cpu ~nice:cfg.fwd_nice ~name:(name ^ ".ipfwdd") (fun _self ->
+           fwd_daemon_loop t));
   t
 
 (* Allocate an ephemeral port. *)
@@ -1988,7 +2009,6 @@ let fresh_port t =
     t.eph_port <- (if t.eph_port >= 65_000 then 20_000 else t.eph_port + 1);
     if Hashtbl.mem t.udp_ports t.eph_port
        || Hashtbl.mem t.tcp_listeners t.eph_port
-       || Hashtbl.mem t.mcast_members t.eph_port
     then try_port ()
     else t.eph_port
   in

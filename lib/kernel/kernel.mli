@@ -131,6 +131,22 @@ type jobs
 (** The kernel's typed interrupt jobs ({!Lrp_sim.Cpu.job}), registered
     once at creation. *)
 
+type ep = private {
+  ep_port : int;
+  ep_conn : Lrp_proto.Tcp.conn;  (** [Tcp.null_conn] for datagrams *)
+  ep_group : bool;  (** a multicast group: [ep_socks] are its members *)
+  mutable ep_socks : Socket.t list;
+      (** the bound socket, the group's members, or the connection's
+          socket ([[]] until accepted) *)
+  mutable ep_owner : Lrp_sim.Proc.t option;
+  mutable ep_chan : Lrp_core.Channel.t option;  (** lazy kernels only *)
+}
+(** An endpoint (section 3.1): a bound datagram socket, a multicast
+    group, a listener or a connection.  The one record that links its
+    sockets, the process its protocol work is charged to (section 3.4),
+    its NI channel and its PCB.  Opened by the operations below, released
+    on one path when the socket closes or the connection is gone. *)
+
 type t = private {
   kname : string;
   engine : Lrp_engine.Engine.t;
@@ -145,39 +161,28 @@ type t = private {
   ip_addr : Lrp_net.Packet.ip;
   mutable ipq_len : int;
   mbufs : Lrp_net.Mbuf.t;
-  udp_ports : (int, Socket.t) Hashtbl.t;
+  udp_ports : (int, ep) Hashtbl.t;  (** datagram sockets and groups *)
   tcp_conns : Lrp_proto.Tcp.conn Lrp_core.Flowtab.t;
       (** PCBs of connections (not listeners), keyed like the channel
           table's TCP flows: [hi] = remote IP, [lo] = remote port [lsl 16]
           [lor] local port *)
-  tcp_listeners : (int, Lrp_proto.Tcp.conn) Hashtbl.t;
-  conn_sock : (int, Socket.t) Hashtbl.t;
-  conn_owner : (int, Lrp_sim.Proc.t) Hashtbl.t;
+  tcp_listeners : (int, ep) Hashtbl.t;
+  eps : ep Lrp_core.Flowtab.t;  (** connections and listeners by conn id *)
   parena : Lrp_net.Parena.t;
       (** shared RX descriptor arena backing every NI channel's ring *)
   chantab : Lrp_core.Chantab.t;
-  chan_sock : (int, Socket.t) Hashtbl.t;
-  mcast_members : (int, Socket.t list ref) Hashtbl.t;
-  chan_conn : (int, Lrp_proto.Tcp.conn) Hashtbl.t;
-  conn_chan : (int, Lrp_core.Channel.t) Hashtbl.t;
-  chans : Lrp_core.Channel.t Lrp_core.Flowtab.t;
-      (** open endpoint channels by id ([hi]; [lo] = 0) *)
+  chans : ep Lrp_core.Flowtab.t;
+      (** endpoints with an open channel, by channel id ([hi]; [lo] = 0) *)
+  mutable closed_discards : int;  (** early discards of closed channels *)
   apps : (int, app) Hashtbl.t;
   helper_wq : Lrp_sim.Proc.waitq;
-  mutable helper_proc : Lrp_sim.Proc.t option;
   fwd_wq : Lrp_sim.Proc.waitq;
-  mutable fwd_proc : Lrp_sim.Proc.t option;
-  mutable udp_channels : Lrp_core.Channel.t list;
+  mutable udp_eps : ep list;
   mutable napi : napi array;
       (** one per RX queue; [[||]] unless NAPI-family *)
-  mutable napi_grace_tgt : Lrp_sim.Proc.waitq Lrp_engine.Engine.target option;
-      (** closure-free grace-poll re-arm; registered on first IRQ
-          deferral *)
   mutable rxj : jobs option;  (** registered by {!create} *)
   reasm : Lrp_proto.Ip.Reasm.t;
   mutable tcp_env : Lrp_proto.Tcp.env option;
-  mutable timer_tgt : Lrp_proto.Tcp.timer Lrp_engine.Engine.target option;
-  mutable rcvto_tgt : (Socket.t * bool ref) Lrp_engine.Engine.target option;
   mutable eph_port : int;
   stats : kstats;
   tracer : Lrp_trace.Trace.t;
@@ -198,6 +203,8 @@ val channels : t -> Lrp_core.Channel.t list
     fragment, ICMP and forwarding channels. *)
 
 val early_discards : t -> int
+(** Early discards at every NI channel since the kernel was made: the
+    live channels' plus the closed ones' ([closed_discards]). *)
 
 val tracer : t -> Lrp_trace.Trace.t
 (** The kernel's structured tracer.  Disabled by default; enable with
@@ -222,34 +229,48 @@ val wake_all : t -> Lrp_sim.Proc.waitq -> unit
 
 val recv_timeout_target :
   t -> (Socket.t * bool ref) Lrp_engine.Engine.target
-(** Typed recvfrom-timeout expiry dispatcher (registered on first use):
+(** Typed recvfrom-timeout expiry dispatcher (registered at creation):
     sets the flag and wakes the socket's receive waiters. *)
 
 val update_listen_gate : t -> Lrp_proto.Tcp.conn -> unit
 (** Under lazy processing, disable the listen channel's protocol
     processing while the backlog is full (section 3.4). *)
 
-(** An endpoint that receives through its own NI channel under lazy
-    protocol processing. *)
-type endpoint =
-  | Udp_port of int * Socket.t option
-      (** a datagram socket bound to the port; [None]: the channel the
-          members of the port's multicast group share (section 3.1) *)
-  | Tcp_conn of Lrp_proto.Tcp.conn
-      (** a connection, or a listener ([remote = None]) *)
+(** {2 Endpoint operations}
 
-val open_channel : t -> endpoint -> Lrp_core.Channel.t option
-(** Allocate the endpoint's NI channel and enter it in the channel table
-    and the kernel's tables; [None] (and nothing done) under eager
-    processing. *)
+    The socket calls of {!Api} open, hand over and close endpoints only
+    through these. *)
 
-val close_channel : t -> endpoint -> unit
-(** Deallocate the endpoint's channel — a socket's own (or group) channel,
-    a connection's or listener's — from every table. *)
+val bind : t -> Socket.t -> owner:Lrp_sim.Proc.t option -> port:int -> unit
+(** Bind a datagram socket to a free port, with its own NI channel under
+    lazy processing.  @raise Invalid_argument if a socket or a multicast
+    group holds the port. *)
 
-val register_conn :
-  t -> Lrp_proto.Tcp.conn -> owner:Lrp_sim.Proc.t option -> unit
-(** Enter an actively opened connection in the PCB and channel tables. *)
+val join_group :
+  t -> Socket.t -> owner:Lrp_sim.Proc.t option -> port:int -> unit
+(** Add a datagram socket to the group on [port]; the first member opens
+    the channel all members share (section 3.1).
+    @raise Invalid_argument if a unicast socket holds the port. *)
+
+val leave_group : t -> Socket.t -> port:int -> unit
+(** The last member to leave releases the group's endpoint. *)
+
+val close_dgram : t -> Socket.t -> unit
+(** Close a datagram socket: leave its group or release its endpoint, and
+    free every frame it still holds — on its channel and on its socket
+    queue — counting each as a socket-queue drop ([rx_sockq_drops]). *)
+
+val open_conn :
+  t -> Socket.t -> Lrp_proto.Tcp.conn -> owner:Lrp_sim.Proc.t -> unit
+(** Open the endpoint of a listener or an actively opened connection for
+    the socket.  @raise Invalid_argument if a listener holds the port. *)
+
+val attach :
+  t -> Socket.t -> Lrp_proto.Tcp.conn -> owner:Lrp_sim.Proc.t -> unit
+(** The socket takes the connection (an accepted child): it mirrors the
+    connection's ports, the connection's events wake it, and [owner] is
+    charged for its APP-thread work.  Called again to hand the socket to
+    another process. *)
 
 val deliver_tcp : t -> Lrp_net.Packet.t -> ctx:[ `Proc | `Soft ] -> bool
 (** The eager kernels' PCB lookup of a received TCP segment: hand it to

@@ -44,7 +44,6 @@ type t = {
   accept_wait : Proc.waitq;
   mutable chan : Lrp_core.Channel.t option;  (* LRP architectures *)
   mutable tcp : Lrp_proto.Tcp.conn option;
-  mutable owner : Proc.t option;
   mutable closed : bool;
   stats : stats;
 }
@@ -59,7 +58,7 @@ let create ?(udp_rcv_limit = 64) kind =
     udp_rcv_limit;
     recv_wait = Proc.waitq "recv"; send_wait = Proc.waitq "send";
     accept_wait = Proc.waitq "accept";
-    chan = None; tcp = None; owner = None; closed = false;
+    chan = None; tcp = None; closed = false;
     stats = { rx_delivered = 0; rx_sockq_drops = 0; tx_packets = 0;
               rx_hwm = 0 } }
 

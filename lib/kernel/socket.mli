@@ -38,7 +38,6 @@ type t = {
   accept_wait : Lrp_sim.Proc.waitq;
   mutable chan : Lrp_core.Channel.t option;
   mutable tcp : Lrp_proto.Tcp.conn option;
-  mutable owner : Lrp_sim.Proc.t option;
   mutable closed : bool;
   stats : stats;
 }

@@ -9,9 +9,12 @@
     reassembly channel.
 
     Two implementations are provided: [flow_of_packet] over the simulator's
-    structured packets (hot path) and [flow_of_bytes] over the wire format
-    produced by {!Lrp_net.Codec} (faithful to what NI firmware would run).
-    A property test asserts they agree. *)
+    structured packets and [flow_of_bytes] over the wire format produced by
+    {!Lrp_net.Codec} (faithful to what NI firmware would run).  A property
+    test asserts they agree.  Neither is on the receive hot path, which
+    classifies with {!class_of_packet} and probes with
+    [Chantab.resolve_slot]: [flow_of_packet] is the reference the demux
+    equivalence tests compare those against. *)
 
 open Lrp_net
 

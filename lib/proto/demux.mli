@@ -9,9 +9,12 @@
     reassembly channel.
 
     Two implementations are provided: [flow_of_packet] over the simulator's
-    structured packets (hot path) and [flow_of_bytes] over the wire format
-    produced by {!Lrp_net.Codec} (faithful to what NI firmware would run).
-    A property test asserts they agree. *)
+    structured packets and [flow_of_bytes] over the wire format produced by
+    {!Lrp_net.Codec} (faithful to what NI firmware would run).  A property
+    test asserts they agree.  Neither is on the receive hot path, which
+    classifies with {!class_of_packet} and probes with
+    [Chantab.resolve_slot]: [flow_of_packet] is the reference the demux
+    equivalence tests compare those against. *)
 
 type flow =
     Udp_flow of { src : Lrp_net.Packet.ip; src_port : int; dst_port : int; }
@@ -22,7 +25,9 @@ type flow =
   | Icmp_flow
   | Other_flow of int
 val flow_of_packet : Lrp_net.Packet.t -> flow
-(** Structural classifier: the simulator's hot path. *)
+(** Structural classifier, allocating the {!flow}: the reference
+    implementation the allocation-free hot path ({!class_of_packet},
+    [Chantab.resolve_slot]) is tested against. *)
 
 val flow_of_bytes : bytes -> flow
 (** Byte-level classifier over the wire format — what the adaptor's

@@ -119,7 +119,6 @@ and conn = {
   local_port : int;
   mutable remote : (Packet.ip * int) option;
   mutable state : state;
-  mutable meta : int;  (* opaque to TCP; the kernel stores a socket id *)
   (* --- send side --- *)
   mutable snd_una : int;
   mutable snd_nxt : int;
@@ -186,7 +185,6 @@ let make_conn ?id env ~local_ip ~local_port ?(sndq_limit = 32 * 1024)
   let c =
     { env; id; local_ip; local_port;
       remote = None; state;
-      meta = -1;
       snd_una = 0; snd_nxt = 0; snd_wnd = 0;
       fl =
         { cwnd = float_of_int env.mss; ssthresh = 65_535.; srtt = -1.;

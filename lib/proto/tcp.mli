@@ -89,7 +89,6 @@ and conn = {
   local_port : int;
   mutable remote : (Lrp_net.Packet.ip * int) option;
   mutable state : state;
-  mutable meta : int;
   mutable snd_una : int;
   mutable snd_nxt : int;
   mutable snd_wnd : int;

@@ -12,6 +12,7 @@ let () =
       ("core", Test_core.suite);
       ("kernel", Test_kernel.suite);
       ("multicast", Test_multicast.suite);
+      ("endpoint", Test_endpoint.suite);
       ("gateway", Test_gateway.suite);
       ("stats", Test_stats.suite);
       ("trace", Test_trace.suite);

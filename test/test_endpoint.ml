@@ -1,0 +1,194 @@
+(* Endpoint lifecycle: every socket, group, listener and connection has one
+   kernel endpoint record, and closing it releases everything it held. *)
+
+open Lrp_engine
+open Lrp_sim
+open Lrp_net
+open Lrp_kernel
+open Lrp_workload
+
+let archs =
+  [ Kernel.Bsd; Kernel.Soft_lrp; Kernel.Ni_lrp; Kernel.Early_demux;
+    Kernel.Napi; Kernel.Napi_gro; Kernel.Rss ]
+
+(* Every frame the kernel received for the socket ends in exactly one
+   state: delivered, dropped at the socket queue (or freed there on
+   close), discarded early, or dropped on the receive path. *)
+let accounted (k : Kernel.t) (sock : Socket.t) =
+  let s = Kernel.stats k in
+  let ss = sock.Socket.stats in
+  ss.Socket.rx_delivered + ss.Socket.rx_sockq_drops + Kernel.early_discards k
+  + s.Kernel.ipq_drops + s.Kernel.mbuf_drops + s.Kernel.no_port_drops
+  + s.Kernel.demux_drops + s.Kernel.edemux_early_drops
+
+(* 2,000 datagrams/s of 14 bytes for 40 ms at a socket whose owner sleeps
+   and then closes it at 50 ms: the socket queue and (under LRP) the
+   channel are full when it closes. *)
+let test_udp_close_frees () =
+  List.iter
+    (fun arch ->
+      let name = Kernel.arch_name arch in
+      let cfg = Kernel.default_config arch in
+      let w, client, server = World.pair ~cfg () in
+      let sock = Api.socket_dgram server in
+      ignore
+        (Cpu.spawn (Kernel.cpu server) ~name:"sleeper" (fun self ->
+             Api.bind server sock ~owner:(Some self) ~port:5000;
+             Proc.sleep_for (Time.ms 50.);
+             Api.close server ~self sock));
+      let sent = 80 in
+      for i = 0 to sent - 1 do
+        ignore
+          (Engine.schedule (World.engine w)
+             ~at:(Time.ms (0.5 *. float_of_int i))
+             (fun () ->
+               ignore
+                 (Nic.transmit (Kernel.nic client)
+                    (Packet.udp ~src:(Kernel.ip_address client)
+                       ~dst:(Kernel.ip_address server) ~src_port:9
+                       ~dst_port:5000 (Payload.synthetic 14)))))
+      done;
+      World.run w ~until:(Time.ms 45.);
+      let discards_open = Kernel.early_discards server in
+      World.run w ~until:(Time.ms 100.);
+      let check what = Alcotest.(check int) (name ^ ": " ^ what) in
+      check "every datagram ends in one state" sent (accounted server sock);
+      check "no descriptor left in the arena" 0
+        (Parena.live server.Kernel.parena);
+      check "no mbuf left in use" 0 (Mbuf.in_use (Kernel.mbufs server));
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: early discards do not shrink on close (%d -> %d)"
+           name discards_open (Kernel.early_discards server))
+        true (Kernel.early_discards server >= discards_open))
+    archs
+
+(* The size of every endpoint table, the Chantab's counts and the live
+   channel list. *)
+let tables (k : Kernel.t) =
+  let ct = Kernel.chantab k in
+  [ ("udp_ports", Hashtbl.length k.Kernel.udp_ports);
+    ("tcp_listeners", Hashtbl.length k.Kernel.tcp_listeners);
+    ("tcp_conns", Lrp_core.Flowtab.length k.Kernel.tcp_conns);
+    ("eps", Lrp_core.Flowtab.length k.Kernel.eps);
+    ("chans", Lrp_core.Flowtab.length k.Kernel.chans);
+    ("udp_eps", List.length k.Kernel.udp_eps);
+    ("chantab udp", Lrp_core.Chantab.udp_channel_count ct);
+    ("chantab tcp", Lrp_core.Chantab.tcp_channel_count ct);
+    ("channels", List.length (Kernel.channels k)) ]
+
+(* The tables of a kernel holding [udp] bound sockets, [groups] groups,
+   [listeners] listeners and [conns] connections, [conn_chans] of which
+   still have a channel (NI-LRP frees it on entry to TIME_WAIT). *)
+let expected arch ~udp ~groups ~listeners ~conns ~conn_chans =
+  let ch n = if Kernel.is_lrp arch then n else 0 in
+  let chans = ch (udp + groups + listeners + conn_chans) in
+  [ ("udp_ports", udp + groups);
+    ("tcp_listeners", listeners); ("tcp_conns", conns);
+    ("eps", listeners + conns); ("chans", chans); ("udp_eps", ch udp);
+    ("chantab udp", ch (udp + groups)); ("chantab tcp", ch conn_chans);
+    ("channels", chans + 3) ]
+
+(* UDP bind/close, group join/leave, a listener, an accepted connection
+   handed to a child with [set_owner] and closed through TIME_WAIT, and an
+   active open on the client. *)
+let test_lifecycle () =
+  List.iter
+    (fun arch ->
+      let name = Kernel.arch_name arch in
+      let cfg =
+        { (Kernel.default_config arch) with Kernel.time_wait = Time.ms 50. }
+      in
+      let w, client, server = World.pair ~cfg () in
+      let group = Packet.ip_of_quad 224 1 1 1 in
+      let owner_handed = ref false in
+      let served = ref false and fetched = ref false in
+      ignore
+        (Cpu.spawn (Kernel.cpu server) ~name:"srv" (fun self ->
+             let u = Api.socket_dgram server in
+             Api.bind server u ~owner:(Some self) ~port:5000;
+             let m1 = Api.socket_dgram server in
+             let m2 = Api.socket_dgram server in
+             Api.join_group server m1 ~owner:(Some self) ~group ~port:6000;
+             Api.join_group server m2 ~owner:(Some self) ~group ~port:6000;
+             let l = Api.socket_stream server in
+             Api.tcp_listen server ~self l ~port:80 ~backlog:4;
+             let conn = Api.tcp_accept server ~self l in
+             let child =
+               Cpu.spawn (Kernel.cpu server) ~name:"child" (fun cself ->
+                   (match Api.tcp_recv server ~self:cself conn ~max:4096 with
+                    | `Data _ ->
+                        let doc = Payload.synthetic 200 in
+                        served := Api.tcp_send server ~self:cself conn doc = `Ok
+                    | `Eof -> ());
+                   Api.close server ~self:cself conn)
+             in
+             Api.set_owner server conn ~owner:child;
+             (match conn.Socket.tcp with
+              | Some c ->
+                  let ep =
+                    Lrp_core.Flowtab.find_opt server.Kernel.eps
+                      ~hi:c.Lrp_proto.Tcp.id ~lo:0
+                  in
+                  owner_handed :=
+                    (match ep with
+                     | Some { Kernel.ep_owner = Some p; _ } -> p == child
+                     | Some _ | None -> false)
+              | None -> ());
+             Proc.sleep_for (Time.ms 30.);
+             Api.close server ~self u;
+             Api.leave_group server m1 ~port:6000;
+             Api.close server ~self m1;
+             Api.close server ~self m2;
+             Proc.sleep_for (Time.ms 90.);
+             Api.close server ~self l));
+      ignore
+        (Cpu.spawn (Kernel.cpu client) ~name:"cli" (fun self ->
+             Proc.sleep_for (Time.ms 1.);
+             let s = Api.socket_stream client in
+             let remote = (Kernel.ip_address server, 80) in
+             (match Api.tcp_connect client ~self s ~remote with
+              | `Ok ->
+                  ignore (Api.tcp_send client ~self s (Payload.synthetic 100));
+                  let rec drain () =
+                    match Api.tcp_recv client ~self s ~max:65_536 with
+                    | `Data _ ->
+                        fetched := true;
+                        drain ()
+                    | `Eof -> ()
+                  in
+                  drain ()
+              | `Refused -> ());
+             Api.close client ~self s));
+      let check_at ms k what exp =
+        World.run w ~until:(Time.ms ms);
+        Alcotest.(check (list (pair string int)))
+          (Printf.sprintf "%s %s at %.0f ms: %s" name (Kernel.name k) ms what)
+          exp (tables k)
+      in
+      let tw = if arch = Kernel.Ni_lrp then 0 else 1 in
+      check_at 20. server "server connection in TIME_WAIT"
+        (expected arch ~udp:1 ~groups:1 ~listeners:1 ~conns:1 ~conn_chans:tw);
+      check_at 20. client "client closed"
+        (expected arch ~udp:0 ~groups:0 ~listeners:0 ~conns:0 ~conn_chans:0);
+      check_at 100. server "only the listener left"
+        (expected arch ~udp:0 ~groups:0 ~listeners:1 ~conns:0 ~conn_chans:0);
+      check_at 200. server "everything closed"
+        (expected arch ~udp:0 ~groups:0 ~listeners:0 ~conns:0 ~conn_chans:0);
+      Alcotest.(check bool) (name ^ ": request served and fetched") true
+        (!served && !fetched);
+      Alcotest.(check bool) (name ^ ": set_owner hands the endpoint over") true
+        !owner_handed;
+      List.iter
+        (fun k ->
+          Alcotest.(check int) (name ^ ": no descriptor left") 0
+            (Parena.live k.Kernel.parena);
+          Alcotest.(check int) (name ^ ": no mbuf left") 0
+            (Mbuf.in_use (Kernel.mbufs k)))
+        [ server; client ])
+    archs
+
+let suite =
+  [ Alcotest.test_case "closing a UDP socket frees what it holds" `Quick
+      test_udp_close_frees;
+    Alcotest.test_case "endpoint tables follow the live population" `Quick
+      test_lifecycle ]

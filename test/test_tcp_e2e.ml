@@ -310,11 +310,11 @@ let test_tcp_processing_charged_to_receiver () =
         true
         (rx_ticks > 0 && by_ticks > rx_ticks)
 
-(* Every accepted or connected socket maps its connection in [conn_sock];
-   closing the connection must drop the entry, so after many completed
-   one-connection requests the table holds only live connections (still
-   registered, e.g. in TIME_WAIT) and listeners. *)
-let test_conn_sock_bounded () =
+(* Every listener and connection has one endpoint record; closing the
+   connection must release it, so after many completed one-connection
+   requests the endpoint and channel tables hold only live connections
+   (still registered, e.g. in TIME_WAIT) and listeners. *)
+let test_endpoints_bounded () =
   List.iter
     (fun arch ->
       let tune cfg = { cfg with Kernel.time_wait = Time.ms 50. } in
@@ -342,9 +342,8 @@ let test_conn_sock_bounded () =
                  (Kernel.arch_name arch) (Kernel.name k) what n live extra)
               true (n <= live + extra)
           in
-          bounded "conn_sock" (Hashtbl.length k.conn_sock) ~extra:0;
-          bounded "chan_conn" (Hashtbl.length k.chan_conn) ~extra:0;
-          bounded "conn_chan" (Hashtbl.length k.conn_chan) ~extra:0;
+          bounded "eps" (Lrp_core.Flowtab.length k.eps) ~extra:0;
+          bounded "chans" (Lrp_core.Flowtab.length k.chans) ~extra:0;
           (* Plus the fragment, ICMP and forwarding channels. *)
           bounded "channels" (List.length (Kernel.channels k)) ~extra:3)
         [ server; clients ])
@@ -423,7 +422,8 @@ let test_tcp_counters_cumulative () =
           in
           let listeners =
             Hashtbl.fold
-              (fun _ (l : Tcp.conn) acc -> acc + l.Tcp.syn_drops_backlog)
+              (fun _ (l : Kernel.ep) acc ->
+                acc + l.Kernel.ep_conn.Tcp.syn_drops_backlog)
               k.Kernel.tcp_listeners 0
           in
           Alcotest.(check int) (what "tcp.syn_drops_backlog = the listeners' drops")
@@ -475,8 +475,8 @@ let suite =
       test_bulk_integrity_under_loss;
     Alcotest.test_case "bulk integrity under 5% loss + reordering (all archs)"
       `Slow test_bulk_integrity_under_faults;
-    Alcotest.test_case "conn_sock bounded by live connections" `Quick
-      test_conn_sock_bounded;
+    Alcotest.test_case "endpoints bounded by live connections" `Quick
+      test_endpoints_bounded;
     Alcotest.test_case "sequential connections / TIME_WAIT turnover" `Slow
       (for_all_archs test_many_sequential_connections);
     Alcotest.test_case "connect to dead port is refused" `Quick
