@@ -20,6 +20,10 @@ type t = {
       (* Build-relative directories scanned for .cmt files, e.g.
          "_build/default/lib".  Only modules found here are loadable, and
          every loaded unit is checked by the source rules and L1. *)
+  ref_dirs : string list;
+      (* Build-relative directories whose .cmt files only supply
+         references for U1 (tests, benchmarks, examples); no rule runs
+         on their units. *)
   entries : string list;
       (* Hot-path entry points: roots of the allocation walk. *)
   follow_dirs : string list;
@@ -71,6 +75,7 @@ type t = {
 let empty =
   {
     cmt_dirs = [];
+    ref_dirs = [];
     entries = [];
     follow_dirs = [];
     assume = [];
@@ -92,6 +97,7 @@ let empty =
 (* Conf-file parser: one directive per line, '#' comments.             *)
 (*                                                                     *)
 (*   cmt-dir _build/default/lib                                        *)
+(*   ref-dir _build/default/test                                       *)
 (*   entry Engine.drain                                                *)
 (*   follow lib/engine                                                 *)
 (*   assume Trace.dump                                                 *)
@@ -112,6 +118,7 @@ let empty =
 let directive c key v =
   match (key, List.filter (fun w -> w <> "") (String.split_on_char ' ' v)) with
   | "cmt-dir", _ -> Ok { c with cmt_dirs = c.cmt_dirs @ [ v ] }
+  | "ref-dir", _ -> Ok { c with ref_dirs = c.ref_dirs @ [ v ] }
   | "entry", _ -> Ok { c with entries = c.entries @ [ v ] }
   | "follow", _ -> Ok { c with follow_dirs = c.follow_dirs @ [ v ] }
   | "assume", _ -> Ok { c with assume = c.assume @ [ v ] }

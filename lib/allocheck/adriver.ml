@@ -1,7 +1,9 @@
 (* The lrp_allocheck driver: load .cmt files, walk the configured hot
    paths for allocations, walk the cell-resident directories for escapes,
    run the source rules over every loaded unit and L1 over their dune
-   files, then sweep for stale suppressions.
+   files, check every loaded interface for exports no other unit
+   references (U1, with the ref-dir units as extra referrers), then sweep
+   for stale suppressions.
 
    The allocation pass is a breadth-first closure over the call graph:
    configured entry points seed a work queue, and every resolved
@@ -12,9 +14,9 @@
    The escape pass is not reachability-based (see escape.ml): every
    top-level function in [escape_dirs] is checked.
 
-   An entry that fails to resolve, or a cmt-dir that holds no .cmt, is
-   itself a finding (rule CFG) — a renamed hot path or a missing build
-   must not silently drop out of the gate. *)
+   An entry that fails to resolve, or a cmt-dir or ref-dir that holds no
+   .cmt, is itself a finding (rule CFG) — a renamed hot path or a missing
+   build must not silently drop out of the gate. *)
 
 type stats = {
   cmt_files : int;
@@ -22,6 +24,7 @@ type stats = {
   escape_funcs : int;  (* escape pass *)
   src_units : int;  (* .ml units checked by the source rules *)
   dune_files : int;  (* dune files checked by L1 *)
+  exports : int;  (* exported values checked by U1 *)
 }
 
 let read_file path =
@@ -51,10 +54,15 @@ let run ~root ?(conf_name = "allocheck.conf") (cfg : Aconfig.t) :
     let cfg msg = Finding.v ~rule:"CFG" ~file:conf_name ~line:0 ~col:0 msg in
     Printf.ksprintf (fun msg -> emit (cfg msg)) fmt
   in
+  let ref_load = Cmtload.load ~root cfg.ref_dirs in
   List.iter
-    (cfg_finding
-       "cmt-dir '%s' holds no .cmt files (not built? run 'dune build @check')")
-    load.empty_dirs;
+    (fun (kind, dirs) ->
+      List.iter
+        (cfg_finding
+           "%s '%s' holds no .cmt files (not built? run 'dune build @check')"
+           kind)
+        dirs)
+    [ ("cmt-dir", load.empty_dirs); ("ref-dir", ref_load.empty_dirs) ];
 
   (* Per-file suppression tables, one per grammar, filled lazily as the
      passes reach files; every file touched is swept for unused entries
@@ -170,6 +178,15 @@ let run ~root ?(conf_name = "allocheck.conf") (cfg : Aconfig.t) :
       List.iter emit (Layers.check_file ~ranks:cfg.layer_rank ~file text))
     dune_files;
 
+  (* --- U1: exports no other unit references ----------------------- *)
+  let refs = Hashtbl.create 4096 in
+  List.iter
+    (fun (m : Cmtload.modl) -> Unused.references m.md_str refs)
+    (mods @ List.map snd (Lrp_det.Det.bindings ref_load.mods));
+  let exports =
+    Unused.check load refs ~supp_in:(supp_in Suppress.lint) ~emit
+  in
+
   (* --- stale suppressions ----------------------------------------- *)
   List.iter
     (fun (g, tbl) ->
@@ -185,4 +202,5 @@ let run ~root ?(conf_name = "allocheck.conf") (cfg : Aconfig.t) :
       escape_funcs = !escape_funcs;
       src_units = List.length units;
       dune_files = List.length dune_files;
+      exports;
     } )

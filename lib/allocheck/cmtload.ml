@@ -10,7 +10,8 @@
 
    Submodule bindings are indexed under compound names ("Sub.f"), and a
    per-short-name index ("Engine" -> "Lrp_engine__Engine") lets config
-   files use readable names. *)
+   files use readable names.  The .cmti beside a unit gives its
+   interface's signature, whose exported values rule U1 checks. *)
 
 type func = {
   fn_name : string;  (* "drain", or "Sub.f" for submodule bindings *)
@@ -30,6 +31,8 @@ type modl = {
 
 type t = {
   mods : (string, modl) Hashtbl.t;
+  intfs : (string, string * Typedtree.signature) Hashtbl.t;
+      (* compilation-unit name -> its .mli path and signature (.cmti) *)
   shorts : (string, string list) Hashtbl.t;  (* short name -> keys *)
   mutable cmt_files : int;
   mutable empty_dirs : string list;  (* configured dirs that held no .cmt *)
@@ -123,6 +126,9 @@ let add_cmt t path =
   | exception _ -> ()  (* stale or foreign cmt: not our problem *)
   | cmt -> (
       match (cmt.cmt_annots, cmt.cmt_sourcefile) with
+      | Cmt_format.Interface sg, Some source ->
+          Hashtbl.replace t.intfs cmt.cmt_modname
+            (Pathspec.normalize source, sg)
       | Cmt_format.Implementation str, Some source ->
           t.cmt_files <- t.cmt_files + 1;
           let funcs, top_ids = funcs_of_structure str in
@@ -152,13 +158,15 @@ let rec scan_dir t dir =
         (fun e ->
           let p = Filename.concat dir e in
           if Sys.is_directory p then scan_dir t p
-          else if Filename.check_suffix e ".cmt" then add_cmt t p)
+          else if
+            Filename.check_suffix e ".cmt" || Filename.check_suffix e ".cmti"
+          then add_cmt t p)
         entries
 
 let load ~root dirs =
   let t =
-    { mods = Hashtbl.create 64; shorts = Hashtbl.create 64; cmt_files = 0;
-      empty_dirs = [] }
+    { mods = Hashtbl.create 64; intfs = Hashtbl.create 64;
+      shorts = Hashtbl.create 64; cmt_files = 0; empty_dirs = [] }
   in
   List.iter
     (fun d ->

@@ -36,6 +36,7 @@ let tag_for_rule = function
   | "D2" -> Some "unordered-ok"
   | "P1" -> Some "stdout-ok"
   | "D1" -> Some "wallclock-ok"
+  | "U1" -> Some "export-ok"
   | _ -> None
 
 let claim supp ~rule ~line =
@@ -47,19 +48,30 @@ let emit ctx ~rule ~loc msg =
   let f = Finding.at ~rule ~file:ctx.file loc msg in
   if not (claim ctx.supp ~rule ~line:f.line) then ctx.emit f
 
-(* The dotted name of a path rooted at a compilation unit or at a local
-   alias of one; [None] for anything bound in this unit. *)
-let rec resolve ctx = function
+(* The dotted name of a path rooted at a compilation unit or at one of
+   the local module [aliases]; [None] for anything bound in this unit. *)
+let rec resolve aliases = function
   | Path.Pident id when Ident.global id -> Some (Ident.name id)
   | Path.Pident id ->
       List.find_map
         (fun (a, n) -> if Ident.same a id then Some n else None)
-        ctx.aliases
-  | Path.Pdot (p, s) -> Option.map (fun n -> n ^ "." ^ s) (resolve ctx p)
+        aliases
+  | Path.Pdot (p, s) -> Option.map (fun n -> n ^ "." ^ s) (resolve aliases p)
   | _ -> None
 
+(* [module M = <path>] as an alias entry, so later [M.x] resolves
+   through it; [None] when the module is not an alias of a named one. *)
+let alias aliases id (me : module_expr) =
+  let rec target me =
+    match me.mod_desc with
+    | Tmod_ident (p, _) -> resolve aliases p
+    | Tmod_constraint (me, _, _, _) -> target me
+    | _ -> None
+  in
+  match (id, target me) with Some id, Some n -> Some (id, n) | _ -> None
+
 let name_of ctx p =
-  match resolve ctx p with
+  match resolve ctx.aliases p with
   | Some n when String.starts_with ~prefix:"Stdlib." n ->
       String.sub n 7 (String.length n - 7)
   | Some n -> n
@@ -191,17 +203,10 @@ let check_apply ctx ~loc name args =
    comparison but still visits the arguments. *)
 let scalar_infix = [ "="; "<>"; "<"; ">"; "<="; ">=" ]
 
-(* Record [module M = <path>] so later [M.x] resolves through it. *)
-let note_alias ctx id (me : module_expr) =
-  let rec target me =
-    match me.mod_desc with
-    | Tmod_ident (p, _) -> resolve ctx p
-    | Tmod_constraint (me, _, _, _) -> target me
-    | _ -> None
-  in
-  match (id, target me) with
-  | Some id, Some n -> ctx.aliases <- (id, n) :: ctx.aliases
-  | _ -> ()
+let note_alias ctx id me =
+  Option.iter
+    (fun a -> ctx.aliases <- a :: ctx.aliases)
+    (alias ctx.aliases id me)
 
 let iterator ctx =
   let super = Tast_iterator.default_iterator in

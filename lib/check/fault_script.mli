@@ -16,7 +16,5 @@ val generate : seed:int -> duration_us:float -> t
 val apply : t -> fabric:Lrp_net.Fabric.t -> engine:Lrp_engine.Engine.t -> unit
 (** Schedule each step's [Fabric.set_faults] switch at its time. *)
 
-val to_json : t -> Lrp_trace.Json.t
-
 val save : t -> string -> unit
 (** Write [to_json] to a file, for failure repro artifacts. *)

@@ -18,14 +18,6 @@ type verdict = {
 
 val pp_verdict : Format.formatter -> verdict -> unit
 
-val check :
-  ?require_demux:bool -> (float * int * Lrp_trace.Trace.event) list -> verdict
-(** [check events] runs the invariants over a tracer's event list
-    (oldest first, as {!Lrp_trace.Trace.events} returns it).
-    [require_demux] additionally demands a demux event before any
-    sock-enqueue — true of the LRP and Early-Demux architectures, not of
-    BSD, whose receive path has no demultiplexing step. *)
-
 val check_tracer : ?require_demux:bool -> Lrp_trace.Trace.t -> verdict
 (** [check] on the tracer's buffered events; reports
     [ring_wrapped = true] (and checks nothing) if the ring overwrote

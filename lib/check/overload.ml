@@ -82,8 +82,6 @@ type t = {
 }
 
 let report t = t.rep
-let livelocked t = t.rep.livelock_windows > 0
-let overloaded t = t.rep.overload_windows > 0
 
 let delivered_count (s : Kernel.kstats) =
   s.Kernel.udp_delivered + s.Kernel.tcp_delivered + s.Kernel.forwarded

@@ -29,11 +29,6 @@ type config = {
   starve_share : float;   (** process-work share ≤ this ⇒ starvation *)
 }
 
-val default_config : config
-(** 10 ms window, 20 frames minimum, collapse below 50 % delivery,
-    livelock at ≥ 80 % interrupt share, starvation at ≤ 5 % process
-    share. *)
-
 type report = {
   mutable samples : int;
   mutable judged : int;  (** windows with offered ≥ [min_offered] *)
@@ -67,7 +62,5 @@ val detach : t -> unit
 (** Cancel the sampling event. *)
 
 val report : t -> report
-val overloaded : t -> bool
-val livelocked : t -> bool
 
 val pp_report : Format.formatter -> report -> unit

@@ -154,9 +154,6 @@ let pop t =
 
 let dequeue t = if t.count = 0 then None else Some (pop t)
 
-let peek t =
-  if t.count = 0 then None else Some (Parena.pkt t.arena t.ring.(t.head))
-
 let length t = t.count
 
 let is_empty t = t.count = 0
@@ -197,8 +194,6 @@ let interrupt_requested t = t.intr_requested
 let enable_processing t = t.processing_enabled <- true
 
 let disable_processing t = t.processing_enabled <- false
-
-let processing_enabled t = t.processing_enabled
 
 let job_owner t = t.job_owner
 

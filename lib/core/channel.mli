@@ -51,7 +51,6 @@ val enqueue : t -> Lrp_net.Packet.t -> enqueue_result
 
 val discarded_code : int
 val queued_was_empty : int
-val queued_was_nonempty : int
 
 val enqueue_code : t -> Lrp_net.Packet.t -> int
 (** {!enqueue} returning one of the codes above instead of a variant. *)
@@ -61,8 +60,6 @@ val pop : t -> Lrp_net.Packet.t
     means the queue was empty. *)
 
 val dequeue : t -> Lrp_net.Packet.t option
-
-val peek : t -> Lrp_net.Packet.t option
 
 val length : t -> int
 
@@ -85,8 +82,6 @@ val enable_processing : t -> unit
 val disable_processing : t -> unit
 (** Gate used for listening sockets whose backlog is exceeded: while
     disabled, every enqueue is discarded cheaply (section 3.4). *)
-
-val processing_enabled : t -> bool
 
 val job_owner : t -> int
 (** The process whose LRP APP thread (section 3.4) holds a queued job to

@@ -1,5 +1,5 @@
-(** Channel table: maps a demultiplexed flow to the NI channel that
-    should receive the packet.
+(** Channel table: maps a packet's flow to the NI channel that should
+    receive it.
 
     Resolution rules (mirroring the PCB rules, executed by the NI / the
     interrupt handler):
@@ -14,7 +14,6 @@
       (section 3.5). *)
 
 open Lrp_net
-open Lrp_proto
 
 (* All endpoint mappings live in ONE packed-key {!Flowtab} instead of
    three polymorphic Hashtbls.  A flow key packs into two ints:
@@ -116,36 +115,11 @@ let[@inline] resolve_udp_slot t ~dst_port =
   Flowtab.find t.tab ~hi:(hi_of ~ns:ns_udp ~src:0)
     ~lo:(lo_of ~src_port:0 ~dst_port)
 
-let[@inline] resolve_tcp t ~src ~src_port ~dst_port ~syn_only =
-  let slot = resolve_tcp_slot t ~src ~src_port ~dst_port ~syn_only in
-  if slot >= 0 then Some (Flowtab.value t.tab slot) else None
-
-let[@inline] resolve_udp t ~dst_port =
-  let slot = resolve_udp_slot t ~dst_port in
-  if slot >= 0 then Some (Flowtab.value t.tab slot) else None
-
-(* [resolve t flow] finds the destination channel, or [None] when no
-   endpoint matches.  The reference the demux equivalence tests compare
-   [resolve_slot], the hot path's probe, against. *)
-let resolve t flow =
-  let result =
-    match (flow : Demux.flow) with
-    | Demux.Udp_flow { dst_port; _ } -> resolve_udp t ~dst_port
-    | Demux.Tcp_flow { src; src_port; dst_port; syn_only } ->
-        resolve_tcp t ~src ~src_port ~dst_port ~syn_only
-    | Demux.Frag_flow _ -> Some t.frag
-    | Demux.Icmp_flow -> Some t.icmp
-    | Demux.Other_flow _ -> None
-  in
-  if Option.is_none result then t.unmatched <- t.unmatched + 1;
-  result
-
 (* Packet-direct resolution: classify and probe in one pass, without
-   materialising the {!Demux.flow} variant the classifier allocates per
-   packet — or anything else: the result is a slot code, so the NI demux
-   probe is allocation-free end to end.  Must agree with
-   [resolve] ∘ [Demux.flow_of_packet] — the demux equivalence test runs
-   the two side by side. *)
+   materialising a flow value — or anything else: the result is a slot
+   code, so the NI demux probe is allocation-free end to end.  The demux
+   reference-model property test compares it with a structural
+   classifier and a PCB-rule resolver kept in the test suite. *)
 let resolve_slot t (pkt : Packet.t) =
   let slot =
     match pkt.Packet.body with

@@ -1,5 +1,5 @@
-(** Channel table: maps a demultiplexed {!Lrp_proto.Demux.flow} to the NI
-    channel that should receive the packet.
+(** Channel table: maps a packet's flow to the NI channel that should
+    receive it.
 
     Resolution rules (mirroring the PCB rules, executed by the NI / the
     interrupt handler):
@@ -50,17 +50,11 @@ val add_tcp_listen : t -> port:int -> Channel.t -> unit
 
 val remove_tcp_listen : t -> port:int -> unit
 
-val resolve : t -> Lrp_proto.Demux.flow -> Channel.t option
-(** Find the destination channel for a classified flow; [None] (counted
-    in {!unmatched}) when no endpoint matches.  Not on the hot path: with
-    [Demux.flow_of_packet] it is the reference the demux equivalence
-    tests compare {!resolve_slot} against. *)
-
 val resolve_packet : t -> Lrp_net.Packet.t -> Channel.t option
-(** Classify and probe in one pass: behaves exactly like
-    [resolve t (Demux.flow_of_packet pkt)] but allocates no intermediate
-    flow value.  A cold-path convenience over {!resolve_slot}, the hot
-    path's probe; the option result still boxes. *)
+(** Classify and probe in one pass: the destination channel, or [None]
+    (counted in {!unmatched}) when no endpoint matches.  A cold-path
+    convenience over {!resolve_slot}, the hot path's probe; the option
+    result boxes. *)
 
 (** {2 Allocation-free resolution}
 
@@ -73,12 +67,6 @@ val resolve_packet : t -> Lrp_net.Packet.t -> Channel.t option
 val slot_none : int
 (** No endpoint matched (the packet will be dropped); counted in
     {!unmatched}. *)
-
-val slot_frag : int
-(** The dedicated fragment channel. *)
-
-val slot_icmp : int
-(** The dedicated ICMP/proxy channel. *)
 
 val resolve_slot : t -> Lrp_net.Packet.t -> int
 (** Classify and probe in one pass, returning a slot code.  Agrees with

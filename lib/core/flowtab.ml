@@ -217,4 +217,3 @@ let max_probe t =
   done;
   !m
 
-let capacity t = t.mask + 1

@@ -21,9 +21,6 @@ val create : dummy:'a -> unit -> 'a t
 val length : 'a t -> int
 (** Live entries. *)
 
-val capacity : 'a t -> int
-(** Current slot-array size (a power of two, ≥ 8/7 × {!length}). *)
-
 val add : 'a t -> hi:int -> lo:int -> 'a -> unit
 (** Insert, replacing the value if the key is already present. *)
 

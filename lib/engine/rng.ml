@@ -45,8 +45,6 @@ let float t bound = uniform t *. bound
 
 let exponential t ~mean = -.mean *. log1p (-.uniform t)
 
-let bool t = Int64.logand (bits64 t) 1L = 1L
-
 let shuffle t a =
   for i = Array.length a - 1 downto 1 do
     let j = int t (i + 1) in

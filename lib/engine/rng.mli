@@ -38,7 +38,5 @@ val exponential : t -> mean:float -> float
 (** [exponential t ~mean] draws from an exponential distribution.  Used for
     Poisson inter-arrival times in traffic generators. *)
 
-val bool : t -> bool
-
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher-Yates shuffle. *)

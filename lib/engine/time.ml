@@ -12,7 +12,3 @@ let to_sec t = t /. 1_000_000.
 
 let to_ms t = t /. 1_000.
 
-let pp fmt t =
-  if Float.abs t >= 1_000_000. then Fmt.pf fmt "%.3fs" (to_sec t)
-  else if Float.abs t >= 1_000. then Fmt.pf fmt "%.3fms" (to_ms t)
-  else Fmt.pf fmt "%.1fus" t

@@ -25,5 +25,3 @@ val to_sec : t -> float
 val to_ms : t -> float
 (** [to_ms t] converts [t] to milliseconds. *)
 
-val pp : Format.formatter -> t -> unit
-(** Pretty-print a time with an adaptive unit (us / ms / s). *)

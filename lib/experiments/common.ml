@@ -83,8 +83,6 @@ let hr width = String.make width '-'
 let print_title title =
   printf "\n%s\n%s\n" title (hr (String.length title))
 
-let print_row fmt = printf fmt
-
 (* Render an ASCII series plot: one line per x value, a bar whose length is
    proportional to y. *)
 let print_series ~xlabel ~ylabel ~ymax rows =

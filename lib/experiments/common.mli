@@ -40,14 +40,11 @@ val regroup : 'g list -> ('g * 'p) list -> ('g * 'p list) list
 (** Regroup a flattened sweep back into per-group rows, preserving
     order. *)
 
-val hr : int -> string
-
 val printf : ('a, out_channel, unit) format -> 'a
 (** The experiment layer's single stdout sink (lint rule P1): all report
     rendering goes through here. *)
 
 val print_title : string -> unit
-val print_row : ('a, out_channel, unit) format -> 'a
 val print_series :
   xlabel:string ->
   ylabel:string -> ymax:float -> (float * float) list -> unit

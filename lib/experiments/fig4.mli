@@ -22,10 +22,6 @@ type point = {
   lost : int;        (* probes lost (BSD's IP-queue drops) *)
 }
 type row = { system : Common.system; points : point list; }
-val measure :
-  ?seed:int -> Common.system ->
-  bg_rate:float -> duration:Lrp_engine.Time.t -> point
-val default_rates : float list
 val run :
   ?quick:bool -> ?rates:float list -> ?jobs:int -> ?seed:int -> unit ->
   row list

@@ -21,9 +21,6 @@ type point = {
   syn_discards : int;
 }
 type row = { system : Common.system; points : point list; }
-val measure :
-  ?seed:int -> Common.system -> syn_rate:float -> duration:float -> point
-val default_rates : float list
 val run :
   ?quick:bool -> ?rates:float list -> ?jobs:int -> ?seed:int -> unit ->
   row list

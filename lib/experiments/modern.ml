@@ -120,7 +120,7 @@ let measure_reorder ?(seed = Common.default_seed) ~coalesce_us ~fabric_faults
           Kernel.coalesce_us;
           (* count threshold parked above the ring so only the timer
              (the swept knob) ever raises the interrupt *)
-          Kernel.coalesce_pkts = c.Kernel.rx_ring })
+          Kernel.coalesce_pkts = Kernel.rx_ring })
   in
   let w, client, server = World.pair ~seed ~cfg () in
   if fabric_faults then

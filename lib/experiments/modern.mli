@@ -9,8 +9,6 @@
 
 type row = { system : Common.system; points : Fig3.point list }
 
-val default_rates : float list
-
 val run :
   ?quick:bool ->
   ?rates:float list -> ?jobs:int -> ?seed:int -> unit -> row list
@@ -26,13 +24,6 @@ type reorder_point = {
 val count_inversions : int array -> int
 (** Number of pairs [i < j] with [a.(i) > a.(j)] (mergesort count; the
     array is sorted in place).  Exposed for the test suite. *)
-
-val measure_reorder :
-  ?seed:int ->
-  coalesce_us:float ->
-  fabric_faults:bool -> duration:float -> unit -> reorder_point
-
-val default_coalesce_sweep : float list
 
 val run_reorder :
   ?quick:bool ->

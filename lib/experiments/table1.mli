@@ -13,12 +13,8 @@ type row = {
   udp_mbps : float;
   tcp_mbps : float;
 }
-val measure_rtt : ?seed:int -> Common.system -> rounds:int -> float
-val measure_udp : ?seed:int -> Common.system -> total:int -> float
-val measure_tcp : ?seed:int -> Common.system -> total:int -> float
 val run : ?quick:bool -> ?jobs:int -> ?seed:int -> unit -> row list
 (** [jobs] fans the (system, metric) cells out over that many domains;
     results are identical for any [jobs]. *)
 
-val paper : (Common.system * (float * float * float)) list
 val print : row list -> unit

@@ -15,14 +15,8 @@ type row = {
   rpcs_per_sec : float;
   worker_share : float;
 }
-val measure :
-  ?seed:int -> Common.system ->
-  Lrp_workload.Rpc.cls -> worker_cpu:float -> row
 val run : ?quick:bool -> ?jobs:int -> ?seed:int -> unit -> row list
 (** [jobs] fans the (class, system) grid out over that many domains;
     results are identical for any [jobs]. *)
 
-val paper :
-  ((Lrp_workload.Rpc.cls * Common.system) * (float * float))
-  list
 val print : row list -> unit

@@ -30,6 +30,9 @@ exception Socket_closed
 
 let c (k : Kernel.t) = Kernel.costs k
 
+(* TCP send and receive buffers, bytes (the testbed's 32 kB). *)
+let sock_buf = 32 * 1024
+
 (* Charge [d] microseconds of CPU to the calling process.  Inlined, so a
    computed cost is stored straight into the CPU's staged-cost cell: the
    build inlines nothing across modules ([-opaque]), and a float passed to
@@ -51,12 +54,11 @@ let[@inline] udp_send_cost k ~frags =
   c.Cost.udp_out +. (float_of_int frags *. (c.Cost.ip_out +. c.Cost.driver_tx))
 
 (* Number of IP fragments a datagram of [bytes] payload needs. *)
-let frag_count (k : Kernel.t) ~header ~bytes =
-  let mtu = (Kernel.config k).Kernel.mtu in
+let frag_count ~header ~bytes =
   let total = Packet.ip_header_bytes + header + bytes in
-  if total <= mtu then 1
+  if total <= Kernel.mtu then 1
   else
-    let cap = (mtu - Packet.ip_header_bytes) / 8 * 8 in
+    let cap = (Kernel.mtu - Packet.ip_header_bytes) / 8 * 8 in
     (header + bytes + cap - 1) / cap
 
 (* ------------------------------------------------------------------ *)
@@ -65,8 +67,7 @@ let frag_count (k : Kernel.t) ~header ~bytes =
 
 let socket_dgram k =
   ignore k;
-  Socket.create ~udp_rcv_limit:(Kernel.config k).Kernel.udp_rcv_limit
-    Socket.Dgram
+  Socket.create Socket.Dgram
 
 let socket_stream k =
   ignore k;
@@ -108,7 +109,7 @@ let sendto k ~(self : Proc.t) (sock : Socket.t) ~dst:(dip, dport) payload =
     | None -> bind_ephemeral k sock ~owner:(Some self)
   in
   let len = Payload.length payload in
-  let frags = frag_count k ~header:Packet.udp_header_bytes ~bytes:len in
+  let frags = frag_count ~header:Packet.udp_header_bytes ~bytes:len in
   compute k
     ((c k).Cost.syscall
      +. ((c k).Cost.copy_per_byte *. float_of_int len)
@@ -230,11 +231,10 @@ let tcp_listen k ~(self : Proc.t) (sock : Socket.t) ~port ~backlog =
   if sock.Socket.kind <> Socket.Stream then
     invalid_arg "Api.tcp_listen: stream sockets only";
   compute k (c k).Cost.syscall;
-  let cfg = Kernel.config k in
   let listener =
     Tcp.create_listener (Kernel.tcp_env_exn k) ~local_ip:(Kernel.ip_address k)
-      ~local_port:port ~sndq_limit:cfg.Kernel.sock_buf
-      ~rcv_buf_limit:cfg.Kernel.sock_buf ~backlog ()
+      ~local_port:port ~sndq_limit:sock_buf
+      ~rcv_buf_limit:sock_buf ~backlog ()
   in
   Kernel.open_conn k sock listener ~owner:self
 
@@ -283,13 +283,12 @@ let rec connect_wait (sock : Socket.t) conn =
 let tcp_connect k ~(self : Proc.t) (sock : Socket.t) ~remote =
   if sock.Socket.kind <> Socket.Stream then
     invalid_arg "Api.tcp_connect: stream sockets only";
-  let cfg = Kernel.config k in
   let local_port = Kernel.fresh_port k in
   compute k ((c k).Cost.syscall +. seg_out_cost k);
   let conn =
     Tcp.create_active (Kernel.tcp_env_exn k) ~local_ip:(Kernel.ip_address k)
-      ~local_port ~remote ~sndq_limit:cfg.Kernel.sock_buf
-      ~rcv_buf_limit:cfg.Kernel.sock_buf ()
+      ~local_port ~remote ~sndq_limit:sock_buf
+      ~rcv_buf_limit:sock_buf ()
   in
   Kernel.open_conn k sock conn ~owner:self;
   connect_wait sock conn

@@ -94,19 +94,20 @@ let axes = function
 
 let is_lrp arch = match axes arch with _, Lazy, _ -> true | _, Eager, _ -> false
 
+(* The paper's testbed constants no scenario varies. *)
+let mtu = 9180                          (* ATM AAL5 *)
+let ip_queue_limit = 50                 (* BSD shared IP queue, packets *)
+let mbuf_capacity = 4096
+let initial_rto = Lrp_engine.Time.sec 1.5
+let max_syn_retries = 4
+let rx_ring = 256                       (* slots per NAPI receive ring *)
+
 type config = {
   arch : arch;
   costs : Cost.t;
-  mtu : int;
-  ip_queue_limit : int;       (* BSD shared IP queue, packets *)
   channel_limit : int;        (* LRP per-channel queue, packets *)
-  udp_rcv_limit : int;        (* socket queue, datagrams *)
-  mbuf_capacity : int;
   mss : int;
-  sock_buf : int;             (* TCP send/receive buffer, bytes *)
   time_wait : float;
-  initial_rto : float;
-  max_syn_retries : int;
   udp_helper : bool;          (* LRP minimal-priority protocol thread *)
   forwarding : bool;          (* act as an IP gateway (section 3.5) *)
   fwd_nice : int;             (* priority of the LRP forwarding daemon *)
@@ -119,21 +120,16 @@ type config = {
                                  ksoftirqd; a pathologically high budget
                                  keeps all polling at softirq level and
                                  reintroduces livelock *)
-  rx_queues : int;            (* NIC receive rings (RSS steers across >1) *)
-  rx_ring : int;              (* slots per receive ring *)
   coalesce_pkts : int;        (* interrupt after this many buffered frames *)
   coalesce_us : float;        (* ... or this long after the first one *)
 }
 
 let default_config ?(costs = Cost.default) arch =
-  { arch; costs; mtu = 9180 (* ATM AAL5 *); ip_queue_limit = 50;
-    channel_limit = 32; udp_rcv_limit = 32; mbuf_capacity = 4096;
-    mss = 9140; sock_buf = 32 * 1024; time_wait = Lrp_engine.Time.sec 30.;
-    initial_rto = Lrp_engine.Time.sec 1.5; max_syn_retries = 4;
+  { arch; costs; channel_limit = 32; mss = 9140;
+    time_wait = Lrp_engine.Time.sec 30.;
     udp_helper = true; forwarding = false; fwd_nice = 0;
     fair_app_accounting = true;
-    napi_budget = 64; rx_queues = (match arch with Rss -> 4 | _ -> 1);
-    rx_ring = 256; coalesce_pkts = 8; coalesce_us = 30. }
+    napi_budget = 64; coalesce_pkts = 8; coalesce_us = 30. }
 
 type kstats = {
   mutable rx_frames : int;          (* frames seen by the receive path *)
@@ -331,7 +327,6 @@ let name t = t.kname
 let cpu t = t.cpu
 let engine t = t.engine
 let nic t = t.nic
-let config t = t.cfg
 let costs t = t.c
 let stats t = t.stats
 let ip_address t = t.ip_addr
@@ -436,8 +431,8 @@ let rec transmit_all nic = function
 
 let ip_output t pkt =
   let nic = route t (Packet.dst pkt) in
-  if Packet.wire_bytes pkt <= t.cfg.mtu then ignore (Nic.transmit nic pkt)
-  else transmit_all nic (Ip.fragment pkt ~mtu:t.cfg.mtu)
+  if Packet.wire_bytes pkt <= mtu then ignore (Nic.transmit nic pkt)
+  else transmit_all nic (Ip.fragment pkt ~mtu)
 
 (* Per-segment transmit cost (protocol output + driver). *)
 let[@inline] seg_out_cost t = t.c.Cost.tcp_out +. t.c.Cost.ip_out +. t.c.Cost.driver_tx
@@ -915,6 +910,21 @@ let wake_ep ?(send = false) ?(recv = false) ?(accept = false) t ep =
       if accept then wake_all t s.Socket.accept_wait
   | [] -> ()
 
+(* Closing a listener aborts the connections it has not handed to a
+   socket — the embryonic ones and those waiting on its accept queue —
+   as 4.4BSD's [soclose] aborts [so_q0] and [so_q]: each sends an RST
+   and, through [on_closed], releases its endpoint. *)
+let abort_unaccepted t (l : Tcp.conn) =
+  let orphans = ref [] in
+  Flowtab.iter
+    (fun ~hi:_ ~lo:_ ep ->
+      match (ep.ep_socks, ep.ep_conn.Tcp.parent) with
+      | [], Some p when p == l -> orphans := ep.ep_conn :: !orphans
+      | _, _ -> ())
+    t.eps;
+  Queue.clear l.Tcp.accept_queue;
+  List.iter Tcp.abort (List.rev !orphans)
+
 let make_tcp_env t =
   { Tcp.clock = Engine.clock_cell t.engine;
     deadline = Engine.deadline_cell t.engine;
@@ -948,11 +958,12 @@ let make_tcp_env t =
       (fun conn ->
         let ep = conn_ep t conn in
         if ep != null_ep then release_ep t ep;
+        if conn.Tcp.remote = None then abort_unaccepted t conn;
         wake_ep t ep ~send:true ~recv:true);
     mss = t.cfg.mss;
     time_wait_duration = t.cfg.time_wait;
-    initial_rto = t.cfg.initial_rto;
-    max_syn_retries = t.cfg.max_syn_retries;
+    initial_rto;
+    max_syn_retries;
     totals = Tcp.new_totals () }
 
 (* ------------------------------------------------------------------ *)
@@ -1161,7 +1172,7 @@ let ip_input t ~mh pkt =
 let bsd_driver_rx t pkt =
   let mh = rx_reserve t pkt in
   if mh = no_mbufs then ()
-  else if t.ipq_len >= t.cfg.ip_queue_limit then begin
+  else if t.ipq_len >= ip_queue_limit then begin
     (* The shared IP queue is full: the drop point that couples unrelated
        sockets under BSD (section 2.2). *)
     t.stats.ipq_drops <- t.stats.ipq_drops + 1;
@@ -1568,7 +1579,7 @@ let lrp_classify_rx t pkt =
     else t.stats.fwd_drops <- t.stats.fwd_drops + 1
   end
   else
-  (* Classification runs without materialising the [Demux.flow] variant:
+  (* Classification runs without materialising a flow value:
      [resolve_slot] does the packed-key probe straight off the packet
      fields and answers with an int slot code, and the
      constant-constructor class drives the wake logic — the whole demux
@@ -1897,7 +1908,7 @@ let create engine fabric ~name ~ip cfg =
     { kname = name; engine; cpu; nic; cfg; demux; proto; rx_mode;
       c = cfg.costs; ip_addr = ip;
       tracer;
-      ipq_len = 0; mbufs = Mbuf.create ~capacity:cfg.mbuf_capacity ();
+      ipq_len = 0; mbufs = Mbuf.create ~capacity:mbuf_capacity ();
       parena;
       interfaces = [ (ip, 24, nic) ];
       udp_ports = Hashtbl.create 64;
@@ -1964,7 +1975,8 @@ let create engine fabric ~name ~ip cfg =
         ignore (Ip.Reasm.prune t.reasm ~now:(now t));
         Engine.reschedule_after engine !slowtimo_ev ~delay:(Time.sec 5.));
   if t.rx_mode <> Intr then begin
-    let queues = max 1 cfg.rx_queues in
+    (* RSS steers across four receive rings; NAPI polls one. *)
+    let queues = match cfg.arch with Rss -> 4 | _ -> 1 in
     (* [rx_frames] (the overload detector's offered-load numerator) is
        counted in the steer callback: under queued RX the NIC DMAs frames
        straight into its rings and the kernel's dispatch handler never
@@ -1975,7 +1987,7 @@ let create engine fabric ~name ~ip cfg =
     in
     t.napi <-
       Array.init queues (fun qi ->
-          let cap = max 1 (min cfg.napi_budget cfg.rx_ring) in
+          let cap = max 1 (min cfg.napi_budget rx_ring) in
           { nq = qi; poll_on = false; episode = 0; in_ksoftirqd = false;
             ksoftirqd_wq = Proc.waitq "ksoftirqd";
             b_pkts = Array.make cap Packet.null;
@@ -1983,7 +1995,7 @@ let create engine fabric ~name ~ip cfg =
             nf = [| 0.; neg_infinity |];
             train = Array.make gro_max_segs Packet.null; train_len = 0;
             train_udp = false; train_next_seq = 0 });
-    Nic.configure_rx_queues nic ~queues ~ring:cfg.rx_ring
+    Nic.configure_rx_queues nic ~queues ~ring:rx_ring
       ~coalesce_pkts:cfg.coalesce_pkts ~coalesce_us:cfg.coalesce_us ~steer
       ~kick:(fun qi -> napi_kick t qi);
     Array.iter
@@ -2013,7 +2025,6 @@ let fresh_port t =
     else t.eph_port
   in
   try_port ()
-
 
 (* [add_interface t fabric ~ip ~masklen] attaches an additional interface
    (multi-homed gateway).  The same receive architecture runs on every

@@ -70,16 +70,9 @@ val is_lrp : arch -> bool
 type config = {
   arch : arch;
   costs : Cost.t;
-  mtu : int;
-  ip_queue_limit : int;
   channel_limit : int;
-  udp_rcv_limit : int;
-  mbuf_capacity : int;
   mss : int;
-  sock_buf : int;
   time_wait : float;
-  initial_rto : float;
-  max_syn_retries : int;
   udp_helper : bool;
   forwarding : bool;
   fwd_nice : int;
@@ -88,17 +81,25 @@ type config = {
       (** frames per poll round before deferring to ksoftirqd; a
           pathologically high budget keeps all polling at softirq level
           and reintroduces livelock *)
-  rx_queues : int;  (** NIC receive rings (RSS steers across more than 1) *)
-  rx_ring : int;  (** slots per receive ring *)
   coalesce_pkts : int;
       (** raise the interrupt after this many buffered frames... *)
   coalesce_us : float;  (** ... or this long after the first one *)
 }
 val default_config : ?costs:Cost.t -> arch -> config
-(** The paper's testbed defaults: ATM MTU 9180, 32-packet channels,
-    32 kB socket buffers, the UDP helper on, forwarding off.  NAPI-family
-    defaults: budget 64, 256-slot rings, 8-packet / 30 us coalescing, and
-    4 queues under [Rss] (1 otherwise). *)
+(** The paper's testbed defaults: 32-packet channels, MSS 9140, 30 s
+    TIME_WAIT, the UDP helper on, forwarding off; NAPI-family budget 64
+    and 8-packet / 30 us coalescing.  What no scenario varies is a
+    constant: the ATM MTU ({!mtu}, 9180), the 50-packet BSD IP queue, 4096
+    mbufs, TCP's 1.5 s initial RTO and 4 SYN retries, {!rx_ring}-slot
+    receive rings, 4 receive queues under [Rss] (1 otherwise), and in
+    {!Api} 32 kB TCP socket buffers and, in {!Socket}, 32-datagram UDP
+    socket queues. *)
+
+val mtu : int
+(** The ATM AAL5 MTU, 9180 bytes: IP output fragments larger datagrams. *)
+
+val rx_ring : int
+(** Slots per NAPI-family receive ring (256). *)
 
 type kstats = {
   mutable rx_frames : int;
@@ -191,7 +192,6 @@ val name : t -> string
 val cpu : t -> Lrp_sim.Cpu.t
 val engine : t -> Lrp_engine.Engine.t
 val nic : t -> Lrp_net.Nic.t
-val config : t -> config
 val costs : t -> Cost.t
 val stats : t -> kstats
 val ip_address : t -> Lrp_net.Packet.ip

@@ -38,7 +38,6 @@ type t = {
   mutable port : int option;
   mutable remote : (Packet.ip * int) option;  (* connected-UDP peer *)
   udp_rcv : udp_datagram Queue.t;
-  udp_rcv_limit : int;  (* socket-queue limit, in datagrams *)
   recv_wait : Proc.waitq;
   send_wait : Proc.waitq;
   accept_wait : Proc.waitq;
@@ -52,18 +51,20 @@ type t = {
    (Lrp_engine.Idspace): per-cell sequences, independent of other
    simulations or shards allocating concurrently. *)
 
-let create ?(udp_rcv_limit = 64) kind =
+let create kind =
   let id = Lrp_engine.Idspace.next_sock_id () in
   { id; kind; port = None; remote = None; udp_rcv = Queue.create ();
-    udp_rcv_limit;
     recv_wait = Proc.waitq "recv"; send_wait = Proc.waitq "send";
     accept_wait = Proc.waitq "accept";
     chan = None; tcp = None; closed = false;
     stats = { rx_delivered = 0; rx_sockq_drops = 0; tx_packets = 0;
               rx_hwm = 0 } }
 
+(* The socket-queue limit, in datagrams. *)
+let udp_rcv_limit = 32
+
 (* The socket queue has room for another ready datagram. *)
-let has_room t = Queue.length t.udp_rcv < t.udp_rcv_limit
+let has_room t = Queue.length t.udp_rcv < udp_rcv_limit
 
 (* Append a ready datagram, from [src]:[sport] in the packet with IP
    ident [ident] and backed by mbuf handle [mh], to the socket queue (BSD

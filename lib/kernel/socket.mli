@@ -32,7 +32,6 @@ type t = {
   mutable port : int option;
   mutable remote : (Lrp_net.Packet.ip * int) option;
   udp_rcv : udp_datagram Queue.t;
-  udp_rcv_limit : int;
   recv_wait : Lrp_sim.Proc.waitq;
   send_wait : Lrp_sim.Proc.waitq;
   accept_wait : Lrp_sim.Proc.waitq;
@@ -41,9 +40,9 @@ type t = {
   mutable closed : bool;
   stats : stats;
 }
-val create : ?udp_rcv_limit:int -> kind -> t
+val create : kind -> t
 val has_room : t -> bool
-(** The socket queue holds fewer than [udp_rcv_limit] datagrams. *)
+(** The socket queue holds fewer than 32 datagrams. *)
 
 val deposit_udp :
   t -> Lrp_net.Payload.t -> src:Lrp_net.Packet.ip -> sport:int -> ident:int ->

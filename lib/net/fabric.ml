@@ -56,10 +56,6 @@ module Faults = struct
     if not (t.jitter_us >= 0.) then
       invalid_arg "Fabric.Faults: jitter_us must be >= 0"
 
-  let is_none t =
-    t.loss = 0. && t.ge_loss_good = 0. && t.ge_loss_bad = 0.
-    && t.ge_p_gb = 0. && t.ge_p_bg = 0. && t.dup = 0. && t.corrupt = 0.
-    && t.reorder = 0. && t.jitter_us = 0.
 end
 
 (* A frame held back for reordering.  [released] guards against double
@@ -455,9 +451,6 @@ let set_default_gateway t ~ip =
 
 let drops t = t.total_drops
 
-let port_drops t ip =
-  match Hashtbl.find_opt t.ports ip with Some p -> p.drops | None -> 0
-
 (* --- cross-cell path (sharded topologies) ------------------------------ *)
 
 (* Arrival of an injected frame on the destination cell: from here on it
@@ -491,10 +484,6 @@ let uplink_exn t =
   match t.uplink with
   | Some up -> up
   | None -> invalid_arg "Fabric: no uplink configured"
-
-let cell_id t = (uplink_exn t).up_cell
-
-let uplink_min_latency t = (uplink_exn t).up_min_latency
 
 (* Barrier-side drain: visit outbox entries in transmit order ([seq] is
    the per-source FIFO sequence the coordinator sorts on), then reset the

@@ -40,11 +40,6 @@ module Faults : sig
     ?corrupt:float ->
     ?reorder:float -> ?reorder_span:int -> ?jitter_us:float -> unit -> t
 
-  val validate : t -> unit
-  (** @raise Invalid_argument when any probability is outside [[0,1]],
-      [reorder_span < 1], or [jitter_us < 0] (NaN included). *)
-
-  val is_none : t -> bool
 end
 
 type held = { hpkt : Packet.t; mutable countdown : int; mutable released : bool; }
@@ -147,13 +142,6 @@ val create :
   Lrp_engine.Engine.t ->
   ?bandwidth_mbps:float ->
   ?prop_delay:float -> ?switch_latency:float -> ?buffer_us:float -> unit -> t
-val attach : t -> Nic.t -> unit
-(** Register a NIC's address on the switch and wire its transmit side.
-    @raise Invalid_argument on duplicate addresses. *)
-
-val forward : t -> Packet.t -> unit
-(** Switch one frame: the NICs' transmit side.  Allocation-free on the
-    fault-free unicast path. *)
 
 val set_loss_rate : t -> float -> unit
 (** Uniform random frame loss across the whole fabric, for fault-injection
@@ -176,7 +164,6 @@ val set_default_gateway : t -> ip:Packet.ip -> unit
     (a forwarding host).  @raise Invalid_argument if no such port. *)
 
 val drops : t -> int
-val port_drops : t -> Packet.ip -> int
 
 val set_uplink :
   t ->
@@ -193,11 +180,6 @@ val set_uplink :
     (OC-12 spine vs the 155 Mbit/s OC-3 leaves).
     @raise Invalid_argument on a non-positive or non-finite
     [min_latency]. *)
-
-val cell_id : t -> int
-(** @raise Invalid_argument when no uplink is configured (also below). *)
-
-val uplink_min_latency : t -> float
 
 val drain_outbox :
   t ->

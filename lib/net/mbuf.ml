@@ -120,5 +120,3 @@ let free_h t h =
 let in_use t = t.in_use
 let peak t = t.peak
 let failures t = t.failures
-let capacity t = t.capacity
-let available t = t.capacity - t.in_use

@@ -11,7 +11,6 @@
 
 type t
 val create : ?mbuf_size:int -> capacity:int -> unit -> t
-val mbufs_for : t -> int -> int
 val alloc : t -> bytes:int -> bool
 (** Reserve mbufs for a packet; [false] (and a counted failure) when the
     pool cannot cover the request. *)
@@ -39,10 +38,6 @@ val free_h : t -> handle -> unit
 (** Release a handle's reservation and invalidate the handle.
     @raise Invalid_argument on a stale handle. *)
 
-val valid_h : t -> handle -> bool
-
 val in_use : t -> int
 val peak : t -> int
 val failures : t -> int
-val capacity : t -> int
-val available : t -> int

@@ -97,7 +97,6 @@ let create engine ~name ~ip ?(bandwidth_mbps = 155.) ?(cellify = true)
     rxqs = [||]; rx_steer = (fun _ -> 0); rx_kick = (fun _ -> ());
     coalesce_pkts = 1; coalesce_us = 0. }
 
-let name t = t.nic_name
 let ip t = t.ip
 let stats t = t.stats
 let set_tracer t tr = t.tracer <- tr
@@ -121,10 +120,6 @@ let footprint_of_bytes t b =
     let cells = (b + 8 + 47) / 48 in
     cells * 53
   else b
-
-let wire_footprint t pkt = footprint_of_bytes t (Packet.wire_bytes pkt)
-
-let serialization_time t pkt = float_of_int (wire_footprint t pkt) /. t.bandwidth
 
 let rec drain t =
   if t.ifq_count = 0 then t.tx_busy <- false

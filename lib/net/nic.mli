@@ -78,7 +78,6 @@ val create :
   name:string ->
   ip:Packet.ip ->
   ?bandwidth_mbps:float -> ?cellify:bool -> ?ifq_limit:int -> unit -> t
-val name : t -> string
 val ip : t -> Packet.ip
 val stats : t -> stats
 
@@ -96,17 +95,7 @@ val set_rx_handler : t -> (Packet.t -> unit) -> unit
     architectural difference the paper studies. *)
 
 val set_deliver : t -> (Packet.t -> unit) -> unit
-val footprint_of_bytes : t -> int -> int
-(** Line bytes for a [wire_bytes]-sized datagram; with [cellify], AAL5
-    cell quantisation (48 payload bytes per 53-byte cell).  Takes the
-    byte count rather than the packet so the drain loop can reuse the
-    arena-cached footprint. *)
 
-val wire_footprint : t -> Packet.t -> int
-(** [footprint_of_bytes] of the packet's [Packet.wire_bytes]. *)
-
-val serialization_time : t -> Packet.t -> float
-val drain : t -> unit
 val transmit : t -> Packet.t -> bool
 (** Driver if_output: enqueue on the interface queue and kick the
     transmitter; [false] on queue overflow. *)

@@ -1,9 +1,9 @@
 (** Packet representation.
 
-    Packets are structured records in the simulator's hot path; {!Codec}
-    provides the faithful byte-level encoding used by the wire-format tests
-    and the byte-level demultiplexer.  Header sizes follow IPv4/UDP/TCP so
-    that wire-time calculations are realistic. *)
+    Packets are structured records, never serialised: the simulated NI
+    demultiplexes them as they are and charges the byte-level classifier's
+    cost (section 3.2).  Header sizes follow IPv4/UDP/TCP so that
+    wire-time calculations are realistic. *)
 
 type ip = int
 (** IPv4 address as a non-negative int (printed dotted-quad). *)
@@ -41,11 +41,6 @@ let flags_syn = flags ~syn:true ()
 let flags_syn_ack = flags ~syn:true ~ack:true ()
 let flags_fin_ack = flags ~fin:true ~ack:true ()
 let flags_rst_ack = flags ~rst:true ~ack:true ()
-
-let pp_flags fmt f =
-  let s b c = if b then c else "" in
-  Fmt.pf fmt "%s%s%s%s%s" (s f.syn "S") (s f.ack "A") (s f.fin "F") (s f.rst "R")
-    (s f.psh "P")
 
 type udp_header = { usrc_port : port; udst_port : port }
 
@@ -288,17 +283,3 @@ let corrupt t ~at ~xor =
              rebuilt (Icmp (k, flip_byte p ~off ~xor))
          | Udp _ | Tcp _ | Icmp _ | Fragment _ -> None)
 
-let pp fmt t =
-  match t.body with
-  | Udp (u, p) ->
-      Fmt.pf fmt "UDP %a:%d > %a:%d %a" pp_ip t.ip.src u.usrc_port pp_ip
-        t.ip.dst u.udst_port Payload.pp p
-  | Tcp (h, p) ->
-      Fmt.pf fmt "TCP %a:%d > %a:%d [%a] seq=%d ack=%d win=%d %a" pp_ip
-        t.ip.src h.tsrc_port pp_ip t.ip.dst h.tdst_port pp_flags h.flags h.seq
-        h.ack_no h.window Payload.pp p
-  | Icmp (_, p) -> Fmt.pf fmt "ICMP %a > %a %a" pp_ip t.ip.src pp_ip t.ip.dst Payload.pp p
-  | Fragment f ->
-      Fmt.pf fmt "FRAG id=%d off=%d len=%d%s of (%a)" t.ip.ident f.foff f.flen
-        (if f.last then " last" else "")
-        pp_ip t.ip.dst

@@ -1,9 +1,9 @@
 (** Packet representation.
 
-    Packets are structured records in the simulator's hot path; {!Codec}
-    provides the faithful byte-level encoding used by the wire-format tests
-    and the byte-level demultiplexer.  Header sizes follow IPv4/UDP/TCP so
-    that wire-time calculations are realistic. *)
+    Packets are structured records, never serialised: the simulated NI
+    demultiplexes them as they are and charges the byte-level classifier's
+    cost (section 3.2).  Header sizes follow IPv4/UDP/TCP so that
+    wire-time calculations are realistic. *)
 
 type ip = int
 (** IPv4 address as a non-negative int (printed dotted-quad). *)
@@ -37,7 +37,6 @@ val flags_syn_ack : tcp_flags
 val flags_fin_ack : tcp_flags
 val flags_rst_ack : tcp_flags
 
-val pp_flags : Format.formatter -> tcp_flags -> unit
 type udp_header = { usrc_port : port; udst_port : port; }
 type tcp_header = {
   tsrc_port : port;
@@ -67,17 +66,13 @@ and t = { ip : ip_header; body : body; }
 
 val ip_header_bytes : int
 val udp_header_bytes : int
-val tcp_header_bytes : int
 val transport_header_bytes : t -> int
 (** Transport-header bytes this packet carries on the wire. *)
 
-val transport_header_bytes' : body -> int
 val payload_length : t -> int
 val wire_bytes : t -> int
 (** Total IP datagram size on the wire (IP header + transport header +
     payload slice). *)
-
-val next_ident : unit -> int
 
 (** {1 Content checksum} *)
 
@@ -135,8 +130,6 @@ val ports : t -> (port * port) option
 (** [(src_port, dst_port)] when the packet carries (or is the first
     fragment of) a transport header. *)
 
-val ports' : t -> (port * port) option
 val is_tcp : t -> bool
 val is_udp : t -> bool
 val is_fragment : t -> bool
-val pp : Format.formatter -> t -> unit

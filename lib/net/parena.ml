@@ -98,4 +98,3 @@ let[@inline] release t h =
 
 let live t = t.live
 let peak t = t.peak
-let capacity t = Array.length t.gens

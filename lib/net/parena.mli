@@ -36,13 +36,9 @@ val release : t -> handle -> unit
 (** Return the slot to the free list and invalidate the handle.
     @raise Invalid_argument on a stale handle. *)
 
-val valid : t -> handle -> bool
-
 val live : t -> int
 (** Descriptors currently held. *)
 
 val peak : t -> int
 (** High-water mark of {!live}. *)
 
-val capacity : t -> int
-(** Current column length (grows on demand, never shrinks). *)

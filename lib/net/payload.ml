@@ -82,7 +82,3 @@ let concat parts =
        | Synthetic { tag; _ } :: _, Some total -> Synthetic { len = total; tag }
        | _, _ -> Bytes (Bytes.concat Bytes.empty (List.map to_bytes parts)))
 
-let pp fmt t =
-  match t with
-  | Synthetic { len; tag } -> Fmt.pf fmt "#%d(%dB)" tag len
-  | Bytes b -> Fmt.pf fmt "bytes(%dB)" (Bytes.length b)

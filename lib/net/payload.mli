@@ -30,4 +30,3 @@ val concat : t list -> t
 (** Reassemble slices; consecutive synthetic slices glue back without
     materialising bytes. *)
 
-val pp : Format.formatter -> t -> unit

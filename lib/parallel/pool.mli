@@ -8,21 +8,10 @@
     jobs receive no information about which domain ran them — so a job
     whose output is a deterministic function of its input (e.g. a
     simulation run from its own seeded engine) produces identical results
-    whatever the pool size.  [create ~domains:1] runs every job inline in
+    whatever the pool size.  [with_pool ~domains:1] runs every job inline in
     the caller, byte-for-byte the sequential behavior. *)
 
 type t
-
-val create : ?domains:int -> unit -> t
-(** [create ~domains:n ()] makes a pool capped at [n]-way parallelism
-    (default {!Domain.recommended_domain_count}).  [n <= 1] means no worker
-    domains: jobs run inline in the submitting domain.
-
-    Worker domains are a process-wide shared set, spawned on demand and
-    parked between batches — creating pools repeatedly (one per sweep)
-    reuses the same domains instead of respawning them, so short sweeps no
-    longer pay spawn cost per batch.  [create] only grows the shared set
-    when the cap asks for more workers than have ever been spawned. *)
 
 val domains : t -> int
 (** Parallelism of the pool ([>= 1]; [1] means inline execution). *)
@@ -42,9 +31,11 @@ val map_reduce : t -> map:('a -> 'b) -> reduce:('c -> 'b -> 'c) -> init:'c ->
     non-commutative [reduce]. *)
 
 val with_pool : ?domains:int -> (t -> 'r) -> 'r
-(** [with_pool ~domains f] is [f (create ~domains ())].  A pool owns
-    nothing to tear down: workers are shared across pools and parked
-    between batches, and the shared set is joined by an [at_exit]
+(** [with_pool ~domains:n f] runs [f] with a pool capped at [n]-way
+    parallelism (default {!Domain.recommended_domain_count}); [n <= 1]
+    means no worker domains.  A pool owns nothing to tear down: workers
+    are a process-wide shared set, spawned on demand, shared across pools
+    and parked between batches, and the set is joined by an [at_exit]
     hook. *)
 
 (** {2 Shared worker set}
@@ -56,9 +47,6 @@ val submit : (unit -> unit) -> unit
 (** Enqueue a raw job on the shared worker set.  The job runs on some
     worker domain (never inline); callers are responsible for making
     enough workers free — see {!reserve_workers}. *)
-
-val ensure_free : int -> unit
-(** Grow the shared set until at least [n] workers are unreserved. *)
 
 val reserve_workers : int -> unit
 (** Pin [n] workers for long-running jobs (e.g. team members that park in

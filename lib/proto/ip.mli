@@ -25,7 +25,6 @@ module Reasm :
       mutable timed_out : int;
     }
     val create : ?timeout:float -> unit -> t
-    val ranges_cover : (int * int) list -> int -> bool
     val insert :
       t -> now:float -> Lrp_net.Packet.t -> Lrp_net.Packet.t option
     (** Record a fragment; [Some whole] on completion.  Non-fragments pass

@@ -72,10 +72,8 @@ let set_account th owner = th.account <- owner
 
 let name th = th.name
 let tid th = th.tid
-let nice th = th.nice
 let priority th = th.priority
 let p_cpu th = th.p_cpu.(0)
-let is_runnable th = th.state = Runnable
 let is_sleeping th = th.state = Sleeping
 let ticks_charged th = th.ticks
 
@@ -194,10 +192,3 @@ let counters t ~prefix =
     (prefix ^ ".runnable", float_of_int (runnable_count t));
     (prefix ^ ".threads", float_of_int (List.length t.threads)) ]
 
-let pp_thread fmt th =
-  Fmt.pf fmt "%s(tid=%d pri=%d p_cpu=%.1f %s)" th.name th.tid th.priority
-    th.p_cpu.(0)
-    (match th.state with
-     | Runnable -> "run"
-     | Sleeping -> "sleep"
-     | Exited -> "exit")

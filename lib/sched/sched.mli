@@ -61,10 +61,8 @@ val set_account : thread -> thread option -> unit
 
 val name : thread -> string
 val tid : thread -> int
-val nice : thread -> int
 val priority : thread -> int
 val p_cpu : thread -> float
-val is_runnable : thread -> bool
 val is_sleeping : thread -> bool
 val ticks_charged : thread -> int
 (** Total ticks charged to this thread since creation (accounting view:
@@ -120,4 +118,3 @@ val load_average : t -> float
 val counters : t -> prefix:string -> (string * float) list
 (** Load average, runnable count and thread count, named under [prefix]. *)
 
-val pp_thread : Format.formatter -> thread -> unit

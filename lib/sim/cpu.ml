@@ -157,7 +157,6 @@ type t = {
   mutable hint_flow : int;
 }
 
-let name t = t.cpu_name
 let set_tracer t tr = t.tracer <- tr
 let cost_cell t = t.cost
 
@@ -421,10 +420,8 @@ and begin_timed t (p : Proc.t) =
     let half = 0.5 *. absence in
     let reload = if half < p.Proc.working_set_us then half else p.Proc.working_set_us in
     let overhead = t.ctx_switch_cost +. reload in
-    if overhead > 0. then begin
+    if overhead > 0. then
       acct.(Proc.a_work_left) <- acct.(Proc.a_work_left) +. overhead;
-      acct.(Proc.a_overhead) <- acct.(Proc.a_overhead) +. overhead
-    end;
     t.n_ctx_switch <- t.n_ctx_switch + 1;
     Trace.ctx_switch t.tracer ~from_pid:t.last_user ~to_pid:p.Proc.pid;
     t.last_user <- p.Proc.pid

@@ -35,8 +35,6 @@ val create :
     [ctx_switch_cost] defaults to 0; [start_clock] (default true) installs
     the periodic scheduler tick and decay events. *)
 
-val name : t -> string
-
 (** {1 Processes} *)
 
 val spawn :

@@ -57,9 +57,9 @@ val retire_pid : t -> pid:int -> unit
     No-op for a pid without a row. *)
 
 val retire_flow : t -> flow:int -> unit
-(** [retire_flow t ~flow] adds the flow's row into the {!closed_flow}
-    aggregate row and forgets the flow (done when its channel is
-    deallocated).  No-op for a flow without a row. *)
+(** [retire_flow t ~flow] adds the flow's row into the closed-flow
+    aggregate row (key [max_int]) and forgets the flow (done when its
+    channel is deallocated).  No-op for a flow without a row. *)
 
 val total : t -> cls -> float
 val grand_total : t -> float
@@ -84,13 +84,10 @@ type flow_row = { flow : int; f_soft : float; f_proto : float; f_poll : float }
 val exited_pid : int
 (** Key of the aggregate row of every retired pid, named ["(exited)"]. *)
 
-val closed_flow : int
-(** Key of the aggregate row of every retired flow. *)
-
 val rows : t -> row list
 (** Rows of the live pids, pid-sorted (pid [-1] is the idle context),
     then the {!exited_pid} row once some pid has been retired. *)
 
 val flow_rows : t -> flow_row list
-(** Rows of the open flows/channels, id-sorted, then the {!closed_flow}
+(** Rows of the open flows/channels, id-sorted, then the closed-flow
     row once some flow has been retired. *)

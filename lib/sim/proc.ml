@@ -28,9 +28,8 @@ type _ Effect.t +=
    float field of this mixed record would box on every store. *)
 let a_work_left = 0
 let a_cpu = 1
-let a_overhead = 2
-let a_last_on_cpu = 3
-let acct_slots = 4
+let a_last_on_cpu = 2
+let acct_slots = 3
 
 (* Placeholder for [k] while no continuation is parked: never resumed,
    because [pending] only becomes [Resume] after a real one is stored. *)
@@ -48,7 +47,6 @@ let make ~pid ~name ~thread ~working_set ~now body =
     lcls = 0; lflow = -1 }
 
 let cpu_time p = p.acct.(a_cpu)
-let overhead_time p = p.acct.(a_overhead)
 
 let block wq = Effect.perform (Block wq)
 

@@ -35,8 +35,7 @@ type t = {
   mutable exited : bool;
   acct : float array;
       (** time accounting, written by the CPU model in slots
-          {!a_work_left} .. {!a_last_on_cpu}; read it through {!cpu_time}
-          and {!overhead_time} *)
+          {!a_work_left} .. {!a_last_on_cpu}; read it through {!cpu_time} *)
   exit_waiters : waitq;
   mutable lcls : int;
       (** ledger class of the current compute segment: 0 = app, 1 =
@@ -76,9 +75,6 @@ val a_work_left : int
 val a_cpu : int
 (** Total simulated CPU consumed, microseconds. *)
 
-val a_overhead : int
-(** The part of [a_cpu] that was context-switch / cache-reload overhead. *)
-
 val a_last_on_cpu : int
 (** Last instant this process occupied the CPU (for the cache-reload
     model: eviction grows with absence). *)
@@ -93,10 +89,6 @@ val make :
 
 val cpu_time : t -> float
 (** Total simulated CPU consumed, microseconds. *)
-
-val overhead_time : t -> float
-(** The part of {!cpu_time} that was context-switch / cache-reload
-    overhead rather than useful work. *)
 
 (** {1 Effects} *)
 

@@ -32,9 +32,6 @@ module Summary = struct
       let v = (t.sumsq /. float_of_int t.n) -. (m *. m) in
       sqrt (Float.max 0. v)
 
-  let pp fmt t =
-    Fmt.pf fmt "n=%d mean=%.1f min=%.1f max=%.1f sd=%.1f" t.n (mean t)
-      (minimum t) (maximum t) (stddev t)
 end
 
 (* --- reservoir for percentiles ---------------------------------------- *)

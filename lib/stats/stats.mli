@@ -18,7 +18,6 @@ module Summary :
     val minimum : t -> float
     val maximum : t -> float
     val stddev : t -> float
-    val pp : Format.formatter -> t -> unit
   end
 (** Sample store with percentiles (used for latency distributions).
 

@@ -15,9 +15,6 @@ type t =
   | Arr of t list
   | Obj of (string * t) list
 
-val escape : string -> string
-(** Escape a string's contents for embedding between double quotes. *)
-
 val to_buffer : Buffer.t -> t -> unit
 (** Emit compact (whitespace-free) JSON. Non-finite numbers become [null]. *)
 

@@ -63,12 +63,9 @@ val iter :
 val dump_to_buffer : Buffer.t -> t -> unit
 val write_dump : t -> string -> unit
 
-val kinds : int
-(** Number of event kind codes {!Trace} defines (codes [0 .. kinds - 1]). *)
-
 val of_string : string -> (t, string) result
 (** Parse a dump; the error string includes the failing byte offset.
     A header claiming more records than the bytes that follow, or a record
-    whose kind code is not below {!kinds}, is an [Error]. *)
+    whose kind code is not one {!Trace} defines, is an [Error]. *)
 
 val read_dump : string -> (t, string) result

@@ -18,10 +18,6 @@ type client_stats = {
   mutable failed : int;
   mutable bytes : int;
 }
-val start_client :
-  Lrp_kernel.Kernel.t ->
-  dst:Lrp_net.Packet.ip * int ->
-  ?request_bytes:int -> ?doc_bytes:int -> id:int -> client_stats -> unit
 val start_clients :
   Lrp_kernel.Kernel.t ->
   dst:Lrp_net.Packet.ip * int -> ?n:int -> unit -> client_stats

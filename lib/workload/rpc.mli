@@ -16,7 +16,6 @@
 
 type cls = Fast | Medium | Slow
 val cls_name : cls -> string
-val service_time : cls -> float
 type result = {
   mutable worker_started : float;
   mutable worker_finished : float option;
@@ -24,13 +23,6 @@ type result = {
   mutable window_rpcs : int;
   worker_cpu : float;
 }
-val start_rpc_server :
-  Lrp_kernel.Kernel.t -> port:int -> service:float -> unit
-val start_worker :
-  Lrp_kernel.Kernel.t ->
-  port:int -> cpu_us:float -> working_set:float -> result -> unit
-val start_collector :
-  Lrp_kernel.Kernel.t -> port:int -> completed:int ref -> result -> unit
 type setup = { result : result; mutable injected : int; }
 val run :
   World.t ->

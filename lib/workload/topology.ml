@@ -73,13 +73,8 @@ let spine_leaf ?(seed = 42) ?(spine_latency_us = 100.) ?(uplink_mbps = 622.)
   { cells = Array.init racks make_cell; racks; hosts_per_rack;
     lookahead = spine_latency_us }
 
-let racks t = t.racks
-let hosts_per_rack t = t.hosts_per_rack
 let lookahead t = t.lookahead
 let cells t = t.cells
-let cell t r = t.cells.(r)
-
-let kernel t ~rack ~slot = t.cells.(rack).kernels.(slot)
 
 (* Run [f] on cell [r] with the cell's Idspace installed — required
    around any setup that mints ids (sockets, channels, connections)

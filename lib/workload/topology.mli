@@ -18,8 +18,6 @@ val host_ip : rack:int -> slot:int -> Lrp_net.Packet.ip
 (** [10.rack.0.(10+slot)] — rack in the second octet, so cross-rack
     routing is a shift and a mask. *)
 
-val rack_of : Lrp_net.Packet.ip -> int
-
 val spine_leaf :
   ?seed:int ->
   ?spine_latency_us:float ->
@@ -31,12 +29,8 @@ val spine_leaf :
     engine seeds from [Rng.split_seed seed rack].
     @raise Invalid_argument on non-positive dimensions or > 256 racks. *)
 
-val racks : t -> int
-val hosts_per_rack : t -> int
 val lookahead : t -> float
 val cells : t -> cell array
-val cell : t -> int -> cell
-val kernel : t -> rack:int -> slot:int -> Lrp_kernel.Kernel.t
 
 val on_cell : t -> int -> (cell -> 'a) -> 'a
 (** Run a setup function against cell [r] with that cell's {!Lrp_engine.Idspace}

@@ -12,11 +12,6 @@ type result = {
   mutable last_rx : float;
 }
 val mbps : result -> float
-val start_receiver : Lrp_kernel.Kernel.t -> port:int -> result -> unit
-val start_sender :
-  Lrp_kernel.Kernel.t ->
-  dst:Lrp_net.Packet.ip * Lrp_net.Packet.port ->
-  size:int -> window:int -> total:int -> unit
 val run :
   World.t ->
   sender:Lrp_kernel.Kernel.t ->

@@ -31,11 +31,6 @@ let add_host w ~name cfg =
 let engine w = w.engine
 let fabric w = w.fabric
 
-let kernel w name =
-  match List.assoc_opt name w.hosts with
-  | Some k -> k
-  | None -> invalid_arg (Printf.sprintf "World.kernel: no host %s" name)
-
 let run w ~until = Engine.run w.engine ~until
 
 (* Two-host worlds are the common case: a client and a server of the given

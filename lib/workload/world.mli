@@ -9,15 +9,13 @@ type t = {
   mutable hosts : (string * Lrp_kernel.Kernel.t) list;
 }
 val make : ?seed:int -> ?bandwidth_mbps:float -> unit -> t
-val host_ip : int -> int
+val add_host :
+  t -> name:string -> Lrp_kernel.Kernel.config -> Lrp_kernel.Kernel.t
 (** Attach a host running the given kernel configuration; IPs are
     assigned 10.0.0.10, .11, ... in order. *)
 
-val add_host :
-  t -> name:string -> Lrp_kernel.Kernel.config -> Lrp_kernel.Kernel.t
 val engine : t -> Lrp_engine.Engine.t
 val fabric : t -> Lrp_net.Fabric.t
-val kernel : t -> string -> Lrp_kernel.Kernel.t
 val run : t -> until:Lrp_engine.Time.t -> unit
 (** Advance virtual time. *)
 

@@ -1,7 +1,8 @@
-(* Tests for lrp_allocheck's allocation and escape passes: every finding
-   kind fires on its compiled fixture, the eliminate_ref and
-   static-closure negatives hold, suppressions claim (and stale ones
-   report), the escape pass flags publication and honours sanctions, the
+(* Tests for lrp_allocheck's allocation, escape and unused-export
+   passes: every finding kind fires on its compiled fixture, the
+   eliminate_ref and static-closure negatives hold, suppressions claim
+   (and stale ones report), the escape pass flags publication and honours
+   sanctions, U1 sees references through aliases, opens and ref-dirs, the
    JSON report matches the committed golden file, and — the gate itself —
    the live tree is finding-free under every pass.
 
@@ -155,15 +156,22 @@ let test_cfg_unresolved () =
   one_cfg "unresolved entry"
     { fixture_cfg with Aconfig.entries = [ "Nowhere.nothing" ] }
     "Nowhere.nothing";
-  (* A missing build fails closed: a cmt-dir with no .cmt is a finding,
-     not a silently smaller gate. *)
+  (* A missing build fails closed: a cmt-dir or ref-dir with no .cmt is a
+     finding, not a silently smaller gate. *)
   one_cfg "empty cmt-dir"
     {
       fixture_cfg with
       Aconfig.entries = [];
       Aconfig.cmt_dirs = [ fixture_cmts; "_build/default/test/no_such_dir" ];
     }
-    "no_such_dir"
+    "no_such_dir";
+  one_cfg "empty ref-dir"
+    {
+      fixture_cfg with
+      Aconfig.entries = [];
+      Aconfig.ref_dirs = [ "_build/default/test/no_ref_dir" ];
+    }
+    "ref-dir '_build/default/test/no_ref_dir'"
 
 (* --- escape pass -------------------------------------------------------- *)
 
@@ -188,12 +196,62 @@ let test_escape () =
   Alcotest.(check bool) "DLS store flagged" true
     (contains (msg 4) "Domain.DLS.set")
 
+(* --- U1: unused exports --------------------------------------------------- *)
+
+(* The fixture interface exports [unused] (referenced nowhere),
+   [via_alias] and [via_open] (referenced from another unit through
+   [module U = Ulib] and [open Ulib]), [via_ref] (referenced only from the
+   ref-dir unit) and [stale] (referenced, under a stale suppression). *)
+let u1_cfg =
+  {
+    Aconfig.empty with
+    Aconfig.cmt_dirs = [ "_build/default/test/unused_fixtures/lib" ];
+    Aconfig.ref_dirs = [ "_build/default/test/unused_fixtures/ref" ];
+    Aconfig.layer_rank = [ ("lrp_ufix", 0) ];
+  }
+
+let u1_run cfg =
+  let findings, stats = Adriver.run ~root:(repo_root ()) cfg in
+  Alcotest.(check int) "every export checked" 5 stats.Adriver.exports;
+  findings
+
+let rule r fs = List.filter (fun f -> f.Finding.rule = r) fs
+
+let test_u1_unused () =
+  match rule "U1" (u1_run u1_cfg) with
+  | [ f ] ->
+      Alcotest.(check string) "reported in the interface"
+        "ulib.mli" (Filename.basename f.Finding.file);
+      Alcotest.(check int) "at the val" 1 f.Finding.line;
+      Alcotest.(check bool) "names the export" true
+        (contains f.Finding.msg "Ulib.unused")
+  | fs -> Alcotest.failf "expected one U1 finding, got %d" (List.length fs)
+
+let test_u1_references () =
+  let names cfg =
+    List.map (fun f -> f.Finding.msg) (rule "U1" (u1_run cfg))
+  in
+  Alcotest.(check bool) "alias, open and ref-dir references count" true
+    (List.for_all
+       (fun m ->
+         not
+           (List.exists (contains m) [ "via_alias"; "via_open"; "via_ref" ]))
+       (names u1_cfg));
+  Alcotest.(check int) "without the ref-dir, via_ref is unused too" 2
+    (List.length (names { u1_cfg with Aconfig.ref_dirs = [] }))
+
+let test_u1_stale_suppression () =
+  check_rl "a U1 suppression over a referenced export is stale"
+    [ ("SUP", 6) ]
+    (rule "SUP" (u1_run u1_cfg))
+
 (* --- conf parser -------------------------------------------------------- *)
 
 let test_conf_parse () =
   let text =
     "# comment\n\
      cmt-dir _build/default/lib\n\
+     ref-dir _build/default/test\n\
      entry Engine.run_batch   # trailing comment\n\
      follow lib/engine\n\
      assume Trace.dump\n\
@@ -215,6 +273,8 @@ let test_conf_parse () =
   | Ok c ->
       Alcotest.(check (list string)) "cmt dirs" [ "_build/default/lib" ]
         c.Aconfig.cmt_dirs;
+      Alcotest.(check (list string)) "ref dirs" [ "_build/default/test" ]
+        c.Aconfig.ref_dirs;
       Alcotest.(check (list string)) "entries" [ "Engine.run_batch" ]
         c.Aconfig.entries;
       Alcotest.(check (list string)) "follow" [ "lib/engine" ]
@@ -293,6 +353,8 @@ let test_self_check () =
     (stats.Adriver.src_units >= 55);
   Alcotest.(check bool) "ran L1 on the dune files" true
     (stats.Adriver.dune_files >= 14);
+  Alcotest.(check bool) "checked every library export" true
+    (stats.Adriver.exports >= 500);
   match findings with
   | [] -> ()
   | fs ->
@@ -319,6 +381,12 @@ let suite =
       test_cfg_unresolved;
     Alcotest.test_case "ESC fires on escapes, honours sanctions" `Quick
       test_escape;
+    Alcotest.test_case "U1 fires on the one unused export" `Quick
+      test_u1_unused;
+    Alcotest.test_case "U1 follows aliases, opens and ref-dirs" `Quick
+      test_u1_references;
+    Alcotest.test_case "stale U1 suppression is a finding" `Quick
+      test_u1_stale_suppression;
     Alcotest.test_case "conf parser round-trips directives" `Quick
       test_conf_parse;
     Alcotest.test_case "golden JSON report" `Quick test_golden_json;

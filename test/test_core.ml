@@ -164,10 +164,10 @@ let test_chantab_udp_resolution () =
   let tab = Chantab.create () in
   let ch = Channel.create () in
   Chantab.add_udp tab ~port:20 ch;
-  (match Chantab.resolve tab (Demux.flow_of_packet (pkt ())) with
+  (match Chantab.resolve_packet tab (pkt ()) with
    | Some c -> Alcotest.(check int) "right channel" (Channel.id ch) (Channel.id c)
    | None -> Alcotest.fail "expected resolution");
-  (match Chantab.resolve tab (Demux.flow_of_packet (pkt ~dport:99 ())) with
+  (match Chantab.resolve_packet tab (pkt ~dport:99 ()) with
    | None -> ()
    | Some _ -> Alcotest.fail "unbound port must not resolve");
   Alcotest.(check int) "miss counted" 1 (Chantab.unmatched tab)
@@ -183,15 +183,15 @@ let test_chantab_tcp_resolution () =
   Chantab.add_tcp_listen tab ~port:80 listen_ch;
   Chantab.add_tcp tab ~src:7 ~src_port:1000 ~dst_port:80 conn_ch;
   (* Established-connection segment: exact channel. *)
-  (match Chantab.resolve tab (Demux.flow_of_packet (tcp_pkt ())) with
+  (match Chantab.resolve_packet tab (tcp_pkt ()) with
    | Some c -> Alcotest.(check int) "exact match" (Channel.id conn_ch) (Channel.id c)
    | None -> Alcotest.fail "no resolution");
   (* Fresh SYN from another source: listen channel. *)
-  (match Chantab.resolve tab (Demux.flow_of_packet (tcp_pkt ~src:8 ~syn:true ~ack:false ())) with
+  (match Chantab.resolve_packet tab (tcp_pkt ~src:8 ~syn:true ~ack:false ()) with
    | Some c -> Alcotest.(check int) "listen match" (Channel.id listen_ch) (Channel.id c)
    | None -> Alcotest.fail "no resolution");
   (* Non-SYN from unknown source: no channel (dropped / RST daemon). *)
-  (match Chantab.resolve tab (Demux.flow_of_packet (tcp_pkt ~src:9 ())) with
+  (match Chantab.resolve_packet tab (tcp_pkt ~src:9 ()) with
    | None -> ()
    | Some _ -> Alcotest.fail "stray segment must not match the listener")
 
@@ -200,7 +200,7 @@ let test_chantab_fragment_channel () =
   let big = Packet.udp ~src:1 ~dst:2 ~src_port:1 ~dst_port:9 (Payload.synthetic 20_000) in
   match Ip.fragment big ~mtu:9180 with
   | _first :: second :: _ ->
-      (match Chantab.resolve tab (Demux.flow_of_packet second) with
+      (match Chantab.resolve_packet tab second with
        | Some c ->
            Alcotest.(check int) "special fragment channel"
              (Channel.id (Chantab.frag_channel tab)) (Channel.id c)
@@ -210,7 +210,7 @@ let test_chantab_fragment_channel () =
 let test_chantab_icmp_channel () =
   let tab = Chantab.create () in
   let ping = Packet.icmp ~src:1 ~dst:2 Packet.Echo_request (Payload.synthetic 8) in
-  match Chantab.resolve tab (Demux.flow_of_packet ping) with
+  match Chantab.resolve_packet tab ping with
   | Some c ->
       Alcotest.(check int) "proxy daemon channel"
         (Channel.id (Chantab.icmp_channel tab)) (Channel.id c)
@@ -222,7 +222,7 @@ let test_chantab_removal () =
   Chantab.add_udp tab ~port:20 ch;
   Chantab.remove_udp tab ~port:20;
   Alcotest.(check bool) "removed port does not resolve" true
-    (Chantab.resolve tab (Demux.flow_of_packet (pkt ())) = None);
+    (Chantab.resolve_packet tab (pkt ()) = None);
   Alcotest.(check int) "no channels left" 0 (Chantab.udp_channel_count tab)
 
 (* --- flowtab ------------------------------------------------------------ *)
@@ -341,8 +341,8 @@ let prop_chantab_matches_pcb =
             Chantab.add_udp tab ~port (Channel.create ())
           end)
         ports;
-      let flow = Demux.flow_of_packet (pkt ~dport:probe ()) in
-      (Chantab.resolve tab flow <> None) = Hashtbl.mem oracle probe)
+      (Chantab.resolve_packet tab (pkt ~dport:probe ()) <> None)
+      = Hashtbl.mem oracle probe)
 
 let qsuite =
   [ QCheck_alcotest.to_alcotest prop_chantab_matches_pcb;

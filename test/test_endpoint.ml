@@ -187,8 +187,74 @@ let test_lifecycle () =
         [ server; client ])
     archs
 
+(* A backlog-4 listener with two established connections on its accept
+   queue and one embryonic child (a SYN from an unroutable source, whose
+   SYN-ACK is lost) is closed at 20 ms: every unaccepted connection is
+   aborted with an RST, and past TIME_WAIT both kernels hold exactly what
+   a fresh kernel holds. *)
+let test_listener_close_aborts () =
+  List.iter
+    (fun arch ->
+      let name = Kernel.arch_name arch in
+      let cfg =
+        { (Kernel.default_config arch) with Kernel.time_wait = Time.ms 50. }
+      in
+      let fresh = tables (let _, _, k = World.pair ~cfg () in k) in
+      let w, client, server = World.pair ~cfg () in
+      ignore
+        (Cpu.spawn (Kernel.cpu server) ~name:"srv" (fun self ->
+             let l = Api.socket_stream server in
+             Api.tcp_listen server ~self l ~port:80 ~backlog:4;
+             Proc.sleep_for (Time.ms 20.);
+             Api.close server ~self l));
+      let connected = ref 0 in
+      for i = 1 to 2 do
+        ignore
+          (Cpu.spawn (Kernel.cpu client) ~name:(Printf.sprintf "cli%d" i)
+             (fun self ->
+               Proc.sleep_for (Time.ms (float_of_int i));
+               let s = Api.socket_stream client in
+               (match
+                  Api.tcp_connect client ~self s
+                    ~remote:(Kernel.ip_address server, 80)
+                with
+               | `Ok ->
+                   incr connected;
+                   ignore (Api.tcp_recv client ~self s ~max:4096)
+               | `Refused -> ());
+               Api.close client ~self s))
+      done;
+      ignore
+        (Engine.schedule (World.engine w) ~at:(Time.ms 5.) (fun () ->
+             ignore
+               (Nic.transmit (Kernel.nic client)
+                  (Packet.tcp ~src:(Packet.ip_of_quad 10 9 9 9)
+                     ~dst:(Kernel.ip_address server) ~src_port:4000
+                     ~dst_port:80 ~seq:0 ~ack_no:0
+                     ~flags:(Packet.flags ~syn:true ()) ~window:8192
+                     (Payload.synthetic 0)))));
+      World.run w ~until:(Time.ms 15.);
+      Alcotest.(check int) (name ^ ": the listener holds three children") 3
+        (Lrp_core.Flowtab.length server.Kernel.eps - 1);
+      World.run w ~until:(Time.ms 200.);
+      Alcotest.(check int) (name ^ ": both clients connected") 2 !connected;
+      List.iter
+        (fun k ->
+          Alcotest.(check (list (pair string int)))
+            (Printf.sprintf "%s %s: tables of a fresh kernel" name
+               (Kernel.name k))
+            fresh (tables k);
+          Alcotest.(check int) (name ^ ": no descriptor left") 0
+            (Parena.live k.Kernel.parena);
+          Alcotest.(check int) (name ^ ": no mbuf left") 0
+            (Mbuf.in_use (Kernel.mbufs k)))
+        [ server; client ])
+    archs
+
 let suite =
   [ Alcotest.test_case "closing a UDP socket frees what it holds" `Quick
       test_udp_close_frees;
     Alcotest.test_case "endpoint tables follow the live population" `Quick
-      test_lifecycle ]
+      test_lifecycle;
+    Alcotest.test_case "closing a listener aborts its unaccepted connections"
+      `Quick test_listener_close_aborts ]

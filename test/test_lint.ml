@@ -28,13 +28,15 @@ let repo_root () =
 let fixture name = Filename.concat (repo_root ()) ("test/lint_fixtures/" ^ name)
 
 (* The live conf's rule settings, pointed at the fixture library's .cmt
-   files (no hot-path entries: those live in lib/). *)
+   files (no hot-path entries and no reference-only units: those belong
+   to the live tree). *)
 let live_config =
   lazy
     (match Aconfig.load (Filename.concat (repo_root ()) "allocheck.conf") with
     | Ok c ->
         { c with
           Aconfig.cmt_dirs = [ "_build/default/test/lint_fixtures" ];
+          Aconfig.ref_dirs = [];
           Aconfig.entries = [] }
     | Error e -> Alcotest.failf "allocheck.conf does not load: %s" e)
 

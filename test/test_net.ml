@@ -1,5 +1,5 @@
 (* Unit and property tests for the network substrate: payloads, packets,
-   wire codec, mbuf pool, NIC and fabric timing. *)
+   mbuf pool, NIC and fabric timing. *)
 
 open Lrp_engine
 open Lrp_net
@@ -76,73 +76,6 @@ let test_ip_of_quad_range_check () =
   Alcotest.check_raises "negative octet rejected"
     (Invalid_argument "ip_of_quad")
     (fun () -> ignore (Packet.ip_of_quad 0 (-1) 0 0))
-
-(* --- codec ------------------------------------------------------------- *)
-
-let sample_udp ?(len = 64) () =
-  Packet.udp ~src:(Packet.ip_of_quad 10 0 0 1) ~dst:(Packet.ip_of_quad 10 0 0 2)
-    ~src_port:1234 ~dst_port:80
-    (Payload.of_bytes (Bytes.init len (fun i -> Char.chr (i land 0xff))))
-
-let test_codec_udp_roundtrip () =
-  let pkt = sample_udp () in
-  let b = Codec.encode pkt in
-  let d = Codec.decode b in
-  Alcotest.(check int) "proto" Codec.ipproto_udp d.Codec.d_proto;
-  Alcotest.(check (option int)) "src port" (Some 1234) d.Codec.d_src_port;
-  Alcotest.(check (option int)) "dst port" (Some 80) d.Codec.d_dst_port;
-  Alcotest.(check int) "src ip" (Packet.ip_of_quad 10 0 0 1) d.Codec.d_src;
-  Alcotest.(check bytes) "payload" (Payload.to_bytes (Payload.of_bytes (Bytes.init 64 (fun i -> Char.chr (i land 0xff)))))
-    d.Codec.d_payload
-
-let test_codec_tcp_roundtrip () =
-  let pkt =
-    Packet.tcp ~src:3 ~dst:4 ~src_port:5555 ~dst_port:80 ~seq:12345
-      ~ack_no:6789 ~flags:(Packet.flags ~syn:true ~ack:true ()) ~window:8192
-      (Payload.of_string "GET /")
-  in
-  let d = Codec.decode (Codec.encode pkt) in
-  Alcotest.(check int) "proto" Codec.ipproto_tcp d.Codec.d_proto;
-  Alcotest.(check (option int)) "seq" (Some 12345) d.Codec.d_seq;
-  Alcotest.(check (option int)) "ack" (Some 6789) d.Codec.d_ack;
-  Alcotest.(check (option int)) "window" (Some 8192) d.Codec.d_window;
-  (match d.Codec.d_tcp_flags with
-   | Some f ->
-       Alcotest.(check bool) "syn" true f.Packet.syn;
-       Alcotest.(check bool) "ack flag" true f.Packet.ack;
-       Alcotest.(check bool) "fin" false f.Packet.fin
-   | None -> Alcotest.fail "missing tcp flags")
-
-let test_codec_rejects_corruption () =
-  let b = Codec.encode (sample_udp ()) in
-  Bytes.set b 12 (Char.chr (Char.code (Bytes.get b 12) lxor 0xff));
-  Alcotest.check_raises "ip checksum detects corruption"
-    (Codec.Bad_packet "IP checksum") (fun () -> ignore (Codec.decode b))
-
-let test_codec_short_packet () =
-  Alcotest.check_raises "short header rejected"
-    (Codec.Bad_packet "short IP header") (fun () ->
-      ignore (Codec.decode (Bytes.create 10)))
-
-let prop_codec_udp_roundtrip =
-  QCheck.Test.make ~count:200 ~name:"codec: udp encode/decode round-trips"
-    QCheck.(quad (int_range 0 65535) (int_range 0 65535) (int_range 0 400) small_nat)
-    (fun (sp, dp, len, tag) ->
-      let pkt =
-        Packet.udp ~src:(tag land 0xffffff) ~dst:42 ~src_port:sp ~dst_port:dp
-          (Payload.synthetic ~tag len)
-      in
-      let d = Codec.decode (Codec.encode pkt) in
-      d.Codec.d_src_port = Some sp && d.Codec.d_dst_port = Some dp
-      && Bytes.length d.Codec.d_payload = len
-      && Bytes.equal d.Codec.d_payload (Payload.to_bytes (Payload.synthetic ~tag len)))
-
-let test_internet_checksum_zero () =
-  (* Verifying a checksummed header yields 0. *)
-  let pkt = sample_udp () in
-  let b = Codec.encode pkt in
-  Alcotest.(check int) "header verifies" 0
-    (Codec.internet_checksum b ~off:0 ~len:20)
 
 (* --- mbuf -------------------------------------------------------------- *)
 
@@ -274,6 +207,11 @@ let test_serialization_ordering () =
   | _ -> Alcotest.fail "expected two arrivals in order"
 
 (* --- content checksum / corruption -------------------------------------- *)
+
+let sample_udp () =
+  Packet.udp ~src:(Packet.ip_of_quad 10 0 0 1) ~dst:(Packet.ip_of_quad 10 0 0 2)
+    ~src_port:1234 ~dst_port:80
+    (Payload.of_bytes (Bytes.init 64 (fun i -> Char.chr (i land 0xff))))
 
 let test_packet_checksum () =
   let u = sample_udp () in
@@ -446,7 +384,7 @@ let test_fault_jitter_delivers_all () =
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
     [ prop_payload_sub_concat; prop_payload_bytes_roundtrip;
-      prop_codec_udp_roundtrip; prop_byte_sum_closed_form;
+      prop_byte_sum_closed_form;
       prop_corruption_always_detected ]
 
 let suite =
@@ -457,12 +395,6 @@ let suite =
     Alcotest.test_case "ip pretty printer" `Quick test_ip_pp;
     Alcotest.test_case "ip_of_quad range check per octet" `Quick
       test_ip_of_quad_range_check;
-    Alcotest.test_case "codec udp round-trip" `Quick test_codec_udp_roundtrip;
-    Alcotest.test_case "codec tcp round-trip" `Quick test_codec_tcp_roundtrip;
-    Alcotest.test_case "codec rejects corrupted header" `Quick
-      test_codec_rejects_corruption;
-    Alcotest.test_case "codec rejects short packet" `Quick test_codec_short_packet;
-    Alcotest.test_case "internet checksum verifies" `Quick test_internet_checksum_zero;
     Alcotest.test_case "mbuf alloc/free/exhaustion" `Quick test_mbuf_alloc_free;
     Alcotest.test_case "mbuf over-free detected" `Quick test_mbuf_over_free;
     Alcotest.test_case "fabric delivery timing" `Quick test_fabric_delivery_time;

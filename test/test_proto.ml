@@ -1,6 +1,6 @@
-(* Tests for the protocol library: the demultiplexer (including the
-   byte-level/structural equivalence property the NI firmware relies on)
-   and IP fragmentation/reassembly. *)
+(* Tests for the protocol library: the demultiplexer (the allocation-free
+   hot path against the reference model in [Demux_ref]) and IP
+   fragmentation/reassembly. *)
 
 open Lrp_net
 open Lrp_proto
@@ -16,22 +16,22 @@ let mk_tcp ?(src = 11) ?(sport = 1000) ?(dport = 80) ?(syn = false)
     ~flags:(Packet.flags ~syn ~ack ()) ~window:100 (Payload.synthetic len)
 
 let test_flow_udp () =
-  match Demux.flow_of_packet (mk_udp ()) with
-  | Demux.Udp_flow { src; src_port; dst_port } ->
+  match Demux_ref.flow_of_packet (mk_udp ()) with
+  | Demux_ref.Udp_flow { src; src_port; dst_port } ->
       Alcotest.(check int) "src" 11 src;
       Alcotest.(check int) "sport" 1000 src_port;
       Alcotest.(check int) "dport" 2000 dst_port
   | _ -> Alcotest.fail "expected udp flow"
 
 let test_flow_tcp_syn () =
-  match Demux.flow_of_packet (mk_tcp ~syn:true ()) with
-  | Demux.Tcp_flow { syn_only; _ } ->
+  match Demux_ref.flow_of_packet (mk_tcp ~syn:true ()) with
+  | Demux_ref.Tcp_flow { syn_only; _ } ->
       Alcotest.(check bool) "syn-only" true syn_only
   | _ -> Alcotest.fail "expected tcp flow"
 
 let test_flow_tcp_synack_not_syn_only () =
-  match Demux.flow_of_packet (mk_tcp ~syn:true ~ack:true ()) with
-  | Demux.Tcp_flow { syn_only; _ } ->
+  match Demux_ref.flow_of_packet (mk_tcp ~syn:true ~ack:true ()) with
+  | Demux_ref.Tcp_flow { syn_only; _ } ->
       Alcotest.(check bool) "syn+ack is not connection request" false syn_only
   | _ -> Alcotest.fail "expected tcp flow"
 
@@ -42,59 +42,80 @@ let test_flow_fragments () =
   (match frags with
    | first :: rest ->
        (* First fragment carries the transport header: demuxable. *)
-       (match Demux.flow_of_packet first with
-        | Demux.Udp_flow { dst_port; _ } ->
+       (match Demux_ref.flow_of_packet first with
+        | Demux_ref.Udp_flow { dst_port; _ } ->
             Alcotest.(check int) "first fragment demuxes to port" 2000 dst_port
         | _ -> Alcotest.fail "first fragment should demux as UDP");
        (* Later fragments cannot be demultiplexed to an endpoint. *)
        List.iter
          (fun f ->
-           match Demux.flow_of_packet f with
-           | Demux.Frag_flow { src; _ } -> Alcotest.(check int) "src" 11 src
+           match Demux_ref.flow_of_packet f with
+           | Demux_ref.Frag_flow { src; _ } -> Alcotest.(check int) "src" 11 src
            | _ -> Alcotest.fail "non-first fragment must be Frag_flow")
          rest
    | [] -> Alcotest.fail "no fragments")
 
-(* The core classifier property: the byte-level classifier (what would run
-   in NI firmware) agrees with the structural one on every packet shape. *)
-let prop_demux_bytes_equals_struct =
+(* The core classifier property: the allocation-free hot path — the
+   protocol class, the UDP port and the channel-table probe — agrees with
+   the reference model on every packet shape, over random endpoint sets. *)
+let prop_demux_matches_reference =
   let gen =
     QCheck.Gen.(
-      let* kind = int_range 0 3 in
-      let* src = int_range 1 0xfffff in
-      let* sport = int_range 1 65535 in
-      let* dport = int_range 1 65535 in
-      let* len = int_range 0 200 in
-      let* syn = bool in
-      let* ack = bool in
-      return (kind, src, sport, dport, len, syn, ack))
+      let small = int_range 1 4 and few g = list_size (int_range 0 4) g in
+      let* kind = int_range 0 4 in
+      let* src = small and* sport = small and* dport = small in
+      let* syn = bool and* ack = bool in
+      let* udp = few small and* tcp = few (triple small small small)
+      and* listen = few small in
+      return ((kind, src, sport, dport, syn, ack), (udp, tcp, listen)))
   in
   QCheck.Test.make ~count:400
-    ~name:"demux: byte-level classifier == structural classifier"
+    ~name:"demux: hot path agrees with the reference model"
     (QCheck.make gen)
-    (fun (kind, src, sport, dport, len, syn, ack) ->
+    (fun ((kind, src, sport, dport, syn, ack), (udp, tcp, listen)) ->
+      let open Lrp_core in
+      let tab = Chantab.create () in
+      let bound keys =
+        List.map (fun k -> (k, Channel.create ())) (List.sort_uniq compare keys)
+      in
+      let udp = bound udp and tcp = bound tcp and listen = bound listen in
+      List.iter (fun (port, ch) -> Chantab.add_udp tab ~port ch) udp;
+      List.iter
+        (fun ((src, src_port, dst_port), ch) ->
+          Chantab.add_tcp tab ~src ~src_port ~dst_port ch)
+        tcp;
+      List.iter (fun (port, ch) -> Chantab.add_tcp_listen tab ~port ch) listen;
+      let binds =
+        { Demux_ref.udp; tcp; listen; frag = Chantab.frag_channel tab;
+          icmp = Chantab.icmp_channel tab }
+      in
+      let udp_pkt len =
+        Packet.udp ~src ~dst:9 ~src_port:sport ~dst_port:dport
+          (Payload.synthetic len)
+      in
       let pkt =
         match kind with
-        | 0 -> Packet.udp ~src ~dst:9 ~src_port:sport ~dst_port:dport (Payload.synthetic len)
+        | 0 -> udp_pkt 14
         | 1 ->
             Packet.tcp ~src ~dst:9 ~src_port:sport ~dst_port:dport ~seq:7
               ~ack_no:8 ~flags:(Packet.flags ~syn ~ack ()) ~window:100
-              (Payload.synthetic len)
-        | 2 -> Packet.icmp ~src ~dst:9 Packet.Echo_request (Payload.synthetic len)
-        | _ ->
-            (* a fragment *)
-            let big = Packet.udp ~src ~dst:9 ~src_port:sport ~dst_port:dport (Payload.synthetic 25_000) in
-            List.nth (Ip.fragment big ~mtu:9180) 1
+              (Payload.synthetic 20)
+        | 2 -> Packet.icmp ~src ~dst:9 Packet.Echo_request (Payload.synthetic 8)
+        | k -> List.nth (Ip.fragment (udp_pkt 25_000) ~mtu:9180) (k - 3)
       in
-      Demux.equal_flow
-        (Demux.flow_of_packet pkt)
-        (Demux.flow_of_bytes (Codec.encode pkt)))
-
-let test_flow_of_bytes_garbage () =
-  (* Garbage classifies as Other, never raises. *)
-  match Demux.flow_of_bytes (Bytes.make 40 'x') with
-  | Demux.Other_flow _ -> ()
-  | _ -> Alcotest.fail "garbage should be Other_flow"
+      let flow = Demux_ref.flow_of_packet pkt in
+      let cls, port =
+        match flow with
+        | Demux_ref.Udp_flow { dst_port; _ } -> (Demux.Udp_class, dst_port)
+        | Demux_ref.Tcp_flow _ -> (Demux.Tcp_class, -1)
+        | Demux_ref.Frag_flow _ -> (Demux.Frag_class, -1)
+        | Demux_ref.Icmp_flow -> (Demux.Icmp_class, -1)
+      in
+      let id = Option.map Channel.id in
+      Demux.class_of_packet pkt = cls
+      && Demux.udp_dst_port_of_packet pkt = port
+      && id (Chantab.resolve_packet tab pkt)
+         = id (Demux_ref.resolve binds flow))
 
 (* --- IP fragmentation / reassembly -------------------------------------- *)
 
@@ -179,14 +200,13 @@ let test_reasm_duplicate_fragments () =
 
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_demux_bytes_equals_struct; prop_reasm_any_order ]
+    [ prop_demux_matches_reference; prop_reasm_any_order ]
 
 let suite =
   [ Alcotest.test_case "udp flow extraction" `Quick test_flow_udp;
     Alcotest.test_case "tcp syn flow" `Quick test_flow_tcp_syn;
     Alcotest.test_case "syn-ack is not syn-only" `Quick test_flow_tcp_synack_not_syn_only;
     Alcotest.test_case "fragment flows" `Quick test_flow_fragments;
-    Alcotest.test_case "garbage classifies as Other" `Quick test_flow_of_bytes_garbage;
     Alcotest.test_case "fragment sizes respect MTU" `Quick test_fragment_sizes;
     Alcotest.test_case "small packets pass through" `Quick test_fragment_small_passthrough;
     Alcotest.test_case "reassembly in order" `Quick test_reasm_in_order;
@@ -195,36 +215,3 @@ let suite =
     Alcotest.test_case "reassembly timeout pruning" `Quick test_reasm_timeout;
     Alcotest.test_case "duplicate fragments" `Quick test_reasm_duplicate_fragments ]
   @ qsuite
-
-(* --- classifier robustness: fuzzing -------------------------------------- *)
-
-(* The classifier runs in NI firmware / interrupt context in the real
-   system: it must never raise, whatever bytes arrive off the wire. *)
-let prop_classifier_never_raises =
-  QCheck.Test.make ~count:500 ~name:"demux: random bytes never crash the classifier"
-    QCheck.(pair small_int (int_range 0 120))
-    (fun (seed, len) ->
-      let rng = Lrp_engine.Rng.create seed in
-      let b = Bytes.init len (fun _ -> Char.chr (Lrp_engine.Rng.int rng 256)) in
-      match Demux.flow_of_bytes b with
-      | Demux.Udp_flow _ | Demux.Tcp_flow _ | Demux.Frag_flow _
-      | Demux.Icmp_flow | Demux.Other_flow _ -> true)
-
-(* Bit-flip fuzzing: take a valid packet, flip one byte, classify. *)
-let prop_classifier_survives_bitflips =
-  QCheck.Test.make ~count:300 ~name:"demux: bit-flipped packets never crash"
-    QCheck.(pair small_int (int_range 0 60))
-    (fun (seed, pos) ->
-      let pkt = mk_tcp ~syn:true ~len:20 () in
-      let b = Codec.encode pkt in
-      let pos = pos mod Bytes.length b in
-      Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor (1 + (seed land 0xfe))));
-      match Demux.flow_of_bytes b with
-      | Demux.Udp_flow _ | Demux.Tcp_flow _ | Demux.Frag_flow _
-      | Demux.Icmp_flow | Demux.Other_flow _ -> true)
-
-let qsuite2 =
-  List.map QCheck_alcotest.to_alcotest
-    [ prop_classifier_never_raises; prop_classifier_survives_bitflips ]
-
-let suite = suite @ qsuite2
