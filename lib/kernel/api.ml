@@ -34,9 +34,10 @@ let c (k : Kernel.t) = Kernel.costs k
 let sock_buf = 32 * 1024
 
 (* Charge [d] microseconds of CPU to the calling process.  Inlined, so a
-   computed cost is stored straight into the CPU's staged-cost cell: the
-   build inlines nothing across modules ([-opaque]), and a float passed to
-   a call that is not inlined is boxed. *)
+   computed cost is stored straight into the CPU's staged-cost cell: a
+   float passed to a call that is not inlined is boxed, and whether a call
+   into another module is inlined is the compiler's choice (never under
+   [-opaque]). *)
 let[@inline] compute (k : Kernel.t) d =
   (Cpu.cost_cell k.Kernel.cpu).(0) <- d;
   Cpu.compute k.Kernel.cpu

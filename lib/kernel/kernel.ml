@@ -1895,9 +1895,9 @@ let fwd_daemon_loop t =
 
 let create engine fabric ~name ~ip cfg =
   let cpu =
-    Cpu.create engine ~ctx_switch_cost:cfg.costs.Cost.ctx_switch ~name ()
+    Cpu.create engine ~ctx_switch_cost:cfg.costs.Cost.ctx_switch ()
   in
-  let nic = Fabric.make_nic fabric ~name:(name ^ ".nic") ~ip () in
+  let nic = Fabric.make_nic fabric ~ip () in
   (* Flight recorder: enabling tracing costs no per-event allocation (the
      timestamp is read straight from the engine's clock cell). *)
   let tracer = Trace.create ~name ~clock:(Engine.clock_cell engine) () in
@@ -2030,10 +2030,7 @@ let fresh_port t =
    (multi-homed gateway).  The same receive architecture runs on every
    interface. *)
 let add_interface t fabric ~ip ?(masklen = 24) () =
-  let nic =
-    Fabric.make_nic fabric ~name:(Printf.sprintf "%s.nic%d" t.kname
-                                    (List.length t.interfaces)) ~ip ()
-  in
+  let nic = Fabric.make_nic fabric ~ip () in
   Nic.set_rx_handler nic (fun pkt -> rx_dispatch t pkt);
   Nic.set_tracer nic t.tracer;
   t.interfaces <- t.interfaces @ [ (ip, masklen, nic) ];

@@ -517,7 +517,7 @@ let uplink_stats t =
         up_dropped = up.up_drops; up_backlog = up.ob_len }
 
 (* Convenience: build a NIC and attach it in one step. *)
-let make_nic t ~name ~ip ?bandwidth_mbps ?cellify ?ifq_limit () =
-  let nic = Nic.create t.engine ~name ~ip ?bandwidth_mbps ?cellify ?ifq_limit () in
+let make_nic t ~ip ?bandwidth_mbps ?cellify ?ifq_limit () =
+  let nic = Nic.create t.engine ~ip ?bandwidth_mbps ?cellify ?ifq_limit () in
   attach t nic;
   nic

@@ -200,7 +200,6 @@ val uplink_stats : t -> uplink_stats
 
 val make_nic :
   t ->
-  name:string ->
   ip:Packet.ip ->
   ?bandwidth_mbps:float ->
   ?cellify:bool -> ?ifq_limit:int -> unit -> Nic.t

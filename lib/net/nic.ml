@@ -46,7 +46,6 @@ type rxq = {
 }
 
 type t = {
-  nic_name : string;
   engine : Engine.t;
   ip : Packet.ip;
   bandwidth : float;        (* bytes per microsecond *)
@@ -81,9 +80,9 @@ type t = {
 
 let mbps_to_bytes_per_us mbps = mbps *. 1e6 /. 8. /. 1e6
 
-let create engine ~name ~ip ?(bandwidth_mbps = 155.) ?(cellify = true)
+let create engine ~ip ?(bandwidth_mbps = 155.) ?(cellify = true)
     ?(ifq_limit = 64) () =
-  { nic_name = name; engine; ip;
+  { engine; ip;
     bandwidth = mbps_to_bytes_per_us bandwidth_mbps; cellify; ifq_limit;
     txa = Parena.create ();
     ifq = Array.make (max 1 ifq_limit) Parena.none;

@@ -41,7 +41,6 @@ type rxq = {
 }
 
 type t = {
-  nic_name : string;
   engine : Lrp_engine.Engine.t;
   ip : Packet.ip;
   bandwidth : float;
@@ -75,7 +74,6 @@ val mbps_to_bytes_per_us : float -> float
 
 val create :
   Lrp_engine.Engine.t ->
-  name:string ->
   ip:Packet.ip ->
   ?bandwidth_mbps:float -> ?cellify:bool -> ?ifq_limit:int -> unit -> t
 val ip : t -> Packet.ip

@@ -110,7 +110,6 @@ let no_proc =
     ~working_set:0. ~now:0. ignore
 
 type t = {
-  cpu_name : string;
   engine : Engine.t;
   clock : float array;     (* the engine's clock cell *)
   deadline : float array;  (* the engine's deadline cell *)
@@ -558,10 +557,10 @@ let install_periodic engine ~delay fn =
   in
   h := Some ev
 
-let create engine ?(ctx_switch_cost = 0.) ?(start_clock = true) ~name () =
+let create engine ?(ctx_switch_cost = 0.) ?(start_clock = true) () =
   let ledger = Ledger.create () in
   let t =
-    { cpu_name = name; engine; clock = Engine.clock_cell engine;
+    { engine; clock = Engine.clock_cell engine;
       deadline = Engine.deadline_cell engine;
       sched = Sched.create ~clock:(Engine.clock_cell engine);
       ctx_switch_cost; hardq = ring_create (); softq = ring_create ();

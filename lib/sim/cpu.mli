@@ -29,9 +29,8 @@ module Sched = Lrp_sched.Sched
 type t
 
 val create :
-  Engine.t -> ?ctx_switch_cost:float -> ?start_clock:bool -> name:string ->
-  unit -> t
-(** [create engine ~name ()] makes a CPU driven by [engine]'s clock.
+  Engine.t -> ?ctx_switch_cost:float -> ?start_clock:bool -> unit -> t
+(** [create engine ()] makes a CPU driven by [engine]'s clock.
     [ctx_switch_cost] defaults to 0; [start_clock] (default true) installs
     the periodic scheduler tick and decay events. *)
 

@@ -103,10 +103,10 @@ let test_mbuf_over_free () =
 let test_fabric_delivery_time () =
   let eng = Engine.create () in
   let fab = Fabric.create eng ~bandwidth_mbps:155. ~prop_delay:5. ~switch_latency:10. () in
-  let a = Fabric.make_nic fab ~name:"a" ~ip:1 ~cellify:false () in
-  let _b = Fabric.make_nic fab ~name:"b" ~ip:2 ~cellify:false () in
+  let a = Fabric.make_nic fab ~ip:1 ~cellify:false () in
+  let _b = Fabric.make_nic fab ~ip:2 ~cellify:false () in
   let arrived = ref (-1.) in
-  (match Fabric.make_nic fab ~name:"c" ~ip:3 () with
+  (match Fabric.make_nic fab ~ip:3 () with
    | _ -> ());
   Nic.set_rx_handler _b (fun _ -> arrived := Engine.now eng);
   let pkt = Packet.udp ~src:1 ~dst:2 ~src_port:1 ~dst_port:2 (Payload.synthetic 972) in
@@ -121,8 +121,8 @@ let test_fabric_delivery_time () =
 let test_nic_ifq_overflow () =
   let eng = Engine.create () in
   let fab = Fabric.create eng () in
-  let a = Fabric.make_nic fab ~name:"a" ~ip:1 ~ifq_limit:4 () in
-  let _b = Fabric.make_nic fab ~name:"b" ~ip:2 () in
+  let a = Fabric.make_nic fab ~ip:1 ~ifq_limit:4 () in
+  let _b = Fabric.make_nic fab ~ip:2 () in
   let pkt = Packet.udp ~src:1 ~dst:2 ~src_port:1 ~dst_port:2 (Payload.synthetic 9000) in
   (* Burst of 10 large packets: the 4-deep interface queue must drop some
      (the first is in transmission, 4 queue, rest drop). *)
@@ -137,7 +137,7 @@ let test_nic_ifq_overflow () =
    tx-done, recycled after, and never perturb the frames themselves. *)
 let test_tx_arena_recycles () =
   let eng = Engine.create () in
-  let nic = Nic.create eng ~name:"a" ~ip:1 () in
+  let nic = Nic.create eng ~ip:1 () in
   let delivered = ref [] in
   Nic.set_deliver nic (fun pkt -> delivered := pkt :: !delivered);
   let pkts =
@@ -163,7 +163,7 @@ let test_tx_arena_recycles () =
 let test_fabric_no_route_drop () =
   let eng = Engine.create () in
   let fab = Fabric.create eng () in
-  let a = Fabric.make_nic fab ~name:"a" ~ip:1 () in
+  let a = Fabric.make_nic fab ~ip:1 () in
   let pkt = Packet.udp ~src:1 ~dst:99 ~src_port:1 ~dst_port:2 (Payload.synthetic 10) in
   ignore (Nic.transmit a pkt);
   Engine.run eng ~until:(Time.ms 1.);
@@ -172,8 +172,8 @@ let test_fabric_no_route_drop () =
 let test_fabric_loss_injection () =
   let eng = Engine.create () in
   let fab = Fabric.create eng () in
-  let a = Fabric.make_nic fab ~name:"a" ~ip:1 ~ifq_limit:300 () in
-  let b = Fabric.make_nic fab ~name:"b" ~ip:2 () in
+  let a = Fabric.make_nic fab ~ip:1 ~ifq_limit:300 () in
+  let b = Fabric.make_nic fab ~ip:2 () in
   Fabric.set_loss_rate fab 0.5;
   let got = ref 0 in
   Nic.set_rx_handler b (fun _ -> incr got);
@@ -193,8 +193,8 @@ let test_serialization_ordering () =
      by at least the serialisation time. *)
   let eng = Engine.create () in
   let fab = Fabric.create eng () in
-  let a = Fabric.make_nic fab ~name:"a" ~ip:1 () in
-  let b = Fabric.make_nic fab ~name:"b" ~ip:2 () in
+  let a = Fabric.make_nic fab ~ip:1 () in
+  let b = Fabric.make_nic fab ~ip:2 () in
   let log = ref [] in
   Nic.set_rx_handler b (fun pkt ->
       log := (Packet.payload_length pkt, Engine.now eng) :: !log);
@@ -268,7 +268,7 @@ let expect_invalid name f =
 let test_fault_setters_validate () =
   let eng = Engine.create () in
   let fab = Fabric.create eng () in
-  let _a = Fabric.make_nic fab ~name:"a" ~ip:1 () in
+  let _a = Fabric.make_nic fab ~ip:1 () in
   expect_invalid "loss_rate > 1" (fun () -> Fabric.set_loss_rate fab 1.5);
   expect_invalid "loss_rate < 0" (fun () -> Fabric.set_loss_rate fab (-0.1));
   expect_invalid "loss_rate nan" (fun () -> Fabric.set_loss_rate fab Float.nan);
@@ -292,8 +292,8 @@ let test_fault_setters_validate () =
 let fault_world ?(n = 200) faults =
   let eng = Engine.create () in
   let fab = Fabric.create eng () in
-  let a = Fabric.make_nic fab ~name:"a" ~ip:1 ~ifq_limit:1000 () in
-  let b = Fabric.make_nic fab ~name:"b" ~ip:2 () in
+  let a = Fabric.make_nic fab ~ip:1 ~ifq_limit:1000 () in
+  let b = Fabric.make_nic fab ~ip:2 () in
   Fabric.set_link_faults fab ~ip:2 faults;
   let got = ref [] in
   Nic.set_rx_handler b (fun pkt -> got := pkt :: !got);

@@ -46,7 +46,7 @@ let prop_cpu_time_conservation =
     QCheck.(pair small_int (int_range 1 5))
     (fun (seed, nprocs) ->
       let eng = Engine.create ~seed () in
-      let cpu = Cpu.create eng ~ctx_switch_cost:10. ~name:"c" () in
+      let cpu = Cpu.create eng ~ctx_switch_cost:10. () in
       let rng = Rng.create (seed + 1) in
       for i = 1 to nprocs do
         let busy = 50. +. Rng.float rng 500. in
@@ -83,7 +83,7 @@ let prop_cpu_time_conservation =
 
 let test_equal_procs_get_equal_shares () =
   let eng = Engine.create () in
-  let cpu = Cpu.create eng ~name:"c" () in
+  let cpu = Cpu.create eng () in
   let procs =
     List.init 4 (fun i ->
         Cpu.spawn cpu ~name:(Printf.sprintf "p%d" i) (fun _ ->
@@ -105,7 +105,7 @@ let test_equal_procs_get_equal_shares () =
 
 let test_nice_gets_less () =
   let eng = Engine.create () in
-  let cpu = Cpu.create eng ~name:"c" () in
+  let cpu = Cpu.create eng () in
   let mk nice name =
     Cpu.spawn cpu ~name ~nice (fun _ ->
         let rec loop () =
@@ -130,7 +130,7 @@ let test_interactive_latency_preserved_under_load () =
      even with compute-bound competition: the essence of decay-usage
      scheduling. *)
   let eng = Engine.create () in
-  let cpu = Cpu.create eng ~name:"c" () in
+  let cpu = Cpu.create eng () in
   for i = 1 to 2 do
     ignore
       (Cpu.spawn cpu ~name:(Printf.sprintf "hog%d" i) (fun _ ->

@@ -22,7 +22,7 @@ let post_soft cpu ~cost f =
 
 let mk () =
   let eng = Engine.create () in
-  let cpu = Cpu.create eng ~name:"host" () in
+  let cpu = Cpu.create eng () in
   (eng, cpu)
 
 let test_single_compute () =
@@ -224,7 +224,7 @@ let test_ctx_switch_penalty () =
   (* With a working-set penalty, alternating processes pay cache reloads:
      total completion takes longer than the pure compute time. *)
   let eng = Engine.create () in
-  let cpu = Cpu.create eng ~ctx_switch_cost:50. ~name:"host" () in
+  let cpu = Cpu.create eng ~ctx_switch_cost:50. () in
   let finish = ref Time.zero in
   let spawn_one name =
     ignore
@@ -352,7 +352,7 @@ let minor_words f =
    segments and running the jobs allocates nothing at all. *)
 let test_typed_jobs_allocation_free () =
   let eng = Engine.create () in
-  let cpu = Cpu.create eng ~start_clock:false ~name:"host" () in
+  let cpu = Cpu.create eng ~start_clock:false () in
   let ran = ref 0 in
   let j = Cpu.job (fun (r : int ref) n -> r := !r + n) in
   let cost = Cpu.cost_cell cpu in
@@ -475,7 +475,7 @@ let zero_word_cycles =
       fun () ->
         let eng = Engine.create () in
         let nic =
-          Nic.create eng ~name:"tx" ~ip:(Lrp_net.Packet.ip_of_quad 10 0 0 9) ()
+          Nic.create eng ~ip:(Lrp_net.Packet.ip_of_quad 10 0 0 9) ()
         in
         let pkt = udp_pkt () in
         fun () ->
@@ -486,7 +486,7 @@ let zero_word_cycles =
       fun () ->
         let eng = Engine.create () in
         let nic =
-          Nic.create eng ~name:"rxq" ~ip:(Lrp_net.Packet.ip_of_quad 10 0 0 8) ()
+          Nic.create eng ~ip:(Lrp_net.Packet.ip_of_quad 10 0 0 8) ()
         in
         Nic.configure_rx_queues nic ~queues:1 ~ring:64 ~coalesce_pkts:64
           ~coalesce_us:5. ~steer:(fun _ -> 0)
@@ -580,7 +580,7 @@ let zero_word_cycles =
          decay, so the window covers about 500 s of simulated time *)
       fun () ->
         let eng = Engine.create () in
-        let cpu = Cpu.create eng ~name:"busy" () in
+        let cpu = Cpu.create eng () in
         ignore
           (Cpu.spawn cpu ~name:"spin" (fun _ ->
                (Cpu.cost_cell cpu).(0) <- 1e15;

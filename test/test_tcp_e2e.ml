@@ -441,8 +441,10 @@ let test_tcp_counters_cumulative () =
 
 (* Minor words the whole HTTP+SYN world allocates per frame received, over
    800 ms after a 200 ms warm-up: the figure perfbench's [http_synflood]
-   reports as [minor_words_per_pkt], exact for a build.  The bounds sit just
-   above the measured figures. *)
+   reports as [minor_words_per_pkt], exact for a build.  The bounds sit
+   about 3% above the figures measured under the workspace's release
+   profile (dune-workspace); dune's dev profile compiles with -opaque and
+   reads higher. *)
 let words_per_frame arch =
   let w, kernels = http_syn_world arch in
   let frames () =
@@ -460,11 +462,13 @@ let test_words_per_frame () =
     (fun (arch, bound) ->
       let got = words_per_frame arch in
       Alcotest.(check bool)
-        (Printf.sprintf "%s: %.1f minor words per frame <= %.0f"
+        (Printf.sprintf "%s: %.1f minor words per frame <= %.1f"
            (Kernel.arch_name arch) got bound)
         true (got <= bound))
-    [ (Kernel.Bsd, 42.); (Kernel.Soft_lrp, 59.); (Kernel.Ni_lrp, 56.);
-      (Kernel.Napi, 43.) ]
+    (* measured 30.4, 41.7, 38.7 and 30.6 under the workspace profile (32.1,
+       43.4, 40.3 and 32.2 under the dev profile) *)
+    [ (Kernel.Bsd, 31.3); (Kernel.Soft_lrp, 43.0); (Kernel.Ni_lrp, 39.9);
+      (Kernel.Napi, 31.5) ]
 
 let suite =
   [ Alcotest.test_case "handshake + echo (all archs)" `Quick

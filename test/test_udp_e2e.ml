@@ -156,7 +156,9 @@ let test_traffic_separation_lrp () =
    figure is exact for a build.  It includes the source's frames
    ([Packet.udp] plus payload, about 18 words per frame offered, delivered
    or not) and the datagram each receive hands to the application.  The
-   bounds sit about 5% above the measured figures. *)
+   bounds sit about 3% above the figures measured under the workspace's
+   release profile (dune-workspace); dune's dev profile compiles with
+   -opaque and reads higher. *)
 let rx_words_per_datagram arch =
   let cfg = Kernel.default_config arch in
   let w, client, server = World.pair ~seed:42 ~cfg () in
@@ -176,13 +178,12 @@ let test_rx_words_per_datagram () =
     (fun (arch, bound) ->
       let got = rx_words_per_datagram arch in
       Alcotest.(check bool)
-        (Printf.sprintf "%s: %.1f minor words per datagram <= %.0f"
+        (Printf.sprintf "%s: %.1f minor words per datagram <= %.1f"
            (Kernel.arch_name arch) got bound)
         true (got <= bound))
-    (* measured 86.2, 59.0 and 89.7; the receive path that boxed every
-       compute cost, built closures and lists per packet and listed its
-       poll batches measured 135.2, 108.0 and 293.8 *)
-    [ (Kernel.Soft_lrp, 90.); (Kernel.Ni_lrp, 62.); (Kernel.Napi_gro, 94.) ]
+    (* measured 77.2, 53.9 and 79.7 under the workspace profile (83.5, 57.6
+       and 86.3 under the dev profile) *)
+    [ (Kernel.Soft_lrp, 79.5); (Kernel.Ni_lrp, 55.5); (Kernel.Napi_gro, 82.1) ]
 
 let suite =
   [ Alcotest.test_case "udp delivery (all archs)" `Quick

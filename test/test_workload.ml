@@ -53,8 +53,8 @@ let test_synflood_unique_tuples () =
      pairs across a large window. *)
   let eng = Engine.create () in
   let fab = Fabric.create eng () in
-  let a = Fabric.make_nic fab ~name:"a" ~ip:1 ~ifq_limit:10_000 () in
-  let b = Fabric.make_nic fab ~name:"b" ~ip:2 () in
+  let a = Fabric.make_nic fab ~ip:1 ~ifq_limit:10_000 () in
+  let b = Fabric.make_nic fab ~ip:2 () in
   let seen = Hashtbl.create 512 in
   let dups = ref 0 in
   Nic.set_rx_handler b (fun pkt ->
