@@ -104,7 +104,7 @@ let[@inline] push t pkt =
   let cap = Array.length t.ring in
   let tail = t.head + t.count in
   let tail = if tail >= cap then tail - cap else tail in
-  t.ring.(tail) <- Parena.acquire t.arena pkt;
+  t.ring.(tail) <- Parena.acquire t.arena pkt ~charge:0;
   t.count <- t.count + 1;
   if t.count > t.hwm then t.hwm <- t.count;
   t.enqueued <- t.enqueued + 1;
@@ -136,17 +136,27 @@ let enqueue t pkt =
   if c = discarded_code then Discarded
   else Queued (if c = queued_was_empty then `Was_empty else `Was_nonempty)
 
-(* [pop t] dequeues without boxing: [Lrp_net.Packet.null] (compare with
-   [==]) means the queue was empty.  The consumer-side twin of
-   {!enqueue_code}. *)
-let pop t =
-  if t.count = 0 then Packet.null
+(* [pop_row t] dequeues the oldest frame's row without releasing it: the
+   caller owns the row from here and releases it once done with the
+   frame.  [Parena.none] means the queue was empty. *)
+let pop_row t =
+  if t.count = 0 then Parena.none
   else begin
     let h = t.ring.(t.head) in
     t.ring.(t.head) <- Parena.none;
     let head' = t.head + 1 in
     t.head <- (if head' >= Array.length t.ring then 0 else head');
     t.count <- t.count - 1;
+    h
+  end
+
+(* [pop t] dequeues without boxing: [Lrp_net.Packet.null] (compare with
+   [==]) means the queue was empty.  The consumer-side twin of
+   {!enqueue_code}. *)
+let pop t =
+  let h = pop_row t in
+  if h = Parena.none then Packet.null
+  else begin
     let pkt = Parena.pkt t.arena h in
     Parena.release t.arena h;
     pkt
@@ -157,33 +167,6 @@ let dequeue t = if t.count = 0 then None else Some (pop t)
 let length t = t.count
 
 let is_empty t = t.count = 0
-
-(* Remove queued packets matching [pred]; used by IP reassembly to fish
-   missing fragments out of the special fragment channel.  Cold path:
-   compacts the surviving handles back to the front of the ring. *)
-let extract t pred =
-  let cap = Array.length t.ring in
-  let n = t.count in
-  let out = ref [] in
-  let kept = ref 0 in
-  let keep = Array.make (max 1 n) Parena.none in
-  for i = 0 to n - 1 do
-    let h = t.ring.((t.head + i) mod cap) in
-    let p = Parena.pkt t.arena h in
-    if pred p then begin
-      out := p :: !out;
-      Parena.release t.arena h
-    end
-    else begin
-      keep.(!kept) <- h;
-      incr kept
-    end
-  done;
-  Array.fill t.ring 0 cap Parena.none;
-  Array.blit keep 0 t.ring 0 !kept;
-  t.head <- 0;
-  t.count <- !kept;
-  List.rev !out
 
 let request_interrupt t = t.intr_requested <- true
 

@@ -59,15 +59,16 @@ val pop : t -> Lrp_net.Packet.t
 (** Dequeue without boxing: [Lrp_net.Packet.null] (compare with [==])
     means the queue was empty. *)
 
+val pop_row : t -> Lrp_net.Parena.handle
+(** Dequeue the oldest frame's arena row without releasing it: the caller
+    owns the row and releases it once done with the frame.
+    [Lrp_net.Parena.none] means the queue was empty. *)
+
 val dequeue : t -> Lrp_net.Packet.t option
 
 val length : t -> int
 
 val is_empty : t -> bool
-
-val extract : t -> (Lrp_net.Packet.t -> bool) -> Lrp_net.Packet.t list
-(** Remove and return queued packets matching the predicate; used by IP
-    reassembly to fish missing fragments out of the fragment channel. *)
 
 val request_interrupt : t -> unit
 (** Receiver is blocked: ask the NI for an interrupt on the next

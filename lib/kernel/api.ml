@@ -23,7 +23,7 @@ type dgram = Socket.udp_datagram = {
   dg_payload : Payload.t;
   dg_from : Packet.ip * int;
   dg_pkt : int;
-  dg_mbuf : int;
+  dg_mbuf : Parena.handle;
 }
 
 exception Socket_closed
@@ -141,11 +141,9 @@ let take_ready k (sock : Socket.t) =
       | Kernel.Lazy -> c.Cost.sockq
       | Kernel.Eager -> c.Cost.sockbuf_op +. c.Cost.mbuf_free)
      +. (c.Cost.copy_per_byte *. float_of_int len));
-  (* The copyout frees the mbuf chain: by the handle carried from the
-     driver's allocation when the datagram has one, else by its wire
-     footprint (non-fragment UDP: IP + UDP headers + payload). *)
-  Kernel.free_rx_pkt k ~mh:dg.Socket.dg_mbuf
-    (len + Packet.ip_header_bytes + Packet.udp_header_bytes);
+  (* The copyout releases the datagram's row, and with it the mbufs
+     charged to it at admission. *)
+  Kernel.free_rx_pkt k dg.Socket.dg_mbuf;
   sock.Socket.stats.Socket.rx_delivered <-
     sock.Socket.stats.Socket.rx_delivered + 1;
   Lrp_trace.Trace.syscall_copyout (Kernel.tracer k)

@@ -19,9 +19,8 @@ type dgram =
   dg_payload : Lrp_net.Payload.t;
   dg_from : Lrp_net.Packet.ip * int;
   dg_pkt : int;  (** originating packet's IP ident, for tracing *)
-  dg_mbuf : int;
-      (** mbuf-pool handle backing this datagram until copyout, or
-          [Lrp_net.Mbuf.no_handle] on paths that account by bytes *)
+  dg_mbuf : Lrp_net.Parena.handle;
+      (** the kernel's arena row holding this datagram until copyout *)
 }
 (** A received datagram: payload plus source address. *)
 

@@ -81,9 +81,9 @@ type rx_mode = Intr | Poll | Poll_gro
 (* The one place an [arch] is taken apart.  Two further properties follow
    from these axes and are not stored: the discard point (the NI channel
    under [Lazy]; the interrupt-time demux under [Hardirq]/[Eager]; the
-   shared IP queue, poll ring and socket queue otherwise) and who owns
-   receive buffers (NI channels under [Lazy], the mbuf pool under
-   [Eager]). *)
+   shared IP queue, poll ring and socket queue otherwise) and who pays
+   for receive buffers (nobody under [Lazy]: its NI channels' rows are
+   uncharged; the mbuf pool under [Eager]). *)
 let axes = function
   | Bsd -> (Softirq, Eager, Intr)
   | Soft_lrp -> (Hardirq, Lazy, Intr)
@@ -110,7 +110,6 @@ type config = {
   time_wait : float;
   udp_helper : bool;          (* LRP minimal-priority protocol thread *)
   forwarding : bool;          (* act as an IP gateway (section 3.5) *)
-  fwd_nice : int;             (* priority of the LRP forwarding daemon *)
   fair_app_accounting : bool;
       (* charge APP-thread CPU to the owning process (section 3.4); turning
          this off is the accounting ablation: the APP thread is scheduled
@@ -127,7 +126,7 @@ type config = {
 let default_config ?(costs = Cost.default) arch =
   { arch; costs; channel_limit = 32; mss = 9140;
     time_wait = Lrp_engine.Time.sec 30.;
-    udp_helper = true; forwarding = false; fwd_nice = 0;
+    udp_helper = true; forwarding = false;
     fair_app_accounting = true;
     napi_budget = 64; coalesce_pkts = 8; coalesce_us = 30. }
 
@@ -175,19 +174,18 @@ type app = {
    instead of preempting them).
 
    The poll batch is a set of flat columns owned by the context, filled by
-   [napi_collect] and emptied by [napi_deliver_batch]: the packets in
-   delivery order with their mbuf handles, the batch's CPU cost, the
-   frames served, and the held GRO train.  One poller owns the queue at a
-   time (the softirq chain, or ksoftirqd once it has been handed the
-   queue), so a batch is never refilled before it is delivered. *)
+   [napi_collect] and emptied by [napi_deliver_batch]: the frames' arena
+   rows in delivery order, the batch's CPU cost, the frames served, and
+   the held GRO train.  One poller owns the queue at a time (the softirq
+   chain, or ksoftirqd once it has been handed the queue), so a batch is
+   never refilled before it is delivered. *)
 type napi = {
   nq : int;                              (* receive-queue index *)
   mutable poll_on : bool;
   mutable episode : int;                 (* packets served this episode *)
   mutable in_ksoftirqd : bool;
   ksoftirqd_wq : Proc.waitq;
-  b_pkts : Packet.t array;               (* the batch, in delivery order *)
-  b_mhs : Mbuf.handle array;             (* each batch packet's mbufs *)
+  b_rows : Parena.handle array;          (* the batch, in delivery order *)
   mutable b_len : int;
   mutable served : int;                  (* frames dequeued this round *)
   nf : float array;                      (* [nf_cost], [nf_last_poll] *)
@@ -249,9 +247,9 @@ let null_ep =
 type jobs = {
   j_driver_rx : Packet.t Cpu.job;  (* BSD-style driver interrupt *)
   j_demux_rx : Packet.t Cpu.job;   (* SOFT-LRP / Early-Demux demux interrupt *)
-  j_softnet : Packet.t Cpu.job;    (* BSD softnet; mbuf handle in the int *)
+  j_softnet : Packet.t Cpu.job;    (* BSD softnet; arena row in the int *)
   j_edemux_soft : Packet.t Cpu.job;
-      (* Early-Demux eager protocol softint; mbuf handle in the int *)
+      (* Early-Demux eager protocol softint; arena row in the int *)
   j_wake : Proc.waitq Cpu.job;     (* NI-LRP host interrupt waking a waiter *)
   j_napi_irq : unit Cpu.job;       (* NAPI mitigated interrupt; queue in the int *)
   j_napi_poll : napi Cpu.job;      (* NAPI softirq poll round: collect *)
@@ -262,7 +260,8 @@ type jobs = {
   j_orphan : Channel.t Cpu.job;    (* orphaned connection's softint drain *)
   j_tcp_timer : Tcp.timer Cpu.job; (* softint timer expiry; generation in the int *)
   j_tcp_tx : unit Cpu.job;         (* softint cost of extra TCP output *)
-  j_reasm : Packet.t Cpu.job;      (* transport input of a reassembled datagram *)
+  j_reasm : Packet.t Cpu.job;
+      (* transport input of a reassembled datagram; its row in the int *)
   j_forward : Packet.t Cpu.job;    (* Early-Demux eager IP forwarding *)
   (* Engine event dispatchers ({!Engine.target}): an expiry carries its
      object instead of a capturing closure. *)
@@ -298,8 +297,10 @@ type t = {
   eps : ep Flowtab.t;  (* connections and listeners by conn id ([hi]) *)
   (* --- LRP state --- *)
   parena : Parena.t;
-      (* shared RX descriptor arena; every NI channel's ring draws its
-         frame descriptors from here *)
+      (* the one table of received frames still held: every NI channel's
+         ring, the eager paths' frames (each row charged its mbufs), the
+         reassembler's pending datagrams and the socket queues' datagrams
+         name rows here *)
   chantab : Chantab.t;
   chans : ep Flowtab.t;
       (* endpoints with an open NI channel, by channel id ([hi]; [lo] =
@@ -437,40 +438,30 @@ let ip_output t pkt =
 (* Per-segment transmit cost (protocol output + driver). *)
 let[@inline] seg_out_cost t = t.c.Cost.tcp_out +. t.c.Cost.ip_out +. t.c.Cost.driver_tx
 
-(* Free a received packet's mbufs.  Only eager kernels draw receive
-   buffers from the mbuf pool (lazy ones receive into NI channels).  The
-   non-fragment receive path carries the pool handle from {!rx_reserve}
-   all the way to the free site, so the count returned is the count
-   reserved; fragments (whose reassembled whole has a different wire
-   footprint than the sum of its pieces) stay on byte accounting with
-   [mh = Mbuf.no_handle]. *)
-let free_rx_pkt t ~mh bytes =
-  match t.proto with
-  | Eager -> if mh >= 0 then Mbuf.free_h t.mbufs mh else Mbuf.free t.mbufs ~bytes
-  | Lazy -> ()
-
-(* [rx_reserve]'s answer when the pool is exhausted; distinct from
-   [Mbuf.no_handle], a fragment's byte-accounted reservation. *)
-let no_mbufs = -2
+(* Release a received frame's row and give its mbufs back to the pool. *)
+let free_rx_pkt t h =
+  Mbuf.give t.mbufs (Parena.charge t.parena h);
+  Parena.release t.parena h
 
 let mbuf_drop t ident =
   t.stats.mbuf_drops <- t.stats.mbuf_drops + 1;
   Trace.mbuf_drop t.tracer ~pkt:ident
 
-(* Reserve mbufs for a received packet, as the driver does: a handle for a
-   whole datagram, byte accounting for a fragment.  On pool exhaustion the
-   drop is counted and traced and [no_mbufs] returned. *)
+(* Admit a received frame as an arena row, at receive-interrupt time.  An
+   eager kernel charges the row its mbufs; on pool exhaustion the drop is
+   counted and traced and [Parena.none] returned.  A lazy kernel's row is
+   uncharged. *)
 let rx_reserve t (pkt : Packet.t) =
-  let bytes = Packet.wire_bytes pkt in
-  let mh =
-    if Packet.is_fragment pkt then
-      if Mbuf.alloc t.mbufs ~bytes then Mbuf.no_handle else no_mbufs
-    else
-      let h = Mbuf.alloc_h t.mbufs ~bytes in
-      if h >= 0 then h else no_mbufs
+  let charge =
+    match t.proto with
+    | Eager -> Mbuf.mbufs_for t.mbufs (Packet.wire_bytes pkt)
+    | Lazy -> 0
   in
-  if mh = no_mbufs then mbuf_drop t pkt.Packet.ip.Packet.ident;
-  mh
+  if Mbuf.take t.mbufs charge then Parena.acquire t.parena pkt ~charge
+  else begin
+    mbuf_drop t pkt.Packet.ip.Packet.ident;
+    Parena.none
+  end
 
 (* Receiver-side content-checksum verification.  Corrupted packets die at
    the first transport-level touch: counted, traced, and never delivered,
@@ -853,10 +844,7 @@ let close_dgram t (sock : Socket.t) =
   let st = sock.Socket.stats and q = sock.Socket.udp_rcv in
   st.Socket.rx_sockq_drops <- st.Socket.rx_sockq_drops + Queue.length q;
   Queue.iter
-    (fun (dg : Socket.udp_datagram) ->
-      free_rx_pkt t ~mh:dg.Socket.dg_mbuf
-        (Payload.length dg.Socket.dg_payload + Packet.ip_header_bytes
-         + Packet.udp_header_bytes))
+    (fun (dg : Socket.udp_datagram) -> free_rx_pkt t dg.Socket.dg_mbuf)
     q;
   Queue.clear q
 
@@ -979,14 +967,14 @@ let peer_accepts t (sock : Socket.t) (pkt : Packet.t) sport =
       false
   | Some _ | None -> true
 
-(* Deposit a processed datagram on its socket queue and wake a receiver.
-   The datagram record is built only once the queue has room; overflow
-   (the BSD drop point) releases the packet's mbufs instead. *)
-let deposit t (sock : Socket.t) (pkt : Packet.t) payload sport ~mh bytes =
+(* Deposit a processed datagram, held in row [row], on its socket queue
+   and wake a receiver.  The datagram record is built only once the queue
+   has room; overflow (the BSD drop point) releases the row instead. *)
+let deposit t (sock : Socket.t) (pkt : Packet.t) payload sport ~row =
   let ident = pkt.Packet.ip.Packet.ident in
   if Socket.has_room sock then begin
     Socket.deposit_udp sock payload ~src:pkt.Packet.ip.Packet.src ~sport ~ident
-      ~mh;
+      ~row;
     Trace.sock_enqueue t.tracer ~pkt:ident ~sock:sock.Socket.id;
     t.stats.udp_delivered <- t.stats.udp_delivered + 1;
     wake_one t sock.Socket.recv_wait
@@ -995,38 +983,35 @@ let deposit t (sock : Socket.t) (pkt : Packet.t) payload sport ~mh bytes =
     sock.Socket.stats.Socket.rx_sockq_drops <-
       sock.Socket.stats.Socket.rx_sockq_drops + 1;
     Trace.sock_drop t.tracer ~pkt:ident ~sock:sock.Socket.id;
-    free_rx_pkt t ~mh bytes
+    free_rx_pkt t row
   end
 
-(* One copy of a multicast datagram per member socket (section 3.1).
-   Under the mbuf-based kernels each deposited copy gets its own
-   duplicate chain, so each receiver's copyout frees exactly one. *)
-let rec deposit_members t (pkt : Packet.t) payload sport bytes = function
+(* One copy of a multicast datagram per member socket (section 3.1), each
+   in its own row, so each receiver's copyout releases exactly one; under
+   the mbuf-based kernels each row is charged a duplicate chain. *)
+let rec deposit_members t (pkt : Packet.t) payload sport = function
   | [] -> ()
   | sock :: rest ->
       if peer_accepts t sock pkt sport then begin
-        let dup_h =
-          match t.proto with
-          | Eager -> rx_reserve t pkt
-          | Lazy -> Mbuf.no_handle
-        in
-        if dup_h <> no_mbufs then deposit t sock pkt payload sport ~mh:dup_h bytes
+        let row = rx_reserve t pkt in
+        if row <> Parena.none then deposit t sock pkt payload sport ~row
       end;
-      deposit_members t pkt payload sport bytes rest
+      deposit_members t pkt payload sport rest
 
-let deliver_udp_ready t ~mh (pkt : Packet.t) =
-  let bytes = Packet.wire_bytes pkt in
-  if not (csum_ok t pkt) then free_rx_pkt t ~mh bytes
+(* Transport delivery of a whole datagram held in [row]: the row goes to
+   the socket queue, or is released here. *)
+let deliver_udp_ready t ~row (pkt : Packet.t) =
+  if not (csum_ok t pkt) then free_rx_pkt t row
   else
   match pkt.Packet.body with
   | Packet.Udp (u, payload) ->
       let sport = u.Packet.usrc_port in
       if Packet.is_multicast pkt then begin
         (* The original chain is released; members get duplicates. *)
-        free_rx_pkt t ~mh bytes;
+        free_rx_pkt t row;
         match Hashtbl.find t.udp_ports u.Packet.udst_port with
         | { ep_group = true; ep_socks; _ } ->
-            deposit_members t pkt payload sport bytes ep_socks
+            deposit_members t pkt payload sport ep_socks
         | _ | (exception Not_found) ->
             t.stats.no_port_drops <- t.stats.no_port_drops + 1
       end
@@ -1034,12 +1019,12 @@ let deliver_udp_ready t ~mh (pkt : Packet.t) =
         (match Hashtbl.find t.udp_ports u.Packet.udst_port with
          | { ep_group = false; ep_socks = sock :: _; _ } ->
              if peer_accepts t sock pkt sport then
-               deposit t sock pkt payload sport ~mh bytes
-             else free_rx_pkt t ~mh bytes
+               deposit t sock pkt payload sport ~row
+             else free_rx_pkt t row
          | _ | (exception Not_found) ->
              t.stats.no_port_drops <- t.stats.no_port_drops + 1;
-             free_rx_pkt t ~mh bytes)
-  | Packet.Tcp _ | Packet.Icmp _ | Packet.Fragment _ -> ()
+             free_rx_pkt t row)
+  | Packet.Tcp _ | Packet.Icmp _ | Packet.Fragment _ -> free_rx_pkt t row
 
 let icmp_reply t (pkt : Packet.t) =
   if not (csum_ok t pkt) then ()
@@ -1075,21 +1060,21 @@ let deliver_tcp t (pkt : Packet.t) ~ctx =
 
 (* Transport-level processing of a complete (reassembled) datagram; runs in
    softint context under BSD / Early-Demux. *)
-let bsd_transport_input t ~mh (pkt : Packet.t) =
+let bsd_transport_input t ~row (pkt : Packet.t) =
   match pkt.Packet.body with
   | Packet.Udp _ ->
       Trace.proto_deliver t.tracer ~pkt:pkt.Packet.ip.Packet.ident ~conn:(-1)
         ~in_proc:false;
-      deliver_udp_ready t ~mh pkt
+      deliver_udp_ready t ~row pkt
   | Packet.Tcp _ ->
-      free_rx_pkt t ~mh (Packet.wire_bytes pkt);
+      free_rx_pkt t row;
       (* No endpoint: answer with a RST, unless the segment is garbage. *)
       if (not (deliver_tcp t pkt ~ctx:`Soft)) && csum_ok t pkt then begin
         t.stats.rsts_sent <- t.stats.rsts_sent + 1;
         Tcp.send_rst_for pkt ~emit:(tcp_env_exn t).Tcp.emit
       end
   | Packet.Icmp _ ->
-      free_rx_pkt t ~mh (Packet.wire_bytes pkt);
+      free_rx_pkt t row;
       icmp_reply t pkt
   | Packet.Fragment _ -> assert false
 
@@ -1133,26 +1118,25 @@ let[@inline] eager_soft_cost t (pkt : Packet.t) ~ipq ~skip_pcb =
   +. frag_extra +. transport +. t.c.Cost.sockbuf_append
 
 (* Transport processing of a datagram whose reassembly completed while a
-   fragment was being processed: a separate softint activation.  The
-   whole is freed by bytes, as its pieces were allocated. *)
-let post_reasm_complete t (whole : Packet.t) ~skip_pcb =
+   fragment was being processed: a separate softint activation, carrying
+   the datagram's row. *)
+let post_reasm_complete t (whole : Packet.t) ~row ~skip_pcb =
   (Cpu.cost_cell t.cpu).(0) <- transport_cost t whole ~skip_pcb;
   Cpu.post_soft_job t.cpu ~label:"ip-reasm-complete"
-    ~tpkt:whole.Packet.ip.Packet.ident ~poll:false (jobs t).j_reasm whole 0
+    ~tpkt:whole.Packet.ip.Packet.ident ~poll:false (jobs t).j_reasm whole row
 
 (* A fragment in softint context goes through the reassembler; an
-   incomplete datagram's fragments wait there. *)
-let ip_input_frag t (pkt : Packet.t) ~skip_pcb =
-  match Ip.Reasm.insert t.reasm ~now:(now t) pkt with
-  | None -> ()
-  | Some whole -> post_reasm_complete t whole ~skip_pcb
+   incomplete datagram's fragments wait there, folded into one row. *)
+let ip_input_frag t ~row ~skip_pcb =
+  let whole = Ip.Reasm.insert t.reasm ~now:(now t) row in
+  if whole <> Parena.none then
+    post_reasm_complete t (Parena.pkt t.parena whole) ~row:whole ~skip_pcb
 
 (* IP input of a local datagram in softint context: straight to transport
-   processing, or through the reassembler for fragments (which arrive
-   without a handle, [mh = no_handle]). *)
-let ip_input_local t ~mh (pkt : Packet.t) ~skip_pcb =
-  if Packet.is_fragment pkt then ip_input_frag t pkt ~skip_pcb
-  else bsd_transport_input t ~mh pkt
+   processing, or through the reassembler for fragments. *)
+let ip_input_local t ~row (pkt : Packet.t) ~skip_pcb =
+  if Packet.is_fragment pkt then ip_input_frag t ~row ~skip_pcb
+  else bsd_transport_input t ~row pkt
 
 (* Softint-context IP input of a received packet, run by BSD's softnet
    and by the NAPI poll loop: forward (or drop) a transit packet, process
@@ -1161,23 +1145,23 @@ let forward t pkt =
   t.stats.forwarded <- t.stats.forwarded + 1;
   ip_output t pkt
 
-let ip_input t ~mh pkt =
+let ip_input t ~row pkt =
   if is_transit t pkt then begin
-    free_rx_pkt t ~mh (Packet.wire_bytes pkt);
+    free_rx_pkt t row;
     if t.cfg.forwarding then forward t pkt
     else t.stats.fwd_drops <- t.stats.fwd_drops + 1
   end
-  else ip_input_local t ~mh pkt ~skip_pcb:false
+  else ip_input_local t ~row pkt ~skip_pcb:false
 
 let bsd_driver_rx t pkt =
-  let mh = rx_reserve t pkt in
-  if mh = no_mbufs then ()
+  let row = rx_reserve t pkt in
+  if row = Parena.none then ()
   else if t.ipq_len >= ip_queue_limit then begin
     (* The shared IP queue is full: the drop point that couples unrelated
        sockets under BSD (section 2.2). *)
     t.stats.ipq_drops <- t.stats.ipq_drops + 1;
     Trace.ipq_drop t.tracer ~pkt:pkt.Packet.ip.Packet.ident ~qlen:t.ipq_len;
-    free_rx_pkt t ~mh (Packet.wire_bytes pkt)
+    free_rx_pkt t row
   end
   else begin
     t.ipq_len <- t.ipq_len + 1;
@@ -1187,7 +1171,7 @@ let bsd_driver_rx t pkt =
     (Cpu.cost_cell t.cpu).(0) <-
       eager_soft_cost t pkt ~ipq:t.c.Cost.ipq_op ~skip_pcb:false;
     Cpu.post_soft_job t.cpu ~label:"softnet" ~tpkt:pkt.Packet.ip.Packet.ident
-      ~poll:false (jobs t).j_softnet pkt mh
+      ~poll:false (jobs t).j_softnet pkt row
   end
 
 (* ------------------------------------------------------------------ *)
@@ -1267,31 +1251,29 @@ let same_flow a b =
       | Packet.Tcp _ | Packet.Icmp _ | Packet.Fragment _ -> false)
   | Packet.Icmp _ | Packet.Fragment _ -> false
 
-(* Append a packet and its mbuf reservation to the batch.  A round
-   yields at most one batch entry per frame served, and serves at most
-   [napi_budget] frames from a ring of [rx_ring] slots that nothing refills
-   while it is being drained, so [min budget ring] rows always suffice. *)
-let batch_add n pkt mh =
-  n.b_pkts.(n.b_len) <- pkt;
-  n.b_mhs.(n.b_len) <- mh;
+(* Append an admitted frame's row to the batch.  A round yields at most
+   one batch entry per frame served, and serves at most [napi_budget]
+   frames from a ring of [rx_ring] slots that nothing refills while it is
+   being drained, so [min budget ring] rows always suffice. *)
+let batch_add n row =
+  n.b_rows.(n.b_len) <- row;
   n.b_len <- n.b_len + 1
 
 (* Admit one packet the BSD way: reserve its mbufs (drop on pool
    exhaustion) and charge full eager protocol processing. *)
 let napi_admit t n pkt =
-  let mh = rx_reserve t pkt in
-  if mh <> no_mbufs then begin
+  let row = rx_reserve t pkt in
+  if row <> Parena.none then begin
     n.nf.(nf_cost) <- n.nf.(nf_cost) +. napi_proto_cost t pkt;
-    batch_add n pkt mh
+    batch_add n row
   end
 
 (* Merge the held TCP train into one super-segment: head's ident and seq,
    last segment's ack/window (and PSH), payloads glued, content checksum
    recomputed so the merged segment still verifies.  The merged segment
-   enters protocol processing once; its wire footprint differs from any
-   single reservation, so it stays on byte accounting.  Builds a new
-   packet by design. *)
-let gro_merge_tcp t n hid =
+   enters protocol processing once, in a row of its own charged for its
+   own footprint.  Builds a new packet by design. *)
+let gro_merge_tcp t n =
   let len = n.train_len in
   let head = n.train.(0) and last = n.train.(len - 1) in
   let merged =
@@ -1319,13 +1301,12 @@ let gro_merge_tcp t n hid =
             { merged.Packet.ip with Packet.csum = Packet.checksum merged } }
     | _ -> assert false
   in
-  let bytes = Packet.wire_bytes merged in
-  if not (Mbuf.alloc t.mbufs ~bytes) then mbuf_drop t hid
-  else begin
+  let row = rx_reserve t merged in
+  if row <> Parena.none then begin
     n.nf.(nf_cost) <-
       n.nf.(nf_cost) +. napi_proto_cost t merged
       +. (float_of_int (len - 1) *. t.c.Cost.gro_merge);
-    batch_add n merged Mbuf.no_handle
+    batch_add n row
   end
 
 (* Hand the held train to the batch.  A train of one is admitted as is;
@@ -1345,16 +1326,15 @@ let gro_flush t n =
     if n.train_udp then begin
       napi_admit t n head;
       for i = 1 to len - 1 do
-        let p = n.train.(i) in
-        let mh = rx_reserve t p in
-        if mh <> no_mbufs then begin
+        let row = rx_reserve t n.train.(i) in
+        if row <> Parena.none then begin
           n.nf.(nf_cost) <-
             n.nf.(nf_cost) +. t.c.Cost.gro_merge +. t.c.Cost.sockbuf_append;
-          batch_add n p mh
+          batch_add n row
         end
       done
     end
-    else gro_merge_tcp t n hid;
+    else gro_merge_tcp t n;
     Trace.gro_flush t.tracer ~pkt:hid ~segs:len
   end;
   Array.fill n.train 0 len Packet.null;
@@ -1425,9 +1405,8 @@ let napi_collect t n =
    and empty it. *)
 let napi_deliver_batch t n =
   for i = 0 to n.b_len - 1 do
-    let pkt = n.b_pkts.(i) in
-    n.b_pkts.(i) <- Packet.null;
-    ip_input t ~mh:n.b_mhs.(i) pkt
+    let row = n.b_rows.(i) in
+    ip_input t ~row (Parena.pkt t.parena row)
   done;
   n.b_len <- 0
 
@@ -1652,13 +1631,13 @@ let edemux_drop t (pkt : Packet.t) =
   Trace.early_discard t.tracer ~pkt:pkt.Packet.ip.Packet.ident ~chan:(-1)
 
 (* Eager protocol processing, BSD-style, as a softint job carrying the
-   packet's mbuf handle. *)
+   packet's arena row. *)
 let edemux_eager t (pkt : Packet.t) =
-  let mh = rx_reserve t pkt in
-  if mh <> no_mbufs then begin
+  let row = rx_reserve t pkt in
+  if row <> Parena.none then begin
     (Cpu.cost_cell t.cpu).(0) <- eager_soft_cost t pkt ~ipq:0. ~skip_pcb:true;
     Cpu.post_soft_job t.cpu ~label:"softnet" ~tpkt:pkt.Packet.ip.Packet.ident
-      ~poll:false (jobs t).j_edemux_soft pkt mh
+      ~poll:false (jobs t).j_edemux_soft pkt row
   end
 
 (* Early discard on a full receiver queue — but processing stays eager.
@@ -1741,27 +1720,32 @@ let rx_dispatch t pkt =
 (* Lazy UDP protocol processing (LRP receive path, section 3.3)         *)
 (* ------------------------------------------------------------------ *)
 
-(* Pull any queued fragments for pending reassemblies out of the special
-   fragment channel and integrate them.  Completions are delivered to their
-   socket queues.  Runs in process context; the caller charges per-fragment
-   cost through [charge]. *)
-let drain_frag_channel t ~charge =
-  let frag_ch = Chantab.frag_channel t.chantab in
-  let frags = Channel.extract frag_ch (fun _ -> true) in
-  List.fold_left
-    (fun completed pkt ->
-      charge (t.c.Cost.reasm_per_frag +. t.c.Cost.ip_in);
-      match Ip.Reasm.insert t.reasm ~now:(now t) pkt with
-      | None -> completed
-      | Some whole -> whole :: completed)
-    [] frags
+let rec pop_rows ch rows =
+  let row = Channel.pop_row ch in
+  if row = Parena.none then List.rev rows else pop_rows ch (row :: rows)
 
-(* Deliver datagrams completed by lazy (receiver-context) processing;
-   they carry no mbuf reservation. *)
+let rec integrate_frags t ~charge completed = function
+  | [] -> completed
+  | row :: rest ->
+      charge (t.c.Cost.reasm_per_frag +. t.c.Cost.ip_in);
+      let whole = Ip.Reasm.insert t.reasm ~now:(now t) row in
+      integrate_frags t ~charge
+        (if whole = Parena.none then completed else whole :: completed)
+        rest
+
+(* Pull every fragment queued on the special fragment channel, then
+   integrate them one by one; fragments arriving meanwhile wait for the
+   next drain.  Returns the rows of the datagrams they complete, newest
+   first.  Runs in process context; the caller charges per-fragment cost
+   through [charge]. *)
+let drain_frag_channel t ~charge =
+  integrate_frags t ~charge [] (pop_rows (Chantab.frag_channel t.chantab) [])
+
+(* Deliver datagrams completed by lazy (receiver-context) processing. *)
 let rec deliver_udp_all t = function
   | [] -> ()
-  | pkt :: rest ->
-      deliver_udp_ready t ~mh:Mbuf.no_handle pkt;
+  | row :: rest ->
+      deliver_udp_ready t ~row (Parena.pkt t.parena row);
       deliver_udp_all t rest
 
 (* Lazy protocol processing starts in the receiver's own context; the
@@ -1777,36 +1761,38 @@ let lrp_charge_rx t ~flow (pkt : Packet.t) =
 
 (* A whole datagram: IP and UDP processing charged, then deposited.
    Allocates nothing but the datagram handed to the application. *)
-let lrp_recv_whole t ~flow pkt =
+let lrp_recv_whole t ~flow ~row pkt =
   lrp_charge_rx t ~flow pkt;
   charge_proto t ~flow (t.c.Cost.lazy_locality *. t.c.Cost.ip_in);
   charge_proto t ~flow (t.c.Cost.lazy_locality *. t.c.Cost.udp_in);
-  deliver_udp_ready t ~mh:Mbuf.no_handle pkt
+  deliver_udp_ready t ~row pkt
 
 (* A fragment: integrate it, and on a miss check the special fragment
    channel (section 3.2).  Completions — zero or several — are charged
    their UDP processing, then delivered in order. *)
-let lrp_recv_frag t ~flow pkt =
+let lrp_recv_frag t ~flow ~row pkt =
   lrp_charge_rx t ~flow pkt;
   charge_proto t ~flow
     (t.c.Cost.lazy_locality *. (t.c.Cost.ip_in +. t.c.Cost.reasm_per_frag));
   let completed =
-    match Ip.Reasm.insert t.reasm ~now:(now t) pkt with
-    | Some whole -> [ whole ]
-    | None -> drain_frag_channel t ~charge:(fun d -> charge_proto t ~flow d)
+    let whole = Ip.Reasm.insert t.reasm ~now:(now t) row in
+    if whole <> Parena.none then [ whole ]
+    else drain_frag_channel t ~charge:(fun d -> charge_proto t ~flow d)
   in
   List.iter
     (fun _ -> charge_proto t ~flow (t.c.Cost.lazy_locality *. t.c.Cost.udp_in))
     completed;
   deliver_udp_all t completed
 
+(* The frame's channel row is carried through processing to the socket
+   queue, and released at copyout. *)
 let lrp_recv_one t ch =
-  let pkt = Channel.pop ch in
-  pkt != Packet.null
+  let row = Channel.pop_row ch in
+  row <> Parena.none
   && begin
-       let flow = Channel.id ch in
-       if Packet.is_fragment pkt then lrp_recv_frag t ~flow pkt
-       else lrp_recv_whole t ~flow pkt;
+       let flow = Channel.id ch and pkt = Parena.pkt t.parena row in
+       if Packet.is_fragment pkt then lrp_recv_frag t ~flow ~row pkt
+       else lrp_recv_whole t ~flow ~row pkt;
        true
      end
 
@@ -1824,11 +1810,12 @@ let helper_loop t =
      | completed ->
          worked := true;
          List.iter
-           (fun whole ->
+           (fun row ->
+             let whole = Parena.pkt t.parena row in
              Trace.proto_deliver t.tracer ~pkt:whole.Packet.ip.Packet.ident
                ~conn:(-1) ~in_proc:true;
              charge (t.c.Cost.lazy_locality *. t.c.Cost.udp_in);
-             deliver_udp_ready t ~mh:Mbuf.no_handle whole)
+             deliver_udp_ready t ~row whole)
            completed);
     (* Process one packet from each backlogged UDP channel — but only while
        the destination socket queue has room.  A full socket queue means the
@@ -1844,18 +1831,23 @@ let helper_loop t =
       t.udp_eps;
     (* Protocol-proxy daemon duties: ICMP echo and RSTs for TCP segments
        with no endpoint (section 3.5). *)
-    (let pkt = Channel.pop (Chantab.icmp_channel t.chantab) in
-     if pkt != Packet.null then begin
+    (let row = Channel.pop_row (Chantab.icmp_channel t.chantab) in
+     if row <> Parena.none then begin
        worked := true;
        charge (t.c.Cost.lazy_locality *. (t.c.Cost.ip_in +. t.c.Cost.udp_in));
+       let pkt = Parena.pkt t.parena row in
        match pkt.Packet.body with
        | Packet.Tcp _ ->
+           free_rx_pkt t row;
            t.stats.rsts_sent <- t.stats.rsts_sent + 1;
            Tcp.send_rst_for pkt ~emit:(tcp_env_exn t).Tcp.emit
        | Packet.Udp _ | Packet.Icmp _ | Packet.Fragment _ ->
-           (match Ip.Reasm.insert t.reasm ~now:(now t) pkt with
-            | Some whole -> icmp_reply t whole
-            | None -> ())
+           let whole = Ip.Reasm.insert t.reasm ~now:(now t) row in
+           if whole <> Parena.none then begin
+             let pkt = Parena.pkt t.parena whole in
+             free_rx_pkt t whole;
+             icmp_reply t pkt
+           end
      end);
     if !worked then pass ()
     else begin
@@ -1919,7 +1911,7 @@ let create engine fabric ~name ~ip cfg =
       apps = Hashtbl.create 16;
       helper_wq = Proc.waitq "udp-helper"; fwd_wq = Proc.waitq "ipfwdd";
       udp_eps = []; napi = [||]; rxj = None;
-      reasm = Ip.Reasm.create ();
+      reasm = Ip.Reasm.create parena;
       tcp_env = None;
       eph_port = 20_000;
       stats =
@@ -1938,11 +1930,11 @@ let create engine fabric ~name ~ip cfg =
               | Lazy -> lrp_classify_rx t pkt
               | Eager -> edemux_rx t pkt);
         j_softnet =
-          Cpu.job (fun pkt mh ->
+          Cpu.job (fun pkt row ->
               t.ipq_len <- t.ipq_len - 1;
-              ip_input t ~mh pkt);
+              ip_input t ~row pkt);
         j_edemux_soft =
-          Cpu.job (fun pkt mh -> ip_input_local t ~mh pkt ~skip_pcb:true);
+          Cpu.job (fun pkt row -> ip_input_local t ~row pkt ~skip_pcb:true);
         j_wake = Cpu.job (fun wq _ -> wake_one t wq);
         j_napi_irq = Cpu.job (fun () qi -> napi_irq t qi);
         j_napi_poll = Cpu.job (fun n _ -> napi_softirq_round t n);
@@ -1956,7 +1948,7 @@ let create engine fabric ~name ~ip cfg =
         j_tcp_timer = Cpu.job (fun tm gen -> Tcp.timer_fired tm ~gen);
         j_tcp_tx = Cpu.job (fun () _ -> ());
         j_reasm =
-          Cpu.job (fun whole _ -> bsd_transport_input t ~mh:Mbuf.no_handle whole);
+          Cpu.job (fun whole row -> bsd_transport_input t ~row whole);
         j_forward = Cpu.job (fun pkt _ -> forward t pkt);
         g_tcp_timer = Engine.target engine (fun tm -> fire_tcp_timer t tm);
         g_rcvto =
@@ -1972,7 +1964,7 @@ let create engine fabric ~name ~ip cfg =
   let slowtimo_ev = ref Engine.none in
   slowtimo_ev :=
     Engine.schedule_after engine ~delay:(Time.sec 5.) (fun () ->
-        ignore (Ip.Reasm.prune t.reasm ~now:(now t));
+        ignore (Ip.Reasm.prune t.reasm ~now:(now t) ~release:(free_rx_pkt t));
         Engine.reschedule_after engine !slowtimo_ev ~delay:(Time.sec 5.));
   if t.rx_mode <> Intr then begin
     (* RSS steers across four receive rings; NAPI polls one. *)
@@ -1990,8 +1982,7 @@ let create engine fabric ~name ~ip cfg =
           let cap = max 1 (min cfg.napi_budget rx_ring) in
           { nq = qi; poll_on = false; episode = 0; in_ksoftirqd = false;
             ksoftirqd_wq = Proc.waitq "ksoftirqd";
-            b_pkts = Array.make cap Packet.null;
-            b_mhs = Array.make cap Mbuf.no_handle; b_len = 0; served = 0;
+            b_rows = Array.make cap Parena.none; b_len = 0; served = 0;
             nf = [| 0.; neg_infinity |];
             train = Array.make gro_max_segs Packet.null; train_len = 0;
             train_udp = false; train_next_seq = 0 });
@@ -2011,7 +2002,7 @@ let create engine fabric ~name ~ip cfg =
            helper_loop t));
   if t.proto = Lazy && cfg.forwarding then
     ignore
-      (Cpu.spawn cpu ~nice:cfg.fwd_nice ~name:(name ^ ".ipfwdd") (fun _self ->
+      (Cpu.spawn cpu ~name:(name ^ ".ipfwdd") (fun _self ->
            fwd_daemon_loop t));
   t
 

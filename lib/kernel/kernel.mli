@@ -75,7 +75,6 @@ type config = {
   time_wait : float;
   udp_helper : bool;
   forwarding : bool;
-  fwd_nice : int;
   fair_app_accounting : bool;
   napi_budget : int;
       (** frames per poll round before deferring to ksoftirqd; a
@@ -91,7 +90,8 @@ val default_config : ?costs:Cost.t -> arch -> config
     and 8-packet / 30 us coalescing.  What no scenario varies is a
     constant: the ATM MTU ({!mtu}, 9180), the 50-packet BSD IP queue, 4096
     mbufs, TCP's 1.5 s initial RTO and 4 SYN retries, {!rx_ring}-slot
-    receive rings, 4 receive queues under [Rss] (1 otherwise), and in
+    receive rings, 4 receive queues under [Rss] (1 otherwise), the LRP
+    forwarding daemon at the default priority, and in
     {!Api} 32 kB TCP socket buffers and, in {!Socket}, 32-datagram UDP
     socket queues. *)
 
@@ -170,7 +170,10 @@ type t = private {
   tcp_listeners : (int, ep) Hashtbl.t;
   eps : ep Lrp_core.Flowtab.t;  (** connections and listeners by conn id *)
   parena : Lrp_net.Parena.t;
-      (** shared RX descriptor arena backing every NI channel's ring *)
+      (** the one table of received frames still held, under every
+          architecture: NI channel rings, eager paths' frames (each row
+          charged its mbufs), pending reassemblies and socket-queue
+          datagrams *)
   chantab : Lrp_core.Chantab.t;
   chans : ep Lrp_core.Flowtab.t;
       (** endpoints with an open channel, by channel id ([hi]; [lo] = 0) *)
@@ -220,10 +223,9 @@ val set_tracing : t -> bool -> unit
 val tcp_env_exn : t -> Lrp_proto.Tcp.env
 val ip_output : t -> Lrp_net.Packet.t -> unit
 
-val free_rx_pkt : t -> mh:Lrp_net.Mbuf.handle -> int -> unit
-(** Free a received packet's mbuf reservation: by handle when the receive
-    path carried one, by bytes otherwise.  A no-op under lazy protocol
-    processing, which never draws receive buffers from the mbuf pool. *)
+val free_rx_pkt : t -> Lrp_net.Parena.handle -> unit
+(** Release a received frame's {!parena} row and give the mbufs it is
+    charged (none under lazy processing) back to the pool. *)
 
 val wake_all : t -> Lrp_sim.Proc.waitq -> unit
 

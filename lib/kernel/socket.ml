@@ -20,9 +20,9 @@ type udp_datagram = {
   dg_payload : Payload.t;
   dg_from : Packet.ip * int;
   dg_pkt : int;  (* originating packet's IP ident, for tracing *)
-  dg_mbuf : int;
-      (* mbuf-pool handle backing this datagram until copyout, or
-         [Mbuf.no_handle] on paths that account by bytes *)
+  dg_mbuf : Parena.handle;
+      (* the kernel's {!Parena} row holding this datagram until copyout,
+         charged the mbufs backing it under eager processing *)
 }
 
 type stats = {
@@ -67,14 +67,14 @@ let udp_rcv_limit = 32
 let has_room t = Queue.length t.udp_rcv < udp_rcv_limit
 
 (* Append a ready datagram, from [src]:[sport] in the packet with IP
-   ident [ident] and backed by mbuf handle [mh], to the socket queue (BSD
+   ident [ident] and held in arena row [row], to the socket queue (BSD
    softint path, NAPI poll, or LRP's lazy receive); the caller has checked
    [has_room].  The datagram and its queue cell are what the receive path
    hands to the application: the one allocation it keeps by design. *)
-let deposit_udp t payload ~src ~sport ~ident ~mh =
+let deposit_udp t payload ~src ~sport ~ident ~row =
   Queue.add
     { dg_payload = payload; dg_from = (src, sport); dg_pkt = ident;
-      dg_mbuf = mh }
+      dg_mbuf = row }
     t.udp_rcv;
   let depth = Queue.length t.udp_rcv in
   if depth > t.stats.rx_hwm then t.stats.rx_hwm <- depth

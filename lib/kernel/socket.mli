@@ -16,9 +16,9 @@ type udp_datagram = {
   dg_payload : Lrp_net.Payload.t;
   dg_from : Lrp_net.Packet.ip * int;
   dg_pkt : int;  (** originating packet's IP ident, for tracing *)
-  dg_mbuf : int;
-      (** mbuf-pool handle backing this datagram until copyout, or
-          [Lrp_net.Mbuf.no_handle] on paths that account by bytes *)
+  dg_mbuf : Lrp_net.Parena.handle;
+      (** the kernel's arena row holding this datagram until copyout,
+          charged the mbufs backing it under eager processing *)
 }
 type stats = {
   mutable rx_delivered : int;
@@ -46,8 +46,8 @@ val has_room : t -> bool
 
 val deposit_udp :
   t -> Lrp_net.Payload.t -> src:Lrp_net.Packet.ip -> sport:int -> ident:int ->
-  mh:int -> unit
+  row:Lrp_net.Parena.handle -> unit
 (** Append a ready datagram — its payload, source address and port, the
-    originating packet's IP ident and its mbuf handle — to the socket
+    originating packet's IP ident and its arena row — to the socket
     queue, which must have room ({!has_room}); tracks the high
     watermark. *)

@@ -148,8 +148,7 @@ type t = {
   buffer_us : float;           (* max queueing backlog per port, us *)
   ports : (Packet.ip, port) Hashtbl.t;
   mutable total_drops : int;
-  mutable loss_rate : float;   (* random frame loss, for fault injection *)
-  mutable loss_rng : Rng.t;
+  loss_rng : Rng.t;  (* the fault stream each port's [frng] splits off *)
   mutable default_port : Packet.ip option;
       (* where frames for off-link destinations go: the router's
          attachment (a LAN's default gateway) *)
@@ -174,7 +173,7 @@ let create engine ?(bandwidth_mbps = 155.) ?(prop_delay = 5.)
   { engine; clock = Engine.clock_cell engine; at = [| 0. |];
     bandwidth = Nic.mbps_to_bytes_per_us bandwidth_mbps; prop_delay;
     switch_latency; buffer_us; ports = Hashtbl.create 8; total_drops = 0;
-    loss_rate = 0.; loss_rng = Rng.split (Engine.rng engine);
+    loss_rng = Rng.split (Engine.rng engine);
     default_port = None; uplink = None; offered = 0; delivered = 0;
     duplicated = 0; fault_lost = 0; corrupted = 0; reordered = 0 }
 
@@ -192,33 +191,24 @@ let rec attach t nic =
 (* The per-frame path allocates nothing: ports are found without an
    option, times travel through float cells ([clock], [at],
    [busy_until]) and the arrival is scheduled through the engine's staged
-   deadline.  Injected loss, multicast replication, link faults and the
-   cross-cell uplink are the off-path branches. *)
+   deadline.  Multicast replication, link faults and the cross-cell
+   uplink are the off-path branches. *)
 and forward t pkt =
-  if t.loss_rate > 0. && random_loss t then begin
-    (* Injected random loss (fault-injection tests). *)
-    t.offered <- t.offered + 1;
-    t.total_drops <- t.total_drops + 1
-  end
-  else begin
-    t.at.(0) <- t.clock.(0);
-    if Packet.is_multicast pkt then forward_multicast t pkt
-    else
-      match Hashtbl.find t.ports (Packet.dst pkt) with
-      | port -> deliver_to t port pkt
-      | exception Not_found ->
-          (* Off-link destination: try the cross-cell uplink first
-             (sharded topologies), then the default gateway, else drop as
-             a real switch would. *)
-          (match t.uplink with
-           | Some up when
-               (let c = up.up_resolve (Packet.dst pkt) in
-                c >= 0 && c <> up.up_cell) ->
-               uplink_forward t up pkt
-           | Some _ | None -> gateway_or_drop t pkt)
-  end
-
-and random_loss t = Rng.uniform t.loss_rng < t.loss_rate
+  t.at.(0) <- t.clock.(0);
+  if Packet.is_multicast pkt then forward_multicast t pkt
+  else
+    match Hashtbl.find t.ports (Packet.dst pkt) with
+    | port -> deliver_to t port pkt
+    | exception Not_found ->
+        (* Off-link destination: try the cross-cell uplink first
+           (sharded topologies), then the default gateway, else drop as
+           a real switch would. *)
+        (match t.uplink with
+         | Some up when
+             (let c = up.up_resolve (Packet.dst pkt) in
+              c >= 0 && c <> up.up_cell) ->
+             uplink_forward t up pkt
+         | Some _ | None -> gateway_or_drop t pkt)
 
 (* Multicast: replicate to every port except the sender's, in address
    order so the replication (and any induced queueing) is independent of
@@ -401,11 +391,6 @@ let flush_held t port h =
     t.at.(0) <- t.clock.(0);
     deliver_frame t port h.hpkt
   end
-
-let set_loss_rate t r =
-  if not (r >= 0. && r <= 1.) then
-    invalid_arg (Printf.sprintf "Fabric.set_loss_rate: %g outside [0,1]" r);
-  t.loss_rate <- r
 
 let set_link_faults t ~ip f =
   Faults.validate f;

@@ -124,8 +124,7 @@ type t = {
   buffer_us : float;
   ports : (Packet.ip, port) Hashtbl.t;
   mutable total_drops : int;
-  mutable loss_rate : float;
-  mutable loss_rng : Lrp_engine.Rng.t;
+  loss_rng : Lrp_engine.Rng.t;
   mutable default_port : Packet.ip option;
   mutable uplink : uplink option;
   mutable offered : int;
@@ -142,10 +141,6 @@ val create :
   Lrp_engine.Engine.t ->
   ?bandwidth_mbps:float ->
   ?prop_delay:float -> ?switch_latency:float -> ?buffer_us:float -> unit -> t
-
-val set_loss_rate : t -> float -> unit
-(** Uniform random frame loss across the whole fabric, for fault-injection
-    tests.  @raise Invalid_argument outside [[0,1]]. *)
 
 val set_link_faults : t -> ip:Packet.ip -> Faults.t -> unit
 (** Configure link weather on the path {e towards} the port attached as

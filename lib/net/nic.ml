@@ -173,7 +173,7 @@ let transmit t pkt =
     let cap = Array.length t.ifq in
     let tail = t.ifq_head + t.ifq_count in
     let tail = if tail >= cap then tail - cap else tail in
-    t.ifq.(tail) <- Parena.acquire t.txa pkt;
+    t.ifq.(tail) <- Parena.acquire t.txa pkt ~charge:0;
     t.ifq_count <- t.ifq_count + 1;
     if not t.tx_busy then drain t;
     true

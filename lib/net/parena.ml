@@ -2,12 +2,19 @@
 
    Every frame sitting in an NI channel (or any other receive-side queue)
    is represented by a *descriptor*: a slot across parallel columns — the
-   structured packet, its cached wire footprint — identified by a
-   generation-checked integer handle.  Queues then carry plain ints
-   through flat int rings instead of boxed packets through linked
-   [Queue.t] cells: the per-packet costs this removes are the queue-cell
-   allocation, the [take_opt] option allocation, and the repeated
-   [Packet.wire_bytes] traversal (cached here in a column at admission).
+   structured packet, its cached wire footprint, the mbufs it is
+   charged — identified by a generation-checked integer handle.  Queues
+   then carry plain ints through flat int rings instead of boxed packets
+   through linked [Queue.t] cells: the per-packet costs this removes are
+   the queue-cell allocation, the [take_opt] option allocation, and the
+   repeated [Packet.wire_bytes] traversal (cached here in a column at
+   admission).
+
+   The charge column is the one record of which frame holds how many of
+   an eager kernel's mbufs ({!Mbuf} keeps only the pool's counters): the
+   kernel charges a row when it admits the frame, reassembly sums its
+   fragments' charges into one row, and whoever releases the row gives
+   its charge back.  Lazy kernels' rows carry 0.
 
    Handles pack (generation, slot) like {!Lrp_engine.Engine}'s event
    handles: the generation is bumped when a descriptor is released, so a
@@ -27,6 +34,7 @@ let none = -1
 type t = {
   mutable pkts : Packet.t array; (* the frame itself *)
   mutable bytes : int array; (* cached [Packet.wire_bytes] *)
+  mutable charges : int array; (* mbufs held by the frame *)
   mutable gens : int array;
   mutable free : int array; (* stack of free slots *)
   mutable free_top : int;
@@ -35,8 +43,8 @@ type t = {
 }
 
 let create () =
-  { pkts = [||]; bytes = [||]; gens = [||]; free = [||]; free_top = 0;
-    live = 0; peak = 0 }
+  { pkts = [||]; bytes = [||]; charges = [||]; gens = [||]; free = [||];
+    free_top = 0; live = 0; peak = 0 }
 
 let grow t =
   let cap = Array.length t.gens in
@@ -44,13 +52,16 @@ let grow t =
   if cap' > slot_mask then failwith "Parena: too many live frames"; (* alloc: cold — error path *)
   let pkts = Array.make cap' Packet.null in (* alloc: cold — amortized growth *)
   let bytes = Array.make cap' 0 in (* alloc: cold — amortized growth *)
+  let charges = Array.make cap' 0 in (* alloc: cold — amortized growth *)
   let gens = Array.make cap' 0 in (* alloc: cold — amortized growth *)
   let free = Array.make cap' 0 in (* alloc: cold — amortized growth *)
   Array.blit t.pkts 0 pkts 0 cap;
   Array.blit t.bytes 0 bytes 0 cap;
+  Array.blit t.charges 0 charges 0 cap;
   Array.blit t.gens 0 gens 0 cap;
   t.pkts <- pkts;
   t.bytes <- bytes;
+  t.charges <- charges;
   t.gens <- gens;
   t.free <- free;
   t.free_top <- 0;
@@ -59,12 +70,13 @@ let grow t =
     t.free_top <- t.free_top + 1
   done
 
-let[@inline] acquire t pkt =
+let[@inline] acquire t pkt ~charge =
   if t.free_top = 0 then grow t;
   t.free_top <- t.free_top - 1;
   let slot = Array.unsafe_get t.free t.free_top in
   t.pkts.(slot) <- pkt;
   Array.unsafe_set t.bytes slot (Packet.wire_bytes pkt);
+  Array.unsafe_set t.charges slot charge;
   t.live <- t.live + 1;
   if t.live > t.peak then t.peak <- t.live;
   ((Array.unsafe_get t.gens slot) lsl slot_bits) lor slot
@@ -87,6 +99,18 @@ let[@inline] wire_bytes t h =
   if not (valid t h) then stale "wire_bytes";
   Array.unsafe_get t.bytes (h land slot_mask)
 
+let[@inline] charge t h =
+  if not (valid t h) then stale "charge";
+  Array.unsafe_get t.charges (h land slot_mask)
+
+(* The row now holds [pkt] (a reassembled datagram replacing the fragment
+   its row was opened for); the charge stays. *)
+let set_pkt t h pkt =
+  if not (valid t h) then stale "set_pkt";
+  let slot = h land slot_mask in
+  t.pkts.(slot) <- pkt;
+  t.bytes.(slot) <- Packet.wire_bytes pkt
+
 let[@inline] release t h =
   if not (valid t h) then stale "release";
   let slot = h land slot_mask in
@@ -95,6 +119,14 @@ let[@inline] release t h =
   t.live <- t.live - 1;
   Array.unsafe_set t.free t.free_top slot;
   t.free_top <- t.free_top + 1
+
+(* Fold row [h] into row [into]: its charge moves over, the row goes. *)
+let absorb t ~into h =
+  let c = charge t h in
+  if not (valid t into) then stale "absorb";
+  let slot = into land slot_mask in
+  t.charges.(slot) <- t.charges.(slot) + c;
+  release t h
 
 let live t = t.live
 let peak t = t.peak

@@ -41,22 +41,28 @@ let fragment (pkt : Packet.t) ~mtu =
 (* --- reassembly ------------------------------------------------------- *)
 
 module Reasm = struct
+  (* A pending datagram is one {!Parena} row: the first fragment's row,
+     into which every later fragment's row is folded, so the row's charge
+     is the sum of its pieces' charges.  [whole] is the first fragment's
+     datagram, which the row holds on completion. *)
   type pending = {
+    row : Parena.handle;
     whole : Packet.t;
     mutable have : (int * int) list;  (* received (off, len) ranges *)
     mutable total : int option;       (* payload length, once the last fragment is seen *)
-    mutable first_seen : float;       (* for timeout pruning *)
+    first_seen : float;               (* for timeout pruning *)
   }
 
   type t = {
+    arena : Parena.t;
     table : (Packet.ip * int, pending) Hashtbl.t;  (* (src, ident) *)
     timeout : float;
     mutable completed : int;
     mutable timed_out : int;
   }
 
-  let create ?(timeout = 30_000_000. (* 30 s, BSD default *)) () =
-    { table = Hashtbl.create 32; timeout; completed = 0; timed_out = 0 }
+  let create ?(timeout = 30_000_000. (* 30 s, BSD default *)) arena =
+    { arena; table = Hashtbl.create 32; timeout; completed = 0; timed_out = 0 }
 
   let ranges_cover have total =
     let sorted = List.sort compare have in
@@ -67,19 +73,23 @@ module Reasm = struct
     in
     go 0 sorted
 
-  (* [insert t ~now frag_pkt] records a fragment.  Returns [Some whole] when
-     the datagram is complete (and forgets it). *)
-  let insert t ~now (pkt : Packet.t) =
+  (* [insert t ~now h] records the fragment held in row [h].  Returns the
+     datagram's row, now holding the whole datagram, when it is complete
+     (and forgets it); [Parena.none] otherwise. *)
+  let insert t ~now h =
+    let pkt = Parena.pkt t.arena h in
     match pkt.Packet.body with
-    | Packet.Udp _ | Packet.Tcp _ | Packet.Icmp _ -> Some pkt
+    | Packet.Udp _ | Packet.Tcp _ | Packet.Icmp _ -> h
     | Packet.Fragment f ->
         let key = (pkt.Packet.ip.Packet.src, pkt.Packet.ip.Packet.ident) in
         let p =
           match Hashtbl.find_opt t.table key with
-          | Some p -> p
+          | Some p ->
+              Parena.absorb t.arena ~into:p.row h;
+              p
           | None ->
               let p =
-                { whole = f.Packet.whole; have = []; total = None;
+                { row = h; whole = f.Packet.whole; have = []; total = None;
                   first_seen = now }
               in
               Hashtbl.replace t.table key p;
@@ -91,20 +101,24 @@ module Reasm = struct
          | Some total when ranges_cover p.have total ->
              Hashtbl.remove t.table key;
              t.completed <- t.completed + 1;
-             Some p.whole
-         | Some _ | None -> None)
+             Parena.set_pkt t.arena p.row p.whole;
+             p.row
+         | Some _ | None -> Parena.none)
 
-  (* Drop incomplete datagrams older than the timeout. *)
-  let prune t ~now =
+  (* Drop incomplete datagrams older than the timeout, handing each one's
+     row to [release]. *)
+  let prune t ~now ~release =
     let stale =
       Lrp_det.Det.fold_sorted
-        (fun key p acc -> if now -. p.first_seen > t.timeout then key :: acc else acc)
+        (fun key p acc ->
+          if now -. p.first_seen > t.timeout then (key, p.row) :: acc else acc)
         t.table []
     in
     List.iter
-      (fun key ->
+      (fun (key, row) ->
         Hashtbl.remove t.table key;
-        t.timed_out <- t.timed_out + 1)
+        t.timed_out <- t.timed_out + 1;
+        release row)
       stale;
     List.length stale
 

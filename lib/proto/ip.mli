@@ -6,31 +6,29 @@ val fragment : Lrp_net.Packet.t -> mtu:int -> Lrp_net.Packet.t list
     @raise Invalid_argument on nested fragments or an MTU smaller than the
     headers. *)
 
-(** Reassembly table, keyed by (source, IP ident).  [insert] returns the
-    whole datagram when the last missing piece arrives; [prune] expires
-    incomplete datagrams older than the timeout (ip_slowtimo). *)
+(** Reassembly table, keyed by (source, IP ident), over received frames'
+    {!Lrp_net.Parena} rows.  A pending datagram is one row: the first
+    fragment's, into which each later fragment's row is folded
+    ({!Lrp_net.Parena.absorb}), so its mbuf charge is the sum of its
+    pieces'.  [insert] hands that row, now holding the whole datagram, on
+    when the last missing piece arrives; [prune] expires incomplete
+    datagrams older than the timeout (ip_slowtimo) and hands their rows
+    back to be released. *)
 
 module Reasm :
   sig
-    type pending = {
-      whole : Lrp_net.Packet.t;
-      mutable have : (int * int) list;
-      mutable total : int option;
-      mutable first_seen : float;
-    }
-    type t = {
-      table : (Lrp_net.Packet.ip * int, pending) Hashtbl.t;
-      timeout : float;
-      mutable completed : int;
-      mutable timed_out : int;
-    }
-    val create : ?timeout:float -> unit -> t
-    val insert :
-      t -> now:float -> Lrp_net.Packet.t -> Lrp_net.Packet.t option
-    (** Record a fragment; [Some whole] on completion.  Non-fragments pass
-        straight through. *)
+    type t
+    val create : ?timeout:float -> Lrp_net.Parena.t -> t
+    val insert : t -> now:float -> Lrp_net.Parena.handle -> Lrp_net.Parena.handle
+    (** Record the fragment held in the row; the datagram's row on
+        completion, [Lrp_net.Parena.none] otherwise.  A non-fragment's row
+        passes straight through. *)
 
-    val prune : t -> now:float -> int
+    val prune :
+      t -> now:float -> release:(Lrp_net.Parena.handle -> unit) -> int
+    (** Forget the datagrams pending longer than the timeout, passing each
+        one's row to [release]; returns how many. *)
+
     val pending_count : t -> int
     val completed : t -> int
     val timed_out : t -> int

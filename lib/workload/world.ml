@@ -44,13 +44,12 @@ let pair ?seed ?(cfg = Kernel.default_config Kernel.Bsd) () =
 (* The gateway topology of section 3.5: a client on net A (10.0.0.10), a
    forwarding gateway on both nets (10.0.0.1 and 10.0.1.1) and a server on
    net B (10.0.1.20).  Off-link frames on each net go to the gateway's
-   attachment.  [fwd_nice] overrides the gateway's [cfg.fwd_nice]. *)
-let gateway ?seed ?fwd_nice cfg =
+   attachment. *)
+let gateway ?seed cfg =
   let engine = Engine.create ?seed () in
   let net_a = Fabric.create engine () in
   let net_b = Fabric.create engine () in
-  let fwd_nice = Option.value fwd_nice ~default:cfg.Kernel.fwd_nice in
-  let gw_cfg = { cfg with Kernel.forwarding = true; fwd_nice } in
+  let gw_cfg = { cfg with Kernel.forwarding = true } in
   let client =
     Kernel.create engine net_a ~name:"client" ~ip:(Packet.ip_of_quad 10 0 0 10)
       cfg

@@ -26,12 +26,10 @@ val pair :
 
 val gateway :
   ?seed:int ->
-  ?fwd_nice:int ->
   Lrp_kernel.Kernel.config ->
   Lrp_engine.Engine.t * Lrp_kernel.Kernel.t * Lrp_kernel.Kernel.t
   * Lrp_kernel.Kernel.t
 (** [gateway cfg] is [(engine, client, gw, server)]: two networks glued
     by a forwarding gateway (section 3.5).  The client is 10.0.0.10 on
     net A, the gateway 10.0.0.1 and 10.0.1.1, the server 10.0.1.20 on
-    net B.  Every host runs [cfg]; the gateway also forwards, at
-    [fwd_nice] (default [cfg.fwd_nice]). *)
+    net B.  Every host runs [cfg]; the gateway also forwards. *)

@@ -54,22 +54,23 @@ let test_channel_interrupt_flag () =
   Channel.clear_interrupt_request ch;
   Alcotest.(check bool) "off" false (Channel.interrupt_requested ch)
 
-let test_channel_extract () =
-  let ch = Channel.create () in
+let test_channel_pop_row () =
+  (* [pop_row] hands the oldest frame's row over without releasing it;
+     [pop] releases as it dequeues. *)
+  let arena = Parena.create () in
+  let ch = Channel.create ~arena () in
   ignore (Channel.enqueue ch (pkt ~sport:1 ()));
   ignore (Channel.enqueue ch (pkt ~sport:2 ()));
-  ignore (Channel.enqueue ch (pkt ~sport:3 ()));
-  let odd =
-    Channel.extract ch (fun p ->
-        match Packet.ports p with Some (sp, _) -> sp mod 2 = 1 | None -> false)
-  in
-  Alcotest.(check int) "two extracted" 2 (List.length odd);
+  let h = Channel.pop_row ch in
+  Alcotest.(check (option (pair int int))) "oldest first" (Some (1, 20))
+    (Packet.ports (Parena.pkt arena h));
   Alcotest.(check int) "one left" 1 (Channel.length ch);
-  (match Channel.dequeue ch with
-   | Some p ->
-       Alcotest.(check (option (pair int int))) "the even one remains"
-         (Some (2, 20)) (Packet.ports p)
-   | None -> Alcotest.fail "dequeue")
+  Alcotest.(check int) "the popped row is still held" 2
+    (Parena.live arena);
+  Parena.release arena h;
+  ignore (Channel.pop ch);
+  Alcotest.(check int) "pop released its row" 0 (Parena.live arena);
+  Alcotest.(check bool) "empty" true (Channel.pop_row ch = Parena.none)
 
 (* The ring starts small and doubles up to [limit]: every sequence of
    enqueues and pops, across growth and wrap-around, must match a plain
@@ -353,7 +354,8 @@ let suite =
     Alcotest.test_case "channel early discard" `Quick test_channel_early_discard;
     Alcotest.test_case "channel processing gate" `Quick test_channel_processing_gate;
     Alcotest.test_case "channel interrupt flag" `Quick test_channel_interrupt_flag;
-    Alcotest.test_case "channel extract" `Quick test_channel_extract;
+    Alcotest.test_case "channel pop_row hands over the row" `Quick
+      test_channel_pop_row;
     Alcotest.test_case "channel FIFO across ring growth and wrap" `Quick
       test_channel_fifo_growth_wrap;
     Alcotest.test_case "channel discards at exactly limit" `Quick

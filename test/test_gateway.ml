@@ -113,7 +113,7 @@ let test_lrp_gateway_flood_fairness () =
      priority and starves it. *)
   let run arch =
     let engine, client, gw, _server =
-      World.gateway ~fwd_nice:0 (Kernel.default_config arch)
+      World.gateway (Kernel.default_config arch)
     in
     ignore client;
     (* A local application on the gateway itself. *)

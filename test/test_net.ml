@@ -81,22 +81,25 @@ let test_ip_of_quad_range_check () =
 
 let test_mbuf_alloc_free () =
   let m = Mbuf.create ~capacity:10 () in
-  Alcotest.(check bool) "alloc ok" true (Mbuf.alloc m ~bytes:100);
+  Alcotest.(check int) "1 mbuf for 100B" 1 (Mbuf.mbufs_for m 100);
+  Alcotest.(check int) "8 mbufs for 1000B at 128B" 8 (Mbuf.mbufs_for m 1000);
+  Alcotest.(check int) "at least 1 mbuf" 1 (Mbuf.mbufs_for m 0);
+  Alcotest.(check bool) "take ok" true (Mbuf.take m 1);
   Alcotest.(check int) "one mbuf used" 1 (Mbuf.in_use m);
-  Alcotest.(check bool) "alloc big" true (Mbuf.alloc m ~bytes:1000);
-  Alcotest.(check int) "8 mbufs for 1000B at 128B" 9 (Mbuf.in_use m);
-  Alcotest.(check bool) "pool exhausted" false (Mbuf.alloc m ~bytes:300);
-  Alcotest.(check int) "failure counted" 1 (Mbuf.failures m);
-  Mbuf.free m ~bytes:1000;
+  Alcotest.(check bool) "take big" true (Mbuf.take m 8);
+  Alcotest.(check int) "nine in use" 9 (Mbuf.in_use m);
+  Alcotest.(check bool) "pool exhausted" false (Mbuf.take m 3);
+  Alcotest.(check int) "a refused take reserves nothing" 9 (Mbuf.in_use m);
+  Mbuf.give m 8;
   Alcotest.(check int) "freed" 1 (Mbuf.in_use m);
   Alcotest.(check int) "peak tracked" 9 (Mbuf.peak m)
 
 let test_mbuf_over_free () =
   let m = Mbuf.create ~capacity:10 () in
-  ignore (Mbuf.alloc m ~bytes:10);
+  ignore (Mbuf.take m 1);
   Alcotest.check_raises "over-free detected"
-    (Invalid_argument "Mbuf.free: more mbufs freed than in use") (fun () ->
-      Mbuf.free m ~bytes:1000)
+    (Invalid_argument "Mbuf.give: more mbufs freed than in use") (fun () ->
+      Mbuf.give m 8)
 
 (* --- nic / fabric timing ------------------------------------------------ *)
 
@@ -132,6 +135,28 @@ let test_nic_ifq_overflow () =
   done;
   Alcotest.(check int) "five accepted (1 transmitting + 4 queued)" 5 !accepted;
   Alcotest.(check int) "drops counted" 5 (Nic.stats a).Nic.tx_drops
+
+(* A row's charge column: set at admission, moved by [absorb] (which
+   releases the absorbed row), kept by [set_pkt]; stale handles raise. *)
+let test_arena_charges () =
+  let a = Parena.create () in
+  let frag n = Packet.udp ~src:1 ~dst:2 ~src_port:1 ~dst_port:2 (Payload.synthetic n) in
+  let h1 = Parena.acquire a (frag 100) ~charge:3 in
+  let h2 = Parena.acquire a (frag 200) ~charge:2 in
+  Parena.absorb a ~into:h1 h2;
+  Alcotest.(check int) "charges summed" 5 (Parena.charge a h1);
+  Alcotest.(check int) "absorbed row released" 1 (Parena.live a);
+  let whole = frag 300 in
+  Parena.set_pkt a h1 whole;
+  Alcotest.(check bool) "row holds the new frame" true (Parena.pkt a h1 == whole);
+  Alcotest.(check int) "footprint follows the frame" (Packet.wire_bytes whole)
+    (Parena.wire_bytes a h1);
+  Alcotest.(check int) "charge kept" 5 (Parena.charge a h1);
+  Alcotest.check_raises "stale handle"
+    (Invalid_argument "Parena.charge: stale or invalid handle") (fun () ->
+      ignore (Parena.charge a h2));
+  Parena.release a h1;
+  Alcotest.(check int) "nothing held" 0 (Parena.live a)
 
 (* The TX path is arena-backed: descriptors are held from transmit to
    tx-done, recycled after, and never perturb the frames themselves. *)
@@ -174,7 +199,7 @@ let test_fabric_loss_injection () =
   let fab = Fabric.create eng () in
   let a = Fabric.make_nic fab ~ip:1 ~ifq_limit:300 () in
   let b = Fabric.make_nic fab ~ip:2 () in
-  Fabric.set_loss_rate fab 0.5;
+  Fabric.set_faults fab (Fabric.Faults.make ~loss:0.5 ());
   let got = ref 0 in
   Nic.set_rx_handler b (fun _ -> incr got);
   for _ = 1 to 200 do
@@ -269,11 +294,12 @@ let test_fault_setters_validate () =
   let eng = Engine.create () in
   let fab = Fabric.create eng () in
   let _a = Fabric.make_nic fab ~ip:1 () in
-  expect_invalid "loss_rate > 1" (fun () -> Fabric.set_loss_rate fab 1.5);
-  expect_invalid "loss_rate < 0" (fun () -> Fabric.set_loss_rate fab (-0.1));
-  expect_invalid "loss_rate nan" (fun () -> Fabric.set_loss_rate fab Float.nan);
-  Fabric.set_loss_rate fab 0.;
-  Fabric.set_loss_rate fab 1.;
+  expect_invalid "faults loss < 0" (fun () ->
+      Fabric.set_faults fab (Fabric.Faults.make ~loss:(-0.1) ()));
+  expect_invalid "faults loss nan" (fun () ->
+      Fabric.set_faults fab (Fabric.Faults.make ~loss:Float.nan ()));
+  Fabric.set_faults fab (Fabric.Faults.make ~loss:0. ());
+  Fabric.set_faults fab (Fabric.Faults.make ~loss:1. ());
   expect_invalid "faults loss > 1" (fun () ->
       Fabric.set_faults fab (Fabric.Faults.make ~loss:1.01 ()));
   expect_invalid "faults dup < 0" (fun () ->
@@ -399,6 +425,7 @@ let suite =
     Alcotest.test_case "mbuf over-free detected" `Quick test_mbuf_over_free;
     Alcotest.test_case "fabric delivery timing" `Quick test_fabric_delivery_time;
     Alcotest.test_case "interface queue overflow" `Quick test_nic_ifq_overflow;
+    Alcotest.test_case "arena rows carry mbuf charges" `Quick test_arena_charges;
     Alcotest.test_case "tx arena recycles descriptors" `Quick
       test_tx_arena_recycles;
     Alcotest.test_case "unroutable frames dropped" `Quick test_fabric_no_route_drop;

@@ -138,65 +138,93 @@ let test_fragment_small_passthrough () =
   | [ p ] -> Alcotest.(check bool) "unchanged" true (p == pkt)
   | _ -> Alcotest.fail "small packet should not fragment"
 
+(* Reassembly runs over arena rows: each fragment is admitted charged one
+   mbuf, and [insert] answers the completed datagram's row or
+   [Parena.none]. *)
+let reasm ?timeout () =
+  let arena = Parena.create () in
+  (arena, Ip.Reasm.create ?timeout arena)
+
+let insert arena r f = Ip.Reasm.insert r ~now:0. (Parena.acquire arena f ~charge:1)
+let completed rows = List.filter (fun h -> h <> Parena.none) rows
+
 let test_reasm_in_order () =
-  let r = Ip.Reasm.create () in
+  let arena, r = reasm () in
   let pkt = mk_udp ~len:20_000 () in
   let frags = Ip.fragment pkt ~mtu:9180 in
-  let results = List.map (fun f -> Ip.Reasm.insert r ~now:0. f) frags in
-  let completions = List.filter_map Fun.id results in
-  Alcotest.(check int) "one completion" 1 (List.length completions);
+  let results = List.map (insert arena r) frags in
+  (match completed results with
+   | [ h ] ->
+       Alcotest.(check bool) "the row holds the whole datagram" true
+         (Parena.pkt arena h == pkt);
+       Alcotest.(check int) "the row carries every fragment's charge"
+         (List.length frags) (Parena.charge arena h);
+       Alcotest.(check int) "one row left" 1 (Parena.live arena)
+   | _ -> Alcotest.fail "expected one completion");
   Alcotest.(check int) "only at the last fragment" 0
-    (List.length (List.filter_map Fun.id (List.filteri (fun i _ -> i < List.length results - 1) results)))
+    (List.length (completed (List.filteri (fun i _ -> i < List.length results - 1) results)))
 
 let prop_reasm_any_order =
   QCheck.Test.make ~count:100 ~name:"reasm: completes in any arrival order"
     QCheck.(pair (int_range 10_000 60_000) small_int)
     (fun (len, seed) ->
-      let r = Ip.Reasm.create () in
+      let arena, r = reasm () in
       let pkt = mk_udp ~len () in
       let frags = Array.of_list (Ip.fragment pkt ~mtu:9180) in
       let rng = Lrp_engine.Rng.create seed in
       Lrp_engine.Rng.shuffle rng frags;
-      let completions =
-        Array.to_list frags
-        |> List.filter_map (fun f -> Ip.Reasm.insert r ~now:0. f)
-      in
-      match completions with
-      | [ whole ] -> Packet.payload_length whole = len
+      match completed (List.map (insert arena r) (Array.to_list frags)) with
+      | [ h ] ->
+          Packet.payload_length (Parena.pkt arena h) = len
+          && Parena.charge arena h = Array.length frags
       | _ -> false)
 
 let test_reasm_interleaved_datagrams () =
   (* Fragments of two datagrams interleaved: both complete. *)
-  let r = Ip.Reasm.create () in
+  let arena, r = reasm () in
   let a = mk_udp ~len:20_000 ~sport:1 () in
   let b = mk_udp ~len:20_000 ~sport:2 () in
   let fa = Ip.fragment a ~mtu:9180 and fb = Ip.fragment b ~mtu:9180 in
   let interleaved = List.concat (List.map2 (fun x y -> [ x; y ]) fa fb) in
-  let completions = List.filter_map (fun f -> Ip.Reasm.insert r ~now:0. f) interleaved in
+  let completions = completed (List.map (insert arena r) interleaved) in
   Alcotest.(check int) "both complete" 2 (List.length completions)
 
 let test_reasm_timeout () =
-  let r = Ip.Reasm.create ~timeout:1_000. () in
+  let arena, r = reasm ~timeout:1_000. () in
   let pkt = mk_udp ~len:20_000 () in
   (match Ip.fragment pkt ~mtu:9180 with
-   | f :: _ -> ignore (Ip.Reasm.insert r ~now:0. f)
-   | [] -> Alcotest.fail "no fragments");
+   | f :: g :: _ ->
+       ignore (insert arena r f);
+       ignore (insert arena r g)
+   | _ -> Alcotest.fail "too few fragments");
   Alcotest.(check int) "pending" 1 (Ip.Reasm.pending_count r);
-  let pruned = Ip.Reasm.prune r ~now:2_000. in
+  Alcotest.(check int) "one row per pending datagram" 1 (Parena.live arena);
+  let released = ref [] in
+  let pruned =
+    Ip.Reasm.prune r ~now:2_000. ~release:(fun h ->
+        released := Parena.charge arena h :: !released;
+        Parena.release arena h)
+  in
   Alcotest.(check int) "pruned" 1 pruned;
+  Alcotest.(check (list int)) "its row handed back, both charges on it" [ 2 ]
+    !released;
+  Alcotest.(check int) "no row left" 0 (Parena.live arena);
   Alcotest.(check int) "nothing pending" 0 (Ip.Reasm.pending_count r);
   Alcotest.(check int) "timeout counted" 1 (Ip.Reasm.timed_out r)
 
 let test_reasm_duplicate_fragments () =
-  let r = Ip.Reasm.create () in
+  let arena, r = reasm () in
   let pkt = mk_udp ~len:20_000 () in
   let frags = Ip.fragment pkt ~mtu:9180 in
   (* Insert the first fragment twice, then the rest. *)
   (match frags with
-   | f :: _ -> ignore (Ip.Reasm.insert r ~now:0. f)
+   | f :: _ -> ignore (insert arena r f)
    | [] -> ());
-  let completions = List.filter_map (fun f -> Ip.Reasm.insert r ~now:0. f) frags in
-  Alcotest.(check int) "still exactly one completion" 1 (List.length completions)
+  match completed (List.map (insert arena r) frags) with
+  | [ h ] ->
+      Alcotest.(check int) "the duplicate's charge is kept too"
+        (List.length frags + 1) (Parena.charge arena h)
+  | _ -> Alcotest.fail "expected exactly one completion"
 
 let qsuite =
   List.map QCheck_alcotest.to_alcotest

@@ -71,13 +71,12 @@ let test_handshake_and_echo arch cfg =
     (Printf.sprintf "%s: echo round-trip" (Kernel.arch_name arch))
     (Some "hello, lrp!") !echoed
 
-(* Bulk transfer with byte-level integrity checking.  [loss] is the
-   legacy whole-fabric uniform loss; [faults] configures the per-link
-   fault-injection pipeline on every link (both directions). *)
-let bulk_transfer ?(loss = 0.) ?faults ~arch ~bytes () =
+(* Bulk transfer with byte-level integrity checking.  [faults] configures
+   the per-link fault-injection pipeline on every link (both
+   directions). *)
+let bulk_transfer ?faults ~arch ~bytes () =
   let cfg = Kernel.default_config arch in
   let w, client, server = World.pair ~cfg () in
-  if loss > 0. then Fabric.set_loss_rate (World.fabric w) loss;
   (match faults with
    | Some f -> Fabric.set_faults (World.fabric w) f
    | None -> ());
@@ -131,7 +130,10 @@ let test_bulk_integrity_under_loss () =
      stream, under both BSD and LRP processing models. *)
   List.iter
     (fun arch ->
-      let sent, received, done_at = bulk_transfer ~loss:0.02 ~arch ~bytes:100_000 () in
+      let sent, received, done_at =
+        bulk_transfer ~faults:(Fabric.Faults.make ~loss:0.02 ()) ~arch
+          ~bytes:100_000 ()
+      in
       Alcotest.(check bool)
         (Printf.sprintf "%s: lossy transfer completed" (Kernel.arch_name arch))
         true (done_at <> None);

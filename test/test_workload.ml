@@ -153,43 +153,53 @@ let test_ni_lrp_channel_scaling () =
 (* --- fault injection: fragment loss --------------------------------------- *)
 
 let test_fragment_loss_times_out_cleanly () =
-  (* Lose ~a third of all frames while blasting fragmented datagrams:
-     incomplete reassemblies must be pruned (no unbounded growth) and
-     intact datagrams still flow. *)
-  let cfg = Kernel.default_config Kernel.Soft_lrp in
-  let w, client, server = World.pair ~cfg () in
-  Fabric.set_loss_rate (World.fabric w) 0.3;
-  let got = ref 0 in
-  ignore
-    (Cpu.spawn (Kernel.cpu server) ~name:"rx" (fun self ->
-         let sock = Api.socket_dgram server in
-         Api.bind server sock ~owner:(Some self) ~port:5000;
-         let rec loop () =
-           let _dg = Api.recvfrom server ~self sock in
-           incr got;
-           loop ()
-         in
-         try loop () with Api.Socket_closed -> ()));
-  ignore
-    (Cpu.spawn (Kernel.cpu client) ~name:"tx" (fun self ->
-         let sock = Api.socket_dgram client in
-         ignore (Api.bind_ephemeral client sock ~owner:(Some self));
-         for _ = 1 to 100 do
-           Api.sendto client ~self sock
-             ~dst:(Kernel.ip_address server, 5000)
-             (Payload.synthetic 20_000);
-           Proc.sleep_for (Time.ms 2.)
-         done));
-  (* Run long enough for the 30 s reassembly timeout to prune stragglers. *)
-  World.run w ~until:(Time.sec 40.);
-  Alcotest.(check bool)
-    (Printf.sprintf "some datagrams survived (%d/100)" !got)
-    true
-    (!got > 10 && !got < 95);
-  Alcotest.(check int) "no reassembly state leaked" 0
-    (Lrp_proto.Ip.Reasm.pending_count server.Kernel.reasm);
-  Alcotest.(check bool) "incomplete datagrams were pruned" true
-    (Lrp_proto.Ip.Reasm.timed_out server.Kernel.reasm > 0)
+  (* Lose a fifth of the frames on the server's link while blasting
+     fragmented datagrams, on every architecture: incomplete reassemblies
+     must be pruned (no unbounded growth) with their fragments' buffers
+     released, and intact datagrams still flow. *)
+  List.iter
+    (fun arch ->
+      let name = Kernel.arch_name arch in
+      let w, client, server = World.pair ~cfg:(Kernel.default_config arch) () in
+      Fabric.set_link_faults (World.fabric w) ~ip:(Kernel.ip_address server)
+        (Fabric.Faults.make ~loss:0.2 ());
+      let got = ref 0 in
+      ignore
+        (Cpu.spawn (Kernel.cpu server) ~name:"rx" (fun self ->
+             let sock = Api.socket_dgram server in
+             Api.bind server sock ~owner:(Some self) ~port:5000;
+             let rec loop () =
+               let _dg = Api.recvfrom server ~self sock in
+               incr got;
+               loop ()
+             in
+             try loop () with Api.Socket_closed -> ()));
+      ignore
+        (Cpu.spawn (Kernel.cpu client) ~name:"tx" (fun self ->
+             let sock = Api.socket_dgram client in
+             ignore (Api.bind_ephemeral client sock ~owner:(Some self));
+             for _ = 1 to 100 do
+               Api.sendto client ~self sock
+                 ~dst:(Kernel.ip_address server, 5000)
+                 (Payload.synthetic 20_000);
+               Proc.sleep_for (Time.ms 2.)
+             done));
+      (* Run past the 30 s reassembly timeout and the slow timer after it. *)
+      World.run w ~until:(Time.sec 40.);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: some datagrams survived (%d/100)" name !got)
+        true
+        (!got > 10 && !got < 95);
+      Alcotest.(check int) (name ^ ": no reassembly state leaked") 0
+        (Lrp_proto.Ip.Reasm.pending_count server.Kernel.reasm);
+      Alcotest.(check bool) (name ^ ": incomplete datagrams were pruned") true
+        (Lrp_proto.Ip.Reasm.timed_out server.Kernel.reasm > 0);
+      Alcotest.(check int) (name ^ ": pruned fragments' mbufs returned") 0
+        (Mbuf.in_use (Kernel.mbufs server));
+      Alcotest.(check int) (name ^ ": no received frame held") 0
+        (Parena.live server.Kernel.parena))
+    [ Kernel.Bsd; Kernel.Soft_lrp; Kernel.Ni_lrp; Kernel.Early_demux;
+      Kernel.Napi; Kernel.Napi_gro; Kernel.Rss ]
 
 let suite =
   [ Alcotest.test_case "blast source holds its rate" `Quick test_blast_source_rate;
