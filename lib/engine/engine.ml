@@ -418,8 +418,13 @@ let run_while t pred ~until =
    rather than clobbering the scratch column mid-iteration.  [snap]
    distinguishes {!run} (clock advances to [until] when the queue runs
    dry first) from {!drain} ([until] is [infinity]; the clock stays at
-   the last fired event). *)
-let run_loop t ~until ~snap =
+   the last fired event).
+
+   [until] arrives staged in [cell.(0)], like a scheduling deadline: a
+   float argument would box per call.  It is read once, before the queue
+   reuses the slot as its key carrier. *)
+let run_loop t ~snap =
+  let until = t.cell.(0) in
   if t.batch_active then run_while t (fun () -> true) ~until
   else begin
     t.batch_active <- true;
@@ -465,9 +470,15 @@ let run_loop t ~until ~snap =
     if snap && t.clock.(0) < until then t.clock.(0) <- until
   end
 
-let run t ~until = run_loop t ~until ~snap:true
+let run t ~until =
+  t.cell.(0) <- until;
+  run_loop t ~snap:true
 
-(* Takes no float argument ([infinity] is a static constant), so a hot
-   caller pays no boxing for the bound — the whole
-   schedule-batch-then-drain cycle stays at zero words per event. *)
-let drain t = run_loop t ~until:infinity ~snap:false
+let run_staged t = run_loop t ~snap:true
+
+(* Takes no float argument, so a hot caller pays no boxing for the
+   bound — the whole schedule-batch-then-drain cycle stays at zero words
+   per event. *)
+let drain t =
+  t.cell.(0) <- infinity;
+  run_loop t ~snap:false

@@ -85,12 +85,13 @@ val schedule_to_after : t -> delay:float -> 'a target -> 'a -> handle
     [schedule_to t ~at:(now t +. delay) tgt v]. *)
 
 val deadline_cell : t -> float array
-(** 1-slot staging cell for {!schedule_to_staged}.  A computed float
-    passed as a [~delay]/[~at] argument is boxed at the call boundary (2
-    minor words per event); a float-array store is not.  Zero-allocation
-    senders write the absolute deadline into slot 0 and then call
-    {!schedule_to_staged}.  The slot is consumed by the next schedule
-    call of any kind — write it immediately before scheduling. *)
+(** 1-slot staging cell for {!schedule_to_staged} and {!run_staged}.  A
+    computed float passed as a [~delay]/[~at]/[~until] argument is boxed
+    at the call boundary (2 minor words per call); a float-array store is
+    not.  Zero-allocation callers write the absolute time into slot 0 and
+    then call {!schedule_to_staged} or {!run_staged}.  The slot is
+    consumed by the next schedule or run call of any kind — write it
+    immediately before the call. *)
 
 val schedule_to_staged : t -> 'a target -> 'a -> handle
 (** [schedule_to_staged t tgt v] is
@@ -146,6 +147,12 @@ val run : t -> until:Time.t -> unit
     once per distinct timestamp; firing order is still exactly (key,
     FIFO-seq), since nothing a batch's own handlers schedule or cancel can
     reorder it. *)
+
+val run_staged : t -> unit
+(** [run_staged t] is [run t ~until:(deadline_cell t).(0)] without the
+    float boxing: a caller that computes the horizon per call (the
+    sharded epoch loop) stages it in the deadline cell, immediately
+    before the call. *)
 
 val drain : t -> unit
 (** {!run} with an unbounded horizon: execute queued events until none

@@ -53,16 +53,38 @@ type t = {
   cells : Engine.t array;
   lookahead : float;
   exchange : unit -> int;
-  shards : int;
   first_cell : int array;  (* shard s owns cells [first.(s), first.(s+1)) *)
-  shard_events : int array;  (* per-shard events this epoch (scratch) *)
-  key_cell : float array;  (* scratch for the next_key_into fold *)
+  shard_events : int array;  (* per-shard events this epoch; one per shard *)
+  (* [|key; bound|]: slot 0 carries next_key_into's keys, slot 1 the
+     global min deadline and then the epoch's bound *)
+  cell : float array;
+  work : int -> unit;  (* advance shard s to [cell.(1)]; built once *)
   mutable team : Lrp_parallel.Team.t option;
   mutable epochs : int;
   mutable messages : int;
   mutable events_total : int;
   mutable events_critical : int;
 }
+
+(* Advance shard [s]'s cells to [cell.(1)].  Each shard's cells run in
+   ascending index order with the cell's own Idspace installed, so a
+   cell's execution is a pure function of its state and the bound
+   sequence — independent of the shard partition.  The bound reaches
+   every engine through its deadline cell: a float argument would box
+   per cell per epoch. *)
+let shard_work cells first_cell shard_events cell s =
+  let saved = Idspace.current () in
+  let events = ref 0 in
+  for i = first_cell.(s) to first_cell.(s + 1) - 1 do
+    let e = cells.(i) in
+    Idspace.use (Engine.ids e);
+    let before = Engine.events_executed e in
+    (Engine.deadline_cell e).(0) <- cell.(1);
+    Engine.run_staged e;
+    events := !events + (Engine.events_executed e - before)
+  done;
+  Idspace.use saved;
+  shard_events.(s) <- !events
 
 let create ?(shards = 1) ~lookahead ~exchange cells =
   let n = Array.length cells in
@@ -73,49 +95,35 @@ let create ?(shards = 1) ~lookahead ~exchange cells =
   (* Contiguous block partition: deterministic, and cells built
      rack-by-rack keep their locality. *)
   let first_cell = Array.init (shards + 1) (fun s -> s * n / shards) in
-  { cells; lookahead; exchange; shards; first_cell;
-    shard_events = Array.make shards 0; key_cell = [| 0. |]; team = None;
+  let shard_events = Array.make shards 0 and cell = [| 0.; 0. |] in
+  { cells; lookahead; exchange; first_cell; shard_events; cell;
+    work = shard_work cells first_cell shard_events cell; team = None;
     epochs = 0; messages = 0; events_total = 0; events_critical = 0 }
 
-let shards t = t.shards
+let shards t = Array.length t.shard_events
 let epochs t = t.epochs
 let messages t = t.messages
 let events_total t = t.events_total
 let events_critical t = t.events_critical
 
+(* Leave the global min deadline in [cell.(1)].  Keys and the result
+   travel through [cell]: a float return would box one float per cell
+   per epoch. *)
 let next_deadline t =
-  (* Keys travel through [key_cell]: a float return would box one float
-     per cell per epoch. *)
-  let d = ref Float.infinity in
+  let c = t.cell in
+  c.(1) <- Float.infinity;
   for i = 0 to Array.length t.cells - 1 do
-    if Engine.next_key_into t.cells.(i) ~cell:t.key_cell && t.key_cell.(0) < !d
-    then d := t.key_cell.(0)
-  done;
-  !d
+    if Engine.next_key_into t.cells.(i) ~cell:c && c.(0) < c.(1) then
+      c.(1) <- c.(0)
+  done
 
-(* Advance every cell to [bound].  Each shard's cells run in ascending
-   index order with the cell's own Idspace installed, so a cell's
-   execution is a pure function of its state and the bound sequence —
-   independent of the shard partition. *)
-let advance t bound =
-  let work s =
-    let saved = Idspace.current () in
-    let events = ref 0 in
-    for i = t.first_cell.(s) to t.first_cell.(s + 1) - 1 do
-      let e = t.cells.(i) in
-      Idspace.use (Engine.ids e);
-      let before = Engine.events_executed e in
-      Engine.run e ~until:bound;
-      events := !events + (Engine.events_executed e - before)
-    done;
-    Idspace.use saved;
-    t.shard_events.(s) <- !events
-  in
+(* Advance every cell to [cell.(1)]: one epoch. *)
+let advance t =
   (match t.team with
-   | None -> work 0
-   | Some team -> Lrp_parallel.Team.run team work);
+   | None -> t.work 0
+   | Some team -> Lrp_parallel.Team.run team t.work);
   let total = ref 0 and critical = ref 0 in
-  for s = 0 to t.shards - 1 do
+  for s = 0 to Array.length t.shard_events - 1 do
     total := !total + t.shard_events.(s);
     if t.shard_events.(s) > !critical then critical := t.shard_events.(s)
   done;
@@ -125,7 +133,7 @@ let advance t bound =
 let run t ~until =
   let saved = Idspace.current () in
   let team =
-    if t.shards > 1 then Some (Lrp_parallel.Team.create ~size:t.shards)
+    if shards t > 1 then Some (Lrp_parallel.Team.create ~size:(shards t))
     else None
   in
   t.team <- team;
@@ -138,9 +146,11 @@ let run t ~until =
       Idspace.use saved)
   @@ fun () ->
   let rec loop () =
-    let d = next_deadline t in
-    if d <= until then begin
-      advance t (Float.min (d +. t.lookahead) until);
+    next_deadline t;
+    if t.cell.(1) <= until then begin
+      let b = t.cell.(1) +. t.lookahead in
+      t.cell.(1) <- (if b < until then b else until);
+      advance t;
       t.epochs <- t.epochs + 1;
       t.messages <- t.messages + t.exchange ();
       loop ()
@@ -153,7 +163,10 @@ let run t ~until =
         t.messages <- t.messages + moved;
         loop ()
       end
-      else advance t until
+      else begin
+        t.cell.(1) <- until;
+        advance t
+      end
     end
   in
   loop ()

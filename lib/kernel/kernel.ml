@@ -1800,6 +1800,20 @@ let lrp_recv_one t ch =
 (* LRP helper thread (minimal priority, section 3.3)                    *)
 (* ------------------------------------------------------------------ *)
 
+(* One helper pass over the UDP endpoints: a packet from each backlogged
+   channel whose socket has room.  A recursive function rather than a
+   [List.iter] closure, which would be allocated on every pass together
+   with the [worked] flag it captured. *)
+let rec helper_udp_round t worked = function
+  | [] -> worked
+  | ep :: rest ->
+      let got =
+        match ep.ep_chan, ep.ep_socks with
+        | Some ch, sock :: _ -> Socket.has_room sock && lrp_recv_one t ch
+        | _, _ -> false
+      in
+      helper_udp_round t (got || worked) rest
+
 let helper_loop t =
   let charge d = charge_proto t ~flow:(-1) d in
   let rec pass () =
@@ -1822,13 +1836,7 @@ let helper_loop t =
        receiver is not keeping up, and leaving packets in the channel is
        what lets it fill and shed further load at the NI instead of burning
        host CPU on datagrams that would be dropped anyway. *)
-    List.iter
-      (fun ep ->
-        match ep.ep_chan, ep.ep_socks with
-        | Some ch, sock :: _ ->
-            if Socket.has_room sock && lrp_recv_one t ch then worked := true
-        | _, _ -> ())
-      t.udp_eps;
+    if helper_udp_round t false t.udp_eps then worked := true;
     (* Protocol-proxy daemon duties: ICMP echo and RSTs for TCP segments
        with no endpoint (section 3.5). *)
     (let row = Channel.pop_row (Chantab.icmp_channel t.chantab) in

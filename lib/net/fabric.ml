@@ -468,31 +468,32 @@ let set_uplink t ~cell ~resolve ~latency ~min_latency
 let uplink_exn t =
   match t.uplink with
   | Some up -> up
-  | None -> invalid_arg "Fabric: no uplink configured"
+  | None -> invalid_arg "Fabric: no uplink configured" (* alloc: cold — error path *)
 
-(* Barrier-side drain: visit outbox entries in transmit order ([seq] is
-   the per-source FIFO sequence the coordinator sorts on), then reset the
-   columns.  Emptied packet slots are cleared so the outbox never pins a
-   delivered frame.  Only the coordinating domain may call this, at a
-   barrier. *)
-let drain_outbox t f =
+(* Barrier-side drain: visit outbox entries in transmit order, then reset
+   the columns.  Each entry's ready time is staged in [ready.(0)] rather
+   than passed: a float argument to [f] would box once per frame.
+   Emptied packet slots are cleared so the outbox never pins a delivered
+   frame.  Only the coordinating domain may call this, at a barrier. *)
+let drain_outbox t ~ready f =
   match t.uplink with
   | None -> 0
   | Some up ->
       let n = up.ob_len in
       for i = 0 to n - 1 do
-        f ~ready:up.ob_ready.(i) ~dst:up.ob_dst.(i) ~seq:i up.ob_pkt.(i);
+        ready.(0) <- up.ob_ready.(i);
+        f up.ob_dst.(i) up.ob_pkt.(i);
         up.ob_pkt.(i) <- Packet.null
       done;
       up.ob_len <- 0;
       n
 
 (* Barrier-side injection: schedule the frame's arrival on this (the
-   destination) cell's engine at its ready time.  Safe because the
-   coordinator only injects at barriers, when every cell clock is <= the
-   ready time (the lookahead invariant). *)
-let inject_remote t ~at pkt =
-  ignore (Engine.schedule_to t.engine ~at (uplink_exn t).inject_tgt pkt)
+   destination) cell's engine at the time staged in its deadline cell.
+   Safe because the coordinator only injects at barriers, when every cell
+   clock is <= the ready time (the lookahead invariant). *)
+let inject_remote t pkt =
+  ignore (Engine.schedule_to_staged t.engine (uplink_exn t).inject_tgt pkt)
 
 let uplink_stats t =
   match t.uplink with

@@ -177,17 +177,18 @@ val set_uplink :
     [min_latency]. *)
 
 val drain_outbox :
-  t ->
-  (ready:float -> dst:int -> seq:int -> Packet.t -> unit) -> int
-(** Visit and clear this cell's outbox in transmit order; [seq] is the
-    per-source FIFO sequence number, [ready] the frame's arrival deadline
-    on cell [dst].  Returns the number of entries drained.  Coordinator
-    only, at an epoch barrier. *)
+  t -> ready:float array -> (int -> Packet.t -> unit) -> int
+(** [drain_outbox t ~ready f] visits and clears this cell's outbox in
+    transmit order, calling [f dst pkt] per entry with the frame's
+    arrival deadline on cell [dst] staged in [ready.(0)] (a float
+    argument would box per frame).  Returns the number of entries
+    drained.  Coordinator only, at an epoch barrier. *)
 
-val inject_remote : t -> at:float -> Packet.t -> unit
+val inject_remote : t -> Packet.t -> unit
 (** Schedule a frame drained from another cell's outbox to arrive on this
-    (the destination) cell at its ready time.  Coordinator only, at a
-    barrier: requires [at >=] every cell clock (the lookahead
+    (the destination) cell at the time staged in its engine's
+    {!Lrp_engine.Engine.deadline_cell}.  Coordinator only, at a barrier:
+    requires that time [>=] every cell clock (the lookahead
     invariant). *)
 
 val uplink_stats : t -> uplink_stats

@@ -3,7 +3,8 @@
    microseconds plus a minor heap, so the old design — each [with_pool]
    bracket spawning and joining its own workers — made short sweeps pay
    the spawn bill per batch.  Workers are now spawned on demand, never
-   torn down, and parked in [Condition.wait] between batches; a [Pool.t]
+   torn down, and idle between batches in a {!Spin} wait (poll the
+   queued-job count briefly, then park in [Condition.wait]); a [Pool.t]
    is just a parallelism cap over the shared set.
 
    lib/parallel is the one sanctioned home for cross-domain module state
@@ -17,6 +18,8 @@ type shared = {
   lock : Mutex.t;
   work_ready : Condition.t;      (* job queued, or process shutdown *)
   jobs : (unit -> unit) Queue.t;
+  queued : int Atomic.t;         (* length of [jobs], +1 once [quit] is
+                                    set: what idle workers spin on *)
   mutable spawned : int;         (* worker domains alive *)
   mutable reserved : int;        (* workers pinned by long-running jobs *)
   mutable handles : unit Domain.t list;
@@ -25,18 +28,27 @@ type shared = {
 
 let shared =
   { lock = Mutex.create (); work_ready = Condition.create ();
-    jobs = Queue.create (); spawned = 0; reserved = 0; handles = [];
-    quit = false }
+    jobs = Queue.create (); queued = Atomic.make 0; spawned = 0;
+    reserved = 0; handles = []; quit = false }
+
+(* Idle workers poll only while every domain of the process fits a core:
+   with more, a polling worker could hold the core a busy one needs. *)
+let idle_spin = Atomic.make true
 
 let worker_loop () =
   let rec next () =
+    Spin.until_ne ~spin:(Atomic.get idle_spin) ~lock:shared.lock
+      ~cond:shared.work_ready shared.queued 0;
     Mutex.lock shared.lock;
-    while Queue.is_empty shared.jobs && not shared.quit do
-      Condition.wait shared.work_ready shared.lock
-    done;
-    if Queue.is_empty shared.jobs then Mutex.unlock shared.lock (* quit *)
+    if Queue.is_empty shared.jobs then begin
+      (* Quit, or another worker took the job first. *)
+      let quit = shared.quit in
+      Mutex.unlock shared.lock;
+      if not quit then next ()
+    end
     else begin
       let job = Queue.pop shared.jobs in
+      Atomic.decr shared.queued;
       Mutex.unlock shared.lock;
       job ();
       next ()
@@ -50,6 +62,7 @@ let () =
   at_exit (fun () ->
       Mutex.lock shared.lock;
       shared.quit <- true;
+      Atomic.incr shared.queued;
       Condition.broadcast shared.work_ready;
       let hs = shared.handles in
       shared.handles <- [];
@@ -65,6 +78,7 @@ let ensure_free n =
     let missing = (shared.reserved + n) - shared.spawned in
     let missing = if shared.quit then 0 else max 0 missing in
     shared.spawned <- shared.spawned + missing;
+    Atomic.set idle_spin (Spin.fits (shared.spawned + 1));
     Mutex.unlock shared.lock;
     if missing > 0 then begin
       let hs = List.init missing (fun _ -> Domain.spawn worker_loop) in
@@ -77,6 +91,7 @@ let ensure_free n =
 let submit job =
   Mutex.lock shared.lock;
   Queue.add job shared.jobs;
+  Atomic.incr shared.queued;
   Condition.signal shared.work_ready;
   Mutex.unlock shared.lock
 
@@ -161,6 +176,7 @@ let map t f xs =
       for _ = 1 to helpers do
         Queue.add runner shared.jobs
       done;
+      ignore (Atomic.fetch_and_add shared.queued helpers);
       Condition.broadcast shared.work_ready;
       Mutex.unlock shared.lock;
       (* The caller is a runner too, then waits out helper stragglers. *)

@@ -35,8 +35,8 @@ val with_pool : ?domains:int -> (t -> 'r) -> 'r
     parallelism (default {!Domain.recommended_domain_count}); [n <= 1]
     means no worker domains.  A pool owns nothing to tear down: workers
     are a process-wide shared set, spawned on demand, shared across pools
-    and parked between batches, and the set is joined by an [at_exit]
-    hook. *)
+    and idle between batches (a brief {!Spin} poll, then parked), and the
+    set is joined by an [at_exit] hook. *)
 
 (** {2 Shared worker set}
 

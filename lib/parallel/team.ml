@@ -5,9 +5,13 @@
    per element.  A sharded simulation (Shardsim) instead runs *thousands*
    of tiny epochs against the same member set — each epoch every member
    advances its shard to a common bound, then all meet at a barrier.  A
-   Team keeps its members parked on worker domains between epochs, so an
-   epoch costs one broadcast and one completion wait instead of per-job
-   queue traffic.
+   Team keeps its members waiting on worker domains between epochs, so an
+   epoch costs one epoch bump and one completion wait instead of per-job
+   queue traffic.  Both waits are {!Spin} waits: a member polls the epoch
+   counter, and the caller the pending count, before parking.  An epoch
+   is tens of microseconds of work, about what a futex wake-up and the
+   reschedule after it cost, so on a machine with a core per member most
+   epochs never sleep.
 
    Members are pinned pool workers: [create] reserves size-1 workers from
    the shared set (growing it if needed) and parks a member loop on each;
@@ -17,11 +21,11 @@
 type t = {
   size : int;
   lock : Mutex.t;
-  go : Condition.t;        (* a new epoch was published *)
+  go : Condition.t;        (* a new epoch was published, or shutdown *)
   finished : Condition.t;  (* the epoch's last member completed *)
   mutable fn : int -> unit;
-  mutable epoch : int;
-  mutable pending : int;   (* members still working this epoch *)
+  epoch : int Atomic.t;    (* bumped per run, and once by shutdown *)
+  pending : int Atomic.t;  (* members still working this epoch *)
   mutable stopped : bool;
   mutable error : (exn * Printexc.raw_backtrace) option;
 }
@@ -30,28 +34,28 @@ let nop _ = ()
 
 let record_error t ex bt =
   Mutex.lock t.lock;
-  (match t.error with None -> t.error <- Some (ex, bt) | Some _ -> ());
+  (match t.error with
+   | None -> t.error <- Some (ex, bt) (* alloc: cold — error path *)
+   | Some _ -> ());
   Mutex.unlock t.lock
 
-(* Parked on a pool worker for the team's lifetime: wake on [go], run the
-   epoch's function with this member's index, check in, park again. *)
+(* Parked on a pool worker for the team's lifetime: wait for the epoch
+   to move, run the epoch's function with this member's index, check in,
+   wait again.  [fn] and [stopped] are written before the epoch bump that
+   publishes them, so reading them after seeing the bump is race-free. *)
 let member t idx =
   let rec loop last =
-    Mutex.lock t.lock;
-    while t.epoch = last && not t.stopped do
-      Condition.wait t.go t.lock
-    done;
-    if t.stopped then Mutex.unlock t.lock (* back to the pool *)
-    else begin
-      let e = t.epoch in
-      let fn = t.fn in
-      Mutex.unlock t.lock;
-      (try fn idx
+    Spin.until_ne ~spin:(Spin.fits t.size) ~lock:t.lock ~cond:t.go t.epoch
+      last;
+    if not t.stopped then begin
+      let e = Atomic.get t.epoch in
+      (try t.fn idx
        with ex -> record_error t ex (Printexc.get_raw_backtrace ()));
-      Mutex.lock t.lock;
-      t.pending <- t.pending - 1;
-      if t.pending = 0 then Condition.broadcast t.finished;
-      Mutex.unlock t.lock;
+      if Atomic.fetch_and_add t.pending (-1) = 1 then begin
+        Mutex.lock t.lock;
+        Condition.broadcast t.finished;
+        Mutex.unlock t.lock
+      end;
       loop e
     end
   in
@@ -61,8 +65,8 @@ let create ~size =
   let size = max 1 size in
   let t =
     { size; lock = Mutex.create (); go = Condition.create ();
-      finished = Condition.create (); fn = nop; epoch = 0; pending = 0;
-      stopped = false; error = None }
+      finished = Condition.create (); fn = nop; epoch = Atomic.make 0;
+      pending = Atomic.make 0; stopped = false; error = None }
   in
   if size > 1 then begin
     Pool.reserve_workers (size - 1);
@@ -75,27 +79,23 @@ let create ~size =
 let size t = t.size
 
 let run t f =
-  if t.stopped then invalid_arg "Team.run: team is shut down";
+  if t.stopped then invalid_arg "Team.run: team is shut down"; (* alloc: cold — error path *)
   if t.size = 1 then f 0
   else begin
-    Mutex.lock t.lock;
     t.fn <- f;
-    t.error <- None;
-    t.pending <- t.size - 1;
-    t.epoch <- t.epoch + 1;
+    Atomic.set t.pending (t.size - 1);
+    Mutex.lock t.lock;
+    Atomic.incr t.epoch;
     Condition.broadcast t.go;
     Mutex.unlock t.lock;
     (try f 0 with ex -> record_error t ex (Printexc.get_raw_backtrace ()));
-    Mutex.lock t.lock;
-    while t.pending > 0 do
-      Condition.wait t.finished t.lock
-    done;
+    Spin.until_eq ~spin:(Spin.fits t.size) ~lock:t.lock ~cond:t.finished
+      t.pending 0;
     t.fn <- nop;
-    let err = t.error in
-    t.error <- None;
-    Mutex.unlock t.lock;
-    match err with
-    | Some (ex, bt) -> Printexc.raise_with_backtrace ex bt
+    match t.error with
+    | Some (ex, bt) ->
+        t.error <- None;
+        Printexc.raise_with_backtrace ex bt
     | None -> ()
   end
 
@@ -103,6 +103,7 @@ let shutdown t =
   if not t.stopped then begin
     Mutex.lock t.lock;
     t.stopped <- true;
+    Atomic.incr t.epoch;
     Condition.broadcast t.go;
     Mutex.unlock t.lock;
     if t.size > 1 then Pool.release_workers (t.size - 1)

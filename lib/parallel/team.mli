@@ -4,9 +4,9 @@
     member loops on reserved pool workers; each {!run} is one epoch — all
     members (the caller participates as member 0) execute the given
     function with their member index, and [run] returns only when every
-    member has checked in.  Epochs cost one broadcast plus one completion
-    wait, with no per-epoch queueing or allocation beyond the caller's
-    closure — the synchronization backbone for conservative-lookahead
+    member has checked in.  Epochs cost one epoch bump plus one completion
+    wait, both {!Spin} waits (poll, then park), with no per-epoch queueing
+    or allocation — the synchronization backbone for conservative-lookahead
     sharded simulation ({!Lrp_engine.Shardsim}), which runs thousands of
     epochs against one member set.
 

@@ -26,11 +26,23 @@ type cell = {
   kernels : Kernel.t array;
 }
 
+(* A destination cell's frames gathered at one barrier, in drain order
+   until [exchange] sorts them.  Reused across barriers: the columns only
+   grow, so the steady state allocates nothing. *)
+type inbox = {
+  mutable in_ready : float array;
+  mutable in_pkt : Packet.t array;
+  mutable in_len : int;
+}
+
 type t = {
   cells : cell array;
   racks : int;
   hosts_per_rack : int;
   lookahead : float;
+  inbox : inbox array;                (* per destination cell *)
+  ready : float array;                (* 1-slot: staged by drain_outbox *)
+  collect : int -> Packet.t -> unit;  (* drain callback, built once *)
 }
 
 (* Addressing scheme: rack in the second octet, slot in the last —
@@ -38,6 +50,38 @@ type t = {
 let host_ip ~rack ~slot = Packet.ip_of_quad 10 rack 0 (10 + slot)
 
 let rack_of ip = (ip lsr 16) land 0xff
+
+(* Append a drained frame; its ready time is read from the 1-slot cell
+   [ready] (a float argument would box if the call is not inlined). *)
+let push b ready pkt =
+  let n = b.in_len in
+  if n = Array.length b.in_ready then begin
+    let rs = Array.make (2 * n) 0. in (* alloc: cold — amortized growth *)
+    let ps = Array.make (2 * n) Packet.null in (* alloc: cold — amortized growth *)
+    Array.blit b.in_ready 0 rs 0 n;
+    Array.blit b.in_pkt 0 ps 0 n;
+    b.in_ready <- rs;
+    b.in_pkt <- ps
+  end;
+  b.in_ready.(n) <- ready.(0);
+  b.in_pkt.(n) <- pkt;
+  b.in_len <- n + 1
+
+(* Stable insertion sort on ready time: equal times keep drain order.
+   Each source's frames already arrive in ready order, so the work is
+   linear in the frames plus the cross-source inversions. *)
+let sort_by_ready b =
+  for i = 1 to b.in_len - 1 do
+    let r = b.in_ready.(i) and p = b.in_pkt.(i) in
+    let j = ref (i - 1) in
+    while !j >= 0 && b.in_ready.(!j) > r do
+      b.in_ready.(!j + 1) <- b.in_ready.(!j);
+      b.in_pkt.(!j + 1) <- b.in_pkt.(!j);
+      decr j
+    done;
+    b.in_ready.(!j + 1) <- r;
+    b.in_pkt.(!j + 1) <- p
+  done
 
 let spine_leaf ?(seed = 42) ?(spine_latency_us = 100.) ?(uplink_mbps = 622.)
     ~racks ~hosts_per_rack ~cfg () =
@@ -70,8 +114,14 @@ let spine_leaf ?(seed = 42) ?(spine_latency_us = 100.) ?(uplink_mbps = 622.)
     in
     { cell_id = r; engine; fabric; kernels }
   in
+  let inbox =
+    Array.init racks (fun _ ->
+        { in_ready = Array.make 16 0.; in_pkt = Array.make 16 Packet.null;
+          in_len = 0 })
+  and ready = [| 0. |] in
   { cells = Array.init racks make_cell; racks; hosts_per_rack;
-    lookahead = spine_latency_us }
+    lookahead = spine_latency_us; inbox; ready;
+    collect = (fun dst pkt -> push inbox.(dst) ready pkt) }
 
 let lookahead t = t.lookahead
 let cells t = t.cells
@@ -85,35 +135,30 @@ let on_cell t r f =
   Fun.protect ~finally:(fun () -> Idspace.use saved)
   @@ fun () -> f t.cells.(r)
 
-(* Barrier exchange: drain every cell's outbox in ascending cell order,
-   then deliver per destination in ascending (ready, source, sequence)
-   order.  Collection builds per-destination lists newest-first; the
-   [List.rev] restores (source, sequence) order and the stable sort on
-   ready time alone preserves it among ties — an explicit total order,
-   no polymorphic compare. *)
+(* Barrier exchange: drain every cell's outbox in ascending cell order
+   into per-destination inboxes, then deliver each inbox in ascending
+   (ready, source, sequence) order.  Drain order is already (source,
+   sequence), so a stable sort on ready time alone gives the total order
+   — no polymorphic compare — and an inbox of at most one frame needs no
+   sort.  Nothing here allocates: the inboxes and the drain callback are
+   the topology's, and ready times travel through float cells. *)
 let exchange t () =
-  let pending = Array.make t.racks [] in
   let moved = ref 0 in
   for src = 0 to t.racks - 1 do
     moved :=
-      !moved
-      + Fabric.drain_outbox t.cells.(src).fabric
-          (fun ~ready ~dst ~seq:_ pkt ->
-            pending.(dst) <- (ready, pkt) :: pending.(dst))
+      !moved + Fabric.drain_outbox t.cells.(src).fabric ~ready:t.ready t.collect
   done;
   for dst = 0 to t.racks - 1 do
-    match pending.(dst) with
-    | [] -> ()
-    | l ->
-        let l =
-          List.stable_sort
-            (fun (r1, _) (r2, _) -> Float.compare r1 r2)
-            (List.rev l)
-        in
-        List.iter
-          (fun (ready, pkt) ->
-            Fabric.inject_remote t.cells.(dst).fabric ~at:ready pkt)
-          l
+    let b = t.inbox.(dst) in
+    if b.in_len > 1 then sort_by_ready b;
+    let c = t.cells.(dst) in
+    let at = Engine.deadline_cell c.engine in
+    for k = 0 to b.in_len - 1 do
+      at.(0) <- b.in_ready.(k);
+      Fabric.inject_remote c.fabric b.in_pkt.(k);
+      b.in_pkt.(k) <- Packet.null
+    done;
+    b.in_len <- 0
   done;
   !moved
 

@@ -155,6 +155,44 @@ let test_uplink_conservation () =
     (received + backlog);
   Alcotest.(check int) "fully drained after the run" 0 backlog
 
+(* --- the epoch loop allocates nothing per epoch ------------------------- *)
+
+(* An idle two-rack cluster still runs epochs (each kernel's CPU clock
+   ticks), so the coordinator's per-epoch work — the global deadline,
+   the bound, one advance per shard and the barrier exchange — is all
+   that runs.  Words per [Shardsim.run] are a per-call constant (the
+   team, the loop closure) plus a per-epoch part, so a run covering twice
+   the epochs must allocate exactly as much as the shorter one.  Only
+   the calling domain's words are counted: at 2 shards that is the
+   caller's side of the team barrier and the serial exchange. *)
+let test_epoch_loop_allocation_free shards () =
+  let cfg = Kernel.default_config Kernel.Soft_lrp in
+  let topo = Topology.spine_leaf ~racks:2 ~hosts_per_rack:1 ~cfg () in
+  let engines =
+    Array.map (fun (c : Topology.cell) -> c.Topology.engine)
+      (Topology.cells topo)
+  in
+  let sim =
+    Shardsim.create ~shards ~lookahead:(Topology.lookahead topo)
+      ~exchange:(Topology.exchange topo) engines
+  in
+  let words_to ms =
+    let w0 = Gc.minor_words () in
+    Shardsim.run sim ~until:(Time.ms ms);
+    Gc.minor_words () -. w0
+  in
+  ignore (words_to 20.);
+  let e0 = Shardsim.epochs sim in
+  let short = words_to 40. in
+  let e1 = Shardsim.epochs sim in
+  let long = words_to 80. in
+  let e2 = Shardsim.epochs sim in
+  Alcotest.(check bool) "the idle cluster runs epochs" true (e1 > e0);
+  Alcotest.(check bool) "the longer run covers more epochs" true
+    (e2 - e1 > e1 - e0);
+  Alcotest.(check (float 0.)) "words independent of the epoch count" short
+    long
+
 (* --- the tentpole contract: shard-count invariance --------------------- *)
 
 let quick_run ?(seed = 42) ?(racks = 3) ?(hosts_per_rack = 2) ~shards () =
@@ -223,4 +261,8 @@ let suite =
       test_digest_parity;
     Alcotest.test_case "default 8x8 cluster: 1 vs 8 shards" `Slow
       test_default_cluster_8_shards;
-    QCheck_alcotest.to_alcotest prop_shard_invariance ]
+    QCheck_alcotest.to_alcotest prop_shard_invariance;
+    Alcotest.test_case "epoch loop allocates nothing per epoch" `Quick
+      (test_epoch_loop_allocation_free 1);
+    Alcotest.test_case "2-shard epoch loop: caller allocates nothing" `Quick
+      (test_epoch_loop_allocation_free 2) ]

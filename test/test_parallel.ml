@@ -102,6 +102,58 @@ let test_team_size_one_inline () =
   Alcotest.(check bool) "ran inline" true !ran;
   Team.shutdown team
 
+(* Many short epochs at size 2, the shape of a sharded run.  Each member
+   writes the epoch number into its own slot, so a lost wake-up hangs the
+   barrier and a member running a stale epoch function leaves an old
+   number behind.  The waits spin on a box with two cores or more and
+   park on one; the contract is the same either way. *)
+let test_team_stress () =
+  let epochs = 20_000 in
+  let team = Team.create ~size:2 in
+  let slots = Array.make 2 0 and stale = ref 0 in
+  for e = 1 to epochs do
+    Team.run team (fun i -> slots.(i) <- e);
+    if slots.(0) <> e || slots.(1) <> e then incr stale
+  done;
+  Team.shutdown team;
+  Alcotest.(check int) "every slot holds its epoch after every run" 0 !stale;
+  Alcotest.(check (array int)) "last epoch" [| epochs; epochs |] slots
+
+(* A team with more members than the process has cores (capped, so a
+   many-core box does not spawn dozens of domains) parks instead of
+   spinning, and still runs every member and re-raises a member's
+   exception. *)
+let test_team_oversubscribed () =
+  let size = min 16 (Domain.recommended_domain_count () + 1) in
+  let team = Team.create ~size in
+  let hits = Array.make size 0 in
+  for _ = 1 to 20 do
+    Team.run team (fun i -> hits.(i) <- hits.(i) + 1)
+  done;
+  Alcotest.(check (array int)) "every member ran every epoch"
+    (Array.make size 20) hits;
+  Alcotest.check_raises "last member's exception reaches the caller"
+    (Failure "oversubscribed")
+    (fun () ->
+      Team.run team (fun i -> if i = size - 1 then failwith "oversubscribed"));
+  Team.shutdown team
+
+(* Shardsim builds and dissolves a team per run: the members go back to
+   the pool's idle workers, and the next team reuses them. *)
+let test_team_cycles_reuse_workers () =
+  let cycle () =
+    let team = Team.create ~size:2 in
+    Team.run team ignore;
+    Team.shutdown team
+  in
+  cycle ();
+  let spawned = Pool.spawned_domains () in
+  for _ = 1 to 200 do
+    cycle ()
+  done;
+  Alcotest.(check int) "no worker spawned across 200 team cycles" spawned
+    (Pool.spawned_domains ())
+
 (* The tentpole contract: a sweep's results do not depend on how many
    domains it ran on, because each simulation runs in its own engine
    seeded from (root seed, job index). *)
@@ -172,6 +224,12 @@ let suite =
       test_team_runs_every_member;
     Alcotest.test_case "team exceptions and shutdown" `Quick
       test_team_exception_and_shutdown;
+    Alcotest.test_case "team stress: 20,000 epochs at size 2" `Quick
+      test_team_stress;
+    Alcotest.test_case "team larger than the core count" `Quick
+      test_team_oversubscribed;
+    Alcotest.test_case "team cycles reuse pool workers" `Quick
+      test_team_cycles_reuse_workers;
     Alcotest.test_case "size-one team runs inline" `Quick
       test_team_size_one_inline;
     Alcotest.test_case "fig3 results independent of jobs" `Slow
