@@ -116,6 +116,14 @@ let sift_down t ~hole ~src =
   Array.unsafe_set vals !i v;
   sift_up t ~top:hole !i
 
+let[@inline] top t ~default = if t.size = 0 then default else t.vals.(0)
+
+let[@inline] top_after t ~cell = t.size = 0 || t.keys.(0) > cell.(0)
+
+let[@inline] drop_top t =
+  t.size <- t.size - 1;
+  if t.size > 0 then sift_down t ~hole:0 ~src:t.size
+
 (* The bound is read out of [cell.(1)] rather than passed as a float
    argument: the event loop pops once per event, and a float argument to
    a non-inlined call is boxed at every call site.  One root access fuses
@@ -125,8 +133,7 @@ let[@inline] pop_leq_into t ~cell ~default =
   else begin
     cell.(0) <- t.keys.(0);
     let top_val = t.vals.(0) in
-    t.size <- t.size - 1;
-    if t.size > 0 then sift_down t ~hole:0 ~src:t.size;
+    drop_top t;
     top_val
   end
 

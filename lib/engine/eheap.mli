@@ -31,6 +31,17 @@ val min_into : t -> cell:float array -> default:int -> int
     leaving it in the heap; [default] (cell untouched) when the heap is
     empty. *)
 
+val top : t -> default:int -> int
+(** The smallest entry's value, leaving it in the heap; [default] when
+    the heap is empty.  Unlike {!min_into}, no cell is written. *)
+
+val top_after : t -> cell:float array -> bool
+(** [top_after t ~cell] holds when the heap is empty or its smallest key
+    is strictly greater than [cell.(0)]. *)
+
+val drop_top : t -> unit
+(** Remove the smallest entry.  The heap must not be empty. *)
+
 val pop_leq_into : t -> cell:float array -> default:int -> int
 (** [pop_leq_into t ~cell ~default] pops the smallest entry iff its key
     is [<= cell.(1)]: key into [cell.(0)], value returned.  [default]

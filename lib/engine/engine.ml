@@ -18,8 +18,9 @@
    but allocating that variant per event is exactly the cost the fast path
    removes, so it is flattened into the slot table: a dispatcher id (the
    constructor, registered once per call site as a {!target}) plus a
-   uniformly-represented argument (the payload).  [Thunk] remains as the
-   plain closure column for cold paths and external users.
+   uniformly-represented argument (the payload).  [Thunk] is the built-in
+   target [thunk_target], registered first, whose argument is the closure
+   itself: every event dispatches through the same two columns.
 
    Slot states:
      free      — on the free stack, generation already bumped;
@@ -65,11 +66,13 @@ type timer_stats = {
 type t = {
   clock : float array;
   queue : Eheap.t;
-  (* two-float scratch cell: [cell.(0)] carries event keys into and out
-     of the queue, [cell.(1)] the pop bound.  Float-array loads and
-     stores stay unboxed where float arguments and returns are boxed at
-     every call.  Per-engine, not global — engines run concurrently in
-     separate domains during parallel sweeps. *)
+  (* three-float scratch cell: [cell.(0)] carries event keys into and out
+     of the queue, [cell.(1)] the pop bound, [cell.(2)] the run-ahead
+     bound (see {!staged_is_next}): the batched run's bound while the
+     last event of a batch fires, [neg_infinity] otherwise.  Float-array
+     loads and stores stay unboxed where float arguments and returns are
+     boxed at every call.  Per-engine, not global — engines run
+     concurrently in separate domains during parallel sweeps. *)
   cell : float array;
   root_rng : Rng.t;
   mutable live_count : int;
@@ -87,9 +90,8 @@ type t = {
   mutable dispatchers : (Obj.t -> unit) array;
   mutable n_dispatchers : int;
   (* slot table *)
-  mutable fns : (unit -> unit) array;
-  mutable disp : int array;   (* dispatcher id, or -1 for a thunk *)
-  mutable args : Obj.t array; (* dispatcher argument (unit for thunks) *)
+  mutable disp : int array;   (* dispatcher id *)
+  mutable args : Obj.t array; (* dispatcher argument (the closure for thunks) *)
   mutable state : Bytes.t;
   mutable gens : int array;
   mutable free : int array; (* stack of free slots *)
@@ -106,8 +108,11 @@ type t = {
   ids : Idspace.t;
 }
 
-let no_fn () = ()
 let no_arg = Obj.repr 0
+
+(* The dispatcher id of a plain thunk: [create] registers it first. *)
+let thunk_target = 0
+let run_thunk (f : unit -> unit) = f ()
 
 let now t = t.clock.(0)
 let clock_cell t = t.clock
@@ -135,18 +140,15 @@ let grow t =
   let cap = Array.length t.gens in
   let cap' = max 16 (2 * cap) in
   if cap' > slot_mask then failwith "Engine: too many pending events"; (* alloc: cold — error path *)
-  let fns = Array.make cap' no_fn in (* alloc: cold — amortized growth *)
-  let disp = Array.make cap' (-1) in (* alloc: cold — amortized growth *)
+  let disp = Array.make cap' 0 in (* alloc: cold — amortized growth *)
   let args = Array.make cap' no_arg in (* alloc: cold — amortized growth *)
   let state = Bytes.make cap' st_free in (* alloc: cold — amortized growth *)
   let gens = Array.make cap' 0 in (* alloc: cold — amortized growth *)
   let free = Array.make cap' 0 in (* alloc: cold — amortized growth *)
-  Array.blit t.fns 0 fns 0 cap;
   Array.blit t.disp 0 disp 0 cap;
   Array.blit t.args 0 args 0 cap;
   Bytes.blit t.state 0 state 0 cap;
   Array.blit t.gens 0 gens 0 cap;
-  t.fns <- fns;
   t.disp <- disp;
   t.args <- args;
   t.state <- state;
@@ -167,19 +169,17 @@ let[@inline] alloc_slot t =
   slot
 
 (* Clearing [args] prevents the freed slot from pinning the last event's
-   payload (packets can be large); [fns] is left in place and overwritten
-   by the slot's next thunk occupant — a steady-state loop re-arming the
-   same static thunk through the same slot then skips the [caml_modify]
-   write barrier entirely (see [schedule_cell]'s physical-equality check).
-   The pinned closure is bounded by the slot table's size and is typically
-   a static function.  [disp]/[args] are only dirty for typed events, so
-   only that side is cleared. *)
+   payload (packets can be large).  A thunk's closure is left in place and
+   overwritten by the slot's next occupant — a steady-state loop re-arming
+   the same static thunk through the same slot then skips the
+   [caml_modify] write barrier entirely (see [schedule_cell]'s
+   physical-equality check).  The pinned closure is bounded by the slot
+   table's size and is typically a static function.  [disp] is rewritten
+   by every schedule, so it is left alone. *)
 let[@inline] free_slot t slot =
   Array.unsafe_set t.gens slot (Array.unsafe_get t.gens slot + 1);
-  if Array.unsafe_get t.disp slot >= 0 then begin
-    Array.unsafe_set t.disp slot (-1);
-    Array.unsafe_set t.args slot no_arg
-  end;
+  if Array.unsafe_get t.disp slot <> thunk_target then
+    Array.unsafe_set t.args slot no_arg;
   Bytes.unsafe_set t.state slot st_free;
   Array.unsafe_set t.free t.free_top slot;
   t.free_top <- t.free_top + 1
@@ -199,17 +199,19 @@ let compact_slack = 64
 
 let create ?(seed = 42) () =
   let t =
-    { clock = [| Time.zero |]; queue = Eheap.create (); cell = [| 0.; 0. |];
+    { clock = [| Time.zero |]; queue = Eheap.create ();
+      cell = [| 0.; 0.; Float.neg_infinity |];
       root_rng = Rng.create seed;
       live_count = 0; dead = 0; shed = (fun _ -> false);
       executed = 0; n_scheduled = 0; n_cancelled = 0;
       dispatchers = [||]; n_dispatchers = 0;
-      fns = [||]; disp = [||]; args = [||]; state = Bytes.empty; gens = [||];
+      disp = [||]; args = [||]; state = Bytes.empty; gens = [||];
       free = [||]; free_top = 0;
       batch = Array.make 16 0; batch_active = false;
       ids = Idspace.create () }
   in
   Idspace.use t.ids;
+  ignore (target t run_thunk : (unit -> unit) target);
   t.shed <-
     (fun h ->
       is_cancelled t h
@@ -238,11 +240,13 @@ let[@inline] enqueue_cell t slot =
   enqueue t h;
   h
 
-let[@inline] schedule_cell t fn =
+let[@inline] schedule_cell t (fn : unit -> unit) =
   if t.cell.(0) < t.clock.(0) then schedule_in_past "schedule" t;
   let slot = alloc_slot t in
+  t.disp.(slot) <- thunk_target;
   (* the recycled slot often still holds this exact (static) thunk *)
-  if Array.unsafe_get t.fns slot != fn then t.fns.(slot) <- fn;
+  let f = Obj.repr fn in
+  if Array.unsafe_get t.args slot != f then t.args.(slot) <- f;
   enqueue_cell t slot
 
 let schedule t ~at fn =
@@ -336,18 +340,44 @@ let[@inline] pop_live t =
   done;
   !h
 
+(* Free the cancelled entries at the root, so that the root is live (or
+   the queue empty).  No cell is written. *)
+let shed_top t =
+  let h = ref (Eheap.top t.queue ~default:(-1)) in
+  while !h >= 0 && is_cancelled t !h do
+    Eheap.drop_top t.queue;
+    free_cancelled t !h;
+    h := Eheap.top t.queue ~default:(-1)
+  done
+
 (* Earliest live key — the per-cell deadline Shardsim folds into its
    global epoch bound.  Cancelled entries at the root are shed first, so
    a cancelled timer never pulls the epoch bound below the next firing. *)
 let next_key_into t ~cell =
-  let h = ref (Eheap.min_into t.queue ~cell ~default:(-1)) in
-  while !h >= 0 && is_cancelled t !h do
-    t.cell.(1) <- Float.infinity;
-    ignore (Eheap.pop_leq_into t.queue ~cell:t.cell ~default:(-1));
-    free_cancelled t !h;
-    h := Eheap.min_into t.queue ~cell ~default:(-1)
-  done;
-  !h >= 0
+  shed_top t;
+  Eheap.min_into t.queue ~cell ~default:(-1) >= 0
+
+(* Run-ahead (DESIGN §17).  An event staged at [cell.(0)] is the very
+   next to fire when the firing event is the last of its batch in a
+   batched run whose bound admits it ([cell.(2)] holds that bound then,
+   [neg_infinity] otherwise) and every live queued key is strictly
+   greater: an equal key was queued earlier, so it would fire first.
+   Cancelled roots are shed only when the root's key is not greater. *)
+let[@inline] staged_is_next t =
+  t.cell.(0) <= t.cell.(2)
+  && (Eheap.top_after t.queue ~cell:t.cell
+      || (is_cancelled t (Eheap.top t.queue ~default:(-1))
+          && begin
+            shed_top t;
+            Eheap.top_after t.queue ~cell:t.cell
+          end))
+
+(* The event completed inline still takes its FIFO rank and counts as
+   executed, so every count reads as if it had been queued. *)
+let advance_to_staged t =
+  t.clock.(0) <- t.cell.(0);
+  t.n_scheduled <- t.n_scheduled + 1;
+  t.executed <- t.executed + 1
 
 (* Run one popped handle's work item.  Unsafe accesses: a popped handle's
    slot was written by [alloc_slot], so it is always below the table's
@@ -358,10 +388,8 @@ let[@inline] dispatch t h =
     Bytes.unsafe_set t.state slot st_firing;
     t.live_count <- t.live_count - 1;
     t.executed <- t.executed + 1;
-    let d = Array.unsafe_get t.disp slot in
-    if d >= 0 then
-      (Array.unsafe_get t.dispatchers d) (Array.unsafe_get t.args slot)
-    else (Array.unsafe_get t.fns slot) ();
+    (Array.unsafe_get t.dispatchers (Array.unsafe_get t.disp slot))
+      (Array.unsafe_get t.args slot);
     (* Unless the work item re-armed itself, recycle the record. *)
     if Bytes.unsafe_get t.state slot = st_firing then free_slot t slot
   end
@@ -376,6 +404,7 @@ let[@inline] fire t h =
 
 let step t =
   t.cell.(1) <- Float.infinity;
+  t.cell.(2) <- Float.neg_infinity;
   let h = pop_live t in
   h >= 0
   && begin
@@ -388,6 +417,7 @@ let run_while t pred ~until =
      a mutable variable) rather than a local [let rec loop], which would
      capture [pred]/[until] in a heap-allocated closure per call. *)
   let running = ref true in
+  t.cell.(2) <- Float.neg_infinity;
   while !running && pred () do
     t.cell.(1) <- until;
     let h = pop_live t in
@@ -415,7 +445,10 @@ let run_while t pred ~until =
 
    [batch_active] guards re-entrancy: an event that itself calls
    [run]/[drain] (nested simulation) falls back to the un-batched loop
-   rather than clobbering the scratch column mid-iteration.  [snap]
+   rather than clobbering the scratch column mid-iteration.  Only the
+   last event of a batch may run ahead: its run's bound is staged in
+   [cell.(2)] while it fires, and every other event (earlier batch
+   members, [step], [run_while], a nested run) sees [neg_infinity].  [snap]
    distinguishes {!run} (clock advances to [until] when the queue runs
    dry first) from {!drain} ([until] is [infinity]; the clock stays at
    the last fired event).
@@ -458,13 +491,24 @@ let run_loop t ~snap =
            done;
            t.clock.(0) <- k;
            let n = !n in
-           for i = 0 to n - 1 do
-             dispatch t t.batch.(i)
-           done
+           let last = n - 1 in
+           (* A batch of one, the common case, skips the loop: its
+              per-event test measured about 2% of NAPI's wall time. *)
+           if last = 0 then begin
+             t.cell.(2) <- until;
+             dispatch t h0
+           end
+           else
+             for i = 0 to last do
+               if i = last then t.cell.(2) <- until;
+               dispatch t t.batch.(i)
+             done;
+           t.cell.(2) <- Float.neg_infinity
          end
        done
      with e ->
        t.batch_active <- false;
+       t.cell.(2) <- Float.neg_infinity;
        raise e);
     t.batch_active <- false;
     if snap && t.clock.(0) < until then t.clock.(0) <- until

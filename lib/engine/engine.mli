@@ -99,6 +99,27 @@ val schedule_to_staged : t -> 'a target -> 'a -> handle
     boxing.
     @raise Invalid_argument if the staged deadline is before [now t]. *)
 
+val staged_is_next : t -> bool
+(** [staged_is_next t] holds when an event scheduled now at the staged
+    deadline [(deadline_cell t).(0)] would be the very next event to
+    fire: the firing event is the last of its equal-key batch in a
+    {!run}/{!run_staged}/{!drain} batch loop (never under {!step},
+    {!run_while} or a nested run), the deadline is at or before that
+    run's bound, and every live queued event has a strictly greater key.
+    Cancelled entries at the queue's root are shed on the way; the staged
+    deadline is left in place.  A caller that gets [true], and whose
+    current event would do nothing more than queue the staged event, may
+    instead call {!advance_to_staged} and do that event's work inline as
+    the last thing the current event does: the simulation is then exactly
+    what queuing it would have produced. *)
+
+val advance_to_staged : t -> unit
+(** Move the clock to the staged deadline and count one event scheduled
+    and executed there — the event completed inline after
+    {!staged_is_next}.  It takes the FIFO rank a {!schedule_to_staged}
+    would have taken, so {!timer_stats} and {!events_executed} read as if
+    it had been queued. *)
+
 val cancel : t -> handle -> unit
 (** Cancel a pending event.  Cancelling an already-run or already-cancelled
     event is a no-op. *)

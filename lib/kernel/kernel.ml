@@ -483,9 +483,8 @@ let wake_all t wq = ignore (Cpu.wakeup_all t.cpu wq)
 let wake_one t wq = ignore (Cpu.wakeup_one t.cpu wq)
 
 (* Process-context charges.  Inlined, so a computed cost is stored
-   straight into the CPU's cell: passed to any non-inlined function — and
-   under [-opaque] no call into another module is inlined — a float is
-   boxed at the call. *)
+   straight into the CPU's cell: passed to a function that is not
+   inlined, a float is boxed at the call. *)
 let[@inline] charge_proto t ~flow d =
   (Cpu.cost_cell t.cpu).(0) <- d;
   Cpu.compute_proto t.cpu ~flow
@@ -632,9 +631,7 @@ and app_for t (owner : Proc.t) =
       let proc = Cpu.spawn t.cpu ~name (fun _self -> app_loop t app) in
       (* Scheduled at the owner's priority; CPU usage charged to the owner
          (paper section 3.4).  The accounting ablation skips this. *)
-      if t.cfg.fair_app_accounting then
-        (* alloc: cold — once per process *)
-        Cpu.set_account t.cpu proc ~owner:(Some owner);
+      if t.cfg.fair_app_accounting then Cpu.set_account proc ~owner;
       app
 
 (* Double an APP thread's ring (8 rows at first), unrolling the live rows
@@ -1695,6 +1692,9 @@ let edemux_rx t pkt =
 (* NIC receive dispatch                                                 *)
 (* ------------------------------------------------------------------ *)
 
+(* The NIC's receive handler, called last by the frame's arrival event:
+   the hard-interrupt posts are tail entries ([Cpu.post_hard_job_tail]),
+   so the CPU may run their segments ahead (DESIGN §17). *)
 let rx_dispatch t pkt =
   t.stats.rx_frames <- t.stats.rx_frames + 1;
   let tpkt = pkt.Packet.ip.Packet.ident in
@@ -1706,11 +1706,13 @@ let rx_dispatch t pkt =
          poll loop without going through it); secondary interfaces of a
          multi-homed host fall back to the eager BSD path. *)
       cost.(0) <- t.c.Cost.hard_rx +. t.c.Cost.ipq_op;
-      Cpu.post_hard_job t.cpu ~label:"rx-intr" ~tpkt (jobs t).j_driver_rx pkt 0
+      Cpu.post_hard_job_tail t.cpu ~label:"rx-intr" ~tpkt (jobs t).j_driver_rx
+        pkt 0
   | Hardirq ->
       (* Soft demux: classification runs in the hardware interrupt. *)
       cost.(0) <- t.c.Cost.hard_rx +. t.c.Cost.demux;
-      Cpu.post_hard_job t.cpu ~label:"rx-demux" ~tpkt (jobs t).j_demux_rx pkt 0
+      Cpu.post_hard_job_tail t.cpu ~label:"rx-demux" ~tpkt (jobs t).j_demux_rx
+        pkt 0
   | Nic ->
       (* NI demux: classification runs on the interface's embedded
          processor — zero host CPU. *)

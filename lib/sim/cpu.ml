@@ -100,6 +100,14 @@ let c_user = 0
 let c_soft = 1
 let c_hard = 2
 
+(* [in_dispatch] states: outside the dispatch loop, inside it, and inside
+   it under a tail entry — an entry whose event returns to the engine as
+   soon as the loop is done, so a segment whose completion is the
+   engine's next event may complete inline (see [arm_segment]). *)
+let d_out = 0
+let d_in = 1
+let d_tail = 2
+
 (* Stands in for "no process" in the running-process and curproc fields:
    never spawned, dispatched or charged, so nothing ever writes it.  Its
    pid is the ledger's idle context. *)
@@ -135,7 +143,7 @@ type t = {
   cost : float array;     (* staged cost of the next [post_*_job] or compute *)
   mutable cur_proc : Proc.t;  (* BSD curproc, or [no_proc] *)
   mutable last_user : int;  (* pid last on CPU, for cache penalty *)
-  mutable in_dispatch : bool;
+  mutable in_dispatch : int;  (* [d_out], [d_in] or [d_tail] *)
   mutable redo : bool;
   mutable force_resched : bool;
   (* registered engine targets (closure-free schedule path); filled in by
@@ -283,11 +291,24 @@ let seg_target t =
 let wake_target t =
   match t.wake_tgt with Some g -> g | None -> assert false
 
-(* Schedule the running segment's completion [fl.(f_left)] from now,
-   through the engine's staged deadline. *)
-let arm_segment t =
-  t.deadline.(0) <- t.clock.(0) +. t.fl.(f_left);
-  t.run_ev <- Engine.schedule_to_staged t.engine (seg_target t) ()
+(* Charge the running segment its whole remaining cost and leave the CPU
+   idle; returns the segment's class. *)
+let close_segment t =
+  t.fl.(f_elapsed) <- t.fl.(f_left);
+  charge t;
+  t.run_ev <- Engine.none;
+  let cls = t.run_cls in
+  t.run_cls <- c_idle;
+  cls
+
+(* Latch the ledger class and flow of a process's next compute segment;
+   it survives preemption splits because [charge] reads it from the
+   process, not from the (consumed) hint. *)
+let latch_compute t (p : Proc.t) =
+  p.Proc.lcls <- t.hint_cls;
+  p.Proc.lflow <- t.hint_flow;
+  t.hint_cls <- 0;
+  t.hint_flow <- -1
 
 let wake t (q : Proc.t) =
   if not q.Proc.exited then begin
@@ -314,11 +335,7 @@ let finish_work t level =
   trace_work_end t level label tpkt
 
 let rec segment_done t =
-  t.fl.(f_elapsed) <- t.fl.(f_left);
-  charge t;
-  t.run_ev <- Engine.none;
-  let cls = t.run_cls in
-  t.run_cls <- c_idle;
+  let cls = close_segment t in
   if cls = c_hard then finish_work t Trace.Hard
   else if cls = c_soft then finish_work t Trace.Soft
   else begin
@@ -327,6 +344,26 @@ let rec segment_done t =
     p.Proc.pending <- Proc.Resume;
     run_instant t p
   end
+
+(* Schedule the running segment's completion [fl.(f_left)] from now,
+   through the engine's staged deadline — or run it ahead (DESIGN §17).
+   Under a tail entry, when the completion is provably the engine's next
+   event, nothing else can happen between now and then: the rest of this
+   dispatch loop is a no-op (the segment just started is the best work),
+   and the event returns to the engine once the loop is done.  So end
+   this event here as its loop would ([redo] and [force_resched] clear),
+   run the completion event's body at its time, and flag [redo]: the
+   running loop then serves as that event's own dispatch loop. *)
+and arm_segment t =
+  t.deadline.(0) <- t.clock.(0) +. t.fl.(f_left);
+  if t.in_dispatch = d_tail && Engine.staged_is_next t.engine then begin
+    t.redo <- false;
+    t.force_resched <- false;
+    Engine.advance_to_staged t.engine;
+    segment_done t;
+    t.redo <- true
+  end
+  else t.run_ev <- Engine.schedule_to_staged t.engine (seg_target t) ()
 
 (* Run a process's host-side code until its next effect.  Instantaneous in
    virtual time.  Must execute with [in_dispatch] set. *)
@@ -376,13 +413,7 @@ and handler t (p : Proc.t) : (unit, unit) Effect.Deep.handler =
         match eff with
         | Proc.Compute ->
             p.Proc.acct.(Proc.a_work_left) <- t.cost.(0);
-            (* Latch the ledger class for this segment; it survives
-               preemption splits because [charge] reads it from the
-               process, not from the (consumed) hint. *)
-            p.Proc.lcls <- t.hint_cls;
-            p.Proc.lflow <- t.hint_flow;
-            t.hint_cls <- 0;
-            t.hint_flow <- -1;
+            latch_compute t p;
             p.Proc.pending <- Proc.Work;
             park
         | Proc.Block wq ->
@@ -500,11 +531,21 @@ and do_dispatch t =
 (* Every entry point brackets its mutation with [enter] / [leave]: the
    mutation runs immediately, and a single non-reentrant dispatch loop
    then brings the CPU to a fixed point.  A nested entry (from inside a
-   dispatched action) only flags [redo] for the loop already running. *)
+   dispatched action) only flags [redo] for the loop already running,
+   and leaves the outermost entry's kind alone.  [enter_tail] is for an
+   entry that its event calls last: the CPU's own segment and wake
+   targets, and [post_hard_job_tail]. *)
 let enter t =
-  if t.in_dispatch then false
-  else begin
-    t.in_dispatch <- true;
+  t.in_dispatch = d_out
+  && begin
+    t.in_dispatch <- d_in;
+    true
+  end
+
+let enter_tail t =
+  t.in_dispatch = d_out
+  && begin
+    t.in_dispatch <- d_tail;
     true
   end
 
@@ -515,7 +556,7 @@ let leave t entered =
       t.redo <- false;
       do_dispatch t
     done;
-    t.in_dispatch <- false
+    t.in_dispatch <- d_out
   end
   else t.redo <- true
 
@@ -568,7 +609,7 @@ let create engine ?(ctx_switch_cost = 0.) ?(start_clock = true) () =
       run_cls = c_idle; run_proc = no_proc; run_label = ""; run_tpkt = -1;
       run_poll = false; run_fn = no_fn; run_obj = no_obj; run_int = 0;
       run_ev = Engine.none; fl = Array.make 7 0.; cost = [| 0. |];
-      cur_proc = no_proc; last_user = -1; in_dispatch = false; redo = false;
+      cur_proc = no_proc; last_user = -1; in_dispatch = d_out; redo = false;
       force_resched = false; seg_tgt = None; wake_tgt = None;
       n_ctx_switch = 0; n_soft_dispatch = 0; n_hard_dispatch = 0;
       created_at = Engine.now engine; tracer = Trace.null (); ledger;
@@ -579,13 +620,13 @@ let create engine ?(ctx_switch_cost = 0.) ?(start_clock = true) () =
   t.seg_tgt <-
     Some
       (Engine.target engine (fun () ->
-           let e = enter t in
+           let e = enter_tail t in
            segment_done t;
            leave t e));
   t.wake_tgt <-
     Some
       (Engine.target engine (fun p ->
-           let e = enter t in
+           let e = enter_tail t in
            wake t p;
            leave t e));
   if start_clock then begin
@@ -641,6 +682,11 @@ let post_hard_job t ~label ~tpkt (j : 'a job) (obj : 'a) arg =
   push_back t.hardq t.cost ~label ~tpkt ~poll:false j (Obj.repr obj) arg;
   leave t e
 
+let post_hard_job_tail t ~label ~tpkt (j : 'a job) (obj : 'a) arg =
+  let e = enter_tail t in
+  push_back t.hardq t.cost ~label ~tpkt ~poll:false j (Obj.repr obj) arg;
+  leave t e
+
 let post_soft_job t ~label ~tpkt ~poll (j : 'a job) (obj : 'a) arg =
   let e = enter t in
   push_back t.softq t.cost ~label ~tpkt ~poll j (Obj.repr obj) arg;
@@ -654,30 +700,70 @@ let post_soft_job t ~label ~tpkt ~poll (j : 'a job) (obj : 'a) arg =
    protocol work serving [flow]; [compute_poll] is ksoftirqd's NAPI poll
    work, ledgered as [Poll] against the polling process itself (Linux
    charges ksoftirqd, not the victim).  The class hint is set only when
-   the effect fires and the handler consumes it synchronously, so it
-   cannot leak onto another process's segment. *)
-let compute t = if t.cost.(0) > 0. then Effect.perform Proc.Compute
+   the effect fires and the handler (or the run-ahead below) consumes it
+   synchronously, so it cannot leak onto another process's segment.
+
+   Run-ahead (DESIGN §17): the running process is [cur_proc].  When this
+   event is under a tail entry, no interrupt work is queued, the process
+   is the one last on the CPU and the scheduler's pick, and the segment's
+   end is provably the engine's next event, the effect would only park
+   the process until that event resumes it.  Do here, in order, what the
+   handler, [begin_timed] (no switch, so no penalty) and [segment_done]
+   would have done, and let the process carry on.  The checks run
+   cheapest first: CPU fields, the engine probe, the scheduler scan.  A
+   failed probe ends the tail entry for the rest of the event: the
+   segment [begin_timed] is about to arm for this process has the same
+   deadline, so probing it again would only fail again. *)
+let run_ahead_compute t =
+  let p = t.cur_proc in
+  t.in_dispatch = d_tail && t.hardq.len = 0 && t.softq.len = 0
+  && t.last_user = p.Proc.pid && p != no_proc
+  && begin
+    t.deadline.(0) <- t.clock.(0) +. t.cost.(0);
+    Engine.staged_is_next t.engine
+    || begin
+      t.in_dispatch <- d_in;
+      false
+    end
+  end
+  && Sched.pick_tid t.sched = Sched.tid p.Proc.thread
+  && begin
+    latch_compute t p;
+    t.run_cls <- c_user;
+    t.run_proc <- p;
+    t.fl.(f_left) <- t.cost.(0);
+    t.fl.(f_started) <- t.clock.(0);
+    Engine.advance_to_staged t.engine;
+    ignore (close_segment t : int);
+    p.Proc.acct.(Proc.a_work_left) <- 0.;
+    t.redo <- false;
+    t.force_resched <- false;
+    true
+  end
+
+let[@inline] perform_compute t =
+  if not (run_ahead_compute t) then Effect.perform Proc.Compute
+
+let compute t = if t.cost.(0) > 0. then perform_compute t
 
 let compute_proto t ~flow =
   if t.cost.(0) > 0. then begin
     t.hint_cls <- 1;
     t.hint_flow <- flow;
-    Effect.perform Proc.Compute
+    perform_compute t
   end
 
 let compute_poll t =
   if t.cost.(0) > 0. then begin
     t.hint_cls <- 2;
-    Effect.perform Proc.Compute
+    perform_compute t
   end
 
 let ledger t = t.ledger
 
-let set_account t (p : Proc.t) ~owner =
-  ignore t;
-  Sched.set_account p.Proc.thread
-    (* alloc: cold — once per process *)
-    (Option.map (fun (o : Proc.t) -> o.Proc.thread) owner)
+let set_account (p : Proc.t) ~(owner : Proc.t) =
+  (* alloc: cold — once per process *)
+  Sched.set_account p.Proc.thread (Some owner.Proc.thread)
 
 let time_hard t = t.fl.(f_hard)
 let time_soft t = t.fl.(f_soft)

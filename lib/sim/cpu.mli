@@ -73,9 +73,9 @@ val job : ('a -> int -> unit) -> 'a job
 val cost_cell : t -> float array
 (** 1-slot staging cell for the cost in microseconds of the next
     {!post_hard_job}/{!post_soft_job} or {!compute}.  A computed float
-    passed as an argument is boxed at the call (and under [-opaque] no
-    cross-module call is inlined away); a float-array store is not.  Write
-    it immediately before posting or computing. *)
+    passed as an argument to a call that is not inlined is boxed at the
+    call; a float-array store is not.  Write it immediately before posting
+    or computing. *)
 
 val post_hard_job :
   t -> label:string -> tpkt:int -> 'a job -> 'a -> int -> unit
@@ -85,6 +85,18 @@ val post_hard_job :
     (instantaneously).  [tpkt] is the packet ident the work processes, for
     tracing, or [-1]. *)
 
+val post_hard_job_tail :
+  t -> label:string -> tpkt:int -> 'a job -> 'a -> int -> unit
+(** {!post_hard_job} for a caller that is the last thing its engine event
+    does: the event returns to the engine as soon as this call returns,
+    with nothing scheduled, cancelled or read in between.  The CPU may
+    then complete the work's segment (and what follows it) inline, when
+    its completion is provably the engine's next event (DESIGN §17); the
+    simulation is exactly what {!post_hard_job} produces.  Nested inside
+    another entry (from a dispatched action) it is {!post_hard_job}.
+    Calling it from an event that does more after it returns is an error
+    that this function cannot detect. *)
+
 val post_soft_job :
   t -> label:string -> tpkt:int -> poll:bool -> 'a job -> 'a -> int -> unit
 (** The software-interrupt analogue of {!post_hard_job} (BSD's softnet
@@ -93,7 +105,7 @@ val post_soft_job :
     marks a NAPI poll round: it runs and preempts at softirq level, but
     its cycles are ledgered as {!Ledger.Poll} instead of [Soft]. *)
 
-val set_account : t -> Proc.t -> owner:Proc.t option -> unit
+val set_account : Proc.t -> owner:Proc.t -> unit
 (** Redirect scheduler charging for a process (LRP's APP thread runs at its
     owning process's priority and charges CPU to it). *)
 

@@ -246,6 +246,96 @@ let prop_shard_invariance =
       let d1 = digest 1 in
       Int64.equal d1 (digest 2) && Int64.equal d1 (digest 8))
 
+(* A 4x4 spine-leaf cluster of SOFT-LRP hosts under the cluster
+   experiment's blast load, for [duration]; [advance] moves it to the
+   horizon and the summary covers every host, every cell's engine and
+   every source and sink. *)
+let cluster_4x4 advance =
+  let racks = 4 and hosts = 4 and duration = Time.ms 30. in
+  let cfg = Common.config_of_system Common.Soft_lrp in
+  let topo =
+    Topology.spine_leaf ~seed:42 ~racks ~hosts_per_rack:hosts ~cfg ()
+  in
+  let sinks = ref [] and sources = ref [] in
+  for r = 0 to racks - 1 do
+    Topology.on_cell topo r (fun (cell : Topology.cell) ->
+        Kernel.set_tracing cell.kernels.(0) true;
+        Array.iter
+          (fun k -> sinks := Blast.start_sink k ~port:9000 () :: !sinks)
+          cell.kernels;
+        Array.iteri
+          (fun s k ->
+            let src = Kernel.ip_address k in
+            let start dst rate =
+              sources :=
+                Blast.start_source cell.engine (Kernel.nic k) ~src ~dst ~rate
+                  ~size:14 ~until:duration ()
+                :: !sources
+            in
+            let next = (s + 1) mod hosts and over = (r + 1) mod racks in
+            start (Topology.host_ip ~rack:r ~slot:next, 9000) 2000.;
+            start (Topology.host_ip ~rack:over ~slot:s, 9000) 1000.)
+          cell.kernels)
+  done;
+  advance topo ~until:duration;
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun (s : Blast.source) -> Printf.bprintf b "sent=%d\n" s.Blast.sent)
+    !sources;
+  List.iter
+    (fun (s : Blast.sink) -> Printf.bprintf b "received=%d\n" s.Blast.received)
+    !sinks;
+  Array.iter
+    (fun (c : Topology.cell) ->
+      Buffer.add_string b
+        (Test_golden.summary_of_engine ~counters:true c.engine
+           (Array.to_list c.kernels) ""))
+    (Topology.cells topo);
+  Buffer.contents b
+
+(* Shardsim's epoch protocol (global min deadline [d], bound
+   [min (d + lookahead) until], barrier exchange, drain, snap), with
+   every cell advanced one event at a time. *)
+let stepped_cluster topo ~until =
+  let cells = Topology.cells topo and cell = [| 0. |] in
+  let advance bound =
+    Array.iteri
+      (fun r _ ->
+        Topology.on_cell topo r (fun (c : Topology.cell) ->
+            Test_golden.stepped c.engine ~until:bound))
+      cells
+  in
+  let rec loop () =
+    let d =
+      Array.fold_left
+        (fun d (c : Topology.cell) ->
+          if Engine.next_key_into c.engine ~cell && cell.(0) < d then cell.(0)
+          else d)
+        Float.infinity cells
+    in
+    if d <= until then begin
+      advance (Float.min (d +. Topology.lookahead topo) until);
+      ignore (Topology.exchange topo ());
+      loop ()
+    end
+    else if Topology.exchange topo () > 0 then loop ()
+    else advance until
+  in
+  loop ()
+
+(* Shardsim's batched cell runs, run-ahead segments included, against
+   the same epoch loop stepped one event at a time (DESIGN §17). *)
+let test_cluster_run_equals_stepping () =
+  let want = cluster_4x4 stepped_cluster in
+  List.iter
+    (fun shards ->
+      Alcotest.(check string)
+        (Printf.sprintf "4x4 cluster, %d shard(s): run = stepping" shards)
+        want
+        (cluster_4x4 (fun topo ~until ->
+             ignore (Topology.run ~shards topo ~until : Shardsim.t))))
+    [ 1; 2 ]
+
 let suite =
   [ Alcotest.test_case "Shardsim rejects bad arguments" `Quick
       test_shardsim_validation;
@@ -265,4 +355,6 @@ let suite =
     Alcotest.test_case "epoch loop allocates nothing per epoch" `Quick
       (test_epoch_loop_allocation_free 1);
     Alcotest.test_case "2-shard epoch loop: caller allocates nothing" `Quick
-      (test_epoch_loop_allocation_free 2) ]
+      (test_epoch_loop_allocation_free 2);
+    Alcotest.test_case "4x4 cluster: run equals stepping at 1 and 2 shards"
+      `Quick test_cluster_run_equals_stepping ]

@@ -55,8 +55,11 @@ let fail_run ?tracer script arch what =
     (Printf.sprintf "seed %d on %s: %s (script saved to %s)"
        script.Fault_script.seed (Kernel.arch_name arch) what path)
 
-(* One UDP blast under a fault script; oracle checked on the receiver. *)
-let udp_fuzz_run ~arch ~seed =
+(* One UDP blast under a fault script; oracle checked on the receiver.
+   [step] advances the engine one event at a time instead of through the
+   batched loop (which may run CPU segments ahead, DESIGN §17); [counters]
+   are both kernels' counter tables, engine timer stats included. *)
+let udp_fuzz_run ?(step = false) ~arch ~seed () =
   let cfg = Kernel.default_config arch in
   let w, client, server = World.pair ~cfg () in
   let tr = Kernel.tracer server in
@@ -73,21 +76,41 @@ let udp_fuzz_run ~arch ~seed =
       ~rate:2_000. ~size:64 ~until:(Time.ms 100.) ()
   in
   (* Slack past the send window so reorder-held frames flush. *)
-  World.run w ~until:(Time.ms 150.);
+  let until = Time.ms 150. in
+  if step then Engine.run_while (World.engine w) (fun () -> true) ~until
+  else World.run w ~until;
   let v = Oracle.check_tracer ~require_demux:(require_demux arch) tr in
-  (script, v, src.Blast.sent, sink.Blast.received, tr)
+  let counters = Kernel.counters client @ Kernel.counters server in
+  (script, v, src.Blast.sent, sink.Blast.received, tr, counters)
 
+(* Every seed also replays one arch, in turn, one event at a time: the
+   batched run must give the same counts, counters and server trace.
+   One arch per seed keeps the replay's cost at a seventh of the
+   matrix's while every arch is replayed under many scripts. *)
 let test_udp_fuzz_matrix () =
   for seed = 0 to n_seeds - 1 do
+    let replayed = List.nth archs (seed mod List.length archs) in
     List.iter
       (fun arch ->
-        let script, v, sent, _received, tr = udp_fuzz_run ~arch ~seed in
+        let script, v, sent, received, tr, counters =
+          udp_fuzz_run ~arch ~seed ()
+        in
         if sent = 0 then fail_run ~tracer:tr script arch "source sent nothing";
         if v.Oracle.ring_wrapped then
           fail_run ~tracer:tr script arch "trace ring wrapped";
         if not v.Oracle.ok then
           fail_run ~tracer:tr script arch
-            (Format.asprintf "oracle violation: %a" Oracle.pp_verdict v))
+            (Format.asprintf "oracle violation: %a" Oracle.pp_verdict v);
+        if arch = replayed then begin
+          let _, _, sent', received', tr', counters' =
+            udp_fuzz_run ~step:true ~arch ~seed ()
+          in
+          if (sent, received) <> (sent', received') || counters <> counters'
+             || Trace.events tr <> Trace.events tr'
+          then
+            fail_run ~tracer:tr script arch
+              "the batched run differs from stepping one event at a time"
+        end)
       archs
   done
 
@@ -269,8 +292,8 @@ let test_none_faults_byte_identical () =
 let test_fuzz_run_reproducible () =
   List.iter
     (fun arch ->
-      let _, v1, s1, r1, _ = udp_fuzz_run ~arch ~seed:7 in
-      let _, v2, s2, r2, _ = udp_fuzz_run ~arch ~seed:7 in
+      let _, v1, s1, r1, _, _ = udp_fuzz_run ~arch ~seed:7 () in
+      let _, v2, s2, r2, _, _ = udp_fuzz_run ~arch ~seed:7 () in
       Alcotest.(check (pair int int))
         (Printf.sprintf "%s: replayed run identical" (Kernel.arch_name arch))
         (s1, r1) (s2, r2);

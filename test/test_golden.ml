@@ -51,17 +51,47 @@ let kernel_summary b k =
   Printf.bprintf b "nic tx=%d rx=%d\n" nic.tx_packets nic.rx_packets;
   Precorder.dump_to_buffer b (Trace.recorder (Kernel.tracer k))
 
-let digest_of_engine engine kernels extra =
+(* A run's summary: the digested text of the goldens, then, with
+   [~counters], every kernel's full counter table (engine timer stats
+   included), which the run-versus-step comparison also checks. *)
+let summary_of_engine ?(counters = false) engine kernels extra =
   let b = Buffer.create 4096 in
   Printf.bprintf b "events=%d now=%h %s\n"
     (Engine.events_executed engine) (Engine.now engine) extra;
   List.iter (kernel_summary b) kernels;
-  Printf.sprintf "%016Lx" (Cluster.fnv1a64 (Buffer.contents b))
+  if counters then
+    List.iter
+      (fun k ->
+        List.iter
+          (fun (name, v) ->
+            Printf.bprintf b "%s %s=%h\n" (Kernel.name k) name v)
+          (Kernel.counters k))
+      kernels;
+  Buffer.contents b
 
-let digest_of w = digest_of_engine (World.engine w)
+let summary_of ?counters w = summary_of_engine ?counters (World.engine w)
+
+let digest s = Printf.sprintf "%016Lx" (Cluster.fnv1a64 s)
+
+(* How a scenario advances its engine: the batched loop, which may run
+   CPU segments ahead (DESIGN §17), or one event at a time, which never
+   does. *)
+let batched engine ~until = Engine.run engine ~until
+let stepped engine ~until = Engine.run_while engine (fun () -> true) ~until
+
+(* [run] in 250 us slices, logging the clock and the event count after
+   each: a segment run ahead past a slice's bound shows in the log. *)
+let in_slices run log engine ~until =
+  let t = ref (Engine.now engine) in
+  while !t < until do
+    t := Float.min until (!t +. 250.);
+    run engine ~until:!t;
+    Printf.bprintf log "%h %d\n" (Engine.now engine)
+      (Engine.events_executed engine)
+  done
 
 (* Figure 3's livelock point, briefly: 14-byte UDP at 20k pkts/s. *)
-let udp_blast sys =
+let udp_blast ?(advance = batched) ?counters sys =
   let cfg = Common.config_of_system sys in
   let w, client, server = World.pair ~seed:42 ~cfg () in
   Kernel.set_tracing server true;
@@ -71,12 +101,12 @@ let udp_blast sys =
       ~src:(Kernel.ip_address client) ~dst:(Kernel.ip_address server, 9000)
       ~rate:20_000. ~size:14 ~until:(Time.ms 150.) ()
   in
-  World.run w ~until:(Time.ms 200.);
-  digest_of w [ client; server ]
+  advance (World.engine w) ~until:(Time.ms 200.);
+  summary_of ?counters w [ client; server ]
     (Printf.sprintf "sent=%d received=%d" src.Blast.sent sink.Blast.received)
 
 (* One Figure-5 point: 8 HTTP clients plus a 6k SYN/s flood. *)
-let http_syn sys =
+let http_syn ?(advance = batched) ?counters sys =
   let tune cfg = { cfg with Kernel.time_wait = Time.ms 500. } in
   let cfg = Common.config_of_system ~tune sys in
   let w = World.make ~seed:42 () in
@@ -97,8 +127,8 @@ let http_syn sys =
     (Synflood.start (World.engine w) (Kernel.nic attacker)
        ~dst:(Kernel.ip_address server, 99) ~rate:6_000.
        ~until:(Time.sec 1_000.) ());
-  World.run w ~until:(Time.ms 600.);
-  digest_of w [ server; clients; attacker ]
+  advance (World.engine w) ~until:(Time.ms 600.);
+  summary_of ?counters w [ server; clients; attacker ]
     (Printf.sprintf "completed=%d failed=%d" stats.Http.completed
        stats.Http.failed)
 
@@ -144,7 +174,7 @@ let gateway_run sys =
              done;
              Api.close client ~self sock));
   Engine.run engine ~until:(Time.ms 300.);
-  digest_of_engine engine [ client; gw; server ]
+  summary_of_engine engine [ client; gw; server ]
     (Printf.sprintf "sent=%d received=%d echoed=%d" src.Blast.sent
        sink.Blast.received !echoed)
 
@@ -196,7 +226,7 @@ let mcast_frag_run sys =
            Proc.sleep_for (Time.ms 2.)
          done));
   World.run w ~until:(Time.ms 200.);
-  digest_of w [ client; server ]
+  summary_of w [ client; server ]
     (Printf.sprintf "a=%d b=%d big=%d" !got_a !got_b !got_big)
 
 let udp_golden =
@@ -233,16 +263,84 @@ let check_golden what run golden () =
     (fun (sys, want) ->
       Alcotest.(check string)
         (what ^ " digest, " ^ Common.system_name sys)
-        want (run sys))
+        want (digest (run sys)))
     golden
 
-let test_http_golden = check_golden "http+syn" http_syn http_golden
+let test_http_golden =
+  check_golden "http+syn" (fun sys -> http_syn sys) http_golden
+
+(* The edges of run-ahead on a bare CPU with whole-microsecond costs: an
+   observer queued on the very deadlines of a spinning process's
+   segments (an equal key queued earlier fires first), and a zero-cost
+   hard job, posted by an event that goes on after the post, whose action
+   posts through the tail entry (a nested entry is no tail entry). *)
+let cpu_edges advance =
+  let eng = Engine.create () in
+  let cpu = Cpu.create eng ~start_clock:false () in
+  let b = Buffer.create 4096 and progress = ref 0 in
+  let note what =
+    Printf.bprintf b "%s %h progress=%d hard=%h user=%h\n" what
+      (Engine.now eng) !progress (Cpu.time_hard cpu) (Cpu.time_user cpu)
+  in
+  let obs = ref Engine.none in
+  obs :=
+    Engine.schedule eng ~at:10. (fun () ->
+        note "observer";
+        Engine.reschedule_after eng !obs ~delay:10.);
+  ignore
+    (Cpu.spawn cpu ~name:"spin" (fun _ ->
+         for _ = 1 to 40 do
+           (Cpu.cost_cell cpu).(0) <- 10.;
+           Cpu.compute cpu;
+           incr progress
+         done));
+  let costly = Cpu.job (fun () _ -> note "costly") in
+  let free =
+    Cpu.job (fun () _ ->
+        (Cpu.cost_cell cpu).(0) <- 3.;
+        Cpu.post_hard_job_tail cpu ~label:"costly" ~tpkt:(-1) costly () 0)
+  in
+  ignore
+    (Engine.schedule eng ~at:105.5 (fun () ->
+         (Cpu.cost_cell cpu).(0) <- 0.;
+         Cpu.post_hard_job cpu ~label:"free" ~tpkt:(-1) free () 0;
+         note "posted"));
+  advance eng ~until:500.;
+  note "end";
+  Buffer.contents b
+
+(* Batched dispatch, run-ahead segments included, must be exactly the
+   one-event-at-a-time loop: same recorder dumps, counters (engine timer
+   stats included), source/sink counts and per-slice clock and event
+   counts.  The sharded form is in the cluster suite. *)
+let test_run_equals_stepping () =
+  let sliced run scenario =
+    let log = Buffer.create 4096 in
+    let s = scenario (in_slices run log) in
+    s ^ Buffer.contents log
+  in
+  let same what sys run =
+    Alcotest.(check string)
+      (Printf.sprintf "%s, %s: run = stepping" what (Common.system_name sys))
+      (sliced stepped (fun advance -> run advance sys))
+      (sliced batched (fun advance -> run advance sys))
+  in
+  Alcotest.(check string) "CPU edges: run = stepping"
+    (sliced stepped cpu_edges) (sliced batched cpu_edges);
+  List.iter
+    (fun (sys, _) ->
+      same "udp blast" sys (fun advance -> udp_blast ~advance ~counters:true);
+      same "http+syn" sys (fun advance -> http_syn ~advance ~counters:true))
+    udp_golden
 
 let suite =
   [ Alcotest.test_case "udp blast digests pinned on all 7 archs" `Quick
-      (check_golden "udp blast" udp_blast udp_golden);
+      (check_golden "udp blast" (fun sys -> udp_blast sys) udp_golden);
     Alcotest.test_case "http+syn flood digests pinned" `Quick test_http_golden;
     Alcotest.test_case "two-network gateway digests pinned on all 7 archs"
       `Quick (check_golden "gateway" gateway_run gateway_golden);
     Alcotest.test_case "multicast + fragment digests pinned"
-      `Quick (check_golden "mcast+frag" mcast_frag_run mcast_frag_golden) ]
+      `Quick (check_golden "mcast+frag" mcast_frag_run mcast_frag_golden);
+    Alcotest.test_case
+      "run equals stepping: udp, http+syn on 7 archs" `Quick
+      test_run_equals_stepping ]

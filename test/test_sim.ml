@@ -630,6 +630,57 @@ let ip_output_cycle () =
       ignore (Engine.step eng)
     done
 
+(* Run-ahead (DESIGN §17), process side: a process computing in a quiet
+   world.  Spawning is no tail entry, so its first segment is queued;
+   from its completion on, every compute is run ahead and returns without
+   performing the effect, whose continuation would cost minor words.  The
+   cycles run inside the process, so the window is measured there. *)
+let test_run_ahead_compute_words () =
+  let eng = Engine.create () in
+  let cpu = Cpu.create eng ~start_clock:false () in
+  let words = ref Float.nan in
+  let cycle () =
+    (Cpu.cost_cell cpu).(0) <- 1.;
+    Cpu.compute cpu
+  in
+  ignore
+    (Cpu.spawn cpu ~name:"spin" (fun _ ->
+         for _ = 1 to 20_000 do cycle () done;
+         words :=
+           minor_words (fun () -> for _ = 1 to 50_000 do cycle () done)
+           /. 50_000.));
+  Engine.drain eng;
+  Alcotest.(check (float 0.)) "minor words per cycle" 0. !words
+
+(* Run-ahead, interrupt side: an event whose last act is a hard-interrupt
+   post through the tail entry, in a quiet world.  The post completes the
+   job's segment before it returns (checked once, before the window). *)
+let run_ahead_hardirq_cycle () =
+  let eng = Engine.create () in
+  let cpu = Cpu.create eng ~start_clock:false () in
+  let finished = ref 0 and inline = ref 0 in
+  let rx = Cpu.job (fun () _ -> incr finished) in
+  let frame =
+    Engine.target eng (fun () ->
+        let before = !finished in
+        (Cpu.cost_cell cpu).(0) <- 2.;
+        Cpu.post_hard_job_tail cpu ~label:"rx-intr" ~tpkt:(-1) rx () 0;
+        if !finished > before then incr inline)
+  in
+  let dl = Engine.deadline_cell eng and clock = Engine.clock_cell eng in
+  let cycle () =
+    dl.(0) <- clock.(0) +. 1.;
+    ignore (Engine.schedule_to_staged eng frame ());
+    Engine.drain eng
+  in
+  let events = Engine.events_executed eng in
+  cycle ();
+  Alcotest.(check (pair int int)) "the job ran inside the posting event"
+    (1, 1) (!finished, !inline);
+  Alcotest.(check int) "and counts as an event of its own" (events + 2)
+    (Engine.events_executed eng);
+  cycle
+
 let suite =
   [ Alcotest.test_case "single compute" `Quick test_single_compute;
     Alcotest.test_case "sequential computes" `Quick test_sequential_computes;
@@ -661,4 +712,8 @@ let suite =
           (test_zero_words make))
       zero_word_cycles
   @ [ Alcotest.test_case "0.0 words per cycle: ip_output" `Quick
-        (test_zero_words ip_output_cycle) ]
+        (test_zero_words ip_output_cycle);
+      Alcotest.test_case "0.0 words per cycle: run_ahead_compute" `Quick
+        test_run_ahead_compute_words;
+      Alcotest.test_case "0.0 words per cycle: run_ahead_hardirq" `Quick
+        (test_zero_words run_ahead_hardirq_cycle) ]
