@@ -27,7 +27,7 @@ let () =
          (* Echo forever: receive (with lazy protocol processing, since
             this is an LRP kernel) and send straight back. *)
          let rec loop () =
-           let dg = Api.recvfrom bob ~self sock in
+           let dg = Api.recvfrom bob sock in
            Api.sendto bob ~self sock ~dst:dg.Api.dg_from dg.Api.dg_payload;
            loop ()
          in
@@ -43,7 +43,7 @@ let () =
            Api.sendto alice ~self sock
              ~dst:(Kernel.ip_address bob, 7)
              (Payload.synthetic (100 * i));
-           let reply = Api.recvfrom alice ~self sock in
+           let reply = Api.recvfrom alice sock in
            Printf.printf "udp echo %d: %d bytes back in %.0f us\n" i
              (Payload.length reply.Api.dg_payload)
              (Engine.now (World.engine w) -. t0)
@@ -55,26 +55,26 @@ let () =
          let lsock = Api.socket_stream bob in
          Api.tcp_listen bob ~self lsock ~port:80 ~backlog:4;
          let conn = Api.tcp_accept bob ~self lsock in
-         (match Api.tcp_recv bob ~self conn ~max:4096 with
+         (match Api.tcp_recv bob conn ~max:4096 with
           | `Data req ->
               Printf.printf "tcp server: got %d-byte request\n"
                 (Payload.length req);
-              ignore (Api.tcp_send bob ~self conn (Payload.of_string "pong"))
+              ignore (Api.tcp_send bob conn (Payload.of_string "pong"))
           | `Eof -> ());
-         Api.close bob ~self conn));
+         Api.close bob conn));
   ignore
     (Cpu.spawn (Kernel.cpu alice) ~name:"tcp-cli" (fun self ->
          let sock = Api.socket_stream alice in
          match Api.tcp_connect alice ~self sock ~remote:(Kernel.ip_address bob, 80) with
          | `Refused -> print_endline "tcp: connection refused?!"
          | `Ok ->
-             ignore (Api.tcp_send alice ~self sock (Payload.of_string "ping"));
-             (match Api.tcp_recv alice ~self sock ~max:4096 with
+             ignore (Api.tcp_send alice sock (Payload.of_string "ping"));
+             (match Api.tcp_recv alice sock ~max:4096 with
               | `Data p ->
                   Printf.printf "tcp client: reply %S\n"
                     (Bytes.to_string (Payload.to_bytes p))
               | `Eof -> ());
-             Api.close alice ~self sock));
+             Api.close alice sock));
 
   (* Run the virtual world for one simulated second. *)
   World.run w ~until:(Time.sec 1.);

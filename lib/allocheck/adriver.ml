@@ -102,6 +102,16 @@ let run ~root ?(conf_name = "allocheck.conf") (cfg : Aconfig.t) :
             entry)
     cfg.entries;
   let funcs_analyzed = ref 0 in
+  Cmtload.init_typing load;
+  let aliases = Hashtbl.create 64 in
+  let aliases_of (m : Cmtload.modl) =
+    match Hashtbl.find_opt aliases m.md_key with
+    | Some a -> a
+    | None ->
+        let a = Srcrules.unit_aliases m.md_str in
+        Hashtbl.replace aliases m.md_key a;
+        a
+  in
   while not (Queue.is_empty queue) do
     let m, fn = Queue.pop queue in
     if not (listed (canon_names m fn) cfg.assume) then begin
@@ -110,6 +120,7 @@ let run ~root ?(conf_name = "allocheck.conf") (cfg : Aconfig.t) :
         {
           Allocwalk.load;
           current = m;
+          aliases = aliases_of m;
           file = m.md_source;
           supp = supp_for m.md_source;
           allocating_extra = cfg.allocating_extra;

@@ -20,6 +20,13 @@
      FMT  Printf/Format machinery on the path
      CALL a known-allocating stdlib call (Array.make, String.concat,
           boxed Int64 arithmetic, invalid_arg, ...)
+     CMP  not an allocation but the same per-event tax: a generic
+          compare or hash — Stdlib [compare]/[min]/[max] or
+          [Hashtbl.hash], a comparison operator at a type ocamlopt
+          cannot specialise (abstract, polymorphic or boxed: it calls
+          [caml_equal] and friends), or a probe of the polymorphic
+          Stdlib [Hashtbl] ([caml_hash] plus closure-called equality).
+          Names resolve through module aliases and local opens.
 
    Every finding is claimable by an "(* alloc: cold — reason *)"
    suppression on the same or the preceding line; the driver reports
@@ -41,6 +48,7 @@ open Typedtree
 type ctx = {
   load : Cmtload.t;
   current : Cmtload.modl;
+  aliases : (Ident.t * string) list;  (* module aliases in scope (CMP) *)
   file : string;
   supp : Suppress.t;
   allocating_extra : string list;
@@ -127,6 +135,50 @@ let boxed_arith_exempt =
 
 let has_prefix s p =
   String.length s >= String.length p && String.sub s 0 (String.length p) = p
+
+(* ------------------------------------------------------------------ *)
+(* Generic compare and hash (CMP)                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* A global value's dotted name through the aliases in scope, "Stdlib."
+   dropped; "" for a value bound in the unit itself, so a local [min] or
+   a functor instance's [find] is not Stdlib's. *)
+let global_name ctx p =
+  match Srcrules.resolve ctx.aliases p with
+  | Some n when has_prefix n "Stdlib." ->
+      String.sub n 7 (String.length n - 7)
+  | Some n -> n
+  | None -> ""
+
+let compare_ops = [ "="; "<>"; "<"; ">"; "<="; ">=" ]
+let generic_fns = [ "compare"; "min"; "max"; "Hashtbl.hash" ]
+
+let hashtbl_probes =
+  [ "Hashtbl.find"; "Hashtbl.find_opt"; "Hashtbl.find_all"; "Hashtbl.mem";
+    "Hashtbl.add"; "Hashtbl.replace"; "Hashtbl.remove" ]
+
+let specialised_bases =
+  Predef.
+    [ path_int; path_char; path_float; path_string; path_bytes;
+      path_nativeint; path_int32; path_int64 ]
+
+(* Does ocamlopt compile a comparison at [ty] without the generic
+   primitive?  The same test as its own specialisation: a base type, or a
+   type it knows to be immediate, in the environment the expression was
+   typed in.  An environment that cannot be rebuilt counts as "no". *)
+let specialised (env : Env.t) ty =
+  match Envaux.env_of_only_summary env with
+  | env ->
+      List.exists (Typeopt.is_base_type env ty) specialised_bases
+      || Typeopt.maybe_pointer_type env ty = Lambda.Immediate
+  | exception _ -> false
+
+let type_text ty = Format.asprintf "%a" Printtyp.type_expr ty
+
+let is_constant_constructor (e : expression) =
+  match e.exp_desc with
+  | Texp_construct (_, _, []) | Texp_variant (_, None) -> true
+  | _ -> false
 
 let is_float ty =
   match Types.get_desc ty with
@@ -229,9 +281,47 @@ let free_idents ctx ~self (e : expression) =
 let is_fun (e : expression) =
   match e.exp_desc with Texp_function _ -> true | _ -> false
 
+let generic_call ctx ~loc name =
+  if List.mem name generic_fns then
+    report ctx ~loc ~rule:"CMP"
+      (Printf.sprintf
+         "%s is polymorphic: every call compares or hashes through the \
+          runtime's generic C code; use Int.%s/Float.%s or an explicit \
+          comparison at a known type"
+         name
+         (if name = "Hashtbl.hash" then "hash" else name)
+         (if name = "Hashtbl.hash" then "hash" else name))
+  else if List.mem name hashtbl_probes then
+    report ctx ~loc ~rule:"CMP"
+      (Printf.sprintf
+         "%s probes the polymorphic Stdlib Hashtbl (caml_hash plus \
+          closure-called equality); use Lrp_det.Itab for int keys or \
+          Lrp_core.Flowtab"
+         name)
+
+(* A comparison operator at [ty] that ocamlopt cannot specialise. *)
+let generic_compare ctx ~loc ~env op ty =
+  if not (specialised env ty) then
+    report ctx ~loc ~rule:"CMP"
+      (Printf.sprintf
+         "(%s) at type %s, which ocamlopt cannot specialise: it calls the \
+          generic compare (compare_val); compare an int or float view, or \
+          use the type's own equal/compare"
+         op (type_text ty))
+
 let rec walk ctx (e : expression) =
   match e.exp_desc with
-  | Texp_ident (p, _, _) -> maybe_edge ctx p
+  | Texp_ident (p, _, _) ->
+      let name = global_name ctx p in
+      if List.mem name compare_ops then begin
+        (* unapplied: the operator's instance type is [t -> t -> bool] *)
+        match Types.get_desc e.exp_type with
+        | Types.Tarrow (_, ty, _, _) ->
+            generic_compare ctx ~loc:e.exp_loc ~env:e.exp_env name ty
+        | _ -> ()
+      end
+      else generic_call ctx ~loc:e.exp_loc name;
+      maybe_edge ctx p
   | Texp_constant _ -> ()
   | Texp_let (Nonrecursive, vbs, body) ->
       List.iter
@@ -330,9 +420,15 @@ let rec walk ctx (e : expression) =
   | Texp_override (_, fields) ->
       report ctx ~loc:e.exp_loc ~rule:"CLO" "object override allocates";
       List.iter (fun (_, _, e) -> walk ctx e) fields
-  | Texp_letmodule (_, _, _, _, body) ->
-      report ctx ~loc:e.exp_loc ~rule:"CLO"
-        "local module allocates its structure block";
+  | Texp_letmodule (id, _, _, me, body) ->
+      let ctx =
+        match Srcrules.alias ctx.aliases id me with
+        | Some a -> { ctx with aliases = a :: ctx.aliases }
+        | None ->
+            report ctx ~loc:e.exp_loc ~rule:"CLO"
+              "local module allocates its structure block";
+            ctx
+      in
       walk ctx body
   | Texp_letexception (_, body) -> walk ctx body
   | Texp_assert (cond, _) -> walk ctx cond
@@ -388,6 +484,24 @@ and maybe_edge ctx p =
   | None -> ()
 
 and apply ctx (e : expression) f args =
+  match f.exp_desc with
+  | Texp_ident (p, _, _) when List.mem (global_name ctx p) compare_ops ->
+      (* Applied: like ocamlopt, an (in)equality against a constant
+         constructor is an int compare whatever the type. *)
+      let op = global_name ctx p in
+      let supplied = List.filter_map snd args in
+      (match supplied with
+       | a :: _
+         when not
+                ((op = "=" || op = "<>")
+                && List.exists is_constant_constructor supplied) ->
+           generic_compare ctx ~loc:e.exp_loc ~env:e.exp_env op a.exp_type
+       | _ -> ());
+      partial_check ctx e f args;
+      List.iter (walk ctx) supplied
+  | _ -> apply_call ctx e f args
+
+and apply_call ctx (e : expression) f args =
   (match f.exp_desc with
   | Texp_ident (p, _, _) -> (
       let name = stdlib_name p in

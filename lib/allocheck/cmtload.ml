@@ -36,6 +36,7 @@ type t = {
   shorts : (string, string list) Hashtbl.t;  (* short name -> keys *)
   mutable cmt_files : int;
   mutable empty_dirs : string list;  (* configured dirs that held no .cmt *)
+  mutable cmi_dirs : string list;  (* dirs holding .cmi files, for [Envaux] *)
 }
 
 (* All value idents bound by a pattern (top-level lets can be tuples). *)
@@ -154,6 +155,8 @@ let rec scan_dir t dir =
   | exception Sys_error _ -> ()
   | entries ->
       Array.sort String.compare entries;
+      if Array.exists (fun e -> Filename.check_suffix e ".cmi") entries then
+        t.cmi_dirs <- t.cmi_dirs @ [ dir ];
       Array.iter
         (fun e ->
           let p = Filename.concat dir e in
@@ -166,7 +169,8 @@ let rec scan_dir t dir =
 let load ~root dirs =
   let t =
     { mods = Hashtbl.create 64; intfs = Hashtbl.create 64;
-      shorts = Hashtbl.create 64; cmt_files = 0; empty_dirs = [] }
+      shorts = Hashtbl.create 64; cmt_files = 0; empty_dirs = [];
+      cmi_dirs = [] }
   in
   List.iter
     (fun d ->
@@ -177,6 +181,15 @@ let load ~root dirs =
   t
 
 let find_mod t key = Hashtbl.find_opt t.mods key
+
+(* Put the loaded units' interfaces, then the standard library, on the
+   compiler's load path, so [Envaux] can rebuild the typing environment
+   an expression was checked in (the walk asks it how ocamlopt sees a
+   type: rule CMP). *)
+let init_typing t =
+  Load_path.init ~auto_include:Load_path.no_auto_include
+    (t.cmi_dirs @ [ Config.standard_library ]);
+  Envaux.reset_cache ()
 
 (* Resolve a dotted [Module.func] name from a config file. *)
 let resolve_name t name =

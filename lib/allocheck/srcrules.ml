@@ -10,7 +10,8 @@
 
    Rules implemented here:
      D1  ambient time/randomness outside the configured rng file
-     D2  unordered Hashtbl iteration outside the sorted-iteration helper
+     D2  unordered Hashtbl or Itab iteration outside the sorted-iteration
+         helpers
      D3  Marshal anywhere; polymorphic compare in configured files
      D4  structural (tuple/record) Hashtbl keys on hot-path layers
      P1  stdout printing inside the library scope
@@ -90,6 +91,10 @@ let d2_banned =
     "Hashtbl.to_seq_values";
   ]
 
+(* [Itab.fold] walks slot order; only lrp_det's own Det may call it.  The
+   name as seen from another library, and from inside lrp_det. *)
+let d2_itab = [ "Lrp_det.Itab.fold"; "Lrp_det__Itab.fold" ]
+
 let p1_banned =
   [
     "print_string";
@@ -128,7 +133,13 @@ let check_ident ctx ~loc name =
     emit ctx ~rule:"D2" ~loc
       (Printf.sprintf
          "unordered iteration: %s can leak hash-table layout into output; \
-          use Lrp_det.Det.{iter_sorted,fold_sorted,bindings,sorted_keys}"
+          use Lrp_det.Det.{iter_sorted,fold_sorted,bindings}"
+         name);
+  if List.mem name d2_itab && not (in_files cfg.det_files) then
+    emit ctx ~rule:"D2" ~loc
+      (Printf.sprintf
+         "unordered iteration: %s visits the int table in slot order; use \
+          Lrp_det.Det.{iter_sorted_int,fold_sorted_int,sorted_keys_int}"
          name);
   (* D3a: Marshal is never representation-stable. *)
   if String.starts_with ~prefix:"Marshal." name then
@@ -202,6 +213,28 @@ let check_apply ctx ~loc name args =
    is flagged.  So the iterator skips the operator ident of an applied
    comparison but still visits the arguments. *)
 let scalar_infix = [ "="; "<>"; "<"; ">"; "<="; ">=" ]
+
+(* The module aliases a unit binds at module level, nested structures
+   included, so a rule walking one function body can name [H.find] for
+   [module H = Hashtbl] declared above it. *)
+let unit_aliases (str : structure) =
+  let rec items acc str = List.fold_left item acc str.str_items
+  and item acc it =
+    match it.str_desc with
+    | Tstr_module mb -> binding acc mb
+    | Tstr_recmodule mbs -> List.fold_left binding acc mbs
+    | _ -> acc
+  and binding acc mb =
+    let acc =
+      match alias acc mb.mb_id mb.mb_expr with Some a -> a :: acc | None -> acc
+    in
+    match mb.mb_expr.mod_desc with
+    | Tmod_structure s | Tmod_constraint ({ mod_desc = Tmod_structure s; _ }, _, _, _)
+      ->
+        items acc s
+    | _ -> acc
+  in
+  items [] str
 
 let note_alias ctx id me =
   Option.iter

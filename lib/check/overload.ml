@@ -126,7 +126,7 @@ let sample t =
         Trace.alarm tracer ~alarm:Trace.Queue_watermark ~a:1 ~b:h
       end)
     (Kernel.channels k);
-  Lrp_det.Det.iter_sorted
+  Lrp_det.Det.iter_sorted_int
     (fun _port (ep : Kernel.ep) ->
       (* Bound sockets; a multicast group's members are not watched. *)
       match ep with

@@ -63,8 +63,8 @@ let create ?arena ?(limit = 32) () =
     match arena with Some a -> a | None -> Parena.create ()
   in
   { id = Lrp_engine.Idspace.next_chan_id ();
-    arena; ring = Array.make (max 0 (min limit 4)) Parena.none; head = 0;
-    count = 0;
+    arena; ring = Array.make (Int.max 0 (Int.min limit 4)) Parena.none;
+    head = 0; count = 0;
     limit;
     intr_requested = false; processing_enabled = true; job_owner = -1;
     enqueued = 0;
@@ -89,7 +89,7 @@ let grow t =
   let cap = Array.length t.ring in
   let ring =
     (* alloc: cold — amortized growth *)
-    Array.make (min t.limit (2 * cap)) Parena.none
+    Array.make (Int.min t.limit (2 * cap)) Parena.none
   in
   for i = 0 to t.count - 1 do
     let j = t.head + i in

@@ -23,9 +23,20 @@ let bindings ?(cmp = Stdlib.compare) tbl =
   let items = Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [] in
   List.stable_sort (fun (ka, _) (kb, _) -> cmp ka kb) items
 
-let sorted_keys ?cmp tbl = List.map fst (bindings ?cmp tbl)
-
 let iter_sorted ?cmp f tbl = List.iter (fun (k, v) -> f k v) (bindings ?cmp tbl)
 
 let fold_sorted ?cmp f tbl init =
   List.fold_left (fun acc (k, v) -> f k v acc) init (bindings ?cmp tbl)
+
+(* The same snapshots for {!Itab}, whose keys are unique ints. *)
+
+let bindings_int tbl =
+  let items = Itab.fold (fun k v acc -> (k, v) :: acc) tbl [] in
+  List.sort (fun (ka, _) (kb, _) -> Int.compare ka kb) items
+
+let sorted_keys_int tbl = List.map fst (bindings_int tbl)
+
+let iter_sorted_int f tbl = List.iter (fun (k, v) -> f k v) (bindings_int tbl)
+
+let fold_sorted_int f tbl init =
+  List.fold_left (fun acc (k, v) -> f k v acc) init (bindings_int tbl)

@@ -10,9 +10,6 @@ val bindings : ?cmp:('k -> 'k -> int) -> ('k, 'v) Hashtbl.t -> ('k * 'v) list
     this repo are ints, strings or tuples of those).  Duplicate-key bindings
     keep most-recent-first order. *)
 
-val sorted_keys : ?cmp:('k -> 'k -> int) -> ('k, 'v) Hashtbl.t -> 'k list
-(** Keys in ascending order (one per binding, duplicates included). *)
-
 val iter_sorted :
   ?cmp:('k -> 'k -> int) -> ('k -> 'v -> unit) -> ('k, 'v) Hashtbl.t -> unit
 (** [iter_sorted f tbl] applies [f] to every binding in ascending key
@@ -25,3 +22,14 @@ val fold_sorted :
   'acc ->
   'acc
 (** [fold_sorted f tbl init] folds over bindings in ascending key order. *)
+
+(** {1 Int tables}
+
+    The same helpers over {!Itab.t}: bindings in ascending key order,
+    snapshotted first. *)
+
+val sorted_keys_int : 'v Itab.t -> int list
+
+val iter_sorted_int : (int -> 'v -> unit) -> 'v Itab.t -> unit
+
+val fold_sorted_int : (int -> 'v -> 'acc -> 'acc) -> 'v Itab.t -> 'acc -> 'acc

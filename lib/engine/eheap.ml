@@ -24,7 +24,7 @@ let length t = t.size
 let reserve t =
   let cap = Array.length t.seqs in
   if t.size = cap then begin
-    let cap' = max initial_capacity (2 * cap) in
+    let cap' = Int.max initial_capacity (2 * cap) in
     let keys = Array.make cap' 0. in (* alloc: cold — amortized growth *)
     let seqs = Array.make cap' 0 in (* alloc: cold — amortized growth *)
     let vals = Array.make cap' 0 in (* alloc: cold — amortized growth *)

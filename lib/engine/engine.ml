@@ -124,7 +124,7 @@ let target (type a) t (f : a -> unit) : a target =
   let id = t.n_dispatchers in
   let cap = Array.length t.dispatchers in
   if id = cap then begin
-    let cap' = max 8 (2 * cap) in
+    let cap' = Int.max 8 (2 * cap) in
     let d = Array.make cap' (fun (_ : Obj.t) -> ()) in (* alloc: cold — one-time registration *)
     Array.blit t.dispatchers 0 d 0 cap;
     t.dispatchers <- d
@@ -138,7 +138,7 @@ let target (type a) t (f : a -> unit) : a target =
 
 let grow t =
   let cap = Array.length t.gens in
-  let cap' = max 16 (2 * cap) in
+  let cap' = Int.max 16 (2 * cap) in
   if cap' > slot_mask then failwith "Engine: too many pending events"; (* alloc: cold — error path *)
   let disp = Array.make cap' 0 in (* alloc: cold — amortized growth *)
   let args = Array.make cap' no_arg in (* alloc: cold — amortized growth *)
@@ -169,17 +169,20 @@ let[@inline] alloc_slot t =
   slot
 
 (* Clearing [args] prevents the freed slot from pinning the last event's
-   payload (packets can be large).  A thunk's closure is left in place and
-   overwritten by the slot's next occupant — a steady-state loop re-arming
-   the same static thunk through the same slot then skips the
-   [caml_modify] write barrier entirely (see [schedule_cell]'s
-   physical-equality check).  The pinned closure is bounded by the slot
-   table's size and is typically a static function.  [disp] is rewritten
-   by every schedule, so it is left alone. *)
+   payload (packets can be large).  An immediate argument pins nothing,
+   so only a block is cleared: a slot re-armed with [()] (a CPU segment,
+   say) then keeps [no_arg] and its next schedule skips the store.  A
+   thunk's closure is left in place and overwritten by the slot's next
+   occupant — a steady-state loop re-arming the same static thunk through
+   the same slot then skips the [caml_modify] write barrier entirely (see
+   [set_arg]).  The pinned closure is bounded by the slot table's size
+   and is typically a static function.  [disp] is rewritten by every
+   schedule, so it is left alone. *)
 let[@inline] free_slot t slot =
   Array.unsafe_set t.gens slot (Array.unsafe_get t.gens slot + 1);
-  if Array.unsafe_get t.disp slot <> thunk_target then
-    Array.unsafe_set t.args slot no_arg;
+  if Array.unsafe_get t.disp slot <> thunk_target
+     && Obj.is_block (Array.unsafe_get t.args slot)
+  then Array.unsafe_set t.args slot no_arg;
   Bytes.unsafe_set t.state slot st_free;
   Array.unsafe_set t.free t.free_top slot;
   t.free_top <- t.free_top + 1
@@ -240,13 +243,17 @@ let[@inline] enqueue_cell t slot =
   enqueue t h;
   h
 
+(* Store a slot's argument only when it changes: the recycled slot often
+   still holds this exact value (a static thunk, [()], the same queue),
+   and an unchanged pointer store would still pay [caml_modify]. *)
+let[@inline] set_arg t slot v =
+  if Array.unsafe_get t.args slot != v then Array.unsafe_set t.args slot v
+
 let[@inline] schedule_cell t (fn : unit -> unit) =
   if t.cell.(0) < t.clock.(0) then schedule_in_past "schedule" t;
   let slot = alloc_slot t in
   t.disp.(slot) <- thunk_target;
-  (* the recycled slot often still holds this exact (static) thunk *)
-  let f = Obj.repr fn in
-  if Array.unsafe_get t.args slot != f then t.args.(slot) <- f;
+  set_arg t slot (Obj.repr fn);
   enqueue_cell t slot
 
 let schedule t ~at fn =
@@ -261,7 +268,7 @@ let[@inline] schedule_to_cell t tid v =
   if t.cell.(0) < t.clock.(0) then schedule_in_past "schedule_to" t;
   let slot = alloc_slot t in
   t.disp.(slot) <- tid;
-  t.args.(slot) <- Obj.repr v;
+  set_arg t slot (Obj.repr v);
   enqueue_cell t slot
 
 let schedule_to t ~at (tid : _ target) v =

@@ -109,7 +109,7 @@ let accounting ?(duration = Time.sec 8.) ?(jobs = 1)
            Api.tcp_listen server ~self lsock ~port:5001 ~backlog:4;
            let conn = Api.tcp_accept server ~self lsock in
            let rec drain () =
-             match Api.tcp_recv server ~self conn ~max:65_536 with
+             match Api.tcp_recv server conn ~max:65_536 with
              | `Data _ -> drain ()
              | `Eof -> ()
            in
@@ -124,7 +124,7 @@ let accounting ?(duration = Time.sec 8.) ?(jobs = 1)
            | `Refused -> ()
            | `Ok ->
                let rec pump () =
-                 match Api.tcp_send client ~self sock (Payload.synthetic 65_536) with
+                 match Api.tcp_send client sock (Payload.synthetic 65_536) with
                  | `Ok -> pump ()
                  | `Closed -> ()
                in

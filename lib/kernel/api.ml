@@ -172,10 +172,9 @@ let rec recv_blocking k (sock : Socket.t) =
     recv_blocking k sock
   end
 
-(* [recvfrom k ~self sock] blocks until a datagram is available and returns
+(* [recvfrom k sock] blocks until a datagram is available and returns
    it.  Under LRP, performs the protocol processing lazily here. *)
-let recvfrom k ~(self : Proc.t) (sock : Socket.t) =
-  ignore self;
+let recvfrom k (sock : Socket.t) =
   if sock.Socket.kind <> Socket.Dgram then
     (* alloc: cold — misuse error *)
     invalid_arg "Api.recvfrom: datagram sockets only";
@@ -191,10 +190,9 @@ let rec recv_until k (sock : Socket.t) expired =
     recv_until k sock expired
   end
 
-(* [recvfrom_timeout k ~self sock ~timeout] is [recvfrom] with a deadline:
+(* [recvfrom_timeout k sock ~timeout] is [recvfrom] with a deadline:
    [None] if no datagram arrived in time. *)
-let recvfrom_timeout k ~(self : Proc.t) (sock : Socket.t) ~timeout =
-  ignore self;
+let recvfrom_timeout k (sock : Socket.t) ~timeout =
   compute k (c k).Cost.syscall;
   let engine = Kernel.engine k in
   let deadline = Lrp_engine.Engine.now engine +. timeout in
@@ -217,8 +215,7 @@ let rec try_take k (sock : Socket.t) =
     | Some _ | None -> None
 
 (* Non-blocking variant: [None] when nothing is available right now. *)
-let try_recvfrom k ~(self : Proc.t) (sock : Socket.t) =
-  ignore self;
+let try_recvfrom k (sock : Socket.t) =
   compute k (c k).Cost.syscall;
   try_take k sock
 
@@ -310,10 +307,9 @@ let rec send_all k (sock : Socket.t) conn payload =
       send_all k sock conn payload
   | `Closed -> `Closed
 
-(* [tcp_send k ~self sock payload] queues the whole payload, blocking as the
+(* [tcp_send k sock payload] queues the whole payload, blocking as the
    send buffer fills.  Returns [`Closed] if the connection dies first. *)
-let tcp_send k ~(self : Proc.t) (sock : Socket.t) payload =
-  ignore self;
+let tcp_send k (sock : Socket.t) payload =
   let conn = conn_exn sock in
   compute k (c k).Cost.syscall;
   send_all k sock conn payload
@@ -336,9 +332,8 @@ let rec recv_wait k (sock : Socket.t) conn ~max =
       Proc.block sock.Socket.recv_wait;
       recv_wait k sock conn ~max
 
-(* [tcp_recv k ~self sock ~max] blocks for data; [`Eof] at end of stream. *)
-let tcp_recv k ~(self : Proc.t) (sock : Socket.t) ~max =
-  ignore self;
+(* [tcp_recv k sock ~max] blocks for data; [`Eof] at end of stream. *)
+let tcp_recv k (sock : Socket.t) ~max =
   let conn = conn_exn sock in
   compute k (c k).Cost.syscall;
   recv_wait k sock conn ~max
@@ -352,8 +347,7 @@ let set_owner k (sock : Socket.t) ~(owner : Proc.t) =
 (* Close                                                                *)
 (* ------------------------------------------------------------------ *)
 
-let close k ~(self : Proc.t) (sock : Socket.t) =
-  ignore self;
+let close k (sock : Socket.t) =
   if not sock.Socket.closed then begin
     compute k (c k).Cost.syscall;
     sock.Socket.closed <- true;

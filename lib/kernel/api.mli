@@ -57,7 +57,7 @@ val leave_group : Kernel.t -> Socket.t -> port:int -> unit
 (** Drop group membership; the last member's departure deallocates the
     shared channel. *)
 
-val close : Kernel.t -> self:Lrp_sim.Proc.t -> Socket.t -> unit
+val close : Kernel.t -> Socket.t -> unit
 (** Close a socket: releases ports/channels, initiates TCP teardown, and
     wakes any blocked callers (they observe {!Socket_closed} or EOF). *)
 
@@ -74,19 +74,16 @@ val udp_connect : 'a -> Socket.t -> remote:Lrp_net.Packet.ip * int -> unit
     any other source are silently discarded (BSD connected-UDP
     semantics). *)
 
-val recvfrom :
-  Kernel.t -> self:Lrp_sim.Proc.t -> Socket.t -> Socket.udp_datagram
+val recvfrom : Kernel.t -> Socket.t -> Socket.udp_datagram
 (** Block until a datagram is available.  Under LRP this is where protocol
     processing happens: raw packets are taken off the NI channel and run
     through IP/UDP in the caller's context. *)
 
 val recvfrom_timeout :
-  Kernel.t -> self:Lrp_sim.Proc.t -> Socket.t -> timeout:float ->
-  Socket.udp_datagram option
+  Kernel.t -> Socket.t -> timeout:float -> Socket.udp_datagram option
 (** [recvfrom] with a deadline; [None] if nothing arrived in time. *)
 
-val try_recvfrom :
-  Kernel.t -> self:Lrp_sim.Proc.t -> Socket.t -> Socket.udp_datagram option
+val try_recvfrom : Kernel.t -> Socket.t -> Socket.udp_datagram option
 (** Non-blocking receive: [None] when nothing is available right now. *)
 
 (** {1 TCP} *)
@@ -109,14 +106,12 @@ val tcp_connect :
     after the SYN retry budget ([`Refused]). *)
 
 val tcp_send :
-  Kernel.t -> self:Lrp_sim.Proc.t -> Socket.t -> Lrp_net.Payload.t ->
-  [> `Closed | `Ok ]
+  Kernel.t -> Socket.t -> Lrp_net.Payload.t -> [> `Closed | `Ok ]
 (** Queue the whole payload, blocking while the send buffer is full.
     [`Closed] if the connection dies first. *)
 
 val tcp_recv :
-  Kernel.t -> self:Lrp_sim.Proc.t -> Socket.t -> max:int ->
-  [> `Data of Lrp_net.Payload.t | `Eof ]
+  Kernel.t -> Socket.t -> max:int -> [> `Data of Lrp_net.Payload.t | `Eof ]
 (** Block for stream data (at most [max] bytes); [`Eof] after the peer's
     FIN once the buffer is drained.  Reading may emit a window update. *)
 

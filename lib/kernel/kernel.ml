@@ -53,6 +53,7 @@ open Lrp_net
 open Lrp_proto
 open Lrp_core
 module Trace = Lrp_trace.Trace
+module Itab = Lrp_det.Itab
 
 type arch = Bsd | Soft_lrp | Ni_lrp | Early_demux | Napi | Napi_gro | Rss
 
@@ -241,6 +242,11 @@ let null_ep =
   { ep_port = -1; ep_conn = Tcp.null_conn; ep_group = false; ep_socks = [];
     ep_owner = None; ep_chan = None }
 
+(* The endpoint bound to [port] in a port table, or [null_ep]. *)
+let port_ep tbl port =
+  let slot = Itab.find tbl port in
+  if slot >= 0 then Itab.value tbl slot else null_ep
+
 (* The kernel's interrupt work as typed jobs, registered once per kernel
    ({!Cpu.job}): posting one stores (job, object, int) in the CPU's work
    ring instead of allocating a closure per post. *)
@@ -289,11 +295,11 @@ type t = {
   mutable ipq_len : int;
   mbufs : Mbuf.t;
   (* --- endpoint tables --- *)
-  udp_ports : (int, ep) Hashtbl.t;  (* bound datagram sockets and groups *)
+  udp_ports : ep Itab.t;  (* bound datagram sockets and groups *)
   tcp_conns : Tcp.conn Flowtab.t;
       (* PCBs keyed like Chantab's TCP flows: [hi] = remote (source) IP,
          [lo] = remote port lsl 16 lor local port *)
-  tcp_listeners : (int, ep) Hashtbl.t;
+  tcp_listeners : ep Itab.t;
   eps : ep Flowtab.t;  (* connections and listeners by conn id ([hi]) *)
   (* --- LRP state --- *)
   parena : Parena.t;
@@ -306,7 +312,7 @@ type t = {
       (* endpoints with an open NI channel, by channel id ([hi]; [lo] =
          0); the chantab's three dedicated channels are not here *)
   mutable closed_discards : int;  (* early discards of closed channels *)
-  apps : (int, app) Hashtbl.t;             (* owner pid -> APP thread *)
+  apps : app Itab.t;  (* owner pid -> APP thread *)
   helper_wq : Proc.waitq;
   fwd_wq : Proc.waitq;
   mutable udp_eps : ep list;
@@ -346,7 +352,7 @@ let channels t =
 let now t = Engine.now t.engine
 
 (* Is [addr] one of this host's own addresses? *)
-let rec mem_addr addr = function
+let rec mem_addr (addr : Packet.ip) = function
   | [] -> false
   | (ip, _, _) :: rest -> ip = addr || mem_addr addr rest
 
@@ -565,7 +571,7 @@ let rec app_loop t app =
   end
   else if app.app_owner.Proc.exited then
     (* The APP thread dies with its process. *)
-    Hashtbl.remove t.apps app.app_owner.Proc.pid
+    Itab.remove t.apps app.app_owner.Proc.pid
   else begin
     if Trace.enabled t.tracer then
       Trace.notef t.tracer "app %s: block" app.app_owner.Proc.name;
@@ -607,32 +613,31 @@ and tcp_deliver t conn pkt ~ctx =
           charge_proto t ~flow:(-1) (t.c.Cost.lazy_locality *. cost)
       | `Soft ->
           (Cpu.cost_cell t.cpu).(0) <- cost;
-          Cpu.post_soft_job t.cpu ~label:"tcp-tx" ~tpkt:(-1) ~poll:false
-            (jobs t).j_tcp_tx () 0
+          Cpu.post_soft_job t.cpu ~tpkt:(-1) ~poll:false (jobs t).j_tcp_tx () 0
     end
   end
 
 and app_for t (owner : Proc.t) =
-  match Hashtbl.find t.apps owner.Proc.pid with
-  | app -> app
-  | exception Not_found ->
-      (* The rest runs once per process; its ring grows on first post. *)
-      let app =
-        (* alloc: cold — once per process *)
-        { app_owner = owner; app_wq = Proc.waitq "app";
-          aq_chan = [||]; aq_timer = [||]; aq_gen = [||]; aq_head = 0;
-          aq_len = 0 }
-      in
+  let slot = Itab.find t.apps owner.Proc.pid in
+  if slot >= 0 then Itab.value t.apps slot
+  else begin
+    (* The rest runs once per process; its ring grows on first post. *)
+    let app =
       (* alloc: cold — once per process *)
-      Hashtbl.replace t.apps owner.Proc.pid app;
-      (* alloc: cold — once per process *)
-      let name = "app-" ^ owner.Proc.name in
-      (* alloc: cold — once per process *)
-      let proc = Cpu.spawn t.cpu ~name (fun _self -> app_loop t app) in
-      (* Scheduled at the owner's priority; CPU usage charged to the owner
-         (paper section 3.4).  The accounting ablation skips this. *)
-      if t.cfg.fair_app_accounting then Cpu.set_account proc ~owner;
-      app
+      { app_owner = owner; app_wq = Proc.waitq "app";
+        aq_chan = [||]; aq_timer = [||]; aq_gen = [||]; aq_head = 0;
+        aq_len = 0 }
+    in
+    Itab.replace t.apps owner.Proc.pid app;
+    (* alloc: cold — once per process *)
+    let name = "app-" ^ owner.Proc.name in
+    (* alloc: cold — once per process *)
+    let proc = Cpu.spawn t.cpu ~name (fun _self -> app_loop t app) in
+    (* Scheduled at the owner's priority; CPU usage charged to the owner
+       (paper section 3.4).  The accounting ablation skips this. *)
+    if t.cfg.fair_app_accounting then Cpu.set_account proc ~owner;
+    app
+  end
 
 (* Double an APP thread's ring (8 rows at first), unrolling the live rows
    to index 0. *)
@@ -668,8 +673,7 @@ let orphan_post t ch =
   (Cpu.cost_cell t.cpu).(0) <-
     t.c.Cost.soft_dispatch
     +. (t.c.Cost.eager_penalty *. (t.c.Cost.ip_in +. t.c.Cost.tcp_in));
-  Cpu.post_soft_job t.cpu ~label:"tcp-orphan" ~tpkt:(-1) ~poll:false
-    (jobs t).j_orphan ch 0
+  Cpu.post_soft_job t.cpu ~tpkt:(-1) ~poll:false (jobs t).j_orphan ch 0
 
 let orphan_drain t ch =
   let pkt = Channel.pop ch in
@@ -701,7 +705,7 @@ let app_post_timer t conn tm gen =
       (* Orphaned connection (e.g. TIME_WAIT after exit): fall back to
          software-interrupt context so it still makes progress. *)
       (Cpu.cost_cell t.cpu).(0) <- t.c.Cost.soft_dispatch +. t.c.Cost.tcp_in;
-      Cpu.post_soft_job t.cpu ~label:"tcp-timer" ~tpkt:(-1) ~poll:false
+      Cpu.post_soft_job t.cpu ~tpkt:(-1) ~poll:false
         (jobs t).j_tcp_timer tm gen
 
 (* ------------------------------------------------------------------ *)
@@ -762,7 +766,7 @@ let rec drop_queued ch n =
 let release_ep t ep =
   let conn = ep.ep_conn and port = ep.ep_port in
   (if conn == Tcp.null_conn then begin
-     Hashtbl.remove t.udp_ports port;
+     Itab.remove t.udp_ports port;
      t.udp_eps <- List.filter (fun e -> e != ep) t.udp_eps;
      match ep.ep_chan, ep.ep_socks with
      | Some ch, s :: _ ->
@@ -772,7 +776,7 @@ let release_ep t ep =
    end
    else begin
      (match conn.Tcp.remote with
-      | None -> Hashtbl.remove t.tcp_listeners port
+      | None -> Itab.remove t.tcp_listeners port
       | Some (rip, rport) ->
           let lo = pcb_lo ~rport ~lport:port in
           let slot = Flowtab.find t.tcp_conns ~hi:rip ~lo in
@@ -788,16 +792,16 @@ let register t conn ~socks ~owner =
   let port = conn.Tcp.local_port in
   let ep = open_ep t ~port ~conn ~socks ~owner in
   (match conn.Tcp.remote with
-   | None -> Hashtbl.replace t.tcp_listeners port ep
+   | None -> Itab.replace t.tcp_listeners port ep
    | Some (rip, rport) ->
        Flowtab.add t.tcp_conns ~hi:rip ~lo:(pcb_lo ~rport ~lport:port) conn);
   Flowtab.add_new t.eps ~hi:conn.Tcp.id ~lo:0 ep
 
 let bind t (sock : Socket.t) ~owner ~port =
-  if Hashtbl.mem t.udp_ports port then invalid_arg "Kernel.bind: port in use";
+  if Itab.mem t.udp_ports port then invalid_arg "Kernel.bind: port in use";
   sock.Socket.port <- Some port;
   let ep = open_ep t ~port ~conn:Tcp.null_conn ~socks:[ sock ] ~owner in
-  Hashtbl.replace t.udp_ports port ep;
+  Itab.replace t.udp_ports port ep;
   if Option.is_some ep.ep_chan then t.udp_eps <- ep :: t.udp_eps;
   sock.Socket.chan <- ep.ep_chan
 
@@ -805,12 +809,12 @@ let bind t (sock : Socket.t) ~owner ~port =
    packets from its one channel (section 3.1). *)
 let join_group t (sock : Socket.t) ~owner ~port =
   let ep =
-    match Hashtbl.find_opt t.udp_ports port with
+    match Itab.find_opt t.udp_ports port with
     | Some ep when ep.ep_group -> ep
     | Some _ -> invalid_arg "Kernel.join_group: port bound by a unicast socket"
     | None ->
         let ep = open_ep ~group:true t ~port ~conn:Tcp.null_conn ~socks:[] ~owner in
-        Hashtbl.replace t.udp_ports port ep;
+        Itab.replace t.udp_ports port ep;
         ep
   in
   sock.Socket.port <- Some port;
@@ -819,7 +823,7 @@ let join_group t (sock : Socket.t) ~owner ~port =
 
 (* The group's channel stays until its last member leaves. *)
 let leave_group t (sock : Socket.t) ~port =
-  match Hashtbl.find_opt t.udp_ports port with
+  match Itab.find_opt t.udp_ports port with
   | Some ep when ep.ep_group ->
       (match List.filter (fun s -> s.Socket.id <> sock.Socket.id) ep.ep_socks with
        | [] ->
@@ -833,7 +837,7 @@ let leave_group t (sock : Socket.t) ~port =
    free the datagrams left on its queue.  Every frame the socket still
    held counts once, as a socket-queue drop. *)
 let close_dgram t (sock : Socket.t) =
-  (match Option.bind sock.Socket.port (Hashtbl.find_opt t.udp_ports) with
+  (match Option.bind sock.Socket.port (Itab.find_opt t.udp_ports) with
    | Some ep when ep.ep_group -> leave_group t sock ~port:ep.ep_port
    | Some ep when List.memq sock ep.ep_socks -> release_ep t ep
    | Some _ | None -> ());
@@ -860,7 +864,8 @@ let attach t (sock : Socket.t) (conn : Tcp.conn) ~owner =
 
 (* Open the endpoint of a listener or an actively opened connection. *)
 let open_conn t sock (conn : Tcp.conn) ~owner =
-  if conn.Tcp.remote = None && Hashtbl.mem t.tcp_listeners conn.Tcp.local_port
+  if Option.is_none conn.Tcp.remote
+     && Itab.mem t.tcp_listeners conn.Tcp.local_port
   then invalid_arg "Kernel.open_conn: port in use";
   register t conn ~socks:[] ~owner:(Some owner);
   attach t sock conn ~owner
@@ -880,7 +885,7 @@ let fire_tcp_timer t tm =
   | Eager ->
       (Cpu.cost_cell t.cpu).(0) <-
         t.c.Cost.soft_dispatch +. (t.c.Cost.eager_penalty *. t.c.Cost.tcp_in);
-      Cpu.post_soft_job t.cpu ~label:"tcp-timer" ~tpkt:(-1) ~poll:false
+      Cpu.post_soft_job t.cpu ~tpkt:(-1) ~poll:false
         (jobs t).j_tcp_timer tm gen
   | Lazy -> app_post_timer t (Tcp.timer_conn tm) tm gen
 
@@ -1006,19 +1011,19 @@ let deliver_udp_ready t ~row (pkt : Packet.t) =
       if Packet.is_multicast pkt then begin
         (* The original chain is released; members get duplicates. *)
         free_rx_pkt t row;
-        match Hashtbl.find t.udp_ports u.Packet.udst_port with
+        match port_ep t.udp_ports u.Packet.udst_port with
         | { ep_group = true; ep_socks; _ } ->
             deposit_members t pkt payload sport ep_socks
-        | _ | (exception Not_found) ->
+        | _ ->
             t.stats.no_port_drops <- t.stats.no_port_drops + 1
       end
       else
-        (match Hashtbl.find t.udp_ports u.Packet.udst_port with
+        (match port_ep t.udp_ports u.Packet.udst_port with
          | { ep_group = false; ep_socks = sock :: _; _ } ->
              if peer_accepts t sock pkt sport then
                deposit t sock pkt payload sport ~row
              else free_rx_pkt t row
-         | _ | (exception Not_found) ->
+         | _ ->
              t.stats.no_port_drops <- t.stats.no_port_drops + 1;
              free_rx_pkt t row)
   | Packet.Tcp _ | Packet.Icmp _ | Packet.Fragment _ -> free_rx_pkt t row
@@ -1043,9 +1048,7 @@ let pcb_lookup t ~src (h : Packet.tcp_header) =
   in
   if slot >= 0 then Flowtab.value t.tcp_conns slot
   else
-    match Hashtbl.find t.tcp_listeners h.Packet.tdst_port with
-    | l -> l.ep_conn
-    | exception Not_found -> Tcp.null_conn
+    (port_ep t.tcp_listeners h.Packet.tdst_port).ep_conn
 
 (* Hand a segment to its endpoint; [false] when none matches. *)
 let deliver_tcp t (pkt : Packet.t) ~ctx =
@@ -1119,8 +1122,8 @@ let[@inline] eager_soft_cost t (pkt : Packet.t) ~ipq ~skip_pcb =
    the datagram's row. *)
 let post_reasm_complete t (whole : Packet.t) ~row ~skip_pcb =
   (Cpu.cost_cell t.cpu).(0) <- transport_cost t whole ~skip_pcb;
-  Cpu.post_soft_job t.cpu ~label:"ip-reasm-complete"
-    ~tpkt:whole.Packet.ip.Packet.ident ~poll:false (jobs t).j_reasm whole row
+  Cpu.post_soft_job t.cpu ~tpkt:whole.Packet.ip.Packet.ident ~poll:false
+    (jobs t).j_reasm whole row
 
 (* A fragment in softint context goes through the reassembler; an
    incomplete datagram's fragments wait there, folded into one row. *)
@@ -1167,7 +1170,7 @@ let bsd_driver_rx t pkt =
       ~qlen:t.ipq_len;
     (Cpu.cost_cell t.cpu).(0) <-
       eager_soft_cost t pkt ~ipq:t.c.Cost.ipq_op ~skip_pcb:false;
-    Cpu.post_soft_job t.cpu ~label:"softnet" ~tpkt:pkt.Packet.ip.Packet.ident
+    Cpu.post_soft_job t.cpu ~tpkt:pkt.Packet.ip.Packet.ident
       ~poll:false (jobs t).j_softnet pkt row
   end
 
@@ -1425,14 +1428,13 @@ let napi_deliver_batch t n =
    would then be serviced entirely at interrupt priority. *)
 let napi_post_poll t n =
   (Cpu.cost_cell t.cpu).(0) <- t.c.Cost.poll_loop;
-  Cpu.post_soft_job t.cpu ~label:"napi-poll" ~tpkt:(-1) ~poll:true
-    (jobs t).j_napi_poll n 0
+  Cpu.post_soft_job t.cpu ~tpkt:(-1) ~poll:true (jobs t).j_napi_poll n 0
 
 let napi_softirq_round t n =
   Trace.poll_begin t.tracer ~q:n.nq ~pending:(Nic.rxq_len t.nic n.nq);
   napi_collect t n;
   (Cpu.cost_cell t.cpu).(0) <- n.nf.(nf_cost);
-  Cpu.post_soft_job t.cpu ~label:"napi-poll" ~tpkt:(-1) ~poll:true
+  Cpu.post_soft_job t.cpu ~tpkt:(-1) ~poll:true
     (jobs t).j_napi_deliver n 0
 
 let napi_round_done t n =
@@ -1470,7 +1472,7 @@ let napi_irq t qi =
 
 let napi_kick t qi =
   (Cpu.cost_cell t.cpu).(0) <- t.c.Cost.napi_irq;
-  Cpu.post_hard_job t.cpu ~label:"napi-irq" ~tpkt:(-1) (jobs t).j_napi_irq () qi
+  Cpu.post_hard_job t.cpu ~tpkt:(-1) (jobs t).j_napi_irq () qi
 
 (* Process-context polling: once a softirq chain defers, the queue's
    ksoftirqd repolls under the fair scheduler — poll cycles now compete
@@ -1529,7 +1531,7 @@ let ksoftirqd_loop t n =
    job, so a per-packet wakeup allocates nothing. *)
 let ni_intr t j x =
   (Cpu.cost_cell t.cpu).(0) <- t.c.Cost.ni_wakeup_intr;
-  Cpu.post_hard_job t.cpu ~label:"ni-intr" ~tpkt:(-1) j x 0
+  Cpu.post_hard_job t.cpu ~tpkt:(-1) j x 0
 
 let ni_wake_one t wq =
   match t.demux with
@@ -1633,18 +1635,18 @@ let edemux_eager t (pkt : Packet.t) =
   let row = rx_reserve t pkt in
   if row <> Parena.none then begin
     (Cpu.cost_cell t.cpu).(0) <- eager_soft_cost t pkt ~ipq:0. ~skip_pcb:true;
-    Cpu.post_soft_job t.cpu ~label:"softnet" ~tpkt:pkt.Packet.ip.Packet.ident
+    Cpu.post_soft_job t.cpu ~tpkt:pkt.Packet.ip.Packet.ident
       ~poll:false (jobs t).j_edemux_soft pkt row
   end
 
 (* Early discard on a full receiver queue — but processing stays eager.
    A group datagram is discarded only when no member's queue has room. *)
 let edemux_udp t pkt ~dst_port =
-  match Hashtbl.find t.udp_ports dst_port with
-  | ep when (not ep.ep_group) || Packet.is_multicast pkt ->
-      if List.exists Socket.has_room ep.ep_socks then edemux_eager t pkt
-      else edemux_drop t pkt
-  | _ | (exception Not_found) -> edemux_drop t pkt
+  let ep = port_ep t.udp_ports dst_port in
+  if ep != null_ep && ((not ep.ep_group) || Packet.is_multicast pkt)
+     && List.exists Socket.has_room ep.ep_socks
+  then edemux_eager t pkt
+  else edemux_drop t pkt
 
 (* Early discard on a full receive buffer or, for a SYN, a full listen
    backlog, probing the PCBs with the ports straight off the
@@ -1672,8 +1674,7 @@ let edemux_rx t pkt =
   if is_transit t pkt then begin
     if t.cfg.forwarding then begin
       (Cpu.cost_cell t.cpu).(0) <- eager_soft_cost t pkt ~ipq:0. ~skip_pcb:true;
-      Cpu.post_soft_job t.cpu ~label:"ip-forward" ~tpkt:(-1) ~poll:false
-        (jobs t).j_forward pkt 0
+      Cpu.post_soft_job t.cpu ~tpkt:(-1) ~poll:false (jobs t).j_forward pkt 0
     end
     else t.stats.fwd_drops <- t.stats.fwd_drops + 1
   end
@@ -1706,13 +1707,11 @@ let rx_dispatch t pkt =
          poll loop without going through it); secondary interfaces of a
          multi-homed host fall back to the eager BSD path. *)
       cost.(0) <- t.c.Cost.hard_rx +. t.c.Cost.ipq_op;
-      Cpu.post_hard_job_tail t.cpu ~label:"rx-intr" ~tpkt (jobs t).j_driver_rx
-        pkt 0
+      Cpu.post_hard_job_tail t.cpu ~tpkt (jobs t).j_driver_rx pkt 0
   | Hardirq ->
       (* Soft demux: classification runs in the hardware interrupt. *)
       cost.(0) <- t.c.Cost.hard_rx +. t.c.Cost.demux;
-      Cpu.post_hard_job_tail t.cpu ~label:"rx-demux" ~tpkt (jobs t).j_demux_rx
-        pkt 0
+      Cpu.post_hard_job_tail t.cpu ~tpkt (jobs t).j_demux_rx pkt 0
   | Nic ->
       (* NI demux: classification runs on the interface's embedded
          processor — zero host CPU. *)
@@ -1913,12 +1912,12 @@ let create engine fabric ~name ~ip cfg =
       ipq_len = 0; mbufs = Mbuf.create ~capacity:mbuf_capacity ();
       parena;
       interfaces = [ (ip, 24, nic) ];
-      udp_ports = Hashtbl.create 64;
+      udp_ports = Itab.create 8;
       tcp_conns = Flowtab.create ~dummy:Tcp.null_conn ();
-      tcp_listeners = Hashtbl.create 16;
+      tcp_listeners = Itab.create 8;
       eps = Flowtab.create ~dummy:null_ep (); chantab;
       chans = Flowtab.create ~dummy:null_ep (); closed_discards = 0;
-      apps = Hashtbl.create 16;
+      apps = Itab.create 8;
       helper_wq = Proc.waitq "udp-helper"; fwd_wq = Proc.waitq "ipfwdd";
       udp_eps = []; napi = [||]; rxj = None;
       reasm = Ip.Reasm.create parena;
@@ -1933,33 +1932,43 @@ let create engine fabric ~name ~ip cfg =
   in
   t.rxj <-
     Some
-      { j_driver_rx = Cpu.job (fun pkt _ -> bsd_driver_rx t pkt);
+      { j_driver_rx =
+          Cpu.job cpu ~label:"rx-intr" (fun pkt _ -> bsd_driver_rx t pkt);
         j_demux_rx =
-          Cpu.job (fun pkt _ ->
+          Cpu.job cpu ~label:"rx-demux" (fun pkt _ ->
               match t.proto with
               | Lazy -> lrp_classify_rx t pkt
               | Eager -> edemux_rx t pkt);
         j_softnet =
-          Cpu.job (fun pkt row ->
+          Cpu.job cpu ~label:"softnet" (fun pkt row ->
               t.ipq_len <- t.ipq_len - 1;
               ip_input t ~row pkt);
         j_edemux_soft =
-          Cpu.job (fun pkt row -> ip_input_local t ~row pkt ~skip_pcb:true);
-        j_wake = Cpu.job (fun wq _ -> wake_one t wq);
-        j_napi_irq = Cpu.job (fun () qi -> napi_irq t qi);
-        j_napi_poll = Cpu.job (fun n _ -> napi_softirq_round t n);
-        j_napi_deliver = Cpu.job (fun n _ -> napi_round_done t n);
-        j_wake_ep = Cpu.job (fun ep _ -> wake_members t ep.ep_socks);
+          Cpu.job cpu ~label:"softnet" (fun pkt row ->
+              ip_input_local t ~row pkt ~skip_pcb:true);
+        j_wake = Cpu.job cpu ~label:"ni-intr" (fun wq _ -> wake_one t wq);
+        j_napi_irq = Cpu.job cpu ~label:"napi-irq" (fun () qi -> napi_irq t qi);
+        j_napi_poll =
+          Cpu.job cpu ~label:"napi-poll" (fun n _ -> napi_softirq_round t n);
+        j_napi_deliver =
+          Cpu.job cpu ~label:"napi-poll" (fun n _ -> napi_round_done t n);
+        j_wake_ep =
+          Cpu.job cpu ~label:"ni-intr" (fun ep _ -> wake_members t ep.ep_socks);
         j_app_chan =
-          Cpu.job (fun ch _ ->
+          Cpu.job cpu ~label:"ni-intr" (fun ch _ ->
               let ep = chan_ep t ch in
               if ep != null_ep then app_post_chan t ep ch);
-        j_orphan = Cpu.job (fun ch _ -> orphan_drain t ch);
-        j_tcp_timer = Cpu.job (fun tm gen -> Tcp.timer_fired tm ~gen);
-        j_tcp_tx = Cpu.job (fun () _ -> ());
+        j_orphan =
+          Cpu.job cpu ~label:"tcp-orphan" (fun ch _ -> orphan_drain t ch);
+        j_tcp_timer =
+          Cpu.job cpu ~label:"tcp-timer" (fun tm gen ->
+              Tcp.timer_fired tm ~gen);
+        j_tcp_tx = Cpu.job cpu ~label:"tcp-tx" (fun () _ -> ());
         j_reasm =
-          Cpu.job (fun whole row -> bsd_transport_input t ~row whole);
-        j_forward = Cpu.job (fun pkt _ -> forward t pkt);
+          Cpu.job cpu ~label:"ip-reasm-complete" (fun whole row ->
+              bsd_transport_input t ~row whole);
+        j_forward =
+          Cpu.job cpu ~label:"ip-forward" (fun pkt _ -> forward t pkt);
         g_tcp_timer = Engine.target engine (fun tm -> fire_tcp_timer t tm);
         g_rcvto =
           Engine.target engine (fun (sock, expired) ->
@@ -1989,7 +1998,7 @@ let create engine fabric ~name ~ip cfg =
     in
     t.napi <-
       Array.init queues (fun qi ->
-          let cap = max 1 (min cfg.napi_budget rx_ring) in
+          let cap = Int.max 1 (Int.min cfg.napi_budget rx_ring) in
           { nq = qi; poll_on = false; episode = 0; in_ksoftirqd = false;
             ksoftirqd_wq = Proc.waitq "ksoftirqd";
             b_rows = Array.make cap Parena.none; b_len = 0; served = 0;
@@ -2020,8 +2029,8 @@ let create engine fabric ~name ~ip cfg =
 let fresh_port t =
   let rec try_port () =
     t.eph_port <- (if t.eph_port >= 65_000 then 20_000 else t.eph_port + 1);
-    if Hashtbl.mem t.udp_ports t.eph_port
-       || Hashtbl.mem t.tcp_listeners t.eph_port
+    if Itab.mem t.udp_ports t.eph_port
+       || Itab.mem t.tcp_listeners t.eph_port
     then try_port ()
     else t.eph_port
   in

@@ -162,12 +162,12 @@ type t = private {
   ip_addr : Lrp_net.Packet.ip;
   mutable ipq_len : int;
   mbufs : Lrp_net.Mbuf.t;
-  udp_ports : (int, ep) Hashtbl.t;  (** datagram sockets and groups *)
+  udp_ports : ep Lrp_det.Itab.t;  (** datagram sockets and groups *)
   tcp_conns : Lrp_proto.Tcp.conn Lrp_core.Flowtab.t;
       (** PCBs of connections (not listeners), keyed like the channel
           table's TCP flows: [hi] = remote IP, [lo] = remote port [lsl 16]
           [lor] local port *)
-  tcp_listeners : (int, ep) Hashtbl.t;
+  tcp_listeners : ep Lrp_det.Itab.t;
   eps : ep Lrp_core.Flowtab.t;  (** connections and listeners by conn id *)
   parena : Lrp_net.Parena.t;
       (** the one table of received frames still held, under every
@@ -178,7 +178,7 @@ type t = private {
   chans : ep Lrp_core.Flowtab.t;
       (** endpoints with an open channel, by channel id ([hi]; [lo] = 0) *)
   mutable closed_discards : int;  (** early discards of closed channels *)
-  apps : (int, app) Hashtbl.t;
+  apps : app Lrp_det.Itab.t;
   helper_wq : Lrp_sim.Proc.waitq;
   fwd_wq : Lrp_sim.Proc.waitq;
   mutable udp_eps : ep list;

@@ -146,7 +146,7 @@ type t = {
   prop_delay : float;          (* per link, us *)
   switch_latency : float;      (* fixed forwarding latency, us *)
   buffer_us : float;           (* max queueing backlog per port, us *)
-  ports : (Packet.ip, port) Hashtbl.t;
+  ports : port Lrp_det.Itab.t;
   mutable total_drops : int;
   loss_rng : Rng.t;  (* the fault stream each port's [frng] splits off *)
   mutable default_port : Packet.ip option;
@@ -172,20 +172,20 @@ let create engine ?(bandwidth_mbps = 155.) ?(prop_delay = 5.)
     ?(switch_latency = 10.) ?(buffer_us = 10_000.) () =
   { engine; clock = Engine.clock_cell engine; at = [| 0. |];
     bandwidth = Nic.mbps_to_bytes_per_us bandwidth_mbps; prop_delay;
-    switch_latency; buffer_us; ports = Hashtbl.create 8; total_drops = 0;
+    switch_latency; buffer_us; ports = Lrp_det.Itab.create 8; total_drops = 0;
     loss_rng = Rng.split (Engine.rng engine);
     default_port = None; uplink = None; offered = 0; delivered = 0;
     duplicated = 0; fault_lost = 0; corrupted = 0; reordered = 0 }
 
 let rec attach t nic =
   let ip = Nic.ip nic in
-  if Hashtbl.mem t.ports ip then
+  if Lrp_det.Itab.mem t.ports ip then
     invalid_arg "Fabric.attach: duplicate IP address";
   let port =
     { nic; rx_tgt = Engine.target t.engine (fun pkt -> Nic.receive nic pkt);
       busy_until = [| Time.zero |]; rx_frames = 0; drops = 0; fstate = None }
   in
-  Hashtbl.replace t.ports ip port;
+  Lrp_det.Itab.replace t.ports ip port;
   Nic.set_deliver nic (fun pkt -> forward t pkt)
 
 (* The per-frame path allocates nothing: ports are found without an
@@ -197,24 +197,24 @@ and forward t pkt =
   t.at.(0) <- t.clock.(0);
   if Packet.is_multicast pkt then forward_multicast t pkt
   else
-    match Hashtbl.find t.ports (Packet.dst pkt) with
-    | port -> deliver_to t port pkt
-    | exception Not_found ->
-        (* Off-link destination: try the cross-cell uplink first
-           (sharded topologies), then the default gateway, else drop as
-           a real switch would. *)
-        (match t.uplink with
-         | Some up when
-             (let c = up.up_resolve (Packet.dst pkt) in
-              c >= 0 && c <> up.up_cell) ->
-             uplink_forward t up pkt
-         | Some _ | None -> gateway_or_drop t pkt)
+    let slot = Lrp_det.Itab.find t.ports (Packet.dst pkt) in
+    if slot >= 0 then deliver_to t (Lrp_det.Itab.value t.ports slot) pkt
+    else
+      (* Off-link destination: try the cross-cell uplink first (sharded
+         topologies), then the default gateway, else drop as a real
+         switch would. *)
+      match t.uplink with
+      | Some up when
+          (let c = up.up_resolve (Packet.dst pkt) in
+           c >= 0 && c <> up.up_cell) ->
+          uplink_forward t up pkt
+      | Some _ | None -> gateway_or_drop t pkt
 
 (* Multicast: replicate to every port except the sender's, in address
    order so the replication (and any induced queueing) is independent of
    hash-table layout. *)
 and forward_multicast t pkt =
-  Lrp_det.Det.iter_sorted
+  Lrp_det.Det.iter_sorted_int
     (fun ip port ->
       if ip <> Packet.src pkt then begin
         t.at.(0) <- t.clock.(0);
@@ -225,9 +225,9 @@ and forward_multicast t pkt =
 and gateway_or_drop t pkt =
   match t.default_port with
   | Some gw_ip ->
-      (match Hashtbl.find t.ports gw_ip with
-       | port -> deliver_to t port pkt
-       | exception Not_found -> switch_drop t)
+      let slot = Lrp_det.Itab.find t.ports gw_ip in
+      if slot >= 0 then deliver_to t (Lrp_det.Itab.value t.ports slot) pkt
+      else switch_drop t
   | None -> switch_drop t
 
 and switch_drop t =
@@ -394,7 +394,7 @@ let flush_held t port h =
 
 let set_link_faults t ~ip f =
   Faults.validate f;
-  match Hashtbl.find_opt t.ports ip with
+  match Lrp_det.Itab.find_opt t.ports ip with
   | None -> invalid_arg "Fabric.set_link_faults: no such port"
   | Some port -> (
       match port.fstate with
@@ -411,12 +411,12 @@ let set_faults t f =
   Faults.validate f;
   (* Deterministic split order regardless of hash-table iteration: visit the
      attached addresses in sorted order. *)
-  Lrp_det.Det.sorted_keys t.ports
+  Lrp_det.Det.sorted_keys_int t.ports
   |> List.iter (fun ip -> set_link_faults t ~ip f)
 
 let fault_stats t =
   let held_now =
-    Lrp_det.Det.fold_sorted
+    Lrp_det.Det.fold_sorted_int
       (fun _ port acc ->
         match port.fstate with
         | Some fs -> acc + List.length fs.fheld
@@ -430,7 +430,7 @@ let fault_stats t =
 (* [set_default_gateway t ~ip] routes frames for unknown destinations to
    the port attached as [ip] (a forwarding host). *)
 let set_default_gateway t ~ip =
-  if not (Hashtbl.mem t.ports ip) then
+  if not (Lrp_det.Itab.mem t.ports ip) then
     invalid_arg "Fabric.set_default_gateway: no such port";
   t.default_port <- Some ip
 
@@ -446,9 +446,9 @@ let inject_now t pkt =
    | Some up -> up.up_rx <- up.up_rx + 1
    | None -> ());
   t.at.(0) <- t.clock.(0);
-  match Hashtbl.find_opt t.ports (Packet.dst pkt) with
-  | Some port -> deliver_to t port pkt
-  | None -> gateway_or_drop t pkt
+  let slot = Lrp_det.Itab.find t.ports (Packet.dst pkt) in
+  if slot >= 0 then deliver_to t (Lrp_det.Itab.value t.ports slot) pkt
+  else gateway_or_drop t pkt
 
 let set_uplink t ~cell ~resolve ~latency ~min_latency
     ?(bandwidth_mbps = 622.) ?(buffer_us = 10_000.) () =

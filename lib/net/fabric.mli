@@ -122,7 +122,7 @@ type t = {
   prop_delay : float;
   switch_latency : float;
   buffer_us : float;
-  ports : (Packet.ip, port) Hashtbl.t;
+  ports : port Lrp_det.Itab.t;
   mutable total_drops : int;
   loss_rng : Lrp_engine.Rng.t;
   mutable default_port : Packet.ip option;

@@ -22,7 +22,7 @@ let create ?(mbuf_size = 128) ~capacity () =
   if capacity <= 0 then invalid_arg "Mbuf.create: capacity must be positive";
   { capacity; mbuf_size; in_use = 0; peak = 0 }
 
-let[@inline] mbufs_for t bytes = max 1 ((bytes + t.mbuf_size - 1) / t.mbuf_size)
+let[@inline] mbufs_for t bytes = Int.max 1 ((bytes + t.mbuf_size - 1) / t.mbuf_size)
 
 let[@inline] take t n =
   t.in_use + n <= t.capacity

@@ -51,14 +51,15 @@ type t = {
   bandwidth : float;        (* bytes per microsecond *)
   cellify : bool;           (* AAL5: pad to 48-byte cells, 53 on the wire *)
   ifq_limit : int;
-  (* Transmit descriptors live in a private SoA arena; the interface
-     queue is a flat ring of arena handles sized exactly [ifq_limit]
-     (transmit drops at the limit, so it cannot overflow).  The arena
-     caches each frame's [Packet.wire_bytes] at enqueue, so the drain
-     loop computes serialisation time without re-walking the body.
-     Emptied slots are reset to [Parena.none]. *)
-  txa : Parena.t;
-  ifq : Parena.handle array;
+  (* The interface queue: a ring of frames sized exactly [ifq_limit]
+     (transmit drops at the limit, so it cannot overflow), with each
+     frame's [Packet.wire_bytes] cached at enqueue in an int column, so
+     the drain loop computes serialisation time without re-walking the
+     body.  Emptied slots are reset to [Packet.null].  A frame sent on an
+     idle interface starts serialising at once and never enters the
+     ring. *)
+  ifq : Packet.t array;
+  ifq_wire : int array;
   mutable ifq_head : int;
   mutable ifq_count : int;
   mutable tx_busy : bool;
@@ -84,8 +85,8 @@ let create engine ~ip ?(bandwidth_mbps = 155.) ?(cellify = true)
     ?(ifq_limit = 64) () =
   { engine; ip;
     bandwidth = mbps_to_bytes_per_us bandwidth_mbps; cellify; ifq_limit;
-    txa = Parena.create ();
-    ifq = Array.make (max 1 ifq_limit) Parena.none;
+    ifq = Array.make (max 1 ifq_limit) Packet.null;
+    ifq_wire = Array.make (max 1 ifq_limit) 0;
     ifq_head = 0; ifq_count = 0; tx_busy = false;
     rx_handler = (fun _ -> ());
     deliver = (fun _ -> ());
@@ -120,27 +121,28 @@ let footprint_of_bytes t b =
     cells * 53
   else b
 
-let rec drain t =
+(* Start serialising [pkt], [bytes] long on the wire. *)
+let rec start_tx t pkt bytes =
+  t.tx_busy <- true;
+  t.stats.tx_packets <- t.stats.tx_packets + 1;
+  t.stats.tx_bytes <- t.stats.tx_bytes + bytes;
+  (* Staged deadline: the serialisation delay is computed per frame, and
+     passing it as a [~delay] argument would box it — the staging cell
+     keeps the whole transmit cycle at 0.0 minor words. *)
+  (Engine.deadline_cell t.engine).(0) <-
+    (Engine.clock_cell t.engine).(0)
+    +. (float_of_int (footprint_of_bytes t bytes) /. t.bandwidth);
+  ignore (Engine.schedule_to_staged t.engine (tx_target t) pkt)
+
+and drain t =
   if t.ifq_count = 0 then t.tx_busy <- false
   else begin
-    let h = t.ifq.(t.ifq_head) in
-    t.ifq.(t.ifq_head) <- Parena.none;
-    let head' = t.ifq_head + 1 in
-    t.ifq_head <- (if head' >= Array.length t.ifq then 0 else head');
+    let i = t.ifq_head in
+    let pkt = t.ifq.(i) in
+    t.ifq.(i) <- Packet.null;
+    t.ifq_head <- (if i + 1 >= Array.length t.ifq then 0 else i + 1);
     t.ifq_count <- t.ifq_count - 1;
-    t.tx_busy <- true;
-    let pkt = Parena.pkt t.txa h in
-    let bytes = Parena.wire_bytes t.txa h in
-    t.stats.tx_packets <- t.stats.tx_packets + 1;
-    t.stats.tx_bytes <- t.stats.tx_bytes + bytes;
-    (* Staged deadline: the serialisation delay is computed per frame, and
-       passing it as a [~delay] argument would box it — the staging cell
-       keeps the whole transmit cycle at 0.0 minor words. *)
-    (Engine.deadline_cell t.engine).(0) <-
-      (Engine.clock_cell t.engine).(0)
-      +. (float_of_int (footprint_of_bytes t bytes) /. t.bandwidth);
-    ignore (Engine.schedule_to_staged t.engine (tx_target t) pkt);
-    Parena.release t.txa h
+    start_tx t pkt t.ifq_wire.(i)
   end
 
 (* Tx-complete dispatcher, registered on the first transmission: deliver
@@ -160,28 +162,29 @@ and tx_target t =
       t.tx_done <- Some g;
       g
 
-(* [transmit t pkt] is the driver's if_output: admit the frame into the
-   TX arena, enqueue its handle and kick the transmitter.  Returns
-   [false] on queue overflow (checked before acquiring, so a dropped
-   frame never touches the arena). *)
+(* [transmit t pkt] is the driver's if_output: start the frame on an
+   idle interface, else append it to the interface queue.  Returns
+   [false] on queue overflow.  The queue is empty whenever the
+   transmitter is idle ([drain] idles it only then). *)
 let transmit t pkt =
   if t.ifq_count >= t.ifq_limit then begin
     t.stats.tx_drops <- t.stats.tx_drops + 1;
     false
   end
   else begin
-    let cap = Array.length t.ifq in
-    let tail = t.ifq_head + t.ifq_count in
-    let tail = if tail >= cap then tail - cap else tail in
-    t.ifq.(tail) <- Parena.acquire t.txa pkt ~charge:0;
-    t.ifq_count <- t.ifq_count + 1;
-    if not t.tx_busy then drain t;
+    if not t.tx_busy then start_tx t pkt (Packet.wire_bytes pkt)
+    else begin
+      let cap = Array.length t.ifq in
+      let tail = t.ifq_head + t.ifq_count in
+      let tail = if tail >= cap then tail - cap else tail in
+      t.ifq.(tail) <- pkt;
+      t.ifq_wire.(tail) <- Packet.wire_bytes pkt;
+      t.ifq_count <- t.ifq_count + 1
+    end;
     true
   end
 
 let ifq_length t = t.ifq_count
-
-let tx_arena t = t.txa
 
 (* --- queued RX (NAPI-era back-ends) ------------------------------------ *)
 

@@ -46,11 +46,11 @@ type t = {
   bandwidth : float;
   cellify : bool;
   ifq_limit : int;
-  txa : Parena.t;
-      (** private TX descriptor arena; caches wire footprints at enqueue *)
-  ifq : Parena.handle array;
-      (** flat handle ring sized [ifq_limit]; empty slots hold
-          [Parena.none] *)
+  ifq : Packet.t array;
+      (** the interface queue: a frame ring sized [ifq_limit]; empty
+          slots hold [Packet.null] *)
+  ifq_wire : int array;
+      (** each queued frame's [Packet.wire_bytes], cached at enqueue *)
   mutable ifq_head : int;
   mutable ifq_count : int;
   mutable tx_busy : bool;
@@ -99,9 +99,6 @@ val transmit : t -> Packet.t -> bool
     transmitter; [false] on queue overflow. *)
 
 val ifq_length : t -> int
-
-val tx_arena : t -> Parena.t
-(** The TX descriptor arena, for allocation accounting ([live]/[peak]). *)
 
 (** {1 Queued RX (NAPI-era back-ends)} *)
 

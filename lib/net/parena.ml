@@ -2,13 +2,11 @@
 
    Every frame sitting in an NI channel (or any other receive-side queue)
    is represented by a *descriptor*: a slot across parallel columns — the
-   structured packet, its cached wire footprint, the mbufs it is
-   charged — identified by a generation-checked integer handle.  Queues
-   then carry plain ints through flat int rings instead of boxed packets
-   through linked [Queue.t] cells: the per-packet costs this removes are
-   the queue-cell allocation, the [take_opt] option allocation, and the
-   repeated [Packet.wire_bytes] traversal (cached here in a column at
-   admission).
+   structured packet and the mbufs it is charged — identified by a
+   generation-checked integer handle.  Queues then carry plain ints
+   through flat int rings instead of boxed packets through linked
+   [Queue.t] cells: the per-packet costs this removes are the queue-cell
+   allocation and the [take_opt] option allocation.
 
    The charge column is the one record of which frame holds how many of
    an eager kernel's mbufs ({!Mbuf} keeps only the pool's counters): the
@@ -33,34 +31,29 @@ let none = -1
 
 type t = {
   mutable pkts : Packet.t array; (* the frame itself *)
-  mutable bytes : int array; (* cached [Packet.wire_bytes] *)
   mutable charges : int array; (* mbufs held by the frame *)
   mutable gens : int array;
   mutable free : int array; (* stack of free slots *)
   mutable free_top : int;
   mutable live : int;
-  mutable peak : int;
 }
 
 let create () =
-  { pkts = [||]; bytes = [||]; charges = [||]; gens = [||]; free = [||];
-    free_top = 0; live = 0; peak = 0 }
+  { pkts = [||]; charges = [||]; gens = [||]; free = [||];
+    free_top = 0; live = 0 }
 
 let grow t =
   let cap = Array.length t.gens in
-  let cap' = max 16 (2 * cap) in
+  let cap' = Int.max 16 (2 * cap) in
   if cap' > slot_mask then failwith "Parena: too many live frames"; (* alloc: cold — error path *)
   let pkts = Array.make cap' Packet.null in (* alloc: cold — amortized growth *)
-  let bytes = Array.make cap' 0 in (* alloc: cold — amortized growth *)
   let charges = Array.make cap' 0 in (* alloc: cold — amortized growth *)
   let gens = Array.make cap' 0 in (* alloc: cold — amortized growth *)
   let free = Array.make cap' 0 in (* alloc: cold — amortized growth *)
   Array.blit t.pkts 0 pkts 0 cap;
-  Array.blit t.bytes 0 bytes 0 cap;
   Array.blit t.charges 0 charges 0 cap;
   Array.blit t.gens 0 gens 0 cap;
   t.pkts <- pkts;
-  t.bytes <- bytes;
   t.charges <- charges;
   t.gens <- gens;
   t.free <- free;
@@ -75,10 +68,8 @@ let[@inline] acquire t pkt ~charge =
   t.free_top <- t.free_top - 1;
   let slot = Array.unsafe_get t.free t.free_top in
   t.pkts.(slot) <- pkt;
-  Array.unsafe_set t.bytes slot (Packet.wire_bytes pkt);
   Array.unsafe_set t.charges slot charge;
   t.live <- t.live + 1;
-  if t.live > t.peak then t.peak <- t.live;
   ((Array.unsafe_get t.gens slot) lsl slot_bits) lor slot
 
 let[@inline] valid t h =
@@ -95,10 +86,6 @@ let[@inline] pkt t h =
   if not (valid t h) then stale "pkt";
   Array.unsafe_get t.pkts (h land slot_mask)
 
-let[@inline] wire_bytes t h =
-  if not (valid t h) then stale "wire_bytes";
-  Array.unsafe_get t.bytes (h land slot_mask)
-
 let[@inline] charge t h =
   if not (valid t h) then stale "charge";
   Array.unsafe_get t.charges (h land slot_mask)
@@ -108,8 +95,7 @@ let[@inline] charge t h =
 let set_pkt t h pkt =
   if not (valid t h) then stale "set_pkt";
   let slot = h land slot_mask in
-  t.pkts.(slot) <- pkt;
-  t.bytes.(slot) <- Packet.wire_bytes pkt
+  t.pkts.(slot) <- pkt
 
 let[@inline] release t h =
   if not (valid t h) then stale "release";
@@ -129,4 +115,3 @@ let absorb t ~into h =
   release t h
 
 let live t = t.live
-let peak t = t.peak

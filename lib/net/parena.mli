@@ -1,13 +1,13 @@
 (** Struct-of-arrays descriptor arena for in-flight received frames.
 
     A frame sitting in a receive-side queue is a *descriptor*: a slot
-    across parallel columns (structured packet, cached wire footprint,
-    mbuf charge) identified by a generation-checked integer handle.  The
+    across parallel columns (structured packet, mbuf charge) identified
+    by a generation-checked integer handle.  The
     charge is how many {!Mbuf} pool mbufs the frame holds: set by an
     eager kernel at admission, 0 on lazy kernels' channel rows, and given
     back to the pool by whoever releases the row.  Queues carry the
     handles through flat int rings — no queue-cell allocation, no option
-    boxing, no repeated [wire_bytes] traversal.
+    boxing.
 
     Handle validity: a handle is valid from {!acquire} until the matching
     {!release}; the generation is bumped at release, so stale handles
@@ -25,16 +25,11 @@ val none : handle
 val create : unit -> t
 
 val acquire : t -> Packet.t -> charge:int -> handle
-(** Admit a frame charged [charge] mbufs: store it (and its cached
-    [Packet.wire_bytes]) in a recycled slot and return the slot's
-    handle. *)
+(** Admit a frame charged [charge] mbufs: store it in a recycled slot
+    and return the slot's handle. *)
 
 val pkt : t -> handle -> Packet.t
 (** The admitted frame.  @raise Invalid_argument on a stale handle. *)
-
-val wire_bytes : t -> handle -> int
-(** Cached wire footprint — saves the per-read body traversal.
-    @raise Invalid_argument on a stale handle. *)
 
 val charge : t -> handle -> int
 (** Mbufs the frame holds.  @raise Invalid_argument on a stale handle. *)
@@ -55,7 +50,4 @@ val release : t -> handle -> unit
 
 val live : t -> int
 (** Descriptors currently held. *)
-
-val peak : t -> int
-(** High-water mark of {!live}. *)
 

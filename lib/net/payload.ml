@@ -38,7 +38,7 @@ let byte_sum = function
       let b0 = ((tag mod 256) + 256) mod 256 in
       let cycles = len / 256 and rem = len mod 256 in
       let rem_sum =
-        let first = min rem (256 - b0) in
+        let first = Int.min rem (256 - b0) in
         (* [first] values b0..b0+first-1, then [rem-first] values 0.. *)
         let s1 = first * b0 + (first * (first - 1) / 2) in
         let m = rem - first in

@@ -16,7 +16,7 @@ let cores = Domain.recommended_domain_count ()
 
 let fits n = n <= cores
 
-let rec poll a v eq n =
+let rec poll (a : int Atomic.t) v eq n =
   if (Atomic.get a = v) = eq then true
   else if n = 0 then false
   else begin
@@ -24,7 +24,7 @@ let rec poll a v eq n =
     poll a v eq (n - 1)
   end
 
-let wait ~spin ~lock ~cond a v eq =
+let wait ~spin ~lock ~cond (a : int Atomic.t) v eq =
   if not (spin && poll a v eq bound) then begin
     Mutex.lock lock;
     while (Atomic.get a = v) <> eq do

@@ -17,11 +17,11 @@ let fragment (pkt : Packet.t) ~mtu =
         let cap = (mtu - Packet.ip_header_bytes) / 8 * 8 in
         if cap <= th then invalid_arg "Ip.fragment: mtu too small";
         (* First fragment carries the transport header. *)
-        let first_len = min total (cap - th) in
+        let first_len = Int.min total (cap - th) in
         let rec rest off acc =
           if off >= total then List.rev acc
           else
-            let len = min cap (total - off) in
+            let len = Int.min cap (total - off) in
             let last = off + len >= total in
             let frag =
               { Packet.ip = pkt.Packet.ip;
@@ -69,7 +69,7 @@ module Reasm = struct
     let rec go expect = function
       | [] -> expect >= total
       | (off, len) :: rest ->
-          if off > expect then false else go (max expect (off + len)) rest
+          if off > expect then false else go (Int.max expect (off + len)) rest
     in
     go 0 sorted
 

@@ -226,7 +226,7 @@ let null_conn =
 (* Helpers                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let advertised_window c = max 0 (c.rcv_buf_limit - c.rcvq_bytes)
+let advertised_window c = Int.max 0 (c.rcv_buf_limit - c.rcvq_bytes)
 
 let remote_exn c =
   match c.remote with
@@ -243,8 +243,8 @@ let segment c ~seq fl payload =
   c.env.totals.segs_sent <- c.env.totals.segs_sent + 1;
   c.last_advertised_wnd <- advertised_window c;
   Packet.tcp ~src:c.local_ip ~dst:rip ~src_port:c.local_port ~dst_port:rport
-    ~seq ~ack_no:c.rcv_nxt ~flags:fl ~window:(min 65_535 c.last_advertised_wnd)
-    payload
+    ~seq ~ack_no:c.rcv_nxt ~flags:fl
+    ~window:(Int.min 65_535 c.last_advertised_wnd) payload
 
 let send_ack c =
   c.env.emit (segment c ~seq:c.snd_nxt Packet.flags_ack Packet.empty_payload)
@@ -308,7 +308,7 @@ let timer_fired tm ~gen =
 
 let in_flight c = c.snd_nxt - c.snd_una
 
-let send_window c = min c.snd_wnd (int_of_float c.fl.cwnd)
+let send_window c = Int.min c.snd_wnd (int_of_float c.fl.cwnd)
 
 (* ------------------------------------------------------------------ *)
 (* Retransmission timer                                                 *)
@@ -316,7 +316,7 @@ let send_window c = min c.snd_wnd (int_of_float c.fl.cwnd)
 
 let rec arm_rtx c =
   arm_timer c c.rtx_timer
-    ~delay:(c.fl.rto *. float_of_int (1 lsl min c.backoff 6))
+    ~delay:(c.fl.rto *. float_of_int (1 lsl Int.min c.backoff 6))
     on_rtx_timeout
 
 and disarm_rtx c = halt_timer c c.rtx_timer
@@ -342,7 +342,7 @@ and on_rtx_timeout c =
       if c.syn_retries >= c.env.max_syn_retries then begin
         (* Give up on the embryonic connection. *)
         (match c.parent with
-         | Some l -> l.syn_pending <- max 0 (l.syn_pending - 1)
+         | Some l -> l.syn_pending <- Int.max 0 (l.syn_pending - 1)
          | None -> ());
         enter_closed c
       end
@@ -371,7 +371,7 @@ and retransmit_oldest c =
   | seq, payload ->
       count_retransmit c;
       (* Only the head's unacknowledged tail. *)
-      let acked = max 0 (c.snd_una - seq) in
+      let acked = Int.max 0 (c.snd_una - seq) in
       let payload =
         if acked = 0 then payload
         else Payload.sub payload acked (Payload.length payload - acked)
@@ -404,7 +404,7 @@ and output c =
 and send_more c progress =
   let can = send_window c - in_flight c in
   if can > 0 && c.unsent_bytes > 0 then begin
-    let take = min (min can c.env.mss) c.unsent_bytes in
+    let take = Int.min (Int.min can c.env.mss) c.unsent_bytes in
     let payload = take_unsent c take in
     let seq = c.snd_nxt in
     Queue.add (seq, payload) c.unacked;
@@ -472,7 +472,7 @@ and take_parts c n acc =
   if n = 0 then List.rev acc
   else begin
     let p = Queue.peek c.unsent and off = c.unsent_off in
-    let k = min n (Payload.length p - off) in
+    let k = Int.min n (Payload.length p - off) in
     take_parts c (n - k) (take_part c p off k :: acc)
   end
 
@@ -575,7 +575,7 @@ and deliver_data c (h : Packet.tcp_header) payload =
       (* In-order: accept (respecting our buffer), then drain the
          out-of-order list. *)
       let room = advertised_window c in
-      let take = min len room in
+      let take = Int.min len room in
       if take > 0 then begin
         let part = if take = len then payload else Payload.sub payload 0 take in
         c.rcvq <- part :: c.rcvq;
@@ -604,7 +604,7 @@ and drain_ooo c =
       c.ooo <- List.remove_assoc c.rcv_nxt c.ooo;
       let room = advertised_window c in
       let len = Payload.length p in
-      let take = min len room in
+      let take = Int.min len room in
       if take > 0 then begin
         let part = if take = len then p else Payload.sub p 0 take in
         c.rcvq <- part :: c.rcvq;
@@ -663,7 +663,7 @@ and input c (pkt : Packet.t) =
         | Close_wait | Last_ack | Closing ->
             (match c.parent with
              | Some l when c.state = Syn_received ->
-                 l.syn_pending <- max 0 (l.syn_pending - 1)
+                 l.syn_pending <- Int.max 0 (l.syn_pending - 1)
              | Some _ | None -> ());
             disarm_rtx c;
             c.state <- Closed;
@@ -704,7 +704,7 @@ and input c (pkt : Packet.t) =
               disarm_rtx c;
               (match c.parent with
                | Some l ->
-                   l.syn_pending <- max 0 (l.syn_pending - 1);
+                   l.syn_pending <- Int.max 0 (l.syn_pending - 1);
                    Queue.add c l.accept_queue;
                    c.env.on_accept_ready l c
                | None -> ());
@@ -782,7 +782,7 @@ let send c payload =
       let room = c.sndq_limit - queued in
       if room <= 0 then `Full
       else begin
-        let take = min room len in
+        let take = Int.min room len in
         let part = if take = len then payload else Payload.sub payload 0 take in
         Queue.add part c.unsent;
         c.unsent_bytes <- c.unsent_bytes + take;
@@ -837,7 +837,7 @@ let close c =
   | Syn_sent | Syn_received ->
       (match c.parent with
        | Some l when c.state = Syn_received ->
-           l.syn_pending <- max 0 (l.syn_pending - 1)
+           l.syn_pending <- Int.max 0 (l.syn_pending - 1)
        | Some _ | None -> ());
       enter_closed c
   | Listen -> enter_closed c

@@ -39,7 +39,7 @@ let create ~clock =
   { threads = []; next_tid = 1; next_seq = 0; loadavg = [| 0. |]; best_prio = 0;
     clock }
 
-let clamp lo hi x = if x < lo then lo else if x > hi then hi else x
+let clamp (lo : int) hi x = if x < lo then lo else if x > hi then hi else x
 
 let recompute_priority th =
   match th.account with
@@ -100,7 +100,7 @@ let make_runnable t th =
         let load = t.loadavg.(0) in
         let f = 2. *. load /. ((2. *. load) +. 1.) in
         let cpu = th.p_cpu in
-        for _ = 1 to min slept_sec 20 do
+        for _ = 1 to Int.min slept_sec 20 do
           cpu.(0) <- cpu.(0) *. f
         done
       end;

@@ -2,48 +2,55 @@ open Lrp_engine
 module Sched = Lrp_sched.Sched
 module Trace = Lrp_trace.Trace
 
-(* A typed interrupt job is its dispatcher, stored as the uniform
-   [Obj.t -> int -> unit].  Objects are stored via [Obj.repr] (the
-   identity on the value's representation), so applying the magicked
-   dispatcher is exactly the registered function on the original value —
-   the same contract as [Engine.target]. *)
-type 'a job = Obj.t -> int -> unit
+(* A typed interrupt job is an index into its CPU's job table, which
+   holds the job's trace label and its dispatcher, stored as the uniform
+   [Obj.t -> int -> unit] ({!job}).  A ring row and the running segment
+   name the job by that immediate int, so posting and dispatching it
+   store no pointer. *)
+type 'a job = int
 
-let job (type a) (f : a -> int -> unit) : a job = Obj.magic f
-
-let no_fn (_ : Obj.t) (_ : int) = ()
 let no_obj = Obj.repr 0
+
+(* Store [v] into [a.(i)] only when it differs: an unchanged pointer
+   store would still pay [caml_modify]. *)
+let[@inline] set_obj (a : Obj.t array) i v =
+  if Array.unsafe_get a i != v then Array.unsafe_set a i v
+
+(* Clear a payload slot so it pins nothing; an immediate pins nothing
+   already, so only a block is overwritten. *)
+let[@inline] clear_obj (a : Obj.t array) i =
+  if Obj.is_block (Array.unsafe_get a i) then Array.unsafe_set a i no_obj
 
 (* ------------------------------------------------------------------ *)
 (* Work rings                                                          *)
 (* ------------------------------------------------------------------ *)
 
 (* One interrupt level's work queue: a power-of-two ring of rows stored
-   in parallel columns.  A row is a posted work item — its trace label,
-   the CPU microseconds it still owes, the packet ident it processes (or
-   -1; it keys the tracer's per-packet softint spans), whether it is a
-   NAPI poll round (softirq level, but ledgered as [Poll]), and its typed
-   job (dispatcher, object, int).  Posting and dispatching copy fields
-   between the columns and the CPU's running-segment fields, so the
-   steady state allocates nothing.  A preempted item goes back to the
-   front ([requeue_front]), which is why this is a deque. *)
+   in parallel columns.  A row is a posted work item — the CPU
+   microseconds it still owes, the packet ident it processes (or -1; it
+   keys the tracer's per-packet softint spans), whether it is a NAPI poll
+   round (softirq level, but ledgered as [Poll]), and its typed job (the
+   job's id, which also names its trace label, plus an object and an
+   int).  The running item stays at the head of its ring until it
+   finishes, and a preempted one simply stays there, so dispatching reads
+   the row in place: posting stores the object once and finishing clears
+   it once, and the steady state allocates nothing. *)
 type ring = {
   mutable head : int;
   mutable len : int;
-  mutable labels : string array;
+  mutable jobs : int array;
   mutable lefts : float array;
   mutable tpkts : int array;
   mutable polls : bool array;
-  mutable fns : (Obj.t -> int -> unit) array;
   mutable objs : Obj.t array;
   mutable ints : int array;
 }
 
 let ring_create () =
   let cap = 16 in
-  { head = 0; len = 0; labels = Array.make cap ""; lefts = Array.make cap 0.;
+  { head = 0; len = 0; jobs = Array.make cap 0; lefts = Array.make cap 0.;
     tpkts = Array.make cap (-1); polls = Array.make cap false;
-    fns = Array.make cap no_fn; objs = Array.make cap no_obj;
+    objs = Array.make cap no_obj;
     ints = Array.make cap 0 }
 
 (* Double the capacity, unrolling the live rows to start at index 0. *)
@@ -57,26 +64,24 @@ let ring_grow r =
     done;
     b
   in
-  r.labels <- unroll r.labels "";
+  r.jobs <- unroll r.jobs 0;
   r.lefts <- unroll r.lefts 0.;
   r.tpkts <- unroll r.tpkts (-1);
   r.polls <- unroll r.polls false;
-  r.fns <- unroll r.fns no_fn;
   r.objs <- unroll r.objs no_obj;
   r.ints <- unroll r.ints 0;
   r.head <- 0
 
 (* Append a row; its cost is read from [cost.(0)] (a float argument would
    be boxed at the call). *)
-let push_back r cost ~label ~tpkt ~poll fn obj arg =
+let push_back r cost ~tpkt ~poll job obj arg =
   if r.len = Array.length r.ints then ring_grow r;
   let i = (r.head + r.len) land (Array.length r.ints - 1) in
-  r.labels.(i) <- label;
+  r.jobs.(i) <- job;
   r.lefts.(i) <- cost.(0);
   r.tpkts.(i) <- tpkt;
   r.polls.(i) <- poll;
-  r.fns.(i) <- fn;
-  r.objs.(i) <- obj;
+  set_obj r.objs i obj;
   r.ints.(i) <- arg;
   r.len <- r.len + 1
 
@@ -125,19 +130,17 @@ type t = {
   ctx_switch_cost : float;
   hardq : ring;
   softq : ring;
-  procs : (int, Proc.t) Hashtbl.t;  (* live processes by scheduler tid *)
+  procs : Proc.t Lrp_det.Itab.t;  (* live processes by scheduler tid *)
   mutable next_pid : int;
+  (* registered jobs ({!job}): dispatcher and trace label by job id *)
+  mutable job_fns : (Obj.t -> int -> unit) array;
+  mutable job_labels : string array;
   (* The running segment lives in these fields, not in an allocated
-     record: its class ([c_idle] .. [c_hard]), the user process, the
-     interrupt item's row, and the completion event. *)
+     record: its class ([c_idle] .. [c_hard]), the user process, and the
+     completion event.  A running interrupt item is the head row of its
+     level's ring. *)
   mutable run_cls : int;
   mutable run_proc : Proc.t;
-  mutable run_label : string;
-  mutable run_tpkt : int;
-  mutable run_poll : bool;
-  mutable run_fn : Obj.t -> int -> unit;
-  mutable run_obj : Obj.t;
-  mutable run_int : int;
   mutable run_ev : Engine.handle;
   fl : float array;       (* slots [f_left] .. [f_elapsed] *)
   cost : float array;     (* staged cost of the next [post_*_job] or compute *)
@@ -167,16 +170,27 @@ type t = {
 let set_tracer t tr = t.tracer <- tr
 let cost_cell t = t.cost
 
+(* Objects are stored via [Obj.repr] (the identity on the value's
+   representation), so applying the magicked dispatcher is exactly the
+   registered function on the original value — the same contract as
+   [Engine.target]. *)
+let job (type a) t ~label (f : a -> int -> unit) : a job =
+  let id = Array.length t.job_fns in
+  let f : Obj.t -> int -> unit = Obj.magic f in
+  t.job_fns <- Array.append t.job_fns [| f |];
+  t.job_labels <- Array.append t.job_labels [| label |];
+  id
+
 (* Trace bracketing for interrupt-level work.  Emitters are no-ops on a
    disabled tracer, so these cost one branch each on the hot path. *)
 
-let trace_work_begin t level label tpkt =
-  Trace.intr_enter t.tracer ~level ~label;
+let trace_work_begin t level job tpkt =
+  Trace.intr_enter t.tracer ~level ~label:t.job_labels.(job);
   if tpkt >= 0 && level = Trace.Soft then Trace.softint_begin t.tracer ~pkt:tpkt
 
-let trace_work_end t level label tpkt =
+let trace_work_end t level job tpkt =
   if tpkt >= 0 && level = Trace.Soft then Trace.softint_end t.tracer ~pkt:tpkt;
-  Trace.intr_exit t.tracer ~level ~label
+  Trace.intr_exit t.tracer ~level ~label:t.job_labels.(job)
 
 (* ------------------------------------------------------------------ *)
 (* Accounting                                                          *)
@@ -197,7 +211,7 @@ let charge t =
     end
     else if t.run_cls = c_soft then begin
       t.fl.(f_soft) <- t.fl.(f_soft) +. e;
-      if t.run_poll then begin
+      if t.softq.polls.(t.softq.head) then begin
         t.fl.(f_poll) <- t.fl.(f_poll) +. e;
         Ledger.charge_staged t.ledger Ledger.Poll ~pid:(victim_pid t) ~flow:(-1)
       end
@@ -232,34 +246,16 @@ let best_class t =
   else if Sched.pick_tid t.sched >= 0 then c_user
   else c_idle
 
-(* Copy the front row of [r] into the running-segment fields. *)
-let pop_front t r =
-  let i = r.head in
-  t.run_label <- r.labels.(i);
-  t.fl.(f_left) <- r.lefts.(i);
-  t.run_tpkt <- r.tpkts.(i);
-  t.run_poll <- r.polls.(i);
-  t.run_fn <- r.fns.(i);
-  t.run_obj <- r.objs.(i);
-  t.run_int <- r.ints.(i);
-  (* the ring must not pin a dispatched item's object *)
-  r.objs.(i) <- no_obj;
-  r.head <- (i + 1) land (Array.length r.ints - 1);
+(* Drop the finished head row of [r]; the ring must not pin its
+   object. *)
+let pop_head r =
+  clear_obj r.objs r.head;
+  r.head <- (r.head + 1) land (Array.length r.ints - 1);
   r.len <- r.len - 1
 
-(* Put the preempted running item back at the front of [r]. *)
-let requeue_front t r =
-  if r.len = Array.length r.ints then ring_grow r;
-  let i = (r.head - 1) land (Array.length r.ints - 1) in
-  r.labels.(i) <- t.run_label;
-  r.lefts.(i) <- t.fl.(f_left);
-  r.tpkts.(i) <- t.run_tpkt;
-  r.polls.(i) <- t.run_poll;
-  r.fns.(i) <- t.run_fn;
-  r.objs.(i) <- t.run_obj;
-  r.ints.(i) <- t.run_int;
-  r.head <- i;
-  r.len <- r.len + 1
+let stop_work t level r =
+  r.lefts.(r.head) <- t.fl.(f_left);
+  trace_work_end t level r.jobs.(r.head) r.tpkts.(r.head)
 
 let stop_running t =
   if t.run_cls <> c_idle then begin
@@ -270,18 +266,12 @@ let stop_running t =
     t.run_ev <- Engine.none;
     let left = t.fl.(f_left) -. elapsed in
     t.fl.(f_left) <- (if left > 0. then left else 0.);
-    if t.run_cls = c_hard then begin
-      trace_work_end t Trace.Hard t.run_label t.run_tpkt;
-      requeue_front t t.hardq
-    end
-    else if t.run_cls = c_soft then begin
-      (* Preempted: close the span; re-dispatch opens a new one. *)
-      trace_work_end t Trace.Soft t.run_label t.run_tpkt;
-      requeue_front t t.softq
-    end
+    (* A preempted interrupt item stays at the head of its ring with what
+       it still owes; its span closes, and re-dispatch opens a new one. *)
+    if t.run_cls = c_hard then stop_work t Trace.Hard t.hardq
+    else if t.run_cls = c_soft then stop_work t Trace.Soft t.softq
     else t.run_proc.Proc.acct.(Proc.a_work_left) <- t.fl.(f_left);
-    t.run_cls <- c_idle;
-    t.run_obj <- no_obj
+    t.run_cls <- c_idle
   end
 
 (* Targets are registered by [create] before any event can fire. *)
@@ -326,18 +316,20 @@ let rec wake_list t = function
       wake t q;
       wake_list t rest
 
-(* Run the finished interrupt item's action, then close its span. *)
-let finish_work t level =
-  let fn = t.run_fn and obj = t.run_obj and arg = t.run_int in
-  let label = t.run_label and tpkt = t.run_tpkt in
-  t.run_obj <- no_obj;
-  fn obj arg;
-  trace_work_end t level label tpkt
+(* Take the finished interrupt item, the head row of [r], off its ring,
+   run its action, then close its span. *)
+let finish_work t level r =
+  let i = r.head in
+  let job = r.jobs.(i) and obj = r.objs.(i) and arg = r.ints.(i) in
+  let tpkt = r.tpkts.(i) in
+  pop_head r;
+  t.job_fns.(job) obj arg;
+  trace_work_end t level job tpkt
 
 let rec segment_done t =
   let cls = close_segment t in
-  if cls = c_hard then finish_work t Trace.Hard
-  else if cls = c_soft then finish_work t Trace.Soft
+  if cls = c_hard then finish_work t Trace.Hard t.hardq
+  else if cls = c_soft then finish_work t Trace.Soft t.softq
   else begin
     let p = t.run_proc in
     p.Proc.acct.(Proc.a_work_left) <- 0.;
@@ -369,7 +361,9 @@ and arm_segment t =
    virtual time.  Must execute with [in_dispatch] set. *)
 and run_instant t (p : Proc.t) =
   (match p.Proc.pending with
-   | Proc.Start body ->
+   | Proc.Start ->
+       let body = p.Proc.body in
+       p.Proc.body <- Proc.started;
        p.Proc.pending <- Proc.Blocked;
        Effect.Deep.match_with body p (handler t p)
    | Proc.Resume ->
@@ -382,13 +376,13 @@ and run_instant t (p : Proc.t) =
   match p.Proc.pending with
   | Proc.Done -> reap t p
   | Proc.Work | Proc.Blocked | Proc.Resume -> ()
-  | Proc.Start _ -> assert false
+  | Proc.Start -> assert false
 
 and reap t (p : Proc.t) =
   Trace.thread_state t.tracer ~pid:p.Proc.pid ~state:Trace.Exited;
   p.Proc.exited <- true;
   Sched.exit_thread t.sched p.Proc.thread;
-  Hashtbl.remove t.procs (Sched.tid p.Proc.thread);
+  Lrp_det.Itab.remove t.procs (Sched.tid p.Proc.thread);
   Ledger.retire_pid t.ledger ~pid:p.Proc.pid;
   if t.cur_proc == p then t.cur_proc <- no_proc;
   if t.run_proc == p then t.run_proc <- no_proc;
@@ -456,9 +450,9 @@ and begin_timed t (p : Proc.t) =
     Trace.ctx_switch t.tracer ~from_pid:t.last_user ~to_pid:p.Proc.pid;
     t.last_user <- p.Proc.pid
   end;
-  t.cur_proc <- p;
+  if t.cur_proc != p then t.cur_proc <- p;
   t.run_cls <- c_user;
-  t.run_proc <- p;
+  if t.run_proc != p then t.run_proc <- p;
   t.fl.(f_left) <- acct.(Proc.a_work_left);
   t.fl.(f_started) <- now;
   arm_segment t
@@ -466,15 +460,16 @@ and begin_timed t (p : Proc.t) =
 and begin_work t cls r =
   if cls = c_hard then t.n_hard_dispatch <- t.n_hard_dispatch + 1
   else t.n_soft_dispatch <- t.n_soft_dispatch + 1;
-  pop_front t r;
+  let i = r.head in
   let level = if cls = c_hard then Trace.Hard else Trace.Soft in
-  trace_work_begin t level t.run_label t.run_tpkt;
+  trace_work_begin t level r.jobs.(i) r.tpkts.(i);
   t.run_cls <- cls;
+  t.fl.(f_left) <- r.lefts.(i);
   t.fl.(f_started) <- t.clock.(0);
   if t.fl.(f_left) <= 0. then begin
     (* Zero-cost work completes immediately. *)
     t.run_cls <- c_idle;
-    finish_work t level;
+    finish_work t level r;
     t.redo <- true
   end
   else arm_segment t
@@ -490,15 +485,15 @@ and start_best t =
       let q = t.run_proc in
       let p =
         if q != no_proc && Sched.tid q.Proc.thread = tid then q
-        else Hashtbl.find t.procs tid
+        else Lrp_det.Itab.value t.procs (Lrp_det.Itab.find t.procs tid)
       in
       match p.Proc.pending with
       | Proc.Work -> begin_timed t p
-      | Proc.Start _ | Proc.Resume ->
+      | Proc.Start | Proc.Resume ->
           (* Host-side code is free in virtual time: run it now, then
              re-evaluate.  [last_user] is left alone so the switch penalty
              lands on the first timed segment. *)
-          t.cur_proc <- p;
+          if t.cur_proc != p then t.cur_proc <- p;
           run_instant t p;
           t.redo <- true
       | Proc.Blocked | Proc.Done -> assert false
@@ -605,9 +600,9 @@ let create engine ?(ctx_switch_cost = 0.) ?(start_clock = true) () =
       deadline = Engine.deadline_cell engine;
       sched = Sched.create ~clock:(Engine.clock_cell engine);
       ctx_switch_cost; hardq = ring_create (); softq = ring_create ();
-      procs = Hashtbl.create 16; next_pid = 1;
-      run_cls = c_idle; run_proc = no_proc; run_label = ""; run_tpkt = -1;
-      run_poll = false; run_fn = no_fn; run_obj = no_obj; run_int = 0;
+      procs = Lrp_det.Itab.create 8; next_pid = 1;
+      job_fns = [||]; job_labels = [||];
+      run_cls = c_idle; run_proc = no_proc;
       run_ev = Engine.none; fl = Array.make 7 0.; cost = [| 0. |];
       cur_proc = no_proc; last_user = -1; in_dispatch = d_out; redo = false;
       force_resched = false; seg_tgt = None; wake_tgt = None;
@@ -647,7 +642,7 @@ let spawn t ?(nice = 0) ?(working_set = 0.) ~name body =
     Proc.make ~pid:t.next_pid ~name ~thread ~working_set ~now:t.clock.(0) body
   in
   t.next_pid <- t.next_pid + 1;
-  Hashtbl.replace t.procs (Sched.tid thread) p; (* alloc: cold — once per process *)
+  Lrp_det.Itab.replace t.procs (Sched.tid thread) p;
   Ledger.set_name t.ledger ~pid:p.Proc.pid name;
   Trace.thread_state t.tracer ~pid:p.Proc.pid ~state:Trace.Spawned;
   let e = enter t in
@@ -675,21 +670,21 @@ let wakeup_all t (wq : Proc.waitq) =
   leave t e;
   List.length ws
 
-let proc_count t = Hashtbl.length t.procs
+let proc_count t = Lrp_det.Itab.length t.procs
 
-let post_hard_job t ~label ~tpkt (j : 'a job) (obj : 'a) arg =
+let post_hard_job t ~tpkt (j : 'a job) (obj : 'a) arg =
   let e = enter t in
-  push_back t.hardq t.cost ~label ~tpkt ~poll:false j (Obj.repr obj) arg;
+  push_back t.hardq t.cost ~tpkt ~poll:false j (Obj.repr obj) arg;
   leave t e
 
-let post_hard_job_tail t ~label ~tpkt (j : 'a job) (obj : 'a) arg =
+let post_hard_job_tail t ~tpkt (j : 'a job) (obj : 'a) arg =
   let e = enter_tail t in
-  push_back t.hardq t.cost ~label ~tpkt ~poll:false j (Obj.repr obj) arg;
+  push_back t.hardq t.cost ~tpkt ~poll:false j (Obj.repr obj) arg;
   leave t e
 
-let post_soft_job t ~label ~tpkt ~poll (j : 'a job) (obj : 'a) arg =
+let post_soft_job t ~tpkt ~poll (j : 'a job) (obj : 'a) arg =
   let e = enter t in
-  push_back t.softq t.cost ~label ~tpkt ~poll j (Obj.repr obj) arg;
+  push_back t.softq t.cost ~tpkt ~poll j (Obj.repr obj) arg;
   leave t e
 
 (* The process-context compute entry points.  Each performs the one
@@ -730,7 +725,7 @@ let run_ahead_compute t =
   && begin
     latch_compute t p;
     t.run_cls <- c_user;
-    t.run_proc <- p;
+    if t.run_proc != p then t.run_proc <- p;
     t.fl.(f_left) <- t.cost.(0);
     t.fl.(f_started) <- t.clock.(0);
     Engine.advance_to_staged t.engine;
@@ -785,7 +780,7 @@ let utilization t =
 
 (* Tid order, which is spawn order: callers observe processes in a
    reproducible order. *)
-let iter_procs t f = Lrp_det.Det.iter_sorted (fun _ p -> f p) t.procs
+let iter_procs t f = Lrp_det.Det.iter_sorted_int (fun _ p -> f p) t.procs
 
 let counters t ~prefix =
   let i name v = (prefix ^ name, float_of_int v) in

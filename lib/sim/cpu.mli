@@ -57,18 +57,21 @@ val proc_count : t -> int
 
     Posted work sits in a per-level ring of flat columns until the CPU
     dispatches it.  The hot per-packet paths post {e typed jobs}: a
-    dispatcher registered once per work kind, plus an object and an int
-    stored in the row, with the cost staged in {!cost_cell} — a post, its
-    dispatch and its completion then allocate nothing.  Every post takes
-    this path. *)
+    dispatcher and its trace label registered once per work kind and CPU,
+    named in the row by an int id, plus an object and an int stored in
+    the row, with the cost staged in {!cost_cell} — a post, its dispatch
+    and its completion then allocate nothing.  Every post takes this
+    path. *)
 
 type 'a job
-(** A typed interrupt-work dispatcher taking an ['a] and an int. *)
+(** A typed interrupt-work dispatcher taking an ['a] and an int,
+    registered with one CPU. *)
 
-val job : ('a -> int -> unit) -> 'a job
-(** [job f] registers [f] as a dispatcher.  Call once per work kind at
+val job : t -> label:string -> ('a -> int -> unit) -> 'a job
+(** [job t ~label f] registers [f] as a dispatcher on [t]; the tracer
+    names every span of its work [label].  Call once per work kind at
     setup (a kernel registers its receive jobs at creation), not per
-    post. *)
+    post; a job is posted only to the CPU it was registered with. *)
 
 val cost_cell : t -> float array
 (** 1-slot staging cell for the cost in microseconds of the next
@@ -77,16 +80,14 @@ val cost_cell : t -> float array
     call; a float-array store is not.  Write it immediately before posting
     or computing. *)
 
-val post_hard_job :
-  t -> label:string -> tpkt:int -> 'a job -> 'a -> int -> unit
-(** [post_hard_job t ~label ~tpkt j x i] enqueues hardware-interrupt work
+val post_hard_job : t -> tpkt:int -> 'a job -> 'a -> int -> unit
+(** [post_hard_job t ~tpkt j x i] enqueues hardware-interrupt work
     costing [(cost_cell t).(0)] microseconds; when the CPU has spent them
     at hardware-interrupt level, [j]'s dispatcher runs on [x] and [i]
     (instantaneously).  [tpkt] is the packet ident the work processes, for
     tracing, or [-1]. *)
 
-val post_hard_job_tail :
-  t -> label:string -> tpkt:int -> 'a job -> 'a -> int -> unit
+val post_hard_job_tail : t -> tpkt:int -> 'a job -> 'a -> int -> unit
 (** {!post_hard_job} for a caller that is the last thing its engine event
     does: the event returns to the engine as soon as this call returns,
     with nothing scheduled, cancelled or read in between.  The CPU may
@@ -97,8 +98,7 @@ val post_hard_job_tail :
     Calling it from an event that does more after it returns is an error
     that this function cannot detect. *)
 
-val post_soft_job :
-  t -> label:string -> tpkt:int -> poll:bool -> 'a job -> 'a -> int -> unit
+val post_soft_job : t -> tpkt:int -> poll:bool -> 'a job -> 'a -> int -> unit
 (** The software-interrupt analogue of {!post_hard_job} (BSD's softnet
     level).  When [tpkt >= 0] the tracer brackets the timed segment in
     [Softint_begin]/[Softint_end] events keyed by that packet.  [poll]

@@ -39,8 +39,8 @@ type prow = { mutable p_name : string; pcols : float array }
 
 type t = {
   totals : float array;                  (* 5 class totals, us *)
-  pids : (int, prow) Hashtbl.t;          (* live pid -> columns; -1 = idle ctx *)
-  flows : (int, float array) Hashtbl.t;  (* open flow/channel id -> columns *)
+  pids : prow Lrp_det.Itab.t;  (* live pid -> columns; -1 = idle ctx *)
+  flows : float array Lrp_det.Itab.t;  (* open flow/channel id -> columns *)
   amount : float array;                  (* staged amount, see [charge_staged] *)
   exited : float array;                  (* columns of every retired pid *)
   closed : float array;                  (* columns of every retired flow *)
@@ -58,8 +58,8 @@ let no_row = { p_name = ""; pcols = [||] }
 
 let create () =
   { totals = Array.make 5 0.;
-    pids = Hashtbl.create 17;
-    flows = Hashtbl.create 17;
+    pids = Lrp_det.Itab.create 8;
+    flows = Lrp_det.Itab.create 8;
     amount = [| 0. |];
     exited = Array.make 5 0.; closed = Array.make 5 0.;
     any_exited = false; any_closed = false;
@@ -69,15 +69,16 @@ let create () =
 let prow t pid =
   if pid = t.last_pid then t.last_prow
   else begin
+    let slot = Lrp_det.Itab.find t.pids pid in
     let r =
-      match Hashtbl.find t.pids pid with
-      | r -> r
-      | exception Not_found ->
-          let name = if pid < 0 then "(idle)" else "?" in
-          (* alloc: cold — first sighting of a pid *)
-          let r = { p_name = name; pcols = Array.make 5 0. } in
-          Hashtbl.add t.pids pid r; (* alloc: cold — first sighting of a pid *)
-          r
+      if slot >= 0 then Lrp_det.Itab.value t.pids slot
+      else begin
+        let name = if pid < 0 then "(idle)" else "?" in
+        (* alloc: cold — first sighting of a pid *)
+        let r = { p_name = name; pcols = Array.make 5 0. } in
+        Lrp_det.Itab.replace t.pids pid r;
+        r
+      end
     in
     t.last_pid <- pid;
     t.last_prow <- r;
@@ -87,13 +88,14 @@ let prow t pid =
 let frow t flow =
   if flow = t.last_flow then t.last_fcols
   else begin
+    let slot = Lrp_det.Itab.find t.flows flow in
     let c =
-      match Hashtbl.find t.flows flow with
-      | c -> c
-      | exception Not_found ->
-          let c = Array.make 5 0. in (* alloc: cold — first sighting of a flow *)
-          Hashtbl.add t.flows flow c;
-          c
+      if slot >= 0 then Lrp_det.Itab.value t.flows slot
+      else begin
+        let c = Array.make 5 0. in (* alloc: cold — first sighting of a flow *)
+        Lrp_det.Itab.replace t.flows flow c;
+        c
+      end
     in
     t.last_flow <- flow;
     t.last_fcols <- c;
@@ -108,28 +110,28 @@ let fold_into agg cols =
   done
 
 let retire_pid t ~pid =
-  match Hashtbl.find t.pids pid with
-  | r ->
-      fold_into t.exited r.pcols;
-      t.any_exited <- true;
-      Hashtbl.remove t.pids pid;
-      if t.last_pid = pid then begin
-        t.last_pid <- min_int;
-        t.last_prow <- no_row
-      end
-  | exception Not_found -> ()
+  let slot = Lrp_det.Itab.find t.pids pid in
+  if slot >= 0 then begin
+    fold_into t.exited (Lrp_det.Itab.value t.pids slot).pcols;
+    t.any_exited <- true;
+    Lrp_det.Itab.remove t.pids pid;
+    if t.last_pid = pid then begin
+      t.last_pid <- min_int;
+      t.last_prow <- no_row
+    end
+  end
 
 let retire_flow t ~flow =
-  match Hashtbl.find t.flows flow with
-  | c ->
-      fold_into t.closed c;
-      t.any_closed <- true;
-      Hashtbl.remove t.flows flow;
-      if t.last_flow = flow then begin
-        t.last_flow <- min_int;
-        t.last_fcols <- [||]
-      end
-  | exception Not_found -> ()
+  let slot = Lrp_det.Itab.find t.flows flow in
+  if slot >= 0 then begin
+    fold_into t.closed (Lrp_det.Itab.value t.flows slot);
+    t.any_closed <- true;
+    Lrp_det.Itab.remove t.flows flow;
+    if t.last_flow = flow then begin
+      t.last_flow <- min_int;
+      t.last_fcols <- [||]
+    end
+  end
 
 let amount_cell t = t.amount
 
@@ -181,7 +183,7 @@ let flow_row flow c = { flow; f_soft = c.(1); f_proto = c.(2); f_poll = c.(3) }
 (* Live rows in key order, then the aggregate once something retired. *)
 let rows t =
   let live =
-    Lrp_det.Det.fold_sorted
+    Lrp_det.Det.fold_sorted_int
       (fun pid (r : prow) acc -> row pid r.p_name r.pcols :: acc)
       t.pids []
   in
@@ -190,7 +192,7 @@ let rows t =
 
 let flow_rows t =
   let live =
-    Lrp_det.Det.fold_sorted (fun flow c acc -> flow_row flow c :: acc) t.flows []
+    Lrp_det.Det.fold_sorted_int (fun flow c acc -> flow_row flow c :: acc) t.flows []
   in
   List.rev_append live
     (if t.any_closed then [ flow_row closed_flow t.closed ] else [])

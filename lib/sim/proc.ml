@@ -6,6 +6,7 @@ type t = {
   thread : Sched.thread;
   working_set_us : float;
   mutable pending : pending;
+  mutable body : t -> unit;
   mutable k : (unit, unit) Effect.Deep.continuation;
   mutable exited : bool;
   acct : float array;
@@ -14,7 +15,7 @@ type t = {
   mutable lflow : int;
 }
 
-and pending = Start of (t -> unit) | Work | Resume | Blocked | Done
+and pending = Start | Work | Resume | Blocked | Done
 
 and waitq = { mutable waiters : t list }
 
@@ -35,6 +36,10 @@ let acct_slots = 3
    because [pending] only becomes [Resume] after a real one is stored. *)
 let no_k : (unit, unit) Effect.Deep.continuation = Obj.magic ()
 
+(* What [body] holds once the process has started, so the finished start
+   closure is not pinned. *)
+let started (_ : t) = ()
+
 let waitq (_ : string) = { waiters = [] } (* alloc: cold — once per queue *)
 
 let make ~pid ~name ~thread ~working_set ~now body =
@@ -42,7 +47,7 @@ let make ~pid ~name ~thread ~working_set ~now body =
   let acct = Array.make acct_slots 0. in
   acct.(a_last_on_cpu) <- now;
   (* alloc: cold — once per process *)
-  { pid; name; thread; working_set_us = working_set; pending = Start body;
+  { pid; name; thread; working_set_us = working_set; pending = Start; body;
     k = no_k; exited = false; acct; exit_waiters = waitq "exit";
     lcls = 0; lflow = -1 }
 

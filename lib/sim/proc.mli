@@ -29,6 +29,9 @@ type t = {
           memory-locality effects, e.g. the Table-2 worker whose working set
           covers 35 % of the L2 cache). *)
   mutable pending : pending;
+      (** an immediate, so a state change is a plain store *)
+  mutable body : t -> unit;
+      (** the code run at [Start]; {!started} once it has begun *)
   mutable k : (unit, unit) Effect.Deep.continuation;
       (** the parked continuation while [pending] is [Work], [Resume] or
           [Blocked]; {!no_k} otherwise *)
@@ -46,7 +49,7 @@ type t = {
 }
 
 and pending =
-  | Start of (t -> unit)  (** never dispatched yet *)
+  | Start                 (** never dispatched yet: run [body] *)
   | Work                  (** owes [work_left] microseconds of CPU *)
   | Resume                (** continuation ready to run instantly *)
   | Blocked               (** waiting on a {!waitq} or timer *)
@@ -79,13 +82,16 @@ val a_last_on_cpu : int
 (** Last instant this process occupied the CPU (for the cache-reload
     model: eviction grows with absence). *)
 
+val started : t -> unit
+(** What [body] holds once the process has started. *)
+
 val no_k : (unit, unit) Effect.Deep.continuation
 (** Placeholder stored in [k] while no continuation is parked. *)
 
 val make :
   pid:int -> name:string -> thread:Lrp_sched.Sched.thread ->
   working_set:float -> now:Time.t -> (t -> unit) -> t
-(** A fresh process in state [Start body] (see {!Cpu.spawn}). *)
+(** A fresh process in state [Start] with [body] (see {!Cpu.spawn}). *)
 
 val cpu_time : t -> float
 (** Total simulated CPU consumed, microseconds. *)

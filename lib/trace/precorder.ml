@@ -28,8 +28,10 @@ type t = {
   mutable lost : int;   (* overwritten *)
   (* string interning: label/note strings -> small ids.  Steady-state
      labels are a handful of constants, so the table stops growing (and
-     the record path stops allocating) almost immediately. *)
-  stab : (string, int) Hashtbl.t;
+     the record path stops allocating) almost immediately.  [strs] holds
+     the strings by id; [sslots] is an open-addressing index over them
+     (an id, or -1 for a free slot), at most half full. *)
+  mutable sslots : int array;
   mutable strs : string array;
   mutable nstr : int;
 }
@@ -37,7 +39,7 @@ type t = {
 let create ?(capacity = 65536) ~clock () =
   { cap = max 1 capacity; clock; kcol = [||]; tcol = [||]; icol = [||];
     acol = [||]; head = 0; count = 0; seq = 0; lost = 0;
-    stab = Hashtbl.create 16; strs = [||]; nstr = 0 }
+    sslots = Array.make 16 (-1); strs = [||]; nstr = 0 }
 
 let length t = t.count
 let dropped t = t.lost
@@ -76,23 +78,47 @@ let record t ~kind ~ident ~a ~b =
 
 (* --- string interning --------------------------------------------------- *)
 
+(* FNV-1a over the bytes: a monomorphic string hash (no [caml_hash]). *)
+let hash_string s =
+  let h = ref 0x811c9dc5 in
+  for i = 0 to String.length s - 1 do
+    h := (!h lxor Char.code (String.unsafe_get s i)) * 0x01000193
+  done;
+  !h land max_int
+
+(* The slot of [sslots] holding [s]'s id, or the free slot it goes in. *)
+let rec probe t s i =
+  let id = t.sslots.(i) in
+  if id < 0 || String.equal t.strs.(id) s then i
+  else probe t s ((i + 1) land (Array.length t.sslots - 1))
+
+let slot_of t s = probe t s (hash_string s land (Array.length t.sslots - 1))
+
 let intern t s =
-  match Hashtbl.find t.stab s with
-  | id -> id
-  | exception Not_found ->
-      let id = t.nstr in
-      let n = Array.length t.strs in
-      if id = n then begin
-        (* alloc: cold — first sighting of a label *)
-        let strs = Array.make (max 8 (2 * n)) "" in
-        Array.blit t.strs 0 strs 0 n;
-        t.strs <- strs
-      end;
-      t.strs.(id) <- s;
-      t.nstr <- id + 1;
+  let i = slot_of t s in
+  let id = t.sslots.(i) in
+  if id >= 0 then id
+  else begin
+    let id = t.nstr in
+    let n = Array.length t.strs in
+    if id = n then begin
       (* alloc: cold — first sighting of a label *)
-      Hashtbl.add t.stab s id;
-      id
+      let strs = Array.make (Int.max 8 (2 * n)) "" in
+      Array.blit t.strs 0 strs 0 n;
+      t.strs <- strs
+    end;
+    t.strs.(id) <- s;
+    t.nstr <- id + 1;
+    if 2 * t.nstr <= Array.length t.sslots then t.sslots.(i) <- id
+    else begin
+      (* alloc: cold — first sighting of a label *)
+      t.sslots <- Array.make (2 * Array.length t.sslots) (-1);
+      for j = 0 to t.nstr - 1 do
+        t.sslots.(slot_of t t.strs.(j)) <- j
+      done
+    end;
+    id
+  end
 
 let get_string t id =
   if id >= 0 && id < t.nstr then t.strs.(id) else "?"

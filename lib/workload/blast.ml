@@ -63,7 +63,7 @@ let start_sink kern ?(nice = 0) ~port () =
       (fun self ->
         Api.bind kern sock ~owner:(Some self) ~port;
         let rec loop () =
-          let _dg = Api.recvfrom kern ~self sock in
+          let _dg = Api.recvfrom kern sock in
           sink.received <- sink.received + 1;
           loop ()
         in

@@ -34,19 +34,19 @@ let start_server kern ?(port = 80) ?(backlog = 5) ?(doc_bytes = 1300)
              Cpu.spawn (Kernel.cpu kern)
                ~name:("httpd-child" ^ string_of_int st.accepted)
                ~working_set:50.
-               (fun child_self ->
-                 (match Api.tcp_recv kern ~self:child_self conn ~max:4096 with
+               (fun _ ->
+                 (match Api.tcp_recv kern conn ~max:4096 with
                   | `Data _request ->
                       (Cpu.cost_cell (Kernel.cpu kern)).(0) <- service_us;
                       Cpu.compute (Kernel.cpu kern);
                       (match
-                         Api.tcp_send kern ~self:child_self conn
+                         Api.tcp_send kern conn
                            (Payload.synthetic doc_bytes)
                        with
                        | `Ok -> st.served <- st.served + 1
                        | `Closed -> ())
                   | `Eof -> ());
-                 Api.close kern ~self:child_self conn)
+                 Api.close kern conn)
            in
            Api.set_owner kern conn ~owner:child;
            accept_loop ()
@@ -72,12 +72,12 @@ let start_client kern ~dst ?(request_bytes = 100) ?(doc_bytes = 1300)
           (match Api.tcp_connect kern ~self sock ~remote:dst with
            | `Refused ->
                stats.failed <- stats.failed + 1;
-               Api.close kern ~self sock;
+               Api.close kern sock;
                (* Back off briefly before retrying, like a browser would. *)
                Proc.sleep_for (Time.ms 100.)
            | `Ok ->
                (match
-                  Api.tcp_send kern ~self sock (Payload.synthetic request_bytes)
+                  Api.tcp_send kern sock (Payload.synthetic request_bytes)
                 with
                 | `Closed -> stats.failed <- stats.failed + 1
                 | `Ok ->
@@ -87,12 +87,12 @@ let start_client kern ~dst ?(request_bytes = 100) ?(doc_bytes = 1300)
                         stats.bytes <- stats.bytes + got
                       end
                       else
-                        match Api.tcp_recv kern ~self sock ~max:65_536 with
+                        match Api.tcp_recv kern sock ~max:65_536 with
                         | `Data p -> read_doc (got + Payload.length p)
                         | `Eof -> stats.failed <- stats.failed + 1
                     in
                     read_doc 0);
-               Api.close kern ~self sock);
+               Api.close kern sock);
           session ()
         in
         session ()))

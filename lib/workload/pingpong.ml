@@ -14,7 +14,7 @@ let start_server kern ~port =
       (fun self ->
         Api.bind kern sock ~owner:(Some self) ~port;
         let rec loop () =
-          let dg = Api.recvfrom kern ~self sock in
+          let dg = Api.recvfrom kern sock in
           Api.sendto kern ~self sock ~dst:dg.Api.dg_from dg.Api.dg_payload;
           loop ()
         in
@@ -42,7 +42,7 @@ let start_client kern ~dst ~rounds ?(size = 1) () =
         for _ = 1 to rounds do
           let t0 = Engine.now engine in
           Api.sendto kern ~self sock ~dst (Payload.synthetic size);
-          let _reply = Api.recvfrom kern ~self sock in
+          let _reply = Api.recvfrom kern sock in
           Lrp_stats.Stats.Samples.add t.rtts (Engine.now engine -. t0);
           t.rounds_done <- t.rounds_done + 1
         done;
@@ -74,7 +74,7 @@ let start_probe kern ~dst ?(size = 1) ?(timeout = Time.ms 200.) ~until () =
              let t0 = Engine.now engine in
              Api.sendto kern ~self sock ~dst (Payload.synthetic size);
              t.probe_sent <- t.probe_sent + 1;
-             (match Api.recvfrom_timeout kern ~self sock ~timeout with
+             (match Api.recvfrom_timeout kern sock ~timeout with
               | Some _ ->
                   Lrp_stats.Stats.Samples.add t.probe_rtts
                     (Engine.now engine -. t0)

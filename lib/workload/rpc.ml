@@ -42,7 +42,7 @@ let start_rpc_server kern ~port ~service =
         let sock = Api.socket_dgram kern in
         Api.bind kern sock ~owner:(Some self) ~port;
         let rec loop () =
-          let dg = Api.recvfrom kern ~self sock in
+          let dg = Api.recvfrom kern sock in
           (Cpu.cost_cell (Kernel.cpu kern)).(0) <- service;
           Cpu.compute (Kernel.cpu kern);
           Api.sendto kern ~self sock ~dst:dg.Api.dg_from (Payload.synthetic 32);
@@ -56,7 +56,7 @@ let start_worker kern ~port ~cpu_us ~working_set result =
     (Cpu.spawn (Kernel.cpu kern) ~name:"worker" ~working_set (fun self ->
          let sock = Api.socket_dgram kern in
          Api.bind kern sock ~owner:(Some self) ~port;
-         let dg = Api.recvfrom kern ~self sock in
+         let dg = Api.recvfrom kern sock in
          result.worker_started <- Engine.now (Kernel.engine kern);
          (Cpu.cost_cell (Kernel.cpu kern)).(0) <- cpu_us;
          Cpu.compute (Kernel.cpu kern);
@@ -71,7 +71,7 @@ let start_collector kern ~port ~completed result =
        (fun self ->
         Api.bind kern sock ~owner:(Some self) ~port;
         let rec loop () =
-          let _dg = Api.recvfrom kern ~self sock in
+          let _dg = Api.recvfrom kern sock in
           incr completed;
           result.rpcs_completed <- result.rpcs_completed + 1;
           (match result.worker_finished with
@@ -117,7 +117,7 @@ let run world ~server ~client ~cls ?(worker_cpu = Time.sec 11.5)
          Api.sendto client ~self sock
            ~dst:(Kernel.ip_address server, 6000)
            (Payload.synthetic 32);
-         let _reply = Api.recvfrom client ~self sock in
+         let _reply = Api.recvfrom client sock in
          ()));
   (* In-kernel request injector: near-uniform in time, alternating between
      the two servers, capped outstanding so the servers never starve but

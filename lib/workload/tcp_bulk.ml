@@ -27,7 +27,7 @@ let run world ~sender ~receiver ~port ~total ~until () =
          let conn = Api.tcp_accept receiver ~self lsock in
          r.started <- Engine.now engine;
          let rec drain () =
-           match Api.tcp_recv receiver ~self conn ~max:65_536 with
+           match Api.tcp_recv receiver conn ~max:65_536 with
            | `Data p ->
                r.bytes <- r.bytes + Payload.length p;
                drain ()
@@ -35,7 +35,7 @@ let run world ~sender ~receiver ~port ~total ~until () =
          in
          drain ();
          r.finished <- Some (Engine.now engine);
-         Api.close receiver ~self conn));
+         Api.close receiver conn));
   ignore
     (Cpu.spawn (Kernel.cpu sender) ~name:"tcpbulk-tx" (fun self ->
          let sock = Api.socket_stream sender in
@@ -50,10 +50,10 @@ let run world ~sender ~receiver ~port ~total ~until () =
              let remaining = ref total in
              while !remaining > 0 do
                let n = min chunk !remaining in
-               (match Api.tcp_send sender ~self sock (Payload.synthetic n) with
+               (match Api.tcp_send sender sock (Payload.synthetic n) with
                 | `Ok -> remaining := !remaining - n
                 | `Closed -> remaining := 0)
              done;
-             Api.close sender ~self sock));
+             Api.close sender sock));
   World.run world ~until;
   r

@@ -28,7 +28,7 @@ let start_receiver kern ~port result =
          let sock = Api.socket_dgram kern in
          Api.bind kern sock ~owner:(Some self) ~port;
          let rec loop () =
-           let dg = Api.recvfrom kern ~self sock in
+           let dg = Api.recvfrom kern sock in
            let n = Payload.length dg.Api.dg_payload in
            if result.datagrams = 0 then
              result.first_rx <- Engine.now (Kernel.engine kern);
@@ -56,7 +56,7 @@ let start_sender kern ~dst ~size ~window ~total =
              incr outstanding
            end
            else begin
-             let _ack = Api.recvfrom kern ~self sock in
+             let _ack = Api.recvfrom kern sock in
              incr acked;
              decr outstanding
            end

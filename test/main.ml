@@ -1,3 +1,7 @@
+(* Suite order matters for wall time: [trace]'s jobs-4 sweep, [parallel]
+   and [cluster] start worker domains that stay parked in the pool for
+   the rest of the process, and every minor collection then stops them
+   too.  So those three run last. *)
 let () =
   Alcotest.run "lrp"
     [ ("engine", Test_engine.suite);
@@ -15,15 +19,15 @@ let () =
       ("endpoint", Test_endpoint.suite);
       ("gateway", Test_gateway.suite);
       ("stats", Test_stats.suite);
-      ("trace", Test_trace.suite);
       ("workload", Test_workload.suite);
       ("properties", Test_properties.suite);
-      ("parallel", Test_parallel.suite);
-      ("cluster", Test_cluster.suite);
       ("experiments", Test_experiments.suite);
       ("check", Test_check.suite);
       ("recorder", Test_recorder.suite);
       ("fuzz", Test_fuzz.suite);
       ("modern", Test_modern.suite);
       ("lint", Test_lint.suite);
-      ("allocheck", Test_allocheck.suite) ]
+      ("allocheck", Test_allocheck.suite);
+      ("trace", Test_trace.suite);
+      ("parallel", Test_parallel.suite);
+      ("cluster", Test_cluster.suite) ]

@@ -38,6 +38,9 @@ let alloc_entries =
     "Aref.escaping"; "Aref.eliminated"; "Aref.buffer";
     "Acall.trusted"; "Acall.fmt_path"; "Acall.boxed"; "Acall.unboxed";
     "Asup.cold_path"; "Asup.trailing"; "Asup.stale";
+    "Acmp.stdlib_min"; "Acmp.stdlib_compare"; "Acmp.abstract_eq";
+    "Acmp.poly_eq"; "Acmp.boxed_lt"; "Acmp.probe"; "Acmp.probe_alias";
+    "Acmp.probe_open"; "Acmp.probe_let_module"; "Acmp.clean";
   ]
 
 let fixture_cfg =
@@ -110,6 +113,19 @@ let test_sup () =
   check_rl "claimed suppressions silence; the stale one is a finding"
     [ ("SUP", 10) ]
     (in_file "asup.ml")
+
+let test_cmp () =
+  let fs = in_file "acmp.ml" in
+  check_rl
+    "Stdlib min and compare, (=) at an abstract and a polymorphic type, \
+     (<) at a tuple, and Hashtbl probes spelled directly, through an \
+     alias, a local open and a let-module fire; int, float, bool and \
+     constant-constructor comparisons and Int.min do not"
+    [ ("CMP", 10); ("CMP", 12); ("CMP", 14); ("CMP", 16); ("CMP", 18);
+      ("CMP", 20); ("CMP", 22); ("CMP", 24); ("CMP", 26) ]
+    fs;
+  Alcotest.(check bool) "names the unspecialised type" true
+    (List.exists (fun f -> contains f.Finding.msg "type H.t") fs)
 
 (* --- driver scoping ----------------------------------------------------- *)
 
@@ -392,4 +408,6 @@ let suite =
     Alcotest.test_case "golden JSON report" `Quick test_golden_json;
     Alcotest.test_case "self-check: live tree is allocation-clean" `Quick
       test_self_check;
+    Alcotest.test_case "CMP fires on generic compare and hash" `Quick
+      test_cmp;
   ]

@@ -142,7 +142,7 @@ let test_real_kernels_pass_oracle () =
              let sock = Api.socket_dgram server in
              Api.bind server sock ~owner:(Some self) ~port:5000;
              for _ = 1 to 20 do
-               ignore (Api.recvfrom server ~self sock)
+               ignore (Api.recvfrom server sock)
              done));
       ignore
         (Cpu.spawn (Kernel.cpu client) ~name:"tx" (fun self ->

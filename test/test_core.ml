@@ -349,6 +349,55 @@ let qsuite =
   [ QCheck_alcotest.to_alcotest prop_chantab_matches_pcb;
     QCheck_alcotest.to_alcotest prop_flowtab_matches_model ]
 
+(* The int table against an association-list model: inserts in scrambled
+   order (through growth), replacements and removals (backward shifts
+   through collision clusters); every probe agrees with the model, and
+   the Det helpers visit bindings in ascending key order. *)
+let test_itab_sorted () =
+  let module Itab = Lrp_det.Itab in
+  let t = Itab.create 2 in
+  let model = ref [] in
+  let set k v =
+    Itab.replace t k v;
+    model := (k, v) :: List.remove_assoc k !model
+  in
+  let del k =
+    Itab.remove t k;
+    model := List.remove_assoc k !model
+  in
+  (* clustered keys (ports, pids) and spread ones (IPv4 addresses) *)
+  for i = 0 to 199 do
+    set (((i * 7919) mod 200) + 9000) i;
+    set (0x0a000000 + (i * 256)) (-i)
+  done;
+  set (-5) 5;
+  set 9000 42;
+  for i = 0 to 99 do
+    del ((i * 3) + 9000);
+    del (0x0a000000 + (i * 512))
+  done;
+  del 123456;
+  let want = List.sort (fun (a, _) (b, _) -> Int.compare a b) !model in
+  Alcotest.(check int) "length" (List.length want) (Itab.length t);
+  List.iter
+    (fun (k, v) ->
+      let slot = Itab.find t k in
+      Alcotest.(check bool) "found" true (slot >= 0 && Itab.value t slot = v))
+    want;
+  Alcotest.(check bool) "removed keys are gone" false
+    (Itab.mem t 9003 || Itab.mem t 0x0a000200);
+  Alcotest.(check (list int)) "sorted_keys_int ascends" (List.map fst want)
+    (Lrp_det.Det.sorted_keys_int t);
+  let seen = ref [] in
+  Lrp_det.Det.iter_sorted_int (fun k v -> seen := (k, v) :: !seen) t;
+  Alcotest.(check (list (pair int int))) "iter_sorted_int ascends" want
+    (List.rev !seen);
+  Alcotest.(check (list (pair int int))) "fold_sorted_int ascends" want
+    (List.rev (Lrp_det.Det.fold_sorted_int (fun k v acc -> (k, v) :: acc) t []));
+  Alcotest.check_raises "min_int is the empty marker"
+    (Invalid_argument "Itab.replace: reserved key") (fun () ->
+      Itab.replace t min_int 0)
+
 let suite =
   [ Alcotest.test_case "channel FIFO + transitions" `Quick test_channel_fifo;
     Alcotest.test_case "channel early discard" `Quick test_channel_early_discard;
@@ -371,3 +420,5 @@ let suite =
     Alcotest.test_case "flowtab iteration is deterministic across domains"
       `Quick test_flowtab_iteration_deterministic ]
   @ qsuite
+  @ [ Alcotest.test_case "itab iterates in ascending key order via Det" `Quick
+        test_itab_sorted ]

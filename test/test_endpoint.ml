@@ -35,7 +35,7 @@ let test_udp_close_frees () =
         (Cpu.spawn (Kernel.cpu server) ~name:"sleeper" (fun self ->
              Api.bind server sock ~owner:(Some self) ~port:5000;
              Proc.sleep_for (Time.ms 50.);
-             Api.close server ~self sock));
+             Api.close server sock));
       let sent = 80 in
       for i = 0 to sent - 1 do
         ignore
@@ -66,8 +66,8 @@ let test_udp_close_frees () =
    channel list. *)
 let tables (k : Kernel.t) =
   let ct = Kernel.chantab k in
-  [ ("udp_ports", Hashtbl.length k.Kernel.udp_ports);
-    ("tcp_listeners", Hashtbl.length k.Kernel.tcp_listeners);
+  [ ("udp_ports", Lrp_det.Itab.length k.Kernel.udp_ports);
+    ("tcp_listeners", Lrp_det.Itab.length k.Kernel.tcp_listeners);
     ("tcp_conns", Lrp_core.Flowtab.length k.Kernel.tcp_conns);
     ("eps", Lrp_core.Flowtab.length k.Kernel.eps);
     ("chans", Lrp_core.Flowtab.length k.Kernel.chans);
@@ -114,13 +114,13 @@ let test_lifecycle () =
              Api.tcp_listen server ~self l ~port:80 ~backlog:4;
              let conn = Api.tcp_accept server ~self l in
              let child =
-               Cpu.spawn (Kernel.cpu server) ~name:"child" (fun cself ->
-                   (match Api.tcp_recv server ~self:cself conn ~max:4096 with
+               Cpu.spawn (Kernel.cpu server) ~name:"child" (fun _ ->
+                   (match Api.tcp_recv server conn ~max:4096 with
                     | `Data _ ->
                         let doc = Payload.synthetic 200 in
-                        served := Api.tcp_send server ~self:cself conn doc = `Ok
+                        served := Api.tcp_send server conn doc = `Ok
                     | `Eof -> ());
-                   Api.close server ~self:cself conn)
+                   Api.close server conn)
              in
              Api.set_owner server conn ~owner:child;
              (match conn.Socket.tcp with
@@ -135,12 +135,12 @@ let test_lifecycle () =
                      | Some _ | None -> false)
               | None -> ());
              Proc.sleep_for (Time.ms 30.);
-             Api.close server ~self u;
+             Api.close server u;
              Api.leave_group server m1 ~port:6000;
-             Api.close server ~self m1;
-             Api.close server ~self m2;
+             Api.close server m1;
+             Api.close server m2;
              Proc.sleep_for (Time.ms 90.);
-             Api.close server ~self l));
+             Api.close server l));
       ignore
         (Cpu.spawn (Kernel.cpu client) ~name:"cli" (fun self ->
              Proc.sleep_for (Time.ms 1.);
@@ -148,9 +148,9 @@ let test_lifecycle () =
              let remote = (Kernel.ip_address server, 80) in
              (match Api.tcp_connect client ~self s ~remote with
               | `Ok ->
-                  ignore (Api.tcp_send client ~self s (Payload.synthetic 100));
+                  ignore (Api.tcp_send client s (Payload.synthetic 100));
                   let rec drain () =
-                    match Api.tcp_recv client ~self s ~max:65_536 with
+                    match Api.tcp_recv client s ~max:65_536 with
                     | `Data _ ->
                         fetched := true;
                         drain ()
@@ -158,7 +158,7 @@ let test_lifecycle () =
                   in
                   drain ()
               | `Refused -> ());
-             Api.close client ~self s));
+             Api.close client s));
       let check_at ms k what exp =
         World.run w ~until:(Time.ms ms);
         Alcotest.(check (list (pair string int)))
@@ -206,7 +206,7 @@ let test_listener_close_aborts () =
              let l = Api.socket_stream server in
              Api.tcp_listen server ~self l ~port:80 ~backlog:4;
              Proc.sleep_for (Time.ms 20.);
-             Api.close server ~self l));
+             Api.close server l));
       let connected = ref 0 in
       for i = 1 to 2 do
         ignore
@@ -220,9 +220,9 @@ let test_listener_close_aborts () =
                 with
                | `Ok ->
                    incr connected;
-                   ignore (Api.tcp_recv client ~self s ~max:4096)
+                   ignore (Api.tcp_recv client s ~max:4096)
                | `Refused -> ());
-               Api.close client ~self s))
+               Api.close client s))
       done;
       ignore
         (Engine.schedule (World.engine w) ~at:(Time.ms 5.) (fun () ->

@@ -55,10 +55,25 @@ let fail_run ?tracer script arch what =
     (Printf.sprintf "seed %d on %s: %s (script saved to %s)"
        script.Fault_script.seed (Kernel.arch_name arch) what path)
 
+(* Advance to [until] in 250 us slices, logging the clock (exactly, in
+   hex) and the event count after each, as the golden suite's "run equals
+   stepping" case does: a run-ahead that lands an event at another's key
+   or crosses a run's bound shows in the log even where the end state
+   converges. *)
+let in_slices advance engine ~until log =
+  let t = ref (Engine.now engine) in
+  while !t < until do
+    t := Float.min until (!t +. 250.);
+    advance engine ~until:!t;
+    Printf.bprintf log "%h %d\n" (Engine.now engine)
+      (Engine.events_executed engine)
+  done
+
 (* One UDP blast under a fault script; oracle checked on the receiver.
    [step] advances the engine one event at a time instead of through the
-   batched loop (which may run CPU segments ahead, DESIGN §17); [counters]
-   are both kernels' counter tables, engine timer stats included. *)
+   batched loop (which may run CPU segments ahead, DESIGN §17), both in
+   logged slices; [counters] are both kernels' counter tables, engine
+   timer stats included. *)
 let udp_fuzz_run ?(step = false) ~arch ~seed () =
   let cfg = Kernel.default_config arch in
   let w, client, server = World.pair ~cfg () in
@@ -77,14 +92,20 @@ let udp_fuzz_run ?(step = false) ~arch ~seed () =
   in
   (* Slack past the send window so reorder-held frames flush. *)
   let until = Time.ms 150. in
-  if step then Engine.run_while (World.engine w) (fun () -> true) ~until
-  else World.run w ~until;
+  let advance =
+    if step then fun e ~until -> Engine.run_while e (fun () -> true) ~until
+    else Engine.run
+  in
+  let log = Buffer.create 4096 in
+  in_slices advance (World.engine w) ~until log;
   let v = Oracle.check_tracer ~require_demux:(require_demux arch) tr in
   let counters = Kernel.counters client @ Kernel.counters server in
-  (script, v, src.Blast.sent, sink.Blast.received, tr, counters)
+  ( script, v, src.Blast.sent, sink.Blast.received, tr, counters,
+    Buffer.contents log )
 
 (* Every seed also replays one arch, in turn, one event at a time: the
-   batched run must give the same counts, counters and server trace.
+   batched run must give the same counts, counters, server trace and
+   per-slice clock and event count.
    One arch per seed keeps the replay's cost at a seventh of the
    matrix's while every arch is replayed under many scripts. *)
 let test_udp_fuzz_matrix () =
@@ -92,7 +113,7 @@ let test_udp_fuzz_matrix () =
     let replayed = List.nth archs (seed mod List.length archs) in
     List.iter
       (fun arch ->
-        let script, v, sent, received, tr, counters =
+        let script, v, sent, received, tr, counters, log =
           udp_fuzz_run ~arch ~seed ()
         in
         if sent = 0 then fail_run ~tracer:tr script arch "source sent nothing";
@@ -102,11 +123,11 @@ let test_udp_fuzz_matrix () =
           fail_run ~tracer:tr script arch
             (Format.asprintf "oracle violation: %a" Oracle.pp_verdict v);
         if arch = replayed then begin
-          let _, _, sent', received', tr', counters' =
+          let _, _, sent', received', tr', counters', log' =
             udp_fuzz_run ~step:true ~arch ~seed ()
           in
           if (sent, received) <> (sent', received') || counters <> counters'
-             || Trace.events tr <> Trace.events tr'
+             || Trace.events tr <> Trace.events tr' || log <> log'
           then
             fail_run ~tracer:tr script arch
               "the batched run differs from stepping one event at a time"
@@ -136,14 +157,14 @@ let tcp_fuzz_run ~arch ~seed ~bytes =
          Api.tcp_listen server ~self lsock ~port:5001 ~backlog:4;
          let conn = Api.tcp_accept server ~self lsock in
          let rec drain () =
-           match Api.tcp_recv server ~self conn ~max:65_536 with
+           match Api.tcp_recv server conn ~max:65_536 with
            | `Data p ->
                Buffer.add_bytes received (Payload.to_bytes p);
                drain ()
            | `Eof -> ()
          in
          drain ();
-         Api.close server ~self conn;
+         Api.close server conn;
          done_at := Some (Engine.now (World.engine w))));
   let data =
     Bytes.init bytes (fun i -> Char.chr ((i * 131 + (i lsr 8) * 17) land 0xff))
@@ -157,8 +178,8 @@ let tcp_fuzz_run ~arch ~seed ~bytes =
          with
          | `Refused -> ()
          | `Ok ->
-             ignore (Api.tcp_send client ~self sock (Payload.of_bytes data));
-             Api.close client ~self sock));
+             ignore (Api.tcp_send client sock (Payload.of_bytes data));
+             Api.close client sock));
   World.run w ~until:(Time.sec 30.);
   let v = Oracle.check_tracer ~require_demux:(require_demux arch) tr in
   (script, v, Bytes.to_string data, Buffer.contents received, !done_at, tr)
@@ -292,8 +313,8 @@ let test_none_faults_byte_identical () =
 let test_fuzz_run_reproducible () =
   List.iter
     (fun arch ->
-      let _, v1, s1, r1, _, _ = udp_fuzz_run ~arch ~seed:7 () in
-      let _, v2, s2, r2, _, _ = udp_fuzz_run ~arch ~seed:7 () in
+      let _, v1, s1, r1, _, _, _ = udp_fuzz_run ~arch ~seed:7 () in
+      let _, v2, s2, r2, _, _, _ = udp_fuzz_run ~arch ~seed:7 () in
       Alcotest.(check (pair int int))
         (Printf.sprintf "%s: replayed run identical" (Kernel.arch_name arch))
         (s1, r1) (s2, r2);

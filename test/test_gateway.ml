@@ -22,7 +22,7 @@ let test_udp_through_gateway () =
         (Cpu.spawn (Kernel.cpu server) ~name:"rx" (fun self ->
              let sock = Api.socket_dgram server in
              Api.bind server sock ~owner:(Some self) ~port:5000;
-             let dg = Api.recvfrom server ~self sock in
+             let dg = Api.recvfrom server sock in
              got := Some dg.Api.dg_from));
       ignore
         (Cpu.spawn (Kernel.cpu client) ~name:"tx" (fun self ->
@@ -59,10 +59,10 @@ let test_tcp_through_gateway () =
              let lsock = Api.socket_stream server in
              Api.tcp_listen server ~self lsock ~port:80 ~backlog:4;
              let conn = Api.tcp_accept server ~self lsock in
-             (match Api.tcp_recv server ~self conn ~max:4096 with
-              | `Data p -> ignore (Api.tcp_send server ~self conn p)
+             (match Api.tcp_recv server conn ~max:4096 with
+              | `Data p -> ignore (Api.tcp_send server conn p)
               | `Eof -> ());
-             Api.close server ~self conn));
+             Api.close server conn));
       ignore
         (Cpu.spawn (Kernel.cpu client) ~name:"cli" (fun self ->
              let sock = Api.socket_stream client in
@@ -72,12 +72,12 @@ let test_tcp_through_gateway () =
              with
              | `Refused -> ()
              | `Ok ->
-                 ignore (Api.tcp_send client ~self sock (Payload.of_string "hi"));
-                 (match Api.tcp_recv client ~self sock ~max:100 with
+                 ignore (Api.tcp_send client sock (Payload.of_string "hi"));
+                 (match Api.tcp_recv client sock ~max:100 with
                   | `Data p ->
                       echoed := Some (Bytes.to_string (Payload.to_bytes p))
                   | `Eof -> ());
-                 Api.close client ~self sock));
+                 Api.close client sock));
       Engine.run engine ~until:(Time.sec 10.);
       Alcotest.(check (option string))
         (Printf.sprintf "%s: TCP echo across two networks" (Kernel.arch_name arch))

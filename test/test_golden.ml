@@ -152,9 +152,9 @@ let gateway_run sys =
          Api.tcp_listen server ~self lsock ~port:80 ~backlog:4;
          let conn = Api.tcp_accept server ~self lsock in
          let rec echo () =
-           match Api.tcp_recv server ~self conn ~max:4096 with
-           | `Data p -> ignore (Api.tcp_send server ~self conn p); echo ()
-           | `Eof -> Api.close server ~self conn
+           match Api.tcp_recv server conn ~max:4096 with
+           | `Data p -> ignore (Api.tcp_send server conn p); echo ()
+           | `Eof -> Api.close server conn
          in
          echo ()));
   ignore
@@ -167,12 +167,12 @@ let gateway_run sys =
          | `Refused -> ()
          | `Ok ->
              for _ = 1 to 5 do
-               ignore (Api.tcp_send client ~self sock (Payload.synthetic 3000));
-               match Api.tcp_recv client ~self sock ~max:4096 with
+               ignore (Api.tcp_send client sock (Payload.synthetic 3000));
+               match Api.tcp_recv client sock ~max:4096 with
                | `Data p -> echoed := !echoed + Payload.length p
                | `Eof -> ()
              done;
-             Api.close client ~self sock));
+             Api.close client sock));
   Engine.run engine ~until:(Time.ms 300.);
   summary_of_engine engine [ client; gw; server ]
     (Printf.sprintf "sent=%d received=%d echoed=%d" src.Blast.sent
@@ -193,7 +193,7 @@ let mcast_frag_run sys =
          let sock = Api.socket_dgram server in
          Api.join_group server sock ~owner:(Some self) ~group ~port:6666;
          for _ = 1 to n do
-           let dg = Api.recvfrom server ~self sock in
+           let dg = Api.recvfrom server sock in
            got_a := !got_a + Payload.length dg.Api.dg_payload
          done));
   ignore
@@ -201,7 +201,7 @@ let mcast_frag_run sys =
          let sock = Api.socket_dgram server in
          Api.join_group server sock ~owner:(Some self) ~group ~port:6666;
          for _ = 1 to 2 * n do
-           match Api.recvfrom_timeout server ~self sock ~timeout:(Time.ms 3.) with
+           match Api.recvfrom_timeout server sock ~timeout:(Time.ms 3.) with
            | Some dg -> got_b := !got_b + Payload.length dg.Api.dg_payload
            | None -> ()
          done));
@@ -210,7 +210,7 @@ let mcast_frag_run sys =
          let sock = Api.socket_dgram server in
          Api.bind server sock ~owner:(Some self) ~port:5000;
          for _ = 1 to 4 * n do
-           match Api.try_recvfrom server ~self sock with
+           match Api.try_recvfrom server sock with
            | Some dg -> got_big := !got_big + Payload.length dg.Api.dg_payload
            | None -> Proc.sleep_for (Time.ms 1.)
          done));
@@ -294,16 +294,16 @@ let cpu_edges advance =
            Cpu.compute cpu;
            incr progress
          done));
-  let costly = Cpu.job (fun () _ -> note "costly") in
+  let costly = Cpu.job cpu ~label:"costly" (fun () _ -> note "costly") in
   let free =
-    Cpu.job (fun () _ ->
+    Cpu.job cpu ~label:"free" (fun () _ ->
         (Cpu.cost_cell cpu).(0) <- 3.;
-        Cpu.post_hard_job_tail cpu ~label:"costly" ~tpkt:(-1) costly () 0)
+        Cpu.post_hard_job_tail cpu ~tpkt:(-1) costly () 0)
   in
   ignore
     (Engine.schedule eng ~at:105.5 (fun () ->
          (Cpu.cost_cell cpu).(0) <- 0.;
-         Cpu.post_hard_job cpu ~label:"free" ~tpkt:(-1) free () 0;
+         Cpu.post_hard_job cpu ~tpkt:(-1) free () 0;
          note "posted"));
   advance eng ~until:500.;
   note "end";

@@ -51,7 +51,7 @@ let test_udp_fragmentation_e2e arch cfg =
     (Cpu.spawn (Kernel.cpu server) ~name:"rx" (fun self ->
          let sock = Api.socket_dgram server in
          Api.bind server sock ~owner:(Some self) ~port:5000;
-         let dg = Api.recvfrom server ~self sock in
+         let dg = Api.recvfrom server sock in
          got := Some (Payload.length dg.Api.dg_payload)));
   ignore
     (Cpu.spawn (Kernel.cpu client) ~name:"tx" (fun self ->
@@ -77,7 +77,7 @@ let test_fragments_in_both_channels () =
          let sock = Api.socket_dgram server in
          Api.bind server sock ~owner:(Some self) ~port:5000;
          for _ = 1 to 3 do
-           let dg = Api.recvfrom server ~self sock in
+           let dg = Api.recvfrom server sock in
            got := !got + Payload.length dg.Api.dg_payload
          done));
   ignore
@@ -113,7 +113,7 @@ let test_helper_preprocesses_when_idle () =
             otherwise idle. *)
          Proc.sleep_for (Time.ms 50.);
          ready_before_recv := not (Queue.is_empty sock.Socket.udp_rcv);
-         let _dg = Api.recvfrom server ~self sock in
+         let _dg = Api.recvfrom server sock in
          ()));
   ignore
     (Engine.schedule (World.engine w) ~at:(Time.ms 10.) (fun () ->
@@ -141,7 +141,7 @@ let test_helper_disabled () =
          (match sock.Socket.chan with
           | Some ch -> chan_depth := Lrp_core.Channel.length ch
           | None -> ());
-         let _dg = Api.recvfrom server ~self sock in
+         let _dg = Api.recvfrom server sock in
          got := true));
   ignore
     (Engine.schedule (World.engine w) ~at:(Time.ms 10.) (fun () ->
@@ -165,7 +165,7 @@ let test_recvfrom_timeout () =
     (Cpu.spawn (Kernel.cpu server) ~name:"rx" (fun self ->
          let sock = Api.socket_dgram server in
          Api.bind server sock ~owner:(Some self) ~port:5000;
-         (match Api.recvfrom_timeout server ~self sock ~timeout:(Time.ms 5.) with
+         (match Api.recvfrom_timeout server sock ~timeout:(Time.ms 5.) with
           | Some dg -> result := Some (Payload.length dg.Api.dg_payload)
           | None -> result := None);
          woke_at := Engine.now (World.engine w)));
@@ -184,7 +184,7 @@ let test_sendto_autobinds () =
     (Cpu.spawn (Kernel.cpu server) ~name:"rx" (fun self ->
          let sock = Api.socket_dgram server in
          Api.bind server sock ~owner:(Some self) ~port:5000;
-         let dg = Api.recvfrom server ~self sock in
+         let dg = Api.recvfrom server sock in
          reply_port := snd dg.Api.dg_from));
   ignore
     (Cpu.spawn (Kernel.cpu client) ~name:"tx" (fun self ->
@@ -221,12 +221,12 @@ let test_close_wakes_blocked_receiver () =
   ignore
     (Cpu.spawn (Kernel.cpu server) ~name:"rx" (fun self ->
          Api.bind server sock ~owner:(Some self) ~port:5000;
-         try ignore (Api.recvfrom server ~self sock)
+         try ignore (Api.recvfrom server sock)
          with Api.Socket_closed -> got_exn := true));
   ignore
-    (Cpu.spawn (Kernel.cpu server) ~name:"closer" (fun self ->
+    (Cpu.spawn (Kernel.cpu server) ~name:"closer" (fun _ ->
          Proc.sleep_for (Time.ms 5.);
-         Api.close server ~self sock));
+         Api.close server sock));
   World.run w ~until:(Time.sec 1.);
   Alcotest.(check bool) "blocked receiver saw Socket_closed" true !got_exn
 
@@ -238,7 +238,7 @@ let test_port_reusable_after_close () =
     (Cpu.spawn (Kernel.cpu server) ~name:"p" (fun self ->
          let a = Api.socket_dgram server in
          Api.bind server a ~owner:(Some self) ~port:5000;
-         Api.close server ~self a;
+         Api.close server a;
          let b = Api.socket_dgram server in
          Api.bind server b ~owner:(Some self) ~port:5000;
          ok := true));
@@ -292,7 +292,7 @@ let test_mbuf_balance () =
                  let sock = Api.socket_dgram server in
                  Api.bind server sock ~owner:(Some self) ~port:5000;
                  let rec loop () =
-                   ignore (Api.recvfrom server ~self sock);
+                   ignore (Api.recvfrom server sock);
                    incr got;
                    loop ()
                  in

@@ -91,6 +91,14 @@ let test_d2 () =
   check_rules "alias and local open fire" [ "D2"; "D2" ] fs;
   Alcotest.(check (list int))
     "at the alias and open sites" [ 7; 9 ]
+    (List.map (fun f -> f.Finding.line) fs);
+  (* The int table: its slot-order fold fires in every spelling; the
+     sorted helper does not. *)
+  let fs = run_fixture "d2_itab.ml" in
+  check_rules "Itab.fold fires directly, via alias and via open"
+    [ "D2"; "D2"; "D2" ] fs;
+  Alcotest.(check (list int))
+    "at the direct, alias and open sites" [ 7; 9; 11 ]
     (List.map (fun f -> f.Finding.line) fs)
 
 let test_d3_marshal () =

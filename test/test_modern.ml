@@ -73,7 +73,7 @@ let udp_delivery_sequence ~arch ~seed ~faults =
          let sock = Api.socket_dgram server in
          Api.bind server sock ~owner:(Some self) ~port:9000;
          let rec loop () =
-           let dg = Api.recvfrom server ~self sock in
+           let dg = Api.recvfrom server sock in
            got :=
              (dg.Api.dg_pkt, Payload.length dg.Api.dg_payload) :: !got;
            loop ()
@@ -146,14 +146,14 @@ let tcp_run ?(tune = fun c -> c) ~arch ~seed ~bytes () =
          Api.tcp_listen server ~self lsock ~port:5001 ~backlog:4;
          let conn = Api.tcp_accept server ~self lsock in
          let rec drain () =
-           match Api.tcp_recv server ~self conn ~max:65_536 with
+           match Api.tcp_recv server conn ~max:65_536 with
            | `Data p ->
                Buffer.add_bytes received (Payload.to_bytes p);
                drain ()
            | `Eof -> ()
          in
          drain ();
-         Api.close server ~self conn;
+         Api.close server conn;
          done_at := Some (Engine.now (World.engine w))));
   let data =
     Bytes.init bytes (fun i -> Char.chr ((i * 131 + (i lsr 8) * 17) land 0xff))
@@ -167,8 +167,8 @@ let tcp_run ?(tune = fun c -> c) ~arch ~seed ~bytes () =
          with
          | `Refused -> ()
          | `Ok ->
-             ignore (Api.tcp_send client ~self sock (Payload.of_bytes data));
-             Api.close client ~self sock));
+             ignore (Api.tcp_send client sock (Payload.of_bytes data));
+             Api.close client sock));
   World.run w ~until:(Time.sec 30.);
   let v = Oracle.check_tracer ~require_demux:false tr in
   let merges =

@@ -23,7 +23,7 @@ let test_two_members_one_host () =
                let sock = Api.socket_dgram server in
                Api.join_group server sock ~owner:(Some self) ~group ~port:6666;
                for _ = 1 to 3 do
-                 let dg = Api.recvfrom server ~self sock in
+                 let dg = Api.recvfrom server sock in
                  counter := !counter + Payload.length dg.Api.dg_payload
                done))
       in
@@ -75,7 +75,7 @@ let test_multicast_across_hosts () =
         (Cpu.spawn (Kernel.cpu kern) ~name:"member" (fun self ->
              let sock = Api.socket_dgram kern in
              Api.join_group kern sock ~owner:(Some self) ~group ~port:6666;
-             let _dg = Api.recvfrom kern ~self sock in
+             let _dg = Api.recvfrom kern sock in
              incr got)))
     [ h1; h2 ];
   ignore
@@ -95,7 +95,7 @@ let test_leave_group () =
   ignore
     (Cpu.spawn (Kernel.cpu server) ~name:"member" (fun self ->
          Api.join_group server sock ~owner:(Some self) ~group ~port:6666;
-         let _dg = Api.recvfrom server ~self sock in
+         let _dg = Api.recvfrom server sock in
          incr got;
          Api.leave_group server sock ~port:6666));
   ignore
@@ -124,15 +124,15 @@ let test_close_one_member () =
         (Cpu.spawn (Kernel.cpu server) ~name:"member-a" (fun self ->
              let sock = Api.socket_dgram server in
              Api.join_group server sock ~owner:(Some self) ~group ~port:6666;
-             ignore (Api.recvfrom server ~self sock);
+             ignore (Api.recvfrom server sock);
              incr got_a;
-             Api.close server ~self sock));
+             Api.close server sock));
       ignore
         (Cpu.spawn (Kernel.cpu server) ~name:"member-b" (fun self ->
              let sock = Api.socket_dgram server in
              Api.join_group server sock ~owner:(Some self) ~group ~port:6666;
              for _ = 1 to 3 do
-               ignore (Api.recvfrom server ~self sock);
+               ignore (Api.recvfrom server sock);
                incr got_b
              done));
       ignore
@@ -187,7 +187,7 @@ let test_connected_udp_filters () =
              Api.udp_connect server sock
                ~remote:(Kernel.ip_address peer, 7001);
              for _ = 1 to 2 do
-               let dg = Api.recvfrom server ~self sock in
+               let dg = Api.recvfrom server sock in
                from := fst dg.Api.dg_from :: !from
              done));
       let send kern ~port ~at =
@@ -231,7 +231,7 @@ let test_ephemeral_skips_group_port () =
     (Cpu.spawn (Kernel.cpu client) ~name:"rx" (fun self ->
          let sock = Api.socket_dgram client in
          Api.bind client sock ~owner:(Some self) ~port:7000;
-         let dg = Api.recvfrom client ~self sock in
+         let dg = Api.recvfrom client sock in
          from_port := snd dg.Api.dg_from));
   ignore
     (Cpu.spawn (Kernel.cpu server) ~name:"tx" (fun self ->

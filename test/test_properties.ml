@@ -11,7 +11,7 @@ let compute cpu d =
   Cpu.compute cpu
 
 (* Interrupt work that does nothing, posted through a test-local job. *)
-let nop = Cpu.job (fun () (_ : int) -> ())
+let nop cpu ~label = Cpu.job cpu ~label (fun () (_ : int) -> ())
 
 (* --- engine: time ordering under random self-scheduling ----------------- *)
 
@@ -47,6 +47,7 @@ let prop_cpu_time_conservation =
     (fun (seed, nprocs) ->
       let eng = Engine.create ~seed () in
       let cpu = Cpu.create eng ~ctx_switch_cost:10. () in
+      let hard = nop cpu ~label:"hardintr" and soft = nop cpu ~label:"softintr" in
       let rng = Rng.create (seed + 1) in
       for i = 1 to nprocs do
         let busy = 50. +. Rng.float rng 500. in
@@ -64,10 +65,9 @@ let prop_cpu_time_conservation =
           ignore
             (Engine.schedule_after eng ~delay:(Rng.float rng 500.) (fun () ->
                  (Cpu.cost_cell cpu).(0) <- Rng.float rng 50.;
-                 Cpu.post_hard_job cpu ~label:"hardintr" ~tpkt:(-1) nop () 0;
+                 Cpu.post_hard_job cpu ~tpkt:(-1) hard () 0;
                  (Cpu.cost_cell cpu).(0) <- Rng.float rng 80.;
-                 Cpu.post_soft_job cpu ~label:"softintr" ~tpkt:(-1) ~poll:false
-                   nop () 0;
+                 Cpu.post_soft_job cpu ~tpkt:(-1) ~poll:false soft () 0;
                  storm (k - 1)))
       in
       storm 40;
@@ -178,7 +178,7 @@ let prop_tcp_random_writes =
              Api.tcp_listen server ~self lsock ~port:80 ~backlog:2;
              let conn = Api.tcp_accept server ~self lsock in
              let rec drain () =
-               match Api.tcp_recv server ~self conn ~max:65_536 with
+               match Api.tcp_recv server conn ~max:65_536 with
                | `Data p ->
                    Buffer.add_bytes received (Payload.to_bytes p);
                    drain ()
@@ -201,9 +201,9 @@ let prop_tcp_random_writes =
                        Bytes.init n (fun j -> Char.chr ((i + (j * 7)) land 0xff))
                      in
                      Buffer.add_bytes sent data;
-                     ignore (Api.tcp_send client ~self sock (Payload.of_bytes data)))
+                     ignore (Api.tcp_send client sock (Payload.of_bytes data)))
                    sizes;
-                 Api.close client ~self sock));
+                 Api.close client sock));
       World.run w ~until:(Time.sec 60.);
       !eof && String.equal (Buffer.contents sent) (Buffer.contents received))
 

@@ -9,16 +9,17 @@ let compute cpu d =
   (Cpu.cost_cell cpu).(0) <- d;
   Cpu.compute cpu
 
-(* Interrupt work that runs a closure, posted through a test-local job. *)
-let thunk = Cpu.job (fun f (_ : int) -> f ())
+(* Interrupt work that runs a closure, posted through a test-local job
+   registered with the CPU it is posted to. *)
+let thunk cpu ~label = Cpu.job cpu ~label (fun f (_ : int) -> f ())
 
 let post_hard cpu ~cost f =
   (Cpu.cost_cell cpu).(0) <- cost;
-  Cpu.post_hard_job cpu ~label:"hardintr" ~tpkt:(-1) thunk f 0
+  Cpu.post_hard_job cpu ~tpkt:(-1) (thunk cpu ~label:"hardintr") f 0
 
 let post_soft cpu ~cost f =
   (Cpu.cost_cell cpu).(0) <- cost;
-  Cpu.post_soft_job cpu ~label:"softintr" ~tpkt:(-1) ~poll:false thunk f 0
+  Cpu.post_soft_job cpu ~tpkt:(-1) ~poll:false (thunk cpu ~label:"softintr") f 0
 
 let mk () =
   let eng = Engine.create () in
@@ -354,14 +355,15 @@ let test_typed_jobs_allocation_free () =
   let eng = Engine.create () in
   let cpu = Cpu.create eng ~start_clock:false () in
   let ran = ref 0 in
-  let j = Cpu.job (fun (r : int ref) n -> r := !r + n) in
+  let soft = Cpu.job cpu ~label:"softnet" (fun (r : int ref) n -> r := !r + n) in
+  let hard = Cpu.job cpu ~label:"rx-intr" (fun (r : int ref) n -> r := !r + n) in
   let cost = Cpu.cost_cell cpu in
   let cycle () =
     for _ = 1 to 50 do
       cost.(0) <- 5.;
-      Cpu.post_soft_job cpu ~label:"softnet" ~tpkt:7 ~poll:false j ran 1;
+      Cpu.post_soft_job cpu ~tpkt:7 ~poll:false soft ran 1;
       cost.(0) <- 3.;
-      Cpu.post_hard_job cpu ~label:"rx-intr" ~tpkt:7 j ran 1
+      Cpu.post_hard_job cpu ~tpkt:7 hard ran 1
     done;
     Engine.drain eng
   in
@@ -470,8 +472,9 @@ let zero_word_cycles =
           ignore (Channel.enqueue_code ch pkt);
           Lrp_trace.Trace.nic_rx tracer ~pkt:42 ~bytes:64;
           ignore (Channel.pop ch) );
-    ( "tx_arena",
-      (* if_output through the NIC's descriptor arena, tx-done fired *)
+    ( "tx_ifq",
+      (* if_output on an idle NIC and through the interface queue behind
+         it, both tx-dones fired *)
       fun () ->
         let eng = Engine.create () in
         let nic =
@@ -480,6 +483,8 @@ let zero_word_cycles =
         let pkt = udp_pkt () in
         fun () ->
           ignore (Nic.transmit nic pkt);
+          ignore (Nic.transmit nic pkt);
+          ignore (Engine.step eng);
           ignore (Engine.step eng) );
     ( "rxq_coalesce",
       (* a sub-threshold train: hold-off timer armed, fired, ring polled *)
@@ -610,7 +615,7 @@ let test_zero_words ?(warm = 20_000) ?(n = 50_000) make () =
    cycle takes one 2.7 us ATM cell time, so the window runs about 190 ms
    of virtual time, the kernel CPU's clock ticks included.  A cycle steps
    until its frame has left the interface queue: a step taken by a tick
-   must not leave a backlog that grows the TX arena. *)
+   must not leave a backlog behind. *)
 let ip_output_cycle () =
   let w = Lrp_workload.World.make () in
   let k =
@@ -659,12 +664,12 @@ let run_ahead_hardirq_cycle () =
   let eng = Engine.create () in
   let cpu = Cpu.create eng ~start_clock:false () in
   let finished = ref 0 and inline = ref 0 in
-  let rx = Cpu.job (fun () _ -> incr finished) in
+  let rx = Cpu.job cpu ~label:"rx-intr" (fun () _ -> incr finished) in
   let frame =
     Engine.target eng (fun () ->
         let before = !finished in
         (Cpu.cost_cell cpu).(0) <- 2.;
-        Cpu.post_hard_job_tail cpu ~label:"rx-intr" ~tpkt:(-1) rx () 0;
+        Cpu.post_hard_job_tail cpu ~tpkt:(-1) rx () 0;
         if !finished > before then incr inline)
   in
   let dl = Engine.deadline_cell eng and clock = Engine.clock_cell eng in

@@ -26,15 +26,15 @@ let start_echo_server kern ~port ~connections =
            let conn = Api.tcp_accept kern ~self lsock in
            incr accepted;
            let rec echo () =
-             match Api.tcp_recv kern ~self conn ~max:65_536 with
+             match Api.tcp_recv kern conn ~max:65_536 with
              | `Data payload ->
-                 (match Api.tcp_send kern ~self conn payload with
+                 (match Api.tcp_send kern conn payload with
                   | `Ok -> echo ()
                   | `Closed -> ())
              | `Eof -> ()
            in
            echo ();
-           Api.close kern ~self conn
+           Api.close kern conn
          done));
   accepted
 
@@ -54,13 +54,13 @@ let test_handshake_and_echo arch cfg =
          | `Ok ->
              connected := true;
              (match
-                Api.tcp_send client ~self sock (Payload.of_string "hello, lrp!")
+                Api.tcp_send client sock (Payload.of_string "hello, lrp!")
               with
               | `Ok -> (
-                  match Api.tcp_recv client ~self sock ~max:1024 with
+                  match Api.tcp_recv client sock ~max:1024 with
                   | `Data p ->
                       echoed := Some (Bytes.to_string (Payload.to_bytes p));
-                      Api.close client ~self sock
+                      Api.close client sock
                   | `Eof -> ())
               | `Closed -> ())));
   World.run w ~until:(Time.sec 5.);
@@ -88,14 +88,14 @@ let bulk_transfer ?faults ~arch ~bytes () =
          Api.tcp_listen server ~self lsock ~port:5001 ~backlog:4;
          let conn = Api.tcp_accept server ~self lsock in
          let rec drain () =
-           match Api.tcp_recv server ~self conn ~max:65_536 with
+           match Api.tcp_recv server conn ~max:65_536 with
            | `Data p ->
                Buffer.add_bytes received (Payload.to_bytes p);
                drain ()
            | `Eof -> ()
          in
          drain ();
-         Api.close server ~self conn;
+         Api.close server conn;
          done_at := Some (Engine.now (World.engine w))));
   (* Deterministic pseudo-random payload so corruption/reordering shows. *)
   let data =
@@ -110,8 +110,8 @@ let bulk_transfer ?faults ~arch ~bytes () =
          with
          | `Refused -> ()
          | `Ok ->
-             ignore (Api.tcp_send client ~self sock (Payload.of_bytes data));
-             Api.close client ~self sock));
+             ignore (Api.tcp_send client sock (Payload.of_bytes data));
+             Api.close client sock));
   World.run w ~until:(Time.sec 120.);
   (Bytes.to_string data, Buffer.contents received, !done_at)
 
@@ -181,13 +181,13 @@ let test_many_sequential_connections arch cfg =
            with
            | `Refused -> ()
            | `Ok -> (
-               match Api.tcp_send client ~self sock (Payload.synthetic 100) with
+               match Api.tcp_send client sock (Payload.synthetic 100) with
                | `Ok -> (
-                   match Api.tcp_recv client ~self sock ~max:1024 with
+                   match Api.tcp_recv client sock ~max:1024 with
                    | `Data p when Payload.length p = 100 ->
                        incr ok;
-                       Api.close client ~self sock
-                   | `Data _ | `Eof -> Api.close client ~self sock)
+                       Api.close client sock
+                   | `Data _ | `Eof -> Api.close client sock)
                | `Closed -> ())
          done));
   World.run w ~until:(Time.sec 30.);
@@ -281,7 +281,7 @@ let test_tcp_processing_charged_to_receiver () =
          Api.tcp_listen server ~self lsock ~port:5001 ~backlog:4;
          let conn = Api.tcp_accept server ~self lsock in
          let rec drain () =
-           match Api.tcp_recv server ~self conn ~max:65_536 with
+           match Api.tcp_recv server conn ~max:65_536 with
            | `Data _ -> drain ()
            | `Eof -> ()
          in
@@ -295,8 +295,8 @@ let test_tcp_processing_charged_to_receiver () =
          with
          | `Refused -> ()
          | `Ok ->
-             ignore (Api.tcp_send client ~self sock (Payload.synthetic 3_000_000));
-             Api.close client ~self sock));
+             ignore (Api.tcp_send client sock (Payload.synthetic 3_000_000));
+             Api.close client sock));
   World.run w ~until:(Time.sec 10.);
   match !receiver with
   | None -> Alcotest.fail "receiver did not start"
@@ -336,7 +336,7 @@ let test_endpoints_bounded () =
       List.iter
         (fun (k : Kernel.t) ->
           let live =
-            Lrp_core.Flowtab.length k.tcp_conns + Hashtbl.length k.tcp_listeners
+            Lrp_core.Flowtab.length k.tcp_conns + Lrp_det.Itab.length k.tcp_listeners
           in
           let bounded what n ~extra =
             Alcotest.(check bool)
@@ -423,7 +423,7 @@ let test_tcp_counters_cumulative () =
             Printf.sprintf ("%s %s: " ^^ fmt) (Kernel.arch_name arch) (Kernel.name k)
           in
           let listeners =
-            Hashtbl.fold
+            Lrp_det.Det.fold_sorted_int
               (fun _ (l : Kernel.ep) acc ->
                 acc + l.Kernel.ep_conn.Tcp.syn_drops_backlog)
               k.Kernel.tcp_listeners 0

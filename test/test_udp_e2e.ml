@@ -21,7 +21,7 @@ let test_udp_delivery arch cfg =
         let sock = Api.socket_dgram server in
         Api.bind server sock ~owner:(Some self) ~port:5000;
         for _ = 1 to 3 do
-          let dg = Api.recvfrom server ~self sock in
+          let dg = Api.recvfrom server sock in
           received := Payload.length dg.Api.dg_payload :: !received
         done)
   in
@@ -85,7 +85,7 @@ let test_early_discard_lrp () =
     (Cpu.spawn (Kernel.cpu server) ~name:"slow-sink" (fun self ->
          Api.bind server sock ~owner:(Some self) ~port:9000;
          let rec loop () =
-           let _dg = Api.recvfrom server ~self sock in
+           let _dg = Api.recvfrom server sock in
            incr consumed;
            Proc.sleep_for (Time.ms 10.);
            loop ()

@@ -117,10 +117,10 @@ let test_ni_lrp_channel_scaling () =
            Api.tcp_listen server ~self lsock ~port:80 ~backlog:8;
            let rec loop () =
              let conn = Api.tcp_accept server ~self lsock in
-             (match Api.tcp_recv server ~self conn ~max:4096 with
-              | `Data _ -> ignore (Api.tcp_send server ~self conn (Payload.synthetic 100))
+             (match Api.tcp_recv server conn ~max:4096 with
+              | `Data _ -> ignore (Api.tcp_send server conn (Payload.synthetic 100))
               | `Eof -> ());
-             Api.close server ~self conn;
+             Api.close server conn;
              loop ()
            in
            try loop () with Api.Socket_closed -> ()));
@@ -133,10 +133,10 @@ let test_ni_lrp_channel_scaling () =
                   ~remote:(Kernel.ip_address server, 80)
               with
               | `Ok ->
-                  ignore (Api.tcp_send client ~self sock (Payload.synthetic 10));
-                  (match Api.tcp_recv client ~self sock ~max:4096 with
+                  ignore (Api.tcp_send client sock (Payload.synthetic 10));
+                  (match Api.tcp_recv client sock ~max:4096 with
                    | `Data _ | `Eof -> ());
-                  Api.close client ~self sock
+                  Api.close client sock
               | `Refused -> ())
            done));
     World.run w ~until:(Time.sec 20.);
@@ -169,7 +169,7 @@ let test_fragment_loss_times_out_cleanly () =
              let sock = Api.socket_dgram server in
              Api.bind server sock ~owner:(Some self) ~port:5000;
              let rec loop () =
-               let _dg = Api.recvfrom server ~self sock in
+               let _dg = Api.recvfrom server sock in
                incr got;
                loop ()
              in
