@@ -9,7 +9,9 @@
    configured entry points seed a work queue, and every resolved
    reference to a function inside [follow_dirs] is enqueued (once).
    Calls that leave the followed directories, and functions listed under
-   [assume], are boundaries — their cost is their own contract.
+   [assume], are boundaries — their cost is their own contract.  Rule
+   CMP is about compares, not allocation, so a second closure walks the
+   assumed functions, and what only they reach, for CMP alone.
 
    The escape pass is not reachability-based (see escape.ml): every
    top-level function in [escape_dirs] is checked.
@@ -84,13 +86,15 @@ let run ~root ?(conf_name = "allocheck.conf") (cfg : Aconfig.t) :
   (* --- allocation pass ------------------------------------------- *)
   let seen : (string, unit) Hashtbl.t = Hashtbl.create 64 in
   let queue : (Cmtload.modl * Cmtload.func) Queue.t = Queue.create () in
-  let enqueue (m : Cmtload.modl) (fn : Cmtload.func) =
+  let assumed : (Cmtload.modl * Cmtload.func) Queue.t = Queue.create () in
+  let enqueue_in q (m : Cmtload.modl) (fn : Cmtload.func) =
     let key = m.md_key ^ "." ^ fn.fn_name in
     if not (Hashtbl.mem seen key) then begin
       Hashtbl.replace seen key ();
-      Queue.add (m, fn) queue
+      Queue.add (m, fn) q
     end
   in
+  let enqueue = enqueue_in queue in
   List.iter
     (fun entry ->
       match Cmtload.resolve_name load entry with
@@ -112,27 +116,35 @@ let run ~root ?(conf_name = "allocheck.conf") (cfg : Aconfig.t) :
         Hashtbl.replace aliases m.md_key a;
         a
   in
+  let walk ~cmp_only q (m : Cmtload.modl) fn =
+    Allocwalk.analyze
+      {
+        Allocwalk.load;
+        current = m;
+        aliases = aliases_of m;
+        file = m.md_source;
+        supp = supp_for m.md_source;
+        allocating_extra = cfg.allocating_extra;
+        cmp_only;
+        emit;
+        edge =
+          (fun m' fn' ->
+            if Pathspec.in_dirs m'.Cmtload.md_source cfg.follow_dirs then
+              enqueue_in q m' fn');
+      }
+      fn
+  in
   while not (Queue.is_empty queue) do
     let m, fn = Queue.pop queue in
-    if not (listed (canon_names m fn) cfg.assume) then begin
+    if listed (canon_names m fn) cfg.assume then Queue.add (m, fn) assumed
+    else begin
       incr funcs_analyzed;
-      let ctx =
-        {
-          Allocwalk.load;
-          current = m;
-          aliases = aliases_of m;
-          file = m.md_source;
-          supp = supp_for m.md_source;
-          allocating_extra = cfg.allocating_extra;
-          emit;
-          edge =
-            (fun m' fn' ->
-              if Pathspec.in_dirs m'.Cmtload.md_source cfg.follow_dirs
-              then enqueue m' fn');
-        }
-      in
-      Allocwalk.analyze ctx fn
+      walk ~cmp_only:false queue m fn
     end
+  done;
+  while not (Queue.is_empty assumed) do
+    let m, fn = Queue.pop assumed in
+    walk ~cmp_only:true assumed m fn
   done;
 
   (* --- escape pass ------------------------------------------------ *)

@@ -52,13 +52,16 @@ type ctx = {
   file : string;
   supp : Suppress.t;
   allocating_extra : string list;
+  cmp_only : bool;  (* an [assume]d function: only CMP findings count *)
   emit : Finding.t -> unit;  (* called only for unclaimed findings *)
   edge : Cmtload.modl -> Cmtload.func -> unit;
 }
 
 let report ctx ~loc ~rule msg =
-  let f = Finding.at ~rule ~file:ctx.file loc msg in
-  if not (Suppress.claim ctx.supp ~tag:"cold" ~line:f.line) then ctx.emit f
+  if (not ctx.cmp_only) || rule = "CMP" then begin
+    let f = Finding.at ~rule ~file:ctx.file loc msg in
+    if not (Suppress.claim ctx.supp ~tag:"cold" ~line:f.line) then ctx.emit f
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Stdlib call classification                                          *)

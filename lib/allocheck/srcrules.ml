@@ -133,7 +133,7 @@ let check_ident ctx ~loc name =
     emit ctx ~rule:"D2" ~loc
       (Printf.sprintf
          "unordered iteration: %s can leak hash-table layout into output; \
-          use Lrp_det.Det.{iter_sorted,fold_sorted,bindings}"
+          use Lrp_det.Det.{iter_sorted,bindings}"
          name);
   if List.mem name d2_itab && not (in_files cfg.det_files) then
     emit ctx ~rule:"D2" ~loc

@@ -13,9 +13,14 @@
       (a kernel may deliver a duplicated packet twice only if the network
       really presented it twice);
     - {b copyout bound}: copyouts of [(p, s)] <= sock-enqueues of [(p, s)];
-    - {b demux bound}: demux events of [p] <= arrivals of [p], and likewise
-      early discards <= arrivals;
-    - {b drop accounting}: ipq-enqueues + ipq-drops + mbuf-drops <= arrivals;
+    - {b demux bound}: demux events of [p] <= arrivals of [p];
+    - {b drop accounting}: drops of [p] for a reason that ends a frame
+      (NIC ring, mbuf pool, IP queue, NI channel, Early-Demux discard,
+      checksum, no port, demux miss, not forwarding) <= arrivals, and
+      IP-queue enqueues + IP-queue drops <= arrivals.  Socket-buffer,
+      socket-close and wrong-peer drops are per member socket, and a
+      reassembly timeout ends a datagram, not a frame: those are only
+      checked for ghosts;
     - {b provenance}: every sock-enqueue of [p] is preceded by a
       proto-deliver of [p], and — on architectures that demultiplex
       ([require_demux]) — by a demux of [p];
@@ -56,6 +61,14 @@ let pp_verdict fmt v =
 let bump tbl key = Hashtbl.replace tbl key (1 + Option.value ~default:0 (Hashtbl.find_opt tbl key))
 let count tbl key = Option.value ~default:0 (Hashtbl.find_opt tbl key)
 
+(* Drops that end the frame that arrived, so at most one per arrival. *)
+let ends_frame = function
+  | Trace.Nic_ring | Trace.Mbuf_pool | Trace.Ip_queue | Trace.Ni_channel
+  | Trace.Edemux_discard | Trace.Checksum | Trace.No_port | Trace.Demux_miss
+  | Trace.Not_forwarding -> true
+  | Trace.Sock_buf | Trace.Sock_close | Trace.Wrong_peer
+  | Trace.Reasm_timeout -> false
+
 let check ?(require_demux = false) events =
   let violations = ref [] in
   let max_reported = 20 in
@@ -69,9 +82,8 @@ let check ?(require_demux = false) events =
   in
   let arrivals = Hashtbl.create 256 in
   let demuxes = Hashtbl.create 256 in
-  let discards = Hashtbl.create 64 in
-  let ipq = Hashtbl.create 256 in       (* enqueues + drops per pkt *)
-  let mbuf = Hashtbl.create 64 in
+  let drops = Hashtbl.create 64 in     (* frame-ending drops per pkt *)
+  let ipq = Hashtbl.create 256 in       (* IP-queue enqueues + drops per pkt *)
   let proto = Hashtbl.create 256 in
   let gro = Hashtbl.create 64 in        (* absorbed-by-merge per pkt *)
   let enq = Hashtbl.create 256 in       (* (pkt, sock) -> count *)
@@ -91,15 +103,13 @@ let check ?(require_demux = false) events =
       | Trace.Demux { pkt; _ } ->
           ghost "demux" pkt;
           bump demuxes pkt
-      | Trace.Early_discard { pkt; _ } ->
-          ghost "early-discard" pkt;
-          bump discards pkt
-      | Trace.Ipq_enqueue { pkt; _ } | Trace.Ipq_drop { pkt; _ } ->
-          ghost "ipq event" pkt;
+      | Trace.Ipq_enqueue { pkt; _ } ->
+          ghost "ipq-enqueue" pkt;
           bump ipq pkt
-      | Trace.Mbuf_drop { pkt } | Trace.Csum_drop { pkt } ->
+      | Trace.Drop { pkt; reason; _ } ->
           ghost "drop" pkt;
-          bump mbuf pkt
+          if ends_frame reason then bump drops pkt;
+          if reason = Trace.Ip_queue then bump ipq pkt
       | Trace.Proto_deliver { pkt; _ } ->
           ghost "proto-deliver" pkt;
           bump proto pkt
@@ -118,7 +128,6 @@ let check ?(require_demux = false) events =
               pkt
               (count enq (pkt, sock))
               sock (count arrivals pkt)
-      | Trace.Sock_drop { pkt; _ } -> ghost "sock-drop" pkt
       | Trace.Syscall_copyout { pkt; sock; _ } ->
           bump copied (pkt, sock);
           if count copied (pkt, sock) > count enq (pkt, sock) then
@@ -140,36 +149,18 @@ let check ?(require_demux = false) events =
     events;
   (* End-of-stream count bounds, in packet-id order so any violation list
      is reproducible. *)
-  Lrp_det.Det.iter_sorted
-    (fun pkt n ->
-      if n > count arrivals pkt then
-        violate "packet %d demuxed %d times but arrived %d times" pkt n
-          (count arrivals pkt))
-    demuxes;
-  Lrp_det.Det.iter_sorted
-    (fun pkt n ->
-      if n > count arrivals pkt then
-        violate "packet %d early-discarded %d times but arrived %d times"
-          pkt n (count arrivals pkt))
-    discards;
-  Lrp_det.Det.iter_sorted
-    (fun pkt n ->
-      if n > count arrivals pkt then
-        violate "packet %d has %d ipq events but arrived %d times" pkt n
-          (count arrivals pkt))
-    ipq;
-  Lrp_det.Det.iter_sorted
-    (fun pkt n ->
-      if n > count arrivals pkt then
-        violate "packet %d dropped (mbuf/csum) %d times but arrived %d times"
-          pkt n (count arrivals pkt))
-    mbuf;
-  Lrp_det.Det.iter_sorted
-    (fun pkt n ->
-      if n > count arrivals pkt then
-        violate "packet %d gro-merged %d times but arrived %d times" pkt n
-          (count arrivals pkt))
-    gro;
+  let bound what tbl =
+    Lrp_det.Det.iter_sorted
+      (fun pkt n ->
+        if n > count arrivals pkt then
+          violate "packet %d %s %d times but arrived %d times" pkt what n
+            (count arrivals pkt))
+      tbl
+  in
+  bound "demuxed" demuxes;
+  bound "dropped" drops;
+  bound "met the IP queue" ipq;
+  bound "gro-merged" gro;
   let violations =
     let vs = List.rev !violations in
     if !reported > max_reported then

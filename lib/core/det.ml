@@ -25,9 +25,6 @@ let bindings ?(cmp = Stdlib.compare) tbl =
 
 let iter_sorted ?cmp f tbl = List.iter (fun (k, v) -> f k v) (bindings ?cmp tbl)
 
-let fold_sorted ?cmp f tbl init =
-  List.fold_left (fun acc (k, v) -> f k v acc) init (bindings ?cmp tbl)
-
 (* The same snapshots for {!Itab}, whose keys are unique ints. *)
 
 let bindings_int tbl =

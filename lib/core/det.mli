@@ -15,14 +15,6 @@ val iter_sorted :
 (** [iter_sorted f tbl] applies [f] to every binding in ascending key
     order. *)
 
-val fold_sorted :
-  ?cmp:('k -> 'k -> int) ->
-  ('k -> 'v -> 'acc -> 'acc) ->
-  ('k, 'v) Hashtbl.t ->
-  'acc ->
-  'acc
-(** [fold_sorted f tbl init] folds over bindings in ascending key order. *)
-
 (** {1 Int tables}
 
     The same helpers over {!Itab.t}: bindings in ascending key order,

@@ -131,21 +131,23 @@ let default_config ?(costs = Cost.default) arch =
     fair_app_accounting = true;
     napi_budget = 64; coalesce_pkts = 8; coalesce_us = 30. }
 
+(* A snapshot built by [stats]: the drop fields are the tracer's totals
+   ({!Trace.drops}), the rest the kernel's own counters. *)
 type kstats = {
-  mutable rx_frames : int;          (* frames seen by the receive path *)
-  mutable ipq_drops : int;          (* BSD shared IP queue overflow *)
-  mutable mbuf_drops : int;
-  mutable no_port_drops : int;      (* no endpoint (BSD, after processing) *)
-  mutable demux_drops : int;        (* no endpoint (LRP, at demux time) *)
-  mutable edemux_early_drops : int; (* Early-Demux interrupt-time discards *)
-  mutable udp_delivered : int;      (* datagrams deposited for applications *)
-  mutable tcp_delivered : int;      (* TCP segments fed to their connection *)
-  mutable rx_wrong_peer : int;      (* dropped by connected-UDP filtering *)
-  mutable forwarded : int;          (* packets forwarded to another network *)
-  mutable fwd_drops : int;          (* not ours and not forwarding *)
-  mutable rsts_sent : int;
-  mutable csum_drops : int;         (* content-checksum mismatches *)
-  mutable ipq_hwm : int;            (* deepest shared-IP-queue depth seen *)
+  rx_frames : int;          (* frames seen by the receive path *)
+  ipq_drops : int;          (* [Ip_queue]: BSD shared IP queue overflow *)
+  mbuf_drops : int;         (* [Mbuf_pool] *)
+  no_port_drops : int;      (* [No_port]: no endpoint after processing *)
+  demux_drops : int;        (* [Demux_miss]: no endpoint at LRP demux *)
+  edemux_early_drops : int; (* [Edemux_discard]: interrupt-time discards *)
+  udp_delivered : int;      (* datagrams deposited for applications *)
+  tcp_delivered : int;      (* TCP segments fed to their connection *)
+  rx_wrong_peer : int;      (* [Wrong_peer]: connected-UDP filtering *)
+  forwarded : int;          (* packets forwarded to another network *)
+  fwd_drops : int;          (* [Not_forwarding] *)
+  rsts_sent : int;
+  csum_drops : int;         (* [Checksum]: content-checksum mismatches *)
+  ipq_hwm : int;            (* deepest shared-IP-queue depth seen *)
 }
 
 (* An APP thread and its posted work, a FIFO ring of flat columns: a row
@@ -311,7 +313,6 @@ type t = {
   chans : ep Flowtab.t;
       (* endpoints with an open NI channel, by channel id ([hi]; [lo] =
          0); the chantab's three dedicated channels are not here *)
-  mutable closed_discards : int;  (* early discards of closed channels *)
   apps : app Itab.t;  (* owner pid -> APP thread *)
   helper_wq : Proc.waitq;
   fwd_wq : Proc.waitq;
@@ -325,7 +326,13 @@ type t = {
   reasm : Ip.Reasm.t;
   mutable tcp_env : Tcp.env option;
   mutable eph_port : int;
-  stats : kstats;
+  (* --- counters that are not drops (drops are the tracer's totals) --- *)
+  mutable rx_frames : int;
+  mutable udp_delivered : int;
+  mutable tcp_delivered : int;
+  mutable forwarded : int;
+  mutable rsts_sent : int;
+  mutable ipq_hwm : int;
   (* --- observability (per-kernel: parallel sweeps never share these) --- *)
   tracer : Trace.t;
 }
@@ -335,7 +342,18 @@ let cpu t = t.cpu
 let engine t = t.engine
 let nic t = t.nic
 let costs t = t.c
-let stats t = t.stats
+
+let stats t : kstats =
+  let d = Trace.drops t.tracer in
+  { rx_frames = t.rx_frames; ipq_drops = d Trace.Ip_queue;
+    mbuf_drops = d Trace.Mbuf_pool; no_port_drops = d Trace.No_port;
+    demux_drops = d Trace.Demux_miss;
+    edemux_early_drops = d Trace.Edemux_discard;
+    udp_delivered = t.udp_delivered; tcp_delivered = t.tcp_delivered;
+    rx_wrong_peer = d Trace.Wrong_peer; forwarded = t.forwarded;
+    fwd_drops = d Trace.Not_forwarding; rsts_sent = t.rsts_sent;
+    csum_drops = d Trace.Checksum; ipq_hwm = t.ipq_hwm }
+
 let ip_address t = t.ip_addr
 let chantab t = t.chantab
 let mbufs t = t.mbufs
@@ -374,11 +392,7 @@ let rec best_route dst nic len = function
 
 let route t dst = best_route dst t.nic 0 t.interfaces
 
-let[@inline] chan_discards ch = Channel.discarded ch + Channel.discarded_disabled ch
-
-let early_discards t =
-  List.fold_left (fun acc ch -> acc + chan_discards ch) t.closed_discards
-    (channels t)
+let early_discards t = Trace.drops t.tracer Trace.Ni_channel
 
 let tracer t = t.tracer
 
@@ -391,7 +405,7 @@ let jobs t = match t.rxj with Some j -> j | None -> assert false
    name their own rows under the prefix they are given. *)
 let counters t =
   let i name v = (name, float_of_int v) in
-  let s = t.stats and e = Engine.timer_stats t.engine in
+  let s = stats t and e = Engine.timer_stats t.engine in
   let nic k (_, _, n) =
     Nic.counters n ~prefix:(if k = 0 then "nic" else Printf.sprintf "nic%d" k)
   in
@@ -414,7 +428,7 @@ let counters t =
        i "engine.timers_fired" e.Engine.fired;
        i "engine.timers_cancelled" e.Engine.cancelled;
        i "reasm.completed" (Ip.Reasm.completed t.reasm);
-       i "reasm.timed_out" (Ip.Reasm.timed_out t.reasm);
+       i "reasm.timed_out" (Trace.drops t.tracer Trace.Reasm_timeout);
        i "reasm.pending" (Ip.Reasm.pending_count t.reasm) ]
     @ List.map (fun (k, v) -> i ("tcp." ^ k) v) (Tcp.counters (tcp_env_exn t))
     @ Cpu.counters t.cpu ~prefix:"cpu"
@@ -444,14 +458,15 @@ let ip_output t pkt =
 (* Per-segment transmit cost (protocol output + driver). *)
 let[@inline] seg_out_cost t = t.c.Cost.tcp_out +. t.c.Cost.ip_out +. t.c.Cost.driver_tx
 
+(* Every drop is one [Trace.drop]: recorded when tracing, and counted in
+   the reason's total, which is the kernel's drop counter ([stats]). *)
+let[@inline] drop t reason (pkt : Packet.t) arg =
+  Trace.drop t.tracer ~reason ~pkt:pkt.Packet.ip.Packet.ident ~arg
+
 (* Release a received frame's row and give its mbufs back to the pool. *)
 let free_rx_pkt t h =
   Mbuf.give t.mbufs (Parena.charge t.parena h);
   Parena.release t.parena h
-
-let mbuf_drop t ident =
-  t.stats.mbuf_drops <- t.stats.mbuf_drops + 1;
-  Trace.mbuf_drop t.tracer ~pkt:ident
 
 (* Admit a received frame as an arena row, at receive-interrupt time.  An
    eager kernel charges the row its mbufs; on pool exhaustion the drop is
@@ -465,7 +480,7 @@ let rx_reserve t (pkt : Packet.t) =
   in
   if Mbuf.take t.mbufs charge then Parena.acquire t.parena pkt ~charge
   else begin
-    mbuf_drop t pkt.Packet.ip.Packet.ident;
+    drop t Trace.Mbuf_pool pkt (-1);
     Parena.none
   end
 
@@ -473,13 +488,7 @@ let rx_reserve t (pkt : Packet.t) =
    the first transport-level touch: counted, traced, and never delivered,
    never answered (no RST / ICMP reply for garbage). *)
 let csum_ok t (pkt : Packet.t) =
-  Packet.verify pkt
-  ||
-  begin
-    t.stats.csum_drops <- t.stats.csum_drops + 1;
-    Trace.csum_drop t.tracer ~pkt:pkt.Packet.ip.Packet.ident;
-    false
-  end
+  Packet.verify pkt || (drop t Trace.Checksum pkt (-1); false)
 
 (* ------------------------------------------------------------------ *)
 (* Wakeup helpers                                                       *)
@@ -604,7 +613,7 @@ and tcp_deliver t conn pkt ~ctx =
       ~in_proc:(match ctx with `Proc -> true | `Soft -> false);
     let before = Tcp.segs_sent conn in
     Tcp.input conn pkt;
-    t.stats.tcp_delivered <- t.stats.tcp_delivered + 1;
+    t.tcp_delivered <- t.tcp_delivered + 1;
     let extra = Tcp.segs_sent conn - before - 1 in
     if extra > 0 then begin
       let cost = float_of_int extra *. seg_out_cost t in
@@ -735,9 +744,9 @@ let open_ep ?(group = false) t ~port ~conn ~socks ~owner =
   end;
   ep
 
-(* Unbind the endpoint from the Chantab and deallocate its channel: fold
-   its discards into [closed_discards] and its ledger row into the
-   aggregate.  O(1), and no allocation for a connection's channel. *)
+(* Unbind the endpoint from the Chantab and deallocate its channel,
+   folding its ledger row into the aggregate.  O(1), and no allocation
+   for a connection's channel. *)
 let close_chan t ep =
   if t.proto = Lazy then begin
     let port = ep.ep_port and conn = ep.ep_conn in
@@ -751,13 +760,23 @@ let close_chan t ep =
     | Some ch ->
         ep.ep_chan <- None;
         ignore (Flowtab.remove t.chans ~hi:(Channel.id ch) ~lo:0);
-        Ledger.retire_flow (Cpu.ledger t.cpu) ~flow:(Channel.id ch);
-        t.closed_discards <- t.closed_discards + chan_discards ch
+        Ledger.retire_flow (Cpu.ledger t.cpu) ~flow:(Channel.id ch)
     | None -> ()
   end
 
-let rec drop_queued ch n =
-  if Channel.pop ch == Packet.null then n else drop_queued ch (n + 1)
+(* A frame a socket could not queue ([Sock_buf]), or still held when it
+   closed ([Sock_close]): counted per socket too. *)
+let sockq_drop t (sock : Socket.t) reason ident =
+  let st = sock.Socket.stats in
+  st.Socket.rx_sockq_drops <- st.Socket.rx_sockq_drops + 1;
+  Trace.drop t.tracer ~reason ~pkt:ident ~arg:sock.Socket.id
+
+let rec drop_queued t ch sock =
+  let pkt = Channel.pop ch in
+  if pkt != Packet.null then begin
+    sockq_drop t sock Trace.Sock_close pkt.Packet.ip.Packet.ident;
+    drop_queued t ch sock
+  end
 
 (* Release everything an endpoint holds.  The frames still queued on a
    datagram endpoint's channel are dropped at its (last) socket; a
@@ -769,9 +788,7 @@ let release_ep t ep =
      Itab.remove t.udp_ports port;
      t.udp_eps <- List.filter (fun e -> e != ep) t.udp_eps;
      match ep.ep_chan, ep.ep_socks with
-     | Some ch, s :: _ ->
-         let st = s.Socket.stats in
-         st.Socket.rx_sockq_drops <- st.Socket.rx_sockq_drops + drop_queued ch 0
+     | Some ch, s :: _ -> drop_queued t ch s
      | _, _ -> ()
    end
    else begin
@@ -842,10 +859,11 @@ let close_dgram t (sock : Socket.t) =
    | Some ep when List.memq sock ep.ep_socks -> release_ep t ep
    | Some _ | None -> ());
   sock.Socket.chan <- None;
-  let st = sock.Socket.stats and q = sock.Socket.udp_rcv in
-  st.Socket.rx_sockq_drops <- st.Socket.rx_sockq_drops + Queue.length q;
+  let q = sock.Socket.udp_rcv in
   Queue.iter
-    (fun (dg : Socket.udp_datagram) -> free_rx_pkt t dg.Socket.dg_mbuf)
+    (fun (dg : Socket.udp_datagram) ->
+      sockq_drop t sock Trace.Sock_close dg.Socket.dg_pkt;
+      free_rx_pkt t dg.Socket.dg_mbuf)
     q;
   Queue.clear q
 
@@ -965,7 +983,7 @@ let make_tcp_env t =
 let peer_accepts t (sock : Socket.t) (pkt : Packet.t) sport =
   match sock.Socket.remote with
   | Some (ip, port) when ip <> pkt.Packet.ip.Packet.src || port <> sport ->
-      t.stats.rx_wrong_peer <- t.stats.rx_wrong_peer + 1;
+      drop t Trace.Wrong_peer pkt sock.Socket.id;
       false
   | Some _ | None -> true
 
@@ -978,13 +996,11 @@ let deposit t (sock : Socket.t) (pkt : Packet.t) payload sport ~row =
     Socket.deposit_udp sock payload ~src:pkt.Packet.ip.Packet.src ~sport ~ident
       ~row;
     Trace.sock_enqueue t.tracer ~pkt:ident ~sock:sock.Socket.id;
-    t.stats.udp_delivered <- t.stats.udp_delivered + 1;
+    t.udp_delivered <- t.udp_delivered + 1;
     wake_one t sock.Socket.recv_wait
   end
   else begin
-    sock.Socket.stats.Socket.rx_sockq_drops <-
-      sock.Socket.stats.Socket.rx_sockq_drops + 1;
-    Trace.sock_drop t.tracer ~pkt:ident ~sock:sock.Socket.id;
+    sockq_drop t sock Trace.Sock_buf ident;
     free_rx_pkt t row
   end
 
@@ -1014,8 +1030,7 @@ let deliver_udp_ready t ~row (pkt : Packet.t) =
         match port_ep t.udp_ports u.Packet.udst_port with
         | { ep_group = true; ep_socks; _ } ->
             deposit_members t pkt payload sport ep_socks
-        | _ ->
-            t.stats.no_port_drops <- t.stats.no_port_drops + 1
+        | _ -> drop t Trace.No_port pkt u.Packet.udst_port
       end
       else
         (match port_ep t.udp_ports u.Packet.udst_port with
@@ -1024,7 +1039,7 @@ let deliver_udp_ready t ~row (pkt : Packet.t) =
                deposit t sock pkt payload sport ~row
              else free_rx_pkt t row
          | _ ->
-             t.stats.no_port_drops <- t.stats.no_port_drops + 1;
+             drop t Trace.No_port pkt u.Packet.udst_port;
              free_rx_pkt t row)
   | Packet.Tcp _ | Packet.Icmp _ | Packet.Fragment _ -> free_rx_pkt t row
 
@@ -1070,7 +1085,7 @@ let bsd_transport_input t ~row (pkt : Packet.t) =
       free_rx_pkt t row;
       (* No endpoint: answer with a RST, unless the segment is garbage. *)
       if (not (deliver_tcp t pkt ~ctx:`Soft)) && csum_ok t pkt then begin
-        t.stats.rsts_sent <- t.stats.rsts_sent + 1;
+        t.rsts_sent <- t.rsts_sent + 1;
         Tcp.send_rst_for pkt ~emit:(tcp_env_exn t).Tcp.emit
       end
   | Packet.Icmp _ ->
@@ -1142,14 +1157,14 @@ let ip_input_local t ~row (pkt : Packet.t) ~skip_pcb =
    and by the NAPI poll loop: forward (or drop) a transit packet, process
    a local one. *)
 let forward t pkt =
-  t.stats.forwarded <- t.stats.forwarded + 1;
+  t.forwarded <- t.forwarded + 1;
   ip_output t pkt
 
 let ip_input t ~row pkt =
   if is_transit t pkt then begin
     free_rx_pkt t row;
     if t.cfg.forwarding then forward t pkt
-    else t.stats.fwd_drops <- t.stats.fwd_drops + 1
+    else drop t Trace.Not_forwarding pkt (-1)
   end
   else ip_input_local t ~row pkt ~skip_pcb:false
 
@@ -1159,13 +1174,12 @@ let bsd_driver_rx t pkt =
   else if t.ipq_len >= ip_queue_limit then begin
     (* The shared IP queue is full: the drop point that couples unrelated
        sockets under BSD (section 2.2). *)
-    t.stats.ipq_drops <- t.stats.ipq_drops + 1;
-    Trace.ipq_drop t.tracer ~pkt:pkt.Packet.ip.Packet.ident ~qlen:t.ipq_len;
+    drop t Trace.Ip_queue pkt t.ipq_len;
     free_rx_pkt t row
   end
   else begin
     t.ipq_len <- t.ipq_len + 1;
-    if t.ipq_len > t.stats.ipq_hwm then t.stats.ipq_hwm <- t.ipq_len;
+    if t.ipq_len > t.ipq_hwm then t.ipq_hwm <- t.ipq_len;
     Trace.ipq_enqueue t.tracer ~pkt:pkt.Packet.ip.Packet.ident
       ~qlen:t.ipq_len;
     (Cpu.cost_cell t.cpu).(0) <-
@@ -1544,17 +1558,25 @@ let rec wake_members t = function
       wake_one t m.Socket.recv_wait;
       wake_members t rest
 
+(* Enqueue on an NI channel; an early discard (full queue, or processing
+   disabled) is a drop at the channel. *)
+let[@inline] ni_enqueue t ch (pkt : Packet.t) =
+  let code = Channel.enqueue_code ch pkt in
+  if code = Channel.discarded_code then
+    drop t Trace.Ni_channel pkt (Channel.id ch);
+  code
+
 let lrp_classify_rx t pkt =
   if is_transit t pkt then begin
     (* Transit packet: demultiplexed straight onto the IP-forwarding
        daemon's channel (section 3.5), or discarded if this host is not a
        gateway. *)
     if t.cfg.forwarding then begin
-      if Channel.enqueue_code (Chantab.fwd_channel t.chantab) pkt
+      if ni_enqueue t (Chantab.fwd_channel t.chantab) pkt
          = Channel.queued_was_empty
       then ni_wake_one t t.fwd_wq
     end
-    else t.stats.fwd_drops <- t.stats.fwd_drops + 1
+    else drop t Trace.Not_forwarding pkt (-1)
   end
   else
   (* Classification runs without materialising a flow value:
@@ -1571,23 +1593,19 @@ let lrp_classify_rx t pkt =
        | Demux.Tcp_class ->
            (* No endpoint: the protocol-proxy daemon answers with an RST on
               its own time (section 3.5). *)
-           if Channel.enqueue_code (Chantab.icmp_channel t.chantab) pkt
+           if ni_enqueue t (Chantab.icmp_channel t.chantab) pkt
               = Channel.queued_was_empty
               && t.cfg.udp_helper
            then ni_wake_one t t.helper_wq
        | Demux.Udp_class | Demux.Frag_class | Demux.Icmp_class ->
-           t.stats.demux_drops <- t.stats.demux_drops + 1)
+           drop t Trace.Demux_miss pkt (-1))
   end
   else
       let ch = Chantab.channel_of_slot t.chantab slot in
       Trace.demux t.tracer ~pkt:pkt.Packet.ip.Packet.ident
         ~chan:(Channel.id ch) ~flow:(Demux.flow_id_of_packet pkt);
-      let code = Channel.enqueue_code ch pkt in
-      (if code = Channel.discarded_code then
-         (* Early packet discard, counted per channel. *)
-         Trace.early_discard t.tracer ~pkt:pkt.Packet.ip.Packet.ident
-           ~chan:(Channel.id ch)
-       else
+      let code = ni_enqueue t ch pkt in
+      (if code <> Channel.discarded_code then
          let was_empty = code = Channel.queued_was_empty in
          (match cls with
             | Demux.Udp_class ->
@@ -1625,10 +1643,6 @@ let lrp_classify_rx t pkt =
 (* Early-Demux receive path                                             *)
 (* ------------------------------------------------------------------ *)
 
-let edemux_drop t (pkt : Packet.t) =
-  t.stats.edemux_early_drops <- t.stats.edemux_early_drops + 1;
-  Trace.early_discard t.tracer ~pkt:pkt.Packet.ip.Packet.ident ~chan:(-1)
-
 (* Eager protocol processing, BSD-style, as a softint job carrying the
    packet's arena row. *)
 let edemux_eager t (pkt : Packet.t) =
@@ -1646,7 +1660,7 @@ let edemux_udp t pkt ~dst_port =
   if ep != null_ep && ((not ep.ep_group) || Packet.is_multicast pkt)
      && List.exists Socket.has_room ep.ep_socks
   then edemux_eager t pkt
-  else edemux_drop t pkt
+  else drop t Trace.Edemux_discard pkt (-1)
 
 (* Early discard on a full receive buffer or, for a SYN, a full listen
    backlog, probing the PCBs with the ports straight off the
@@ -1668,7 +1682,7 @@ let edemux_tcp t pkt =
       && backlog_full conn
     else conn.Tcp.rcvq_bytes >= conn.Tcp.rcv_buf_limit
   in
-  if full then edemux_drop t pkt else edemux_eager t pkt
+  if full then drop t Trace.Edemux_discard pkt (-1) else edemux_eager t pkt
 
 let edemux_rx t pkt =
   if is_transit t pkt then begin
@@ -1676,7 +1690,7 @@ let edemux_rx t pkt =
       (Cpu.cost_cell t.cpu).(0) <- eager_soft_cost t pkt ~ipq:0. ~skip_pcb:true;
       Cpu.post_soft_job t.cpu ~tpkt:(-1) ~poll:false (jobs t).j_forward pkt 0
     end
-    else t.stats.fwd_drops <- t.stats.fwd_drops + 1
+    else drop t Trace.Not_forwarding pkt (-1)
   end
   else begin
     (* The allocation-free classification (see [lrp_classify_rx]). *)
@@ -1697,7 +1711,7 @@ let edemux_rx t pkt =
    the hard-interrupt posts are tail entries ([Cpu.post_hard_job_tail]),
    so the CPU may run their segments ahead (DESIGN §17). *)
 let rx_dispatch t pkt =
-  t.stats.rx_frames <- t.stats.rx_frames + 1;
+  t.rx_frames <- t.rx_frames + 1;
   let tpkt = pkt.Packet.ip.Packet.ident in
   let cost = Cpu.cost_cell t.cpu in
   match t.demux with
@@ -1848,7 +1862,7 @@ let helper_loop t =
        match pkt.Packet.body with
        | Packet.Tcp _ ->
            free_rx_pkt t row;
-           t.stats.rsts_sent <- t.stats.rsts_sent + 1;
+           t.rsts_sent <- t.rsts_sent + 1;
            Tcp.send_rst_for pkt ~emit:(tcp_env_exn t).Tcp.emit
        | Packet.Udp _ | Packet.Icmp _ | Packet.Fragment _ ->
            let whole = Ip.Reasm.insert t.reasm ~now:(now t) row in
@@ -1894,6 +1908,11 @@ let fwd_daemon_loop t =
 (* Construction                                                         *)
 (* ------------------------------------------------------------------ *)
 
+(* An incomplete datagram the reassembler expired (ip_slowtimo). *)
+let reasm_expire t row =
+  drop t Trace.Reasm_timeout (Parena.pkt t.parena row) (-1);
+  free_rx_pkt t row
+
 let create engine fabric ~name ~ip cfg =
   let cpu =
     Cpu.create engine ~ctx_switch_cost:cfg.costs.Cost.ctx_switch ()
@@ -1916,19 +1935,14 @@ let create engine fabric ~name ~ip cfg =
       tcp_conns = Flowtab.create ~dummy:Tcp.null_conn ();
       tcp_listeners = Itab.create 8;
       eps = Flowtab.create ~dummy:null_ep (); chantab;
-      chans = Flowtab.create ~dummy:null_ep (); closed_discards = 0;
+      chans = Flowtab.create ~dummy:null_ep ();
       apps = Itab.create 8;
       helper_wq = Proc.waitq "udp-helper"; fwd_wq = Proc.waitq "ipfwdd";
       udp_eps = []; napi = [||]; rxj = None;
       reasm = Ip.Reasm.create parena;
       tcp_env = None;
-      eph_port = 20_000;
-      stats =
-        { rx_frames = 0; ipq_drops = 0; mbuf_drops = 0; no_port_drops = 0;
-          demux_drops = 0; edemux_early_drops = 0; udp_delivered = 0;
-          tcp_delivered = 0;
-          rx_wrong_peer = 0; forwarded = 0; fwd_drops = 0; rsts_sent = 0;
-          csum_drops = 0; ipq_hwm = 0 } }
+      eph_port = 20_000; rx_frames = 0; udp_delivered = 0; tcp_delivered = 0;
+      forwarded = 0; rsts_sent = 0; ipq_hwm = 0 }
   in
   t.rxj <-
     Some
@@ -1983,7 +1997,7 @@ let create engine fabric ~name ~ip cfg =
   let slowtimo_ev = ref Engine.none in
   slowtimo_ev :=
     Engine.schedule_after engine ~delay:(Time.sec 5.) (fun () ->
-        ignore (Ip.Reasm.prune t.reasm ~now:(now t) ~release:(free_rx_pkt t));
+        ignore (Ip.Reasm.prune t.reasm ~now:(now t) ~release:(reasm_expire t));
         Engine.reschedule_after engine !slowtimo_ev ~delay:(Time.sec 5.));
   if t.rx_mode <> Intr then begin
     (* RSS steers across four receive rings; NAPI polls one. *)
@@ -1993,7 +2007,7 @@ let create engine fabric ~name ~ip cfg =
        straight into its rings and the kernel's dispatch handler never
        sees them. *)
     let steer pkt =
-      t.stats.rx_frames <- t.stats.rx_frames + 1;
+      t.rx_frames <- t.rx_frames + 1;
       if queues = 1 then 0 else rss_steer pkt ~queues
     in
     t.napi <-

@@ -101,24 +101,30 @@ val mtu : int
 val rx_ring : int
 (** Slots per NAPI-family receive ring (256). *)
 
+(** The kernel's counters, read by {!stats} at call time.  Each drop
+    field is the total of one {!Lrp_trace.Trace.reason} in the kernel's
+    tracer: [ipq_drops] [Ip_queue], [mbuf_drops] [Mbuf_pool],
+    [no_port_drops] [No_port], [demux_drops] [Demux_miss],
+    [edemux_early_drops] [Edemux_discard], [rx_wrong_peer] [Wrong_peer],
+    [fwd_drops] [Not_forwarding] and [csum_drops] [Checksum]. *)
 type kstats = {
-  mutable rx_frames : int;
-  mutable ipq_drops : int;
-  mutable mbuf_drops : int;
-  mutable no_port_drops : int;
-  mutable demux_drops : int;
-  mutable edemux_early_drops : int;
-  mutable udp_delivered : int;
-  mutable tcp_delivered : int;
+  rx_frames : int;
+  ipq_drops : int;
+  mbuf_drops : int;
+  no_port_drops : int;
+  demux_drops : int;
+  edemux_early_drops : int;
+  udp_delivered : int;
+  tcp_delivered : int;
       (** TCP segments fed to their connection's state machine (with
           {!kstats.udp_delivered} and [forwarded], the "delivered work"
           numerator of the overload detector) *)
-  mutable rx_wrong_peer : int;
-  mutable forwarded : int;
-  mutable fwd_drops : int;
-  mutable rsts_sent : int;
-  mutable csum_drops : int;
-  mutable ipq_hwm : int;
+  rx_wrong_peer : int;
+  forwarded : int;
+  fwd_drops : int;
+  rsts_sent : int;
+  csum_drops : int;
+  ipq_hwm : int;
       (** deepest shared-IP-queue depth observed (BSD path) *)
 }
 type app
@@ -177,7 +183,6 @@ type t = private {
   chantab : Lrp_core.Chantab.t;
   chans : ep Lrp_core.Flowtab.t;
       (** endpoints with an open channel, by channel id ([hi]; [lo] = 0) *)
-  mutable closed_discards : int;  (** early discards of closed channels *)
   apps : app Lrp_det.Itab.t;
   helper_wq : Lrp_sim.Proc.waitq;
   fwd_wq : Lrp_sim.Proc.waitq;
@@ -188,8 +193,14 @@ type t = private {
   reasm : Lrp_proto.Ip.Reasm.t;
   mutable tcp_env : Lrp_proto.Tcp.env option;
   mutable eph_port : int;
-  stats : kstats;
+  mutable rx_frames : int;
+  mutable udp_delivered : int;
+  mutable tcp_delivered : int;
+  mutable forwarded : int;
+  mutable rsts_sent : int;
+  mutable ipq_hwm : int;
   tracer : Lrp_trace.Trace.t;
+      (** also the kernel's drop counters ({!Lrp_trace.Trace.drops}) *)
 }
 val name : t -> string
 val cpu : t -> Lrp_sim.Cpu.t
@@ -206,8 +217,8 @@ val channels : t -> Lrp_core.Channel.t list
     fragment, ICMP and forwarding channels. *)
 
 val early_discards : t -> int
-(** Early discards at every NI channel since the kernel was made: the
-    live channels' plus the closed ones' ([closed_discards]). *)
+(** Early discards at every NI channel since the kernel was made, closed
+    channels included: the tracer's [Ni_channel] total. *)
 
 val tracer : t -> Lrp_trace.Trace.t
 (** The kernel's structured tracer.  Disabled by default; enable with
@@ -260,7 +271,8 @@ val leave_group : t -> Socket.t -> port:int -> unit
 val close_dgram : t -> Socket.t -> unit
 (** Close a datagram socket: leave its group or release its endpoint, and
     free every frame it still holds — on its channel and on its socket
-    queue — counting each as a socket-queue drop ([rx_sockq_drops]). *)
+    queue — counting each as a socket-queue drop ([rx_sockq_drops]) and
+    a [Sock_close] drop. *)
 
 val open_conn :
   t -> Socket.t -> Lrp_proto.Tcp.conn -> owner:Lrp_sim.Proc.t -> unit

@@ -286,8 +286,8 @@ let rxq_receive t pkt =
     (* Ring overflow: the NIC sheds the frame with zero host CPU — the
        property that keeps NAPI out of livelock. *)
     q.q_drops <- q.q_drops + 1;
-    Lrp_trace.Trace.ipq_drop t.tracer ~pkt:pkt.Packet.ip.Packet.ident
-      ~qlen:q.q_count
+    Lrp_trace.Trace.drop t.tracer ~reason:Lrp_trace.Trace.Nic_ring
+      ~pkt:pkt.Packet.ip.Packet.ident ~arg:q.q_count
   end
   else begin
     let tail = q.q_head + q.q_count in

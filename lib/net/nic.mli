@@ -107,7 +107,7 @@ val configure_rx_queues :
   steer:(Packet.t -> int) -> kick:(int -> unit) -> unit
 (** Switch the NIC into queued-RX mode: received frames are steered by
     [steer] into one of [queues] bounded rings of [ring] slots each (DMA,
-    zero host cost; overflow drops are free and traced as [Ipq_drop]).
+    zero host cost; an overflow is a free [Nic_ring] drop).
     An unmasked queue raises an interrupt — [kick q] — once
     [coalesce_pkts] frames are buffered, or [coalesce_us] after the first
     frame of a sub-threshold train (a [Coalesce_fire] trace event marks

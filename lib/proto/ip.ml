@@ -55,17 +55,22 @@ module Reasm = struct
 
   type t = {
     arena : Parena.t;
-    table : (Packet.ip * int, pending) Hashtbl.t;  (* (src, ident) *)
+    table : pending Lrp_det.Itab.t;  (* by [key] *)
     timeout : float;
     mutable completed : int;
-    mutable timed_out : int;
   }
 
-  let create ?(timeout = 30_000_000. (* 30 s, BSD default *)) arena =
-    { arena; table = Hashtbl.create 32; timeout; completed = 0; timed_out = 0 }
+  (* (src, ident) packed into one int: the 16-bit ident below a 32-bit
+     address, so ascending keys are ascending (src, ident) pairs. *)
+  let[@inline] key (ip : Packet.ip_header) =
+    (ip.Packet.src lsl 16) lor ip.Packet.ident
 
+  let create ?(timeout = 30_000_000. (* 30 s, BSD default *)) arena =
+    { arena; table = Lrp_det.Itab.create 32; timeout; completed = 0 }
+
+  (* Sorted by offset (how equal offsets order cannot change the answer). *)
   let ranges_cover have total =
-    let sorted = List.sort compare have in
+    let sorted = List.sort (fun (a, _) (b, _) -> Int.compare a b) have in
     let rec go expect = function
       | [] -> expect >= total
       | (off, len) :: rest ->
@@ -81,48 +86,49 @@ module Reasm = struct
     match pkt.Packet.body with
     | Packet.Udp _ | Packet.Tcp _ | Packet.Icmp _ -> h
     | Packet.Fragment f ->
-        let key = (pkt.Packet.ip.Packet.src, pkt.Packet.ip.Packet.ident) in
+        let key = key pkt.Packet.ip in
+        let slot = Lrp_det.Itab.find t.table key in
         let p =
-          match Hashtbl.find_opt t.table key with
-          | Some p ->
-              Parena.absorb t.arena ~into:p.row h;
-              p
-          | None ->
-              let p =
-                { row = h; whole = f.Packet.whole; have = []; total = None;
-                  first_seen = now }
-              in
-              Hashtbl.replace t.table key p;
-              p
+          if slot >= 0 then begin
+            let p = Lrp_det.Itab.value t.table slot in
+            Parena.absorb t.arena ~into:p.row h;
+            p
+          end
+          else begin
+            let p =
+              { row = h; whole = f.Packet.whole; have = []; total = None;
+                first_seen = now }
+            in
+            Lrp_det.Itab.replace t.table key p;
+            p
+          end
         in
         p.have <- (f.Packet.foff, f.Packet.flen) :: p.have;
         if f.Packet.last then p.total <- Some (f.Packet.foff + f.Packet.flen);
         (match p.total with
          | Some total when ranges_cover p.have total ->
-             Hashtbl.remove t.table key;
+             Lrp_det.Itab.remove t.table key;
              t.completed <- t.completed + 1;
              Parena.set_pkt t.arena p.row p.whole;
              p.row
          | Some _ | None -> Parena.none)
 
   (* Drop incomplete datagrams older than the timeout, handing each one's
-     row to [release]. *)
+     row to [release], in descending (src, ident) order. *)
   let prune t ~now ~release =
     let stale =
-      Lrp_det.Det.fold_sorted
+      Lrp_det.Det.fold_sorted_int
         (fun key p acc ->
           if now -. p.first_seen > t.timeout then (key, p.row) :: acc else acc)
         t.table []
     in
     List.iter
       (fun (key, row) ->
-        Hashtbl.remove t.table key;
-        t.timed_out <- t.timed_out + 1;
+        Lrp_det.Itab.remove t.table key;
         release row)
       stale;
     List.length stale
 
-  let pending_count t = Hashtbl.length t.table
+  let pending_count t = Lrp_det.Itab.length t.table
   let completed t = t.completed
-  let timed_out t = t.timed_out
 end

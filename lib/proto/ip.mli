@@ -13,7 +13,7 @@ val fragment : Lrp_net.Packet.t -> mtu:int -> Lrp_net.Packet.t list
     pieces'.  [insert] hands that row, now holding the whole datagram, on
     when the last missing piece arrives; [prune] expires incomplete
     datagrams older than the timeout (ip_slowtimo) and hands their rows
-    back to be released. *)
+    back to be released; the caller counts them. *)
 
 module Reasm :
   sig
@@ -31,5 +31,4 @@ module Reasm :
 
     val pending_count : t -> int
     val completed : t -> int
-    val timed_out : t -> int
   end

@@ -139,7 +139,7 @@ let iter t f =
 
 (* Fixed-width little-endian int64 words after an 8-byte magic:
 
-     "LRPREC01"
+     "LRPREC02"
      count seq lost nstr                      (4 words)
      for each interned string: byte-length, then the bytes 0-padded
        to an 8-byte boundary
@@ -149,10 +149,10 @@ let iter t f =
    Records are emitted oldest-first, so a reader reconstructs exactly the
    surviving window (sequence numbers restart at [seq - count]). *)
 
-let magic = "LRPREC01"
+let magic = "LRPREC02"
 
 (* Kind codes Trace defines (0 .. kinds - 1); the reader rejects others. *)
-let kinds = 24
+let kinds = 20
 
 let add_word buf v =
   let b = Bytes.create 8 in
@@ -204,7 +204,12 @@ let of_string s =
     let* v = word () in
     Ok (Int64.to_int v)
   in
-  if len < 8 || String.sub s 0 8 <> magic then fail "bad magic"
+  if len < 8 || String.sub s 0 6 <> String.sub magic 0 6 then fail "bad magic"
+  else if String.sub s 0 8 <> magic then
+    (* Another version: its kind codes mean other events. *)
+    fail
+      (Printf.sprintf "unsupported dump version %s (this reader reads %s)"
+         (String.escaped (String.sub s 0 8)) magic)
   else begin
     pos := 8;
     let* count = int () in

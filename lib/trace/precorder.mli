@@ -53,7 +53,7 @@ val iter :
 
 (** {1 Binary dump}
 
-    Fixed-width little-endian int64 words: an 8-byte magic ["LRPREC01"],
+    Fixed-width little-endian int64 words: an 8-byte magic ["LRPREC02"],
     the [count]/[recorded]/[dropped]/string-table sizes, the interned
     strings (length-prefixed, zero-padded to 8-byte words), then four
     words per event — kind, [Int64.bits_of_float] timestamp, ident,
@@ -65,7 +65,8 @@ val write_dump : t -> string -> unit
 
 val of_string : string -> (t, string) result
 (** Parse a dump; the error string includes the failing byte offset.
-    A header claiming more records than the bytes that follow, or a record
-    whose kind code is not one {!Trace} defines, is an [Error]. *)
+    A dump of another format version (["LRPREC01"]), a header claiming
+    more records than the bytes that follow, or a record whose kind code
+    is not one {!Trace} defines, is an [Error]. *)
 
 val read_dump : string -> (t, string) result

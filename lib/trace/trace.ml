@@ -6,20 +6,21 @@ type thread_state = Spawned | Runnable | Sleeping | Exited
 
 type alarm = Overload | Livelock | Starvation | Queue_watermark
 
+type reason =
+  | Nic_ring | Mbuf_pool | Ip_queue | Ni_channel | Edemux_discard | Sock_buf
+  | Sock_close | Checksum | No_port | Demux_miss | Not_forwarding | Wrong_peer
+  | Reasm_timeout
+
 type event =
   | Nic_rx of { pkt : int; bytes : int }
   | Demux of { pkt : int; chan : int; flow : int }
   | Ipq_enqueue of { pkt : int; qlen : int }
-  | Ipq_drop of { pkt : int; qlen : int }
-  | Early_discard of { pkt : int; chan : int }
+  | Drop of { pkt : int; reason : reason; arg : int }
   | Softint_begin of { pkt : int }
   | Softint_end of { pkt : int }
   | Proto_deliver of { pkt : int; conn : int; in_proc : bool }
   | Sock_enqueue of { pkt : int; sock : int }
-  | Sock_drop of { pkt : int; sock : int }
   | Syscall_copyout of { pkt : int; sock : int; bytes : int }
-  | Csum_drop of { pkt : int }
-  | Mbuf_drop of { pkt : int }
   | Intr_enter of { level : intr_level; label : string }
   | Intr_exit of { level : intr_level; label : string }
   | Ctx_switch of { from_pid : int; to_pid : int }
@@ -35,9 +36,8 @@ type event =
 type cls = Packet_events | Sched_events | Note_events
 
 let class_of_event = function
-  | Nic_rx _ | Demux _ | Ipq_enqueue _ | Ipq_drop _ | Early_discard _
-  | Softint_begin _ | Softint_end _ | Proto_deliver _ | Sock_enqueue _
-  | Sock_drop _ | Syscall_copyout _ | Csum_drop _ | Mbuf_drop _
+  | Nic_rx _ | Demux _ | Ipq_enqueue _ | Drop _ | Softint_begin _
+  | Softint_end _ | Proto_deliver _ | Sock_enqueue _ | Syscall_copyout _
   | Gro_merge _ | Gro_flush _ ->
       Packet_events
   | Intr_enter _ | Intr_exit _ | Ctx_switch _ | Thread_state _
@@ -48,16 +48,35 @@ let class_of_event = function
 let bit = function Packet_events -> 1 | Sched_events -> 2 | Note_events -> 4
 let all_mask = 7
 
+let[@inline] reason_code = function
+  | Nic_ring -> 0 | Mbuf_pool -> 1 | Ip_queue -> 2 | Ni_channel -> 3
+  | Edemux_discard -> 4 | Sock_buf -> 5 | Sock_close -> 6 | Checksum -> 7
+  | No_port -> 8 | Demux_miss -> 9 | Not_forwarding -> 10 | Wrong_peer -> 11
+  | Reasm_timeout -> 12
+
+(* By code: the reasons, and their names in the sinks. *)
+let reasons =
+  [| Nic_ring; Mbuf_pool; Ip_queue; Ni_channel; Edemux_discard; Sock_buf;
+     Sock_close; Checksum; No_port; Demux_miss; Not_forwarding; Wrong_peer;
+     Reasm_timeout |]
+
+let reason_names =
+  [| "nic-ring"; "mbuf-pool"; "ip-queue"; "ni-channel"; "edemux-discard";
+     "sock-buf"; "sock-close"; "checksum"; "no-port"; "demux-miss";
+     "not-forwarding"; "wrong-peer"; "reasm-timeout" |]
+
 type t = {
   tr_name : string;
   mutable on : bool;
   mutable mask : int;
   rc : Precorder.t;
+  totals : int array;  (* drops by [reason_code], however recorded *)
 }
 
 let create ?capacity ~name ~clock () =
   { tr_name = name; on = false; mask = all_mask;
-    rc = Precorder.create ?capacity ~clock () }
+    rc = Precorder.create ?capacity ~clock ();
+    totals = Array.make (Array.length reasons) 0 }
 
 let null () = create ~capacity:1 ~name:"null" ~clock:[| 0. |] ()
 
@@ -67,37 +86,34 @@ let set_filter t classes = t.mask <- List.fold_left (fun m c -> m lor bit c) 0 c
 let recorder t = t.rc
 let length t = Precorder.length t.rc
 let dropped t = Precorder.dropped t.rc
+let drops t reason = t.totals.(reason_code reason)
 
 (* --- packed encoding ---------------------------------------------------- *)
 
 (* Kind codes for the recorder.  These are part of the binary dump
-   format (DESIGN.md §13): never renumber, only append (and bump
-   [Precorder.kinds]). *)
+   format (DESIGN.md §13): append only, bumping [Precorder.kinds]; a
+   renumbering is a new [Precorder.magic]. *)
 
 let k_nic_rx = 0
 let k_demux = 1
 let k_ipq_enqueue = 2
-let k_ipq_drop = 3
-let k_early_discard = 4
-let k_softint_begin = 5
-let k_softint_end = 6
-let k_proto_deliver = 7
-let k_sock_enqueue = 8
-let k_sock_drop = 9
-let k_syscall_copyout = 10
-let k_csum_drop = 11
-let k_mbuf_drop = 12
-let k_intr_enter = 13
-let k_intr_exit = 14
-let k_ctx_switch = 15
-let k_thread_state = 16
-let k_note = 17
-let k_alarm = 18
-let k_poll_begin = 19
-let k_poll_end = 20
-let k_coalesce_fire = 21
-let k_gro_merge = 22
-let k_gro_flush = 23
+let k_drop = 3
+let k_softint_begin = 4
+let k_softint_end = 5
+let k_proto_deliver = 6
+let k_sock_enqueue = 7
+let k_syscall_copyout = 8
+let k_intr_enter = 9
+let k_intr_exit = 10
+let k_ctx_switch = 11
+let k_thread_state = 12
+let k_note = 13
+let k_alarm = 14
+let k_poll_begin = 15
+let k_poll_end = 16
+let k_coalesce_fire = 17
+let k_gro_merge = 18
+let k_gro_flush = 19
 
 let level_code = function Hard -> 0 | Soft -> 1
 let level_of_code c = if c = 0 then Hard else Soft
@@ -132,29 +148,28 @@ let event_of_packed p ~kind ~ident ~a ~b =
   | 0 -> Nic_rx { pkt = ident; bytes = a }
   | 1 -> Demux { pkt = ident; chan = a; flow = b }
   | 2 -> Ipq_enqueue { pkt = ident; qlen = a }
-  | 3 -> Ipq_drop { pkt = ident; qlen = a }
-  | 4 -> Early_discard { pkt = ident; chan = a }
-  | 5 -> Softint_begin { pkt = ident }
-  | 6 -> Softint_end { pkt = ident }
-  | 7 -> Proto_deliver { pkt = ident; conn = a; in_proc = b = 1 }
-  | 8 -> Sock_enqueue { pkt = ident; sock = a }
-  | 9 -> Sock_drop { pkt = ident; sock = a }
-  | 10 -> Syscall_copyout { pkt = ident; sock = a; bytes = b }
-  | 11 -> Csum_drop { pkt = ident }
-  | 12 -> Mbuf_drop { pkt = ident }
-  | 13 ->
+  | 3 ->
+      (* a code off the table (a hostile dump) is clamped onto it *)
+      let r = Int.max 0 (Int.min a (Array.length reasons - 1)) in
+      Drop { pkt = ident; reason = reasons.(r); arg = b }
+  | 4 -> Softint_begin { pkt = ident }
+  | 5 -> Softint_end { pkt = ident }
+  | 6 -> Proto_deliver { pkt = ident; conn = a; in_proc = b = 1 }
+  | 7 -> Sock_enqueue { pkt = ident; sock = a }
+  | 8 -> Syscall_copyout { pkt = ident; sock = a; bytes = b }
+  | 9 ->
       Intr_enter { level = level_of_code a; label = Precorder.get_string p b }
-  | 14 ->
+  | 10 ->
       Intr_exit { level = level_of_code a; label = Precorder.get_string p b }
-  | 15 -> Ctx_switch { from_pid = a; to_pid = b }
-  | 16 -> Thread_state { pid = a; state = state_of_code b }
-  | 17 -> Note (Precorder.get_string p a)
-  | 18 -> Alarm { alarm = alarm_of_code ident; a; b }
-  | 19 -> Poll_begin { q = ident; pending = a }
-  | 20 -> Poll_end { q = ident; served = a }
-  | 21 -> Coalesce_fire { q = ident; pending = a }
-  | 22 -> Gro_merge { pkt = ident; into = a }
-  | _ (* 23: the dump reader rejects codes past Precorder.kinds *) ->
+  | 11 -> Ctx_switch { from_pid = a; to_pid = b }
+  | 12 -> Thread_state { pid = a; state = state_of_code b }
+  | 13 -> Note (Precorder.get_string p a)
+  | 14 -> Alarm { alarm = alarm_of_code ident; a; b }
+  | 15 -> Poll_begin { q = ident; pending = a }
+  | 16 -> Poll_end { q = ident; served = a }
+  | 17 -> Coalesce_fire { q = ident; pending = a }
+  | 18 -> Gro_merge { pkt = ident; into = a }
+  | _ (* 19: the dump reader rejects codes past Precorder.kinds *) ->
       Gro_flush { pkt = ident; segs = a }
 
 let events_of_precorder p =
@@ -205,13 +220,14 @@ let ipq_enqueue t ~pkt ~qlen =
   if want t Packet_events then
     Precorder.record t.rc ~kind:k_ipq_enqueue ~ident:pkt ~a:qlen ~b:(-1)
 
-let ipq_drop t ~pkt ~qlen =
+(* The one drop emitter: the reason's total counts every call, whether
+   or not the event is recorded.  Inlined, so a call site's constant
+   reason is a constant index. *)
+let[@inline] drop t ~reason ~pkt ~arg =
+  let c = reason_code reason in
+  t.totals.(c) <- t.totals.(c) + 1;
   if want t Packet_events then
-    Precorder.record t.rc ~kind:k_ipq_drop ~ident:pkt ~a:qlen ~b:(-1)
-
-let early_discard t ~pkt ~chan =
-  if want t Packet_events then
-    Precorder.record t.rc ~kind:k_early_discard ~ident:pkt ~a:chan ~b:(-1)
+    Precorder.record t.rc ~kind:k_drop ~ident:pkt ~a:c ~b:arg
 
 let softint_begin t ~pkt =
   if want t Packet_events then
@@ -230,21 +246,9 @@ let sock_enqueue t ~pkt ~sock =
   if want t Packet_events then
     Precorder.record t.rc ~kind:k_sock_enqueue ~ident:pkt ~a:sock ~b:(-1)
 
-let sock_drop t ~pkt ~sock =
-  if want t Packet_events then
-    Precorder.record t.rc ~kind:k_sock_drop ~ident:pkt ~a:sock ~b:(-1)
-
 let syscall_copyout t ~pkt ~sock ~bytes =
   if want t Packet_events then
     Precorder.record t.rc ~kind:k_syscall_copyout ~ident:pkt ~a:sock ~b:bytes
-
-let csum_drop t ~pkt =
-  if want t Packet_events then
-    Precorder.record t.rc ~kind:k_csum_drop ~ident:pkt ~a:(-1) ~b:(-1)
-
-let mbuf_drop t ~pkt =
-  if want t Packet_events then
-    Precorder.record t.rc ~kind:k_mbuf_drop ~ident:pkt ~a:(-1) ~b:(-1)
 
 let intr_enter t ~level ~label =
   if want t Sched_events then
@@ -318,15 +322,17 @@ let alarm_name = function
   | Starvation -> "starvation"
   | Queue_watermark -> "queue-watermark"
 
+let reason_name r = reason_names.(reason_code r)
+
 let pp_event fmt = function
   | Nic_rx { pkt; bytes } -> Format.fprintf fmt "nic-rx pkt=%d bytes=%d" pkt bytes
   | Demux { pkt; chan; flow } ->
       Format.fprintf fmt "demux pkt=%d chan=%d flow=%d" pkt chan flow
   | Ipq_enqueue { pkt; qlen } ->
       Format.fprintf fmt "ipq-enqueue pkt=%d qlen=%d" pkt qlen
-  | Ipq_drop { pkt; qlen } -> Format.fprintf fmt "ipq-drop pkt=%d qlen=%d" pkt qlen
-  | Early_discard { pkt; chan } ->
-      Format.fprintf fmt "early-discard pkt=%d chan=%d" pkt chan
+  | Drop { pkt; reason; arg } ->
+      Format.fprintf fmt "drop pkt=%d reason=%s arg=%d" pkt (reason_name reason)
+        arg
   | Softint_begin { pkt } -> Format.fprintf fmt "softint-begin pkt=%d" pkt
   | Softint_end { pkt } -> Format.fprintf fmt "softint-end pkt=%d" pkt
   | Proto_deliver { pkt; conn; in_proc } ->
@@ -334,11 +340,8 @@ let pp_event fmt = function
         (if in_proc then "proc" else "softint")
   | Sock_enqueue { pkt; sock } ->
       Format.fprintf fmt "sock-enqueue pkt=%d sock=%d" pkt sock
-  | Sock_drop { pkt; sock } -> Format.fprintf fmt "sock-drop pkt=%d sock=%d" pkt sock
   | Syscall_copyout { pkt; sock; bytes } ->
       Format.fprintf fmt "syscall-copyout pkt=%d sock=%d bytes=%d" pkt sock bytes
-  | Csum_drop { pkt } -> Format.fprintf fmt "csum-drop pkt=%d" pkt
-  | Mbuf_drop { pkt } -> Format.fprintf fmt "mbuf-drop pkt=%d" pkt
   | Intr_enter { level; label } ->
       Format.fprintf fmt "intr-enter %s %s" (level_name level) label
   | Intr_exit { level; label } ->
@@ -377,17 +380,13 @@ let csv_fields = function
   | Nic_rx { pkt; bytes } -> ("nic-rx", pkt, bytes, -1, "")
   | Demux { pkt; chan; flow } -> ("demux", pkt, chan, flow, "")
   | Ipq_enqueue { pkt; qlen } -> ("ipq-enqueue", pkt, qlen, -1, "")
-  | Ipq_drop { pkt; qlen } -> ("ipq-drop", pkt, qlen, -1, "")
-  | Early_discard { pkt; chan } -> ("early-discard", pkt, chan, -1, "")
+  | Drop { pkt; reason; arg } -> ("drop", pkt, arg, -1, reason_name reason)
   | Softint_begin { pkt } -> ("softint-begin", pkt, -1, -1, "")
   | Softint_end { pkt } -> ("softint-end", pkt, -1, -1, "")
   | Proto_deliver { pkt; conn; in_proc } ->
       ("proto-deliver", pkt, conn, (if in_proc then 1 else 0), "")
   | Sock_enqueue { pkt; sock } -> ("sock-enqueue", pkt, sock, -1, "")
-  | Sock_drop { pkt; sock } -> ("sock-drop", pkt, sock, -1, "")
   | Syscall_copyout { pkt; sock; bytes } -> ("syscall-copyout", pkt, sock, bytes, "")
-  | Csum_drop { pkt } -> ("csum-drop", pkt, -1, -1, "")
-  | Mbuf_drop { pkt } -> ("mbuf-drop", pkt, -1, -1, "")
   | Intr_enter { level; label } -> ("intr-enter", -1, -1, -1, level_name level ^ ":" ^ label)
   | Intr_exit { level; label } -> ("intr-exit", -1, -1, -1, level_name level ^ ":" ^ label)
   | Ctx_switch { from_pid; to_pid } -> ("ctx-switch", -1, from_pid, to_pid, "")
@@ -460,10 +459,12 @@ let chrome_json t =
   List.iter
     (fun (_, _, ev) ->
       match ev with
-      | Demux { chan; _ } | Early_discard { chan; _ } when chan >= 0 ->
+      | Demux { chan; _ } | Drop { reason = Ni_channel; arg = chan; _ }
+        when chan >= 0 ->
           ensure_track (tid_chan chan) (Printf.sprintf "chan %d" chan)
-      | Sock_enqueue { sock; _ } | Sock_drop { sock; _ }
-      | Syscall_copyout { sock; _ } when sock >= 0 ->
+      | Sock_enqueue { sock; _ } | Syscall_copyout { sock; _ }
+      | Drop { reason = Sock_buf | Sock_close | Wrong_peer; arg = sock; _ }
+        when sock >= 0 ->
           ensure_track (tid_sock sock) (Printf.sprintf "sock %d" sock)
       | _ -> ())
     evs;
@@ -506,12 +507,16 @@ let chrome_json t =
             ts
       | Ipq_enqueue { pkt; qlen } ->
           instant ~args:[ ("pkt", num pkt); ("qlen", num qlen) ] "ipq-enqueue" tid_hard ts
-      | Ipq_drop { pkt; qlen } ->
-          instant ~args:[ ("pkt", num pkt); ("qlen", num qlen) ] "ipq-drop" tid_hard ts
-      | Early_discard { pkt; chan } ->
-          instant ~args:[ ("pkt", num pkt) ] "early-discard"
-            (if chan >= 0 then tid_chan chan else tid_hard)
-            ts
+      | Drop { pkt; reason; arg } ->
+          (* on its channel's or socket's track when [arg] names one *)
+          let tid =
+            match reason with
+            | Ni_channel when arg >= 0 -> tid_chan arg
+            | (Sock_buf | Sock_close | Wrong_peer) when arg >= 0 -> tid_sock arg
+            | _ -> tid_hard
+          in
+          instant ~args:[ ("pkt", num pkt); ("arg", num arg) ]
+            ("drop:" ^ reason_name reason) tid ts
       | Softint_begin { pkt } ->
           span_begin (Printf.sprintf "pkt %d" pkt) tid_soft ts [ ("pkt", num pkt) ]
       | Softint_end { pkt } -> ignore pkt; span_end "pkt" tid_soft ts
@@ -523,16 +528,10 @@ let chrome_json t =
             ts
       | Sock_enqueue { pkt; sock } ->
           instant ~args:[ ("pkt", num pkt) ] "sock-enqueue" (tid_sock sock) ts
-      | Sock_drop { pkt; sock } ->
-          instant ~args:[ ("pkt", num pkt) ] "sock-drop" (tid_sock sock) ts
       | Syscall_copyout { pkt; sock; bytes } ->
           instant
             ~args:[ ("pkt", num pkt); ("bytes", num bytes) ]
             "copyout" (tid_sock sock) ts
-      | Csum_drop { pkt } ->
-          instant ~args:[ ("pkt", num pkt) ] "csum-drop" tid_hard ts
-      | Mbuf_drop { pkt } ->
-          instant ~args:[ ("pkt", num pkt) ] "mbuf-drop" tid_hard ts
       | Intr_enter { level; label } ->
           span_begin label
             (match level with Hard -> tid_hard | Soft -> tid_soft)
@@ -665,10 +664,9 @@ module Report = struct
                   Samples.add (stage "sockq-wait") (ts -. m.m_sock);
                 Samples.add (stage "total") (ts -. m.m_nic)
             | None -> ())
-        | Ipq_drop _ | Early_discard _ | Sock_drop _ | Csum_drop _
-        | Mbuf_drop _ | Intr_enter _ | Intr_exit _ | Ctx_switch _
-        | Thread_state _ | Note _ | Alarm _ | Poll_begin _ | Poll_end _
-        | Coalesce_fire _ | Gro_merge _ | Gro_flush _ -> ())
+        | Drop _ | Intr_enter _ | Intr_exit _ | Ctx_switch _ | Thread_state _
+        | Note _ | Alarm _ | Poll_begin _ | Poll_end _ | Coalesce_fire _
+        | Gro_merge _ | Gro_flush _ -> ())
       evs;
     { stages; packets = !packets }
 

@@ -27,6 +27,30 @@ type thread_state = Spawned | Runnable | Sleeping | Exited
     high-watermark reports ([Queue_watermark]). *)
 type alarm = Overload | Livelock | Starvation | Queue_watermark
 
+(** Where a host discards a received packet (DESIGN.md §13 has the
+    table, with each reason's [arg]):
+    - [Nic_ring]: a full NIC receive ring ([arg] = its length);
+    - [Mbuf_pool]: the mbuf pool is exhausted;
+    - [Ip_queue]: BSD's shared IP queue is full ([arg] = its length);
+    - [Ni_channel]: early discard at a full or disabled NI channel
+      ([arg] = the channel);
+    - [Edemux_discard]: Early-Demux's interrupt-time discard at a full
+      receiver;
+    - [Sock_buf]: a full socket queue ([arg] = the socket);
+    - [Sock_close]: still queued when its socket closed ([arg] = the
+      socket);
+    - [Checksum]: content checksum mismatch;
+    - [No_port]: no datagram endpoint after eager processing;
+    - [Demux_miss]: no endpoint at LRP demux time;
+    - [Not_forwarding]: in transit on a host that does not forward;
+    - [Wrong_peer]: refused by a connected datagram socket ([arg] = the
+      socket);
+    - [Reasm_timeout]: an incomplete datagram expired in reassembly. *)
+type reason =
+  | Nic_ring | Mbuf_pool | Ip_queue | Ni_channel | Edemux_discard | Sock_buf
+  | Sock_close | Checksum | No_port | Demux_miss | Not_forwarding | Wrong_peer
+  | Reasm_timeout
+
 (** Packet lifecycle events carry the packet's IP ident ([pkt]); [chan],
     [conn] and [sock] are channel / connection / socket ids, [-1] when not
     applicable. *)
@@ -34,18 +58,14 @@ type event =
   | Nic_rx of { pkt : int; bytes : int }
   | Demux of { pkt : int; chan : int; flow : int }
   | Ipq_enqueue of { pkt : int; qlen : int }
-  | Ipq_drop of { pkt : int; qlen : int }
-  | Early_discard of { pkt : int; chan : int }
+  | Drop of { pkt : int; reason : reason; arg : int }
+      (** The host discarded the packet; [arg] is [-1] or what [reason]
+          names. *)
   | Softint_begin of { pkt : int }
   | Softint_end of { pkt : int }
   | Proto_deliver of { pkt : int; conn : int; in_proc : bool }
   | Sock_enqueue of { pkt : int; sock : int }
-  | Sock_drop of { pkt : int; sock : int }
   | Syscall_copyout of { pkt : int; sock : int; bytes : int }
-  | Csum_drop of { pkt : int }
-      (** Receiver dropped the packet: content checksum mismatch. *)
-  | Mbuf_drop of { pkt : int }
-      (** Receiver dropped the packet: mbuf pool exhausted. *)
   | Intr_enter of { level : intr_level; label : string }
   | Intr_exit of { level : intr_level; label : string }
   | Ctx_switch of { from_pid : int; to_pid : int }
@@ -109,6 +129,11 @@ val length : t -> int
 val dropped : t -> int
 (** Events overwritten because the ring was full. *)
 
+val drops : t -> reason -> int
+(** Packets {!drop}ped for the reason since the tracer was made: every
+    call counts, recorded or not (disabled, filtered out, or since
+    overwritten). *)
+
 val events : t -> (float * int * event) list
 (** Buffer contents, oldest first, as [(virtual-time, seq, event)]. *)
 
@@ -123,16 +148,15 @@ val merged_events : (int * t) list -> (int * float * int * event) list
 val nic_rx : t -> pkt:int -> bytes:int -> unit
 val demux : t -> pkt:int -> chan:int -> flow:int -> unit
 val ipq_enqueue : t -> pkt:int -> qlen:int -> unit
-val ipq_drop : t -> pkt:int -> qlen:int -> unit
-val early_discard : t -> pkt:int -> chan:int -> unit
+val drop : t -> reason:reason -> pkt:int -> arg:int -> unit
+(** Count a drop in {!drops} and, like every emitter, record it when
+    enabled. *)
+
 val softint_begin : t -> pkt:int -> unit
 val softint_end : t -> pkt:int -> unit
 val proto_deliver : t -> pkt:int -> conn:int -> in_proc:bool -> unit
 val sock_enqueue : t -> pkt:int -> sock:int -> unit
-val sock_drop : t -> pkt:int -> sock:int -> unit
 val syscall_copyout : t -> pkt:int -> sock:int -> bytes:int -> unit
-val csum_drop : t -> pkt:int -> unit
-val mbuf_drop : t -> pkt:int -> unit
 val intr_enter : t -> level:intr_level -> label:string -> unit
 val intr_exit : t -> level:intr_level -> label:string -> unit
 val ctx_switch : t -> from_pid:int -> to_pid:int -> unit

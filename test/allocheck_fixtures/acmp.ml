@@ -27,3 +27,12 @@ let probe_let_module k = let module M = Hashtbl in M.mem tbl k
 
 let clean (a : int) b (o : int option) (x : float) y (p : bool) q =
   a = b && o = None && x < y && p = q && Int.min a b = 0
+
+(* Behind an [assume] boundary allocation is the function's own contract,
+   but a generic compare is still a finding, there and in what only it
+   calls. *)
+let assumed_callee (a : int * int) b = max a b
+
+let assumed a b = ignore (Array.make 4 0); assumed_callee (a, b) (b, a)
+
+let calls_assumed a b = assumed a b

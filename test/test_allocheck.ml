@@ -143,6 +143,23 @@ let test_assume () =
   Alcotest.(check int) "only the entry is analyzed" 1
     stats.Adriver.funcs_analyzed
 
+let test_assume_cmp () =
+  let cfg =
+    {
+      fixture_cfg with
+      Aconfig.entries = [ "Acmp.calls_assumed" ];
+      Aconfig.assume = [ "Acmp.assumed" ];
+      Aconfig.escape_dirs = [];
+    }
+  in
+  let findings, stats = Adriver.run ~root:(repo_root ()) cfg in
+  check_rl
+    "the assumed function's array and tuples are not findings; the max \
+     in the callee it alone reaches is"
+    [ ("CMP", 34) ] findings;
+  Alcotest.(check int) "only the entry is allocation-analyzed" 1
+    stats.Adriver.funcs_analyzed
+
 let test_allocating_extra () =
   let cfg =
     {
@@ -391,6 +408,8 @@ let suite =
     Alcotest.test_case "unused alloc suppression is a finding" `Quick test_sup;
     Alcotest.test_case "assume cuts the walk at the boundary" `Quick
       test_assume;
+    Alcotest.test_case "CMP walks through an assume boundary" `Quick
+      test_assume_cmp;
     Alcotest.test_case "allocating directive extends the call table" `Quick
       test_allocating_extra;
     Alcotest.test_case "unresolved entry is a CFG finding" `Quick

@@ -125,6 +125,95 @@ let test_ring_wrap_inconclusive () =
   Alcotest.(check bool) "wrapped ring reported" true v.Oracle.ring_wrapped;
   Alcotest.(check bool) "wrapped ring does not fail" true v.Oracle.ok
 
+(* One drop table: a frame may end once per arrival, and a drop is of a
+   packet that arrived; copies dropped at member sockets are not bounded
+   by arrivals. *)
+let test_drop_table () =
+  let tr = tracer () in
+  Trace.nic_rx tr ~pkt:1 ~bytes:100;
+  Trace.drop tr ~reason:Trace.Sock_buf ~pkt:1 ~arg:3;
+  Trace.drop tr ~reason:Trace.Sock_buf ~pkt:1 ~arg:4;
+  Alcotest.(check bool) "two member sockets each drop a copy" true
+    (Oracle.check_tracer tr).Oracle.ok;
+  Trace.drop tr ~reason:Trace.Ip_queue ~pkt:1 ~arg:50;
+  Trace.drop tr ~reason:Trace.Nic_ring ~pkt:1 ~arg:256;
+  let v = Oracle.check_tracer tr in
+  Alcotest.(check bool) "one arrival ended twice is flagged" true
+    ((not v.Oracle.ok)
+     && List.exists
+          (fun s -> contains_sub s "packet 1 dropped 2 times")
+          v.Oracle.violations);
+  let tr = tracer () in
+  Trace.drop tr ~reason:Trace.Checksum ~pkt:9 ~arg:(-1);
+  Alcotest.(check bool) "a drop of a packet that never arrived is flagged"
+    false (Oracle.check_tracer tr).Oracle.ok
+
+let all_reasons =
+  Trace.
+    [ Nic_ring; Mbuf_pool; Ip_queue; Ni_channel; Edemux_discard; Sock_buf;
+      Sock_close; Checksum; No_port; Demux_miss; Not_forwarding; Wrong_peer;
+      Reasm_timeout ]
+
+(* Every drop is one [Trace.drop]: on a traced overload each reason's
+   decoded drops equal its total, and the kernel's counters read the
+   totals.  A full NIC ring is its own reason, so NAPI, which has no IP
+   queue, records no IP-queue drop. *)
+let test_drops_match_counters () =
+  let open Lrp_kernel in
+  List.iter
+    (fun arch ->
+      let name = Kernel.arch_name arch in
+      let cfg = Kernel.default_config arch in
+      let w, client, server = Lrp_workload.World.pair ~cfg () in
+      let tr = Kernel.tracer server in
+      Trace.set_enabled tr true;
+      Trace.set_filter tr [ Trace.Packet_events ];
+      ignore
+        (Lrp_workload.Blast.flood ~client ~server ~rate:20_000.
+           ~until:(Lrp_engine.Time.ms 150.) ());
+      Lrp_workload.World.run w ~until:(Lrp_engine.Time.ms 200.);
+      Alcotest.(check int) (name ^ ": the ring kept every event") 0
+        (Trace.dropped tr);
+      let evs = Trace.events tr in
+      let decoded r =
+        List.length
+          (List.filter
+             (function
+               | _, _, Trace.Drop { reason; _ } -> reason = r | _ -> false)
+             evs)
+      in
+      List.iter
+        (fun r ->
+          Alcotest.(check int)
+            (Format.asprintf "%s: %a total = decoded" name Trace.pp_event
+               (Trace.Drop { pkt = 0; reason = r; arg = 0 }))
+            (decoded r) (Trace.drops tr r))
+        all_reasons;
+      let s = Kernel.stats server and nic = Kernel.nic server in
+      let ring = ref 0 in
+      for q = 0 to Lrp_net.Nic.rx_queues nic - 1 do
+        let _, d, _, _ = Lrp_net.Nic.rxq_stats nic q in
+        ring := !ring + d
+      done;
+      Alcotest.(check (list int))
+        (name ^ ": ipq, mbuf, Early-Demux, demux and early-discard counters")
+        [ decoded Trace.Ip_queue; decoded Trace.Mbuf_pool;
+          decoded Trace.Edemux_discard; decoded Trace.Demux_miss;
+          decoded Trace.Ni_channel ]
+        [ s.Kernel.ipq_drops; s.Kernel.mbuf_drops; s.Kernel.edemux_early_drops;
+          s.Kernel.demux_drops; Kernel.early_discards server ];
+      Alcotest.(check int) (name ^ ": NIC-ring drops = the rings' drops")
+        !ring (decoded Trace.Nic_ring);
+      if arch = Kernel.Napi then
+        Alcotest.(check bool) "NAPI: the rings overflowed, the IP queue did not"
+          true (!ring > 0 && decoded Trace.Ip_queue = 0);
+      let v = Oracle.check_tracer tr in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: oracle green (%s)" name
+           (String.concat "; " v.Oracle.violations))
+        true v.Oracle.ok)
+    Kernel.[ Bsd; Soft_lrp; Ni_lrp; Early_demux; Napi; Napi_gro; Rss ]
+
 (* --- oracle against the real kernels (fault-free smoke) ----------------- *)
 
 let test_real_kernels_pass_oracle () =
@@ -184,4 +273,7 @@ let suite =
     Alcotest.test_case "wrapped ring is inconclusive, not red" `Quick
       test_ring_wrap_inconclusive;
     Alcotest.test_case "real kernels pass the oracle (fault-free)" `Quick
-      test_real_kernels_pass_oracle ]
+      test_real_kernels_pass_oracle;
+    Alcotest.test_case "oracle: one drop table" `Quick test_drop_table;
+    Alcotest.test_case "drop events agree with the kernel's counters" `Quick
+      test_drops_match_counters ]

@@ -242,21 +242,21 @@ let canon_events evs =
         | Trace.Demux e ->
             Trace.Demux { pkt = c e.pkt; chan = ch e.chan; flow = fl e.flow }
         | Trace.Ipq_enqueue e -> Trace.Ipq_enqueue { e with pkt = c e.pkt }
-        | Trace.Ipq_drop e -> Trace.Ipq_drop { e with pkt = c e.pkt }
-        | Trace.Early_discard e ->
-            Trace.Early_discard { pkt = c e.pkt; chan = ch e.chan }
+        | Trace.Drop ({ reason = Trace.Ni_channel; _ } as e) ->
+            Trace.Drop { e with pkt = c e.pkt; arg = ch e.arg }
+        | Trace.Drop
+            ({ reason = Trace.Sock_buf | Trace.Sock_close | Trace.Wrong_peer; _ }
+             as e) ->
+            Trace.Drop { e with pkt = c e.pkt; arg = sk e.arg }
+        | Trace.Drop e -> Trace.Drop { e with pkt = c e.pkt }
         | Trace.Softint_begin e -> Trace.Softint_begin { pkt = c e.pkt }
         | Trace.Softint_end e -> Trace.Softint_end { pkt = c e.pkt }
         | Trace.Proto_deliver e ->
             Trace.Proto_deliver { e with pkt = c e.pkt; conn = cn e.conn }
         | Trace.Sock_enqueue e ->
             Trace.Sock_enqueue { pkt = c e.pkt; sock = sk e.sock }
-        | Trace.Sock_drop e ->
-            Trace.Sock_drop { pkt = c e.pkt; sock = sk e.sock }
         | Trace.Syscall_copyout e ->
             Trace.Syscall_copyout { e with pkt = c e.pkt; sock = sk e.sock }
-        | Trace.Csum_drop e -> Trace.Csum_drop { pkt = c e.pkt }
-        | Trace.Mbuf_drop e -> Trace.Mbuf_drop { pkt = c e.pkt }
         | Trace.Gro_merge e ->
             Trace.Gro_merge { pkt = c e.pkt; into = c e.into }
         | Trace.Gro_flush e -> Trace.Gro_flush { e with pkt = c e.pkt }

@@ -209,8 +209,7 @@ let test_reasm_timeout () =
   Alcotest.(check (list int)) "its row handed back, both charges on it" [ 2 ]
     !released;
   Alcotest.(check int) "no row left" 0 (Parena.live arena);
-  Alcotest.(check int) "nothing pending" 0 (Ip.Reasm.pending_count r);
-  Alcotest.(check int) "timeout counted" 1 (Ip.Reasm.timed_out r)
+  Alcotest.(check int) "nothing pending" 0 (Ip.Reasm.pending_count r)
 
 let test_reasm_duplicate_fragments () =
   let arena, r = reasm () in

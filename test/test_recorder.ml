@@ -64,8 +64,8 @@ let emit_all t clock =
   Trace.demux t ~pkt:7 ~chan:3 ~flow:9000;
   tick 2.;
   Trace.ipq_enqueue t ~pkt:7 ~qlen:4;
-  Trace.ipq_drop t ~pkt:8 ~qlen:64;
-  Trace.early_discard t ~pkt:9 ~chan:3;
+  Trace.drop t ~reason:Trace.Ip_queue ~pkt:8 ~arg:64;
+  Trace.drop t ~reason:Trace.Ni_channel ~pkt:9 ~arg:3;
   tick 3.5;
   Trace.softint_begin t ~pkt:7;
   Trace.proto_deliver t ~pkt:7 ~conn:11 ~in_proc:false;
@@ -73,10 +73,18 @@ let emit_all t clock =
   Trace.softint_end t ~pkt:7;
   tick 4.;
   Trace.sock_enqueue t ~pkt:7 ~sock:2;
-  Trace.sock_drop t ~pkt:10 ~sock:2;
+  Trace.drop t ~reason:Trace.Sock_buf ~pkt:10 ~arg:2;
   Trace.syscall_copyout t ~pkt:7 ~sock:2 ~bytes:1472;
-  Trace.csum_drop t ~pkt:11;
-  Trace.mbuf_drop t ~pkt:12;
+  Trace.drop t ~reason:Trace.Checksum ~pkt:11 ~arg:(-1);
+  Trace.drop t ~reason:Trace.Mbuf_pool ~pkt:12 ~arg:(-1);
+  Trace.drop t ~reason:Trace.Nic_ring ~pkt:15 ~arg:256;
+  Trace.drop t ~reason:Trace.Edemux_discard ~pkt:16 ~arg:(-1);
+  Trace.drop t ~reason:Trace.Sock_close ~pkt:17 ~arg:2;
+  Trace.drop t ~reason:Trace.No_port ~pkt:18 ~arg:9000;
+  Trace.drop t ~reason:Trace.Demux_miss ~pkt:19 ~arg:(-1);
+  Trace.drop t ~reason:Trace.Not_forwarding ~pkt:20 ~arg:(-1);
+  Trace.drop t ~reason:Trace.Wrong_peer ~pkt:21 ~arg:2;
+  Trace.drop t ~reason:Trace.Reasm_timeout ~pkt:22 ~arg:(-1);
   tick 5.;
   Trace.intr_enter t ~level:Trace.Hard ~label:"rx-intr";
   Trace.intr_exit t ~level:Trace.Hard ~label:"rx-intr";
@@ -110,17 +118,25 @@ let emit_all_expected =
     [ (1., Nic_rx { pkt = 7; bytes = 1500 });
       (1., Demux { pkt = 7; chan = 3; flow = 9000 });
       (2., Ipq_enqueue { pkt = 7; qlen = 4 });
-      (2., Ipq_drop { pkt = 8; qlen = 64 });
-      (2., Early_discard { pkt = 9; chan = 3 });
+      (2., Drop { pkt = 8; reason = Ip_queue; arg = 64 });
+      (2., Drop { pkt = 9; reason = Ni_channel; arg = 3 });
       (3.5, Softint_begin { pkt = 7 });
       (3.5, Proto_deliver { pkt = 7; conn = 11; in_proc = false });
       (3.5, Proto_deliver { pkt = 7; conn = -1; in_proc = true });
       (3.5, Softint_end { pkt = 7 });
       (4., Sock_enqueue { pkt = 7; sock = 2 });
-      (4., Sock_drop { pkt = 10; sock = 2 });
+      (4., Drop { pkt = 10; reason = Sock_buf; arg = 2 });
       (4., Syscall_copyout { pkt = 7; sock = 2; bytes = 1472 });
-      (4., Csum_drop { pkt = 11 });
-      (4., Mbuf_drop { pkt = 12 });
+      (4., Drop { pkt = 11; reason = Checksum; arg = -1 });
+      (4., Drop { pkt = 12; reason = Mbuf_pool; arg = -1 });
+      (4., Drop { pkt = 15; reason = Nic_ring; arg = 256 });
+      (4., Drop { pkt = 16; reason = Edemux_discard; arg = -1 });
+      (4., Drop { pkt = 17; reason = Sock_close; arg = 2 });
+      (4., Drop { pkt = 18; reason = No_port; arg = 9000 });
+      (4., Drop { pkt = 19; reason = Demux_miss; arg = -1 });
+      (4., Drop { pkt = 20; reason = Not_forwarding; arg = -1 });
+      (4., Drop { pkt = 21; reason = Wrong_peer; arg = 2 });
+      (4., Drop { pkt = 22; reason = Reasm_timeout; arg = -1 });
       (5., Intr_enter { level = Hard; label = "rx-intr" });
       (5., Intr_exit { level = Hard; label = "rx-intr" });
       (5., Intr_enter { level = Soft; label = "softnet" });
@@ -157,6 +173,56 @@ let test_packed_typed_equal () =
   Alcotest.check events "packed ring decodes to the emitted events"
     emit_all_expected (Trace.events t)
 
+(* Drop totals count every call, recorded or not: on a disabled tracer,
+   one filtered to scheduler events, and a one-slot ring that wrapped.
+   On a ring that has not wrapped, each total is the decoded count. *)
+let test_drop_totals () =
+  let drop_some t =
+    Trace.drop t ~reason:Trace.Nic_ring ~pkt:1 ~arg:256;
+    Trace.drop t ~reason:Trace.Ni_channel ~pkt:2 ~arg:3;
+    Trace.drop t ~reason:Trace.Ni_channel ~pkt:3 ~arg:3;
+    Trace.drop t ~reason:Trace.Sock_close ~pkt:4 ~arg:2
+  in
+  let totals t =
+    List.map (Trace.drops t)
+      [ Trace.Nic_ring; Trace.Ni_channel; Trace.Sock_close; Trace.Ip_queue ]
+  in
+  let check what t =
+    drop_some t;
+    Alcotest.(check (list int)) (what ^ ": totals") [ 1; 2; 1; 0 ] (totals t)
+  in
+  let disabled = Trace.create ~name:"off" ~clock:[| 0. |] () in
+  check "disabled" disabled;
+  Alcotest.(check int) "disabled: nothing recorded" 0 (Trace.length disabled);
+  let sched, _ = make_tracer () in
+  Trace.set_filter sched [ Trace.Sched_events ];
+  check "filtered to sched" sched;
+  Alcotest.(check int) "filtered: nothing recorded" 0 (Trace.length sched);
+  let one = Trace.create ~capacity:1 ~name:"one" ~clock:[| 0. |] () in
+  Trace.set_enabled one true;
+  check "wrapped" one;
+  Alcotest.(check int) "wrapped: three overwritten" 3 (Trace.dropped one);
+  let t, clock = make_tracer () in
+  emit_all t clock;
+  drop_some t;
+  List.iter
+    (fun (_, _, ev) ->
+      match ev with
+      | Trace.Drop { reason; _ } ->
+          let n =
+            List.length
+              (List.filter
+                 (function
+                   | _, _, Trace.Drop { reason = r; _ } -> r = reason
+                   | _ -> false)
+                 (Trace.events t))
+          in
+          Alcotest.(check int)
+            (Format.asprintf "%a: total = decoded" Trace.pp_event ev)
+            n (Trace.drops t reason)
+      | _ -> ())
+    (Trace.events t)
+
 (* --- binary dump round-trip -------------------------------------------- *)
 
 let test_dump_roundtrip () =
@@ -180,14 +246,14 @@ let test_dump_roundtrip () =
 (* A dump header claiming [count] records, then [records] 4-word records
    of [kind]; with [str_len], a one-entry string table whose length word
    is [str_len] and whose bytes are missing. *)
-let dump_bytes ?str_len ~count ~records ~kind () =
+let dump_bytes ?(magic = "LRPREC02") ?str_len ~count ~records ~kind () =
   let b = Buffer.create 128 in
   let word v =
     let w = Bytes.create 8 in
     Bytes.set_int64_le w 0 (Int64.of_int v);
     Buffer.add_bytes b w
   in
-  Buffer.add_string b "LRPREC01";
+  Buffer.add_string b magic;
   List.iter word [ count; count; 0; (if str_len = None then 0 else 1) ];
   Option.iter word str_len;
   for _ = 1 to records do
@@ -202,7 +268,7 @@ let test_dump_rejects_garbage () =
     | Error _ -> ()
   in
   rejects "garbage" "not a dump";
-  rejects "truncated dump" "LRPREC01\x01\x02";
+  rejects "truncated dump" "LRPREC02\x01\x02";
   (* 72 bytes whose header claims 2^40 records: rejected before the ring
      is sized for them. *)
   rejects "oversized record count"
@@ -211,6 +277,15 @@ let test_dump_rejects_garbage () =
   (* A length whose padding overflows must not wrap past the bounds check. *)
   rejects "overflowing string length"
     (dump_bytes ~str_len:(max_int - 3) ~count:0 ~records:0 ~kind:0 ());
+  (* The previous format numbered its kinds differently: no reading it. *)
+  (match
+     Precorder.of_string
+       (dump_bytes ~magic:"LRPREC01" ~count:1 ~records:1 ~kind:0 ())
+   with
+   | Ok _ -> Alcotest.fail "LRPREC01 dump accepted"
+   | Error e ->
+       Alcotest.(check bool) ("the error names the version: " ^ e) true
+         (String.starts_with ~prefix:"unsupported dump version LRPREC01" e));
   match Precorder.of_string (dump_bytes ~count:1 ~records:1 ~kind:0 ()) with
   | Ok p ->
       Alcotest.(check int) "well-formed dump reads back" 1 (Precorder.length p)
@@ -472,6 +547,8 @@ let suite =
       test_precorder_arg_sentinel;
     Alcotest.test_case "packed ring decodes to the typed event stream" `Quick
       test_packed_typed_equal;
+    Alcotest.test_case "drop totals count recorded or not" `Quick
+      test_drop_totals;
     Alcotest.test_case "binary dump round-trips losslessly" `Quick
       test_dump_roundtrip;
     Alcotest.test_case "dump reader rejects malformed input" `Quick

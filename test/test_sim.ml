@@ -472,6 +472,21 @@ let zero_word_cycles =
           ignore (Channel.enqueue_code ch pkt);
           Lrp_trace.Trace.nic_rx tracer ~pkt:42 ~bytes:64;
           ignore (Channel.pop ch) );
+    ( "drop_disabled",
+      (* a drop on a disabled tracer: its reason's total still counts *)
+      fun () ->
+        let tracer = Lrp_trace.Trace.create ~name:"rec" ~clock:[| 0. |] () in
+        fun () ->
+          Lrp_trace.Trace.drop tracer ~reason:Lrp_trace.Trace.Ni_channel
+            ~pkt:42 ~arg:3 );
+    ( "drop_enabled",
+      (* the same drop, also recorded in the packed ring *)
+      fun () ->
+        let tracer = Lrp_trace.Trace.create ~name:"rec" ~clock:[| 0. |] () in
+        Lrp_trace.Trace.set_enabled tracer true;
+        fun () ->
+          Lrp_trace.Trace.drop tracer ~reason:Lrp_trace.Trace.Ni_channel
+            ~pkt:42 ~arg:3 );
     ( "tx_ifq",
       (* if_output on an idle NIC and through the interface queue behind
          it, both tx-dones fired *)
@@ -686,6 +701,23 @@ let run_ahead_hardirq_cycle () =
     (Engine.events_executed eng);
   cycle
 
+(* Only the last member of an equal-key batch may run ahead: the batch's
+   later members are already out of the queue, so a segment completed
+   inline by an earlier member would move the clock under them. *)
+let test_run_ahead_last_member_only () =
+  let eng = Engine.create () in
+  let cpu = Cpu.create eng ~start_clock:false () in
+  let ran = ref 0 and seen = ref Float.nan in
+  let rx = Cpu.job cpu ~label:"rx-intr" (fun () _ -> incr ran) in
+  ignore
+    (Engine.schedule eng ~at:10. (fun () ->
+         (Cpu.cost_cell cpu).(0) <- 3.;
+         Cpu.post_hard_job_tail cpu ~tpkt:(-1) rx () 0));
+  ignore (Engine.schedule eng ~at:10. (fun () -> seen := Engine.now eng));
+  Engine.run eng ~until:100.;
+  Alcotest.(check (float 0.)) "the second event sees the key" 10. !seen;
+  Alcotest.(check int) "the tail job ran" 1 !ran
+
 let suite =
   [ Alcotest.test_case "single compute" `Quick test_single_compute;
     Alcotest.test_case "sequential computes" `Quick test_sequential_computes;
@@ -710,7 +742,9 @@ let suite =
     Alcotest.test_case "idle time accounting" `Quick test_idle_time;
     Alcotest.test_case "zero-cost interrupt work" `Quick test_zero_cost_work;
     Alcotest.test_case "typed jobs: post/dispatch/complete allocate nothing"
-      `Quick test_typed_jobs_allocation_free ]
+      `Quick test_typed_jobs_allocation_free;
+    Alcotest.test_case "run-ahead only by a batch's last member" `Quick
+      test_run_ahead_last_member_only ]
   @ List.map
       (fun (name, make) ->
         Alcotest.test_case ("0.0 words per cycle: " ^ name) `Quick

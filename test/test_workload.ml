@@ -193,7 +193,9 @@ let test_fragment_loss_times_out_cleanly () =
       Alcotest.(check int) (name ^ ": no reassembly state leaked") 0
         (Lrp_proto.Ip.Reasm.pending_count server.Kernel.reasm);
       Alcotest.(check bool) (name ^ ": incomplete datagrams were pruned") true
-        (Lrp_proto.Ip.Reasm.timed_out server.Kernel.reasm > 0);
+        (Lrp_trace.Trace.drops (Kernel.tracer server)
+           Lrp_trace.Trace.Reasm_timeout
+         > 0);
       Alcotest.(check int) (name ^ ": pruned fragments' mbufs returned") 0
         (Mbuf.in_use (Kernel.mbufs server));
       Alcotest.(check int) (name ^ ": no received frame held") 0
