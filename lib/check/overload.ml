@@ -126,9 +126,10 @@ let sample t =
         Trace.alarm tracer ~alarm:Trace.Queue_watermark ~a:1 ~b:h
       end)
     (Kernel.channels k);
-  Lrp_det.Det.iter_sorted_int
-    (fun _port (ep : Kernel.ep) ->
-      (* Bound sockets; a multicast group's members are not watched. *)
+  List.iter
+    (fun (ep : Kernel.ep) ->
+      (* Bound sockets, in port order; a multicast group's members are not
+         watched. *)
       match ep with
       | { Kernel.ep_group = false; ep_socks = sock :: _; _ } ->
           let h = sock.Socket.stats.Socket.rx_hwm in
@@ -137,7 +138,7 @@ let sample t =
             Trace.alarm tracer ~alarm:Trace.Queue_watermark ~a:2 ~b:h
           end
       | _ -> ())
-    k.Kernel.udp_ports;
+    (Lrp_core.Chantab.bindings (Kernel.chantab k) Lrp_core.Chantab.Udp_port);
   if d_off >= cfg.min_offered then begin
     rep.judged <- rep.judged + 1;
     let ratio = float_of_int d_del /. float_of_int d_off in

@@ -1,32 +1,32 @@
-(** Channel table: maps a packet's flow to the NI channel that should
-    receive it.
+(** Demux table: maps a packet's flow to its endpoint.
 
-    Resolution rules (mirroring the PCB rules, executed by the NI / the
-    interrupt handler):
+    One table for every receive architecture.  Each demux point reads it
+    with its own probe policy: the LRP kernels classify a packet onto an
+    endpoint's NI channel ({!resolve_slot}, run by the NI or the interrupt
+    handler), the eager kernels look up the PCB after IP processing
+    ({!find_udp}, {!find_tcp}).  The rules are the PCB rules:
 
-    - UDP: the channel of the socket bound to the destination port;
-    - TCP: the connection's own channel (created when the connection —
-      even an embryonic one — comes into existence), falling back to the
-      listening socket's channel for connection-establishment requests;
-    - non-first IP fragments: a dedicated fragment channel that the IP
-      reassembly code checks when it is missing pieces (section 3.2);
-    - ICMP and other non-endpoint protocols: the proxy daemon's channel
-      (section 3.5). *)
+    - UDP: the socket (or group) bound to the destination port;
+    - TCP: the connection's own entry (made when the connection — even an
+      embryonic one — comes into existence), falling back to the listening
+      socket;
+    - non-first IP fragments and ICMP: no endpoint; the LRP probe names
+      the dedicated fragment and proxy-daemon channels (sections 3.2 and
+      3.5), which the kernel owns. *)
 
 open Lrp_net
 
-(* All endpoint mappings live in ONE packed-key {!Flowtab} instead of
-   three polymorphic Hashtbls.  A flow key packs into two ints:
+(* All endpoints live in ONE packed-key {!Flowtab}.  A flow key packs
+   into two ints:
 
      hi = (namespace lsl 32) lor source-ip
      lo = (source-port lsl 16) lor destination-port
 
-   The namespace tag keeps the three historic tables (UDP-by-port, TCP
-   exact, TCP listen) disjoint inside the shared array; fields a rule
-   does not match on are zero (UDP and listen entries carry no source).
-   IPs are 32-bit and ports 16-bit, so both words are immediate ints and
-   a demux probe is a single integer-keyed lookup — no tuple allocation,
-   no structural hashing of a boxed [Packet.ip * int * int]. *)
+   The namespace tag keeps UDP ports, TCP four-tuples and listen ports
+   disjoint inside the shared array; fields a rule does not match on are
+   zero (UDP and listen entries carry no source).  IPs are 32-bit and
+   ports 16-bit, so both words are immediate ints and a probe is a single
+   integer-keyed lookup — no tuple allocation, no structural hashing. *)
 let ns_udp = 0
 let ns_tcp = 1
 let ns_listen = 2
@@ -34,96 +34,92 @@ let ns_listen = 2
 let[@inline] hi_of ~ns ~src = (ns lsl 32) lor src
 let[@inline] lo_of ~src_port ~dst_port = (src_port lsl 16) lor dst_port
 
-type t = {
-  tab : Channel.t Flowtab.t;
-  frag : Channel.t;
-  icmp : Channel.t;
-  fwd : Channel.t; (* IP-forwarding daemon's channel (section 3.5) *)
-  mutable udp_count : int;
-  mutable tcp_count : int;
+type space = Udp_port | Tcp_flow | Listen_port
+
+type 'a t = {
+  tab : 'a Flowtab.t;
+  dummy : 'a;
+  has_chan : 'a -> bool;
   mutable unmatched : int;
 }
 
-let create ?arena ?(frag_limit = 64) ?(icmp_limit = 32) ?(fwd_limit = 64) () =
-  let frag = Channel.create ?arena ~limit:frag_limit () in
-  let icmp = Channel.create ?arena ~limit:icmp_limit () in
-  let fwd = Channel.create ?arena ~limit:fwd_limit () in
-  { tab = Flowtab.create ~dummy:fwd ();
-    frag; icmp; fwd;
-    udp_count = 0; tcp_count = 0; unmatched = 0 }
+let create ~dummy ~has_chan () =
+  { tab = Flowtab.create ~dummy (); dummy; has_chan; unmatched = 0 }
 
-let frag_channel t = t.frag
-let icmp_channel t = t.icmp
-let fwd_channel t = t.fwd
+(* The slot of a port entry, or -1. *)
+let[@inline] port_slot t ~ns ~port =
+  Flowtab.find t.tab ~hi:(hi_of ~ns ~src:0) ~lo:(lo_of ~src_port:0 ~dst_port:port)
 
-let add_udp t ~port ch =
-  let hi = hi_of ~ns:ns_udp ~src:0 and lo = lo_of ~src_port:0 ~dst_port:port in
-  if Flowtab.mem t.tab ~hi ~lo then invalid_arg "Chantab.add_udp: port in use";
-  Flowtab.add_new t.tab ~hi ~lo ch;
-  t.udp_count <- t.udp_count + 1
+let[@inline] flow_slot t ~src ~src_port ~dst_port =
+  Flowtab.find t.tab ~hi:(hi_of ~ns:ns_tcp ~src) ~lo:(lo_of ~src_port ~dst_port)
 
-let remove_udp t ~port =
-  if
-    Flowtab.remove t.tab ~hi:(hi_of ~ns:ns_udp ~src:0)
-      ~lo:(lo_of ~src_port:0 ~dst_port:port)
-  then t.udp_count <- t.udp_count - 1
+let[@inline] value_or_dummy t slot =
+  if slot >= 0 then Flowtab.value t.tab slot else t.dummy
 
-let add_tcp t ~src ~src_port ~dst_port ch =
-  let hi = hi_of ~ns:ns_tcp ~src and lo = lo_of ~src_port ~dst_port in
-  if not (Flowtab.mem t.tab ~hi ~lo) then t.tcp_count <- t.tcp_count + 1;
-  Flowtab.add t.tab ~hi ~lo ch
+let add_port t ~ns ~port v =
+  Flowtab.add_new t.tab ~hi:(hi_of ~ns ~src:0)
+    ~lo:(lo_of ~src_port:0 ~dst_port:port) v
 
-let remove_tcp t ~src ~src_port ~dst_port =
-  if
-    Flowtab.remove t.tab ~hi:(hi_of ~ns:ns_tcp ~src)
-      ~lo:(lo_of ~src_port ~dst_port)
-  then t.tcp_count <- t.tcp_count - 1
-
-let add_tcp_listen t ~port ch =
-  let hi = hi_of ~ns:ns_listen ~src:0
-  and lo = lo_of ~src_port:0 ~dst_port:port in
-  if Flowtab.mem t.tab ~hi ~lo then
-    invalid_arg "Chantab.add_tcp_listen: port in use";
-  Flowtab.add_new t.tab ~hi ~lo ch
-
-let remove_tcp_listen t ~port =
+let remove_port t ~ns ~port =
   ignore
-    (Flowtab.remove t.tab ~hi:(hi_of ~ns:ns_listen ~src:0)
+    (Flowtab.remove t.tab ~hi:(hi_of ~ns ~src:0)
        ~lo:(lo_of ~src_port:0 ~dst_port:port))
 
-(* Slot codes: the alloc-free twin of [Channel.t option].  Non-negative
-   values are {!Flowtab} slots (valid until the next table mutation);
-   the dedicated channels, which live outside the Flowtab, get their own
-   negative codes so a probe can name them without boxing. *)
+let add_udp t ~port v = add_port t ~ns:ns_udp ~port v
+let remove_udp t ~port = remove_port t ~ns:ns_udp ~port
+let add_listen t ~port v = add_port t ~ns:ns_listen ~port v
+let remove_listen t ~port = remove_port t ~ns:ns_listen ~port
+
+let add_tcp t ~src ~src_port ~dst_port v =
+  Flowtab.add t.tab ~hi:(hi_of ~ns:ns_tcp ~src) ~lo:(lo_of ~src_port ~dst_port) v
+
+(* A newer connection on the same four-tuple may have taken the entry
+   over; then it is not this endpoint's to remove. *)
+let remove_tcp t ~src ~src_port ~dst_port v =
+  let slot = flow_slot t ~src ~src_port ~dst_port in
+  if slot >= 0 && Flowtab.value t.tab slot == v then
+    ignore
+      (Flowtab.remove t.tab ~hi:(hi_of ~ns:ns_tcp ~src)
+         ~lo:(lo_of ~src_port ~dst_port))
+
+(* --- the eager probes: the PCB lookup after IP processing ------------ *)
+
+let find_udp t ~port = value_or_dummy t (port_slot t ~ns:ns_udp ~port)
+let find_listen t ~port = value_or_dummy t (port_slot t ~ns:ns_listen ~port)
+
+(* The exact four-tuple, else the port's listener, for any segment. *)
+let find_tcp t ~src ~src_port ~dst_port =
+  let slot = flow_slot t ~src ~src_port ~dst_port in
+  value_or_dummy t
+    (if slot >= 0 then slot else port_slot t ~ns:ns_listen ~port:dst_port)
+
+(* --- the LRP probe: classification onto a channel -------------------- *)
+
+(* Slot codes: the alloc-free twin of an option.  Non-negative values are
+   {!Flowtab} slots (valid until the next table mutation); the dedicated
+   channels get their own negative codes. *)
 let slot_none = -1
 let slot_frag = -2
 let slot_icmp = -3
 
-(* The TCP probe order: exact four-tuple first, then — for
+(* The TCP probe order: an exact four-tuple that still has a channel
+   (NI-LRP frees a connection's channel on entry to TIME_WAIT), then — for
    connection-establishment requests only — the listening socket. *)
 let[@inline] resolve_tcp_slot t ~src ~src_port ~dst_port ~syn_only =
-  let slot =
-    Flowtab.find t.tab ~hi:(hi_of ~ns:ns_tcp ~src)
-      ~lo:(lo_of ~src_port ~dst_port)
-  in
-  if slot >= 0 || not syn_only then slot
-  else
-    Flowtab.find t.tab ~hi:(hi_of ~ns:ns_listen ~src:0)
-      ~lo:(lo_of ~src_port:0 ~dst_port)
-
-let[@inline] resolve_udp_slot t ~dst_port =
-  Flowtab.find t.tab ~hi:(hi_of ~ns:ns_udp ~src:0)
-    ~lo:(lo_of ~src_port:0 ~dst_port)
+  let slot = flow_slot t ~src ~src_port ~dst_port in
+  if slot >= 0 && t.has_chan (Flowtab.value t.tab slot) then slot
+  else if syn_only then port_slot t ~ns:ns_listen ~port:dst_port
+  else slot_none
 
 (* Packet-direct resolution: classify and probe in one pass, without
    materialising a flow value — or anything else: the result is a slot
-   code, so the NI demux probe is allocation-free end to end.  The demux
-   reference-model property test compares it with a structural
+   code, so the NI demux probe is allocation-free end to end.  The
+   demux reference-model property test compares it with a structural
    classifier and a PCB-rule resolver kept in the test suite. *)
 let resolve_slot t (pkt : Packet.t) =
   let slot =
     match pkt.Packet.body with
-    | Packet.Udp (u, _) -> resolve_udp_slot t ~dst_port:u.Packet.udst_port
+    | Packet.Udp (u, _) -> port_slot t ~ns:ns_udp ~port:u.Packet.udst_port
     | Packet.Tcp (h, _) ->
         resolve_tcp_slot t ~src:pkt.Packet.ip.Packet.src
           ~src_port:h.Packet.tsrc_port ~dst_port:h.Packet.tdst_port
@@ -136,8 +132,7 @@ let resolve_slot t (pkt : Packet.t) =
           (* First fragment: the transport header is present, demultiplex
              as the whole datagram would. *)
           match f.Packet.whole.Packet.body with
-          | Packet.Udp (u, _) ->
-              resolve_udp_slot t ~dst_port:u.Packet.udst_port
+          | Packet.Udp (u, _) -> port_slot t ~ns:ns_udp ~port:u.Packet.udst_port
           | Packet.Tcp (h, _) ->
               resolve_tcp_slot t ~src:pkt.Packet.ip.Packet.src
                 ~src_port:h.Packet.tsrc_port ~dst_port:h.Packet.tdst_port
@@ -152,19 +147,27 @@ let resolve_slot t (pkt : Packet.t) =
   if slot = slot_none then t.unmatched <- t.unmatched + 1;
   slot
 
-let channel_of_slot t slot =
-  if slot >= 0 then Flowtab.value t.tab slot
-  else if slot = slot_frag then t.frag
-  else if slot = slot_icmp then t.icmp
-  else
-    (* alloc: cold — error path *)
-    invalid_arg "Chantab.channel_of_slot: no channel for slot_none"
-
-let resolve_packet t pkt =
-  let slot = resolve_slot t pkt in
-  if slot = slot_none then None else Some (channel_of_slot t slot)
+let value t slot = Flowtab.value t.tab slot
 
 let unmatched t = t.unmatched
 
-let udp_channel_count t = t.udp_count
-let tcp_channel_count t = t.tcp_count
+(* A namespace's entries in key order: port order for UDP and listen
+   entries, (source, ports) order for four-tuples. *)
+let bindings t space =
+  let ns =
+    match space with
+    | Udp_port -> ns_udp
+    | Tcp_flow -> ns_tcp
+    | Listen_port -> ns_listen
+  in
+  let acc = ref [] in
+  Flowtab.iter
+    (fun ~hi ~lo v -> if hi lsr 32 = ns then acc := (hi, lo, v) :: !acc)
+    t.tab;
+  List.map
+    (fun (_, _, v) -> v)
+    (List.sort
+       (fun (h1, l1, _) (h2, l2, _) ->
+         let c = Int.compare h1 h2 in
+         if c <> 0 then c else Int.compare l1 l2)
+       !acc)

@@ -1,86 +1,100 @@
-(** Channel table: maps a packet's flow to the NI channel that should
-    receive it.
+(** Demux table: maps a packet's flow to its endpoint.
 
-    Resolution rules (mirroring the PCB rules, executed by the NI / the
-    interrupt handler):
+    The kernel's one endpoint table, under every receive architecture:
+    every bound datagram socket, multicast group, listener and connection
+    is one entry.  The kernels differ only in where the lookup runs and so
+    in the probe policy they read it with:
 
-    - UDP: the channel of the socket bound to the destination port;
-    - TCP: the connection's own channel (created when the connection —
-      even an embryonic one — comes into existence), falling back to the
-      listening socket's channel for connection-establishment requests;
-    - non-first IP fragments: a dedicated fragment channel that the IP
-      reassembly code checks when it is missing pieces (section 3.2);
-    - ICMP and other non-endpoint protocols: the proxy daemon's channel
-      (section 3.5).
+    - the LRP probe ({!resolve_slot}), run by the NI or the interrupt
+      handler, classifies a packet onto an endpoint's NI channel: the
+      socket bound to a UDP destination port; a connection's exact
+      four-tuple if it still has a channel, else the listening socket for
+      a connection-establishment request (SYN without ACK) only;
+      non-first IP fragments and ICMP to the kernel's dedicated fragment
+      (section 3.2) and proxy-daemon (section 3.5) channels;
+    - the eager probes ({!find_udp}, {!find_tcp}), the PCB lookup after IP
+      processing: a UDP port; the exact four-tuple, else the port's
+      listener, for any segment.
 
-    Endpoint mappings are stored in a single packed-key {!Flowtab}: a
-    flow key is [(namespace lsl 32) lor src-ip] / [(src-port lsl 16) lor
-    dst-port], so a demux probe is one integer-keyed robin-hood lookup —
-    no tuple allocation, no structural hashing. *)
+    Entries live in a single packed-key {!Flowtab}: a flow key is
+    [(namespace lsl 32) lor src-ip] / [(src-port lsl 16) lor dst-port],
+    so a probe is one integer-keyed robin-hood lookup — no tuple
+    allocation, no structural hashing. *)
 
-type t
+type 'a t
+(** A table of endpoints of type ['a]. *)
 
-val create :
-  ?arena:Lrp_net.Parena.t ->
-  ?frag_limit:int -> ?icmp_limit:int -> ?fwd_limit:int -> unit -> t
-(** [arena] is the descriptor arena the dedicated channels (and, by
-    convention, every per-socket channel registered here) draw from;
-    kernels pass their shared arena. *)
+type space = Udp_port | Tcp_flow | Listen_port
+(** The three namespaces: UDP ports, TCP four-tuples, listen ports. *)
 
-val frag_channel : t -> Channel.t
-val icmp_channel : t -> Channel.t
-val fwd_channel : t -> Channel.t
+val create : dummy:'a -> has_chan:('a -> bool) -> unit -> 'a t
+(** [dummy] is what the eager probes answer on a miss (and fills empty
+    slots); [has_chan] tells the LRP probe whether a connection's entry
+    still has its NI channel. *)
 
-val add_udp : t -> port:int -> Channel.t -> unit
+val add_udp : 'a t -> port:int -> 'a -> unit
 (** @raise Invalid_argument if the port is already bound. *)
 
-val remove_udp : t -> port:int -> unit
+val remove_udp : 'a t -> port:int -> unit
 
-val add_tcp :
-  t ->
-  src:Lrp_net.Packet.ip ->
-  src_port:int -> dst_port:int -> Channel.t -> unit
-(** Bind a connection's four-tuple, replacing any previous binding. *)
-
-val remove_tcp :
-  t -> src:Lrp_net.Packet.ip -> src_port:int -> dst_port:int -> unit
-
-val add_tcp_listen : t -> port:int -> Channel.t -> unit
+val add_listen : 'a t -> port:int -> 'a -> unit
 (** @raise Invalid_argument if the port is already listened on. *)
 
-val remove_tcp_listen : t -> port:int -> unit
+val remove_listen : 'a t -> port:int -> unit
 
-val resolve_packet : t -> Lrp_net.Packet.t -> Channel.t option
-(** Classify and probe in one pass: the destination channel, or [None]
-    (counted in {!unmatched}) when no endpoint matches.  A cold-path
-    convenience over {!resolve_slot}, the hot path's probe; the option
-    result boxes. *)
+val add_tcp :
+  'a t -> src:Lrp_net.Packet.ip -> src_port:int -> dst_port:int -> 'a -> unit
+(** Bind a connection's four-tuple (remote address and port, local port),
+    replacing any previous binding. *)
 
-(** {2 Allocation-free resolution}
+val remove_tcp :
+  'a t -> src:Lrp_net.Packet.ip -> src_port:int -> dst_port:int -> 'a -> unit
+(** Unbind the four-tuple if it still maps to this endpoint (physical
+    equality): a newer connection that took the four-tuple over keeps
+    it. *)
 
-    The per-packet demux probe used by the NI and interrupt handlers.
-    [resolve_slot] returns an int slot code instead of a
-    [Channel.t option], so the probe allocates nothing at all:
-    non-negative codes are {!Flowtab} slots (valid until the next table
-    mutation), negative codes name the dedicated channels or a miss. *)
+(** {2 Eager probes}
+
+    Allocation-free, and counting nothing. *)
+
+val find_udp : 'a t -> port:int -> 'a
+(** The endpoint bound to the port, or [dummy]. *)
+
+val find_listen : 'a t -> port:int -> 'a
+(** The listener on the port, or [dummy]. *)
+
+val find_tcp :
+  'a t -> src:Lrp_net.Packet.ip -> src_port:int -> dst_port:int -> 'a
+(** The connection on the exact four-tuple, else the port's listener, or
+    [dummy]. *)
+
+(** {2 LRP probe}
+
+    [resolve_slot] returns an int slot code instead of an option, so the
+    probe allocates nothing at all: non-negative codes are entry slots
+    (valid until the next table mutation), negative codes name the
+    dedicated channels or a miss. *)
 
 val slot_none : int
-(** No endpoint matched (the packet will be dropped); counted in
-    {!unmatched}. *)
+(** No endpoint matched; counted in {!unmatched}. *)
 
-val resolve_slot : t -> Lrp_net.Packet.t -> int
-(** Classify and probe in one pass, returning a slot code.  Agrees with
-    {!resolve_packet}: [resolve_slot] returns {!slot_none} exactly when
-    [resolve_packet] returns [None], and otherwise
-    [channel_of_slot t (resolve_slot t pkt)] is the channel
-    [resolve_packet] would box. *)
+val slot_frag : int
+(** A non-first IP fragment: the fragment channel. *)
 
-val channel_of_slot : t -> int -> Channel.t
-(** Decode a slot code returned by {!resolve_slot}.
-    @raise Invalid_argument on {!slot_none}. *)
+val slot_icmp : int
+(** ICMP: the proxy daemon's channel. *)
 
-val unmatched : t -> int
-(** Packets that matched no endpoint. *)
+val resolve_slot : 'a t -> Lrp_net.Packet.t -> int
+(** Classify and probe in one pass, returning a slot code. *)
 
-val udp_channel_count : t -> int
-val tcp_channel_count : t -> int
+val value : 'a t -> int -> 'a
+(** The endpoint in a non-negative slot returned by {!resolve_slot}. *)
+
+val unmatched : 'a t -> int
+(** Packets the LRP probe matched to no endpoint. *)
+
+(** {2 Census} *)
+
+val bindings : 'a t -> space -> 'a list
+(** A namespace's endpoints in key order: by port for UDP and listen
+    entries, by remote address and ports for four-tuples. *)

@@ -19,11 +19,11 @@
 
 (* D2 exemption: this module implements the sorted snapshot itself. *)
 
-let bindings ?(cmp = Stdlib.compare) tbl =
+let bindings tbl =
   let items = Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [] in
-  List.stable_sort (fun (ka, _) (kb, _) -> cmp ka kb) items
+  List.stable_sort (fun (ka, _) (kb, _) -> Stdlib.compare ka kb) items
 
-let iter_sorted ?cmp f tbl = List.iter (fun (k, v) -> f k v) (bindings ?cmp tbl)
+let iter_sorted f tbl = List.iter (fun (k, v) -> f k v) (bindings tbl)
 
 (* The same snapshots for {!Itab}, whose keys are unique ints. *)
 

@@ -5,13 +5,12 @@
     reproducible order.  All helpers snapshot the table first, so the
     callback may freely add or remove bindings. *)
 
-val bindings : ?cmp:('k -> 'k -> int) -> ('k, 'v) Hashtbl.t -> ('k * 'v) list
-(** All bindings sorted by key ([cmp] defaults to [Stdlib.compare]; keys in
-    this repo are ints, strings or tuples of those).  Duplicate-key bindings
-    keep most-recent-first order. *)
+val bindings : ('k, 'v) Hashtbl.t -> ('k * 'v) list
+(** All bindings sorted by key with [Stdlib.compare] (keys in this repo
+    are ints, strings or tuples of those).  Duplicate-key bindings keep
+    most-recent-first order. *)
 
-val iter_sorted :
-  ?cmp:('k -> 'k -> int) -> ('k -> 'v -> unit) -> ('k, 'v) Hashtbl.t -> unit
+val iter_sorted : ('k -> 'v -> unit) -> ('k, 'v) Hashtbl.t -> unit
 (** [iter_sorted f tbl] applies [f] to every binding in ascending key
     order. *)
 

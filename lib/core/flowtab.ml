@@ -167,8 +167,6 @@ let[@inline] find t ~hi ~lo =
 
 let[@inline] value t slot = t.vals.(slot)
 
-let mem t ~hi ~lo = find t ~hi ~lo >= 0
-
 let find_opt t ~hi ~lo =
   let slot = find t ~hi ~lo in
   if slot < 0 then None else Some t.vals.(slot)

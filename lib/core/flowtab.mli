@@ -39,8 +39,6 @@ val value : 'a t -> int -> 'a
 val find_opt : 'a t -> hi:int -> lo:int -> 'a option
 (** Boxing convenience wrapper over {!find}/{!value} for cold paths. *)
 
-val mem : 'a t -> hi:int -> lo:int -> bool
-
 val remove : 'a t -> hi:int -> lo:int -> bool
 (** Delete the key (backward-shift, no tombstones); [false] when it was
     not present. *)

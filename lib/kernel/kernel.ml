@@ -102,6 +102,9 @@ let mbuf_capacity = 4096
 let initial_rto = Lrp_engine.Time.sec 1.5
 let max_syn_retries = 4
 let rx_ring = 256                       (* slots per NAPI receive ring *)
+let frag_limit = 64                     (* LRP fragment channel, packets *)
+let icmp_limit = 32                     (* LRP proxy-daemon channel *)
+let fwd_limit = 64                      (* LRP forwarding channel *)
 
 type config = {
   arch : arch;
@@ -150,16 +153,45 @@ type kstats = {
   ipq_hwm : int;            (* deepest shared-IP-queue depth seen *)
 }
 
+(* An endpoint (section 3.1): a bound datagram socket, a multicast group,
+   a listener or a connection.  The one record that links what it holds:
+   the sockets it wakes, the process its protocol work is charged to
+   (section 3.4), its NI channel under lazy processing, and its PCB.  A
+   packet reaches it through the demux table ([chantab]), a connection
+   through [eps]; one path, [release_ep], lets it go. *)
+type ep = {
+  ep_port : int;
+  ep_conn : Tcp.conn;  (* [Tcp.null_conn] for a datagram endpoint *)
+  ep_group : bool;  (* a multicast group: [ep_socks] are its members *)
+  mutable ep_socks : Socket.t list;
+      (* the bound socket, the group's members, or the connection's
+         socket ([] until accepted) *)
+  mutable ep_owner : Proc.t option;
+  mutable ep_chan : Channel.t option;
+}
+
+(* What a lookup that finds no endpoint answers; never mutated. *)
+let null_ep =
+  { ep_port = -1; ep_conn = Tcp.null_conn; ep_group = false; ep_socks = [];
+    ep_owner = None; ep_chan = None }
+
+let ep_has_chan ep = Option.is_some ep.ep_chan
+
+(* Is [ch] still the endpoint's channel?  Frames left on a channel its
+   endpoint has closed are discarded. *)
+let[@inline] holds_chan ep ch =
+  match ep.ep_chan with Some c -> c == ch | None -> false
+
 (* An APP thread and its posted work, a FIFO ring of flat columns: a row
-   is a channel to drain ([aq_gen] = -1) or a timer expiry read at
-   generation [aq_gen].  A channel whose drain is queued names the owner
-   in {!Channel.job_owner}, so it is queued at most once per APP thread
-   (a connection handed to a new owner may have a drain queued on
+   is an endpoint whose channel to drain ([aq_gen] = -1) or a timer expiry
+   read at generation [aq_gen].  A channel whose drain is queued names the
+   owner in {!Channel.job_owner}, so it is queued at most once per APP
+   thread (a connection handed to a new owner may have a drain queued on
    both). *)
 type app = {
   app_owner : Proc.t;
   app_wq : Proc.waitq;
-  mutable aq_chan : Channel.t array;
+  mutable aq_ep : ep array;
   mutable aq_timer : Tcp.timer array;
   mutable aq_gen : int array;
   mutable aq_head : int;
@@ -222,33 +254,6 @@ let napi_storm_gap = 60.
    small batch instead of per packet. *)
 let napi_repoll = 500.
 
-(* An endpoint (section 3.1): a bound datagram socket, a multicast group,
-   a listener or a connection.  The one record that links what it holds:
-   the sockets it wakes, the process its protocol work is charged to
-   (section 3.4), its NI channel under lazy processing, and its PCB.  A
-   connection reaches it through [eps], a channel through [chans]; one
-   path, [release_ep], lets it go. *)
-type ep = {
-  ep_port : int;
-  ep_conn : Tcp.conn;  (* [Tcp.null_conn] for a datagram endpoint *)
-  ep_group : bool;  (* a multicast group: [ep_socks] are its members *)
-  mutable ep_socks : Socket.t list;
-      (* the bound socket, the group's members, or the connection's
-         socket ([] until accepted) *)
-  mutable ep_owner : Proc.t option;
-  mutable ep_chan : Channel.t option;
-}
-
-(* What a lookup that finds no endpoint answers; never mutated. *)
-let null_ep =
-  { ep_port = -1; ep_conn = Tcp.null_conn; ep_group = false; ep_socks = [];
-    ep_owner = None; ep_chan = None }
-
-(* The endpoint bound to [port] in a port table, or [null_ep]. *)
-let port_ep tbl port =
-  let slot = Itab.find tbl port in
-  if slot >= 0 then Itab.value tbl slot else null_ep
-
 (* The kernel's interrupt work as typed jobs, registered once per kernel
    ({!Cpu.job}): posting one stores (job, object, int) in the CPU's work
    ring instead of allocating a closure per post. *)
@@ -264,8 +269,8 @@ type jobs = {
   j_napi_deliver : napi Cpu.job;   (* ... and deliver the batch *)
   j_wake_ep : ep Cpu.job;
       (* NI-LRP host interrupt waking a datagram endpoint's receivers *)
-  j_app_chan : Channel.t Cpu.job;  (* NI-LRP host interrupt posting an APP job *)
-  j_orphan : Channel.t Cpu.job;    (* orphaned connection's softint drain *)
+  j_app_chan : ep Cpu.job;  (* NI-LRP host interrupt posting an APP job *)
+  j_orphan : ep Cpu.job;    (* orphaned connection's softint drain *)
   j_tcp_timer : Tcp.timer Cpu.job; (* softint timer expiry; generation in the int *)
   j_tcp_tx : unit Cpu.job;         (* softint cost of extra TCP output *)
   j_reasm : Packet.t Cpu.job;
@@ -297,11 +302,9 @@ type t = {
   mutable ipq_len : int;
   mbufs : Mbuf.t;
   (* --- endpoint tables --- *)
-  udp_ports : ep Itab.t;  (* bound datagram sockets and groups *)
-  tcp_conns : Tcp.conn Flowtab.t;
-      (* PCBs keyed like Chantab's TCP flows: [hi] = remote (source) IP,
-         [lo] = remote port lsl 16 lor local port *)
-  tcp_listeners : ep Itab.t;
+  chantab : ep Chantab.t;
+      (* the demux table: every endpoint by port, four-tuple or listen
+         port *)
   eps : ep Flowtab.t;  (* connections and listeners by conn id ([hi]) *)
   (* --- LRP state --- *)
   parena : Parena.t;
@@ -309,10 +312,9 @@ type t = {
          ring, the eager paths' frames (each row charged its mbufs), the
          reassembler's pending datagrams and the socket queues' datagrams
          name rows here *)
-  chantab : Chantab.t;
-  chans : ep Flowtab.t;
-      (* endpoints with an open NI channel, by channel id ([hi]; [lo] =
-         0); the chantab's three dedicated channels are not here *)
+  frag_chan : Channel.t;  (* non-first fragments (section 3.2) *)
+  icmp_chan : Channel.t;  (* the protocol-proxy daemon's (section 3.5) *)
+  fwd_chan : Channel.t;  (* the IP-forwarding daemon's (section 3.5) *)
   apps : app Itab.t;  (* owner pid -> APP thread *)
   helper_wq : Proc.waitq;
   fwd_wq : Proc.waitq;
@@ -359,14 +361,14 @@ let chantab t = t.chantab
 let mbufs t = t.mbufs
 (* Newest first, then the fragment, ICMP and forwarding channels. *)
 let channels t =
-  let open_chans = ref [] in
-  Flowtab.iter
-    (fun ~hi:_ ~lo:_ ep ->
-      Option.iter (fun ch -> open_chans := ch :: !open_chans) ep.ep_chan)
-    t.chans;
-  List.sort (fun a b -> Int.compare (Channel.id b) (Channel.id a)) !open_chans
-  @ [ Chantab.frag_channel t.chantab; Chantab.icmp_channel t.chantab;
-      Chantab.fwd_channel t.chantab ]
+  let open_chans =
+    List.concat_map
+      (fun space ->
+        List.filter_map (fun ep -> ep.ep_chan) (Chantab.bindings t.chantab space))
+      Chantab.[ Udp_port; Tcp_flow; Listen_port ]
+  in
+  List.sort (fun a b -> Int.compare (Channel.id b) (Channel.id a)) open_chans
+  @ [ t.frag_chan; t.icmp_chan; t.fwd_chan ]
 let now t = Engine.now t.engine
 
 (* Is [addr] one of this host's own addresses? *)
@@ -475,7 +477,7 @@ let free_rx_pkt t h =
 let rx_reserve t (pkt : Packet.t) =
   let charge =
     match t.proto with
-    | Eager -> Mbuf.mbufs_for t.mbufs (Packet.wire_bytes pkt)
+    | Eager -> Mbuf.mbufs_for (Packet.wire_bytes pkt)
     | Lazy -> 0
   in
   if Mbuf.take t.mbufs charge then Parena.acquire t.parena pkt ~charge
@@ -522,15 +524,11 @@ let backlog_full (listener : Tcp.conn) =
   listener.Tcp.syn_pending + Queue.length listener.Tcp.accept_queue
   >= listener.Tcp.backlog
 
-(* The endpoint of a connection or listener, and of an open channel:
-   one Flowtab probe each; [null_ep] when there is none. *)
+(* The endpoint of a connection or listener: one Flowtab probe;
+   [null_ep] when there is none. *)
 let conn_ep t (conn : Tcp.conn) =
   let slot = Flowtab.find t.eps ~hi:conn.Tcp.id ~lo:0 in
   if slot >= 0 then Flowtab.value t.eps slot else null_ep
-
-let chan_ep t ch =
-  let slot = Flowtab.find t.chans ~hi:(Channel.id ch) ~lo:0 in
-  if slot >= 0 then Flowtab.value t.chans slot else null_ep
 
 (* LRP gates the listening socket's channel on the backlog: once exceeded,
    protocol processing is disabled and further SYNs die cheaply at the NI
@@ -558,19 +556,23 @@ let[@inline] ni_access_cost t =
 let rec app_loop t app =
   if app.aq_len > 0 then begin
     let i = app.aq_head in
-    let ch = app.aq_chan.(i) and tm = app.aq_timer.(i) and gen = app.aq_gen.(i) in
-    app.aq_chan.(i) <- Chantab.fwd_channel t.chantab;
+    let ep = app.aq_ep.(i) and tm = app.aq_timer.(i) and gen = app.aq_gen.(i) in
+    app.aq_ep.(i) <- null_ep;
     app.aq_timer.(i) <- Tcp.null_conn.Tcp.rtx_timer;
     app.aq_head <- (i + 1) land (Array.length app.aq_gen - 1);
     app.aq_len <- app.aq_len - 1;
     if gen < 0 then begin
-      if Channel.job_owner ch = app.app_owner.Proc.pid then
-        Channel.set_job_owner ch (-1);
-      (* Guarded: a disabled [notef] still builds its closures. *)
-      if Trace.enabled t.tracer then
-        Trace.notef t.tracer "app %s: drain chan %d (len=%d)"
-          app.app_owner.Proc.name (Channel.id ch) (Channel.length ch);
-      drain_tcp_channel t ch
+      (* A closed channel released its frames when it closed. *)
+      match ep.ep_chan with
+      | Some ch ->
+          if Channel.job_owner ch = app.app_owner.Proc.pid then
+            Channel.set_job_owner ch (-1);
+          (* Guarded: a disabled [notef] still builds its closures. *)
+          if Trace.enabled t.tracer then
+            Trace.notef t.tracer "app %s: drain chan %d (len=%d)"
+              app.app_owner.Proc.name (Channel.id ch) (Channel.length ch);
+          drain_tcp_channel t ep ch
+      | None -> ()
     end
     else begin
       charge_proto t ~flow:(-1) (t.c.Cost.lazy_locality *. t.c.Cost.tcp_in);
@@ -588,19 +590,18 @@ let rec app_loop t app =
     app_loop t app
   end
 
-and drain_tcp_channel t ch =
+and drain_tcp_channel t ep ch =
   let pkt = Channel.pop ch in
   if pkt != Packet.null then begin
     charge_proto t ~flow:(Channel.id ch)
       (ni_access_cost t
        +. (t.c.Cost.lazy_locality *. (t.c.Cost.ip_in +. t.c.Cost.tcp_in)));
-    (* A closed channel's connection is gone: its frames are discarded. *)
-    let ep = chan_ep t ch in
-    if ep != null_ep then begin
+    (* The connection may have gone while the frame was charged. *)
+    if holds_chan ep ch then begin
       tcp_deliver t ep.ep_conn pkt ~ctx:`Proc;
       if Tcp.state ep.ep_conn = Tcp.Listen then listen_gate ep
     end;
-    drain_tcp_channel t ch
+    drain_tcp_channel t ep ch
   end
 
 (* Deliver a (non-fragment) TCP segment to its connection, charging for any
@@ -634,7 +635,7 @@ and app_for t (owner : Proc.t) =
     let app =
       (* alloc: cold — once per process *)
       { app_owner = owner; app_wq = Proc.waitq "app";
-        aq_chan = [||]; aq_timer = [||]; aq_gen = [||]; aq_head = 0;
+        aq_ep = [||]; aq_timer = [||]; aq_gen = [||]; aq_head = 0;
         aq_len = 0 }
     in
     Itab.replace t.apps owner.Proc.pid app;
@@ -650,7 +651,7 @@ and app_for t (owner : Proc.t) =
 
 (* Double an APP thread's ring (8 rows at first), unrolling the live rows
    to index 0. *)
-let app_grow t app =
+let app_grow app =
   let cap = Array.length app.aq_gen in
   let unroll a fill = (* alloc: cold — amortized growth *)
     let b = Array.make (max 8 (2 * cap)) fill in (* alloc: cold — amortized growth *)
@@ -659,16 +660,16 @@ let app_grow t app =
     done;
     b
   in
-  app.aq_chan <- unroll app.aq_chan (Chantab.fwd_channel t.chantab);
+  app.aq_ep <- unroll app.aq_ep null_ep;
   app.aq_timer <- unroll app.aq_timer Tcp.null_conn.Tcp.rtx_timer;
   app.aq_gen <- unroll app.aq_gen 0;
   app.aq_head <- 0
 
 (* Queue a row on [app]'s ring and wake its thread. *)
-let app_post t app ch tm gen =
-  if app.aq_len = Array.length app.aq_gen then app_grow t app;
+let app_post t app ep tm gen =
+  if app.aq_len = Array.length app.aq_gen then app_grow app;
   let i = (app.aq_head + app.aq_len) land (Array.length app.aq_gen - 1) in
-  app.aq_chan.(i) <- ch;
+  app.aq_ep.(i) <- ep;
   app.aq_timer.(i) <- tm;
   app.aq_gen.(i) <- gen;
   app.aq_len <- app.aq_len + 1;
@@ -678,20 +679,23 @@ let app_post t app ch tm gen =
    still draining — a normal close-behind-exit) have no APP thread left, so
    their protocol processing falls back to software-interrupt level, as in
    the paper's prototype where a kernel process owns TCP processing. *)
-let orphan_post t ch =
+let orphan_post t ep =
   (Cpu.cost_cell t.cpu).(0) <-
     t.c.Cost.soft_dispatch
     +. (t.c.Cost.eager_penalty *. (t.c.Cost.ip_in +. t.c.Cost.tcp_in));
-  Cpu.post_soft_job t.cpu ~tpkt:(-1) ~poll:false (jobs t).j_orphan ch 0
+  Cpu.post_soft_job t.cpu ~tpkt:(-1) ~poll:false (jobs t).j_orphan ep 0
 
-let orphan_drain t ch =
-  let pkt = Channel.pop ch in
-  if pkt != Packet.null then begin
-    let ep = chan_ep t ch in
-    if ep != null_ep then tcp_deliver t ep.ep_conn pkt ~ctx:`Soft;
-    if not (Channel.is_empty ch) then orphan_post t ch
-  end
+let orphan_drain t ep =
+  match ep.ep_chan with
+  | Some ch ->
+      let pkt = Channel.pop ch in
+      if pkt != Packet.null then begin
+        tcp_deliver t ep.ep_conn pkt ~ctx:`Soft;
+        if not (Channel.is_empty ch) then orphan_post t ep
+      end
+  | None -> ()
 
+(* Post a drain of the endpoint's channel [ch]. *)
 let app_post_chan t ep ch =
   match ep.ep_owner with
   | Some owner when not owner.Proc.exited ->
@@ -702,14 +706,14 @@ let app_post_chan t ep ch =
         if Trace.enabled t.tracer then
           Trace.notef t.tracer "post chan %d job for %s" (Channel.id ch)
             owner.Proc.name;
-        app_post t app ch Tcp.null_conn.Tcp.rtx_timer (-1)
+        app_post t app ep Tcp.null_conn.Tcp.rtx_timer (-1)
       end
-  | Some _ | None -> orphan_post t ch
+  | Some _ | None -> orphan_post t ep
 
 let app_post_timer t conn tm gen =
   match (conn_ep t conn).ep_owner with
   | Some owner when not owner.Proc.exited ->
-      app_post t (app_for t owner) (Chantab.fwd_channel t.chantab) tm gen
+      app_post t (app_for t owner) null_ep tm gen
   | Some _ | None ->
       (* Orphaned connection (e.g. TIME_WAIT after exit): fall back to
          software-interrupt context so it still makes progress. *)
@@ -721,48 +725,23 @@ let app_post_timer t conn tm gen =
 (* Endpoints: open, close, hand over                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* [tcp_conns] keys. *)
-let[@inline] pcb_lo ~rport ~lport = (rport lsl 16) lor lport
-
-(* A new endpoint.  Only lazy kernels receive into NI channels: there it
-   gets its own, bound in the Chantab. *)
+(* A new endpoint, entered in the demux table.  Only lazy kernels receive
+   into NI channels: there it gets its own. *)
 let open_ep ?(group = false) t ~port ~conn ~socks ~owner =
   let ep =
     { ep_port = port; ep_conn = conn; ep_group = group; ep_socks = socks;
       ep_owner = owner; ep_chan = None }
   in
-  if t.proto = Lazy then begin
-    let ch = Channel.create ~arena:t.parena ~limit:t.cfg.channel_limit () in
-    (if conn == Tcp.null_conn then Chantab.add_udp t.chantab ~port ch
-     else
-       match conn.Tcp.remote with
-       | None -> Chantab.add_tcp_listen t.chantab ~port ch
-       | Some (src, src_port) ->
-           Chantab.add_tcp t.chantab ~src ~src_port ~dst_port:port ch);
-    ep.ep_chan <- Some ch;
-    Flowtab.add_new t.chans ~hi:(Channel.id ch) ~lo:0 ep
-  end;
+  if t.proto = Lazy then
+    ep.ep_chan <-
+      Some (Channel.create ~arena:t.parena ~limit:t.cfg.channel_limit ());
+  (if conn == Tcp.null_conn then Chantab.add_udp t.chantab ~port ep
+   else
+     match conn.Tcp.remote with
+     | None -> Chantab.add_listen t.chantab ~port ep
+     | Some (src, src_port) ->
+         Chantab.add_tcp t.chantab ~src ~src_port ~dst_port:port ep);
   ep
-
-(* Unbind the endpoint from the Chantab and deallocate its channel,
-   folding its ledger row into the aggregate.  O(1), and no allocation
-   for a connection's channel. *)
-let close_chan t ep =
-  if t.proto = Lazy then begin
-    let port = ep.ep_port and conn = ep.ep_conn in
-    (if conn == Tcp.null_conn then Chantab.remove_udp t.chantab ~port
-     else
-       match conn.Tcp.remote with
-       | None -> Chantab.remove_tcp_listen t.chantab ~port
-       | Some (src, src_port) ->
-           Chantab.remove_tcp t.chantab ~src ~src_port ~dst_port:port);
-    match ep.ep_chan with
-    | Some ch ->
-        ep.ep_chan <- None;
-        ignore (Flowtab.remove t.chans ~hi:(Channel.id ch) ~lo:0);
-        Ledger.retire_flow (Cpu.ledger t.cpu) ~flow:(Channel.id ch)
-    | None -> ()
-  end
 
 (* A frame a socket could not queue ([Sock_buf]), or still held when it
    closed ([Sock_close]): counted per socket too. *)
@@ -778,47 +757,52 @@ let rec drop_queued t ch sock =
     drop_queued t ch sock
   end
 
-(* Release everything an endpoint holds.  The frames still queued on a
-   datagram endpoint's channel are dropped at its (last) socket; a
-   connection's channel keeps its frames, which an APP or orphan drain
-   still queued for it pops and discards. *)
+let rec discard_queued ch =
+  if Channel.pop ch != Packet.null then discard_queued ch
+
+(* Close the endpoint's channel: the frames still queued on it are
+   dropped at a datagram endpoint's (last) socket and discarded for a
+   connection (an APP or orphan drain still queued for it finds it
+   closed), and its ledger row is folded into the aggregate. *)
+let close_chan t ep =
+  match ep.ep_chan with
+  | Some ch ->
+      ep.ep_chan <- None;
+      (match ep.ep_socks with
+       | s :: _ when ep.ep_conn == Tcp.null_conn -> drop_queued t ch s
+       | _ -> discard_queued ch);
+      Ledger.retire_flow (Cpu.ledger t.cpu) ~flow:(Channel.id ch)
+  | None -> ()
+
+(* Release everything an endpoint holds: its demux-table entry (a
+   four-tuple only while it still maps to this endpoint), its entry in
+   [eps] and its channel. *)
 let release_ep t ep =
   let conn = ep.ep_conn and port = ep.ep_port in
   (if conn == Tcp.null_conn then begin
-     Itab.remove t.udp_ports port;
-     t.udp_eps <- List.filter (fun e -> e != ep) t.udp_eps;
-     match ep.ep_chan, ep.ep_socks with
-     | Some ch, s :: _ -> drop_queued t ch s
-     | _, _ -> ()
+     Chantab.remove_udp t.chantab ~port;
+     t.udp_eps <- List.filter (fun e -> e != ep) t.udp_eps
    end
    else begin
      (match conn.Tcp.remote with
-      | None -> Itab.remove t.tcp_listeners port
-      | Some (rip, rport) ->
-          let lo = pcb_lo ~rport ~lport:port in
-          let slot = Flowtab.find t.tcp_conns ~hi:rip ~lo in
-          if slot >= 0 && (Flowtab.value t.tcp_conns slot).Tcp.id = conn.Tcp.id
-          then ignore (Flowtab.remove t.tcp_conns ~hi:rip ~lo));
+      | None -> Chantab.remove_listen t.chantab ~port
+      | Some (src, src_port) ->
+          Chantab.remove_tcp t.chantab ~src ~src_port ~dst_port:port ep);
      ignore (Flowtab.remove t.eps ~hi:conn.Tcp.id ~lo:0)
    end);
   close_chan t ep
 
-(* A connection's or listener's endpoint: its PCB or listen port, its
+(* A connection's or listener's endpoint: its demux-table entry, its
    entry in [eps], its channel. *)
 let register t conn ~socks ~owner =
-  let port = conn.Tcp.local_port in
-  let ep = open_ep t ~port ~conn ~socks ~owner in
-  (match conn.Tcp.remote with
-   | None -> Itab.replace t.tcp_listeners port ep
-   | Some (rip, rport) ->
-       Flowtab.add t.tcp_conns ~hi:rip ~lo:(pcb_lo ~rport ~lport:port) conn);
+  let ep = open_ep t ~port:conn.Tcp.local_port ~conn ~socks ~owner in
   Flowtab.add_new t.eps ~hi:conn.Tcp.id ~lo:0 ep
 
 let bind t (sock : Socket.t) ~owner ~port =
-  if Itab.mem t.udp_ports port then invalid_arg "Kernel.bind: port in use";
+  if Chantab.find_udp t.chantab ~port != null_ep then
+    invalid_arg "Kernel.bind: port in use";
   sock.Socket.port <- Some port;
   let ep = open_ep t ~port ~conn:Tcp.null_conn ~socks:[ sock ] ~owner in
-  Itab.replace t.udp_ports port ep;
   if Option.is_some ep.ep_chan then t.udp_eps <- ep :: t.udp_eps;
   sock.Socket.chan <- ep.ep_chan
 
@@ -826,13 +810,11 @@ let bind t (sock : Socket.t) ~owner ~port =
    packets from its one channel (section 3.1). *)
 let join_group t (sock : Socket.t) ~owner ~port =
   let ep =
-    match Itab.find_opt t.udp_ports port with
-    | Some ep when ep.ep_group -> ep
-    | Some _ -> invalid_arg "Kernel.join_group: port bound by a unicast socket"
-    | None ->
-        let ep = open_ep ~group:true t ~port ~conn:Tcp.null_conn ~socks:[] ~owner in
-        Itab.replace t.udp_ports port ep;
-        ep
+    let ep = Chantab.find_udp t.chantab ~port in
+    if ep == null_ep then
+      open_ep ~group:true t ~port ~conn:Tcp.null_conn ~socks:[] ~owner
+    else if ep.ep_group then ep
+    else invalid_arg "Kernel.join_group: port bound by a unicast socket"
   in
   sock.Socket.port <- Some port;
   ep.ep_socks <- sock :: ep.ep_socks;
@@ -840,24 +822,26 @@ let join_group t (sock : Socket.t) ~owner ~port =
 
 (* The group's channel stays until its last member leaves. *)
 let leave_group t (sock : Socket.t) ~port =
-  match Itab.find_opt t.udp_ports port with
-  | Some ep when ep.ep_group ->
-      (match List.filter (fun s -> s.Socket.id <> sock.Socket.id) ep.ep_socks with
-       | [] ->
-           release_ep t ep;
-           ep.ep_socks <- []
-       | rest -> ep.ep_socks <- rest);
-      sock.Socket.chan <- None
-  | Some _ | None -> ()
+  let ep = Chantab.find_udp t.chantab ~port in
+  if ep.ep_group then begin
+    (match List.filter (fun s -> s.Socket.id <> sock.Socket.id) ep.ep_socks with
+     | [] ->
+         release_ep t ep;
+         ep.ep_socks <- []
+     | rest -> ep.ep_socks <- rest);
+    sock.Socket.chan <- None
+  end
 
 (* Close a datagram socket: leave its group or release its endpoint, and
    free the datagrams left on its queue.  Every frame the socket still
    held counts once, as a socket-queue drop. *)
 let close_dgram t (sock : Socket.t) =
-  (match Option.bind sock.Socket.port (Itab.find_opt t.udp_ports) with
-   | Some ep when ep.ep_group -> leave_group t sock ~port:ep.ep_port
-   | Some ep when List.memq sock ep.ep_socks -> release_ep t ep
-   | Some _ | None -> ());
+  (match sock.Socket.port with
+   | Some port ->
+       let ep = Chantab.find_udp t.chantab ~port in
+       if ep.ep_group then leave_group t sock ~port
+       else if List.memq sock ep.ep_socks then release_ep t ep
+   | None -> ());
   sock.Socket.chan <- None;
   let q = sock.Socket.udp_rcv in
   Queue.iter
@@ -883,7 +867,7 @@ let attach t (sock : Socket.t) (conn : Tcp.conn) ~owner =
 (* Open the endpoint of a listener or an actively opened connection. *)
 let open_conn t sock (conn : Tcp.conn) ~owner =
   if Option.is_none conn.Tcp.remote
-     && Itab.mem t.tcp_listeners conn.Tcp.local_port
+     && Chantab.find_listen t.chantab ~port:conn.Tcp.local_port != null_ep
   then invalid_arg "Kernel.open_conn: port in use";
   register t conn ~socks:[] ~owner:(Some owner);
   attach t sock conn ~owner
@@ -960,7 +944,7 @@ let make_tcp_env t =
            TIME_WAIT so that NI channel slots scale to busy servers
            (section 4.2). *)
         match t.demux with
-        | Nic -> let ep = conn_ep t conn in if ep != null_ep then close_chan t ep
+        | Nic -> close_chan t (conn_ep t conn)
         | Softirq | Hardirq -> ());
     on_closed =
       (fun conn ->
@@ -1027,13 +1011,13 @@ let deliver_udp_ready t ~row (pkt : Packet.t) =
       if Packet.is_multicast pkt then begin
         (* The original chain is released; members get duplicates. *)
         free_rx_pkt t row;
-        match port_ep t.udp_ports u.Packet.udst_port with
+        match Chantab.find_udp t.chantab ~port:u.Packet.udst_port with
         | { ep_group = true; ep_socks; _ } ->
             deposit_members t pkt payload sport ep_socks
         | _ -> drop t Trace.No_port pkt u.Packet.udst_port
       end
       else
-        (match port_ep t.udp_ports u.Packet.udst_port with
+        (match Chantab.find_udp t.chantab ~port:u.Packet.udst_port with
          | { ep_group = false; ep_socks = sock :: _; _ } ->
              if peer_accepts t sock pkt sport then
                deposit t sock pkt payload sport ~row
@@ -1054,16 +1038,11 @@ let icmp_reply t (pkt : Packet.t) =
   | Packet.Icmp _ | Packet.Udp _ | Packet.Tcp _ | Packet.Fragment _ -> ()
 
 (* The eager PCB lookup, ports straight off the header: the connection's
-   own PCB, else the port's listener; [Tcp.null_conn] when there is
+   own entry, else the port's listener; [Tcp.null_conn] when there is
    none. *)
 let pcb_lookup t ~src (h : Packet.tcp_header) =
-  let slot =
-    Flowtab.find t.tcp_conns ~hi:src
-      ~lo:(pcb_lo ~rport:h.Packet.tsrc_port ~lport:h.Packet.tdst_port)
-  in
-  if slot >= 0 then Flowtab.value t.tcp_conns slot
-  else
-    (port_ep t.tcp_listeners h.Packet.tdst_port).ep_conn
+  (Chantab.find_tcp t.chantab ~src ~src_port:h.Packet.tsrc_port
+     ~dst_port:h.Packet.tdst_port).ep_conn
 
 (* Hand a segment to its endpoint; [false] when none matches. *)
 let deliver_tcp t (pkt : Packet.t) ~ctx =
@@ -1572,9 +1551,8 @@ let lrp_classify_rx t pkt =
        daemon's channel (section 3.5), or discarded if this host is not a
        gateway. *)
     if t.cfg.forwarding then begin
-      if ni_enqueue t (Chantab.fwd_channel t.chantab) pkt
-         = Channel.queued_was_empty
-      then ni_wake_one t t.fwd_wq
+      if ni_enqueue t t.fwd_chan pkt = Channel.queued_was_empty then
+        ni_wake_one t t.fwd_wq
     end
     else drop t Trace.Not_forwarding pkt (-1)
   end
@@ -1593,15 +1571,22 @@ let lrp_classify_rx t pkt =
        | Demux.Tcp_class ->
            (* No endpoint: the protocol-proxy daemon answers with an RST on
               its own time (section 3.5). *)
-           if ni_enqueue t (Chantab.icmp_channel t.chantab) pkt
-              = Channel.queued_was_empty
+           if ni_enqueue t t.icmp_chan pkt = Channel.queued_was_empty
               && t.cfg.udp_helper
            then ni_wake_one t t.helper_wq
        | Demux.Udp_class | Demux.Frag_class | Demux.Icmp_class ->
            drop t Trace.Demux_miss pkt (-1))
   end
   else
-      let ch = Chantab.channel_of_slot t.chantab slot in
+      (* An endpoint's slot, or a dedicated channel's code.  An entry the
+         probe returns always has its channel: it skips connections that
+         lost theirs. *)
+      let ep = if slot >= 0 then Chantab.value t.chantab slot else null_ep in
+      let ch =
+        match ep.ep_chan with
+        | Some ch -> ch
+        | None -> if slot = Chantab.slot_frag then t.frag_chan else t.icmp_chan
+      in
       Trace.demux t.tracer ~pkt:pkt.Packet.ip.Packet.ident
         ~chan:(Channel.id ch) ~flow:(Demux.flow_id_of_packet pkt);
       let code = ni_enqueue t ch pkt in
@@ -1613,8 +1598,8 @@ let lrp_classify_rx t pkt =
                   Channel.clear_interrupt_request ch;
                   (* The bound socket's receiver, or every member's. *)
                   match t.demux with
-                  | Nic -> ni_intr t (jobs t).j_wake_ep (chan_ep t ch)
-                  | Softirq | Hardirq -> wake_members t (chan_ep t ch).ep_socks
+                  | Nic -> ni_intr t (jobs t).j_wake_ep ep
+                  | Softirq | Hardirq -> wake_members t ep.ep_socks
                 end
                 else if t.cfg.udp_helper && was_empty then
                   (* Nobody is waiting: let the minimal-priority protocol
@@ -1632,8 +1617,8 @@ let lrp_classify_rx t pkt =
                    under NI demux that keeps host interrupts rare. *)
                 if was_empty then
                   (match t.demux with
-                   | Nic -> ni_intr t (jobs t).j_app_chan ch
-                   | Softirq | Hardirq -> app_post_chan t (chan_ep t ch) ch)
+                   | Nic -> ni_intr t (jobs t).j_app_chan ep
+                   | Softirq | Hardirq -> app_post_chan t ep ch)
             | Demux.Frag_class | Demux.Icmp_class ->
                 (* Fragments needing reassembly and ICMP: the helper
                    handles them if no receiver does first. *)
@@ -1656,7 +1641,7 @@ let edemux_eager t (pkt : Packet.t) =
 (* Early discard on a full receiver queue — but processing stays eager.
    A group datagram is discarded only when no member's queue has room. *)
 let edemux_udp t pkt ~dst_port =
-  let ep = port_ep t.udp_ports dst_port in
+  let ep = Chantab.find_udp t.chantab ~port:dst_port in
   if ep != null_ep && ((not ep.ep_group) || Packet.is_multicast pkt)
      && List.exists Socket.has_room ep.ep_socks
   then edemux_eager t pkt
@@ -1754,7 +1739,7 @@ let rec integrate_frags t ~charge completed = function
    first.  Runs in process context; the caller charges per-fragment cost
    through [charge]. *)
 let drain_frag_channel t ~charge =
-  integrate_frags t ~charge [] (pop_rows (Chantab.frag_channel t.chantab) [])
+  integrate_frags t ~charge [] (pop_rows t.frag_chan [])
 
 (* Deliver datagrams completed by lazy (receiver-context) processing. *)
 let rec deliver_udp_all t = function
@@ -1854,7 +1839,7 @@ let helper_loop t =
     if helper_udp_round t false t.udp_eps then worked := true;
     (* Protocol-proxy daemon duties: ICMP echo and RSTs for TCP segments
        with no endpoint (section 3.5). *)
-    (let row = Channel.pop_row (Chantab.icmp_channel t.chantab) in
+    (let row = Channel.pop_row t.icmp_chan in
      if row <> Parena.none then begin
        worked := true;
        charge (t.c.Cost.lazy_locality *. (t.c.Cost.ip_in +. t.c.Cost.udp_in));
@@ -1888,7 +1873,7 @@ let helper_loop t =
    to it, and its scheduling priority bounds the resources the host spends
    on forwarding. *)
 let fwd_daemon_loop t =
-  let ch = Chantab.fwd_channel t.chantab in
+  let ch = t.fwd_chan in
   let rec loop () =
     let pkt = Channel.pop ch in
     if pkt != Packet.null then begin
@@ -1922,7 +1907,10 @@ let create engine fabric ~name ~ip cfg =
      timestamp is read straight from the engine's clock cell). *)
   let tracer = Trace.create ~name ~clock:(Engine.clock_cell engine) () in
   let parena = Parena.create () in
-  let chantab = Chantab.create ~arena:parena () in
+  let chan limit = Channel.create ~arena:parena ~limit () in
+  let frag_chan = chan frag_limit in
+  let icmp_chan = chan icmp_limit in
+  let fwd_chan = chan fwd_limit in
   let demux, proto, rx_mode = axes cfg.arch in
   let t =
     { kname = name; engine; cpu; nic; cfg; demux; proto; rx_mode;
@@ -1931,11 +1919,8 @@ let create engine fabric ~name ~ip cfg =
       ipq_len = 0; mbufs = Mbuf.create ~capacity:mbuf_capacity ();
       parena;
       interfaces = [ (ip, 24, nic) ];
-      udp_ports = Itab.create 8;
-      tcp_conns = Flowtab.create ~dummy:Tcp.null_conn ();
-      tcp_listeners = Itab.create 8;
-      eps = Flowtab.create ~dummy:null_ep (); chantab;
-      chans = Flowtab.create ~dummy:null_ep ();
+      chantab = Chantab.create ~dummy:null_ep ~has_chan:ep_has_chan ();
+      eps = Flowtab.create ~dummy:null_ep (); frag_chan; icmp_chan; fwd_chan;
       apps = Itab.create 8;
       helper_wq = Proc.waitq "udp-helper"; fwd_wq = Proc.waitq "ipfwdd";
       udp_eps = []; napi = [||]; rxj = None;
@@ -1969,11 +1954,12 @@ let create engine fabric ~name ~ip cfg =
         j_wake_ep =
           Cpu.job cpu ~label:"ni-intr" (fun ep _ -> wake_members t ep.ep_socks);
         j_app_chan =
-          Cpu.job cpu ~label:"ni-intr" (fun ch _ ->
-              let ep = chan_ep t ch in
-              if ep != null_ep then app_post_chan t ep ch);
+          Cpu.job cpu ~label:"ni-intr" (fun ep _ ->
+              match ep.ep_chan with
+              | Some ch -> app_post_chan t ep ch
+              | None -> ());
         j_orphan =
-          Cpu.job cpu ~label:"tcp-orphan" (fun ch _ -> orphan_drain t ch);
+          Cpu.job cpu ~label:"tcp-orphan" (fun ep _ -> orphan_drain t ep);
         j_tcp_timer =
           Cpu.job cpu ~label:"tcp-timer" (fun tm gen ->
               Tcp.timer_fired tm ~gen);
@@ -2043,19 +2029,19 @@ let create engine fabric ~name ~ip cfg =
 let fresh_port t =
   let rec try_port () =
     t.eph_port <- (if t.eph_port >= 65_000 then 20_000 else t.eph_port + 1);
-    if Itab.mem t.udp_ports t.eph_port
-       || Itab.mem t.tcp_listeners t.eph_port
+    if Chantab.find_udp t.chantab ~port:t.eph_port != null_ep
+       || Chantab.find_listen t.chantab ~port:t.eph_port != null_ep
     then try_port ()
     else t.eph_port
   in
   try_port ()
 
-(* [add_interface t fabric ~ip ~masklen] attaches an additional interface
+(* [add_interface t fabric ~ip] attaches an additional interface, a /24
    (multi-homed gateway).  The same receive architecture runs on every
    interface. *)
-let add_interface t fabric ~ip ?(masklen = 24) () =
+let add_interface t fabric ~ip () =
   let nic = Fabric.make_nic fabric ~ip () in
   Nic.set_rx_handler nic (fun pkt -> rx_dispatch t pkt);
   Nic.set_tracer nic t.tracer;
-  t.interfaces <- t.interfaces @ [ (ip, masklen, nic) ];
+  t.interfaces <- t.interfaces @ [ (ip, 24, nic) ];
   nic

@@ -91,7 +91,8 @@ val default_config : ?costs:Cost.t -> arch -> config
     constant: the ATM MTU ({!mtu}, 9180), the 50-packet BSD IP queue, 4096
     mbufs, TCP's 1.5 s initial RTO and 4 SYN retries, {!rx_ring}-slot
     receive rings, 4 receive queues under [Rss] (1 otherwise), the LRP
-    forwarding daemon at the default priority, and in
+    fragment, proxy-daemon and forwarding channels (64, 32 and 64
+    packets), the LRP forwarding daemon at the default priority, and in
     {!Api} 32 kB TCP socket buffers and, in {!Socket}, 32-datagram UDP
     socket queues. *)
 
@@ -151,8 +152,10 @@ type ep = private {
 (** An endpoint (section 3.1): a bound datagram socket, a multicast
     group, a listener or a connection.  The one record that links its
     sockets, the process its protocol work is charged to (section 3.4),
-    its NI channel and its PCB.  Opened by the operations below, released
-    on one path when the socket closes or the connection is gone. *)
+    its NI channel and its PCB.  It is one entry of the demux table
+    ({!t.chantab}) under every architecture.  Opened by the operations
+    below, released on one path when the socket closes or the connection
+    is gone. *)
 
 type t = private {
   kname : string;
@@ -168,21 +171,23 @@ type t = private {
   ip_addr : Lrp_net.Packet.ip;
   mutable ipq_len : int;
   mbufs : Lrp_net.Mbuf.t;
-  udp_ports : ep Lrp_det.Itab.t;  (** datagram sockets and groups *)
-  tcp_conns : Lrp_proto.Tcp.conn Lrp_core.Flowtab.t;
-      (** PCBs of connections (not listeners), keyed like the channel
-          table's TCP flows: [hi] = remote IP, [lo] = remote port [lsl 16]
-          [lor] local port *)
-  tcp_listeners : ep Lrp_det.Itab.t;
+  chantab : ep Lrp_core.Chantab.t;
+      (** the demux table: every endpoint, by UDP port, four-tuple or
+          listen port; the LRP kernels' NI classification and the eager
+          kernels' PCB lookup both read it *)
   eps : ep Lrp_core.Flowtab.t;  (** connections and listeners by conn id *)
   parena : Lrp_net.Parena.t;
       (** the one table of received frames still held, under every
           architecture: NI channel rings, eager paths' frames (each row
           charged its mbufs), pending reassemblies and socket-queue
           datagrams *)
-  chantab : Lrp_core.Chantab.t;
-  chans : ep Lrp_core.Flowtab.t;
-      (** endpoints with an open channel, by channel id ([hi]; [lo] = 0) *)
+  frag_chan : Lrp_core.Channel.t;
+      (** LRP's channel for non-first fragments (section 3.2) *)
+  icmp_chan : Lrp_core.Channel.t;
+      (** the protocol-proxy daemon's channel: ICMP, and TCP segments no
+          endpoint takes (section 3.5) *)
+  fwd_chan : Lrp_core.Channel.t;
+      (** the IP-forwarding daemon's channel (section 3.5) *)
   apps : app Lrp_det.Itab.t;
   helper_wq : Lrp_sim.Proc.waitq;
   fwd_wq : Lrp_sim.Proc.waitq;
@@ -209,12 +214,12 @@ val nic : t -> Lrp_net.Nic.t
 val costs : t -> Cost.t
 val stats : t -> kstats
 val ip_address : t -> Lrp_net.Packet.ip
-val chantab : t -> Lrp_core.Chantab.t
+val chantab : t -> ep Lrp_core.Chantab.t
 val mbufs : t -> Lrp_net.Mbuf.t
 
 val channels : t -> Lrp_core.Channel.t list
-(** The live NI channels: endpoint channels newest first, then the
-    fragment, ICMP and forwarding channels. *)
+(** The live NI channels: the channels of the demux table's endpoints,
+    newest first, then the fragment, ICMP and forwarding channels. *)
 
 val early_discards : t -> int
 (** Early discards at every NI channel since the kernel was made, closed
@@ -311,4 +316,5 @@ val fresh_port : t -> int
 val add_interface :
   t ->
   Lrp_net.Fabric.t ->
-  ip:Lrp_net.Packet.ip -> ?masklen:int -> unit -> Lrp_net.Nic.t
+  ip:Lrp_net.Packet.ip -> unit -> Lrp_net.Nic.t
+(** Attach another interface, a /24 (a multi-homed gateway). *)

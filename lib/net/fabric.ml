@@ -104,7 +104,6 @@ type uplink = {
   up_latency : int -> float;        (* spine route latency to a cell, us *)
   up_min_latency : float;
   up_bandwidth : float;             (* bytes/us *)
-  up_buffer_us : float;             (* max uplink backlog, us *)
   up_busy : float array;            (* 1-slot cell: uplink port busy until *)
   (* SoA outbox: parallel columns, drained at barriers in index order so
      per-source FIFO order is the column order. *)
@@ -145,7 +144,6 @@ type t = {
   bandwidth : float;           (* bytes/us, per output port *)
   prop_delay : float;          (* per link, us *)
   switch_latency : float;      (* fixed forwarding latency, us *)
-  buffer_us : float;           (* max queueing backlog per port, us *)
   ports : port Lrp_det.Itab.t;
   mutable total_drops : int;
   loss_rng : Rng.t;  (* the fault stream each port's [frng] splits off *)
@@ -168,11 +166,15 @@ type t = {
    releases it anyway (idle link / end of run). *)
 let reorder_flush_us = 2_000.
 
+(* The queueing backlog an output port or an uplink holds before it
+   drops, us. *)
+let buffer_us = 10_000.
+
 let create engine ?(bandwidth_mbps = 155.) ?(prop_delay = 5.)
-    ?(switch_latency = 10.) ?(buffer_us = 10_000.) () =
+    ?(switch_latency = 10.) () =
   { engine; clock = Engine.clock_cell engine; at = [| 0. |];
     bandwidth = Nic.mbps_to_bytes_per_us bandwidth_mbps; prop_delay;
-    switch_latency; buffer_us; ports = Lrp_det.Itab.create 8; total_drops = 0;
+    switch_latency; ports = Lrp_det.Itab.create 8; total_drops = 0;
     loss_rng = Rng.split (Engine.rng engine);
     default_port = None; uplink = None; offered = 0; delivered = 0;
     duplicated = 0; fault_lost = 0; corrupted = 0; reordered = 0 }
@@ -245,7 +247,7 @@ and uplink_forward t up pkt =
   let ser = float_of_int (Packet.wire_bytes pkt) /. up.up_bandwidth in
   let busy = up.up_busy.(0) in
   let start = if busy > now then busy else now in
-  if start -. now > up.up_buffer_us then
+  if start -. now > buffer_us then
     up.up_drops <- up.up_drops + 1
   else begin
     let departure = start +. ser in
@@ -366,7 +368,7 @@ and deliver_frame t port pkt =
   let ser = float_of_int (Packet.wire_bytes pkt) /. t.bandwidth in
   let busy = port.busy_until.(0) in
   let start = if busy > now then busy else now in
-  if start -. now > t.buffer_us then begin
+  if start -. now > buffer_us then begin
     (* Output buffer exhausted: congestion drop. *)
     port.drops <- port.drops + 1;
     t.total_drops <- t.total_drops + 1
@@ -451,7 +453,7 @@ let inject_now t pkt =
   else gateway_or_drop t pkt
 
 let set_uplink t ~cell ~resolve ~latency ~min_latency
-    ?(bandwidth_mbps = 622.) ?(buffer_us = 10_000.) () =
+    ?(bandwidth_mbps = 622.) () =
   if not (min_latency > 0. && min_latency < Float.infinity) then
     invalid_arg "Fabric.set_uplink: min_latency must be positive and finite";
   if cell < 0 then invalid_arg "Fabric.set_uplink: negative cell id";
@@ -460,7 +462,7 @@ let set_uplink t ~cell ~resolve ~latency ~min_latency
       { up_cell = cell; up_resolve = resolve; up_latency = latency;
         up_min_latency = min_latency;
         up_bandwidth = Nic.mbps_to_bytes_per_us bandwidth_mbps;
-        up_buffer_us = buffer_us; up_busy = [| Time.zero |];
+        up_busy = [| Time.zero |];
         ob_ready = [||]; ob_dst = [||]; ob_pkt = [||]; ob_len = 0;
         up_tx = 0; up_rx = 0; up_drops = 0;
         inject_tgt = Engine.target t.engine (fun pkt -> inject_now t pkt) }

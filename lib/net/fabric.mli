@@ -79,7 +79,6 @@ type uplink = {
   up_latency : int -> float;           (** cross-link latency to a cell *)
   up_min_latency : float;              (** infimum of [up_latency] *)
   up_bandwidth : float;                (** uplink rate, bytes/us *)
-  up_buffer_us : float;                (** uplink queue bound, us of backlog *)
   up_busy : float array;               (** 1-slot cell: uplink busy until *)
   mutable ob_ready : float array;      (** outbox: arrival deadline *)
   mutable ob_dst : int array;          (** outbox: destination cell *)
@@ -121,7 +120,6 @@ type t = {
   bandwidth : float;
   prop_delay : float;
   switch_latency : float;
-  buffer_us : float;
   ports : port Lrp_det.Itab.t;
   mutable total_drops : int;
   loss_rng : Lrp_engine.Rng.t;
@@ -140,7 +138,7 @@ type t = {
 val create :
   Lrp_engine.Engine.t ->
   ?bandwidth_mbps:float ->
-  ?prop_delay:float -> ?switch_latency:float -> ?buffer_us:float -> unit -> t
+  ?prop_delay:float -> ?switch_latency:float -> unit -> t
 
 val set_link_faults : t -> ip:Packet.ip -> Faults.t -> unit
 (** Configure link weather on the path {e towards} the port attached as
@@ -166,7 +164,7 @@ val set_uplink :
   resolve:(Packet.ip -> int) ->
   latency:(int -> float) ->
   min_latency:float ->
-  ?bandwidth_mbps:float -> ?buffer_us:float -> unit -> unit
+  ?bandwidth_mbps:float -> unit -> unit
 (** Make this fabric a cell's leaf switch.  [resolve ip] gives the owning
     cell of an address (negative = not in the topology; falls back to the
     default-gateway/drop path), [latency c] the cross-link latency to cell

@@ -11,18 +11,19 @@
    admission took, whatever became of the frame in between (reassembly,
    aggregation, duplication). *)
 
+let mbuf_size = 128
+
 type t = {
   capacity : int;
-  mbuf_size : int;
   mutable in_use : int;
   mutable peak : int;
 }
 
-let create ?(mbuf_size = 128) ~capacity () =
+let create ~capacity () =
   if capacity <= 0 then invalid_arg "Mbuf.create: capacity must be positive";
-  { capacity; mbuf_size; in_use = 0; peak = 0 }
+  { capacity; in_use = 0; peak = 0 }
 
-let[@inline] mbufs_for t bytes = Int.max 1 ((bytes + t.mbuf_size - 1) / t.mbuf_size)
+let[@inline] mbufs_for bytes = Int.max 1 ((bytes + mbuf_size - 1) / mbuf_size)
 
 let[@inline] take t n =
   t.in_use + n <= t.capacity

@@ -4,14 +4,14 @@
     shared pool is one of the resources that traffic bursts for one socket
     can exhaust to the detriment of others (paper section 2.2).  We model
     the pool by counting: a packet of [n] bytes needs
-    [ceil (n / mbuf_size)] mbufs (minimum 1).  The pool keeps only its
+    [ceil (n / 128)] mbufs (minimum 1).  The pool keeps only its
     counters; which frame holds how many mbufs is recorded on the frame's
     {!Parena} row, so the count returned is always the count taken. *)
 
 type t
-val create : ?mbuf_size:int -> capacity:int -> unit -> t
+val create : capacity:int -> unit -> t
 
-val mbufs_for : t -> int -> int
+val mbufs_for : int -> int
 (** Mbufs a frame of this many wire bytes needs. *)
 
 val take : t -> int -> bool

@@ -16,9 +16,15 @@ type server_stats = {
   mutable served : int;
 }
 
+(* The workload's constants: the document's size, and the CPU time of the
+   master's fork() and of a child's filesystem/formatting work, us. *)
+let doc_bytes = 1300
+let fork_us = 900.
+let service_us = 4_000.
+let request_bytes = 100
+
 (* [start_server kern ~port ()] spawns the httpd master process. *)
-let start_server kern ?(port = 80) ?(backlog = 5) ?(doc_bytes = 1300)
-    ?(service_us = 4_000.) ?(fork_us = 900.) () =
+let start_server kern ?(port = 80) ?(backlog = 5) () =
   let st = { accepted = 0; served = 0 } in
   ignore
     (Cpu.spawn (Kernel.cpu kern) ~name:"httpd" (fun self ->
@@ -62,8 +68,7 @@ type client_stats = {
 
 (* One closed-loop HTTP client: connect, request, read the document,
    close, repeat. *)
-let start_client kern ~dst ?(request_bytes = 100) ?(doc_bytes = 1300)
-    ~id stats =
+let start_client kern ~dst ~id stats =
   ignore
     (Cpu.spawn (Kernel.cpu kern) ~name:("http-client" ^ string_of_int id)
        (fun self ->

@@ -10,9 +10,11 @@ type server_stats = { mutable accepted : int; mutable served : int; }
 val start_server :
   Lrp_kernel.Kernel.t ->
   ?port:int ->
-  ?backlog:int ->
-  ?doc_bytes:int ->
-  ?service_us:float -> ?fork_us:float -> unit -> server_stats
+  ?backlog:int -> unit -> server_stats
+(** The httpd master on [port] (default 80, backlog 5): 900 us to fork a
+    child per connection, 4 ms of service time per request, a 1300-byte
+    document. *)
+
 type client_stats = {
   mutable completed : int;
   mutable failed : int;

@@ -25,14 +25,12 @@ let start_server kern ~port =
 type client = {
   rtts : Lrp_stats.Stats.Samples.t;
   mutable rounds_done : int;
-  mutable finished_at : float option;
 }
 
 (* Ping-pong client: [rounds] request/reply exchanges of [size] bytes. *)
 let start_client kern ~dst ~rounds ?(size = 1) () =
   let t =
-    { rtts = Lrp_stats.Stats.Samples.create (); rounds_done = 0;
-      finished_at = None }
+    { rtts = Lrp_stats.Stats.Samples.create (); rounds_done = 0 }
   in
   let engine = Kernel.engine kern in
   let sock = Api.socket_dgram kern in
@@ -45,8 +43,7 @@ let start_client kern ~dst ~rounds ?(size = 1) () =
           let _reply = Api.recvfrom kern sock in
           Lrp_stats.Stats.Samples.add t.rtts (Engine.now engine -. t0);
           t.rounds_done <- t.rounds_done + 1
-        done;
-        t.finished_at <- Some (Engine.now engine))
+        done)
   in
   t
 

@@ -5,7 +5,6 @@ val start_server : Lrp_kernel.Kernel.t -> port:int -> Lrp_kernel.Socket.t
 type client = {
   rtts : Lrp_stats.Stats.Samples.t;
   mutable rounds_done : int;
-  mutable finished_at : float option;
 }
 val start_client :
   Lrp_kernel.Kernel.t ->

@@ -87,10 +87,15 @@ type setup = {
   mutable injected : int;
 }
 
+(* The worker's working set (cache footprint, us of refill), and the cap
+   on requests outstanding per RPC server. *)
+let worker_ws = 300.
+let outstanding_limit = 28
+
 (* [run world ~server ~client ~cls ()] wires the full Table-2 scenario and
    runs it to worker completion. *)
 let run world ~server ~client ~cls ?(worker_cpu = Time.sec 11.5)
-    ?(worker_ws = 300.) ?(outstanding_limit = 28) ?(until = Time.sec 120.) () =
+    ?(until = Time.sec 120.) () =
   let engine = World.engine world in
   let result =
     { worker_started = 0.; worker_finished = None; rpcs_completed = 0;

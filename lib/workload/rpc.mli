@@ -29,9 +29,7 @@ val run :
   server:Lrp_kernel.Kernel.t ->
   client:Lrp_kernel.Kernel.t ->
   cls:cls ->
-  ?worker_cpu:float ->
-  ?worker_ws:float ->
-  ?outstanding_limit:int -> ?until:Lrp_engine.Time.t -> unit -> result
+  ?worker_cpu:float -> ?until:Lrp_engine.Time.t -> unit -> result
 val worker_elapsed : result -> float
 val rpc_rate : result -> float
 val worker_share : result -> float

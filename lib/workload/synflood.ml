@@ -11,8 +11,10 @@ open Lrp_net
 
 type t = { mutable sent : int }
 
-let start engine nic ~dst:(dip, dport) ~rate ~until
-    ?(spoof_base = Packet.ip_of_quad 11 0 0 1) () =
+(* The first spoofed source; the flood cycles through 4096 of them. *)
+let spoof_base = Packet.ip_of_quad 11 0 0 1
+
+let start engine nic ~dst:(dip, dport) ~rate ~until () =
   let t = { sent = 0 } in
   let interval = 1e6 /. rate in
   (* Re-arm one event handle per firing rather than scheduling a fresh

@@ -11,4 +11,6 @@ val start :
   Lrp_engine.Engine.t ->
   Lrp_net.Nic.t ->
   dst:Lrp_net.Packet.ip * Lrp_net.Packet.port ->
-  rate:float -> until:Lrp_engine.Time.t -> ?spoof_base:int -> unit -> t
+  rate:float -> until:Lrp_engine.Time.t -> unit -> t
+(** [rate] SYNs per second until [until], from 4096 spoofed sources
+    starting at 11.0.0.1. *)

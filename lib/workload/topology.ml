@@ -83,8 +83,11 @@ let sort_by_ready b =
     b.in_pkt.(!j + 1) <- p
   done
 
-let spine_leaf ?(seed = 42) ?(spine_latency_us = 100.) ?(uplink_mbps = 622.)
-    ~racks ~hosts_per_rack ~cfg () =
+(* The spine: one-way latency of a rack's uplink, and its rate (OC-12). *)
+let spine_latency_us = 100.
+let uplink_mbps = 622.
+
+let spine_leaf ?(seed = 42) ~racks ~hosts_per_rack ~cfg () =
   if racks < 1 || hosts_per_rack < 1 then
     invalid_arg "Topology.spine_leaf: racks and hosts_per_rack must be >= 1";
   if racks > 256 then invalid_arg "Topology.spine_leaf: racks > 256";

@@ -20,12 +20,10 @@ val host_ip : rack:int -> slot:int -> Lrp_net.Packet.ip
 
 val spine_leaf :
   ?seed:int ->
-  ?spine_latency_us:float ->
-  ?uplink_mbps:float ->
   racks:int -> hosts_per_rack:int -> cfg:Lrp_kernel.Kernel.config -> unit -> t
 (** Build [racks] cells of [hosts_per_rack] hosts each, every rack's
-    leaf uplinked to a spine with [spine_latency_us] (default 100us)
-    one-way latency at [uplink_mbps] (default 622, OC-12).  Each cell's
+    leaf uplinked to a spine with 100 us one-way latency at 622 Mbit/s
+    (OC-12).  Each cell's
     engine seeds from [Rng.split_seed seed rack].
     @raise Invalid_argument on non-positive dimensions or > 256 racks. *)
 

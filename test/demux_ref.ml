@@ -1,11 +1,10 @@
 (* The reference model the demux hot path is tested against: a
-   structural classifier into a boxed flow value, and a resolver that
-   applies the PCB rules to that flow over plain association lists.
-   [Demux.class_of_packet] and [Chantab.resolve_slot] must agree with it
-   on every packet shape. *)
+   structural classifier into a boxed flow value, and resolvers that apply
+   the PCB rules to that flow over plain association lists, with the LRP
+   and the eager probe policy.  [Demux.class_of_packet] and the demux
+   table's probes must agree with it on every packet shape. *)
 
 open Lrp_net
-open Lrp_core
 
 type flow =
   | Udp_flow of { src : Packet.ip; src_port : int; dst_port : int }
@@ -40,23 +39,62 @@ let flow_of_packet (pkt : Packet.t) =
       of_body f.Packet.whole.Packet.body
   | body -> of_body body
 
-(* The endpoints a channel table holds. *)
+(* The endpoints a demux table holds, each named by an int. *)
 type binds = {
-  udp : (int * Channel.t) list;  (* destination port *)
-  tcp : ((Packet.ip * int * int) * Channel.t) list;  (* src, sport, dport *)
-  listen : (int * Channel.t) list;  (* listening port *)
-  frag : Channel.t;
-  icmp : Channel.t;
+  udp : (int * int) list;  (* destination port, endpoint *)
+  tcp : ((Packet.ip * int * int) * (int * bool)) list;
+      (* (src, sport, dport), (endpoint, still has its channel) *)
+  listen : (int * int) list;  (* listening port, endpoint *)
 }
 
-(* The PCB rules: UDP by destination port; TCP by exact four-tuple, then
-   the listener for a connection request only; non-first fragments and
-   ICMP to their dedicated channels. *)
-let resolve b = function
-  | Udp_flow { dst_port; _ } -> List.assoc_opt dst_port b.udp
+(* Where the LRP probe sends a packet. *)
+type target = Ep of int | Frag | Icmp | Miss
+
+let ep_or_miss = function Some e -> Ep e | None -> Miss
+
+(* The LRP policy: UDP by destination port; TCP by an exact four-tuple
+   that still has its channel (NI-LRP frees it on entry to TIME_WAIT),
+   then the listener for a connection request only; non-first fragments
+   and ICMP to their dedicated channels. *)
+let resolve_lrp b = function
+  | Udp_flow { dst_port; _ } -> ep_or_miss (List.assoc_opt dst_port b.udp)
   | Tcp_flow { src; src_port; dst_port; syn_only } -> (
       match List.assoc_opt (src, src_port, dst_port) b.tcp with
-      | Some _ as c -> c
-      | None -> if syn_only then List.assoc_opt dst_port b.listen else None)
-  | Frag_flow _ -> Some b.frag
-  | Icmp_flow -> Some b.icmp
+      | Some (e, true) -> Ep e
+      | Some (_, false) | None ->
+          if syn_only then ep_or_miss (List.assoc_opt dst_port b.listen)
+          else Miss)
+  | Frag_flow _ -> Frag
+  | Icmp_flow -> Icmp
+
+(* The eager policy, the PCB lookup after IP processing: UDP by
+   destination port; TCP by the exact four-tuple, channel or not, else the
+   port's listener for any segment. *)
+let resolve_eager_udp b ~port = List.assoc_opt port b.udp
+
+let resolve_eager_tcp b ~src ~src_port ~dst_port =
+  match List.assoc_opt (src, src_port, dst_port) b.tcp with
+  | Some (e, _) -> Some e
+  | None -> List.assoc_opt dst_port b.listen
+
+(* The packet shapes the properties draw from ([shape] in
+   [0, shapes)): a UDP datagram, a TCP segment, an ICMP echo, then the
+   first and a later fragment of an oversize UDP datagram and of an
+   oversize TCP segment. *)
+let shapes = 7
+
+let packet ~shape ~src ~sport ~dport ~syn ~ack =
+  let udp len =
+    Packet.udp ~src ~dst:9 ~src_port:sport ~dst_port:dport
+      (Payload.synthetic len)
+  and tcp len =
+    Packet.tcp ~src ~dst:9 ~src_port:sport ~dst_port:dport ~seq:7 ~ack_no:8
+      ~flags:(Packet.flags ~syn ~ack ()) ~window:100 (Payload.synthetic len)
+  in
+  let frag whole i = List.nth (Lrp_proto.Ip.fragment whole ~mtu:9180) i in
+  match shape with
+  | 0 -> udp 14
+  | 1 -> tcp 20
+  | 2 -> Packet.icmp ~src ~dst:9 Packet.Echo_request (Payload.synthetic 8)
+  | 3 | 4 -> frag (udp 25_000) (shape - 3)
+  | _ -> frag (tcp 25_000) (shape - 5)

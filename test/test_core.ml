@@ -161,16 +161,16 @@ let test_channel_limit_one () =
 
 (* --- chantab ------------------------------------------------------------- *)
 
+(* Endpoints are ints here; odd ones have lost their channel. *)
+let chantab () = Chantab.create ~dummy:(-1) ~has_chan:(fun e -> e land 1 = 0) ()
+
 let test_chantab_udp_resolution () =
-  let tab = Chantab.create () in
-  let ch = Channel.create () in
-  Chantab.add_udp tab ~port:20 ch;
-  (match Chantab.resolve_packet tab (pkt ()) with
-   | Some c -> Alcotest.(check int) "right channel" (Channel.id ch) (Channel.id c)
-   | None -> Alcotest.fail "expected resolution");
-  (match Chantab.resolve_packet tab (pkt ~dport:99 ()) with
-   | None -> ()
-   | Some _ -> Alcotest.fail "unbound port must not resolve");
+  let tab = chantab () in
+  Chantab.add_udp tab ~port:20 4;
+  let slot = Chantab.resolve_slot tab (pkt ()) in
+  Alcotest.(check int) "right endpoint" 4 (Chantab.value tab slot);
+  Alcotest.(check int) "unbound port must not resolve" Chantab.slot_none
+    (Chantab.resolve_slot tab (pkt ~dport:99 ()));
   Alcotest.(check int) "miss counted" 1 (Chantab.unmatched tab)
 
 let tcp_pkt ?(src = 7) ?(sport = 1000) ?(dport = 80) ?(syn = false) ?(ack = true) () =
@@ -178,53 +178,84 @@ let tcp_pkt ?(src = 7) ?(sport = 1000) ?(dport = 80) ?(syn = false) ?(ack = true
     ~flags:(Packet.flags ~syn ~ack ()) ~window:100 (Payload.synthetic 0)
 
 let test_chantab_tcp_resolution () =
-  let tab = Chantab.create () in
-  let listen_ch = Channel.create () in
-  let conn_ch = Channel.create () in
-  Chantab.add_tcp_listen tab ~port:80 listen_ch;
-  Chantab.add_tcp tab ~src:7 ~src_port:1000 ~dst_port:80 conn_ch;
-  (* Established-connection segment: exact channel. *)
-  (match Chantab.resolve_packet tab (tcp_pkt ()) with
-   | Some c -> Alcotest.(check int) "exact match" (Channel.id conn_ch) (Channel.id c)
-   | None -> Alcotest.fail "no resolution");
-  (* Fresh SYN from another source: listen channel. *)
-  (match Chantab.resolve_packet tab (tcp_pkt ~src:8 ~syn:true ~ack:false ()) with
-   | Some c -> Alcotest.(check int) "listen match" (Channel.id listen_ch) (Channel.id c)
-   | None -> Alcotest.fail "no resolution");
-  (* Non-SYN from unknown source: no channel (dropped / RST daemon). *)
-  (match Chantab.resolve_packet tab (tcp_pkt ~src:9 ()) with
-   | None -> ()
-   | Some _ -> Alcotest.fail "stray segment must not match the listener")
+  let tab = chantab () in
+  Chantab.add_listen tab ~port:80 2;
+  Chantab.add_tcp tab ~src:7 ~src_port:1000 ~dst_port:80 4;
+  let resolve p =
+    let slot = Chantab.resolve_slot tab p in
+    if slot >= 0 then Chantab.value tab slot else slot
+  in
+  Alcotest.(check int) "exact match" 4 (resolve (tcp_pkt ()));
+  Alcotest.(check int) "a fresh SYN from another source: the listener" 2
+    (resolve (tcp_pkt ~src:8 ~syn:true ~ack:false ()));
+  Alcotest.(check int) "a stray segment must not match the listener"
+    Chantab.slot_none (resolve (tcp_pkt ~src:9 ()))
 
 let test_chantab_fragment_channel () =
-  let tab = Chantab.create () in
+  let tab = chantab () in
   let big = Packet.udp ~src:1 ~dst:2 ~src_port:1 ~dst_port:9 (Payload.synthetic 20_000) in
   match Ip.fragment big ~mtu:9180 with
   | _first :: second :: _ ->
-      (match Chantab.resolve_packet tab second with
-       | Some c ->
-           Alcotest.(check int) "special fragment channel"
-             (Channel.id (Chantab.frag_channel tab)) (Channel.id c)
-       | None -> Alcotest.fail "fragments must go to the fragment channel")
+      Alcotest.(check int) "special fragment channel" Chantab.slot_frag
+        (Chantab.resolve_slot tab second)
   | _ -> Alcotest.fail "expected fragments"
 
 let test_chantab_icmp_channel () =
-  let tab = Chantab.create () in
+  let tab = chantab () in
   let ping = Packet.icmp ~src:1 ~dst:2 Packet.Echo_request (Payload.synthetic 8) in
-  match Chantab.resolve_packet tab ping with
-  | Some c ->
-      Alcotest.(check int) "proxy daemon channel"
-        (Channel.id (Chantab.icmp_channel tab)) (Channel.id c)
-  | None -> Alcotest.fail "ICMP must resolve to the daemon channel"
+  Alcotest.(check int) "proxy daemon channel" Chantab.slot_icmp
+    (Chantab.resolve_slot tab ping)
 
 let test_chantab_removal () =
-  let tab = Chantab.create () in
-  let ch = Channel.create () in
-  Chantab.add_udp tab ~port:20 ch;
+  let tab = chantab () in
+  Chantab.add_udp tab ~port:20 4;
   Chantab.remove_udp tab ~port:20;
-  Alcotest.(check bool) "removed port does not resolve" true
-    (Chantab.resolve_packet tab (pkt ()) = None);
-  Alcotest.(check int) "no channels left" 0 (Chantab.udp_channel_count tab)
+  Alcotest.(check int) "removed port does not resolve" Chantab.slot_none
+    (Chantab.resolve_slot tab (pkt ()));
+  Alcotest.(check int) "no endpoints left" 0
+    (List.length (Chantab.bindings tab Chantab.Udp_port))
+
+(* A connection in TIME_WAIT without its channel keeps its entry: the
+   eager probe still finds it, the LRP probe sends a SYN to the listener,
+   and a newer connection that took the four-tuple over keeps it when the
+   old one is released. *)
+let test_chantab_tcp_holder () =
+  let tab = chantab () in
+  Chantab.add_listen tab ~port:80 2;
+  Chantab.add_tcp tab ~src:7 ~src_port:1000 ~dst_port:80 5;
+  Alcotest.(check int) "eager: the channel-less connection" 5
+    (Chantab.find_tcp tab ~src:7 ~src_port:1000 ~dst_port:80);
+  let syn = tcp_pkt ~syn:true ~ack:false () in
+  Alcotest.(check int) "LRP: its SYN goes to the listener" 2
+    (Chantab.value tab (Chantab.resolve_slot tab syn));
+  Alcotest.(check int) "LRP: its other segments miss" Chantab.slot_none
+    (Chantab.resolve_slot tab (tcp_pkt ()));
+  Chantab.add_tcp tab ~src:7 ~src_port:1000 ~dst_port:80 6;
+  Chantab.remove_tcp tab ~src:7 ~src_port:1000 ~dst_port:80 5;
+  Alcotest.(check int) "the old holder does not unbind the new one" 6
+    (Chantab.value tab (Chantab.resolve_slot tab (tcp_pkt ())));
+  Alcotest.(check (list int)) "one four-tuple entry" [ 6 ]
+    (Chantab.bindings tab Chantab.Tcp_flow);
+  Chantab.remove_tcp tab ~src:7 ~src_port:1000 ~dst_port:80 6;
+  Alcotest.(check (list int)) "its holder does" []
+    (Chantab.bindings tab Chantab.Tcp_flow);
+  Alcotest.(check int) "eager: then the listener, for any segment" 2
+    (Chantab.find_tcp tab ~src:7 ~src_port:1000 ~dst_port:80)
+
+(* [bindings] lists a namespace in key order, whatever the insertion
+   order. *)
+let test_chantab_bindings () =
+  let tab = chantab () in
+  List.iter (fun port -> Chantab.add_udp tab ~port (port * 2)) [ 30; 10; 20 ];
+  Chantab.add_listen tab ~port:15 100;
+  Chantab.add_tcp tab ~src:9 ~src_port:1 ~dst_port:80 200;
+  Chantab.add_tcp tab ~src:3 ~src_port:2 ~dst_port:80 202;
+  Alcotest.(check (list int)) "udp by port" [ 20; 40; 60 ]
+    (Chantab.bindings tab Chantab.Udp_port);
+  Alcotest.(check (list int)) "listen" [ 100 ]
+    (Chantab.bindings tab Chantab.Listen_port);
+  Alcotest.(check (list int)) "four-tuples by source" [ 202; 200 ]
+    (Chantab.bindings tab Chantab.Tcp_flow)
 
 (* --- flowtab ------------------------------------------------------------ *)
 
@@ -327,23 +358,69 @@ let prop_flowtab_matches_model =
       let sort = List.sort compare in
       Flowtab.length tab = List.length !model && sort !dump = sort !model)
 
-(* Property: resolution of a UDP flow agrees with a plain PCB lookup oracle
-   over random bind sets. *)
+(* Property: both probe policies of the one table agree with the PCB
+   reference in [Demux_ref], over random endpoint sets (connections with
+   and without their channel among them) and every packet shape: the LRP
+   probe on the packet, counting exactly its misses; the eager probes on
+   its ports, counting nothing. *)
 let prop_chantab_matches_pcb =
-  QCheck.Test.make ~count:200 ~name:"chantab: udp resolution == pcb oracle"
-    QCheck.(pair (list (int_range 1 40)) (int_range 1 40))
-    (fun (ports, probe) ->
-      let tab = Chantab.create () in
-      let oracle = Hashtbl.create 8 in
+  let gen =
+    QCheck.Gen.(
+      let small = int_range 1 4 and few g = list_size (int_range 0 5) g in
+      let* shape = int_range 0 (Demux_ref.shapes - 1) in
+      let* src = small and* sport = small and* dport = small in
+      let* syn = bool and* ack = bool in
+      let* udp = few small and* tcp = few (pair (triple small small small) bool)
+      and* listen = few small in
+      return ((shape, src, sport, dport, syn, ack), (udp, tcp, listen)))
+  in
+  QCheck.Test.make ~count:400 ~name:"chantab: both probes == the PCB reference"
+    (QCheck.make gen)
+    (fun ((shape, src, sport, dport, syn, ack), (udp, tcp, listen)) ->
+      (* Distinct keys, first binding kept; endpoint [2i] has its channel,
+         [2i + 1] has lost it. *)
+      let dedup l =
+        List.fold_left
+          (fun acc (k, v) -> if List.mem_assoc k acc then acc else (k, v) :: acc)
+          [] l
+        |> List.rev
+      in
+      let number l =
+        List.mapi (fun i (k, chan) -> (k, (2 * i) + if chan then 0 else 1)) l
+      in
+      let udp = number (dedup (List.map (fun p -> (p, true)) udp)) in
+      let listen = number (dedup (List.map (fun p -> (p, true)) listen)) in
+      let tcp = number (dedup tcp) in
+      let tab = chantab () in
+      List.iter (fun (port, e) -> Chantab.add_udp tab ~port e) udp;
       List.iter
-        (fun port ->
-          if not (Hashtbl.mem oracle port) then begin
-            Hashtbl.replace oracle port ();
-            Chantab.add_udp tab ~port (Channel.create ())
-          end)
-        ports;
-      (Chantab.resolve_packet tab (pkt ~dport:probe ()) <> None)
-      = Hashtbl.mem oracle probe)
+        (fun ((src, src_port, dst_port), e) ->
+          Chantab.add_tcp tab ~src ~src_port ~dst_port e)
+        tcp;
+      List.iter (fun (port, e) -> Chantab.add_listen tab ~port e) listen;
+      let binds =
+        { Demux_ref.udp; listen;
+          tcp = List.map (fun (k, e) -> (k, (e, e land 1 = 0))) tcp }
+      in
+      let pkt = Demux_ref.packet ~shape ~src ~sport ~dport ~syn ~ack in
+      let slot = Chantab.resolve_slot tab pkt in
+      let got =
+        if slot >= 0 then Demux_ref.Ep (Chantab.value tab slot)
+        else if slot = Chantab.slot_frag then Demux_ref.Frag
+        else if slot = Chantab.slot_icmp then Demux_ref.Icmp
+        else Demux_ref.Miss
+      in
+      let want = Demux_ref.resolve_lrp binds (Demux_ref.flow_of_packet pkt) in
+      let opt e = if e = -1 then None else Some e in
+      got = want
+      && Chantab.unmatched tab = (if want = Demux_ref.Miss then 1 else 0)
+      && opt (Chantab.find_udp tab ~port:dport)
+         = Demux_ref.resolve_eager_udp binds ~port:dport
+      && opt (Chantab.find_tcp tab ~src ~src_port:sport ~dst_port:dport)
+         = Demux_ref.resolve_eager_tcp binds ~src ~src_port:sport ~dst_port:dport
+      && opt (Chantab.find_listen tab ~port:dport) = List.assoc_opt dport listen
+      (* the eager probes counted nothing *)
+      && Chantab.unmatched tab = (if want = Demux_ref.Miss then 1 else 0))
 
 let qsuite =
   [ QCheck_alcotest.to_alcotest prop_chantab_matches_pcb;
@@ -421,4 +498,8 @@ let suite =
       `Quick test_flowtab_iteration_deterministic ]
   @ qsuite
   @ [ Alcotest.test_case "itab iterates in ascending key order via Det" `Quick
-        test_itab_sorted ]
+        test_itab_sorted;
+      Alcotest.test_case "chantab: a four-tuple is its holder's to remove"
+        `Quick test_chantab_tcp_holder;
+      Alcotest.test_case "chantab bindings in key order" `Quick
+        test_chantab_bindings ]

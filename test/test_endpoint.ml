@@ -62,31 +62,41 @@ let test_udp_close_frees () =
         true (Kernel.early_discards server >= discards_open))
     archs
 
-(* The size of every endpoint table, the Chantab's counts and the live
-   channel list. *)
+(* The size of every endpoint table: each namespace of the demux table,
+   all its entries and those with a channel, the endpoints by conn id,
+   the helper's list and the live channel list. *)
 let tables (k : Kernel.t) =
   let ct = Kernel.chantab k in
-  [ ("udp_ports", Lrp_det.Itab.length k.Kernel.udp_ports);
-    ("tcp_listeners", Lrp_det.Itab.length k.Kernel.tcp_listeners);
-    ("tcp_conns", Lrp_core.Flowtab.length k.Kernel.tcp_conns);
-    ("eps", Lrp_core.Flowtab.length k.Kernel.eps);
-    ("chans", Lrp_core.Flowtab.length k.Kernel.chans);
-    ("udp_eps", List.length k.Kernel.udp_eps);
-    ("chantab udp", Lrp_core.Chantab.udp_channel_count ct);
-    ("chantab tcp", Lrp_core.Chantab.tcp_channel_count ct);
-    ("channels", List.length (Kernel.channels k)) ]
+  let space name sp =
+    let eps = Lrp_core.Chantab.bindings ct sp in
+    [ ("chantab " ^ name, List.length eps);
+      ( "chantab " ^ name ^ " with a channel",
+        List.length
+          (List.filter
+             (fun (ep : Kernel.ep) -> Option.is_some ep.Kernel.ep_chan)
+             eps) ) ]
+  in
+  space "udp" Lrp_core.Chantab.Udp_port
+  @ space "listen" Lrp_core.Chantab.Listen_port
+  @ space "tcp" Lrp_core.Chantab.Tcp_flow
+  @ [ ("eps", Lrp_core.Flowtab.length k.Kernel.eps);
+      ("udp_eps", List.length k.Kernel.udp_eps);
+      ("channels", List.length (Kernel.channels k)) ]
 
 (* The tables of a kernel holding [udp] bound sockets, [groups] groups,
    [listeners] listeners and [conns] connections, [conn_chans] of which
-   still have a channel (NI-LRP frees it on entry to TIME_WAIT). *)
+   still have a channel (NI-LRP frees it on entry to TIME_WAIT).  Every
+   architecture holds its endpoints in the demux table; only the lazy
+   ones give them channels. *)
 let expected arch ~udp ~groups ~listeners ~conns ~conn_chans =
   let ch n = if Kernel.is_lrp arch then n else 0 in
-  let chans = ch (udp + groups + listeners + conn_chans) in
-  [ ("udp_ports", udp + groups);
-    ("tcp_listeners", listeners); ("tcp_conns", conns);
-    ("eps", listeners + conns); ("chans", chans); ("udp_eps", ch udp);
-    ("chantab udp", ch (udp + groups)); ("chantab tcp", ch conn_chans);
-    ("channels", chans + 3) ]
+  [ ("chantab udp", udp + groups);
+    ("chantab udp with a channel", ch (udp + groups));
+    ("chantab listen", listeners);
+    ("chantab listen with a channel", ch listeners);
+    ("chantab tcp", conns); ("chantab tcp with a channel", ch conn_chans);
+    ("eps", listeners + conns); ("udp_eps", ch udp);
+    ("channels", ch (udp + groups + listeners + conn_chans) + 3) ]
 
 (* UDP bind/close, group join/leave, a listener, an accepted connection
    handed to a child with [set_owner] and closed through TIME_WAIT, and an
@@ -251,10 +261,85 @@ let test_listener_close_aborts () =
         [ server; client ])
     archs
 
+(* An active open from a chosen local port, waited on until it is
+   established ([false] if it failed). *)
+let connect_from k ~self ~port ~remote =
+  let sock = Api.socket_stream k in
+  let conn =
+    Lrp_proto.Tcp.create_active (Kernel.tcp_env_exn k)
+      ~local_ip:(Kernel.ip_address k) ~local_port:port ~remote ()
+  in
+  Kernel.open_conn k sock conn ~owner:self;
+  let rec wait () =
+    match Lrp_proto.Tcp.state conn with
+    | Lrp_proto.Tcp.Established -> true
+    | Lrp_proto.Tcp.Closed -> false
+    | _ ->
+        Proc.block sock.Socket.send_wait;
+        wait ()
+  in
+  (sock, wait ())
+
+(* A client reconnects from the same port while the server's first
+   connection on that four-tuple is still in TIME_WAIT (500 ms), and
+   sends 100 bytes once that connection has expired: the old
+   connection's teardown must not unbind the new one, so the server
+   receives every byte and no segment misses the demux table. *)
+let test_time_wait_reuse () =
+  List.iter
+    (fun arch ->
+      let name = Kernel.arch_name arch in
+      let cfg =
+        { (Kernel.default_config arch) with Kernel.time_wait = Time.ms 500. }
+      in
+      let w, client, server = World.pair ~cfg () in
+      let received = ref 0 and unmatched_before = ref (-1) in
+      let unmatched () = Lrp_core.Chantab.unmatched (Kernel.chantab server) in
+      ignore
+        (Cpu.spawn (Kernel.cpu server) ~name:"srv" (fun self ->
+             let l = Api.socket_stream server in
+             Api.tcp_listen server ~self l ~port:80 ~backlog:4;
+             (* The server closes first, so its side enters TIME_WAIT. *)
+             Api.close server (Api.tcp_accept server ~self l);
+             let s = Api.tcp_accept server ~self l in
+             let rec drain () =
+               match Api.tcp_recv server s ~max:4096 with
+               | `Data p ->
+                   received := !received + Payload.length p;
+                   drain ()
+               | `Eof -> ()
+             in
+             drain ();
+             Api.close server s));
+      ignore
+        (Cpu.spawn (Kernel.cpu client) ~name:"cli" (fun self ->
+             Proc.sleep_for (Time.ms 1.);
+             let remote = (Kernel.ip_address server, 80) in
+             let s, _ = connect_from client ~self ~port:4242 ~remote in
+             ignore (Api.tcp_recv client s ~max:4096);
+             Api.close client s;
+             Proc.sleep_for (Time.ms 5.);
+             unmatched_before := unmatched ();
+             let s, ok = connect_from client ~self ~port:4242 ~remote in
+             if ok then begin
+               let now = Engine.now (World.engine w) in
+               Proc.sleep_for (Float.max 0. (Time.ms 860. -. now));
+               ignore (Api.tcp_send client s (Payload.synthetic 100))
+             end;
+             Api.close client s));
+      World.run w ~until:(Time.sec 4.);
+      Alcotest.(check int) (name ^ ": the server receives every byte") 100
+        !received;
+      Alcotest.(check int) (name ^ ": no segment misses the demux table")
+        !unmatched_before (unmatched ()))
+    archs
+
 let suite =
   [ Alcotest.test_case "closing a UDP socket frees what it holds" `Quick
       test_udp_close_frees;
     Alcotest.test_case "endpoint tables follow the live population" `Quick
       test_lifecycle;
     Alcotest.test_case "closing a listener aborts its unaccepted connections"
-      `Quick test_listener_close_aborts ]
+      `Quick test_listener_close_aborts;
+    Alcotest.test_case "a reused four-tuple survives the old TIME_WAIT"
+      `Quick test_time_wait_reuse ]

@@ -108,7 +108,9 @@ let test_leave_group () =
   World.run w ~until:(Time.sec 1.);
   Alcotest.(check int) "only the pre-leave datagram arrived" 1 !got;
   Alcotest.(check int) "channel deallocated after last leave" 0
-    (Lrp_core.Chantab.udp_channel_count (Kernel.chantab server));
+    (List.length
+       (Lrp_core.Chantab.bindings (Kernel.chantab server)
+          Lrp_core.Chantab.Udp_port));
   Alcotest.(check int) "kernel no longer lists the group channel" before
     (List.length (Kernel.channels server))
 
@@ -151,7 +153,9 @@ let test_close_one_member () =
       Alcotest.(check int)
         (name ^ ": the group's channel is still allocated")
         1
-        (Lrp_core.Chantab.udp_channel_count (Kernel.chantab server)))
+        (List.length
+       (Lrp_core.Chantab.bindings (Kernel.chantab server)
+          Lrp_core.Chantab.Udp_port)))
     [ Kernel.Soft_lrp; Kernel.Ni_lrp ]
 
 let test_join_requires_multicast_addr () =

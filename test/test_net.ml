@@ -81,9 +81,9 @@ let test_ip_of_quad_range_check () =
 
 let test_mbuf_alloc_free () =
   let m = Mbuf.create ~capacity:10 () in
-  Alcotest.(check int) "1 mbuf for 100B" 1 (Mbuf.mbufs_for m 100);
-  Alcotest.(check int) "8 mbufs for 1000B at 128B" 8 (Mbuf.mbufs_for m 1000);
-  Alcotest.(check int) "at least 1 mbuf" 1 (Mbuf.mbufs_for m 0);
+  Alcotest.(check int) "1 mbuf for 100B" 1 (Mbuf.mbufs_for 100);
+  Alcotest.(check int) "8 mbufs for 1000B at 128B" 8 (Mbuf.mbufs_for 1000);
+  Alcotest.(check int) "at least 1 mbuf" 1 (Mbuf.mbufs_for 0);
   Alcotest.(check bool) "take ok" true (Mbuf.take m 1);
   Alcotest.(check int) "one mbuf used" 1 (Mbuf.in_use m);
   Alcotest.(check bool) "take big" true (Mbuf.take m 8);

@@ -56,66 +56,32 @@ let test_flow_fragments () =
    | [] -> Alcotest.fail "no fragments")
 
 (* The core classifier property: the allocation-free hot path — the
-   protocol class, the UDP port and the channel-table probe — agrees with
-   the reference model on every packet shape, over random endpoint sets. *)
+   protocol class and the UDP port — agrees with the reference model on
+   every packet shape.  The demux table's probes are checked against the
+   same model in [Test_core]. *)
 let prop_demux_matches_reference =
   let gen =
     QCheck.Gen.(
-      let small = int_range 1 4 and few g = list_size (int_range 0 4) g in
-      let* kind = int_range 0 4 in
+      let small = int_range 1 4 in
+      let* shape = int_range 0 (Demux_ref.shapes - 1) in
       let* src = small and* sport = small and* dport = small in
       let* syn = bool and* ack = bool in
-      let* udp = few small and* tcp = few (triple small small small)
-      and* listen = few small in
-      return ((kind, src, sport, dport, syn, ack), (udp, tcp, listen)))
+      return (shape, src, sport, dport, syn, ack))
   in
   QCheck.Test.make ~count:400
     ~name:"demux: hot path agrees with the reference model"
     (QCheck.make gen)
-    (fun ((kind, src, sport, dport, syn, ack), (udp, tcp, listen)) ->
-      let open Lrp_core in
-      let tab = Chantab.create () in
-      let bound keys =
-        List.map (fun k -> (k, Channel.create ())) (List.sort_uniq compare keys)
-      in
-      let udp = bound udp and tcp = bound tcp and listen = bound listen in
-      List.iter (fun (port, ch) -> Chantab.add_udp tab ~port ch) udp;
-      List.iter
-        (fun ((src, src_port, dst_port), ch) ->
-          Chantab.add_tcp tab ~src ~src_port ~dst_port ch)
-        tcp;
-      List.iter (fun (port, ch) -> Chantab.add_tcp_listen tab ~port ch) listen;
-      let binds =
-        { Demux_ref.udp; tcp; listen; frag = Chantab.frag_channel tab;
-          icmp = Chantab.icmp_channel tab }
-      in
-      let udp_pkt len =
-        Packet.udp ~src ~dst:9 ~src_port:sport ~dst_port:dport
-          (Payload.synthetic len)
-      in
-      let pkt =
-        match kind with
-        | 0 -> udp_pkt 14
-        | 1 ->
-            Packet.tcp ~src ~dst:9 ~src_port:sport ~dst_port:dport ~seq:7
-              ~ack_no:8 ~flags:(Packet.flags ~syn ~ack ()) ~window:100
-              (Payload.synthetic 20)
-        | 2 -> Packet.icmp ~src ~dst:9 Packet.Echo_request (Payload.synthetic 8)
-        | k -> List.nth (Ip.fragment (udp_pkt 25_000) ~mtu:9180) (k - 3)
-      in
-      let flow = Demux_ref.flow_of_packet pkt in
+    (fun (shape, src, sport, dport, syn, ack) ->
+      let pkt = Demux_ref.packet ~shape ~src ~sport ~dport ~syn ~ack in
       let cls, port =
-        match flow with
+        match Demux_ref.flow_of_packet pkt with
         | Demux_ref.Udp_flow { dst_port; _ } -> (Demux.Udp_class, dst_port)
         | Demux_ref.Tcp_flow _ -> (Demux.Tcp_class, -1)
         | Demux_ref.Frag_flow _ -> (Demux.Frag_class, -1)
         | Demux_ref.Icmp_flow -> (Demux.Icmp_class, -1)
       in
-      let id = Option.map Channel.id in
       Demux.class_of_packet pkt = cls
-      && Demux.udp_dst_port_of_packet pkt = port
-      && id (Chantab.resolve_packet tab pkt)
-         = id (Demux_ref.resolve binds flow))
+      && Demux.udp_dst_port_of_packet pkt = port)
 
 (* --- IP fragmentation / reassembly -------------------------------------- *)
 

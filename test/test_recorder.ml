@@ -8,7 +8,6 @@
    LRP-silent discrimination. *)
 
 open Lrp_engine
-open Lrp_net
 open Lrp_sim
 open Lrp_kernel
 open Lrp_workload
@@ -487,59 +486,6 @@ let test_alarms_recorded () =
   Alcotest.(check bool) "queue watermarks were recorded" true
     (count Trace.Queue_watermark > 0)
 
-(* --- slot-based demux agrees with the boxing resolver ------------------ *)
-
-let test_resolve_slot_agrees () =
-  let tab = Lrp_core.Chantab.create () in
-  let ch () = Lrp_core.Channel.create () in
-  Lrp_core.Chantab.add_udp tab ~port:53 (ch ());
-  Lrp_core.Chantab.add_udp tab ~port:9000 (ch ());
-  let peer = Packet.ip_of_quad 10 0 0 1 in
-  let self = Packet.ip_of_quad 10 0 0 2 in
-  Lrp_core.Chantab.add_tcp tab ~src:peer ~src_port:1234 ~dst_port:80 (ch ());
-  Lrp_core.Chantab.add_tcp_listen tab ~port:80 (ch ());
-  let udp_hit =
-    Packet.udp ~src:peer ~dst:self ~src_port:4000 ~dst_port:9000
-      (Payload.synthetic 14)
-  in
-  let udp_miss =
-    Packet.udp ~src:peer ~dst:self ~src_port:4000 ~dst_port:12345
-      (Payload.synthetic 14)
-  in
-  let tcp_hit =
-    Packet.tcp ~src:peer ~dst:self ~src_port:1234 ~dst_port:80 ~seq:1
-      ~ack_no:0 ~flags:(Packet.flags ~ack:true ()) ~window:1000
-      (Payload.synthetic 14)
-  in
-  let tcp_syn =
-    Packet.tcp ~src:peer ~dst:self ~src_port:5678 ~dst_port:80 ~seq:1
-      ~ack_no:0 ~flags:(Packet.flags ~syn:true ()) ~window:1000
-      (Payload.synthetic 0)
-  in
-  let icmp_pkt =
-    Packet.icmp ~src:peer ~dst:self Packet.Echo_request (Payload.synthetic 8)
-  in
-  let tail_frag =
-    { Packet.ip = udp_hit.Packet.ip;
-      body = Packet.Fragment { whole = udp_hit; foff = 8; flen = 6;
-                               last = true } }
-  in
-  List.iter
-    (fun (label, pkt) ->
-      let slot = Lrp_core.Chantab.resolve_slot tab pkt in
-      match Lrp_core.Chantab.resolve_packet tab pkt with
-      | None ->
-          Alcotest.(check int)
-            (label ^ ": slot_none iff resolve_packet misses")
-            Lrp_core.Chantab.slot_none slot
-      | Some c ->
-          Alcotest.(check bool) (label ^ ": slot decodes to the same channel")
-            true
-            (Lrp_core.Chantab.channel_of_slot tab slot == c))
-    [ ("udp hit", udp_hit); ("udp miss", udp_miss); ("tcp hit", tcp_hit);
-      ("tcp syn -> listener", tcp_syn); ("icmp", icmp_pkt);
-      ("tail fragment", tail_frag) ]
-
 let suite =
   [ Alcotest.test_case "packed ring wraps and reconstructs sequences" `Quick
       test_precorder_wrap;
@@ -568,6 +514,4 @@ let suite =
     Alcotest.test_case "detector stays silent at healthy load" `Quick
       test_detector_silent_when_healthy;
     Alcotest.test_case "alarms and watermarks land in the recorder" `Quick
-      test_alarms_recorded;
-    Alcotest.test_case "resolve_slot agrees with resolve_packet" `Quick
-      test_resolve_slot_agrees ]
+      test_alarms_recorded ]

@@ -448,10 +448,11 @@ let zero_word_cycles =
     ( "demux_probe",
       (* classify + packed-key flow-table probe over 64 bound ports *)
       fun () ->
-        let tab = Lrp_core.Chantab.create () in
+        let tab =
+          Lrp_core.Chantab.create ~dummy:(-1) ~has_chan:(fun _ -> true) ()
+        in
         for port = 1 to 64 do
-          Lrp_core.Chantab.add_udp tab ~port
-            (Channel.create ())
+          Lrp_core.Chantab.add_udp tab ~port port
         done;
         let pkt = udp_pkt () in
         fun () -> ignore (Lrp_core.Chantab.resolve_slot tab pkt) );

@@ -335,8 +335,11 @@ let test_endpoints_bounded () =
         true (stats.Http.completed > 100);
       List.iter
         (fun (k : Kernel.t) ->
+          let ct = Kernel.chantab k in
           let live =
-            Lrp_core.Flowtab.length k.tcp_conns + Lrp_det.Itab.length k.tcp_listeners
+            List.length (Lrp_core.Chantab.bindings ct Lrp_core.Chantab.Tcp_flow)
+            + List.length
+                (Lrp_core.Chantab.bindings ct Lrp_core.Chantab.Listen_port)
           in
           let bounded what n ~extra =
             Alcotest.(check bool)
@@ -345,7 +348,13 @@ let test_endpoints_bounded () =
               true (n <= live + extra)
           in
           bounded "eps" (Lrp_core.Flowtab.length k.eps) ~extra:0;
-          bounded "chans" (Lrp_core.Flowtab.length k.chans) ~extra:0;
+          bounded "endpoints with a channel"
+            (List.length
+               (List.filter
+                  (fun (ep : Kernel.ep) -> Option.is_some ep.Kernel.ep_chan)
+                  (List.concat_map (Lrp_core.Chantab.bindings ct)
+                     Lrp_core.Chantab.[ Udp_port; Tcp_flow; Listen_port ])))
+            ~extra:0;
           (* Plus the fragment, ICMP and forwarding channels. *)
           bounded "channels" (List.length (Kernel.channels k)) ~extra:3)
         [ server; clients ])
@@ -423,10 +432,12 @@ let test_tcp_counters_cumulative () =
             Printf.sprintf ("%s %s: " ^^ fmt) (Kernel.arch_name arch) (Kernel.name k)
           in
           let listeners =
-            Lrp_det.Det.fold_sorted_int
-              (fun _ (l : Kernel.ep) acc ->
+            List.fold_left
+              (fun acc (l : Kernel.ep) ->
                 acc + l.Kernel.ep_conn.Tcp.syn_drops_backlog)
-              k.Kernel.tcp_listeners 0
+              0
+              (Lrp_core.Chantab.bindings (Kernel.chantab k)
+                 Lrp_core.Chantab.Listen_port)
           in
           Alcotest.(check int) (what "tcp.syn_drops_backlog = the listeners' drops")
             listeners (counter "tcp.syn_drops_backlog");
