@@ -22,7 +22,7 @@ let () =
   (* --- a UDP echo server on bob ------------------------------------- *)
   ignore
     (Cpu.spawn (Kernel.cpu bob) ~name:"echo" (fun self ->
-         let sock = Api.socket_dgram bob in
+         let sock = Api.socket_dgram () in
          Api.bind bob sock ~owner:(Some self) ~port:7;
          (* Echo forever: receive (with lazy protocol processing, since
             this is an LRP kernel) and send straight back. *)
@@ -36,7 +36,7 @@ let () =
   (* --- a UDP client on alice ---------------------------------------- *)
   ignore
     (Cpu.spawn (Kernel.cpu alice) ~name:"client" (fun self ->
-         let sock = Api.socket_dgram alice in
+         let sock = Api.socket_dgram () in
          ignore (Api.bind_ephemeral alice sock ~owner:(Some self));
          for i = 1 to 3 do
            let t0 = Engine.now (World.engine w) in

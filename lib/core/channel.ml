@@ -23,13 +23,12 @@
 
 open Lrp_net
 
-(* The queue is a ring of {!Parena} handles: the NI admits a frame into
-   the (usually kernel-shared) descriptor arena and pushes the handle —
-   an immediate int — into a flat ring.  Compared with a
-   [Packet.t Queue.t] this removes, per packet: the queue-cell
+(* The queue is a ring of frame rows ({!Parena} handles of the kernel's
+   frame pool): the NI pushes the row — an immediate int — into a flat
+   ring, and the receiver pops it and owns it from there.  Compared with
+   a [Packet.t Queue.t] this removes, per packet: the queue-cell
    allocation on enqueue, the option allocation of [Queue.take_opt], and
-   the boxed packet sitting behind one more pointer indirection on the
-   hottest per-packet loop in the system.
+   a pointer store into an old array.
 
    The ring starts at [min limit 4] slots and doubles up to [limit] as
    the queue deepens (enqueue early-discards at [limit], so it never
@@ -37,8 +36,7 @@ open Lrp_net
    more than a few frames, so they never pay for [limit] slots. *)
 type t = {
   id : int;
-  arena : Parena.t;
-  mutable ring : int array; (* Parena handles *)
+  mutable ring : Parena.handle array;
   mutable head : int; (* index of the oldest entry *)
   mutable count : int;
   limit : int;
@@ -56,14 +54,9 @@ type t = {
    (Lrp_engine.Idspace), so a cell's id sequence is independent of other
    simulations — and other shards — allocating concurrently. *)
 
-let create ?arena ?(limit = 32) () =
-  let arena =
-    (* Real kernels share one arena across all their channels; a channel
-       created standalone (tests, microbenches) gets a private one. *)
-    match arena with Some a -> a | None -> Parena.create ()
-  in
+let create ?(limit = 32) () =
   { id = Lrp_engine.Idspace.next_chan_id ();
-    arena; ring = Array.make (Int.max 0 (Int.min limit 4)) Parena.none;
+    ring = Array.make (Int.max 0 (Int.min limit 4)) Parena.none;
     head = 0; count = 0;
     limit;
     intr_requested = false; processing_enabled = true; job_owner = -1;
@@ -99,70 +92,55 @@ let grow t =
   t.head <- 0
 
 (* Append to a ring with room. *)
-let[@inline] push t pkt =
+let[@inline] push t row =
   let was_empty = t.count = 0 in
   let cap = Array.length t.ring in
   let tail = t.head + t.count in
   let tail = if tail >= cap then tail - cap else tail in
-  t.ring.(tail) <- Parena.acquire t.arena pkt ~charge:0;
+  t.ring.(tail) <- row;
   t.count <- t.count + 1;
   if t.count > t.hwm then t.hwm <- t.count;
   t.enqueued <- t.enqueued + 1;
   if was_empty then queued_was_empty else queued_was_nonempty
 
-(* [enqueue_code t pkt] is what the NI does on packet arrival: early
-   discard when the queue is full or processing is disabled, FIFO append
-   otherwise.  Returns one of the codes above; together with the handle
+(* [enqueue_code t row] is what the NI does on packet arrival: early
+   discard when the queue is full or processing is disabled (the caller
+   still owns a discarded row), FIFO append otherwise.  Returns one of the codes above; together with the handle
    ring this keeps the admission path free of per-packet allocation.  A
    ring with room costs one compare; a full one is either at [limit]
    (discard) or grows. *)
-let enqueue_code t pkt =
+let enqueue_code t row =
   if not t.processing_enabled then begin
     t.discarded_disabled <- t.discarded_disabled + 1;
     discarded_code
   end
-  else if t.count < Array.length t.ring then push t pkt
+  else if t.count < Array.length t.ring then push t row
   else if t.count >= t.limit then begin
     t.discarded <- t.discarded + 1;
     discarded_code
   end
   else begin
     grow t;
-    push t pkt
+    push t row
   end
 
-let enqueue t pkt =
-  let c = enqueue_code t pkt in
+let enqueue t row =
+  let c = enqueue_code t row in
   if c = discarded_code then Discarded
   else Queued (if c = queued_was_empty then `Was_empty else `Was_nonempty)
 
-(* [pop_row t] dequeues the oldest frame's row without releasing it: the
-   caller owns the row from here and releases it once done with the
-   frame.  [Parena.none] means the queue was empty. *)
+(* [pop_row t] dequeues the oldest frame's row: the caller owns the row
+   from here and releases it once done with the frame.  [Parena.none]
+   means the queue was empty. *)
 let pop_row t =
   if t.count = 0 then Parena.none
   else begin
     let h = t.ring.(t.head) in
-    t.ring.(t.head) <- Parena.none;
     let head' = t.head + 1 in
     t.head <- (if head' >= Array.length t.ring then 0 else head');
     t.count <- t.count - 1;
     h
   end
-
-(* [pop t] dequeues without boxing: [Lrp_net.Packet.null] (compare with
-   [==]) means the queue was empty.  The consumer-side twin of
-   {!enqueue_code}. *)
-let pop t =
-  let h = pop_row t in
-  if h = Parena.none then Packet.null
-  else begin
-    let pkt = Parena.pkt t.arena h in
-    Parena.release t.arena h;
-    pkt
-  end
-
-let dequeue t = if t.count = 0 then None else Some (pop t)
 
 let length t = t.count
 

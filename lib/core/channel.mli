@@ -26,45 +26,38 @@ type t
     below, which is what lets the NI (or interrupt handler) and the kernel
     share it safely. *)
 
-val create : ?arena:Lrp_net.Parena.t -> ?limit:int -> unit -> t
+val create : ?limit:int -> unit -> t
 (** Fresh empty channel; [limit] (default 32 packets) is the early-discard
-    threshold.  Queued frames live as descriptors in [arena] (the kernel
-    passes its shared arena so every channel draws from one descriptor
-    pool; standalone channels get a private arena), and the queue itself
-    is a flat ring of handles that starts at [min limit 4] slots and
-    doubles, up to [limit], as the queue deepens. *)
+    threshold.  The queue is a flat ring of frame rows ({!Lrp_net.Parena}
+    handles of the kernel's frame pool) that starts at [min limit 4]
+    slots and doubles, up to [limit], as the queue deepens. *)
 
 val id : t -> int
 (** Unique channel identifier (used as a table key by the kernel). *)
 
 type enqueue_result = Queued of [ `Was_empty | `Was_nonempty ] | Discarded
 
-val enqueue : t -> Lrp_net.Packet.t -> enqueue_result
+val enqueue : t -> Lrp_net.Parena.handle -> enqueue_result
 (** What the NI does on packet arrival: early discard when the queue is
     full or processing is disabled, FIFO append otherwise.  The transition
-    tag lets the caller implement interrupt suppression. *)
+    tag lets the caller implement interrupt suppression.  The caller
+    keeps a discarded row (and releases it). *)
 
 (** {2 Alloc-free fast path}
 
-    The per-packet hot path uses integer result codes and a null-packet
-    sentinel so that admission and consumption allocate nothing. *)
+    The per-packet hot path uses integer result codes so that admission
+    allocates nothing. *)
 
 val discarded_code : int
 val queued_was_empty : int
 
-val enqueue_code : t -> Lrp_net.Packet.t -> int
+val enqueue_code : t -> Lrp_net.Parena.handle -> int
 (** {!enqueue} returning one of the codes above instead of a variant. *)
 
-val pop : t -> Lrp_net.Packet.t
-(** Dequeue without boxing: [Lrp_net.Packet.null] (compare with [==])
-    means the queue was empty. *)
-
 val pop_row : t -> Lrp_net.Parena.handle
-(** Dequeue the oldest frame's arena row without releasing it: the caller
-    owns the row and releases it once done with the frame.
-    [Lrp_net.Parena.none] means the queue was empty. *)
-
-val dequeue : t -> Lrp_net.Packet.t option
+(** Dequeue the oldest frame's row: the caller owns the row and releases
+    it once done with the frame.  [Lrp_net.Parena.none] means the queue
+    was empty. *)
 
 val length : t -> int
 

@@ -111,38 +111,26 @@ let[@inline] resolve_tcp_slot t ~src ~src_port ~dst_port ~syn_only =
   else if syn_only then port_slot t ~ns:ns_listen ~port:dst_port
   else slot_none
 
-(* Packet-direct resolution: classify and probe in one pass, without
-   materialising a flow value — or anything else: the result is a slot
-   code, so the NI demux probe is allocation-free end to end.  The
-   demux reference-model property test compares it with a structural
-   classifier and a PCB-rule resolver kept in the test suite. *)
-let resolve_slot t (pkt : Packet.t) =
+(* Row-direct resolution: classify and probe in one pass, reading the
+   frame's columns in the pool, without materialising a flow value — or
+   anything else: the result is a slot code, so the NI demux probe is
+   allocation-free end to end.  A first fragment carries the transport
+   header and demultiplexes as its whole datagram; a later one goes to
+   the fragment channel.  The demux reference-model property test
+   compares it with a structural classifier and a PCB-rule resolver kept
+   in the test suite. *)
+let resolve_slot t pool row =
   let slot =
-    match pkt.Packet.body with
-    | Packet.Udp (u, _) -> port_slot t ~ns:ns_udp ~port:u.Packet.udst_port
-    | Packet.Tcp (h, _) ->
-        resolve_tcp_slot t ~src:pkt.Packet.ip.Packet.src
-          ~src_port:h.Packet.tsrc_port ~dst_port:h.Packet.tdst_port
-          ~syn_only:
-            (h.Packet.flags.Packet.syn && not h.Packet.flags.Packet.ack)
-    | Packet.Icmp _ -> slot_icmp
-    | Packet.Fragment f ->
-        if f.Packet.foff <> 0 then slot_frag
-        else begin
-          (* First fragment: the transport header is present, demultiplex
-             as the whole datagram would. *)
-          match f.Packet.whole.Packet.body with
-          | Packet.Udp (u, _) -> port_slot t ~ns:ns_udp ~port:u.Packet.udst_port
-          | Packet.Tcp (h, _) ->
-              resolve_tcp_slot t ~src:pkt.Packet.ip.Packet.src
-                ~src_port:h.Packet.tsrc_port ~dst_port:h.Packet.tdst_port
-                ~syn_only:
-                  (h.Packet.flags.Packet.syn && not h.Packet.flags.Packet.ack)
-          | Packet.Icmp _ -> slot_icmp
-          | Packet.Fragment _ ->
-              (* degenerate nesting: classified as a fragment flow *)
-              slot_frag
-        end
+    if Parena.foff pool row <> 0 then slot_frag
+    else
+      match Parena.proto pool row with
+      | Parena.Udp -> port_slot t ~ns:ns_udp ~port:(Parena.dport pool row)
+      | Parena.Tcp ->
+          let fl = Parena.flags pool row in
+          resolve_tcp_slot t ~src:(Parena.src pool row)
+            ~src_port:(Parena.sport pool row) ~dst_port:(Parena.dport pool row)
+            ~syn_only:(fl land (Packet.syn lor Packet.ack) = Packet.syn)
+      | Parena.Icmp -> slot_icmp
   in
   if slot = slot_none then t.unmatched <- t.unmatched + 1;
   slot

@@ -84,8 +84,9 @@ val slot_frag : int
 val slot_icmp : int
 (** ICMP: the proxy daemon's channel. *)
 
-val resolve_slot : 'a t -> Lrp_net.Packet.t -> int
-(** Classify and probe in one pass, returning a slot code. *)
+val resolve_slot : 'a t -> Lrp_net.Parena.t -> Lrp_net.Parena.handle -> int
+(** Classify a frame's row and probe in one pass, returning a slot
+    code. *)
 
 val value : 'a t -> int -> 'a
 (** The endpoint in a non-negative slot returned by {!resolve_slot}. *)

@@ -245,9 +245,15 @@ let[@inline] enqueue_cell t slot =
 
 (* Store a slot's argument only when it changes: the recycled slot often
    still holds this exact value (a static thunk, [()], the same queue),
-   and an unchanged pointer store would still pay [caml_modify]. *)
+   and an unchanged pointer store would still pay [caml_modify].  An
+   immediate over an immediate (a frame's row handle over the last one)
+   creates and drops no pointer, so it is stored without the barrier. *)
 let[@inline] set_arg t slot v =
-  if Array.unsafe_get t.args slot != v then Array.unsafe_set t.args slot v
+  let old = Array.unsafe_get t.args slot in
+  if old != v then
+    if Obj.is_int v && Obj.is_int old then
+      Array.unsafe_set (Obj.magic t.args : int array) slot (Obj.obj v : int)
+    else Array.unsafe_set t.args slot v
 
 let[@inline] schedule_cell t (fn : unit -> unit) =
   if t.cell.(0) < t.clock.(0) then schedule_in_past "schedule" t;

@@ -23,7 +23,6 @@ type dgram = Socket.udp_datagram = {
   dg_payload : Payload.t;
   dg_from : Packet.ip * int;
   dg_pkt : int;
-  dg_mbuf : Parena.handle;
 }
 
 exception Socket_closed
@@ -66,9 +65,7 @@ let frag_count ~header ~bytes =
 (* Socket lifecycle                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let socket_dgram k =
-  ignore k;
-  Socket.create Socket.Dgram
+let socket_dgram () = Socket.create Socket.Dgram
 
 let socket_stream k =
   ignore k;
@@ -129,10 +126,11 @@ let udp_connect _k (sock : Socket.t) ~remote = sock.Socket.remote <- Some remote
 (* ------------------------------------------------------------------ *)
 
 (* Copy the datagram at the head of the (non-empty) socket queue out to
-   the caller. *)
+   the caller: the datagram handed over is built from its row. *)
 let take_ready k (sock : Socket.t) =
-  let dg = Queue.take sock.Socket.udp_rcv in
-  let len = Payload.length dg.Socket.dg_payload in
+  let row = Queue.take sock.Socket.udp_rcv in
+  let pool = k.Kernel.parena in
+  let len = Parena.payload_len pool row in
   let c = c k in
   (* BSD dequeues from the socket buffer, walking and freeing the mbuf
      chain; LRP's ready queue is a plain channel-style queue. *)
@@ -141,13 +139,14 @@ let take_ready k (sock : Socket.t) =
       | Kernel.Lazy -> c.Cost.sockq
       | Kernel.Eager -> c.Cost.sockbuf_op +. c.Cost.mbuf_free)
      +. (c.Cost.copy_per_byte *. float_of_int len));
+  let dg = Socket.datagram pool row in
   (* The copyout releases the datagram's row, and with it the mbufs
      charged to it at admission. *)
-  Kernel.free_rx_pkt k dg.Socket.dg_mbuf;
+  Kernel.free_rx_pkt k row;
   sock.Socket.stats.Socket.rx_delivered <-
     sock.Socket.stats.Socket.rx_delivered + 1;
   Lrp_trace.Trace.syscall_copyout (Kernel.tracer k)
-    ~pkt:dg.Socket.dg_pkt ~sock:sock.Socket.id ~bytes:len;
+    ~pkt:dg.dg_pkt ~sock:sock.Socket.id ~bytes:len;
   dg
 
 let ready (sock : Socket.t) = not (Queue.is_empty sock.Socket.udp_rcv)

@@ -19,8 +19,6 @@ type dgram =
   dg_payload : Lrp_net.Payload.t;
   dg_from : Lrp_net.Packet.ip * int;
   dg_pkt : int;  (** originating packet's IP ident, for tracing *)
-  dg_mbuf : Lrp_net.Parena.handle;
-      (** the kernel's arena row holding this datagram until copyout *)
 }
 (** A received datagram: payload plus source address. *)
 
@@ -29,7 +27,7 @@ exception Socket_closed
 
 (** {1 Socket lifecycle} *)
 
-val socket_dgram : Kernel.t -> Socket.t
+val socket_dgram : unit -> Socket.t
 (** Create an (unbound) UDP socket. *)
 
 val socket_stream : 'a -> Socket.t

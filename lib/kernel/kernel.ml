@@ -209,7 +209,7 @@ type app = {
    instead of preempting them).
 
    The poll batch is a set of flat columns owned by the context, filled by
-   [napi_collect] and emptied by [napi_deliver_batch]: the frames' arena
+   [napi_collect] and emptied by [napi_deliver_batch]: the frames'
    rows in delivery order, the batch's CPU cost, the frames served, and
    the held GRO train.  One poller owns the queue at a time (the softirq
    chain, or ksoftirqd once it has been handed the queue), so a batch is
@@ -224,7 +224,7 @@ type napi = {
   mutable b_len : int;
   mutable served : int;                  (* frames dequeued this round *)
   nf : float array;                      (* [nf_cost], [nf_last_poll] *)
-  train : Packet.t array;                (* held GRO train, [gro_max_segs] *)
+  train : Parena.handle array;           (* held GRO train, [gro_max_segs] *)
   mutable train_len : int;
   mutable train_udp : bool;
   mutable train_next_seq : int;          (* TCP: the next in-order seq *)
@@ -256,13 +256,13 @@ let napi_repoll = 500.
 
 (* The kernel's interrupt work as typed jobs, registered once per kernel
    ({!Cpu.job}): posting one stores (job, object, int) in the CPU's work
-   ring instead of allocating a closure per post. *)
+   ring instead of allocating a closure per post.  A job on a frame
+   carries the frame's row in the int. *)
 type jobs = {
-  j_driver_rx : Packet.t Cpu.job;  (* BSD-style driver interrupt *)
-  j_demux_rx : Packet.t Cpu.job;   (* SOFT-LRP / Early-Demux demux interrupt *)
-  j_softnet : Packet.t Cpu.job;    (* BSD softnet; arena row in the int *)
-  j_edemux_soft : Packet.t Cpu.job;
-      (* Early-Demux eager protocol softint; arena row in the int *)
+  j_driver_rx : unit Cpu.job;      (* BSD-style driver interrupt *)
+  j_demux_rx : unit Cpu.job;       (* SOFT-LRP / Early-Demux demux interrupt *)
+  j_softnet : unit Cpu.job;        (* BSD softnet *)
+  j_edemux_soft : unit Cpu.job;    (* Early-Demux eager protocol softint *)
   j_wake : Proc.waitq Cpu.job;     (* NI-LRP host interrupt waking a waiter *)
   j_napi_irq : unit Cpu.job;       (* NAPI mitigated interrupt; queue in the int *)
   j_napi_poll : napi Cpu.job;      (* NAPI softirq poll round: collect *)
@@ -273,9 +273,8 @@ type jobs = {
   j_orphan : ep Cpu.job;    (* orphaned connection's softint drain *)
   j_tcp_timer : Tcp.timer Cpu.job; (* softint timer expiry; generation in the int *)
   j_tcp_tx : unit Cpu.job;         (* softint cost of extra TCP output *)
-  j_reasm : Packet.t Cpu.job;
-      (* transport input of a reassembled datagram; its row in the int *)
-  j_forward : Packet.t Cpu.job;    (* Early-Demux eager IP forwarding *)
+  j_reasm : unit Cpu.job;          (* transport input of a reassembled datagram *)
+  j_forward : unit Cpu.job;        (* Early-Demux eager IP forwarding *)
   (* Engine event dispatchers ({!Engine.target}): an expiry carries its
      object instead of a capturing closure. *)
   g_tcp_timer : Tcp.timer Engine.target;
@@ -308,10 +307,11 @@ type t = {
   eps : ep Flowtab.t;  (* connections and listeners by conn id ([hi]) *)
   (* --- LRP state --- *)
   parena : Parena.t;
-      (* the one table of received frames still held: every NI channel's
-         ring, the eager paths' frames (each row charged its mbufs), the
-         reassembler's pending datagrams and the socket queues' datagrams
-         name rows here *)
+      (* the cell's frame pool, shared with the NIC and the fabric: every
+         frame this kernel holds is a row here — NI channel and receive
+         rings, the IP queue, CPU jobs, the eager paths' frames (each row
+         charged its mbufs), the reassembler's pending datagrams and the
+         socket queues' datagrams *)
   frag_chan : Channel.t;  (* non-first fragments (section 3.2) *)
   icmp_chan : Channel.t;  (* the protocol-proxy daemon's (section 3.5) *)
   fwd_chan : Channel.t;  (* the IP-forwarding daemon's (section 3.5) *)
@@ -378,9 +378,10 @@ let rec mem_addr (addr : Packet.ip) = function
 
 let is_local_addr t addr = mem_addr addr t.interfaces
 
-(* Neither addressed to this host nor multicast: a packet in transit. *)
-let[@inline] is_transit t pkt =
-  not (is_local_addr t (Packet.dst pkt)) && not (Packet.is_multicast pkt)
+(* Neither addressed to this host nor multicast: a frame in transit. *)
+let[@inline] is_transit t row =
+  let dst = Parena.dst t.parena row in
+  not (is_local_addr t dst) && not (Packet.is_multicast_addr dst)
 
 (* Longest-prefix-match routing across this host's interfaces (the first
    of equally long matches wins); the primary interface is the default
@@ -442,55 +443,67 @@ let set_tracing t on = Trace.set_enabled t.tracer on
 (* Output path                                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* Hand a datagram to IP output: enqueue it on the interface, fragmented
-   to the MTU if it does not fit.  Pure state manipulation; CPU cost is
-   charged by the caller (process context for sends; interrupt/APP context
-   for protocol-generated segments). *)
+(* Hand a datagram's row to IP output: enqueue it on the interface,
+   fragmented to the MTU if it does not fit.  Pure state manipulation;
+   CPU cost is charged by the caller (process context for sends;
+   interrupt/APP context for protocol-generated segments). *)
 let rec transmit_all nic = function
   | [] -> ()
   | f :: rest ->
-      ignore (Nic.transmit nic f);
+      ignore (Nic.transmit_row nic f);
       transmit_all nic rest
 
-let ip_output t pkt =
-  let nic = route t (Packet.dst pkt) in
-  if Packet.wire_bytes pkt <= mtu then ignore (Nic.transmit nic pkt)
-  else transmit_all nic (Ip.fragment pkt ~mtu)
+let ip_output_row t row =
+  let nic = route t (Parena.dst t.parena row) in
+  if Parena.wire_bytes t.parena row <= mtu then ignore (Nic.transmit_row nic row)
+  else transmit_all nic (Ip.fragment t.parena row ~mtu)
+
+(* A locally built packet enters the frame pool here. *)
+let ip_output t pkt = ip_output_row t (Parena.copy_in t.parena pkt)
 
 (* Per-segment transmit cost (protocol output + driver). *)
 let[@inline] seg_out_cost t = t.c.Cost.tcp_out +. t.c.Cost.ip_out +. t.c.Cost.driver_tx
 
 (* Every drop is one [Trace.drop]: recorded when tracing, and counted in
    the reason's total, which is the kernel's drop counter ([stats]). *)
-let[@inline] drop t reason (pkt : Packet.t) arg =
-  Trace.drop t.tracer ~reason ~pkt:pkt.Packet.ip.Packet.ident ~arg
+let[@inline] drop t reason row arg =
+  Trace.drop t.tracer ~reason ~pkt:(Parena.ident t.parena row) ~arg
+
+(* Give a frame's mbufs back to the pool, keeping the row. *)
+let uncharge t h =
+  Mbuf.give t.mbufs (Parena.charge t.parena h);
+  Parena.set_charge t.parena h 0
 
 (* Release a received frame's row and give its mbufs back to the pool. *)
 let free_rx_pkt t h =
   Mbuf.give t.mbufs (Parena.charge t.parena h);
   Parena.release t.parena h
 
-(* Admit a received frame as an arena row, at receive-interrupt time.  An
-   eager kernel charges the row its mbufs; on pool exhaustion the drop is
-   counted and traced and [Parena.none] returned.  A lazy kernel's row is
-   uncharged. *)
-let rx_reserve t (pkt : Packet.t) =
+(* Admit a received frame at receive-interrupt time.  An eager kernel
+   charges the row its mbufs; on pool exhaustion the drop is counted and
+   traced, the row released and the answer [false].  A lazy kernel's row
+   stays uncharged. *)
+let rx_reserve t row =
   let charge =
     match t.proto with
-    | Eager -> Mbuf.mbufs_for (Packet.wire_bytes pkt)
+    | Eager -> Mbuf.mbufs_for (Parena.wire_bytes t.parena row)
     | Lazy -> 0
   in
-  if Mbuf.take t.mbufs charge then Parena.acquire t.parena pkt ~charge
+  if Mbuf.take t.mbufs charge then begin
+    Parena.set_charge t.parena row charge;
+    true
+  end
   else begin
-    drop t Trace.Mbuf_pool pkt (-1);
-    Parena.none
+    drop t Trace.Mbuf_pool row (-1);
+    Parena.release t.parena row;
+    false
   end
 
 (* Receiver-side content-checksum verification.  Corrupted packets die at
    the first transport-level touch: counted, traced, and never delivered,
    never answered (no RST / ICMP reply for garbage). *)
-let csum_ok t (pkt : Packet.t) =
-  Packet.verify pkt || (drop t Trace.Checksum pkt (-1); false)
+let csum_ok t row =
+  Parena.verify t.parena row || (drop t Trace.Checksum row (-1); false)
 
 (* ------------------------------------------------------------------ *)
 (* Wakeup helpers                                                       *)
@@ -591,29 +604,30 @@ let rec app_loop t app =
   end
 
 and drain_tcp_channel t ep ch =
-  let pkt = Channel.pop ch in
-  if pkt != Packet.null then begin
+  let row = Channel.pop_row ch in
+  if row <> Parena.none then begin
     charge_proto t ~flow:(Channel.id ch)
       (ni_access_cost t
        +. (t.c.Cost.lazy_locality *. (t.c.Cost.ip_in +. t.c.Cost.tcp_in)));
     (* The connection may have gone while the frame was charged. *)
     if holds_chan ep ch then begin
-      tcp_deliver t ep.ep_conn pkt ~ctx:`Proc;
+      tcp_deliver t ep.ep_conn row ~ctx:`Proc;
       if Tcp.state ep.ep_conn = Tcp.Listen then listen_gate ep
     end;
+    free_rx_pkt t row;
     drain_tcp_channel t ep ch
   end
 
-(* Deliver a (non-fragment) TCP segment to its connection, charging for any
-   extra segments the state machine emitted beyond the one emission already
-   included in [tcp_in]. *)
-and tcp_deliver t conn pkt ~ctx =
-  if csum_ok t pkt then begin
-    Trace.proto_deliver t.tracer ~pkt:pkt.Packet.ip.Packet.ident
+(* Deliver a (non-fragment) TCP segment's row to its connection, charging
+   for any extra segments the state machine emitted beyond the one
+   emission already included in [tcp_in].  The caller keeps the row. *)
+and tcp_deliver t conn row ~ctx =
+  if csum_ok t row then begin
+    Trace.proto_deliver t.tracer ~pkt:(Parena.ident t.parena row)
       ~conn:conn.Tcp.id
       ~in_proc:(match ctx with `Proc -> true | `Soft -> false);
     let before = Tcp.segs_sent conn in
-    Tcp.input conn pkt;
+    Tcp.input conn t.parena row;
     t.tcp_delivered <- t.tcp_delivered + 1;
     let extra = Tcp.segs_sent conn - before - 1 in
     if extra > 0 then begin
@@ -688,9 +702,10 @@ let orphan_post t ep =
 let orphan_drain t ep =
   match ep.ep_chan with
   | Some ch ->
-      let pkt = Channel.pop ch in
-      if pkt != Packet.null then begin
-        tcp_deliver t ep.ep_conn pkt ~ctx:`Soft;
+      let row = Channel.pop_row ch in
+      if row <> Parena.none then begin
+        tcp_deliver t ep.ep_conn row ~ctx:`Soft;
+        free_rx_pkt t row;
         if not (Channel.is_empty ch) then orphan_post t ep
       end
   | None -> ()
@@ -733,8 +748,7 @@ let open_ep ?(group = false) t ~port ~conn ~socks ~owner =
       ep_owner = owner; ep_chan = None }
   in
   if t.proto = Lazy then
-    ep.ep_chan <-
-      Some (Channel.create ~arena:t.parena ~limit:t.cfg.channel_limit ());
+    ep.ep_chan <- Some (Channel.create ~limit:t.cfg.channel_limit ());
   (if conn == Tcp.null_conn then Chantab.add_udp t.chantab ~port ep
    else
      match conn.Tcp.remote with
@@ -751,14 +765,19 @@ let sockq_drop t (sock : Socket.t) reason ident =
   Trace.drop t.tracer ~reason ~pkt:ident ~arg:sock.Socket.id
 
 let rec drop_queued t ch sock =
-  let pkt = Channel.pop ch in
-  if pkt != Packet.null then begin
-    sockq_drop t sock Trace.Sock_close pkt.Packet.ip.Packet.ident;
+  let row = Channel.pop_row ch in
+  if row <> Parena.none then begin
+    sockq_drop t sock Trace.Sock_close (Parena.ident t.parena row);
+    free_rx_pkt t row;
     drop_queued t ch sock
   end
 
-let rec discard_queued ch =
-  if Channel.pop ch != Packet.null then discard_queued ch
+let rec discard_queued t ch =
+  let row = Channel.pop_row ch in
+  if row <> Parena.none then begin
+    free_rx_pkt t row;
+    discard_queued t ch
+  end
 
 (* Close the endpoint's channel: the frames still queued on it are
    dropped at a datagram endpoint's (last) socket and discarded for a
@@ -770,7 +789,7 @@ let close_chan t ep =
       ep.ep_chan <- None;
       (match ep.ep_socks with
        | s :: _ when ep.ep_conn == Tcp.null_conn -> drop_queued t ch s
-       | _ -> discard_queued ch);
+       | _ -> discard_queued t ch);
       Ledger.retire_flow (Cpu.ledger t.cpu) ~flow:(Channel.id ch)
   | None -> ()
 
@@ -845,9 +864,9 @@ let close_dgram t (sock : Socket.t) =
   sock.Socket.chan <- None;
   let q = sock.Socket.udp_rcv in
   Queue.iter
-    (fun (dg : Socket.udp_datagram) ->
-      sockq_drop t sock Trace.Sock_close dg.Socket.dg_pkt;
-      free_rx_pkt t dg.Socket.dg_mbuf)
+    (fun row ->
+      sockq_drop t sock Trace.Sock_close (Parena.ident t.parena row);
+      free_rx_pkt t row)
     q;
   Queue.clear q
 
@@ -964,21 +983,19 @@ let make_tcp_env t =
 
 (* Connected-UDP semantics: a socket with a default peer only accepts
    datagrams from that peer. *)
-let peer_accepts t (sock : Socket.t) (pkt : Packet.t) sport =
+let peer_accepts t (sock : Socket.t) row sport =
   match sock.Socket.remote with
-  | Some (ip, port) when ip <> pkt.Packet.ip.Packet.src || port <> sport ->
-      drop t Trace.Wrong_peer pkt sock.Socket.id;
+  | Some (ip, port) when ip <> Parena.src t.parena row || port <> sport ->
+      drop t Trace.Wrong_peer row sock.Socket.id;
       false
   | Some _ | None -> true
 
-(* Deposit a processed datagram, held in row [row], on its socket queue
-   and wake a receiver.  The datagram record is built only once the queue
-   has room; overflow (the BSD drop point) releases the row instead. *)
-let deposit t (sock : Socket.t) (pkt : Packet.t) payload sport ~row =
-  let ident = pkt.Packet.ip.Packet.ident in
+(* Deposit a processed datagram's row on its socket queue and wake a
+   receiver; overflow (the BSD drop point) releases the row instead. *)
+let deposit t (sock : Socket.t) ~row =
+  let ident = Parena.ident t.parena row in
   if Socket.has_room sock then begin
-    Socket.deposit_udp sock payload ~src:pkt.Packet.ip.Packet.src ~sport ~ident
-      ~row;
+    Socket.deposit_udp sock row;
     Trace.sock_enqueue t.tracer ~pkt:ident ~sock:sock.Socket.id;
     t.udp_delivered <- t.udp_delivered + 1;
     wake_one t sock.Socket.recv_wait
@@ -991,96 +1008,93 @@ let deposit t (sock : Socket.t) (pkt : Packet.t) payload sport ~row =
 (* One copy of a multicast datagram per member socket (section 3.1), each
    in its own row, so each receiver's copyout releases exactly one; under
    the mbuf-based kernels each row is charged a duplicate chain. *)
-let rec deposit_members t (pkt : Packet.t) payload sport = function
+let rec deposit_members t row sport = function
   | [] -> ()
   | sock :: rest ->
-      if peer_accepts t sock pkt sport then begin
-        let row = rx_reserve t pkt in
-        if row <> Parena.none then deposit t sock pkt payload sport ~row
+      if peer_accepts t sock row sport then begin
+        let copy = Parena.copy t.parena row ~into:t.parena in
+        if rx_reserve t copy then deposit t sock ~row:copy
       end;
-      deposit_members t pkt payload sport rest
+      deposit_members t row sport rest
 
 (* Transport delivery of a whole datagram held in [row]: the row goes to
    the socket queue, or is released here. *)
-let deliver_udp_ready t ~row (pkt : Packet.t) =
-  if not (csum_ok t pkt) then free_rx_pkt t row
+let deliver_udp_ready t ~row =
+  let p = t.parena in
+  if not (csum_ok t row) then free_rx_pkt t row
   else
-  match pkt.Packet.body with
-  | Packet.Udp (u, payload) ->
-      let sport = u.Packet.usrc_port in
-      if Packet.is_multicast pkt then begin
-        (* The original chain is released; members get duplicates. *)
-        free_rx_pkt t row;
-        match Chantab.find_udp t.chantab ~port:u.Packet.udst_port with
-        | { ep_group = true; ep_socks; _ } ->
-            deposit_members t pkt payload sport ep_socks
-        | _ -> drop t Trace.No_port pkt u.Packet.udst_port
+  match Parena.proto p row with
+  | Parena.Udp ->
+      let sport = Parena.sport p row and dport = Parena.dport p row in
+      if Packet.is_multicast_addr (Parena.dst p row) then begin
+        (* The original chain is given back; members get duplicates. *)
+        uncharge t row;
+        (match Chantab.find_udp t.chantab ~port:dport with
+         | { ep_group = true; ep_socks; _ } ->
+             deposit_members t row sport ep_socks
+         | _ -> drop t Trace.No_port row dport);
+        Parena.release p row
       end
       else
-        (match Chantab.find_udp t.chantab ~port:u.Packet.udst_port with
+        (match Chantab.find_udp t.chantab ~port:dport with
          | { ep_group = false; ep_socks = sock :: _; _ } ->
-             if peer_accepts t sock pkt sport then
-               deposit t sock pkt payload sport ~row
+             if peer_accepts t sock row sport then deposit t sock ~row
              else free_rx_pkt t row
          | _ ->
-             drop t Trace.No_port pkt u.Packet.udst_port;
+             drop t Trace.No_port row dport;
              free_rx_pkt t row)
-  | Packet.Tcp _ | Packet.Icmp _ | Packet.Fragment _ -> free_rx_pkt t row
+  | Parena.Tcp | Parena.Icmp -> free_rx_pkt t row
 
-let icmp_reply t (pkt : Packet.t) =
-  if not (csum_ok t pkt) then ()
-  else
-  match pkt.Packet.body with
-  | Packet.Icmp (Packet.Echo_request, payload) ->
-      ip_output t
-        (Packet.icmp ~src:t.ip_addr ~dst:pkt.Packet.ip.Packet.src
-           Packet.Echo_reply payload)
-  | Packet.Icmp _ | Packet.Udp _ | Packet.Tcp _ | Packet.Fragment _ -> ()
+(* An echo request's reply; the caller keeps the request's row. *)
+let icmp_reply t row =
+  if csum_ok t row && Parena.is_echo_request t.parena row then
+    ip_output t
+      (Packet.icmp ~src:t.ip_addr ~dst:(Parena.src t.parena row)
+         Packet.Echo_reply (Parena.payload t.parena row))
 
-(* The eager PCB lookup, ports straight off the header: the connection's
-   own entry, else the port's listener; [Tcp.null_conn] when there is
-   none. *)
-let pcb_lookup t ~src (h : Packet.tcp_header) =
-  (Chantab.find_tcp t.chantab ~src ~src_port:h.Packet.tsrc_port
-     ~dst_port:h.Packet.tdst_port).ep_conn
+(* The eager PCB lookup, ports straight off the row: the connection's own
+   entry, else the port's listener; [Tcp.null_conn] when there is none. *)
+let pcb_lookup t row =
+  let p = t.parena in
+  (Chantab.find_tcp t.chantab ~src:(Parena.src p row)
+     ~src_port:(Parena.sport p row) ~dst_port:(Parena.dport p row)).ep_conn
 
-(* Hand a segment to its endpoint; [false] when none matches. *)
-let deliver_tcp t (pkt : Packet.t) ~ctx =
-  match pkt.Packet.body with
-  | Packet.Tcp (h, _) ->
-      let conn = pcb_lookup t ~src:pkt.Packet.ip.Packet.src h in
-      conn != Tcp.null_conn && (tcp_deliver t conn pkt ~ctx; true)
-  | Packet.Udp _ | Packet.Icmp _ | Packet.Fragment _ -> false
+(* Hand a segment to its endpoint; [false] when none matches.  The caller
+   keeps the row. *)
+let deliver_tcp t row ~ctx =
+  match Parena.proto t.parena row with
+  | Parena.Tcp ->
+      let conn = pcb_lookup t row in
+      conn != Tcp.null_conn && (tcp_deliver t conn row ~ctx; true)
+  | Parena.Udp | Parena.Icmp -> false
 
 (* Transport-level processing of a complete (reassembled) datagram; runs in
    softint context under BSD / Early-Demux. *)
-let bsd_transport_input t ~row (pkt : Packet.t) =
-  match pkt.Packet.body with
-  | Packet.Udp _ ->
-      Trace.proto_deliver t.tracer ~pkt:pkt.Packet.ip.Packet.ident ~conn:(-1)
+let bsd_transport_input t ~row =
+  match Parena.proto t.parena row with
+  | Parena.Udp ->
+      Trace.proto_deliver t.tracer ~pkt:(Parena.ident t.parena row) ~conn:(-1)
         ~in_proc:false;
-      deliver_udp_ready t ~row pkt
-  | Packet.Tcp _ ->
-      free_rx_pkt t row;
+      deliver_udp_ready t ~row
+  | Parena.Tcp ->
       (* No endpoint: answer with a RST, unless the segment is garbage. *)
-      if (not (deliver_tcp t pkt ~ctx:`Soft)) && csum_ok t pkt then begin
+      if (not (deliver_tcp t row ~ctx:`Soft)) && csum_ok t row then begin
         t.rsts_sent <- t.rsts_sent + 1;
-        Tcp.send_rst_for pkt ~emit:(tcp_env_exn t).Tcp.emit
-      end
-  | Packet.Icmp _ ->
-      free_rx_pkt t row;
-      icmp_reply t pkt
-  | Packet.Fragment _ -> assert false
+        Tcp.send_rst_for t.parena row ~emit:(tcp_env_exn t).Tcp.emit
+      end;
+      free_rx_pkt t row
+  | Parena.Icmp ->
+      icmp_reply t row;
+      free_rx_pkt t row
 
 (* Cost of eager transport processing for a complete datagram. *)
-let[@inline] transport_cost t (pkt : Packet.t) ~skip_pcb =
+let[@inline] transport_cost t row ~skip_pcb =
   let pcb = if skip_pcb then 0. else t.c.Cost.pcb_lookup in
   let base =
-    match pkt.Packet.body with
-    | Packet.Udp _ -> t.c.Cost.udp_in +. pcb
-    | Packet.Tcp _ -> t.c.Cost.tcp_in +. pcb
-    | Packet.Icmp _ -> t.c.Cost.udp_in
-    | Packet.Fragment _ -> 0.
+    match Parena.proto t.parena row with
+    | Parena.Udp -> t.c.Cost.udp_in +. pcb
+    | Parena.Tcp -> t.c.Cost.tcp_in +. pcb
+    | Parena.Icmp -> t.c.Cost.udp_in
   in
   t.c.Cost.eager_penalty *. base
 
@@ -1094,19 +1108,17 @@ let[@inline] transport_cost t (pkt : Packet.t) ~skip_pcb =
    socket-buffer append.  Inlined (as is [transport_cost]) so the
    per-packet float result is not boxed on its way into the CPU's cost
    cell. *)
-let[@inline] eager_soft_cost t (pkt : Packet.t) ~ipq ~skip_pcb =
-  if is_transit t pkt then
+let[@inline] eager_soft_cost t row ~ipq ~skip_pcb =
+  if is_transit t row then
     (* Transit packet: IP forwarding (or discard) in softint context. *)
     t.c.Cost.soft_dispatch +. ipq
     +. (t.c.Cost.eager_penalty *. (t.c.Cost.ip_in +. t.c.Cost.ip_forward))
   else
+  let frag = Parena.is_fragment t.parena row in
   let frag_extra =
-    if Packet.is_fragment pkt then t.c.Cost.eager_penalty *. t.c.Cost.reasm_per_frag
-    else 0.
+    if frag then t.c.Cost.eager_penalty *. t.c.Cost.reasm_per_frag else 0.
   in
-  let transport =
-    if Packet.is_fragment pkt then 0. else transport_cost t pkt ~skip_pcb
-  in
+  let transport = if frag then 0. else transport_cost t row ~skip_pcb in
   t.c.Cost.soft_dispatch +. ipq
   +. (t.c.Cost.eager_penalty *. t.c.Cost.ip_in)
   +. frag_extra +. transport +. t.c.Cost.sockbuf_append
@@ -1114,57 +1126,60 @@ let[@inline] eager_soft_cost t (pkt : Packet.t) ~ipq ~skip_pcb =
 (* Transport processing of a datagram whose reassembly completed while a
    fragment was being processed: a separate softint activation, carrying
    the datagram's row. *)
-let post_reasm_complete t (whole : Packet.t) ~row ~skip_pcb =
-  (Cpu.cost_cell t.cpu).(0) <- transport_cost t whole ~skip_pcb;
-  Cpu.post_soft_job t.cpu ~tpkt:whole.Packet.ip.Packet.ident ~poll:false
-    (jobs t).j_reasm whole row
+let post_reasm_complete t ~row ~skip_pcb =
+  (Cpu.cost_cell t.cpu).(0) <- transport_cost t row ~skip_pcb;
+  Cpu.post_soft_job t.cpu ~tpkt:(Parena.ident t.parena row) ~poll:false
+    (jobs t).j_reasm () row
 
 (* A fragment in softint context goes through the reassembler; an
    incomplete datagram's fragments wait there, folded into one row. *)
 let ip_input_frag t ~row ~skip_pcb =
   let whole = Ip.Reasm.insert t.reasm ~now:(now t) row in
-  if whole <> Parena.none then
-    post_reasm_complete t (Parena.pkt t.parena whole) ~row:whole ~skip_pcb
+  if whole <> Parena.none then post_reasm_complete t ~row:whole ~skip_pcb
 
 (* IP input of a local datagram in softint context: straight to transport
    processing, or through the reassembler for fragments. *)
-let ip_input_local t ~row (pkt : Packet.t) ~skip_pcb =
-  if Packet.is_fragment pkt then ip_input_frag t ~row ~skip_pcb
-  else bsd_transport_input t ~row pkt
+let ip_input_local t ~row ~skip_pcb =
+  if Parena.is_fragment t.parena row then ip_input_frag t ~row ~skip_pcb
+  else bsd_transport_input t ~row
 
-(* Softint-context IP input of a received packet, run by BSD's softnet
-   and by the NAPI poll loop: forward (or drop) a transit packet, process
-   a local one. *)
-let forward t pkt =
+(* Softint-context IP input of a received frame, run by BSD's softnet
+   and by the NAPI poll loop: forward (or drop) a transit frame, process
+   a local one.  A forwarded frame keeps its row, its mbufs given
+   back. *)
+let forward t row =
   t.forwarded <- t.forwarded + 1;
-  ip_output t pkt
+  ip_output_row t row
 
-let ip_input t ~row pkt =
-  if is_transit t pkt then begin
-    free_rx_pkt t row;
-    if t.cfg.forwarding then forward t pkt
-    else drop t Trace.Not_forwarding pkt (-1)
+let ip_input t ~row =
+  if is_transit t row then begin
+    if t.cfg.forwarding then begin
+      uncharge t row;
+      forward t row
+    end
+    else begin
+      drop t Trace.Not_forwarding row (-1);
+      free_rx_pkt t row
+    end
   end
-  else ip_input_local t ~row pkt ~skip_pcb:false
+  else ip_input_local t ~row ~skip_pcb:false
 
-let bsd_driver_rx t pkt =
-  let row = rx_reserve t pkt in
-  if row = Parena.none then ()
+let bsd_driver_rx t row =
+  if not (rx_reserve t row) then ()
   else if t.ipq_len >= ip_queue_limit then begin
     (* The shared IP queue is full: the drop point that couples unrelated
        sockets under BSD (section 2.2). *)
-    drop t Trace.Ip_queue pkt t.ipq_len;
+    drop t Trace.Ip_queue row t.ipq_len;
     free_rx_pkt t row
   end
   else begin
     t.ipq_len <- t.ipq_len + 1;
     if t.ipq_len > t.ipq_hwm then t.ipq_hwm <- t.ipq_len;
-    Trace.ipq_enqueue t.tracer ~pkt:pkt.Packet.ip.Packet.ident
-      ~qlen:t.ipq_len;
+    let ident = Parena.ident t.parena row in
+    Trace.ipq_enqueue t.tracer ~pkt:ident ~qlen:t.ipq_len;
     (Cpu.cost_cell t.cpu).(0) <-
-      eager_soft_cost t pkt ~ipq:t.c.Cost.ipq_op ~skip_pcb:false;
-    Cpu.post_soft_job t.cpu ~tpkt:pkt.Packet.ip.Packet.ident
-      ~poll:false (jobs t).j_softnet pkt row
+      eager_soft_cost t row ~ipq:t.c.Cost.ipq_op ~skip_pcb:false;
+    Cpu.post_soft_job t.cpu ~tpkt:ident ~poll:false (jobs t).j_softnet () row
   end
 
 (* ------------------------------------------------------------------ *)
@@ -1174,18 +1189,19 @@ let bsd_driver_rx t pkt =
 (* RSS steering: hash the packed flow key — the same [hi]/[lo] integer
    packing the Flowtab demux probe uses, so steering allocates nothing
    and performs no structural hashing — onto a queue index.  A pure
-   function of packet fields, so queue placement is seed-stable and
+   function of the frame's fields, so queue placement is seed-stable and
    shard-count independent.  Fragments (including the first) steer by IP
    ident so every piece of one datagram lands on the same ring. *)
-let rss_steer pkt ~queues =
-  let sp, dp =
-    match pkt.Packet.body with
-    | Packet.Fragment _ -> (pkt.Packet.ip.Packet.ident land 0xffff, 0)
-    | Packet.Udp (u, _) -> (u.Packet.usrc_port, u.Packet.udst_port)
-    | Packet.Tcp (h, _) -> (h.Packet.tsrc_port, h.Packet.tdst_port)
-    | Packet.Icmp _ -> (0, 0)
+let rss_steer p row ~queues =
+  let frag = Parena.is_fragment p row in
+  let ported = (not frag) && Parena.proto p row <> Parena.Icmp in
+  let sp =
+    if frag then Parena.ident p row land 0xffff
+    else if ported then Parena.sport p row
+    else 0
   in
-  let hi = (Packet.src pkt lsl 2) lxor Packet.dst pkt in
+  let dp = if ported then Parena.dport p row else 0 in
+  let hi = (Parena.src p row lsl 2) lxor Parena.dst p row in
   let lo = (sp lsl 16) lor (dp land 0xffff) in
   let h = hi lxor (lo * 0x9E37_79B1) in
   let h = h lxor (h lsr 16) in
@@ -1195,54 +1211,38 @@ let rss_steer pkt ~queues =
    minus the parts the poll loop does not repeat per packet (softirq
    dispatch, shared-IP-queue churn).  The per-packet ring dequeue is
    charged separately ([poll_dequeue]). *)
-let[@inline] napi_proto_cost t pkt =
-  eager_soft_cost t pkt ~ipq:t.c.Cost.ipq_op ~skip_pcb:false
+let[@inline] napi_proto_cost t row =
+  eager_soft_cost t row ~ipq:t.c.Cost.ipq_op ~skip_pcb:false
   -. t.c.Cost.soft_dispatch -. t.c.Cost.ipq_op
 
 (* GRO merges only what aggregation cannot change for the shared protocol
    code: local unicast, checksum already verified (GRO runs after
    hardware checksum validation), not a fragment.  TCP segments must
    also carry data and no connection-state flags. *)
-let gro_candidate t pkt =
-  (not (Packet.is_fragment pkt))
-  && (not (Packet.is_multicast pkt))
-  && is_local_addr t (Packet.dst pkt)
-  && Packet.verify pkt
+let gro_candidate t row =
+  let p = t.parena in
+  (not (Parena.is_fragment p row))
+  && (not (Packet.is_multicast_addr (Parena.dst p row)))
+  && is_local_addr t (Parena.dst p row)
+  && Parena.verify p row
 
-let tcp_mergeable t pkt =
-  gro_candidate t pkt
-  && (match pkt.Packet.body with
-      | Packet.Tcp (h, pl) ->
-          Payload.length pl > 0
-          && not
-               (h.Packet.flags.Packet.syn || h.Packet.flags.Packet.fin
-              || h.Packet.flags.Packet.rst)
-      | Packet.Udp _ | Packet.Icmp _ | Packet.Fragment _ -> false)
+let tcp_mergeable t row =
+  gro_candidate t row
+  && Parena.proto t.parena row = Parena.Tcp
+  && Parena.payload_len t.parena row > 0
+  && Parena.flags t.parena row land (Packet.syn lor Packet.fin lor Packet.rst)
+     = 0
 
-let udp_mergeable t pkt =
-  gro_candidate t pkt
-  && (match pkt.Packet.body with
-      | Packet.Udp _ -> true
-      | Packet.Tcp _ | Packet.Icmp _ | Packet.Fragment _ -> false)
+let udp_mergeable t row =
+  gro_candidate t row && Parena.proto t.parena row = Parena.Udp
 
-let same_flow a b =
-  Packet.src a = Packet.src b
-  && Packet.dst a = Packet.dst b
-  &&
-  match a.Packet.body with
-  | Packet.Tcp (x, _) -> (
-      match b.Packet.body with
-      | Packet.Tcp (y, _) ->
-          x.Packet.tsrc_port = y.Packet.tsrc_port
-          && x.Packet.tdst_port = y.Packet.tdst_port
-      | Packet.Udp _ | Packet.Icmp _ | Packet.Fragment _ -> false)
-  | Packet.Udp (x, _) -> (
-      match b.Packet.body with
-      | Packet.Udp (y, _) ->
-          x.Packet.usrc_port = y.Packet.usrc_port
-          && x.Packet.udst_port = y.Packet.udst_port
-      | Packet.Tcp _ | Packet.Icmp _ | Packet.Fragment _ -> false)
-  | Packet.Icmp _ | Packet.Fragment _ -> false
+(* Same addresses, protocol and ports; asked of mergeable rows only. *)
+let same_flow p a b =
+  Parena.src p a = Parena.src p b
+  && Parena.dst p a = Parena.dst p b
+  && Parena.proto p a = Parena.proto p b
+  && Parena.sport p a = Parena.sport p b
+  && Parena.dport p a = Parena.dport p b
 
 (* Append an admitted frame's row to the batch.  A round yields at most
    one batch entry per frame served, and serves at most [napi_budget]
@@ -1252,12 +1252,11 @@ let batch_add n row =
   n.b_rows.(n.b_len) <- row;
   n.b_len <- n.b_len + 1
 
-(* Admit one packet the BSD way: reserve its mbufs (drop on pool
+(* Admit one frame the BSD way: charge its row its mbufs (drop on pool
    exhaustion) and charge full eager protocol processing. *)
-let napi_admit t n pkt =
-  let row = rx_reserve t pkt in
-  if row <> Parena.none then begin
-    n.nf.(nf_cost) <- n.nf.(nf_cost) +. napi_proto_cost t pkt;
+let napi_admit t n row =
+  if rx_reserve t row then begin
+    n.nf.(nf_cost) <- n.nf.(nf_cost) +. napi_proto_cost t row;
     batch_add n row
   end
 
@@ -1265,39 +1264,36 @@ let napi_admit t n pkt =
    last segment's ack/window (and PSH), payloads glued, content checksum
    recomputed so the merged segment still verifies.  The merged segment
    enters protocol processing once, in a row of its own charged for its
-   own footprint.  Builds a new packet by design. *)
+   own footprint; the train's rows are released.  Builds a new packet by
+   design. *)
 let gro_merge_tcp t n =
-  let len = n.train_len in
-  let head = n.train.(0) and last = n.train.(len - 1) in
-  let merged =
-    match head.Packet.body, last.Packet.body with
-    | Packet.Tcp (th, _), Packet.Tcp (tl, _) ->
-        let payload =
-          Payload.concat
-            (List.init len (fun i ->
-                 match n.train.(i).Packet.body with
-                 | Packet.Tcp (_, pl) -> pl
-                 | _ -> assert false))
-        in
-        let hdr =
-          { th with
-            Packet.ack_no = tl.Packet.ack_no;
-            window = tl.Packet.window;
-            flags =
-              { th.Packet.flags with Packet.psh = tl.Packet.flags.Packet.psh } }
-        in
-        let merged =
-          { Packet.ip = head.Packet.ip; body = Packet.Tcp (hdr, payload) }
-        in
-        { merged with
-          Packet.ip =
-            { merged.Packet.ip with Packet.csum = Packet.checksum merged } }
-    | _ -> assert false
+  let p = t.parena and len = n.train_len in
+  let last = n.train.(len - 1) in
+  let payload =
+    Payload.concat (List.init len (fun i -> Parena.payload p n.train.(i)))
   in
-  let row = rx_reserve t merged in
-  if row <> Parena.none then begin
+  let merged =
+    match Parena.to_packet p n.train.(0) with
+    | Packet.Tcp h ->
+        let ack_no = Parena.ack_no p last and window = Parena.window p last in
+        let flags =
+          h.flags land lnot Packet.psh lor (Parena.flags p last land Packet.psh)
+        in
+        let csum =
+          Packet.tcp_sum ~src:h.src ~dst:h.dst ~sport:h.sport ~dport:h.dport
+            ~seq:h.seq ~ack_no ~flags ~window ~len:(Payload.length payload)
+            ~bsum:(Payload.byte_sum payload)
+        in
+        Packet.Tcp { h with ack_no; window; flags; payload; csum }
+    | Packet.Udp _ | Packet.Icmp _ -> assert false
+  in
+  for i = 0 to len - 1 do
+    Parena.release p n.train.(i)
+  done;
+  let row = Parena.copy_in p merged in
+  if rx_reserve t row then begin
     n.nf.(nf_cost) <-
-      n.nf.(nf_cost) +. napi_proto_cost t merged
+      n.nf.(nf_cost) +. napi_proto_cost t row
       +. (float_of_int (len - 1) *. t.c.Cost.gro_merge);
     batch_add n row
   end
@@ -1311,16 +1307,16 @@ let gro_flush t n =
   let len = n.train_len in
   if len = 1 then napi_admit t n n.train.(0)
   else if len > 1 then begin
-    let head = n.train.(0) in
-    let hid = head.Packet.ip.Packet.ident in
+    let hid = Parena.ident t.parena n.train.(0) in
     for i = 1 to len - 1 do
-      Trace.gro_merge t.tracer ~pkt:n.train.(i).Packet.ip.Packet.ident ~into:hid
+      Trace.gro_merge t.tracer ~pkt:(Parena.ident t.parena n.train.(i))
+        ~into:hid
     done;
     if n.train_udp then begin
-      napi_admit t n head;
+      napi_admit t n n.train.(0);
       for i = 1 to len - 1 do
-        let row = rx_reserve t n.train.(i) in
-        if row <> Parena.none then begin
+        let row = n.train.(i) in
+        if rx_reserve t row then begin
           n.nf.(nf_cost) <-
             n.nf.(nf_cost) +. t.c.Cost.gro_merge +. t.c.Cost.sockbuf_append;
           batch_add n row
@@ -1330,53 +1326,51 @@ let gro_flush t n =
     else gro_merge_tcp t n;
     Trace.gro_flush t.tracer ~pkt:hid ~segs:len
   end;
-  Array.fill n.train 0 len Packet.null;
   n.train_len <- 0
 
 (* Append to the held train (starting one if none is held). *)
-let gro_push t n pkt ~udp =
+let gro_push t n row ~udp =
   if n.train_len = 0 then n.train_udp <- udp;
-  n.train.(n.train_len) <- pkt;
+  n.train.(n.train_len) <- row;
   n.train_len <- n.train_len + 1;
-  match pkt.Packet.body with
-  | Packet.Tcp (h, pl) ->
-      n.train_next_seq <- h.Packet.seq + Payload.length pl;
+  let p = t.parena in
+  match Parena.proto p row with
+  | Parena.Tcp ->
+      n.train_next_seq <- Parena.seq p row + Parena.payload_len p row;
       (* PSH marks an application-visible boundary: merge, then flush, as
          Linux GRO does. *)
-      if h.Packet.flags.Packet.psh || n.train_len >= gro_max_segs then
-        gro_flush t n
-  | Packet.Udp _ | Packet.Icmp _ | Packet.Fragment _ ->
+      if Parena.flags p row land Packet.psh <> 0 || n.train_len >= gro_max_segs
+      then gro_flush t n
+  | Parena.Udp | Parena.Icmp ->
       if n.train_len >= gro_max_segs then gro_flush t n
 
 (* Receive-offload aggregation of one dequeued frame: extend the held
    train, or flush it and start over. *)
-let rec gro_consider t n pkt =
+let rec gro_consider t n row =
   if n.train_len = 0 then begin
-    if tcp_mergeable t pkt then gro_push t n pkt ~udp:false
-    else if udp_mergeable t pkt then gro_push t n pkt ~udp:true
-    else napi_admit t n pkt
+    if tcp_mergeable t row then gro_push t n row ~udp:false
+    else if udp_mergeable t row then gro_push t n row ~udp:true
+    else napi_admit t n row
   end
   else if
-    if n.train_udp then udp_mergeable t pkt && same_flow n.train.(0) pkt
+    if n.train_udp then udp_mergeable t row && same_flow t.parena n.train.(0) row
     else
-      tcp_mergeable t pkt
-      && same_flow n.train.(0) pkt
-      && (match pkt.Packet.body with
-          | Packet.Tcp (h, _) -> h.Packet.seq = n.train_next_seq
-          | Packet.Udp _ | Packet.Icmp _ | Packet.Fragment _ -> false)
-  then gro_push t n pkt ~udp:n.train_udp
+      tcp_mergeable t row
+      && same_flow t.parena n.train.(0) row
+      && Parena.seq t.parena row = n.train_next_seq
+  then gro_push t n row ~udp:n.train_udp
   else begin
     gro_flush t n;
-    gro_consider t n pkt
+    gro_consider t n row
   end
 
 let rec napi_pull t n ~gro =
   if n.served < t.cfg.napi_budget then begin
-    let pkt = Nic.rxq_pop t.nic n.nq in
-    if pkt != Packet.null then begin
+    let row = Nic.rxq_pop t.nic n.nq in
+    if row <> Parena.none then begin
       n.served <- n.served + 1;
       n.nf.(nf_cost) <- n.nf.(nf_cost) +. t.c.Cost.poll_dequeue;
-      if gro then gro_consider t n pkt else napi_admit t n pkt;
+      if gro then gro_consider t n row else napi_admit t n row;
       napi_pull t n ~gro
     end
   end
@@ -1398,8 +1392,7 @@ let napi_collect t n =
    and empty it. *)
 let napi_deliver_batch t n =
   for i = 0 to n.b_len - 1 do
-    let row = n.b_rows.(i) in
-    ip_input t ~row (Parena.pkt t.parena row)
+    ip_input t ~row:n.b_rows.(i)
   done;
   n.b_len <- 0
 
@@ -1537,45 +1530,57 @@ let rec wake_members t = function
       wake_one t m.Socket.recv_wait;
       wake_members t rest
 
-(* Enqueue on an NI channel; an early discard (full queue, or processing
-   disabled) is a drop at the channel. *)
-let[@inline] ni_enqueue t ch (pkt : Packet.t) =
-  let code = Channel.enqueue_code ch pkt in
-  if code = Channel.discarded_code then
-    drop t Trace.Ni_channel pkt (Channel.id ch);
+(* A [Demux] event, its row read only while tracing: with tracing off
+   the reads would still run. *)
+let[@inline] trace_demux t row ~chan =
+  if Trace.enabled t.tracer then
+    Trace.demux t.tracer ~pkt:(Parena.ident t.parena row) ~chan
+      ~flow:(Demux.flow_id_of_row t.parena row)
+
+(* Enqueue a frame's row on an NI channel; an early discard (full queue,
+   or processing disabled) is a drop at the channel, which releases the
+   row. *)
+let[@inline] ni_enqueue t ch row =
+  let code = Channel.enqueue_code ch row in
+  if code = Channel.discarded_code then begin
+    drop t Trace.Ni_channel row (Channel.id ch);
+    Parena.release t.parena row
+  end;
   code
 
-let lrp_classify_rx t pkt =
-  if is_transit t pkt then begin
+let lrp_classify_rx t row =
+  if is_transit t row then begin
     (* Transit packet: demultiplexed straight onto the IP-forwarding
        daemon's channel (section 3.5), or discarded if this host is not a
        gateway. *)
     if t.cfg.forwarding then begin
-      if ni_enqueue t t.fwd_chan pkt = Channel.queued_was_empty then
+      if ni_enqueue t t.fwd_chan row = Channel.queued_was_empty then
         ni_wake_one t t.fwd_wq
     end
-    else drop t Trace.Not_forwarding pkt (-1)
+    else begin
+      drop t Trace.Not_forwarding row (-1);
+      Parena.release t.parena row
+    end
   end
   else
   (* Classification runs without materialising a flow value:
-     [resolve_slot] does the packed-key probe straight off the packet
-     fields and answers with an int slot code, and the
-     constant-constructor class drives the wake logic — the whole demux
-     decision allocates nothing. *)
-  let cls = Demux.class_of_packet pkt in
-  let slot = Chantab.resolve_slot t.chantab pkt in
+     [resolve_slot] does the packed-key probe straight off the row's
+     columns and answers with an int slot code, and the
+     constant-constructor class of a queued or missed frame drives the
+     wake logic — the whole demux decision allocates nothing. *)
+  let slot = Chantab.resolve_slot t.chantab t.parena row in
   if slot = Chantab.slot_none then begin
-      Trace.demux t.tracer ~pkt:pkt.Packet.ip.Packet.ident ~chan:(-1)
-        ~flow:(Demux.flow_id_of_packet pkt);
-      (match cls with
+      trace_demux t row ~chan:(-1);
+      (match Demux.class_of_row t.parena row with
        | Demux.Tcp_class ->
            (* No endpoint: the protocol-proxy daemon answers with an RST on
               its own time (section 3.5). *)
-           if ni_enqueue t t.icmp_chan pkt = Channel.queued_was_empty
+           if ni_enqueue t t.icmp_chan row = Channel.queued_was_empty
               && t.cfg.udp_helper
            then ni_wake_one t t.helper_wq
        | Demux.Udp_class | Demux.Frag_class | Demux.Icmp_class ->
-           drop t Trace.Demux_miss pkt (-1))
+           drop t Trace.Demux_miss row (-1);
+           Parena.release t.parena row)
   end
   else
       (* An endpoint's slot, or a dedicated channel's code.  An entry the
@@ -1587,11 +1592,18 @@ let lrp_classify_rx t pkt =
         | Some ch -> ch
         | None -> if slot = Chantab.slot_frag then t.frag_chan else t.icmp_chan
       in
-      Trace.demux t.tracer ~pkt:pkt.Packet.ip.Packet.ident
-        ~chan:(Channel.id ch) ~flow:(Demux.flow_id_of_packet pkt);
-      let code = ni_enqueue t ch pkt in
+      trace_demux t row ~chan:(Channel.id ch);
+      let code = ni_enqueue t ch row in
       (if code <> Channel.discarded_code then
          let was_empty = code = Channel.queued_was_empty in
+         (* The class follows from where the probe sent the frame. *)
+         let cls =
+           if slot >= 0 then
+             if ep.ep_conn == Tcp.null_conn then Demux.Udp_class
+             else Demux.Tcp_class
+           else if slot = Chantab.slot_frag then Demux.Frag_class
+           else Demux.Icmp_class
+         in
          (match cls with
             | Demux.Udp_class ->
                 if Channel.interrupt_requested ch then begin
@@ -1629,63 +1641,64 @@ let lrp_classify_rx t pkt =
 (* ------------------------------------------------------------------ *)
 
 (* Eager protocol processing, BSD-style, as a softint job carrying the
-   packet's arena row. *)
-let edemux_eager t (pkt : Packet.t) =
-  let row = rx_reserve t pkt in
-  if row <> Parena.none then begin
-    (Cpu.cost_cell t.cpu).(0) <- eager_soft_cost t pkt ~ipq:0. ~skip_pcb:true;
-    Cpu.post_soft_job t.cpu ~tpkt:pkt.Packet.ip.Packet.ident
-      ~poll:false (jobs t).j_edemux_soft pkt row
+   frame's row. *)
+let edemux_eager t row =
+  if rx_reserve t row then begin
+    (Cpu.cost_cell t.cpu).(0) <- eager_soft_cost t row ~ipq:0. ~skip_pcb:true;
+    Cpu.post_soft_job t.cpu ~tpkt:(Parena.ident t.parena row)
+      ~poll:false (jobs t).j_edemux_soft () row
   end
+
+(* An interrupt-time early discard: the row is released. *)
+let edemux_discard t row =
+  drop t Trace.Edemux_discard row (-1);
+  Parena.release t.parena row
 
 (* Early discard on a full receiver queue — but processing stays eager.
    A group datagram is discarded only when no member's queue has room. *)
-let edemux_udp t pkt ~dst_port =
-  let ep = Chantab.find_udp t.chantab ~port:dst_port in
-  if ep != null_ep && ((not ep.ep_group) || Packet.is_multicast pkt)
+let edemux_udp t row =
+  let ep = Chantab.find_udp t.chantab ~port:(Parena.dport t.parena row) in
+  if ep != null_ep
+     && ((not ep.ep_group)
+         || Packet.is_multicast_addr (Parena.dst t.parena row))
      && List.exists Socket.has_room ep.ep_socks
-  then edemux_eager t pkt
-  else drop t Trace.Edemux_discard pkt (-1)
+  then edemux_eager t row
+  else edemux_discard t row
 
 (* Early discard on a full receive buffer or, for a SYN, a full listen
    backlog, probing the PCBs with the ports straight off the
-   (first-fragment-aware) header.  With no endpoint the segment is
+   (first-fragment-aware) row.  With no endpoint the segment is
    processed eagerly so TCP answers with an RST, as the BSD code this
    kernel is derived from does. *)
-let edemux_tcp t pkt =
-  let h =
-    match pkt.Packet.body with
-    | Packet.Tcp (h, _)
-    | Packet.Fragment { Packet.whole = { Packet.body = Packet.Tcp (h, _); _ }; _ } -> h
-    | Packet.Udp _ | Packet.Icmp _ | Packet.Fragment _ -> assert false
-  in
-  let conn = pcb_lookup t ~src:(Packet.src pkt) h in
+let edemux_tcp t row =
+  let conn = pcb_lookup t row in
   let full =
     if conn == Tcp.null_conn then false
     else if Tcp.state conn = Tcp.Listen then
-      h.Packet.flags.Packet.syn && (not h.Packet.flags.Packet.ack)
+      Parena.flags t.parena row land (Packet.syn lor Packet.ack) = Packet.syn
       && backlog_full conn
     else conn.Tcp.rcvq_bytes >= conn.Tcp.rcv_buf_limit
   in
-  if full then drop t Trace.Edemux_discard pkt (-1) else edemux_eager t pkt
+  if full then edemux_discard t row else edemux_eager t row
 
-let edemux_rx t pkt =
-  if is_transit t pkt then begin
+let edemux_rx t row =
+  if is_transit t row then begin
     if t.cfg.forwarding then begin
-      (Cpu.cost_cell t.cpu).(0) <- eager_soft_cost t pkt ~ipq:0. ~skip_pcb:true;
-      Cpu.post_soft_job t.cpu ~tpkt:(-1) ~poll:false (jobs t).j_forward pkt 0
+      (Cpu.cost_cell t.cpu).(0) <- eager_soft_cost t row ~ipq:0. ~skip_pcb:true;
+      Cpu.post_soft_job t.cpu ~tpkt:(-1) ~poll:false (jobs t).j_forward () row
     end
-    else drop t Trace.Not_forwarding pkt (-1)
+    else begin
+      drop t Trace.Not_forwarding row (-1);
+      Parena.release t.parena row
+    end
   end
   else begin
     (* The allocation-free classification (see [lrp_classify_rx]). *)
-    Trace.demux t.tracer ~pkt:pkt.Packet.ip.Packet.ident ~chan:(-1)
-      ~flow:(Demux.flow_id_of_packet pkt);
-    match Demux.class_of_packet pkt with
-    | Demux.Udp_class ->
-        edemux_udp t pkt ~dst_port:(Demux.udp_dst_port_of_packet pkt)
-    | Demux.Tcp_class -> edemux_tcp t pkt
-    | Demux.Frag_class | Demux.Icmp_class -> edemux_eager t pkt
+    trace_demux t row ~chan:(-1);
+    match Demux.class_of_row t.parena row with
+    | Demux.Udp_class -> edemux_udp t row
+    | Demux.Tcp_class -> edemux_tcp t row
+    | Demux.Frag_class | Demux.Icmp_class -> edemux_eager t row
   end
 
 (* ------------------------------------------------------------------ *)
@@ -1695,9 +1708,8 @@ let edemux_rx t pkt =
 (* The NIC's receive handler, called last by the frame's arrival event:
    the hard-interrupt posts are tail entries ([Cpu.post_hard_job_tail]),
    so the CPU may run their segments ahead (DESIGN §17). *)
-let rx_dispatch t pkt =
+let rx_dispatch t row =
   t.rx_frames <- t.rx_frames + 1;
-  let tpkt = pkt.Packet.ip.Packet.ident in
   let cost = Cpu.cost_cell t.cpu in
   match t.demux with
   | Softirq ->
@@ -1706,15 +1718,17 @@ let rx_dispatch t pkt =
          poll loop without going through it); secondary interfaces of a
          multi-homed host fall back to the eager BSD path. *)
       cost.(0) <- t.c.Cost.hard_rx +. t.c.Cost.ipq_op;
-      Cpu.post_hard_job_tail t.cpu ~tpkt (jobs t).j_driver_rx pkt 0
+      Cpu.post_hard_job_tail t.cpu ~tpkt:(Parena.ident t.parena row)
+        (jobs t).j_driver_rx () row
   | Hardirq ->
       (* Soft demux: classification runs in the hardware interrupt. *)
       cost.(0) <- t.c.Cost.hard_rx +. t.c.Cost.demux;
-      Cpu.post_hard_job_tail t.cpu ~tpkt (jobs t).j_demux_rx pkt 0
+      Cpu.post_hard_job_tail t.cpu ~tpkt:(Parena.ident t.parena row)
+        (jobs t).j_demux_rx () row
   | Nic ->
       (* NI demux: classification runs on the interface's embedded
          processor — zero host CPU. *)
-      lrp_classify_rx t pkt
+      lrp_classify_rx t row
 
 (* ------------------------------------------------------------------ *)
 (* Lazy UDP protocol processing (LRP receive path, section 3.3)         *)
@@ -1745,7 +1759,7 @@ let drain_frag_channel t ~charge =
 let rec deliver_udp_all t = function
   | [] -> ()
   | row :: rest ->
-      deliver_udp_ready t ~row (Parena.pkt t.parena row);
+      deliver_udp_ready t ~row;
       deliver_udp_all t rest
 
 (* Lazy protocol processing starts in the receiver's own context; the
@@ -1754,24 +1768,24 @@ let rec deliver_udp_all t = function
    under NI demux.  Each charge is its own compute segment (a preemption
    point), ledgered as protocol work on channel [flow] — section 3.3's
    accounting claim made measurable. *)
-let lrp_charge_rx t ~flow (pkt : Packet.t) =
-  Trace.proto_deliver t.tracer ~pkt:pkt.Packet.ip.Packet.ident ~conn:(-1)
+let lrp_charge_rx t ~flow row =
+  Trace.proto_deliver t.tracer ~pkt:(Parena.ident t.parena row) ~conn:(-1)
     ~in_proc:true;
   charge_proto t ~flow (t.c.Cost.sockq +. ni_access_cost t)
 
 (* A whole datagram: IP and UDP processing charged, then deposited.
    Allocates nothing but the datagram handed to the application. *)
-let lrp_recv_whole t ~flow ~row pkt =
-  lrp_charge_rx t ~flow pkt;
+let lrp_recv_whole t ~flow ~row =
+  lrp_charge_rx t ~flow row;
   charge_proto t ~flow (t.c.Cost.lazy_locality *. t.c.Cost.ip_in);
   charge_proto t ~flow (t.c.Cost.lazy_locality *. t.c.Cost.udp_in);
-  deliver_udp_ready t ~row pkt
+  deliver_udp_ready t ~row
 
 (* A fragment: integrate it, and on a miss check the special fragment
    channel (section 3.2).  Completions — zero or several — are charged
    their UDP processing, then delivered in order. *)
-let lrp_recv_frag t ~flow ~row pkt =
-  lrp_charge_rx t ~flow pkt;
+let lrp_recv_frag t ~flow ~row =
+  lrp_charge_rx t ~flow row;
   charge_proto t ~flow
     (t.c.Cost.lazy_locality *. (t.c.Cost.ip_in +. t.c.Cost.reasm_per_frag));
   let completed =
@@ -1790,9 +1804,9 @@ let lrp_recv_one t ch =
   let row = Channel.pop_row ch in
   row <> Parena.none
   && begin
-       let flow = Channel.id ch and pkt = Parena.pkt t.parena row in
-       if Packet.is_fragment pkt then lrp_recv_frag t ~flow ~row pkt
-       else lrp_recv_whole t ~flow ~row pkt;
+       let flow = Channel.id ch in
+       if Parena.is_fragment t.parena row then lrp_recv_frag t ~flow ~row
+       else lrp_recv_whole t ~flow ~row;
        true
      end
 
@@ -1825,11 +1839,10 @@ let helper_loop t =
          worked := true;
          List.iter
            (fun row ->
-             let whole = Parena.pkt t.parena row in
-             Trace.proto_deliver t.tracer ~pkt:whole.Packet.ip.Packet.ident
+             Trace.proto_deliver t.tracer ~pkt:(Parena.ident t.parena row)
                ~conn:(-1) ~in_proc:true;
              charge (t.c.Cost.lazy_locality *. t.c.Cost.udp_in);
-             deliver_udp_ready t ~row whole)
+             deliver_udp_ready t ~row)
            completed);
     (* Process one packet from each backlogged UDP channel — but only while
        the destination socket queue has room.  A full socket queue means the
@@ -1843,19 +1856,21 @@ let helper_loop t =
      if row <> Parena.none then begin
        worked := true;
        charge (t.c.Cost.lazy_locality *. (t.c.Cost.ip_in +. t.c.Cost.udp_in));
-       let pkt = Parena.pkt t.parena row in
-       match pkt.Packet.body with
-       | Packet.Tcp _ ->
-           free_rx_pkt t row;
-           t.rsts_sent <- t.rsts_sent + 1;
-           Tcp.send_rst_for pkt ~emit:(tcp_env_exn t).Tcp.emit
-       | Packet.Udp _ | Packet.Icmp _ | Packet.Fragment _ ->
-           let whole = Ip.Reasm.insert t.reasm ~now:(now t) row in
-           if whole <> Parena.none then begin
-             let pkt = Parena.pkt t.parena whole in
-             free_rx_pkt t whole;
-             icmp_reply t pkt
-           end
+       if Parena.proto t.parena row = Parena.Tcp
+          && not (Parena.is_fragment t.parena row)
+       then begin
+         t.rsts_sent <- t.rsts_sent + 1;
+         Tcp.send_rst_for t.parena row ~emit:(tcp_env_exn t).Tcp.emit;
+         free_rx_pkt t row
+       end
+       else begin
+         (* ICMP, or a fragment: reassembled first. *)
+         let whole = Ip.Reasm.insert t.reasm ~now:(now t) row in
+         if whole <> Parena.none then begin
+           icmp_reply t whole;
+           free_rx_pkt t whole
+         end
+       end
      end);
     if !worked then pass ()
     else begin
@@ -1875,11 +1890,11 @@ let helper_loop t =
 let fwd_daemon_loop t =
   let ch = t.fwd_chan in
   let rec loop () =
-    let pkt = Channel.pop ch in
-    if pkt != Packet.null then begin
+    let row = Channel.pop_row ch in
+    if row <> Parena.none then begin
       charge_proto t ~flow:(Channel.id ch)
         (t.c.Cost.lazy_locality *. (t.c.Cost.ip_in +. t.c.Cost.ip_forward));
-      forward t pkt;
+      forward t row;
       loop ()
     end
     else begin
@@ -1895,7 +1910,7 @@ let fwd_daemon_loop t =
 
 (* An incomplete datagram the reassembler expired (ip_slowtimo). *)
 let reasm_expire t row =
-  drop t Trace.Reasm_timeout (Parena.pkt t.parena row) (-1);
+  drop t Trace.Reasm_timeout row (-1);
   free_rx_pkt t row
 
 let create engine fabric ~name ~ip cfg =
@@ -1906,8 +1921,8 @@ let create engine fabric ~name ~ip cfg =
   (* Flight recorder: enabling tracing costs no per-event allocation (the
      timestamp is read straight from the engine's clock cell). *)
   let tracer = Trace.create ~name ~clock:(Engine.clock_cell engine) () in
-  let parena = Parena.create () in
-  let chan limit = Channel.create ~arena:parena ~limit () in
+  let parena = Nic.pool nic in
+  let chan limit = Channel.create ~limit () in
   let frag_chan = chan frag_limit in
   let icmp_chan = chan icmp_limit in
   let fwd_chan = chan fwd_limit in
@@ -1932,19 +1947,19 @@ let create engine fabric ~name ~ip cfg =
   t.rxj <-
     Some
       { j_driver_rx =
-          Cpu.job cpu ~label:"rx-intr" (fun pkt _ -> bsd_driver_rx t pkt);
+          Cpu.job cpu ~label:"rx-intr" (fun () row -> bsd_driver_rx t row);
         j_demux_rx =
-          Cpu.job cpu ~label:"rx-demux" (fun pkt _ ->
+          Cpu.job cpu ~label:"rx-demux" (fun () row ->
               match t.proto with
-              | Lazy -> lrp_classify_rx t pkt
-              | Eager -> edemux_rx t pkt);
+              | Lazy -> lrp_classify_rx t row
+              | Eager -> edemux_rx t row);
         j_softnet =
-          Cpu.job cpu ~label:"softnet" (fun pkt row ->
+          Cpu.job cpu ~label:"softnet" (fun () row ->
               t.ipq_len <- t.ipq_len - 1;
-              ip_input t ~row pkt);
+              ip_input t ~row);
         j_edemux_soft =
-          Cpu.job cpu ~label:"softnet" (fun pkt row ->
-              ip_input_local t ~row pkt ~skip_pcb:true);
+          Cpu.job cpu ~label:"softnet" (fun () row ->
+              ip_input_local t ~row ~skip_pcb:true);
         j_wake = Cpu.job cpu ~label:"ni-intr" (fun wq _ -> wake_one t wq);
         j_napi_irq = Cpu.job cpu ~label:"napi-irq" (fun () qi -> napi_irq t qi);
         j_napi_poll =
@@ -1965,10 +1980,10 @@ let create engine fabric ~name ~ip cfg =
               Tcp.timer_fired tm ~gen);
         j_tcp_tx = Cpu.job cpu ~label:"tcp-tx" (fun () _ -> ());
         j_reasm =
-          Cpu.job cpu ~label:"ip-reasm-complete" (fun whole row ->
-              bsd_transport_input t ~row whole);
+          Cpu.job cpu ~label:"ip-reasm-complete" (fun () row ->
+              bsd_transport_input t ~row);
         j_forward =
-          Cpu.job cpu ~label:"ip-forward" (fun pkt _ -> forward t pkt);
+          Cpu.job cpu ~label:"ip-forward" (fun () row -> forward t row);
         g_tcp_timer = Engine.target engine (fun tm -> fire_tcp_timer t tm);
         g_rcvto =
           Engine.target engine (fun (sock, expired) ->
@@ -1976,7 +1991,7 @@ let create engine fabric ~name ~ip cfg =
               wake_all t sock.Socket.recv_wait);
         g_napi_grace = Engine.target engine (fun wq -> wake_one t wq) };
   t.tcp_env <- Some (make_tcp_env t);
-  Nic.set_rx_handler nic (fun pkt -> rx_dispatch t pkt);
+  Nic.set_rx_handler nic (fun row -> rx_dispatch t row);
   Cpu.set_tracer cpu tracer;
   Nic.set_tracer nic tracer;
   (* Periodic reassembly pruning (ip_slowtimo); re-arms its own event. *)
@@ -1992,9 +2007,9 @@ let create engine fabric ~name ~ip cfg =
        counted in the steer callback: under queued RX the NIC DMAs frames
        straight into its rings and the kernel's dispatch handler never
        sees them. *)
-    let steer pkt =
+    let steer row =
       t.rx_frames <- t.rx_frames + 1;
-      if queues = 1 then 0 else rss_steer pkt ~queues
+      if queues = 1 then 0 else rss_steer parena row ~queues
     in
     t.napi <-
       Array.init queues (fun qi ->
@@ -2003,7 +2018,7 @@ let create engine fabric ~name ~ip cfg =
             ksoftirqd_wq = Proc.waitq "ksoftirqd";
             b_rows = Array.make cap Parena.none; b_len = 0; served = 0;
             nf = [| 0.; neg_infinity |];
-            train = Array.make gro_max_segs Packet.null; train_len = 0;
+            train = Array.make gro_max_segs Parena.none; train_len = 0;
             train_udp = false; train_next_seq = 0 });
     Nic.configure_rx_queues nic ~queues ~ring:rx_ring
       ~coalesce_pkts:cfg.coalesce_pkts ~coalesce_us:cfg.coalesce_us ~steer
@@ -2038,10 +2053,13 @@ let fresh_port t =
 
 (* [add_interface t fabric ~ip] attaches an additional interface, a /24
    (multi-homed gateway).  The same receive architecture runs on every
-   interface. *)
+   interface, and every interface draws from the kernel's frame pool: a
+   second network of the same cell shares the first one's. *)
 let add_interface t fabric ~ip () =
+  if Fabric.pool fabric != t.parena then
+    invalid_arg "Kernel.add_interface: the fabric has another frame pool";
   let nic = Fabric.make_nic fabric ~ip () in
-  Nic.set_rx_handler nic (fun pkt -> rx_dispatch t pkt);
+  Nic.set_rx_handler nic (fun row -> rx_dispatch t row);
   Nic.set_tracer nic t.tracer;
   t.interfaces <- t.interfaces @ [ (ip, 24, nic) ];
   nic

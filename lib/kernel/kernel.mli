@@ -177,10 +177,11 @@ type t = private {
           kernels' PCB lookup both read it *)
   eps : ep Lrp_core.Flowtab.t;  (** connections and listeners by conn id *)
   parena : Lrp_net.Parena.t;
-      (** the one table of received frames still held, under every
-          architecture: NI channel rings, eager paths' frames (each row
-          charged its mbufs), pending reassemblies and socket-queue
-          datagrams *)
+      (** the cell's frame pool, shared with the NIC and the fabric: every
+          frame the kernel holds is a row here, under every architecture
+          (NI channel and receive rings, the IP queue, CPU jobs, eager
+          paths' frames charged their mbufs, pending reassemblies and
+          socket-queue datagrams) *)
   frag_chan : Lrp_core.Channel.t;
       (** LRP's channel for non-first fragments (section 3.2) *)
   icmp_chan : Lrp_core.Channel.t;
@@ -238,6 +239,8 @@ val counters : t -> (string * float) list
 val set_tracing : t -> bool -> unit
 val tcp_env_exn : t -> Lrp_proto.Tcp.env
 val ip_output : t -> Lrp_net.Packet.t -> unit
+(** IP output of a locally built packet: it takes a row of the frame pool
+    here, fragmented to the MTU if it does not fit. *)
 
 val free_rx_pkt : t -> Lrp_net.Parena.handle -> unit
 (** Release a received frame's {!parena} row and give the mbufs it is
@@ -291,10 +294,11 @@ val attach :
     charged for its APP-thread work.  Called again to hand the socket to
     another process. *)
 
-val deliver_tcp : t -> Lrp_net.Packet.t -> ctx:[ `Proc | `Soft ] -> bool
-(** The eager kernels' PCB lookup of a received TCP segment: hand it to
-    its connection, else to the listener on its port, in context [ctx];
-    [false] when no endpoint matches (the caller answers with a RST). *)
+val deliver_tcp : t -> Lrp_net.Parena.handle -> ctx:[ `Proc | `Soft ] -> bool
+(** The eager kernels' PCB lookup of a received TCP segment's row: hand it
+    to its connection, else to the listener on its port, in context
+    [ctx]; [false] when no endpoint matches (the caller answers with a
+    RST).  The caller keeps the row. *)
 
 val lrp_recv_one : t -> Lrp_core.Channel.t -> bool
 (** Lazy UDP receive in the calling process: take one raw packet off the
@@ -302,7 +306,7 @@ val lrp_recv_one : t -> Lrp_core.Channel.t -> bool
     deposit the datagrams it completes.  [false] if the channel was
     empty. *)
 
-val rss_steer : Lrp_net.Packet.t -> queues:int -> int
+val rss_steer : Lrp_net.Parena.t -> Lrp_net.Parena.handle -> queues:int -> int
 (** RSS queue placement: a deterministic integer mix over the packed
     flow key ([hi]/[lo] as the Flowtab probe packs them) — no tuple
     allocation, no structural hashing, stable across seeds and shard
@@ -317,4 +321,6 @@ val add_interface :
   t ->
   Lrp_net.Fabric.t ->
   ip:Lrp_net.Packet.ip -> unit -> Lrp_net.Nic.t
-(** Attach another interface, a /24 (a multi-homed gateway). *)
+(** Attach another interface, a /24 (a multi-homed gateway), on a fabric
+    that shares the kernel's frame pool.
+    @raise Invalid_argument if the fabric has a pool of its own. *)

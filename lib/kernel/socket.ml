@@ -3,8 +3,9 @@
     Pure state: behaviour lives in {!Kernel} and {!Api}.  A socket's receive
     plumbing depends on the architecture:
 
-    - under BSD and Early-Demux, [udp_rcv] holds fully-processed datagrams
-      put there by software-interrupt protocol processing;
+    - under BSD and Early-Demux, [udp_rcv] holds the frame-pool rows of
+      fully-processed datagrams put there by software-interrupt protocol
+      processing;
     - under LRP, raw packets sit in the socket's NI [chan] until a receiver
       processes them lazily; [udp_rcv] then only holds datagrams processed
       on its behalf by the minimal-priority helper thread (section 3.3);
@@ -16,13 +17,11 @@ open Lrp_sim
 
 type kind = Dgram | Stream
 
+(* A datagram as copyout hands it to the application. *)
 type udp_datagram = {
   dg_payload : Payload.t;
   dg_from : Packet.ip * int;
   dg_pkt : int;  (* originating packet's IP ident, for tracing *)
-  dg_mbuf : Parena.handle;
-      (* the kernel's {!Parena} row holding this datagram until copyout,
-         charged the mbufs backing it under eager processing *)
 }
 
 type stats = {
@@ -37,7 +36,9 @@ type t = {
   kind : kind;
   mutable port : int option;
   mutable remote : (Packet.ip * int) option;  (* connected-UDP peer *)
-  udp_rcv : udp_datagram Queue.t;
+  udp_rcv : Parena.handle Queue.t;
+      (* ready datagrams' rows, each held until copyout (charged the
+         mbufs backing it under eager processing) *)
   recv_wait : Proc.waitq;
   send_wait : Proc.waitq;
   accept_wait : Proc.waitq;
@@ -66,15 +67,18 @@ let udp_rcv_limit = 32
 (* The socket queue has room for another ready datagram. *)
 let has_room t = Queue.length t.udp_rcv < udp_rcv_limit
 
-(* Append a ready datagram, from [src]:[sport] in the packet with IP
-   ident [ident] and held in arena row [row], to the socket queue (BSD
-   softint path, NAPI poll, or LRP's lazy receive); the caller has checked
-   [has_room].  The datagram and its queue cell are what the receive path
-   hands to the application: the one allocation it keeps by design. *)
-let deposit_udp t payload ~src ~sport ~ident ~row =
-  Queue.add
-    { dg_payload = payload; dg_from = (src, sport); dg_pkt = ident;
-      dg_mbuf = row }
-    t.udp_rcv;
+(* The datagram copyout hands to the application, read off its row: with
+   the queue cell below, the one allocation the receive path keeps by
+   design. *)
+let datagram pool row =
+  { dg_payload = Parena.payload pool row;
+    dg_from = (Parena.src pool row, Parena.sport pool row);
+    dg_pkt = Parena.ident pool row }
+
+(* Append a ready datagram's row to the socket queue (BSD softint path,
+   NAPI poll, or LRP's lazy receive); the caller has checked [has_room].
+   The queue cell is the one allocation the deposit keeps. *)
+let deposit_udp t row =
+  Queue.add row t.udp_rcv;
   let depth = Queue.length t.udp_rcv in
   if depth > t.stats.rx_hwm then t.stats.rx_hwm <- depth

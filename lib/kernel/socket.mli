@@ -3,8 +3,9 @@
     Pure state: behaviour lives in {!Kernel} and {!Api}.  A socket's receive
     plumbing depends on the architecture:
 
-    - under BSD and Early-Demux, [udp_rcv] holds fully-processed datagrams
-      put there by software-interrupt protocol processing;
+    - under BSD and Early-Demux, [udp_rcv] holds the frame-pool rows of
+      fully-processed datagrams put there by software-interrupt protocol
+      processing;
     - under LRP, raw packets sit in the socket's NI [chan] until a receiver
       processes them lazily; [udp_rcv] then only holds datagrams processed
       on its behalf by the minimal-priority helper thread (section 3.3);
@@ -12,14 +13,13 @@
       reassembled stream data lives in the connection's receive buffer. *)
 
 type kind = Dgram | Stream
+(** A datagram as copyout hands it to the application. *)
 type udp_datagram = {
   dg_payload : Lrp_net.Payload.t;
   dg_from : Lrp_net.Packet.ip * int;
   dg_pkt : int;  (** originating packet's IP ident, for tracing *)
-  dg_mbuf : Lrp_net.Parena.handle;
-      (** the kernel's arena row holding this datagram until copyout,
-          charged the mbufs backing it under eager processing *)
 }
+
 type stats = {
   mutable rx_delivered : int;
   mutable rx_sockq_drops : int;
@@ -31,7 +31,10 @@ type t = {
   kind : kind;
   mutable port : int option;
   mutable remote : (Lrp_net.Packet.ip * int) option;
-  udp_rcv : udp_datagram Queue.t;
+  udp_rcv : Lrp_net.Parena.handle Queue.t;
+      (** ready datagrams' rows in the kernel's frame pool, each held
+          until copyout (charged the mbufs backing it under eager
+          processing) *)
   recv_wait : Lrp_sim.Proc.waitq;
   send_wait : Lrp_sim.Proc.waitq;
   accept_wait : Lrp_sim.Proc.waitq;
@@ -44,10 +47,9 @@ val create : kind -> t
 val has_room : t -> bool
 (** The socket queue holds fewer than 32 datagrams. *)
 
-val deposit_udp :
-  t -> Lrp_net.Payload.t -> src:Lrp_net.Packet.ip -> sport:int -> ident:int ->
-  row:Lrp_net.Parena.handle -> unit
-(** Append a ready datagram — its payload, source address and port, the
-    originating packet's IP ident and its arena row — to the socket
-    queue, which must have room ({!has_room}); tracks the high
-    watermark. *)
+val datagram : Lrp_net.Parena.t -> Lrp_net.Parena.handle -> udp_datagram
+(** The datagram a row holds, as copyout hands it over. *)
+
+val deposit_udp : t -> Lrp_net.Parena.handle -> unit
+(** Append a ready datagram's row to the socket queue, which must have
+    room ({!has_room}); tracks the high watermark. *)

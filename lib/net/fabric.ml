@@ -61,7 +61,7 @@ end
 (* A frame held back for reordering.  [released] guards against double
    release (count-based release vs. the idle-link timeout flush). *)
 type held = {
-  hpkt : Packet.t;
+  hrow : Parena.handle;
   mutable countdown : int;  (* frames that must overtake before release *)
   mutable released : bool;
 }
@@ -77,7 +77,7 @@ type fault_state = {
 
 type port = {
   nic : Nic.t;
-  rx_tgt : Packet.t Engine.target;  (* closure-free arrival event *)
+  rx_tgt : Parena.handle Engine.target;  (* closure-free arrival event *)
   busy_until : float array;
       (* 1-slot cell: when the output port finishes its current frame (a
          mutable float field would box on every store) *)
@@ -109,12 +109,12 @@ type uplink = {
      per-source FIFO order is the column order. *)
   mutable ob_ready : float array;   (* earliest effect on the dest cell *)
   mutable ob_dst : int array;       (* destination cell *)
-  mutable ob_pkt : Packet.t array;
+  mutable ob_row : Parena.handle array;  (* rows of this cell's pool *)
   mutable ob_len : int;
   mutable up_tx : int;              (* frames sent cross-cell *)
   mutable up_rx : int;              (* frames injected from other cells *)
   mutable up_drops : int;           (* uplink backlog overflow *)
-  inject_tgt : Packet.t Engine.target;
+  inject_tgt : Parena.handle Engine.target;
       (* closure-free arrival event for injected frames *)
 }
 
@@ -145,6 +145,9 @@ type t = {
   prop_delay : float;          (* per link, us *)
   switch_latency : float;      (* fixed forwarding latency, us *)
   ports : port Lrp_det.Itab.t;
+  pool : Parena.t;
+      (* the cell's frame pool: every frame on this switch, its NICs and
+         their kernels is a row here *)
   mutable total_drops : int;
   loss_rng : Rng.t;  (* the fault stream each port's [frng] splits off *)
   mutable default_port : Packet.ip option;
@@ -170,11 +173,11 @@ let reorder_flush_us = 2_000.
    drops, us. *)
 let buffer_us = 10_000.
 
-let create engine ?(bandwidth_mbps = 155.) ?(prop_delay = 5.)
-    ?(switch_latency = 10.) () =
+let create engine ?(pool = Parena.create ()) ?(bandwidth_mbps = 155.)
+    ?(prop_delay = 5.) ?(switch_latency = 10.) () =
   { engine; clock = Engine.clock_cell engine; at = [| 0. |];
     bandwidth = Nic.mbps_to_bytes_per_us bandwidth_mbps; prop_delay;
-    switch_latency; ports = Lrp_det.Itab.create 8; total_drops = 0;
+    switch_latency; ports = Lrp_det.Itab.create 8; pool; total_drops = 0;
     loss_rng = Rng.split (Engine.rng engine);
     default_port = None; uplink = None; offered = 0; delivered = 0;
     duplicated = 0; fault_lost = 0; corrupted = 0; reordered = 0 }
@@ -184,71 +187,79 @@ let rec attach t nic =
   if Lrp_det.Itab.mem t.ports ip then
     invalid_arg "Fabric.attach: duplicate IP address";
   let port =
-    { nic; rx_tgt = Engine.target t.engine (fun pkt -> Nic.receive nic pkt);
+    { nic; rx_tgt = Engine.target t.engine (fun row -> Nic.receive nic row);
       busy_until = [| Time.zero |]; rx_frames = 0; drops = 0; fstate = None }
   in
   Lrp_det.Itab.replace t.ports ip port;
-  Nic.set_deliver nic (fun pkt -> forward t pkt)
+  Nic.set_deliver nic (fun row -> forward t row)
 
 (* The per-frame path allocates nothing: ports are found without an
    option, times travel through float cells ([clock], [at],
    [busy_until]) and the arrival is scheduled through the engine's staged
-   deadline.  Multicast replication, link faults and the cross-cell
-   uplink are the off-path branches. *)
-and forward t pkt =
+   deadline, carrying the frame's row.  Multicast replication, link
+   faults and the cross-cell uplink are the off-path branches.  A frame
+   the switch drops is released here. *)
+and forward t row =
   t.at.(0) <- t.clock.(0);
-  if Packet.is_multicast pkt then forward_multicast t pkt
+  let dst = Parena.dst t.pool row in
+  if Packet.is_multicast_addr dst then forward_multicast t row
   else
-    let slot = Lrp_det.Itab.find t.ports (Packet.dst pkt) in
-    if slot >= 0 then deliver_to t (Lrp_det.Itab.value t.ports slot) pkt
+    let slot = Lrp_det.Itab.find t.ports dst in
+    if slot >= 0 then deliver_to t (Lrp_det.Itab.value t.ports slot) row
     else
       (* Off-link destination: try the cross-cell uplink first (sharded
          topologies), then the default gateway, else drop as a real
          switch would. *)
       match t.uplink with
       | Some up when
-          (let c = up.up_resolve (Packet.dst pkt) in
+          (let c = up.up_resolve dst in
            c >= 0 && c <> up.up_cell) ->
-          uplink_forward t up pkt
-      | Some _ | None -> gateway_or_drop t pkt
+          uplink_forward t up row
+      | Some _ | None -> gateway_or_drop t row
 
 (* Multicast: replicate to every port except the sender's, in address
    order so the replication (and any induced queueing) is independent of
-   hash-table layout. *)
-and forward_multicast t pkt =
+   hash-table layout.  Each port gets a row of its own; the sender's is
+   released. *)
+and forward_multicast t row =
+  let src = Parena.src t.pool row in
   Lrp_det.Det.iter_sorted_int
     (fun ip port ->
-      if ip <> Packet.src pkt then begin
+      if ip <> src then begin
         t.at.(0) <- t.clock.(0);
-        deliver_to t port pkt
+        deliver_to t port (Parena.copy t.pool row ~into:t.pool)
       end)
-    t.ports
+    t.ports;
+  Parena.release t.pool row
 
-and gateway_or_drop t pkt =
+and gateway_or_drop t row =
   match t.default_port with
   | Some gw_ip ->
       let slot = Lrp_det.Itab.find t.ports gw_ip in
-      if slot >= 0 then deliver_to t (Lrp_det.Itab.value t.ports slot) pkt
-      else switch_drop t
-  | None -> switch_drop t
+      if slot >= 0 then deliver_to t (Lrp_det.Itab.value t.ports slot) row
+      else switch_drop t row
+  | None -> switch_drop t row
 
-and switch_drop t =
+and switch_drop t row =
   t.offered <- t.offered + 1;
-  t.total_drops <- t.total_drops + 1
+  t.total_drops <- t.total_drops + 1;
+  Parena.release t.pool row
 
 (* Cross-cell transmit: serialise on the uplink port, then park the frame
    in the outbox with its earliest effect time on the destination cell.
    The local offered/delivered/drop counters are left alone — their
    conservation invariant is per-fabric, and the cross-cell flow has its
    own conservation: sum of up_tx = sum of up_rx + outbox backlog. *)
-and uplink_forward t up pkt =
+and uplink_forward t up row =
   let now = t.clock.(0) in
-  let dstc = up.up_resolve (Packet.dst pkt) in
-  let ser = float_of_int (Packet.wire_bytes pkt) /. up.up_bandwidth in
+  let dstc = up.up_resolve (Parena.dst t.pool row) in
+  let ser = float_of_int (Parena.wire_bytes t.pool row) /. up.up_bandwidth in
   let busy = up.up_busy.(0) in
   let start = if busy > now then busy else now in
-  if start -. now > buffer_us then
-    up.up_drops <- up.up_drops + 1
+  if start -. now > buffer_us then begin
+    up.up_drops <- up.up_drops + 1;
+    Parena.release t.pool row
+  end
   else begin
     let departure = start +. ser in
     up.up_busy.(0) <- departure;
@@ -259,32 +270,32 @@ and uplink_forward t up pkt =
       let cap' = if cap = 0 then 64 else cap * 2 in
       let ready' = Array.make cap' 0. in (* alloc: cold — amortized growth *)
       let dst' = Array.make cap' 0 in (* alloc: cold — amortized growth *)
-      let pkt' = Array.make cap' Packet.null in (* alloc: cold — amortized growth *)
+      let row' = Array.make cap' Parena.none in (* alloc: cold — amortized growth *)
       Array.blit up.ob_ready 0 ready' 0 n;
       Array.blit up.ob_dst 0 dst' 0 n;
-      Array.blit up.ob_pkt 0 pkt' 0 n;
+      Array.blit up.ob_row 0 row' 0 n;
       up.ob_ready <- ready';
       up.ob_dst <- dst';
-      up.ob_pkt <- pkt'
+      up.ob_row <- row'
     end;
     up.ob_ready.(n) <- departure +. up.up_latency dstc;
     up.ob_dst.(n) <- dstc;
-    up.ob_pkt.(n) <- pkt;
+    up.ob_row.(n) <- row;
     up.ob_len <- n + 1
   end
 
 (* Deliver towards [port] a frame that reached the switch at [at.(0)]. *)
-and deliver_to t port pkt =
+and deliver_to t port row =
   t.offered <- t.offered + 1;
   match port.fstate with
-  | None -> deliver_frame t port pkt
-  | Some fs -> apply_faults t port fs pkt
+  | None -> deliver_frame t port row
+  | Some fs -> apply_faults t port fs row
 
 (* Link weather, applied per destination link before serialisation.  Each
    stochastic decision draws from the port's private [frng] only when the
    corresponding knob is non-zero, so a [Faults.none] configuration draws
    nothing and behaves exactly like an unconfigured port. *)
-and apply_faults t port fs pkt =
+and apply_faults t port fs row =
   let now = t.at.(0) in
   let f = fs.cfg in
   (* Advance the Gilbert–Elliott channel once per frame. *)
@@ -299,34 +310,28 @@ and apply_faults t port fs pkt =
   in
   if lost_uniform || lost_ge then begin
     t.fault_lost <- t.fault_lost + 1;
-    t.total_drops <- t.total_drops + 1
+    t.total_drops <- t.total_drops + 1;
+    Parena.release t.pool row
   end
   else begin
-    let pkt =
-      if f.Faults.corrupt > 0. && Rng.uniform fs.frng < f.Faults.corrupt then
-        match
-          Packet.corrupt pkt ~at:(Rng.int fs.frng 65536)
+    (* Corruption flips the row in place: the frame is this link's. *)
+    if f.Faults.corrupt > 0. && Rng.uniform fs.frng < f.Faults.corrupt
+       && Parena.corrupt t.pool row ~at:(Rng.int fs.frng 65536)
             ~xor:(Rng.int fs.frng 256)
-        with
-        | Some bad ->
-            t.corrupted <- t.corrupted + 1;
-            bad
-        | None -> pkt
-      else pkt
-    in
+    then t.corrupted <- t.corrupted + 1;
     if f.Faults.dup > 0. && Rng.uniform fs.frng < f.Faults.dup then begin
-      (* The extra copy skips reorder/jitter: it arrives in order, the
-         original may still be held back, which also covers the
-         dup-then-reorder interleaving. *)
+      (* The extra copy, a row of its own, skips reorder/jitter: it
+         arrives in order, the original may still be held back, which
+         also covers the dup-then-reorder interleaving. *)
       t.duplicated <- t.duplicated + 1;
       t.at.(0) <- now;
-      deliver_frame t port pkt
+      deliver_frame t port (Parena.copy t.pool row ~into:t.pool)
     end;
     if f.Faults.reorder > 0. && Rng.uniform fs.frng < f.Faults.reorder then begin
       (* Hold the frame until [countdown] later frames have overtaken it
          (bounded displacement), or the timeout fires on an idle link. *)
       let h =
-        { hpkt = pkt; countdown = 1 + Rng.int fs.frng f.Faults.reorder_span;
+        { hrow = row; countdown = 1 + Rng.int fs.frng f.Faults.reorder_span;
           released = false }
       in
       t.reordered <- t.reordered + 1;
@@ -342,7 +347,7 @@ and apply_faults t port fs pkt =
         else now
       in
       t.at.(0) <- now;
-      deliver_frame t port pkt;
+      deliver_frame t port row;
       (* This frame overtook everything still held; release frames whose
          displacement bound is reached. *)
       if fs.fheld <> [] then begin
@@ -353,7 +358,7 @@ and apply_faults t port fs pkt =
               if h.countdown <= 0 then begin
                 h.released <- true;
                 t.at.(0) <- now;
-                deliver_frame t port h.hpkt;
+                deliver_frame t port h.hrow;
                 tick acc rest
               end
               else tick (h :: acc) rest
@@ -363,15 +368,16 @@ and apply_faults t port fs pkt =
     end
   end
 
-and deliver_frame t port pkt =
+and deliver_frame t port row =
   let now = t.at.(0) in
-  let ser = float_of_int (Packet.wire_bytes pkt) /. t.bandwidth in
+  let ser = float_of_int (Parena.wire_bytes t.pool row) /. t.bandwidth in
   let busy = port.busy_until.(0) in
   let start = if busy > now then busy else now in
   if start -. now > buffer_us then begin
     (* Output buffer exhausted: congestion drop. *)
     port.drops <- port.drops + 1;
-    t.total_drops <- t.total_drops + 1
+    t.total_drops <- t.total_drops + 1;
+    Parena.release t.pool row
   end
   else begin
     let departure = start +. ser in
@@ -380,7 +386,7 @@ and deliver_frame t port pkt =
     t.delivered <- t.delivered + 1;
     (Engine.deadline_cell t.engine).(0) <-
       departure +. t.switch_latency +. t.prop_delay;
-    ignore (Engine.schedule_to_staged t.engine port.rx_tgt pkt)
+    ignore (Engine.schedule_to_staged t.engine port.rx_tgt row)
   end
 
 (* Timeout release of a held frame (idle link or end of run). *)
@@ -391,7 +397,7 @@ let flush_held t port h =
      | Some fs -> fs.fheld <- List.filter (fun h' -> h' != h) fs.fheld
      | None -> ());
     t.at.(0) <- t.clock.(0);
-    deliver_frame t port h.hpkt
+    deliver_frame t port h.hrow
   end
 
 let set_link_faults t ~ip f =
@@ -443,14 +449,14 @@ let drops t = t.total_drops
 (* Arrival of an injected frame on the destination cell: from here on it
    is an ordinary local delivery (destination leaf serialisation, faults,
    propagation), on the destination cell's own engine. *)
-let inject_now t pkt =
+let inject_now t row =
   (match t.uplink with
    | Some up -> up.up_rx <- up.up_rx + 1
    | None -> ());
   t.at.(0) <- t.clock.(0);
-  let slot = Lrp_det.Itab.find t.ports (Packet.dst pkt) in
-  if slot >= 0 then deliver_to t (Lrp_det.Itab.value t.ports slot) pkt
-  else gateway_or_drop t pkt
+  let slot = Lrp_det.Itab.find t.ports (Parena.dst t.pool row) in
+  if slot >= 0 then deliver_to t (Lrp_det.Itab.value t.ports slot) row
+  else gateway_or_drop t row
 
 let set_uplink t ~cell ~resolve ~latency ~min_latency
     ?(bandwidth_mbps = 622.) () =
@@ -463,29 +469,32 @@ let set_uplink t ~cell ~resolve ~latency ~min_latency
         up_min_latency = min_latency;
         up_bandwidth = Nic.mbps_to_bytes_per_us bandwidth_mbps;
         up_busy = [| Time.zero |];
-        ob_ready = [||]; ob_dst = [||]; ob_pkt = [||]; ob_len = 0;
+        ob_ready = [||]; ob_dst = [||]; ob_row = [||]; ob_len = 0;
         up_tx = 0; up_rx = 0; up_drops = 0;
-        inject_tgt = Engine.target t.engine (fun pkt -> inject_now t pkt) }
+        inject_tgt = Engine.target t.engine (fun row -> inject_now t row) }
 
 let uplink_exn t =
   match t.uplink with
   | Some up -> up
   | None -> invalid_arg "Fabric: no uplink configured" (* alloc: cold — error path *)
 
-(* Barrier-side drain: visit outbox entries in transmit order, then reset
-   the columns.  Each entry's ready time is staged in [ready.(0)] rather
-   than passed: a float argument to [f] would box once per frame.
-   Emptied packet slots are cleared so the outbox never pins a delivered
-   frame.  Only the coordinating domain may call this, at a barrier. *)
-let drain_outbox t ~ready f =
+(* Barrier-side drain: visit outbox entries in transmit order, copy each
+   frame into its destination cell's pool ([pool_of dst]) and release it
+   here, then reset the columns.  Each entry's ready time is staged in
+   [ready.(0)] rather than passed: a float argument to [f] would box once
+   per frame.  Only the coordinating domain may call this, at a barrier,
+   when no cell is advancing. *)
+let drain_outbox t ~ready ~pool_of f =
   match t.uplink with
   | None -> 0
   | Some up ->
       let n = up.ob_len in
       for i = 0 to n - 1 do
         ready.(0) <- up.ob_ready.(i);
-        f up.ob_dst.(i) up.ob_pkt.(i);
-        up.ob_pkt.(i) <- Packet.null
+        let dst = up.ob_dst.(i) and row = up.ob_row.(i) in
+        let row' = Parena.copy t.pool row ~into:(pool_of dst) in
+        Parena.release t.pool row;
+        f dst row'
       done;
       up.ob_len <- 0;
       n
@@ -494,8 +503,8 @@ let drain_outbox t ~ready f =
    destination) cell's engine at the time staged in its deadline cell.
    Safe because the coordinator only injects at barriers, when every cell
    clock is <= the ready time (the lookahead invariant). *)
-let inject_remote t pkt =
-  ignore (Engine.schedule_to_staged t.engine (uplink_exn t).inject_tgt pkt)
+let inject_remote t row =
+  ignore (Engine.schedule_to_staged t.engine (uplink_exn t).inject_tgt row)
 
 let uplink_stats t =
   match t.uplink with
@@ -504,8 +513,12 @@ let uplink_stats t =
       { up_sent = up.up_tx; up_received = up.up_rx;
         up_dropped = up.up_drops; up_backlog = up.ob_len }
 
-(* Convenience: build a NIC and attach it in one step. *)
+let pool t = t.pool
+
+(* Build a NIC on the fabric's pool and attach it. *)
 let make_nic t ~ip ?bandwidth_mbps ?cellify ?ifq_limit () =
-  let nic = Nic.create t.engine ~ip ?bandwidth_mbps ?cellify ?ifq_limit () in
+  let nic =
+    Nic.create t.engine ~pool:t.pool ~ip ?bandwidth_mbps ?cellify ?ifq_limit ()
+  in
   attach t nic;
   nic

@@ -42,7 +42,11 @@ module Faults : sig
 
 end
 
-type held = { hpkt : Packet.t; mutable countdown : int; mutable released : bool; }
+type held = {
+  hrow : Parena.handle;
+  mutable countdown : int;
+  mutable released : bool;
+}
 
 type fault_state = {
   mutable cfg : Faults.t;
@@ -54,7 +58,7 @@ type fault_state = {
 
 type port = {
   nic : Nic.t;
-  rx_tgt : Packet.t Lrp_engine.Engine.target;
+  rx_tgt : Parena.handle Lrp_engine.Engine.target;
       (** closure-free arrival event for this port *)
   busy_until : float array;
       (** 1-slot cell: when the output port finishes its current frame *)
@@ -82,12 +86,12 @@ type uplink = {
   up_busy : float array;               (** 1-slot cell: uplink busy until *)
   mutable ob_ready : float array;      (** outbox: arrival deadline *)
   mutable ob_dst : int array;          (** outbox: destination cell *)
-  mutable ob_pkt : Packet.t array;
+  mutable ob_row : Parena.handle array;  (** rows of this cell's pool *)
   mutable ob_len : int;
   mutable up_tx : int;
   mutable up_rx : int;
   mutable up_drops : int;
-  inject_tgt : Packet.t Lrp_engine.Engine.target;
+  inject_tgt : Parena.handle Lrp_engine.Engine.target;
 }
 
 type uplink_stats = {
@@ -121,6 +125,9 @@ type t = {
   prop_delay : float;
   switch_latency : float;
   ports : port Lrp_det.Itab.t;
+  pool : Parena.t;
+      (** the cell's frame pool: every frame on this switch, its NICs and
+          their kernels is a row here *)
   mutable total_drops : int;
   loss_rng : Lrp_engine.Rng.t;
   mutable default_port : Packet.ip option;
@@ -133,10 +140,13 @@ type t = {
   mutable reordered : int;
 }
 (** Build the switch; per-port bandwidth defaults to 155 Mbit/s with a
-    bounded output buffer (overruns are congestion drops). *)
+    bounded output buffer (overruns are congestion drops).  The switch
+    makes its cell's frame pool, unless given one: a second network of
+    the same cell (a gateway's other side) shares the first's. *)
 
 val create :
   Lrp_engine.Engine.t ->
+  ?pool:Parena.t ->
   ?bandwidth_mbps:float ->
   ?prop_delay:float -> ?switch_latency:float -> unit -> t
 
@@ -175,14 +185,17 @@ val set_uplink :
     [min_latency]. *)
 
 val drain_outbox :
-  t -> ready:float array -> (int -> Packet.t -> unit) -> int
-(** [drain_outbox t ~ready f] visits and clears this cell's outbox in
-    transmit order, calling [f dst pkt] per entry with the frame's
-    arrival deadline on cell [dst] staged in [ready.(0)] (a float
-    argument would box per frame).  Returns the number of entries
-    drained.  Coordinator only, at an epoch barrier. *)
+  t -> ready:float array -> pool_of:(int -> Parena.t) ->
+  (int -> Parena.handle -> unit) -> int
+(** [drain_outbox t ~ready ~pool_of f] visits and clears this cell's
+    outbox in transmit order: each frame is copied into the pool of its
+    destination cell [dst] ([pool_of dst]) and released here, then
+    [f dst row] is called with the new row and the frame's arrival
+    deadline on cell [dst] staged in [ready.(0)] (a float argument would
+    box per frame).  Returns the number of entries drained.  Coordinator
+    only, at an epoch barrier. *)
 
-val inject_remote : t -> Packet.t -> unit
+val inject_remote : t -> Parena.handle -> unit
 (** Schedule a frame drained from another cell's outbox to arrive on this
     (the destination) cell at the time staged in its engine's
     {!Lrp_engine.Engine.deadline_cell}.  Coordinator only, at a barrier:
@@ -191,6 +204,8 @@ val inject_remote : t -> Packet.t -> unit
 
 val uplink_stats : t -> uplink_stats
 (** All-zero when no uplink is configured. *)
+
+val pool : t -> Parena.t
 
 val make_nic :
   t ->

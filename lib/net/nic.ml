@@ -31,7 +31,7 @@ type stats = {
    [rx_kick] raises an interrupt and when its poll loop dequeues. *)
 type rxq = {
   q_id : int;
-  ring : Packet.t array;        (* bounded; [Packet.null] marks empty slots *)
+  ring : Parena.handle array;   (* bounded ring of frame rows *)
   mutable q_head : int;
   mutable q_count : int;
   mutable intr_on : bool;       (* interrupt unmasked (NAPI masks it) *)
@@ -51,21 +51,21 @@ type t = {
   bandwidth : float;        (* bytes per microsecond *)
   cellify : bool;           (* AAL5: pad to 48-byte cells, 53 on the wire *)
   ifq_limit : int;
-  (* The interface queue: a ring of frames sized exactly [ifq_limit]
+  pool : Parena.t;  (* the cell's frame pool, shared with the fabric *)
+  (* The interface queue: a ring of frame rows sized exactly [ifq_limit]
      (transmit drops at the limit, so it cannot overflow), with each
-     frame's [Packet.wire_bytes] cached at enqueue in an int column, so
-     the drain loop computes serialisation time without re-walking the
-     body.  Emptied slots are reset to [Packet.null].  A frame sent on an
-     idle interface starts serialising at once and never enters the
-     ring. *)
-  ifq : Packet.t array;
+     frame's wire bytes cached at enqueue in an int column, so the drain
+     loop computes serialisation time without re-reading the row.  A
+     frame sent on an idle interface starts serialising at once and never
+     enters the ring. *)
+  ifq : Parena.handle array;
   ifq_wire : int array;
   mutable ifq_head : int;
   mutable ifq_count : int;
   mutable tx_busy : bool;
-  mutable rx_handler : Packet.t -> unit;
-  mutable deliver : Packet.t -> unit;  (* wired to the fabric *)
-  mutable tx_done : Packet.t Engine.target option;
+  mutable rx_handler : Parena.handle -> unit;
+  mutable deliver : Parena.handle -> unit;  (* wired to the fabric *)
+  mutable tx_done : Parena.handle Engine.target option;
       (* closure-free tx-complete event; registered by [create] *)
   mutable rxq_timer_tgt : rxq Engine.target option;
       (* closure-free coalesce-timer expiry; registered on first arm *)
@@ -73,7 +73,7 @@ type t = {
   mutable tracer : Lrp_trace.Trace.t;  (* owning kernel's; disabled default *)
   (* queued-RX mode (NAPI-era back-ends); [||] = classic immediate mode *)
   mutable rxqs : rxq array;
-  mutable rx_steer : Packet.t -> int;  (* frame -> queue index (RSS hash) *)
+  mutable rx_steer : Parena.handle -> int;  (* frame -> queue (RSS hash) *)
   mutable rx_kick : int -> unit;       (* raise the interrupt for a queue *)
   mutable coalesce_pkts : int;
   mutable coalesce_us : float;
@@ -81,11 +81,13 @@ type t = {
 
 let mbps_to_bytes_per_us mbps = mbps *. 1e6 /. 8. /. 1e6
 
-let create engine ~ip ?(bandwidth_mbps = 155.) ?(cellify = true)
-    ?(ifq_limit = 64) () =
+(* A NIC made alone has a pool of its own; {!Fabric.make_nic} passes the
+   fabric's. *)
+let create engine ?(pool = Parena.create ()) ~ip ?(bandwidth_mbps = 155.)
+    ?(cellify = true) ?(ifq_limit = 64) () =
   { engine; ip;
-    bandwidth = mbps_to_bytes_per_us bandwidth_mbps; cellify; ifq_limit;
-    ifq = Array.make (max 1 ifq_limit) Packet.null;
+    bandwidth = mbps_to_bytes_per_us bandwidth_mbps; cellify; ifq_limit; pool;
+    ifq = Array.make (max 1 ifq_limit) Parena.none;
     ifq_wire = Array.make (max 1 ifq_limit) 0;
     ifq_head = 0; ifq_count = 0; tx_busy = false;
     rx_handler = (fun _ -> ());
@@ -98,6 +100,7 @@ let create engine ~ip ?(bandwidth_mbps = 155.) ?(cellify = true)
     coalesce_pkts = 1; coalesce_us = 0. }
 
 let ip t = t.ip
+let pool t = t.pool
 let stats t = t.stats
 let set_tracer t tr = t.tracer <- tr
 
@@ -121,8 +124,8 @@ let footprint_of_bytes t b =
     cells * 53
   else b
 
-(* Start serialising [pkt], [bytes] long on the wire. *)
-let rec start_tx t pkt bytes =
+(* Start serialising frame [row], [bytes] long on the wire. *)
+let rec start_tx t row bytes =
   t.tx_busy <- true;
   t.stats.tx_packets <- t.stats.tx_packets + 1;
   t.stats.tx_bytes <- t.stats.tx_bytes + bytes;
@@ -132,17 +135,15 @@ let rec start_tx t pkt bytes =
   (Engine.deadline_cell t.engine).(0) <-
     (Engine.clock_cell t.engine).(0)
     +. (float_of_int (footprint_of_bytes t bytes) /. t.bandwidth);
-  ignore (Engine.schedule_to_staged t.engine (tx_target t) pkt)
+  ignore (Engine.schedule_to_staged t.engine (tx_target t) row)
 
 and drain t =
   if t.ifq_count = 0 then t.tx_busy <- false
   else begin
     let i = t.ifq_head in
-    let pkt = t.ifq.(i) in
-    t.ifq.(i) <- Packet.null;
     t.ifq_head <- (if i + 1 >= Array.length t.ifq then 0 else i + 1);
     t.ifq_count <- t.ifq_count - 1;
-    start_tx t pkt t.ifq_wire.(i)
+    start_tx t t.ifq.(i) t.ifq_wire.(i)
   end
 
 (* Tx-complete dispatcher, registered on the first transmission: deliver
@@ -154,35 +155,45 @@ and tx_target t =
   | None ->
       let g =
         (* alloc: cold — one-time dispatcher registration *)
-        Engine.target t.engine (fun pkt ->
-            t.deliver pkt;
+        Engine.target t.engine (fun row ->
+            t.deliver row;
             drain t)
       in
       (* alloc: cold — one-time dispatcher registration *)
       t.tx_done <- Some g;
       g
 
-(* [transmit t pkt] is the driver's if_output: start the frame on an
-   idle interface, else append it to the interface queue.  Returns
-   [false] on queue overflow.  The queue is empty whenever the
+(* Start the frame on an idle interface, else append it to the
+   interface queue, which has room.  The queue is empty whenever the
    transmitter is idle ([drain] idles it only then). *)
-let transmit t pkt =
+let enqueue t row =
+  let bytes = Parena.wire_bytes t.pool row in
+  if not t.tx_busy then start_tx t row bytes
+  else begin
+    let cap = Array.length t.ifq in
+    let tail = t.ifq_head + t.ifq_count in
+    let tail = if tail >= cap then tail - cap else tail in
+    t.ifq.(tail) <- row;
+    t.ifq_wire.(tail) <- bytes;
+    t.ifq_count <- t.ifq_count + 1
+  end
+
+(* [transmit_row t row] is the driver's if_output: start the frame on an
+   idle interface, else append it to the interface queue.  On queue
+   overflow the row is released and the result is [false]. *)
+let transmit_row t row =
   if t.ifq_count >= t.ifq_limit then begin
     t.stats.tx_drops <- t.stats.tx_drops + 1;
+    Parena.release t.pool row;
     false
   end
   else begin
-    if not t.tx_busy then start_tx t pkt (Packet.wire_bytes pkt)
-    else begin
-      let cap = Array.length t.ifq in
-      let tail = t.ifq_head + t.ifq_count in
-      let tail = if tail >= cap then tail - cap else tail in
-      t.ifq.(tail) <- pkt;
-      t.ifq_wire.(tail) <- Packet.wire_bytes pkt;
-      t.ifq_count <- t.ifq_count + 1
-    end;
+    enqueue t row;
     true
   end
+
+(* A sender's packet enters the pool here. *)
+let transmit t pkt = transmit_row t (Parena.copy_in t.pool pkt)
 
 let ifq_length t = t.ifq_count
 
@@ -195,7 +206,7 @@ let configure_rx_queues t ~queues ~ring ~coalesce_pkts ~coalesce_us ~steer
   let queues = max 1 queues and ring = max 1 ring in
   t.rxqs <-
     Array.init queues (fun q_id ->
-        { q_id; ring = Array.make ring Packet.null; q_head = 0; q_count = 0;
+        { q_id; ring = Array.make ring Parena.none; q_head = 0; q_count = 0;
           intr_on = true; timer = Engine.none; q_rx = 0; q_drops = 0;
           q_kicks = 0; q_hwm = 0 });
   t.rx_steer <- steer;
@@ -262,23 +273,22 @@ let rxq_len t qi = t.rxqs.(qi).q_count
 
 let rxq_pop t qi =
   let q = t.rxqs.(qi) in
-  if q.q_count = 0 then Packet.null
+  if q.q_count = 0 then Parena.none
   else begin
-    let pkt = q.ring.(q.q_head) in
-    q.ring.(q.q_head) <- Packet.null;
+    let row = q.ring.(q.q_head) in
     let head' = q.q_head + 1 in
     q.q_head <- (if head' >= Array.length q.ring then 0 else head');
     q.q_count <- q.q_count - 1;
-    pkt
+    row
   end
 
 let rxq_stats t qi =
   let q = t.rxqs.(qi) in
   (q.q_rx, q.q_drops, q.q_kicks, q.q_hwm)
 
-let rxq_receive t pkt =
+let rxq_receive t row =
   let nq = Array.length t.rxqs in
-  let qi = t.rx_steer pkt in
+  let qi = t.rx_steer row in
   let qi = if qi < 0 || qi >= nq then 0 else qi in
   let q = t.rxqs.(qi) in
   let cap = Array.length q.ring in
@@ -287,12 +297,13 @@ let rxq_receive t pkt =
        property that keeps NAPI out of livelock. *)
     q.q_drops <- q.q_drops + 1;
     Lrp_trace.Trace.drop t.tracer ~reason:Lrp_trace.Trace.Nic_ring
-      ~pkt:pkt.Packet.ip.Packet.ident ~arg:q.q_count
+      ~pkt:(Parena.ident t.pool row) ~arg:q.q_count;
+    Parena.release t.pool row
   end
   else begin
     let tail = q.q_head + q.q_count in
     let tail = if tail >= cap then tail - cap else tail in
-    q.ring.(tail) <- pkt;
+    q.ring.(tail) <- row;
     q.q_count <- q.q_count + 1;
     q.q_rx <- q.q_rx + 1;
     if q.q_count > q.q_hwm then q.q_hwm <- q.q_count;
@@ -300,8 +311,10 @@ let rxq_receive t pkt =
   end
 
 (* Called by the fabric when a frame reaches this NIC. *)
-let receive t pkt =
+let receive t row =
   t.stats.rx_packets <- t.stats.rx_packets + 1;
-  Lrp_trace.Trace.nic_rx t.tracer ~pkt:pkt.Packet.ip.Packet.ident
-    ~bytes:(Packet.wire_bytes pkt);
-  if Array.length t.rxqs > 0 then rxq_receive t pkt else t.rx_handler pkt
+  (* Guarded: the row reads would run with tracing off too. *)
+  if Lrp_trace.Trace.enabled t.tracer then
+    Lrp_trace.Trace.nic_rx t.tracer ~pkt:(Parena.ident t.pool row)
+      ~bytes:(Parena.wire_bytes t.pool row);
+  if Array.length t.rxqs > 0 then rxq_receive t row else t.rx_handler row

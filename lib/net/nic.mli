@@ -28,7 +28,7 @@ type stats = {
     packet-count/timer coalescing. *)
 type rxq = {
   q_id : int;
-  ring : Packet.t array;
+  ring : Parena.handle array;  (** frame rows *)
   mutable q_head : int;
   mutable q_count : int;
   mutable intr_on : bool;
@@ -46,17 +46,17 @@ type t = {
   bandwidth : float;
   cellify : bool;
   ifq_limit : int;
-  ifq : Packet.t array;
-      (** the interface queue: a frame ring sized [ifq_limit]; empty
-          slots hold [Packet.null] *)
+  pool : Parena.t;  (** the cell's frame pool, shared with the fabric *)
+  ifq : Parena.handle array;
+      (** the interface queue: a ring of frame rows sized [ifq_limit] *)
   ifq_wire : int array;
-      (** each queued frame's [Packet.wire_bytes], cached at enqueue *)
+      (** each queued frame's wire bytes, cached at enqueue *)
   mutable ifq_head : int;
   mutable ifq_count : int;
   mutable tx_busy : bool;
-  mutable rx_handler : Packet.t -> unit;
-  mutable deliver : Packet.t -> unit;
-  mutable tx_done : Packet.t Lrp_engine.Engine.target option;
+  mutable rx_handler : Parena.handle -> unit;
+  mutable deliver : Parena.handle -> unit;
+  mutable tx_done : Parena.handle Lrp_engine.Engine.target option;
       (** closure-free tx-complete event; registered on first transmit *)
   mutable rxq_timer_tgt : rxq Lrp_engine.Engine.target option;
       (** closure-free coalesce-timer expiry; registered on first arm *)
@@ -64,7 +64,7 @@ type t = {
   mutable tracer : Lrp_trace.Trace.t;
   mutable rxqs : rxq array;
       (** queued-RX mode when non-empty; [[||]] = classic immediate mode *)
-  mutable rx_steer : Packet.t -> int;
+  mutable rx_steer : Parena.handle -> int;
   mutable rx_kick : int -> unit;
   mutable coalesce_pkts : int;
   mutable coalesce_us : float;
@@ -74,9 +74,14 @@ val mbps_to_bytes_per_us : float -> float
 
 val create :
   Lrp_engine.Engine.t ->
+  ?pool:Parena.t ->
   ip:Packet.ip ->
   ?bandwidth_mbps:float -> ?cellify:bool -> ?ifq_limit:int -> unit -> t
+(** A NIC drawing its frames' rows from [pool] (a fabric passes its
+    cell's); without one it makes its own. *)
+
 val ip : t -> Packet.ip
+val pool : t -> Parena.t
 val stats : t -> stats
 
 (** Install the owning kernel's tracer; the NIC stamps a [Nic_rx] event
@@ -87,16 +92,21 @@ val set_tracer : t -> Lrp_trace.Trace.t -> unit
     interface-queue length and the receive queues' drops and kicks, named
     under [prefix]. *)
 val counters : t -> prefix:string -> (string * float) list
-val set_rx_handler : t -> (Packet.t -> unit) -> unit
+val set_rx_handler : t -> (Parena.handle -> unit) -> unit
 (** Install the kernel's receive path.  The handler runs in NI context
     (an engine event, zero host CPU); what it posts to the host CPU is the
     architectural difference the paper studies. *)
 
-val set_deliver : t -> (Packet.t -> unit) -> unit
+val set_deliver : t -> (Parena.handle -> unit) -> unit
 
 val transmit : t -> Packet.t -> bool
-(** Driver if_output: enqueue on the interface queue and kick the
-    transmitter; [false] on queue overflow. *)
+(** Driver if_output of a sender's packet: copy it into a row of the
+    pool, enqueue on the interface queue and kick the transmitter;
+    [false] on queue overflow (the row is released). *)
+
+val transmit_row : t -> Parena.handle -> bool
+(** {!transmit} for a frame that already has a row in the pool: its
+    owner hands it over, and an overflow releases it. *)
 
 val ifq_length : t -> int
 
@@ -104,10 +114,11 @@ val ifq_length : t -> int
 
 val configure_rx_queues :
   t -> queues:int -> ring:int -> coalesce_pkts:int -> coalesce_us:float ->
-  steer:(Packet.t -> int) -> kick:(int -> unit) -> unit
+  steer:(Parena.handle -> int) -> kick:(int -> unit) -> unit
 (** Switch the NIC into queued-RX mode: received frames are steered by
     [steer] into one of [queues] bounded rings of [ring] slots each (DMA,
-    zero host cost; an overflow is a free [Nic_ring] drop).
+    zero host cost; an overflow is a free [Nic_ring] drop that releases
+    the row).
     An unmasked queue raises an interrupt — [kick q] — once
     [coalesce_pkts] frames are buffered, or [coalesce_us] after the first
     frame of a sub-threshold train (a [Coalesce_fire] trace event marks
@@ -117,9 +128,10 @@ val configure_rx_queues :
 val rx_queues : t -> int
 (** Number of configured receive queues; [0] = classic immediate mode. *)
 
-val rxq_pop : t -> int -> Packet.t
-(** Dequeue the oldest frame of a queue, or {!Packet.null} when empty
-    (zero host cost here; the caller charges its own poll costs). *)
+val rxq_pop : t -> int -> Parena.handle
+(** Dequeue the oldest frame's row of a queue, or {!Parena.none} when
+    empty (zero host cost here; the caller charges its own poll costs).
+    The caller owns the row. *)
 
 val rxq_len : t -> int -> int
 
@@ -133,4 +145,5 @@ val rxq_disable_intr : t -> int -> unit
 val rxq_stats : t -> int -> int * int * int * int
 (** [(rx, drops, kicks, hwm)] counters of one queue. *)
 
-val receive : t -> Packet.t -> unit
+val receive : t -> Parena.handle -> unit
+(** A frame reaches this NIC (the fabric's arrival event). *)

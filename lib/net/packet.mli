@@ -1,9 +1,13 @@
 (** Packet representation.
 
-    Packets are structured records, never serialised: the simulated NI
-    demultiplexes them as they are and charges the byte-level classifier's
-    cost (section 3.2).  Header sizes follow IPv4/UDP/TCP so that
-    wire-time calculations are realistic. *)
+    A packet value is what a sender builds: one flat immutable block per
+    frame, an inline record per protocol.  From the NIC's transmit (or
+    the kernel's IP output) onwards a frame lives only as a row of its
+    engine cell's frame pool ({!Parena}); fragments exist only there.
+    Packets are never serialised: the simulated NI demultiplexes rows as
+    they are and charges the byte-level classifier's cost (section 3.2).
+    Header sizes follow IPv4/UDP/TCP so that wire-time calculations are
+    realistic. *)
 
 type ip = int
 (** IPv4 address as a non-negative int (printed dotted-quad). *)
@@ -14,87 +18,96 @@ val ip_of_quad : int -> int -> int -> int -> int
 (** [ip_of_quad a b c d] is the address [a.b.c.d].
     @raise Invalid_argument on out-of-range octets. *)
 
-type tcp_flags = {
-  syn : bool;
-  ack : bool;
-  fin : bool;
-  rst : bool;
-  psh : bool;
-}
+(** {2 TCP flags}
+
+    A segment's flags are an int of these bits. *)
+
+val syn : int
+val ack : int
+val fin : int
+val rst : int
+val psh : int
+
 val flags :
-  ?syn:bool ->
-  ?ack:bool -> ?fin:bool -> ?rst:bool -> ?psh:bool -> unit -> tcp_flags
+  ?syn:bool -> ?ack:bool -> ?fin:bool -> ?rst:bool -> ?psh:bool -> unit -> int
 
-(** {2 Shared flag values}
+(** The combinations TCP emits. *)
 
-    The combinations TCP emits, allocated once; per-segment paths use
-    these instead of calling {!flags}. *)
+val flags_ack : int
+val flags_ack_psh : int
+val flags_syn : int
+val flags_syn_ack : int
+val flags_fin_ack : int
+val flags_rst_ack : int
 
-val flags_ack : tcp_flags
-val flags_ack_psh : tcp_flags
-val flags_syn : tcp_flags
-val flags_syn_ack : tcp_flags
-val flags_fin_ack : tcp_flags
-val flags_rst_ack : tcp_flags
-
-type udp_header = { usrc_port : port; udst_port : port; }
-type tcp_header = {
-  tsrc_port : port;
-  tdst_port : port;
-  seq : int;
-  ack_no : int;
-  flags : tcp_flags;
-  window : int;
-}
 type icmp_kind = Echo_request | Echo_reply | Dest_unreachable | Ttl_exceeded
-type ip_header = {
-  src : ip;
-  dst : ip;
-  ident : int;
-  ttl : int;
-  csum : int;  (** sender-computed content checksum; see {!checksum} *)
-}
-type body =
-    Udp of udp_header * Payload.t
-  | Tcp of tcp_header * Payload.t
-  | Icmp of icmp_kind * Payload.t
-  | Fragment of fragment
-and fragment = { whole : t; foff : int; flen : int; last : bool; }
-and t = { ip : ip_header; body : body; }
-(** A packet.  [Fragment] carries a slice of [whole]'s payload; only the
-    first fragment ([foff = 0]) "contains" the transport header. *)
+
+val icmp_kind_index : icmp_kind -> int
+val icmp_kind_of_index : int -> icmp_kind
+
+type t =
+  | Udp of {
+      src : ip;
+      dst : ip;
+      ident : int;
+      ttl : int;
+      csum : int;  (** sender-computed content checksum *)
+      sport : port;
+      dport : port;
+      payload : Payload.t;
+    }
+  | Tcp of {
+      src : ip;
+      dst : ip;
+      ident : int;
+      ttl : int;
+      csum : int;
+      sport : port;
+      dport : port;
+      seq : int;
+      ack_no : int;
+      flags : int;
+      window : int;
+      payload : Payload.t;
+    }
+  | Icmp of {
+      src : ip;
+      dst : ip;
+      ident : int;
+      ttl : int;
+      csum : int;
+      kind : icmp_kind;
+      payload : Payload.t;
+    }
+(** A packet: 9 words for a UDP datagram, 13 for a TCP segment. *)
 
 val ip_header_bytes : int
 val udp_header_bytes : int
-val transport_header_bytes : t -> int
-(** Transport-header bytes this packet carries on the wire. *)
+val tcp_header_bytes : int
+val icmp_header_bytes : int
 
-val payload_length : t -> int
 val wire_bytes : t -> int
 (** Total IP datagram size on the wire (IP header + transport header +
-    payload slice). *)
+    payload). *)
 
-(** {1 Content checksum} *)
+(** {1 Content checksum}
+
+    A multiplicative mix over the fields that define a packet's content
+    (addresses, transport header fields, payload length and byte sum).
+    [ident] and [ttl] are excluded so that retransmits of the same
+    content checksum identically.  Any single-field or single-byte change
+    yields a different value (the mix multiplier is invertible mod 2^30).
+    The frame pool checks rows with the same three sums. *)
+
+val udp_sum :
+  src:ip -> dst:ip -> sport:port -> dport:port -> len:int -> bsum:int -> int
+val tcp_sum :
+  src:ip -> dst:ip -> sport:port -> dport:port -> seq:int -> ack_no:int ->
+  flags:int -> window:int -> len:int -> bsum:int -> int
+val icmp_sum : src:ip -> dst:ip -> kind:int -> len:int -> bsum:int -> int
 
 val checksum : t -> int
-(** Recompute the content checksum (addresses, transport header fields,
-    payload bytes) of a packet.  [ident] and [ttl] are excluded so that
-    retransmits of the same content checksum identically.  A fragment's
-    checksum is that of the whole datagram, checked after reassembly.
-    Any single-field or single-byte change yields a different value (the
-    mix multiplier is invertible mod 2^30). *)
-
-val verify : t -> bool
-(** [verify t] is [checksum t = t.ip.csum] — true unless the packet was
-    corrupted in flight. *)
-
-val corrupt : t -> at:int -> xor:int -> t option
-(** [corrupt t ~at ~xor] flips one payload byte (position [at mod length],
-    pattern [xor land 0xff], forced non-zero) while keeping the carried
-    checksum, so {!verify} fails on the result.  Payload-less TCP segments
-    get their [ack_no] corrupted instead; fragments are corrupted within
-    their slice of the whole.  [None] when the packet has no corruptible
-    content (e.g. an empty UDP datagram). *)
+(** Recompute the content checksum of a packet. *)
 
 (** {1 Constructors} *)
 
@@ -102,34 +115,14 @@ val empty_payload : Payload.t
 (** The shared zero-length payload of data-less segments. *)
 
 val udp :
-  src:ip ->
-  dst:ip -> src_port:port -> dst_port:port -> Payload.t -> t
+  src:ip -> dst:ip -> src_port:port -> dst_port:port -> Payload.t -> t
 val tcp :
   src:ip ->
   dst:ip ->
   src_port:port ->
   dst_port:port ->
-  seq:int ->
-  ack_no:int -> flags:tcp_flags -> window:int -> Payload.t -> t
+  seq:int -> ack_no:int -> flags:int -> window:int -> Payload.t -> t
 val icmp : src:ip -> dst:ip -> icmp_kind -> Payload.t -> t
 
-val null : t
-(** Statically-allocated placeholder: ring buffers and arenas fill empty
-    slots with it so they never pin a real packet.  Never enters the data
-    path. *)
-
-(** {1 Accessors used by demultiplexing and protocol code} *)
-
-val src : t -> ip
-val dst : t -> ip
 val is_multicast_addr : ip -> bool
 (** Class-D (224.0.0.0/4) test. *)
-
-val is_multicast : t -> bool
-val ports : t -> (port * port) option
-(** [(src_port, dst_port)] when the packet carries (or is the first
-    fragment of) a transport header. *)
-
-val is_tcp : t -> bool
-val is_udp : t -> bool
-val is_fragment : t -> bool

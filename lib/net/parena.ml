@@ -1,26 +1,22 @@
-(* Struct-of-arrays descriptor arena for in-flight received frames.
+(* The frame pool: one per engine cell, holding every frame from the
+   NIC's transmit (or the kernel's IP output) to its one release.
 
-   Every frame sitting in an NI channel (or any other receive-side queue)
-   is represented by a *descriptor*: a slot across parallel columns — the
-   structured packet and the mbufs it is charged — identified by a
-   generation-checked integer handle.  Queues then carry plain ints
-   through flat int rings instead of boxed packets through linked
-   [Queue.t] cells: the per-packet costs this removes are the queue-cell
-   allocation and the [take_opt] option allocation.
-
-   The charge column is the one record of which frame holds how many of
-   an eager kernel's mbufs ({!Mbuf} keeps only the pool's counters): the
-   kernel charges a row when it admits the frame, reassembly sums its
-   fragments' charges into one row, and whoever releases the row gives
-   its charge back.  Lazy kernels' rows carry 0.
+   A frame is a row of [w] ints in one flat array — its packet's fields,
+   its fragment slice and its mbuf charge — so copying it in, reading it
+   and handing it from queue to queue touch one cache-line pair and store
+   no pointer.  Only a byte payload writes the pointer column [pbytes].
+   A fragment's row holds its whole datagram's fields and payload plus
+   the slice it carries: reassembly clears the fragment mark and the
+   pending row is the datagram.  This is the model of a descriptor pool
+   in NI or channel buffer memory (section 3.1), passed from queue to
+   queue by handle.
 
    Handles pack (generation, slot) like {!Lrp_engine.Engine}'s event
-   handles: the generation is bumped when a descriptor is released, so a
-   stale handle held after release can never reach the slot's next
-   occupant — double-release and use-after-release raise instead of
-   corrupting another frame.  Slots are recycled through a free stack;
-   the columns only ever grow, so the steady state allocates nothing per
-   frame. *)
+   handles: the generation is bumped when a row is released, so a stale
+   handle held after release can never reach the slot's next occupant —
+   double-release and use-after-release raise instead of corrupting
+   another frame.  Slots are recycled through a free stack; the arrays
+   only ever grow, so the steady state allocates nothing per frame. *)
 
 let slot_bits = 20
 let slot_mask = (1 lsl slot_bits) - 1
@@ -29,33 +25,65 @@ type handle = int
 
 let none = -1
 
+(* Row layout: field offsets within a row of [w] ints.  The row's own
+   current handle is a field too, so validating a handle is one compare
+   on the cache line the field read that follows needs anyway. *)
+let w = 16
+let f_meta = 0     (* protocol, ICMP kind, fragment bits, TCP flags, TTL *)
+let f_src = 1
+let f_dst = 2
+let f_ident = 3
+let f_handle = 4   (* the row's handle: its generation bumps at release *)
+let f_csum = 5
+let f_sport = 6
+let f_dport = 7
+let f_seq = 8
+let f_ack = 9
+let f_window = 10
+let f_plen = 11    (* the whole datagram's payload length *)
+let f_ptag = 12    (* synthetic payload tag *)
+let f_foff = 13
+let f_flen = 14
+let f_charge = 15  (* mbufs the frame holds *)
+
+(* [f_meta] bits: protocol in bits 0-1, ICMP kind in 2-3, then the
+   fragment marks and the byte-payload mark; TCP flags from bit 8, the
+   TTL from bit 16. *)
+let m_proto = 3
+let m_frag = 16
+let m_last = 32
+let m_bytes = 64
+let flags_shift = 8
+let ttl_shift = 16
+
+type proto = Udp | Tcp | Icmp
+
 type t = {
-  mutable pkts : Packet.t array; (* the frame itself *)
-  mutable charges : int array; (* mbufs held by the frame *)
-  mutable gens : int array;
-  mutable free : int array; (* stack of free slots *)
+  mutable rows : int array;
+  mutable mask : int;  (* slots - 1: the slot count is a power of two *)
+  mutable pbytes : Bytes.t array;  (* byte payloads only *)
+  mutable free : int array;  (* stack of free slots; the others are live *)
   mutable free_top : int;
-  mutable live : int;
+  mutable last_synth : Payload.t;
+      (* the synthetic payload {!payload} built last: immutable, so a row
+         with the same length and tag shares it *)
 }
 
-let create () =
-  { pkts = [||]; charges = [||]; gens = [||]; free = [||];
-    free_top = 0; live = 0 }
-
 let grow t =
-  let cap = Array.length t.gens in
+  let cap = Array.length t.free in
   let cap' = Int.max 16 (2 * cap) in
   if cap' > slot_mask then failwith "Parena: too many live frames"; (* alloc: cold — error path *)
-  let pkts = Array.make cap' Packet.null in (* alloc: cold — amortized growth *)
-  let charges = Array.make cap' 0 in (* alloc: cold — amortized growth *)
-  let gens = Array.make cap' 0 in (* alloc: cold — amortized growth *)
+  let rows = Array.make (cap' * w) 0 in (* alloc: cold — amortized growth *)
+  let pbytes = Array.make cap' Bytes.empty in (* alloc: cold — amortized growth *)
   let free = Array.make cap' 0 in (* alloc: cold — amortized growth *)
-  Array.blit t.pkts 0 pkts 0 cap;
-  Array.blit t.charges 0 charges 0 cap;
-  Array.blit t.gens 0 gens 0 cap;
-  t.pkts <- pkts;
-  t.charges <- charges;
-  t.gens <- gens;
+  Array.blit t.rows 0 rows 0 (cap * w);
+  Array.blit t.pbytes 0 pbytes 0 cap;
+  for slot = cap to cap' - 1 do
+    rows.((slot * w) + f_handle) <- slot
+  done;
+  t.rows <- rows;
+  t.mask <- cap' - 1;
+  t.pbytes <- pbytes;
   t.free <- free;
   t.free_top <- 0;
   for slot = cap' - 1 downto cap do
@@ -63,55 +91,280 @@ let grow t =
     t.free_top <- t.free_top + 1
   done
 
-let[@inline] acquire t pkt ~charge =
+(* Made with its first 16 rows, so a handle's masked slot always indexes
+   a row. *)
+let create () =
+  let t =
+    { rows = [||]; mask = 0; pbytes = [||]; free = [||]; free_top = 0;
+      last_synth = Payload.synthetic 0 }
+  in
+  grow t;
+  t
+
+(* A fresh row's slot; the caller fills every field. *)
+let[@inline] acquire t =
   if t.free_top = 0 then grow t;
   t.free_top <- t.free_top - 1;
-  let slot = Array.unsafe_get t.free t.free_top in
-  t.pkts.(slot) <- pkt;
-  Array.unsafe_set t.charges slot charge;
-  t.live <- t.live + 1;
-  ((Array.unsafe_get t.gens slot) lsl slot_bits) lor slot
+  Array.unsafe_get t.free t.free_top
 
-let[@inline] valid t h =
-  h >= 0
-  &&
+let[@inline] handle_of t slot = Array.unsafe_get t.rows ((slot * w) + f_handle)
+
+(* Raised directly rather than through a function call, which would make
+   every value live across a field read spill around it. *)
+let stale = Invalid_argument "Parena: stale or invalid handle"
+
+(* The row's base index in [rows]; raises on a stale handle.  Masked to
+   the slot count, any int indexes a row, and only a row's own current
+   handle matches it: a released row's handle ({!none} too) does not. *)
+let[@inline] base t h =
+  let b = (h land t.mask) * w in
+  if Array.unsafe_get t.rows (b + f_handle) <> h then raise stale;
+  b
+
+let[@inline] get t h f = Array.unsafe_get t.rows (base t h + f)
+let[@inline] set t h f v = Array.unsafe_set t.rows (base t h + f) v
+let[@inline] meta t h = get t h f_meta
+
+let release t h =
+  let b = base t h in
   let slot = h land slot_mask in
-  slot < Array.length t.gens && Array.unsafe_get t.gens slot = h lsr slot_bits
-
-let[@inline never] stale name =
-  (* alloc: cold — error path *)
-  invalid_arg (Printf.sprintf "Parena.%s: stale or invalid handle" name)
-
-let[@inline] pkt t h =
-  if not (valid t h) then stale "pkt";
-  Array.unsafe_get t.pkts (h land slot_mask)
-
-let[@inline] charge t h =
-  if not (valid t h) then stale "charge";
-  Array.unsafe_get t.charges (h land slot_mask)
-
-(* The row now holds [pkt] (a reassembled datagram replacing the fragment
-   its row was opened for); the charge stays. *)
-let set_pkt t h pkt =
-  if not (valid t h) then stale "set_pkt";
-  let slot = h land slot_mask in
-  t.pkts.(slot) <- pkt
-
-let[@inline] release t h =
-  if not (valid t h) then stale "release";
-  let slot = h land slot_mask in
-  Array.unsafe_set t.gens slot (Array.unsafe_get t.gens slot + 1);
-  t.pkts.(slot) <- Packet.null (* do not pin the released frame *);
-  t.live <- t.live - 1;
+  Array.unsafe_set t.rows (b + f_handle) (h + (1 lsl slot_bits));
+  if Array.unsafe_get t.rows (b + f_meta) land m_bytes <> 0 then
+    t.pbytes.(slot) <- Bytes.empty (* do not pin the released payload *);
   Array.unsafe_set t.free t.free_top slot;
   t.free_top <- t.free_top + 1
+
+let live t = Array.length t.free - t.free_top
+
+(* --- copy-in ---------------------------------------------------------- *)
+
+(* The payload's columns: a synthetic payload is two ints, a byte payload
+   the pointer column.  Returns the [f_meta] mark. *)
+let[@inline] put_payload t slot b (p : Payload.t) =
+  match p with
+  | Payload.Synthetic { len; tag } ->
+      Array.unsafe_set t.rows (b + f_plen) len;
+      Array.unsafe_set t.rows (b + f_ptag) tag;
+      0
+  | Payload.Bytes by ->
+      Array.unsafe_set t.rows (b + f_plen) (Bytes.length by);
+      Array.unsafe_set t.rows (b + f_ptag) 0;
+      t.pbytes.(slot) <- by;
+      m_bytes
+
+let[@inline] put_ip t b ~src ~dst ~ident ~csum =
+  let r = t.rows in
+  Array.unsafe_set r (b + f_src) src;
+  Array.unsafe_set r (b + f_dst) dst;
+  Array.unsafe_set r (b + f_ident) ident;
+  Array.unsafe_set r (b + f_csum) csum;
+  Array.unsafe_set r (b + f_foff) 0;
+  Array.unsafe_set r (b + f_flen) 0;
+  Array.unsafe_set r (b + f_charge) 0
+
+let copy_in t (pkt : Packet.t) =
+  let slot = acquire t in
+  let b = slot * w in
+  let r = t.rows in
+  (match pkt with
+   | Packet.Udp p ->
+       put_ip t b ~src:p.src ~dst:p.dst ~ident:p.ident ~csum:p.csum;
+       Array.unsafe_set r (b + f_sport) p.sport;
+       Array.unsafe_set r (b + f_dport) p.dport;
+       Array.unsafe_set r (b + f_meta)
+         ((p.ttl lsl ttl_shift) lor put_payload t slot b p.payload)
+   | Packet.Tcp p ->
+       put_ip t b ~src:p.src ~dst:p.dst ~ident:p.ident ~csum:p.csum;
+       Array.unsafe_set r (b + f_sport) p.sport;
+       Array.unsafe_set r (b + f_dport) p.dport;
+       Array.unsafe_set r (b + f_seq) p.seq;
+       Array.unsafe_set r (b + f_ack) p.ack_no;
+       Array.unsafe_set r (b + f_window) p.window;
+       Array.unsafe_set r (b + f_meta)
+         (1
+          lor (p.flags lsl flags_shift)
+          lor (p.ttl lsl ttl_shift)
+          lor put_payload t slot b p.payload)
+   | Packet.Icmp p ->
+       put_ip t b ~src:p.src ~dst:p.dst ~ident:p.ident ~csum:p.csum;
+       Array.unsafe_set r (b + f_sport) 0;
+       Array.unsafe_set r (b + f_dport) 0;
+       Array.unsafe_set r (b + f_meta)
+         (2
+          lor (Packet.icmp_kind_index p.kind lsl 2)
+          lor (p.ttl lsl ttl_shift)
+          lor put_payload t slot b p.payload));
+  handle_of t slot
+
+let copy t h ~into =
+  let b = base t h in
+  let slot = acquire into in
+  let b' = slot * w in
+  let own = into.rows.(b' + f_handle) in
+  Array.blit t.rows b into.rows b' w;
+  into.rows.(b' + f_handle) <- own;
+  into.rows.(b' + f_charge) <- 0;
+  if t.rows.(b + f_meta) land m_bytes <> 0 then
+    into.pbytes.(slot) <- t.pbytes.(h land slot_mask);
+  handle_of into slot
+
+(* --- fields ----------------------------------------------------------- *)
+
+let proto t h =
+  match meta t h land m_proto with 0 -> Udp | 1 -> Tcp | _ -> Icmp
+
+let src t h = get t h f_src
+let dst t h = get t h f_dst
+let ident t h = get t h f_ident
+let sport t h = get t h f_sport
+let dport t h = get t h f_dport
+let seq t h = get t h f_seq
+let ack_no t h = get t h f_ack
+let flags t h = (meta t h lsr flags_shift) land 0xff
+let window t h = get t h f_window
+let payload_len t h = get t h f_plen
+let is_fragment t h = meta t h land m_frag <> 0
+let foff t h = get t h f_foff
+let flen t h = get t h f_flen
+let last t h = meta t h land m_last <> 0
+
+(* ICMP kind 0 is an echo request. *)
+let is_echo_request t h = meta t h land (m_proto lor 12) = 2
+
+let payload t h =
+  let b = base t h in
+  if t.rows.(b + f_meta) land m_bytes <> 0 then
+    Payload.Bytes t.pbytes.(h land slot_mask)
+  else
+    let len = t.rows.(b + f_plen) and tag = t.rows.(b + f_ptag) in
+    match t.last_synth with
+    | Payload.Synthetic s when s.len = len && s.tag = tag -> t.last_synth
+    | Payload.Synthetic _ | Payload.Bytes _ ->
+        let p = Payload.Synthetic { len; tag } in
+        t.last_synth <- p;
+        p
+
+let[@inline] transport_header_bytes m =
+  if m land m_proto = 1 then Packet.tcp_header_bytes else Packet.udp_header_bytes
+
+let wire_bytes t h =
+  let b = base t h in
+  let m = Array.unsafe_get t.rows (b + f_meta) in
+  if m land m_frag = 0 then
+    Packet.ip_header_bytes + transport_header_bytes m
+    + Array.unsafe_get t.rows (b + f_plen)
+  else
+    Packet.ip_header_bytes
+    + (if Array.unsafe_get t.rows (b + f_foff) = 0 then transport_header_bytes m
+       else 0)
+    + Array.unsafe_get t.rows (b + f_flen)
+
+(* The content checksum over the row's columns: the packet's own sum
+   (a fragment's is its whole datagram's, checked after reassembly). *)
+let verify t h =
+  let b = base t h in
+  let r = t.rows in
+  let m = r.(b + f_meta) and len = r.(b + f_plen) in
+  let bsum =
+    if m land m_bytes <> 0 then Payload.bytes_sum t.pbytes.(h land slot_mask)
+    else Payload.synthetic_sum ~len ~tag:r.(b + f_ptag)
+  in
+  let src = r.(b + f_src) and dst = r.(b + f_dst) in
+  let sum =
+    match m land m_proto with
+    | 0 ->
+        Packet.udp_sum ~src ~dst ~sport:r.(b + f_sport) ~dport:r.(b + f_dport)
+          ~len ~bsum
+    | 1 ->
+        Packet.tcp_sum ~src ~dst ~sport:r.(b + f_sport) ~dport:r.(b + f_dport)
+          ~seq:r.(b + f_seq) ~ack_no:r.(b + f_ack)
+          ~flags:((m lsr flags_shift) land 0xff)
+          ~window:r.(b + f_window) ~len ~bsum
+    | _ -> Packet.icmp_sum ~src ~dst ~kind:((m lsr 2) land 3) ~len ~bsum
+  in
+  sum = r.(b + f_csum)
+
+let to_packet t h =
+  let b = base t h in
+  let r = t.rows in
+  let m = r.(b + f_meta) in
+  let src = r.(b + f_src) and dst = r.(b + f_dst) and ident = r.(b + f_ident)
+  and ttl = m lsr ttl_shift and csum = r.(b + f_csum)
+  and payload = payload t h in
+  match m land m_proto with
+  | 0 ->
+      Packet.Udp { src; dst; ident; ttl; csum; sport = r.(b + f_sport);
+                   dport = r.(b + f_dport); payload }
+  | 1 ->
+      Packet.Tcp { src; dst; ident; ttl; csum; sport = r.(b + f_sport);
+                   dport = r.(b + f_dport); seq = r.(b + f_seq);
+                   ack_no = r.(b + f_ack); flags = (m lsr flags_shift) land 0xff;
+                   window = r.(b + f_window); payload }
+  | _ ->
+      Packet.Icmp { src; dst; ident; ttl; csum;
+                    kind = Packet.icmp_kind_of_index ((m lsr 2) land 3);
+                    payload }
+
+(* --- fragments ---------------------------------------------------------- *)
+
+let set_fragment t h ~foff ~flen ~last =
+  let b = base t h in
+  let m = t.rows.(b + f_meta) land lnot m_last in
+  t.rows.(b + f_meta) <- m lor m_frag lor (if last then m_last else 0);
+  t.rows.(b + f_foff) <- foff;
+  t.rows.(b + f_flen) <- flen
+
+let set_whole t h =
+  let b = base t h in
+  t.rows.(b + f_meta) <- t.rows.(b + f_meta) land lnot (m_frag lor m_last);
+  t.rows.(b + f_foff) <- 0;
+  t.rows.(b + f_flen) <- 0
+
+(* --- mbuf charge -------------------------------------------------------- *)
+
+let charge t h = get t h f_charge
+let set_charge t h c = set t h f_charge c
 
 (* Fold row [h] into row [into]: its charge moves over, the row goes. *)
 let absorb t ~into h =
   let c = charge t h in
-  if not (valid t into) then stale "absorb";
-  let slot = into land slot_mask in
-  t.charges.(slot) <- t.charges.(slot) + c;
+  set t into f_charge (get t into f_charge + c);
   release t h
 
-let live t = t.live
+(* --- fault injection: payload corruption ------------------------------ *)
+
+(* Flip the byte at [off] of the row's (whole) payload in a copy: a byte
+   payload may be shared with the sender's retransmit queue or another
+   row.  The carried checksum is kept, which is exactly what the
+   receiver-side verify-and-drop path must detect. *)
+let flip_byte t h ~off ~xor =
+  let b = Bytes.copy (Payload.to_bytes (payload t h)) in
+  Bytes.set b off (Char.chr (Char.code (Bytes.get b off) lxor xor));
+  let i = base t h + f_meta in
+  t.rows.(i) <- t.rows.(i) lor m_bytes;
+  t.pbytes.(h land slot_mask) <- b;
+  true
+
+let corrupt t h ~at ~xor =
+  let at = abs at in
+  let xor =
+    let x = xor land 0xff in
+    if x = 0 then 0x55 else x
+  in
+  let len = payload_len t h in
+  if is_fragment t h then
+    (* A byte inside this fragment's slice of the whole datagram's
+       payload, so reassembly reconstitutes a corrupted whole. *)
+    let fl = flen t h in
+    fl > 0
+    &&
+    let off = foff t h + (at mod fl) in
+    off < len && flip_byte t h ~off ~xor
+  else if len > 0 then flip_byte t h ~off:(at mod len) ~xor
+  else
+    match proto t h with
+    | Tcp ->
+        (* Pure ACK/SYN/FIN: corrupt the acknowledgment number instead. *)
+        set t h f_ack (ack_no t h lxor xor);
+        true
+    | Udp | Icmp -> false

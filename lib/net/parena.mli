@@ -1,19 +1,20 @@
-(** Struct-of-arrays descriptor arena for in-flight received frames.
+(** The frame pool: one per engine cell, holding every frame from the
+    NIC's transmit (or the kernel's IP output) to its one release.
 
-    A frame sitting in a receive-side queue is a *descriptor*: a slot
-    across parallel columns (structured packet, mbuf charge) identified
-    by a generation-checked integer handle.  The
-    charge is how many {!Mbuf} pool mbufs the frame holds: set by an
-    eager kernel at admission, 0 on lazy kernels' channel rows, and given
-    back to the pool by whoever releases the row.  Queues carry the
-    handles through flat int rings — no queue-cell allocation, no option
-    boxing.
+    A frame is a {e row}: every field of its {!Packet.t}, its fragment
+    slice and the {!Mbuf} charge it holds, in one flat int array, behind
+    a generation-checked integer handle.  A synthetic payload is two ints
+    (length, tag); only a byte payload writes the one pointer column.  A
+    fragment's row holds its whole datagram's fields and payload plus the
+    slice it carries, so reassembly only clears the fragment mark.
+    Queues, events, CPU jobs and socket queues carry the handle: nothing
+    on the per-frame path stores a packet pointer.
 
-    Handle validity: a handle is valid from {!acquire} until the matching
-    {!release}; the generation is bumped at release, so stale handles
-    (double release, use-after-release) raise [Invalid_argument] instead
-    of touching the slot's next occupant.  Steady-state acquire/release
-    allocates nothing. *)
+    Handle validity: a handle is valid from the call that made the row
+    ({!copy_in}, {!copy}) until its {!release}; the generation is bumped
+    at release, so stale handles (double release, use-after-release)
+    raise [Invalid_argument] instead of touching the slot's next
+    occupant.  Steady-state copy-in and release allocate nothing. *)
 
 type t
 
@@ -24,30 +25,86 @@ val none : handle
 
 val create : unit -> t
 
-val acquire : t -> Packet.t -> charge:int -> handle
-(** Admit a frame charged [charge] mbufs: store it in a recycled slot
-    and return the slot's handle. *)
+val copy_in : t -> Packet.t -> handle
+(** A new uncharged row holding the packet. *)
 
-val pkt : t -> handle -> Packet.t
-(** The admitted frame.  @raise Invalid_argument on a stale handle. *)
-
-val charge : t -> handle -> int
-(** Mbufs the frame holds.  @raise Invalid_argument on a stale handle. *)
-
-val set_pkt : t -> handle -> Packet.t -> unit
-(** Put another frame in the row, keeping its charge (reassembly hands a
-    fragment's row to the whole datagram).
-    @raise Invalid_argument on a stale handle. *)
-
-val absorb : t -> into:handle -> handle -> unit
-(** Add the second row's charge to [into] and release the second row.
-    @raise Invalid_argument on a stale handle. *)
+val copy : t -> handle -> into:t -> handle
+(** A new uncharged row in [into] holding the same frame: a multicast or
+    duplicated copy, or a frame handed to another cell's pool. *)
 
 val release : t -> handle -> unit
-(** Return the slot to the free list and invalidate the handle; the
-    caller gives the row's {!charge} back to the pool.
-    @raise Invalid_argument on a stale handle. *)
+(** Return the row to the free list and invalidate the handle; the
+    caller gives the row's {!charge} back to the mbuf pool. *)
 
 val live : t -> int
-(** Descriptors currently held. *)
+(** Rows currently held. *)
 
+val to_packet : t -> handle -> Packet.t
+(** The datagram the row carries (a fragment's whole datagram). *)
+
+(** {1 Fields}
+
+    Every accessor raises [Invalid_argument] on a stale handle.  A
+    fragment's row answers with its whole datagram's header and
+    payload. *)
+
+type proto = Udp | Tcp | Icmp
+
+val proto : t -> handle -> proto
+val src : t -> handle -> Packet.ip
+val dst : t -> handle -> Packet.ip
+val ident : t -> handle -> int
+val sport : t -> handle -> Packet.port
+val dport : t -> handle -> Packet.port
+val seq : t -> handle -> int
+val ack_no : t -> handle -> int
+val flags : t -> handle -> int
+val window : t -> handle -> int
+val is_echo_request : t -> handle -> bool
+
+val payload_len : t -> handle -> int
+(** The (whole) datagram's payload length. *)
+
+val payload : t -> handle -> Payload.t
+(** The (whole) datagram's payload: a synthetic value (shared with the
+    last row read that had the same length and tag), or the byte payload
+    the row points to. *)
+
+val wire_bytes : t -> handle -> int
+(** Bytes on the wire: IP header, transport header (a fragment: only the
+    first), payload (a fragment: its slice). *)
+
+val verify : t -> handle -> bool
+(** The carried checksum matches the content: false once corrupted. *)
+
+val is_fragment : t -> handle -> bool
+val foff : t -> handle -> int
+(** A fragment's payload offset; [0] for a whole datagram. *)
+
+(** {1 Fragments} *)
+
+val set_fragment : t -> handle -> foff:int -> flen:int -> last:bool -> unit
+(** Make the row a fragment carrying payload bytes [foff, foff+flen). *)
+
+val flen : t -> handle -> int
+val last : t -> handle -> bool
+
+val set_whole : t -> handle -> unit
+(** Reassembly complete: the row carries its whole datagram again. *)
+
+(** {1 Mbuf charge} *)
+
+val charge : t -> handle -> int
+val set_charge : t -> handle -> int -> unit
+
+val absorb : t -> into:handle -> handle -> unit
+(** Add the second row's charge to [into] and release the second row. *)
+
+(** {1 Faults} *)
+
+val corrupt : t -> handle -> at:int -> xor:int -> bool
+(** Flip one payload byte (position [at mod length] — within the slice
+    for a fragment — pattern [xor land 0xff], forced non-zero) while
+    keeping the carried checksum, so {!verify} fails.  A payload-less
+    TCP segment gets its [ack_no] flipped instead.  [false] (row
+    unchanged) when there is nothing to corrupt. *)

@@ -32,19 +32,23 @@ let to_bytes = function
    payloads have a closed form (the fill cycles through 0..255), so the
    hot path never materialises them; a single flipped byte always changes
    the sum, which is what checksum-based corruption detection needs. *)
+let bytes_sum b = Bytes.fold_left (fun acc c -> acc + Char.code c) 0 b
+
+let synthetic_sum ~len ~tag =
+  let b0 = ((tag mod 256) + 256) mod 256 in
+  let cycles = len / 256 and rem = len mod 256 in
+  let rem_sum =
+    let first = Int.min rem (256 - b0) in
+    (* [first] values b0..b0+first-1, then [rem-first] values 0.. *)
+    let s1 = first * b0 + (first * (first - 1) / 2) in
+    let m = rem - first in
+    s1 + (m * (m - 1) / 2)
+  in
+  (cycles * 32640) + rem_sum
+
 let byte_sum = function
-  | Bytes b -> Bytes.fold_left (fun acc c -> acc + Char.code c) 0 b
-  | Synthetic { len; tag } ->
-      let b0 = ((tag mod 256) + 256) mod 256 in
-      let cycles = len / 256 and rem = len mod 256 in
-      let rem_sum =
-        let first = Int.min rem (256 - b0) in
-        (* [first] values b0..b0+first-1, then [rem-first] values 0.. *)
-        let s1 = first * b0 + (first * (first - 1) / 2) in
-        let m = rem - first in
-        s1 + (m * (m - 1) / 2)
-      in
-      (cycles * 32640) + rem_sum
+  | Bytes b -> bytes_sum b
+  | Synthetic { len; tag } -> synthetic_sum ~len ~tag
 
 (* [sub t off len] is the slice used by IP fragmentation. *)
 let sub t off len =

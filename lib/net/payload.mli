@@ -21,6 +21,10 @@ val byte_sum : t -> int
     by {!Packet.checksum} so corruption of any single byte is
     detectable. *)
 
+val bytes_sum : Bytes.t -> int
+val synthetic_sum : len:int -> tag:int -> int
+(** The two cases of {!byte_sum}, for a payload kept as columns. *)
+
 val sub : t -> int -> int -> t
 (** [sub t off len] is the slice used by IP fragmentation and TCP
     segmentation.  @raise Invalid_argument when out of range. *)

@@ -1,8 +1,11 @@
 (** IP fragmentation and reassembly. *)
 
-val fragment : Lrp_net.Packet.t -> mtu:int -> Lrp_net.Packet.t list
-(** Split a datagram into MTU-sized fragments with 8-byte-aligned wire
-    offsets; returns the packet unchanged when it fits.
+val fragment :
+  Lrp_net.Parena.t -> Lrp_net.Parena.handle -> mtu:int ->
+  Lrp_net.Parena.handle list
+(** Split the datagram in a row into MTU-sized fragment rows with
+    8-byte-aligned wire offsets, releasing the datagram's row; returns
+    [[row]] unchanged when it fits.
     @raise Invalid_argument on nested fragments or an MTU smaller than the
     headers. *)
 
@@ -10,7 +13,8 @@ val fragment : Lrp_net.Packet.t -> mtu:int -> Lrp_net.Packet.t list
     {!Lrp_net.Parena} rows.  A pending datagram is one row: the first
     fragment's, into which each later fragment's row is folded
     ({!Lrp_net.Parena.absorb}), so its mbuf charge is the sum of its
-    pieces'.  [insert] hands that row, now holding the whole datagram, on
+    pieces'.  A fragment's row already holds its whole datagram, so
+    [insert] hands that row on, its fragment mark cleared,
     when the last missing piece arrives; [prune] expires incomplete
     datagrams older than the timeout (ip_slowtimo) and hands their rows
     back to be released; the caller counts them. *)

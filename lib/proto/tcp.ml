@@ -207,8 +207,8 @@ let new_totals () =
   { segs_sent = 0; segs_rcvd = 0; bytes_sent = 0; bytes_rcvd = 0;
     retransmits = 0; backlog_drops = 0 }
 
-(* A placeholder connection for table and ring slots that hold none, like
-   [Packet.null]: never in the data path, and it draws no connection id. *)
+(* A placeholder connection for table and ring slots that hold none:
+   never in the data path, and it draws no connection id. *)
 let null_conn =
   let nop _ = () and nop2 _ _ = () in
   let env =
@@ -249,24 +249,27 @@ let segment c ~seq fl payload =
 let send_ack c =
   c.env.emit (segment c ~seq:c.snd_nxt Packet.flags_ack Packet.empty_payload)
 
-let send_rst_for (pkt : Packet.t) ~emit =
+(* A received segment's flag, read from its row. *)
+let[@inline] has p r bit = Parena.flags p r land bit <> 0
+
+let send_rst_for p r ~emit =
   (* Standalone RST in response to a segment for a nonexistent connection. *)
-  match pkt.Packet.body with
-  | Packet.Tcp (h, p) when not h.Packet.flags.Packet.rst ->
+  match Parena.proto p r with
+  | Parena.Tcp when not (has p r Packet.rst) ->
       let seg_len =
-        Payload.length p
-        + (if h.Packet.flags.Packet.syn then 1 else 0)
-        + if h.Packet.flags.Packet.fin then 1 else 0
+        Parena.payload_len p r
+        + (if has p r Packet.syn then 1 else 0)
+        + if has p r Packet.fin then 1 else 0
       in
       let rst =
-        Packet.tcp ~src:pkt.Packet.ip.Packet.dst ~dst:pkt.Packet.ip.Packet.src
-          ~src_port:h.Packet.tdst_port ~dst_port:h.Packet.tsrc_port
-          ~seq:(if h.Packet.flags.Packet.ack then h.Packet.ack_no else 0)
-          ~ack_no:(h.Packet.seq + seg_len)
+        Packet.tcp ~src:(Parena.dst p r) ~dst:(Parena.src p r)
+          ~src_port:(Parena.dport p r) ~dst_port:(Parena.sport p r)
+          ~seq:(if has p r Packet.ack then Parena.ack_no p r else 0)
+          ~ack_no:(Parena.seq p r + seg_len)
           ~flags:Packet.flags_rst_ack ~window:0 Packet.empty_payload
       in
       emit rst
-  | Packet.Tcp _ | Packet.Udp _ | Packet.Icmp _ | Packet.Fragment _ -> ()
+  | Parena.Tcp | Parena.Udp | Parena.Icmp -> ()
 
 let timer_conn tm =
   match tm.tconn with
@@ -529,9 +532,9 @@ and trim_unacked c ack =
       trim_unacked c ack
   | _ | (exception Queue.Empty) -> ()
 
-and process_ack c (h : Packet.tcp_header) =
-  let ack = h.Packet.ack_no in
-  c.snd_wnd <- h.Packet.window;
+and process_ack c p r =
+  let ack = Parena.ack_no p r in
+  c.snd_wnd <- Parena.window p r;
   if ack > c.snd_una && ack <= c.snd_nxt then begin
     (* New data acknowledged. *)
     let acked = ack - c.snd_una in
@@ -566,11 +569,12 @@ and process_ack c (h : Packet.tcp_header) =
     end
   end
 
-and deliver_data c (h : Packet.tcp_header) payload =
-  let len = Payload.length payload in
+and deliver_data c p r =
+  let len = Parena.payload_len p r in
   if len = 0 then ()
   else begin
-    let seq = h.Packet.seq in
+    let payload = Parena.payload p r in
+    let seq = Parena.seq p r in
     if seq = c.rcv_nxt then begin
       (* In-order: accept (respecting our buffer), then drain the
          out-of-order list. *)
@@ -615,8 +619,8 @@ and drain_ooo c =
       end
   | None -> ()
 
-and process_fin c (h : Packet.tcp_header) payload_len =
-  let fin_seq = h.Packet.seq + payload_len in
+and process_fin c p r =
+  let fin_seq = Parena.seq p r + Parena.payload_len p r in
   if fin_seq = c.rcv_nxt then begin
     c.rcv_nxt <- c.rcv_nxt + 1;
     c.fin_received <- true;
@@ -636,8 +640,8 @@ and process_fin c (h : Packet.tcp_header) payload_len =
   end
   else send_ack c
 
-and established_input c (h : Packet.tcp_header) payload =
-  process_ack c h;
+and established_input c p r =
+  process_ack c p r;
   (* Post-ACK state transitions for our own FIN. *)
   (match c.state with
    | Fin_wait_1 when c.fin_seq >= 0 && c.snd_una > c.fin_seq ->
@@ -646,17 +650,16 @@ and established_input c (h : Packet.tcp_header) payload =
    | Last_ack when c.fin_seq >= 0 && c.snd_una > c.fin_seq -> enter_closed c
    | Established | Fin_wait_1 | Fin_wait_2 | Close_wait | Closing | Last_ack
    | Syn_received | Listen | Syn_sent | Time_wait | Closed -> ());
-  deliver_data c h payload;
-  if h.Packet.flags.Packet.fin then process_fin c h (Payload.length payload);
+  deliver_data c p r;
+  if has p r Packet.fin then process_fin c p r;
   output c
 
-and input c (pkt : Packet.t) =
-  match pkt.Packet.body with
-  | Packet.Udp _ | Packet.Icmp _ | Packet.Fragment _ ->
-      invalid_arg "Tcp.input: not a TCP segment"
-  | Packet.Tcp (h, payload) ->
+and input c p r =
+  match Parena.proto p r with
+  | Parena.Udp | Parena.Icmp -> invalid_arg "Tcp.input: not a TCP segment"
+  | Parena.Tcp ->
       c.env.totals.segs_rcvd <- c.env.totals.segs_rcvd + 1;
-      if h.Packet.flags.Packet.rst then begin
+      if has p r Packet.rst then begin
         match c.state with
         | Closed | Listen | Time_wait -> ()
         | Syn_sent | Syn_received | Established | Fin_wait_1 | Fin_wait_2
@@ -672,15 +675,15 @@ and input c (pkt : Packet.t) =
       end
       else
         match c.state with
-        | Closed -> send_rst_for pkt ~emit:c.env.emit
-        | Listen -> listener_input c pkt h
+        | Closed -> send_rst_for p r ~emit:c.env.emit
+        | Listen -> listener_input c p r
         | Syn_sent ->
-            if h.Packet.flags.Packet.syn && h.Packet.flags.Packet.ack
-               && h.Packet.ack_no = c.snd_nxt
+            if has p r Packet.syn && has p r Packet.ack
+               && Parena.ack_no p r = c.snd_nxt
             then begin
-              c.snd_una <- h.Packet.ack_no;
-              c.rcv_nxt <- h.Packet.seq + 1;
-              c.snd_wnd <- h.Packet.window;
+              c.snd_una <- Parena.ack_no p r;
+              c.rcv_nxt <- Parena.seq p r + 1;
+              c.snd_wnd <- Parena.window p r;
               c.state <- Established;
               disarm_rtx c;
               if c.timing_seq >= 0 then rtt_sample c;
@@ -691,15 +694,15 @@ and input c (pkt : Packet.t) =
             end
             (* simultaneous open not modelled *)
         | Syn_received ->
-            if h.Packet.flags.Packet.syn && not h.Packet.flags.Packet.ack then
+            if has p r Packet.syn && not (has p r Packet.ack) then
               (* Duplicate SYN: re-send SYN-ACK. *)
               c.env.emit
                 (segment c ~seq:c.snd_una Packet.flags_syn_ack
                    Packet.empty_payload)
-            else if h.Packet.flags.Packet.ack && h.Packet.ack_no = c.snd_nxt
+            else if has p r Packet.ack && Parena.ack_no p r = c.snd_nxt
             then begin
-              c.snd_una <- h.Packet.ack_no;
-              c.snd_wnd <- h.Packet.window;
+              c.snd_una <- Parena.ack_no p r;
+              c.snd_wnd <- Parena.window p r;
               c.state <- Established;
               disarm_rtx c;
               (match c.parent with
@@ -709,21 +712,21 @@ and input c (pkt : Packet.t) =
                    c.env.on_accept_ready l c
                | None -> ());
               (* The ACK may carry data. *)
-              if Payload.length payload > 0 || h.Packet.flags.Packet.fin then
-                established_input c h payload
+              if Parena.payload_len p r > 0 || has p r Packet.fin then
+                established_input c p r
             end
         | Established | Fin_wait_1 | Fin_wait_2 | Close_wait | Last_ack
         | Closing ->
-            if h.Packet.flags.Packet.syn then
+            if has p r Packet.syn then
               (* Stray SYN on a synchronized connection: re-ack. *)
               send_ack c
-            else established_input c h payload
+            else established_input c p r
         | Time_wait ->
             (* Re-ack (e.g. retransmitted FIN). *)
-            if h.Packet.flags.Packet.fin then send_ack c
+            if has p r Packet.fin then send_ack c
 
-and listener_input l (pkt : Packet.t) (h : Packet.tcp_header) =
-  if h.Packet.flags.Packet.syn && not h.Packet.flags.Packet.ack then begin
+and listener_input l p r =
+  if has p r Packet.syn && not (has p r Packet.ack) then begin
     if l.syn_pending + Queue.length l.accept_queue >= l.backlog then begin
       (* Backlog exceeded: BSD silently discards the SYN (after having paid
          for its processing — the crux of Figure 5). *)
@@ -736,10 +739,10 @@ and listener_input l (pkt : Packet.t) (h : Packet.tcp_header) =
           ~sndq_limit:l.sndq_limit ~rcv_buf_limit:l.rcv_buf_limit
           ~state:Syn_received ()
       in
-      c.remote <- Some (pkt.Packet.ip.Packet.src, h.Packet.tsrc_port);
+      c.remote <- Some (Parena.src p r, Parena.sport p r);
       c.parent <- Some l;
-      c.rcv_nxt <- h.Packet.seq + 1;
-      c.snd_wnd <- h.Packet.window;
+      c.rcv_nxt <- Parena.seq p r + 1;
+      c.snd_wnd <- Parena.window p r;
       c.snd_una <- 0;
       c.snd_nxt <- 1 (* our SYN consumes sequence 0 *);
       l.syn_pending <- l.syn_pending + 1;

@@ -139,8 +139,7 @@ val new_totals : unit -> totals
 
 val null_conn : conn
 (** A statically-allocated placeholder connection (id -1) for table and
-    ring slots that hold none, like {!Lrp_net.Packet.null}: never in the
-    data path. *)
+    ring slots that hold none: never in the data path. *)
 
 (** {1 Timer delivery (kernel side)} *)
 
@@ -180,15 +179,19 @@ val create_active :
 
 (** {1 Input} *)
 
-val input : conn -> Lrp_net.Packet.t -> unit
-(** Process one inbound segment for this connection (or listener).  May
+val input : conn -> Lrp_net.Parena.t -> Lrp_net.Parena.handle -> unit
+(** Process one inbound segment, read from its row in the frame pool,
+    for this connection (or listener); the caller keeps the row.  May
     emit segments, start timers and fire [env] callbacks.  Consumes no
     simulated CPU itself — the caller charges the cost in its own
     context (softint under BSD, APP thread or receive call under LRP).
     @raise Invalid_argument on a non-TCP packet. *)
 
-val send_rst_for : Lrp_net.Packet.t -> emit:(Lrp_net.Packet.t -> unit) -> unit
-(** Standalone RST in response to a segment that matches no connection. *)
+val send_rst_for :
+  Lrp_net.Parena.t -> Lrp_net.Parena.handle ->
+  emit:(Lrp_net.Packet.t -> unit) -> unit
+(** Standalone RST in response to a segment (its row) that matches no
+    connection. *)
 
 (** {1 Application side} *)
 

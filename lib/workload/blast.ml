@@ -56,7 +56,7 @@ type sink = {
 (* [start_sink kern ~port ()] spawns the blast-server process: bind, then
    receive and discard in a loop. *)
 let start_sink kern ?(nice = 0) ~port () =
-  let sock = Api.socket_dgram kern in
+  let sock = Api.socket_dgram () in
   let sink = { sock; received = 0 } in
   let _proc =
     Cpu.spawn (Kernel.cpu kern) ~nice ~name:(Printf.sprintf "blast-sink:%d" port)

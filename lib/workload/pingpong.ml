@@ -8,7 +8,7 @@ open Lrp_kernel
 
 (* Echo server: receive a datagram, send it straight back. *)
 let start_server kern ~port =
-  let sock = Api.socket_dgram kern in
+  let sock = Api.socket_dgram () in
   let _proc =
     Cpu.spawn (Kernel.cpu kern) ~name:(Printf.sprintf "pong:%d" port)
       (fun self ->
@@ -33,7 +33,7 @@ let start_client kern ~dst ~rounds ?(size = 1) () =
     { rtts = Lrp_stats.Stats.Samples.create (); rounds_done = 0 }
   in
   let engine = Kernel.engine kern in
-  let sock = Api.socket_dgram kern in
+  let sock = Api.socket_dgram () in
   let _proc =
     Cpu.spawn (Kernel.cpu kern) ~name:"ping" (fun self ->
         ignore (Api.bind_ephemeral kern sock ~owner:(Some self));
@@ -62,7 +62,7 @@ let start_probe kern ~dst ?(size = 1) ?(timeout = Time.ms 200.) ~until () =
       probe_lost = 0 }
   in
   let engine = Kernel.engine kern in
-  let sock = Api.socket_dgram kern in
+  let sock = Api.socket_dgram () in
   ignore
     (Cpu.spawn (Kernel.cpu kern) ~name:"probe" (fun self ->
          ignore (Api.bind_ephemeral kern sock ~owner:(Some self));

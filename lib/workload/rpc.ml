@@ -39,7 +39,7 @@ let start_rpc_server kern ~port ~service =
   ignore
     (Cpu.spawn (Kernel.cpu kern) ~name:(Printf.sprintf "rpcsrv:%d" port)
        ~working_set:30. (fun self ->
-        let sock = Api.socket_dgram kern in
+        let sock = Api.socket_dgram () in
         Api.bind kern sock ~owner:(Some self) ~port;
         let rec loop () =
           let dg = Api.recvfrom kern sock in
@@ -54,7 +54,7 @@ let start_rpc_server kern ~port ~service =
 let start_worker kern ~port ~cpu_us ~working_set result =
   ignore
     (Cpu.spawn (Kernel.cpu kern) ~name:"worker" ~working_set (fun self ->
-         let sock = Api.socket_dgram kern in
+         let sock = Api.socket_dgram () in
          Api.bind kern sock ~owner:(Some self) ~port;
          let dg = Api.recvfrom kern sock in
          result.worker_started <- Engine.now (Kernel.engine kern);
@@ -65,7 +65,7 @@ let start_worker kern ~port ~cpu_us ~working_set result =
 
 (* Client-side response collector for one RPC server. *)
 let start_collector kern ~port ~completed result =
-  let sock = Api.socket_dgram kern in
+  let sock = Api.socket_dgram () in
   ignore
     (Cpu.spawn (Kernel.cpu kern) ~name:(Printf.sprintf "collect:%d" port)
        (fun self ->
@@ -116,7 +116,7 @@ let run world ~server ~client ~cls ?(worker_cpu = Time.sec 11.5)
   start_collector client ~port:7002 ~completed:done2 result;
   ignore
     (Cpu.spawn (Kernel.cpu client) ~name:"worker-client" (fun self ->
-         let sock = Api.socket_dgram client in
+         let sock = Api.socket_dgram () in
          Api.bind client sock ~owner:(Some self) ~port:7000;
          Proc.sleep_for settle;
          Api.sendto client ~self sock

@@ -31,7 +31,7 @@ type cell = {
    grow, so the steady state allocates nothing. *)
 type inbox = {
   mutable in_ready : float array;
-  mutable in_pkt : Packet.t array;
+  mutable in_row : Parena.handle array;  (* rows of the destination's pool *)
   mutable in_len : int;
 }
 
@@ -42,7 +42,8 @@ type t = {
   lookahead : float;
   inbox : inbox array;                (* per destination cell *)
   ready : float array;                (* 1-slot: staged by drain_outbox *)
-  collect : int -> Packet.t -> unit;  (* drain callback, built once *)
+  pool_of : int -> Parena.t;          (* a cell's frame pool, built once *)
+  collect : int -> Parena.handle -> unit;  (* drain callback, built once *)
 }
 
 (* Addressing scheme: rack in the second octet, slot in the last —
@@ -53,18 +54,18 @@ let rack_of ip = (ip lsr 16) land 0xff
 
 (* Append a drained frame; its ready time is read from the 1-slot cell
    [ready] (a float argument would box if the call is not inlined). *)
-let push b ready pkt =
+let push b ready row =
   let n = b.in_len in
   if n = Array.length b.in_ready then begin
     let rs = Array.make (2 * n) 0. in (* alloc: cold — amortized growth *)
-    let ps = Array.make (2 * n) Packet.null in (* alloc: cold — amortized growth *)
+    let ps = Array.make (2 * n) Parena.none in (* alloc: cold — amortized growth *)
     Array.blit b.in_ready 0 rs 0 n;
-    Array.blit b.in_pkt 0 ps 0 n;
+    Array.blit b.in_row 0 ps 0 n;
     b.in_ready <- rs;
-    b.in_pkt <- ps
+    b.in_row <- ps
   end;
   b.in_ready.(n) <- ready.(0);
-  b.in_pkt.(n) <- pkt;
+  b.in_row.(n) <- row;
   b.in_len <- n + 1
 
 (* Stable insertion sort on ready time: equal times keep drain order.
@@ -72,15 +73,15 @@ let push b ready pkt =
    linear in the frames plus the cross-source inversions. *)
 let sort_by_ready b =
   for i = 1 to b.in_len - 1 do
-    let r = b.in_ready.(i) and p = b.in_pkt.(i) in
+    let r = b.in_ready.(i) and p = b.in_row.(i) in
     let j = ref (i - 1) in
     while !j >= 0 && b.in_ready.(!j) > r do
       b.in_ready.(!j + 1) <- b.in_ready.(!j);
-      b.in_pkt.(!j + 1) <- b.in_pkt.(!j);
+      b.in_row.(!j + 1) <- b.in_row.(!j);
       decr j
     done;
     b.in_ready.(!j + 1) <- r;
-    b.in_pkt.(!j + 1) <- p
+    b.in_row.(!j + 1) <- p
   done
 
 (* The spine: one-way latency of a rack's uplink, and its rate (OC-12). *)
@@ -119,12 +120,13 @@ let spine_leaf ?(seed = 42) ~racks ~hosts_per_rack ~cfg () =
   in
   let inbox =
     Array.init racks (fun _ ->
-        { in_ready = Array.make 16 0.; in_pkt = Array.make 16 Packet.null;
+        { in_ready = Array.make 16 0.; in_row = Array.make 16 Parena.none;
           in_len = 0 })
   and ready = [| 0. |] in
-  { cells = Array.init racks make_cell; racks; hosts_per_rack;
-    lookahead = spine_latency_us; inbox; ready;
-    collect = (fun dst pkt -> push inbox.(dst) ready pkt) }
+  let cells = Array.init racks make_cell in
+  { cells; racks; hosts_per_rack; lookahead = spine_latency_us; inbox; ready;
+    pool_of = (fun c -> Fabric.pool cells.(c).fabric);
+    collect = (fun dst row -> push inbox.(dst) ready row) }
 
 let lookahead t = t.lookahead
 let cells t = t.cells
@@ -139,7 +141,8 @@ let on_cell t r f =
   @@ fun () -> f t.cells.(r)
 
 (* Barrier exchange: drain every cell's outbox in ascending cell order
-   into per-destination inboxes, then deliver each inbox in ascending
+   into per-destination inboxes, each frame copied into its destination
+   cell's pool on the way, then deliver each inbox in ascending
    (ready, source, sequence) order.  Drain order is already (source,
    sequence), so a stable sort on ready time alone gives the total order
    — no polymorphic compare — and an inbox of at most one frame needs no
@@ -149,7 +152,9 @@ let exchange t () =
   let moved = ref 0 in
   for src = 0 to t.racks - 1 do
     moved :=
-      !moved + Fabric.drain_outbox t.cells.(src).fabric ~ready:t.ready t.collect
+      !moved
+      + Fabric.drain_outbox t.cells.(src).fabric ~ready:t.ready
+          ~pool_of:t.pool_of t.collect
   done;
   for dst = 0 to t.racks - 1 do
     let b = t.inbox.(dst) in
@@ -158,8 +163,7 @@ let exchange t () =
     let at = Engine.deadline_cell c.engine in
     for k = 0 to b.in_len - 1 do
       at.(0) <- b.in_ready.(k);
-      Fabric.inject_remote c.fabric b.in_pkt.(k);
-      b.in_pkt.(k) <- Packet.null
+      Fabric.inject_remote c.fabric b.in_row.(k)
     done;
     b.in_len <- 0
   done;

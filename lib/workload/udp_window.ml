@@ -25,7 +25,7 @@ let mbps r =
 let start_receiver kern ~port result =
   ignore
     (Cpu.spawn (Kernel.cpu kern) ~name:"udpwin-rx" (fun self ->
-         let sock = Api.socket_dgram kern in
+         let sock = Api.socket_dgram () in
          Api.bind kern sock ~owner:(Some self) ~port;
          let rec loop () =
            let dg = Api.recvfrom kern sock in
@@ -44,7 +44,7 @@ let start_receiver kern ~port result =
 let start_sender kern ~dst ~size ~window ~total =
   ignore
     (Cpu.spawn (Kernel.cpu kern) ~name:"udpwin-tx" (fun self ->
-         let sock = Api.socket_dgram kern in
+         let sock = Api.socket_dgram () in
          ignore (Api.bind_ephemeral kern sock ~owner:(Some self));
          let outstanding = ref 0 in
          let sent = ref 0 in

@@ -48,7 +48,8 @@ let pair ?seed ?(cfg = Kernel.default_config Kernel.Bsd) () =
 let gateway ?seed cfg =
   let engine = Engine.create ?seed () in
   let net_a = Fabric.create engine () in
-  let net_b = Fabric.create engine () in
+  (* One cell, one frame pool: the gateway forwards a frame's row. *)
+  let net_b = Fabric.create engine ~pool:(Fabric.pool net_a) () in
   let gw_cfg = { cfg with Kernel.forwarding = true } in
   let client =
     Kernel.create engine net_a ~name:"client" ~ip:(Packet.ip_of_quad 10 0 0 10)

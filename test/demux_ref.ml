@@ -1,7 +1,7 @@
 (* The reference model the demux hot path is tested against: a
    structural classifier into a boxed flow value, and resolvers that apply
    the PCB rules to that flow over plain association lists, with the LRP
-   and the eager probe policy.  [Demux.class_of_packet] and the demux
+   and the eager probe policy.  [Demux.class_of_row] and the demux
    table's probes must agree with it on every packet shape. *)
 
 open Lrp_net
@@ -17,27 +17,20 @@ type flow =
           to an endpoint. *)
   | Icmp_flow
 
-let flow_of_packet (pkt : Packet.t) =
-  let src = pkt.Packet.ip.Packet.src in
-  let of_body = function
-    | Packet.Udp (u, _) ->
-        Udp_flow
-          { src; src_port = u.Packet.usrc_port; dst_port = u.Packet.udst_port }
-    | Packet.Tcp (h, _) ->
-        let f = h.Packet.flags in
-        Tcp_flow
-          { src; src_port = h.Packet.tsrc_port; dst_port = h.Packet.tdst_port;
-            syn_only = f.Packet.syn && not f.Packet.ack }
-    | Packet.Icmp _ -> Icmp_flow
-    | Packet.Fragment _ ->
-        Frag_flow { src; ident = pkt.Packet.ip.Packet.ident }
-  in
-  match pkt.Packet.body with
-  | Packet.Fragment f when f.Packet.foff = 0 ->
-      (* First fragment: the transport header is present, demultiplex as
-         the whole datagram would. *)
-      of_body f.Packet.whole.Packet.body
-  | body -> of_body body
+(* The flow of a frame's row, read off the datagram it carries: a
+   first fragment holds the transport header and demultiplexes as its
+   whole datagram would; a later one is a fragment flow. *)
+let flow_of_row pool row =
+  match Parena.to_packet pool row with
+  | _ when Parena.foff pool row <> 0 ->
+      Frag_flow { src = Parena.src pool row; ident = Parena.ident pool row }
+  | Packet.Udp u -> Udp_flow { src = u.src; src_port = u.sport; dst_port = u.dport }
+  | Packet.Tcp h ->
+      Tcp_flow
+        { src = h.src; src_port = h.sport; dst_port = h.dport;
+          syn_only =
+            h.flags land Packet.syn <> 0 && h.flags land Packet.ack = 0 }
+  | Packet.Icmp _ -> Icmp_flow
 
 (* The endpoints a demux table holds, each named by an int. *)
 type binds = {
@@ -83,7 +76,8 @@ let resolve_eager_tcp b ~src ~src_port ~dst_port =
    oversize TCP segment. *)
 let shapes = 7
 
-let packet ~shape ~src ~sport ~dport ~syn ~ack =
+(* A frame of the given shape, as a row of [pool]. *)
+let packet pool ~shape ~src ~sport ~dport ~syn ~ack =
   let udp len =
     Packet.udp ~src ~dst:9 ~src_port:sport ~dst_port:dport
       (Payload.synthetic len)
@@ -91,10 +85,15 @@ let packet ~shape ~src ~sport ~dport ~syn ~ack =
     Packet.tcp ~src ~dst:9 ~src_port:sport ~dst_port:dport ~seq:7 ~ack_no:8
       ~flags:(Packet.flags ~syn ~ack ()) ~window:100 (Payload.synthetic len)
   in
-  let frag whole i = List.nth (Lrp_proto.Ip.fragment whole ~mtu:9180) i in
+  let frag whole i =
+    List.nth
+      (Lrp_proto.Ip.fragment pool (Parena.copy_in pool whole) ~mtu:9180) i
+  in
   match shape with
-  | 0 -> udp 14
-  | 1 -> tcp 20
-  | 2 -> Packet.icmp ~src ~dst:9 Packet.Echo_request (Payload.synthetic 8)
+  | 0 -> Parena.copy_in pool (udp 14)
+  | 1 -> Parena.copy_in pool (tcp 20)
+  | 2 ->
+      Parena.copy_in pool
+        (Packet.icmp ~src ~dst:9 Packet.Echo_request (Payload.synthetic 8))
   | 3 | 4 -> frag (udp 25_000) (shape - 3)
   | _ -> frag (tcp 25_000) (shape - 5)

@@ -228,14 +228,14 @@ let test_real_kernels_pass_oracle () =
       Trace.set_filter tr [ Trace.Packet_events ];
       ignore
         (Cpu.spawn (Kernel.cpu server) ~name:"rx" (fun self ->
-             let sock = Api.socket_dgram server in
+             let sock = Api.socket_dgram () in
              Api.bind server sock ~owner:(Some self) ~port:5000;
              for _ = 1 to 20 do
                ignore (Api.recvfrom server sock)
              done));
       ignore
         (Cpu.spawn (Kernel.cpu client) ~name:"tx" (fun self ->
-             let sock = Api.socket_dgram client in
+             let sock = Api.socket_dgram () in
              ignore (Api.bind_ephemeral client sock ~owner:(Some self));
              for _ = 1 to 20 do
                Api.sendto client ~self sock

@@ -11,24 +11,20 @@ let pkt ?(src = 1) ?(sport = 10) ?(dport = 20) () =
 
 let test_channel_fifo () =
   let ch = Channel.create ~limit:8 () in
-  (match Channel.enqueue ch (pkt ~sport:1 ()) with
+  (match Channel.enqueue ch 1 with
    | Channel.Queued `Was_empty -> ()
    | _ -> Alcotest.fail "first enqueue reports empty transition");
-  (match Channel.enqueue ch (pkt ~sport:2 ()) with
+  (match Channel.enqueue ch 2 with
    | Channel.Queued `Was_nonempty -> ()
    | _ -> Alcotest.fail "second enqueue reports nonempty");
-  (match Channel.dequeue ch with
-   | Some p ->
-       Alcotest.(check (option (pair int int))) "fifo order" (Some (1, 20))
-         (Packet.ports p)
-   | None -> Alcotest.fail "dequeue");
+  Alcotest.(check int) "fifo order" 1 (Channel.pop_row ch);
   Alcotest.(check int) "length" 1 (Channel.length ch)
 
 let test_channel_early_discard () =
   let ch = Channel.create ~limit:2 () in
-  ignore (Channel.enqueue ch (pkt ()));
-  ignore (Channel.enqueue ch (pkt ()));
-  (match Channel.enqueue ch (pkt ()) with
+  ignore (Channel.enqueue ch 10);
+  ignore (Channel.enqueue ch 10);
+  (match Channel.enqueue ch 10 with
    | Channel.Discarded -> ()
    | Channel.Queued _ -> Alcotest.fail "expected early discard at full queue");
   Alcotest.(check int) "discard counted" 1 (Channel.discarded ch);
@@ -37,12 +33,12 @@ let test_channel_early_discard () =
 let test_channel_processing_gate () =
   let ch = Channel.create ~limit:8 () in
   Channel.disable_processing ch;
-  (match Channel.enqueue ch (pkt ()) with
+  (match Channel.enqueue ch 10 with
    | Channel.Discarded -> ()
    | Channel.Queued _ -> Alcotest.fail "disabled channel must discard");
   Alcotest.(check int) "disabled discard counted" 1 (Channel.discarded_disabled ch);
   Channel.enable_processing ch;
-  (match Channel.enqueue ch (pkt ()) with
+  (match Channel.enqueue ch 10 with
    | Channel.Queued _ -> ()
    | Channel.Discarded -> Alcotest.fail "re-enabled channel must accept")
 
@@ -55,29 +51,26 @@ let test_channel_interrupt_flag () =
   Alcotest.(check bool) "off" false (Channel.interrupt_requested ch)
 
 let test_channel_pop_row () =
-  (* [pop_row] hands the oldest frame's row over without releasing it;
-     [pop] releases as it dequeues. *)
-  let arena = Parena.create () in
-  let ch = Channel.create ~arena () in
-  ignore (Channel.enqueue ch (pkt ~sport:1 ()));
-  ignore (Channel.enqueue ch (pkt ~sport:2 ()));
+  (* [pop_row] hands the oldest frame's row over: the row stays held in
+     its pool until the new owner releases it. *)
+  let pool = Parena.create () in
+  let ch = Channel.create () in
+  let r1 = Parena.copy_in pool (pkt ~sport:1 ()) in
+  ignore (Channel.enqueue ch r1);
+  ignore (Channel.enqueue ch (Parena.copy_in pool (pkt ~sport:2 ())));
   let h = Channel.pop_row ch in
-  Alcotest.(check (option (pair int int))) "oldest first" (Some (1, 20))
-    (Packet.ports (Parena.pkt arena h));
+  Alcotest.(check int) "oldest first" r1 h;
+  Alcotest.(check int) "its sport" 1 (Parena.sport pool h);
   Alcotest.(check int) "one left" 1 (Channel.length ch);
-  Alcotest.(check int) "the popped row is still held" 2
-    (Parena.live arena);
-  Parena.release arena h;
-  ignore (Channel.pop ch);
-  Alcotest.(check int) "pop released its row" 0 (Parena.live arena);
+  Alcotest.(check int) "the popped row is still held" 2 (Parena.live pool);
+  Parena.release pool h;
+  Parena.release pool (Channel.pop_row ch);
+  Alcotest.(check int) "both released" 0 (Parena.live pool);
   Alcotest.(check bool) "empty" true (Channel.pop_row ch = Parena.none)
 
 (* The ring starts small and doubles up to [limit]: every sequence of
    enqueues and pops, across growth and wrap-around, must match a plain
    FIFO with early discard at [limit]. *)
-let sport_of p =
-  match Packet.ports p with Some (sp, _) -> sp | None -> Alcotest.fail "ports"
-
 let test_channel_fifo_growth_wrap () =
   List.iter
     (fun limit ->
@@ -94,18 +87,18 @@ let test_channel_fifo_growth_wrap () =
         in
         if enq then begin
           incr next;
-          match Channel.enqueue ch (pkt ~sport:!next ()) with
+          match Channel.enqueue ch !next with
           | Channel.Queued _ -> Queue.add !next model
           | Channel.Discarded ->
               Alcotest.(check int) "discards only at limit" limit
                 (Queue.length model)
         end
         else
-          match (Channel.dequeue ch, Queue.take_opt model) with
-          | Some p, Some want ->
-              Alcotest.(check int) "FIFO order" want (sport_of p)
-          | None, None -> ()
-          | Some _, None | None, Some _ -> Alcotest.fail "length mismatch"
+          let row = Channel.pop_row ch in
+          match (row <> Parena.none, Queue.take_opt model) with
+          | true, Some want -> Alcotest.(check int) "FIFO order" want row
+          | false, None -> ()
+          | true, None | false, Some _ -> Alcotest.fail "length mismatch"
       done;
       Alcotest.(check int) "length" (Queue.length model) (Channel.length ch))
     [ 1; 2; 3; 4; 5; 7; 8; 9; 32; 100 ]
@@ -115,45 +108,45 @@ let test_channel_discard_at_limit () =
     (fun limit ->
       let ch = Channel.create ~limit () in
       for i = 1 to limit do
-        match Channel.enqueue ch (pkt ~sport:i ()) with
+        match Channel.enqueue ch i with
         | Channel.Queued _ -> ()
         | Channel.Discarded -> Alcotest.failf "limit %d: discard at %d" limit i
       done;
-      (match Channel.enqueue ch (pkt ()) with
+      (match Channel.enqueue ch 10 with
        | Channel.Discarded -> ()
        | Channel.Queued _ -> Alcotest.failf "limit %d: no discard" limit);
       Alcotest.(check int) "one discard" 1 (Channel.discarded ch);
       Alcotest.(check int) "limit enqueued" limit (Channel.enqueued ch);
       Alcotest.(check int) "full" limit (Channel.length ch);
-      ignore (Channel.pop ch);
-      (match Channel.enqueue ch (pkt ()) with
+      ignore (Channel.pop_row ch);
+      (match Channel.enqueue ch 10 with
        | Channel.Queued `Was_nonempty | Channel.Queued `Was_empty -> ()
        | Channel.Discarded -> Alcotest.failf "limit %d: room after pop" limit);
-      Alcotest.(check int) "head after refill" 2 (sport_of (Channel.pop ch)))
+      Alcotest.(check int) "head after refill" 2 (Channel.pop_row ch))
     [ 2; 3; 4; 5; 6; 8; 13; 32 ]
 
 let test_channel_hwm () =
   let ch = Channel.create ~limit:8 () in
-  for i = 1 to 5 do ignore (Channel.enqueue ch (pkt ~sport:i ())) done;
-  for _ = 1 to 5 do ignore (Channel.pop ch) done;
-  for i = 1 to 2 do ignore (Channel.enqueue ch (pkt ~sport:i ())) done;
+  for i = 1 to 5 do ignore (Channel.enqueue ch i) done;
+  for _ = 1 to 5 do ignore (Channel.pop_row ch) done;
+  for i = 1 to 2 do ignore (Channel.enqueue ch i) done;
   Alcotest.(check int) "deepest occupancy, not current" 5
     (Channel.high_watermark ch);
-  for i = 1 to 10 do ignore (Channel.enqueue ch (pkt ~sport:i ())) done;
+  for i = 1 to 10 do ignore (Channel.enqueue ch i) done;
   Alcotest.(check int) "capped at limit" 8 (Channel.high_watermark ch);
   Alcotest.(check int) "excess discarded" 4 (Channel.discarded ch)
 
 let test_channel_limit_one () =
   let ch = Channel.create ~limit:1 () in
   for i = 1 to 5 do
-    (match Channel.enqueue ch (pkt ~sport:i ()) with
+    (match Channel.enqueue ch i with
      | Channel.Queued `Was_empty -> ()
      | Channel.Queued `Was_nonempty | Channel.Discarded ->
          Alcotest.fail "an empty one-slot channel admits");
-    (match Channel.enqueue ch (pkt ()) with
+    (match Channel.enqueue ch 10 with
      | Channel.Discarded -> ()
      | Channel.Queued _ -> Alcotest.fail "a full one-slot channel discards");
-    Alcotest.(check int) "FIFO" i (sport_of (Channel.pop ch));
+    Alcotest.(check int) "FIFO" i (Channel.pop_row ch);
     Alcotest.(check bool) "empty" true (Channel.is_empty ch)
   done;
   Alcotest.(check int) "discards" 5 (Channel.discarded ch);
@@ -164,13 +157,18 @@ let test_channel_limit_one () =
 (* Endpoints are ints here; odd ones have lost their channel. *)
 let chantab () = Chantab.create ~dummy:(-1) ~has_chan:(fun e -> e land 1 = 0) ()
 
+(* The LRP probe of a packet, as a row of a pool of its own. *)
+let resolve_slot tab p =
+  let pool = Parena.create () in
+  Chantab.resolve_slot tab pool (Parena.copy_in pool p)
+
 let test_chantab_udp_resolution () =
   let tab = chantab () in
   Chantab.add_udp tab ~port:20 4;
-  let slot = Chantab.resolve_slot tab (pkt ()) in
+  let slot = resolve_slot tab (pkt ()) in
   Alcotest.(check int) "right endpoint" 4 (Chantab.value tab slot);
   Alcotest.(check int) "unbound port must not resolve" Chantab.slot_none
-    (Chantab.resolve_slot tab (pkt ~dport:99 ()));
+    (resolve_slot tab (pkt ~dport:99 ()));
   Alcotest.(check int) "miss counted" 1 (Chantab.unmatched tab)
 
 let tcp_pkt ?(src = 7) ?(sport = 1000) ?(dport = 80) ?(syn = false) ?(ack = true) () =
@@ -182,7 +180,7 @@ let test_chantab_tcp_resolution () =
   Chantab.add_listen tab ~port:80 2;
   Chantab.add_tcp tab ~src:7 ~src_port:1000 ~dst_port:80 4;
   let resolve p =
-    let slot = Chantab.resolve_slot tab p in
+    let slot = resolve_slot tab p in
     if slot >= 0 then Chantab.value tab slot else slot
   in
   Alcotest.(check int) "exact match" 4 (resolve (tcp_pkt ()));
@@ -194,24 +192,25 @@ let test_chantab_tcp_resolution () =
 let test_chantab_fragment_channel () =
   let tab = chantab () in
   let big = Packet.udp ~src:1 ~dst:2 ~src_port:1 ~dst_port:9 (Payload.synthetic 20_000) in
-  match Ip.fragment big ~mtu:9180 with
+  let pool = Parena.create () in
+  match Ip.fragment pool (Parena.copy_in pool big) ~mtu:9180 with
   | _first :: second :: _ ->
       Alcotest.(check int) "special fragment channel" Chantab.slot_frag
-        (Chantab.resolve_slot tab second)
+        (Chantab.resolve_slot tab pool second)
   | _ -> Alcotest.fail "expected fragments"
 
 let test_chantab_icmp_channel () =
   let tab = chantab () in
   let ping = Packet.icmp ~src:1 ~dst:2 Packet.Echo_request (Payload.synthetic 8) in
   Alcotest.(check int) "proxy daemon channel" Chantab.slot_icmp
-    (Chantab.resolve_slot tab ping)
+    (resolve_slot tab ping)
 
 let test_chantab_removal () =
   let tab = chantab () in
   Chantab.add_udp tab ~port:20 4;
   Chantab.remove_udp tab ~port:20;
   Alcotest.(check int) "removed port does not resolve" Chantab.slot_none
-    (Chantab.resolve_slot tab (pkt ()));
+    (resolve_slot tab (pkt ()));
   Alcotest.(check int) "no endpoints left" 0
     (List.length (Chantab.bindings tab Chantab.Udp_port))
 
@@ -227,13 +226,13 @@ let test_chantab_tcp_holder () =
     (Chantab.find_tcp tab ~src:7 ~src_port:1000 ~dst_port:80);
   let syn = tcp_pkt ~syn:true ~ack:false () in
   Alcotest.(check int) "LRP: its SYN goes to the listener" 2
-    (Chantab.value tab (Chantab.resolve_slot tab syn));
+    (Chantab.value tab (resolve_slot tab syn));
   Alcotest.(check int) "LRP: its other segments miss" Chantab.slot_none
-    (Chantab.resolve_slot tab (tcp_pkt ()));
+    (resolve_slot tab (tcp_pkt ()));
   Chantab.add_tcp tab ~src:7 ~src_port:1000 ~dst_port:80 6;
   Chantab.remove_tcp tab ~src:7 ~src_port:1000 ~dst_port:80 5;
   Alcotest.(check int) "the old holder does not unbind the new one" 6
-    (Chantab.value tab (Chantab.resolve_slot tab (tcp_pkt ())));
+    (Chantab.value tab (resolve_slot tab (tcp_pkt ())));
   Alcotest.(check (list int)) "one four-tuple entry" [ 6 ]
     (Chantab.bindings tab Chantab.Tcp_flow);
   Chantab.remove_tcp tab ~src:7 ~src_port:1000 ~dst_port:80 6;
@@ -402,15 +401,16 @@ let prop_chantab_matches_pcb =
         { Demux_ref.udp; listen;
           tcp = List.map (fun (k, e) -> (k, (e, e land 1 = 0))) tcp }
       in
-      let pkt = Demux_ref.packet ~shape ~src ~sport ~dport ~syn ~ack in
-      let slot = Chantab.resolve_slot tab pkt in
+      let pool = Parena.create () in
+      let row = Demux_ref.packet pool ~shape ~src ~sport ~dport ~syn ~ack in
+      let slot = Chantab.resolve_slot tab pool row in
       let got =
         if slot >= 0 then Demux_ref.Ep (Chantab.value tab slot)
         else if slot = Chantab.slot_frag then Demux_ref.Frag
         else if slot = Chantab.slot_icmp then Demux_ref.Icmp
         else Demux_ref.Miss
       in
-      let want = Demux_ref.resolve_lrp binds (Demux_ref.flow_of_packet pkt) in
+      let want = Demux_ref.resolve_lrp binds (Demux_ref.flow_of_row pool row) in
       let opt e = if e = -1 then None else Some e in
       got = want
       && Chantab.unmatched tab = (if want = Demux_ref.Miss then 1 else 0)

@@ -30,7 +30,7 @@ let test_udp_close_frees () =
       let name = Kernel.arch_name arch in
       let cfg = Kernel.default_config arch in
       let w, client, server = World.pair ~cfg () in
-      let sock = Api.socket_dgram server in
+      let sock = Api.socket_dgram () in
       ignore
         (Cpu.spawn (Kernel.cpu server) ~name:"sleeper" (fun self ->
              Api.bind server sock ~owner:(Some self) ~port:5000;
@@ -114,10 +114,10 @@ let test_lifecycle () =
       let served = ref false and fetched = ref false in
       ignore
         (Cpu.spawn (Kernel.cpu server) ~name:"srv" (fun self ->
-             let u = Api.socket_dgram server in
+             let u = Api.socket_dgram () in
              Api.bind server u ~owner:(Some self) ~port:5000;
-             let m1 = Api.socket_dgram server in
-             let m2 = Api.socket_dgram server in
+             let m1 = Api.socket_dgram () in
+             let m2 = Api.socket_dgram () in
              Api.join_group server m1 ~owner:(Some self) ~group ~port:6000;
              Api.join_group server m2 ~owner:(Some self) ~group ~port:6000;
              let l = Api.socket_stream server in
@@ -334,6 +334,141 @@ let test_time_wait_reuse () =
         !unmatched_before (unmatched ()))
     archs
 
+(* --- the frame pool's conservation ------------------------------------ *)
+
+(* Frames a world still holds, counted where they sit: the frame each NIC
+   is serialising and its interface queue, its receive rings, frames in
+   flight on each fabric (arrivals scheduled but not yet received) and in
+   its fault holds and uplink outbox, each kernel's IP queue, NI channels
+   and pending reassemblies, and the socket queues.  After a run has
+   settled, the cell's frame pool holds exactly these. *)
+let held ~fabrics ~kernels ~socks =
+  let sum f l = List.fold_left (fun acc x -> acc + f x) 0 l in
+  let nic (n : Nic.t) =
+    Nic.ifq_length n
+    + (if n.Nic.tx_busy then 1 else 0)
+    + sum (Nic.rxq_len n) (List.init (Nic.rx_queues n) Fun.id)
+  in
+  let fabric (f : Fabric.t) =
+    let in_flight =
+      Lrp_det.Det.fold_sorted_int
+        (fun _ (p : Fabric.port) acc ->
+          acc + p.Fabric.rx_frames - (Nic.stats p.Fabric.nic).Nic.rx_packets)
+        f.Fabric.ports 0
+    in
+    in_flight + (Fabric.fault_stats f).Fabric.held_now
+    + (Fabric.uplink_stats f).Fabric.up_backlog
+  in
+  let kernel (k : Kernel.t) =
+    sum (fun (_, _, n) -> nic n) k.Kernel.interfaces
+    + k.Kernel.ipq_len
+    + sum Lrp_core.Channel.length (Kernel.channels k)
+    + Lrp_proto.Ip.Reasm.pending_count k.Kernel.reasm
+  in
+  sum fabric fabrics + sum kernel kernels
+  + sum (fun (s : Socket.t) -> Queue.length s.Socket.udp_rcv) socks
+
+let check_conserved name ~fabrics ~kernels ~socks =
+  let pool = (List.hd kernels).Kernel.parena in
+  let h = held ~fabrics ~kernels ~socks in
+  Alcotest.(check bool) (name ^ ": frames are still held") true (h > 0);
+  Alcotest.(check int) (name ^ ": the pool holds exactly the held frames") h
+    (Parena.live pool)
+
+(* A socket bound on [k] that nobody reads: its queue (and under LRP its
+   channel) fills and stays full. *)
+let unread k ~port =
+  let sock = Api.socket_dgram () in
+  Api.bind k sock ~owner:None ~port;
+  sock
+
+(* 20k datagrams/s for 100 ms at an unread socket, settled until 200 ms. *)
+let test_pool_blast () =
+  List.iter
+    (fun arch ->
+      let w, client, server = World.pair ~cfg:(Kernel.default_config arch) () in
+      let sock = unread server ~port:9000 in
+      ignore
+        (Blast.start_source (World.engine w) (Kernel.nic client)
+           ~src:(Kernel.ip_address client)
+           ~dst:(Kernel.ip_address server, 9000)
+           ~rate:20_000. ~size:14 ~until:(Time.ms 100.) ());
+      World.run w ~until:(Time.ms 200.);
+      check_conserved (Kernel.arch_name arch) ~fabrics:[ World.fabric w ]
+        ~kernels:[ client; server ] ~socks:[ sock ])
+    archs
+
+(* 20 kB datagrams (three fragments each) through the forwarding gateway
+   to an unread socket; the two networks share the cell's pool.  Settled,
+   nothing is in flight: the fabrics hold nothing. *)
+let test_pool_fragmenting_gateway () =
+  List.iter
+    (fun arch ->
+      let engine, client, gw, server =
+        World.gateway (Kernel.default_config arch)
+      in
+      let sock = unread server ~port:7000 in
+      ignore
+        (Cpu.spawn (Kernel.cpu client) ~name:"sender" (fun self ->
+             let s = Api.socket_dgram () in
+             for _ = 1 to 60 do
+               Api.sendto client ~self s ~dst:(Kernel.ip_address server, 7000)
+                 (Payload.synthetic 20_000);
+               Proc.sleep_for (Time.ms 2.)
+             done));
+      Engine.run engine ~until:(Time.ms 400.);
+      check_conserved (Kernel.arch_name arch ^ " gateway") ~fabrics:[]
+        ~kernels:[ client; gw; server ] ~socks:[ sock ])
+    archs
+
+(* A group datagram stream to two hosts with two unread members each:
+   the fabric replicates each frame, and each member's copy is a row of
+   its own. *)
+let test_pool_multicast () =
+  List.iter
+    (fun arch ->
+      let cfg = Kernel.default_config arch in
+      let w = World.make () in
+      let sender = World.add_host w ~name:"sender" cfg in
+      let hosts = [ World.add_host w ~name:"a" cfg; World.add_host w ~name:"b" cfg ] in
+      let group = Packet.ip_of_quad 224 0 0 9 in
+      let socks =
+        List.concat_map
+          (fun k ->
+            List.init 2 (fun _ ->
+                let sock = Api.socket_dgram () in
+                Api.join_group k sock ~owner:None ~group ~port:6666;
+                sock))
+          hosts
+      in
+      ignore
+        (Blast.start_source (World.engine w) (Kernel.nic sender)
+           ~src:(Kernel.ip_address sender) ~dst:(group, 6666) ~rate:5_000.
+           ~size:14 ~until:(Time.ms 50.) ());
+      World.run w ~until:(Time.ms 150.);
+      check_conserved (Kernel.arch_name arch ^ " multicast")
+        ~fabrics:[ World.fabric w ] ~kernels:(sender :: hosts) ~socks)
+    archs
+
+(* Link weather that duplicates and reorders frames: every copy is a row,
+   and the pool still holds exactly what the world holds. *)
+let test_pool_fault_dup () =
+  List.iter
+    (fun arch ->
+      let w, client, server = World.pair ~cfg:(Kernel.default_config arch) () in
+      Fabric.set_faults (World.fabric w)
+        (Fabric.Faults.make ~dup:0.5 ~reorder:0.2 ~corrupt:0.05 ());
+      let sock = unread server ~port:9000 in
+      ignore
+        (Blast.start_source (World.engine w) (Kernel.nic client)
+           ~src:(Kernel.ip_address client)
+           ~dst:(Kernel.ip_address server, 9000)
+           ~rate:5_000. ~size:14 ~until:(Time.ms 100.) ());
+      World.run w ~until:(Time.ms 200.);
+      check_conserved (Kernel.arch_name arch ^ " fault-dup")
+        ~fabrics:[ World.fabric w ] ~kernels:[ client; server ] ~socks:[ sock ])
+    archs
+
 let suite =
   [ Alcotest.test_case "closing a UDP socket frees what it holds" `Quick
       test_udp_close_frees;
@@ -342,4 +477,12 @@ let suite =
     Alcotest.test_case "closing a listener aborts its unaccepted connections"
       `Quick test_listener_close_aborts;
     Alcotest.test_case "a reused four-tuple survives the old TIME_WAIT"
-      `Quick test_time_wait_reuse ]
+      `Quick test_time_wait_reuse;
+    Alcotest.test_case "frame pool conserves frames: UDP blast" `Quick
+      test_pool_blast;
+    Alcotest.test_case "frame pool conserves frames: fragmenting gateway"
+      `Quick test_pool_fragmenting_gateway;
+    Alcotest.test_case "frame pool conserves frames: multicast" `Quick
+      test_pool_multicast;
+    Alcotest.test_case "frame pool conserves frames: duplicating links"
+      `Quick test_pool_fault_dup ]

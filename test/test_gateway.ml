@@ -20,13 +20,13 @@ let test_udp_through_gateway () =
       let got = ref None in
       ignore
         (Cpu.spawn (Kernel.cpu server) ~name:"rx" (fun self ->
-             let sock = Api.socket_dgram server in
+             let sock = Api.socket_dgram () in
              Api.bind server sock ~owner:(Some self) ~port:5000;
              let dg = Api.recvfrom server sock in
              got := Some dg.Api.dg_from));
       ignore
         (Cpu.spawn (Kernel.cpu client) ~name:"tx" (fun self ->
-             let sock = Api.socket_dgram client in
+             let sock = Api.socket_dgram () in
              ignore (Api.bind_ephemeral client sock ~owner:(Some self));
              Api.sendto client ~self sock
                ~dst:(Kernel.ip_address server, 5000)

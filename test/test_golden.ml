@@ -195,7 +195,7 @@ let mcast_frag_run sys =
   let got_a = ref 0 and got_b = ref 0 and got_big = ref 0 in
   ignore
     (Cpu.spawn (Kernel.cpu server) ~name:"member-a" (fun self ->
-         let sock = Api.socket_dgram server in
+         let sock = Api.socket_dgram () in
          Api.join_group server sock ~owner:(Some self) ~group ~port:6666;
          for _ = 1 to n do
            let dg = Api.recvfrom server sock in
@@ -203,7 +203,7 @@ let mcast_frag_run sys =
          done));
   ignore
     (Cpu.spawn (Kernel.cpu server) ~name:"member-b" (fun self ->
-         let sock = Api.socket_dgram server in
+         let sock = Api.socket_dgram () in
          Api.join_group server sock ~owner:(Some self) ~group ~port:6666;
          for _ = 1 to 2 * n do
            match Api.recvfrom_timeout server sock ~timeout:(Time.ms 3.) with
@@ -212,7 +212,7 @@ let mcast_frag_run sys =
          done));
   ignore
     (Cpu.spawn (Kernel.cpu server) ~name:"big-rx" (fun self ->
-         let sock = Api.socket_dgram server in
+         let sock = Api.socket_dgram () in
          Api.bind server sock ~owner:(Some self) ~port:5000;
          for _ = 1 to 4 * n do
            match Api.try_recvfrom server sock with
@@ -221,7 +221,7 @@ let mcast_frag_run sys =
          done));
   ignore
     (Cpu.spawn (Kernel.cpu client) ~name:"tx" (fun self ->
-         let sock = Api.socket_dgram client in
+         let sock = Api.socket_dgram () in
          ignore (Api.bind_ephemeral client sock ~owner:(Some self));
          for i = 1 to n do
            Api.sendto client ~self sock ~dst:(group, 6666)

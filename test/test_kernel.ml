@@ -23,10 +23,12 @@ let test_icmp_echo arch cfg =
      daemon answers from the ICMP channel (section 3.5). *)
   let w, client, server = World.pair ~cfg () in
   let got_reply = ref false in
-  Nic.set_rx_handler (Kernel.nic client) (fun pkt ->
-      match pkt.Packet.body with
-      | Packet.Icmp (Packet.Echo_reply, _) -> got_reply := true
-      | _ -> ());
+  let nic = Kernel.nic client in
+  Nic.set_rx_handler nic (fun row ->
+      (match Parena.to_packet (Nic.pool nic) row with
+       | Packet.Icmp { kind = Packet.Echo_reply; _ } -> got_reply := true
+       | _ -> ());
+      Parena.release (Nic.pool nic) row);
   ignore
     (Engine.schedule (World.engine w) ~at:100. (fun () ->
          ignore
@@ -49,13 +51,13 @@ let test_udp_fragmentation_e2e arch cfg =
   let got = ref None in
   ignore
     (Cpu.spawn (Kernel.cpu server) ~name:"rx" (fun self ->
-         let sock = Api.socket_dgram server in
+         let sock = Api.socket_dgram () in
          Api.bind server sock ~owner:(Some self) ~port:5000;
          let dg = Api.recvfrom server sock in
          got := Some (Payload.length dg.Api.dg_payload)));
   ignore
     (Cpu.spawn (Kernel.cpu client) ~name:"tx" (fun self ->
-         let sock = Api.socket_dgram client in
+         let sock = Api.socket_dgram () in
          ignore (Api.bind_ephemeral client sock ~owner:(Some self));
          Api.sendto client ~self sock
            ~dst:(Kernel.ip_address server, 5000)
@@ -74,7 +76,7 @@ let test_fragments_in_both_channels () =
   let got = ref 0 in
   ignore
     (Cpu.spawn (Kernel.cpu server) ~name:"rx" (fun self ->
-         let sock = Api.socket_dgram server in
+         let sock = Api.socket_dgram () in
          Api.bind server sock ~owner:(Some self) ~port:5000;
          for _ = 1 to 3 do
            let dg = Api.recvfrom server sock in
@@ -82,7 +84,7 @@ let test_fragments_in_both_channels () =
          done));
   ignore
     (Cpu.spawn (Kernel.cpu client) ~name:"tx" (fun self ->
-         let sock = Api.socket_dgram client in
+         let sock = Api.socket_dgram () in
          ignore (Api.bind_ephemeral client sock ~owner:(Some self));
          for _ = 1 to 3 do
            Api.sendto client ~self sock
@@ -104,7 +106,7 @@ let test_helper_preprocesses_when_idle () =
      receiver asked. *)
   let cfg = Kernel.default_config Kernel.Ni_lrp in
   let w, client, server = World.pair ~cfg () in
-  let sock = Api.socket_dgram server in
+  let sock = Api.socket_dgram () in
   let ready_before_recv = ref false in
   ignore
     (Cpu.spawn (Kernel.cpu server) ~name:"busy-rx" (fun self ->
@@ -131,7 +133,7 @@ let test_helper_disabled () =
      receive call processes it lazily. *)
   let cfg = { (Kernel.default_config Kernel.Ni_lrp) with Kernel.udp_helper = false } in
   let w, client, server = World.pair ~cfg () in
-  let sock = Api.socket_dgram server in
+  let sock = Api.socket_dgram () in
   let chan_depth = ref (-1) in
   let got = ref false in
   ignore
@@ -163,7 +165,7 @@ let test_recvfrom_timeout () =
   let woke_at = ref 0. in
   ignore
     (Cpu.spawn (Kernel.cpu server) ~name:"rx" (fun self ->
-         let sock = Api.socket_dgram server in
+         let sock = Api.socket_dgram () in
          Api.bind server sock ~owner:(Some self) ~port:5000;
          (match Api.recvfrom_timeout server sock ~timeout:(Time.ms 5.) with
           | Some dg -> result := Some (Payload.length dg.Api.dg_payload)
@@ -182,13 +184,13 @@ let test_sendto_autobinds () =
   let reply_port = ref 0 in
   ignore
     (Cpu.spawn (Kernel.cpu server) ~name:"rx" (fun self ->
-         let sock = Api.socket_dgram server in
+         let sock = Api.socket_dgram () in
          Api.bind server sock ~owner:(Some self) ~port:5000;
          let dg = Api.recvfrom server sock in
          reply_port := snd dg.Api.dg_from));
   ignore
     (Cpu.spawn (Kernel.cpu client) ~name:"tx" (fun self ->
-         let sock = Api.socket_dgram client in
+         let sock = Api.socket_dgram () in
          (* No bind: sendto must allocate an ephemeral port. *)
          Api.sendto client ~self sock
            ~dst:(Kernel.ip_address server, 5000)
@@ -205,8 +207,8 @@ let test_double_bind_rejected () =
   let raised = ref false in
   ignore
     (Cpu.spawn (Kernel.cpu server) ~name:"p" (fun self ->
-         let a = Api.socket_dgram server in
-         let b = Api.socket_dgram server in
+         let a = Api.socket_dgram () in
+         let b = Api.socket_dgram () in
          Api.bind server a ~owner:(Some self) ~port:5000;
          (try Api.bind server b ~owner:(Some self) ~port:5000
           with Invalid_argument _ -> raised := true)));
@@ -217,7 +219,7 @@ let test_close_wakes_blocked_receiver () =
   let cfg = Kernel.default_config Kernel.Ni_lrp in
   let w, _client, server = World.pair ~cfg () in
   let got_exn = ref false in
-  let sock = Api.socket_dgram server in
+  let sock = Api.socket_dgram () in
   ignore
     (Cpu.spawn (Kernel.cpu server) ~name:"rx" (fun self ->
          Api.bind server sock ~owner:(Some self) ~port:5000;
@@ -236,10 +238,10 @@ let test_port_reusable_after_close () =
   let ok = ref false in
   ignore
     (Cpu.spawn (Kernel.cpu server) ~name:"p" (fun self ->
-         let a = Api.socket_dgram server in
+         let a = Api.socket_dgram () in
          Api.bind server a ~owner:(Some self) ~port:5000;
          Api.close server a;
-         let b = Api.socket_dgram server in
+         let b = Api.socket_dgram () in
          Api.bind server b ~owner:(Some self) ~port:5000;
          ok := true));
   World.run w ~until:(Time.ms 10.);
@@ -289,7 +291,7 @@ let test_mbuf_balance () =
           let got = ref 0 in
           ignore
             (Cpu.spawn (Kernel.cpu server) ~name:"rx" (fun self ->
-                 let sock = Api.socket_dgram server in
+                 let sock = Api.socket_dgram () in
                  Api.bind server sock ~owner:(Some self) ~port:5000;
                  let rec loop () =
                    ignore (Api.recvfrom server sock);
@@ -299,7 +301,7 @@ let test_mbuf_balance () =
                  loop ()));
           ignore
             (Cpu.spawn (Kernel.cpu client) ~name:"tx" (fun self ->
-                 let sock = Api.socket_dgram client in
+                 let sock = Api.socket_dgram () in
                  ignore (Api.bind_ephemeral client sock ~owner:(Some self));
                  for _ = 1 to 100 do
                    Api.sendto client ~self sock

@@ -70,7 +70,7 @@ let udp_delivery_sequence ~arch ~seed ~faults =
   let got = ref [] in
   ignore
     (Cpu.spawn (Kernel.cpu server) ~name:"collect" (fun self ->
-         let sock = Api.socket_dgram server in
+         let sock = Api.socket_dgram () in
          Api.bind server sock ~owner:(Some self) ~port:9000;
          let rec loop () =
            let dg = Api.recvfrom server sock in
@@ -278,7 +278,8 @@ let test_rss_steer_stable () =
       (Payload.synthetic 64)
   in
   let flows = List.init 64 mk in
-  let steer p = Kernel.rss_steer p ~queues:4 in
+  let pool = Parena.create () in
+  let steer p = Kernel.rss_steer pool (Parena.copy_in pool p) ~queues:4 in
   let a = List.map steer flows and b = List.map steer flows in
   Alcotest.(check (list int)) "steering is a pure function" a b;
   List.iter

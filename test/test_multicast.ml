@@ -20,7 +20,7 @@ let test_two_members_one_host () =
       let member counter name =
         ignore
           (Cpu.spawn (Kernel.cpu server) ~name (fun self ->
-               let sock = Api.socket_dgram server in
+               let sock = Api.socket_dgram () in
                Api.join_group server sock ~owner:(Some self) ~group ~port:6666;
                for _ = 1 to 3 do
                  let dg = Api.recvfrom server sock in
@@ -31,7 +31,7 @@ let test_two_members_one_host () =
       member got_b "member-b";
       ignore
         (Cpu.spawn (Kernel.cpu client) ~name:"tx" (fun self ->
-             let sock = Api.socket_dgram client in
+             let sock = Api.socket_dgram () in
              ignore (Api.bind_ephemeral client sock ~owner:(Some self));
              for _ = 1 to 3 do
                Api.sendto client ~self sock ~dst:(group, 6666)
@@ -54,7 +54,7 @@ let test_members_share_one_channel () =
   for i = 1 to 3 do
     ignore
       (Cpu.spawn (Kernel.cpu server) ~name:(Printf.sprintf "m%d" i) (fun self ->
-           let sock = Api.socket_dgram server in
+           let sock = Api.socket_dgram () in
            Api.join_group server sock ~owner:(Some self) ~group ~port:6666;
            Proc.block (Proc.waitq "forever")))
   done;
@@ -73,14 +73,14 @@ let test_multicast_across_hosts () =
     (fun kern ->
       ignore
         (Cpu.spawn (Kernel.cpu kern) ~name:"member" (fun self ->
-             let sock = Api.socket_dgram kern in
+             let sock = Api.socket_dgram () in
              Api.join_group kern sock ~owner:(Some self) ~group ~port:6666;
              let _dg = Api.recvfrom kern sock in
              incr got)))
     [ h1; h2 ];
   ignore
     (Cpu.spawn (Kernel.cpu sender) ~name:"tx" (fun self ->
-         let sock = Api.socket_dgram sender in
+         let sock = Api.socket_dgram () in
          ignore (Api.bind_ephemeral sender sock ~owner:(Some self));
          Api.sendto sender ~self sock ~dst:(group, 6666) (Payload.synthetic 10)));
   World.run w ~until:(Time.sec 1.);
@@ -91,7 +91,7 @@ let test_leave_group () =
   let w, client, server = World.pair ~cfg () in
   let before = List.length (Kernel.channels server) in
   let got = ref 0 in
-  let sock = Api.socket_dgram server in
+  let sock = Api.socket_dgram () in
   ignore
     (Cpu.spawn (Kernel.cpu server) ~name:"member" (fun self ->
          Api.join_group server sock ~owner:(Some self) ~group ~port:6666;
@@ -100,7 +100,7 @@ let test_leave_group () =
          Api.leave_group server sock ~port:6666));
   ignore
     (Cpu.spawn (Kernel.cpu client) ~name:"tx" (fun self ->
-         let csock = Api.socket_dgram client in
+         let csock = Api.socket_dgram () in
          ignore (Api.bind_ephemeral client csock ~owner:(Some self));
          Api.sendto client ~self csock ~dst:(group, 6666) (Payload.synthetic 10);
          Proc.sleep_for (Time.ms 50.);
@@ -124,14 +124,14 @@ let test_close_one_member () =
       let got_a = ref 0 and got_b = ref 0 in
       ignore
         (Cpu.spawn (Kernel.cpu server) ~name:"member-a" (fun self ->
-             let sock = Api.socket_dgram server in
+             let sock = Api.socket_dgram () in
              Api.join_group server sock ~owner:(Some self) ~group ~port:6666;
              ignore (Api.recvfrom server sock);
              incr got_a;
              Api.close server sock));
       ignore
         (Cpu.spawn (Kernel.cpu server) ~name:"member-b" (fun self ->
-             let sock = Api.socket_dgram server in
+             let sock = Api.socket_dgram () in
              Api.join_group server sock ~owner:(Some self) ~group ~port:6666;
              for _ = 1 to 3 do
                ignore (Api.recvfrom server sock);
@@ -139,7 +139,7 @@ let test_close_one_member () =
              done));
       ignore
         (Cpu.spawn (Kernel.cpu client) ~name:"tx" (fun self ->
-             let sock = Api.socket_dgram client in
+             let sock = Api.socket_dgram () in
              ignore (Api.bind_ephemeral client sock ~owner:(Some self));
              for _ = 1 to 3 do
                Api.sendto client ~self sock ~dst:(group, 6666)
@@ -164,7 +164,7 @@ let test_join_requires_multicast_addr () =
   let raised = ref false in
   ignore
     (Cpu.spawn (Kernel.cpu server) ~name:"p" (fun self ->
-         let sock = Api.socket_dgram server in
+         let sock = Api.socket_dgram () in
          try Api.join_group server sock ~owner:(Some self)
                ~group:(Packet.ip_of_quad 10 0 0 1) ~port:6666
          with Invalid_argument _ -> raised := true));
@@ -184,7 +184,7 @@ let test_connected_udp_filters () =
       let from = ref [] in
       ignore
         (Cpu.spawn (Kernel.cpu server) ~name:"rx" (fun self ->
-             let sock = Api.socket_dgram server in
+             let sock = Api.socket_dgram () in
              Api.bind server sock ~owner:(Some self) ~port:5000;
              (* Connect to the peer: datagrams from anyone else must be
                 filtered out. *)
@@ -228,19 +228,19 @@ let test_ephemeral_skips_group_port () =
   let from_port = ref 0 in
   ignore
     (Cpu.spawn (Kernel.cpu server) ~name:"member" (fun self ->
-         let sock = Api.socket_dgram server in
+         let sock = Api.socket_dgram () in
          Api.join_group server sock ~owner:(Some self) ~group ~port:20_001;
          Proc.block (Proc.waitq "forever")));
   ignore
     (Cpu.spawn (Kernel.cpu client) ~name:"rx" (fun self ->
-         let sock = Api.socket_dgram client in
+         let sock = Api.socket_dgram () in
          Api.bind client sock ~owner:(Some self) ~port:7000;
          let dg = Api.recvfrom client sock in
          from_port := snd dg.Api.dg_from));
   ignore
     (Cpu.spawn (Kernel.cpu server) ~name:"tx" (fun self ->
          Proc.sleep_for (Time.ms 1.);
-         let sock = Api.socket_dgram server in
+         let sock = Api.socket_dgram () in
          Api.sendto server ~self sock ~dst:(Kernel.ip_address client, 7000)
            (Payload.synthetic 14)));
   World.run w ~until:(Time.ms 50.);

@@ -51,11 +51,15 @@ let test_wire_bytes () =
   Alcotest.(check int) "tcp wire size" (20 + 20 + 100) (Packet.wire_bytes t)
 
 let test_ports_accessor () =
-  let pkt = Packet.udp ~src:1 ~dst:2 ~src_port:10 ~dst_port:20 (Payload.synthetic 4) in
-  Alcotest.(check (option (pair int int))) "udp ports" (Some (10, 20))
-    (Packet.ports pkt);
-  Alcotest.(check bool) "is_udp" true (Packet.is_udp pkt);
-  Alcotest.(check bool) "not tcp" false (Packet.is_tcp pkt)
+  let pool = Parena.create () in
+  let row =
+    Parena.copy_in pool
+      (Packet.udp ~src:1 ~dst:2 ~src_port:10 ~dst_port:20 (Payload.synthetic 4))
+  in
+  Alcotest.(check (pair int int)) "udp ports" (10, 20)
+    (Parena.sport pool row, Parena.dport pool row);
+  Alcotest.(check bool) "is udp" true (Parena.proto pool row = Parena.Udp);
+  Alcotest.(check int) "wire bytes" (20 + 8 + 4) (Parena.wire_bytes pool row)
 
 let test_ip_pp () =
   let s = Fmt.str "%a" Packet.pp_ip (Packet.ip_of_quad 10 0 0 12) in
@@ -137,33 +141,68 @@ let test_nic_ifq_overflow () =
   Alcotest.(check int) "drops counted" 5 (Nic.stats a).Nic.tx_drops
 
 (* A row's charge column: set at admission, moved by [absorb] (which
-   releases the absorbed row), kept by [set_pkt]; stale handles raise. *)
+   releases the absorbed row), kept when the row turns from fragment to
+   whole datagram; stale handles raise. *)
+let stale = Invalid_argument "Parena: stale or invalid handle"
+
+let udp n = Packet.udp ~src:1 ~dst:2 ~src_port:1 ~dst_port:2 (Payload.synthetic n)
+
 let test_arena_charges () =
   let a = Parena.create () in
-  let frag n = Packet.udp ~src:1 ~dst:2 ~src_port:1 ~dst_port:2 (Payload.synthetic n) in
-  let h1 = Parena.acquire a (frag 100) ~charge:3 in
-  let h2 = Parena.acquire a (frag 200) ~charge:2 in
+  let h1 = Parena.copy_in a (udp 100) and h2 = Parena.copy_in a (udp 200) in
+  Parena.set_charge a h1 3;
+  Parena.set_charge a h2 2;
   Parena.absorb a ~into:h1 h2;
   Alcotest.(check int) "charges summed" 5 (Parena.charge a h1);
   Alcotest.(check int) "absorbed row released" 1 (Parena.live a);
-  let whole = frag 300 in
-  Parena.set_pkt a h1 whole;
-  Alcotest.(check bool) "row holds the new frame" true (Parena.pkt a h1 == whole);
+  Parena.set_fragment a h1 ~foff:0 ~flen:50 ~last:false;
+  Alcotest.(check int) "a fragment's wire bytes" (20 + 8 + 50)
+    (Parena.wire_bytes a h1);
+  Parena.set_whole a h1;
+  Alcotest.(check bool) "the row holds its datagram again" true
+    (not (Parena.is_fragment a h1) && Parena.wire_bytes a h1 = 20 + 8 + 100);
   Alcotest.(check int) "charge kept" 5 (Parena.charge a h1);
-  Alcotest.check_raises "stale handle"
-    (Invalid_argument "Parena.charge: stale or invalid handle") (fun () ->
+  Alcotest.check_raises "stale handle" stale (fun () ->
       ignore (Parena.charge a h2));
   Parena.release a h1;
   Alcotest.(check int) "nothing held" 0 (Parena.live a)
 
-(* The interface queue holds the frames behind the one on the wire, with
-   their wire footprints, until tx-done; its slots are cleared after, and
-   the frames themselves pass through unperturbed. *)
+(* A row is released exactly once: a second release, and any read or
+   copy after the release, raise instead of reaching the slot's next
+   occupant. *)
+let test_pool_double_release () =
+  let a = Parena.create () in
+  let h = Parena.copy_in a (udp 10) in
+  Parena.release a h;
+  Alcotest.check_raises "double release" stale (fun () -> Parena.release a h);
+  let h' = Parena.copy_in a (udp 20) in
+  Alcotest.(check bool) "the slot is reused under a new handle" true (h' <> h);
+  Alcotest.check_raises "the old handle still raises" stale (fun () ->
+      Parena.release a h);
+  Alcotest.(check int) "the new occupant is untouched" 1 (Parena.live a)
+
+let test_pool_use_after_release () =
+  let a = Parena.create () in
+  let h = Parena.copy_in a (udp 10) in
+  Parena.release a h;
+  ignore (Parena.copy_in a (udp 30));
+  Alcotest.check_raises "read" stale (fun () -> ignore (Parena.dport a h));
+  Alcotest.check_raises "payload" stale (fun () -> ignore (Parena.payload a h));
+  Alcotest.check_raises "copy" stale (fun () -> ignore (Parena.copy a h ~into:a));
+  Alcotest.check_raises "corrupt" stale (fun () ->
+      ignore (Parena.corrupt a h ~at:0 ~xor:1));
+  Alcotest.check_raises "none" stale (fun () ->
+      ignore (Parena.ident a Parena.none))
+
+(* The interface queue holds the rows of the frames behind the one on
+   the wire, with their wire footprints, until tx-done; each row is handed
+   on once, and the frames themselves pass through unperturbed. *)
 let test_ifq_recycles () =
   let eng = Engine.create () in
   let nic = Nic.create eng ~ip:1 () in
+  let pool = Nic.pool nic in
   let delivered = ref [] in
-  Nic.set_deliver nic (fun pkt -> delivered := pkt :: !delivered);
+  Nic.set_deliver nic (fun row -> delivered := row :: !delivered);
   let pkts =
     List.init 5 (fun i ->
         Packet.udp ~src:1 ~dst:2 ~src_port:1 ~dst_port:2
@@ -177,16 +216,15 @@ let test_ifq_recycles () =
     (Array.fold_left ( + ) 0 nic.Nic.ifq_wire);
   Engine.drain eng;
   Alcotest.(check int) "queue empty after drain" 0 (Nic.ifq_length nic);
-  Alcotest.(check bool) "no slot pins a sent frame" true
-    (Array.for_all (fun p -> p == Packet.null) nic.Nic.ifq);
+  Alcotest.(check int) "every row handed on, none kept" 5 (Parena.live pool);
   Alcotest.(check int) "tx bytes count every frame"
     (List.fold_left (fun acc p -> acc + Packet.wire_bytes p) 0 pkts)
     (Nic.stats nic).Nic.tx_bytes;
   Alcotest.(check int) "all frames delivered" 5 (List.length !delivered);
   List.iter2
-    (fun p q ->
-      Alcotest.(check bool) "frames pass through physically unchanged" true
-        (p == q))
+    (fun p row ->
+      Alcotest.(check bool) "frames pass through unchanged" true
+        (Parena.to_packet pool row = p))
     pkts
     (List.rev !delivered)
 
@@ -226,8 +264,8 @@ let test_serialization_ordering () =
   let a = Fabric.make_nic fab ~ip:1 () in
   let b = Fabric.make_nic fab ~ip:2 () in
   let log = ref [] in
-  Nic.set_rx_handler b (fun pkt ->
-      log := (Packet.payload_length pkt, Engine.now eng) :: !log);
+  Nic.set_rx_handler b (fun row ->
+      log := (Parena.payload_len (Nic.pool b) row, Engine.now eng) :: !log);
   ignore (Nic.transmit a (Packet.udp ~src:1 ~dst:2 ~src_port:1 ~dst_port:2 (Payload.synthetic 1000)));
   ignore (Nic.transmit a (Packet.udp ~src:1 ~dst:2 ~src_port:1 ~dst_port:2 (Payload.synthetic 2000)));
   Engine.run eng ~until:(Time.ms 10.);
@@ -244,25 +282,28 @@ let sample_udp () =
     (Payload.of_bytes (Bytes.init 64 (fun i -> Char.chr (i land 0xff))))
 
 let test_packet_checksum () =
-  let u = sample_udp () in
-  Alcotest.(check bool) "fresh udp verifies" true (Packet.verify u);
-  (match Packet.corrupt u ~at:17 ~xor:0x40 with
-   | Some bad ->
-       Alcotest.(check bool) "corrupted udp fails verify" false (Packet.verify bad)
-   | None -> Alcotest.fail "udp with payload must be corruptible");
+  let pool = Parena.create () in
+  let u = Parena.copy_in pool (sample_udp ()) in
+  let shared = Parena.payload pool u in
+  Alcotest.(check bool) "fresh udp verifies" true (Parena.verify pool u);
+  Alcotest.(check bool) "udp with payload is corruptible" true
+    (Parena.corrupt pool u ~at:17 ~xor:0x40);
+  Alcotest.(check bool) "corrupted udp fails verify" false (Parena.verify pool u);
+  Alcotest.(check int) "the sender's bytes are untouched" 17
+    (Char.code (Bytes.get (Payload.to_bytes shared) 17));
   let t =
-    Packet.tcp ~src:1 ~dst:2 ~src_port:10 ~dst_port:20 ~seq:5 ~ack_no:9
-      ~flags:(Packet.flags ~ack:true ()) ~window:100 (Payload.synthetic 0)
+    Parena.copy_in pool
+      (Packet.tcp ~src:1 ~dst:2 ~src_port:10 ~dst_port:20 ~seq:5 ~ack_no:9
+         ~flags:(Packet.flags ~ack:true ()) ~window:100 (Payload.synthetic 0))
   in
-  Alcotest.(check bool) "pure ack verifies" true (Packet.verify t);
-  (match Packet.corrupt t ~at:0 ~xor:0x1 with
-   | Some bad ->
-       Alcotest.(check bool) "corrupted pure ack fails verify" false
-         (Packet.verify bad)
-   | None -> Alcotest.fail "pure ack must be corruptible (ack_no)");
-  let empty = Packet.udp ~src:1 ~dst:2 ~src_port:1 ~dst_port:2 (Payload.synthetic 0) in
-  Alcotest.(check bool) "empty udp not corruptible" true
-    (Packet.corrupt empty ~at:0 ~xor:1 = None);
+  Alcotest.(check bool) "pure ack verifies" true (Parena.verify pool t);
+  Alcotest.(check bool) "pure ack is corruptible (ack_no)" true
+    (Parena.corrupt pool t ~at:0 ~xor:0x1);
+  Alcotest.(check bool) "corrupted pure ack fails verify" false
+    (Parena.verify pool t);
+  let empty = Parena.copy_in pool (udp 0) in
+  Alcotest.(check bool) "empty udp not corruptible" false
+    (Parena.corrupt pool empty ~at:0 ~xor:1);
   (* Retransmits of the same content checksum identically (ident differs). *)
   let mk () = Packet.udp ~src:1 ~dst:2 ~src_port:3 ~dst_port:4 (Payload.synthetic ~tag:9 50) in
   Alcotest.(check int) "content checksum ident-independent"
@@ -280,13 +321,15 @@ let prop_corruption_always_detected =
   QCheck.Test.make ~count:300 ~name:"packet: any single corruption fails verify"
     QCheck.(triple (int_range 1 2000) small_nat small_nat)
     (fun (len, at, xor) ->
-      let pkt =
-        Packet.udp ~src:7 ~dst:8 ~src_port:1 ~dst_port:2
-          (Payload.synthetic ~tag:(at land 0xff) len)
+      let pool = Parena.create () in
+      let row =
+        Parena.copy_in pool
+          (Packet.udp ~src:7 ~dst:8 ~src_port:1 ~dst_port:2
+             (Payload.synthetic ~tag:(at land 0xff) len))
       in
-      match Packet.corrupt pkt ~at ~xor with
-      | Some bad -> Packet.verify pkt && not (Packet.verify bad)
-      | None -> false)
+      Parena.verify pool row
+      && Parena.corrupt pool row ~at ~xor
+      && not (Parena.verify pool row))
 
 (* --- fault injection ----------------------------------------------------- *)
 
@@ -318,8 +361,8 @@ let test_fault_setters_validate () =
   expect_invalid "unknown port" (fun () ->
       Fabric.set_link_faults fab ~ip:99 Fabric.Faults.none)
 
-(* Two-host world: send [n] tagged datagrams from a to b, return the tags
-   in arrival order plus the packets themselves. *)
+(* Two-host world: send [n] tagged datagrams from a to b, return the
+   pool and the rows that arrived, in arrival order. *)
 let fault_world ?(n = 200) faults =
   let eng = Engine.create () in
   let fab = Fabric.create eng () in
@@ -335,7 +378,7 @@ let fault_world ?(n = 200) faults =
             (Payload.synthetic ~tag:i 64)))
   done;
   Engine.run eng ~until:(Time.sec 1.);
-  (fab, List.rev !got)
+  (fab, Nic.pool b, List.rev !got)
 
 let check_conserved fab =
   let s = Fabric.fault_stats fab in
@@ -346,43 +389,45 @@ let check_conserved fab =
 
 let test_fault_edge_zero () =
   (* loss 0.0 delivers everything. *)
-  let fab, got = fault_world (Fabric.Faults.make ~loss:0.0 ()) in
+  let fab, _, got = fault_world (Fabric.Faults.make ~loss:0.0 ()) in
   Alcotest.(check int) "all 200 delivered" 200 (List.length got);
   Alcotest.(check int) "no fault losses" 0 (Fabric.fault_stats fab).Fabric.fault_lost;
   check_conserved fab
 
 let test_fault_edge_one () =
   (* loss 1.0 drops everything, and the counters account for every frame. *)
-  let fab, got = fault_world (Fabric.Faults.make ~loss:1.0 ()) in
+  let fab, _, got = fault_world (Fabric.Faults.make ~loss:1.0 ()) in
   Alcotest.(check int) "nothing delivered" 0 (List.length got);
   let s = Fabric.fault_stats fab in
   Alcotest.(check int) "all 200 counted lost" 200 s.Fabric.fault_lost;
   check_conserved fab
 
 let test_fault_dup () =
-  let fab, got = fault_world (Fabric.Faults.make ~dup:1.0 ()) in
+  let fab, _, got = fault_world (Fabric.Faults.make ~dup:1.0 ()) in
   Alcotest.(check int) "every frame doubled" 400 (List.length got);
   Alcotest.(check int) "dups counted" 200 (Fabric.fault_stats fab).Fabric.duplicated;
   check_conserved fab
 
 let test_fault_corrupt () =
-  let fab, got = fault_world (Fabric.Faults.make ~corrupt:1.0 ()) in
+  let fab, pool, got = fault_world (Fabric.Faults.make ~corrupt:1.0 ()) in
   Alcotest.(check int) "all delivered (corruption is not loss)" 200
     (List.length got);
   Alcotest.(check int) "corruptions counted" 200
     (Fabric.fault_stats fab).Fabric.corrupted;
   Alcotest.(check bool) "every arrival fails verify" true
-    (List.for_all (fun p -> not (Packet.verify p)) got);
+    (List.for_all (fun row -> not (Parena.verify pool row)) got);
   check_conserved fab
 
 let test_fault_reorder () =
-  let fab, got = fault_world (Fabric.Faults.make ~reorder:0.3 ~reorder_span:4 ()) in
+  let fab, pool, got =
+    fault_world (Fabric.Faults.make ~reorder:0.3 ~reorder_span:4 ())
+  in
   (* Reordering must not lose anything: held frames are released by
      overtaking traffic or the flush timeout. *)
   Alcotest.(check int) "all 200 delivered" 200 (List.length got);
-  let tags = List.filter_map (fun p -> Payload.tag (match p.Packet.body with
-      | Packet.Udp (_, pl) -> pl
-      | _ -> Payload.synthetic 0)) got in
+  let tags =
+    List.filter_map (fun row -> Payload.tag (Parena.payload pool row)) got
+  in
   Alcotest.(check bool) "arrival order actually differs" true
     (tags <> List.sort compare tags);
   (* Bounded displacement: a frame can arrive at most reorder_span + dups
@@ -395,7 +440,7 @@ let test_fault_reorder () =
 let test_fault_ge_burst_loss () =
   (* A channel that is perfect in Good state and awful in Bad state must
      lose something but not everything, and stay conserved. *)
-  let fab, got =
+  let fab, _, got =
     fault_world
       (Fabric.Faults.make ~ge_loss_good:0. ~ge_loss_bad:0.9 ~ge_p_gb:0.1
          ~ge_p_bg:0.3 ())
@@ -408,7 +453,7 @@ let test_fault_ge_burst_loss () =
   check_conserved fab
 
 let test_fault_jitter_delivers_all () =
-  let fab, got = fault_world (Fabric.Faults.make ~jitter_us:500. ()) in
+  let fab, _, got = fault_world (Fabric.Faults.make ~jitter_us:500. ()) in
   Alcotest.(check int) "all delivered under jitter" 200 (List.length got);
   check_conserved fab
 
@@ -453,3 +498,7 @@ let suite =
     Alcotest.test_case "fault: jitter delivers all" `Quick
       test_fault_jitter_delivers_all ]
   @ qsuite
+  @ [ Alcotest.test_case "frame pool: a double release raises" `Quick
+        test_pool_double_release;
+      Alcotest.test_case "frame pool: a use after release raises" `Quick
+        test_pool_use_after_release ]

@@ -15,8 +15,17 @@ let mk_tcp ?(src = 11) ?(sport = 1000) ?(dport = 80) ?(syn = false)
   Packet.tcp ~src ~dst:99 ~src_port:sport ~dst_port:dport ~seq:1 ~ack_no:2
     ~flags:(Packet.flags ~syn ~ack ()) ~window:100 (Payload.synthetic len)
 
+(* A packet as a row of a pool of its own. *)
+let row pkt =
+  let pool = Parena.create () in
+  (pool, Parena.copy_in pool pkt)
+
+let flow pkt =
+  let pool, r = row pkt in
+  Demux_ref.flow_of_row pool r
+
 let test_flow_udp () =
-  match Demux_ref.flow_of_packet (mk_udp ()) with
+  match flow (mk_udp ()) with
   | Demux_ref.Udp_flow { src; src_port; dst_port } ->
       Alcotest.(check int) "src" 11 src;
       Alcotest.(check int) "sport" 1000 src_port;
@@ -24,32 +33,32 @@ let test_flow_udp () =
   | _ -> Alcotest.fail "expected udp flow"
 
 let test_flow_tcp_syn () =
-  match Demux_ref.flow_of_packet (mk_tcp ~syn:true ()) with
+  match flow (mk_tcp ~syn:true ()) with
   | Demux_ref.Tcp_flow { syn_only; _ } ->
       Alcotest.(check bool) "syn-only" true syn_only
   | _ -> Alcotest.fail "expected tcp flow"
 
 let test_flow_tcp_synack_not_syn_only () =
-  match Demux_ref.flow_of_packet (mk_tcp ~syn:true ~ack:true ()) with
+  match flow (mk_tcp ~syn:true ~ack:true ()) with
   | Demux_ref.Tcp_flow { syn_only; _ } ->
       Alcotest.(check bool) "syn+ack is not connection request" false syn_only
   | _ -> Alcotest.fail "expected tcp flow"
 
 let test_flow_fragments () =
-  let big = mk_udp ~len:20_000 () in
-  let frags = Ip.fragment big ~mtu:9180 in
+  let pool, big = row (mk_udp ~len:20_000 ()) in
+  let frags = Ip.fragment pool big ~mtu:9180 in
   Alcotest.(check int) "three fragments" 3 (List.length frags);
   (match frags with
    | first :: rest ->
        (* First fragment carries the transport header: demuxable. *)
-       (match Demux_ref.flow_of_packet first with
+       (match Demux_ref.flow_of_row pool first with
         | Demux_ref.Udp_flow { dst_port; _ } ->
             Alcotest.(check int) "first fragment demuxes to port" 2000 dst_port
         | _ -> Alcotest.fail "first fragment should demux as UDP");
        (* Later fragments cannot be demultiplexed to an endpoint. *)
        List.iter
          (fun f ->
-           match Demux_ref.flow_of_packet f with
+           match Demux_ref.flow_of_row pool f with
            | Demux_ref.Frag_flow { src; _ } -> Alcotest.(check int) "src" 11 src
            | _ -> Alcotest.fail "non-first fragment must be Frag_flow")
          rest
@@ -72,36 +81,37 @@ let prop_demux_matches_reference =
     ~name:"demux: hot path agrees with the reference model"
     (QCheck.make gen)
     (fun (shape, src, sport, dport, syn, ack) ->
-      let pkt = Demux_ref.packet ~shape ~src ~sport ~dport ~syn ~ack in
+      let pool = Parena.create () in
+      let r = Demux_ref.packet pool ~shape ~src ~sport ~dport ~syn ~ack in
       let cls, port =
-        match Demux_ref.flow_of_packet pkt with
+        match Demux_ref.flow_of_row pool r with
         | Demux_ref.Udp_flow { dst_port; _ } -> (Demux.Udp_class, dst_port)
         | Demux_ref.Tcp_flow _ -> (Demux.Tcp_class, -1)
         | Demux_ref.Frag_flow _ -> (Demux.Frag_class, -1)
         | Demux_ref.Icmp_flow -> (Demux.Icmp_class, -1)
       in
-      Demux.class_of_packet pkt = cls
-      && Demux.udp_dst_port_of_packet pkt = port)
+      Demux.class_of_row pool r = cls
+      && (cls <> Demux.Udp_class || Parena.dport pool r = port))
 
 (* --- IP fragmentation / reassembly -------------------------------------- *)
 
 let test_fragment_sizes () =
-  let pkt = mk_udp ~len:20_000 () in
-  let frags = Ip.fragment pkt ~mtu:9180 in
+  let pool, r = row (mk_udp ~len:20_000 ()) in
+  let frags = Ip.fragment pool r ~mtu:9180 in
   List.iter
     (fun f ->
       Alcotest.(check bool) "each fragment fits mtu" true
-        (Packet.wire_bytes f <= 9180))
+        (Parena.wire_bytes pool f <= 9180))
     frags;
-  let total =
-    List.fold_left (fun acc f -> acc + Packet.payload_length f) 0 frags
-  in
-  Alcotest.(check int) "payload conserved" 20_000 total
+  let total = List.fold_left (fun acc f -> acc + Parena.flen pool f) 0 frags in
+  Alcotest.(check int) "payload conserved" 20_000 total;
+  Alcotest.(check int) "the datagram's row went to its fragments"
+    (List.length frags) (Parena.live pool)
 
 let test_fragment_small_passthrough () =
-  let pkt = mk_udp ~len:100 () in
-  match Ip.fragment pkt ~mtu:9180 with
-  | [ p ] -> Alcotest.(check bool) "unchanged" true (p == pkt)
+  let pool, r = row (mk_udp ~len:100 ()) in
+  match Ip.fragment pool r ~mtu:9180 with
+  | [ f ] -> Alcotest.(check bool) "unchanged" true (f = r)
   | _ -> Alcotest.fail "small packet should not fragment"
 
 (* Reassembly runs over arena rows: each fragment is admitted charged one
@@ -111,18 +121,23 @@ let reasm ?timeout () =
   let arena = Parena.create () in
   (arena, Ip.Reasm.create ?timeout arena)
 
-let insert arena r f = Ip.Reasm.insert r ~now:0. (Parena.acquire arena f ~charge:1)
+let fragments arena pkt = Ip.fragment arena (Parena.copy_in arena pkt) ~mtu:9180
+
+let insert arena r f =
+  Parena.set_charge arena f 1;
+  Ip.Reasm.insert r ~now:0. f
+
 let completed rows = List.filter (fun h -> h <> Parena.none) rows
 
 let test_reasm_in_order () =
   let arena, r = reasm () in
   let pkt = mk_udp ~len:20_000 () in
-  let frags = Ip.fragment pkt ~mtu:9180 in
+  let frags = fragments arena pkt in
   let results = List.map (insert arena r) frags in
   (match completed results with
    | [ h ] ->
        Alcotest.(check bool) "the row holds the whole datagram" true
-         (Parena.pkt arena h == pkt);
+         (Parena.to_packet arena h = pkt && not (Parena.is_fragment arena h));
        Alcotest.(check int) "the row carries every fragment's charge"
          (List.length frags) (Parena.charge arena h);
        Alcotest.(check int) "one row left" 1 (Parena.live arena)
@@ -135,33 +150,31 @@ let prop_reasm_any_order =
     QCheck.(pair (int_range 10_000 60_000) small_int)
     (fun (len, seed) ->
       let arena, r = reasm () in
-      let pkt = mk_udp ~len () in
-      let frags = Array.of_list (Ip.fragment pkt ~mtu:9180) in
+      let frags = Array.of_list (fragments arena (mk_udp ~len ())) in
       let rng = Lrp_engine.Rng.create seed in
       Lrp_engine.Rng.shuffle rng frags;
       match completed (List.map (insert arena r) (Array.to_list frags)) with
       | [ h ] ->
-          Packet.payload_length (Parena.pkt arena h) = len
+          Parena.payload_len arena h = len
           && Parena.charge arena h = Array.length frags
       | _ -> false)
 
 let test_reasm_interleaved_datagrams () =
   (* Fragments of two datagrams interleaved: both complete. *)
   let arena, r = reasm () in
-  let a = mk_udp ~len:20_000 ~sport:1 () in
-  let b = mk_udp ~len:20_000 ~sport:2 () in
-  let fa = Ip.fragment a ~mtu:9180 and fb = Ip.fragment b ~mtu:9180 in
+  let fa = fragments arena (mk_udp ~len:20_000 ~sport:1 ())
+  and fb = fragments arena (mk_udp ~len:20_000 ~sport:2 ()) in
   let interleaved = List.concat (List.map2 (fun x y -> [ x; y ]) fa fb) in
   let completions = completed (List.map (insert arena r) interleaved) in
   Alcotest.(check int) "both complete" 2 (List.length completions)
 
 let test_reasm_timeout () =
   let arena, r = reasm ~timeout:1_000. () in
-  let pkt = mk_udp ~len:20_000 () in
-  (match Ip.fragment pkt ~mtu:9180 with
-   | f :: g :: _ ->
+  (match fragments arena (mk_udp ~len:20_000 ()) with
+   | f :: g :: rest ->
        ignore (insert arena r f);
-       ignore (insert arena r g)
+       ignore (insert arena r g);
+       List.iter (Parena.release arena) rest
    | _ -> Alcotest.fail "too few fragments");
   Alcotest.(check int) "pending" 1 (Ip.Reasm.pending_count r);
   Alcotest.(check int) "one row per pending datagram" 1 (Parena.live arena);
@@ -179,11 +192,10 @@ let test_reasm_timeout () =
 
 let test_reasm_duplicate_fragments () =
   let arena, r = reasm () in
-  let pkt = mk_udp ~len:20_000 () in
-  let frags = Ip.fragment pkt ~mtu:9180 in
-  (* Insert the first fragment twice, then the rest. *)
+  let frags = fragments arena (mk_udp ~len:20_000 ()) in
+  (* Insert a copy of the first fragment, then every fragment. *)
   (match frags with
-   | f :: _ -> ignore (insert arena r f)
+   | f :: _ -> ignore (insert arena r (Parena.copy arena f ~into:arena))
    | [] -> ());
   match completed (List.map (insert arena r) frags) with
   | [ h ] ->

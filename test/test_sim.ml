@@ -398,9 +398,8 @@ let zero_word_cycles =
   let module Api = Lrp_kernel.Api in
   let module Tcp = Lrp_proto.Tcp in
   let bsd () = Kernel.default_config Kernel.Bsd in
-  let arena_chan () =
-    Channel.create ~arena:(Lrp_net.Parena.create ()) ~limit:64 ()
-  in
+  let module Parena = Lrp_net.Parena in
+  let pool () = Parena.create () and chan () = Channel.create ~limit:64 () in
   let typed_sink eng = Engine.target eng (fun (_ : int) -> ()) in
   [ ( "schedule_fire",
       (* a static thunk: slot-table recycling reuses one event record *)
@@ -454,25 +453,27 @@ let zero_word_cycles =
         for port = 1 to 64 do
           Lrp_core.Chantab.add_udp tab ~port port
         done;
-        let pkt = udp_pkt () in
-        fun () -> ignore (Lrp_core.Chantab.resolve_slot tab pkt) );
+        let pool = pool () in
+        let row = Parena.copy_in pool (udp_pkt ()) in
+        fun () -> ignore (Lrp_core.Chantab.resolve_slot tab pool row) );
     ( "arena_rx",
-      (* NI-channel admission and consumption through the handle ring *)
+      (* a frame copied into the pool, admitted to an NI channel, popped
+         and released *)
       fun () ->
-        let ch = arena_chan () and pkt = udp_pkt () in
+        let pool = pool () and ch = chan () and pkt = udp_pkt () in
         fun () ->
-          ignore (Channel.enqueue_code ch pkt);
-          ignore (Channel.pop ch) );
+          ignore (Channel.enqueue_code ch (Parena.copy_in pool pkt));
+          Parena.release pool (Channel.pop_row ch) );
     ( "tracing_on_arena_rx",
       (* the same cycle plus the packed flight-recorder emit *)
       fun () ->
-        let ch = arena_chan () and pkt = udp_pkt () in
+        let pool = pool () and ch = chan () and pkt = udp_pkt () in
         let tracer = Lrp_trace.Trace.create ~name:"rec" ~clock:[| 0. |] () in
         Lrp_trace.Trace.set_enabled tracer true;
         fun () ->
-          ignore (Channel.enqueue_code ch pkt);
+          ignore (Channel.enqueue_code ch (Parena.copy_in pool pkt));
           Lrp_trace.Trace.nic_rx tracer ~pkt:42 ~bytes:64;
-          ignore (Channel.pop ch) );
+          Parena.release pool (Channel.pop_row ch) );
     ( "drop_disabled",
       (* a drop on a disabled tracer: its reason's total still counts *)
       fun () ->
@@ -490,12 +491,13 @@ let zero_word_cycles =
             ~pkt:42 ~arg:3 );
     ( "tx_ifq",
       (* if_output on an idle NIC and through the interface queue behind
-         it, both tx-dones fired *)
+         it, both tx-dones fired and their rows released *)
       fun () ->
         let eng = Engine.create () in
         let nic =
           Nic.create eng ~ip:(Lrp_net.Packet.ip_of_quad 10 0 0 9) ()
         in
+        Nic.set_deliver nic (Parena.release (Nic.pool nic));
         let pkt = udp_pkt () in
         fun () ->
           ignore (Nic.transmit nic pkt);
@@ -512,11 +514,11 @@ let zero_word_cycles =
         Nic.configure_rx_queues nic ~queues:1 ~ring:64 ~coalesce_pkts:64
           ~coalesce_us:5. ~steer:(fun _ -> 0)
           ~kick:(fun q -> Nic.rxq_disable_intr nic q);
-        let pkt = udp_pkt () in
+        let pool = Nic.pool nic and pkt = udp_pkt () in
         fun () ->
-          Nic.receive nic pkt;
+          Nic.receive nic (Parena.copy_in pool pkt);
           ignore (Engine.step eng);
-          ignore (Nic.rxq_pop nic 0);
+          Parena.release pool (Nic.rxq_pop nic 0);
           Nic.rxq_enable_intr nic 0 );
     ( "deliver_tcp_full_listener",
       (* BSD PCB lookup of a SYN that the listener's full backlog drops *)
@@ -530,10 +532,11 @@ let zero_word_cycles =
                Proc.block (Proc.waitq "forever")));
         Lrp_workload.World.run w ~until:(Time.ms 1.);
         let syn =
-          Lrp_net.Packet.tcp ~src:(Lrp_net.Packet.ip_of_quad 11 0 0 1)
-            ~dst:(Kernel.ip_address k) ~src_port:1024 ~dst_port:99 ~seq:0
-            ~ack_no:0 ~flags:Lrp_net.Packet.flags_syn ~window:16_384
-            Lrp_net.Packet.empty_payload
+          Parena.copy_in k.Kernel.parena
+            (Lrp_net.Packet.tcp ~src:(Lrp_net.Packet.ip_of_quad 11 0 0 1)
+               ~dst:(Kernel.ip_address k) ~src_port:1024 ~dst_port:99 ~seq:0
+               ~ack_no:0 ~flags:Lrp_net.Packet.flags_syn ~window:16_384
+               Lrp_net.Packet.empty_payload)
         in
         fun () -> ignore (Kernel.deliver_tcp k syn ~ctx:`Soft) );
     ( "tcp_timer",
@@ -581,12 +584,14 @@ let zero_word_cycles =
           Tcp.create_active env ~local_ip:local ~local_port:5000
             ~remote:(peer, 80) ()
         in
+        let pool = k.Kernel.parena in
         let seg ~seq ~ack_no flags =
-          Lrp_net.Packet.tcp ~src:peer ~dst:local ~src_port:80
-            ~dst_port:5000 ~seq ~ack_no ~flags ~window:65_535
-            Lrp_net.Packet.empty_payload
+          Parena.copy_in pool
+            (Lrp_net.Packet.tcp ~src:peer ~dst:local ~src_port:80
+               ~dst_port:5000 ~seq ~ack_no ~flags ~window:65_535
+               Lrp_net.Packet.empty_payload)
         in
-        Tcp.input conn (seg ~seq:0 ~ack_no:1 Lrp_net.Packet.flags_syn_ack);
+        Tcp.input conn pool (seg ~seq:0 ~ack_no:1 Lrp_net.Packet.flags_syn_ack);
         (* one large segment in flight, acknowledged a byte at a time *)
         Queue.add (1, Lrp_net.Payload.synthetic 1_000_000) conn.Tcp.unacked;
         conn.Tcp.snd_nxt <- 1_000_001;
@@ -594,7 +599,7 @@ let zero_word_cycles =
         fun () ->
           conn.Tcp.snd_una <- 1;
           conn.Tcp.timing_seq <- 2;
-          Tcp.input conn ack );
+          Tcp.input conn pool ack );
     ( "busy_tick_decay",
       (* one process spinning on a single long segment: each cycle fires
          the CPU's 10 ms tick (charging the process) or its 1 s usage
@@ -650,6 +655,51 @@ let ip_output_cycle () =
     while Lrp_net.Nic.ifq_length nic > 0 do
       ignore (Engine.step eng)
     done
+
+(* A sender's prebuilt UDP packet, from [Nic.transmit] through the fabric,
+   the receiving NIC and its kernel to the frame's release, on a world
+   whose sink socket is bound but never read: once its queues are full,
+   BSD carries each frame through the driver, the IP queue and the socket
+   queue, which drops it; SOFT-LRP's demux interrupt discards it at the
+   full NI channel.  A cycle transmits one frame and runs the engine
+   300 us (staged: a float bound would box), longer than the frame's
+   path; the warm-up fills the queues.  The frame pool's live count stays
+   flat across the window: every frame is released in its cycle. *)
+let frame_path arch =
+  let module World = Lrp_workload.World in
+  let module Kernel = Lrp_kernel.Kernel in
+  let module Api = Lrp_kernel.Api in
+  let w, client, server = World.pair ~cfg:(Kernel.default_config arch) () in
+  Api.bind server (Api.socket_dgram ()) ~owner:None ~port:9000;
+  let pkt =
+    Lrp_net.Packet.udp ~src:(Kernel.ip_address client)
+      ~dst:(Kernel.ip_address server) ~src_port:7777 ~dst_port:9000
+      (Lrp_net.Payload.synthetic 14)
+  in
+  let eng = World.engine w and nic = Kernel.nic client in
+  let stage = Engine.deadline_cell eng and clock = Engine.clock_cell eng in
+  let cycle () =
+    ignore (Lrp_net.Nic.transmit nic pkt);
+    stage.(0) <- clock.(0) +. 300.;
+    Engine.run_staged eng
+  in
+  (Lrp_net.Nic.pool nic, Kernel.nic server, cycle)
+
+let test_frame_path_words arch () =
+  let pool, rx_nic, cycle = frame_path arch in
+  for _ = 1 to 2_000 do
+    cycle ()
+  done;
+  let live = Lrp_net.Parena.live pool
+  and rx = (Lrp_net.Nic.stats rx_nic).Lrp_net.Nic.rx_packets in
+  let n = 5_000 in
+  let words = minor_words (fun () -> for _ = 1 to n do cycle () done) in
+  Alcotest.(check int) "every frame arrived" (rx + n)
+    (Lrp_net.Nic.stats rx_nic).Lrp_net.Nic.rx_packets;
+  Alcotest.(check int) "every frame released in its cycle" live
+    (Lrp_net.Parena.live pool);
+  Alcotest.(check (float 0.)) "minor words per cycle" 0.
+    (words /. float_of_int n)
 
 (* Run-ahead (DESIGN §17), process side: a process computing in a quiet
    world.  Spawning is no tail entry, so its first segment is queued;
@@ -756,4 +806,8 @@ let suite =
       Alcotest.test_case "0.0 words per cycle: run_ahead_compute" `Quick
         test_run_ahead_compute_words;
       Alcotest.test_case "0.0 words per cycle: run_ahead_hardirq" `Quick
-        (test_zero_words run_ahead_hardirq_cycle) ]
+        (test_zero_words run_ahead_hardirq_cycle);
+      Alcotest.test_case "0.0 words per cycle: frame_path (bsd)" `Quick
+        (test_frame_path_words Lrp_kernel.Kernel.Bsd);
+      Alcotest.test_case "0.0 words per cycle: frame_path (soft-lrp)" `Quick
+        (test_frame_path_words Lrp_kernel.Kernel.Soft_lrp) ]

@@ -64,6 +64,15 @@ let mk_env h ~dir =
 (* Advance virtual time, delivering wire packets and firing timers in
    order.  [route] maps an inbound packet to the connection that should
    receive it. *)
+(* Hand a segment to a connection as the kernel does: as a row of the
+   frame pool, released once the connection has read it. *)
+let pool = Parena.create ()
+
+let input c pkt =
+  let row = Parena.copy_in pool pkt in
+  Tcp.input c pool row;
+  Parena.release pool row
+
 let run h ~until ~route_a ~route_b =
   let rec step () =
     (* earliest pending event *)
@@ -81,12 +90,12 @@ let run h ~until ~route_a ~route_b =
       let due, rest = List.partition (fun (at, _) -> at <= t) h.wire_ab in
       h.wire_ab <- rest;
       List.iter (fun (_, pkt) -> match route_b pkt with
-          | Some c -> Tcp.input c pkt
+          | Some c -> input c pkt
           | None -> ()) due;
       let due, rest = List.partition (fun (at, _) -> at <= t) h.wire_ba in
       h.wire_ba <- rest;
       List.iter (fun (_, pkt) -> match route_a pkt with
-          | Some c -> Tcp.input c pkt
+          | Some c -> input c pkt
           | None -> ()) due;
       (* fire due timers (stale entries are dropped by the gen check) *)
       let due, rest = List.partition (fun (at, _, _) -> at <= t) h.timers in
@@ -285,7 +294,7 @@ let test_syn_backlog_drop () =
         ~ack_no:0 ~flags:(Packet.flags ~syn:true ()) ~window:1000
         (Payload.synthetic 0)
     in
-    Tcp.input listener syn
+    input listener syn
   done;
   Alcotest.(check int) "two embryonic" 2 listener.Tcp.syn_pending;
   Alcotest.(check int) "one dropped at backlog" 1 listener.Tcp.syn_drops_backlog
@@ -434,7 +443,7 @@ let test_listener_ignores_stray_ack () =
     Packet.tcp ~src:50 ~dst:2 ~src_port:999 ~dst_port:80 ~seq:100 ~ack_no:200
       ~flags:(Packet.flags ~ack:true ()) ~window:1000 (Payload.synthetic 0)
   in
-  Tcp.input listener stray;
+  input listener stray;
   Alcotest.(check int) "no embryonic connection created" 0 listener.Tcp.syn_pending;
   Alcotest.(check string) "listener unchanged" "LISTEN"
     (Tcp.state_name (Tcp.state listener))

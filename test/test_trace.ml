@@ -269,9 +269,11 @@ let test_kernel_metrics_snapshot () =
   (* Added interfaces report under nic1, nic2, ... *)
   let open Lrp_net in
   let engine = Lrp_engine.Engine.create () in
-  let fabric () = Fabric.create engine () in
+  (* One cell: every network shares the first one's frame pool. *)
+  let first = Fabric.create engine () in
+  let fabric () = Fabric.create engine ~pool:(Fabric.pool first) () in
   let gw =
-    Lrp_kernel.Kernel.create engine (fabric ()) ~name:"gw"
+    Lrp_kernel.Kernel.create engine first ~name:"gw"
       ~ip:(Packet.ip_of_quad 10 0 0 1)
       (Lrp_kernel.Kernel.default_config Lrp_kernel.Kernel.Bsd)
   in

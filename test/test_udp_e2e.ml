@@ -18,7 +18,7 @@ let test_udp_delivery arch cfg =
   let received = ref [] in
   let _server_proc =
     Cpu.spawn (Kernel.cpu server) ~name:"rx" (fun self ->
-        let sock = Api.socket_dgram server in
+        let sock = Api.socket_dgram () in
         Api.bind server sock ~owner:(Some self) ~port:5000;
         for _ = 1 to 3 do
           let dg = Api.recvfrom server sock in
@@ -27,7 +27,7 @@ let test_udp_delivery arch cfg =
   in
   let _client_proc =
     Cpu.spawn (Kernel.cpu client) ~name:"tx" (fun self ->
-        let sock = Api.socket_dgram client in
+        let sock = Api.socket_dgram () in
         ignore (Api.bind_ephemeral client sock ~owner:(Some self));
         List.iter
           (fun n ->
@@ -79,7 +79,7 @@ let test_early_discard_lrp () =
   let cfg = Kernel.default_config Kernel.Ni_lrp in
   let w, client, server = World.pair ~cfg () in
   (* A sink that consumes very slowly. *)
-  let sock = Api.socket_dgram server in
+  let sock = Api.socket_dgram () in
   let consumed = ref 0 in
   ignore
     (Cpu.spawn (Kernel.cpu server) ~name:"slow-sink" (fun self ->
@@ -154,8 +154,8 @@ let test_traffic_separation_lrp () =
    receives, over a steady 300 ms window of Figure 3's livelock point
    (14-byte UDP at 20k pkts/s).  Everything is deterministic, so the
    figure is exact for a build.  It includes the source's frames
-   ([Packet.udp] plus payload, about 18 words per frame offered, delivered
-   or not) and the datagram each receive hands to the application.  The
+   ([Packet.udp] plus payload, 12 words per frame offered, delivered or
+   not) and the datagram each receive hands to the application.  The
    bounds sit about 3% above the figures measured under the workspace's
    release profile (dune-workspace); dune's dev profile compiles with
    -opaque and reads higher. *)
@@ -181,9 +181,8 @@ let test_rx_words_per_datagram () =
         (Printf.sprintf "%s: %.1f minor words per datagram <= %.1f"
            (Kernel.arch_name arch) got bound)
         true (got <= bound))
-    (* measured 77.2, 53.9 and 79.7 under the workspace profile (83.5, 57.6
-       and 86.3 under the dev profile) *)
-    [ (Kernel.Soft_lrp, 79.5); (Kernel.Ni_lrp, 55.5); (Kernel.Napi_gro, 82.1) ]
+    (* measured 54.6, 37.7 and 56.9 under the workspace profile *)
+    [ (Kernel.Soft_lrp, 56.2); (Kernel.Ni_lrp, 38.8); (Kernel.Napi_gro, 58.6) ]
 
 let suite =
   [ Alcotest.test_case "udp delivery (all archs)" `Quick

@@ -57,12 +57,14 @@ let test_synflood_unique_tuples () =
   let b = Fabric.make_nic fab ~ip:2 () in
   let seen = Hashtbl.create 512 in
   let dups = ref 0 in
-  Nic.set_rx_handler b (fun pkt ->
-      match pkt.Packet.body with
-      | Packet.Tcp (h, _) ->
-          let key = (Packet.src pkt, h.Packet.tsrc_port) in
-          if Hashtbl.mem seen key then incr dups else Hashtbl.replace seen key ()
-      | _ -> ());
+  Nic.set_rx_handler b (fun row ->
+      let pool = Nic.pool b in
+      (match Parena.proto pool row with
+       | Parena.Tcp ->
+           let key = (Parena.src pool row, Parena.sport pool row) in
+           if Hashtbl.mem seen key then incr dups else Hashtbl.replace seen key ()
+       | Parena.Udp | Parena.Icmp -> ());
+      Parena.release pool row);
   ignore
     (Synflood.start eng a ~dst:(2, 99) ~rate:10_000. ~until:(Time.ms 200.) ());
   Engine.run eng ~until:(Time.ms 300.);
@@ -166,7 +168,7 @@ let test_fragment_loss_times_out_cleanly () =
       let got = ref 0 in
       ignore
         (Cpu.spawn (Kernel.cpu server) ~name:"rx" (fun self ->
-             let sock = Api.socket_dgram server in
+             let sock = Api.socket_dgram () in
              Api.bind server sock ~owner:(Some self) ~port:5000;
              let rec loop () =
                let _dg = Api.recvfrom server sock in
@@ -176,7 +178,7 @@ let test_fragment_loss_times_out_cleanly () =
              try loop () with Api.Socket_closed -> ()));
       ignore
         (Cpu.spawn (Kernel.cpu client) ~name:"tx" (fun self ->
-             let sock = Api.socket_dgram client in
+             let sock = Api.socket_dgram () in
              ignore (Api.bind_ephemeral client sock ~owner:(Some self));
              for _ = 1 to 100 do
                Api.sendto client ~self sock
