@@ -26,9 +26,11 @@ let () =
          Api.bind bob sock ~owner:(Some self) ~port:7;
          (* Echo forever: receive (with lazy protocol processing, since
             this is an LRP kernel) and send straight back. *)
+         let dg = Api.dgram () in
          let rec loop () =
-           let dg = Api.recvfrom bob sock in
-           Api.sendto bob ~self sock ~dst:dg.Api.dg_from dg.Api.dg_payload;
+           Api.recvfrom bob sock dg;
+           Api.sendto bob ~self sock ~dst:(dg.Api.dg_src, dg.Api.dg_sport)
+             dg.Api.dg_payload;
            loop ()
          in
          loop ()));
@@ -38,12 +40,13 @@ let () =
     (Cpu.spawn (Kernel.cpu alice) ~name:"client" (fun self ->
          let sock = Api.socket_dgram () in
          ignore (Api.bind_ephemeral alice sock ~owner:(Some self));
+         let reply = Api.dgram () in
          for i = 1 to 3 do
            let t0 = Engine.now (World.engine w) in
            Api.sendto alice ~self sock
              ~dst:(Kernel.ip_address bob, 7)
              (Payload.synthetic (100 * i));
-           let reply = Api.recvfrom alice sock in
+           Api.recvfrom alice sock reply;
            Printf.printf "udp echo %d: %d bytes back in %.0f us\n" i
              (Payload.length reply.Api.dg_payload)
              (Engine.now (World.engine w) -. t0)

@@ -19,11 +19,15 @@ open Lrp_net
 open Lrp_proto
 open Lrp_core
 
-type dgram = Socket.udp_datagram = {
-  dg_payload : Payload.t;
-  dg_from : Packet.ip * int;
-  dg_pkt : int;
+type dgram = {
+  mutable dg_payload : Payload.t;
+  mutable dg_src : Packet.ip;
+  mutable dg_sport : int;
+  mutable dg_pkt : int;
 }
+
+let dgram () =
+  { dg_payload = Packet.empty_payload; dg_src = 0; dg_sport = 0; dg_pkt = 0 }
 
 exception Socket_closed
 
@@ -126,8 +130,10 @@ let udp_connect _k (sock : Socket.t) ~remote = sock.Socket.remote <- Some remote
 (* ------------------------------------------------------------------ *)
 
 (* Copy the datagram at the head of the (non-empty) socket queue out to
-   the caller: the datagram handed over is built from its row. *)
-let take_ready k (sock : Socket.t) =
+   the caller's [dg], read off its row.  The payload pointer is stored
+   only when it changes (copyout of a synthetic payload usually returns
+   the pool's cached one), so the steady loop takes no write barrier. *)
+let take_ready k (sock : Socket.t) dg =
   let row = Queue.take sock.Socket.udp_rcv in
   let pool = k.Kernel.parena in
   let len = Parena.payload_len pool row in
@@ -139,15 +145,18 @@ let take_ready k (sock : Socket.t) =
       | Kernel.Lazy -> c.Cost.sockq
       | Kernel.Eager -> c.Cost.sockbuf_op +. c.Cost.mbuf_free)
      +. (c.Cost.copy_per_byte *. float_of_int len));
-  let dg = Socket.datagram pool row in
+  let payload = Parena.payload pool row in
+  if dg.dg_payload != payload then dg.dg_payload <- payload;
+  dg.dg_src <- Parena.src pool row;
+  dg.dg_sport <- Parena.sport pool row;
+  dg.dg_pkt <- Parena.ident pool row;
   (* The copyout releases the datagram's row, and with it the mbufs
      charged to it at admission. *)
   Kernel.free_rx_pkt k row;
   sock.Socket.stats.Socket.rx_delivered <-
     sock.Socket.stats.Socket.rx_delivered + 1;
   Lrp_trace.Trace.syscall_copyout (Kernel.tracer k)
-    ~pkt:dg.dg_pkt ~sock:sock.Socket.id ~bytes:len;
-  dg
+    ~pkt:dg.dg_pkt ~sock:sock.Socket.id ~bytes:len
 
 let ready (sock : Socket.t) = not (Queue.is_empty sock.Socket.udp_rcv)
 
@@ -163,35 +172,39 @@ let await_ready k (sock : Socket.t) =
       end
   | None -> Proc.block sock.Socket.recv_wait
 
-let rec recv_blocking k (sock : Socket.t) =
+let rec recv_blocking k (sock : Socket.t) dg =
   if sock.Socket.closed then raise Socket_closed
-  else if ready sock then take_ready k sock
+  else if ready sock then take_ready k sock dg
   else begin
     await_ready k sock;
-    recv_blocking k sock
+    recv_blocking k sock dg
   end
 
-(* [recvfrom k sock] blocks until a datagram is available and returns
-   it.  Under LRP, performs the protocol processing lazily here. *)
-let recvfrom k (sock : Socket.t) =
+(* [recvfrom k sock dg] blocks until a datagram is available and copies
+   it out into [dg].  Under LRP, performs the protocol processing lazily
+   here. *)
+let recvfrom k (sock : Socket.t) dg =
   if sock.Socket.kind <> Socket.Dgram then
     (* alloc: cold — misuse error *)
     invalid_arg "Api.recvfrom: datagram sockets only";
   compute k (c k).Cost.syscall;
-  recv_blocking k sock
+  recv_blocking k sock dg
 
-let rec recv_until k (sock : Socket.t) expired =
-  if sock.Socket.closed then None
-  else if ready sock then Some (take_ready k sock)
-  else if !expired then None
+let rec recv_until k (sock : Socket.t) dg expired =
+  if sock.Socket.closed then false
+  else if ready sock then begin
+    take_ready k sock dg;
+    true
+  end
+  else if !expired then false
   else begin
     await_ready k sock;
-    recv_until k sock expired
+    recv_until k sock dg expired
   end
 
-(* [recvfrom_timeout k sock ~timeout] is [recvfrom] with a deadline:
-   [None] if no datagram arrived in time. *)
-let recvfrom_timeout k (sock : Socket.t) ~timeout =
+(* [recvfrom_timeout k sock dg ~timeout] is [recvfrom] with a deadline:
+   [false] if no datagram arrived in time. *)
+let recvfrom_timeout k (sock : Socket.t) dg ~timeout =
   compute k (c k).Cost.syscall;
   let engine = Kernel.engine k in
   let deadline = Lrp_engine.Engine.now engine +. timeout in
@@ -202,21 +215,24 @@ let recvfrom_timeout k (sock : Socket.t) ~timeout =
     Lrp_engine.Engine.schedule_to engine ~at:deadline
       (Kernel.recv_timeout_target k) (sock, expired)
   in
-  let dg = recv_until k sock expired in
+  let got = recv_until k sock dg expired in
   Lrp_engine.Engine.cancel engine timer;
-  dg
+  got
 
-let rec try_take k (sock : Socket.t) =
-  if ready sock then Some (take_ready k sock)
+let rec try_take k (sock : Socket.t) dg =
+  if ready sock then begin
+    take_ready k sock dg;
+    true
+  end
   else
     match sock.Socket.chan with
-    | Some ch when Kernel.lrp_recv_one k ch -> try_take k sock
-    | Some _ | None -> None
+    | Some ch when Kernel.lrp_recv_one k ch -> try_take k sock dg
+    | Some _ | None -> false
 
-(* Non-blocking variant: [None] when nothing is available right now. *)
-let try_recvfrom k (sock : Socket.t) =
+(* Non-blocking variant: [false] when nothing is available right now. *)
+let try_recvfrom k (sock : Socket.t) dg =
   compute k (c k).Cost.syscall;
-  try_take k sock
+  try_take k sock dg
 
 (* ------------------------------------------------------------------ *)
 (* TCP                                                                  *)

@@ -14,13 +14,18 @@
       the "lazy receiver processing" the paper is named after
       (section 3.3). *)
 
-type dgram =
-  Socket.udp_datagram = {
-  dg_payload : Lrp_net.Payload.t;
-  dg_from : Lrp_net.Packet.ip * int;
-  dg_pkt : int;  (** originating packet's IP ident, for tracing *)
+type dgram = {
+  mutable dg_payload : Lrp_net.Payload.t;
+  mutable dg_src : Lrp_net.Packet.ip;  (** source address *)
+  mutable dg_sport : int;  (** source port *)
+  mutable dg_pkt : int;  (** originating packet's IP ident, for tracing *)
 }
-(** A received datagram: payload plus source address. *)
+(** A caller-owned receive buffer: each receive into it overwrites every
+    field with the datagram copied out, so a receive loop allocates no
+    datagram of its own (the application buffer of the paper's §3). *)
+
+val dgram : unit -> dgram
+(** A fresh, empty receive buffer. *)
 
 exception Socket_closed
 (** Raised by blocking calls when the socket is closed underneath them. *)
@@ -72,17 +77,19 @@ val udp_connect : 'a -> Socket.t -> remote:Lrp_net.Packet.ip * int -> unit
     any other source are silently discarded (BSD connected-UDP
     semantics). *)
 
-val recvfrom : Kernel.t -> Socket.t -> Socket.udp_datagram
-(** Block until a datagram is available.  Under LRP this is where protocol
-    processing happens: raw packets are taken off the NI channel and run
-    through IP/UDP in the caller's context. *)
+val recvfrom : Kernel.t -> Socket.t -> dgram -> unit
+(** Block until a datagram is available and copy it out into the buffer.
+    Under LRP this is where protocol processing happens: raw packets are
+    taken off the NI channel and run through IP/UDP in the caller's
+    context. *)
 
-val recvfrom_timeout :
-  Kernel.t -> Socket.t -> timeout:float -> Socket.udp_datagram option
-(** [recvfrom] with a deadline; [None] if nothing arrived in time. *)
+val recvfrom_timeout : Kernel.t -> Socket.t -> dgram -> timeout:float -> bool
+(** [recvfrom] with a deadline; [false], with the buffer untouched, if
+    nothing arrived in time. *)
 
-val try_recvfrom : Kernel.t -> Socket.t -> Socket.udp_datagram option
-(** Non-blocking receive: [None] when nothing is available right now. *)
+val try_recvfrom : Kernel.t -> Socket.t -> dgram -> bool
+(** Non-blocking receive: [false], with the buffer untouched, when nothing
+    is available right now. *)
 
 (** {1 TCP} *)
 

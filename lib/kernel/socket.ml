@@ -17,13 +17,6 @@ open Lrp_sim
 
 type kind = Dgram | Stream
 
-(* A datagram as copyout hands it to the application. *)
-type udp_datagram = {
-  dg_payload : Payload.t;
-  dg_from : Packet.ip * int;
-  dg_pkt : int;  (* originating packet's IP ident, for tracing *)
-}
-
 type stats = {
   mutable rx_delivered : int;   (* datagrams handed to the application *)
   mutable rx_sockq_drops : int; (* datagrams dropped at a full socket queue *)
@@ -67,17 +60,10 @@ let udp_rcv_limit = 32
 (* The socket queue has room for another ready datagram. *)
 let has_room t = Queue.length t.udp_rcv < udp_rcv_limit
 
-(* The datagram copyout hands to the application, read off its row: with
-   the queue cell below, the one allocation the receive path keeps by
-   design. *)
-let datagram pool row =
-  { dg_payload = Parena.payload pool row;
-    dg_from = (Parena.src pool row, Parena.sport pool row);
-    dg_pkt = Parena.ident pool row }
-
 (* Append a ready datagram's row to the socket queue (BSD softint path,
    NAPI poll, or LRP's lazy receive); the caller has checked [has_room].
-   The queue cell is the one allocation the deposit keeps. *)
+   The queue cell is the one allocation the receive path keeps: copyout
+   fills the caller's own datagram record ([Api.recvfrom]). *)
 let deposit_udp t row =
   Queue.add row t.udp_rcv;
   let depth = Queue.length t.udp_rcv in

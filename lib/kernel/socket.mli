@@ -13,12 +13,6 @@
       reassembled stream data lives in the connection's receive buffer. *)
 
 type kind = Dgram | Stream
-(** A datagram as copyout hands it to the application. *)
-type udp_datagram = {
-  dg_payload : Lrp_net.Payload.t;
-  dg_from : Lrp_net.Packet.ip * int;
-  dg_pkt : int;  (** originating packet's IP ident, for tracing *)
-}
 
 type stats = {
   mutable rx_delivered : int;
@@ -46,9 +40,6 @@ type t = {
 val create : kind -> t
 val has_room : t -> bool
 (** The socket queue holds fewer than 32 datagrams. *)
-
-val datagram : Lrp_net.Parena.t -> Lrp_net.Parena.handle -> udp_datagram
-(** The datagram a row holds, as copyout hands it over. *)
 
 val deposit_udp : t -> Lrp_net.Parena.handle -> unit
 (** Append a ready datagram's row to the socket queue, which must have

@@ -234,12 +234,15 @@ let is_echo_request t h = meta t h land (m_proto lor 12) = 2
 let payload t h =
   let b = base t h in
   if t.rows.(b + f_meta) land m_bytes <> 0 then
+    (* alloc: cold — byte payloads are the integrity tests' *)
     Payload.Bytes t.pbytes.(h land slot_mask)
   else
     let len = t.rows.(b + f_plen) and tag = t.rows.(b + f_ptag) in
     match t.last_synth with
     | Payload.Synthetic s when s.len = len && s.tag = tag -> t.last_synth
     | Payload.Synthetic _ | Payload.Bytes _ ->
+        (* A flow's datagrams repeat the cached payload. *)
+        (* alloc: cold — a size or tag other than the last one read *)
         let p = Payload.Synthetic { len; tag } in
         t.last_synth <- p;
         p

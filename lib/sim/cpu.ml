@@ -113,15 +113,6 @@ let d_out = 0
 let d_in = 1
 let d_tail = 2
 
-(* Stands in for "no process" in the running-process and curproc fields:
-   never spawned, dispatched or charged, so nothing ever writes it.  Its
-   pid is the ledger's idle context. *)
-let no_proc =
-  let sched = Sched.create ~clock:[| 0. |] in
-  Proc.make ~pid:(-1) ~name:"(none)"
-    ~thread:(Sched.add_thread sched ~name:"(none)" ())
-    ~working_set:0. ~now:0. ignore
-
 type t = {
   engine : Engine.t;
   clock : float array;     (* the engine's clock cell *)
@@ -144,7 +135,7 @@ type t = {
   mutable run_ev : Engine.handle;
   fl : float array;       (* slots [f_left] .. [f_elapsed] *)
   cost : float array;     (* staged cost of the next [post_*_job] or compute *)
-  mutable cur_proc : Proc.t;  (* BSD curproc, or [no_proc] *)
+  mutable cur_proc : Proc.t;  (* BSD curproc, or [Proc.none] *)
   mutable last_user : int;  (* pid last on CPU, for cache penalty *)
   mutable in_dispatch : int;  (* [d_out], [d_in] or [d_tail] *)
   mutable redo : bool;
@@ -310,11 +301,14 @@ let wake t (q : Proc.t) =
     t.redo <- true
   end
 
-let rec wake_list t = function
-  | [] -> ()
-  | q :: rest ->
-      wake t q;
-      wake_list t rest
+(* Wake every waiter on [wq], oldest first, and count them. *)
+let rec wake_queue t wq n =
+  let q = Proc.dequeue wq in
+  if q == Proc.none then n
+  else begin
+    wake t q;
+    wake_queue t wq (n + 1)
+  end
 
 (* Take the finished interrupt item, the head row of [r], off its ring,
    run its action, then close its span. *)
@@ -384,11 +378,9 @@ and reap t (p : Proc.t) =
   Sched.exit_thread t.sched p.Proc.thread;
   Lrp_det.Itab.remove t.procs (Sched.tid p.Proc.thread);
   Ledger.retire_pid t.ledger ~pid:p.Proc.pid;
-  if t.cur_proc == p then t.cur_proc <- no_proc;
-  if t.run_proc == p then t.run_proc <- no_proc;
-  let waiters = p.Proc.exit_waiters.Proc.waiters in
-  p.Proc.exit_waiters.Proc.waiters <- [];
-  wake_list t waiters
+  if t.cur_proc == p then t.cur_proc <- Proc.none;
+  if t.run_proc == p then t.run_proc <- Proc.none;
+  ignore (wake_queue t p.Proc.exit_waiters 0 : int)
 
 (* One handler per process, built when it first runs.  [effc] does each
    effect's bookkeeping itself and returns [park], preallocated here, so a
@@ -410,10 +402,9 @@ and handler t (p : Proc.t) : (unit, unit) Effect.Deep.handler =
             latch_compute t p;
             p.Proc.pending <- Proc.Work;
             park
-        | Proc.Block wq ->
+        | Proc.Block _ ->
             p.Proc.pending <- Proc.Blocked;
-            (* alloc: cold — one cons per sleep, not per packet *)
-            wq.Proc.waiters <- wq.Proc.waiters @ [ p ];
+            Proc.enqueue eff p;
             Trace.thread_state t.tracer ~pid:p.Proc.pid ~state:Trace.Sleeping;
             Sched.sleep t.sched p.Proc.thread;
             park
@@ -484,7 +475,7 @@ and start_best t =
          is another scheduler's): probe the table only on a switch. *)
       let q = t.run_proc in
       let p =
-        if q != no_proc && Sched.tid q.Proc.thread = tid then q
+        if q != Proc.none && Sched.tid q.Proc.thread = tid then q
         else Lrp_det.Itab.value t.procs (Lrp_det.Itab.find t.procs tid)
       in
       match p.Proc.pending with
@@ -568,7 +559,7 @@ let tick t =
     Sched.charge_tick t.sched th;
     if Sched.quantum_expired th then Sched.requeue t.sched th
   end
-  else if t.run_cls <> c_idle && t.cur_proc != no_proc then
+  else if t.run_cls <> c_idle && t.cur_proc != Proc.none then
     Sched.charge_tick t.sched t.cur_proc.Proc.thread;
   (* Ticks are a BSD preemption point: priorities were just recomputed. *)
   t.force_resched <- true;
@@ -602,9 +593,9 @@ let create engine ?(ctx_switch_cost = 0.) ?(start_clock = true) () =
       ctx_switch_cost; hardq = ring_create (); softq = ring_create ();
       procs = Lrp_det.Itab.create 8; next_pid = 1;
       job_fns = [||]; job_labels = [||];
-      run_cls = c_idle; run_proc = no_proc;
+      run_cls = c_idle; run_proc = Proc.none;
       run_ev = Engine.none; fl = Array.make 7 0.; cost = [| 0. |];
-      cur_proc = no_proc; last_user = -1; in_dispatch = d_out; redo = false;
+      cur_proc = Proc.none; last_user = -1; in_dispatch = d_out; redo = false;
       force_resched = false; seg_tgt = None; wake_tgt = None;
       n_ctx_switch = 0; n_soft_dispatch = 0; n_hard_dispatch = 0;
       created_at = Engine.now engine; tracer = Trace.null (); ledger;
@@ -653,22 +644,20 @@ let spawn t ?(nice = 0) ?(working_set = 0.) ~name body =
 let join (p : Proc.t) = if not p.Proc.exited then Proc.block p.Proc.exit_waiters
 
 let wakeup_one t (wq : Proc.waitq) =
-  match wq.Proc.waiters with
-  | [] -> false
-  | p :: rest ->
-      wq.Proc.waiters <- rest;
-      let e = enter t in
-      wake t p;
-      leave t e;
-      true
+  let p = Proc.dequeue wq in
+  p != Proc.none
+  && begin
+    let e = enter t in
+    wake t p;
+    leave t e;
+    true
+  end
 
 let wakeup_all t (wq : Proc.waitq) =
-  let ws = wq.Proc.waiters in
-  wq.Proc.waiters <- [];
   let e = enter t in
-  wake_list t ws;
+  let n = wake_queue t wq 0 in
   leave t e;
-  List.length ws
+  n
 
 let proc_count t = Lrp_det.Itab.length t.procs
 
@@ -712,7 +701,7 @@ let post_soft_job t ~tpkt ~poll (j : 'a job) (obj : 'a) arg =
 let run_ahead_compute t =
   let p = t.cur_proc in
   t.in_dispatch = d_tail && t.hardq.len = 0 && t.softq.len = 0
-  && t.last_user = p.Proc.pid && p != no_proc
+  && t.last_user = p.Proc.pid && p != Proc.none
   && begin
     t.deadline.(0) <- t.clock.(0) +. t.cost.(0);
     Engine.staged_is_next t.engine

@@ -50,6 +50,7 @@ val wakeup_one : t -> Proc.waitq -> bool
     queue was empty.  Callable from any context. *)
 
 val wakeup_all : t -> Proc.waitq -> int
+(** Wake every process on the queue, oldest first; returns how many. *)
 
 val proc_count : t -> int
 

@@ -19,6 +19,11 @@
 
 open Lrp_engine
 
+type waitq = private unit Effect.t
+(** A FIFO of blocked processes linked through their [wq_next] (4.4BSD's
+    sleep queue).  A queue is its own [Block] effect value, so blocking on
+    it and waking from it allocate nothing. *)
+
 type t = {
   pid : int;
   name : string;
@@ -40,6 +45,9 @@ type t = {
       (** time accounting, written by the CPU model in slots
           {!a_work_left} .. {!a_last_on_cpu}; read it through {!cpu_time} *)
   exit_waiters : waitq;
+  mutable wq_next : t;
+      (** the next waiter on the {!waitq} this process is blocked on (the
+          oldest, for the newest); the process itself while on no queue *)
   mutable lcls : int;
       (** ledger class of the current compute segment: 0 = app, 1 =
           receiver-context protocol work (set by {!Cpu.compute_proto}),
@@ -55,15 +63,15 @@ and pending =
   | Blocked               (** waiting on a {!waitq} or timer *)
   | Done                  (** body returned *)
 
-and waitq = { mutable waiters : t list }
-
 type _ Effect.t +=
   | Compute : unit Effect.t
       (** Carries no payload: the cost is staged in the CPU's cost cell
           ({!Cpu.cost_cell}) and read by the handler, so a perform
           allocates only its continuation (a float payload cost the
           constructor block and a boxed float on top). *)
-  | Block : waitq -> unit Effect.t
+  | Block : { mutable tail : t } -> unit Effect.t
+      (** A wait queue ({!waitq}): [tail] is the newest waiter, whose
+          [wq_next] is the oldest; {!none} when the queue is empty. *)
   | Sleep : float -> unit Effect.t
   | Yield : unit Effect.t
 
@@ -88,6 +96,10 @@ val started : t -> unit
 val no_k : (unit, unit) Effect.Deep.continuation
 (** Placeholder stored in [k] while no continuation is parked. *)
 
+val none : t
+(** The process that is no process: the [tail] of an empty queue, and the
+    CPU's "nobody".  Never run. *)
+
 val make :
   pid:int -> name:string -> thread:Lrp_sched.Sched.thread ->
   working_set:float -> now:Time.t -> (t -> unit) -> t
@@ -96,10 +108,21 @@ val make :
 val cpu_time : t -> float
 (** Total simulated CPU consumed, microseconds. *)
 
+(** {1 Wait queues} *)
+
+val enqueue : unit Effect.t -> t -> unit
+(** Append a process that is on no queue to the [Block] queue it
+    performed. *)
+
+val dequeue : waitq -> t
+(** Take the oldest waiter off the queue; {!none} if it is empty. *)
+
 (** {1 Effects} *)
 
 val block : waitq -> unit
-(** Sleep until {!Cpu.wakeup_one} or {!Cpu.wakeup_all} targets the queue. *)
+(** Sleep until {!Cpu.wakeup_one} or {!Cpu.wakeup_all} targets the queue.
+    Performs the queue itself, so a block allocates only its
+    continuation. *)
 
 val sleep_for : float -> unit
 (** Sleep for a fixed amount of virtual time. *)

@@ -62,8 +62,9 @@ let start_sink kern ?(nice = 0) ~port () =
     Cpu.spawn (Kernel.cpu kern) ~nice ~name:(Printf.sprintf "blast-sink:%d" port)
       (fun self ->
         Api.bind kern sock ~owner:(Some self) ~port;
+        let dg = Api.dgram () in
         let rec loop () =
-          let _dg = Api.recvfrom kern sock in
+          Api.recvfrom kern sock dg;
           sink.received <- sink.received + 1;
           loop ()
         in

@@ -13,9 +13,11 @@ let start_server kern ~port =
     Cpu.spawn (Kernel.cpu kern) ~name:(Printf.sprintf "pong:%d" port)
       (fun self ->
         Api.bind kern sock ~owner:(Some self) ~port;
+        let dg = Api.dgram () in
         let rec loop () =
-          let dg = Api.recvfrom kern sock in
-          Api.sendto kern ~self sock ~dst:dg.Api.dg_from dg.Api.dg_payload;
+          Api.recvfrom kern sock dg;
+          Api.sendto kern ~self sock ~dst:(dg.Api.dg_src, dg.Api.dg_sport)
+            dg.Api.dg_payload;
           loop ()
         in
         try loop () with Api.Socket_closed -> ())
@@ -37,10 +39,11 @@ let start_client kern ~dst ~rounds ?(size = 1) () =
   let _proc =
     Cpu.spawn (Kernel.cpu kern) ~name:"ping" (fun self ->
         ignore (Api.bind_ephemeral kern sock ~owner:(Some self));
+        let reply = Api.dgram () in
         for _ = 1 to rounds do
           let t0 = Engine.now engine in
           Api.sendto kern ~self sock ~dst (Payload.synthetic size);
-          let _reply = Api.recvfrom kern sock in
+          Api.recvfrom kern sock reply;
           Lrp_stats.Stats.Samples.add t.rtts (Engine.now engine -. t0);
           t.rounds_done <- t.rounds_done + 1
         done)
@@ -66,16 +69,16 @@ let start_probe kern ~dst ?(size = 1) ?(timeout = Time.ms 200.) ~until () =
   ignore
     (Cpu.spawn (Kernel.cpu kern) ~name:"probe" (fun self ->
          ignore (Api.bind_ephemeral kern sock ~owner:(Some self));
+         let reply = Api.dgram () in
          let rec round () =
            if Engine.now engine < until then begin
              let t0 = Engine.now engine in
              Api.sendto kern ~self sock ~dst (Payload.synthetic size);
              t.probe_sent <- t.probe_sent + 1;
-             (match Api.recvfrom_timeout kern sock ~timeout with
-              | Some _ ->
-                  Lrp_stats.Stats.Samples.add t.probe_rtts
-                    (Engine.now engine -. t0)
-              | None -> t.probe_lost <- t.probe_lost + 1);
+             if Api.recvfrom_timeout kern sock reply ~timeout then
+               Lrp_stats.Stats.Samples.add t.probe_rtts
+                 (Engine.now engine -. t0)
+             else t.probe_lost <- t.probe_lost + 1;
              round ()
            end
          in

@@ -41,11 +41,13 @@ let start_rpc_server kern ~port ~service =
        ~working_set:30. (fun self ->
         let sock = Api.socket_dgram () in
         Api.bind kern sock ~owner:(Some self) ~port;
+        let dg = Api.dgram () in
         let rec loop () =
-          let dg = Api.recvfrom kern sock in
+          Api.recvfrom kern sock dg;
           (Cpu.cost_cell (Kernel.cpu kern)).(0) <- service;
           Cpu.compute (Kernel.cpu kern);
-          Api.sendto kern ~self sock ~dst:dg.Api.dg_from (Payload.synthetic 32);
+          Api.sendto kern ~self sock ~dst:(dg.Api.dg_src, dg.Api.dg_sport)
+            (Payload.synthetic 32);
           loop ()
         in
         try loop () with Api.Socket_closed -> ()))
@@ -56,12 +58,14 @@ let start_worker kern ~port ~cpu_us ~working_set result =
     (Cpu.spawn (Kernel.cpu kern) ~name:"worker" ~working_set (fun self ->
          let sock = Api.socket_dgram () in
          Api.bind kern sock ~owner:(Some self) ~port;
-         let dg = Api.recvfrom kern sock in
+         let dg = Api.dgram () in
+         Api.recvfrom kern sock dg;
          result.worker_started <- Engine.now (Kernel.engine kern);
          (Cpu.cost_cell (Kernel.cpu kern)).(0) <- cpu_us;
          Cpu.compute (Kernel.cpu kern);
          result.worker_finished <- Some (Engine.now (Kernel.engine kern));
-         Api.sendto kern ~self sock ~dst:dg.Api.dg_from (Payload.synthetic 32)))
+         Api.sendto kern ~self sock ~dst:(dg.Api.dg_src, dg.Api.dg_sport)
+           (Payload.synthetic 32)))
 
 (* Client-side response collector for one RPC server. *)
 let start_collector kern ~port ~completed result =
@@ -70,8 +74,9 @@ let start_collector kern ~port ~completed result =
     (Cpu.spawn (Kernel.cpu kern) ~name:(Printf.sprintf "collect:%d" port)
        (fun self ->
         Api.bind kern sock ~owner:(Some self) ~port;
+        let dg = Api.dgram () in
         let rec loop () =
-          let _dg = Api.recvfrom kern sock in
+          Api.recvfrom kern sock dg;
           incr completed;
           result.rpcs_completed <- result.rpcs_completed + 1;
           (match result.worker_finished with
@@ -122,8 +127,7 @@ let run world ~server ~client ~cls ?(worker_cpu = Time.sec 11.5)
          Api.sendto client ~self sock
            ~dst:(Kernel.ip_address server, 6000)
            (Payload.synthetic 32);
-         let _reply = Api.recvfrom client sock in
-         ()));
+         Api.recvfrom client sock (Api.dgram ())));
   (* In-kernel request injector: near-uniform in time, alternating between
      the two servers, capped outstanding so the servers never starve but
      arrivals stay uncorrelated with scheduling. *)

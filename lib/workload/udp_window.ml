@@ -27,15 +27,17 @@ let start_receiver kern ~port result =
     (Cpu.spawn (Kernel.cpu kern) ~name:"udpwin-rx" (fun self ->
          let sock = Api.socket_dgram () in
          Api.bind kern sock ~owner:(Some self) ~port;
+         let dg = Api.dgram () in
          let rec loop () =
-           let dg = Api.recvfrom kern sock in
+           Api.recvfrom kern sock dg;
            let n = Payload.length dg.Api.dg_payload in
            if result.datagrams = 0 then
              result.first_rx <- Engine.now (Kernel.engine kern);
            result.bytes_received <- result.bytes_received + n;
            result.datagrams <- result.datagrams + 1;
            result.last_rx <- Engine.now (Kernel.engine kern);
-           Api.sendto kern ~self sock ~dst:dg.Api.dg_from (Payload.synthetic 1);
+           Api.sendto kern ~self sock ~dst:(dg.Api.dg_src, dg.Api.dg_sport)
+             (Payload.synthetic 1);
            loop ()
          in
          try loop () with Api.Socket_closed -> ()))
@@ -49,6 +51,7 @@ let start_sender kern ~dst ~size ~window ~total =
          let outstanding = ref 0 in
          let sent = ref 0 in
          let acked = ref 0 in
+         let ack = Api.dgram () in
          while !acked < total do
            if !sent < total && !outstanding < window then begin
              Api.sendto kern ~self sock ~dst (Payload.synthetic size);
@@ -56,7 +59,7 @@ let start_sender kern ~dst ~size ~window ~total =
              incr outstanding
            end
            else begin
-             let _ack = Api.recvfrom kern sock in
+             Api.recvfrom kern sock ack;
              incr acked;
              decr outstanding
            end

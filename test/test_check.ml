@@ -230,8 +230,9 @@ let test_real_kernels_pass_oracle () =
         (Cpu.spawn (Kernel.cpu server) ~name:"rx" (fun self ->
              let sock = Api.socket_dgram () in
              Api.bind server sock ~owner:(Some self) ~port:5000;
+             let dg = Api.dgram () in
              for _ = 1 to 20 do
-               ignore (Api.recvfrom server sock)
+               Api.recvfrom server sock dg
              done));
       ignore
         (Cpu.spawn (Kernel.cpu client) ~name:"tx" (fun self ->

@@ -22,8 +22,9 @@ let test_udp_through_gateway () =
         (Cpu.spawn (Kernel.cpu server) ~name:"rx" (fun self ->
              let sock = Api.socket_dgram () in
              Api.bind server sock ~owner:(Some self) ~port:5000;
-             let dg = Api.recvfrom server sock in
-             got := Some dg.Api.dg_from));
+             let dg = Api.dgram () in
+             Api.recvfrom server sock dg;
+             got := Some (dg.Api.dg_src, dg.Api.dg_sport)));
       ignore
         (Cpu.spawn (Kernel.cpu client) ~name:"tx" (fun self ->
              let sock = Api.socket_dgram () in

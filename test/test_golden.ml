@@ -197,27 +197,29 @@ let mcast_frag_run sys =
     (Cpu.spawn (Kernel.cpu server) ~name:"member-a" (fun self ->
          let sock = Api.socket_dgram () in
          Api.join_group server sock ~owner:(Some self) ~group ~port:6666;
+         let dg = Api.dgram () in
          for _ = 1 to n do
-           let dg = Api.recvfrom server sock in
+           Api.recvfrom server sock dg;
            got_a := !got_a + Payload.length dg.Api.dg_payload
          done));
   ignore
     (Cpu.spawn (Kernel.cpu server) ~name:"member-b" (fun self ->
          let sock = Api.socket_dgram () in
          Api.join_group server sock ~owner:(Some self) ~group ~port:6666;
+         let dg = Api.dgram () in
          for _ = 1 to 2 * n do
-           match Api.recvfrom_timeout server sock ~timeout:(Time.ms 3.) with
-           | Some dg -> got_b := !got_b + Payload.length dg.Api.dg_payload
-           | None -> ()
+           if Api.recvfrom_timeout server sock dg ~timeout:(Time.ms 3.) then
+             got_b := !got_b + Payload.length dg.Api.dg_payload
          done));
   ignore
     (Cpu.spawn (Kernel.cpu server) ~name:"big-rx" (fun self ->
          let sock = Api.socket_dgram () in
          Api.bind server sock ~owner:(Some self) ~port:5000;
+         let dg = Api.dgram () in
          for _ = 1 to 4 * n do
-           match Api.try_recvfrom server sock with
-           | Some dg -> got_big := !got_big + Payload.length dg.Api.dg_payload
-           | None -> Proc.sleep_for (Time.ms 1.)
+           if Api.try_recvfrom server sock dg then
+             got_big := !got_big + Payload.length dg.Api.dg_payload
+           else Proc.sleep_for (Time.ms 1.)
          done));
   ignore
     (Cpu.spawn (Kernel.cpu client) ~name:"tx" (fun self ->

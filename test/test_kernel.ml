@@ -53,7 +53,8 @@ let test_udp_fragmentation_e2e arch cfg =
     (Cpu.spawn (Kernel.cpu server) ~name:"rx" (fun self ->
          let sock = Api.socket_dgram () in
          Api.bind server sock ~owner:(Some self) ~port:5000;
-         let dg = Api.recvfrom server sock in
+         let dg = Api.dgram () in
+         Api.recvfrom server sock dg;
          got := Some (Payload.length dg.Api.dg_payload)));
   ignore
     (Cpu.spawn (Kernel.cpu client) ~name:"tx" (fun self ->
@@ -78,8 +79,9 @@ let test_fragments_in_both_channels () =
     (Cpu.spawn (Kernel.cpu server) ~name:"rx" (fun self ->
          let sock = Api.socket_dgram () in
          Api.bind server sock ~owner:(Some self) ~port:5000;
+         let dg = Api.dgram () in
          for _ = 1 to 3 do
-           let dg = Api.recvfrom server sock in
+           Api.recvfrom server sock dg;
            got := !got + Payload.length dg.Api.dg_payload
          done));
   ignore
@@ -115,8 +117,7 @@ let test_helper_preprocesses_when_idle () =
             otherwise idle. *)
          Proc.sleep_for (Time.ms 50.);
          ready_before_recv := not (Queue.is_empty sock.Socket.udp_rcv);
-         let _dg = Api.recvfrom server sock in
-         ()));
+         Api.recvfrom server sock (Api.dgram ())));
   ignore
     (Engine.schedule (World.engine w) ~at:(Time.ms 10.) (fun () ->
          ignore
@@ -143,7 +144,7 @@ let test_helper_disabled () =
          (match sock.Socket.chan with
           | Some ch -> chan_depth := Lrp_core.Channel.length ch
           | None -> ());
-         let _dg = Api.recvfrom server sock in
+         Api.recvfrom server sock (Api.dgram ());
          got := true));
   ignore
     (Engine.schedule (World.engine w) ~at:(Time.ms 10.) (fun () ->
@@ -167,9 +168,11 @@ let test_recvfrom_timeout () =
     (Cpu.spawn (Kernel.cpu server) ~name:"rx" (fun self ->
          let sock = Api.socket_dgram () in
          Api.bind server sock ~owner:(Some self) ~port:5000;
-         (match Api.recvfrom_timeout server sock ~timeout:(Time.ms 5.) with
-          | Some dg -> result := Some (Payload.length dg.Api.dg_payload)
-          | None -> result := None);
+         let dg = Api.dgram () in
+         result :=
+           if Api.recvfrom_timeout server sock dg ~timeout:(Time.ms 5.) then
+             Some (Payload.length dg.Api.dg_payload)
+           else None;
          woke_at := Engine.now (World.engine w)));
   World.run w ~until:(Time.sec 1.);
   Alcotest.(check (option int)) "timed out with None" None !result;
@@ -186,8 +189,9 @@ let test_sendto_autobinds () =
     (Cpu.spawn (Kernel.cpu server) ~name:"rx" (fun self ->
          let sock = Api.socket_dgram () in
          Api.bind server sock ~owner:(Some self) ~port:5000;
-         let dg = Api.recvfrom server sock in
-         reply_port := snd dg.Api.dg_from));
+         let dg = Api.dgram () in
+         Api.recvfrom server sock dg;
+         reply_port := dg.Api.dg_sport));
   ignore
     (Cpu.spawn (Kernel.cpu client) ~name:"tx" (fun self ->
          let sock = Api.socket_dgram () in
@@ -223,7 +227,7 @@ let test_close_wakes_blocked_receiver () =
   ignore
     (Cpu.spawn (Kernel.cpu server) ~name:"rx" (fun self ->
          Api.bind server sock ~owner:(Some self) ~port:5000;
-         try ignore (Api.recvfrom server sock)
+         try Api.recvfrom server sock (Api.dgram ())
          with Api.Socket_closed -> got_exn := true));
   ignore
     (Cpu.spawn (Kernel.cpu server) ~name:"closer" (fun _ ->
@@ -293,8 +297,9 @@ let test_mbuf_balance () =
             (Cpu.spawn (Kernel.cpu server) ~name:"rx" (fun self ->
                  let sock = Api.socket_dgram () in
                  Api.bind server sock ~owner:(Some self) ~port:5000;
+                 let dg = Api.dgram () in
                  let rec loop () =
-                   ignore (Api.recvfrom server sock);
+                   Api.recvfrom server sock dg;
                    incr got;
                    loop ()
                  in

@@ -72,8 +72,9 @@ let udp_delivery_sequence ~arch ~seed ~faults =
     (Cpu.spawn (Kernel.cpu server) ~name:"collect" (fun self ->
          let sock = Api.socket_dgram () in
          Api.bind server sock ~owner:(Some self) ~port:9000;
+         let dg = Api.dgram () in
          let rec loop () =
-           let dg = Api.recvfrom server sock in
+           Api.recvfrom server sock dg;
            got :=
              (dg.Api.dg_pkt, Payload.length dg.Api.dg_payload) :: !got;
            loop ()

@@ -22,8 +22,9 @@ let test_two_members_one_host () =
           (Cpu.spawn (Kernel.cpu server) ~name (fun self ->
                let sock = Api.socket_dgram () in
                Api.join_group server sock ~owner:(Some self) ~group ~port:6666;
+               let dg = Api.dgram () in
                for _ = 1 to 3 do
-                 let dg = Api.recvfrom server sock in
+                 Api.recvfrom server sock dg;
                  counter := !counter + Payload.length dg.Api.dg_payload
                done))
       in
@@ -75,7 +76,7 @@ let test_multicast_across_hosts () =
         (Cpu.spawn (Kernel.cpu kern) ~name:"member" (fun self ->
              let sock = Api.socket_dgram () in
              Api.join_group kern sock ~owner:(Some self) ~group ~port:6666;
-             let _dg = Api.recvfrom kern sock in
+             Api.recvfrom kern sock (Api.dgram ());
              incr got)))
     [ h1; h2 ];
   ignore
@@ -95,7 +96,7 @@ let test_leave_group () =
   ignore
     (Cpu.spawn (Kernel.cpu server) ~name:"member" (fun self ->
          Api.join_group server sock ~owner:(Some self) ~group ~port:6666;
-         let _dg = Api.recvfrom server sock in
+         Api.recvfrom server sock (Api.dgram ());
          incr got;
          Api.leave_group server sock ~port:6666));
   ignore
@@ -126,15 +127,16 @@ let test_close_one_member () =
         (Cpu.spawn (Kernel.cpu server) ~name:"member-a" (fun self ->
              let sock = Api.socket_dgram () in
              Api.join_group server sock ~owner:(Some self) ~group ~port:6666;
-             ignore (Api.recvfrom server sock);
+             Api.recvfrom server sock (Api.dgram ());
              incr got_a;
              Api.close server sock));
       ignore
         (Cpu.spawn (Kernel.cpu server) ~name:"member-b" (fun self ->
              let sock = Api.socket_dgram () in
              Api.join_group server sock ~owner:(Some self) ~group ~port:6666;
+             let dg = Api.dgram () in
              for _ = 1 to 3 do
-               ignore (Api.recvfrom server sock);
+               Api.recvfrom server sock dg;
                incr got_b
              done));
       ignore
@@ -190,9 +192,10 @@ let test_connected_udp_filters () =
                 filtered out. *)
              Api.udp_connect server sock
                ~remote:(Kernel.ip_address peer, 7001);
+             let dg = Api.dgram () in
              for _ = 1 to 2 do
-               let dg = Api.recvfrom server sock in
-               from := fst dg.Api.dg_from :: !from
+               Api.recvfrom server sock dg;
+               from := dg.Api.dg_src :: !from
              done));
       let send kern ~port ~at =
         ignore
@@ -235,8 +238,9 @@ let test_ephemeral_skips_group_port () =
     (Cpu.spawn (Kernel.cpu client) ~name:"rx" (fun self ->
          let sock = Api.socket_dgram () in
          Api.bind client sock ~owner:(Some self) ~port:7000;
-         let dg = Api.recvfrom client sock in
-         from_port := snd dg.Api.dg_from));
+         let dg = Api.dgram () in
+         Api.recvfrom client sock dg;
+         from_port := dg.Api.dg_sport));
   ignore
     (Cpu.spawn (Kernel.cpu server) ~name:"tx" (fun self ->
          Proc.sleep_for (Time.ms 1.);

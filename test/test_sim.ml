@@ -769,6 +769,241 @@ let test_run_ahead_last_member_only () =
   Alcotest.(check (float 0.)) "the second event sees the key" 10. !seen;
   Alcotest.(check int) "the tail job ran" 1 !ran
 
+
+(* --- what a blocking receive allocates ------------------------------------ *)
+
+type _ Effect.t += Probe : unit Effect.t
+
+(* Minor words one perform allocates: its continuation, measured on a
+   bare perform under a Deep handler that parks the continuation the way
+   the CPU model's handler does. *)
+let continuation_words () =
+  let saved = ref Proc.no_k in
+  let park = Some (fun k -> saved := k) in
+  let handler =
+    { Effect.Deep.retc = ignore;
+      exnc = raise;
+      effc =
+        (fun (type a) (eff : a Effect.t) :
+             ((a, unit) Effect.Deep.continuation -> unit) option ->
+          match eff with Probe -> park | _ -> None) }
+  in
+  Effect.Deep.match_with
+    (fun () ->
+      while true do
+        Effect.perform Probe
+      done)
+    () handler;
+  let cycle () = Effect.Deep.continue !saved () in
+  for _ = 1 to 1_000 do
+    cycle ()
+  done;
+  let n = 10_000 in
+  minor_words (fun () -> for _ = 1 to n do cycle () done) /. float_of_int n
+
+(* A block/wake cycle on a wait queue: [wakeup_one] from outside the
+   dispatcher runs the woken process at once, and it blocks again.  One
+   perform per cycle, and the queue links through the process and
+   performs its one Block value, so the cycle allocates exactly one
+   continuation. *)
+let test_block_wake_words () =
+  let cont = continuation_words () in
+  Alcotest.(check bool) "a continuation costs minor words" true (cont > 0.);
+  let eng = Engine.create () in
+  let cpu = Cpu.create eng ~start_clock:false () in
+  let wq = Proc.waitq "rx" in
+  let wakes = ref 0 in
+  ignore
+    (Cpu.spawn cpu ~name:"sleeper" (fun _ ->
+         while true do
+           Proc.block wq;
+           incr wakes
+         done));
+  let cycle () = ignore (Cpu.wakeup_one cpu wq) in
+  for _ = 1 to 1_000 do
+    cycle ()
+  done;
+  let n = 10_000 in
+  let words = minor_words (fun () -> for _ = 1 to n do cycle () done) in
+  Alcotest.(check int) "every wake resumed the sleeper" (1_000 + n) !wakes;
+  Alcotest.(check (float 0.)) "minor words per cycle = one continuation"
+    cont (words /. float_of_int n)
+
+(* [recvfrom] of a datagram already on a BSD socket queue: the syscall
+   and the copyout each perform one compute, and the datagram is copied
+   into the caller's buffer, so the call allocates exactly two
+   continuations.  The engine is stepped (no run-ahead, which completes a
+   compute without performing it), and the receiving process measures
+   each call itself; refilling the queue happens outside the window. *)
+let test_recvfrom_queued_words () =
+  let module Kernel = Lrp_kernel.Kernel in
+  let module Api = Lrp_kernel.Api in
+  let module Socket = Lrp_kernel.Socket in
+  let module Parena = Lrp_net.Parena in
+  let cont = continuation_words () in
+  let w = Lrp_workload.World.make () in
+  let k =
+    Lrp_workload.World.add_host w ~name:"rx" (Kernel.default_config Kernel.Bsd)
+  in
+  let pkt =
+    Lrp_net.Packet.udp
+      ~src:(Lrp_net.Packet.ip_of_quad 10 0 0 1)
+      ~dst:(Kernel.ip_address k) ~src_port:1234 ~dst_port:9000
+      (Lrp_net.Payload.synthetic 14)
+  in
+  let sock = Api.socket_dgram () in
+  let n = 5_000 in
+  let words = ref Float.nan and got = ref 0 and filled = ref true in
+  ignore
+    (Cpu.spawn (Kernel.cpu k) ~name:"rx" (fun self ->
+         Api.bind k sock ~owner:(Some self) ~port:9000;
+         let dg = Api.dgram () in
+         let refill () =
+           while Socket.has_room sock do
+             Socket.deposit_udp sock (Parena.copy_in k.Kernel.parena pkt)
+           done
+         in
+         let recv () = Api.recvfrom k sock dg in
+         for _ = 1 to 1_000 do
+           refill ();
+           recv ()
+         done;
+         let total = ref 0. in
+         for _ = 1 to n do
+           refill ();
+           dg.Api.dg_sport <- 0;
+           total := !total +. minor_words recv;
+           incr got;
+           if dg.Api.dg_sport <> 1234
+              || Lrp_net.Payload.length dg.Api.dg_payload <> 14
+           then filled := false
+         done;
+         words := !total /. float_of_int n));
+  let eng = Lrp_workload.World.engine w in
+  while !got < n && Engine.step eng do
+    ()
+  done;
+  Alcotest.(check int) "every receive returned" n !got;
+  Alcotest.(check bool) "each filled the caller's datagram" true !filled;
+  Alcotest.(check (float 0.)) "minor words per recvfrom = two continuations"
+    (2. *. cont) !words
+
+(* --- the intrusive wait queue against a list model ------------------------ *)
+
+type wq_op =
+  | Block of int * int  (* an idle process blocks on a shared queue *)
+  | Join of int * int  (* an idle process waits for another's exit *)
+  | Wake_one of int
+  | Wake_all of int
+  | Exit of int  (* an idle process returns *)
+
+let show_wq_op = function
+  | Block (p, q) -> Printf.sprintf "block p%d q%d" p q
+  | Join (p, j) -> Printf.sprintf "join p%d p%d" p j
+  | Wake_one q -> Printf.sprintf "wakeup_one q%d" q
+  | Wake_all q -> Printf.sprintf "wakeup_all q%d" q
+  | Exit p -> Printf.sprintf "exit p%d" p
+
+(* Property: processes driven through random block / join / wakeup_one /
+   wakeup_all / exit scripts are woken in the order, and in the numbers,
+   that FIFO lists predict, and a woken process goes on to block on
+   other queues.  An idle process waits on its own control queue for its
+   next command, so each step runs inside the wakeup that starts it. *)
+let prop_waitq_matches_model =
+  let np = 4 and nq = 2 in
+  let op =
+    QCheck.Gen.(
+      frequency
+        [ (4, map2 (fun p q -> Block (p, q)) (int_bound (np - 1))
+                (int_bound (nq - 1)));
+          (1, map2 (fun p j -> Join (p, j)) (int_bound (np - 1))
+                (int_bound (np - 1)));
+          (3, map (fun q -> Wake_one q) (int_bound (nq - 1)));
+          (2, map (fun q -> Wake_all q) (int_bound (nq - 1)));
+          (1, map (fun p -> Exit p) (int_bound (np - 1))) ])
+  in
+  QCheck.Test.make ~count:300
+    ~name:"intrusive wait queue agrees with a FIFO list model"
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_wq_op ops))
+       QCheck.Gen.(list_size (int_bound 60) op))
+    (fun ops ->
+      let eng = Engine.create () in
+      let cpu = Cpu.create eng ~start_clock:false () in
+      let queues = Array.init nq (fun _ -> Proc.waitq "shared") in
+      let ctl = Array.init np (fun _ -> Proc.waitq "ctl") in
+      let cmd = Array.make np (Exit 0) in
+      let procs = ref [||] and log = ref [] in
+      let body i _ =
+        let rec idle () =
+          Proc.block ctl.(i);
+          match cmd.(i) with
+          | Block (_, q) -> resumed (Proc.block queues.(q))
+          | Join (_, j) -> resumed (Cpu.join !procs.(j))
+          | Exit _ -> ()
+          | Wake_one _ | Wake_all _ -> assert false
+        and resumed () =
+          log := i :: !log;
+          idle ()
+        in
+        idle ()
+      in
+      procs :=
+        Array.init np (fun i ->
+            Cpu.spawn cpu ~name:(Printf.sprintf "p%d" i) (body i));
+      (* The model: each queue's waiters oldest first (queue [nq + j] is
+         process [j]'s exit queue), each process's state, the wake log. *)
+      let mq = Array.make (nq + np) [] in
+      let state = Array.make np `Idle and mlog = ref [] in
+      let wake_head qi =
+        match mq.(qi) with
+        | [] -> false
+        | p :: rest ->
+            mq.(qi) <- rest;
+            state.(p) <- `Idle;
+            mlog := p :: !mlog;
+            true
+      in
+      let rec wake_all qi n = if wake_head qi then wake_all qi (n + 1) else n in
+      let command p op =
+        cmd.(p) <- op;
+        if not (Cpu.wakeup_one cpu ctl.(p)) then
+          QCheck.Test.fail_reportf "p%d was not idle" p
+      in
+      let wait p qi =
+        mq.(qi) <- mq.(qi) @ [ p ];
+        state.(p) <- `Waiting
+      in
+      List.iter
+        (fun op ->
+          match op with
+          | Block (p, q) when state.(p) = `Idle ->
+              wait p q;
+              command p op
+          | Join (p, j) when state.(p) = `Idle && p <> j ->
+              if state.(j) = `Gone then mlog := p :: !mlog
+              else wait p (nq + j);
+              command p op
+          | Exit p when state.(p) = `Idle ->
+              state.(p) <- `Gone;
+              ignore (wake_all (nq + p) 0);
+              command p op
+          | Wake_one q ->
+              let want = wake_head q in
+              if Cpu.wakeup_one cpu queues.(q) <> want then
+                QCheck.Test.fail_reportf "wakeup_one q%d: model says %b" q
+                  want
+          | Wake_all q ->
+              let want = wake_all q 0 in
+              let got = Cpu.wakeup_all cpu queues.(q) in
+              if got <> want then
+                QCheck.Test.fail_reportf "wakeup_all q%d woke %d, model %d" q
+                  got want
+          | Block _ | Join _ | Exit _ -> ())
+        ops;
+      let live = Array.fold_left (fun n s -> if s = `Gone then n else n + 1) 0 state in
+      List.rev !log = List.rev !mlog && Cpu.proc_count cpu = live)
+
 let suite =
   [ Alcotest.test_case "single compute" `Quick test_single_compute;
     Alcotest.test_case "sequential computes" `Quick test_sequential_computes;
@@ -810,4 +1045,9 @@ let suite =
       Alcotest.test_case "0.0 words per cycle: frame_path (bsd)" `Quick
         (test_frame_path_words Lrp_kernel.Kernel.Bsd);
       Alcotest.test_case "0.0 words per cycle: frame_path (soft-lrp)" `Quick
-        (test_frame_path_words Lrp_kernel.Kernel.Soft_lrp) ]
+        (test_frame_path_words Lrp_kernel.Kernel.Soft_lrp);
+      Alcotest.test_case "block/wake cycle: one continuation" `Quick
+        test_block_wake_words;
+      Alcotest.test_case "recvfrom of a queued datagram: two continuations"
+        `Quick test_recvfrom_queued_words;
+      QCheck_alcotest.to_alcotest prop_waitq_matches_model ]

@@ -170,8 +170,9 @@ let test_fragment_loss_times_out_cleanly () =
         (Cpu.spawn (Kernel.cpu server) ~name:"rx" (fun self ->
              let sock = Api.socket_dgram () in
              Api.bind server sock ~owner:(Some self) ~port:5000;
+             let dg = Api.dgram () in
              let rec loop () =
-               let _dg = Api.recvfrom server sock in
+               Api.recvfrom server sock dg;
                incr got;
                loop ()
              in
