@@ -116,12 +116,12 @@ let sendto k ~(self : Proc.t) (sock : Socket.t) ~dst:(dip, dport) payload =
     ((c k).Cost.syscall
      +. ((c k).Cost.copy_per_byte *. float_of_int len)
      +. udp_send_cost k ~frags);
-  let pkt =
-    Packet.udp ~src:(Kernel.ip_address k) ~dst:dip ~src_port:sport
-      ~dst_port:dport payload
+  let row =
+    Parena.udp k.Kernel.parena ~src:(Kernel.ip_address k) ~dst:dip
+      ~src_port:sport ~dst_port:dport payload
   in
   sock.Socket.stats.Socket.tx_packets <- sock.Socket.stats.Socket.tx_packets + 1;
-  Kernel.ip_output k pkt
+  Kernel.ip_output_row k row
 
 let udp_connect _k (sock : Socket.t) ~remote = sock.Socket.remote <- Some remote
 

@@ -238,9 +238,10 @@ val counters : t -> (string * float) list
 
 val set_tracing : t -> bool -> unit
 val tcp_env_exn : t -> Lrp_proto.Tcp.env
-val ip_output : t -> Lrp_net.Packet.t -> unit
-(** IP output of a locally built packet: it takes a row of the frame pool
-    here, fragmented to the MTU if it does not fit. *)
+val ip_output_row : t -> Lrp_net.Parena.handle -> unit
+(** IP output of a locally written row of the frame pool ({!parena}):
+    enqueued on the routed interface, fragmented to the MTU if it does
+    not fit. *)
 
 val free_rx_pkt : t -> Lrp_net.Parena.handle -> unit
 (** Release a received frame's {!parena} row and give the mbufs it is

@@ -192,7 +192,7 @@ let transmit_row t row =
     true
   end
 
-(* A sender's packet enters the pool here. *)
+(* A datagram value enters the pool here (the benchmark's UDP source). *)
 let transmit t pkt = transmit_row t (Parena.copy_in t.pool pkt)
 
 let ifq_length t = t.ifq_count

@@ -99,14 +99,15 @@ val set_rx_handler : t -> (Parena.handle -> unit) -> unit
 
 val set_deliver : t -> (Parena.handle -> unit) -> unit
 
-val transmit : t -> Packet.t -> bool
-(** Driver if_output of a sender's packet: copy it into a row of the
-    pool, enqueue on the interface queue and kick the transmitter;
+val transmit_row : t -> Parena.handle -> bool
+(** Driver if_output: the owner of a row of the pool hands it over, and
+    it is enqueued on the interface queue and the transmitter kicked;
     [false] on queue overflow (the row is released). *)
 
-val transmit_row : t -> Parena.handle -> bool
-(** {!transmit} for a frame that already has a row in the pool: its
-    owner hands it over, and an overflow releases it. *)
+val transmit : t -> Packet.t -> bool
+(** {!transmit_row} of a datagram value copied into a new row
+    ({!Parena.copy_in}): the benchmark's UDP source sends this way; the
+    simulator's own senders write rows. *)
 
 val ifq_length : t -> int
 

@@ -7,13 +7,14 @@
     and exponential backoff, FIN teardown and a configurable TIME_WAIT (the
     paper sets it to 500 ms for the HTTP experiment).
 
-    The module is architecture-neutral: it consumes and produces packets and
-    side effects through an {!env} of callbacks, and never consumes
-    simulated CPU itself.  The *caller* charges protocol-processing cost in
-    whatever context it runs — BSD charges it at software-interrupt level,
-    LRP in the receiving process or its APP thread.  This split is exactly
-    what lets the same protocol code run under every architecture, mirroring
-    how the paper reused the 4.4BSD networking code in all kernels. *)
+    The module is architecture-neutral: it reads segments from frame-pool
+    rows, writes its own into rows and produces side effects through an
+    {!env} of callbacks, and never consumes simulated CPU itself.  The
+    *caller* charges protocol-processing cost in whatever context it runs
+    — BSD charges it at software-interrupt level, LRP in the receiving
+    process or its APP thread.  This split is exactly what lets the same
+    protocol code run under every architecture, mirroring how the paper
+    reused the 4.4BSD networking code in all kernels. *)
 
 open Lrp_net
 
@@ -69,8 +70,11 @@ and env = {
   deadline : float array;
       (** the engine's deadline cell: TCP stages a timer's absolute expiry
           in [deadline.(0)] just before calling [start_timer] *)
-  emit : Packet.t -> unit;
-      (** transmit a segment (the caller routes it into IP output) *)
+  pool : Parena.t;
+      (** the frame pool segments are written into (the kernel's) *)
+  emit : Parena.handle -> unit;
+      (** transmit a segment's row (the caller routes it into IP output,
+          which owns it from then on) *)
   start_timer : timer -> unit;
       (** arm [timer] to expire at the deadline staged in [deadline.(0)],
           in protocol-processing context ([timer]'s conn identifies whose
@@ -212,7 +216,8 @@ let new_totals () =
 let null_conn =
   let nop _ = () and nop2 _ _ = () in
   let env =
-    { clock = [| 0. |]; deadline = [| 0. |]; emit = nop; start_timer = nop;
+    { clock = [| 0. |]; deadline = [| 0. |]; pool = Parena.create ();
+      emit = nop; start_timer = nop;
       stop_timer = nop;
       on_readable = nop; on_writable = nop; on_established = nop;
       on_accept_ready = nop2; on_syn_received = nop2;
@@ -242,8 +247,8 @@ let segment c ~seq fl payload =
   let rip, rport = remote_exn c in
   c.env.totals.segs_sent <- c.env.totals.segs_sent + 1;
   c.last_advertised_wnd <- advertised_window c;
-  Packet.tcp ~src:c.local_ip ~dst:rip ~src_port:c.local_port ~dst_port:rport
-    ~seq ~ack_no:c.rcv_nxt ~flags:fl
+  Parena.tcp c.env.pool ~src:c.local_ip ~dst:rip ~src_port:c.local_port
+    ~dst_port:rport ~seq ~ack_no:c.rcv_nxt ~flags:fl
     ~window:(Int.min 65_535 c.last_advertised_wnd) payload
 
 let send_ack c =
@@ -261,14 +266,12 @@ let send_rst_for p r ~emit =
         + (if has p r Packet.syn then 1 else 0)
         + if has p r Packet.fin then 1 else 0
       in
-      let rst =
-        Packet.tcp ~src:(Parena.dst p r) ~dst:(Parena.src p r)
-          ~src_port:(Parena.dport p r) ~dst_port:(Parena.sport p r)
-          ~seq:(if has p r Packet.ack then Parena.ack_no p r else 0)
-          ~ack_no:(Parena.seq p r + seg_len)
-          ~flags:Packet.flags_rst_ack ~window:0 Packet.empty_payload
-      in
-      emit rst
+      emit
+        (Parena.tcp p ~src:(Parena.dst p r) ~dst:(Parena.src p r)
+           ~src_port:(Parena.dport p r) ~dst_port:(Parena.sport p r)
+           ~seq:(if has p r Packet.ack then Parena.ack_no p r else 0)
+           ~ack_no:(Parena.seq p r + seg_len)
+           ~flags:Packet.flags_rst_ack ~window:0 Packet.empty_payload)
   | Parena.Tcp | Parena.Udp | Parena.Icmp -> ()
 
 let timer_conn tm =

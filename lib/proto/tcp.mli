@@ -7,13 +7,14 @@
     and exponential backoff, FIN teardown and a configurable TIME_WAIT (the
     paper sets it to 500 ms for the HTTP experiment).
 
-    The module is architecture-neutral: it consumes and produces packets and
-    side effects through an {!env} of callbacks, and never consumes
-    simulated CPU itself.  The *caller* charges protocol-processing cost in
-    whatever context it runs — BSD charges it at software-interrupt level,
-    LRP in the receiving process or its APP thread.  This split is exactly
-    what lets the same protocol code run under every architecture, mirroring
-    how the paper reused the 4.4BSD networking code in all kernels. *)
+    The module is architecture-neutral: it reads segments from frame-pool
+    rows, writes its own into rows and produces side effects through an
+    {!env} of callbacks, and never consumes simulated CPU itself.  The
+    *caller* charges protocol-processing cost in whatever context it runs
+    — BSD charges it at software-interrupt level, LRP in the receiving
+    process or its APP thread.  This split is exactly what lets the same
+    protocol code run under every architecture, mirroring how the paper
+    reused the 4.4BSD networking code in all kernels. *)
 
 type state =
     Closed
@@ -47,7 +48,10 @@ and env = {
       (** the engine's deadline cell ({!Lrp_engine.Engine.deadline_cell}):
           TCP writes a timer's absolute expiry [clock.(0) +. delay] into
           slot 0 immediately before calling [start_timer] *)
-  emit : Lrp_net.Packet.t -> unit;
+  pool : Lrp_net.Parena.t;
+      (** the frame pool segments are written into (the kernel's) *)
+  emit : Lrp_net.Parena.handle -> unit;
+      (** transmit a segment's row: IP output owns it from then on *)
   start_timer : timer -> unit;
       (** arm the timer at the deadline staged in [deadline.(0)], in
           protocol-processing context (the kernel calls
@@ -189,9 +193,9 @@ val input : conn -> Lrp_net.Parena.t -> Lrp_net.Parena.handle -> unit
 
 val send_rst_for :
   Lrp_net.Parena.t -> Lrp_net.Parena.handle ->
-  emit:(Lrp_net.Packet.t -> unit) -> unit
+  emit:(Lrp_net.Parena.handle -> unit) -> unit
 (** Standalone RST in response to a segment (its row) that matches no
-    connection. *)
+    connection, written into the segment's pool and handed to [emit]. *)
 
 (** {1 Application side} *)
 

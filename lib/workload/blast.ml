@@ -29,16 +29,16 @@ let start_source engine nic ~src ~dst:(dip, dport) ?(src_port = 7777)
           && (until +. interval > until || until = infinity)) then
     invalid_arg (Printf.sprintf "Blast.start_source: rate %g" rate);
   let t = { sent = 0; stop_at = until } in
+  let payload = Payload.synthetic size in
   (* One event record and one thunk for the whole run: each firing re-arms
      the same handle instead of scheduling a fresh closure per packet. *)
   let handle = ref None in
   let tick () =
     if Engine.now engine < t.stop_at then begin
-      let pkt =
-        Packet.udp ~src ~dst:dip ~src_port ~dst_port:dport
-          (Payload.synthetic size)
-      in
-      ignore (Nic.transmit nic pkt);
+      ignore
+        (Nic.transmit_row nic
+           (Parena.udp (Nic.pool nic) ~src ~dst:dip ~src_port ~dst_port:dport
+              payload));
       t.sent <- t.sent + 1;
       match !handle with
       | Some h -> Engine.reschedule_after engine h ~delay:interval

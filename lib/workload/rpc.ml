@@ -133,6 +133,7 @@ let run world ~server ~client ~cls ?(worker_cpu = Time.sec 11.5)
      arrivals stay uncorrelated with scheduling. *)
   let setup = { result; injected = 0 } in
   let sip = Kernel.ip_address server and cip = Kernel.ip_address client in
+  let request = Payload.synthetic 32 in
   (* The injection grid adapts to the servers' delivered rate so that (1)
      each server always has requests outstanding (slightly over-driven) and
      (2) arrivals stay near-uniform in time, uncorrelated with server
@@ -163,11 +164,11 @@ let run world ~server ~client ~cls ?(worker_cpu = Time.sec 11.5)
       flip := not !flip;
       if !sent - !completed < outstanding_limit then begin
         let reply_port = if port = 6001 then 7001 else 7002 in
-        let pkt =
-          Packet.udp ~src:cip ~dst:sip ~src_port:reply_port ~dst_port:port
-            (Payload.synthetic 32)
-        in
-        ignore (Nic.transmit (Kernel.nic client) pkt);
+        let nic = Kernel.nic client in
+        ignore
+          (Nic.transmit_row nic
+             (Parena.udp (Nic.pool nic) ~src:cip ~dst:sip ~src_port:reply_port
+                ~dst_port:port request));
         incr sent;
         setup.injected <- setup.injected + 1
       end;

@@ -26,11 +26,11 @@ let start engine nic ~dst:(dip, dport) ~rate ~until () =
          like a new connection. *)
       let src = spoof_base + (t.sent mod 4096) in
       let src_port = 1024 + (t.sent mod 60_000) in
-      let syn =
-        Packet.tcp ~src ~dst:dip ~src_port ~dst_port:dport ~seq:0 ~ack_no:0
-          ~flags:Packet.flags_syn ~window:16_384 Packet.empty_payload
-      in
-      ignore (Nic.transmit nic syn);
+      ignore
+        (Nic.transmit_row nic
+           (Parena.tcp (Nic.pool nic) ~src ~dst:dip ~src_port ~dst_port:dport
+              ~seq:0 ~ack_no:0 ~flags:Packet.flags_syn ~window:16_384
+              Packet.empty_payload));
       t.sent <- t.sent + 1;
       match !handle with
       | Some h -> Engine.reschedule_after engine h ~delay:interval

@@ -236,9 +236,10 @@ let test_listener_close_aborts () =
       done;
       ignore
         (Engine.schedule (World.engine w) ~at:(Time.ms 5.) (fun () ->
+             let nic = Kernel.nic client in
              ignore
-               (Nic.transmit (Kernel.nic client)
-                  (Packet.tcp ~src:(Packet.ip_of_quad 10 9 9 9)
+               (Nic.transmit_row nic
+                  (Parena.tcp (Nic.pool nic) ~src:(Packet.ip_of_quad 10 9 9 9)
                      ~dst:(Kernel.ip_address server) ~src_port:4000
                      ~dst_port:80 ~seq:0 ~ack_no:0
                      ~flags:(Packet.flags ~syn:true ()) ~window:8192

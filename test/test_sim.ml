@@ -532,11 +532,10 @@ let zero_word_cycles =
                Proc.block (Proc.waitq "forever")));
         Lrp_workload.World.run w ~until:(Time.ms 1.);
         let syn =
-          Parena.copy_in k.Kernel.parena
-            (Lrp_net.Packet.tcp ~src:(Lrp_net.Packet.ip_of_quad 11 0 0 1)
-               ~dst:(Kernel.ip_address k) ~src_port:1024 ~dst_port:99 ~seq:0
-               ~ack_no:0 ~flags:Lrp_net.Packet.flags_syn ~window:16_384
-               Lrp_net.Packet.empty_payload)
+          Parena.tcp k.Kernel.parena ~src:(Lrp_net.Packet.ip_of_quad 11 0 0 1)
+            ~dst:(Kernel.ip_address k) ~src_port:1024 ~dst_port:99 ~seq:0
+            ~ack_no:0 ~flags:Lrp_net.Packet.flags_syn ~window:16_384
+            Lrp_net.Packet.empty_payload
         in
         fun () -> ignore (Kernel.deliver_tcp k syn ~ctx:`Soft) );
     ( "tcp_timer",
@@ -586,10 +585,8 @@ let zero_word_cycles =
         in
         let pool = k.Kernel.parena in
         let seg ~seq ~ack_no flags =
-          Parena.copy_in pool
-            (Lrp_net.Packet.tcp ~src:peer ~dst:local ~src_port:80
-               ~dst_port:5000 ~seq ~ack_no ~flags ~window:65_535
-               Lrp_net.Packet.empty_payload)
+          Parena.tcp pool ~src:peer ~dst:local ~src_port:80 ~dst_port:5000
+            ~seq ~ack_no ~flags ~window:65_535 Lrp_net.Packet.empty_payload
         in
         Tcp.input conn pool (seg ~seq:0 ~ack_no:1 Lrp_net.Packet.flags_syn_ack);
         (* one large segment in flight, acknowledged a byte at a time *)
@@ -631,26 +628,26 @@ let test_zero_words ?(warm = 20_000) ?(n = 50_000) make () =
   Alcotest.(check (float 0.)) "minor words per cycle" 0.
     (words /. float_of_int n)
 
-(* Kernel IP output of a datagram within the MTU: route, transmit, tx
-   done; no switch port has its address, so the fabric drops it.  Each
-   cycle takes one 2.7 us ATM cell time, so the window runs about 190 ms
-   of virtual time, the kernel CPU's clock ticks included.  A cycle steps
-   until its frame has left the interface queue: a step taken by a tick
-   must not leave a backlog behind. *)
+(* Kernel IP output of a datagram within the MTU, written into a row of
+   the kernel's pool: route, transmit, tx done; no switch port has its
+   address, so the fabric drops it.  Each cycle takes one 2.7 us ATM
+   cell time, so the window runs about 190 ms of virtual time, the
+   kernel CPU's clock ticks included.  A cycle steps until its frame has
+   left the interface queue: a step taken by a tick must not leave a
+   backlog behind. *)
 let ip_output_cycle () =
   let w = Lrp_workload.World.make () in
   let k =
     Lrp_workload.World.add_host w ~name:"tx"
       (Lrp_kernel.Kernel.default_config Lrp_kernel.Kernel.Bsd)
   in
-  let pkt =
-    Lrp_net.Packet.udp ~src:(Lrp_kernel.Kernel.ip_address k)
-      ~dst:(Lrp_net.Packet.ip_of_quad 10 0 0 2) ~src_port:1234 ~dst_port:7
-      Lrp_net.Packet.empty_payload
-  in
+  let src = Lrp_kernel.Kernel.ip_address k
+  and dst = Lrp_net.Packet.ip_of_quad 10 0 0 2 in
   let eng = Lrp_workload.World.engine w and nic = Lrp_kernel.Kernel.nic k in
   fun () ->
-    Lrp_kernel.Kernel.ip_output k pkt;
+    Lrp_kernel.Kernel.ip_output_row k
+      (Lrp_net.Parena.udp k.Lrp_kernel.Kernel.parena ~src ~dst ~src_port:1234
+         ~dst_port:7 Lrp_net.Packet.empty_payload);
     ignore (Engine.step eng);
     while Lrp_net.Nic.ifq_length nic > 0 do
       ignore (Engine.step eng)
@@ -683,19 +680,60 @@ let frame_path arch =
     stage.(0) <- clock.(0) +. 300.;
     Engine.run_staged eng
   in
-  (Lrp_net.Nic.pool nic, Kernel.nic server, cycle)
+  let rx_nic = Kernel.nic server in
+  (Lrp_net.Nic.pool nic,
+   (fun () -> (Lrp_net.Nic.stats rx_nic).Lrp_net.Nic.rx_packets),
+   cycle)
 
-let test_frame_path_words arch () =
-  let pool, rx_nic, cycle = frame_path arch in
+(* A SYN-flood frame, written by the row writer and carried through the
+   client's NIC, the fabric, the server's NIC and kernel to its drop at
+   the full listener.  The listener's backlog is 0, so it is full from
+   the start: BSD drops each SYN at the backlog after its protocol
+   processing at softint level; SOFT-LRP has gated the listener's channel
+   (section 3.4), so its demux interrupt discards the SYN at the NI
+   channel.  A cycle writes and transmits one SYN and runs the engine
+   300 us, as [frame_path] does. *)
+let syn_flood_path arch =
+  let module World = Lrp_workload.World in
+  let module Kernel = Lrp_kernel.Kernel in
+  let module Api = Lrp_kernel.Api in
+  let module Packet = Lrp_net.Packet in
+  let w, client, server = World.pair ~cfg:(Kernel.default_config arch) () in
+  ignore
+    (Cpu.spawn (Kernel.cpu server) ~name:"listener" (fun self ->
+         let sock = Api.socket_stream server in
+         Api.tcp_listen server ~self sock ~port:99 ~backlog:0;
+         Proc.block (Proc.waitq "forever")));
+  let eng = World.engine w and nic = Kernel.nic client in
+  let pool = Lrp_net.Nic.pool nic in
+  let src = Packet.ip_of_quad 11 0 0 1 and dst = Kernel.ip_address server in
+  let stage = Engine.deadline_cell eng and clock = Engine.clock_cell eng in
+  let cycle () =
+    ignore
+      (Lrp_net.Nic.transmit_row nic
+         (Lrp_net.Parena.tcp pool ~src ~dst ~src_port:1024 ~dst_port:99 ~seq:0
+            ~ack_no:0 ~flags:Packet.flags_syn ~window:16_384
+            Packet.empty_payload));
+    stage.(0) <- clock.(0) +. 300.;
+    Engine.run_staged eng
+  in
+  let totals = (Kernel.tcp_env_exn server).Lrp_proto.Tcp.totals in
+  (pool,
+   (fun () -> totals.Lrp_proto.Tcp.backlog_drops + Kernel.early_discards server),
+   cycle)
+
+(* A frame path's cycles after a warm-up that fills its queues: each
+   frame reaches the path's end ([arrived] counts it) and is released in
+   its cycle, and the window allocates exactly 0.0 minor words. *)
+let test_path_words path arch () =
+  let pool, arrived, cycle = path arch in
   for _ = 1 to 2_000 do
     cycle ()
   done;
-  let live = Lrp_net.Parena.live pool
-  and rx = (Lrp_net.Nic.stats rx_nic).Lrp_net.Nic.rx_packets in
+  let live = Lrp_net.Parena.live pool and before = arrived () in
   let n = 5_000 in
   let words = minor_words (fun () -> for _ = 1 to n do cycle () done) in
-  Alcotest.(check int) "every frame arrived" (rx + n)
-    (Lrp_net.Nic.stats rx_nic).Lrp_net.Nic.rx_packets;
+  Alcotest.(check int) "every frame arrived" (before + n) (arrived ());
   Alcotest.(check int) "every frame released in its cycle" live
     (Lrp_net.Parena.live pool);
   Alcotest.(check (float 0.)) "minor words per cycle" 0.
@@ -1043,9 +1081,13 @@ let suite =
       Alcotest.test_case "0.0 words per cycle: run_ahead_hardirq" `Quick
         (test_zero_words run_ahead_hardirq_cycle);
       Alcotest.test_case "0.0 words per cycle: frame_path (bsd)" `Quick
-        (test_frame_path_words Lrp_kernel.Kernel.Bsd);
+        (test_path_words frame_path Lrp_kernel.Kernel.Bsd);
       Alcotest.test_case "0.0 words per cycle: frame_path (soft-lrp)" `Quick
-        (test_frame_path_words Lrp_kernel.Kernel.Soft_lrp);
+        (test_path_words frame_path Lrp_kernel.Kernel.Soft_lrp);
+      Alcotest.test_case "0.0 words per cycle: syn_flood_path (bsd)" `Quick
+        (test_path_words syn_flood_path Lrp_kernel.Kernel.Bsd);
+      Alcotest.test_case "0.0 words per cycle: syn_flood_path (soft-lrp)"
+        `Quick (test_path_words syn_flood_path Lrp_kernel.Kernel.Soft_lrp);
       Alcotest.test_case "block/wake cycle: one continuation" `Quick
         test_block_wake_words;
       Alcotest.test_case "recvfrom of a queued datagram: two continuations"

@@ -478,10 +478,10 @@ let test_words_per_frame () =
         (Printf.sprintf "%s: %.1f minor words per frame <= %.1f"
            (Kernel.arch_name arch) got bound)
         true (got <= bound))
-    (* measured 30.4, 41.7, 38.7 and 30.6 under the workspace profile (32.1,
-       43.4, 40.3 and 32.2 under the dev profile) *)
-    [ (Kernel.Bsd, 31.3); (Kernel.Soft_lrp, 43.0); (Kernel.Ni_lrp, 39.9);
-      (Kernel.Napi, 31.5) ]
+    (* measured 11.0, 20.4, 17.8 and 11.3 under the workspace profile (12.7,
+       22.1, 19.4 and 12.9 under the dev profile) *)
+    [ (Kernel.Bsd, 11.4); (Kernel.Soft_lrp, 21.0); (Kernel.Ni_lrp, 18.4);
+      (Kernel.Napi, 11.7) ]
 
 let suite =
   [ Alcotest.test_case "handshake + echo (all archs)" `Quick

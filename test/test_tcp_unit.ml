@@ -13,8 +13,9 @@ open Lrp_proto
 type harness = {
   clock : float array;  (* the virtual clock: [clock.(0)] is now *)
   deadline : float array;  (* where TCP stages a timer's expiry *)
-  mutable wire_ab : (float * Packet.t) list;  (* in-flight a->b, (arrival, pkt) *)
-  mutable wire_ba : (float * Packet.t) list;
+  mutable wire_ab : (float * Parena.handle) list;
+      (* in-flight a->b, (arrival, the segment's row in [pool]) *)
+  mutable wire_ba : (float * Parena.handle) list;
   mutable timers : (float * Tcp.timer * int) list;
       (* (deadline, timer, generation at arm time); a stop or re-arm bumps
          the timer's generation, so stale entries fire as no-ops *)
@@ -29,11 +30,18 @@ let mk_harness ?(latency = 100.) () =
 
 let log h fmt = Printf.ksprintf (fun s -> h.events <- s :: h.events) fmt
 
+(* The frame pool both ends write their segments into: a segment is a
+   row, released once the receiving connection has read it (or lost). *)
+let pool = Parena.create ()
+
 let mk_env h ~dir =
-  let emit pkt =
-    if h.drop_next > 0 then h.drop_next <- h.drop_next - 1
+  let emit row =
+    if h.drop_next > 0 then begin
+      h.drop_next <- h.drop_next - 1;
+      Parena.release pool row
+    end
     else begin
-      let entry = (h.clock.(0) +. h.latency, pkt) in
+      let entry = (h.clock.(0) +. h.latency, row) in
       match dir with
       | `Ab -> h.wire_ab <- h.wire_ab @ [ entry ]
       | `Ba -> h.wire_ba <- h.wire_ba @ [ entry ]
@@ -41,6 +49,7 @@ let mk_env h ~dir =
   in
   { Tcp.clock = h.clock;
     deadline = h.deadline;
+    pool;
     emit;
     start_timer =
       (fun tm ->
@@ -62,14 +71,11 @@ let mk_env h ~dir =
     totals = Tcp.new_totals () }
 
 (* Advance virtual time, delivering wire packets and firing timers in
-   order.  [route] maps an inbound packet to the connection that should
+   order.  [route] maps an inbound segment's row to the connection that should
    receive it. *)
-(* Hand a segment to a connection as the kernel does: as a row of the
-   frame pool, released once the connection has read it. *)
-let pool = Parena.create ()
-
-let input c pkt =
-  let row = Parena.copy_in pool pkt in
+(* Hand a segment's row to a connection as the kernel does, releasing it
+   once the connection has read it. *)
+let input c row =
   Tcp.input c pool row;
   Parena.release pool row
 
@@ -89,14 +95,14 @@ let run h ~until ~route_a ~route_b =
       (* deliver due frames a->b *)
       let due, rest = List.partition (fun (at, _) -> at <= t) h.wire_ab in
       h.wire_ab <- rest;
-      List.iter (fun (_, pkt) -> match route_b pkt with
-          | Some c -> input c pkt
-          | None -> ()) due;
+      List.iter (fun (_, row) -> match route_b row with
+          | Some c -> input c row
+          | None -> Parena.release pool row) due;
       let due, rest = List.partition (fun (at, _) -> at <= t) h.wire_ba in
       h.wire_ba <- rest;
-      List.iter (fun (_, pkt) -> match route_a pkt with
-          | Some c -> input c pkt
-          | None -> ()) due;
+      List.iter (fun (_, row) -> match route_a row with
+          | Some c -> input c row
+          | None -> Parena.release pool row) due;
       (* fire due timers (stale entries are dropped by the gen check) *)
       let due, rest = List.partition (fun (at, _, _) -> at <= t) h.timers in
       h.timers <- rest;
@@ -290,8 +296,8 @@ let test_syn_backlog_drop () =
   (* Three SYNs from distinct sources; the third must be dropped. *)
   for i = 1 to 3 do
     let syn =
-      Packet.tcp ~src:(100 + i) ~dst:2 ~src_port:1000 ~dst_port:80 ~seq:0
-        ~ack_no:0 ~flags:(Packet.flags ~syn:true ()) ~window:1000
+      Parena.tcp pool ~src:(100 + i) ~dst:2 ~src_port:1000 ~dst_port:80
+        ~seq:0 ~ack_no:0 ~flags:(Packet.flags ~syn:true ()) ~window:1000
         (Payload.synthetic 0)
     in
     input listener syn
@@ -440,8 +446,9 @@ let test_listener_ignores_stray_ack () =
   let env_b = mk_env h ~dir:`Ba in
   let listener = Tcp.create_listener env_b ~local_ip:2 ~local_port:80 ~backlog:2 () in
   let stray =
-    Packet.tcp ~src:50 ~dst:2 ~src_port:999 ~dst_port:80 ~seq:100 ~ack_no:200
-      ~flags:(Packet.flags ~ack:true ()) ~window:1000 (Payload.synthetic 0)
+    Parena.tcp pool ~src:50 ~dst:2 ~src_port:999 ~dst_port:80 ~seq:100
+      ~ack_no:200 ~flags:(Packet.flags ~ack:true ()) ~window:1000
+      (Payload.synthetic 0)
   in
   input listener stray;
   Alcotest.(check int) "no embryonic connection created" 0 listener.Tcp.syn_pending;

@@ -155,13 +155,13 @@ let test_traffic_separation_lrp () =
 (* Minor words the whole simulation allocates per datagram the sink
    receives, over a steady 300 ms window of Figure 3's livelock point
    (14-byte UDP at 20k pkts/s).  Everything is deterministic, so the
-   figure is exact for a build.  It includes the source's frames
-   ([Packet.udp] plus payload, 12 words per frame offered, delivered or
-   not) and the continuations of the sink's blocks and computes; the
-   sink receives into one caller-owned datagram.  The bounds sit about 3%
-   above the figures measured under the workspace's release profile
-   (dune-workspace); dune's dev profile compiles with -opaque and reads
-   higher. *)
+   figure is exact for a build.  The source writes its frames straight
+   into rows and allocates nothing per frame; what is left are the
+   continuations of the sink's blocks and computes and the socket
+   queue's cells (the sink receives into one caller-owned datagram).
+   The bounds sit about 3% above the figures measured under the
+   workspace's release profile (dune-workspace); dune's dev profile
+   compiles with -opaque and reads higher. *)
 let rx_words_per_datagram arch =
   let cfg = Kernel.default_config arch in
   let w, client, server = World.pair ~seed:42 ~cfg () in
@@ -184,8 +184,8 @@ let test_rx_words_per_datagram () =
         (Printf.sprintf "%s: %.1f minor words per datagram <= %.1f"
            (Kernel.arch_name arch) got bound)
         true (got <= bound))
-    (* measured 47.6, 30.7 and 48.9 under the workspace profile *)
-    [ (Kernel.Soft_lrp, 49.0); (Kernel.Ni_lrp, 31.6); (Kernel.Napi_gro, 50.4) ]
+    (* measured 10.1, 8.8 and 9.5 under the workspace profile *)
+    [ (Kernel.Soft_lrp, 10.4); (Kernel.Ni_lrp, 9.1); (Kernel.Napi_gro, 9.8) ]
 
 let suite =
   [ Alcotest.test_case "udp delivery (all archs)" `Quick
