@@ -17,9 +17,9 @@ val tag : t -> int option
 val to_bytes : t -> Bytes.t
 
 val byte_sum : t -> int
-(** Sum of the payload's byte values; O(1) for synthetic payloads.  Used
-    by {!Packet.checksum} so corruption of any single byte is
-    detectable. *)
+(** Sum of the payload's byte values; O(1) for synthetic payloads.  The
+    content checksums ({!Packet.udp_sum} and its siblings) mix it in, so
+    corruption of any single byte is detectable. *)
 
 val bytes_sum : Bytes.t -> int
 val synthetic_sum : len:int -> tag:int -> int
@@ -30,7 +30,12 @@ val sub : t -> int -> int -> t
     segmentation.  @raise Invalid_argument when out of range. *)
 
 val equal : t -> t -> bool
+val glues : len:int -> tag:int -> int -> bool
+(** [glues ~len ~tag next_tag]: a synthetic slice of [len] bytes at
+    [tag] is followed by the synthetic slice at [next_tag] of the same
+    payload, so the two glue into one synthetic payload. *)
+
 val concat : t list -> t
-(** Reassemble slices; consecutive synthetic slices glue back without
-    materialising bytes. *)
+(** Reassemble slices; consecutive synthetic slices ({!glues}) glue back
+    without materialising bytes. *)
 
