@@ -77,7 +77,8 @@ let duration =
 
 (* Each entry prints its human-readable output and returns its datapoints
    as JSON (the trace library's emitter; integers are exact floats, which
-   it prints without a fraction). *)
+   it prints without a fraction) with the claims its experiment evaluates
+   on them. *)
 module Bench = struct
   open Lrp_trace.Json
 
@@ -88,92 +89,91 @@ module Bench = struct
   let series sys point points =
     Obj [ ("system", Str (sysname sys)); ("points", Arr (List.map point points)) ]
 
+  let arr f rows = Arr (List.map f rows)
+
+  (* An entry of the paper's evaluation: run it, print its tables, and
+     return its rows as JSON with the claims evaluated on them. *)
+  let entry run print json claims ~quick ~jobs =
+    let rows = run ~quick ~jobs in
+    print rows;
+    (json rows, claims rows)
+
   let fig3_point p =
     Obj
       [ ("offered", Num p.Fig3.offered); ("delivered", Num p.Fig3.delivered);
         ("discards", int p.Fig3.discards); ("ipq_drops", int p.Fig3.ipq_drops) ]
 
-  let table1 ~quick ~jobs =
-    let rows = Table1.run ~quick ~jobs ~seed () in
-    Table1.print rows;
-    Arr
-      (List.map
-         (fun r ->
+  let fig3_series = arr (fun r -> series r.Fig3.system fig3_point r.Fig3.points)
+
+  let table1 =
+    entry (fun ~quick ~jobs -> Table1.run ~quick ~jobs ~seed ()) Table1.print
+      (arr (fun r ->
            Obj
              [ ("system", Str (sysname r.Table1.system));
                ("rtt_us", Num r.Table1.rtt_us);
                ("udp_mbps", Num r.Table1.udp_mbps);
-               ("tcp_mbps", Num r.Table1.tcp_mbps) ])
-         rows)
+               ("tcp_mbps", Num r.Table1.tcp_mbps) ]))
+      Table1.claims
 
-  let fig3 ~quick ~jobs =
-    let rows = Fig3.run ~quick ~jobs ~seed () in
-    Fig3.print rows;
-    Arr (List.map (fun r -> series r.Fig3.system fig3_point r.Fig3.points) rows)
+  let fig3 =
+    entry (fun ~quick ~jobs -> Fig3.run ~quick ~jobs ~seed ()) Fig3.print
+      fig3_series Fig3.claims
 
-  let modern ~quick ~jobs =
-    let rows = Modern.run ~quick ~jobs ~seed () in
-    Modern.print rows;
-    let reorder = Modern.run_reorder ~quick ~jobs ~seed () in
-    Modern.print_reorder reorder;
-    Obj
-      [ ( "throughput",
-          Arr
-            (List.map
-               (fun r -> series r.Modern.system fig3_point r.Modern.points)
-               rows) );
-        ( "coalesce_reorder",
-          Arr
-            (List.map
-               (fun p ->
-                 Obj
-                   [ ("coalesce_us", Num p.Modern.coalesce_us);
-                     ("fabric_faults", Bool p.Modern.fabric_faults);
-                     ("observed", int p.Modern.observed);
-                     ("inversions", int p.Modern.inversions);
-                     ("per_kpkt", Num p.Modern.per_kpkt) ])
-               reorder) ) ]
+  let modern =
+    entry
+      (fun ~quick ~jobs ->
+        (Modern.run ~quick ~jobs ~seed (), Modern.run_reorder ~quick ~jobs ~seed ()))
+      (fun (rows, reorder) ->
+        Modern.print rows;
+        Modern.print_reorder reorder)
+      (fun (rows, reorder) ->
+        Obj
+          [ ("throughput", fig3_series rows);
+            ( "coalesce_reorder",
+              arr
+                (fun p ->
+                  Obj
+                    [ ("coalesce_us", Num p.Modern.coalesce_us);
+                      ("fabric_faults", Bool p.Modern.fabric_faults);
+                      ("observed", int p.Modern.observed);
+                      ("inversions", int p.Modern.inversions);
+                      ("per_kpkt", Num p.Modern.per_kpkt) ])
+                reorder ) ])
+      (fun (rows, reorder) -> Modern.claims rows reorder)
 
-  let mlfrr ~quick ~jobs =
-    let rows =
-      Fig3.mlfrr_all ~quick ~jobs ~seed
-        [ Common.Bsd; Common.Soft_lrp; Common.Ni_lrp ]
-    in
-    Fig3.print_mlfrr rows;
-    Arr
-      (List.map
-         (fun (sys, rate) ->
-           Obj [ ("system", Str (sysname sys)); ("mlfrr", Num rate) ])
-         rows)
+  let mlfrr =
+    entry
+      (fun ~quick ~jobs ->
+        Fig3.mlfrr_all ~quick ~jobs ~seed
+          [ Common.Bsd; Common.Soft_lrp; Common.Ni_lrp ])
+      Fig3.print_mlfrr
+      (arr (fun (sys, rate) ->
+           Obj [ ("system", Str (sysname sys)); ("mlfrr", Num rate) ]))
+      Fig3.mlfrr_claims
 
-  let fig4 ~quick ~jobs =
-    let rows = Fig4.run ~quick ~jobs ~seed () in
-    Fig4.print rows;
+  let fig4 =
     let point p =
       Obj
         [ ("bg_rate", Num p.Fig4.bg_rate); ("rtt_us", Num p.Fig4.rtt_us);
           ("rtt_mean", Num p.Fig4.rtt_mean); ("rtt_p99", Num p.Fig4.rtt_p99);
           ("probes", int p.Fig4.probes); ("lost", int p.Fig4.lost) ]
     in
-    Arr (List.map (fun r -> series r.Fig4.system point r.Fig4.points) rows)
+    entry (fun ~quick ~jobs -> Fig4.run ~quick ~jobs ~seed ()) Fig4.print
+      (arr (fun r -> series r.Fig4.system point r.Fig4.points))
+      Fig4.claims
 
-  let table2 ~quick ~jobs =
-    let rows = Table2.run ~quick ~jobs ~seed () in
-    Table2.print rows;
-    Arr
-      (List.map
-         (fun r ->
+  let table2 =
+    entry (fun ~quick ~jobs -> Table2.run ~quick ~jobs ~seed ()) Table2.print
+      (arr (fun r ->
            Obj
              [ ("system", Str (sysname r.Table2.system));
                ("class", Str (Rpc.cls_name r.Table2.cls));
                ("worker_elapsed_s", Num r.Table2.worker_elapsed_s);
                ("rpcs_per_sec", Num r.Table2.rpcs_per_sec);
-               ("worker_share", Num r.Table2.worker_share) ])
-         rows)
+               ("worker_share", Num r.Table2.worker_share) ]))
+      Table2.claims
 
-  let fig5 ~quick ~jobs =
-    let rows = Fig5.run ~quick ~jobs ~seed () in
-    Fig5.print rows;
+  let fig5 =
     let point p =
       Obj
         [ ("syn_rate", Num p.Fig5.syn_rate);
@@ -181,136 +181,93 @@ module Bench = struct
           ("failed", int p.Fig5.failed);
           ("syn_discards", int p.Fig5.syn_discards) ]
     in
-    Arr (List.map (fun r -> series r.Fig5.system point r.Fig5.points) rows)
+    entry (fun ~quick ~jobs -> Fig5.run ~quick ~jobs ~seed ()) Fig5.print
+      (arr (fun r -> series r.Fig5.system point r.Fig5.points))
+      Fig5.claims
 
-  let ablate_discard ~quick:_ ~jobs =
-    let rows = Ablations.discard ~jobs ~seed () in
-    Ablations.print_discard rows;
-    Arr
-      (List.map
-         (fun r ->
+  let ablate_discard =
+    entry (fun ~quick:_ ~jobs -> Ablations.discard ~jobs ~seed ())
+      Ablations.print_discard
+      (arr (fun r ->
            Obj
              [ ("bounded", Bool r.Ablations.bounded);
                ("delivered", Num r.Ablations.delivered);
                ("discards", int r.Ablations.discards);
                ("backlog", int r.Ablations.backlog);
-               ("queue_delay_ms", Num r.Ablations.queue_delay_ms) ])
-         rows)
+               ("queue_delay_ms", Num r.Ablations.queue_delay_ms) ]))
+      Ablations.discard_claims
 
-  let ablate_accounting ~quick:_ ~jobs =
-    let rows = Ablations.accounting ~jobs ~seed () in
-    Ablations.print_accounting rows;
-    Arr
-      (List.map
-         (fun r ->
+  let ablate_accounting =
+    entry (fun ~quick:_ ~jobs -> Ablations.accounting ~jobs ~seed ())
+      Ablations.print_accounting
+      (arr (fun r ->
            Obj
              [ ("fair", Bool r.Ablations.fair);
                ("hog_progress", Num r.Ablations.hog_progress);
                ("receiver_share", Num r.Ablations.receiver_share);
-               ("receiver_billed", Num r.Ablations.receiver_billed) ])
-         rows)
+               ("receiver_billed", Num r.Ablations.receiver_billed) ]))
+      Ablations.accounting_claims
 
-  let accounting ~quick ~jobs =
-    let r = Accounting.run ~quick ~jobs ~seed () in
-    Accounting.print r;
+  let accounting =
     let module Overload = Lrp_check.Overload in
-    Obj
-      [ ( "ledger",
-          Arr
-            (List.map
-               (fun (a : Accounting.arch_row) ->
-                 Obj
-                   [ ("system", Str (sysname a.Accounting.system));
-                     ("offered", int a.Accounting.offered);
-                     ("delivered", int a.Accounting.delivered);
-                     ("intr_total_us", Num a.Accounting.intr_total);
-                     ("mischarged_us", Num a.Accounting.mischarged);
-                     ("victim_mis_us", Num a.Accounting.victim_mis);
-                     ("receiver_proto_us", Num a.Accounting.receiver_proto);
-                     ("app_total_us", Num a.Accounting.app_total) ])
-               r.Accounting.arch_rows) );
-        ( "detector",
-          Arr
-            (List.map
-               (fun (d : Accounting.det_row) ->
-                 let rep = d.Accounting.d_report in
-                 Obj
-                   [ ("system", Str (sysname d.Accounting.d_system));
-                     ("rate", Num d.Accounting.d_rate);
-                     ("offered", int d.Accounting.d_offered);
-                     ("delivered", int d.Accounting.d_delivered);
-                     ("windows", int rep.Overload.samples);
-                     ("judged", int rep.Overload.judged);
-                     ("overload_windows", int rep.Overload.overload_windows);
-                     ("livelock_windows", int rep.Overload.livelock_windows);
-                     ("starved_windows", int rep.Overload.starved_windows);
-                     ("worst_delivery", Num rep.Overload.worst_delivery);
-                     ("peak_intr_share", Num rep.Overload.peak_intr_share);
-                     ("ipq_hwm", int rep.Overload.ipq_hwm);
-                     ("chan_hwm", int rep.Overload.chan_hwm);
-                     ("sock_hwm", int rep.Overload.sock_hwm) ])
-               r.Accounting.det_rows) ) ]
+    entry (fun ~quick ~jobs -> Accounting.run ~quick ~jobs ~seed ())
+      Accounting.print
+      (fun r ->
+        Obj
+          [ ( "ledger",
+              arr
+                (fun (a : Accounting.arch_row) ->
+                  Obj
+                    [ ("system", Str (sysname a.Accounting.system));
+                      ("offered", int a.Accounting.offered);
+                      ("delivered", int a.Accounting.delivered);
+                      ("intr_total_us", Num a.Accounting.intr_total);
+                      ("mischarged_us", Num a.Accounting.mischarged);
+                      ("victim_mis_us", Num a.Accounting.victim_mis);
+                      ("receiver_proto_us", Num a.Accounting.receiver_proto);
+                      ("app_total_us", Num a.Accounting.app_total) ])
+                r.Accounting.arch_rows );
+            ( "detector",
+              arr
+                (fun (d : Accounting.det_row) ->
+                  let rep = d.Accounting.d_report in
+                  Obj
+                    [ ("system", Str (sysname d.Accounting.d_system));
+                      ("rate", Num d.Accounting.d_rate);
+                      ("offered", int d.Accounting.d_offered);
+                      ("delivered", int d.Accounting.d_delivered);
+                      ("windows", int rep.Overload.samples);
+                      ("judged", int rep.Overload.judged);
+                      ("overload_windows", int rep.Overload.overload_windows);
+                      ("livelock_windows", int rep.Overload.livelock_windows);
+                      ("starved_windows", int rep.Overload.starved_windows);
+                      ("worst_delivery", Num rep.Overload.worst_delivery);
+                      ("peak_intr_share", Num rep.Overload.peak_intr_share);
+                      ("ipq_hwm", int rep.Overload.ipq_hwm);
+                      ("chan_hwm", int rep.Overload.chan_hwm);
+                      ("sock_hwm", int rep.Overload.sock_hwm) ])
+                r.Accounting.det_rows ) ])
+      Accounting.claims
 
-  let ablate_demux ~quick:_ ~jobs =
-    let rows = Ablations.demux_cost ~jobs ~seed () in
-    Ablations.print_demux_cost rows;
-    Arr
-      (List.map
-         (fun r ->
+  let ablate_demux =
+    entry (fun ~quick:_ ~jobs -> Ablations.demux_cost ~jobs ~seed ())
+      Ablations.print_demux_cost
+      (arr (fun r ->
            Obj
              [ ("demux_us", Num r.Ablations.demux_us);
-               ("delivered", Num r.Ablations.delivered) ])
-         rows)
+               ("delivered", Num r.Ablations.delivered) ]))
+      Ablations.demux_claims
 
-  (* Extension (paper section 3.5): an IP gateway under transit flood.
-     Each (rate, architecture) cell is an independent simulation, so the
-     grid fans out over the domain pool like the paper experiments. *)
-  let gateway ~quick:_ ~jobs =
-    let measure ~seed arch rate =
-      let engine, client, gw, server =
-        World.gateway ~seed (Kernel.default_config arch)
-      in
-      let app = Spinner.start (Kernel.cpu gw) ~nice:0 ~name:"local-app" () in
-      ignore (Blast.flood ~client ~server ~rate ~until:(Time.sec 1.) ());
-      Engine.run engine ~until:(Time.sec 1.);
-      (float_of_int (Kernel.stats gw).Kernel.forwarded,
-       Lrp_sim.Proc.cpu_time app /. Time.sec 1.)
-    in
-    let rates = [ 2_000.; 8_000.; 14_000.; 20_000. ] in
-    let tasks =
-      List.concat_map
-        (fun rate -> [ (rate, Kernel.Bsd); (rate, Kernel.Soft_lrp) ])
-        rates
-    in
-    let cells =
-      List.combine tasks
-        (Common.sweep ~jobs
-           (fun i (rate, arch) ->
-             measure ~seed:(Common.job_seed ~seed ~index:i) arch rate)
-           tasks)
-    in
-    Common.print_title
-      "Extension: IP gateway under transit flood (section 3.5)";
-    Printf.printf "  %-14s %12s %12s %16s\n" "rate (pkts/s)" "BSD fwd/s"
-      "LRP fwd/s" "LRP local share";
-    let rows =
-      List.map
-        (fun rate ->
-          let bsd_fwd, _ = List.assoc (rate, Kernel.Bsd) cells in
-          let lrp_fwd, lrp_share = List.assoc (rate, Kernel.Soft_lrp) cells in
-          Printf.printf "  %-14.0f %12.0f %12.0f %15.1f%%\n" rate bsd_fwd
-            lrp_fwd (100. *. lrp_share);
-          Obj
-            [ ("rate", Num rate); ("bsd_fwd_per_sec", Num bsd_fwd);
-              ("lrp_fwd_per_sec", Num lrp_fwd);
-              ("lrp_local_share", Num lrp_share) ])
-        rates
-    in
-    Printf.printf
-      "\n  BSD forwards at softint priority (and livelocks, taking local\n\
-      \  processes with it); LRP's forwarding daemon shares the CPU like any\n\
-      \  process.\n";
-    Arr rows
+  (* Extension (paper section 3.5): an IP gateway under transit flood. *)
+  let gateway =
+    entry (fun ~quick:_ ~jobs -> Gateway.run ~jobs ~seed ()) Gateway.print
+      (arr (fun r ->
+           Obj
+             [ ("rate", Num r.Gateway.rate);
+               ("bsd_fwd_per_sec", Num r.Gateway.bsd_fwd);
+               ("lrp_fwd_per_sec", Num r.Gateway.lrp_fwd);
+               ("lrp_local_share", Num r.Gateway.lrp_share) ]))
+      Gateway.claims
 
   (* Observability: trace one fig3 point per architecture with the server
      kernel's structured tracer on, and report the per-packet
@@ -342,16 +299,20 @@ module Bench = struct
             ("p50_us", Num (S.percentile s 50.));
             ("p99_us", Num (S.percentile s 99.)) ]
       in
-      Obj
+      ( Obj
         [ ("system", Str (sysname sys)); ("offered", Num point.Fig3.offered);
           ("delivered", Num point.Fig3.delivered);
           ("packets", int report.Trace.Report.packets);
           ("events", int (Trace.length tracer));
           ("overwritten", int (Trace.dropped tracer));
           ("stages", Arr (List.map stage_json report.Trace.Report.stages));
-          ("metrics", Obj (List.map (fun (k, v) -> (k, Num v)) counters)) ]
+          ("metrics", Obj (List.map (fun (k, v) -> (k, Num v)) counters)) ],
+        (sys, report) )
     in
-    Arr (List.map trace_one [ Common.Bsd; Common.Soft_lrp; Common.Ni_lrp ])
+    let traced =
+      List.map trace_one [ Common.Bsd; Common.Soft_lrp; Common.Ni_lrp ]
+    in
+    (Arr (List.map fst traced), Fig3.stage_claims (List.map snd traced))
 
   (* Flow-table scaling: the packed-key robin-hood table under the four
      operations the demultiplexer performs, at populations from a busy
@@ -414,7 +375,7 @@ module Bench = struct
           ("hit_ns", Num hit_ns); ("miss_ns", Num miss_ns);
           ("delete_ns", Num delete_ns) ]
     in
-    Arr (List.map row sizes)
+    (Arr (List.map row sizes), [])
 
   (* Shard-count sweep of the cluster experiment: the digest column must
      be constant (byte-identical results at any shard count) while the
@@ -437,7 +398,7 @@ module Bench = struct
           ("speedup_available", Num (Cluster.speedup_available r));
           ("digest", Str (Printf.sprintf "%Lx" r.Cluster.digest)) ]
     in
-    Arr (List.map row [ 1; 2; 4; 8 ])
+    (Arr (List.map row [ 1; 2; 4; 8 ]), [])
 
   let all =
     [ ("table1", table1); ("fig3", fig3); ("modern", modern);
@@ -447,8 +408,15 @@ module Bench = struct
       ("ablate-demux", ablate_demux); ("gateway", gateway);
       ("trace", trace); ("demux", demux); ("cluster", cluster) ]
 
-  (* Runs [names] (all entries when empty) in order, timing each; [out] is
-     the already-open --json file, if any. *)
+  let claim_json (c : Common.claim) =
+    Obj
+      [ ("id", Str c.Common.id); ("text", Str c.Common.text);
+        ("paper", Num c.Common.paper);
+        ("measured", Num c.Common.measured); ("holds", Bool c.Common.holds) ]
+
+  (* Runs [names] (all entries when empty) in order, timing each, and
+     prints each one's claims table; [out] is the already-open --json file,
+     if any.  Returns the claims that do not hold. *)
   let run ~quick ~jobs out names =
     let names = if names = [] then List.map fst all else names in
     Printf.printf
@@ -462,10 +430,15 @@ module Bench = struct
       List.map
         (fun name ->
           let s = Unix.gettimeofday () in
-          let data = (List.assoc name all) ~quick ~jobs in
+          let data, claims = (List.assoc name all) ~quick ~jobs in
+          Common.print_claims claims;
           let wall = Unix.gettimeofday () -. s in
           Printf.printf "  [%s finished in %.1fs wall time]\n" name wall;
-          (name, Obj [ ("wall_s", Num wall); ("data", data) ]))
+          ( (name,
+             Obj
+               [ ("wall_s", Num wall); ("data", data);
+                 ("claims", Arr (List.map claim_json claims)) ]),
+            claims ))
         names
     in
     let total = Unix.gettimeofday () -. t0 in
@@ -476,11 +449,13 @@ module Bench = struct
           (to_string
              (Obj
                 [ ("quick", Bool quick); ("jobs", int jobs); ("seed", int seed);
-                  ("total_wall_s", Num total); ("experiments", Obj results) ]));
+                  ("total_wall_s", Num total);
+                  ("experiments", Obj (List.map fst results)) ]));
         output_char oc '\n';
         close_out oc;
         Printf.printf "Wrote %s\n" path)
-      out
+      out;
+    List.filter (fun (c : Common.claim) -> not c.holds) (List.concat_map snd results)
 end
 
 let bench_cmd =
@@ -504,7 +479,13 @@ let bench_cmd =
   let run quick jobs json names =
     match Option.map (fun path -> (path, open_out path)) json with
     | exception Sys_error e -> `Error (false, e)
-    | out -> `Ok (Bench.run ~quick ~jobs out names)
+    | out -> (
+        match Bench.run ~quick ~jobs out names with
+        | [] -> `Ok ()
+        | failed ->
+            Printf.eprintf "bench: claims that do not hold: %s\n"
+              (String.concat ", " (List.map (fun c -> c.Common.id) failed));
+            exit 1)
   in
   Cmd.v
     (Cmd.info "bench"

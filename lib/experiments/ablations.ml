@@ -1,19 +1,4 @@
-(** Ablations of LRP's individual design choices.
-
-    The paper argues (section 3) that early demultiplexing and lazy
-    processing are {e both} necessary, and that the combination of early
-    discard and receiver-priority accounting is what yields stability and
-    fairness.  Each ablation here removes one ingredient:
-
-    - {!discard}: LRP with effectively unbounded channel queues — overload
-      is absorbed into memory instead of shed at the NI, so queues (and
-      delivery staleness) grow without bound while throughput is unchanged;
-    - {!accounting}: LRP whose APP threads charge themselves instead of the
-      owning process — the network-intensive process effectively receives
-      two scheduler shares and a compute-bound bystander is squeezed;
-    - {!demux_cost}: SOFT-LRP's residual vulnerability — its livelock is
-      postponed, not eliminated, and arrives sooner the more each
-      interrupt-time classification costs. *)
+(** Ablations of LRP's individual design choices; each has its claims. *)
 
 open Lrp_engine
 open Lrp_sim
@@ -69,11 +54,18 @@ let print_discard rows =
       Common.printf "  %-22s %12.0f %10d %10d %9.0f ms\n"
         (if r.bounded then "bounded (LRP)" else "unbounded (ablated)")
         r.delivered r.discards r.backlog r.queue_delay_ms)
-    rows;
-  Common.printf
-    "\n  Without early discard, overload is absorbed into queue memory:\n\
-    \  every delivered packet is seconds stale and buffering grows without\n\
-    \  bound; with discard, excess load is dropped at the NI for free.\n"
+    rows
+
+let discard_claims rows =
+  let get f bounded = Common.pick f (fun r -> r.bounded = bounded) rows in
+  let delivered = get (fun r -> r.delivered) in
+  let stale = get (fun r -> r.queue_delay_ms) false in
+  [ Common.claim "ablate-discard.throughput-unchanged"
+      "unbounded channels deliver exactly what bounded ones do (ratio)"
+      (delivered false /. delivered true) (delivered false = delivered true);
+    Common.claim "ablate-discard.seconds-stale"
+      "without early discard, delivered packets are >= 1 s stale (ms)" stale
+      (stale >= 1_000.) ]
 
 (* --- APP accounting ----------------------------------------------------- *)
 
@@ -172,12 +164,18 @@ let print_accounting rows =
         (100. *. r.hog_progress)
         (100. *. r.receiver_share)
         (100. *. r.receiver_billed))
-    rows;
-  Common.printf
-    "\n  The receiving pipeline (process + APP thread) consumes the same\n\
-    \  CPU either way, but with the ablated accounting the scheduler bills\n\
-    \  the receiver for almost none of it: its priority never decays no\n\
-    \  matter how much traffic it causes -- the paper's unfairness.\n"
+    rows
+
+let accounting_claims rows =
+  let get f fair = Common.pick f (fun r -> r.fair = fair) rows in
+  let hog = get (fun r -> r.hog_progress) in
+  let billed = get (fun r -> r.receiver_billed /. r.receiver_share) true in
+  [ Common.claim "ablate-accounting.bystander-squeezed"
+      "self-charged APP threads squeeze the bystander (its CPU, ablated/LRP)"
+      (hog false /. hog true) (hog false < hog true);
+    Common.claim "ablate-accounting.lrp-bills-receiver"
+      "LRP bills the sink at least the CPU its pipeline uses (billed/used)" billed
+      (billed >= 1.) ]
 
 (* --- soft-demux cost sensitivity ----------------------------------------- *)
 
@@ -205,9 +203,15 @@ let print_demux_cost rows =
   Common.printf "  %-12s %12s\n" "demux (us)" "delivered/s";
   List.iter
     (fun r -> Common.printf "  %-12.0f %12.0f\n" r.demux_us r.delivered)
-    rows;
-  Common.printf
-    "\n  Soft demultiplexing postpones livelock rather than eliminating it\n\
-    \  (paper section 4.2): throughput under overload falls roughly as\n\
-    \  1 - rate * demux_cost, and an expensive classifier brings the\n\
-    \  collapse within reach.\n"
+    rows
+
+let demux_claims rows =
+  let rec falls = function
+    | a :: (b :: _ as rest) -> b.delivered < a.delivered && falls rest
+    | _ -> true
+  in
+  let first = Common.pick (fun r -> r.delivered) (fun _ -> true) in
+  [ Common.claim "ablate-demux.postpones"
+      "delivered falls with each step up in demux cost (costliest/cheapest)"
+      (first (List.rev rows) /. first rows)
+      (rows <> [] && falls rows) ]

@@ -13,7 +13,10 @@
       two scheduler shares and a compute-bound bystander is squeezed;
     - {!demux_cost}: SOFT-LRP's residual vulnerability — its livelock is
       postponed, not eliminated, and arrives sooner the more each
-      interrupt-time classification costs. *)
+      interrupt-time classification costs.
+
+    Each has its claims ([discard_claims], [accounting_claims],
+    [demux_claims]). *)
 
 type discard_row = {
   bounded : bool;
@@ -26,6 +29,7 @@ val discard :
   ?rate:float -> ?duration:Lrp_engine.Time.t -> ?jobs:int -> ?seed:int ->
   unit -> discard_row list
 val print_discard : discard_row list -> unit
+val discard_claims : discard_row list -> Common.claim list
 type accounting_row = {
   fair : bool;
   hog_progress : float;
@@ -36,9 +40,11 @@ val accounting :
   ?duration:Lrp_engine.Time.t -> ?jobs:int -> ?seed:int -> unit ->
   accounting_row list
 val print_accounting : accounting_row list -> unit
+val accounting_claims : accounting_row list -> Common.claim list
 type demux_row = { demux_us : float; delivered : float; }
 val demux_cost :
   ?rate:float ->
   ?duration:Lrp_engine.Time.t -> ?costs:float list -> ?jobs:int ->
   ?seed:int -> unit -> demux_row list
 val print_demux_cost : demux_row list -> unit
+val demux_claims : demux_row list -> Common.claim list

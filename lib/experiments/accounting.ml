@@ -111,36 +111,18 @@ let default_det_rates = [ 4_000.; 14_000.; 20_000. ]
 
 let run ?(quick = false) ?(jobs = 1) ?(seed = Common.default_seed) () =
   let duration = if quick then Time.ms 500. else Time.sec 1. in
-  let arch_rate = 8_000. in
-  let det_rates =
-    if quick then [ 4_000.; 20_000. ] else default_det_rates
-  in
-  let det_tasks =
-    List.concat_map
-      (fun sys -> List.map (fun r -> (sys, r)) det_rates)
-      det_systems
-  in
+  let det_rates = if quick then [ 4_000.; 20_000. ] else default_det_rates in
   (* One flat sweep: arch tasks first, detector tasks after. *)
-  let n_arch = List.length arch_systems in
+  let arch sys ~seed = `Arch (measure_arch ~seed sys ~rate:8_000. ~duration) in
+  let det sys rate ~seed = `Det (measure_detector ~seed sys ~rate ~duration) in
   let results =
     Common.sweep ~jobs
-      (fun i task ->
-        let seed = Common.job_seed ~seed ~index:i in
-        match task with
-        | `Arch sys -> `Arch (measure_arch ~seed sys ~rate:arch_rate ~duration)
-        | `Det (sys, r) -> `Det (measure_detector ~seed sys ~rate:r ~duration))
-      (List.map (fun s -> `Arch s) arch_systems
-       @ List.map (fun t -> `Det t) det_tasks)
+      (fun i task -> task ~seed:(Common.job_seed ~seed ~index:i))
+      (List.map arch arch_systems
+      @ List.concat_map (fun sys -> List.map (det sys) det_rates) det_systems)
   in
-  let arch_rows =
-    List.filteri (fun i _ -> i < n_arch) results
-    |> List.map (function `Arch r -> r | `Det _ -> assert false)
-  in
-  let det_rows =
-    List.filteri (fun i _ -> i >= n_arch) results
-    |> List.map (function `Det r -> r | `Arch _ -> assert false)
-  in
-  { arch_rows; det_rows }
+  { arch_rows = List.filter_map (function `Arch r -> Some r | _ -> None) results;
+    det_rows = List.filter_map (function `Det r -> Some r | _ -> None) results }
 
 (* --- rendering -------------------------------------------------------- *)
 
@@ -157,13 +139,6 @@ let print { arch_rows; det_rows } =
         r.offered r.delivered r.intr_total r.mischarged r.victim_mis
         r.receiver_proto r.app_total)
     arch_rows;
-  Common.printf
-    "\n  mischarged: interrupt-level cycles billed to some process's\n\
-    \  account (victim-mis: the nice +20 spinner's share; under eager\n\
-    \  saturation the starved spinner rarely holds the CPU, so the bill\n\
-    \  lands on whichever process does — here the sink).  LRP moves the\n\
-    \  same work into receiver context (rx-proto), charged to the\n\
-    \  processes that consume the data.\n";
   Common.print_title "Overload detector: BSD vs SOFT-LRP across offered load";
   Common.printf "  %-12s %10s %10s %10s %9s %9s %9s %11s\n" "system"
     "rate/s" "offered" "delivered" "overload" "livelock" "starved"
@@ -176,8 +151,23 @@ let print { arch_rows; det_rows } =
         r.d_rate r.d_offered r.d_delivered rep.Overload.overload_windows
         rep.Overload.livelock_windows rep.Overload.starved_windows
         rep.Overload.peak_intr_share)
-    det_rows;
-  Common.printf
-    "\n  Both systems shed load under saturation (overload windows), but\n\
-    \  only BSD's interrupt share crosses the livelock threshold: LRP\n\
-    \  discards early, before host cycles are invested.\n"
+    det_rows
+
+(* --- claims ------------------------------------------------------------ *)
+
+let claims { arch_rows; det_rows } =
+  let lrp sys = sys = Common.Ni_lrp || sys = Common.Soft_lrp in
+  let livelock sys =
+    List.fold_left
+      (fun n d -> if d.d_system = sys then n + d.d_report.Overload.livelock_windows else n)
+      0 det_rows
+  in
+  let wrong = List.filter (fun r -> (r.receiver_proto > 0.) <> lrp r.system) arch_rows in
+  let open Common in
+  [ claim "accounting.receiver-context"
+      "protocol work runs in receiver context (rx-proto) on LRP only (systems not)"
+      (float_of_int (List.length wrong)) (arch_rows <> [] && wrong = []);
+    claim "accounting.only-bsd-livelocks"
+      "only 4.4BSD crosses the detector's livelock threshold (SOFT-LRP's windows)"
+      (float_of_int (livelock Soft_lrp))
+      (livelock Bsd > 0 && livelock Soft_lrp = 0) ]

@@ -4,8 +4,7 @@
     via {!Lrp_sim.Ledger}, contrasting BSD's interrupt-level charging
     (billed to an innocent nice +20 victim) with LRP's receiver-context
     protocol charging.  Table B runs the {!Lrp_check.Overload} detector
-    across offered rates: both architectures report overload when they
-    shed load, but only the eager ones cross the livelock threshold. *)
+    across offered rates.  The shapes are {!claims}. *)
 
 type arch_row = {
   system : Common.system;
@@ -39,3 +38,7 @@ val measure_detector :
 val run : ?quick:bool -> ?jobs:int -> ?seed:int -> unit -> result
 
 val print : result -> unit
+
+val claims : result -> Common.claim list
+(** Who is charged for receive processing, and when the detector calls
+    overload and livelock, evaluated on both tables. *)

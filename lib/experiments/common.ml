@@ -63,12 +63,17 @@ let sweep ~jobs f items =
         (fun (i, x) -> f i x)
         (List.mapi (fun i x -> (i, x)) items))
 
-(* Regroup a flattened sweep over [groups] x [cases] back into rows. *)
-let regroup groups tagged =
-  List.map
-    (fun g ->
-      (g, List.filter_map (fun (g', p) -> if g' = g then Some p else None) tagged))
-    groups
+(* One independent simulation [measure ~seed o x] per cell of [outer] x
+   [inner], outer-major, as one flat sweep (each cell seeded by its
+   index), regrouped per element of [outer]. *)
+let grid ~jobs ~seed outer inner measure =
+  let n = List.length inner in
+  let cells =
+    sweep ~jobs
+      (fun i (o, x) -> measure ~seed:(job_seed ~seed ~index:i) o x)
+      (List.concat_map (fun o -> List.map (fun x -> (o, x)) inner) outer)
+  in
+  List.mapi (fun k o -> (o, List.filteri (fun i _ -> i / n = k) cells)) outer
 
 (* --- plain-text rendering -------------------------------------------- *)
 
@@ -83,14 +88,38 @@ let hr width = String.make width '-'
 let print_title title =
   printf "\n%s\n%s\n" title (hr (String.length title))
 
-(* Render an ASCII series plot: one line per x value, a bar whose length is
-   proportional to y. *)
-let print_series ~xlabel ~ylabel ~ymax rows =
-  printf "  %-12s %-10s\n" xlabel ylabel;
+(* --- claims ------------------------------------------------------------ *)
+
+(* One of the paper's shapes, evaluated on the rows that measure it:
+   [holds] is the predicate whose band [text] states, [measured] (and
+   [paper], where the paper gives the same quantity, else nan) the value
+   shown. *)
+type claim = {
+  id : string;
+  text : string;
+  paper : float;
+  measured : float;
+  holds : bool;
+}
+
+let claim ?(paper = nan) id text measured holds =
+  { id; text; paper; measured; holds }
+
+let pick f p xs = match List.find_opt p xs with Some x -> f x | None -> nan
+
+let with_paper claims paper_claims =
+  List.map
+    (fun c ->
+      { c with paper = pick (fun p -> p.measured) (fun p -> p.id = c.id) paper_claims })
+    claims
+
+let print_claims claims =
+  let value x = Printf.sprintf (if Float.abs x >= 100. then "%.0f" else "%.3g") x in
+  let line status id m p = printf "  %-4s %-36s %9s %9s  %s\n" status id m p in
+  if claims <> [] then (printf "\n"; line "" "claim" "measured" "paper" "band");
   List.iter
-    (fun (x, y) ->
-      let bar_len =
-        if ymax <= 0. then 0 else int_of_float (y /. ymax *. 50.)
-      in
-      printf "  %-12.0f %-10.0f %s\n" x y (String.make (max 0 bar_len) '#'))
-    rows
+    (fun c ->
+      line (if c.holds then "ok" else "FAIL") c.id (value c.measured)
+        (if Float.is_nan c.paper then "-" else value c.paper)
+        c.text)
+    claims

@@ -1,18 +1,10 @@
 (** Figure 3: UDP throughput versus offered load (the livelock experiment).
 
     A client blasts 14-byte UDP datagrams at a fixed rate at a server
-    process that receives and discards them.  The paper's shapes:
-
-    - 4.4BSD peaks (~7,400 pkts/s) and then collapses toward livelock as
-      the offered rate grows (~0 around 20,000 pkts/s);
-    - NI-LRP climbs to its maximum (~11,000 pkts/s) and stays flat;
-    - SOFT-LRP peaks in between (~9,800 pkts/s) and declines only slowly
-      (the soft-demux cost per packet);
-    - Early-Demux is stable but reaches only 40-65 % of SOFT-LRP's
-      throughput in the overload region.
-
-    The companion MLFRR measurement reports the maximum loss-free receive
-    rate (paper: SOFT-LRP 9,210 vs BSD 6,380, +44 %). *)
+    process that receives and discards them.  The paper's shapes are
+    {!claims}; the companion maximum loss-free receive rate search
+    ({!mlfrr_all}) has {!mlfrr_claims}, and the traced stage split
+    ({!measure_traced}) has {!stage_claims}. *)
 
 type point = {
   offered : float;
@@ -43,8 +35,6 @@ val run :
     identical for any [jobs]: each point runs in its own engine seeded
     from [seed] and its job index. *)
 
-val mlfrr : ?quick:bool -> ?seed:int -> Common.system -> float
-
 val mlfrr_all :
   ?quick:bool -> ?jobs:int -> ?seed:int -> Common.system list ->
   (Common.system * float) list
@@ -52,3 +42,18 @@ val mlfrr_all :
 
 val print : row list -> unit
 val print_mlfrr : (Common.system * float) list -> unit
+
+val plot : string -> row list -> unit
+(** [plot title rows]: one ASCII delivered-rate plot per system; [print]
+    is [plot] with Figure 3's title. *)
+
+val claims : row list -> Common.claim list
+(** The paper's Figure 3 shapes, evaluated on [rows]. *)
+
+val mlfrr_claims : (Common.system * float) list -> Common.claim list
+(** The paper's MLFRR comparison, evaluated on one search per system. *)
+
+val stage_claims :
+  (Common.system * Lrp_trace.Trace.Report.t) list -> Common.claim list
+(** Where each system does its protocol work, from its stage-latency
+    report. *)

@@ -1,17 +1,4 @@
-(** Figure 4: latency under concurrent load.
-
-    A client ping-pongs a short UDP message with a server process on
-    machine B while machine C blasts UDP packets at a separate blast-server
-    process on B.  Both machines in the ping-pong exchange run a nice +20
-    compute-bound background process (the paper's workaround for a SunOS
-    idle-loop anomaly; here it keeps the comparison honest the same way).
-
-    Paper shapes: BSD's RTT rises steeply (hardware+software interrupt per
-    background packet, ~60 us) with a scheduling-induced hump peaking
-    ~1020 us near 6-7k pkts/s, and cannot be measured beyond 15k pkts/s
-    because probes die at the shared IP queue; SOFT-LRP rises gently
-    (~25 us interrupt incl. demux, hump ≤ ~750 us); NI-LRP is nearly
-    flat.  LRP never loses a probe (traffic separation). *)
+(** Figure 4: latency under concurrent load; the shapes are [claims]. *)
 
 open Lrp_engine
 open Lrp_kernel
@@ -65,21 +52,10 @@ let run ?(quick = false) ?(rates = default_rates) ?(jobs = 1)
     ?(seed = Common.default_seed) () =
   let duration = if quick then Time.ms 500. else Time.sec 2. in
   let rates = if quick then [ 0.; 4_000.; 8_000.; 14_000. ] else rates in
-  let tasks =
-    List.concat_map
-      (fun sys -> List.map (fun r -> (sys, r)) rates)
-      Common.fig4_systems
-  in
-  let points =
-    Common.sweep ~jobs
-      (fun i (sys, r) ->
-        measure ~seed:(Common.job_seed ~seed ~index:i) sys ~bg_rate:r ~duration)
-      tasks
-  in
-  let tagged = List.map2 (fun (sys, _) p -> (sys, p)) tasks points in
   List.map
-    (fun (sys, points) -> { system = sys; points })
-    (Common.regroup Common.fig4_systems tagged)
+    (fun (system, points) -> { system; points })
+    (Common.grid ~jobs ~seed Common.fig4_systems rates (fun ~seed sys r ->
+         measure ~seed sys ~bg_rate:r ~duration))
 
 let print rows =
   Common.print_title "Figure 4: Latency with concurrent load (UDP ping-pong RTT)";
@@ -100,8 +76,24 @@ let print rows =
               (String.make (max 0 (min 60 bar)) '#')
           end)
         r.points)
-    rows;
-  Common.printf
-    "\n  Paper shapes: BSD rises steeply (peak ~1020us, unmeasurable >15k);\n\
-    \  SOFT-LRP gentle rise (peak ~750us); NI-LRP nearly flat; LRP loses\n\
-    \  no probes (traffic separation).\n"
+    rows
+
+let claims rows =
+  let rtt sys rate =
+    Common.pick (fun p -> p.rtt_us) (fun p -> p.bg_rate = rate)
+      (List.concat_map (fun r -> if r.system = sys then r.points else []) rows)
+  in
+  let rise sys = rtt sys 14_000. -. rtt sys 0. in
+  let open Common in
+  let bsd = rise Bsd and ni = Float.max 1. (rise Ni_lrp) and soft = rise Soft_lrp in
+  let lost n r =
+    if r.system = Bsd then n else List.fold_left (fun n p -> n + p.lost) n r.points
+  in
+  let lrp_lost = List.fold_left lost 0 rows in
+  [ claim "fig4.bsd-rise" "4.4BSD's RTT rise, idle to 14k, > 4 x NI-LRP's (min 1 us)"
+      (bsd /. ni) (bsd > 4. *. ni);
+    claim "fig4.soft-lrp-rise" "SOFT-LRP's RTT rise < 4.4BSD's (ratio)" (soft /. bsd)
+      (soft < bsd);
+    claim ~paper:0. "fig4.lrp-no-probe-loss"
+      "LRP loses no probe at any load (traffic separation)"
+      (float_of_int lrp_lost) (lrp_lost = 0) ]

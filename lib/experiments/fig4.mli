@@ -5,13 +5,7 @@
     process on B.  Both machines in the ping-pong exchange run a nice +20
     compute-bound background process (the paper's workaround for a SunOS
     idle-loop anomaly; here it keeps the comparison honest the same way).
-
-    Paper shapes: BSD's RTT rises steeply (hardware+software interrupt per
-    background packet, ~60 us) with a scheduling-induced hump peaking
-    ~1020 us near 6-7k pkts/s, and cannot be measured beyond 15k pkts/s
-    because probes die at the shared IP queue; SOFT-LRP rises gently
-    (~25 us interrupt incl. demux, hump ≤ ~750 us); NI-LRP is nearly
-    flat.  LRP never loses a probe (traffic separation). *)
+    The paper's shapes are {!claims}. *)
 
 type point = {
   bg_rate : float;   (* background blast, pkts/s *)
@@ -29,3 +23,6 @@ val run :
     results are identical for any [jobs]. *)
 
 val print : row list -> unit
+
+val claims : row list -> Common.claim list
+(** The paper's Figure 4 shapes, evaluated on [rows]. *)

@@ -1,18 +1,5 @@
-(** Figure 5: HTTP server throughput under a SYN flood.
-
-    Eight closed-loop HTTP clients saturate an NCSA-style process-per-
-    request HTTP server while a third machine floods a dummy port on the
-    server with TCP connection-establishment requests from spoofed
-    addresses.  TIME_WAIT is shortened to 500 ms, as in the paper, to keep
-    the PCB tables out of the picture.
-
-    Paper shapes: BSD's HTTP throughput collapses steeply, entering
-    livelock near 10,000 SYN/s (softint SYN processing starves the server
-    processes; beyond ~6,400 SYN/s the shared IP queue also drops real HTTP
-    traffic).  SOFT-LRP declines only with the demultiplexing overhead and
-    still serves ~50 % of its maximum at 20,000 SYN/s; dummy SYNs die
-    cheaply on the (backlog-disabled) listen channel and never cost HTTP
-    traffic a packet. *)
+(** Figure 5: HTTP server throughput under a SYN flood; the shapes are
+    [claims]. *)
 
 open Lrp_engine
 open Lrp_kernel
@@ -75,21 +62,10 @@ let run ?(quick = false) ?(rates = default_rates) ?(jobs = 1)
     ?(seed = Common.default_seed) () =
   let duration = if quick then Time.sec 2. else Time.sec 8. in
   let rates = if quick then [ 0.; 6_000.; 12_000.; 20_000. ] else rates in
-  let tasks =
-    List.concat_map
-      (fun sys -> List.map (fun r -> (sys, r)) rates)
-      Common.fig5_systems
-  in
-  let points =
-    Common.sweep ~jobs
-      (fun i (sys, r) ->
-        measure ~seed:(Common.job_seed ~seed ~index:i) sys ~syn_rate:r ~duration)
-      tasks
-  in
-  let tagged = List.map2 (fun (sys, _) p -> (sys, p)) tasks points in
   List.map
-    (fun (sys, points) -> { system = sys; points })
-    (Common.regroup Common.fig5_systems tagged)
+    (fun (system, points) -> { system; points })
+    (Common.grid ~jobs ~seed Common.fig5_systems rates (fun ~seed sys r ->
+         measure ~seed sys ~syn_rate:r ~duration))
 
 let print rows =
   Common.print_title "Figure 5: HTTP Server Throughput under SYN flood";
@@ -106,7 +82,23 @@ let print rows =
           Common.printf "  %-14.0f %-12.1f %s\n" p.syn_rate p.http_per_sec
             (String.make (max 0 bar) '#'))
         r.points)
-    rows;
-  Common.printf
-    "\n  Paper shapes: BSD collapses into livelock near 10k SYN/s;\n\
-    \  SOFT-LRP still serves ~50%% of its maximum at 20k SYN/s.\n"
+    rows
+
+let claims rows =
+  let at f sys rate =
+    Common.pick f (fun p -> p.syn_rate = rate)
+      (List.concat_map (fun r -> if r.system = sys then r.points else []) rows)
+  in
+  let open Common in
+  let bsd = at (fun p -> p.http_per_sec) Bsd in
+  let soft = at (fun p -> p.http_per_sec) Soft_lrp in
+  let gap = Float.abs (bsd 0. -. soft 0.) /. soft 0. in
+  let discards = at (fun p -> float_of_int p.syn_discards) Soft_lrp 20_000. in
+  [ claim "fig5.baselines-comparable"
+      "unflooded, |4.4BSD - SOFT-LRP| / SOFT-LRP < 0.2" gap (gap < 0.2);
+    claim "fig5.bsd-livelock" "4.4BSD livelocks: 20k SYN/s < 0.1 x unflooded"
+      (bsd 20_000. /. bsd 0.) (bsd 20_000. < 0.1 *. bsd 0.);
+    claim ~paper:0.5 "fig5.soft-lrp-holds" "SOFT-LRP keeps > 0.35 x unflooded at 20k"
+      (soft 20_000. /. soft 0.) (soft 20_000. > 0.35 *. soft 0.);
+    claim "fig5.syn-discards" "SOFT-LRP discards > 10,000 flood SYNs at 20k"
+      discards (discards > 10_000.) ]

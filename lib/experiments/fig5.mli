@@ -4,15 +4,8 @@
     request HTTP server while a third machine floods a dummy port on the
     server with TCP connection-establishment requests from spoofed
     addresses.  TIME_WAIT is shortened to 500 ms, as in the paper, to keep
-    the PCB tables out of the picture.
-
-    Paper shapes: BSD's HTTP throughput collapses steeply, entering
-    livelock near 10,000 SYN/s (softint SYN processing starves the server
-    processes; beyond ~6,400 SYN/s the shared IP queue also drops real HTTP
-    traffic).  SOFT-LRP declines only with the demultiplexing overhead and
-    still serves ~50 % of its maximum at 20,000 SYN/s; dummy SYNs die
-    cheaply on the (backlog-disabled) listen channel and never cost HTTP
-    traffic a packet. *)
+    the PCB tables out of the picture.  The paper's shapes are
+    {!claims}. *)
 
 type point = {
   syn_rate : float;
@@ -28,3 +21,6 @@ val run :
     results are identical for any [jobs]. *)
 
 val print : row list -> unit
+
+val claims : row list -> Common.claim list
+(** The paper's Figure 5 shapes, evaluated on [rows]. *)

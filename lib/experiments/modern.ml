@@ -6,12 +6,9 @@
       fixed offered rate against a receive-and-discard server) run over
       all {e seven} architectures: the paper's 4.4BSD / NI-LRP /
       SOFT-LRP / Early-Demux plus the post-paper NAPI, NAPI-GRO and RSS
-      back-ends.  Expected shapes: BSD collapses toward livelock; NAPI
-      holds a flat plateau under its poll budget (interrupts masked
-      while polling, excess work deferred to ksoftirqd); NAPI-GRO
-      exceeds SOFT-LRP at high segment rates because receive-offload
-      amortises per-packet protocol cost across a coalesced train;
-      NI-LRP stays highest (the demux runs on the adaptor).
+      back-ends.  NAPI masks interrupts while polling and defers excess
+      work to ksoftirqd; NAPI-GRO amortises per-packet protocol cost
+      across a coalesced train.  The shapes are [claims].
 
     - {b Coalescing versus reorder} — interrupt coalescing and
       multi-queue RSS trade latency for batching, and batching reorders
@@ -31,7 +28,7 @@ open Lrp_net
 open Lrp_workload
 module Trace = Lrp_trace.Trace
 
-type row = { system : Common.system; points : Fig3.point list }
+type row = Fig3.row = { system : Common.system; points : Fig3.point list }
 
 (* Fig. 3's sweep plus two higher rates: the modern back-ends hold their
    plateau well past the point where the LRP variants start to slide, and
@@ -48,21 +45,10 @@ let run ?(quick = false) ?(rates = default_rates) ?(jobs = 1)
       [ 2_000.; 6_000.; 8_000.; 10_000.; 14_000.; 20_000.; 25_000.; 30_000. ]
     else rates
   in
-  let tasks =
-    List.concat_map
-      (fun sys -> List.map (fun rate -> (sys, rate)) rates)
-      Common.modern_systems
-  in
-  let points =
-    Common.sweep ~jobs
-      (fun i (sys, rate) ->
-        Fig3.measure ~seed:(Common.job_seed ~seed ~index:i) sys ~rate ~duration)
-      tasks
-  in
-  let tagged = List.map2 (fun (sys, _) p -> (sys, p)) tasks points in
   List.map
-    (fun (sys, points) -> { system = sys; points })
-    (Common.regroup Common.modern_systems tagged)
+    (fun (system, points) -> { system; points })
+    (Common.grid ~jobs ~seed Common.modern_systems rates (fun ~seed sys rate ->
+         Fig3.measure ~seed sys ~rate ~duration))
 
 (* --- coalescing versus cross-flow reorder ------------------------------ *)
 
@@ -177,36 +163,15 @@ let default_coalesce_sweep = [ 0.; 100.; 250.; 500.; 1_000. ]
 let run_reorder ?(quick = false) ?(sweep = default_coalesce_sweep)
     ?(jobs = 1) ?(seed = Common.default_seed) () =
   let duration = if quick then Time.ms 500. else Time.sec 2. in
-  let tasks =
-    List.concat_map
-      (fun fab -> List.map (fun c -> (c, fab)) sweep)
-      [ false; true ]
-  in
-  Common.sweep ~jobs
-    (fun i (coalesce_us, fabric_faults) ->
-      measure_reorder
-        ~seed:(Common.job_seed ~seed ~index:i)
-        ~coalesce_us ~fabric_faults ~duration ())
-    tasks
+  List.concat_map snd
+    (Common.grid ~jobs ~seed [ false; true ] sweep
+       (fun ~seed fabric_faults coalesce_us ->
+         measure_reorder ~seed ~coalesce_us ~fabric_faults ~duration ()))
 
 (* --- rendering --------------------------------------------------------- *)
 
-let print rows =
-  Common.print_title
-    "Modern comparison: throughput versus offered load (14-byte UDP)";
-  List.iter
-    (fun r ->
-      Common.printf "\n  [%s]\n" (Common.system_name r.system);
-      Common.print_series ~xlabel:"offered(p/s)" ~ylabel:"delivered"
-        ~ymax:12_000.
-        (List.map (fun (p : Fig3.point) -> (p.Fig3.offered, p.Fig3.delivered))
-           r.points))
-    rows;
-  Common.printf
-    "\n  Expected shapes: BSD collapses toward livelock; NAPI holds a\n\
-    \  flat plateau under its poll budget; NAPI-GRO exceeds SOFT-LRP at\n\
-    \  high segment rates (receive offload amortises per-packet cost);\n\
-    \  NI-LRP highest (demux on the adaptor).\n"
+let print =
+  Fig3.plot "Modern comparison: throughput versus offered load (14-byte UDP)"
 
 let print_reorder points =
   Common.print_title
@@ -218,8 +183,31 @@ let print_reorder points =
       Common.printf "  %-12.0f %-10s %-10d %-10d %8.1f\n" p.coalesce_us
         (if p.fabric_faults then "reorder" else "clean")
         p.observed p.inversions p.per_kpkt)
-    points;
-  Common.printf
-    "\n  Per-flow order is FIFO throughout; every inversion is\n\
-    \  cross-flow, induced by per-queue batching (and, in the fault\n\
-    \  variant, by wire-level reordering on the server link).\n"
+    points
+
+(* --- claims ------------------------------------------------------------ *)
+
+let claims rows reorder =
+  let open Common in
+  let at sys =
+    pick (fun p -> p.Fig3.delivered) (fun p -> p.Fig3.offered = 25_000.)
+      (List.concat_map (fun r -> if r.system = sys then r.points else []) rows)
+  in
+  let bsd = at Bsd and napi = at Napi and gro = at Napi_gro and soft = at Soft_lrp in
+  let inv c =
+    pick (fun p -> float_of_int p.inversions)
+      (fun p -> p.coalesce_us = c && not p.fabric_faults) reorder
+  in
+  [ claim "modern.bsd-collapse" "4.4BSD delivers < 500 pkts/s at 25k offered" bsd
+      (bsd < 500.);
+    claim "modern.napi-sustains" "NAPI delivers > 4,000 pkts/s at 25k offered" napi
+      (napi > 4_000.);
+    claim "modern.napi-gro-over-soft-lrp"
+      "NAPI-GRO delivers more than SOFT-LRP at 25k offered (ratio)" (gro /. soft)
+      (gro > soft);
+    claim "modern.no-holdoff-in-order"
+      "no coalescing hold-off, no cross-flow inversions (clean wire)" (inv 0.)
+      (inv 0. = 0.);
+    claim "modern.holdoff-reorders"
+      "a 1 ms hold-off reorders across flows: more inversions than at 0 us"
+      (inv 1_000.) (inv 1_000. > inv 0.) ]

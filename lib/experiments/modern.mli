@@ -5,9 +5,11 @@
     - {!run_reorder}: sweep the NIC's interrupt-coalescing hold-off on
       a multi-queue RSS kernel and count cross-flow arrival → delivery
       order inversions from the flight recorder, with and without
-      wire-level reordering injected by the fault fabric. *)
+      wire-level reordering injected by the fault fabric.
 
-type row = { system : Common.system; points : Fig3.point list }
+    The shapes both show are {!claims}. *)
+
+type row = Fig3.row = { system : Common.system; points : Fig3.point list }
 
 val run :
   ?quick:bool ->
@@ -31,3 +33,7 @@ val run_reorder :
 
 val print : row list -> unit
 val print_reorder : reorder_point list -> unit
+
+val claims : row list -> reorder_point list -> Common.claim list
+(** The comparison's shapes, evaluated on the throughput rows and the
+    reorder sweep. *)

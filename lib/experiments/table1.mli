@@ -1,11 +1,7 @@
 (** Table 1: baseline round-trip latency and throughput.
 
-    Demonstrates that LRP's overload robustness costs nothing at low load:
-    RTT and UDP/TCP throughput are on par with 4.4BSD, and the SunOS/Fore
-    profile trails on latency and UDP bandwidth.
-
-    Paper values (SunOS/Fore, 4.4BSD, NI-LRP, SOFT-LRP):
-    RTT 1006/855/840/864 us; UDP 64/82/92/86 Mbit/s; TCP 63/69/67/66. *)
+    Shows that LRP's overload robustness costs nothing at low load; the
+    paper's shapes are {!claims}. *)
 
 type row = {
   system : Common.system;
@@ -18,3 +14,7 @@ val run : ?quick:bool -> ?jobs:int -> ?seed:int -> unit -> row list
     results are identical for any [jobs]. *)
 
 val print : row list -> unit
+
+val claims : row list -> Common.claim list
+(** The paper's Table 1 shapes, evaluated on [rows]; each paper value is
+    the same claim evaluated on the paper's own table. *)

@@ -2,11 +2,7 @@
 
     Measures throughput and fairness without overload: a memory-bound
     worker (11.5 s of CPU) completes alongside two RPC server processes
-    driven at their maximal rate.  Paper results: the worker finishes in
-    49.7/38.7/34.6 s (Fast case, BSD/SOFT-LRP/NI-LRP) while the RPC rate is
-    equal or better under LRP; the worker's CPU share is 23-26 % under BSD
-    versus 29-33 % (near the ideal 1/3) under LRP, showing BSD's
-    mis-accounting penalises the compute-bound process. *)
+    driven at their maximal rate.  The paper's shapes are {!claims}. *)
 
 type row = {
   system : Common.system;
@@ -20,3 +16,7 @@ val run : ?quick:bool -> ?jobs:int -> ?seed:int -> unit -> row list
     results are identical for any [jobs]. *)
 
 val print : row list -> unit
+
+val claims : row list -> Common.claim list
+(** The paper's Table 2 shapes for every RPC class in [rows]; each paper
+    value is the same claim evaluated on the paper's own table. *)

@@ -123,7 +123,7 @@ let sendto k ~(self : Proc.t) (sock : Socket.t) ~dst:(dip, dport) payload =
   sock.Socket.stats.Socket.tx_packets <- sock.Socket.stats.Socket.tx_packets + 1;
   Kernel.ip_output_row k row
 
-let udp_connect _k (sock : Socket.t) ~remote = sock.Socket.remote <- Some remote
+let udp_connect (sock : Socket.t) ~remote = sock.Socket.remote <- Some remote
 
 (* ------------------------------------------------------------------ *)
 (* UDP receive                                                          *)

@@ -72,7 +72,7 @@ val sendto :
 (** Transmit a datagram (auto-binding an ephemeral source port if needed).
     Charged: syscall + copy + UDP/IP output + driver, per fragment. *)
 
-val udp_connect : 'a -> Socket.t -> remote:Lrp_net.Packet.ip * int -> unit
+val udp_connect : Socket.t -> remote:Lrp_net.Packet.ip * int -> unit
 (** Set the default destination and enable peer filtering: datagrams from
     any other source are silently discarded (BSD connected-UDP
     semantics). *)

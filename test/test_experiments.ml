@@ -1,186 +1,70 @@
-(* Integration tests: scaled-down versions of every paper experiment,
-   asserting the *shapes* the paper reports — orderings, plateaus,
-   collapses — not absolute numbers. *)
+(* Integration tests: every paper experiment at quick scale, and every
+   claim it makes about the paper's shapes holds.  The claims (bands
+   included) live beside the rows that measure them, in lib/experiments;
+   `lrp_sim_cli bench` prints and checks the same ones. *)
 
 open Lrp_experiments
 
-let find_point points rate =
-  List.find (fun p -> p.Fig3.offered = rate) points
+(* One check per claim, named by its id, measured value and band. *)
+let holds claims =
+  List.iter
+    (fun (c : Common.claim) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s = %g: %s" c.id c.measured c.text)
+        true c.holds)
+    claims
 
-let test_fig3_shapes () =
-  let rows = Fig3.run ~quick:true () in
-  let by sys = List.find (fun r -> r.Fig3.system = sys) rows in
-  let bsd = by Common.Bsd and ni = by Common.Ni_lrp in
-  let soft = by Common.Soft_lrp and ed = by Common.Early_demux in
-  (* BSD: throughput at 20k collapses far below its peak (livelock). *)
-  let bsd_peak =
-    List.fold_left (fun acc p -> Float.max acc p.Fig3.delivered) 0. bsd.Fig3.points
-  in
-  let bsd_20k = (find_point bsd.Fig3.points 20_000.).Fig3.delivered in
-  Alcotest.(check bool)
-    (Printf.sprintf "BSD livelock: 20k rate %.0f << peak %.0f" bsd_20k bsd_peak)
-    true
-    (bsd_20k < 0.2 *. bsd_peak);
-  (* NI-LRP: flat at its maximum — 20k point within 5% of its peak. *)
-  let ni_peak =
-    List.fold_left (fun acc p -> Float.max acc p.Fig3.delivered) 0. ni.Fig3.points
-  in
-  let ni_20k = (find_point ni.Fig3.points 20_000.).Fig3.delivered in
-  Alcotest.(check bool)
-    (Printf.sprintf "NI-LRP stable: %.0f vs peak %.0f" ni_20k ni_peak)
-    true
-    (ni_20k > 0.95 *. ni_peak);
-  (* Peak ordering and ratios: NI-LRP > SOFT-LRP > BSD, with NI-LRP
-     30-80 % above BSD (paper: +51 %) and SOFT-LRP 15-50 % above
-     (paper: +32 %). *)
-  let soft_peak =
-    List.fold_left (fun acc p -> Float.max acc p.Fig3.delivered) 0. soft.Fig3.points
-  in
-  Alcotest.(check bool)
-    (Printf.sprintf "peaks: ni=%.0f soft=%.0f bsd=%.0f" ni_peak soft_peak bsd_peak)
-    true
-    (ni_peak > soft_peak && soft_peak > bsd_peak);
-  Alcotest.(check bool) "NI-LRP peak 30-80% above BSD" true
-    (ni_peak /. bsd_peak > 1.3 && ni_peak /. bsd_peak < 1.8);
-  Alcotest.(check bool) "SOFT-LRP peak 15-50% above BSD" true
-    (soft_peak /. bsd_peak > 1.15 && soft_peak /. bsd_peak < 1.5);
-  (* SOFT-LRP declines but slowly: at 20k still above BSD's collapse. *)
-  let soft_20k = (find_point soft.Fig3.points 20_000.).Fig3.delivered in
-  Alcotest.(check bool) "SOFT-LRP degrades gracefully" true
-    (soft_20k > 0.55 *. soft_peak);
-  (* Early-Demux: stable-ish but well below SOFT-LRP under overload
-     (paper: 40-65 %). *)
-  let ed_20k = (find_point ed.Fig3.points 20_000.).Fig3.delivered in
-  Alcotest.(check bool)
-    (Printf.sprintf "Early-Demux %.0f is 35-75%% of SOFT-LRP %.0f under overload"
-       ed_20k soft_20k)
-    true
-    (ed_20k > 0.35 *. soft_20k && ed_20k < 0.75 *. soft_20k);
-  (* Early discard engaged for the LRP kernels at overload. *)
-  Alcotest.(check bool) "NI-LRP discarded at the channel" true
-    ((find_point ni.Fig3.points 20_000.).Fig3.discards > 0);
-  (* BSD dropped at the shared IP queue at extreme rates. *)
-  Alcotest.(check bool) "BSD dropped at the IP queue" true
-    ((find_point bsd.Fig3.points 20_000.).Fig3.ipq_drops > 0)
+let failing claims =
+  List.filter_map
+    (fun (c : Common.claim) -> if c.holds then None else Some c.id)
+    claims
+
+let test_fig3_shapes () = holds (Fig3.claims (Fig3.run ~quick:true ()))
 
 let test_mlfrr_ordering () =
-  let bsd = Fig3.mlfrr ~quick:true Common.Bsd in
-  let soft = Fig3.mlfrr ~quick:true Common.Soft_lrp in
-  Alcotest.(check bool)
-    (Printf.sprintf "MLFRR: SOFT-LRP %.0f exceeds BSD %.0f by 15-70%%" soft bsd)
-    true
-    (soft /. bsd > 1.15 && soft /. bsd < 1.7)
+  holds
+    (Fig3.mlfrr_claims
+       (Fig3.mlfrr_all ~quick:true [ Common.Bsd; Common.Soft_lrp ]))
 
-let test_fig4_shapes () =
-  let rows = Fig4.run ~quick:true () in
-  let by sys = List.find (fun r -> r.Fig4.system = sys) rows in
-  let bsd = by Common.Bsd and ni = by Common.Ni_lrp and soft = by Common.Soft_lrp in
-  let rtt_at row rate =
-    (List.find (fun p -> p.Fig4.bg_rate = rate) row.Fig4.points).Fig4.rtt_us
+let test_fig4_shapes () = holds (Fig4.claims (Fig4.run ~quick:true ()))
+let test_table1_shapes () = holds (Table1.claims (Table1.run ~quick:true ()))
+let test_table2_shapes () = holds (Table2.claims (Table2.run ~quick:true ()))
+let test_fig5_shapes () = holds (Fig5.claims (Fig5.run ~quick:true ()))
+
+(* Hand-built rows, no simulation: each set keeps the quick-scale shapes
+   but one, and exactly that claim must fail. *)
+let test_claims_fail_on_bad_rows () =
+  let pt (offered, delivered, discards, ipq_drops) =
+    { Fig3.offered; delivered; discards; ipq_drops }
   in
-  (* BSD's latency rises much more under load than NI-LRP's. *)
-  let bsd_rise = rtt_at bsd 14_000. -. rtt_at bsd 0. in
-  let ni_rise = rtt_at ni 14_000. -. rtt_at ni 0. in
-  Alcotest.(check bool)
-    (Printf.sprintf "BSD rise %.0fus > NI-LRP rise %.0fus" bsd_rise ni_rise)
-    true
-    (bsd_rise > 4. *. Float.max 1. ni_rise);
-  (* SOFT-LRP sits between. *)
-  let soft_rise = rtt_at soft 14_000. -. rtt_at soft 0. in
-  Alcotest.(check bool) "SOFT-LRP rise below BSD's" true (soft_rise < bsd_rise);
-  (* LRP never loses a probe: traffic separation. *)
-  List.iter
-    (fun row ->
-      List.iter
-        (fun p ->
-          Alcotest.(check int)
-            (Printf.sprintf "%s: no probe loss at %.0f pkts/s"
-               (Common.system_name row.Fig4.system) p.Fig4.bg_rate)
-            0 p.Fig4.lost)
-        row.Fig4.points)
-    [ ni; soft ]
-
-let test_table1_shapes () =
-  let rows = Table1.run ~quick:true () in
-  let by sys = List.find (fun r -> r.Table1.system = sys) rows in
-  let sunos = by Common.Sunos_fore and bsd = by Common.Bsd in
-  let ni = by Common.Ni_lrp and soft = by Common.Soft_lrp in
-  (* SunOS/Fore is the slowest system on every metric. *)
-  Alcotest.(check bool) "SunOS worst RTT" true
-    (sunos.Table1.rtt_us > bsd.Table1.rtt_us
-     && sunos.Table1.rtt_us > ni.Table1.rtt_us);
-  Alcotest.(check bool) "SunOS worst UDP throughput" true
-    (sunos.Table1.udp_mbps < bsd.Table1.udp_mbps);
-  (* LRP's low-load performance is comparable to BSD: laziness costs
-     nothing when there is no overload.  (Band 30%: our cost model carries
-     BSD's eager-path overheads statically, so its idle RTT sits ~20-25%
-     above LRP's, where the paper measured near-parity at idle with the
-     gap appearing only under load.) *)
-  let close a b = Float.abs (a -. b) /. b < 0.30 in
-  Alcotest.(check bool) "NI-LRP RTT comparable to BSD" true
-    (close ni.Table1.rtt_us bsd.Table1.rtt_us);
-  Alcotest.(check bool) "SOFT-LRP RTT comparable to BSD" true
-    (close soft.Table1.rtt_us bsd.Table1.rtt_us);
-  Alcotest.(check bool) "LRP UDP throughput >= BSD" true
-    (ni.Table1.udp_mbps >= 0.95 *. bsd.Table1.udp_mbps);
-  Alcotest.(check bool) "LRP TCP throughput comparable to BSD" true
-    (close ni.Table1.tcp_mbps bsd.Table1.tcp_mbps);
-  (* Sanity: everything actually ran. *)
-  List.iter
-    (fun r ->
-      Alcotest.(check bool)
-        (Printf.sprintf "%s produced numbers" (Common.system_name r.Table1.system))
-        true
-        (r.Table1.rtt_us > 0. && r.Table1.udp_mbps > 0. && r.Table1.tcp_mbps > 0.))
-    rows
-
-let test_table2_shapes () =
-  let rows = Table2.run ~quick:true () in
-  let by sys = List.find (fun r -> r.Table2.system = sys) rows in
-  let bsd = by Common.Bsd and soft = by Common.Soft_lrp and ni = by Common.Ni_lrp in
-  (* The worker completes sooner under LRP. *)
-  Alcotest.(check bool)
-    (Printf.sprintf "worker elapsed: BSD %.2f > SOFT %.2f >= NI %.2f"
-       bsd.Table2.worker_elapsed_s soft.Table2.worker_elapsed_s
-       ni.Table2.worker_elapsed_s)
-    true
-    (bsd.Table2.worker_elapsed_s > soft.Table2.worker_elapsed_s
-     && soft.Table2.worker_elapsed_s >= 0.95 *. ni.Table2.worker_elapsed_s);
-  (* ... at an equal or better RPC rate. *)
-  Alcotest.(check bool) "LRP RPC rate not worse" true
-    (soft.Table2.rpcs_per_sec >= 0.97 *. bsd.Table2.rpcs_per_sec);
-  (* The worker's CPU share is better under LRP (fair accounting). *)
-  Alcotest.(check bool)
-    (Printf.sprintf "worker share: LRP %.2f > BSD %.2f" ni.Table2.worker_share
-       bsd.Table2.worker_share)
-    true
-    (ni.Table2.worker_share > bsd.Table2.worker_share +. 0.02)
-
-let test_fig5_shapes () =
-  let rows = Fig5.run ~quick:true () in
-  let by sys = List.find (fun r -> r.Fig5.system = sys) rows in
-  let bsd = by Common.Bsd and soft = by Common.Soft_lrp in
-  let at row rate =
-    (List.find (fun p -> p.Fig5.syn_rate = rate) row.Fig5.points).Fig5.http_per_sec
+  let series system pts = { Fig3.system; points = List.map pt pts } in
+  (* 4.4BSD holds its peak at 20k pkts/s: no livelock. *)
+  let fig3 =
+    [ series Common.Bsd [ (8_000., 6_262., 0, 0); (20_000., 6_262., 0, 3_342) ];
+      series Common.Ni_lrp [ (14_000., 10_942., 0, 0); (20_000., 10_940., 5_402, 0) ];
+      series Common.Soft_lrp [ (10_000., 9_125., 0, 0); (20_000., 6_400., 9, 0) ];
+      series Common.Early_demux [ (20_000., 3_592., 9, 0) ] ]
   in
-  (* Comparable baseline throughput. *)
-  Alcotest.(check bool) "baselines comparable" true
-    (Float.abs (at bsd 0. -. at soft 0.) /. at soft 0. < 0.2);
-  (* BSD collapses under the flood. *)
-  Alcotest.(check bool)
-    (Printf.sprintf "BSD livelocked at 20k SYN/s (%.1f op/s)" (at bsd 20_000.))
-    true
-    (at bsd 20_000. < 0.1 *. at bsd 0.);
-  (* SOFT-LRP holds a large fraction of its maximum (paper: ~50 %). *)
-  Alcotest.(check bool)
-    (Printf.sprintf "SOFT-LRP keeps %.0f%% at 20k SYN/s"
-       (100. *. at soft 20_000. /. at soft 0.))
-    true
-    (at soft 20_000. > 0.35 *. at soft 0.);
-  (* The flood died on the channel, not in the server's CPU. *)
-  let p20 = List.find (fun p -> p.Fig5.syn_rate = 20_000.) soft.Fig5.points in
-  Alcotest.(check bool) "SYNs discarded early at the channel" true
-    (p20.Fig5.syn_discards > 10_000)
+  Alcotest.(check (list string))
+    "Figure 3: only the livelock claim fails" [ "fig3.bsd-livelock" ]
+    (failing (Fig3.claims fig3));
+  (* Table 2 is judged per RPC class: a sound Fast class does not hide a
+     Medium class where SOFT-LRP finishes the worker well before NI-LRP. *)
+  let row cls system worker_elapsed_s rpcs_per_sec worker_share =
+    { Table2.system; cls; worker_elapsed_s; rpcs_per_sec; worker_share }
+  in
+  let table2 =
+    Lrp_workload.Rpc.
+      [ row Fast Common.Bsd 8.6 2_051. 0.18; row Fast Common.Soft_lrp 7.6 2_192. 0.20;
+        row Fast Common.Ni_lrp 6.7 2_188. 0.22; row Medium Common.Bsd 66.5 2_050. 0.17;
+        row Medium Common.Soft_lrp 50.5 2_022. 0.23;
+        row Medium Common.Ni_lrp 54.8 2_181. 0.21 ]
+  in
+  let claims = Table2.claims table2 in
+  Alcotest.(check int) "Table 2: three claims per class" 6 (List.length claims);
+  Alcotest.(check (list string))
+    "Table 2: only the Medium class's worker claim fails"
+    [ "table2.medium.worker-sooner" ] (failing claims)
 
 let suite =
   [ Alcotest.test_case "Figure 3 shapes (throughput vs load)" `Slow test_fig3_shapes;
@@ -188,4 +72,6 @@ let suite =
     Alcotest.test_case "Figure 4 shapes (latency under load)" `Slow test_fig4_shapes;
     Alcotest.test_case "Table 1 shapes (baseline performance)" `Slow test_table1_shapes;
     Alcotest.test_case "Table 2 shapes (RPC fairness)" `Slow test_table2_shapes;
-    Alcotest.test_case "Figure 5 shapes (SYN flood)" `Slow test_fig5_shapes ]
+    Alcotest.test_case "Figure 5 shapes (SYN flood)" `Slow test_fig5_shapes;
+    Alcotest.test_case "claims fail on bad rows" `Quick
+      test_claims_fail_on_bad_rows ]

@@ -295,44 +295,19 @@ let test_rss_steer_stable () =
   let p1 = mk 7 and p2 = mk 7 in
   Alcotest.(check int) "same flow, same queue" (steer p1) (steer p2)
 
-(* The experiment itself is deterministic at any [--jobs]: same rows,
-   same reorder points, byte for byte. *)
+(* The experiment itself is deterministic at any [--jobs] (same rows,
+   same reorder points, byte for byte), and at quick scale every claim it
+   makes holds. *)
 let test_modern_jobs_identical () =
-  let rates = [ 8_000.; 25_000. ] in
-  let r1 = Modern.run ~quick:false ~rates ~jobs:1 () in
-  let r4 = Modern.run ~quick:false ~rates ~jobs:4 () in
+  let r1 = Modern.run ~quick:true ~jobs:1 () in
+  let r4 = Modern.run ~quick:true ~jobs:4 () in
   Alcotest.(check bool) "throughput rows identical at jobs 1 vs 4" true
     (r1 = r4);
-  let sweep = [ 0.; 1_000. ] in
-  let p1 = Modern.run_reorder ~sweep ~jobs:1 () in
-  let p4 = Modern.run_reorder ~sweep ~jobs:4 () in
+  let p1 = Modern.run_reorder ~quick:true ~jobs:1 () in
+  let p4 = Modern.run_reorder ~quick:true ~jobs:4 () in
   Alcotest.(check bool) "reorder points identical at jobs 1 vs 4" true
     (p1 = p4);
-  (* And the shapes the experiment exists to show, from the same rows. *)
-  let find sys r = List.find (fun (x : Modern.row) -> x.Modern.system = sys) r in
-  let at rate (r : Modern.row) =
-    (List.find (fun (p : Fig3.point) -> p.Fig3.offered = rate) r.Modern.points)
-      .Fig3.delivered
-  in
-  let bsd = find Common.Bsd r1 and napi = find Common.Napi r1 in
-  let gro = find Common.Napi_gro r1 and soft = find Common.Soft_lrp r1 in
-  Alcotest.(check bool) "BSD collapses at 25k" true (at 25_000. bsd < 500.);
-  Alcotest.(check bool) "NAPI sustains at 25k" true (at 25_000. napi > 4_000.);
-  Alcotest.(check bool) "NAPI-GRO beats SOFT-LRP at 25k" true
-    (at 25_000. gro > at 25_000. soft);
-  (* Coalescing held to the timer: a longer hold-off strictly adds
-     cross-flow inversions, and with no hold-off delivery is in arrival
-     order. *)
-  let inv f =
-    (List.find
-       (fun (p : Modern.reorder_point) ->
-         p.Modern.coalesce_us = f && not p.Modern.fabric_faults)
-       p1)
-      .Modern.inversions
-  in
-  Alcotest.(check int) "no hold-off, no inversions" 0 (inv 0.);
-  Alcotest.(check bool) "1 ms hold-off reorders across flows" true
-    (inv 1_000. > inv 0.)
+  Test_experiments.holds (Modern.claims r1 p1)
 
 let suite =
   [ Alcotest.test_case "inversion counter unit cases" `Quick

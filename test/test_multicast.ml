@@ -190,8 +190,7 @@ let test_connected_udp_filters () =
              Api.bind server sock ~owner:(Some self) ~port:5000;
              (* Connect to the peer: datagrams from anyone else must be
                 filtered out. *)
-             Api.udp_connect server sock
-               ~remote:(Kernel.ip_address peer, 7001);
+             Api.udp_connect sock ~remote:(Kernel.ip_address peer, 7001);
              let dg = Api.dgram () in
              for _ = 1 to 2 do
                Api.recvfrom server sock dg;

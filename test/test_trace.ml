@@ -204,32 +204,12 @@ let test_jobs_determinism_with_tracing () =
   List.iter2 (check_point "jobs 1 vs 4") (sweep 1) (sweep 4)
 
 let test_stage_latency_report () =
-  (* The paper's architectural claim, visible in the stage breakdown:
-     BSD does protocol work in software interrupts; LRP does it in the
-     receiver's context. *)
-  let module S = Lrp_stats.Stats.Samples in
-  let stages sys =
+  let report sys =
     let _, tracer, _ = Fig3.measure_traced ~seed sys ~rate:8_000. ~duration:dur in
-    let r = Trace.Report.stage_latency (Trace.events tracer) in
-    Alcotest.(check bool)
-      (Common.system_name sys ^ ": packets traced")
-      true (r.Trace.Report.packets > 0);
-    r.Trace.Report.stages
+    (sys, Trace.Report.stage_latency (Trace.events tracer))
   in
-  let bsd = stages Common.Bsd in
-  let softint = List.assoc "softint-proto" bsd in
-  Alcotest.(check bool) "BSD: softint-proto present" true (S.count softint > 0);
-  Alcotest.(check bool) "BSD: softint-proto > 0us" true (S.mean softint > 0.);
-  Alcotest.(check int)
-    "BSD: no proc-proto" 0
-    (S.count (List.assoc "proc-proto" bsd));
-  let lrp = stages Common.Ni_lrp in
-  Alcotest.(check int)
-    "NI-LRP: no softint-proto" 0
-    (S.count (List.assoc "softint-proto" lrp));
-  let proc = List.assoc "proc-proto" lrp in
-  Alcotest.(check bool) "NI-LRP: proc-proto present" true (S.count proc > 0);
-  Alcotest.(check bool) "NI-LRP: proc-proto > 0us" true (S.mean proc > 0.)
+  Test_experiments.holds
+    (Fig3.stage_claims [ report Common.Bsd; report Common.Ni_lrp ])
 
 let test_kernel_metrics_snapshot () =
   let _, _, snap = Fig3.measure_traced ~seed Common.Bsd ~rate:8_000. ~duration:dur in
