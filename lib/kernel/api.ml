@@ -106,9 +106,8 @@ let leave_group = Kernel.leave_group
 let sendto k ~(self : Proc.t) (sock : Socket.t) ~dst:(dip, dport) payload =
   if sock.Socket.closed then raise Socket_closed;
   let sport =
-    match sock.Socket.port with
-    | Some p -> p
-    | None -> bind_ephemeral k sock ~owner:(Some self)
+    if sock.Socket.port >= 0 then sock.Socket.port
+    else bind_ephemeral k sock ~owner:(Some self)
   in
   let len = Payload.length payload in
   let frags = frag_count ~header:Packet.udp_header_bytes ~bytes:len in
@@ -249,15 +248,14 @@ let tcp_listen k ~(self : Proc.t) (sock : Socket.t) ~port ~backlog =
   in
   Kernel.open_conn k sock listener ~owner:self
 
+(* A socket with no connection holds [Tcp.null_conn], which is [Closed]. *)
 let listener_exn (sock : Socket.t) =
-  match sock.Socket.tcp with
-  | Some conn when Tcp.state conn = Tcp.Listen -> conn
-  | Some _ | None -> invalid_arg "not a listening socket"
+  if Tcp.state sock.Socket.tcp <> Tcp.Listen then invalid_arg "not a listening socket";
+  sock.Socket.tcp
 
 let conn_exn (sock : Socket.t) =
-  match sock.Socket.tcp with
-  | Some conn -> conn
-  | None -> invalid_arg "not a connected stream socket"
+  if sock.Socket.tcp == Tcp.null_conn then invalid_arg "not a connected stream socket";
+  sock.Socket.tcp
 
 let rec accept_wait k ~(self : Proc.t) (sock : Socket.t) listener =
   if sock.Socket.closed then raise Socket_closed;
@@ -308,19 +306,21 @@ let tcp_connect k ~(self : Proc.t) (sock : Socket.t) ~remote =
    send emitted, and block while the send buffer is full. *)
 let rec send_all k (sock : Socket.t) conn payload =
   let before = Tcp.segs_sent conn in
-  match Tcp.send conn payload with
-  | `Sent n ->
-      let emitted = Tcp.segs_sent conn - before in
-      compute k
-        (((c k).Cost.copy_per_byte *. float_of_int n)
-         +. (float_of_int emitted *. seg_out_cost k));
-      let len = Payload.length payload in
-      if n < len then send_all k sock conn (Payload.sub payload n (len - n))
-      else `Ok
-  | `Full ->
-      Proc.block sock.Socket.send_wait;
-      send_all k sock conn payload
-  | `Closed -> `Closed
+  let n = Tcp.send conn payload in
+  if n > 0 then begin
+    let emitted = Tcp.segs_sent conn - before in
+    compute k
+      (((c k).Cost.copy_per_byte *. float_of_int n)
+       +. (float_of_int emitted *. seg_out_cost k));
+    let len = Payload.length payload in
+    if n < len then send_all k sock conn (Payload.sub payload n (len - n))
+    else `Ok
+  end
+  else if n = 0 then begin
+    Proc.block sock.Socket.send_wait;
+    send_all k sock conn payload
+  end
+  else `Closed
 
 (* [tcp_send k sock payload] queues the whole payload, blocking as the
    send buffer fills.  Returns [`Closed] if the connection dies first. *)
@@ -333,19 +333,20 @@ let tcp_send k (sock : Socket.t) payload =
    update the read emitted, and block while nothing is buffered. *)
 let rec recv_wait k (sock : Socket.t) conn ~max =
   let before = Tcp.segs_sent conn in
-  match Tcp.recv conn ~max with
-  | `Data payload ->
-      let emitted = Tcp.segs_sent conn - before in
-      compute k
-        ((c k).Cost.sockq
-         +. ((c k).Cost.copy_per_byte
-             *. float_of_int (Payload.length payload))
-         +. (float_of_int emitted *. seg_out_cost k));
-      `Data payload
-  | `Eof -> `Eof
-  | `Wait ->
-      Proc.block sock.Socket.recv_wait;
-      recv_wait k sock conn ~max
+  let payload = Tcp.recv conn ~max in
+  if payload != Tcp.no_data then begin
+    let emitted = Tcp.segs_sent conn - before in
+    compute k
+      ((c k).Cost.sockq
+       +. ((c k).Cost.copy_per_byte *. float_of_int (Payload.length payload))
+       +. (float_of_int emitted *. seg_out_cost k));
+    `Data payload
+  end
+  else if Tcp.at_eof conn then `Eof
+  else begin
+    Proc.block sock.Socket.recv_wait;
+    recv_wait k sock conn ~max
+  end
 
 (* [tcp_recv k sock ~max] blocks for data; [`Eof] at end of stream. *)
 let tcp_recv k (sock : Socket.t) ~max =
@@ -356,7 +357,8 @@ let tcp_recv k (sock : Socket.t) ~max =
 (* Hand a connected socket to another process (e.g. an HTTP server child
    after fork): future APP work is charged to the new owner. *)
 let set_owner k (sock : Socket.t) ~(owner : Proc.t) =
-  Option.iter (fun conn -> Kernel.attach k sock conn ~owner) sock.Socket.tcp
+  let conn = sock.Socket.tcp in
+  if conn != Tcp.null_conn then Kernel.attach k sock conn ~owner
 
 (* ------------------------------------------------------------------ *)
 (* Close                                                                *)
@@ -368,13 +370,14 @@ let close k (sock : Socket.t) =
     sock.Socket.closed <- true;
     (* A connection's or listener's endpoint is released when TCP reports
        it gone; a datagram socket's right here. *)
-    (match sock.Socket.tcp with
-     | Some conn ->
-         let before = Tcp.segs_sent conn in
-         Tcp.close conn;
-         let emitted = Tcp.segs_sent conn - before in
-         if emitted > 0 then compute k (float_of_int emitted *. seg_out_cost k)
-     | None -> Kernel.close_dgram k sock);
+    (let conn = sock.Socket.tcp in
+     if conn != Tcp.null_conn then begin
+       let before = Tcp.segs_sent conn in
+       Tcp.close conn;
+       let emitted = Tcp.segs_sent conn - before in
+       if emitted > 0 then compute k (float_of_int emitted *. seg_out_cost k)
+     end
+     else Kernel.close_dgram k sock);
     Kernel.wake_all k sock.Socket.recv_wait;
     Kernel.wake_all k sock.Socket.send_wait;
     Kernel.wake_all k sock.Socket.accept_wait

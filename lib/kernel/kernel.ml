@@ -166,14 +166,14 @@ type ep = {
   mutable ep_socks : Socket.t list;
       (* the bound socket, the group's members, or the connection's
          socket ([] until accepted) *)
-  mutable ep_owner : Proc.t option;
+  mutable ep_owner : Proc.t;  (* [Proc.none]: nobody's *)
   mutable ep_chan : Channel.t option;
 }
 
 (* What a lookup that finds no endpoint answers; never mutated. *)
 let null_ep =
   { ep_port = -1; ep_conn = Tcp.null_conn; ep_group = false; ep_socks = [];
-    ep_owner = None; ep_chan = None }
+    ep_owner = Proc.none; ep_chan = None }
 
 let ep_has_chan ep = Option.is_some ep.ep_chan
 
@@ -530,10 +530,6 @@ let napi_grace_rearm t (n : napi) =
     (Engine.clock_cell t.engine).(0) +. napi_repoll;
   ignore (Engine.schedule_to_staged t.engine (jobs t).g_napi_grace n.ksoftirqd_wq)
 
-let backlog_full (listener : Tcp.conn) =
-  listener.Tcp.syn_pending + Queue.length listener.Tcp.accept_queue
-  >= listener.Tcp.backlog
-
 (* The endpoint of a connection or listener: one Flowtab probe;
    [null_ep] when there is none. *)
 let conn_ep t (conn : Tcp.conn) =
@@ -546,7 +542,7 @@ let conn_ep t (conn : Tcp.conn) =
 let listen_gate ep =
   match ep.ep_chan with
   | Some ch ->
-      if backlog_full ep.ep_conn then Channel.disable_processing ch
+      if Tcp.backlog_full ep.ep_conn then Channel.disable_processing ch
       else Channel.enable_processing ch
   | None -> ()
 
@@ -710,7 +706,7 @@ let orphan_drain t ep =
 (* Post a drain of the endpoint's channel [ch]. *)
 let app_post_chan t ep ch =
   match ep.ep_owner with
-  | Some owner when not owner.Proc.exited ->
+  | owner when owner != Proc.none && not owner.Proc.exited ->
       let app = app_for t owner in
       if Channel.job_owner ch = owner.Proc.pid then wake_one t app.app_wq
       else begin
@@ -720,13 +716,13 @@ let app_post_chan t ep ch =
             owner.Proc.name;
         app_post t app ep Tcp.null_conn.Tcp.rtx_timer (-1)
       end
-  | Some _ | None -> orphan_post t ep
+  | _ -> orphan_post t ep
 
 let app_post_timer t conn tm gen =
   match (conn_ep t conn).ep_owner with
-  | Some owner when not owner.Proc.exited ->
+  | owner when owner != Proc.none && not owner.Proc.exited ->
       app_post t (app_for t owner) null_ep tm gen
-  | Some _ | None ->
+  | _ ->
       (* Orphaned connection (e.g. TIME_WAIT after exit): fall back to
          software-interrupt context so it still makes progress. *)
       (Cpu.cost_cell t.cpu).(0) <- t.c.Cost.soft_dispatch +. t.c.Cost.tcp_in;
@@ -747,11 +743,10 @@ let open_ep ?(group = false) t ~port ~conn ~socks ~owner =
   if t.proto = Lazy then
     ep.ep_chan <- Some (Channel.create ~limit:t.cfg.channel_limit ());
   (if conn == Tcp.null_conn then Chantab.add_udp t.chantab ~port ep
+   else if conn.Tcp.rport < 0 then Chantab.add_listen t.chantab ~port ep
    else
-     match conn.Tcp.remote with
-     | None -> Chantab.add_listen t.chantab ~port ep
-     | Some (src, src_port) ->
-         Chantab.add_tcp t.chantab ~src ~src_port ~dst_port:port ep);
+     Chantab.add_tcp t.chantab ~src:conn.Tcp.rip ~src_port:conn.Tcp.rport
+       ~dst_port:port ep);
   ep
 
 (* A frame a socket could not queue ([Sock_buf]), or still held when it
@@ -800,10 +795,10 @@ let release_ep t ep =
      t.udp_eps <- List.filter (fun e -> e != ep) t.udp_eps
    end
    else begin
-     (match conn.Tcp.remote with
-      | None -> Chantab.remove_listen t.chantab ~port
-      | Some (src, src_port) ->
-          Chantab.remove_tcp t.chantab ~src ~src_port ~dst_port:port ep);
+     (if conn.Tcp.rport < 0 then Chantab.remove_listen t.chantab ~port
+      else
+        Chantab.remove_tcp t.chantab ~src:conn.Tcp.rip
+          ~src_port:conn.Tcp.rport ~dst_port:port ep);
      ignore (Flowtab.remove t.eps ~hi:conn.Tcp.id ~lo:0)
    end);
   close_chan t ep
@@ -817,8 +812,11 @@ let register t conn ~socks ~owner =
 let bind t (sock : Socket.t) ~owner ~port =
   if Chantab.find_udp t.chantab ~port != null_ep then
     invalid_arg "Kernel.bind: port in use";
-  sock.Socket.port <- Some port;
-  let ep = open_ep t ~port ~conn:Tcp.null_conn ~socks:[ sock ] ~owner in
+  sock.Socket.port <- port;
+  let ep =
+    open_ep t ~port ~conn:Tcp.null_conn ~socks:[ sock ]
+      ~owner:(Option.value owner ~default:Proc.none)
+  in
   if Option.is_some ep.ep_chan then t.udp_eps <- ep :: t.udp_eps;
   sock.Socket.chan <- ep.ep_chan
 
@@ -828,11 +826,12 @@ let join_group t (sock : Socket.t) ~owner ~port =
   let ep =
     let ep = Chantab.find_udp t.chantab ~port in
     if ep == null_ep then
-      open_ep ~group:true t ~port ~conn:Tcp.null_conn ~socks:[] ~owner
+      open_ep ~group:true t ~port ~conn:Tcp.null_conn ~socks:[]
+        ~owner:(Option.value owner ~default:Proc.none)
     else if ep.ep_group then ep
     else invalid_arg "Kernel.join_group: port bound by a unicast socket"
   in
-  sock.Socket.port <- Some port;
+  sock.Socket.port <- port;
   ep.ep_socks <- sock :: ep.ep_socks;
   sock.Socket.chan <- ep.ep_chan
 
@@ -852,12 +851,12 @@ let leave_group t (sock : Socket.t) ~port =
    free the datagrams left on its queue.  Every frame the socket still
    held counts once, as a socket-queue drop. *)
 let close_dgram t (sock : Socket.t) =
-  (match sock.Socket.port with
-   | Some port ->
-       let ep = Chantab.find_udp t.chantab ~port in
-       if ep.ep_group then leave_group t sock ~port
-       else if List.memq sock ep.ep_socks then release_ep t ep
-   | None -> ());
+  (let port = sock.Socket.port in
+   if port >= 0 then begin
+     let ep = Chantab.find_udp t.chantab ~port in
+     if ep.ep_group then leave_group t sock ~port
+     else if List.memq sock ep.ep_socks then release_ep t ep
+   end);
   sock.Socket.chan <- None;
   let q = sock.Socket.udp_rcv in
   Queue.iter
@@ -867,25 +866,27 @@ let close_dgram t (sock : Socket.t) =
     q;
   Queue.clear q
 
-(* [sock] takes [conn]: it mirrors the connection's ports, the
+(* [sock] takes [conn]: it mirrors the connection's local port, the
    connection's events wake it, and [owner] is charged for its protocol
-   work — at accept, and again when the socket changes hands. *)
+   work — at accept, and again when the socket changes hands.  Only what
+   changed is written, so a hand-over stores the owner alone. *)
 let attach t (sock : Socket.t) (conn : Tcp.conn) ~owner =
-  sock.Socket.port <- Some conn.Tcp.local_port;
-  sock.Socket.remote <- conn.Tcp.remote;
-  sock.Socket.tcp <- Some conn;
+  sock.Socket.port <- conn.Tcp.local_port;
+  if sock.Socket.tcp != conn then sock.Socket.tcp <- conn;
   let ep = conn_ep t conn in
   if ep != null_ep then begin
-    ep.ep_socks <- [ sock ];
-    ep.ep_owner <- Some owner
+    (match ep.ep_socks with
+     | [ s ] when s == sock -> ()
+     | _ -> ep.ep_socks <- [ sock ]);
+    ep.ep_owner <- owner
   end
 
 (* Open the endpoint of a listener or an actively opened connection. *)
 let open_conn t sock (conn : Tcp.conn) ~owner =
-  if Option.is_none conn.Tcp.remote
+  if conn.Tcp.rport < 0
      && Chantab.find_listen t.chantab ~port:conn.Tcp.local_port != null_ep
   then invalid_arg "Kernel.open_conn: port in use";
-  register t conn ~socks:[] ~owner:(Some owner);
+  register t conn ~socks:[] ~owner;
   attach t sock conn ~owner
 
 (* ------------------------------------------------------------------ *)
@@ -926,11 +927,11 @@ let abort_unaccepted t (l : Tcp.conn) =
   let orphans = ref [] in
   Flowtab.iter
     (fun ~hi:_ ~lo:_ ep ->
-      match (ep.ep_socks, ep.ep_conn.Tcp.parent) with
-      | [], Some p when p == l -> orphans := ep.ep_conn :: !orphans
-      | _, _ -> ())
+      match ep.ep_socks with
+      | [] when ep.ep_conn.Tcp.parent == l -> orphans := ep.ep_conn :: !orphans
+      | _ -> ())
     t.eps;
-  Queue.clear l.Tcp.accept_queue;
+  Queue.clear l.Tcp.listen.Tcp.accept_queue;
   List.iter Tcp.abort (List.rev !orphans)
 
 let make_tcp_env t =
@@ -967,13 +968,14 @@ let make_tcp_env t =
       (fun conn ->
         let ep = conn_ep t conn in
         if ep != null_ep then release_ep t ep;
-        if conn.Tcp.remote = None then abort_unaccepted t conn;
+        if conn.Tcp.rport < 0 then abort_unaccepted t conn;
         wake_ep t ep ~send:true ~recv:true);
     mss = t.cfg.mss;
     time_wait_duration = t.cfg.time_wait;
     initial_rto;
     max_syn_retries;
-    totals = Tcp.new_totals () }
+    totals = Tcp.new_totals ();
+    rows = Tcp.new_rows () }
 
 (* ------------------------------------------------------------------ *)
 (* Shared delivery helpers                                              *)
@@ -1655,7 +1657,7 @@ let edemux_tcp t row =
     if conn == Tcp.null_conn then false
     else if Tcp.state conn = Tcp.Listen then
       Parena.flags t.parena row land (Packet.syn lor Packet.ack) = Packet.syn
-      && backlog_full conn
+      && Tcp.backlog_full conn
     else conn.Tcp.rcvq_bytes >= conn.Tcp.rcv_buf_limit
   in
   if full then edemux_discard t row else edemux_eager t row

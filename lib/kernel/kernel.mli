@@ -146,7 +146,7 @@ type ep = private {
   mutable ep_socks : Socket.t list;
       (** the bound socket, the group's members, or the connection's
           socket ([[]] until accepted) *)
-  mutable ep_owner : Lrp_sim.Proc.t option;
+  mutable ep_owner : Lrp_sim.Proc.t;  (** [Proc.none]: nobody's *)
   mutable ep_chan : Lrp_core.Channel.t option;  (** lazy kernels only *)
 }
 (** An endpoint (section 3.1): a bound datagram socket, a multicast

@@ -27,7 +27,7 @@ type stats = {
 type t = {
   id : int;
   kind : kind;
-  mutable port : int option;
+  mutable port : int;  (* -1 until bound *)
   mutable remote : (Packet.ip * int) option;  (* connected-UDP peer *)
   udp_rcv : Parena.handle Queue.t;
       (* ready datagrams' rows, each held until copyout (charged the
@@ -36,7 +36,7 @@ type t = {
   send_wait : Proc.waitq;
   accept_wait : Proc.waitq;
   mutable chan : Lrp_core.Channel.t option;  (* LRP architectures *)
-  mutable tcp : Lrp_proto.Tcp.conn option;
+  mutable tcp : Lrp_proto.Tcp.conn;  (* [Tcp.null_conn] until attached *)
   mutable closed : bool;
   stats : stats;
 }
@@ -47,10 +47,10 @@ type t = {
 
 let create kind =
   let id = Lrp_engine.Idspace.next_sock_id () in
-  { id; kind; port = None; remote = None; udp_rcv = Queue.create ();
+  { id; kind; port = -1; remote = None; udp_rcv = Queue.create ();
     recv_wait = Proc.waitq "recv"; send_wait = Proc.waitq "send";
     accept_wait = Proc.waitq "accept";
-    chan = None; tcp = None; closed = false;
+    chan = None; tcp = Lrp_proto.Tcp.null_conn; closed = false;
     stats = { rx_delivered = 0; rx_sockq_drops = 0; tx_packets = 0;
               rx_hwm = 0 } }
 

@@ -23,7 +23,7 @@ type stats = {
 type t = {
   id : int;
   kind : kind;
-  mutable port : int option;
+  mutable port : int;  (** -1 until bound *)
   mutable remote : (Lrp_net.Packet.ip * int) option;
   udp_rcv : Lrp_net.Parena.handle Queue.t;
       (** ready datagrams' rows in the kernel's frame pool, each held
@@ -33,11 +33,13 @@ type t = {
   send_wait : Lrp_sim.Proc.waitq;
   accept_wait : Lrp_sim.Proc.waitq;
   mutable chan : Lrp_core.Channel.t option;
-  mutable tcp : Lrp_proto.Tcp.conn option;
+  mutable tcp : Lrp_proto.Tcp.conn;
+      (** {!Lrp_proto.Tcp.null_conn} until a connection is attached *)
   mutable closed : bool;
   stats : stats;
 }
 val create : kind -> t
+
 val has_room : t -> bool
 (** The socket queue holds fewer than 32 datagrams. *)
 

@@ -55,13 +55,16 @@ let state_name = function
    kernel-posted protocol work actually running: a stop or re-arm in that
    window bumps the generation, and {!timer_fired} drops the stale expiry.
    [cookie] is kernel scratch (the engine event handle); TCP never reads
-   it. *)
+   it.  [tconn] is the owning connection, stored right after [make_conn]
+   builds it ([null_conn] until then): a plain field, where an option
+   would box it and a recursive definition would build the record
+   twice. *)
 type timer = {
   mutable armed : bool;
   mutable tgen : int;
   mutable cookie : Lrp_engine.Engine.handle;
   mutable on_fire : conn -> unit;
-  mutable tconn : conn option;  (* set once, right after [make_conn] *)
+  mutable tconn : conn;
 }
 
 and env = {
@@ -103,6 +106,7 @@ and env = {
   initial_rto : float;
   max_syn_retries : int;
   totals : totals;  (** traffic of every connection sharing this env *)
+  rows : rows;      (** the queue rows of every connection sharing it *)
 }
 
 (* Traffic counters summed over the env's connections since it was made,
@@ -116,12 +120,29 @@ and totals = {
   mutable backlog_drops : int;
 }
 
+(* Queue rows: the send, retransmission and receive queues of every
+   connection sharing an env are lists of rows of one pool, in
+   flat columns — a (sequence number, payload) pair and a link.  A
+   connection holds a queue as one row index, so it is made with no queue
+   and queuing a segment allocates nothing once the pool has grown; a
+   freed row goes on the free list with its payload cleared.  A FIFO
+   queue is circular, named by its tail ([-1] when empty), its head the
+   tail's [r_next]: appending stores the tail, and taking the only row
+   only clears it. *)
+and rows = {
+  mutable r_seq : int array;
+  mutable r_pay : Payload.t array;
+  mutable r_next : int array;
+  mutable r_free : int;  (* free-list head, -1 when empty *)
+}
+
 and conn = {
   env : env;
   id : int;
   local_ip : Packet.ip;
   local_port : int;
-  mutable remote : (Packet.ip * int) option;
+  mutable rip : Packet.ip;        (* remote address *)
+  mutable rport : int;            (* remote port; -1 on a listener *)
   mutable state : state;
   (* --- send side --- *)
   mutable snd_una : int;
@@ -129,11 +150,11 @@ and conn = {
   mutable snd_wnd : int;          (* peer's advertised window *)
   fl : floats;                    (* congestion window and RTT state *)
   mutable dup_acks : int;
-  unacked : (int * Payload.t) Queue.t;
-      (* (seq, payload), oldest first; the head's bytes below [snd_una]
-         are acknowledged *)
-  unsent : Payload.t Queue.t;     (* app data not yet segmented *)
-  mutable unsent_off : int;       (* bytes of [unsent]'s head already sent *)
+  mutable rtxq : int;
+      (* the sent segments as (seq, payload) rows, oldest first; the
+         head's bytes below [snd_una] are acknowledged *)
+  mutable sndq : int;             (* app data not yet segmented *)
+  mutable unsent_off : int;       (* bytes of [sndq]'s head already sent *)
   mutable unsent_bytes : int;
   sndq_limit : int;
   mutable fin_queued : bool;
@@ -141,7 +162,7 @@ and conn = {
   (* --- receive side --- *)
   mutable rcv_nxt : int;
   mutable ooo : (int * Payload.t) list;  (* out-of-order segments *)
-  mutable rcvq : Payload.t list;         (* in-order data for the app (reversed) *)
+  mutable rcvq : int;             (* in-order data for the app *)
   mutable rcvq_bytes : int;
   rcv_buf_limit : int;
   mutable fin_received : bool;
@@ -152,11 +173,15 @@ and conn = {
   mutable backoff : int;
   mutable timing_seq : int;       (* ack that samples the RTT, -1 if none *)
   mutable syn_retries : int;
-  (* --- listener --- *)
+  listen : listen;        (* a listener's own; [no_listen] on the others *)
+  mutable parent : conn;  (* a passive child's listener, else [null_conn] *)
+}
+
+(* A listener's state, out of every other connection. *)
+and listen = {
   backlog : int;
   accept_queue : conn Queue.t;
   mutable syn_pending : int;      (* embryonic children of this listener *)
-  mutable parent : conn option;   (* set on passive children *)
   mutable syn_drops_backlog : int;  (* SYNs this listener dropped *)
 }
 
@@ -173,59 +198,129 @@ and floats = {
   mutable timing_sent : float;    (* when the timed segment was sent *)
 }
 
+let new_totals () =
+  { segs_sent = 0; segs_rcvd = 0; bytes_sent = 0; bytes_rcvd = 0;
+    retransmits = 0; backlog_drops = 0 }
+
+let new_rows () = { r_seq = [||]; r_pay = [||]; r_next = [||]; r_free = -1 }
+
+(* Shared by every connection that is not a listener; never written. *)
+let no_listen =
+  { backlog = 0; accept_queue = Queue.create (); syn_pending = 0;
+    syn_drops_backlog = 0 }
+
+(* A placeholder connection for table and ring slots that hold none, and
+   the [parent] and [tconn] of those that have none: never in the data
+   path, and it draws no connection id. *)
+let rec null_conn =
+  { env = null_env; id = -1; local_ip = 0; local_port = 0; rip = 0; rport = -1;
+    state = Closed; snd_una = 0; snd_nxt = 0; snd_wnd = 0; dup_acks = 0;
+    fl = { cwnd = 1.; ssthresh = 0.; srtt = -1.; rttvar = 0.; rto = 0.; timing_sent = 0. };
+    rtxq = -1; sndq = -1; unsent_off = 0; unsent_bytes = 0; sndq_limit = 0;
+    fin_queued = false; fin_seq = -1; rcv_nxt = 0; ooo = []; rcvq = -1; rcvq_bytes = 0;
+    rcv_buf_limit = 0; fin_received = false; last_advertised_wnd = 0; backoff = 0;
+    rtx_timer = null_timer; persist_timer = null_timer; timing_seq = -1;
+    syn_retries = 0; listen = no_listen; parent = null_conn }
+
+and null_timer =
+  { armed = false; tgen = 0; cookie = Lrp_engine.Engine.none; on_fire = ignore;
+    tconn = null_conn }
+
+and null_env =
+  { clock = [| 0. |]; deadline = [| 0. |]; pool = Parena.create (); emit = ignore;
+    start_timer = ignore; stop_timer = ignore; on_readable = ignore;
+    on_writable = ignore; on_established = ignore; on_accept_ready = (fun _ _ -> ());
+    on_syn_received = (fun _ _ -> ()); on_connect_failed = ignore; on_reset = ignore;
+    on_time_wait = ignore; on_closed = ignore; mss = 1; time_wait_duration = 0.;
+    initial_rto = 0.; max_syn_retries = 0; totals = new_totals (); rows = new_rows () }
+
 (* Connection ids come from the per-engine id space installed on this
    domain (Lrp_engine.Idspace): per-cell sequences, independent of other
    simulations or shards allocating concurrently. *)
 
 let make_timer () =
+  (* alloc: cold — once per connection *)
   { armed = false; tgen = 0; cookie = Lrp_engine.Engine.none;
-    on_fire = (fun _ -> ()); tconn = None }
+    on_fire = ignore; tconn = null_conn }
 
-let make_conn ?id env ~local_ip ~local_port ?(sndq_limit = 32 * 1024)
-    ?(rcv_buf_limit = 32 * 1024) ?(backlog = 0) ~state () =
-  let id =
-    match id with Some i -> i | None -> Lrp_engine.Idspace.next_conn_id ()
-  in
+let make_conn env ~local_ip ~local_port ~sndq_limit ~rcv_buf_limit ~listen
+    ~state =
   let c =
-    { env; id; local_ip; local_port;
-      remote = None; state;
-      snd_una = 0; snd_nxt = 0; snd_wnd = 0;
+    (* alloc: cold — once per connection *)
+    { env; id = Lrp_engine.Idspace.next_conn_id (); local_ip; local_port;
+      rip = 0; rport = -1; state; snd_una = 0; snd_nxt = 0; snd_wnd = 0;
       fl =
+        (* alloc: cold — once per connection *)
         { cwnd = float_of_int env.mss; ssthresh = 65_535.; srtt = -1.;
           rttvar = 0.; rto = env.initial_rto; timing_sent = 0. };
-      dup_acks = 0; unacked = Queue.create ();
-      unsent = Queue.create (); unsent_off = 0; unsent_bytes = 0; sndq_limit;
-      fin_queued = false; fin_seq = -1;
-      rcv_nxt = 0; ooo = []; rcvq = []; rcvq_bytes = 0; rcv_buf_limit;
-      fin_received = false; last_advertised_wnd = rcv_buf_limit;
-      rtx_timer = make_timer (); persist_timer = make_timer ();
-      backoff = 0; timing_seq = -1; syn_retries = 0;
-      backlog; accept_queue = Queue.create (); syn_pending = 0; parent = None;
-      syn_drops_backlog = 0 }
+      dup_acks = 0; rtxq = -1; sndq = -1; unsent_off = 0; unsent_bytes = 0;
+      sndq_limit; fin_queued = false; fin_seq = -1; rcv_nxt = 0; ooo = [];
+      rcvq = -1; rcvq_bytes = 0; rcv_buf_limit; fin_received = false;
+      last_advertised_wnd = rcv_buf_limit; rtx_timer = make_timer ();
+      persist_timer = make_timer (); backoff = 0; timing_seq = -1;
+      syn_retries = 0; listen; parent = null_conn }
   in
-  c.rtx_timer.tconn <- Some c;
-  c.persist_timer.tconn <- Some c;
+  c.rtx_timer.tconn <- c;
+  c.persist_timer.tconn <- c;
   c
 
-let new_totals () =
-  { segs_sent = 0; segs_rcvd = 0; bytes_sent = 0; bytes_rcvd = 0;
-    retransmits = 0; backlog_drops = 0 }
+(* ------------------------------------------------------------------ *)
+(* Queue rows                                                           *)
+(* ------------------------------------------------------------------ *)
 
-(* A placeholder connection for table and ring slots that hold none:
-   never in the data path, and it draws no connection id. *)
-let null_conn =
-  let nop _ = () and nop2 _ _ = () in
-  let env =
-    { clock = [| 0. |]; deadline = [| 0. |]; pool = Parena.create ();
-      emit = nop; start_timer = nop;
-      stop_timer = nop;
-      on_readable = nop; on_writable = nop; on_established = nop;
-      on_accept_ready = nop2; on_syn_received = nop2;
-      on_connect_failed = nop; on_reset = nop; on_time_wait = nop;
-      on_closed = nop; mss = 1; time_wait_duration = 0.; initial_rto = 0.;
-      max_syn_retries = 0; totals = new_totals () }
-  in
-  make_conn ~id:(-1) env ~local_ip:0 ~local_port:0 ~state:Closed ()
+(* Double the pool (16 rows at first), threading the new rows onto the
+   free list. *)
+let rows_grow rs =
+  let cap = Array.length rs.r_next in
+  let n = Int.max 16 cap in
+  (* alloc: cold — amortized growth *)
+  rs.r_seq <- Array.append rs.r_seq (Array.make n 0);
+  (* alloc: cold — amortized growth *)
+  rs.r_pay <- Array.append rs.r_pay (Array.make n Packet.empty_payload);
+  (* alloc: cold — amortized growth *)
+  rs.r_next <- Array.append rs.r_next (Array.make n rs.r_free);
+  for i = cap to cap + n - 2 do
+    rs.r_next.(i) <- i + 1
+  done;
+  rs.r_free <- cap
+
+
+let row_free rs r =
+  if rs.r_pay.(r) != Packet.empty_payload then
+    rs.r_pay.(r) <- Packet.empty_payload;
+  rs.r_next.(r) <- rs.r_free;
+  rs.r_free <- r
+
+(* Append a row holding [seq] and [payload] to the queue whose tail is
+   [tl]; the new tail. *)
+let q_add rs tl seq payload =
+  if rs.r_free < 0 then rows_grow rs;
+  let r = rs.r_free in
+  rs.r_free <- rs.r_next.(r);
+  rs.r_seq.(r) <- seq;
+  rs.r_pay.(r) <- payload;
+  if tl < 0 then rs.r_next.(r) <- r
+  else begin
+    rs.r_next.(r) <- rs.r_next.(tl);
+    rs.r_next.(tl) <- r
+  end;
+  r
+
+(* Free the head of the non-empty queue whose tail is [tl]; the new
+   tail. *)
+let q_drop rs tl =
+  let hd = rs.r_next.(tl) in
+  let tl = if hd = tl then -1 else (rs.r_next.(tl) <- rs.r_next.(hd); tl) in
+  row_free rs hd;
+  tl
+
+let rec q_clear rs tl = if tl < 0 then -1 else q_clear rs (q_drop rs tl)
+
+(* A connection that is gone frees its send-side rows; its receive queue
+   stays readable until the application closes it. *)
+let free_send c =
+  c.sndq <- q_clear c.env.rows c.sndq;
+  c.rtxq <- q_clear c.env.rows c.rtxq
 
 (* ------------------------------------------------------------------ *)
 (* Helpers                                                              *)
@@ -233,22 +328,18 @@ let null_conn =
 
 let advertised_window c = Int.max 0 (c.rcv_buf_limit - c.rcvq_bytes)
 
-let remote_exn c =
-  match c.remote with
-  | Some r -> r
-  | None -> invalid_arg "Tcp: connection has no remote endpoint"
-
 let count_retransmit c =
   c.env.totals.retransmits <- c.env.totals.retransmits + 1
 
 let segs_sent c = c.env.totals.segs_sent
 
 let segment c ~seq fl payload =
-  let rip, rport = remote_exn c in
+  if c.rport < 0 then
+    invalid_arg "Tcp: connection has no remote endpoint"; (* alloc: cold — error path *)
   c.env.totals.segs_sent <- c.env.totals.segs_sent + 1;
   c.last_advertised_wnd <- advertised_window c;
-  Parena.tcp c.env.pool ~src:c.local_ip ~dst:rip ~src_port:c.local_port
-    ~dst_port:rport ~seq ~ack_no:c.rcv_nxt ~flags:fl
+  Parena.tcp c.env.pool ~src:c.local_ip ~dst:c.rip ~src_port:c.local_port
+    ~dst_port:c.rport ~seq ~ack_no:c.rcv_nxt ~flags:fl
     ~window:(Int.min 65_535 c.last_advertised_wnd) payload
 
 let send_ack c =
@@ -274,12 +365,7 @@ let send_rst_for p r ~emit =
            ~flags:Packet.flags_rst_ack ~window:0 Packet.empty_payload)
   | Parena.Tcp | Parena.Udp | Parena.Icmp -> ()
 
-let timer_conn tm =
-  match tm.tconn with
-  | Some c -> c
-  | None ->
-      (* alloc: cold — error path *)
-      invalid_arg "Tcp: timer not attached to a connection"
+let timer_conn tm = tm.tconn
 
 let timer_gen tm = tm.tgen
 
@@ -316,6 +402,12 @@ let in_flight c = c.snd_nxt - c.snd_una
 
 let send_window c = Int.min c.snd_wnd (int_of_float c.fl.cwnd)
 
+(* ssthresh = max (2 MSS, in_flight / 2), spelled out: [Float.max]'s
+   result would be boxed. *)
+let halve_ssthresh c =
+  let floor = float_of_int (2 * c.env.mss) and half = float_of_int (in_flight c) /. 2. in
+  c.fl.ssthresh <- (if half > floor then half else floor)
+
 (* ------------------------------------------------------------------ *)
 (* Retransmission timer                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -347,9 +439,7 @@ and on_rtx_timeout c =
   | Syn_received ->
       if c.syn_retries >= c.env.max_syn_retries then begin
         (* Give up on the embryonic connection. *)
-        (match c.parent with
-         | Some l -> l.syn_pending <- Int.max 0 (l.syn_pending - 1)
-         | None -> ());
+        unpend c;
         enter_closed c
       end
       else begin
@@ -364,8 +454,7 @@ and on_rtx_timeout c =
       (* Timeout: collapse the congestion window, retransmit the oldest
          outstanding segment, back off. *)
       c.timing_seq <- -1 (* Karn: do not sample retransmitted segments *);
-      c.fl.ssthresh <- Float.max (float_of_int (2 * c.env.mss))
-          (float_of_int (in_flight c) /. 2.);
+      halve_ssthresh c;
       c.fl.cwnd <- float_of_int c.env.mss;
       c.dup_acks <- 0;
       c.backoff <- c.backoff + 1;
@@ -373,22 +462,24 @@ and on_rtx_timeout c =
       arm_rtx c
 
 and retransmit_oldest c =
-  match Queue.peek c.unacked with
-  | seq, payload ->
-      count_retransmit c;
-      (* Only the head's unacknowledged tail. *)
-      let acked = Int.max 0 (c.snd_una - seq) in
-      let payload =
-        if acked = 0 then payload
-        else Payload.sub payload acked (Payload.length payload - acked)
-      in
-      c.env.emit (segment c ~seq:(seq + acked) Packet.flags_ack payload)
-  | exception Queue.Empty ->
-      if c.fin_queued && c.fin_seq >= 0 && c.snd_una <= c.fin_seq then begin
-        count_retransmit c;
-        c.env.emit
-          (segment c ~seq:c.fin_seq Packet.flags_fin_ack Packet.empty_payload)
-      end
+  if c.rtxq >= 0 then begin
+    let rs = c.env.rows in
+    let hd = rs.r_next.(c.rtxq) in
+    let seq = rs.r_seq.(hd) and payload = rs.r_pay.(hd) in
+    count_retransmit c;
+    (* Only the head's unacknowledged tail. *)
+    let acked = Int.max 0 (c.snd_una - seq) in
+    let payload =
+      if acked = 0 then payload
+      else Payload.sub payload acked (Payload.length payload - acked)
+    in
+    c.env.emit (segment c ~seq:(seq + acked) Packet.flags_ack payload)
+  end
+  else if c.fin_queued && c.fin_seq >= 0 && c.snd_una <= c.fin_seq then begin
+    count_retransmit c;
+    c.env.emit
+      (segment c ~seq:c.fin_seq Packet.flags_fin_ack Packet.empty_payload)
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Output engine                                                        *)
@@ -413,7 +504,7 @@ and send_more c progress =
     let take = Int.min (Int.min can c.env.mss) c.unsent_bytes in
     let payload = take_unsent c take in
     let seq = c.snd_nxt in
-    Queue.add (seq, payload) c.unacked;
+    c.rtxq <- q_add c.env.rows c.rtxq seq payload;
     c.snd_nxt <- c.snd_nxt + take;
     c.env.totals.bytes_sent <- c.env.totals.bytes_sent + take;
     if c.timing_seq < 0 then begin
@@ -447,7 +538,7 @@ and on_persist_timeout c =
     (* Probe with one byte. *)
     let payload = take_unsent c 1 in
     let seq = c.snd_nxt in
-    Queue.add (seq, payload) c.unacked;
+    c.rtxq <- q_add c.env.rows c.rtxq seq payload;
     c.snd_nxt <- c.snd_nxt + 1;
     c.env.emit (segment c ~seq Packet.flags_ack payload);
     arm_rtx c
@@ -457,15 +548,17 @@ and on_persist_timeout c =
    case, a head that covers them, builds no list. *)
 and take_unsent c n =
   c.unsent_bytes <- c.unsent_bytes - n;
-  let p = Queue.peek c.unsent and off = c.unsent_off in
-  if Payload.length p - off >= n then take_part c p off n
+  if Payload.length (unsent_head c) - c.unsent_off >= n then take_part c n
   else Payload.concat (take_parts c n [])
 
-(* Take [n] bytes at [off] from the unsent head [p], dequeuing it when
+and unsent_head c = c.env.rows.r_pay.(c.env.rows.r_next.(c.sndq))
+
+(* Take [n] bytes at [unsent_off] from the unsent head, dequeuing it when
    they are its last. *)
-and take_part c p off n =
+and take_part c n =
+  let p = unsent_head c and off = c.unsent_off in
   if off + n = Payload.length p then begin
-    ignore (Queue.take c.unsent);
+    c.sndq <- q_drop c.env.rows c.sndq;
     c.unsent_off <- 0;
     if off = 0 then p else Payload.sub p off n
   end
@@ -475,11 +568,11 @@ and take_part c p off n =
   end
 
 and take_parts c n acc =
-  if n = 0 then List.rev acc
+  if n = 0 then List.rev acc (* alloc: cold — a segment spanning several writes *)
   else begin
-    let p = Queue.peek c.unsent and off = c.unsent_off in
-    let k = Int.min n (Payload.length p - off) in
-    take_parts c (n - k) (take_part c p off k :: acc)
+    let k = Int.min n (Payload.length (unsent_head c) - c.unsent_off) in
+    (* alloc: cold — a segment spanning several writes *)
+    take_parts c (n - k) (take_part c k :: acc)
   end
 
 (* ------------------------------------------------------------------ *)
@@ -489,6 +582,7 @@ and take_parts c n acc =
 and enter_closed c =
   disarm_rtx c;
   halt_timer c c.persist_timer;
+  free_send c;
   if c.state <> Closed then begin
     c.state <- Closed;
     c.env.on_closed c
@@ -519,9 +613,13 @@ and rtt_sample c =
   else begin
     let err = sample -. f.srtt in
     f.srtt <- f.srtt +. (err /. 8.);
-    f.rttvar <- f.rttvar +. ((Float.abs err -. f.rttvar) /. 4.)
+    let dev = if err < 0. then -.err else err in
+    f.rttvar <- f.rttvar +. ((dev -. f.rttvar) /. 4.)
   end;
-  f.rto <- Float.max 200_000. (f.srtt +. (4. *. f.rttvar))
+  (* max and abs spelled out: [Float.max]'s and [Float.abs]'s results
+     would be boxed *)
+  let rto = f.srtt +. (4. *. f.rttvar) in
+  f.rto <- (if rto > 200_000. then rto else 200_000.)
 
 (* ------------------------------------------------------------------ *)
 (* Input                                                                *)
@@ -529,11 +627,14 @@ and rtt_sample c =
 
 (* Trim the fully acknowledged segments off the retransmission queue. *)
 and trim_unacked c ack =
-  match Queue.peek c.unacked with
-  | seq, payload when seq + Payload.length payload <= ack ->
-      ignore (Queue.take c.unacked);
+  let rs = c.env.rows in
+  if c.rtxq >= 0 then begin
+    let hd = rs.r_next.(c.rtxq) in
+    if rs.r_seq.(hd) + Payload.length rs.r_pay.(hd) <= ack then begin
+      c.rtxq <- q_drop rs c.rtxq;
       trim_unacked c ack
-  | _ | (exception Queue.Empty) -> ()
+    end
+  end
 
 and process_ack c p r =
   let ack = Parena.ack_no p r in
@@ -554,7 +655,7 @@ and process_ack c p r =
     let f = c.fl and fmss = float_of_int c.env.mss in
     if f.cwnd < f.ssthresh then f.cwnd <- f.cwnd +. float_of_int acked
     else f.cwnd <- f.cwnd +. (fmss *. fmss /. f.cwnd);
-    if Queue.is_empty c.unacked
+    if c.rtxq < 0
        && not (c.fin_queued && c.fin_seq >= 0 && ack <= c.fin_seq)
     then disarm_rtx c
     else arm_rtx c;
@@ -564,8 +665,7 @@ and process_ack c p r =
     c.dup_acks <- c.dup_acks + 1;
     if c.dup_acks = 3 then begin
       (* Fast retransmit / recovery (simplified: halve and resend). *)
-      c.fl.ssthresh <- Float.max (float_of_int (2 * c.env.mss))
-          (float_of_int (in_flight c) /. 2.);
+      halve_ssthresh c;
       c.fl.cwnd <- c.fl.ssthresh;
       c.timing_seq <- -1;
       retransmit_oldest c
@@ -583,13 +683,7 @@ and deliver_data c p r =
          out-of-order list. *)
       let room = advertised_window c in
       let take = Int.min len room in
-      if take > 0 then begin
-        let part = if take = len then payload else Payload.sub payload 0 take in
-        c.rcvq <- part :: c.rcvq;
-        c.rcvq_bytes <- c.rcvq_bytes + take;
-        c.env.totals.bytes_rcvd <- c.env.totals.bytes_rcvd + take;
-        c.rcv_nxt <- c.rcv_nxt + take
-      end;
+      if take > 0 then accept_in_order c payload len take;
       drain_ooo c;
       c.env.on_readable c
     end
@@ -598,26 +692,34 @@ and deliver_data c p r =
       if not (List.mem_assoc seq c.ooo)
          && List.fold_left (fun a (_, p) -> a + Payload.length p) 0 c.ooo
             < c.rcv_buf_limit
-      then c.ooo <- (seq, payload) :: c.ooo
+      then c.ooo <- (seq, payload) :: c.ooo (* alloc: cold — out of order *)
     end;
     (* else: duplicate of already-received data; just re-ack *)
     send_ack c
   end
 
+(* Queue the first [take] of [len] bytes of [payload] for the app.  Data
+   that arrives after the app has closed is counted but kept in no row:
+   nobody will read it. *)
+and accept_in_order c payload len take =
+  if not c.fin_queued then begin
+    let part = if take = len then payload else Payload.sub payload 0 take in
+    c.rcvq <- q_add c.env.rows c.rcvq 0 part
+  end;
+  c.rcvq_bytes <- c.rcvq_bytes + take;
+  c.env.totals.bytes_rcvd <- c.env.totals.bytes_rcvd + take;
+  c.rcv_nxt <- c.rcv_nxt + take
+
 (* Move the out-of-order segments that now follow [rcv_nxt] in order. *)
 and drain_ooo c =
+  (* alloc: cold — out of order *)
   match List.assoc_opt c.rcv_nxt c.ooo with
   | Some p ->
       c.ooo <- List.remove_assoc c.rcv_nxt c.ooo;
-      let room = advertised_window c in
       let len = Payload.length p in
-      let take = Int.min len room in
+      let take = Int.min len (advertised_window c) in
       if take > 0 then begin
-        let part = if take = len then p else Payload.sub p 0 take in
-        c.rcvq <- part :: c.rcvq;
-        c.rcvq_bytes <- c.rcvq_bytes + take;
-        c.env.totals.bytes_rcvd <- c.env.totals.bytes_rcvd + take;
-        c.rcv_nxt <- c.rcv_nxt + take;
+        accept_in_order c p len take;
         if take = len then drain_ooo c
       end
   | None -> ()
@@ -659,7 +761,8 @@ and established_input c p r =
 
 and input c p r =
   match Parena.proto p r with
-  | Parena.Udp | Parena.Icmp -> invalid_arg "Tcp.input: not a TCP segment"
+  | Parena.Udp | Parena.Icmp ->
+      invalid_arg "Tcp.input: not a TCP segment" (* alloc: cold — error path *)
   | Parena.Tcp ->
       c.env.totals.segs_rcvd <- c.env.totals.segs_rcvd + 1;
       if has p r Packet.rst then begin
@@ -667,11 +770,10 @@ and input c p r =
         | Closed | Listen | Time_wait -> ()
         | Syn_sent | Syn_received | Established | Fin_wait_1 | Fin_wait_2
         | Close_wait | Last_ack | Closing ->
-            (match c.parent with
-             | Some l when c.state = Syn_received ->
-                 l.syn_pending <- Int.max 0 (l.syn_pending - 1)
-             | Some _ | None -> ());
+            if c.state = Syn_received then unpend c;
             disarm_rtx c;
+            halt_timer c c.persist_timer;
+            free_send c;
             c.state <- Closed;
             c.env.on_reset c;
             c.env.on_closed c
@@ -708,12 +810,13 @@ and input c p r =
               c.snd_wnd <- Parena.window p r;
               c.state <- Established;
               disarm_rtx c;
-              (match c.parent with
-               | Some l ->
-                   l.syn_pending <- Int.max 0 (l.syn_pending - 1);
-                   Queue.add c l.accept_queue;
-                   c.env.on_accept_ready l c
-               | None -> ());
+              let l = c.parent in
+              if l != null_conn then begin
+                unpend c;
+                (* alloc: cold — once per connection *)
+                Queue.add c l.listen.accept_queue;
+                c.env.on_accept_ready l c
+              end;
               (* The ACK may carry data. *)
               if Parena.payload_len p r > 0 || has p r Packet.fin then
                 established_input c p r
@@ -728,27 +831,34 @@ and input c p r =
             (* Re-ack (e.g. retransmitted FIN). *)
             if has p r Packet.fin then send_ack c
 
+(* An embryonic child leaves its listener's count. *)
+and unpend c =
+  let q = c.parent.listen in
+  if c.parent != null_conn then q.syn_pending <- Int.max 0 (q.syn_pending - 1)
+
 and listener_input l p r =
+  let q = l.listen in
   if has p r Packet.syn && not (has p r Packet.ack) then begin
-    if l.syn_pending + Queue.length l.accept_queue >= l.backlog then begin
+    if q.syn_pending + Queue.length q.accept_queue >= q.backlog then begin
       (* Backlog exceeded: BSD silently discards the SYN (after having paid
          for its processing — the crux of Figure 5). *)
-      l.syn_drops_backlog <- l.syn_drops_backlog + 1;
+      q.syn_drops_backlog <- q.syn_drops_backlog + 1;
       l.env.totals.backlog_drops <- l.env.totals.backlog_drops + 1
     end
     else begin
       let c =
         make_conn l.env ~local_ip:l.local_ip ~local_port:l.local_port
           ~sndq_limit:l.sndq_limit ~rcv_buf_limit:l.rcv_buf_limit
-          ~state:Syn_received ()
+          ~listen:no_listen ~state:Syn_received
       in
-      c.remote <- Some (Parena.src p r, Parena.sport p r);
-      c.parent <- Some l;
+      c.rip <- Parena.src p r;
+      c.rport <- Parena.sport p r;
+      c.parent <- l;
       c.rcv_nxt <- Parena.seq p r + 1;
       c.snd_wnd <- Parena.window p r;
       c.snd_una <- 0;
       c.snd_nxt <- 1 (* our SYN consumes sequence 0 *);
-      l.syn_pending <- l.syn_pending + 1;
+      q.syn_pending <- q.syn_pending + 1;
       l.env.on_syn_received l c;
       c.env.emit (segment c ~seq:0 Packet.flags_syn_ack Packet.empty_payload);
       arm_rtx c
@@ -761,15 +871,22 @@ and listener_input l p r =
 (* API used by the socket layer                                         *)
 (* ------------------------------------------------------------------ *)
 
-let create_listener env ~local_ip ~local_port ?sndq_limit ?rcv_buf_limit
-    ~backlog () =
-  make_conn env ~local_ip ~local_port ?sndq_limit ?rcv_buf_limit ~backlog
-    ~state:Listen ()
+let create_listener env ~local_ip ~local_port ?(sndq_limit = 32 * 1024)
+    ?(rcv_buf_limit = 32 * 1024) ~backlog () =
+  make_conn env ~local_ip ~local_port ~sndq_limit ~rcv_buf_limit
+    ~listen:
+      { backlog; accept_queue = Queue.create (); syn_pending = 0;
+        syn_drops_backlog = 0 }
+    ~state:Listen
 
-let create_active env ~local_ip ~local_port ~remote ?sndq_limit
-    ?rcv_buf_limit () =
-  let c = make_conn env ~local_ip ~local_port ?sndq_limit ?rcv_buf_limit ~state:Syn_sent () in
-  c.remote <- Some remote;
+let create_active env ~local_ip ~local_port ~remote:(rip, rport)
+    ?(sndq_limit = 32 * 1024) ?(rcv_buf_limit = 32 * 1024) () =
+  let c =
+    make_conn env ~local_ip ~local_port ~sndq_limit ~rcv_buf_limit
+      ~listen:no_listen ~state:Syn_sent
+  in
+  c.rip <- rip;
+  c.rport <- rport;
   c.snd_una <- 0;
   c.snd_nxt <- 1;
   c.timing_seq <- 1;
@@ -779,58 +896,81 @@ let create_active env ~local_ip ~local_port ~remote ?sndq_limit
   c
 
 (* [send c payload] queues application data; returns the number of bytes
-   accepted (0 when the send buffer is full — the caller blocks). *)
+   accepted: 0 when the send buffer is full (the caller blocks), -1 when
+   the connection cannot accept data. *)
 let send c payload =
   match c.state with
   | Established | Close_wait ->
       let len = Payload.length payload in
       let queued = c.unsent_bytes + (c.snd_nxt - c.snd_una) in
       let room = c.sndq_limit - queued in
-      if room <= 0 then `Full
+      if room <= 0 then 0
       else begin
         let take = Int.min room len in
         let part = if take = len then payload else Payload.sub payload 0 take in
-        Queue.add part c.unsent;
+        c.sndq <- q_add c.env.rows c.sndq 0 part;
         c.unsent_bytes <- c.unsent_bytes + take;
         output c;
-        `Sent take
+        take
       end
   | Closed | Listen | Syn_sent | Syn_received | Fin_wait_1 | Fin_wait_2
-  | Last_ack | Closing | Time_wait -> `Closed
+  | Last_ack | Closing | Time_wait -> -1
 
-(* [recv c ~max] takes up to [max] buffered bytes. *)
+(* Take the receive queue's head chunk, or its first [n] bytes. *)
+let take_chunk c n =
+  let rs = c.env.rows in
+  let hd = rs.r_next.(c.rcvq) in
+  let p = rs.r_pay.(hd) in
+  let len = Payload.length p in
+  c.rcvq_bytes <- c.rcvq_bytes - Int.min n len;
+  if n >= len then begin
+    c.rcvq <- q_drop rs c.rcvq;
+    p
+  end
+  else begin
+    rs.r_pay.(hd) <- Payload.sub p n (len - n);
+    Payload.sub p 0 n
+  end
+
+let rec take_chunks c n =
+  if n = 0 || c.rcvq < 0 then []
+  else
+    let p = take_chunk c n in
+    p :: take_chunks c (n - Payload.length p) (* alloc: cold — several chunks *)
+
+(* What {!recv} returns when nothing is buffered: a payload of its own,
+   told apart by physical equality. *)
+let no_data = Payload.Bytes (Bytes.create 0)
+
+(* [recv c ~max] takes up to [max] buffered bytes as one payload: the
+   head chunk itself when it holds them all or is all there is. *)
 let recv c ~max:maxb =
-  if c.rcvq_bytes > 0 then begin
-    let chunks = List.rev c.rcvq in
-    let rec take acc got = function
-      | [] -> (List.rev acc, got, [])
-      | p :: rest ->
-          let len = Payload.length p in
-          if got + len <= maxb then take (p :: acc) (got + len) rest
-          else begin
-            let want = maxb - got in
-            if want = 0 then (List.rev acc, got, p :: rest)
-            else
-              ( List.rev (Payload.sub p 0 want :: acc), maxb,
-                Payload.sub p want (len - want) :: rest )
-          end
+  if c.rcvq < 0 then no_data
+  else begin
+    let p = take_chunk c maxb in
+    let rest = maxb - Payload.length p in
+    let payload =
+      if rest = 0 || c.rcvq < 0 then p
+      else Payload.concat (p :: take_chunks c rest) (* alloc: cold — several chunks *)
     in
-    let taken, got, rest = take [] 0 chunks in
-    c.rcvq <- List.rev rest;
-    c.rcvq_bytes <- c.rcvq_bytes - got;
     (* Window update: if our advertised window was closed (or nearly) and
        has now re-opened by an MSS, tell the sender. *)
     if advertised_window c - c.last_advertised_wnd >= c.env.mss then send_ack c;
-    `Data (Payload.concat taken)
+    payload
   end
-  else if c.fin_received then `Eof
-  else
-    match c.state with
-    | Closed | Time_wait | Last_ack | Closing -> `Eof
-    | Established | Listen | Syn_sent | Syn_received | Fin_wait_1 | Fin_wait_2
-    | Close_wait -> `Wait
+
+let at_eof c =
+  c.fin_received
+  || match c.state with
+     | Closed | Time_wait | Last_ack | Closing -> true
+     | Established | Listen | Syn_sent | Syn_received | Fin_wait_1 | Fin_wait_2
+     | Close_wait -> false
 
 let close c =
+  (* The application reads no more: the rows of data it left unread go
+     back to the pool.  [rcvq_bytes] keeps counting them, so the window
+     advertised from here on is what it would have been. *)
+  c.rcvq <- q_clear c.env.rows c.rcvq;
   match c.state with
   | Established ->
       c.state <- Fin_wait_1;
@@ -841,26 +981,28 @@ let close c =
       c.fin_queued <- true;
       output c
   | Syn_sent | Syn_received ->
-      (match c.parent with
-       | Some l when c.state = Syn_received ->
-           l.syn_pending <- Int.max 0 (l.syn_pending - 1)
-       | Some _ | None -> ());
+      if c.state = Syn_received then unpend c;
       enter_closed c
   | Listen -> enter_closed c
   | Closed | Fin_wait_1 | Fin_wait_2 | Last_ack | Closing | Time_wait -> ()
 
 let abort c =
-  (match (c.state, c.remote) with
+  (match c.state with
    | (Established | Syn_received | Fin_wait_1 | Fin_wait_2 | Close_wait
-     | Closing | Last_ack), Some _ ->
+     | Closing | Last_ack) when c.rport >= 0 ->
        c.env.emit
          (segment c ~seq:c.snd_nxt Packet.flags_rst_ack Packet.empty_payload)
-   | _, _ -> ());
+   | _ -> ());
+  c.rcvq <- q_clear c.env.rows c.rcvq;
   enter_closed c
 
-let accept_pop l = Queue.take_opt l.accept_queue
+let accept_pop l = Queue.take_opt l.listen.accept_queue
 
-let accept_ready l = not (Queue.is_empty l.accept_queue)
+let accept_ready l = not (Queue.is_empty l.listen.accept_queue)
+
+let backlog_full l =
+  let q = l.listen in
+  q.syn_pending + Queue.length q.accept_queue >= q.backlog
 
 let state c = c.state
 

@@ -37,7 +37,7 @@ type timer = {
   mutable cookie : Lrp_engine.Engine.handle;
       (** kernel scratch: the engine event backing the armed timer *)
   mutable on_fire : conn -> unit;
-  mutable tconn : conn option;
+  mutable tconn : conn;  (** the owning connection *)
 }
 and env = {
   clock : float array;
@@ -74,6 +74,7 @@ and env = {
   initial_rto : float;
   max_syn_retries : int;
   totals : totals;
+  rows : rows;
 }
 and totals = {
   mutable segs_sent : int;
@@ -86,30 +87,35 @@ and totals = {
 (* [totals]: the traffic counters of every connection sharing an env since
    it was made, listeners and closed connections included (a kernel's
    [tcp.*] counters). *)
+and rows
+(* [rows]: the queue-row pool of every connection sharing an env — each
+   connection's send, retransmission and receive queues are lists of its
+   rows, named by one row index ([-1]: empty). *)
 and conn = {
   env : env;
   id : int;
   local_ip : Lrp_net.Packet.ip;
   local_port : int;
-  mutable remote : (Lrp_net.Packet.ip * int) option;
+  mutable rip : Lrp_net.Packet.ip;  (** remote address *)
+  mutable rport : int;  (** remote port; -1 on a listener *)
   mutable state : state;
   mutable snd_una : int;
   mutable snd_nxt : int;
   mutable snd_wnd : int;
   fl : floats;
   mutable dup_acks : int;
-  unacked : (int * Lrp_net.Payload.t) Queue.t;
-      (** (seq, payload), oldest first; the head's bytes below [snd_una]
-          are acknowledged *)
-  unsent : Lrp_net.Payload.t Queue.t;
-  mutable unsent_off : int;  (** bytes of [unsent]'s head already sent *)
+  mutable rtxq : int;
+      (** the sent segments, oldest first: a circular row queue named by
+          its tail; the head's bytes below [snd_una] are acknowledged *)
+  mutable sndq : int;  (** app data not yet segmented, likewise *)
+  mutable unsent_off : int;  (** bytes of [sndq]'s head already sent *)
   mutable unsent_bytes : int;
   sndq_limit : int;
   mutable fin_queued : bool;
   mutable fin_seq : int;
   mutable rcv_nxt : int;
-  mutable ooo : (int * Lrp_net.Payload.t) list;
-  mutable rcvq : Lrp_net.Payload.t list;
+  mutable ooo : (int * Lrp_net.Payload.t) list;  (** out-of-order segments *)
+  mutable rcvq : int;  (** in-order data for the app, a row queue *)
   mutable rcvq_bytes : int;
   rcv_buf_limit : int;
   mutable fin_received : bool;
@@ -119,10 +125,13 @@ and conn = {
   mutable backoff : int;
   mutable timing_seq : int;  (** ack that samples the RTT, or -1 *)
   mutable syn_retries : int;
+  listen : listen;  (** a listener's own; shared and empty on the others *)
+  mutable parent : conn;  (** a passive child's listener, else {!null_conn} *)
+}
+and listen = {
   backlog : int;
   accept_queue : conn Queue.t;
   mutable syn_pending : int;
-  mutable parent : conn option;
   mutable syn_drops_backlog : int;
 }
 (* [floats]: a connection's float state, in one all-float record: OCaml
@@ -141,15 +150,18 @@ val state_name : state -> string
 val new_totals : unit -> totals
 (** Zeroed counters, for a new {!env}. *)
 
+val new_rows : unit -> rows
+(** An empty queue-row pool, for a new {!env}. *)
+
 val null_conn : conn
 (** A statically-allocated placeholder connection (id -1) for table and
-    ring slots that hold none: never in the data path. *)
+    ring slots that hold none, and the [parent] of a connection that has
+    none: never in the data path. *)
 
 (** {1 Timer delivery (kernel side)} *)
 
 val timer_conn : timer -> conn
-(** The connection a timer belongs to (for LRP context routing).
-    @raise Invalid_argument on a timer not yet attached. *)
+(** The connection a timer belongs to (for LRP context routing). *)
 
 val timer_gen : timer -> int
 (** Current generation; the kernel reads it when the engine event fires and
@@ -199,19 +211,34 @@ val send_rst_for :
 
 (** {1 Application side} *)
 
-val send : conn -> Lrp_net.Payload.t -> [ `Closed | `Full | `Sent of int ]
-(** Queue application data.  [`Sent n] accepted [n] bytes (callers loop /
-    block on [`Full]); [`Closed] if the connection cannot accept data. *)
+val send : conn -> Lrp_net.Payload.t -> int
+(** Queue application data; the bytes accepted.  0 when the send buffer
+    is full (callers loop / block), -1 if the connection cannot accept
+    data. *)
 
-val recv : conn -> max:int -> [ `Data of Lrp_net.Payload.t | `Eof | `Wait ]
-(** Take up to [max] buffered stream bytes.  Reading may emit a window
-    update when the receive window re-opens by an MSS. *)
+val recv : conn -> max:int -> Lrp_net.Payload.t
+(** Take up to [max] buffered stream bytes as one payload: the head
+    chunk itself when it holds them or is all there is; {!no_data} when
+    nothing is buffered.  Reading may emit a window update when the
+    receive window re-opens by an MSS. *)
+
+val no_data : Lrp_net.Payload.t
+(** {!recv}'s "nothing buffered", told apart by physical equality. *)
+
+val at_eof : conn -> bool
+(** Nothing more will arrive: the peer's FIN is in, or the connection is
+    past the states that receive.  Read it when {!recv} has no data. *)
 
 val close : conn -> unit
-(** Graceful close: queue a FIN after any pending data. *)
+(** Graceful close: queue a FIN after any pending data.  The application
+    reads no more: unread data goes back to the row pool. *)
 
 val abort : conn -> unit
 (** Hard close: emit an RST and drop all state. *)
+
+val backlog_full : conn -> bool
+(** A listener's embryonic plus accepted-but-unclaimed children fill its
+    backlog. *)
 
 val accept_pop : conn -> conn option
 (** Dequeue an established child from a listener's accept queue. *)

@@ -46,12 +46,12 @@ val create : clock:float array -> t
     it instead of taking [~now] arguments keeps wakeups and sleeps free of
     float boxing. *)
 
-val add_thread : t -> ?nice:int -> name:string -> unit -> thread
+val add_thread : t -> ?nice:int -> unit -> thread
 (** New thread in the sleeping state.  [nice] defaults to 0 and is clamped
     to [-20, 20]. *)
 
-val set_account : thread -> thread option -> unit
-(** [set_account th (Some owner)] makes ticks charged to [th] accrue to
+val set_account : thread -> owner:thread -> unit
+(** [set_account th ~owner] makes ticks charged to [th] accrue to
     [owner]'s [p_cpu] instead, and makes [th]'s priority mirror [owner]'s.
     Used by LRP's asynchronous-protocol-processing thread, which is
     "scheduled at its process's priority and its CPU usage is charged to its
@@ -59,7 +59,6 @@ val set_account : thread -> thread option -> unit
 
 (** {1 Inspection} *)
 
-val name : thread -> string
 val tid : thread -> int
 val priority : thread -> int
 val p_cpu : thread -> float
@@ -86,9 +85,6 @@ val pick_tid : t -> int
 (** The {!tid} of the best-priority runnable thread (FIFO among equals),
     or [-1] when none is runnable.  Allocation-free: the CPU model's
     per-dispatch path.  Does not change any scheduling state. *)
-
-val pick : t -> thread option
-(** {!pick_tid} as the thread itself. *)
 
 val should_preempt : t -> current:thread -> bool
 (** True when some runnable thread has strictly better priority than

@@ -132,6 +132,10 @@ type t = {
      level's ring. *)
   mutable run_cls : int;
   mutable run_proc : Proc.t;
+  (* The process whose host-side code [run_instant] is running, or
+     [Proc.none]: the one effect handler reads it. *)
+  mutable inst_proc : Proc.t;
+  mutable handler : (unit, unit) Effect.Deep.handler;
   mutable run_ev : Engine.handle;
   fl : float array;       (* slots [f_left] .. [f_elapsed] *)
   cost : float array;     (* staged cost of the next [post_*_job] or compute *)
@@ -352,14 +356,17 @@ and arm_segment t =
   else t.run_ev <- Engine.schedule_to_staged t.engine (seg_target t) ()
 
 (* Run a process's host-side code until its next effect.  Instantaneous in
-   virtual time.  Must execute with [in_dispatch] set. *)
+   virtual time.  Must execute with [in_dispatch] set, which is what keeps
+   it from nesting: process code that enters this CPU only flags [redo]. *)
 and run_instant t (p : Proc.t) =
+  if t.inst_proc != Proc.none then assert false;
+  t.inst_proc <- p;
   (match p.Proc.pending with
    | Proc.Start ->
        let body = p.Proc.body in
        p.Proc.body <- Proc.started;
        p.Proc.pending <- Proc.Blocked;
-       Effect.Deep.match_with body p (handler t p)
+       Effect.Deep.match_with body p t.handler
    | Proc.Resume ->
        let k = p.Proc.k in
        if k == Proc.no_k then assert false;
@@ -367,6 +374,7 @@ and run_instant t (p : Proc.t) =
        p.Proc.pending <- Proc.Blocked;
        Effect.Deep.continue k ()
    | Proc.Work | Proc.Blocked | Proc.Done -> assert false);
+  t.inst_proc <- Proc.none;
   match p.Proc.pending with
   | Proc.Done -> reap t p
   | Proc.Work | Proc.Blocked | Proc.Resume -> ()
@@ -381,46 +389,6 @@ and reap t (p : Proc.t) =
   if t.cur_proc == p then t.cur_proc <- Proc.none;
   if t.run_proc == p then t.run_proc <- Proc.none;
   ignore (wake_queue t p.Proc.exit_waiters 0 : int)
-
-(* One handler per process, built when it first runs.  [effc] does each
-   effect's bookkeeping itself and returns [park], preallocated here, so a
-   compute / block / sleep / yield allocates no closure and no option;
-   [park] only stores the continuation. *)
-and handler t (p : Proc.t) : (unit, unit) Effect.Deep.handler =
-  (* alloc: cold — once per process *)
-  let park = Some (fun (k : (unit, unit) Effect.Deep.continuation) -> p.Proc.k <- k) in
-  (* alloc: cold — once per process *)
-  { Effect.Deep.retc = (fun () -> p.Proc.pending <- Proc.Done);
-    exnc = raise;
-    effc =
-      (* alloc: cold — once per process *)
-      (fun (type a) (eff : a Effect.t) :
-           ((a, unit) Effect.Deep.continuation -> unit) option ->
-        match eff with
-        | Proc.Compute ->
-            p.Proc.acct.(Proc.a_work_left) <- t.cost.(0);
-            latch_compute t p;
-            p.Proc.pending <- Proc.Work;
-            park
-        | Proc.Block _ ->
-            p.Proc.pending <- Proc.Blocked;
-            Proc.enqueue eff p;
-            Trace.thread_state t.tracer ~pid:p.Proc.pid ~state:Trace.Sleeping;
-            Sched.sleep t.sched p.Proc.thread;
-            park
-        | Proc.Sleep d ->
-            p.Proc.pending <- Proc.Blocked;
-            Trace.thread_state t.tracer ~pid:p.Proc.pid ~state:Trace.Sleeping;
-            Sched.sleep t.sched p.Proc.thread;
-            t.deadline.(0) <- t.clock.(0) +. d;
-            ignore (Engine.schedule_to_staged t.engine (wake_target t) p);
-            park
-        | Proc.Yield ->
-            p.Proc.pending <- Proc.Resume;
-            Sched.requeue t.sched p.Proc.thread;
-            t.force_resched <- true;
-            park
-        | _ -> None) }
 
 and begin_timed t (p : Proc.t) =
   let now = t.clock.(0) in
@@ -584,6 +552,54 @@ let install_periodic engine ~delay fn =
   in
   h := Some ev
 
+(* The CPU's one effect handler, shared by every process it runs: the
+   process is the one [run_instant] is running.  [effc] does each
+   effect's bookkeeping itself and returns [park], so a compute / block /
+   sleep / yield allocates no closure and no option; [park] only stores
+   the continuation. *)
+let make_handler t : (unit, unit) Effect.Deep.handler =
+  let park =
+    (* alloc: cold — once per CPU *)
+    Some (fun (k : (unit, unit) Effect.Deep.continuation) ->
+        t.inst_proc.Proc.k <- k)
+  in
+  (* alloc: cold — once per CPU *)
+  { Effect.Deep.retc = (fun () -> t.inst_proc.Proc.pending <- Proc.Done);
+    exnc = raise;
+    effc =
+      (* alloc: cold — once per CPU *)
+      (fun (type a) (eff : a Effect.t) :
+           ((a, unit) Effect.Deep.continuation -> unit) option ->
+        let p = t.inst_proc in
+        match eff with
+        | Proc.Compute ->
+            p.Proc.acct.(Proc.a_work_left) <- t.cost.(0);
+            latch_compute t p;
+            p.Proc.pending <- Proc.Work;
+            park
+        | Proc.Block _ ->
+            p.Proc.pending <- Proc.Blocked;
+            Proc.enqueue eff p;
+            Trace.thread_state t.tracer ~pid:p.Proc.pid ~state:Trace.Sleeping;
+            Sched.sleep t.sched p.Proc.thread;
+            park
+        | Proc.Sleep d ->
+            p.Proc.pending <- Proc.Blocked;
+            Trace.thread_state t.tracer ~pid:p.Proc.pid ~state:Trace.Sleeping;
+            Sched.sleep t.sched p.Proc.thread;
+            t.deadline.(0) <- t.clock.(0) +. d;
+            ignore (Engine.schedule_to_staged t.engine (wake_target t) p);
+            park
+        | Proc.Yield ->
+            p.Proc.pending <- Proc.Resume;
+            Sched.requeue t.sched p.Proc.thread;
+            t.force_resched <- true;
+            park
+        | _ -> None) }
+
+let no_handler : (unit, unit) Effect.Deep.handler =
+  { Effect.Deep.retc = ignore; exnc = raise; effc = (fun _ -> None) }
+
 let create engine ?(ctx_switch_cost = 0.) ?(start_clock = true) () =
   let ledger = Ledger.create () in
   let t =
@@ -593,14 +609,15 @@ let create engine ?(ctx_switch_cost = 0.) ?(start_clock = true) () =
       ctx_switch_cost; hardq = ring_create (); softq = ring_create ();
       procs = Lrp_det.Itab.create 8; next_pid = 1;
       job_fns = [||]; job_labels = [||];
-      run_cls = c_idle; run_proc = Proc.none;
-      run_ev = Engine.none; fl = Array.make 7 0.; cost = [| 0. |];
+      run_cls = c_idle; run_proc = Proc.none; inst_proc = Proc.none;
+      handler = no_handler; run_ev = Engine.none; fl = Array.make 7 0.; cost = [| 0. |];
       cur_proc = Proc.none; last_user = -1; in_dispatch = d_out; redo = false;
       force_resched = false; seg_tgt = None; wake_tgt = None;
       n_ctx_switch = 0; n_soft_dispatch = 0; n_hard_dispatch = 0;
       created_at = Engine.now engine; tracer = Trace.null (); ledger;
       lamt = Ledger.amount_cell ledger; hint_cls = 0; hint_flow = -1 }
   in
+  t.handler <- make_handler t;
   (* One dispatcher per event kind, registered once, so firing a segment
      or a sleep timer allocates nothing. *)
   t.seg_tgt <-
@@ -628,7 +645,7 @@ let create engine ?(ctx_switch_cost = 0.) ?(start_clock = true) () =
 (* alloc: cold — once per process *)
 let spawn t ?(nice = 0) ?(working_set = 0.) ~name body =
   (* alloc: cold — once per process *)
-  let thread = Sched.add_thread t.sched ~nice ~name () in
+  let thread = Sched.add_thread t.sched ~nice () in
   let p =
     Proc.make ~pid:t.next_pid ~name ~thread ~working_set ~now:t.clock.(0) body
   in
@@ -746,8 +763,7 @@ let compute_poll t =
 let ledger t = t.ledger
 
 let set_account (p : Proc.t) ~(owner : Proc.t) =
-  (* alloc: cold — once per process *)
-  Sched.set_account p.Proc.thread (Some owner.Proc.thread)
+  Sched.set_account p.Proc.thread ~owner:owner.Proc.thread
 
 let time_hard t = t.fl.(f_hard)
 let time_soft t = t.fl.(f_soft)

@@ -52,7 +52,7 @@ let started (_ : t) = ()
    the ledger's idle context. *)
 let none =
   let sched = Sched.create ~clock:[| 0. |] in
-  let thread = Sched.add_thread sched ~name:"(none)" () in
+  let thread = Sched.add_thread sched () in
   let acct = Array.make acct_slots 0. in
   let rec none =
     { pid = -1; name = "(none)"; thread; working_set_us = 0.;

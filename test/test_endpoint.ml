@@ -133,17 +133,15 @@ let test_lifecycle () =
                    Api.close server conn)
              in
              Api.set_owner server conn ~owner:child;
-             (match conn.Socket.tcp with
-              | Some c ->
-                  let ep =
-                    Lrp_core.Flowtab.find_opt server.Kernel.eps
-                      ~hi:c.Lrp_proto.Tcp.id ~lo:0
-                  in
-                  owner_handed :=
-                    (match ep with
-                     | Some { Kernel.ep_owner = Some p; _ } -> p == child
-                     | Some _ | None -> false)
-              | None -> ());
+             (let c = conn.Socket.tcp in
+              let ep =
+                Lrp_core.Flowtab.find_opt server.Kernel.eps
+                  ~hi:c.Lrp_proto.Tcp.id ~lo:0
+              in
+              owner_handed :=
+                match ep with
+                | Some { Kernel.ep_owner = p; _ } -> p == child
+                | None -> false);
              Proc.sleep_for (Time.ms 30.);
              Api.close server u;
              Api.leave_group server m1 ~port:6000;

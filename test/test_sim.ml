@@ -589,14 +589,51 @@ let zero_word_cycles =
             ~seq ~ack_no ~flags ~window:65_535 Lrp_net.Packet.empty_payload
         in
         Tcp.input conn pool (seg ~seq:0 ~ack_no:1 Lrp_net.Packet.flags_syn_ack);
-        (* one large segment in flight, acknowledged a byte at a time *)
-        Queue.add (1, Lrp_net.Payload.synthetic 1_000_000) conn.Tcp.unacked;
-        conn.Tcp.snd_nxt <- 1_000_001;
+        (* one segment in flight, acknowledged a byte at a time *)
+        ignore (Tcp.send conn (Lrp_net.Payload.synthetic env.Tcp.mss) : int);
         let ack = seg ~seq:1 ~ack_no:2 Lrp_net.Packet.flags_ack in
         fun () ->
           conn.Tcp.snd_una <- 1;
           conn.Tcp.timing_seq <- 2;
           Tcp.input conn pool ack );
+    ( "tcp_data_established",
+      (* one MSS of data on a warm established pair (the kernel's TCP env,
+         its segments handed straight to the other end): the sender's
+         [Tcp.send] queues and segments it, the peer's [Tcp.input] queues
+         it for reading and ACKs it, the ACK's [Tcp.input] frees the
+         retransmission row, and the peer's [Tcp.recv] takes the chunk
+         and sends the window update *)
+      fun () ->
+        let w = Lrp_workload.World.make () in
+        let k = Lrp_workload.World.add_host w ~name:"host" (bsd ()) in
+        let pool = k.Kernel.parena and ip = Kernel.ip_address k in
+        let out = ref Parena.none and child = ref Tcp.null_conn in
+        let env =
+          { (Kernel.tcp_env_exn k) with
+            Tcp.emit = (fun row -> out := row);
+            on_syn_received = (fun _ c -> child := c) }
+        in
+        let pass c =
+          let row = !out in
+          Tcp.input c pool row;
+          Parena.release pool row
+        in
+        let l = Tcp.create_listener env ~local_ip:ip ~local_port:80 ~backlog:1 () in
+        let a =
+          Tcp.create_active env ~local_ip:ip ~local_port:5000 ~remote:(ip, 80) ()
+        in
+        pass l;
+        pass a;
+        pass !child;
+        let b = !child and mss = env.Tcp.mss in
+        assert (Tcp.state a = Tcp.Established && Tcp.state b = Tcp.Established);
+        let data = Lrp_net.Payload.synthetic mss in
+        fun () ->
+          ignore (Tcp.send a data : int);
+          pass b;
+          pass a;
+          ignore (Tcp.recv b ~max:mss : Lrp_net.Payload.t);
+          pass a );
     ( "busy_tick_decay",
       (* one process spinning on a single long segment: each cycle fires
          the CPU's 10 ms tick (charging the process) or its 1 s usage

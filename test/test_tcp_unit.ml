@@ -68,7 +68,8 @@ let mk_env h ~dir =
     time_wait_duration = 1_000_000.;
     initial_rto = 500_000.;
     max_syn_retries = 3;
-    totals = Tcp.new_totals () }
+    totals = Tcp.new_totals ();
+    rows = Tcp.new_rows () }
 
 (* Advance virtual time, delivering wire packets and firing timers in
    order.  [route] maps an inbound segment's row to the connection that should
@@ -149,15 +150,11 @@ let test_data_transfer () =
   let h, client, _listener, child, route_a, route_b = make_pair () in
   run h ~until:10_000. ~route_a ~route_b;
   let server = Option.get !child in
-  (match Tcp.send client (Payload.of_string "hello world") with
-   | `Sent 11 -> ()
-   | _ -> Alcotest.fail "send failed");
+  Alcotest.(check int) "send accepted" 11
+    (Tcp.send client (Payload.of_string "hello world"));
   run h ~until:20_000. ~route_a ~route_b;
-  (match Tcp.recv server ~max:100 with
-   | `Data p ->
-       Alcotest.(check string) "payload" "hello world"
-         (Bytes.to_string (Payload.to_bytes p))
-   | `Eof | `Wait -> Alcotest.fail "expected data")
+  Alcotest.(check string) "payload" "hello world"
+    (Bytes.to_string (Payload.to_bytes (Tcp.recv server ~max:100)))
 
 let test_mss_segmentation () =
   let h, client, _listener, child, route_a, route_b = make_pair () in
@@ -223,9 +220,8 @@ let test_flow_control_window () =
   Alcotest.(check bool) "sender stopped at the window" true
     (client.Tcp.snd_nxt - client.Tcp.snd_una <= 4_096);
   (* Now the receiver drains; the window reopens; more data flows. *)
-  (match Tcp.recv server ~max:4_000 with
-   | `Data _ -> ()
-   | `Eof | `Wait -> Alcotest.fail "expected data");
+  Alcotest.(check bool) "expected data" true
+    (Tcp.recv server ~max:4_000 != Tcp.no_data);
   run h ~until:10_000_000. ~route_a ~route_b;
   Alcotest.(check bool) "transfer progressed after window update" true
     (Tcp.(server.env.totals.bytes_rcvd) > 4_000)
@@ -263,9 +259,8 @@ let test_graceful_close () =
   run h ~until:50_000. ~route_a ~route_b;
   Alcotest.(check string) "server side saw FIN -> CLOSE_WAIT" "CLOSE_WAIT"
     (Tcp.state_name (Tcp.state server));
-  (match Tcp.recv server ~max:10 with
-   | `Eof -> ()
-   | `Data _ | `Wait -> Alcotest.fail "expected EOF");
+  Alcotest.(check bool) "expected EOF" true
+    (Tcp.recv server ~max:10 == Tcp.no_data && Tcp.at_eof server);
   Tcp.close server;
   run h ~until:500_000. ~route_a ~route_b;
   Alcotest.(check string) "client in TIME_WAIT" "TIME_WAIT"
@@ -302,8 +297,8 @@ let test_syn_backlog_drop () =
     in
     input listener syn
   done;
-  Alcotest.(check int) "two embryonic" 2 listener.Tcp.syn_pending;
-  Alcotest.(check int) "one dropped at backlog" 1 listener.Tcp.syn_drops_backlog
+  Alcotest.(check int) "two embryonic" 2 listener.Tcp.listen.Tcp.syn_pending;
+  Alcotest.(check int) "one dropped at backlog" 1 listener.Tcp.listen.Tcp.syn_drops_backlog
 
 (* Karn's rule on the handshake: the SYN-ACK answering a retransmitted
    SYN cannot tell which SYN it acknowledges, so it is no RTT sample (an
@@ -346,9 +341,8 @@ let test_send_on_closed () =
   let env_a = mk_env h ~dir:`Ab in
   let client = Tcp.create_active env_a ~local_ip:1 ~local_port:5000 ~remote:(2, 80) () in
   Tcp.close client;
-  match Tcp.send client (Payload.synthetic 10) with
-  | `Closed -> ()
-  | `Sent _ | `Full -> Alcotest.fail "send on closed connection must fail"
+  Alcotest.(check int) "send on closed connection fails" (-1)
+    (Tcp.send client (Payload.synthetic 10))
 
 (* Integrity under random loss in the harness (complements the e2e test). *)
 let prop_transfer_integrity_under_loss =
@@ -426,14 +420,11 @@ let test_persist_probe_resolves_zero_window () =
   run h ~until:500_000. ~route_a ~route_b;
   (* Receiver buffer is now full; drain it but LOSE the window update. *)
   h.drop_next <- 1;
-  (match Tcp.recv server ~max:2_000 with
-   | `Data _ -> ()
-   | `Eof | `Wait -> Alcotest.fail "expected buffered data");
+  Alcotest.(check bool) "expected buffered data" true
+    (Tcp.recv server ~max:2_000 != Tcp.no_data);
   (* Only the persist probe can restart the transfer. *)
   run h ~until:60_000_000. ~route_a ~route_b;
-  (match Tcp.recv server ~max:100_000 with
-   | `Data _ | `Eof -> ()
-   | `Wait -> ());
+  ignore (Tcp.recv server ~max:100_000 : Payload.t);
   run h ~until:120_000_000. ~route_a ~route_b;
   Alcotest.(check bool)
     (Printf.sprintf "transfer progressed past the stall (%d rcvd)"
@@ -451,7 +442,7 @@ let test_listener_ignores_stray_ack () =
       (Payload.synthetic 0)
   in
   input listener stray;
-  Alcotest.(check int) "no embryonic connection created" 0 listener.Tcp.syn_pending;
+  Alcotest.(check int) "no embryonic connection created" 0 listener.Tcp.listen.Tcp.syn_pending;
   Alcotest.(check string) "listener unchanged" "LISTEN"
     (Tcp.state_name (Tcp.state listener))
 
