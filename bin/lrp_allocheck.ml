@@ -69,11 +69,12 @@ let () =
   if not !json then
     Printf.printf
       "lrp_allocheck: %d finding%s (%d hot-path functions, %d escape-checked, \
-       %d source units, %d dune files, %d exports, %d cmt files)\n"
+       %d source units, %d dune files, %d exports, %d members, %d cmt \
+       files)\n"
       (List.length findings)
       (if List.length findings = 1 then "" else "s")
       stats.funcs_analyzed stats.escape_funcs stats.src_units stats.dune_files
-      stats.exports stats.cmt_files;
+      stats.exports stats.members stats.cmt_files;
   (match !out with
   | None -> ()
   | Some file ->

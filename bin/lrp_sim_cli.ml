@@ -9,8 +9,7 @@
 
    [bench] regenerates every table and figure of the paper's evaluation
    (section 4), the MLFRR measurement and the design-choice ablations,
-   plus two scaling sweeps: [demux] (flow-table probes at up to 1 M flows)
-   and [cluster] (the sharded spine-leaf cluster at 1-8 shards).  Its
+   plus [cluster], the sharded spine-leaf cluster swept over 1-8 shards.  Its
    results are independent of --jobs: every simulation runs in its own
    engine seeded from the root seed and its job index.  Simulator cost
    per layer is measured end to end by perfbench/, not here. *)
@@ -314,72 +313,9 @@ module Bench = struct
     in
     (Arr (List.map fst traced), Fig3.stage_claims (List.map snd traced))
 
-  (* Flow-table scaling: the packed-key robin-hood table under the four
-     operations the demultiplexer performs, at populations from a busy
-     server (1 K flows) to a pathological one (1 M).  Keys are synthetic
-     but distinct; the miss probes use keys guaranteed absent.  Per-op
-     times are loop averages -- at these iteration counts a timer read
-     per op would dominate. *)
-  let demux ~quick ~jobs:_ =
-    let module Flowtab = Lrp_core.Flowtab in
-    Common.print_title "Flow-table scaling (packed-key robin-hood probes)";
-    let sizes =
-      if quick then [ 1_000; 100_000 ] else [ 1_000; 100_000; 1_000_000 ]
-    in
-    Printf.printf "  %-10s %12s %12s %12s %12s\n" "flows" "insert" "hit"
-      "miss" "delete";
-    let sink = ref 0 in
-    let row n =
-      let tab = Flowtab.create ~dummy:0 () in
-      (* hi is unique per key, so the pairs are distinct even when the
-         packed ports in lo collide. *)
-      let key_hi i = i + 1 in
-      let key_lo i = ((i * 7 land 0xffff) lsl 16) lor (i * 13 land 0xffff) in
-      let per_op f =
-        let t0 = Unix.gettimeofday () in
-        f ();
-        (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int n
-      in
-      let insert_ns =
-        per_op (fun () ->
-            for i = 0 to n - 1 do
-              Flowtab.add_new tab ~hi:(key_hi i) ~lo:(key_lo i) i
-            done)
-      in
-      let hit_ns =
-        per_op (fun () ->
-            for i = 0 to n - 1 do
-              sink := !sink + Flowtab.find tab ~hi:(key_hi i) ~lo:(key_lo i)
-            done)
-      in
-      let miss_ns =
-        per_op (fun () ->
-            for i = 0 to n - 1 do
-              (* key_hi never exceeds n, so hi + n + 1 is always absent *)
-              sink :=
-                !sink + Flowtab.find tab ~hi:(key_hi i + n + 1) ~lo:(key_lo i)
-            done)
-      in
-      let delete_ns =
-        per_op (fun () ->
-            for i = 0 to n - 1 do
-              ignore (Flowtab.remove tab ~hi:(key_hi i) ~lo:(key_lo i))
-            done)
-      in
-      if Flowtab.length tab <> 0 then
-        failwith "bench demux: table not empty after delete pass";
-      Printf.printf "  %-10d %9.1f ns %9.1f ns %9.1f ns %9.1f ns\n" n
-        insert_ns hit_ns miss_ns delete_ns;
-      Obj
-        [ ("flows", int n); ("insert_ns", Num insert_ns);
-          ("hit_ns", Num hit_ns); ("miss_ns", Num miss_ns);
-          ("delete_ns", Num delete_ns) ]
-    in
-    (Arr (List.map row sizes), [])
-
   (* Shard-count sweep of the cluster experiment: the digest column must
-     be constant (byte-identical results at any shard count) while the
-     critical path shrinks with the partition. *)
+     be constant (byte-identical results at any shard count; its one
+     claim) while the critical path shrinks with the partition. *)
   let cluster ~quick ~jobs:_ =
     Common.print_title "Sharded cluster (spine-leaf, shard-count sweep)";
     let duration = if quick then 50_000. else 200_000. in
@@ -392,13 +328,20 @@ module Bench = struct
       let eps = float_of_int r.Cluster.events /. wall in
       Printf.printf "  %-8d %10.3f s %12.0f %10.2fx %16Lx\n" shards wall eps
         (Cluster.speedup_available r) r.Cluster.digest;
-      Obj
-        [ ("shards", int shards); ("wall_s", Num wall);
-          ("events_per_sec", Num eps);
-          ("speedup_available", Num (Cluster.speedup_available r));
-          ("digest", Str (Printf.sprintf "%Lx" r.Cluster.digest)) ]
+      ( Obj
+          [ ("shards", int shards); ("wall_s", Num wall);
+            ("events_per_sec", Num eps);
+            ("speedup_available", Num (Cluster.speedup_available r));
+            ("digest", Str (Printf.sprintf "%Lx" r.Cluster.digest)) ],
+        r.Cluster.digest )
     in
-    (Arr (List.map row [ 1; 2; 4; 8 ]), [])
+    let rows = List.map row [ 1; 2; 4; 8 ] in
+    let digests = List.sort_uniq Int64.compare (List.map snd rows) in
+    ( Arr (List.map fst rows),
+      [ Common.claim "cluster.shard-invariant"
+          "one report digest at 1, 2, 4 and 8 shards (distinct digests)"
+          (float_of_int (List.length digests))
+          (List.length digests = 1) ] )
 
   let all =
     [ ("table1", table1); ("fig3", fig3); ("modern", modern);
@@ -406,7 +349,7 @@ module Bench = struct
       ("accounting", accounting); ("ablate-discard", ablate_discard);
       ("ablate-accounting", ablate_accounting);
       ("ablate-demux", ablate_demux); ("gateway", gateway);
-      ("trace", trace); ("demux", demux); ("cluster", cluster) ]
+      ("trace", trace); ("cluster", cluster) ]
 
   let claim_json (c : Common.claim) =
     Obj

@@ -38,7 +38,7 @@
    - [Simplif.eliminate_ref]: [let i = ref e in ...] where [i] only ever
      appears under [!], [:=], [incr] or [decr] compiles to a mutable
      variable with no allocation — the idiom every scan loop in
-     Eheap/Flowtab is written in.
+     Eheap/Chantab is written in.
    - Constant closures: a lambda with no free variables below the module
      level is statically allocated, as are format-string literals
      (constructor chains built at compile time). *)
@@ -299,7 +299,7 @@ let generic_call ctx ~loc name =
       (Printf.sprintf
          "%s probes the polymorphic Stdlib Hashtbl (caml_hash plus \
           closure-called equality); use Lrp_det.Itab for int keys or \
-          Lrp_core.Flowtab"
+          Lrp_core.Chantab for flow keys"
          name)
 
 (* A comparison operator at [ty] that ocamlopt cannot specialise. *)

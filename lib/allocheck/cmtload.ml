@@ -17,7 +17,6 @@ type func = {
   fn_name : string;  (* "drain", or "Sub.f" for submodule bindings *)
   fn_ident : Ident.t;
   fn_expr : Typedtree.expression;
-  fn_line : int;
   fn_inline : bool;  (* declared [let[@inline] ...] *)
 }
 
@@ -89,7 +88,6 @@ let funcs_of_structure (str : Typedtree.structure) =
                     fn_name = prefix ^ name.txt;
                     fn_ident = id;
                     fn_expr = vb.vb_expr;
-                    fn_line = vb.vb_loc.loc_start.pos_lnum;
                     fn_inline = List.exists is_inline vb.vb_attributes;
                   }
                   :: !funcs

@@ -38,6 +38,7 @@ let tag_for_rule = function
   | "P1" -> Some "stdout-ok"
   | "D1" -> Some "wallclock-ok"
   | "U1" -> Some "export-ok"
+  | "U2" -> Some "unused-ok"
   | _ -> None
 
 let claim supp ~rule ~line =
@@ -185,7 +186,8 @@ let check_ident ctx ~loc name =
    passed by name escapes this rule, but the construction site is then
    flagged instead the next time it is a literal — in practice the
    literal form is how every such table is used.)  The fix is a
-   packed-key table: Lrp_core.Flowtab. *)
+   packed-key table: Lrp_det.Itab for one int, Lrp_core.Chantab for a
+   flow. *)
 let d4_keyed_ops =
   [ "add"; "replace"; "find"; "find_opt"; "find_all"; "mem"; "remove" ]
 
@@ -204,7 +206,7 @@ let check_apply ctx ~loc name args =
       (Printf.sprintf
          "structural key in %s on a hot-path layer: polymorphic hashing \
           walks the tuple/record (and allocates it) on every probe; pack \
-          the key into ints and use Lrp_core.Flowtab"
+          the key into ints and use Lrp_det.Itab or Lrp_core.Chantab"
          name)
 
 (* Infix scalar comparisons [a = b] are fine even in D3 files (they compare

@@ -24,7 +24,7 @@ let lint =
     word = "lint";
     known =
       [ "domain-local"; "unordered-ok"; "stdout-ok"; "wallclock-ok";
-        "shared-ok"; "export-ok" ];
+        "shared-ok"; "export-ok"; "unused-ok" ];
   }
 
 type entry = { tag : string; line : int; mutable used : bool }

@@ -32,17 +32,11 @@ open Lrp_sim
 open Lrp_kernel
 module Trace = Lrp_trace.Trace
 
-type config = {
-  window : float;         (* sampling period, simulated microseconds *)
-  min_offered : int;      (* frames/window below which no verdict is made *)
-  collapse_frac : float;  (* delivered < frac * offered  =>  overload *)
-  livelock_share : float; (* overloaded + intr share >= this => livelock *)
-  starve_share : float;   (* process-work share <= this => starvation *)
-}
-
-let default_config =
-  { window = 10_000.; min_offered = 20; collapse_frac = 0.5;
-    livelock_share = 0.8; starve_share = 0.05 }
+let window = 10_000.        (* sampling period, simulated microseconds *)
+let min_offered = 20       (* frames/window below which no verdict is made *)
+let collapse_frac = 0.5    (* delivered < frac * offered  =>  overload *)
+let livelock_share = 0.8   (* overloaded + intr share >= this => livelock *)
+let starve_share = 0.05    (* process-work share <= this => starvation *)
 
 type report = {
   mutable samples : int;           (* windows examined *)
@@ -69,7 +63,6 @@ type report = {
 
 type t = {
   kernel : Kernel.t;
-  cfg : config;
   rep : report;
   mutable ev : Engine.handle;
   (* previous-sample counters, delta'd each window *)
@@ -93,7 +86,6 @@ let sample t =
   let cpu = Kernel.cpu k in
   let led = Cpu.ledger cpu in
   let rep = t.rep in
-  let cfg = t.cfg in
   let offered = s.Kernel.rx_frames in
   let delivered = delivered_count s in
   let hard = Cpu.time_hard cpu and soft = Cpu.time_soft cpu in
@@ -139,25 +131,25 @@ let sample t =
           end
       | _ -> ())
     (Lrp_core.Chantab.bindings (Kernel.chantab k) Lrp_core.Chantab.Udp_port);
-  if d_off >= cfg.min_offered then begin
+  if d_off >= min_offered then begin
     rep.judged <- rep.judged + 1;
     let ratio = float_of_int d_del /. float_of_int d_off in
     if ratio < rep.worst_delivery then rep.worst_delivery <- ratio;
-    let intr_share = d_intr /. cfg.window in
-    let proc_share = d_proc /. cfg.window in
-    let poll_share = d_poll /. cfg.window in
+    let intr_share = d_intr /. window in
+    let proc_share = d_proc /. window in
+    let poll_share = d_poll /. window in
     if intr_share > rep.peak_intr_share then rep.peak_intr_share <- intr_share;
     if poll_share > rep.peak_poll_share then rep.peak_poll_share <- poll_share;
-    if ratio < cfg.collapse_frac then begin
+    if ratio < collapse_frac then begin
       rep.overload_windows <- rep.overload_windows + 1;
       Trace.alarm tracer ~alarm:Trace.Overload ~a:d_off ~b:d_del;
-      if intr_share >= cfg.livelock_share then begin
+      if intr_share >= livelock_share then begin
         rep.livelock_windows <- rep.livelock_windows + 1;
         Trace.alarm tracer ~alarm:Trace.Livelock ~a:d_off
           ~b:(int_of_float (intr_share *. 100.))
       end
     end;
-    if proc_share <= cfg.starve_share then begin
+    if proc_share <= starve_share then begin
       rep.starved_windows <- rep.starved_windows + 1;
       Trace.alarm tracer ~alarm:Trace.Starvation
         ~a:(int_of_float (proc_share *. 100.))
@@ -165,9 +157,9 @@ let sample t =
     end
   end
 
-let attach ?(config = default_config) k =
+let attach k =
   let t =
-    { kernel = k; cfg = config;
+    { kernel = k;
       rep =
         { samples = 0; judged = 0; overload_windows = 0; livelock_windows = 0;
           starved_windows = 0; peak_offered = 0; worst_delivery = 1.;
@@ -179,9 +171,9 @@ let attach ?(config = default_config) k =
   in
   let engine = Kernel.engine k in
   t.ev <-
-    Engine.schedule_after engine ~delay:config.window (fun () ->
+    Engine.schedule_after engine ~delay:window (fun () ->
         sample t;
-        Engine.reschedule_after engine t.ev ~delay:config.window);
+        Engine.reschedule_after engine t.ev ~delay:window);
   t
 
 let detach t = Engine.cancel (Kernel.engine t.kernel) t.ev

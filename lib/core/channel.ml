@@ -65,13 +65,7 @@ let create ?(limit = 32) () =
 
 let id t = t.id
 
-type enqueue_result =
-  | Queued of [ `Was_empty | `Was_nonempty ]
-  | Discarded
-
-(* Alloc-free result codes for the per-packet fast path; {!enqueue} wraps
-   them in the structured variant for callers that prefer pattern
-   matching. *)
+(* [enqueue_code]'s results: ints, so admission allocates nothing. *)
 let discarded_code = 0
 let queued_was_empty = 1
 let queued_was_nonempty = 2
@@ -123,11 +117,6 @@ let enqueue_code t row =
     grow t;
     push t row
   end
-
-let enqueue t row =
-  let c = enqueue_code t row in
-  if c = discarded_code then Discarded
-  else Queued (if c = queued_was_empty then `Was_empty else `Was_nonempty)
 
 (* [pop_row t] dequeues the oldest frame's row: the caller owns the row
    from here and releases it once done with the frame.  [Parena.none]

@@ -35,24 +35,21 @@ val create : ?limit:int -> unit -> t
 val id : t -> int
 (** Unique channel identifier (used as a table key by the kernel). *)
 
-type enqueue_result = Queued of [ `Was_empty | `Was_nonempty ] | Discarded
+(** {2 Admission}
 
-val enqueue : t -> Lrp_net.Parena.handle -> enqueue_result
-(** What the NI does on packet arrival: early discard when the queue is
-    full or processing is disabled, FIFO append otherwise.  The transition
-    tag lets the caller implement interrupt suppression.  The caller
-    keeps a discarded row (and releases it). *)
-
-(** {2 Alloc-free fast path}
-
-    The per-packet hot path uses integer result codes so that admission
+    The per-packet hot path returns an integer code, so that admission
     allocates nothing. *)
 
 val discarded_code : int
 val queued_was_empty : int
+val queued_was_nonempty : int
 
 val enqueue_code : t -> Lrp_net.Parena.handle -> int
-(** {!enqueue} returning one of the codes above instead of a variant. *)
+(** What the NI does on packet arrival: early discard when the queue is
+    full or processing is disabled, FIFO append otherwise.  Returns one
+    of the codes above; the empty-to-nonempty transition lets the caller
+    implement interrupt suppression.  The caller keeps a discarded row
+    (and releases it). *)
 
 val pop_row : t -> Lrp_net.Parena.handle
 (** Dequeue the oldest frame's row: the caller owns the row and releases

@@ -16,10 +16,12 @@
       processing: a UDP port; the exact four-tuple, else the port's
       listener, for any segment.
 
-    Entries live in a single packed-key {!Flowtab}: a flow key is
-    [(namespace lsl 32) lor src-ip] / [(src-port lsl 16) lor dst-port],
-    so a probe is one integer-keyed robin-hood lookup — no tuple
-    allocation, no structural hashing. *)
+    Entries live in one open-addressing table over packed keys: a flow
+    key is [(namespace lsl 32) lor src-ip] /
+    [(src-port lsl 16) lor dst-port], so a probe is one integer-keyed
+    robin-hood lookup — no tuple allocation, no structural hashing.  The
+    layout, and so every slot code, is a pure function of the insert and
+    remove sequence. *)
 
 type 'a t
 (** A table of endpoints of type ['a]. *)
@@ -99,3 +101,7 @@ val unmatched : 'a t -> int
 val bindings : 'a t -> space -> 'a list
 (** A namespace's endpoints in key order: by port for UDP and listen
     entries, by remote address and ports for four-tuples. *)
+
+val max_probe : 'a t -> int
+(** Largest probe distance in the table (1 = at its home slot; 0 =
+    empty): the robin-hood clustering bound, for tests. *)

@@ -53,7 +53,6 @@ type t = {
   cells : Engine.t array;
   lookahead : float;
   exchange : unit -> int;
-  first_cell : int array;  (* shard s owns cells [first.(s), first.(s+1)) *)
   shard_events : int array;  (* per-shard events this epoch; one per shard *)
   (* [|key; bound|]: slot 0 carries next_key_into's keys, slot 1 the
      global min deadline and then the epoch's bound *)
@@ -96,7 +95,7 @@ let create ?(shards = 1) ~lookahead ~exchange cells =
      rack-by-rack keep their locality. *)
   let first_cell = Array.init (shards + 1) (fun s -> s * n / shards) in
   let shard_events = Array.make shards 0 and cell = [| 0.; 0. |] in
-  { cells; lookahead; exchange; first_cell; shard_events; cell;
+  { cells; lookahead; exchange; shard_events; cell;
     work = shard_work cells first_cell shard_events cell; team = None;
     epochs = 0; messages = 0; events_total = 0; events_critical = 0 }
 

@@ -16,8 +16,8 @@ type discard_row = {
   queue_delay_ms : float;  (* rough staleness: backlog / delivery rate *)
 }
 
-let discard ?(rate = 20_000.) ?(duration = Time.sec 2.) ?(jobs = 1)
-    ?(seed = Common.default_seed) () =
+let discard ?(jobs = 1) ?(seed = Common.default_seed) () =
+  let rate = 20_000. and duration = Time.sec 2. in
   let run seed bounded =
     let cfg = Kernel.default_config Kernel.Ni_lrp in
     let cfg =
@@ -76,8 +76,8 @@ type accounting_row = {
   receiver_billed : float;     (* what the scheduler charged the receiver *)
 }
 
-let accounting ?(duration = Time.sec 8.) ?(jobs = 1)
-    ?(seed = Common.default_seed) () =
+let accounting ?(jobs = 1) ?(seed = Common.default_seed) () =
+  let duration = Time.sec 8. in
   let run seed fair =
     (* A small MSS and a cheap copy make per-segment protocol processing
        (the APP thread's work) dominate, so the accounting policy is what
@@ -181,9 +181,8 @@ let accounting_claims rows =
 
 type demux_row = { demux_us : float; delivered : float }
 
-let demux_cost ?(rate = 20_000.) ?(duration = Time.sec 1.5)
-    ?(costs = [ 4.; 8.; 16.; 32. ]) ?(jobs = 1)
-    ?(seed = Common.default_seed) () =
+let demux_cost ?(jobs = 1) ?(seed = Common.default_seed) () =
+  let rate = 20_000. and duration = Time.sec 1.5 in
   Common.sweep ~jobs
     (fun i demux_us ->
       let costs = { Cost.default with Cost.demux = demux_us } in
@@ -195,7 +194,7 @@ let demux_cost ?(rate = 20_000.) ?(duration = Time.sec 1.5)
       World.run w ~until:duration;
       { demux_us;
         delivered = float_of_int sink.Blast.received *. 1e6 /. duration })
-    costs
+    [ 4.; 8.; 16.; 32. ]
 
 let print_demux_cost rows =
   Common.print_title

@@ -25,9 +25,7 @@ type discard_row = {
   backlog : int;
   queue_delay_ms : float;
 }
-val discard :
-  ?rate:float -> ?duration:Lrp_engine.Time.t -> ?jobs:int -> ?seed:int ->
-  unit -> discard_row list
+val discard : ?jobs:int -> ?seed:int -> unit -> discard_row list
 val print_discard : discard_row list -> unit
 val discard_claims : discard_row list -> Common.claim list
 type accounting_row = {
@@ -36,15 +34,10 @@ type accounting_row = {
   receiver_share : float;
   receiver_billed : float;
 }
-val accounting :
-  ?duration:Lrp_engine.Time.t -> ?jobs:int -> ?seed:int -> unit ->
-  accounting_row list
+val accounting : ?jobs:int -> ?seed:int -> unit -> accounting_row list
 val print_accounting : accounting_row list -> unit
 val accounting_claims : accounting_row list -> Common.claim list
 type demux_row = { demux_us : float; delivered : float; }
-val demux_cost :
-  ?rate:float ->
-  ?duration:Lrp_engine.Time.t -> ?costs:float list -> ?jobs:int ->
-  ?seed:int -> unit -> demux_row list
+val demux_cost : ?jobs:int -> ?seed:int -> unit -> demux_row list
 val print_demux_cost : demux_row list -> unit
 val demux_claims : demux_row list -> Common.claim list

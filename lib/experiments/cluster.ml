@@ -46,7 +46,7 @@ let blast_port = 9000
 
 let run ?(seed = Common.default_seed) ?(racks = default_racks)
     ?(hosts_per_rack = default_hosts_per_rack) ?(shards = 1)
-    ?(rate = 2000.) ?(duration = Time.ms 200.) ?(trace = true) () =
+    ?(rate = 2000.) ?(duration = Time.ms 200.) () =
   let cfg = Common.config_of_system Common.Soft_lrp in
   let topo =
     Topology.spine_leaf ~seed ~racks ~hosts_per_rack ~cfg ()
@@ -57,7 +57,7 @@ let run ?(seed = Common.default_seed) ?(racks = default_racks)
     Topology.on_cell topo r (fun (cell : Topology.cell) ->
         (* Recorders on the first host of each rack only: full rings on
            all 64 hosts would be ~128 MB for no extra coverage. *)
-        if trace then Kernel.set_tracing cell.kernels.(0) true;
+        Kernel.set_tracing cell.kernels.(0) true;
         Array.iter
           (fun k -> sinks := Blast.start_sink k ~port:blast_port () :: !sinks)
           cell.kernels;
@@ -97,25 +97,22 @@ let run ?(seed = Common.default_seed) ?(racks = default_racks)
       0 (Topology.cells topo)
   in
   let dump =
-    if not trace then ""
-    else begin
-      let streams =
-        Array.to_list
-          (Array.map
-             (fun (c : Topology.cell) ->
-               (c.Topology.cell_id, Kernel.tracer c.Topology.kernels.(0)))
-             (Topology.cells topo))
-      in
-      let buf = Buffer.create 4096 in
-      let fmt = Format.formatter_of_buffer buf in
-      List.iter
-        (fun (stream, ts, seq, ev) ->
-          Format.fprintf fmt "r%d %12.1f [%6d] %a@." stream ts seq
-            Lrp_trace.Trace.pp_event ev)
-        (Lrp_trace.Trace.merged_events streams);
-      Format.pp_print_flush fmt ();
-      Buffer.contents buf
-    end
+    let streams =
+      Array.to_list
+        (Array.map
+           (fun (c : Topology.cell) ->
+             (c.Topology.cell_id, Kernel.tracer c.Topology.kernels.(0)))
+           (Topology.cells topo))
+    in
+    let buf = Buffer.create 4096 in
+    let fmt = Format.formatter_of_buffer buf in
+    List.iter
+      (fun (stream, ts, seq, ev) ->
+        Format.fprintf fmt "r%d %12.1f [%6d] %a@." stream ts seq
+          Lrp_trace.Trace.pp_event ev)
+      (Lrp_trace.Trace.merged_events streams);
+    Format.pp_print_flush fmt ();
+    Buffer.contents buf
   in
   let report_text =
     Printf.sprintf

@@ -27,7 +27,7 @@ val run :
   ?racks:int ->
   ?hosts_per_rack:int ->
   ?shards:int ->
-  ?rate:float -> ?duration:float -> ?trace:bool -> unit -> result
+  ?rate:float -> ?duration:float -> unit -> result
 (** Defaults: 8 racks x 8 SOFT-LRP hosts, 200 ms, each host sinking on
     port 9000 and sourcing one intra-rack (at [rate], default 2000 pkt/s)
     and one cross-rack (at [rate/2]) blast stream; recorders on each

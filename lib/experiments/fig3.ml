@@ -56,11 +56,11 @@ let default_rates =
   [ 1_000.; 2_000.; 4_000.; 6_000.; 8_000.; 10_000.; 12_000.; 14_000.;
     16_000.; 18_000.; 20_000.; 22_000.; 25_000. ]
 
-let run ?(quick = false) ?(rates = default_rates) ?(jobs = 1)
-    ?(seed = Common.default_seed) () =
+let run ?(quick = false) ?(jobs = 1) ?(seed = Common.default_seed) () =
   let duration = if quick then Time.ms 400. else Time.sec 2. in
   let rates =
-    if quick then [ 2_000.; 6_000.; 8_000.; 10_000.; 14_000.; 20_000. ] else rates
+    if quick then [ 2_000.; 6_000.; 8_000.; 10_000.; 14_000.; 20_000. ]
+    else default_rates
   in
   List.map
     (fun (system, points) -> { system; points })

@@ -28,8 +28,7 @@ val measure_traced :
 val default_rates : float list
 
 val run :
-  ?quick:bool -> ?rates:float list -> ?jobs:int -> ?seed:int -> unit ->
-  row list
+  ?quick:bool -> ?jobs:int -> ?seed:int -> unit -> row list
 (** Every (system, rate) point is an independent simulation; [jobs]
     (default 1) fans them out over that many domains.  Results are
     identical for any [jobs]: each point runs in its own engine seeded

@@ -58,10 +58,9 @@ let default_rates =
   [ 0.; 1_000.; 2_000.; 4_000.; 6_000.; 8_000.; 10_000.; 12_000.; 14_000.;
     16_000.; 20_000. ]
 
-let run ?(quick = false) ?(rates = default_rates) ?(jobs = 1)
-    ?(seed = Common.default_seed) () =
+let run ?(quick = false) ?(jobs = 1) ?(seed = Common.default_seed) () =
   let duration = if quick then Time.sec 2. else Time.sec 8. in
-  let rates = if quick then [ 0.; 6_000.; 12_000.; 20_000. ] else rates in
+  let rates = if quick then [ 0.; 6_000.; 12_000.; 20_000. ] else default_rates in
   List.map
     (fun (system, points) -> { system; points })
     (Common.grid ~jobs ~seed Common.fig5_systems rates (fun ~seed sys r ->

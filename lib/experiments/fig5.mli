@@ -15,8 +15,7 @@ type point = {
 }
 type row = { system : Common.system; points : point list; }
 val run :
-  ?quick:bool -> ?rates:float list -> ?jobs:int -> ?seed:int -> unit ->
-  row list
+  ?quick:bool -> ?jobs:int -> ?seed:int -> unit -> row list
 (** [jobs] fans the (system, rate) grid out over that many domains;
     results are identical for any [jobs]. *)
 

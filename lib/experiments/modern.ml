@@ -37,13 +37,12 @@ let default_rates = Fig3.default_rates @ [ 28_000.; 30_000. ]
 
 (* --- seven-way throughput comparison ----------------------------------- *)
 
-let run ?(quick = false) ?(rates = default_rates) ?(jobs = 1)
-    ?(seed = Common.default_seed) () =
+let run ?(quick = false) ?(jobs = 1) ?(seed = Common.default_seed) () =
   let duration = if quick then Time.ms 400. else Time.sec 2. in
   let rates =
     if quick then
       [ 2_000.; 6_000.; 8_000.; 10_000.; 14_000.; 20_000.; 25_000.; 30_000. ]
-    else rates
+    else default_rates
   in
   List.map
     (fun (system, points) -> { system; points })
@@ -160,11 +159,11 @@ let measure_reorder ?(seed = Common.default_seed) ~coalesce_us ~fabric_faults
 
 let default_coalesce_sweep = [ 0.; 100.; 250.; 500.; 1_000. ]
 
-let run_reorder ?(quick = false) ?(sweep = default_coalesce_sweep)
-    ?(jobs = 1) ?(seed = Common.default_seed) () =
+let run_reorder ?(quick = false) ?(jobs = 1) ?(seed = Common.default_seed) ()
+    =
   let duration = if quick then Time.ms 500. else Time.sec 2. in
   List.concat_map snd
-    (Common.grid ~jobs ~seed [ false; true ] sweep
+    (Common.grid ~jobs ~seed [ false; true ] default_coalesce_sweep
        (fun ~seed fabric_faults coalesce_us ->
          measure_reorder ~seed ~coalesce_us ~fabric_faults ~duration ()))
 

@@ -11,9 +11,7 @@
 
 type row = Fig3.row = { system : Common.system; points : Fig3.point list }
 
-val run :
-  ?quick:bool ->
-  ?rates:float list -> ?jobs:int -> ?seed:int -> unit -> row list
+val run : ?quick:bool -> ?jobs:int -> ?seed:int -> unit -> row list
 
 type reorder_point = {
   coalesce_us : float;    (** NIC hold-off swept *)
@@ -28,8 +26,7 @@ val count_inversions : int array -> int
     array is sorted in place).  Exposed for the test suite. *)
 
 val run_reorder :
-  ?quick:bool ->
-  ?sweep:float list -> ?jobs:int -> ?seed:int -> unit -> reorder_point list
+  ?quick:bool -> ?jobs:int -> ?seed:int -> unit -> reorder_point list
 
 val print : row list -> unit
 val print_reorder : reorder_point list -> unit

@@ -71,6 +71,7 @@ let frag_count ~header ~bytes =
 
 let socket_dgram () = Socket.create Socket.Dgram
 
+(* lint: unused-ok — perfbench passes a kernel; ROADMAP item 19 drops it *)
 let socket_stream k =
   ignore k;
   Socket.create Socket.Stream

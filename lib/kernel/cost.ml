@@ -52,10 +52,8 @@ type t = {
   mbuf_free : float;      (* releasing a packet's mbuf chain *)
   ipq_op : float;         (* shared IP queue enqueue or dequeue *)
   copy_per_byte : float;
-  wakeup : float;         (* sleep/wakeup machinery *)
   (* process *)
   ctx_switch : float;
-  fork : float;
   (* locality model *)
   eager_penalty : float;  (* >= 1: protocol work in interrupt context *)
   lazy_locality : float;  (* <= 1: batched protocol work in process context *)
@@ -78,8 +76,8 @@ let default =
     driver_tx = 12.;
     syscall = 55.; sockq = 6.; sockbuf_append = 4.; sockbuf_op = 15.;
     mbuf_free = 8.; ipq_op = 2.;
-    copy_per_byte = 0.085; wakeup = 8.;
-    ctx_switch = 18.; fork = 900.;
+    copy_per_byte = 0.085;
+    ctx_switch = 18.;
     eager_penalty = 1.2; lazy_locality = 0.9;
     napi_irq = 6.; poll_dequeue = 9.; poll_loop = 2.; gro_merge = 2. }
 

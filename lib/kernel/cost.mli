@@ -45,9 +45,7 @@ type t = {
   mbuf_free : float;
   ipq_op : float;
   copy_per_byte : float;
-  wakeup : float;
   ctx_switch : float;
-  fork : float;
   eager_penalty : float;
   lazy_locality : float;
   napi_irq : float;

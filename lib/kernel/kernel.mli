@@ -175,7 +175,7 @@ type t = private {
       (** the demux table: every endpoint, by UDP port, four-tuple or
           listen port; the LRP kernels' NI classification and the eager
           kernels' PCB lookup both read it *)
-  eps : ep Lrp_core.Flowtab.t;  (** connections and listeners by conn id *)
+  eps : ep Lrp_det.Itab.t;  (** connections and listeners by conn id *)
   parena : Lrp_net.Parena.t;
       (** the cell's frame pool, shared with the NIC and the fabric: every
           frame the kernel holds is a row here, under every architecture
@@ -309,7 +309,7 @@ val lrp_recv_one : t -> Lrp_core.Channel.t -> bool
 
 val rss_steer : Lrp_net.Parena.t -> Lrp_net.Parena.handle -> queues:int -> int
 (** RSS queue placement: a deterministic integer mix over the packed
-    flow key ([hi]/[lo] as the Flowtab probe packs them) — no tuple
+    flow key ([hi]/[lo] as the Chantab probe packs them) — no tuple
     allocation, no structural hashing, stable across seeds and shard
     counts.  Fragments steer by IP ident so one datagram's pieces share
     a ring. *)

@@ -93,16 +93,15 @@ type port = {
    is partitioned into cells (Lrp_engine.Shardsim).  A frame whose
    destination resolves to another cell serialises through the uplink
    port, then sits in the SoA outbox until the coordinator's barrier
-   drains it towards the destination cell's fabric; [up_min_latency] is
-   the conservative-lookahead bound the coordinator relies on, so every
-   route latency [up_latency] returns must be >= it.  All uplink state is
+   drains it towards the destination cell's fabric; [set_uplink]'s
+   [min_latency] is the conservative-lookahead bound the coordinator
+   relies on, so every route latency [up_latency] returns must be >= it.  All uplink state is
    written only by the owning cell (while it advances) or at barriers —
    never by two domains at once. *)
 type uplink = {
   up_cell : int;                    (* this fabric's cell id *)
   up_resolve : Packet.ip -> int;    (* destination cell, or -1 = off-net *)
   up_latency : int -> float;        (* spine route latency to a cell, us *)
-  up_min_latency : float;
   up_bandwidth : float;             (* bytes/us *)
   up_busy : float array;            (* 1-slot cell: uplink port busy until *)
   (* SoA outbox: parallel columns, drained at barriers in index order so
@@ -466,7 +465,6 @@ let set_uplink t ~cell ~resolve ~latency ~min_latency
   t.uplink <-
     Some
       { up_cell = cell; up_resolve = resolve; up_latency = latency;
-        up_min_latency = min_latency;
         up_bandwidth = Nic.mbps_to_bytes_per_us bandwidth_mbps;
         up_busy = [| Time.zero |];
         ob_ready = [||]; ob_dst = [||]; ob_row = [||]; ob_len = 0;
@@ -516,9 +514,7 @@ let uplink_stats t =
 let pool t = t.pool
 
 (* Build a NIC on the fabric's pool and attach it. *)
-let make_nic t ~ip ?bandwidth_mbps ?cellify ?ifq_limit () =
-  let nic =
-    Nic.create t.engine ~pool:t.pool ~ip ?bandwidth_mbps ?cellify ?ifq_limit ()
-  in
+let make_nic t ~ip ?cellify ?ifq_limit () =
+  let nic = Nic.create t.engine ~pool:t.pool ~ip ?cellify ?ifq_limit () in
   attach t nic;
   nic

@@ -75,13 +75,12 @@ type port = {
     {e outbox} instead of being delivered locally.  The coordinator
     drains outboxes at epoch barriers ({!drain_outbox}) and injects each
     frame into the destination cell ({!inject_remote}) at its ready
-    time; [up_min_latency] lower-bounds send-to-effect distance and is
-    the shard scheduler's lookahead window. *)
+    time; {!set_uplink}'s [min_latency] lower-bounds send-to-effect
+    distance and is the shard scheduler's lookahead window. *)
 type uplink = {
   up_cell : int;                       (** this fabric's cell id *)
   up_resolve : Packet.ip -> int;       (** destination cell, -1 = unknown *)
   up_latency : int -> float;           (** cross-link latency to a cell *)
-  up_min_latency : float;              (** infimum of [up_latency] *)
   up_bandwidth : float;                (** uplink rate, bytes/us *)
   up_busy : float array;               (** 1-slot cell: uplink busy until *)
   mutable ob_ready : float array;      (** outbox: arrival deadline *)
@@ -209,6 +208,4 @@ val pool : t -> Parena.t
 
 val make_nic :
   t ->
-  ip:Packet.ip ->
-  ?bandwidth_mbps:float ->
-  ?cellify:bool -> ?ifq_limit:int -> unit -> Nic.t
+  ip:Packet.ip -> ?cellify:bool -> ?ifq_limit:int -> unit -> Nic.t

@@ -82,11 +82,11 @@ type t = {
 let mbps_to_bytes_per_us mbps = mbps *. 1e6 /. 8. /. 1e6
 
 (* A NIC made alone has a pool of its own; {!Fabric.make_nic} passes the
-   fabric's. *)
-let create engine ?(pool = Parena.create ()) ~ip ?(bandwidth_mbps = 155.)
-    ?(cellify = true) ?(ifq_limit = 64) () =
+   fabric's.  Its link runs at 155 Mbit/s (the paper's ATM). *)
+let create engine ?(pool = Parena.create ()) ~ip ?(cellify = true)
+    ?(ifq_limit = 64) () =
   { engine; ip;
-    bandwidth = mbps_to_bytes_per_us bandwidth_mbps; cellify; ifq_limit; pool;
+    bandwidth = mbps_to_bytes_per_us 155.; cellify; ifq_limit; pool;
     ifq = Array.make (max 1 ifq_limit) Parena.none;
     ifq_wire = Array.make (max 1 ifq_limit) 0;
     ifq_head = 0; ifq_count = 0; tx_busy = false;

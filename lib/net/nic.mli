@@ -76,7 +76,7 @@ val create :
   Lrp_engine.Engine.t ->
   ?pool:Parena.t ->
   ip:Packet.ip ->
-  ?bandwidth_mbps:float -> ?cellify:bool -> ?ifq_limit:int -> unit -> t
+  ?cellify:bool -> ?ifq_limit:int -> unit -> t
 (** A NIC drawing its frames' rows from [pool] (a fabric passes its
     cell's); without one it makes its own. *)
 

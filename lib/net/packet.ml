@@ -32,13 +32,8 @@ let fin = 4
 let rst = 8
 let psh = 16
 
-let flags ?(syn = false) ?(ack = false) ?(fin = false) ?(rst = false)
-    ?(psh = false) () =
-  (if syn then 1 else 0)
-  lor (if ack then 2 else 0)
-  lor (if fin then 4 else 0)
-  lor (if rst then 8 else 0)
-  lor if psh then 16 else 0
+let flags ?(syn = false) ?(ack = false) () =
+  (if syn then 1 else 0) lor if ack then 2 else 0
 
 let flags_ack = ack
 let flags_ack_psh = ack lor psh

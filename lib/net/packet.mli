@@ -29,8 +29,7 @@ val fin : int
 val rst : int
 val psh : int
 
-val flags :
-  ?syn:bool -> ?ack:bool -> ?fin:bool -> ?rst:bool -> ?psh:bool -> unit -> int
+val flags : ?syn:bool -> ?ack:bool -> unit -> int
 
 (** The combinations TCP emits. *)
 

@@ -166,7 +166,7 @@ let requeue t th =
   t.next_seq <- t.next_seq + 1;
   th.quantum <- 0
 
-let charge_tick _t th =
+let charge_tick th =
   let target = target th in
   let cpu = target.p_cpu in
   let v = cpu.(0) +. 1. in

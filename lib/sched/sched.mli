@@ -96,7 +96,7 @@ val requeue : t -> thread -> unit
 
 (** {1 Clock hooks (driven by the simulator's periodic events)} *)
 
-val charge_tick : t -> thread -> unit
+val charge_tick : thread -> unit
 (** One scheduler tick elapsed with [thread] current: charge its [p_cpu]
     (or its accounting target's), recompute priority, advance its quantum.
     Use {!quantum_expired} afterwards to decide on a round-robin. *)

@@ -524,11 +524,11 @@ let tick t =
      mis-accounting — the one an interrupt-level segment interrupted. *)
   if t.run_cls = c_user then begin
     let th = t.run_proc.Proc.thread in
-    Sched.charge_tick t.sched th;
+    Sched.charge_tick th;
     if Sched.quantum_expired th then Sched.requeue t.sched th
   end
   else if t.run_cls <> c_idle && t.cur_proc != Proc.none then
-    Sched.charge_tick t.sched t.cur_proc.Proc.thread;
+    Sched.charge_tick t.cur_proc.Proc.thread;
   (* Ticks are a BSD preemption point: priorities were just recomputed. *)
   t.force_resched <- true;
   leave t e

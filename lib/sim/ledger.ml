@@ -169,7 +169,7 @@ type row = {
 
 let misaccounted r = r.intr_victim +. r.soft_victim
 
-type flow_row = { flow : int; f_soft : float; f_proto : float; f_poll : float }
+type flow_row = { flow : int; f_proto : float }
 
 let exited_pid = max_int
 let closed_flow = max_int
@@ -178,7 +178,7 @@ let row pid name c =
   { pid; name; intr_victim = c.(0); soft_victim = c.(1); proto = c.(2);
     poll = c.(3); app = c.(4) }
 
-let flow_row flow c = { flow; f_soft = c.(1); f_proto = c.(2); f_poll = c.(3) }
+let flow_row flow c = { flow; f_proto = c.(2) }
 
 (* Live rows in key order, then the aggregate once something retired. *)
 let rows t =

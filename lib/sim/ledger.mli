@@ -79,7 +79,7 @@ val misaccounted : row -> float
 (** Cycles charged to this process that belong to interrupt-level work —
     the paper's mis-accounting metric ([intr_victim + soft_victim]). *)
 
-type flow_row = { flow : int; f_soft : float; f_proto : float; f_poll : float }
+type flow_row = { flow : int; f_proto : float }
 
 val exited_pid : int
 (** Key of the aggregate row of every retired pid, named ["(exited)"]. *)

@@ -62,6 +62,7 @@ let none =
   in
   none
 
+(* lint: unused-ok — perfbench names its queues; ROADMAP item 19 drops it *)
 let waitq (_ : string) : waitq = Block { tail = none } (* alloc: cold — once per queue *)
 
 let make ~pid ~name ~thread ~working_set ~now body =

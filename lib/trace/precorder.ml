@@ -4,7 +4,7 @@
    Events live in four parallel ring columns (SoA, like the packet arenas
    in lib/core): an int kind, a flat float timestamp, an int ident (the
    packet ident, or -1) and one int packing the event's two small
-   arguments the way Flowtab packs flow keys.  Recording an event is four
+   arguments the way Chantab packs flow keys.  Recording an event is four
    array stores and a handful of int ops — no allocation — and the
    timestamp comes straight out of the owner's 1-slot clock array
    ({!Lrp_engine.Engine.clock_cell} for kernels), so no boxed-closure
@@ -47,7 +47,7 @@ let recorded t = t.seq
 
 (* --- argument packing --------------------------------------------------- *)
 
-(* Two small ints in one word, Flowtab-style.  The +1 offset makes the -1
+(* Two small ints in one word, as Chantab packs a flow key.  The +1 offset makes the -1
    "not applicable" sentinel encodable; each argument gets 31 bits, so the
    packed word fits a 63-bit OCaml int with a bit to spare. *)
 

@@ -4,7 +4,7 @@
     is four fixed-width words spread over parallel ring columns — int
     kind, flat float timestamp, int ident, and one int packing the
     event's two small arguments ([a]/[b], each 31 bits with a [-1]
-    sentinel, Flowtab-style).  {!record} performs four array stores and no
+    sentinel, packed the way Chantab packs flow keys).  {!record} performs four array stores and no
     allocation; the timestamp is copied from the owner's 1-slot clock
     array ({!Lrp_engine.Engine.clock_cell} for simulations), avoiding the
     boxed float a [unit -> float] clock closure would allocate per read.

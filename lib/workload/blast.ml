@@ -55,11 +55,11 @@ type sink = {
 
 (* [start_sink kern ~port ()] spawns the blast-server process: bind, then
    receive and discard in a loop. *)
-let start_sink kern ?(nice = 0) ~port () =
+let start_sink kern ~port () =
   let sock = Api.socket_dgram () in
   let sink = { sock; received = 0 } in
   let _proc =
-    Cpu.spawn (Kernel.cpu kern) ~nice ~name:(Printf.sprintf "blast-sink:%d" port)
+    Cpu.spawn (Kernel.cpu kern) ~name:(Printf.sprintf "blast-sink:%d" port)
       (fun self ->
         Api.bind kern sock ~owner:(Some self) ~port;
         let dg = Api.dgram () in

@@ -23,7 +23,7 @@ type sink = {
   sock : Lrp_kernel.Socket.t;
   mutable received : int;
 }
-val start_sink : Lrp_kernel.Kernel.t -> ?nice:int -> port:int -> unit -> sink
+val start_sink : Lrp_kernel.Kernel.t -> port:int -> unit -> sink
 
 val flood :
   client:Lrp_kernel.Kernel.t ->

@@ -24,7 +24,8 @@ let service_us = 4_000.
 let request_bytes = 100
 
 (* [start_server kern ~port ()] spawns the httpd master process. *)
-let start_server kern ?(port = 80) ?(backlog = 5) () =
+let start_server kern ?(port = 80) () =
+  let backlog = 5 in
   let st = { accepted = 0; served = 0 } in
   ignore
     (Cpu.spawn (Kernel.cpu kern) ~name:"httpd" (fun self ->

@@ -9,8 +9,7 @@
 type server_stats = { mutable accepted : int; mutable served : int; }
 val start_server :
   Lrp_kernel.Kernel.t ->
-  ?port:int ->
-  ?backlog:int -> unit -> server_stats
+  ?port:int -> unit -> server_stats
 (** The httpd master on [port] (default 80, backlog 5): 900 us to fork a
     child per connection, 4 ms of service time per request, a 1300-byte
     document. *)

@@ -29,8 +29,8 @@ type client = {
   mutable rounds_done : int;
 }
 
-(* Ping-pong client: [rounds] request/reply exchanges of [size] bytes. *)
-let start_client kern ~dst ~rounds ?(size = 1) () =
+(* Ping-pong client: [rounds] request/reply exchanges of one byte. *)
+let start_client kern ~dst ~rounds () =
   let t =
     { rtts = Lrp_stats.Stats.Samples.create (); rounds_done = 0 }
   in
@@ -42,7 +42,7 @@ let start_client kern ~dst ~rounds ?(size = 1) () =
         let reply = Api.dgram () in
         for _ = 1 to rounds do
           let t0 = Engine.now engine in
-          Api.sendto kern ~self sock ~dst (Payload.synthetic size);
+          Api.sendto kern ~self sock ~dst (Payload.synthetic 1);
           Api.recvfrom kern sock reply;
           Lrp_stats.Stats.Samples.add t.rtts (Engine.now engine -. t0);
           t.rounds_done <- t.rounds_done + 1
@@ -58,8 +58,10 @@ type probe = {
 
 (* Latency probe for the Figure-4 experiment: ping-pong continuously until
    [until], with a per-round timeout so that lost probes (e.g. BSD dropping
-   at the shared IP queue under background load) don't wedge the client. *)
-let start_probe kern ~dst ?(size = 1) ?(timeout = Time.ms 200.) ~until () =
+   at the shared IP queue under background load) don't wedge the client:
+   one-byte probes, each waited for at most 200 ms. *)
+let start_probe kern ~dst ~until () =
+  let timeout = Time.ms 200. in
   let t =
     { probe_rtts = Lrp_stats.Stats.Samples.create (); probe_sent = 0;
       probe_lost = 0 }
@@ -73,7 +75,7 @@ let start_probe kern ~dst ?(size = 1) ?(timeout = Time.ms 200.) ~until () =
          let rec round () =
            if Engine.now engine < until then begin
              let t0 = Engine.now engine in
-             Api.sendto kern ~self sock ~dst (Payload.synthetic size);
+             Api.sendto kern ~self sock ~dst (Payload.synthetic 1);
              t.probe_sent <- t.probe_sent + 1;
              if Api.recvfrom_timeout kern sock reply ~timeout then
                Lrp_stats.Stats.Samples.add t.probe_rtts

@@ -9,7 +9,7 @@ type client = {
 val start_client :
   Lrp_kernel.Kernel.t ->
   dst:Lrp_net.Packet.ip * Lrp_net.Packet.port ->
-  rounds:int -> ?size:int -> unit -> client
+  rounds:int -> unit -> client
 type probe = {
   probe_rtts : Lrp_stats.Stats.Samples.t;
   mutable probe_sent : int;
@@ -18,4 +18,4 @@ type probe = {
 val start_probe :
   Lrp_kernel.Kernel.t ->
   dst:Lrp_net.Packet.ip * Lrp_net.Packet.port ->
-  ?size:int -> ?timeout:float -> until:Lrp_engine.Time.t -> unit -> probe
+  until:Lrp_engine.Time.t -> unit -> probe

@@ -87,11 +87,6 @@ let start_collector kern ~port ~completed result =
         in
         try loop () with Api.Socket_closed -> ()))
 
-type setup = {
-  result : result;
-  mutable injected : int;
-}
-
 (* The worker's working set (cache footprint, us of refill), and the cap
    on requests outstanding per RPC server. *)
 let worker_ws = 300.
@@ -99,8 +94,8 @@ let outstanding_limit = 28
 
 (* [run world ~server ~client ~cls ()] wires the full Table-2 scenario and
    runs it to worker completion. *)
-let run world ~server ~client ~cls ?(worker_cpu = Time.sec 11.5)
-    ?(until = Time.sec 120.) () =
+let run world ~server ~client ~cls ?(worker_cpu = Time.sec 11.5) () =
+  let until = Time.sec 120. in
   let engine = World.engine world in
   let result =
     { worker_started = 0.; worker_finished = None; rpcs_completed = 0;
@@ -131,7 +126,6 @@ let run world ~server ~client ~cls ?(worker_cpu = Time.sec 11.5)
   (* In-kernel request injector: near-uniform in time, alternating between
      the two servers, capped outstanding so the servers never starve but
      arrivals stay uncorrelated with scheduling. *)
-  let setup = { result; injected = 0 } in
   let sip = Kernel.ip_address server and cip = Kernel.ip_address client in
   let request = Payload.synthetic 32 in
   (* The injection grid adapts to the servers' delivered rate so that (1)
@@ -169,8 +163,7 @@ let run world ~server ~client ~cls ?(worker_cpu = Time.sec 11.5)
           (Nic.transmit_row nic
              (Parena.udp (Nic.pool nic) ~src:cip ~dst:sip ~src_port:reply_port
                 ~dst_port:port request));
-        incr sent;
-        setup.injected <- setup.injected + 1
+        incr sent
       end;
       (* Jittered grid: keeps arrivals near-uniform and uncorrelated with
          completions even when the outstanding gate binds. *)

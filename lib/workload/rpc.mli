@@ -23,13 +23,12 @@ type result = {
   mutable window_rpcs : int;
   worker_cpu : float;
 }
-type setup = { result : result; mutable injected : int; }
 val run :
   World.t ->
   server:Lrp_kernel.Kernel.t ->
   client:Lrp_kernel.Kernel.t ->
   cls:cls ->
-  ?worker_cpu:float -> ?until:Lrp_engine.Time.t -> unit -> result
+  ?worker_cpu:float -> unit -> result
 val worker_elapsed : result -> float
 val rpc_rate : result -> float
 val worker_share : result -> float

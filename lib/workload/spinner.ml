@@ -7,8 +7,8 @@
 
 open Lrp_sim
 
-let start cpu ?(nice = 20) ?(name = "spinner") ?(working_set = 0.) () =
-  Cpu.spawn cpu ~nice ~working_set ~name (fun _self ->
+let start cpu ?(nice = 20) ?(name = "spinner") () =
+  Cpu.spawn cpu ~nice ~name (fun _self ->
       let rec loop () =
         (Cpu.cost_cell cpu).(0) <- 1_000.;
         Cpu.compute cpu;

@@ -7,4 +7,4 @@
 
 val start :
   Lrp_sim.Cpu.t ->
-  ?nice:int -> ?name:string -> ?working_set:float -> unit -> Lrp_sim.Proc.t
+  ?nice:int -> ?name:string -> unit -> Lrp_sim.Proc.t

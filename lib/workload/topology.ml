@@ -38,7 +38,6 @@ type inbox = {
 type t = {
   cells : cell array;
   racks : int;
-  hosts_per_rack : int;
   lookahead : float;
   inbox : inbox array;                (* per destination cell *)
   ready : float array;                (* 1-slot: staged by drain_outbox *)
@@ -124,7 +123,7 @@ let spine_leaf ?(seed = 42) ~racks ~hosts_per_rack ~cfg () =
           in_len = 0 })
   and ready = [| 0. |] in
   let cells = Array.init racks make_cell in
-  { cells; racks; hosts_per_rack; lookahead = spine_latency_us; inbox; ready;
+  { cells; racks; lookahead = spine_latency_us; inbox; ready;
     pool_of = (fun c -> Fabric.pool cells.(c).fabric);
     collect = (fun dst row -> push inbox.(dst) ready row) }
 

@@ -13,9 +13,9 @@ type t = {
   mutable hosts : (string * Kernel.t) list;
 }
 
-let make ?(seed = 42) ?bandwidth_mbps () =
+let make ?(seed = 42) () =
   let engine = Engine.create ~seed () in
-  let fabric = Fabric.create engine ?bandwidth_mbps () in
+  let fabric = Fabric.create engine () in
   { engine; fabric; hosts = [] }
 
 let host_ip i = Packet.ip_of_quad 10 0 0 (10 + i)

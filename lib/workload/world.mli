@@ -8,7 +8,7 @@ type t = {
   fabric : Lrp_net.Fabric.t;
   mutable hosts : (string * Lrp_kernel.Kernel.t) list;
 }
-val make : ?seed:int -> ?bandwidth_mbps:float -> unit -> t
+val make : ?seed:int -> unit -> t
 val add_host :
   t -> name:string -> Lrp_kernel.Kernel.config -> Lrp_kernel.Kernel.t
 (** Attach a host running the given kernel configuration; IPs are

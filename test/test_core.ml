@@ -14,36 +14,31 @@ let pkt ?(src = 1) ?(sport = 10) ?(dport = 20) () pool =
 
 let test_channel_fifo () =
   let ch = Channel.create ~limit:8 () in
-  (match Channel.enqueue ch 1 with
-   | Channel.Queued `Was_empty -> ()
-   | _ -> Alcotest.fail "first enqueue reports empty transition");
-  (match Channel.enqueue ch 2 with
-   | Channel.Queued `Was_nonempty -> ()
-   | _ -> Alcotest.fail "second enqueue reports nonempty");
+  Alcotest.(check int) "first enqueue reports the empty transition"
+    Channel.queued_was_empty (Channel.enqueue_code ch 1);
+  Alcotest.(check int) "second enqueue reports nonempty"
+    Channel.queued_was_nonempty (Channel.enqueue_code ch 2);
   Alcotest.(check int) "fifo order" 1 (Channel.pop_row ch);
   Alcotest.(check int) "length" 1 (Channel.length ch)
 
 let test_channel_early_discard () =
   let ch = Channel.create ~limit:2 () in
-  ignore (Channel.enqueue ch 10);
-  ignore (Channel.enqueue ch 10);
-  (match Channel.enqueue ch 10 with
-   | Channel.Discarded -> ()
-   | Channel.Queued _ -> Alcotest.fail "expected early discard at full queue");
+  ignore (Channel.enqueue_code ch 10);
+  ignore (Channel.enqueue_code ch 10);
+  Alcotest.(check int) "early discard at full queue" Channel.discarded_code
+    (Channel.enqueue_code ch 10);
   Alcotest.(check int) "discard counted" 1 (Channel.discarded ch);
   Alcotest.(check int) "enqueued counted" 2 (Channel.enqueued ch)
 
 let test_channel_processing_gate () =
   let ch = Channel.create ~limit:8 () in
   Channel.disable_processing ch;
-  (match Channel.enqueue ch 10 with
-   | Channel.Discarded -> ()
-   | Channel.Queued _ -> Alcotest.fail "disabled channel must discard");
+  Alcotest.(check int) "disabled channel must discard" Channel.discarded_code
+    (Channel.enqueue_code ch 10);
   Alcotest.(check int) "disabled discard counted" 1 (Channel.discarded_disabled ch);
   Channel.enable_processing ch;
-  (match Channel.enqueue ch 10 with
-   | Channel.Queued _ -> ()
-   | Channel.Discarded -> Alcotest.fail "re-enabled channel must accept")
+  Alcotest.(check int) "re-enabled channel must accept"
+    Channel.queued_was_empty (Channel.enqueue_code ch 10)
 
 let test_channel_interrupt_flag () =
   let ch = Channel.create () in
@@ -59,8 +54,8 @@ let test_channel_pop_row () =
   let pool = Parena.create () in
   let ch = Channel.create () in
   let r1 = pkt ~sport:1 () pool in
-  ignore (Channel.enqueue ch r1);
-  ignore (Channel.enqueue ch (pkt ~sport:2 () pool));
+  ignore (Channel.enqueue_code ch r1);
+  ignore (Channel.enqueue_code ch (pkt ~sport:2 () pool));
   let h = Channel.pop_row ch in
   Alcotest.(check int) "oldest first" r1 h;
   Alcotest.(check int) "its sport" 1 (Parena.sport pool h);
@@ -90,11 +85,11 @@ let test_channel_fifo_growth_wrap () =
         in
         if enq then begin
           incr next;
-          match Channel.enqueue ch !next with
-          | Channel.Queued _ -> Queue.add !next model
-          | Channel.Discarded ->
-              Alcotest.(check int) "discards only at limit" limit
-                (Queue.length model)
+          if Channel.enqueue_code ch !next <> Channel.discarded_code then
+            Queue.add !next model
+          else
+            Alcotest.(check int) "discards only at limit" limit
+              (Queue.length model)
         end
         else
           let row = Channel.pop_row ch in
@@ -111,44 +106,38 @@ let test_channel_discard_at_limit () =
     (fun limit ->
       let ch = Channel.create ~limit () in
       for i = 1 to limit do
-        match Channel.enqueue ch i with
-        | Channel.Queued _ -> ()
-        | Channel.Discarded -> Alcotest.failf "limit %d: discard at %d" limit i
+        if Channel.enqueue_code ch i = Channel.discarded_code then
+          Alcotest.failf "limit %d: discard at %d" limit i
       done;
-      (match Channel.enqueue ch 10 with
-       | Channel.Discarded -> ()
-       | Channel.Queued _ -> Alcotest.failf "limit %d: no discard" limit);
+      if Channel.enqueue_code ch 10 <> Channel.discarded_code then
+        Alcotest.failf "limit %d: no discard" limit;
       Alcotest.(check int) "one discard" 1 (Channel.discarded ch);
       Alcotest.(check int) "limit enqueued" limit (Channel.enqueued ch);
       Alcotest.(check int) "full" limit (Channel.length ch);
       ignore (Channel.pop_row ch);
-      (match Channel.enqueue ch 10 with
-       | Channel.Queued `Was_nonempty | Channel.Queued `Was_empty -> ()
-       | Channel.Discarded -> Alcotest.failf "limit %d: room after pop" limit);
+      if Channel.enqueue_code ch 10 = Channel.discarded_code then
+        Alcotest.failf "limit %d: room after pop" limit;
       Alcotest.(check int) "head after refill" 2 (Channel.pop_row ch))
     [ 2; 3; 4; 5; 6; 8; 13; 32 ]
 
 let test_channel_hwm () =
   let ch = Channel.create ~limit:8 () in
-  for i = 1 to 5 do ignore (Channel.enqueue ch i) done;
+  for i = 1 to 5 do ignore (Channel.enqueue_code ch i) done;
   for _ = 1 to 5 do ignore (Channel.pop_row ch) done;
-  for i = 1 to 2 do ignore (Channel.enqueue ch i) done;
+  for i = 1 to 2 do ignore (Channel.enqueue_code ch i) done;
   Alcotest.(check int) "deepest occupancy, not current" 5
     (Channel.high_watermark ch);
-  for i = 1 to 10 do ignore (Channel.enqueue ch i) done;
+  for i = 1 to 10 do ignore (Channel.enqueue_code ch i) done;
   Alcotest.(check int) "capped at limit" 8 (Channel.high_watermark ch);
   Alcotest.(check int) "excess discarded" 4 (Channel.discarded ch)
 
 let test_channel_limit_one () =
   let ch = Channel.create ~limit:1 () in
   for i = 1 to 5 do
-    (match Channel.enqueue ch i with
-     | Channel.Queued `Was_empty -> ()
-     | Channel.Queued `Was_nonempty | Channel.Discarded ->
-         Alcotest.fail "an empty one-slot channel admits");
-    (match Channel.enqueue ch 10 with
-     | Channel.Discarded -> ()
-     | Channel.Queued _ -> Alcotest.fail "a full one-slot channel discards");
+    Alcotest.(check int) "an empty one-slot channel admits"
+      Channel.queued_was_empty (Channel.enqueue_code ch i);
+    Alcotest.(check int) "a full one-slot channel discards"
+      Channel.discarded_code (Channel.enqueue_code ch 10);
     Alcotest.(check int) "FIFO" i (Channel.pop_row ch);
     Alcotest.(check bool) "empty" true (Channel.is_empty ch)
   done;
@@ -261,106 +250,113 @@ let test_chantab_bindings () =
   Alcotest.(check (list int)) "four-tuples by source" [ 202; 200 ]
     (Chantab.bindings tab Chantab.Tcp_flow)
 
-(* --- flowtab ------------------------------------------------------------ *)
+(* --- the table under Chantab ----------------------------------------- *)
 
-let test_flowtab_million () =
-  let tab = Flowtab.create ~dummy:(-1) () in
+(* A four-tuple per index: the source address is the index itself, so
+   the keys are distinct even where the source ports collide. *)
+let flow i = (i, (i * 31) land 0xffff)
+
+let test_chantab_million () =
+  let tab = chantab () in
   let n = 1_000_000 in
   for i = 0 to n - 1 do
-    Flowtab.add_new tab ~hi:i ~lo:(i * 31) i
+    let src, src_port = flow i in
+    Chantab.add_tcp tab ~src ~src_port ~dst_port:80 i
   done;
-  Alcotest.(check int) "length" n (Flowtab.length tab);
   let ok = ref true in
   for i = 0 to n - 1 do
-    let s = Flowtab.find tab ~hi:i ~lo:(i * 31) in
-    if s < 0 || Flowtab.value tab s <> i then ok := false
+    let src, src_port = flow i in
+    if Chantab.find_tcp tab ~src ~src_port ~dst_port:80 <> i then ok := false
   done;
-  Alcotest.(check bool) "all million keys present with their values" true !ok;
+  Alcotest.(check bool) "all million flows present with their values" true !ok;
   (* robin hood keeps the longest probe sequence short even at 7/8 load *)
-  Alcotest.(check bool) "clustering bound" true (Flowtab.max_probe tab < 64);
+  Alcotest.(check bool) "clustering bound" true (Chantab.max_probe tab < 64);
   for i = 0 to n - 1 do
-    if i land 1 = 0 then ignore (Flowtab.remove tab ~hi:i ~lo:(i * 31))
+    let src, src_port = flow i in
+    if i land 1 = 0 then Chantab.remove_tcp tab ~src ~src_port ~dst_port:80 i
   done;
-  Alcotest.(check int) "half removed" (n / 2) (Flowtab.length tab);
   let ok = ref true in
   for i = 0 to n - 1 do
-    let found = Flowtab.find tab ~hi:i ~lo:(i * 31) >= 0 in
-    if found <> (i land 1 = 1) then ok := false
+    let src, src_port = flow i in
+    let want = if i land 1 = 1 then i else -1 in
+    if Chantab.find_tcp tab ~src ~src_port ~dst_port:80 <> want then ok := false
   done;
-  Alcotest.(check bool) "survivors exactly the odd keys" true !ok
+  Alcotest.(check bool) "survivors exactly the odd flows" true !ok
 
-(* Iteration must be a pure function of the insert/remove sequence: the
-   demux table is iterated for reporting, and a parallel sweep (--jobs 4)
-   must observe the same order as a serial one (--jobs 1).  Build the
-   same table on the main domain and on spawned domains and compare the
-   full iteration transcript. *)
-let test_flowtab_iteration_deterministic () =
+(* Slot codes must be a pure function of the insert/remove sequence: a
+   parallel sweep (--jobs 4) must see the same table as a serial one
+   (--jobs 1).  Build the same table on the main domain and on spawned
+   domains and compare the LRP probe's slot code for every flow the
+   script touched. *)
+let test_chantab_slots_deterministic () =
   let build () =
-    let tab = Flowtab.create ~dummy:(-1) () in
-    let r = ref 12345 in
-    let next () =
-      r := ((!r * 1103515245) + 12345) land 0x3FFFFFFF;
-      !r
+    let tab = chantab () and pool = Parena.create () in
+    let script =
+      let r = ref 12345 in
+      let next () =
+        r := ((!r * 1103515245) + 12345) land 0x3FFFFFFF;
+        !r
+      in
+      List.init 5_000 (fun i ->
+          let src = next () land 0xFFFF in
+          (i, src, next () land 0xFFFF))
     in
-    for i = 0 to 4_999 do
-      let hi = next () land 0xFFFF and lo = next () land 0xFFFF in
-      if i land 7 = 3 then ignore (Flowtab.remove tab ~hi ~lo)
-      else Flowtab.add tab ~hi ~lo i
-    done;
-    let out = ref [] in
-    Flowtab.iter (fun ~hi ~lo v -> out := (hi, lo, v) :: !out) tab;
-    List.rev !out
+    List.iter
+      (fun (i, src, src_port) ->
+        if i land 7 = 3 then
+          Chantab.remove_tcp tab ~src ~src_port ~dst_port:80
+            (Chantab.find_tcp tab ~src ~src_port ~dst_port:80)
+        else Chantab.add_tcp tab ~src ~src_port ~dst_port:80 (2 * i))
+      script;
+    List.map
+      (fun (_, src, sport) ->
+        let row = tcp_pkt ~src ~sport () pool in
+        let slot = Chantab.resolve_slot tab pool row in
+        Parena.release pool row;
+        slot)
+      script
   in
   let here = build () in
-  Alcotest.(check bool) "non-trivial table" true (List.length here > 1_000);
+  Alcotest.(check bool) "non-trivial table" true
+    (List.length (List.filter (fun s -> s >= 0) here) > 1_000);
   let domains = Array.init 3 (fun _ -> Domain.spawn build) in
   Array.iter
     (fun d ->
-      Alcotest.(check bool) "iteration order identical on a spawned domain"
-        true (Domain.join d = here))
+      Alcotest.(check bool) "slot codes identical on a spawned domain" true
+        (Domain.join d = here))
     domains
 
-(* Property: a flowtab driven by a random add/remove/find script agrees
-   with an association-list model at every step and in its final
-   contents. *)
-let prop_flowtab_matches_model =
-  let op = QCheck.(triple (int_range 0 2) (int_range 0 15) (int_range 0 15)) in
-  QCheck.Test.make ~count:300 ~name:"flowtab agrees with an assoc-list model"
+(* Property: four-tuples driven by a random add / remove / stale remove /
+   find script agree with an association-list model at every step, and
+   [bindings] lists the model's values in key order at the end. *)
+let prop_chantab_matches_model =
+  let op = QCheck.(triple (int_range 0 3) (int_range 0 15) (int_range 0 3)) in
+  QCheck.Test.make ~count:300 ~name:"chantab agrees with an assoc-list model"
     (QCheck.list op)
     (fun ops ->
-      let tab = Flowtab.create ~dummy:(-1) () in
+      let tab = chantab () in
       let model = ref [] in
-      let drop hi lo =
-        List.filter (fun (h, l, _) -> not (h = hi && l = lo)) !model
-      in
       List.iteri
-        (fun i (op, hi, lo) ->
+        (fun i (op, k, dst_port) ->
+          let src = k land 3 and src_port = k lsr 2 in
+          let key = (src, src_port, dst_port) in
+          let current = Option.value (List.assoc_opt key !model) ~default:(-1) in
           match op with
           | 0 ->
-              Flowtab.add tab ~hi ~lo i;
-              model := (hi, lo, i) :: drop hi lo
+              Chantab.add_tcp tab ~src ~src_port ~dst_port i;
+              model := (key, i) :: List.remove_assoc key !model
           | 1 ->
-              let removed = Flowtab.remove tab ~hi ~lo in
-              let present =
-                List.exists (fun (h, l, _) -> h = hi && l = lo) !model
-              in
-              if removed <> present then
-                QCheck.Test.fail_report "remove disagrees with model";
-              model := drop hi lo
+              Chantab.remove_tcp tab ~src ~src_port ~dst_port current;
+              model := List.remove_assoc key !model
+          | 2 ->
+              (* [i] is fresh, so it is nobody's value: nothing is removed *)
+              Chantab.remove_tcp tab ~src ~src_port ~dst_port i
           | _ ->
-              let got = Flowtab.find_opt tab ~hi ~lo in
-              let want =
-                List.find_map
-                  (fun (h, l, v) -> if h = hi && l = lo then Some v else None)
-                  !model
-              in
-              if got <> want then
+              if Chantab.find_tcp tab ~src ~src_port ~dst_port <> current then
                 QCheck.Test.fail_report "find disagrees with model")
         ops;
-      let dump = ref [] in
-      Flowtab.iter (fun ~hi ~lo v -> dump := (hi, lo, v) :: !dump) tab;
-      let sort = List.sort compare in
-      Flowtab.length tab = List.length !model && sort !dump = sort !model)
+      Chantab.bindings tab Chantab.Tcp_flow
+      = List.map snd (List.sort compare !model))
 
 (* Property: both probe policies of the one table agree with the PCB
    reference in [Demux_ref], over random endpoint sets (connections with
@@ -429,7 +425,7 @@ let prop_chantab_matches_pcb =
 
 let qsuite =
   [ QCheck_alcotest.to_alcotest prop_chantab_matches_pcb;
-    QCheck_alcotest.to_alcotest prop_flowtab_matches_model ]
+    QCheck_alcotest.to_alcotest prop_chantab_matches_model ]
 
 (* The int table against an association-list model: inserts in scrambled
    order (through growth), replacements and removals (backward shifts
@@ -498,9 +494,9 @@ let suite =
     Alcotest.test_case "chantab fragment channel" `Quick test_chantab_fragment_channel;
     Alcotest.test_case "chantab icmp daemon channel" `Quick test_chantab_icmp_channel;
     Alcotest.test_case "chantab removal" `Quick test_chantab_removal;
-    Alcotest.test_case "flowtab at a million flows" `Quick test_flowtab_million;
-    Alcotest.test_case "flowtab iteration is deterministic across domains"
-      `Quick test_flowtab_iteration_deterministic ]
+    Alcotest.test_case "chantab at a million flows" `Quick test_chantab_million;
+    Alcotest.test_case "chantab slot codes are deterministic across domains"
+      `Quick test_chantab_slots_deterministic ]
   @ qsuite
   @ [ Alcotest.test_case "itab iterates in ascending key order via Det" `Quick
         test_itab_sorted;

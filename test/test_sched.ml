@@ -46,7 +46,7 @@ let test_charge_tick_worsens_priority () =
   Sched.make_runnable s a;
   let before = Sched.priority a in
   for _ = 1 to 40 do
-    Sched.charge_tick s a
+    Sched.charge_tick a
   done;
   Alcotest.(check bool) "p_cpu accumulated" true (Sched.p_cpu a >= 40.);
   Alcotest.(check bool) "priority got worse" true (Sched.priority a > before);
@@ -57,7 +57,7 @@ let test_priority_clamped () =
   let s = mk () in
   let a = Sched.add_thread s ~nice:20 () in
   for _ = 1 to 10_000 do
-    Sched.charge_tick s a
+    Sched.charge_tick a
   done;
   Alcotest.(check int) "clamped at 127" 127 (Sched.priority a)
 
@@ -66,7 +66,7 @@ let test_decay_reduces_usage () =
   let a = Sched.add_thread s () in
   Sched.make_runnable s a;
   for _ = 1 to 100 do
-    Sched.charge_tick s a
+    Sched.charge_tick a
   done;
   let before = Sched.p_cpu a in
   Sched.decay s;
@@ -83,14 +83,14 @@ let test_wakeup_boost () =
   Sched.make_runnable s hog;
   (* Both burn CPU for a while. *)
   for _ = 1 to 200 do
-    Sched.charge_tick s sleeper;
-    Sched.charge_tick s hog
+    Sched.charge_tick sleeper;
+    Sched.charge_tick hog
   done;
   (* Build a nonzero load average so the wakeup decay has something to do. *)
   Sched.decay s;
   for _ = 1 to 100 do
-    Sched.charge_tick s sleeper;
-    Sched.charge_tick s hog
+    Sched.charge_tick sleeper;
+    Sched.charge_tick hog
   done;
   clock.(0) <- Time.sec 1.;
   Sched.sleep s sleeper;
@@ -108,7 +108,7 @@ let test_should_preempt () =
   Alcotest.(check bool) "equal priority does not preempt" false
     (Sched.should_preempt s ~current:a);
   for _ = 1 to 80 do
-    Sched.charge_tick s a
+    Sched.charge_tick a
   done;
   Alcotest.(check bool) "worse current is preempted" true
     (Sched.should_preempt s ~current:a)
@@ -118,10 +118,10 @@ let test_quantum () =
   let a = Sched.add_thread s () in
   Sched.make_runnable s a;
   for _ = 1 to Sched.quantum_ticks - 1 do
-    Sched.charge_tick s a
+    Sched.charge_tick a
   done;
   Alcotest.(check bool) "not yet expired" false (Sched.quantum_expired a);
-  Sched.charge_tick s a;
+  Sched.charge_tick a;
   Alcotest.(check bool) "expired after quantum_ticks" true (Sched.quantum_expired a);
   Sched.reset_quantum a;
   Alcotest.(check bool) "reset" false (Sched.quantum_expired a)
@@ -134,7 +134,7 @@ let test_account_redirection () =
   let app = Sched.add_thread s () in
   Sched.set_account app ~owner;
   for _ = 1 to 120 do
-    Sched.charge_tick s app
+    Sched.charge_tick app
   done;
   Alcotest.(check bool) "owner was charged" true (Sched.p_cpu owner >= 120.);
   Alcotest.(check (float 0.)) "app's own p_cpu unchanged" 0. (Sched.p_cpu app);
@@ -170,8 +170,8 @@ let prop_decay_monotone =
       let a = Sched.add_thread s () in
       let b = Sched.add_thread s () in
       (* Inject usage via ticks. *)
-      for _ = 1 to u1 do Sched.charge_tick s a done;
-      for _ = 1 to u2 do Sched.charge_tick s b done;
+      for _ = 1 to u1 do Sched.charge_tick a done;
+      for _ = 1 to u2 do Sched.charge_tick b done;
       Sched.decay s;
       (* weakly monotone: decay (a scale by a common factor) preserves
          ordering, but may collapse it to equality at zero load *)
@@ -229,7 +229,7 @@ let test_matches_list_reference () =
          end
      | 5 | 6 when n > 0 ->
          let th, rt = pick () in
-         Sched.charge_tick s th;
+         Sched.charge_tick th;
          Sched_ref.charge_tick rt
      | 7 when n > 0 ->
          let th, rt = pick () in

@@ -345,7 +345,7 @@ let test_endpoints_bounded () =
                  (Kernel.arch_name arch) (Kernel.name k) what n live extra)
               true (n <= live + extra)
           in
-          bounded "eps" (Lrp_core.Flowtab.length k.eps) ~extra:0;
+          bounded "eps" (Lrp_det.Itab.length k.eps) ~extra:0;
           bounded "endpoints with a channel"
             (List.length
                (List.filter
