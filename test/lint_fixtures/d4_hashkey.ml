@@ -11,3 +11,6 @@ let probe tbl key = Hashtbl.mem tbl key
 
 (* Int-keyed probes are the sanctioned form. *)
 let direct tbl port = Hashtbl.find_opt tbl port
+
+(* The record's fields are read, so rule U2 has nothing to say here. *)
+let sum { a; b } = a + b

@@ -40,8 +40,8 @@ let live_config =
           Aconfig.entries = [] }
     | Error e -> Alcotest.failf "allocheck.conf does not load: %s" e)
 
-(* Fixture runs widen the C1/P1 scope to the fixture directory (in the
-   real config those rules only apply under lib/) and register the
+(* Fixture runs widen the C1/P1/U2 scope to the fixture directory (in
+   the real config those rules only apply under lib/) and register the
    polymorphic-compare fixture's type in the D3 per-rule config. *)
 let fixture_config =
   lazy
