@@ -35,7 +35,7 @@ open Lrp_net
    grows past it).  Most channels — one per connection — never hold
    more than a few frames, so they never pay for [limit] slots. *)
 type t = {
-  id : int;
+  mutable id : int;
   mutable ring : Parena.handle array;
   mutable head : int; (* index of the oldest entry *)
   mutable count : int;
@@ -62,6 +62,21 @@ let create ?(limit = 32) () =
     intr_requested = false; processing_enabled = true; job_owner = -1;
     enqueued = 0;
     discarded = 0; discarded_disabled = 0; hwm = 0 }
+
+(* A closed, empty channel made new for its next endpoint: a fresh id,
+   drawn where [create] would have drawn one, and every flag and counter
+   as [create] sets them.  The ring keeps the size it grew to. *)
+let reopen t =
+  assert (t.count = 0);
+  t.id <- Lrp_engine.Idspace.next_chan_id ();
+  t.head <- 0;
+  t.intr_requested <- false;
+  t.processing_enabled <- true;
+  t.job_owner <- -1;
+  t.enqueued <- 0;
+  t.discarded <- 0;
+  t.discarded_disabled <- 0;
+  t.hwm <- 0
 
 let id t = t.id
 

@@ -32,6 +32,13 @@ val create : ?limit:int -> unit -> t
     handles of the kernel's frame pool) that starts at [min limit 4]
     slots and doubles, up to [limit], as the queue deepens. *)
 
+val reopen : t -> unit
+(** Make a closed, empty channel new for its next endpoint: a fresh id
+    (drawn where {!create} would draw one, so ids follow the same
+    sequence) and every flag and counter as {!create} sets them; the
+    ring keeps the size it grew to.  A kernel recycles a connection's
+    channel this way. *)
+
 val id : t -> int
 (** Unique channel identifier (used as a table key by the kernel). *)
 

@@ -69,12 +69,9 @@ let frag_count ~header ~bytes =
 (* Socket lifecycle                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let socket_dgram () = Socket.create Socket.Dgram
+let socket_dgram = Socket.dgram
 
-(* lint: unused-ok — perfbench passes a kernel; ROADMAP item 19 drops it *)
-let socket_stream k =
-  ignore k;
-  Socket.create Socket.Stream
+let socket_stream (k : Kernel.t) = Socket.stream k.Kernel.stream_shared
 
 (* [bind k sock ~owner ~port] binds a datagram socket to a local port.
    Under LRP this also creates the socket's NI channel (section 3.1). *)
@@ -104,8 +101,13 @@ let leave_group = Kernel.leave_group
 (* UDP send                                                             *)
 (* ------------------------------------------------------------------ *)
 
+(* Raised by [sendto] on a stream socket, whose statistics are its
+   kernel's shared ones. *)
+let not_dgram = Invalid_argument "Api.sendto: datagram sockets only"
+
 let sendto k ~(self : Proc.t) (sock : Socket.t) ~dst:(dip, dport) payload =
   if sock.Socket.closed then raise Socket_closed;
+  if sock.Socket.kind <> Socket.Dgram then raise not_dgram;
   let sport =
     if sock.Socket.port >= 0 then sock.Socket.port
     else bind_ephemeral k sock ~owner:(Some self)
@@ -242,6 +244,7 @@ let tcp_listen k ~(self : Proc.t) (sock : Socket.t) ~port ~backlog =
   if sock.Socket.kind <> Socket.Stream then
     invalid_arg "Api.tcp_listen: stream sockets only";
   compute k (c k).Cost.syscall;
+  sock.Socket.accept_wait <- Proc.waitq "accept";
   let listener =
     Tcp.create_listener (Kernel.tcp_env_exn k) ~local_ip:(Kernel.ip_address k)
       ~local_port:port ~sndq_limit:sock_buf
@@ -251,25 +254,37 @@ let tcp_listen k ~(self : Proc.t) (sock : Socket.t) ~port ~backlog =
 
 (* A socket with no connection holds [Tcp.null_conn], which is [Closed]. *)
 let listener_exn (sock : Socket.t) =
-  if Tcp.state sock.Socket.tcp <> Tcp.Listen then invalid_arg "not a listening socket";
-  sock.Socket.tcp
+  let l = Socket.conn sock in
+  if Tcp.state l <> Tcp.Listen then invalid_arg "not a listening socket";
+  l
 
 let conn_exn (sock : Socket.t) =
   if sock.Socket.tcp == Tcp.null_conn then invalid_arg "not a connected stream socket";
-  sock.Socket.tcp
+  Socket.conn sock
 
+(* A listener is recycled only after its socket closes, which the loop
+   checks first.  The child popped is held by nobody until it is
+   attached: if it is reset, or aborted by its listener's close, during
+   the charge, it goes back to the pool, and the accept takes the next
+   child (or fails, the listener being closed). *)
 let rec accept_wait k ~(self : Proc.t) (sock : Socket.t) listener =
   if sock.Socket.closed then raise Socket_closed;
-  match Tcp.accept_pop listener with
-  | Some conn ->
-      Kernel.update_listen_gate k listener;
-      compute k (c k).Cost.sockq;
-      let ns = Socket.create Socket.Stream in
+  let conn = Tcp.accept_pop listener in
+  if conn != Tcp.null_conn then begin
+    let id = conn.Tcp.id in
+    Kernel.update_listen_gate k listener;
+    compute k (c k).Cost.sockq;
+    if conn.Tcp.id <> id then accept_wait k ~self sock listener
+    else begin
+      let ns = socket_stream k in
       Kernel.attach k ns conn ~owner:self;
       ns
-  | None ->
-      Proc.block sock.Socket.accept_wait;
-      accept_wait k ~self sock listener
+    end
+  end
+  else begin
+    Proc.block sock.Socket.accept_wait;
+    accept_wait k ~self sock listener
+  end
 
 (* [tcp_accept k ~self sock] blocks until an established connection is
    available and returns a fresh socket for it, owned by [self]. *)
@@ -278,15 +293,18 @@ let tcp_accept k ~(self : Proc.t) (sock : Socket.t) =
   compute k (c k).Cost.syscall;
   accept_wait k ~self sock listener
 
-let rec connect_wait (sock : Socket.t) conn =
-  match Tcp.state conn with
+(* The blocking loops below read the connection through [Socket.conn]
+   after every wait: another process may close the socket meanwhile, and
+   its connection be recycled. *)
+let rec connect_wait (sock : Socket.t) =
+  match Tcp.state (Socket.conn sock) with
   | Tcp.Established -> `Ok
   | Tcp.Closed -> `Refused
   | Tcp.Syn_sent | Tcp.Syn_received | Tcp.Listen | Tcp.Fin_wait_1
   | Tcp.Fin_wait_2 | Tcp.Close_wait | Tcp.Last_ack | Tcp.Closing
   | Tcp.Time_wait ->
       Proc.block sock.Socket.send_wait;
-      connect_wait sock conn
+      connect_wait sock
 
 (* [tcp_connect k ~self sock ~remote] performs an active open and blocks
    until established or failed. *)
@@ -301,11 +319,12 @@ let tcp_connect k ~(self : Proc.t) (sock : Socket.t) ~remote =
       ~rcv_buf_limit:sock_buf ()
   in
   Kernel.open_conn k sock conn ~owner:self;
-  connect_wait sock conn
+  connect_wait sock
 
 (* Queue [payload] on [conn], charging the copy and every segment the
    send emitted, and block while the send buffer is full. *)
-let rec send_all k (sock : Socket.t) conn payload =
+let rec send_all k (sock : Socket.t) payload =
+  let conn = Socket.conn sock in
   let before = Tcp.segs_sent conn in
   let n = Tcp.send conn payload in
   if n > 0 then begin
@@ -314,25 +333,26 @@ let rec send_all k (sock : Socket.t) conn payload =
       (((c k).Cost.copy_per_byte *. float_of_int n)
        +. (float_of_int emitted *. seg_out_cost k));
     let len = Payload.length payload in
-    if n < len then send_all k sock conn (Payload.sub payload n (len - n))
+    if n < len then send_all k sock (Payload.sub payload n (len - n))
     else `Ok
   end
   else if n = 0 then begin
     Proc.block sock.Socket.send_wait;
-    send_all k sock conn payload
+    send_all k sock payload
   end
   else `Closed
 
 (* [tcp_send k sock payload] queues the whole payload, blocking as the
    send buffer fills.  Returns [`Closed] if the connection dies first. *)
 let tcp_send k (sock : Socket.t) payload =
-  let conn = conn_exn sock in
+  ignore (conn_exn sock : Tcp.conn);
   compute k (c k).Cost.syscall;
-  send_all k sock conn payload
+  send_all k sock payload
 
 (* Take up to [max] bytes from [conn], charging the copy and any window
    update the read emitted, and block while nothing is buffered. *)
-let rec recv_wait k (sock : Socket.t) conn ~max =
+let rec recv_wait k (sock : Socket.t) ~max =
+  let conn = Socket.conn sock in
   let before = Tcp.segs_sent conn in
   let payload = Tcp.recv conn ~max in
   if payload != Tcp.no_data then begin
@@ -346,19 +366,19 @@ let rec recv_wait k (sock : Socket.t) conn ~max =
   else if Tcp.at_eof conn then `Eof
   else begin
     Proc.block sock.Socket.recv_wait;
-    recv_wait k sock conn ~max
+    recv_wait k sock ~max
   end
 
 (* [tcp_recv k sock ~max] blocks for data; [`Eof] at end of stream. *)
 let tcp_recv k (sock : Socket.t) ~max =
-  let conn = conn_exn sock in
+  ignore (conn_exn sock : Tcp.conn);
   compute k (c k).Cost.syscall;
-  recv_wait k sock conn ~max
+  recv_wait k sock ~max
 
 (* Hand a connected socket to another process (e.g. an HTTP server child
    after fork): future APP work is charged to the new owner. *)
 let set_owner k (sock : Socket.t) ~(owner : Proc.t) =
-  let conn = sock.Socket.tcp in
+  let conn = Socket.conn sock in
   if conn != Tcp.null_conn then Kernel.attach k sock conn ~owner
 
 (* ------------------------------------------------------------------ *)
@@ -370,15 +390,19 @@ let close k (sock : Socket.t) =
     compute k (c k).Cost.syscall;
     sock.Socket.closed <- true;
     (* A connection's or listener's endpoint is released when TCP reports
-       it gone; a datagram socket's right here. *)
-    (let conn = sock.Socket.tcp in
-     if conn != Tcp.null_conn then begin
-       let before = Tcp.segs_sent conn in
-       Tcp.close conn;
-       let emitted = Tcp.segs_sent conn - before in
-       if emitted > 0 then compute k (float_of_int emitted *. seg_out_cost k)
-     end
-     else Kernel.close_dgram k sock);
+       it gone, and the connection recycled once nothing holds it; a
+       datagram socket's endpoint is released right here. *)
+    (match sock.Socket.kind with
+     | Socket.Stream ->
+         let conn = Socket.conn sock in
+         if conn != Tcp.null_conn then begin
+           let before = Tcp.segs_sent conn in
+           Tcp.close conn;
+           let emitted = Tcp.segs_sent conn - before in
+           Kernel.close_stream sock;
+           if emitted > 0 then compute k (float_of_int emitted *. seg_out_cost k)
+         end
+     | Socket.Dgram -> Kernel.close_dgram k sock);
     Kernel.wake_all k sock.Socket.recv_wait;
     Kernel.wake_all k sock.Socket.send_wait;
     Kernel.wake_all k sock.Socket.accept_wait

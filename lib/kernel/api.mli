@@ -35,8 +35,10 @@ exception Socket_closed
 val socket_dgram : unit -> Socket.t
 (** Create an (unbound) UDP socket. *)
 
-val socket_stream : 'a -> Socket.t
-(** Create an (unconnected) TCP socket. *)
+val socket_stream : Kernel.t -> Socket.t
+(** Create an (unconnected) TCP socket.  Its datagram queue and
+    statistics are the kernel's shared, never-written ones, and so is its
+    accept wait queue until it listens. *)
 
 val bind :
   Kernel.t -> Socket.t -> owner:Lrp_sim.Proc.t option -> port:int -> unit

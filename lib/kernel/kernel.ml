@@ -158,33 +158,77 @@ type kstats = {
    the sockets it wakes, the process its protocol work is charged to
    (section 3.4), its NI channel under lazy processing, and its PCB.  A
    packet reaches it through the demux table ([chantab]), a connection
-   through [eps]; one path, [release_ep], lets it go. *)
+   through [eps]; one path, [release_ep], lets it go.  A connection's
+   endpoint and its channel then go back to the kernel's pools, and
+   [ep_gen] counts its releases: whatever holds an endpoint across a
+   release (an APP-thread row, a posted job, a drain loop that yields)
+   compares the generation it read before using it. *)
 type ep = {
-  ep_port : int;
-  ep_conn : Tcp.conn;  (* [Tcp.null_conn] for a datagram endpoint *)
-  ep_group : bool;  (* a multicast group: [ep_socks] are its members *)
+  mutable ep_port : int;
+  mutable ep_conn : Tcp.conn;  (* [Tcp.null_conn] for a datagram endpoint *)
+  mutable ep_group : bool;  (* a multicast group: [ep_socks] are its members *)
   mutable ep_socks : Socket.t list;
-      (* the bound socket, the group's members, or the connection's
-         socket ([] until accepted) *)
+      (* a datagram endpoint's bound socket or group members; [] on a
+         connection *)
+  mutable ep_sock : Socket.t;
+      (* a connection's or listener's socket; [Socket.none] until it has
+         one (an unaccepted child) *)
   mutable ep_owner : Proc.t;  (* [Proc.none]: nobody's *)
   mutable ep_chan : Channel.t option;
+  mutable ep_gen : int;
 }
 
 (* What a lookup that finds no endpoint answers; never mutated. *)
 let null_ep =
   { ep_port = -1; ep_conn = Tcp.null_conn; ep_group = false; ep_socks = [];
-    ep_owner = Proc.none; ep_chan = None }
+    ep_sock = Socket.none;
+    ep_owner = Proc.none; ep_chan = None; ep_gen = 0 }
+
+(* A free list of released records: a stack grown by doubling, [blank]
+   in its empty slots.  [made] counts the records made for it, so
+   [made - n] of them are live. *)
+type 'a pool = {
+  mutable items : 'a array;
+  mutable n : int;
+  mutable made : int;
+  blank : 'a;
+}
+
+let new_pool blank = { items = [||]; n = 0; made = 0; blank }
+
+(* The newest spare record, or [blank]: the caller then makes one and
+   counts it in [made]. *)
+let pool_take p =
+  if p.n = 0 then p.blank
+  else begin
+    let i = p.n - 1 in
+    let x = p.items.(i) in
+    p.items.(i) <- p.blank;
+    p.n <- i;
+    x
+  end
+
+let pool_give p x =
+  if p.n = Array.length p.items then begin
+    let items = Array.make (Int.max 8 (2 * p.n)) p.blank in
+    Array.blit p.items 0 items 0 p.n;
+    p.items <- items
+  end;
+  p.items.(p.n) <- x;
+  p.n <- p.n + 1
 
 let ep_has_chan ep = Option.is_some ep.ep_chan
 
-(* Is [ch] still the endpoint's channel?  Frames left on a channel its
-   endpoint has closed are discarded. *)
-let[@inline] holds_chan ep ch =
-  match ep.ep_chan with Some c -> c == ch | None -> false
+(* Is [ep] still at generation [gen], and [ch] still its channel? *)
+let[@inline] current ep ch gen =
+  ep.ep_gen = gen
+  && match ep.ep_chan with Some c -> c == ch | None -> false
 
 (* An APP thread and its posted work, a FIFO ring of flat columns: a row
-   is an endpoint whose channel to drain ([aq_gen] = -1) or a timer expiry
-   read at generation [aq_gen].  A channel whose drain is queued names the
+   is an endpoint whose channel to drain, or a timer expiry, with the
+   generation [aq_gen] the endpoint or timer had when the row was posted
+   (a drain row's timer and a timer row's endpoint are the null ones).
+   A stale row is skipped.  A channel whose drain is queued names the
    owner in {!Channel.job_owner}, so it is queued at most once per APP
    thread (a connection handed to a new owner may have a drain queued on
    both). *)
@@ -269,8 +313,10 @@ type jobs = {
   j_napi_deliver : napi Cpu.job;   (* ... and deliver the batch *)
   j_wake_ep : ep Cpu.job;
       (* NI-LRP host interrupt waking a datagram endpoint's receivers *)
-  j_app_chan : ep Cpu.job;  (* NI-LRP host interrupt posting an APP job *)
-  j_orphan : ep Cpu.job;    (* orphaned connection's softint drain *)
+  j_app_chan : ep Cpu.job;
+      (* NI-LRP host interrupt posting an APP job; the endpoint's
+         generation in the int *)
+  j_orphan : ep Cpu.job;    (* orphaned connection's softint drain, likewise *)
   j_tcp_timer : Tcp.timer Cpu.job; (* softint timer expiry; generation in the int *)
   j_tcp_tx : unit Cpu.job;         (* softint cost of extra TCP output *)
   j_reasm : unit Cpu.job;          (* transport input of a reassembled datagram *)
@@ -305,6 +351,10 @@ type t = {
       (* the demux table: every endpoint by port, four-tuple or listen
          port *)
   eps : ep Itab.t;  (* connections and listeners by conn id *)
+  ep_pool : ep pool;  (* released connection endpoints *)
+  chan_pool : Channel.t option pool;
+      (* closed connection channels, in their [Some] cells *)
+  stream_shared : Socket.shared;  (* what its stream sockets share *)
   (* --- LRP state --- *)
   parena : Parena.t;
       (* the cell's frame pool, shared with the NIC and the fabric: every
@@ -567,18 +617,19 @@ let rec app_loop t app =
     app.aq_timer.(i) <- Tcp.null_conn.Tcp.rtx_timer;
     app.aq_head <- (i + 1) land (Array.length app.aq_gen - 1);
     app.aq_len <- app.aq_len - 1;
-    if gen < 0 then begin
-      (* A closed channel released its frames when it closed. *)
+    if ep != null_ep then begin
+      (* A closed channel released its frames when it closed; a released
+         endpoint may already serve another connection. *)
       match ep.ep_chan with
-      | Some ch ->
+      | Some ch when ep.ep_gen = gen ->
           if Channel.job_owner ch = app.app_owner.Proc.pid then
             Channel.set_job_owner ch (-1);
           (* Guarded: a disabled [notef] still builds its closures. *)
           if Trace.enabled t.tracer then
             Trace.notef t.tracer "app %s: drain chan %d (len=%d)"
               app.app_owner.Proc.name (Channel.id ch) (Channel.length ch);
-          drain_tcp_channel t ep ch
-      | None -> ()
+          drain_tcp_channel t ep ch gen
+      | Some _ | None -> ()
     end
     else begin
       charge_proto t ~flow:(-1) (t.c.Cost.lazy_locality *. t.c.Cost.tcp_in);
@@ -596,19 +647,24 @@ let rec app_loop t app =
     app_loop t app
   end
 
-and drain_tcp_channel t ep ch =
+(* Drain the channel of endpoint [ep] at generation [gen].  Each charge
+   and delivery may yield the CPU, and the connection may go meanwhile:
+   its channel closed, its endpoint and channel perhaps reused.  So the
+   endpoint is checked after each, and the loop ends once it is not the
+   one it was (a closed channel's frames were released when it closed). *)
+and drain_tcp_channel t ep ch gen =
   let row = Channel.pop_row ch in
   if row <> Parena.none then begin
     charge_proto t ~flow:(Channel.id ch)
       (ni_access_cost t
        +. (t.c.Cost.lazy_locality *. (t.c.Cost.ip_in +. t.c.Cost.tcp_in)));
-    (* The connection may have gone while the frame was charged. *)
-    if holds_chan ep ch then begin
+    if current ep ch gen then begin
       tcp_deliver t ep.ep_conn row ~ctx:`Proc;
-      if Tcp.state ep.ep_conn = Tcp.Listen then listen_gate ep
+      if current ep ch gen && Tcp.state ep.ep_conn = Tcp.Listen then
+        listen_gate ep
     end;
     free_rx_pkt t row;
-    drain_tcp_channel t ep ch
+    if current ep ch gen then drain_tcp_channel t ep ch gen
   end
 
 (* Deliver a (non-fragment) TCP segment's row to its connection, charging
@@ -690,18 +746,20 @@ let orphan_post t ep =
   (Cpu.cost_cell t.cpu).(0) <-
     t.c.Cost.soft_dispatch
     +. (t.c.Cost.eager_penalty *. (t.c.Cost.ip_in +. t.c.Cost.tcp_in));
-  Cpu.post_soft_job t.cpu ~tpkt:(-1) ~poll:false (jobs t).j_orphan ep 0
+  Cpu.post_soft_job t.cpu ~tpkt:(-1) ~poll:false (jobs t).j_orphan ep
+    ep.ep_gen
 
-let orphan_drain t ep =
+(* The job carries the endpoint's generation at posting. *)
+let orphan_drain t ep gen =
   match ep.ep_chan with
-  | Some ch ->
+  | Some ch when ep.ep_gen = gen ->
       let row = Channel.pop_row ch in
       if row <> Parena.none then begin
         tcp_deliver t ep.ep_conn row ~ctx:`Soft;
         free_rx_pkt t row;
-        if not (Channel.is_empty ch) then orphan_post t ep
+        if current ep ch gen && not (Channel.is_empty ch) then orphan_post t ep
       end
-  | None -> ()
+  | Some _ | None -> ()
 
 (* Post a drain of the endpoint's channel [ch]. *)
 let app_post_chan t ep ch =
@@ -714,7 +772,7 @@ let app_post_chan t ep ch =
         if Trace.enabled t.tracer then
           Trace.notef t.tracer "post chan %d job for %s" (Channel.id ch)
             owner.Proc.name;
-        app_post t app ep Tcp.null_conn.Tcp.rtx_timer (-1)
+        app_post t app ep Tcp.null_conn.Tcp.rtx_timer ep.ep_gen
       end
   | _ -> orphan_post t ep
 
@@ -733,15 +791,44 @@ let app_post_timer t conn tm gen =
 (* Endpoints: open, close, hand over                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* A new endpoint, entered in the demux table.  Only lazy kernels receive
-   into NI channels: there it gets its own. *)
+(* A connection's channel: a spare one reopened, kept in its [Some] cell
+   so reopening allocates nothing, or a new one.  Either way it draws
+   the next channel id. *)
+let open_chan t =
+  let cell = pool_take t.chan_pool in
+  match cell with
+  | Some ch ->
+      Channel.reopen ch;
+      cell
+  | None ->
+      t.chan_pool.made <- t.chan_pool.made + 1;
+      Some (Channel.create ~limit:t.cfg.channel_limit ())
+
+(* A new endpoint, entered in the demux table.  A connection's comes from
+   the pool; a datagram socket's or group's is made (the helper walks
+   [udp_eps] across yields, so it keeps no generation to check).  Only
+   lazy kernels receive into NI channels: there it gets its own. *)
 let open_ep ?(group = false) t ~port ~conn ~socks ~owner =
   let ep =
-    { ep_port = port; ep_conn = conn; ep_group = group; ep_socks = socks;
-      ep_owner = owner; ep_chan = None }
+    let spare = if conn == Tcp.null_conn then null_ep else pool_take t.ep_pool in
+    if spare == null_ep then begin
+      if conn != Tcp.null_conn then t.ep_pool.made <- t.ep_pool.made + 1;
+      { ep_port = port; ep_conn = conn; ep_group = group; ep_socks = socks;
+        ep_sock = Socket.none; ep_owner = owner; ep_chan = None; ep_gen = 0 }
+    end
+    else begin
+      (* Released holding nothing: no socket, owner or channel. *)
+      spare.ep_port <- port;
+      spare.ep_conn <- conn;
+      spare.ep_owner <- owner;
+      spare
+    end
   in
   if t.proto = Lazy then
-    ep.ep_chan <- Some (Channel.create ~limit:t.cfg.channel_limit ());
+    ep.ep_chan <-
+      (if conn == Tcp.null_conn then
+         Some (Channel.create ~limit:t.cfg.channel_limit ())
+       else open_chan t);
   (if conn == Tcp.null_conn then Chantab.add_udp t.chantab ~port ep
    else if conn.Tcp.rport < 0 then Chantab.add_listen t.chantab ~port ep
    else
@@ -774,20 +861,23 @@ let rec discard_queued t ch =
 (* Close the endpoint's channel: the frames still queued on it are
    dropped at a datagram endpoint's (last) socket and discarded for a
    connection (an APP or orphan drain still queued for it finds it
-   closed), and its ledger row is folded into the aggregate. *)
+   closed), and its ledger row is folded into the aggregate.  A
+   connection's channel goes back to the pool. *)
 let close_chan t ep =
   match ep.ep_chan with
-  | Some ch ->
+  | Some ch as cell ->
       ep.ep_chan <- None;
       (match ep.ep_socks with
        | s :: _ when ep.ep_conn == Tcp.null_conn -> drop_queued t ch s
        | _ -> discard_queued t ch);
-      Ledger.retire_flow (Cpu.ledger t.cpu) ~flow:(Channel.id ch)
+      Ledger.retire_flow (Cpu.ledger t.cpu) ~flow:(Channel.id ch);
+      if ep.ep_conn != Tcp.null_conn then pool_give t.chan_pool cell
   | None -> ()
 
 (* Release everything an endpoint holds: its demux-table entry (a
    four-tuple only while it still maps to this endpoint), its entry in
-   [eps] and its channel. *)
+   [eps] and its channel.  Its generation moves on, and a connection's
+   endpoint goes back to the pool holding nothing. *)
 let release_ep t ep =
   let conn = ep.ep_conn and port = ep.ep_port in
   (if conn == Tcp.null_conn then begin
@@ -801,14 +891,21 @@ let release_ep t ep =
           ~src_port:conn.Tcp.rport ~dst_port:port ep);
      Itab.remove t.eps conn.Tcp.id
    end);
-  close_chan t ep
+  close_chan t ep;
+  ep.ep_gen <- ep.ep_gen + 1;
+  if conn != Tcp.null_conn then begin
+    ep.ep_conn <- Tcp.null_conn;
+    ep.ep_sock <- Socket.none;
+    ep.ep_owner <- Proc.none;
+    pool_give t.ep_pool ep
+  end
 
 (* A connection's or listener's endpoint: its demux-table entry, its
    entry in [eps], its channel. *)
-let register t conn ~socks ~owner =
+let register t conn ~owner =
   if Itab.mem t.eps conn.Tcp.id then
     invalid_arg "Kernel.register: duplicate connection id";
-  let ep = open_ep t ~port:conn.Tcp.local_port ~conn ~socks ~owner in
+  let ep = open_ep t ~port:conn.Tcp.local_port ~conn ~socks:[] ~owner in
   Itab.replace t.eps conn.Tcp.id ep
 
 let bind t (sock : Socket.t) ~owner ~port =
@@ -875,11 +972,13 @@ let close_dgram t (sock : Socket.t) =
 let attach t (sock : Socket.t) (conn : Tcp.conn) ~owner =
   sock.Socket.port <- conn.Tcp.local_port;
   if sock.Socket.tcp != conn then sock.Socket.tcp <- conn;
+  sock.Socket.tcp_id <- conn.Tcp.id;
+  (* A child with a socket is its listener's no more: only an unaccepted
+     child reads [parent], so none points at a recycled listener. *)
+  if conn.Tcp.parent != Tcp.null_conn then conn.Tcp.parent <- Tcp.null_conn;
   let ep = conn_ep t conn in
   if ep != null_ep then begin
-    (match ep.ep_socks with
-     | [ s ] when s == sock -> ()
-     | _ -> ep.ep_socks <- [ sock ]);
+    if ep.ep_sock != sock then ep.ep_sock <- sock;
     ep.ep_owner <- owner
   end
 
@@ -888,7 +987,7 @@ let open_conn t sock (conn : Tcp.conn) ~owner =
   if conn.Tcp.rport < 0
      && Chantab.find_listen t.chantab ~port:conn.Tcp.local_port != null_ep
   then invalid_arg "Kernel.open_conn: port in use";
-  register t conn ~socks:[] ~owner;
+  register t conn ~owner;
   attach t sock conn ~owner
 
 (* ------------------------------------------------------------------ *)
@@ -913,29 +1012,57 @@ let fire_tcp_timer t tm =
 let recv_timeout_target t = (jobs t).g_rcvto
 
 (* Wake the chosen waiters of a connection's socket, if it has one. *)
-let wake_ep ?(send = false) ?(recv = false) ?(accept = false) t ep =
-  match ep.ep_socks with
-  | s :: _ ->
-      if send then wake_all t s.Socket.send_wait;
-      if recv then wake_all t s.Socket.recv_wait;
-      if accept then wake_all t s.Socket.accept_wait
-  | [] -> ()
+let wake_sock ?(send = false) ?(recv = false) ?(accept = false) t
+    (s : Socket.t) =
+  if s != Socket.none then begin
+    if send then wake_all t s.Socket.send_wait;
+    if recv then wake_all t s.Socket.recv_wait;
+    if accept then wake_all t s.Socket.accept_wait
+  end
+
+let wake_ep ?send ?recv ?accept t ep =
+  wake_sock ?send ?recv ?accept t ep.ep_sock
 
 (* Closing a listener aborts the connections it has not handed to a
    socket — the embryonic ones and those waiting on its accept queue —
    as 4.4BSD's [soclose] aborts [so_q0] and [so_q]: each sends an RST
-   and, through [on_closed], releases its endpoint. *)
+   and, through [on_closed], releases its endpoint and goes back to the
+   pool.  A queued child that was already closed (reset) was held by the
+   queue alone: it goes back to the pool here. *)
 let abort_unaccepted t (l : Tcp.conn) =
   let orphans =
     Lrp_det.Det.fold_sorted_int
       (fun _ ep acc ->
-        match ep.ep_socks with
-        | [] when ep.ep_conn.Tcp.parent == l -> ep.ep_conn :: acc
-        | _ -> acc)
+        if ep.ep_sock == Socket.none && ep.ep_conn.Tcp.parent == l then
+          ep.ep_conn :: acc
+        else acc)
       t.eps []
   in
-  Queue.clear l.Tcp.listen.Tcp.accept_queue;
+  let rec unqueue () =
+    let c = Tcp.accept_pop l in
+    if c != Tcp.null_conn then begin
+      if Tcp.state c = Tcp.Closed then Tcp.recycle c;
+      unqueue ()
+    end
+  in
+  unqueue ();
   List.iter Tcp.abort (List.rev orphans)
+
+(* A connection TCP is done with goes back to the pool unless something
+   still holds it: an open socket ([sock], read before its endpoint was
+   released), or its listener's accept queue.  [close_stream] and
+   [abort_unaccepted] recycle what those let go later. *)
+let recycle_unheld (conn : Tcp.conn) (sock : Socket.t) =
+  if sock == Socket.none then begin
+    if conn.Tcp.link == Tcp.null_conn then Tcp.recycle conn
+  end
+  else if sock.Socket.closed then Tcp.recycle conn
+
+(* A closed stream socket lets its connection go: back to the pool now
+   if TCP is already done with it, else when [on_closed] runs. *)
+let close_stream (sock : Socket.t) =
+  let c = Socket.conn sock in
+  if c != Tcp.null_conn && Tcp.state c = Tcp.Closed then Tcp.recycle c
 
 let make_tcp_env t =
   { Tcp.clock = Engine.clock_cell t.engine;
@@ -954,7 +1081,7 @@ let make_tcp_env t =
     on_accept_ready = (fun l _child -> wake_ep t (conn_ep t l) ~accept:true);
     on_syn_received =
       (fun listener child ->
-        register t child ~socks:[] ~owner:(conn_ep t listener).ep_owner);
+        register t child ~owner:(conn_ep t listener).ep_owner);
     on_connect_failed =
       (fun conn -> wake_ep t (conn_ep t conn) ~send:true ~recv:true);
     on_reset =
@@ -970,15 +1097,18 @@ let make_tcp_env t =
     on_closed =
       (fun conn ->
         let ep = conn_ep t conn in
+        let sock = ep.ep_sock in
         if ep != null_ep then release_ep t ep;
         if conn.Tcp.rport < 0 then abort_unaccepted t conn;
-        wake_ep t ep ~send:true ~recv:true);
+        wake_sock t sock ~send:true ~recv:true;
+        if ep != null_ep then recycle_unheld conn sock);
     mss = t.cfg.mss;
     time_wait_duration = t.cfg.time_wait;
     initial_rto;
     max_syn_retries;
     totals = Tcp.new_totals ();
-    rows = Tcp.new_rows () }
+    rows = Tcp.new_rows ();
+    spare = Tcp.new_spare () }
 
 (* ------------------------------------------------------------------ *)
 (* Shared delivery helpers                                              *)
@@ -1499,13 +1629,13 @@ let ksoftirqd_loop t n =
    interrupt wakes immediately; on the NI, the interface must raise a
    (cheap) host interrupt to do it: [ni_intr] posts the wakeup as a typed
    job, so a per-packet wakeup allocates nothing. *)
-let ni_intr t j x =
+let ni_intr t j x arg =
   (Cpu.cost_cell t.cpu).(0) <- t.c.Cost.ni_wakeup_intr;
-  Cpu.post_hard_job t.cpu ~tpkt:(-1) j x 0
+  Cpu.post_hard_job t.cpu ~tpkt:(-1) j x arg
 
 let ni_wake_one t wq =
   match t.demux with
-  | Nic -> ni_intr t (jobs t).j_wake wq
+  | Nic -> ni_intr t (jobs t).j_wake wq 0
   | Softirq | Hardirq -> wake_one t wq
 
 let rec wake_members t = function
@@ -1594,7 +1724,7 @@ let lrp_classify_rx t row =
                   Channel.clear_interrupt_request ch;
                   (* The bound socket's receiver, or every member's. *)
                   match t.demux with
-                  | Nic -> ni_intr t (jobs t).j_wake_ep ep
+                  | Nic -> ni_intr t (jobs t).j_wake_ep ep 0
                   | Softirq | Hardirq -> wake_members t ep.ep_socks
                 end
                 else if t.cfg.udp_helper && was_empty then
@@ -1613,7 +1743,7 @@ let lrp_classify_rx t row =
                    under NI demux that keeps host interrupts rare. *)
                 if was_empty then
                   (match t.demux with
-                   | Nic -> ni_intr t (jobs t).j_app_chan ep
+                   | Nic -> ni_intr t (jobs t).j_app_chan ep ep.ep_gen
                    | Softirq | Hardirq -> app_post_chan t ep ch)
             | Demux.Frag_class | Demux.Icmp_class ->
                 (* Fragments needing reassembly and ICMP: the helper
@@ -1919,7 +2049,9 @@ let create engine fabric ~name ~ip cfg =
       parena;
       interfaces = [ (ip, 24, nic) ];
       chantab = Chantab.create ~dummy:null_ep ~has_chan:ep_has_chan ();
-      eps = Itab.create 16; frag_chan; icmp_chan; fwd_chan;
+      eps = Itab.create 16; ep_pool = new_pool null_ep; chan_pool = new_pool None;
+      stream_shared = Socket.shared ();
+      frag_chan; icmp_chan; fwd_chan;
       apps = Itab.create 8;
       helper_wq = Proc.waitq "udp-helper"; fwd_wq = Proc.waitq "ipfwdd";
       udp_eps = []; napi = [||]; rxj = None;
@@ -1953,12 +2085,12 @@ let create engine fabric ~name ~ip cfg =
         j_wake_ep =
           Cpu.job cpu ~label:"ni-intr" (fun ep _ -> wake_members t ep.ep_socks);
         j_app_chan =
-          Cpu.job cpu ~label:"ni-intr" (fun ep _ ->
+          Cpu.job cpu ~label:"ni-intr" (fun ep gen ->
               match ep.ep_chan with
-              | Some ch -> app_post_chan t ep ch
-              | None -> ());
+              | Some ch when ep.ep_gen = gen -> app_post_chan t ep ch
+              | Some _ | None -> ());
         j_orphan =
-          Cpu.job cpu ~label:"tcp-orphan" (fun ep _ -> orphan_drain t ep);
+          Cpu.job cpu ~label:"tcp-orphan" (fun ep gen -> orphan_drain t ep gen);
         j_tcp_timer =
           Cpu.job cpu ~label:"tcp-timer" (fun tm gen ->
               Tcp.timer_fired tm ~gen);

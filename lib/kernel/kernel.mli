@@ -140,14 +140,19 @@ type jobs
     once at creation. *)
 
 type ep = private {
-  ep_port : int;
-  ep_conn : Lrp_proto.Tcp.conn;  (** [Tcp.null_conn] for datagrams *)
-  ep_group : bool;  (** a multicast group: [ep_socks] are its members *)
+  mutable ep_port : int;
+  mutable ep_conn : Lrp_proto.Tcp.conn;  (** [Tcp.null_conn] for datagrams *)
+  mutable ep_group : bool;  (** a multicast group: [ep_socks] are its members *)
   mutable ep_socks : Socket.t list;
-      (** the bound socket, the group's members, or the connection's
-          socket ([[]] until accepted) *)
+      (** a datagram endpoint's bound socket or group members; [[]] on a
+          connection *)
+  mutable ep_sock : Socket.t;
+      (** a connection's or listener's socket; {!Socket.none} until it
+          has one (an unaccepted child) *)
   mutable ep_owner : Lrp_sim.Proc.t;  (** [Proc.none]: nobody's *)
   mutable ep_chan : Lrp_core.Channel.t option;  (** lazy kernels only *)
+  mutable ep_gen : int;
+      (** its releases so far: a holder across a release compares it *)
 }
 (** An endpoint (section 3.1): a bound datagram socket, a multicast
     group, a listener or a connection.  The one record that links its
@@ -155,7 +160,16 @@ type ep = private {
     its NI channel and its PCB.  It is one entry of the demux table
     ({!t.chantab}) under every architecture.  Opened by the operations
     below, released on one path when the socket closes or the connection
-    is gone. *)
+    is gone.  A connection's endpoint and channel then go back to the
+    kernel's pools ({!t.ep_pool}, {!t.chan_pool}). *)
+
+type 'a pool = private {
+  mutable items : 'a array;
+  mutable n : int;  (** spare records *)
+  mutable made : int;  (** records made for the pool: [made - n] are live *)
+  blank : 'a;
+}
+(** A free list of released records. *)
 
 type t = private {
   kname : string;
@@ -176,6 +190,10 @@ type t = private {
           listen port; the LRP kernels' NI classification and the eager
           kernels' PCB lookup both read it *)
   eps : ep Lrp_det.Itab.t;  (** connections and listeners by conn id *)
+  ep_pool : ep pool;  (** released connection endpoints *)
+  chan_pool : Lrp_core.Channel.t option pool;
+      (** closed connection channels, kept in their [Some] cells *)
+  stream_shared : Socket.shared;  (** what its stream sockets share *)
   parena : Lrp_net.Parena.t;
       (** the cell's frame pool, shared with the NIC and the fabric: every
           frame the kernel holds is a row here, under every architecture
@@ -294,6 +312,11 @@ val attach :
     connection's ports, the connection's events wake it, and [owner] is
     charged for its APP-thread work.  Called again to hand the socket to
     another process. *)
+
+val close_stream : Socket.t -> unit
+(** A closed stream socket lets go of its connection: it goes back to
+    its env's pool now if TCP is done with it, else once it is.
+    {!Api.close} calls it after {!Lrp_proto.Tcp.close}. *)
 
 val deliver_tcp : t -> Lrp_net.Parena.handle -> ctx:[ `Proc | `Soft ] -> bool
 (** The eager kernels' PCB lookup of a received TCP segment's row: hand it

@@ -31,14 +31,41 @@ type t = {
           processing) *)
   recv_wait : Lrp_sim.Proc.waitq;
   send_wait : Lrp_sim.Proc.waitq;
-  accept_wait : Lrp_sim.Proc.waitq;
+  mutable accept_wait : Lrp_sim.Proc.waitq;  (** a listening socket's own *)
   mutable chan : Lrp_core.Channel.t option;
   mutable tcp : Lrp_proto.Tcp.conn;
-      (** {!Lrp_proto.Tcp.null_conn} until a connection is attached *)
+      (** {!Lrp_proto.Tcp.null_conn} until a connection is attached;
+          read it through {!conn} *)
+  mutable tcp_id : int;  (** [tcp]'s id when it was attached *)
   mutable closed : bool;
   stats : stats;
 }
-val create : kind -> t
+type shared
+(** What the stream sockets of a kernel share and never write: a
+    datagram queue, statistics, and an accept wait queue, which a socket
+    keeps until it listens. *)
+
+val none : t
+(** The socket of a connection that has none yet: never written. *)
+
+val shared : unit -> shared
+(** One kernel's. *)
+
+val dgram : unit -> t
+(** A datagram socket, with a queue, statistics and an accept wait queue
+    of its own. *)
+
+val stream : shared -> t
+(** A stream socket: its [udp_rcv], [stats] and [accept_wait] are the
+    kernel's [shared] ones, never written. *)
+
+val conn : t -> Lrp_proto.Tcp.conn
+(** The socket's connection, checked against the id it was attached
+    with.  A connection is recycled only after its socket closes, so a
+    closed socket whose connection was recycled gets
+    {!Lrp_proto.Tcp.null_conn}, which answers as a closed connection.
+    @raise Invalid_argument ({!Lrp_proto.Tcp.stale}) if an open socket's
+    connection was recycled. *)
 
 val has_room : t -> bool
 (** The socket queue holds fewer than 32 datagrams. *)

@@ -107,6 +107,7 @@ and env = {
   max_syn_retries : int;
   totals : totals;  (** traffic of every connection sharing this env *)
   rows : rows;      (** the queue rows of every connection sharing it *)
+  spare : spare;    (** its connection pool *)
 }
 
 (* Traffic counters summed over the env's connections since it was made,
@@ -136,11 +137,23 @@ and rows = {
   mutable r_free : int;  (* free-list head, -1 when empty *)
 }
 
+(* The connection pool of every env sharing it: recycled connections,
+   linked through [link] ([null_conn] ends the list), and how many
+   connections it has made that are not on the list. *)
+and spare = {
+  mutable free : conn;
+  mutable nfree : int;
+  mutable live : int;
+}
+
+(* A recycled connection keeps its floats and timers: every other field
+   is written afresh by [init], so [env], the id, the addresses, the
+   buffer limits and [listen] are mutable too. *)
 and conn = {
-  env : env;
-  id : int;
-  local_ip : Packet.ip;
-  local_port : int;
+  mutable env : env;
+  mutable id : int;               (* -1 while on the free list *)
+  mutable local_ip : Packet.ip;
+  mutable local_port : int;
   mutable rip : Packet.ip;        (* remote address *)
   mutable rport : int;            (* remote port; -1 on a listener *)
   mutable state : state;
@@ -156,7 +169,7 @@ and conn = {
   mutable sndq : int;             (* app data not yet segmented *)
   mutable unsent_off : int;       (* bytes of [sndq]'s head already sent *)
   mutable unsent_bytes : int;
-  sndq_limit : int;
+  mutable sndq_limit : int;
   mutable fin_queued : bool;
   mutable fin_seq : int;          (* sequence number the FIN occupies, -1 if unset *)
   (* --- receive side --- *)
@@ -164,7 +177,7 @@ and conn = {
   mutable ooo : (int * Payload.t) list;  (* out-of-order segments *)
   mutable rcvq : int;             (* in-order data for the app *)
   mutable rcvq_bytes : int;
-  rcv_buf_limit : int;
+  mutable rcv_buf_limit : int;
   mutable fin_received : bool;
   mutable last_advertised_wnd : int;
   (* --- timers / rtt --- *)
@@ -173,14 +186,22 @@ and conn = {
   mutable backoff : int;
   mutable timing_seq : int;       (* ack that samples the RTT, -1 if none *)
   mutable syn_retries : int;
-  listen : listen;        (* a listener's own; [no_listen] on the others *)
+  mutable listen : listen;  (* a listener's own; [no_listen] on the others *)
   mutable parent : conn;  (* a passive child's listener, else [null_conn] *)
+  mutable link : conn;
+      (* the next connection on its listener's accept queue or on the
+         free list; [null_conn] on neither *)
 }
 
-(* A listener's state, out of every other connection. *)
+(* A listener's state, out of every other connection.  The accept queue
+   links its established children through [link]: circular, named by its
+   tail ([null_conn] when empty), the tail's link being the head, so a
+   live connection is on an accept queue exactly when its [link] is not
+   [null_conn]. *)
 and listen = {
   backlog : int;
-  accept_queue : conn Queue.t;
+  mutable aq_tail : conn;
+  mutable aq_len : int;
   mutable syn_pending : int;      (* embryonic children of this listener *)
   mutable syn_drops_backlog : int;  (* SYNs this listener dropped *)
 }
@@ -204,11 +225,6 @@ let new_totals () =
 
 let new_rows () = { r_seq = [||]; r_pay = [||]; r_next = [||]; r_free = -1 }
 
-(* Shared by every connection that is not a listener; never written. *)
-let no_listen =
-  { backlog = 0; accept_queue = Queue.create (); syn_pending = 0;
-    syn_drops_backlog = 0 }
-
 (* A placeholder connection for table and ring slots that hold none, and
    the [parent] and [tconn] of those that have none: never in the data
    path, and it draws no connection id. *)
@@ -220,7 +236,12 @@ let rec null_conn =
     fin_queued = false; fin_seq = -1; rcv_nxt = 0; ooo = []; rcvq = -1; rcvq_bytes = 0;
     rcv_buf_limit = 0; fin_received = false; last_advertised_wnd = 0; backoff = 0;
     rtx_timer = null_timer; persist_timer = null_timer; timing_seq = -1;
-    syn_retries = 0; listen = no_listen; parent = null_conn }
+    syn_retries = 0; listen = no_listen; parent = null_conn; link = null_conn }
+
+(* Shared by every connection that is not a listener; never written. *)
+and no_listen =
+  { backlog = 0; aq_tail = null_conn; aq_len = 0; syn_pending = 0;
+    syn_drops_backlog = 0 }
 
 and null_timer =
   { armed = false; tgen = 0; cookie = Lrp_engine.Engine.none; on_fire = ignore;
@@ -232,36 +253,88 @@ and null_env =
     on_writable = ignore; on_established = ignore; on_accept_ready = (fun _ _ -> ());
     on_syn_received = (fun _ _ -> ()); on_connect_failed = ignore; on_reset = ignore;
     on_time_wait = ignore; on_closed = ignore; mss = 1; time_wait_duration = 0.;
-    initial_rto = 0.; max_syn_retries = 0; totals = new_totals (); rows = new_rows () }
+    initial_rto = 0.; max_syn_retries = 0; totals = new_totals (); rows = new_rows ();
+    spare = { free = null_conn; nfree = 0; live = 0 } }
+
+let new_spare () = { free = null_conn; nfree = 0; live = 0 }
 
 (* Connection ids come from the per-engine id space installed on this
    domain (Lrp_engine.Idspace): per-cell sequences, independent of other
    simulations or shards allocating concurrently. *)
 
 let make_timer () =
-  (* alloc: cold — once per connection *)
+  (* alloc: cold — the pool grows *)
   { armed = false; tgen = 0; cookie = Lrp_engine.Engine.none;
     on_fire = ignore; tconn = null_conn }
 
-let make_conn env ~local_ip ~local_port ~sndq_limit ~rcv_buf_limit ~listen
-    ~state =
+(* A connection for an empty free list, its state left to [init]. *)
+let blank_conn () =
+  let fl =
+    (* alloc: cold — the pool grows *)
+    { cwnd = 0.; ssthresh = 0.; srtt = 0.; rttvar = 0.; rto = 0.; timing_sent = 0. }
+  in
   let c =
-    (* alloc: cold — once per connection *)
-    { env; id = Lrp_engine.Idspace.next_conn_id (); local_ip; local_port;
-      rip = 0; rport = -1; state; snd_una = 0; snd_nxt = 0; snd_wnd = 0;
-      fl =
-        (* alloc: cold — once per connection *)
-        { cwnd = float_of_int env.mss; ssthresh = 65_535.; srtt = -1.;
-          rttvar = 0.; rto = env.initial_rto; timing_sent = 0. };
-      dup_acks = 0; rtxq = -1; sndq = -1; unsent_off = 0; unsent_bytes = 0;
-      sndq_limit; fin_queued = false; fin_seq = -1; rcv_nxt = 0; ooo = [];
-      rcvq = -1; rcvq_bytes = 0; rcv_buf_limit; fin_received = false;
-      last_advertised_wnd = rcv_buf_limit; rtx_timer = make_timer ();
-      persist_timer = make_timer (); backoff = 0; timing_seq = -1;
-      syn_retries = 0; listen; parent = null_conn }
+    (* alloc: cold — the pool grows *)
+    { null_conn with fl; rtx_timer = make_timer (); persist_timer = make_timer () }
   in
   c.rtx_timer.tconn <- c;
   c.persist_timer.tconn <- c;
+  c
+
+(* A connection's opening state, with a fresh id.  Its queues, [ooo],
+   [parent] and [link] are already empty ([recycle] and [blank_conn]
+   leave them so).  Its timers keep their generations, so an expiry
+   delivered late to a recycled connection is still stale. *)
+let init c env ~local_ip ~local_port ~sndq_limit ~rcv_buf_limit ~listen ~state =
+  let f = c.fl in
+  if c.env != env then c.env <- env;
+  c.id <- Lrp_engine.Idspace.next_conn_id ();
+  c.local_ip <- local_ip;
+  c.local_port <- local_port;
+  c.rip <- 0;
+  c.rport <- -1;
+  c.state <- state;
+  c.snd_una <- 0;
+  c.snd_nxt <- 0;
+  c.snd_wnd <- 0;
+  f.cwnd <- float_of_int env.mss;
+  f.ssthresh <- 65_535.;
+  f.srtt <- -1.;
+  f.rttvar <- 0.;
+  f.rto <- env.initial_rto;
+  f.timing_sent <- 0.;
+  c.dup_acks <- 0;
+  c.unsent_off <- 0;
+  c.unsent_bytes <- 0;
+  c.sndq_limit <- sndq_limit;
+  c.fin_queued <- false;
+  c.fin_seq <- -1;
+  c.rcv_nxt <- 0;
+  c.rcvq_bytes <- 0;
+  c.rcv_buf_limit <- rcv_buf_limit;
+  c.fin_received <- false;
+  c.last_advertised_wnd <- rcv_buf_limit;
+  c.backoff <- 0;
+  c.timing_seq <- -1;
+  c.syn_retries <- 0;
+  if c.listen != listen then c.listen <- listen
+
+(* Take a connection off the env's free list, or make one. *)
+let make_conn env ~local_ip ~local_port ~sndq_limit ~rcv_buf_limit ~listen
+    ~state =
+  let sp = env.spare in
+  let c =
+    let c = sp.free in
+    if c == null_conn then blank_conn ()
+    else begin
+      sp.free <- c.link;
+      sp.nfree <- sp.nfree - 1;
+      c.link <- null_conn;
+      c
+    end
+  in
+  sp.live <- sp.live + 1;
+  init c env ~local_ip ~local_port ~sndq_limit ~rcv_buf_limit ~listen ~state;
   c
 
 (* ------------------------------------------------------------------ *)
@@ -321,6 +394,37 @@ let rec q_clear rs tl = if tl < 0 then -1 else q_clear rs (q_drop rs tl)
 let free_send c =
   c.sndq <- q_clear c.env.rows c.sndq;
   c.rtxq <- q_clear c.env.rows c.rtxq
+
+(* ------------------------------------------------------------------ *)
+(* Accept queue and pool                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* Append an established child to its listener's accept queue. *)
+let accept_push l c =
+  let q = l.listen in
+  let tl = q.aq_tail in
+  if tl == null_conn then c.link <- c
+  else begin
+    c.link <- tl.link;
+    tl.link <- c
+  end;
+  q.aq_tail <- c;
+  q.aq_len <- q.aq_len + 1
+
+let accept_pop l =
+  let q = l.listen in
+  let tl = q.aq_tail in
+  if tl == null_conn then null_conn
+  else begin
+    let hd = tl.link in
+    if hd == tl then q.aq_tail <- null_conn else tl.link <- hd.link;
+    hd.link <- null_conn;
+    q.aq_len <- q.aq_len - 1;
+    hd
+  end
+
+(* What a use of a recycled connection raises: one preallocated value. *)
+let stale = Invalid_argument "Tcp: connection recycled or still in use"
 
 (* ------------------------------------------------------------------ *)
 (* Helpers                                                              *)
@@ -813,8 +917,7 @@ and input c p r =
               let l = c.parent in
               if l != null_conn then begin
                 unpend c;
-                (* alloc: cold — once per connection *)
-                Queue.add c l.listen.accept_queue;
+                accept_push l c;
                 c.env.on_accept_ready l c
               end;
               (* The ACK may carry data. *)
@@ -839,7 +942,7 @@ and unpend c =
 and listener_input l p r =
   let q = l.listen in
   if has p r Packet.syn && not (has p r Packet.ack) then begin
-    if q.syn_pending + Queue.length q.accept_queue >= q.backlog then begin
+    if q.syn_pending + q.aq_len >= q.backlog then begin
       (* Backlog exceeded: BSD silently discards the SYN (after having paid
          for its processing — the crux of Figure 5). *)
       q.syn_drops_backlog <- q.syn_drops_backlog + 1;
@@ -875,7 +978,7 @@ let create_listener env ~local_ip ~local_port ?(sndq_limit = 32 * 1024)
     ?(rcv_buf_limit = 32 * 1024) ~backlog () =
   make_conn env ~local_ip ~local_port ~sndq_limit ~rcv_buf_limit
     ~listen:
-      { backlog; accept_queue = Queue.create (); syn_pending = 0;
+      { backlog; aq_tail = null_conn; aq_len = 0; syn_pending = 0;
         syn_drops_backlog = 0 }
     ~state:Listen
 
@@ -996,13 +1099,28 @@ let abort c =
   c.rcvq <- q_clear c.env.rows c.rcvq;
   enter_closed c
 
-let accept_pop l = Queue.take_opt l.listen.accept_queue
-
-let accept_ready l = not (Queue.is_empty l.listen.accept_queue)
+let accept_ready l = l.listen.aq_len > 0
 
 let backlog_full l =
   let q = l.listen in
-  q.syn_pending + Queue.length q.accept_queue >= q.backlog
+  q.syn_pending + q.aq_len >= q.backlog
+
+(* Back to the env's free list: a connection TCP is done with and nothing
+   else holds.  Its unread data, a reset connection's, goes back to the
+   row pool. *)
+let recycle c =
+  if c.id < 0 || c.state <> Closed || c.link != null_conn then raise stale;
+  let sp = c.env.spare in
+  free_send c;
+  c.rcvq <- q_clear c.env.rows c.rcvq;
+  c.ooo <- [];
+  c.id <- -1;
+  if c.parent != null_conn then c.parent <- null_conn;
+  if c.listen != no_listen then c.listen <- no_listen;
+  c.link <- sp.free;
+  sp.free <- c;
+  sp.nfree <- sp.nfree + 1;
+  sp.live <- sp.live - 1
 
 let state c = c.state
 

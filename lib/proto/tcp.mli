@@ -75,6 +75,7 @@ and env = {
   max_syn_retries : int;
   totals : totals;
   rows : rows;
+  spare : spare;
 }
 and totals = {
   mutable segs_sent : int;
@@ -91,11 +92,19 @@ and rows
 (* [rows]: the queue-row pool of every connection sharing an env — each
    connection's send, retransmission and receive queues are lists of its
    rows, named by one row index ([-1]: empty). *)
+(* [spare]: the connection pool of every env sharing it — recycled
+   connections linked through [link], and the connections it made that
+   are not on that list. *)
+and spare = {
+  mutable free : conn;
+  mutable nfree : int;  (** connections on the free list *)
+  mutable live : int;  (** connections made and not recycled *)
+}
 and conn = {
-  env : env;
-  id : int;
-  local_ip : Lrp_net.Packet.ip;
-  local_port : int;
+  mutable env : env;
+  mutable id : int;  (** -1 while on the free list *)
+  mutable local_ip : Lrp_net.Packet.ip;
+  mutable local_port : int;
   mutable rip : Lrp_net.Packet.ip;  (** remote address *)
   mutable rport : int;  (** remote port; -1 on a listener *)
   mutable state : state;
@@ -110,14 +119,14 @@ and conn = {
   mutable sndq : int;  (** app data not yet segmented, likewise *)
   mutable unsent_off : int;  (** bytes of [sndq]'s head already sent *)
   mutable unsent_bytes : int;
-  sndq_limit : int;
+  mutable sndq_limit : int;
   mutable fin_queued : bool;
   mutable fin_seq : int;
   mutable rcv_nxt : int;
   mutable ooo : (int * Lrp_net.Payload.t) list;  (** out-of-order segments *)
   mutable rcvq : int;  (** in-order data for the app, a row queue *)
   mutable rcvq_bytes : int;
-  rcv_buf_limit : int;
+  mutable rcv_buf_limit : int;
   mutable fin_received : bool;
   mutable last_advertised_wnd : int;
   rtx_timer : timer;
@@ -125,12 +134,20 @@ and conn = {
   mutable backoff : int;
   mutable timing_seq : int;  (** ack that samples the RTT, or -1 *)
   mutable syn_retries : int;
-  listen : listen;  (** a listener's own; shared and empty on the others *)
+  mutable listen : listen;  (** a listener's own; shared and empty on the others *)
   mutable parent : conn;  (** a passive child's listener, else {!null_conn} *)
+  mutable link : conn;
+      (** the next connection on its listener's accept queue or on the
+          free list; {!null_conn} on neither *)
 }
+(* [listen]: the accept queue links the established children through
+   [link], circular and named by its tail ({!null_conn} when empty), so
+   a live connection is queued exactly when its [link] is not
+   {!null_conn}. *)
 and listen = {
   backlog : int;
-  accept_queue : conn Queue.t;
+  mutable aq_tail : conn;
+  mutable aq_len : int;
   mutable syn_pending : int;
   mutable syn_drops_backlog : int;
 }
@@ -152,6 +169,9 @@ val new_totals : unit -> totals
 
 val new_rows : unit -> rows
 (** An empty queue-row pool, for a new {!env}. *)
+
+val new_spare : unit -> spare
+(** An empty connection pool, for a new {!env}. *)
 
 val null_conn : conn
 (** A statically-allocated placeholder connection (id -1) for table and
@@ -240,12 +260,26 @@ val backlog_full : conn -> bool
 (** A listener's embryonic plus accepted-but-unclaimed children fill its
     backlog. *)
 
-val accept_pop : conn -> conn option
-(** Dequeue an established child from a listener's accept queue. *)
+val accept_pop : conn -> conn
+(** Dequeue an established child from a listener's accept queue;
+    {!null_conn} when it is empty. *)
 
 val accept_ready : conn -> bool
 
 val state : conn -> state
+
+(** {1 Pool} *)
+
+val recycle : conn -> unit
+(** Put a connection that nothing holds any more on its env's free list,
+    where the next {!create_active}, {!create_listener} or passive open
+    takes it with a fresh id.  Its unread data goes back to the row pool.
+    @raise Invalid_argument ({!stale}) unless it is [Closed], on no
+    accept queue and not already recycled. *)
+
+val stale : exn
+(** The one preallocated exception a use of a recycled connection
+    raises. *)
 
 val segs_sent : conn -> int
 (** Segments sent by every connection of [conn]'s env: the difference

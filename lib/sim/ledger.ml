@@ -28,8 +28,9 @@
    A row lives as long as its process or channel: [retire_pid] /
    [retire_flow] add a dead key's columns into one aggregate row and drop
    its entry, so the tables hold the live population, not every pid and
-   channel a long run has ever seen.  The class totals are kept apart
-   and never folded. *)
+   channel a long run has ever seen.  A retired flow's row, zeroed, is
+   kept for the next new flow.  The class totals are kept apart and
+   never folded. *)
 
 type cls = Intr | Soft | Proto | Poll | App
 
@@ -46,6 +47,8 @@ type t = {
   closed : float array;                  (* columns of every retired flow *)
   mutable any_exited : bool;
   mutable any_closed : bool;
+  mutable spare : float array array;  (* retired flows' rows, zeroed *)
+  mutable nspare : int;
   (* one-entry caches of the last row looked up: consecutive charges
      nearly always hit the same pid and flow *)
   mutable last_pid : int;
@@ -62,7 +65,7 @@ let create () =
     flows = Lrp_det.Itab.create 8;
     amount = [| 0. |];
     exited = Array.make 5 0.; closed = Array.make 5 0.;
-    any_exited = false; any_closed = false;
+    any_exited = false; any_closed = false; spare = [||]; nspare = 0;
     last_pid = min_int; last_prow = no_row;
     last_flow = min_int; last_fcols = [||] }
 
@@ -92,7 +95,15 @@ let frow t flow =
     let c =
       if slot >= 0 then Lrp_det.Itab.value t.flows slot
       else begin
-        let c = Array.make 5 0. in (* alloc: cold — first sighting of a flow *)
+        let c =
+          if t.nspare > 0 then begin
+            t.nspare <- t.nspare - 1;
+            let c = t.spare.(t.nspare) in
+            t.spare.(t.nspare) <- [||];
+            c
+          end
+          else Array.make 5 0. (* alloc: cold — first sighting of a flow *)
+        in
         Lrp_det.Itab.replace t.flows flow c;
         c
       end
@@ -124,9 +135,18 @@ let retire_pid t ~pid =
 let retire_flow t ~flow =
   let slot = Lrp_det.Itab.find t.flows flow in
   if slot >= 0 then begin
-    fold_into t.closed (Lrp_det.Itab.value t.flows slot);
+    let c = Lrp_det.Itab.value t.flows slot in
+    fold_into t.closed c;
     t.any_closed <- true;
     Lrp_det.Itab.remove t.flows flow;
+    Array.fill c 0 5 0.;
+    if t.nspare = Array.length t.spare then begin
+      let spare = Array.make (Int.max 8 (2 * t.nspare)) [||] in
+      Array.blit t.spare 0 spare 0 t.nspare;
+      t.spare <- spare
+    end;
+    t.spare.(t.nspare) <- c;
+    t.nspare <- t.nspare + 1;
     if t.last_flow = flow then begin
       t.last_flow <- min_int;
       t.last_fcols <- [||]

@@ -59,7 +59,8 @@ val retire_pid : t -> pid:int -> unit
 val retire_flow : t -> flow:int -> unit
 (** [retire_flow t ~flow] adds the flow's row into the closed-flow
     aggregate row (key [max_int]) and forgets the flow (done when its
-    channel is deallocated).  No-op for a flow without a row. *)
+    channel is deallocated); the row, zeroed, serves the next new flow.
+    No-op for a flow without a row. *)
 
 val total : t -> cls -> float
 val grand_total : t -> float

@@ -83,6 +83,27 @@ let tables (k : Kernel.t) =
       ("udp_eps", List.length k.Kernel.udp_eps);
       ("channels", List.length (Kernel.channels k)) ]
 
+(* Each pool's live and spare records: the TCP env's connections, and
+   the kernel's connection endpoints and channels. *)
+let census (k : Kernel.t) =
+  let sp = (Kernel.tcp_env_exn k).Lrp_proto.Tcp.spare in
+  let pool name (p : _ Kernel.pool) =
+    [ (name ^ " live", p.Kernel.made - p.Kernel.n); (name ^ " free", p.Kernel.n) ]
+  in
+  [ ("conns live", sp.Lrp_proto.Tcp.live); ("conns free", sp.Lrp_proto.Tcp.nfree) ]
+  @ pool "conn eps" k.Kernel.ep_pool
+  @ pool "conn chans" k.Kernel.chan_pool
+
+(* The live rows of a census. *)
+let live k =
+  List.filter (fun (name, _) -> Filename.check_suffix name " live") (census k)
+
+(* What a kernel holding [conns] connections and listeners, [chans] of
+   them with a channel, has live in its pools. *)
+let live_expected arch ~conns ~chans =
+  [ ("conns live", conns); ("conn eps live", conns);
+    ("conn chans live", if Kernel.is_lrp arch then chans else 0) ]
+
 (* The tables of a kernel holding [udp] bound sockets, [groups] groups,
    [listeners] listeners and [conns] connections, [conn_chans] of which
    still have a channel (NI-LRP frees it on entry to TIME_WAIT).  Every
@@ -166,21 +187,33 @@ let test_lifecycle () =
                   drain ()
               | `Refused -> ());
              Api.close client s));
-      let check_at ms k what exp =
+      let check_at ms k what exp ~pools =
         World.run w ~until:(Time.ms ms);
-        Alcotest.(check (list (pair string int)))
-          (Printf.sprintf "%s %s at %.0f ms: %s" name (Kernel.name k) ms what)
-          exp (tables k)
+        let what =
+          Printf.sprintf "%s %s at %.0f ms: %s" name (Kernel.name k) ms what
+        in
+        Alcotest.(check (list (pair string int))) what exp (tables k);
+        Alcotest.(check (list (pair string int))) (what ^ " (pools)") pools (live k)
       in
       let tw = if arch = Kernel.Ni_lrp then 0 else 1 in
       check_at 20. server "server connection in TIME_WAIT"
-        (expected arch ~udp:1 ~groups:1 ~listeners:1 ~conns:1 ~conn_chans:tw);
+        (expected arch ~udp:1 ~groups:1 ~listeners:1 ~conns:1 ~conn_chans:tw)
+        ~pools:(live_expected arch ~conns:2 ~chans:(1 + tw));
       check_at 20. client "client closed"
-        (expected arch ~udp:0 ~groups:0 ~listeners:0 ~conns:0 ~conn_chans:0);
+        (expected arch ~udp:0 ~groups:0 ~listeners:0 ~conns:0 ~conn_chans:0)
+        ~pools:(live_expected arch ~conns:0 ~chans:0);
       check_at 100. server "only the listener left"
-        (expected arch ~udp:0 ~groups:0 ~listeners:1 ~conns:0 ~conn_chans:0);
+        (expected arch ~udp:0 ~groups:0 ~listeners:1 ~conns:0 ~conn_chans:0)
+        ~pools:(live_expected arch ~conns:1 ~chans:1);
       check_at 200. server "everything closed"
-        (expected arch ~udp:0 ~groups:0 ~listeners:0 ~conns:0 ~conn_chans:0);
+        (expected arch ~udp:0 ~groups:0 ~listeners:0 ~conns:0 ~conn_chans:0)
+        ~pools:(live_expected arch ~conns:0 ~chans:0);
+      (* Every record came back: each pool holds what it made. *)
+      Alcotest.(check (list (pair string int)))
+        (name ^ ": the server's records are all spare")
+        [ ("conns free", 2); ("conn eps free", 2);
+          ("conn chans free", if Kernel.is_lrp arch then 2 else 0) ]
+        (List.filter (fun (n, _) -> Filename.check_suffix n " free") (census server));
       Alcotest.(check bool) (name ^ ": request served and fetched") true
         (!served && !fetched);
       Alcotest.(check bool) (name ^ ": set_owner hands the endpoint over") true
@@ -206,7 +239,10 @@ let test_listener_close_aborts () =
       let cfg =
         { (Kernel.default_config arch) with Kernel.time_wait = Time.ms 50. }
       in
-      let fresh = tables (let _, _, k = World.pair ~cfg () in k) in
+      let fresh, fresh_live =
+        let _, _, k = World.pair ~cfg () in
+        (tables k, live k)
+      in
       let scenario () =
         let w, client, server = World.pair ~cfg () in
         ignore
@@ -256,6 +292,9 @@ let test_listener_close_aborts () =
             (Printf.sprintf "%s %s: tables of a fresh kernel" name
                (Kernel.name k))
             fresh (tables k);
+          Alcotest.(check (list (pair string int)))
+            (Printf.sprintf "%s %s: pools of a fresh kernel" name (Kernel.name k))
+            fresh_live (live k);
           Alcotest.(check int) (name ^ ": no descriptor left") 0
             (Parena.live k.Kernel.parena);
           Alcotest.(check int) (name ^ ": no mbuf left") 0
@@ -374,6 +413,149 @@ let test_time_wait_reuse () =
       Alcotest.(check int) (name ^ ": no segment misses the demux table")
         !unmatched_before (unmatched ()))
     archs
+
+(* --- use after recycling ----------------------------------------------- *)
+
+(* A client connects, sends 100 bytes and closes; once its connection is
+   past TIME_WAIT and recycled, it connects again and the new connection
+   takes the same record.  The old, closed socket must still answer as a
+   closed connection does — [`Closed] to a send, [`Eof] to a receive —
+   and handing it to another process must not move the new connection's
+   endpoint. *)
+let test_recycled_conn () =
+  List.iter
+    (fun arch ->
+      let name = Kernel.arch_name arch in
+      let cfg =
+        { (Kernel.default_config arch) with Kernel.time_wait = Time.ms 50. }
+      in
+      let w, client, server = World.pair ~cfg () in
+      ignore
+        (Cpu.spawn (Kernel.cpu server) ~name:"srv" (fun self ->
+             let l = Api.socket_stream server in
+             Api.tcp_listen server ~self l ~port:80 ~backlog:4;
+             let rec serve () =
+               let s = Api.tcp_accept server ~self l in
+               let rec drain () =
+                 match Api.tcp_recv server s ~max:4096 with
+                 | `Data _ -> drain ()
+                 | `Eof -> ()
+               in
+               drain ();
+               Api.close server s;
+               serve ()
+             in
+             serve ()));
+      let other = Cpu.spawn (Kernel.cpu client) ~name:"other" (fun _ ->
+          Proc.block (Proc.waitq "other")) in
+      let reused = ref false and answers = ref [] and owner_kept = ref false in
+      let conn_b = ref Lrp_proto.Tcp.null_conn in
+      ignore
+        (Cpu.spawn (Kernel.cpu client) ~name:"cli" (fun self ->
+             let remote = (Kernel.ip_address server, 80) in
+             let a = Api.socket_stream client in
+             assert (Api.tcp_connect client ~self a ~remote = `Ok);
+             ignore (Api.tcp_send client a (Payload.synthetic 100));
+             Api.close client a;
+             Proc.sleep_for (Time.ms 100.);
+             let b = Api.socket_stream client in
+             assert (Api.tcp_connect client ~self b ~remote = `Ok);
+             reused := b.Socket.tcp == a.Socket.tcp;
+             conn_b := b.Socket.tcp;
+             let send = Api.tcp_send client a (Payload.synthetic 10) in
+             let recv =
+               match Api.tcp_recv client a ~max:4096 with
+               | `Data _ -> "data"
+               | `Eof -> "eof"
+             in
+             answers := [ (match send with `Ok -> "ok" | `Closed -> "closed"); recv ];
+             Api.set_owner client a ~owner:other;
+             owner_kept :=
+               (match
+                  Lrp_det.Itab.find_opt client.Kernel.eps
+                    b.Socket.tcp.Lrp_proto.Tcp.id
+                with
+                | Some ep -> ep.Kernel.ep_owner == self
+                | None -> false);
+             Api.close client b));
+      World.run w ~until:(Time.ms 300.);
+      Alcotest.(check bool) (name ^ ": the new connection reuses the record")
+        true !reused;
+      Alcotest.(check (list string))
+        (name ^ ": the old socket answers as a closed connection")
+        [ "closed"; "eof" ] !answers;
+      Alcotest.(check bool)
+        (name ^ ": the old socket cannot hand the new connection over")
+        true !owner_kept;
+      Alcotest.(check int) (name ^ ": the second connection is recycled too") (-1)
+        !conn_b.Lrp_proto.Tcp.id;
+      Alcotest.check_raises (name ^ ": recycling it again raises")
+        Lrp_proto.Tcp.stale (fun () -> Lrp_proto.Tcp.recycle !conn_b))
+    archs
+
+(* An APP thread is draining connection A's channel (a client still in
+   SYN_SENT, eight SYN-ACKs queued from its unroutable peer) and is
+   inside the charge for the first, when a better-priority process
+   closes A's socket and opens connection B, which takes A's connection
+   record, endpoint and channel from the pools.  When the APP thread
+   resumes, the frame it holds is A's, and the endpoint is not the one
+   it was: the frame must not reach B, which stays in SYN_SENT. *)
+let test_recycled_endpoint () =
+  List.iter
+    (fun arch ->
+      let name = Kernel.arch_name arch in
+      let w, k, peer = World.pair ~cfg:(Kernel.default_config arch) () in
+      let nowhere = Packet.ip_of_quad 10 9 9 9 in
+      let a = Api.socket_stream k and b = Api.socket_stream k in
+      let qwq = Proc.waitq "q" and result = ref "none" in
+      ignore
+        (Cpu.spawn (Kernel.cpu k) ~nice:20 ~name:"p" (fun self ->
+             ignore (Api.tcp_connect k ~self a ~remote:(nowhere, 80))));
+      ignore
+        (Cpu.spawn (Kernel.cpu k) ~name:"q" (fun self ->
+             Proc.block qwq;
+             Api.close k a;
+             result :=
+               match Api.tcp_connect k ~self b ~remote:(nowhere, 80) with
+               | `Ok -> "established"
+               | `Refused -> "refused"));
+      (* A's first SYN retransmission (1.5 s) starts P's APP thread, and
+         the next scheduler tick gives it P's nice-20 priority. *)
+      World.run w ~until:(Time.ms 1600.);
+      let conn_a = a.Socket.tcp in
+      let ep_a = Lrp_det.Itab.find_opt k.Kernel.eps conn_a.Lrp_proto.Tcp.id in
+      let ch =
+        match ep_a with
+        | Some { Kernel.ep_chan = Some ch; _ } -> ch
+        | _ -> Alcotest.fail "A has no channel"
+      in
+      let pool = Nic.pool (Kernel.nic peer) in
+      for _ = 1 to 8 do
+        ignore
+          (Nic.transmit_row (Kernel.nic peer)
+             (Parena.tcp pool ~src:nowhere ~dst:(Kernel.ip_address k)
+                ~src_port:80 ~dst_port:a.Socket.port ~seq:0 ~ack_no:1
+                ~flags:Packet.flags_syn_ack ~window:8192 (Payload.synthetic 0)))
+      done;
+      let eng = World.engine w in
+      while Lrp_core.Channel.enqueued ch - Lrp_core.Channel.length ch < 1 do
+        ignore (Engine.step eng)
+      done;
+      assert (Cpu.wakeup_one (Kernel.cpu k) qwq);
+      World.run w ~until:(Time.ms 1700.);
+      let conn_b = b.Socket.tcp in
+      let ep_b = Lrp_det.Itab.find_opt k.Kernel.eps conn_b.Lrp_proto.Tcp.id in
+      Alcotest.(check bool) (name ^ ": B took A's connection, endpoint and channel")
+        true
+        (conn_b == conn_a
+         && (match ep_a, ep_b with Some x, Some y -> x == y | _ -> false)
+         && match ep_b with
+            | Some { Kernel.ep_chan = Some c; _ } -> c == ch
+            | _ -> false);
+      Alcotest.(check string) (name ^ ": A's frame did not reach B") "none" !result;
+      Alcotest.(check bool) (name ^ ": B is still opening") true
+        (Lrp_proto.Tcp.state conn_b = Lrp_proto.Tcp.Syn_sent))
+    [ Kernel.Soft_lrp; Kernel.Ni_lrp ]
 
 (* --- the frame pool's conservation ------------------------------------ *)
 
@@ -521,6 +703,10 @@ let suite =
       test_duplicate_conn_id;
     Alcotest.test_case "a reused four-tuple survives the old TIME_WAIT"
       `Quick test_time_wait_reuse;
+    Alcotest.test_case "a closed socket's recycled connection answers closed"
+      `Quick test_recycled_conn;
+    Alcotest.test_case "a drain that yields skips a recycled endpoint" `Quick
+      test_recycled_endpoint;
     Alcotest.test_case "frame pool conserves frames: UDP blast" `Quick
       test_pool_blast;
     Alcotest.test_case "frame pool conserves frames: fragmenting gateway"

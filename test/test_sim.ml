@@ -634,6 +634,73 @@ let zero_word_cycles =
           pass a;
           ignore (Tcp.recv b ~max:mss : Lrp_net.Payload.t);
           pass a );
+    ( "tcp_conn_cycle_warm_pool",
+      (* a connection's whole life at the Tcp and Kernel level, on a warm
+         pool (BSD kernel, its segments routed by the kernel's PCB lookup
+         straight to the other end): an active open and its endpoint, the
+         listener's child and its endpoint, the accept, both closes and
+         the TIME_WAIT expiry, after which both connections and both
+         endpoints are back in their pools.  The two sockets are reused,
+         reopened each cycle.  Nanosecond TIME_WAIT and costs keep the
+         window inside the first 10 ms *)
+      fun () ->
+        let w = Lrp_workload.World.make () in
+        let costs =
+          { Lrp_kernel.Cost.default with
+            Lrp_kernel.Cost.soft_dispatch = 0.001; tcp_in = 0.001 }
+        in
+        let k =
+          Lrp_workload.World.add_host w ~name:"host"
+            { (Kernel.default_config ~costs Kernel.Bsd) with
+              Kernel.time_wait = 0.01 }
+        in
+        let eng = Lrp_workload.World.engine w in
+        let pool = k.Kernel.parena and ip = Kernel.ip_address k in
+        let out = ref Parena.none in
+        let env =
+          { (Kernel.tcp_env_exn k) with Tcp.emit = (fun row -> out := row) }
+        in
+        let pass () =
+          let row = !out in
+          out := Parena.none;
+          ignore (Kernel.deliver_tcp k row ~ctx:`Soft : bool);
+          Parena.release pool row
+        in
+        let l = Tcp.create_listener env ~local_ip:ip ~local_port:80 ~backlog:4 () in
+        Kernel.open_conn k (Api.socket_stream k) l ~owner:Proc.none;
+        let sa = Api.socket_stream k and sb = Api.socket_stream k in
+        let remote = (ip, 80) in
+        let cycle () =
+          sa.Lrp_kernel.Socket.closed <- false;
+          sb.Lrp_kernel.Socket.closed <- false;
+          let a =
+            Tcp.create_active env ~local_ip:ip ~local_port:5000 ~remote ()
+          in
+          Kernel.open_conn k sa a ~owner:Proc.none;
+          pass () (* SYN *);
+          pass () (* SYN-ACK *);
+          pass () (* ACK: the child is established and queued *);
+          let b = Tcp.accept_pop l in
+          Kernel.attach k sb b ~owner:Proc.none;
+          sa.Lrp_kernel.Socket.closed <- true;
+          Tcp.close a;
+          pass () (* FIN *);
+          pass () (* its ACK *);
+          sb.Lrp_kernel.Socket.closed <- true;
+          Tcp.close b;
+          pass () (* FIN: [a] enters TIME_WAIT *);
+          pass () (* the last ACK: [b] is recycled *);
+          while Tcp.state a = Tcp.Time_wait do
+            ignore (Engine.step eng)
+          done
+        in
+        cycle ();
+        (* only the listener is live: both connections and their
+           endpoints are spare *)
+        let sp = env.Tcp.spare and eps = k.Kernel.ep_pool in
+        assert (sp.Tcp.live = 1 && sp.Tcp.nfree = 2);
+        assert (eps.Kernel.made - eps.Kernel.n = 1 && eps.Kernel.n = 2);
+        cycle );
     ( "busy_tick_decay",
       (* one process spinning on a single long segment: each cycle fires
          the CPU's 10 ms tick (charging the process) or its 1 s usage

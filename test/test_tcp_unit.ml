@@ -69,7 +69,8 @@ let mk_env h ~dir =
     initial_rto = 500_000.;
     max_syn_retries = 3;
     totals = Tcp.new_totals ();
-    rows = Tcp.new_rows () }
+    rows = Tcp.new_rows ();
+    spare = Tcp.new_spare () }
 
 (* Advance virtual time, delivering wire packets and firing timers in
    order.  [route] maps an inbound segment's row to the connection that should
