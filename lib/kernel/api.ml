@@ -71,7 +71,17 @@ let frag_count ~header ~bytes =
 
 let socket_dgram = Socket.dgram
 
-let socket_stream (k : Kernel.t) = Socket.stream k.Kernel.stream_shared
+let socket_stream (k : Kernel.t) = Socket.open_stream k.Kernel.socks
+
+(* A stream handle's socket: {!Socket.stale}, which answers as a closed
+   socket, once the handle's slot has been freed. *)
+let[@inline] stream (k : Kernel.t) h = Socket.lookup k.Kernel.socks h
+
+(* ... which must be open. *)
+let open_exn k h =
+  let sock = stream k h in
+  if sock.Socket.closed then raise Socket_closed;
+  sock
 
 (* [bind k sock ~owner ~port] binds a datagram socket to a local port.
    Under LRP this also creates the socket's NI channel (section 3.1). *)
@@ -240,10 +250,9 @@ let try_recvfrom k (sock : Socket.t) dg =
 (* TCP                                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let tcp_listen k ~(self : Proc.t) (sock : Socket.t) ~port ~backlog =
-  if sock.Socket.kind <> Socket.Stream then
-    invalid_arg "Api.tcp_listen: stream sockets only";
+let tcp_listen k ~(self : Proc.t) h ~port ~backlog =
   compute k (c k).Cost.syscall;
+  let sock = open_exn k h in
   sock.Socket.accept_wait <- Proc.waitq "accept";
   let listener =
     Tcp.create_listener (Kernel.tcp_env_exn k) ~local_ip:(Kernel.ip_address k)
@@ -258,8 +267,11 @@ let listener_exn (sock : Socket.t) =
   if Tcp.state l <> Tcp.Listen then invalid_arg "not a listening socket";
   l
 
+(* A stale handle's socket has no connection, and answers as a closed
+   socket whose connection was recycled. *)
 let conn_exn (sock : Socket.t) =
-  if sock.Socket.tcp == Tcp.null_conn then invalid_arg "not a connected stream socket";
+  if sock.Socket.tcp == Tcp.null_conn && sock != Socket.stale then
+    invalid_arg "not a connected stream socket";
   Socket.conn sock
 
 (* A listener is recycled only after its socket closes, which the loop
@@ -267,36 +279,38 @@ let conn_exn (sock : Socket.t) =
    attached: if it is reset, or aborted by its listener's close, during
    the charge, it goes back to the pool, and the accept takes the next
    child (or fails, the listener being closed). *)
-let rec accept_wait k ~(self : Proc.t) (sock : Socket.t) listener =
-  if sock.Socket.closed then raise Socket_closed;
+let rec accept_wait k ~(self : Proc.t) h listener =
+  let sock = open_exn k h in
   let conn = Tcp.accept_pop listener in
   if conn != Tcp.null_conn then begin
     let id = conn.Tcp.id in
     Kernel.update_listen_gate k listener;
     compute k (c k).Cost.sockq;
-    if conn.Tcp.id <> id then accept_wait k ~self sock listener
+    if conn.Tcp.id <> id then accept_wait k ~self h listener
     else begin
       let ns = socket_stream k in
-      Kernel.attach k ns conn ~owner:self;
+      Kernel.attach k (stream k ns) conn ~owner:self;
       ns
     end
   end
   else begin
     Proc.block sock.Socket.accept_wait;
-    accept_wait k ~self sock listener
+    accept_wait k ~self h listener
   end
 
-(* [tcp_accept k ~self sock] blocks until an established connection is
+(* [tcp_accept k ~self h] blocks until an established connection is
    available and returns a fresh socket for it, owned by [self]. *)
-let tcp_accept k ~(self : Proc.t) (sock : Socket.t) =
-  let listener = listener_exn sock in
+let tcp_accept k ~(self : Proc.t) h =
+  let listener = listener_exn (stream k h) in
   compute k (c k).Cost.syscall;
-  accept_wait k ~self sock listener
+  accept_wait k ~self h listener
 
-(* The blocking loops below read the connection through [Socket.conn]
-   after every wait: another process may close the socket meanwhile, and
-   its connection be recycled. *)
-let rec connect_wait (sock : Socket.t) =
+(* The blocking loops below look the handle up, and read the connection
+   through [Socket.conn], after every wait: another process may close
+   the socket meanwhile, its connection be recycled, and its slot serve
+   another socket. *)
+let rec connect_wait k h =
+  let sock = stream k h in
   match Tcp.state (Socket.conn sock) with
   | Tcp.Established -> `Ok
   | Tcp.Closed -> `Refused
@@ -304,26 +318,26 @@ let rec connect_wait (sock : Socket.t) =
   | Tcp.Fin_wait_2 | Tcp.Close_wait | Tcp.Last_ack | Tcp.Closing
   | Tcp.Time_wait ->
       Proc.block sock.Socket.send_wait;
-      connect_wait sock
+      connect_wait k h
 
-(* [tcp_connect k ~self sock ~remote] performs an active open and blocks
+(* [tcp_connect k ~self h ~remote] performs an active open and blocks
    until established or failed. *)
-let tcp_connect k ~(self : Proc.t) (sock : Socket.t) ~remote =
-  if sock.Socket.kind <> Socket.Stream then
-    invalid_arg "Api.tcp_connect: stream sockets only";
+let tcp_connect k ~(self : Proc.t) h ~remote =
   let local_port = Kernel.fresh_port k in
   compute k ((c k).Cost.syscall +. seg_out_cost k);
+  let sock = open_exn k h in
   let conn =
     Tcp.create_active (Kernel.tcp_env_exn k) ~local_ip:(Kernel.ip_address k)
       ~local_port ~remote ~sndq_limit:sock_buf
       ~rcv_buf_limit:sock_buf ()
   in
   Kernel.open_conn k sock conn ~owner:self;
-  connect_wait sock
+  connect_wait k h
 
 (* Queue [payload] on [conn], charging the copy and every segment the
    send emitted, and block while the send buffer is full. *)
-let rec send_all k (sock : Socket.t) payload =
+let rec send_all k h payload =
+  let sock = stream k h in
   let conn = Socket.conn sock in
   let before = Tcp.segs_sent conn in
   let n = Tcp.send conn payload in
@@ -333,25 +347,26 @@ let rec send_all k (sock : Socket.t) payload =
       (((c k).Cost.copy_per_byte *. float_of_int n)
        +. (float_of_int emitted *. seg_out_cost k));
     let len = Payload.length payload in
-    if n < len then send_all k sock (Payload.sub payload n (len - n))
+    if n < len then send_all k h (Payload.sub payload n (len - n))
     else `Ok
   end
   else if n = 0 then begin
     Proc.block sock.Socket.send_wait;
-    send_all k sock payload
+    send_all k h payload
   end
   else `Closed
 
-(* [tcp_send k sock payload] queues the whole payload, blocking as the
+(* [tcp_send k h payload] queues the whole payload, blocking as the
    send buffer fills.  Returns [`Closed] if the connection dies first. *)
-let tcp_send k (sock : Socket.t) payload =
-  ignore (conn_exn sock : Tcp.conn);
+let tcp_send k h payload =
+  ignore (conn_exn (stream k h) : Tcp.conn);
   compute k (c k).Cost.syscall;
-  send_all k sock payload
+  send_all k h payload
 
 (* Take up to [max] bytes from [conn], charging the copy and any window
    update the read emitted, and block while nothing is buffered. *)
-let rec recv_wait k (sock : Socket.t) ~max =
+let rec recv_wait k h ~max =
+  let sock = stream k h in
   let conn = Socket.conn sock in
   let before = Tcp.segs_sent conn in
   let payload = Tcp.recv conn ~max in
@@ -366,18 +381,19 @@ let rec recv_wait k (sock : Socket.t) ~max =
   else if Tcp.at_eof conn then `Eof
   else begin
     Proc.block sock.Socket.recv_wait;
-    recv_wait k sock ~max
+    recv_wait k h ~max
   end
 
-(* [tcp_recv k sock ~max] blocks for data; [`Eof] at end of stream. *)
-let tcp_recv k (sock : Socket.t) ~max =
-  ignore (conn_exn sock : Tcp.conn);
+(* [tcp_recv k h ~max] blocks for data; [`Eof] at end of stream. *)
+let tcp_recv k h ~max =
+  ignore (conn_exn (stream k h) : Tcp.conn);
   compute k (c k).Cost.syscall;
-  recv_wait k sock ~max
+  recv_wait k h ~max
 
 (* Hand a connected socket to another process (e.g. an HTTP server child
    after fork): future APP work is charged to the new owner. *)
-let set_owner k (sock : Socket.t) ~(owner : Proc.t) =
+let set_owner k h ~(owner : Proc.t) =
+  let sock = stream k h in
   let conn = Socket.conn sock in
   if conn != Tcp.null_conn then Kernel.attach k sock conn ~owner
 
@@ -385,24 +401,26 @@ let set_owner k (sock : Socket.t) ~(owner : Proc.t) =
 (* Close                                                                *)
 (* ------------------------------------------------------------------ *)
 
-let close k (sock : Socket.t) =
+(* A connection's or listener's endpoint is released when TCP reports it
+   gone, and the connection recycled once nothing holds it; the socket's
+   slot is freed once its endpoint no longer names it. *)
+let close k h =
+  if not (stream k h).Socket.closed then begin
+    compute k (c k).Cost.syscall;
+    let sock = stream k h in
+    if not sock.Socket.closed then begin
+      let emitted = Kernel.shut_stream k sock in
+      if emitted > 0 then compute k (float_of_int emitted *. seg_out_cost k);
+      Kernel.finish_close k sock
+    end
+  end
+
+(* A datagram socket's endpoint is released right here. *)
+let close_dgram k (sock : Socket.t) =
   if not sock.Socket.closed then begin
     compute k (c k).Cost.syscall;
     sock.Socket.closed <- true;
-    (* A connection's or listener's endpoint is released when TCP reports
-       it gone, and the connection recycled once nothing holds it; a
-       datagram socket's endpoint is released right here. *)
-    (match sock.Socket.kind with
-     | Socket.Stream ->
-         let conn = Socket.conn sock in
-         if conn != Tcp.null_conn then begin
-           let before = Tcp.segs_sent conn in
-           Tcp.close conn;
-           let emitted = Tcp.segs_sent conn - before in
-           Kernel.close_stream sock;
-           if emitted > 0 then compute k (float_of_int emitted *. seg_out_cost k)
-         end
-     | Socket.Dgram -> Kernel.close_dgram k sock);
+    Kernel.close_dgram k sock;
     Kernel.wake_all k sock.Socket.recv_wait;
     Kernel.wake_all k sock.Socket.send_wait;
     Kernel.wake_all k sock.Socket.accept_wait

@@ -35,10 +35,12 @@ exception Socket_closed
 val socket_dgram : unit -> Socket.t
 (** Create an (unbound) UDP socket. *)
 
-val socket_stream : Kernel.t -> Socket.t
-(** Create an (unconnected) TCP socket.  Its datagram queue and
-    statistics are the kernel's shared, never-written ones, and so is its
-    accept wait queue until it listens. *)
+val socket_stream : Kernel.t -> Socket.stream
+(** Create an (unconnected) TCP socket: a handle into the kernel's socket
+    table ({!Socket.stream}).  Once {!close} has run and the kernel has
+    let the socket go, its slot serves the next socket, and every call on
+    the old handle answers as on a closed socket: {!Socket_closed},
+    [`Eof] or [`Closed]. *)
 
 val bind :
   Kernel.t -> Socket.t -> owner:Lrp_sim.Proc.t option -> port:int -> unit
@@ -62,9 +64,14 @@ val leave_group : Kernel.t -> Socket.t -> port:int -> unit
 (** Drop group membership; the last member's departure deallocates the
     shared channel. *)
 
-val close : Kernel.t -> Socket.t -> unit
-(** Close a socket: releases ports/channels, initiates TCP teardown, and
-    wakes any blocked callers (they observe {!Socket_closed} or EOF). *)
+val close : Kernel.t -> Socket.stream -> unit
+(** Close a stream socket: initiates TCP teardown and wakes any blocked
+    callers (they observe {!Socket_closed} or EOF).  No-op on a closed
+    socket or a stale handle. *)
+
+val close_dgram : Kernel.t -> Socket.t -> unit
+(** Close a datagram socket: releases its port or group membership and
+    channel, and wakes any blocked callers. *)
 
 (** {1 UDP} *)
 
@@ -96,33 +103,35 @@ val try_recvfrom : Kernel.t -> Socket.t -> dgram -> bool
 (** {1 TCP} *)
 
 val tcp_listen :
-  Kernel.t -> self:Lrp_sim.Proc.t -> Socket.t -> port:int -> backlog:int ->
-  unit
+  Kernel.t -> self:Lrp_sim.Proc.t -> Socket.stream -> port:int ->
+  backlog:int -> unit
 (** Passive open.  [backlog] bounds embryonic + accepted-but-unclaimed
     connections; under LRP, exceeding it disables the listen channel so
     further SYNs die at the NI (section 3.4). *)
 
-val tcp_accept : Kernel.t -> self:Lrp_sim.Proc.t -> Socket.t -> Socket.t
+val tcp_accept :
+  Kernel.t -> self:Lrp_sim.Proc.t -> Socket.stream -> Socket.stream
 (** Block until an established connection is available; returns a fresh
     socket owned by [self] (APP work for it is charged to [self]). *)
 
 val tcp_connect :
-  Kernel.t -> self:Lrp_sim.Proc.t -> Socket.t ->
+  Kernel.t -> self:Lrp_sim.Proc.t -> Socket.stream ->
   remote:Lrp_net.Packet.ip * int -> [> `Ok | `Refused ]
 (** Active open; blocks until established ([`Ok]) or refused / timed out
     after the SYN retry budget ([`Refused]). *)
 
 val tcp_send :
-  Kernel.t -> Socket.t -> Lrp_net.Payload.t -> [> `Closed | `Ok ]
+  Kernel.t -> Socket.stream -> Lrp_net.Payload.t -> [> `Closed | `Ok ]
 (** Queue the whole payload, blocking while the send buffer is full.
     [`Closed] if the connection dies first. *)
 
 val tcp_recv :
-  Kernel.t -> Socket.t -> max:int -> [> `Data of Lrp_net.Payload.t | `Eof ]
+  Kernel.t -> Socket.stream -> max:int ->
+  [> `Data of Lrp_net.Payload.t | `Eof ]
 (** Block for stream data (at most [max] bytes); [`Eof] after the peer's
     FIN once the buffer is drained.  Reading may emit a window update. *)
 
-val set_owner : Kernel.t -> Socket.t -> owner:Lrp_sim.Proc.t -> unit
+val set_owner : Kernel.t -> Socket.stream -> owner:Lrp_sim.Proc.t -> unit
 (** Hand a connected socket to another process (e.g. an HTTP child after
     fork): subsequent APP work is scheduled at — and charged to — the new
     owner. *)

@@ -174,6 +174,9 @@ type ep = {
       (* a connection's or listener's socket; [Socket.none] until it has
          one (an unaccepted child) *)
   mutable ep_owner : Proc.t;  (* [Proc.none]: nobody's *)
+  mutable ep_owner_pid : int;
+      (* [ep_owner]'s pid when it was set: a reaped owner's record may
+         serve another process by now (read it through [live_owner]) *)
   mutable ep_chan : Channel.t option;
   mutable ep_gen : int;
 }
@@ -182,42 +185,16 @@ type ep = {
 let null_ep =
   { ep_port = -1; ep_conn = Tcp.null_conn; ep_group = false; ep_socks = [];
     ep_sock = Socket.none;
-    ep_owner = Proc.none; ep_chan = None; ep_gen = 0 }
+    ep_owner = Proc.none; ep_owner_pid = -1; ep_chan = None; ep_gen = 0 }
 
-(* A free list of released records: a stack grown by doubling, [blank]
-   in its empty slots.  [made] counts the records made for it, so
-   [made - n] of them are live. *)
-type 'a pool = {
-  mutable items : 'a array;
-  mutable n : int;
-  mutable made : int;
-  blank : 'a;
-}
-
-let new_pool blank = { items = [||]; n = 0; made = 0; blank }
-
-(* The newest spare record, or [blank]: the caller then makes one and
-   counts it in [made]. *)
-let pool_take p =
-  if p.n = 0 then p.blank
-  else begin
-    let i = p.n - 1 in
-    let x = p.items.(i) in
-    p.items.(i) <- p.blank;
-    p.n <- i;
-    x
-  end
-
-let pool_give p x =
-  if p.n = Array.length p.items then begin
-    let items = Array.make (Int.max 8 (2 * p.n)) p.blank in
-    Array.blit p.items 0 items 0 p.n;
-    p.items <- items
-  end;
-  p.items.(p.n) <- x;
-  p.n <- p.n + 1
+module Pool = Lrp_det.Pool
 
 let ep_has_chan ep = Option.is_some ep.ep_chan
+
+(* The endpoint's owner while that process lives, else [Proc.none]. *)
+let live_owner ep =
+  let o = ep.ep_owner in
+  if o.Proc.pid = ep.ep_owner_pid && not o.Proc.exited then o else Proc.none
 
 (* Is [ep] still at generation [gen], and [ch] still its channel? *)
 let[@inline] current ep ch gen =
@@ -233,14 +210,24 @@ let[@inline] current ep ch gen =
    thread (a connection handed to a new owner may have a drain queued on
    both). *)
 type app = {
-  app_owner : Proc.t;
+  mutable app_owner : Proc.t;
+  mutable app_pid : int;
+      (* [app_owner]'s pid: once it differs, or the owner has exited, the
+         thread dies, and the record goes back to the pool *)
   app_wq : Proc.waitq;
+  mutable app_body : Proc.t -> unit;  (* the thread's body, built once *)
   mutable aq_ep : ep array;
   mutable aq_timer : Tcp.timer array;
   mutable aq_gen : int array;
   mutable aq_head : int;
   mutable aq_len : int;
 }
+
+(* The APP pool's blank: never run. *)
+let null_app =
+  { app_owner = Proc.none; app_pid = -1; app_wq = Proc.waitq "none";
+    app_body = Proc.started; aq_ep = [||]; aq_timer = [||]; aq_gen = [||];
+    aq_head = 0; aq_len = 0 }
 
 (* Per-receive-queue NAPI poll context (Napi / Napi_gro / Rss).  [poll_on]
    is the NAPI "scheduled" bit: set from the mitigated interrupt until the
@@ -351,10 +338,13 @@ type t = {
       (* the demux table: every endpoint by port, four-tuple or listen
          port *)
   eps : ep Itab.t;  (* connections and listeners by conn id *)
-  ep_pool : ep pool;  (* released connection endpoints *)
-  chan_pool : Channel.t option pool;
+  ep_pool : ep Pool.t;  (* released connection endpoints *)
+  chan_pool : Channel.t option Pool.t;
       (* closed connection channels, in their [Some] cells *)
-  stream_shared : Socket.shared;  (* what its stream sockets share *)
+  socks : Socket.table;  (* its stream sockets *)
+  owned : Socket.t Itab.t;
+      (* owner pid -> the newest of the stream sockets it owns, linked
+         through [Socket.own_next] *)
   (* --- LRP state --- *)
   parena : Parena.t;
       (* the cell's frame pool, shared with the NIC and the fabric: every
@@ -366,6 +356,7 @@ type t = {
   icmp_chan : Channel.t;  (* the protocol-proxy daemon's (section 3.5) *)
   fwd_chan : Channel.t;  (* the IP-forwarding daemon's (section 3.5) *)
   apps : app Itab.t;  (* owner pid -> APP thread *)
+  app_pool : app Pool.t;  (* APP records whose thread has died *)
   helper_wq : Proc.waitq;
   fwd_wq : Proc.waitq;
   mutable udp_eps : ep list;
@@ -637,9 +628,14 @@ let rec app_loop t app =
     end;
     app_loop t app
   end
-  else if app.app_owner.Proc.exited then
-    (* The APP thread dies with its process. *)
-    Itab.remove t.apps app.app_owner.Proc.pid
+  else if app.app_owner.Proc.pid <> app.app_pid || app.app_owner.Proc.exited
+  then begin
+    (* The APP thread dies with its process, and its record, ring
+       included, serves the next. *)
+    Itab.remove t.apps app.app_pid;
+    app.app_owner <- Proc.none;
+    Pool.give t.app_pool app
+  end
   else begin
     if Trace.enabled t.tracer then
       Trace.notef t.tracer "app %s: block" app.app_owner.Proc.name;
@@ -694,38 +690,52 @@ and app_for t (owner : Proc.t) =
   let slot = Itab.find t.apps owner.Proc.pid in
   if slot >= 0 then Itab.value t.apps slot
   else begin
-    (* The rest runs once per process; its ring grows on first post. *)
+    (* The rest runs once per process: a pooled record, its ring and
+       body kept, or a new one whose ring grows on first post. *)
     let app =
-      (* alloc: cold — once per process *)
-      { app_owner = owner; app_wq = Proc.waitq "app";
-        aq_ep = [||]; aq_timer = [||]; aq_gen = [||]; aq_head = 0;
-        aq_len = 0 }
+      let spare = Pool.take t.app_pool in
+      if spare != null_app then spare
+      else begin
+        Pool.count_made t.app_pool;
+        let app =
+          (* alloc: cold — once per pooled APP record *)
+          { app_owner = owner; app_pid = -1; app_wq = Proc.waitq "app";
+            app_body = Proc.started; aq_ep = [||]; aq_timer = [||];
+            aq_gen = [||]; aq_head = 0; aq_len = 0 }
+        in
+        (* alloc: cold — once per pooled APP record *)
+        app.app_body <- (fun _self -> app_loop t app);
+        app
+      end
     in
+    app.app_owner <- owner;
+    app.app_pid <- owner.Proc.pid;
     Itab.replace t.apps owner.Proc.pid app;
     (* alloc: cold — once per process *)
     let name = "app-" ^ owner.Proc.name in
-    (* alloc: cold — once per process *)
-    let proc = Cpu.spawn t.cpu ~name (fun _self -> app_loop t app) in
+    let proc = Cpu.spawn t.cpu ~name app.app_body in
     (* Scheduled at the owner's priority; CPU usage charged to the owner
        (paper section 3.4).  The accounting ablation skips this. *)
     if t.cfg.fair_app_accounting then Cpu.set_account proc ~owner;
     app
   end
 
-(* Double an APP thread's ring (8 rows at first), unrolling the live rows
-   to index 0. *)
+(* A full ring column [a] from [head], unrolled to index 0 of a column
+   twice as long (8 rows at first), [fill] in the rest. *)
+let unroll a ~head fill =
+  let cap = Array.length a in
+  let b = Array.make (Int.max 8 (2 * cap)) fill in (* alloc: cold — amortized growth *)
+  for i = 0 to cap - 1 do
+    b.(i) <- a.((head + i) land (cap - 1))
+  done;
+  b
+
+(* Double an APP thread's full ring, its rows then starting at index 0. *)
 let app_grow app =
-  let cap = Array.length app.aq_gen in
-  let unroll a fill = (* alloc: cold — amortized growth *)
-    let b = Array.make (max 8 (2 * cap)) fill in (* alloc: cold — amortized growth *)
-    for i = 0 to cap - 1 do
-      b.(i) <- a.((app.aq_head + i) land (cap - 1))
-    done;
-    b
-  in
-  app.aq_ep <- unroll app.aq_ep null_ep;
-  app.aq_timer <- unroll app.aq_timer Tcp.null_conn.Tcp.rtx_timer;
-  app.aq_gen <- unroll app.aq_gen 0;
+  let head = app.aq_head in
+  app.aq_ep <- unroll app.aq_ep ~head null_ep;
+  app.aq_timer <- unroll app.aq_timer ~head Tcp.null_conn.Tcp.rtx_timer;
+  app.aq_gen <- unroll app.aq_gen ~head 0;
   app.aq_head <- 0
 
 (* Queue a row on [app]'s ring and wake its thread. *)
@@ -763,8 +773,8 @@ let orphan_drain t ep gen =
 
 (* Post a drain of the endpoint's channel [ch]. *)
 let app_post_chan t ep ch =
-  match ep.ep_owner with
-  | owner when owner != Proc.none && not owner.Proc.exited ->
+  match live_owner ep with
+  | owner when owner != Proc.none ->
       let app = app_for t owner in
       if Channel.job_owner ch = owner.Proc.pid then wake_one t app.app_wq
       else begin
@@ -777,8 +787,8 @@ let app_post_chan t ep ch =
   | _ -> orphan_post t ep
 
 let app_post_timer t conn tm gen =
-  match (conn_ep t conn).ep_owner with
-  | owner when owner != Proc.none && not owner.Proc.exited ->
+  match live_owner (conn_ep t conn) with
+  | owner when owner != Proc.none ->
       app_post t (app_for t owner) null_ep tm gen
   | _ ->
       (* Orphaned connection (e.g. TIME_WAIT after exit): fall back to
@@ -795,13 +805,13 @@ let app_post_timer t conn tm gen =
    so reopening allocates nothing, or a new one.  Either way it draws
    the next channel id. *)
 let open_chan t =
-  let cell = pool_take t.chan_pool in
+  let cell = Pool.take t.chan_pool in
   match cell with
   | Some ch ->
       Channel.reopen ch;
       cell
   | None ->
-      t.chan_pool.made <- t.chan_pool.made + 1;
+      Pool.count_made t.chan_pool;
       Some (Channel.create ~limit:t.cfg.channel_limit ())
 
 (* A new endpoint, entered in the demux table.  A connection's comes from
@@ -810,17 +820,19 @@ let open_chan t =
    lazy kernels receive into NI channels: there it gets its own. *)
 let open_ep ?(group = false) t ~port ~conn ~socks ~owner =
   let ep =
-    let spare = if conn == Tcp.null_conn then null_ep else pool_take t.ep_pool in
+    let spare = if conn == Tcp.null_conn then null_ep else Pool.take t.ep_pool in
     if spare == null_ep then begin
-      if conn != Tcp.null_conn then t.ep_pool.made <- t.ep_pool.made + 1;
+      if conn != Tcp.null_conn then Pool.count_made t.ep_pool;
       { ep_port = port; ep_conn = conn; ep_group = group; ep_socks = socks;
-        ep_sock = Socket.none; ep_owner = owner; ep_chan = None; ep_gen = 0 }
+        ep_sock = Socket.none; ep_owner = owner;
+        ep_owner_pid = owner.Proc.pid; ep_chan = None; ep_gen = 0 }
     end
     else begin
       (* Released holding nothing: no socket, owner or channel. *)
       spare.ep_port <- port;
       spare.ep_conn <- conn;
       spare.ep_owner <- owner;
+      spare.ep_owner_pid <- owner.Proc.pid;
       spare
     end
   in
@@ -871,13 +883,14 @@ let close_chan t ep =
        | s :: _ when ep.ep_conn == Tcp.null_conn -> drop_queued t ch s
        | _ -> discard_queued t ch);
       Ledger.retire_flow (Cpu.ledger t.cpu) ~flow:(Channel.id ch);
-      if ep.ep_conn != Tcp.null_conn then pool_give t.chan_pool cell
+      if ep.ep_conn != Tcp.null_conn then Pool.give t.chan_pool cell
   | None -> ()
 
 (* Release everything an endpoint holds: its demux-table entry (a
    four-tuple only while it still maps to this endpoint), its entry in
-   [eps] and its channel.  Its generation moves on, and a connection's
-   endpoint goes back to the pool holding nothing. *)
+   [eps], its channel and its hold on its socket's slot.  Its generation
+   moves on, and a connection's endpoint goes back to the pool holding
+   nothing. *)
 let release_ep t ep =
   let conn = ep.ep_conn and port = ep.ep_port in
   (if conn == Tcp.null_conn then begin
@@ -895,9 +908,12 @@ let release_ep t ep =
   ep.ep_gen <- ep.ep_gen + 1;
   if conn != Tcp.null_conn then begin
     ep.ep_conn <- Tcp.null_conn;
-    ep.ep_sock <- Socket.none;
+    if ep.ep_sock != Socket.none then begin
+      Socket.unref t.socks ep.ep_sock;
+      ep.ep_sock <- Socket.none
+    end;
     ep.ep_owner <- Proc.none;
-    pool_give t.ep_pool ep
+    Pool.give t.ep_pool ep
   end
 
 (* A connection's or listener's endpoint: its demux-table entry, its
@@ -965,6 +981,38 @@ let close_dgram t (sock : Socket.t) =
     q;
   Queue.clear q
 
+(* A stream socket on its owner's list, as 4.4BSD's descriptor table
+   holds a process's files: [owned] names each owner's newest socket, and
+   the sockets link through [own_prev]/[own_next], so a hand-over or a
+   close unlinks one in place. *)
+let disown t (sock : Socket.t) =
+  let pid = sock.Socket.owner_pid in
+  if pid >= 0 then begin
+    let prev = sock.Socket.own_prev and next = sock.Socket.own_next in
+    if next != Socket.none then next.Socket.own_prev <- prev;
+    if prev != Socket.none then prev.Socket.own_next <- next
+    else if next != Socket.none then Itab.replace t.owned pid next
+    else Itab.remove t.owned pid;
+    sock.Socket.own_prev <- Socket.none;
+    sock.Socket.own_next <- Socket.none;
+    sock.Socket.owner_pid <- -1
+  end
+
+(* Move [sock] to the head of [owner]'s list; nobody's for [Proc.none]. *)
+let own t (sock : Socket.t) (owner : Proc.t) =
+  disown t sock;
+  if owner != Proc.none then begin
+    let pid = owner.Proc.pid in
+    let slot = Itab.find t.owned pid in
+    if slot >= 0 then begin
+      let head = Itab.value t.owned slot in
+      head.Socket.own_prev <- sock;
+      sock.Socket.own_next <- head
+    end;
+    Itab.replace t.owned pid sock;
+    sock.Socket.owner_pid <- pid
+  end
+
 (* [sock] takes [conn]: it mirrors the connection's local port, the
    connection's events wake it, and [owner] is charged for its protocol
    work — at accept, and again when the socket changes hands.  Only what
@@ -976,10 +1024,15 @@ let attach t (sock : Socket.t) (conn : Tcp.conn) ~owner =
   (* A child with a socket is its listener's no more: only an unaccepted
      child reads [parent], so none points at a recycled listener. *)
   if conn.Tcp.parent != Tcp.null_conn then conn.Tcp.parent <- Tcp.null_conn;
+  if sock.Socket.owner_pid <> owner.Proc.pid then own t sock owner;
   let ep = conn_ep t conn in
   if ep != null_ep then begin
-    if ep.ep_sock != sock then ep.ep_sock <- sock;
-    ep.ep_owner <- owner
+    if ep.ep_sock != sock then begin
+      ep.ep_sock <- sock;
+      sock.Socket.refs <- sock.Socket.refs + 1
+    end;
+    ep.ep_owner <- owner;
+    ep.ep_owner_pid <- owner.Proc.pid
   end
 
 (* Open the endpoint of a listener or an actively opened connection. *)
@@ -1050,7 +1103,7 @@ let abort_unaccepted t (l : Tcp.conn) =
 
 (* A connection TCP is done with goes back to the pool unless something
    still holds it: an open socket ([sock], read before its endpoint was
-   released), or its listener's accept queue.  [close_stream] and
+   released), or its listener's accept queue.  [shut_stream] and
    [abort_unaccepted] recycle what those let go later. *)
 let recycle_unheld (conn : Tcp.conn) (sock : Socket.t) =
   if sock == Socket.none then begin
@@ -1058,11 +1111,46 @@ let recycle_unheld (conn : Tcp.conn) (sock : Socket.t) =
   end
   else if sock.Socket.closed then Tcp.recycle conn
 
-(* A closed stream socket lets its connection go: back to the pool now
-   if TCP is already done with it, else when [on_closed] runs. *)
-let close_stream (sock : Socket.t) =
+(* Close an open stream socket: it leaves its owner's list, TCP closes
+   its connection, and the connection goes back to the pool now if TCP
+   is already done with it, else when [on_closed] runs.  Returns the
+   segments the close sent. *)
+let shut_stream t (sock : Socket.t) =
+  sock.Socket.closed <- true;
+  disown t sock;
   let c = Socket.conn sock in
-  if c != Tcp.null_conn && Tcp.state c = Tcp.Closed then Tcp.recycle c
+  if c == Tcp.null_conn then 0
+  else begin
+    let before = Tcp.segs_sent c in
+    Tcp.close c;
+    let emitted = Tcp.segs_sent c - before in
+    let c = Socket.conn sock in
+    if c != Tcp.null_conn && Tcp.state c = Tcp.Closed then Tcp.recycle c;
+    emitted
+  end
+
+(* The end of a close: wake whoever still waits on the socket, and free
+   its slot unless its connection's endpoint still names it. *)
+let finish_close t (sock : Socket.t) =
+  wake_all t sock.Socket.recv_wait;
+  wake_all t sock.Socket.send_wait;
+  wake_all t sock.Socket.accept_wait;
+  Socket.unref t.socks sock
+
+(* A process that exits closes the stream sockets it still owns, as
+   4.4BSD's [exit] closes every descriptor; the CPU charges no one for
+   it. *)
+let rec close_owned t (sock : Socket.t) =
+  if sock != Socket.none then begin
+    let next = sock.Socket.own_next in
+    ignore (shut_stream t sock : int);
+    finish_close t sock;
+    close_owned t next
+  end
+
+let on_exit t (p : Proc.t) =
+  let slot = Itab.find t.owned p.Proc.pid in
+  if slot >= 0 then close_owned t (Itab.value t.owned slot)
 
 let make_tcp_env t =
   { Tcp.clock = Engine.clock_cell t.engine;
@@ -1081,7 +1169,7 @@ let make_tcp_env t =
     on_accept_ready = (fun l _child -> wake_ep t (conn_ep t l) ~accept:true);
     on_syn_received =
       (fun listener child ->
-        register t child ~owner:(conn_ep t listener).ep_owner);
+        register t child ~owner:(live_owner (conn_ep t listener)));
     on_connect_failed =
       (fun conn -> wake_ep t (conn_ep t conn) ~send:true ~recv:true);
     on_reset =
@@ -2049,10 +2137,11 @@ let create engine fabric ~name ~ip cfg =
       parena;
       interfaces = [ (ip, 24, nic) ];
       chantab = Chantab.create ~dummy:null_ep ~has_chan:ep_has_chan ();
-      eps = Itab.create 16; ep_pool = new_pool null_ep; chan_pool = new_pool None;
-      stream_shared = Socket.shared ();
+      eps = Itab.create 16; ep_pool = Pool.create null_ep;
+      chan_pool = Pool.create None;
+      socks = Socket.table (); owned = Itab.create 8;
       frag_chan; icmp_chan; fwd_chan;
-      apps = Itab.create 8;
+      apps = Itab.create 8; app_pool = Pool.create null_app;
       helper_wq = Proc.waitq "udp-helper"; fwd_wq = Proc.waitq "ipfwdd";
       udp_eps = []; napi = [||]; rxj = None;
       reasm = Ip.Reasm.create parena;
@@ -2109,6 +2198,7 @@ let create engine fabric ~name ~ip cfg =
   t.tcp_env <- Some (make_tcp_env t);
   Nic.set_rx_handler nic (fun row -> rx_dispatch t row);
   Cpu.set_tracer cpu tracer;
+  Cpu.on_exit cpu (on_exit t);
   Nic.set_tracer nic tracer;
   (* Periodic reassembly pruning (ip_slowtimo); re-arms its own event. *)
   let slowtimo_ev = ref Engine.none in

@@ -150,6 +150,9 @@ type ep = private {
       (** a connection's or listener's socket; {!Socket.none} until it
           has one (an unaccepted child) *)
   mutable ep_owner : Lrp_sim.Proc.t;  (** [Proc.none]: nobody's *)
+  mutable ep_owner_pid : int;
+      (** [ep_owner]'s pid when it was set: the owner is read only while
+          its record still runs that pid and has not exited *)
   mutable ep_chan : Lrp_core.Channel.t option;  (** lazy kernels only *)
   mutable ep_gen : int;
       (** its releases so far: a holder across a release compares it *)
@@ -162,14 +165,6 @@ type ep = private {
     below, released on one path when the socket closes or the connection
     is gone.  A connection's endpoint and channel then go back to the
     kernel's pools ({!t.ep_pool}, {!t.chan_pool}). *)
-
-type 'a pool = private {
-  mutable items : 'a array;
-  mutable n : int;  (** spare records *)
-  mutable made : int;  (** records made for the pool: [made - n] are live *)
-  blank : 'a;
-}
-(** A free list of released records. *)
 
 type t = private {
   kname : string;
@@ -190,10 +185,13 @@ type t = private {
           listen port; the LRP kernels' NI classification and the eager
           kernels' PCB lookup both read it *)
   eps : ep Lrp_det.Itab.t;  (** connections and listeners by conn id *)
-  ep_pool : ep pool;  (** released connection endpoints *)
-  chan_pool : Lrp_core.Channel.t option pool;
+  ep_pool : ep Lrp_det.Pool.t;  (** released connection endpoints *)
+  chan_pool : Lrp_core.Channel.t option Lrp_det.Pool.t;
       (** closed connection channels, kept in their [Some] cells *)
-  stream_shared : Socket.shared;  (** what its stream sockets share *)
+  socks : Socket.table;  (** its stream sockets *)
+  owned : Socket.t Lrp_det.Itab.t;
+      (** owner pid -> the newest stream socket it owns; the rest link
+          through [Socket.own_next] *)
   parena : Lrp_net.Parena.t;
       (** the cell's frame pool, shared with the NIC and the fabric: every
           frame the kernel holds is a row here, under every architecture
@@ -207,7 +205,8 @@ type t = private {
           endpoint takes (section 3.5) *)
   fwd_chan : Lrp_core.Channel.t;
       (** the IP-forwarding daemon's channel (section 3.5) *)
-  apps : app Lrp_det.Itab.t;
+  apps : app Lrp_det.Itab.t;  (** owner pid -> its APP thread's record *)
+  app_pool : app Lrp_det.Pool.t;  (** APP records whose thread has died *)
   helper_wq : Lrp_sim.Proc.waitq;
   fwd_wq : Lrp_sim.Proc.waitq;
   mutable udp_eps : ep list;
@@ -310,13 +309,20 @@ val attach :
   t -> Socket.t -> Lrp_proto.Tcp.conn -> owner:Lrp_sim.Proc.t -> unit
 (** The socket takes the connection (an accepted child): it mirrors the
     connection's ports, the connection's events wake it, and [owner] is
-    charged for its APP-thread work.  Called again to hand the socket to
-    another process. *)
+    charged for its APP-thread work; the socket joins [owner]'s stream
+    sockets, which [owner]'s exit closes.  Called again to hand the
+    socket to another process. *)
 
-val close_stream : Socket.t -> unit
-(** A closed stream socket lets go of its connection: it goes back to
-    its env's pool now if TCP is done with it, else once it is.
-    {!Api.close} calls it after {!Lrp_proto.Tcp.close}. *)
+val shut_stream : t -> Socket.t -> int
+(** Close an open stream socket: it leaves its owner's list, TCP closes
+    its connection, and the connection goes back to its env's pool now
+    if TCP is done with it, else once it is.  Returns how many segments
+    the close sent, for the caller to charge ({!Api.close}). *)
+
+val finish_close : t -> Socket.t -> unit
+(** Wake every process still waiting on a closed stream socket, and
+    free its slot in {!t.socks} unless its connection's endpoint still
+    names it (then the endpoint's release frees it). *)
 
 val deliver_tcp : t -> Lrp_net.Parena.handle -> ctx:[ `Proc | `Soft ] -> bool
 (** The eager kernels' PCB lookup of a received TCP segment's row: hand it

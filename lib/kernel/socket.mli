@@ -21,7 +21,7 @@ type stats = {
   mutable rx_hwm : int;  (** deepest socket-queue occupancy observed *)
 }
 type t = {
-  id : int;
+  mutable id : int;
   kind : kind;
   mutable port : int;  (** -1 until bound *)
   mutable remote : (Lrp_net.Packet.ip * int) option;
@@ -39,25 +39,58 @@ type t = {
   mutable tcp_id : int;  (** [tcp]'s id when it was attached *)
   mutable closed : bool;
   stats : stats;
+  mutable handle : int;
+      (** a stream socket's {!stream} handle while it is open; -1 for a
+          datagram socket *)
+  mutable refs : int;
+      (** what holds a stream socket's slot: the open descriptor until
+          its close is done, and its connection's endpoint while that
+          names it ([Kernel.ep.ep_sock]) *)
+  mutable owner_pid : int;  (** the owning process, or -1 *)
+  mutable own_prev : t;
+  mutable own_next : t;
+      (** its neighbours on its owner's list of stream sockets, {!none}
+          at either end *)
 }
-type shared
-(** What the stream sockets of a kernel share and never write: a
-    datagram queue, statistics, and an accept wait queue, which a socket
-    keeps until it listens. *)
-
 val none : t
 (** The socket of a connection that has none yet: never written. *)
-
-val shared : unit -> shared
-(** One kernel's. *)
 
 val dgram : unit -> t
 (** A datagram socket, with a queue, statistics and an accept wait queue
     of its own. *)
 
-val stream : shared -> t
-(** A stream socket: its [udp_rcv], [stats] and [accept_wait] are the
-    kernel's [shared] ones, never written. *)
+(** {1 Stream sockets}
+
+    A stream socket is an int handle into its kernel's table, packing a
+    slot and the slot's generation.  Its record's [udp_rcv], [stats] and
+    (until it listens) [accept_wait] are shared by the table's sockets,
+    never written.  A slot goes back to the table once its socket's
+    close is done and its connection's endpoint has let it go ([refs]);
+    the next socket reuses the record under a new handle, and a stale
+    handle finds {!stale}. *)
+
+type stream = private int
+
+type table
+
+val table : unit -> table
+(** One kernel's. *)
+
+val open_stream : table -> stream
+(** A new, unconnected stream socket; it draws the next socket id. *)
+
+val lookup : table -> stream -> t
+(** The handle's socket, or {!stale} once the handle is stale. *)
+
+val stale : t
+(** What a stale handle finds: a closed socket with no connection, never
+    written. *)
+
+val unref : table -> t -> unit
+(** Drop one of the socket's [refs]; the last frees its slot. *)
+
+val census : table -> int * int
+(** The table's slots, as (live, free). *)
 
 val conn : t -> Lrp_proto.Tcp.conn
 (** The socket's connection, checked against the id it was attached

@@ -12,15 +12,20 @@ let priority_max = 127
 
 type state = Runnable | Sleeping | Exited
 
+(* The slots of a thread's float cell. *)
+let p_cpu_slot = 0
+let sleep_slot = 1
+
 type thread = {
-  tid : int;
+  mutable tid : int;
   mutable nice : int;
-  p_cpu : float array;  (* 1-slot cell: a mutable float field would box *)
+  fl : float array;
+      (* [p_cpu] and [sleep_start], a 2-slot cell: a mutable float field
+         would box *)
   mutable priority : int;
   mutable state : state;
   mutable enqueue_seq : int;
   mutable quantum : int;
-  sleep_start : float array;  (* 1-slot cell: a float field would box *)
   mutable account : thread;  (* whose [p_cpu] it is charged; [none]: its own *)
   mutable ticks : int;
 }
@@ -29,8 +34,9 @@ type thread = {
    [threads.(0)].  The order is part of the model: [decay] recomputes an
    accounted thread's priority from its owner's [p_cpu] part-way through
    the pass, and [pick_tid] breaks full ties by it.  Exit removes a thread
-   in place, keeping the order, so a process's lifecycle allocates only
-   its thread. *)
+   in place, keeping the order, and [readd_thread] puts an exited thread's
+   record back as the newest, so a process's lifecycle allocates
+   nothing once its CPU's pool is warm. *)
 type t = {
   mutable threads : thread array;
   mutable n : int;
@@ -44,8 +50,8 @@ type t = {
 (* The thread that is no thread: the empty slot, and the [account] of a
    thread charged to itself. *)
 let rec none =
-  { tid = -1; nice = 0; p_cpu = [| 0. |]; priority = priority_user; state = Exited;
-    enqueue_seq = 0; quantum = 0; sleep_start = [| 0. |]; account = none; ticks = 0 }
+  { tid = -1; nice = 0; fl = [| 0.; 0. |]; priority = priority_user;
+    state = Exited; enqueue_seq = 0; quantum = 0; account = none; ticks = 0 }
 
 let create ~clock =
   { threads = [||]; n = 0; next_tid = 1; next_seq = 0; loadavg = [| 0. |]; best_prio = 0;
@@ -59,33 +65,56 @@ let recompute_priority th =
   let o = target th in
   th.priority <-
     clamp priority_user priority_max
-      (priority_user + (int_of_float o.p_cpu.(0) / 4) + (2 * o.nice))
+      (priority_user + (int_of_float o.fl.(p_cpu_slot) / 4) + (2 * o.nice))
 
-(* alloc: cold — once per thread *)
-let add_thread t ?(nice = 0) () =
-  let th =
-    (* alloc: cold — once per thread *)
-    { tid = t.next_tid; nice = clamp (-20) 20 nice;
-      (* alloc: cold — once per thread *)
-      p_cpu = [| 0. |];
-      priority = priority_user; state = Sleeping; enqueue_seq = 0; quantum = 0;
-      (* alloc: cold — once per thread *)
-      sleep_start = [| Time.zero |]; account = none; ticks = 0 }
-  in
-  t.next_tid <- t.next_tid + 1;
-  recompute_priority th;
+(* Append [th] as the newest live thread. *)
+let push t th =
   if t.n = Array.length t.threads then
     (* alloc: cold — amortized growth *)
     t.threads <- Array.append t.threads (Array.make (Int.max 8 t.n) none);
   t.threads.(t.n) <- th;
-  t.n <- t.n + 1;
+  t.n <- t.n + 1
+
+(* [nice] as given, clamped; 0 when it is not. *)
+let nice_of = function Some n -> clamp (-20) 20 n | None -> 0
+
+let add_thread t ?nice () =
+  let th =
+    (* alloc: cold — once per pooled thread *)
+    { tid = t.next_tid; nice = nice_of nice;
+      (* alloc: cold — once per pooled thread *)
+      fl = [| 0.; Time.zero |];
+      priority = priority_user; state = Sleeping; enqueue_seq = 0; quantum = 0;
+      account = none; ticks = 0 }
+  in
+  t.next_tid <- t.next_tid + 1;
+  recompute_priority th;
+  push t th;
   th
+
+(* An exited thread's record made new: every field as [add_thread] sets
+   it, the next tid drawn. *)
+let readd_thread t th ?nice () =
+  if th.state <> Exited then
+    invalid_arg "Sched.readd_thread: thread is live"; (* alloc: cold — error path *)
+  th.tid <- t.next_tid;
+  th.nice <- nice_of nice;
+  th.fl.(p_cpu_slot) <- 0.;
+  th.state <- Sleeping;
+  th.enqueue_seq <- 0;
+  th.quantum <- 0;
+  th.fl.(sleep_slot) <- Time.zero;
+  th.account <- none;
+  th.ticks <- 0;
+  t.next_tid <- t.next_tid + 1;
+  recompute_priority th;
+  push t th
 
 let set_account th ~owner = th.account <- owner
 
 let tid th = th.tid
 let priority th = th.priority
-let p_cpu th = th.p_cpu.(0)
+let p_cpu th = th.fl.(p_cpu_slot)
 let is_sleeping th = th.state = Sleeping
 let ticks_charged th = th.ticks
 
@@ -106,14 +135,14 @@ let make_runnable t th =
          the decay factor are spelled out: a call returning a float would
          box it.) *)
       let slept_sec =
-        int_of_float ((t.clock.(0) -. th.sleep_start.(0)) /. 1_000_000.)
+        int_of_float ((t.clock.(0) -. th.fl.(sleep_slot)) /. 1_000_000.)
       in
       if slept_sec > 0 then begin
         let load = t.loadavg.(0) in
         let f = 2. *. load /. ((2. *. load) +. 1.) in
-        let cpu = th.p_cpu in
+        let cpu = th.fl in
         for _ = 1 to Int.min slept_sec 20 do
-          cpu.(0) <- cpu.(0) *. f
+          cpu.(p_cpu_slot) <- cpu.(p_cpu_slot) *. f
         done
       end;
       recompute_priority th;
@@ -126,7 +155,7 @@ let sleep t th =
   if th.state = Exited then
     invalid_arg "Sched.sleep: thread has exited"; (* alloc: cold — error path *)
   th.state <- Sleeping;
-  th.sleep_start.(0) <- t.clock.(0)
+  th.fl.(sleep_slot) <- t.clock.(0)
 
 let rec index_of a th i = if i < 0 || a.(i) == th then i else index_of a th (i - 1)
 
@@ -168,9 +197,9 @@ let requeue t th =
 
 let charge_tick th =
   let target = target th in
-  let cpu = target.p_cpu in
-  let v = cpu.(0) +. 1. in
-  cpu.(0) <- (if v > 255. then 255. else v);
+  let cpu = target.fl in
+  let v = cpu.(p_cpu_slot) +. 1. in
+  cpu.(p_cpu_slot) <- (if v > 255. then 255. else v);
   target.ticks <- target.ticks + 1;
   recompute_priority target;
   recompute_priority th;
@@ -187,9 +216,9 @@ let decay_threads t =
     let th = t.threads.(i) in
     let load = t.loadavg.(0) in
     let f = 2. *. load /. ((2. *. load) +. 1.) in
-    let cpu = th.p_cpu in
-    cpu.(0) <- (f *. cpu.(0)) +. float_of_int th.nice;
-    if cpu.(0) < 0. then cpu.(0) <- 0.;
+    let cpu = th.fl in
+    cpu.(p_cpu_slot) <- (f *. cpu.(p_cpu_slot)) +. float_of_int th.nice;
+    if cpu.(p_cpu_slot) < 0. then cpu.(p_cpu_slot) <- 0.;
     recompute_priority th
   done
 

@@ -50,6 +50,13 @@ val add_thread : t -> ?nice:int -> unit -> thread
 (** New thread in the sleeping state.  [nice] defaults to 0 and is clamped
     to [-20, 20]. *)
 
+val readd_thread : t -> thread -> ?nice:int -> unit -> unit
+(** [readd_thread t th ?nice ()] makes an exited thread's record a new
+    sleeping thread, exactly as {!add_thread} would: a fresh tid, [nice]
+    clamped, no usage, no account, the newest in [t]'s order.  The CPU's
+    process pool reuses records this way.
+    @raise Invalid_argument if [th] has not exited. *)
+
 val set_account : thread -> owner:thread -> unit
 (** [set_account th ~owner] makes ticks charged to [th] accrue to
     [owner]'s [p_cpu] instead, and makes [th]'s priority mirror [owner]'s.

@@ -53,23 +53,26 @@ let ring_create () =
     objs = Array.make cap no_obj;
     ints = Array.make cap 0 }
 
-(* Double the capacity, unrolling the live rows to start at index 0. *)
+(* A full ring column [a] from [head], unrolled to index 0 of a column
+   twice as long, [fill] in the rest. *)
+let unroll a ~head fill =
+  let cap = Array.length a in
+  let b = Array.make (2 * cap) fill in (* alloc: cold — amortized growth *)
+  for i = 0 to cap - 1 do
+    b.(i) <- a.((head + i) land (cap - 1))
+  done;
+  b
+
+(* Double the capacity of a full ring, its rows then starting at
+   index 0. *)
 let ring_grow r =
-  let cap = Array.length r.ints in
-  (* alloc: cold — amortized growth *)
-  let unroll a fill =
-    let b = Array.make (2 * cap) fill in (* alloc: cold — amortized growth *)
-    for i = 0 to r.len - 1 do
-      b.(i) <- a.((r.head + i) land (cap - 1))
-    done;
-    b
-  in
-  r.jobs <- unroll r.jobs 0;
-  r.lefts <- unroll r.lefts 0.;
-  r.tpkts <- unroll r.tpkts (-1);
-  r.polls <- unroll r.polls false;
-  r.objs <- unroll r.objs no_obj;
-  r.ints <- unroll r.ints 0;
+  let head = r.head in
+  r.jobs <- unroll r.jobs ~head 0;
+  r.lefts <- unroll r.lefts ~head 0.;
+  r.tpkts <- unroll r.tpkts ~head (-1);
+  r.polls <- unroll r.polls ~head false;
+  r.objs <- unroll r.objs ~head no_obj;
+  r.ints <- unroll r.ints ~head 0;
   r.head <- 0
 
 (* Append a row; its cost is read from [cost.(0)] (a float argument would
@@ -123,6 +126,11 @@ type t = {
   softq : ring;
   procs : Proc.t Lrp_det.Itab.t;  (* live processes by scheduler tid *)
   mutable next_pid : int;
+  spare : Proc.t Lrp_det.Pool.t;
+      (* reaped processes' records, each with its thread *)
+  (* Run on every process at its reap, before its record is reused
+     ({!on_exit}). *)
+  mutable exit_hook : Proc.t -> unit;
   (* registered jobs ({!job}): dispatcher and trace label by job id *)
   mutable job_fns : (Obj.t -> int -> unit) array;
   mutable job_labels : string array;
@@ -383,12 +391,25 @@ and run_instant t (p : Proc.t) =
 and reap t (p : Proc.t) =
   Trace.thread_state t.tracer ~pid:p.Proc.pid ~state:Trace.Exited;
   p.Proc.exited <- true;
+  t.exit_hook p;
   Sched.exit_thread t.sched p.Proc.thread;
   Lrp_det.Itab.remove t.procs (Sched.tid p.Proc.thread);
   Ledger.retire_pid t.ledger ~pid:p.Proc.pid;
   if t.cur_proc == p then t.cur_proc <- Proc.none;
   if t.run_proc == p then t.run_proc <- Proc.none;
-  ignore (wake_queue t p.Proc.exit_waiters 0 : int)
+  ignore (wake_queue t p.Proc.exit_waiters 0 : int);
+  let o = p.Proc.acct_owner in
+  if o != Proc.none then begin
+    p.Proc.acct_owner <- Proc.none;
+    o.Proc.holds <- o.Proc.holds - 1;
+    if o.Proc.holds = 0 && o.Proc.exited then release t o
+  end;
+  if p.Proc.holds = 0 then release t p
+
+(* A reaped process's record goes back to the pool once no live process
+   is charged to it ([Proc.holds]): an APP thread that outlives its
+   owner keeps charging the owner's frozen usage, as it always has. *)
+and release t (p : Proc.t) = Lrp_det.Pool.give t.spare p
 
 and begin_timed t (p : Proc.t) =
   let now = t.clock.(0) in
@@ -608,6 +629,7 @@ let create engine ?(ctx_switch_cost = 0.) ?(start_clock = true) () =
       sched = Sched.create ~clock:(Engine.clock_cell engine);
       ctx_switch_cost; hardq = ring_create (); softq = ring_create ();
       procs = Lrp_det.Itab.create 8; next_pid = 1;
+      spare = Lrp_det.Pool.create Proc.none; exit_hook = ignore;
       job_fns = [||]; job_labels = [||];
       run_cls = c_idle; run_proc = Proc.none; inst_proc = Proc.none;
       handler = no_handler; run_ev = Engine.none; fl = Array.make 7 0.; cost = [| 0. |];
@@ -642,23 +664,37 @@ let create engine ?(ctx_switch_cost = 0.) ?(start_clock = true) () =
 (* Public operations                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* alloc: cold — once per process *)
-let spawn t ?(nice = 0) ?(working_set = 0.) ~name body =
-  (* alloc: cold — once per process *)
-  let thread = Sched.add_thread t.sched ~nice () in
+(* A process from the pool: the newest reaped record and its thread,
+   made new with the pid and tid a fresh one would draw; a new record
+   when the pool is empty. *)
+let spawn t ?nice ?working_set ~name body =
+  let working_set = match working_set with Some w -> w | None -> 0. in
+  let pid = t.next_pid and now = t.clock.(0) in
+  let p = Lrp_det.Pool.take t.spare in
   let p =
-    Proc.make ~pid:t.next_pid ~name ~thread ~working_set ~now:t.clock.(0) body
+    if p != Proc.none then begin
+      Sched.readd_thread t.sched p.Proc.thread ?nice ();
+      Proc.reinit p ~pid ~name ~working_set ~now body;
+      p
+    end
+    else begin
+      Lrp_det.Pool.count_made t.spare;
+      let thread = Sched.add_thread t.sched ?nice () in
+      Proc.make ~pid ~name ~thread ~working_set ~now body
+    end
   in
-  t.next_pid <- t.next_pid + 1;
+  t.next_pid <- pid + 1;
+  let thread = p.Proc.thread in
   Lrp_det.Itab.replace t.procs (Sched.tid thread) p;
-  Ledger.set_name t.ledger ~pid:p.Proc.pid name;
-  Trace.thread_state t.tracer ~pid:p.Proc.pid ~state:Trace.Spawned;
+  Ledger.set_name t.ledger ~pid name;
+  Trace.thread_state t.tracer ~pid ~state:Trace.Spawned;
   let e = enter t in
   Sched.make_runnable t.sched thread;
   leave t e;
   p
 
-let join (p : Proc.t) = if not p.Proc.exited then Proc.block p.Proc.exit_waiters
+let join (p : Proc.t) ~pid =
+  if p.Proc.pid = pid && not p.Proc.exited then Proc.block p.Proc.exit_waiters
 
 let wakeup_one t (wq : Proc.waitq) =
   let p = Proc.dequeue wq in
@@ -763,7 +799,15 @@ let compute_poll t =
 let ledger t = t.ledger
 
 let set_account (p : Proc.t) ~(owner : Proc.t) =
-  Sched.set_account p.Proc.thread ~owner:owner.Proc.thread
+  if p.Proc.acct_owner != Proc.none then
+    invalid_arg "Cpu.set_account: already charged to another process"; (* alloc: cold — error path *)
+  Sched.set_account p.Proc.thread ~owner:owner.Proc.thread;
+  p.Proc.acct_owner <- owner;
+  owner.Proc.holds <- owner.Proc.holds + 1
+
+let on_exit t f = t.exit_hook <- f
+
+let proc_pool t = (Lrp_det.Pool.live t.spare, Lrp_det.Pool.spare t.spare)
 
 let time_hard t = t.fl.(f_hard)
 let time_soft t = t.fl.(f_soft)

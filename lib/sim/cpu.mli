@@ -40,10 +40,27 @@ val spawn :
   t -> ?nice:int -> ?working_set:float -> name:string -> (Proc.t -> unit) ->
   Proc.t
 (** Create a process and make it runnable now.  The body runs as a coroutine
-    performing compute ({!compute}) / {!Proc.block} effects. *)
+    performing compute ({!compute}) / {!Proc.block} effects.  The record,
+    with its thread, accounting array, exit queue and ledger row, is a
+    reaped process's from the CPU's pool when there is one: it gets the
+    next pid and tid all the same, so only holders that keep a process
+    across its exit can tell, and they compare the pid they saw. *)
 
-val join : Proc.t -> unit
-(** Block the calling process until [p] exits (process context only). *)
+val join : Proc.t -> pid:int -> unit
+(** [join p ~pid] blocks the calling process until the process [pid],
+    whose record is [p], exits (process context only); it returns at
+    once when that process has exited, even if [p] now runs another. *)
+
+val on_exit : t -> (Proc.t -> unit) -> unit
+(** [on_exit t f] runs [f p] when each process [p] of [t] is reaped,
+    after its body has returned and before its record can be reused:
+    the kernel closes the sockets the process still owns.  One hook per
+    CPU; a later call replaces it. *)
+
+val proc_pool : t -> int * int
+(** The process records this CPU made, as (live, spare): live are
+    running or waiting, or reaped but still charged by a live process;
+    spare wait in the pool. *)
 
 val wakeup_one : t -> Proc.waitq -> bool
 (** Wake the longest-waiting process on the queue.  Returns [false] if the
@@ -108,7 +125,11 @@ val post_soft_job : t -> tpkt:int -> poll:bool -> 'a job -> 'a -> int -> unit
 
 val set_account : Proc.t -> owner:Proc.t -> unit
 (** Redirect scheduler charging for a process (LRP's APP thread runs at its
-    owning process's priority and charges CPU to it). *)
+    owning process's priority and charges CPU to it).  [owner]'s record
+    stays out of the pool until the process exits, so charges made after
+    [owner] exits keep reaching it.
+    @raise Invalid_argument if the process is charged to another one
+    already. *)
 
 (** {1 Process-context compute}
 

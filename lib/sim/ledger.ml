@@ -28,8 +28,8 @@
    A row lives as long as its process or channel: [retire_pid] /
    [retire_flow] add a dead key's columns into one aggregate row and drop
    its entry, so the tables hold the live population, not every pid and
-   channel a long run has ever seen.  A retired flow's row, zeroed, is
-   kept for the next new flow.  The class totals are kept apart and
+   channel a long run has ever seen.  A retired row, zeroed, is kept for
+   the next new pid or flow.  The class totals are kept apart and
    never folded. *)
 
 type cls = Intr | Soft | Proto | Poll | App
@@ -47,8 +47,8 @@ type t = {
   closed : float array;                  (* columns of every retired flow *)
   mutable any_exited : bool;
   mutable any_closed : bool;
-  mutable spare : float array array;  (* retired flows' rows, zeroed *)
-  mutable nspare : int;
+  spare : float array Lrp_det.Pool.t;  (* retired flows' rows, zeroed *)
+  pspare : prow Lrp_det.Pool.t;  (* retired pids' rows, zeroed *)
   (* one-entry caches of the last row looked up: consecutive charges
      nearly always hit the same pid and flow *)
   mutable last_pid : int;
@@ -65,7 +65,8 @@ let create () =
     flows = Lrp_det.Itab.create 8;
     amount = [| 0. |];
     exited = Array.make 5 0.; closed = Array.make 5 0.;
-    any_exited = false; any_closed = false; spare = [||]; nspare = 0;
+    any_exited = false; any_closed = false;
+    spare = Lrp_det.Pool.create [||]; pspare = Lrp_det.Pool.create no_row;
     last_pid = min_int; last_prow = no_row;
     last_flow = min_int; last_fcols = [||] }
 
@@ -77,8 +78,16 @@ let prow t pid =
       if slot >= 0 then Lrp_det.Itab.value t.pids slot
       else begin
         let name = if pid < 0 then "(idle)" else "?" in
-        (* alloc: cold — first sighting of a pid *)
-        let r = { p_name = name; pcols = Array.make 5 0. } in
+        let r = Lrp_det.Pool.take t.pspare in
+        let r =
+          if r != no_row then begin
+            r.p_name <- name;
+            r
+          end
+          else
+            (* alloc: cold — once per pooled row *)
+            { p_name = name; pcols = Array.make 5 0. }
+        in
         Lrp_det.Itab.replace t.pids pid r;
         r
       end
@@ -95,13 +104,9 @@ let frow t flow =
     let c =
       if slot >= 0 then Lrp_det.Itab.value t.flows slot
       else begin
+        let c = Lrp_det.Pool.take t.spare in
         let c =
-          if t.nspare > 0 then begin
-            t.nspare <- t.nspare - 1;
-            let c = t.spare.(t.nspare) in
-            t.spare.(t.nspare) <- [||];
-            c
-          end
+          if Array.length c > 0 then c
           else Array.make 5 0. (* alloc: cold — first sighting of a flow *)
         in
         Lrp_det.Itab.replace t.flows flow c;
@@ -123,9 +128,12 @@ let fold_into agg cols =
 let retire_pid t ~pid =
   let slot = Lrp_det.Itab.find t.pids pid in
   if slot >= 0 then begin
-    fold_into t.exited (Lrp_det.Itab.value t.pids slot).pcols;
+    let r = Lrp_det.Itab.value t.pids slot in
+    fold_into t.exited r.pcols;
     t.any_exited <- true;
     Lrp_det.Itab.remove t.pids pid;
+    Array.fill r.pcols 0 5 0.;
+    Lrp_det.Pool.give t.pspare r;
     if t.last_pid = pid then begin
       t.last_pid <- min_int;
       t.last_prow <- no_row
@@ -140,18 +148,14 @@ let retire_flow t ~flow =
     t.any_closed <- true;
     Lrp_det.Itab.remove t.flows flow;
     Array.fill c 0 5 0.;
-    if t.nspare = Array.length t.spare then begin
-      let spare = Array.make (Int.max 8 (2 * t.nspare)) [||] in
-      Array.blit t.spare 0 spare 0 t.nspare;
-      t.spare <- spare
-    end;
-    t.spare.(t.nspare) <- c;
-    t.nspare <- t.nspare + 1;
+    Lrp_det.Pool.give t.spare c;
     if t.last_flow = flow then begin
       t.last_flow <- min_int;
       t.last_fcols <- [||]
     end
   end
+
+let pid_rows t = (Lrp_det.Itab.length t.pids, Lrp_det.Pool.spare t.pspare)
 
 let amount_cell t = t.amount
 

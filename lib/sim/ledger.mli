@@ -56,6 +56,10 @@ val retire_pid : t -> pid:int -> unit
     aggregate row and forgets the pid (done when its process is reaped).
     No-op for a pid without a row. *)
 
+val pid_rows : t -> int * int
+(** The pid rows live (the idle context's included) and spare: a
+    retired pid's row, zeroed, serves the next new pid. *)
+
 val retire_flow : t -> flow:int -> unit
 (** [retire_flow t ~flow] adds the flow's row into the closed-flow
     aggregate row (key [max_int]) and forgets the flow (done when its

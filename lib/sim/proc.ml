@@ -5,10 +5,10 @@ module Sched = Lrp_sched.Sched
 type waitq = unit Effect.t
 
 type t = {
-  pid : int;
-  name : string;
+  mutable pid : int;
+  mutable name : string;
   thread : Sched.thread;
-  working_set_us : float;
+  mutable working_set_us : float;
   mutable pending : pending;
   mutable body : t -> unit;
   mutable k : (unit, unit) Effect.Deep.continuation;
@@ -18,6 +18,8 @@ type t = {
   mutable wq_next : t;
   mutable lcls : int;
   mutable lflow : int;
+  mutable acct_owner : t;
+  mutable holds : int;
 }
 
 and pending = Start | Work | Resume | Blocked | Done
@@ -58,7 +60,7 @@ let none =
     { pid = -1; name = "(none)"; thread; working_set_us = 0.;
       pending = Start; body = started; k = no_k; exited = false; acct;
       exit_waiters = Block { tail = none }; wq_next = none;
-      lcls = 0; lflow = -1 }
+      lcls = 0; lflow = -1; acct_owner = none; holds = 0 }
   in
   none
 
@@ -66,19 +68,35 @@ let none =
 let waitq (_ : string) : waitq = Block { tail = none } (* alloc: cold — once per queue *)
 
 let make ~pid ~name ~thread ~working_set ~now body =
-  (* alloc: cold — once per process *)
+  (* alloc: cold — once per pooled process *)
   let acct = Array.make acct_slots 0. in
   acct.(a_last_on_cpu) <- now;
   let p =
-    (* alloc: cold — once per process *)
+    (* alloc: cold — once per pooled process *)
     { pid; name; thread; working_set_us = working_set; pending = Start; body;
       k = no_k; exited = false; acct; exit_waiters = waitq "exit";
-      wq_next = none; lcls = 0; lflow = -1 }
+      wq_next = none; lcls = 0; lflow = -1; acct_owner = none;
+      holds = 0 }
   in
   (* On no queue: linked to itself (a [let rec] would build the record
      twice). *)
   p.wq_next <- p;
   p
+
+(* A reaped process's record as [make] builds it, keeping its [acct]
+   array, exit queue (emptied at its reap) and thread. *)
+let reinit p ~pid ~name ~working_set ~now body =
+  p.pid <- pid;
+  p.name <- name;
+  p.working_set_us <- working_set;
+  p.pending <- Start;
+  p.body <- body;
+  p.exited <- false;
+  p.acct.(a_work_left) <- 0.;
+  p.acct.(a_cpu) <- 0.;
+  p.acct.(a_last_on_cpu) <- now;
+  p.lcls <- 0;
+  p.lflow <- -1
 
 let cpu_time p = p.acct.(a_cpu)
 

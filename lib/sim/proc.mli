@@ -25,10 +25,13 @@ type waitq = private unit Effect.t
     it and waking from it allocate nothing. *)
 
 type t = {
-  pid : int;
-  name : string;
+  mutable pid : int;
+      (** never reused: a record is, once its process is reaped (see
+          {!Cpu.spawn}), so whatever holds a process across its exit
+          keeps the pid it saw and compares it before each use *)
+  mutable name : string;
   thread : Lrp_sched.Sched.thread;
-  working_set_us : float;
+  mutable working_set_us : float;
       (** Cache-reload penalty paid when this process is switched onto the
           CPU after a different process ran (models the paper's
           memory-locality effects, e.g. the Table-2 worker whose working set
@@ -54,6 +57,13 @@ type t = {
           2 = NAPI poll work (set by {!Cpu.compute_poll}) *)
   mutable lflow : int;
       (** channel/flow id the current protocol segment serves, or [-1] *)
+  mutable acct_owner : t;
+      (** the process this one's scheduler usage is charged to
+          ({!Cpu.set_account}); {!none} for itself *)
+  mutable holds : int;
+      (** live processes charged to this one: its record is not reused
+          while any is, so their charges keep reaching it after it
+          exits *)
 }
 
 and pending =
@@ -104,6 +114,12 @@ val make :
   pid:int -> name:string -> thread:Lrp_sched.Sched.thread ->
   working_set:float -> now:Time.t -> (t -> unit) -> t
 (** A fresh process in state [Start] with [body] (see {!Cpu.spawn}). *)
+
+val reinit :
+  t -> pid:int -> name:string -> working_set:float -> now:Time.t ->
+  (t -> unit) -> unit
+(** Make a reaped process's record what {!make} would build, keeping
+    its accounting array, exit queue and thread. *)
 
 val cpu_time : t -> float
 (** Total simulated CPU consumed, microseconds. *)

@@ -23,6 +23,10 @@ let fork_us = 900.
 let service_us = 4_000.
 let request_bytes = 100
 
+(* What a child sends and a client asks with: immutable, so built once. *)
+let doc = Payload.synthetic doc_bytes
+let request = Payload.synthetic request_bytes
+
 (* [start_server kern ~port ()] spawns the httpd master process. *)
 let start_server kern ?(port = 80) () =
   let backlog = 5 in
@@ -47,8 +51,7 @@ let start_server kern ?(port = 80) () =
                       (Cpu.cost_cell (Kernel.cpu kern)).(0) <- service_us;
                       Cpu.compute (Kernel.cpu kern);
                       (match
-                         Api.tcp_send kern conn
-                           (Payload.synthetic doc_bytes)
+                         Api.tcp_send kern conn doc
                        with
                        | `Ok -> st.served <- st.served + 1
                        | `Closed -> ())
@@ -83,7 +86,7 @@ let start_client kern ~dst ~id stats =
                Proc.sleep_for (Time.ms 100.)
            | `Ok ->
                (match
-                  Api.tcp_send kern sock (Payload.synthetic request_bytes)
+                  Api.tcp_send kern sock request
                 with
                 | `Closed -> stats.failed <- stats.failed + 1
                 | `Ok ->

@@ -11,6 +11,9 @@ let archs =
   [ Kernel.Bsd; Kernel.Soft_lrp; Kernel.Ni_lrp; Kernel.Early_demux;
     Kernel.Napi; Kernel.Napi_gro; Kernel.Rss ]
 
+(* A stream handle's socket record. *)
+let sk (k : Kernel.t) h = Socket.lookup k.Kernel.socks h
+
 (* Every frame the kernel received for the socket ends in exactly one
    state: delivered, dropped at the socket queue (or freed there on
    close), discarded early, or dropped on the receive path. *)
@@ -35,7 +38,7 @@ let test_udp_close_frees () =
         (Cpu.spawn (Kernel.cpu server) ~name:"sleeper" (fun self ->
              Api.bind server sock ~owner:(Some self) ~port:5000;
              Proc.sleep_for (Time.ms 50.);
-             Api.close server sock));
+             Api.close_dgram server sock));
       let sent = 80 in
       for i = 0 to sent - 1 do
         ignore
@@ -83,26 +86,50 @@ let tables (k : Kernel.t) =
       ("udp_eps", List.length k.Kernel.udp_eps);
       ("channels", List.length (Kernel.channels k)) ]
 
-(* Each pool's live and spare records: the TCP env's connections, and
-   the kernel's connection endpoints and channels. *)
+(* Each pool's live and spare records: the TCP env's connections, the
+   kernel's connection endpoints, channels, APP records and stream
+   sockets, the CPU's processes and its ledger's pid rows. *)
 let census (k : Kernel.t) =
   let sp = (Kernel.tcp_env_exn k).Lrp_proto.Tcp.spare in
-  let pool name (p : _ Kernel.pool) =
-    [ (name ^ " live", p.Kernel.made - p.Kernel.n); (name ^ " free", p.Kernel.n) ]
-  in
+  let pair name (live, free) = [ (name ^ " live", live); (name ^ " free", free) ] in
+  let pool name p = pair name (Lrp_det.Pool.live p, Lrp_det.Pool.spare p) in
   [ ("conns live", sp.Lrp_proto.Tcp.live); ("conns free", sp.Lrp_proto.Tcp.nfree) ]
   @ pool "conn eps" k.Kernel.ep_pool
   @ pool "conn chans" k.Kernel.chan_pool
+  @ pool "apps" k.Kernel.app_pool
+  @ pair "socks" (Socket.census k.Kernel.socks)
+  @ pair "procs" (Cpu.proc_pool (Kernel.cpu k))
+  @ pair "pid rows" (Ledger.pid_rows (Cpu.ledger (Kernel.cpu k)))
 
 (* The live rows of a census. *)
 let live k =
   List.filter (fun (name, _) -> Filename.check_suffix name " live") (census k)
 
-(* What a kernel holding [conns] connections and listeners, [chans] of
-   them with a channel, has live in its pools. *)
-let live_expected arch ~conns ~chans =
+(* ... of the pools that hold connections and their sockets. *)
+let conn_live k =
+  List.filter
+    (fun (name, _) ->
+      not (List.mem name [ "apps live"; "procs live"; "pid rows live" ]))
+    (live k)
+
+(* The processes a fresh kernel of [arch] runs: its daemons. *)
+let daemons arch =
+  let _, _, k = World.pair ~cfg:(Kernel.default_config arch) () in
+  Cpu.proc_count (Kernel.cpu k)
+
+(* What a kernel has live in its pools when it holds [conns] connections
+   and listeners, [chans] of them with a channel, and [socks] stream
+   sockets (open, or closed but still named by their connection's
+   endpoint), and when beside its daemons [running] processes run (APP
+   threads included, [apps] of them) and [procs] records are live: the
+   running ones and the reaped owners an APP thread still charges.  A
+   pid row is kept for each running process and the idle context. *)
+let live_expected arch ~conns ~chans ~socks ~procs ~running ~apps =
+  let d = daemons arch in
   [ ("conns live", conns); ("conn eps live", conns);
-    ("conn chans live", if Kernel.is_lrp arch then chans else 0) ]
+    ("conn chans live", if Kernel.is_lrp arch then chans else 0);
+    ("apps live", apps); ("socks live", socks); ("procs live", d + procs);
+    ("pid rows live", 1 + d + running) ]
 
 (* The tables of a kernel holding [udp] bound sockets, [groups] groups,
    [listeners] listeners and [conns] connections, [conn_chans] of which
@@ -154,7 +181,7 @@ let test_lifecycle () =
                    Api.close server conn)
              in
              Api.set_owner server conn ~owner:child;
-             (let c = conn.Socket.tcp in
+             (let c = (sk server conn).Socket.tcp in
               let ep =
                 Lrp_det.Itab.find_opt server.Kernel.eps c.Lrp_proto.Tcp.id
               in
@@ -163,10 +190,10 @@ let test_lifecycle () =
                 | Some { Kernel.ep_owner = p; _ } -> p == child
                 | None -> false);
              Proc.sleep_for (Time.ms 30.);
-             Api.close server u;
+             Api.close_dgram server u;
              Api.leave_group server m1 ~port:6000;
-             Api.close server m1;
-             Api.close server m2;
+             Api.close_dgram server m1;
+             Api.close_dgram server m2;
              Proc.sleep_for (Time.ms 90.);
              Api.close server l));
       ignore
@@ -196,24 +223,43 @@ let test_lifecycle () =
         Alcotest.(check (list (pair string int))) (what ^ " (pools)") pools (live k)
       in
       let tw = if arch = Kernel.Ni_lrp then 0 else 1 in
+      (* Under LRP a process's TCP work runs in its APP thread.  One
+         blocked when its owner exits is never woken: it stays, and
+         keeps its owner's record (here the server's and the client's,
+         the child's having exited with work queued). *)
+      let lrp a b = if Kernel.is_lrp arch then a else b in
       check_at 20. server "server connection in TIME_WAIT"
         (expected arch ~udp:1 ~groups:1 ~listeners:1 ~conns:1 ~conn_chans:tw)
-        ~pools:(live_expected arch ~conns:2 ~chans:(1 + tw));
+        ~pools:
+          (live_expected arch ~conns:2 ~chans:(1 + tw) ~socks:2
+             ~procs:(lrp 2 1) ~running:(lrp 2 1) ~apps:(lrp 1 0));
       check_at 20. client "client closed"
         (expected arch ~udp:0 ~groups:0 ~listeners:0 ~conns:0 ~conn_chans:0)
-        ~pools:(live_expected arch ~conns:0 ~chans:0);
+        ~pools:
+          (live_expected arch ~conns:0 ~chans:0 ~socks:0 ~procs:(lrp 2 0)
+             ~running:(lrp 1 0) ~apps:(lrp 1 0));
       check_at 100. server "only the listener left"
         (expected arch ~udp:0 ~groups:0 ~listeners:1 ~conns:0 ~conn_chans:0)
-        ~pools:(live_expected arch ~conns:1 ~chans:1);
+        ~pools:
+          (live_expected arch ~conns:1 ~chans:1 ~socks:1 ~procs:(lrp 2 1)
+             ~running:(lrp 2 1) ~apps:(lrp 1 0));
       check_at 200. server "everything closed"
         (expected arch ~udp:0 ~groups:0 ~listeners:0 ~conns:0 ~conn_chans:0)
-        ~pools:(live_expected arch ~conns:0 ~chans:0);
-      (* Every record came back: each pool holds what it made. *)
+        ~pools:
+          (live_expected arch ~conns:0 ~chans:0 ~socks:0 ~procs:(lrp 2 0)
+             ~running:(lrp 1 0) ~apps:(lrp 1 0));
+      (* Every record came back: each pool holds what it made (the
+         server's and the child's processes, or the child and its APP
+         thread). *)
       Alcotest.(check (list (pair string int)))
         (name ^ ": the server's records are all spare")
         [ ("conns free", 2); ("conn eps free", 2);
-          ("conn chans free", if Kernel.is_lrp arch then 2 else 0) ]
-        (List.filter (fun (n, _) -> Filename.check_suffix n " free") (census server));
+          ("conn chans free", lrp 2 0); ("apps free", lrp 1 0);
+          ("socks free", 2); ("procs free", 2) ]
+        (List.filter
+           (fun (n, _) ->
+             Filename.check_suffix n " free" && n <> "pid rows free")
+           (census server));
       Alcotest.(check bool) (name ^ ": request served and fetched") true
         (!served && !fetched);
       Alcotest.(check bool) (name ^ ": set_owner hands the endpoint over") true
@@ -241,7 +287,7 @@ let test_listener_close_aborts () =
       in
       let fresh, fresh_live =
         let _, _, k = World.pair ~cfg () in
-        (tables k, live k)
+        (tables k, conn_live k)
       in
       let scenario () =
         let w, client, server = World.pair ~cfg () in
@@ -294,7 +340,7 @@ let test_listener_close_aborts () =
             fresh (tables k);
           Alcotest.(check (list (pair string int)))
             (Printf.sprintf "%s %s: pools of a fresh kernel" name (Kernel.name k))
-            fresh_live (live k);
+            fresh_live (conn_live k);
           Alcotest.(check int) (name ^ ": no descriptor left") 0
             (Parena.live k.Kernel.parena);
           Alcotest.(check int) (name ^ ": no mbuf left") 0
@@ -333,10 +379,11 @@ let test_duplicate_conn_id () =
       ~local_ip:(Kernel.ip_address client) ~local_port:4242
       ~remote:(Kernel.ip_address server, 80) ()
   in
-  Kernel.open_conn client (Api.socket_stream client) conn ~owner:Proc.none;
+  Kernel.open_conn client (sk client (Api.socket_stream client)) conn
+    ~owner:Proc.none;
   Alcotest.check_raises "second open of one connection"
     (Invalid_argument "Kernel.register: duplicate connection id") (fun () ->
-      Kernel.open_conn client (Api.socket_stream client) conn
+      Kernel.open_conn client (sk client (Api.socket_stream client)) conn
         ~owner:Proc.none);
   Alcotest.(check int) "one endpoint in eps" 1
     (Lrp_det.Itab.length client.Kernel.eps)
@@ -344,7 +391,8 @@ let test_duplicate_conn_id () =
 (* An active open from a chosen local port, waited on until it is
    established ([false] if it failed). *)
 let connect_from k ~self ~port ~remote =
-  let sock = Api.socket_stream k in
+  let h = Api.socket_stream k in
+  let sock = sk k h in
   let conn =
     Lrp_proto.Tcp.create_active (Kernel.tcp_env_exn k)
       ~local_ip:(Kernel.ip_address k) ~local_port:port ~remote ()
@@ -358,7 +406,7 @@ let connect_from k ~self ~port ~remote =
         Proc.block sock.Socket.send_wait;
         wait ()
   in
-  (sock, wait ())
+  (h, wait ())
 
 (* A client reconnects from the same port while the server's first
    connection on that four-tuple is still in TIME_WAIT (500 ms), and
@@ -455,13 +503,14 @@ let test_recycled_conn () =
              let remote = (Kernel.ip_address server, 80) in
              let a = Api.socket_stream client in
              assert (Api.tcp_connect client ~self a ~remote = `Ok);
+             let conn_a = (sk client a).Socket.tcp in
              ignore (Api.tcp_send client a (Payload.synthetic 100));
              Api.close client a;
              Proc.sleep_for (Time.ms 100.);
              let b = Api.socket_stream client in
              assert (Api.tcp_connect client ~self b ~remote = `Ok);
-             reused := b.Socket.tcp == a.Socket.tcp;
-             conn_b := b.Socket.tcp;
+             reused := (sk client b).Socket.tcp == conn_a;
+             conn_b := (sk client b).Socket.tcp;
              let send = Api.tcp_send client a (Payload.synthetic 10) in
              let recv =
                match Api.tcp_recv client a ~max:4096 with
@@ -473,7 +522,7 @@ let test_recycled_conn () =
              owner_kept :=
                (match
                   Lrp_det.Itab.find_opt client.Kernel.eps
-                    b.Socket.tcp.Lrp_proto.Tcp.id
+                    !conn_b.Lrp_proto.Tcp.id
                 with
                 | Some ep -> ep.Kernel.ep_owner == self
                 | None -> false);
@@ -522,7 +571,7 @@ let test_recycled_endpoint () =
       (* A's first SYN retransmission (1.5 s) starts P's APP thread, and
          the next scheduler tick gives it P's nice-20 priority. *)
       World.run w ~until:(Time.ms 1600.);
-      let conn_a = a.Socket.tcp in
+      let conn_a = (sk k a).Socket.tcp in
       let ep_a = Lrp_det.Itab.find_opt k.Kernel.eps conn_a.Lrp_proto.Tcp.id in
       let ch =
         match ep_a with
@@ -534,7 +583,7 @@ let test_recycled_endpoint () =
         ignore
           (Nic.transmit_row (Kernel.nic peer)
              (Parena.tcp pool ~src:nowhere ~dst:(Kernel.ip_address k)
-                ~src_port:80 ~dst_port:a.Socket.port ~seq:0 ~ack_no:1
+                ~src_port:80 ~dst_port:(sk k a).Socket.port ~seq:0 ~ack_no:1
                 ~flags:Packet.flags_syn_ack ~window:8192 (Payload.synthetic 0)))
       done;
       let eng = World.engine w in
@@ -543,7 +592,7 @@ let test_recycled_endpoint () =
       done;
       assert (Cpu.wakeup_one (Kernel.cpu k) qwq);
       World.run w ~until:(Time.ms 1700.);
-      let conn_b = b.Socket.tcp in
+      let conn_b = (sk k b).Socket.tcp in
       let ep_b = Lrp_det.Itab.find_opt k.Kernel.eps conn_b.Lrp_proto.Tcp.id in
       Alcotest.(check bool) (name ^ ": B took A's connection, endpoint and channel")
         true
@@ -556,6 +605,256 @@ let test_recycled_endpoint () =
       Alcotest.(check bool) (name ^ ": B is still opening") true
         (Lrp_proto.Tcp.state conn_b = Lrp_proto.Tcp.Syn_sent))
     [ Kernel.Soft_lrp; Kernel.Ni_lrp ]
+
+(* --- records from the process and socket pools ------------------------ *)
+
+(* A client reads none of the 500 bytes the server sends, and exits
+   with its socket open.  As 4.4BSD's [exit] closes every descriptor,
+   the exit closes the socket: the server reads end of stream, the
+   socket's slot goes back to the table, and its connection, with the
+   unread rows it held, back to the env's pool. *)
+let test_exit_closes () =
+  List.iter
+    (fun arch ->
+      let name = Kernel.arch_name arch in
+      let cfg =
+        { (Kernel.default_config arch) with Kernel.time_wait = Time.ms 50. }
+      in
+      let w, client, server = World.pair ~cfg () in
+      let eof = ref false in
+      ignore
+        (Cpu.spawn (Kernel.cpu server) ~name:"srv" (fun self ->
+             let l = Api.socket_stream server in
+             Api.tcp_listen server ~self l ~port:80 ~backlog:4;
+             let s = Api.tcp_accept server ~self l in
+             ignore (Api.tcp_send server s (Payload.synthetic 500));
+             eof := Api.tcp_recv server s ~max:4096 = `Eof;
+             Api.close server s;
+             Proc.block (Proc.waitq "srv")));
+      let unread = ref 0 in
+      ignore
+        (Cpu.spawn (Kernel.cpu client) ~name:"cli" (fun self ->
+             let s = Api.socket_stream client in
+             let remote = (Kernel.ip_address server, 80) in
+             assert (Api.tcp_connect client ~self s ~remote = `Ok);
+             Proc.sleep_for (Time.ms 10.);
+             unread := (Socket.conn (sk client s)).Lrp_proto.Tcp.rcvq_bytes));
+      World.run w ~until:(Time.ms 200.);
+      Alcotest.(check int) (name ^ ": the client left the data unread") 500
+        !unread;
+      Alcotest.(check bool) (name ^ ": the server read end of stream") true !eof;
+      Alcotest.(check (list (pair string int)))
+        (name ^ ": the exit closed the socket and freed its connection")
+        [ ("conns live", 0); ("socks live", 0) ]
+        (List.filter
+           (fun (n, _) -> n = "conns live" || n = "socks live")
+           (census client)))
+    archs
+
+(* A child exits and the next process spawned takes its record, under a
+   new pid; joining the child by its pid returns at once, where joining
+   the record would wait for the new process. *)
+let test_join_recycled () =
+  List.iter
+    (fun arch ->
+      let name = Kernel.arch_name arch in
+      let w, _, k = World.pair ~cfg:(Kernel.default_config arch) () in
+      let cpu = Kernel.cpu k in
+      let child =
+        Cpu.spawn cpu ~name:"child" (fun _ -> Proc.sleep_for (Time.ms 0.5))
+      in
+      let pid = child.Proc.pid in
+      let reused = ref false and joined_at = ref (-1.) in
+      ignore
+        (Cpu.spawn cpu ~name:"parent" (fun _ ->
+             Proc.sleep_for (Time.ms 1.);
+             let next =
+               Cpu.spawn cpu ~name:"next" (fun _ -> Proc.block (Proc.waitq "next"))
+             in
+             reused := next == child && next.Proc.pid <> pid;
+             Cpu.join child ~pid;
+             joined_at := Engine.now (World.engine w)));
+      World.run w ~until:(Time.ms 10.);
+      Alcotest.(check bool) (name ^ ": the next process took the record") true
+        !reused;
+      Alcotest.(check (float 1e-9)) (name ^ ": the join returned at once")
+        (Time.ms 1.) !joined_at)
+    archs
+
+(* Processes spawned on [cpu] until one takes [p]'s record (at most
+   [n]); each blocks for good.  The record, or [Proc.none]. *)
+let rec spawn_into cpu (p : Proc.t) n =
+  if n = 0 then Proc.none
+  else
+    let q = Cpu.spawn cpu ~name:"next" (fun _ -> Proc.block (Proc.waitq "next")) in
+    if q == p then q else spawn_into cpu p (n - 1)
+
+(* A client sends a request, closes and exits while the server holds its
+   answer for 20 ms; without APP accounting (the ablation) nothing holds
+   the client's record, and a process spawned 5 ms in takes it.  The
+   server's data and FIN then reach the client's closed connection,
+   whose endpoint still names the record: its protocol work must not
+   start an APP thread for the new process. *)
+let test_owner_recycled () =
+  List.iter
+    (fun arch ->
+      let name = Kernel.arch_name arch in
+      let cfg =
+        { (Kernel.default_config arch) with Kernel.fair_app_accounting = false }
+      in
+      let w, client, server = World.pair ~cfg () in
+      ignore
+        (Cpu.spawn (Kernel.cpu server) ~name:"srv" (fun self ->
+             let l = Api.socket_stream server in
+             Api.tcp_listen server ~self l ~port:80 ~backlog:4;
+             let s = Api.tcp_accept server ~self l in
+             ignore (Api.tcp_recv server s ~max:4096);
+             Proc.sleep_for (Time.ms 20.);
+             ignore (Api.tcp_send server s (Payload.synthetic 500));
+             Api.close server s));
+      let cpu = Kernel.cpu client in
+      let cli =
+        Cpu.spawn cpu ~name:"cli" (fun self ->
+            let s = Api.socket_stream client in
+            let remote = (Kernel.ip_address server, 80) in
+            assert (Api.tcp_connect client ~self s ~remote = `Ok);
+            ignore (Api.tcp_send client s (Payload.synthetic 100));
+            Api.close client s)
+      in
+      let pid = cli.Proc.pid in
+      let next = ref Proc.none in
+      ignore
+        (Cpu.spawn cpu ~name:"spawner" (fun _ ->
+             Proc.sleep_for (Time.ms 5.);
+             assert cli.Proc.exited;
+             next := spawn_into cpu cli 4));
+      World.run w ~until:(Time.ms 200.);
+      let next = !next in
+      Alcotest.(check bool) (name ^ ": a new process took the record") true
+        (next == cli && next.Proc.pid <> pid);
+      Alcotest.(check bool) (name ^ ": no APP thread works for it") false
+        (Lrp_det.Itab.mem client.Kernel.apps next.Proc.pid))
+    archs
+
+(* Without APP accounting (the ablation), an exited owner's record is
+   free at once.  The owner computes for 20 ms; a process that woke at
+   1 ms waits behind it, and the server's data, sent at 5 ms, wakes the
+   owner's APP thread behind that one.  The owner exits, and the waiting
+   process runs first and spawns one that takes the owner's record.
+   When the APP thread runs, it must see that its owner is gone and
+   exit, its record back in the pool. *)
+let test_app_owner_recycled () =
+  List.iter
+    (fun arch ->
+      let name = Kernel.arch_name arch in
+      let cfg =
+        { (Kernel.default_config arch) with Kernel.fair_app_accounting = false }
+      in
+      let w, client, server = World.pair ~cfg () in
+      ignore
+        (Cpu.spawn (Kernel.cpu server) ~name:"srv" (fun self ->
+             let l = Api.socket_stream server in
+             Api.tcp_listen server ~self l ~port:80 ~backlog:4;
+             let s = Api.tcp_accept server ~self l in
+             Proc.sleep_for (Time.ms 5.);
+             ignore (Api.tcp_send server s (Payload.synthetic 500));
+             Proc.block (Proc.waitq "srv")));
+      let cpu = Kernel.cpu client in
+      let owner =
+        Cpu.spawn cpu ~name:"owner" (fun self ->
+            let s = Api.socket_stream client in
+            let remote = (Kernel.ip_address server, 80) in
+            assert (Api.tcp_connect client ~self s ~remote = `Ok);
+            (Cpu.cost_cell cpu).(0) <- Time.ms 20.;
+            Cpu.compute cpu)
+      in
+      let pid = owner.Proc.pid in
+      let next = ref Proc.none in
+      ignore
+        (Cpu.spawn cpu ~name:"spawner" (fun _ ->
+             Proc.sleep_for (Time.ms 1.);
+             Cpu.join owner ~pid;
+             next := spawn_into cpu owner 1));
+      World.run w ~until:(Time.ms 200.);
+      Alcotest.(check bool) (name ^ ": the next process took the record") true
+        (!next == owner);
+      Alcotest.(check bool) (name ^ ": the APP thread is gone") false
+        (Lrp_det.Itab.mem client.Kernel.apps pid);
+      Alcotest.(check int) (name ^ ": its record is back in the pool") 0
+        (Lrp_det.Pool.live client.Kernel.app_pool))
+    archs
+
+(* A socket is closed, its connection recycled past TIME_WAIT, and the
+   next socket takes its slot.  Every call on the old handle answers as
+   on a closed socket, and none reaches the new one. *)
+let test_stale_handle () =
+  List.iter
+    (fun arch ->
+      let name = Kernel.arch_name arch in
+      let cfg =
+        { (Kernel.default_config arch) with Kernel.time_wait = Time.ms 50. }
+      in
+      let w, client, server = World.pair ~cfg () in
+      let received = ref 0 in
+      ignore
+        (Cpu.spawn (Kernel.cpu server) ~name:"srv" (fun self ->
+             let l = Api.socket_stream server in
+             Api.tcp_listen server ~self l ~port:80 ~backlog:4;
+             let rec serve () =
+               let s = Api.tcp_accept server ~self l in
+               let rec drain () =
+                 match Api.tcp_recv server s ~max:4096 with
+                 | `Data p ->
+                     received := !received + Payload.length p;
+                     drain ()
+                 | `Eof -> ()
+               in
+               drain ();
+               Api.close server s;
+               serve ()
+             in
+             serve ()));
+      let same_slot = ref false and answers = ref [] in
+      ignore
+        (Cpu.spawn (Kernel.cpu client) ~name:"cli" (fun self ->
+             let remote = (Kernel.ip_address server, 80) in
+             let a = Api.socket_stream client in
+             let rec_a = sk client a in
+             assert (Api.tcp_connect client ~self a ~remote = `Ok);
+             Api.close client a;
+             Proc.sleep_for (Time.ms 100.);
+             let b = Api.socket_stream client in
+             assert (Api.tcp_connect client ~self b ~remote = `Ok);
+             same_slot := sk client b == rec_a && sk client a == Socket.stale;
+             let send =
+               match Api.tcp_send client a (Payload.synthetic 10) with
+               | `Ok -> "ok"
+               | `Closed -> "closed"
+             in
+             let recv =
+               match Api.tcp_recv client a ~max:4096 with
+               | `Data _ -> "data"
+               | `Eof -> "eof"
+             in
+             let connect =
+               match Api.tcp_connect client ~self a ~remote with
+               | `Ok | `Refused -> "connected"
+               | exception Api.Socket_closed -> "closed"
+             in
+             Api.set_owner client a ~owner:Proc.none;
+             Api.close client a;
+             answers := [ send; recv; connect ];
+             ignore (Api.tcp_send client b (Payload.synthetic 100));
+             Api.close client b));
+      World.run w ~until:(Time.ms 400.);
+      Alcotest.(check bool) (name ^ ": the new socket took the old slot") true
+        !same_slot;
+      Alcotest.(check (list string))
+        (name ^ ": the old handle answers as a closed socket")
+        [ "closed"; "eof"; "closed" ] !answers;
+      Alcotest.(check int) (name ^ ": the new socket was left alone") 100
+        !received)
+    archs
 
 (* --- the frame pool's conservation ------------------------------------ *)
 
@@ -714,4 +1013,15 @@ let suite =
     Alcotest.test_case "frame pool conserves frames: multicast" `Quick
       test_pool_multicast;
     Alcotest.test_case "frame pool conserves frames: duplicating links"
-      `Quick test_pool_fault_dup ]
+      `Quick test_pool_fault_dup;
+    Alcotest.test_case "a process that exits closes its stream sockets" `Quick
+      test_exit_closes;
+    Alcotest.test_case "a join by pid returns once the record is reused" `Quick
+      test_join_recycled;
+    Alcotest.test_case "a recycled owner is charged nothing" `Quick
+      test_owner_recycled;
+    Alcotest.test_case "an APP thread exits once its owner is recycled" `Quick
+      test_app_owner_recycled;
+    Alcotest.test_case "a stale stream handle answers closed" `Quick
+      test_stale_handle ]
+

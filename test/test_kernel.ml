@@ -233,7 +233,7 @@ let test_close_wakes_blocked_receiver () =
   ignore
     (Cpu.spawn (Kernel.cpu server) ~name:"closer" (fun _ ->
          Proc.sleep_for (Time.ms 5.);
-         Api.close server sock));
+         Api.close_dgram server sock));
   World.run w ~until:(Time.sec 1.);
   Alcotest.(check bool) "blocked receiver saw Socket_closed" true !got_exn
 
@@ -245,7 +245,7 @@ let test_port_reusable_after_close () =
     (Cpu.spawn (Kernel.cpu server) ~name:"p" (fun self ->
          let a = Api.socket_dgram () in
          Api.bind server a ~owner:(Some self) ~port:5000;
-         Api.close server a;
+         Api.close_dgram server a;
          let b = Api.socket_dgram () in
          Api.bind server b ~owner:(Some self) ~port:5000;
          ok := true));

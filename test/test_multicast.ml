@@ -129,7 +129,7 @@ let test_close_one_member () =
              Api.join_group server sock ~owner:(Some self) ~group ~port:6666;
              Api.recvfrom server sock (Api.dgram ());
              incr got_a;
-             Api.close server sock));
+             Api.close_dgram server sock));
       ignore
         (Cpu.spawn (Kernel.cpu server) ~name:"member-b" (fun self ->
              let sock = Api.socket_dgram () in

@@ -278,9 +278,10 @@ let test_join () =
   let child =
     Cpu.spawn cpu ~name:"child" (fun _ -> compute cpu 700.)
   in
+  let pid = child.Proc.pid in
   ignore
     (Cpu.spawn cpu ~name:"parent" (fun _ ->
-         Cpu.join child;
+         Cpu.join child ~pid;
          joined_at := Engine.now eng));
   Engine.run eng ~until:(Time.sec 1.);
   Alcotest.(check (float 1e-6)) "joined when child exited" 700. !joined_at;
@@ -291,10 +292,11 @@ let test_join_exited () =
   let eng, cpu = mk () in
   let ok = ref false in
   let child = Cpu.spawn cpu ~name:"child" (fun _ -> ()) in
+  let pid = child.Proc.pid in
   ignore
     (Cpu.spawn cpu ~name:"parent" (fun _ ->
          Proc.sleep_for 100.;
-         Cpu.join child;
+         Cpu.join child ~pid;
          (* joining an already-dead process returns immediately *)
          ok := true));
   Engine.run eng ~until:(Time.sec 1.);
@@ -667,8 +669,11 @@ let zero_word_cycles =
           Parena.release pool row
         in
         let l = Tcp.create_listener env ~local_ip:ip ~local_port:80 ~backlog:4 () in
-        Kernel.open_conn k (Api.socket_stream k) l ~owner:Proc.none;
-        let sa = Api.socket_stream k and sb = Api.socket_stream k in
+        let sock () =
+          Lrp_kernel.Socket.lookup k.Kernel.socks (Api.socket_stream k)
+        in
+        Kernel.open_conn k (sock ()) l ~owner:Proc.none;
+        let sa = sock () and sb = sock () in
         let remote = (ip, 80) in
         let cycle () =
           sa.Lrp_kernel.Socket.closed <- false;
@@ -699,7 +704,72 @@ let zero_word_cycles =
            endpoints are spare *)
         let sp = env.Tcp.spare and eps = k.Kernel.ep_pool in
         assert (sp.Tcp.live = 1 && sp.Tcp.nfree = 2);
-        assert (eps.Kernel.made - eps.Kernel.n = 1 && eps.Kernel.n = 2);
+        assert (Lrp_det.Pool.live eps = 1 && Lrp_det.Pool.spare eps = 2);
+        cycle );
+    ( "stream_socket_cycle_warm_pool",
+      (* a stream socket's whole life on a warm pool (BSD kernel, as the
+         row above): two sockets opened from the kernel's table, an
+         active open and the listener's child attached to them, both
+         closes through the kernel and the TIME_WAIT expiry, after which
+         both slots are free again and the next cycle reopens them
+         under new handles *)
+      fun () ->
+        let w = Lrp_workload.World.make () in
+        let costs =
+          { Lrp_kernel.Cost.default with
+            Lrp_kernel.Cost.soft_dispatch = 0.001; tcp_in = 0.001 }
+        in
+        let k =
+          Lrp_workload.World.add_host w ~name:"host"
+            { (Kernel.default_config ~costs Kernel.Bsd) with
+              Kernel.time_wait = 0.01 }
+        in
+        let eng = Lrp_workload.World.engine w in
+        let pool = k.Kernel.parena and ip = Kernel.ip_address k in
+        let out = ref Parena.none in
+        let env =
+          { (Kernel.tcp_env_exn k) with Tcp.emit = (fun row -> out := row) }
+        in
+        let pass () =
+          let row = !out in
+          out := Parena.none;
+          ignore (Kernel.deliver_tcp k row ~ctx:`Soft : bool);
+          Parena.release pool row
+        in
+        let socks = k.Kernel.socks in
+        let l = Tcp.create_listener env ~local_ip:ip ~local_port:80 ~backlog:4 () in
+        Kernel.open_conn k
+          (Lrp_kernel.Socket.lookup socks (Api.socket_stream k))
+          l ~owner:Proc.none;
+        let remote = (ip, 80) in
+        let close s =
+          ignore (Kernel.shut_stream k s : int);
+          Kernel.finish_close k s
+        in
+        let cycle () =
+          let sa = Lrp_kernel.Socket.lookup socks (Api.socket_stream k) in
+          let sb = Lrp_kernel.Socket.lookup socks (Api.socket_stream k) in
+          let a =
+            Tcp.create_active env ~local_ip:ip ~local_port:5000 ~remote ()
+          in
+          Kernel.open_conn k sa a ~owner:Proc.none;
+          pass () (* SYN *);
+          pass () (* SYN-ACK *);
+          pass () (* ACK: the child is established and queued *);
+          Kernel.attach k sb (Tcp.accept_pop l) ~owner:Proc.none;
+          close sa;
+          pass () (* FIN *);
+          pass () (* its ACK *);
+          close sb;
+          pass () (* FIN: [a] enters TIME_WAIT *);
+          pass () (* the last ACK: [b] and its socket are released *);
+          while Tcp.state a = Tcp.Time_wait do
+            ignore (Engine.step eng)
+          done
+        in
+        cycle ();
+        (* only the listener's socket is live: both slots are free *)
+        assert (Lrp_kernel.Socket.census socks = (1, 2));
         cycle );
     ( "busy_tick_decay",
       (* one process spinning on a single long segment: each cycle fires
@@ -971,6 +1041,62 @@ let test_block_wake_words () =
   Alcotest.(check (float 0.)) "minor words per cycle = one continuation"
     cont (words /. float_of_int n)
 
+(* Minor words [Effect.Deep.match_with] allocates to start a
+   computation that returns at once, with a preallocated body and
+   handler, measured bare. *)
+let match_with_words () =
+  let handler =
+    { Effect.Deep.retc = ignore;
+      exnc = raise;
+      effc =
+        (fun (type a) (_ : a Effect.t) :
+             ((a, unit) Effect.Deep.continuation -> unit) option -> None) }
+  in
+  let body () = () in
+  let cycle () = Effect.Deep.match_with body () handler in
+  for _ = 1 to 1_000 do
+    cycle ()
+  done;
+  let n = 10_000 in
+  minor_words (fun () -> for _ = 1 to n do cycle () done) /. float_of_int n
+
+(* proc_spawn_exit_warm_pool: a process spawned, run to its exit and
+   reaped, on a warm pool.  The spawn takes the last reaped record, its
+   thread and its ledger row, and the body runs at once to its end, so
+   the cycle allocates exactly what the runtime's [match_with] builds
+   (its [effc] wrapper closure: 5 words) and the body closure, which
+   captures one variable (4 words): 9 words. *)
+let test_spawn_exit_words () =
+  let mw = match_with_words () in
+  let exits = ref 0 in
+  let closure_words =
+    let make () = Sys.opaque_identity (fun (_ : Proc.t) -> incr exits) in
+    for _ = 1 to 1_000 do
+      ignore (make () : Proc.t -> unit)
+    done;
+    minor_words (fun () ->
+        for _ = 1 to 10_000 do
+          ignore (make () : Proc.t -> unit)
+        done)
+    /. 10_000.
+  in
+  Alcotest.(check (float 0.)) "match_with builds 5 words" 5. mw;
+  Alcotest.(check (float 0.)) "the body closure is 4 words" 4. closure_words;
+  let eng = Engine.create () in
+  let cpu = Cpu.create eng ~start_clock:false () in
+  let cycle () =
+    ignore (Cpu.spawn cpu ~name:"child" (fun _ -> incr exits) : Proc.t)
+  in
+  for _ = 1 to 1_000 do
+    cycle ()
+  done;
+  let n = 10_000 in
+  let words = minor_words (fun () -> for _ = 1 to n do cycle () done) in
+  Alcotest.(check int) "every child ran to its exit" 11_000 !exits;
+  Alcotest.(check (pair int int)) "one record, spare" (0, 1) (Cpu.proc_pool cpu);
+  Alcotest.(check (float 0.)) "minor words per cycle = match_with + body"
+    (mw +. closure_words) (words /. float_of_int n)
+
 (* [recvfrom] of a datagram already on a BSD socket queue: the syscall
    and the copyout each perform one compute, and the datagram is copied
    into the caller's buffer, so the call allocates exactly two
@@ -1081,7 +1207,12 @@ let prop_waitq_matches_model =
           Proc.block ctl.(i);
           match cmd.(i) with
           | Block (_, q) -> resumed (Proc.block queues.(q))
-          | Join (_, j) -> resumed (Cpu.join !procs.(j))
+          | Join (_, j) ->
+              (* Nothing is spawned after [procs], so no record is
+                 reused and each still runs the pid it was spawned
+                 with. *)
+              let p = !procs.(j) in
+              resumed (Cpu.join p ~pid:p.Proc.pid)
           | Exit _ -> ()
           | Wake_one _ | Wake_all _ -> assert false
         and resumed () =
@@ -1196,4 +1327,6 @@ let suite =
         test_block_wake_words;
       Alcotest.test_case "recvfrom of a queued datagram: two continuations"
         `Quick test_recvfrom_queued_words;
+      Alcotest.test_case "proc_spawn_exit_warm_pool: match_with + body" `Quick
+        test_spawn_exit_words;
       QCheck_alcotest.to_alcotest prop_waitq_matches_model ]
